@@ -1,39 +1,31 @@
-//! Experiment A8 — zero-copy fabric data plane vs the framed copy path,
-//! plus hot-object read replication.
+//! Experiment A8 — the zero-copy fabric data plane, plus hot-object
+//! read replication.
 //!
-//! The same remote-read workload runs twice over a 3-node LAN-modeled
-//! cluster — once per data-plane backend:
+//! A remote-read workload runs over a 3-node LAN-modeled cluster: the
+//! control plane only negotiates the `(segment, offset, len)`
+//! descriptor; the payload is read straight out of the owner's mapped
+//! `tfsim` segment with no intermediate copy. The harness records
+//! remote-get p50/p90/p99 on the virtual clock and asserts that the
+//! cluster-wide `disagg.fabric.mapped_payload_bytes` counter accounts
+//! for every payload byte read.
 //!
-//! - **framed**: the payload of every remote get rides a `DATA_READ`
-//!   RPC inside an rpclite frame (the pre-fabric copy path, kept as the
-//!   fallback backend);
-//! - **mapped**: the control plane only negotiates the `(segment,
-//!   offset, len)` descriptor; the payload is read straight out of the
-//!   owner's mapped `tfsim` segment with no intermediate copy.
-//!
-//! Per plane the harness records remote-get p50/p90/p99 on the virtual
-//! clock and the cluster-wide `disagg.fabric.*_payload_bytes` counters.
-//! The acceptance gate is counter-asserted, not eyeballed: on the
-//! mapped run the framed payload counter must stay **exactly zero** —
-//! no remote-get payload byte may travel inside an rpclite frame.
-//!
-//! A replication phase then measures the same gets after the owner
-//! offered each hot object to its dominant reader via `replicate_to`:
+//! A replication phase measures the same gets after the owner offered
+//! each hot object to its dominant reader via `replicate_hot`:
 //! replicated reads must be served locally (the `disagg.replica.
 //! local_hits` counter accounts for every one).
 //!
 //! Usage: `cargo run -p bench --bin fabric_dp --release [-- --smoke]
 //! [--objects N] [--reads N] [--seed N]`. Writes `BENCH_fabric.json`.
 
-use disagg::{Cluster, ClusterConfig, DataPlaneKind};
+use disagg::{Cluster, ClusterConfig};
 use netsim::LinkModel;
 use plasma::{ObjectId, ObjectStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Payload of every benched object: big enough that the copy path's
-/// per-byte cost dominates its fixed frame overhead.
+/// Payload of every benched object: big enough that a per-byte copy
+/// cost on the control channel would dominate its fixed frame overhead.
 const OBJECT_BYTES: usize = 64 << 10;
 const MEMORY_PER_NODE: usize = 64 << 20;
 const GET_TIMEOUT: Duration = Duration::from_secs(600);
@@ -92,33 +84,28 @@ fn counter_sum(cluster: &Cluster, name: &str) -> u64 {
         .sum()
 }
 
-/// One plane's measurements.
-struct PlaneResult {
-    name: &'static str,
+struct RunResult {
     p50_us: f64,
     p90_us: f64,
     p99_us: f64,
     ops_per_sec: f64,
-    framed_bytes: u64,
     mapped_bytes: u64,
     replicated: u64,
     replica_local_hits: u64,
     replica_p50_us: f64,
 }
 
-/// Run the remote-read workload on one data-plane backend.
-fn run_plane(kind: DataPlaneKind, opts: &Opts) -> PlaneResult {
+/// Run the replication phase and the timed remote-read workload.
+fn run(opts: &Opts) -> RunResult {
     let nodes = 3;
     let mut config = ClusterConfig::functional(nodes, MEMORY_PER_NODE);
     config.rpc_link = LinkModel::grpc_lan();
     config.seed = opts.seed;
-    config.data_plane = kind;
     // Replication is driven explicitly below; a low threshold lets the
     // hot-offer heuristic fire off the recorded read heat.
     config.replication.min_hits = 4;
     let cluster = Cluster::launch(config).expect("launch cluster");
     let clock = cluster.clock().clone();
-    let name = cluster.store(0).data_plane_name();
 
     // Phase 1 — seed sealed objects on node 0 (all ids ring-owned by
     // node 0, so every read from nodes 1..3 is a true remote get).
@@ -157,9 +144,8 @@ fn run_plane(kind: DataPlaneKind, opts: &Opts) -> PlaneResult {
     replica_ns.sort_unstable();
 
     // Phase 3 — timed remote reads from node 2, which holds no replica:
-    // every get exercises the data plane (the LAN link model charges
-    // per-byte serialization on the framed plane; the mapped plane pays
-    // only the control RPC).
+    // every get exercises the data plane (the LAN link model prices the
+    // control RPC only; the payload never touches it).
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let store2 = cluster.store(2);
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(opts.reads);
@@ -168,19 +154,17 @@ fn run_plane(kind: DataPlaneKind, opts: &Opts) -> PlaneResult {
         let id = ids[rng.gen_range(0..ids.len())];
         let (bytes, elapsed) = clock.time(|| store2.get_bytes(id, GET_TIMEOUT));
         let bytes = bytes.expect("remote get").expect("object must resolve");
-        assert_eq!(bytes.len(), OBJECT_BYTES, "short read through {name}");
+        assert_eq!(bytes.len(), OBJECT_BYTES, "short read");
         latencies_ns.push(elapsed.as_nanos() as u64);
     }
     let elapsed = clock.now() - started;
     latencies_ns.sort_unstable();
 
-    PlaneResult {
-        name,
+    RunResult {
         p50_us: percentile_us(&latencies_ns, 0.50),
         p90_us: percentile_us(&latencies_ns, 0.90),
         p99_us: percentile_us(&latencies_ns, 0.99),
         ops_per_sec: opts.reads as f64 / elapsed.as_secs_f64().max(1e-9),
-        framed_bytes: counter_sum(&cluster, "disagg.fabric.framed_payload_bytes"),
         mapped_bytes: counter_sum(&cluster, "disagg.fabric.mapped_payload_bytes"),
         replicated,
         replica_local_hits: counter_sum(&cluster, "disagg.replica.local_hits"),
@@ -191,90 +175,57 @@ fn run_plane(kind: DataPlaneKind, opts: &Opts) -> PlaneResult {
 fn main() {
     let opts = parse_opts();
     println!(
-        "A8: {} remote reads over {} x {} KiB objects per plane, seed {:#x}",
+        "A8: {} remote reads over {} x {} KiB objects, seed {:#x}",
         opts.reads,
         opts.objects,
         OBJECT_BYTES >> 10,
         opts.seed
     );
 
-    let framed = run_plane(DataPlaneKind::Framed, &opts);
-    let mapped = run_plane(DataPlaneKind::Mapped, &opts);
+    let r = run(&opts);
+    println!(
+        "get p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, {:.0} ops/s; mapped payload bytes {}; \
+         replicated {} (local hits {}, replica p50 {:.1} us)",
+        r.p50_us,
+        r.p90_us,
+        r.p99_us,
+        r.ops_per_sec,
+        r.mapped_bytes,
+        r.replicated,
+        r.replica_local_hits,
+        r.replica_p50_us
+    );
 
-    for r in [&framed, &mapped] {
-        println!(
-            "{:>6}: get p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, {:.0} ops/s; \
-             payload bytes framed {} / mapped {}; replicated {} (local hits {}, \
-             replica p50 {:.1} us)",
-            r.name,
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-            r.ops_per_sec,
-            r.framed_bytes,
-            r.mapped_bytes,
-            r.replicated,
-            r.replica_local_hits,
-            r.replica_p50_us
-        );
-    }
-
-    // The acceptance gates. Counter-asserted: on the zero-copy plane,
-    // remote-get payload bytes through rpclite frames must be zero.
-    assert_eq!(framed.name, "framed");
-    assert_eq!(mapped.name, "mapped");
-    assert_eq!(
-        mapped.framed_bytes, 0,
-        "zero-copy run moved payload bytes through rpclite frames"
-    );
+    // The acceptance gates, counter-asserted.
     assert!(
-        mapped.mapped_bytes as usize >= opts.reads * OBJECT_BYTES,
-        "mapped plane under-counted payload movement"
+        r.mapped_bytes as usize >= opts.reads * OBJECT_BYTES,
+        "data plane under-counted payload movement"
     );
+    assert!(r.replicated > 0);
     assert!(
-        framed.framed_bytes as usize >= opts.reads * OBJECT_BYTES,
-        "framed plane under-counted payload movement"
-    );
-    assert!(framed.replicated > 0 && mapped.replicated > 0);
-    assert!(
-        framed.replica_local_hits as usize >= opts.objects
-            && mapped.replica_local_hits as usize >= opts.objects,
+        r.replica_local_hits as usize >= opts.objects,
         "replicated reads were not served locally"
-    );
-    assert!(
-        mapped.p50_us < framed.p50_us,
-        "descriptor path must beat the copy path at p50 on a LAN link model"
     );
 
     let json = format!(
         "{{\n  \"experiment\": \"fabric_dp\",\n  \"nodes\": 3,\n  \"seed\": {},\n  \
-         \"objects\": {}, \"object_bytes\": {}, \"reads_per_plane\": {},\n  \
-         \"framed_get_p50_us\": {:.1}, \"framed_get_p90_us\": {:.1}, \
-         \"framed_get_p99_us\": {:.1},\n  \"framed_ops_per_sec\": {:.0},\n  \
-         \"framed_payload_bytes\": {},\n  \
+         \"objects\": {}, \"object_bytes\": {}, \"reads\": {},\n  \
          \"mapped_get_p50_us\": {:.1}, \"mapped_get_p90_us\": {:.1}, \
          \"mapped_get_p99_us\": {:.1},\n  \"mapped_ops_per_sec\": {:.0},\n  \
-         \"mapped_run_framed_payload_bytes\": {},\n  \"mapped_payload_bytes\": {},\n  \
-         \"framed_replica_get_p50_us\": {:.1}, \"mapped_replica_get_p50_us\": {:.1},\n  \
+         \"mapped_payload_bytes\": {},\n  \
+         \"mapped_replica_get_p50_us\": {:.1},\n  \
          \"replica_local_hits\": {}\n}}\n",
         opts.seed,
         opts.objects,
         OBJECT_BYTES,
         opts.reads,
-        framed.p50_us,
-        framed.p90_us,
-        framed.p99_us,
-        framed.ops_per_sec,
-        framed.framed_bytes,
-        mapped.p50_us,
-        mapped.p90_us,
-        mapped.p99_us,
-        mapped.ops_per_sec,
-        mapped.framed_bytes,
-        mapped.mapped_bytes,
-        framed.replica_p50_us,
-        mapped.replica_p50_us,
-        framed.replica_local_hits + mapped.replica_local_hits,
+        r.p50_us,
+        r.p90_us,
+        r.p99_us,
+        r.ops_per_sec,
+        r.mapped_bytes,
+        r.replica_p50_us,
+        r.replica_local_hits,
     );
     let path = "BENCH_fabric.json";
     std::fs::write(path, json).expect("write BENCH_fabric.json");

@@ -3,19 +3,22 @@
 //! "A caching mechanism for previously requested remote objects could be
 //! implemented. This would increase the performance of repeated requests
 //! for identifiers." This harness measures repeated remote gets of the
-//! same object set under three configurations:
+//! same object set (all ring-placed on one remote owner) under three
+//! configurations:
 //!
-//! * **no cache** — every get broadcasts lookups to peers;
-//! * **pinning cache** — repeat gets issue one targeted RPC (safe);
+//! * **no cache** — every get resolves the ring owner locally and sends
+//!   it one targeted `GET_MANY`;
+//! * **pinning cache** — repeat gets send the cached holder one targeted
+//!   `GET_MANY` (safe; the same bill as the ring);
 //! * **direct cache** — repeat gets skip RPC entirely and read straight
 //!   through the fabric (fast, but unpinned: the paper's corruption
 //!   hazard).
 //!
 //! Usage: `cargo run -p bench --bin idcache_ablation --release [-- --reps N]`
 
-use bench::{commit_objects, render_table, BenchSpec, HarnessOpts, Summary};
-use disagg::{CacheMode, Cluster, ClusterConfig, DataPlaneKind};
-use plasma::AllocatorKind;
+use bench::{commit_ids, render_table, BenchSpec, HarnessOpts, Summary};
+use disagg::{CacheMode, Cluster, ClusterConfig};
+use plasma::ObjectId;
 use std::time::Duration;
 
 fn run_config(
@@ -31,27 +34,19 @@ fn run_config(
         object_size: 10_000,
     };
     let mut cfg = ClusterConfig::paper_testbed(64 << 20);
-    cfg.nodes = 4; // fan-out makes the broadcast cost visible
+    cfg.nodes = 4;
     cfg.id_cache = cache;
-    // Ablate the cache under the legacy epoch-0 lookup broadcast the
-    // paper describes; ring routing is a separate remedy for the same
-    // cost, measured on its own in `--bin placement` (A5). The data
-    // plane is pinned to the framed copy path for the same reason: the
-    // recorded tables predate the zero-copy split, and this harness
-    // isolates lookup cost — the transport comparison lives in
-    // `--bin fabric_dp` (A8).
-    cfg.ring = false;
-    cfg.data_plane = DataPlaneKind::Framed;
-    // Allocator and table layout are likewise pinned: the recorded
-    // tables predate the slab allocator and the sharded object table,
-    // and this harness measures lookup RPCs, not the store hot path —
-    // the allocator/sharding comparison lives in `--bin hotpath` (A9).
-    cfg.allocator = AllocatorKind::FirstFit;
-    cfg.shards = 1;
     let cluster = Cluster::launch(cfg).expect("launch");
     let producer = cluster.client(3).expect("producer");
     let consumer = cluster.client(1).expect("consumer");
-    let ids = commit_objects(&producer, &spec, label, seed).expect("commit");
+    // Every object places on the producer's node, so each get is one
+    // remote batch against a single owner.
+    let ids: Vec<ObjectId> = cluster
+        .owned_ids(3, &format!("a2/{label}"), spec.num_objects)
+        .iter()
+        .map(|name| ObjectId::from_name(name))
+        .collect();
+    commit_ids(&producer, &ids, spec.object_size, seed).expect("commit");
 
     // Cold get warms the cache (not measured).
     let bufs = consumer

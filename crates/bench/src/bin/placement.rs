@@ -1,11 +1,10 @@
 //! Experiment A5 — create-path cost of rendezvous placement.
 //!
-//! The legacy create protocol broadcast a RESERVE to every peer before
-//! admitting an object; rendezvous placement computes the owner locally
-//! and either creates in place or forwards a single `CREATE_AT`. This
-//! harness runs the same unpinned create workload under both protocols
-//! (the `ClusterConfig::ring` toggle) and reports per-create latency
-//! percentiles plus the RPC bill, proving reserve-RPCs-per-create → 0.
+//! Rendezvous placement computes an id's owner locally and either
+//! creates in place or forwards a `CREATE_AT` / `SEAL_AT` pair to the
+//! owner. This harness runs an unpinned create workload (ids land
+//! wherever the ring hashes them) and reports per-create latency
+//! percentiles plus the RPC bill.
 //!
 //! Usage: `cargo run -p bench --bin placement --release [-- --reps N]`
 //! (creates per config = 100 × reps). Writes `BENCH_placement.json` to
@@ -19,24 +18,20 @@ const NODES: usize = 3;
 const OBJECT_SIZE: usize = 1024;
 
 /// Create-path verbs whose client-side histograms make up the RPC bill.
-/// `reserve` is the legacy broadcast; the `*_at` trio is the forwarded
-/// rendezvous protocol.
-const CREATE_VERBS: [&str; 4] = [".reserve.", ".create_at.", ".seal_at.", ".abort_at."];
+const CREATE_VERBS: [&str; 3] = [".create_at.", ".seal_at.", ".abort_at."];
 
 struct Row {
     label: &'static str,
     creates: usize,
-    reserve_rpcs: u64,
     create_path_rpcs: u64,
     p50_us: f64,
     p90_us: f64,
     p99_us: f64,
 }
 
-fn run_config(label: &'static str, ring: bool, creates: usize, seed: u64) -> Row {
+fn run_config(label: &'static str, creates: usize, seed: u64) -> Row {
     let mut cfg = ClusterConfig::paper_testbed(64 << 20);
     cfg.nodes = NODES; // a 3-node ring makes forwarded creates the common case
-    cfg.ring = ring;
     cfg.seed = seed;
     let cluster = Cluster::launch(cfg).expect("launch");
     let client = cluster.client(0).expect("client");
@@ -51,9 +46,7 @@ fn run_config(label: &'static str, ring: bool, creates: usize, seed: u64) -> Row
     }
     lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-    let store = cluster.store(0);
-    let reserve_rpcs = store.disagg_stats().reserve_rpcs;
-    let snap = store.metrics_snapshot();
+    let snap = cluster.store(0).metrics_snapshot();
     let create_path_rpcs: u64 = snap
         .histograms
         .iter()
@@ -66,7 +59,6 @@ fn run_config(label: &'static str, ring: bool, creates: usize, seed: u64) -> Row
     Row {
         label,
         creates,
-        reserve_rpcs,
         create_path_rpcs,
         p50_us: percentile(&lat_us, 0.50),
         p90_us: percentile(&lat_us, 0.90),
@@ -81,13 +73,11 @@ fn json(rows: &[Row]) -> String {
     out.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"creates\": {}, \"reserve_rpcs\": {}, \
-             \"reserve_rpcs_per_create\": {:.4}, \"create_path_rpcs_per_create\": {:.4}, \
+            "    {{\"name\": \"{}\", \"creates\": {}, \
+             \"create_path_rpcs_per_create\": {:.4}, \
              \"p50_us\": {:.3}, \"p90_us\": {:.3}, \"p99_us\": {:.3}}}{}\n",
             r.label,
             r.creates,
-            r.reserve_rpcs,
-            r.reserve_rpcs as f64 / r.creates as f64,
             r.create_path_rpcs as f64 / r.creates as f64,
             r.p50_us,
             r.p90_us,
@@ -104,20 +94,16 @@ fn main() {
     let creates = 100 * opts.reps.max(1);
     println!(
         "A5: {creates} unpinned creates of {OBJECT_SIZE} B objects on a \
-         {NODES}-node simulated-LAN cluster, per protocol"
+         {NODES}-node simulated-LAN cluster"
     );
 
-    let rows = [
-        run_config("ring", true, creates, opts.seed),
-        run_config("legacy-reserve", false, creates, opts.seed),
-    ];
+    let rows = [run_config("ring", creates, opts.seed)];
 
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
                 r.label.to_string(),
-                format!("{:.4}", r.reserve_rpcs as f64 / r.creates as f64),
                 format!("{:.4}", r.create_path_rpcs as f64 / r.creates as f64),
                 format!("{:.1}", r.p50_us),
                 format!("{:.1}", r.p90_us),
@@ -130,7 +116,6 @@ fn main() {
         render_table(
             &[
                 "protocol",
-                "reserve RPC/create",
                 "create-path RPC/create",
                 "p50 (µs)",
                 "p90 (µs)",
@@ -143,6 +128,6 @@ fn main() {
     let path = "BENCH_placement.json";
     std::fs::write(path, json(&rows)).expect("write BENCH_placement.json");
     println!("wrote {path}");
-    println!("(ring: owner computed locally, only off-owner creates pay the forwarded");
-    println!(" CREATE_AT/SEAL_AT pair; legacy: every create broadcasts RESERVE to all peers)");
+    println!("(owner computed locally; only off-owner creates pay the forwarded");
+    println!(" CREATE_AT/SEAL_AT pair)");
 }

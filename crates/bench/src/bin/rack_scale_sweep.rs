@@ -4,17 +4,19 @@
 //! system. For rack-scale solutions, this needs to be modified to
 //! accommodate multiple nodes. The current system design allows for this
 //! modification." — this harness runs the modified design at N = 2..8
-//! nodes and measures how remote `get` latency scales with cluster size:
+//! nodes and measures how remote `get` latency scales with cluster size.
+//! Every object ring-places on the last node and is read from node 0:
 //!
-//! * cold gets broadcast lookups, so their cost grows with the peer count;
-//! * warm gets with the pinning id cache stay flat (one targeted RPC),
-//!   which is what makes the design viable at rack scale.
+//! * a cold get resolves the owner locally and sends it one targeted
+//!   `GET_MANY` — no fan-out, so its cost does not grow with peer count;
+//! * warm gets (pinning id cache) send the cached holder the same one
+//!   RPC, so they stay flat too.
 //!
 //! Usage: `cargo run -p bench --bin rack_scale_sweep --release [-- --reps N]`
 
-use bench::{commit_objects, render_table, BenchSpec, HarnessOpts, Summary};
-use disagg::{CacheMode, Cluster, ClusterConfig, DataPlaneKind};
-use plasma::AllocatorKind;
+use bench::{commit_ids, render_table, BenchSpec, HarnessOpts, Summary};
+use disagg::{CacheMode, Cluster, ClusterConfig};
+use plasma::ObjectId;
 use std::time::Duration;
 
 fn main() {
@@ -34,28 +36,17 @@ fn main() {
         let mut cfg = ClusterConfig::paper_testbed(32 << 20);
         cfg.nodes = nodes;
         cfg.id_cache = Some((CacheMode::Pinning, 4096));
-        // This harness measures the legacy epoch-0 protocol (broadcast
-        // lookups, producer-local placement) — the design the paper's
-        // future-work quote is about. The ring removes the broadcast
-        // entirely; `--bin placement` (A5) quantifies that comparison.
-        // The data plane is likewise pinned to the framed copy path the
-        // recorded sweep was measured on; the zero-copy comparison is
-        // `--bin fabric_dp` (A8).
-        cfg.ring = false;
-        cfg.data_plane = DataPlaneKind::Framed;
-        // Allocator and table layout pinned for the same reason: the
-        // recorded sweep predates the slab allocator and the sharded
-        // object table; the hot-path comparison is `--bin hotpath` (A9).
-        cfg.allocator = AllocatorKind::FirstFit;
-        cfg.shards = 1;
         let cluster = Cluster::launch(cfg).expect("launch");
 
-        // Objects live on the LAST node, so a consumer on node 0 probing
-        // peers in order pays the worst-case broadcast.
+        // Objects place on the LAST node and are read from node 0.
         let producer = cluster.client(nodes - 1).expect("producer");
         let consumer = cluster.client(0).expect("consumer");
-        let ids =
-            commit_objects(&producer, &spec, &format!("n{nodes}"), opts.seed).expect("commit");
+        let ids: Vec<ObjectId> = cluster
+            .owned_ids(nodes - 1, &format!("a3/n{nodes}"), spec.num_objects)
+            .iter()
+            .map(|name| ObjectId::from_name(name))
+            .collect();
+        commit_ids(&producer, &ids, spec.object_size, opts.seed).expect("commit");
 
         let mut cold = Vec::new();
         let mut warm = Vec::new();
@@ -90,6 +81,6 @@ fn main() {
             &rows
         )
     );
-    println!("(cold lookups broadcast across peers, so cost grows with cluster size;");
-    println!(" the pinning id cache keeps warm gets flat — one targeted RPC)");
+    println!("(the ring resolves the owner locally: cold and warm gets alike cost one");
+    println!(" targeted RPC, independent of cluster size)");
 }

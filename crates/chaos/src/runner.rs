@@ -394,9 +394,10 @@ fn check_quiesce(cluster: &Cluster, nodes: usize) -> Verdict {
 fn check_ring_placement(cluster: &Cluster, nodes: usize) -> Verdict {
     use std::collections::{HashMap, HashSet};
     let mut verdict = Verdict::default();
-    let Some(membership) = cluster.store(0).membership() else {
-        return verdict; // legacy broadcast cluster: nothing to audit
-    };
+    let membership = cluster
+        .store(0)
+        .membership()
+        .expect("Cluster::launch installs a membership table on every store");
     let ring = disagg::Ring::new(membership);
     for i in 0..nodes {
         let epoch = cluster.store(i).ring_epoch();

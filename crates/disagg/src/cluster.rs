@@ -8,7 +8,6 @@
 //! "rack-scale solutions \[with\] multiple nodes" (paper §V-B).
 
 use crate::elastic::ElasticConfig;
-use crate::fabric::DataPlaneKind;
 use crate::idcache::CacheMode;
 use crate::proto::method;
 use crate::replicate::ReplicationConfig;
@@ -66,10 +65,6 @@ pub struct ClusterConfig {
     /// Elastic capacity tier: spill/lend watermarks, admission control,
     /// rebalance heat threshold. Applied to every store.
     pub elastic: ElasticConfig,
-    /// Bulk data plane every store moves remote payloads over: `Mapped`
-    /// (zero-copy reads of the owner's sealed segment) or `Framed`
-    /// (payloads embedded in control-channel frames).
-    pub data_plane: DataPlaneKind,
     /// Hot-object read replication policy, applied to every store.
     pub replication: ReplicationConfig,
     /// Optional wire-level fault policy: every interconnect connection
@@ -78,11 +73,6 @@ pub struct ClusterConfig {
     /// or truncate store-to-store traffic. `None` (the default) leaves
     /// connections untouched.
     pub fault_policy: Option<Arc<dyn FaultPolicy>>,
-    /// Install a rendezvous-hash placement ring (epoch 1 over all nodes)
-    /// on every store at launch, so creates route point-to-point to the
-    /// id's computed owner with no reserve broadcast. `false` runs the
-    /// legacy broadcast protocols (reserve fan-out, lookup broadcast).
-    pub ring: bool,
 }
 
 impl std::fmt::Debug for ClusterConfig {
@@ -101,13 +91,11 @@ impl std::fmt::Debug for ClusterConfig {
             .field("seed", &self.seed)
             .field("interconnect", &self.interconnect)
             .field("elastic", &self.elastic)
-            .field("data_plane", &self.data_plane)
             .field("replication", &self.replication)
             .field(
                 "fault_policy",
                 &self.fault_policy.as_ref().map(|_| "<policy>"),
             )
-            .field("ring", &self.ring)
             .finish()
     }
 }
@@ -130,10 +118,8 @@ impl ClusterConfig {
             seed: 0x7F1A,
             interconnect: InterconnectConfig::default(),
             elastic: ElasticConfig::default(),
-            data_plane: DataPlaneKind::Mapped,
             replication: ReplicationConfig::default(),
             fault_policy: None,
-            ring: true,
         }
     }
 
@@ -153,10 +139,8 @@ impl ClusterConfig {
             seed: 1,
             interconnect: InterconnectConfig::default(),
             elastic: ElasticConfig::default(),
-            data_plane: DataPlaneKind::Mapped,
             replication: ReplicationConfig::default(),
             fault_policy: None,
-            ring: true,
         }
     }
 }
@@ -209,11 +193,9 @@ impl Cluster {
             let store = DisaggStore::new(
                 core,
                 DisaggConfig {
-                    lookup_remote: true,
                     id_cache: config.id_cache,
                     interconnect: config.interconnect.clone(),
                     elastic: config.elastic,
-                    data_plane: config.data_plane,
                     replication: config.replication,
                 },
             );
@@ -286,13 +268,11 @@ impl Cluster {
         // Stage 3: deterministic placement. Every store gets the same
         // epoch-1 membership table, so all rings agree from the start
         // (the steady state the gossip protocol converges to).
-        if config.ring {
-            let members: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
-            for runtime in &nodes {
-                runtime
-                    .store
-                    .set_membership(Membership::new(1, members.clone()));
-            }
+        let members: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
+        for runtime in &nodes {
+            runtime
+                .store
+                .set_membership(Membership::new(1, members.clone()));
         }
 
         Ok(Cluster {
@@ -405,13 +385,13 @@ impl Cluster {
     /// — whose ring placement lands on node index `node_idx`. Placement
     /// is hash-determined, so tests that need an id on a *specific* node
     /// (e.g. "create locally on node 0, get remotely from node 1")
-    /// probe suffixed variants until one lands there. Panics if the
-    /// cluster has no ring or no variant lands within 10k probes
-    /// (vanishingly unlikely for any non-degenerate membership).
+    /// probe suffixed variants until one lands there. Panics if no
+    /// variant lands within 10k probes (vanishingly unlikely for any
+    /// non-degenerate membership).
     pub fn owned_id(&self, node_idx: usize, base: &str) -> String {
         let target = self.nodes[node_idx].node;
         let ring = self.nodes[0].store.membership().map(crate::ring::Ring::new);
-        let ring = ring.expect("owned_id requires a ring cluster");
+        let ring = ring.expect("launch installs a membership table on every store");
         if ring.owner_of(ObjectId::from_name(base)) == Some(target) {
             return base.to_string();
         }

@@ -1,342 +1,65 @@
-//! The bulk **data plane**, split out from the RPC control plane.
+//! The bulk **data plane**: how payload bytes move between nodes.
 //!
 //! The paper's central claim is that object *data* moves over the
 //! disaggregated memory fabric while only small control messages ride
-//! the RPC channel. This module makes that split explicit and
-//! swappable: every bulk payload movement in the distributed store —
-//! remote reads after a `GET_MANY` descriptor negotiation, payload
-//! writes after a forwarded `CREATE_AT`, spill and replica propagation
-//! — goes through a [`Fabric`] backend.
+//! the RPC channel. Every bulk payload movement in the distributed store
+//! — remote reads after a `GET_MANY` descriptor negotiation, payload
+//! writes after a forwarded `CREATE_AT`, spill and replica propagation —
+//! goes through [`MappedFabric`]: the bytes are read from (or written
+//! to) the mapped `tfsim` segment named by the negotiated `(segment,
+//! offset, len)` descriptor. **No payload byte ever enters an rpclite
+//! frame** — no interconnect message has a payload field (the `proto`
+//! tests pin every descriptor-carrying frame to O(1) in object size).
 //!
-//! Two backends ship:
-//!
-//! * [`MappedFabric`] — the zero-copy path. Payload bytes are read from
-//!   (or written to) the mapped `tfsim` segment named by the negotiated
-//!   `(segment, offset, len)` descriptor. **No payload byte ever enters
-//!   an rpclite frame**; the `disagg.fabric.framed_payload_bytes`
-//!   counter provably stays at zero (the `fabric_dp` bench asserts it).
-//! * [`FramedFabric`] — the copy fallback. Payload bytes are carried
-//!   inside rpclite frames (`DATA_READ` / `DATA_WRITE`), reproducing
-//!   the conventional copy-through-the-network transport so recorded
-//!   benches and chaos plans from the pre-split era stay replayable,
-//!   and so the zero-copy win is measurable against a live baseline.
-//!
-//! The descriptor lifecycle is the same on both backends: **negotiate**
-//! (a control-plane RPC pins the object and returns its descriptor) →
-//! **map** (attach the segment, or address the holder) → **read/write**
-//! (bulk bytes move) → **release** (a control-plane RPC drops the pin).
-//! Only the middle step differs.
+//! The descriptor lifecycle: **negotiate** (a control-plane RPC pins the
+//! object and returns its descriptor) → **map** (attach the segment) →
+//! **read/write** (bulk bytes move) → **release** (a control-plane RPC
+//! drops the pin).
 
-use crate::proto::{method, DataReadReq, DataReadResp, DataWriteReq};
-use bytes::Bytes;
 use obs::{Counter, Registry};
 use plasma::{ObjectLocation, PlasmaError};
-use std::fmt;
 use std::sync::Arc;
 use tfsim::NodeId;
 
-/// Which [`Fabric`] backend a store (or a whole cluster) runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlaneKind {
-    /// Zero-copy: payloads move over mapped `tfsim` segments.
-    #[default]
-    Mapped,
-    /// Copy fallback: payloads ride inside rpclite frames.
-    Framed,
-}
-
-/// The control channel a [`Fabric`] backend may use to reach the node
-/// currently holding the bytes. Implemented by the distributed store
-/// over its guarded peer-call machinery (deadlines, retries, health),
-/// so a backend never owns connections of its own.
-pub trait ControlLink {
-    /// The node this link originates from.
-    fn local_node(&self) -> NodeId;
-
-    /// One control-plane call to `peer`: send `body` for `method` (a
-    /// [`method`] id) and return the response body.
-    fn call(&self, peer: NodeId, method: u32, body: Bytes) -> Result<Bytes, PlasmaError>;
-}
-
-/// Byte-movement counters shared by the backends and the store, so the
-/// claim "payload bytes copied through rpclite frames = 0 on the
-/// zero-copy path" is a counter assertion, not prose.
-#[derive(Clone)]
-pub struct DataPlaneMetrics {
-    /// Payload bytes that crossed the interconnect *inside rpclite
-    /// frames* (`DATA_READ`/`DATA_WRITE` bodies, embedded spill or
-    /// replica payloads). Zero on the mapped backend, by construction.
-    pub framed_payload_bytes: Arc<Counter>,
-    /// Payload bytes that moved over mapped `tfsim` segments instead.
-    pub mapped_payload_bytes: Arc<Counter>,
-}
-
-impl DataPlaneMetrics {
-    /// Resolve the counters in `registry` (`disagg.fabric.*`).
-    pub fn register(registry: &Registry) -> DataPlaneMetrics {
-        DataPlaneMetrics {
-            framed_payload_bytes: registry.counter("disagg.fabric.framed_payload_bytes"),
-            mapped_payload_bytes: registry.counter("disagg.fabric.mapped_payload_bytes"),
-        }
-    }
-}
-
-impl fmt::Debug for DataPlaneMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DataPlaneMetrics")
-            .field("framed_payload_bytes", &self.framed_payload_bytes.get())
-            .field("mapped_payload_bytes", &self.mapped_payload_bytes.get())
-            .finish()
-    }
-}
-
-/// A bulk data-plane backend: how payload bytes actually move between
-/// nodes once a control-plane exchange has negotiated a fabric
-/// descriptor. The distributed store is generic over this trait — the
-/// `DisaggStore` API is identical on every backend.
-///
-/// Implementors must be cheap to share (`Send + Sync`); the store calls
-/// them concurrently from fan-out worker threads.
-///
-/// ```
-/// use bytes::Bytes;
-/// use disagg::fabric::{ControlLink, Fabric};
-/// use plasma::{ObjectLocation, PlasmaError};
-/// use tfsim::NodeId;
-///
-/// /// A toy backend that "moves" bytes through a local scratch buffer
-/// /// — the minimum a custom transport must provide.
-/// #[derive(Debug, Default)]
-/// struct Scratch(std::sync::Mutex<Vec<u8>>);
-///
-/// impl Fabric for Scratch {
-///     fn name(&self) -> &'static str {
-///         "scratch"
-///     }
-///
-///     fn framed(&self) -> bool {
-///         false // bytes do not ride inside rpclite frames
-///     }
-///
-///     fn pull(
-///         &self,
-///         _link: &dyn ControlLink,
-///         _holder: NodeId,
-///         loc: &ObjectLocation,
-///     ) -> Result<Vec<u8>, PlasmaError> {
-///         let buf = self.0.lock().unwrap();
-///         let len = usize::try_from(loc.total_size()).unwrap();
-///         if buf.len() < len {
-///             return Err(PlasmaError::Fabric("short scratch read".into()));
-///         }
-///         Ok(buf[..len].to_vec())
-///     }
-///
-///     fn push(
-///         &self,
-///         _link: &dyn ControlLink,
-///         _holder: NodeId,
-///         _loc: &ObjectLocation,
-///         data: &[u8],
-///     ) -> Result<(), PlasmaError> {
-///         let mut buf = self.0.lock().unwrap();
-///         buf.clear();
-///         buf.extend_from_slice(data);
-///         Ok(())
-///     }
-/// }
-///
-/// let backend = Scratch::default();
-/// assert_eq!(backend.name(), "scratch");
-/// assert!(!backend.framed());
-/// ```
-pub trait Fabric: Send + Sync + fmt::Debug {
-    /// Short backend name for diagnostics and bench labels.
-    fn name(&self) -> &'static str;
-
-    /// True when payload bytes ride inside rpclite frames (the copy
-    /// fallback). The store uses this to decide whether spill/replica
-    /// requests must embed their payload (avoiding a nested RPC from
-    /// inside a service handler) and the bench uses it for labeling.
-    fn framed(&self) -> bool;
-
-    /// Read the `loc.total_size()` payload bytes of the (pinned) object
-    /// described by `loc` from `holder`. The caller negotiated the
-    /// descriptor over the control plane and guarantees the pin holds
-    /// until this returns.
-    fn pull(
-        &self,
-        link: &dyn ControlLink,
-        holder: NodeId,
-        loc: &ObjectLocation,
-    ) -> Result<Vec<u8>, PlasmaError>;
-
-    /// Write `data` into the staged location `loc` on `holder` (the
-    /// payload step of a forwarded create).
-    fn push(
-        &self,
-        link: &dyn ControlLink,
-        holder: NodeId,
-        loc: &ObjectLocation,
-        data: &[u8],
-    ) -> Result<(), PlasmaError>;
-}
-
-/// The zero-copy backend: payloads move by attaching the descriptor's
-/// `tfsim` segment and reading/writing it directly. The control link is
-/// never used — no payload byte touches an rpclite frame.
+/// The zero-copy data plane of the store on one node: payloads move by
+/// attaching the descriptor's `tfsim` segment and reading/writing it
+/// directly.
+#[derive(Debug)]
 pub struct MappedFabric {
     fabric: tfsim::Fabric,
     node: NodeId,
-    metrics: DataPlaneMetrics,
+    /// Payload bytes moved over mapped segments
+    /// (`disagg.fabric.mapped_payload_bytes`).
+    mapped_payload_bytes: Arc<Counter>,
 }
 
 impl MappedFabric {
-    /// A mapped backend for the store on `node`.
-    pub fn new(fabric: tfsim::Fabric, node: NodeId, metrics: DataPlaneMetrics) -> Self {
+    /// The data plane for the store on `node`, counting into `registry`.
+    pub fn new(fabric: tfsim::Fabric, node: NodeId, registry: &Registry) -> Self {
         MappedFabric {
             fabric,
             node,
-            metrics,
+            mapped_payload_bytes: registry.counter("disagg.fabric.mapped_payload_bytes"),
         }
     }
-}
 
-impl fmt::Debug for MappedFabric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MappedFabric")
-            .field("node", &self.node)
-            .finish()
-    }
-}
-
-impl Fabric for MappedFabric {
-    fn name(&self) -> &'static str {
-        "mapped"
-    }
-
-    fn framed(&self) -> bool {
-        false
-    }
-
-    fn pull(
-        &self,
-        _link: &dyn ControlLink,
-        _holder: NodeId,
-        loc: &ObjectLocation,
-    ) -> Result<Vec<u8>, PlasmaError> {
+    /// Read the `loc.total_size()` payload bytes of the (pinned) object
+    /// described by `loc`. The caller negotiated the descriptor over the
+    /// control plane and guarantees the pin holds until this returns.
+    pub fn pull(&self, loc: &ObjectLocation) -> Result<Vec<u8>, PlasmaError> {
         let mapping = self.fabric.attach(self.node, loc.seg)?;
         let bytes = mapping.view(loc.offset, loc.total_size())?.read_all()?;
-        self.metrics.mapped_payload_bytes.add(bytes.len() as u64);
+        self.mapped_payload_bytes.add(bytes.len() as u64);
         Ok(bytes)
     }
 
-    fn push(
-        &self,
-        _link: &dyn ControlLink,
-        _holder: NodeId,
-        loc: &ObjectLocation,
-        data: &[u8],
-    ) -> Result<(), PlasmaError> {
+    /// Write `data` into the staged location `loc` (the payload step of
+    /// a forwarded create).
+    pub fn push(&self, loc: &ObjectLocation, data: &[u8]) -> Result<(), PlasmaError> {
         let mapping = self.fabric.attach(self.node, loc.seg)?;
         mapping.write_at(loc.offset, data)?;
-        self.metrics.mapped_payload_bytes.add(data.len() as u64);
+        self.mapped_payload_bytes.add(data.len() as u64);
         Ok(())
-    }
-}
-
-/// The copy-fallback backend: payloads ride inside rpclite frames as
-/// `DATA_READ` / `DATA_WRITE` bodies over the control link. Every byte
-/// is counted in `disagg.fabric.framed_payload_bytes` — the number the
-/// `fabric_dp` bench holds against the mapped backend's zero.
-pub struct FramedFabric {
-    metrics: DataPlaneMetrics,
-}
-
-impl FramedFabric {
-    /// A framed backend counting into `metrics`.
-    pub fn new(metrics: DataPlaneMetrics) -> Self {
-        FramedFabric { metrics }
-    }
-}
-
-impl fmt::Debug for FramedFabric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FramedFabric").finish()
-    }
-}
-
-impl Fabric for FramedFabric {
-    fn name(&self) -> &'static str {
-        "framed"
-    }
-
-    fn framed(&self) -> bool {
-        true
-    }
-
-    fn pull(
-        &self,
-        link: &dyn ControlLink,
-        holder: NodeId,
-        loc: &ObjectLocation,
-    ) -> Result<Vec<u8>, PlasmaError> {
-        let req = DataReadReq {
-            requester: link.local_node(),
-            location: *loc,
-        };
-        let body = link.call(holder, method::DATA_READ, req.encode())?;
-        let resp = DataReadResp::decode(body)
-            .map_err(|e| PlasmaError::Protocol(format!("data_read response: {e}")))?;
-        if resp.payload.len() as u64 != loc.total_size() {
-            return Err(PlasmaError::Protocol(format!(
-                "data_read returned {} bytes, descriptor says {}",
-                resp.payload.len(),
-                loc.total_size()
-            )));
-        }
-        self.metrics
-            .framed_payload_bytes
-            .add(resp.payload.len() as u64);
-        Ok(resp.payload.to_vec())
-    }
-
-    fn push(
-        &self,
-        link: &dyn ControlLink,
-        holder: NodeId,
-        loc: &ObjectLocation,
-        data: &[u8],
-    ) -> Result<(), PlasmaError> {
-        let req = DataWriteReq {
-            requester: link.local_node(),
-            location: *loc,
-            payload: Bytes::copy_from_slice(data),
-        };
-        let body = link.call(holder, method::DATA_WRITE, req.encode())?;
-        let resp = crate::proto::BoolResp::decode(body)
-            .map_err(|e| PlasmaError::Protocol(format!("data_write response: {e}")))?;
-        if !resp.value {
-            return Err(PlasmaError::Protocol(
-                "data_write rejected by holder".to_string(),
-            ));
-        }
-        self.metrics.framed_payload_bytes.add(data.len() as u64);
-        Ok(())
-    }
-}
-
-/// Build the backend `kind` names for the store on `node`, counting
-/// into `metrics`.
-pub fn build(
-    kind: DataPlaneKind,
-    fabric: tfsim::Fabric,
-    node: NodeId,
-    metrics: DataPlaneMetrics,
-) -> Arc<dyn Fabric> {
-    match kind {
-        DataPlaneKind::Mapped => Arc::new(MappedFabric::new(fabric, node, metrics)),
-        DataPlaneKind::Framed => Arc::new(FramedFabric::new(metrics)),
     }
 }
 
@@ -344,108 +67,15 @@ pub fn build(
 mod tests {
     use super::*;
     use plasma::ObjectId;
-    use tfsim::SegKey;
-
-    fn loc(total: u64) -> ObjectLocation {
-        ObjectLocation {
-            id: ObjectId::from_name("dp"),
-            seg: SegKey {
-                owner: NodeId(1),
-                index: 0,
-            },
-            offset: 0,
-            data_size: total,
-            metadata_size: 0,
-        }
-    }
-
-    struct Loopback {
-        holder: NodeId,
-        stored: parking_lot::Mutex<Vec<u8>>,
-    }
-
-    impl ControlLink for Loopback {
-        fn local_node(&self) -> NodeId {
-            NodeId(0)
-        }
-
-        fn call(&self, peer: NodeId, m: u32, body: Bytes) -> Result<Bytes, PlasmaError> {
-            assert_eq!(peer, self.holder);
-            match m {
-                method::DATA_READ => {
-                    let req = DataReadReq::decode(body).unwrap();
-                    let stored = self.stored.lock();
-                    let len = usize::try_from(req.location.total_size()).unwrap();
-                    Ok(DataReadResp {
-                        payload: Bytes::copy_from_slice(&stored[..len]),
-                    }
-                    .encode())
-                }
-                method::DATA_WRITE => {
-                    let req = DataWriteReq::decode(body).unwrap();
-                    *self.stored.lock() = req.payload.to_vec();
-                    Ok(crate::proto::BoolResp { value: true }.encode())
-                }
-                other => panic!("unexpected method {other}"),
-            }
-        }
-    }
 
     #[test]
-    fn framed_backend_roundtrips_and_counts_every_byte() {
-        let metrics = DataPlaneMetrics::register(&Registry::new());
-        let dp = FramedFabric::new(metrics.clone());
-        assert!(dp.framed());
-        let link = Loopback {
-            holder: NodeId(1),
-            stored: parking_lot::Mutex::new(vec![7u8; 64]),
-        };
-        let got = dp.pull(&link, NodeId(1), &loc(64)).unwrap();
-        assert_eq!(got, vec![7u8; 64]);
-        dp.push(&link, NodeId(1), &loc(32), &[9u8; 32]).unwrap();
-        assert_eq!(*link.stored.lock(), vec![9u8; 32]);
-        assert_eq!(metrics.framed_payload_bytes.get(), 64 + 32);
-        assert_eq!(metrics.mapped_payload_bytes.get(), 0);
-    }
-
-    #[test]
-    fn framed_pull_rejects_short_answers() {
-        let metrics = DataPlaneMetrics::register(&Registry::new());
-        let dp = FramedFabric::new(metrics.clone());
-        let link = Loopback {
-            holder: NodeId(1),
-            stored: parking_lot::Mutex::new(vec![7u8; 16]),
-        };
-        // Descriptor claims 16 bytes but the holder answers 8: the pull
-        // must fail rather than hand back a truncated object.
-        struct Short(Loopback);
-        impl ControlLink for Short {
-            fn local_node(&self) -> NodeId {
-                NodeId(0)
-            }
-            fn call(&self, peer: NodeId, m: u32, body: Bytes) -> Result<Bytes, PlasmaError> {
-                let full = self.0.call(peer, m, body)?;
-                let resp = DataReadResp::decode(full).unwrap();
-                Ok(DataReadResp {
-                    payload: resp.payload.slice(..resp.payload.len() / 2),
-                }
-                .encode())
-            }
-        }
-        let err = dp.pull(&Short(link), NodeId(1), &loc(16)).unwrap_err();
-        assert!(matches!(err, PlasmaError::Protocol(_)));
-        assert_eq!(metrics.framed_payload_bytes.get(), 0);
-    }
-
-    #[test]
-    fn mapped_backend_moves_bytes_without_framing() {
+    fn moves_bytes_through_the_mapped_segment_and_counts_them() {
         let fabric = tfsim::Fabric::virtual_thymesisflow();
         let owner = fabric.register_node();
         let reader = fabric.register_node();
         let key = fabric.donate(owner, 1 << 16).unwrap();
-        let metrics = DataPlaneMetrics::register(&Registry::new());
-        let dp = MappedFabric::new(fabric.clone(), reader, metrics.clone());
-        assert!(!dp.framed());
+        let registry = Registry::new();
+        let dp = MappedFabric::new(fabric.clone(), reader, &registry);
 
         let target = ObjectLocation {
             id: ObjectId::from_name("dp"),
@@ -454,20 +84,14 @@ mod tests {
             data_size: 40,
             metadata_size: 8,
         };
-        // The link must never be consulted on the mapped path.
-        struct NoLink;
-        impl ControlLink for NoLink {
-            fn local_node(&self) -> NodeId {
-                NodeId(0)
-            }
-            fn call(&self, _: NodeId, _: u32, _: Bytes) -> Result<Bytes, PlasmaError> {
-                panic!("mapped backend must not touch the control plane")
-            }
-        }
-        dp.push(&NoLink, owner, &target, &[5u8; 48]).unwrap();
-        let got = dp.pull(&NoLink, owner, &target).unwrap();
+        dp.push(&target, &[5u8; 48]).unwrap();
+        let got = dp.pull(&target).unwrap();
         assert_eq!(got, vec![5u8; 48]);
-        assert_eq!(metrics.mapped_payload_bytes.get(), 96);
-        assert_eq!(metrics.framed_payload_bytes.get(), 0);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("disagg.fabric.mapped_payload_bytes"),
+            96
+        );
     }
 }

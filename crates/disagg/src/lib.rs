@@ -55,14 +55,14 @@ pub mod usage;
 
 pub use cluster::{Cluster, ClusterConfig, LinkMap};
 pub use elastic::{BorrowLedger, ElasticConfig, HeatMap, LedgerCounts};
-pub use fabric::{DataPlaneKind, Fabric, FramedFabric, MappedFabric};
+pub use fabric::MappedFabric;
 pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
 pub use idcache::{CacheMode, CachedEntry, IdCache};
 pub use replicate::{ReplicaCounts, ReplicaLedger, ReplicationConfig};
 pub use ring::{Membership, Ring};
 pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
 pub use tfsim::NodeId;
-pub use usage::{RemoteRefs, Reservations, ReserveOutcome};
+pub use usage::RemoteRefs;
 
 #[cfg(test)]
 mod tests {
@@ -114,10 +114,6 @@ mod tests {
         a.put(id, b"first", &[]).unwrap();
         let err = b.create(id, 5, 0).unwrap_err();
         assert_eq!(err, PlasmaError::ObjectExists(id));
-        // Ring placement makes uniqueness an owner-local check: neither
-        // create broadcast a single reserve RPC.
-        assert_eq!(c.store(0).disagg_stats().reserve_rpcs, 0);
-        assert_eq!(c.store(1).disagg_stats().reserve_rpcs, 0);
     }
 
     #[test]
@@ -401,22 +397,42 @@ mod tests {
             },
         );
         let _srv = rpclite::serve(Box::new(listener), svc);
+        let dead = tfsim::NodeId(99);
         store.add_peer(Peer {
-            node: tfsim::NodeId(99),
+            node: dead,
             name: "dead".into(),
             client: Arc::new(rpclite::RpcClient::new(Box::new(
                 hub.connect("dead-peer").unwrap(),
             ))),
         });
 
-        // Strict uniqueness: if a peer cannot confirm the reservation, the
-        // create fails with the typed unavailability error rather than
-        // risking a duplicate id.
-        let err = plasma::ObjectStore::create(&store, ObjectId::from_name("x"), 8, 0).unwrap_err();
+        // Peers but no membership table: there is no owner to route to,
+        // and a local create on a guess could fork the id.
+        let orphan = ObjectId::from_name("no-table");
+        let err = plasma::ObjectStore::create(&store, orphan, 8, 0).unwrap_err();
+        assert!(
+            matches!(&err, PlasmaError::PeerUnavailable(m) if m.contains("no membership table")),
+            "{err:?}"
+        );
+        assert!(!store.core().exists_any_state(orphan));
+
+        // Strict uniqueness: the dead peer owns this id on the ring, and
+        // if the owner cannot confirm, the create fails with the typed
+        // unavailability error rather than risking a duplicate id.
+        assert!(store.set_membership(Membership::new(1, vec![node, dead])));
+        let id = (0..)
+            .map(|k| ObjectId::from_name(&format!("x~{k}")))
+            .find(|id| store.ring_owner(*id) == Some(dead))
+            .unwrap();
+        let err = plasma::ObjectStore::create(&store, id, 8, 0).unwrap_err();
         assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
-        // The failed create left no residue: a later local-only create of
-        // the same id works once the peer is removed from the quorum.
-        assert!(!store.core().exists_any_state(ObjectId::from_name("x")));
+        // The failed create left no residue: nothing staged here, nothing
+        // awaiting a seal at the owner.
+        assert!(!store.core().exists_any_state(id));
+        assert_eq!(
+            plasma::ObjectStore::seal(&store, id).unwrap_err(),
+            PlasmaError::ObjectNotFound(id)
+        );
     }
 
     #[test]
@@ -455,8 +471,8 @@ mod tests {
 
     #[test]
     fn concurrent_create_same_id_yields_one_winner() {
-        // Drive the reservation race deterministically through the store
-        // API on both nodes concurrently, many rounds.
+        // Drive the create race through the store API on both nodes
+        // concurrently, many rounds: the ring owner is the one arbiter.
         let c = two_nodes();
         let s0 = c.store(0).clone();
         let s1 = c.store(1).clone();

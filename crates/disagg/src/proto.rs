@@ -1,10 +1,12 @@
 //! Store-to-store interconnect protocol.
 //!
 //! The messages Plasma stores exchange over the (simulated) gRPC channel:
-//! object-id lookup (with optional pinning for distributed usage
-//! tracking), id reservation for system-wide uniqueness, reference
-//! release feedback, and forwarded delete. Encoded with the
-//! protobuf-style wire format from [`rpclite::wire`].
+//! pinning descriptor lookup, ring-routed create/seal/abort, reference
+//! release feedback, forwarded delete, and the delegation (spill,
+//! replica) and reconciliation exchanges. Encoded with the
+//! protobuf-style wire format from [`rpclite::wire`]. Every message is
+//! control-plane only: object payloads move over the fabric
+//! ([`crate::fabric`]), never inside a frame.
 
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, OBJECT_ID_LEN};
@@ -13,10 +15,11 @@ use tfsim::{NodeId, SegKey};
 
 /// Interconnect method ids.
 pub mod method {
-    /// Batched object lookup (`LookupReq` → `LookupResp`).
-    pub const LOOKUP: u32 = 1;
-    /// Reserve an object id for creation (`ReserveReq` → `ReserveResp`).
-    pub const RESERVE: u32 = 2;
+    // Ids 1 and 2 (the epoch-0 broadcast lookup and id reservation) and
+    // 17 and 18 (the framed data plane's read and write) are retired.
+    // They stay unassigned: a retired id is never reused, so an old
+    // peer's call can only meet `Unimplemented`.
+
     /// Release references held on behalf of a remote node (`ReleaseReq`).
     pub const RELEASE: u32 = 3;
     /// Does a sealed object exist here? (`ContainsReq` → `ContainsResp`).
@@ -44,8 +47,8 @@ pub mod method {
     pub const RECONCILE: u32 = 10;
     /// Forwarded create (`CreateAtReq` → `CreateAtResp`): the rendezvous
     /// ring routed a `create` to the id's computed owner, which allocates
-    /// locally — id uniqueness is an owner-local check, no reserve
-    /// broadcast. Idempotent per requester: a retry whose first attempt
+    /// locally — id uniqueness is an owner-local check. Idempotent per
+    /// requester: a retry whose first attempt
     /// executed (response lost) returns the same staged location.
     pub const CREATE_AT: u32 = 11;
     /// Seal a forwarded create on its owner (`ForwardReq` →
@@ -74,19 +77,6 @@ pub mod method {
     /// its own lent entries down to the reported set. Like RECONCILE,
     /// only sound at quiesce.
     pub const BORROW_RECONCILE: u32 = 16;
-    /// Framed data-plane read (`DataReadReq` → `DataReadResp`): return a
-    /// pinned object's payload bytes *inside the rpclite frame*. Only the
-    /// framed fallback backend sends this — the mapped backend reads the
-    /// bytes straight out of the tfsim segment and never copies payload
-    /// through the control channel. Every payload byte answered here is
-    /// counted by `disagg.fabric.framed_payload_bytes`.
-    pub const DATA_READ: u32 = 17;
-    /// Framed data-plane write (`DataWriteReq` → `BoolResp` accepted):
-    /// carry a staged object's payload bytes inside the rpclite frame and
-    /// write them into the staged location on the responder. The framed
-    /// counterpart of the requester writing through its own fabric
-    /// mapping after CREATE_AT.
-    pub const DATA_WRITE: u32 = 18;
     /// Hot-object read replication (`SpillAtReq` → `SpillAtResp`): the
     /// id's ring owner asks a frequent reader to adopt a *read replica*
     /// of a sealed object. Unlike SPILL_AT the owner keeps its copy and
@@ -117,13 +107,11 @@ pub mod method {
     /// one channel through which a delegated copy dies.
     pub const DELETE_HELD: u32 = 22;
 
-    /// Highest assigned method id (bounds exhaustiveness checks).
+    /// Highest assigned method id.
     pub const MAX: u32 = DELETE_HELD;
 
     /// Method-id → verb-name table (metric labels, diagnostics).
     pub const VERBS: &[(u32, &str)] = &[
-        (LOOKUP, "lookup"),
-        (RESERVE, "reserve"),
         (RELEASE, "release"),
         (CONTAINS, "contains"),
         (DELETE, "delete"),
@@ -138,8 +126,6 @@ pub mod method {
         (MEMBERSHIP, "membership"),
         (SPILL_AT, "spill_at"),
         (BORROW_RECONCILE, "borrow_reconcile"),
-        (DATA_READ, "data_read"),
-        (DATA_WRITE, "data_write"),
         (REPLICATE_AT, "replicate_at"),
         (INVALIDATE, "invalidate"),
         (REPLICA_RECONCILE, "replica_reconcile"),
@@ -179,81 +165,6 @@ fn dec_location(b: Bytes) -> Result<ObjectLocation, WireError> {
         data_size: f.uint(5)?,
         metadata_size: f.uint(6)?,
     })
-}
-
-/// Batched lookup request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookupReq {
-    /// Node issuing the lookup (for usage tracking).
-    pub requester: NodeId,
-    /// If true, found objects are pinned on behalf of the requester.
-    pub pin: bool,
-    /// Object ids to look up.
-    pub ids: Vec<ObjectId>,
-}
-
-impl LookupReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.requester.0))
-            .uint(2, u64::from(self.pin));
-        for id in &self.ids {
-            enc_id(&mut e, 3, id);
-        }
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let ids = f
-            .get_all(3)
-            .map(|v| {
-                v.as_bytes()
-                    .ok_or(WireError::MissingField(3))
-                    .and_then(dec_id)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LookupReq {
-            requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            pin: f.uint_or(2, 0) != 0,
-            ids,
-        })
-    }
-}
-
-/// Lookup response: the subset of requested objects present (sealed) here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookupResp {
-    /// Fabric descriptors for the requested objects present here.
-    pub found: Vec<ObjectLocation>,
-}
-
-impl LookupResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for loc in &self.found {
-            e.message(1, enc_location(loc));
-        }
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let found = f
-            .get_all(1)
-            .map(|v| {
-                v.as_bytes()
-                    .cloned()
-                    .ok_or(WireError::MissingField(1))
-                    .and_then(dec_location)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LookupResp { found })
-    }
 }
 
 /// Batched multi-get request: pin and return fabric descriptors for many
@@ -501,7 +412,7 @@ impl ReconcileResp {
 }
 
 /// Forwarded create: allocate `id` on the responder (the id's rendezvous
-/// owner). Uniqueness is checked owner-locally — no reserve broadcast.
+/// owner). Uniqueness is checked owner-locally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreateAtReq {
     /// Node forwarding the create (it becomes the writer/creator).
@@ -687,13 +598,9 @@ pub struct SpillAtReq {
     pub requester: NodeId,
     /// Requester's membership epoch.
     pub epoch: u64,
-    /// Fabric descriptor of the (pinned) source copy on the owner.
+    /// Fabric descriptor of the (pinned) source copy on the owner; the
+    /// adopter pulls the bytes over the fabric from it.
     pub location: ObjectLocation,
-    /// Payload bytes riding inside the frame. `None` on the mapped data
-    /// plane (the adopter pulls the bytes over the fabric from
-    /// `location`); `Some` on the framed fallback, where the owner
-    /// embeds the payload so the adopter never needs a nested RPC.
-    pub payload: Option<Bytes>,
 }
 
 impl SpillAtReq {
@@ -702,113 +609,16 @@ impl SpillAtReq {
         let mut e = MsgEnc::new();
         e.uint(1, u64::from(self.requester.0)).uint(2, self.epoch);
         e.message(3, enc_location(&self.location));
-        if let Some(p) = &self.payload {
-            e.uint(4, 1).bytes(5, p);
-        }
         e.finish()
     }
 
     /// Parse from wire bytes.
     pub fn decode(b: Bytes) -> Result<Self, WireError> {
         let f = MsgDec::new(b).collect()?;
-        let payload = if f.uint_or(4, 0) != 0 {
-            Some(f.bytes(5)?)
-        } else {
-            None
-        };
         Ok(SpillAtReq {
             requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
             epoch: f.uint_or(2, 0),
             location: dec_location(f.bytes(3)?)?,
-            payload,
-        })
-    }
-}
-
-/// Framed data-plane read: return the payload bytes of the (pinned)
-/// object described by `location` inside the response frame. Only the
-/// framed fallback backend issues this; see [`method::DATA_READ`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataReadReq {
-    /// Node asking for the bytes.
-    pub requester: NodeId,
-    /// Fabric descriptor previously negotiated over the control plane.
-    pub location: ObjectLocation,
-}
-
-impl DataReadReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.requester.0));
-        e.message(2, enc_location(&self.location));
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(DataReadReq {
-            requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            location: dec_location(f.bytes(2)?)?,
-        })
-    }
-}
-
-/// Response to a framed data-plane read: the raw payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataReadResp {
-    /// The object's payload + metadata bytes (may be empty).
-    pub payload: Bytes,
-}
-
-impl DataReadResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.bytes(1, &self.payload);
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(DataReadResp {
-            payload: f.bytes(1)?,
-        })
-    }
-}
-
-/// Framed data-plane write: carry a staged object's payload bytes in
-/// the frame and write them into `location` on the responder. Only the
-/// framed fallback backend issues this; see [`method::DATA_WRITE`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataWriteReq {
-    /// Node pushing the bytes (the staged create's writer).
-    pub requester: NodeId,
-    /// Staged fabric descriptor to write into.
-    pub location: ObjectLocation,
-    /// The bytes to write at `location.offset`.
-    pub payload: Bytes,
-}
-
-impl DataWriteReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.requester.0));
-        e.message(2, enc_location(&self.location));
-        e.bytes(3, &self.payload);
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(DataWriteReq {
-            requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            location: dec_location(f.bytes(2)?)?,
-            payload: f.bytes(3)?,
         })
     }
 }
@@ -967,58 +777,6 @@ impl BorrowReconcileResp {
         Ok(BorrowReconcileResp {
             drop,
             trimmed: f.uint_or(2, 0),
-        })
-    }
-}
-
-/// Id-reservation request (system-wide identifier uniqueness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReserveReq {
-    /// Node requesting the reservation.
-    pub requester: NodeId,
-    /// The id to reserve.
-    pub id: ObjectId,
-}
-
-impl ReserveReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.requester.0));
-        enc_id(&mut e, 2, &self.id);
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(ReserveReq {
-            requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            id: dec_id(&f.bytes(2)?)?,
-        })
-    }
-}
-
-/// Id-reservation response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReserveResp {
-    /// The requester may proceed with this id.
-    pub granted: bool,
-}
-
-impl ReserveResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.granted));
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(ReserveResp {
-            granted: f.uint_or(1, 0) != 0,
         })
     }
 }
@@ -1205,45 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_req_roundtrip() {
-        let r = LookupReq {
-            requester: NodeId(1),
-            pin: true,
-            ids: vec![ObjectId::from_name("a"), ObjectId::from_name("b")],
-        };
-        assert_eq!(LookupReq::decode(r.encode()).unwrap(), r);
-        let empty = LookupReq {
-            requester: NodeId(0),
-            pin: false,
-            ids: vec![],
-        };
-        assert_eq!(LookupReq::decode(empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn lookup_resp_roundtrip() {
-        let r = LookupResp {
-            found: vec![loc(1), loc(2), loc(3)],
-        };
-        assert_eq!(LookupResp::decode(r.encode()).unwrap(), r);
-        let none = LookupResp { found: vec![] };
-        assert_eq!(LookupResp::decode(none.encode()).unwrap(), none);
-    }
-
-    #[test]
-    fn reserve_roundtrip() {
-        let r = ReserveReq {
-            requester: NodeId(3),
-            id: ObjectId::from_name("new"),
-        };
-        assert_eq!(ReserveReq::decode(r.encode()).unwrap(), r);
-        for granted in [true, false] {
-            let resp = ReserveResp { granted };
-            assert_eq!(ReserveResp::decode(resp.encode()).unwrap(), resp);
-        }
-    }
-
-    #[test]
     fn release_and_id_reqs_roundtrip() {
         let r = ReleaseReq {
             requester: NodeId(1),
@@ -1419,7 +1138,7 @@ mod tests {
     #[test]
     fn get_many_epoch_defaults_to_zero_for_old_peers() {
         // A pre-ring peer omits the epoch fields entirely; decode must
-        // treat that as epoch 0 (legacy broadcast mode).
+        // treat that as epoch 0 (no membership installed).
         let mut e = MsgEnc::new();
         e.uint(1, 3);
         let req = GetManyReq::decode(e.finish()).unwrap();
@@ -1434,18 +1153,8 @@ mod tests {
             requester: NodeId(2),
             epoch: 9,
             location: loc(4),
-            payload: None,
         };
         assert_eq!(SpillAtReq::decode(req.encode()).unwrap(), req);
-        // Framed fallback embeds the payload — including a zero-length
-        // one, which must survive as Some(empty), not None.
-        for body in [Bytes::from_static(b"abc"), Bytes::new()] {
-            let framed = SpillAtReq {
-                payload: Some(body),
-                ..req.clone()
-            };
-            assert_eq!(SpillAtReq::decode(framed.encode()).unwrap(), framed);
-        }
         for status in [SpillAtStatus::Adopted, SpillAtStatus::Refused] {
             let resp = SpillAtResp { status, epoch: 3 };
             assert_eq!(SpillAtResp::decode(resp.encode()).unwrap(), resp);
@@ -1481,30 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn data_plane_roundtrip() {
-        let read = DataReadReq {
-            requester: NodeId(1),
-            location: loc(6),
-        };
-        assert_eq!(DataReadReq::decode(read.encode()).unwrap(), read);
-        for payload in [Bytes::from_static(&[9; 32]), Bytes::new()] {
-            let resp = DataReadResp { payload };
-            assert_eq!(DataReadResp::decode(resp.encode()).unwrap(), resp);
-        }
-        let write = DataWriteReq {
-            requester: NodeId(3),
-            location: loc(7),
-            payload: Bytes::from_static(b"staged bytes"),
-        };
-        assert_eq!(DataWriteReq::decode(write.encode()).unwrap(), write);
-        let empty = DataWriteReq {
-            payload: Bytes::new(),
-            ..write
-        };
-        assert_eq!(DataWriteReq::decode(empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
     fn invalidate_roundtrip() {
         let r = InvalidateReq {
             owner: NodeId(2),
@@ -1513,19 +1198,78 @@ mod tests {
         assert_eq!(InvalidateReq::decode(r.encode()).unwrap(), r);
     }
 
+    /// The executable form of "no payload byte enters an rpclite frame":
+    /// the frames that carry a fabric descriptor are O(1) in object
+    /// size — a 1 MiB object's frame outgrows a 64 B object's by the
+    /// varint width of the size field and nothing else.
     #[test]
-    fn verb_table_covers_every_method_id() {
-        for id in 1..=method::MAX {
+    fn descriptor_frames_are_constant_in_object_size() {
+        let sized = |data_size: u64| ObjectLocation {
+            data_size,
+            metadata_size: 0,
+            ..loc(1)
+        };
+        let frames = |l: ObjectLocation| {
+            [
+                SpillAtReq {
+                    requester: NodeId(2),
+                    epoch: 1,
+                    location: l,
+                }
+                .encode()
+                .len(),
+                GetManyResp {
+                    entries: vec![GetManyEntry {
+                        id: l.id,
+                        status: GetManyStatus::Pinned,
+                        location: Some(l),
+                        moved_to: None,
+                    }],
+                    epoch: 1,
+                }
+                .encode()
+                .len(),
+                CreateAtResp {
+                    status: CreateAtStatus::Ok,
+                    location: Some(l),
+                    epoch: 1,
+                }
+                .encode()
+                .len(),
+            ]
+        };
+        // 64 encodes in one varint byte, 1 MiB (2^20) in three.
+        let (small, large) = (frames(sized(64)), frames(sized(1 << 20)));
+        for (s, l) in small.iter().zip(large) {
+            assert!(*s < 128, "a control frame is a few dozen bytes, got {s}");
             assert!(
-                method::VERBS.iter().any(|(v, _)| *v == id),
-                "method id {id} missing from VERBS"
+                l - s <= 2,
+                "frame grew {} bytes for a 16384x larger object",
+                l - s
             );
         }
     }
 
     #[test]
+    fn verb_table_covers_every_method_id() {
+        const RETIRED: [u32; 4] = [1, 2, 17, 18];
+        for (i, (id, name)) in method::VERBS.iter().enumerate() {
+            assert!(
+                (1..=method::MAX).contains(id),
+                "{name}: id {id} out of range"
+            );
+            assert!(!RETIRED.contains(id), "{name} reuses retired id {id}");
+            for (other_id, other_name) in &method::VERBS[..i] {
+                assert_ne!(id, other_id, "{name} and {other_name} share id {id}");
+                assert_ne!(name, other_name, "id {id} and {other_id} share a name");
+            }
+        }
+        assert!(method::VERBS.iter().any(|(id, _)| *id == method::MAX));
+    }
+
+    #[test]
     fn garbage_rejected() {
-        assert!(LookupReq::decode(Bytes::from_static(&[0xFF, 0xFF])).is_err());
-        assert!(ReserveReq::decode(Bytes::new()).is_err());
+        assert!(GetManyReq::decode(Bytes::from_static(&[0xFF, 0xFF])).is_err());
+        assert!(ReleaseReq::decode(Bytes::new()).is_err());
     }
 }

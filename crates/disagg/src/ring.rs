@@ -12,8 +12,8 @@
 //! interconnect requests/responses; a node that observes a newer epoch
 //! pulls the full table with the `MEMBERSHIP` verb. While epochs disagree
 //! (a membership change in flight), or when the computed owner does not
-//! hold an id (e.g. it was migrated off-ring), stores fall back to the
-//! legacy lookup broadcast — the ring is a router, never an oracle about
+//! hold an id (e.g. it was migrated off-ring), gets fall back to a
+//! `GET_MANY` broadcast — the ring is a router, never an oracle about
 //! where bytes actually live.
 
 use plasma::ObjectId;
@@ -25,7 +25,7 @@ use tfsim::NodeId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     /// Version of this table. Epoch 0 is reserved for "no membership
-    /// installed" (legacy broadcast mode).
+    /// installed".
     pub epoch: u64,
     /// Member nodes, sorted and deduplicated.
     pub nodes: Vec<NodeId>,

@@ -4,14 +4,11 @@
 //! in fabric-donated memory) and interconnects it with peer stores over
 //! RPC, implementing the paper's two new constraints:
 //!
-//! * **Identifier uniqueness** — with a [`Ring`] installed (the cluster
-//!   default), every id has a deterministic rendezvous owner and `create`
-//!   routes to it point-to-point (`CREATE_AT`); uniqueness is an
-//!   owner-local check and no reserve broadcast happens at all. Stores
-//!   without a membership table (epoch 0) keep the paper's original
-//!   protocol: `create` reserves the id on every peer before allocating,
-//!   and concurrent reservations resolve deterministically (lowest node
-//!   id wins).
+//! * **Identifier uniqueness** — every id has a deterministic rendezvous
+//!   owner on the [`Ring`], and `create` routes to it point-to-point
+//!   (`CREATE_AT`); uniqueness is an owner-local check. A peerless store
+//!   is its own owner; a store with peers but no membership table cannot
+//!   place an object and fails the create with `PeerUnavailable`.
 //! * **Distributed object-usage sharing** — a pinning remote lookup takes a
 //!   store-side reference attributed to the requesting node, and `release`
 //!   feeds back over RPC, so owners never evict objects remote clients are
@@ -21,7 +18,7 @@
 //! resolve the id's ring owner locally and ask *that* peer with one
 //! point-to-point `GET_MANY`; the object *data* is then read by the
 //! client directly through the disaggregated fabric — never copied over
-//! the network. The legacy broadcast survives as an explicit fallback:
+//! the network. A `GET_MANY` broadcast remains as the get-side fallback:
 //! when no membership is installed, when the computed owner does not
 //! hold the id (it may have been migrated off-ring), or while membership
 //! epochs disagree mid-change. Ring routing outcomes are surfaced as the
@@ -31,19 +28,18 @@
 //! optional [`IdCache`] accelerates repeat lookups.
 
 use crate::elastic::{BorrowLedger, ElasticConfig, HeatMap, LedgerCounts};
-use crate::fabric::{ControlLink, DataPlaneKind, DataPlaneMetrics};
+use crate::fabric::MappedFabric;
 use crate::health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
 use crate::idcache::{CacheMode, CachedEntry, IdCache};
 use crate::proto::{
     method, BoolResp, BorrowReconcileReq, BorrowReconcileResp, CreateAtReq, CreateAtResp,
-    CreateAtStatus, DataReadReq, DataReadResp, DataWriteReq, ForwardReq, GetManyEntry, GetManyReq,
-    GetManyResp, GetManyStatus, IdReq, InvalidateReq, ListEntry, ListResp, LookupReq, LookupResp,
-    MembershipResp, MetricsResp, ReconcileReq, ReconcileResp, ReleaseReq, ReserveReq, ReserveResp,
-    SpillAtReq, SpillAtResp, SpillAtStatus,
+    CreateAtStatus, ForwardReq, GetManyEntry, GetManyReq, GetManyResp, GetManyStatus, IdReq,
+    InvalidateReq, ListEntry, ListResp, MembershipResp, MetricsResp, ReconcileReq, ReconcileResp,
+    ReleaseReq, SpillAtReq, SpillAtResp, SpillAtStatus,
 };
 use crate::replicate::{ReplicaCounts, ReplicaLedger, ReplicationConfig};
 use crate::ring::{Membership, Ring};
-use crate::usage::{RemoteRefs, Reservations, ReserveOutcome};
+use crate::usage::RemoteRefs;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -82,8 +78,6 @@ pub struct DisaggCounters {
     pub lookup_rpcs: AtomicU64,
     /// Objects resolved via remote lookup.
     pub remote_found: AtomicU64,
-    /// Reserve RPCs issued on create.
-    pub reserve_rpcs: AtomicU64,
     /// Releases forwarded to owning peers.
     pub releases_forwarded: AtomicU64,
     /// Gets served from the Direct-mode id cache (no RPC, no pin).
@@ -102,8 +96,6 @@ pub struct DisaggStats {
     pub lookup_rpcs: u64,
     /// Objects resolved via remote lookup.
     pub remote_found: u64,
-    /// Reserve RPCs issued on create.
-    pub reserve_rpcs: u64,
     /// Releases forwarded to owning peers.
     pub releases_forwarded: u64,
     /// Gets served from the Direct-mode id cache (no RPC, no pin).
@@ -138,10 +130,8 @@ impl Default for InterconnectConfig {
 }
 
 /// Configuration of the distributed layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DisaggConfig {
-    /// Whether `get` misses consult peers at all.
-    pub lookup_remote: bool,
     /// Optional remote-id cache.
     pub id_cache: Option<(CacheMode, usize)>,
     /// Interconnect fault tolerance (deadlines, retries, peer health).
@@ -149,24 +139,8 @@ pub struct DisaggConfig {
     /// Elastic capacity tier: spill watermarks, lender headroom,
     /// admission control, heat threshold.
     pub elastic: ElasticConfig,
-    /// Which bulk data-plane backend payload bytes move over
-    /// (zero-copy mapped segments vs the framed rpclite fallback).
-    pub data_plane: DataPlaneKind,
     /// Hot-object read replication policy.
     pub replication: ReplicationConfig,
-}
-
-impl Default for DisaggConfig {
-    fn default() -> Self {
-        DisaggConfig {
-            lookup_remote: true,
-            id_cache: None,
-            interconnect: InterconnectConfig::default(),
-            elastic: ElasticConfig::default(),
-            data_plane: DataPlaneKind::default(),
-            replication: ReplicationConfig::default(),
-        }
-    }
 }
 
 /// Pre-resolved [`obs`] handles for the distributed layer, registered in
@@ -180,7 +154,7 @@ struct DisaggMetrics {
     get_remote_hit: Arc<Histogram>,
     /// `get` latency for ids still unresolved when the call returned.
     get_miss: Arc<Histogram>,
-    /// End-to-end `create` latency (reserve broadcast + local allocate).
+    /// End-to-end `create` latency (ring routing + allocate at the owner).
     create: Arc<Histogram>,
     /// Latency of one remote-lookup round (cache consults + fan-out).
     lookup_fanout: Arc<Histogram>,
@@ -286,9 +260,8 @@ struct Inner {
     /// to that peer so the owner-side pin cannot leak for its lifetime.
     pending_releases: Mutex<Vec<(NodeId, ObjectId)>>,
     idcache: Option<IdCache>,
-    lookup_remote: bool,
     /// The rendezvous placement ring (`None` until a membership table is
-    /// installed — legacy broadcast mode).
+    /// installed: peerless and hand-built stores).
     ring: RwLock<Option<Ring>>,
     /// Requester side of forwarded creates: ids this node created at a
     /// remote ring owner and has not yet sealed/aborted, mapped to that
@@ -305,7 +278,6 @@ struct Inner {
     /// locally (a no-op) instead of crossing the interconnect — a
     /// networked trailing release could fail mid-put and strand the pin.
     release_waivers: Mutex<HashSet<ObjectId>>,
-    reservations: Reservations,
     remote_refs: RemoteRefs,
     /// Both ends of every elastic delegation this node participates in.
     ledger: BorrowLedger,
@@ -315,10 +287,8 @@ struct Inner {
     heat: HeatMap,
     elastic: ElasticConfig,
     replication: ReplicationConfig,
-    /// The bulk data-plane backend payload bytes move over.
-    data_plane: Arc<dyn crate::fabric::Fabric>,
-    /// Byte counters proving which plane payloads took.
-    dp: DataPlaneMetrics,
+    /// The bulk data plane remote payload bytes move over.
+    data_plane: MappedFabric,
     counters: DisaggCounters,
     metrics: DisaggMetrics,
     health: PeerHealth,
@@ -355,9 +325,7 @@ impl DisaggStore {
         let node = core.node();
         let clock = core.fabric().clock().clone();
         let metrics = DisaggMetrics::new(core.registry());
-        let dp = DataPlaneMetrics::register(core.registry());
-        let data_plane =
-            crate::fabric::build(config.data_plane, core.fabric().clone(), node, dp.clone());
+        let data_plane = MappedFabric::new(core.fabric().clone(), node, core.registry());
         DisaggStore {
             inner: Arc::new(Inner {
                 health: PeerHealth::with_metrics(
@@ -376,12 +344,10 @@ impl DisaggStore {
                 remote_held: Mutex::new(HashMap::new()),
                 pending_releases: Mutex::new(Vec::new()),
                 idcache: config.id_cache.map(|(mode, cap)| IdCache::new(mode, cap)),
-                lookup_remote: config.lookup_remote,
                 ring: RwLock::new(None),
                 staged_out: Mutex::new(HashMap::new()),
                 staged_remote: Mutex::new(HashMap::new()),
                 release_waivers: Mutex::new(HashSet::new()),
-                reservations: Reservations::new(),
                 remote_refs: RemoteRefs::new(),
                 ledger: BorrowLedger::new(),
                 replicas: ReplicaLedger::new(),
@@ -389,7 +355,6 @@ impl DisaggStore {
                 elastic: config.elastic,
                 replication: config.replication,
                 data_plane,
-                dp,
                 counters: DisaggCounters::default(),
             }),
         }
@@ -428,7 +393,6 @@ impl DisaggStore {
         DisaggStats {
             lookup_rpcs: c.lookup_rpcs.load(Ordering::Relaxed),
             remote_found: c.remote_found.load(Ordering::Relaxed),
-            reserve_rpcs: c.reserve_rpcs.load(Ordering::Relaxed),
             releases_forwarded: c.releases_forwarded.load(Ordering::Relaxed),
             direct_cache_reads: c.direct_cache_reads.load(Ordering::Relaxed),
             ring_hits: c.ring_hits.load(Ordering::Relaxed),
@@ -459,7 +423,7 @@ impl DisaggStore {
             .map(|r| r.membership().clone())
     }
 
-    /// The installed membership epoch (0 = none, legacy broadcast mode).
+    /// The installed membership epoch (0 = none).
     pub fn ring_epoch(&self) -> u64 {
         self.inner
             .ring
@@ -758,12 +722,6 @@ impl DisaggStore {
         m.replicas_held.set(counts.held as i64);
     }
 
-    /// The name of the configured data-plane backend (`"mapped"` or
-    /// `"framed"`), for diagnostics and bench labels.
-    pub fn data_plane_name(&self) -> &'static str {
-        self.inner.data_plane.name()
-    }
-
     /// Replica-ledger occupancy (both sides).
     pub fn replica_counts(&self) -> ReplicaCounts {
         self.inner.replicas.counts()
@@ -785,9 +743,8 @@ impl DisaggStore {
     /// Resolve `id` and read its full payload (data + metadata bytes)
     /// through the data plane — the complete descriptor lifecycle in
     /// one call: **negotiate** (pinning get over the control plane) →
-    /// **map/read** (the configured [`crate::fabric::Fabric`] backend)
-    /// → **release**. Returns `None` when the id did not resolve within
-    /// `timeout`.
+    /// **map/read** ([`MappedFabric`]) → **release**. Returns `None`
+    /// when the id did not resolve within `timeout`.
     pub fn get_bytes(
         &self,
         id: ObjectId,
@@ -805,16 +762,14 @@ impl DisaggStore {
 
     /// Read the payload bytes behind a negotiated descriptor: local
     /// objects straight from the local segment, remote ones through the
-    /// configured data-plane backend. The caller must hold the pin the
-    /// negotiation took (see [`DisaggStore::get_bytes`]).
+    /// data plane. The caller must hold the pin the negotiation took
+    /// (see [`DisaggStore::get_bytes`]).
     pub fn read_payload(&self, loc: &ObjectLocation) -> Result<Vec<u8>, PlasmaError> {
         if loc.seg.owner == self.inner.node {
             let mapping = self.inner.core.mapping_for(loc)?;
             Ok(mapping.view(loc.offset, loc.total_size())?.read_all()?)
         } else {
-            self.inner
-                .data_plane
-                .pull(&StoreLink(self), loc.seg.owner, loc)
+            self.inner.data_plane.pull(loc)
         }
     }
 
@@ -826,25 +781,23 @@ impl DisaggStore {
             let mapping = self.inner.core.mapping_for(loc)?;
             Ok(mapping.write_at(loc.offset, data)?)
         } else {
-            self.inner
-                .data_plane
-                .push(&StoreLink(self), loc.seg.owner, loc, data)
+            self.inner.data_plane.push(loc, data)
         }
     }
 
-    /// On the framed backend, read `loc`'s payload from the local
-    /// segment and embed it in an outgoing spill/replicate request
-    /// (counted as framed bytes — the receiver must not issue a nested
-    /// RPC back at us from inside its handler). On the mapped backend
-    /// return `None`: the receiver reads the segment directly.
-    fn framed_payload_for(&self, loc: &ObjectLocation) -> Result<Option<Bytes>, PlasmaError> {
-        if !self.inner.data_plane.framed() {
-            return Ok(None);
-        }
-        let mapping = self.inner.core.mapping_for(loc)?;
-        let bytes = mapping.view(loc.offset, loc.total_size())?.read_all()?;
-        self.inner.dp.framed_payload_bytes.add(bytes.len() as u64);
-        Ok(Some(Bytes::from(bytes)))
+    /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
+    /// owner-pinned) bytes behind `src` straight from the owner's sealed
+    /// segment and seal a local copy under the same id. Any failure
+    /// before the seal aborts the staged copy.
+    fn adopt_copy(&self, src: &ObjectLocation) -> Result<(), PlasmaError> {
+        let core = &self.inner.core;
+        let bytes = self.inner.data_plane.pull(src)?;
+        let loc = core.create(src.id, src.data_size, src.metadata_size)?;
+        let staged = StagedCreateGuard::new(self, src.id);
+        core.mapping_for(&loc)?.write_at(loc.offset, &bytes)?;
+        core.seal(src.id)?;
+        staged.disarm();
+        core.release(src.id) // creator's reference
     }
 
     /// Invalidate every replica of `id` **before** its delete proceeds.
@@ -912,18 +865,10 @@ impl DisaggStore {
         let Some(loc) = self.inner.core.get_local(id) else {
             return Err(PlasmaError::ObjectNotFound(id));
         };
-        let payload = match self.framed_payload_for(&loc) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = self.inner.core.release(id);
-                return Err(e);
-            }
-        };
         let req = SpillAtReq {
             requester: self.inner.node,
             epoch: self.ring_epoch(),
             location: loc,
-            payload,
         };
         let adopted = match self.peer_call(&peer, method::REPLICATE_AT, req.encode()) {
             Ok(body) => match SpillAtResp::decode(body) {
@@ -1173,18 +1118,10 @@ impl DisaggStore {
         let Some(loc) = self.inner.core.get_local(id) else {
             return Err(PlasmaError::ObjectNotFound(id));
         };
-        let payload = match self.framed_payload_for(&loc) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = self.inner.core.release(id);
-                return Err(e);
-            }
-        };
         let req = SpillAtReq {
             requester: self.inner.node,
             epoch: self.ring_epoch(),
             location: loc,
-            payload,
         };
         let adopted = match self.peer_call(&peer, method::SPILL_AT, req.encode()) {
             // A garbled response is as ambiguous as a lost one: treat it
@@ -1571,17 +1508,12 @@ impl DisaggStore {
         }
         let owner = remote_loc.seg.owner;
 
-        // Copy the (immutable) bytes through the data plane — mapped
-        // segments on the zero-copy backend, DATA_READ frames on the
-        // framed fallback.
-        let bytes = self
-            .inner
-            .data_plane
-            .pull(&StoreLink(self), owner, &remote_loc)?;
+        // Copy the (immutable) bytes through the data plane.
+        let bytes = self.inner.data_plane.pull(&remote_loc)?;
 
-        // Stage the local copy (bypassing the reserve handshake: the id is
-        // legitimately owned by the cluster already). Aborted on any
-        // failure before seal.
+        // Stage the local copy straight in the core (bypassing ring
+        // routing: the id is legitimately owned by the cluster already).
+        // Aborted on any failure before seal.
         let local_loc =
             self.inner
                 .core
@@ -2062,15 +1994,13 @@ impl DisaggStore {
         metadata_size: u64,
     ) -> Result<ObjectLocation, PlasmaError> {
         for _ in 0..2 {
-            let owner = {
-                let ring = self.inner.ring.read();
-                let ring = ring.as_ref().expect("create_via_ring requires a ring");
-                ring.owner_of(id)
-            };
-            let Some(owner) = owner else {
-                return Err(PlasmaError::PeerUnavailable(
-                    "membership table is empty".to_string(),
-                ));
+            // Without a table there is no owner to ask, and creating
+            // locally on a guess could fork the id against a peer.
+            let Some(owner) = self.ring_owner(id) else {
+                return Err(PlasmaError::PeerUnavailable(format!(
+                    "no membership table (or an empty one): cannot place {id} among {} peer(s)",
+                    self.peer_count()
+                )));
             };
             if owner == self.inner.node {
                 self.check_admission()?;
@@ -2091,8 +2021,8 @@ impl DisaggStore {
             let body = match self.peer_call(&peer, method::CREATE_AT, req.encode()) {
                 Ok(body) => body,
                 // Uniqueness lives at the owner, so an unreachable owner
-                // fails the create outright — exactly like the reserve
-                // protocol, a create never proceeds on a guess.
+                // fails the create outright — a create never proceeds on
+                // a guess.
                 Err(PeerFail::Skipped) => {
                     return Err(PlasmaError::PeerUnavailable(format!(
                         "peer {} is down",
@@ -2222,20 +2152,18 @@ impl DisaggStore {
 
             // Pass 2: remote lookup for misses (degrades gracefully when
             // peers are unreachable — their objects just stay missing).
-            if self.inner.lookup_remote {
-                let filled_before: Vec<bool> = out.iter().map(Option::is_some).collect();
-                self.remote_lookup_pass(ids, &mut out);
-                for (flag, (was, slot)) in remote_slots
-                    .iter_mut()
-                    .zip(filled_before.iter().zip(out.iter()))
-                {
-                    if !*was && slot.is_some() {
-                        *flag = true;
-                    }
+            let filled_before: Vec<bool> = out.iter().map(Option::is_some).collect();
+            self.remote_lookup_pass(ids, &mut out);
+            for (flag, (was, slot)) in remote_slots
+                .iter_mut()
+                .zip(filled_before.iter().zip(out.iter()))
+            {
+                if !*was && slot.is_some() {
+                    *flag = true;
                 }
-                if out.iter().all(Option::is_some) {
-                    return Ok(out);
-                }
+            }
+            if out.iter().all(Option::is_some) {
+                return Ok(out);
             }
 
             // Pass 3: wait briefly for local seals, then re-poll. The wait
@@ -2251,7 +2179,7 @@ impl DisaggStore {
                 .filter(|(_, o)| o.is_none())
                 .map(|(id, _)| *id)
                 .collect();
-            let wait = if self.inner.lookup_remote && self.peer_count() > 0 {
+            let wait = if self.peer_count() > 0 {
                 left.min(REMOTE_POLL)
             } else {
                 left
@@ -2274,32 +2202,6 @@ impl DisaggStore {
             if out.iter().all(Option::is_some) || Instant::now() >= deadline {
                 return Ok(out);
             }
-        }
-    }
-}
-
-/// The store's control channel, lent to the data-plane backend: calls
-/// ride the same guarded peer-call machinery (health admission,
-/// deadlines, bounded retries) as every other interconnect RPC.
-struct StoreLink<'a>(&'a DisaggStore);
-
-impl ControlLink for StoreLink<'_> {
-    fn local_node(&self) -> NodeId {
-        self.0.inner.node
-    }
-
-    fn call(&self, peer: NodeId, method: u32, body: Bytes) -> Result<Bytes, PlasmaError> {
-        let Some(p) = self.0.peers_snapshot().into_iter().find(|p| p.node == peer) else {
-            return Err(PlasmaError::Transport(format!("no peer for {peer}")));
-        };
-        match self.0.peer_call(&p, method, body) {
-            Ok(b) => Ok(b),
-            Err(PeerFail::Skipped) => Err(PlasmaError::PeerUnavailable(format!(
-                "peer {} is down",
-                p.name
-            ))),
-            Err(PeerFail::Unreachable(m)) => Err(PlasmaError::PeerUnavailable(m)),
-            Err(PeerFail::Rpc(e)) => Err(DisaggStore::rpc_err(e)),
         }
     }
 }
@@ -2398,106 +2300,13 @@ impl ObjectStore for DisaggStore {
             return Err(PlasmaError::ObjectExists(id));
         }
         // Singleton cluster: no peer could hold or contest the id, so the
-        // local existence check above *is* the uniqueness check. Short-
-        // circuit before any reserve bookkeeping — the reserve counter
-        // must stay at zero when there is nobody to reserve against.
-        if self.inner.peers.read().is_empty() {
+        // local existence check above *is* the uniqueness check.
+        let loc = if self.inner.peers.read().is_empty() {
             self.check_admission()?;
-            let loc = self.inner.core.create(id, data_size, metadata_size)?;
-            self.inner.metrics.create.record_duration(started.elapsed());
-            return Ok(loc);
-        }
-        // Ring placement: the id's owner is a local computation, and
-        // uniqueness is owner-local — no reserve broadcast at all.
-        if self.ring_epoch() > 0 {
-            let loc = self.create_via_ring(id, data_size, metadata_size)?;
-            self.inner.metrics.create.record_duration(started.elapsed());
-            return Ok(loc);
-        }
-        self.check_admission()?;
-        if !self.inner.reservations.begin_local(id) {
-            return Err(PlasmaError::ObjectExists(id));
-        }
-        // Reserve the id on every peer in parallel (paper: "on object
-        // creation, RPC calls are used to ensure the uniqueness of object
-        // identifiers"). Uniqueness needs *every* peer's confirmation, so
-        // this is the one broadcast that cannot degrade: an unreachable
-        // peer fails the create with `PeerUnavailable` rather than risk a
-        // duplicate id materializing when the peer comes back.
-        let peers = self.peers_snapshot();
-        let req_body = ReserveReq {
-            requester: self.inner.node,
-            id,
-        }
-        .encode();
-        let results = self.fanout(&peers, |peer| {
-            let result = self.peer_call(peer, method::RESERVE, req_body.clone());
-            if !matches!(result, Err(PeerFail::Skipped)) {
-                self.inner
-                    .counters
-                    .reserve_rpcs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        });
-        let mut denied = false;
-        let mut unavailable: Option<String> = None;
-        let mut failed: Option<PlasmaError> = None;
-        for (peer, result) in peers.iter().zip(results) {
-            match result {
-                Ok(body) => match ReserveResp::decode(body) {
-                    Ok(ReserveResp { granted: true }) => {}
-                    Ok(ReserveResp { granted: false }) => denied = true,
-                    Err(e) => {
-                        if failed.is_none() {
-                            failed = Some(PlasmaError::Protocol(format!("reserve response: {e}")));
-                        }
-                    }
-                },
-                Err(PeerFail::Skipped) => {
-                    if unavailable.is_none() {
-                        unavailable = Some(format!("peer {} is down", peer.name));
-                    }
-                }
-                Err(PeerFail::Unreachable(m)) => {
-                    if unavailable.is_none() {
-                        unavailable = Some(m);
-                    }
-                }
-                Err(PeerFail::Rpc(e)) => {
-                    if failed.is_none() {
-                        failed = Some(Self::rpc_err(e));
-                    }
-                }
-            }
-        }
-        // A definite denial outranks unavailability: the id provably
-        // exists somewhere, so report that.
-        if denied {
-            self.inner.reservations.end_local(id);
-            return Err(PlasmaError::ObjectExists(id));
-        }
-        if let Some(e) = failed {
-            self.inner.reservations.end_local(id);
-            return Err(e);
-        }
-        if let Some(m) = unavailable {
-            self.inner.reservations.end_local(id);
-            return Err(PlasmaError::PeerUnavailable(m));
-        }
-        let loc = match self.inner.core.create(id, data_size, metadata_size) {
-            Ok(loc) => loc,
-            Err(e) => {
-                self.inner.reservations.end_local(id);
-                return Err(e);
-            }
+            self.inner.core.create(id, data_size, metadata_size)?
+        } else {
+            self.create_via_ring(id, data_size, metadata_size)?
         };
-        // If a lower-id node won a concurrent race while our reservations
-        // were in flight, yield: undo the allocation.
-        if self.inner.reservations.end_local(id) {
-            let _ = self.inner.core.abort(id);
-            return Err(PlasmaError::ObjectExists(id));
-        }
         self.inner.metrics.create.record_duration(started.elapsed());
         Ok(loc)
     }
@@ -2782,7 +2591,7 @@ impl ObjectStore for DisaggStore {
         if local || self.inner.ledger.lent_holder(id).is_some() {
             return Ok(true);
         }
-        let peers = self.peers_snapshot();
+        let mut peers = self.peers_snapshot();
         // Ring phase: one point-to-point probe at the computed owner. A
         // positive answer settles it; a negative one falls back to the
         // broadcast below, because migration can move objects off-ring.
@@ -2790,23 +2599,24 @@ impl ObjectStore for DisaggStore {
             .ring_owner(id)
             .filter(|&owner| owner != self.inner.node);
         if let Some(owner) = ring_owner {
-            if let Some(peer) = peers.iter().find(|p| p.node == owner) {
+            if let Some(i) = peers.iter().position(|p| p.node == owner) {
                 let req = IdReq { id }.encode();
-                if let Ok(body) = self.peer_call(peer, method::CONTAINS, req) {
+                if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, req) {
                     let resp = BoolResp::decode(body)
                         .map_err(|e| PlasmaError::Protocol(format!("contains response: {e}")))?;
                     if resp.value {
                         self.note_ring_hits(1);
                         return Ok(true);
                     }
+                    // The owner answered: the fan-out need not ask it
+                    // again. An owner that did not answer stays in.
+                    peers.swap_remove(i);
                 }
             }
-        }
-        if ring_owner.is_some() {
             self.note_ring_fallbacks(1);
         }
-        // Ask every peer in parallel; unreachable peers count as "not
-        // here" (partial answer, not an error).
+        // Ask every remaining peer in parallel; unreachable peers count
+        // as "not here" (partial answer, not an error).
         let req_body = IdReq { id }.encode();
         let answers = self.fanout(&peers, |peer| {
             self.peer_call(peer, method::CONTAINS, req_body.clone())
@@ -2848,44 +2658,6 @@ impl Service for Interconnect {
     fn call(&self, method_id: u32, request: Bytes) -> Result<Bytes, Status> {
         let inner = &self.store.inner;
         match method_id {
-            method::LOOKUP => {
-                let req = LookupReq::decode(request)
-                    .map_err(|e| Status::invalid_argument(e.to_string()))?;
-                let mut found = Vec::new();
-                for id in req.ids {
-                    let loc = if req.pin {
-                        let loc = inner.core.get_local(id);
-                        if let Some(l) = loc {
-                            inner.remote_refs.pin(req.requester, l.id);
-                        }
-                        loc
-                    } else {
-                        inner.core.peek(id)
-                    };
-                    if let Some(l) = loc {
-                        found.push(l);
-                    }
-                }
-                Ok(LookupResp { found }.encode())
-            }
-            method::RESERVE => {
-                let req = ReserveReq::decode(request)
-                    .map_err(|e| Status::invalid_argument(e.to_string()))?;
-                let outcome = inner.reservations.on_remote_reserve(
-                    inner.node,
-                    req.requester,
-                    req.id,
-                    // A lent or replicated object exists even without
-                    // local bytes.
-                    inner.core.exists_any_state(req.id)
-                        || inner.ledger.lent_holder(req.id).is_some()
-                        || inner.replicas.holder_count(req.id) > 0,
-                );
-                Ok(ReserveResp {
-                    granted: outcome == ReserveOutcome::Granted,
-                }
-                .encode())
-            }
             method::RELEASE => {
                 let req = ReleaseReq::decode(request)
                     .map_err(|e| Status::invalid_argument(e.to_string()))?;
@@ -3343,45 +3115,9 @@ impl Service for Interconnect {
                 {
                     return refused(epoch);
                 }
-                // Copy the (immutable, owner-pinned) bytes over the fabric
-                // and seal a replica under the same id. Any failure before
-                // seal aborts the staged copy and refuses — the owner's
-                // copy is untouched.
-                let adopt = || -> Result<(), PlasmaError> {
-                    // On the framed plane the payload rides inside the
-                    // request (embedding avoids a nested RPC back into the
-                    // owner, which is blocked in this very call); on the
-                    // mapped plane it is pulled straight from the owner's
-                    // sealed segment with no intermediate frame.
-                    let bytes = match &req.payload {
-                        Some(p) => p.to_vec(),
-                        None => {
-                            if inner.data_plane.framed() {
-                                return Err(PlasmaError::Protocol(
-                                    "framed spill without payload".into(),
-                                ));
-                            }
-                            inner.data_plane.pull(
-                                &StoreLink(&self.store),
-                                req.requester,
-                                &req.location,
-                            )?
-                        }
-                    };
-                    let loc = inner.core.create(
-                        id,
-                        req.location.data_size,
-                        req.location.metadata_size,
-                    )?;
-                    let staged = StagedCreateGuard::new(&self.store, id);
-                    let local_map = inner.core.mapping_for(&loc)?;
-                    local_map.write_at(loc.offset, &bytes)?;
-                    inner.core.seal(id)?;
-                    staged.disarm();
-                    inner.core.release(id)?; // creator's reference
-                    Ok(())
-                };
-                if adopt().is_err() {
+                // Any failure before seal aborts the staged copy and
+                // refuses — the owner's copy is untouched.
+                if self.store.adopt_copy(&req.location).is_err() {
                     return refused(epoch);
                 }
                 inner
@@ -3393,49 +3129,6 @@ impl Service for Interconnect {
                     epoch,
                 }
                 .encode())
-            }
-            method::DATA_READ => {
-                let req = DataReadReq::decode(request)
-                    .map_err(|e| Status::invalid_argument(e.to_string()))?;
-                // Framed-plane bulk read: serve the sealed bytes named by
-                // the descriptor out of the local segment. The mapped
-                // plane never sends this — peers read the segment
-                // directly.
-                let mapping = inner
-                    .core
-                    .mapping_for(&req.location)
-                    .map_err(|e| Status::internal(e.to_string()))?;
-                let bytes = mapping
-                    .view(req.location.offset, req.location.total_size())
-                    .and_then(|v| v.read_all())
-                    .map_err(|e| Status::internal(e.to_string()))?;
-                Ok(DataReadResp {
-                    payload: Bytes::from(bytes),
-                }
-                .encode())
-            }
-            method::DATA_WRITE => {
-                let req = DataWriteReq::decode(request)
-                    .map_err(|e| Status::invalid_argument(e.to_string()))?;
-                // Framed-plane bulk write into a staged remote create.
-                // Only the creator that holds the CREATE_AT stage may
-                // write — anyone else is refused without touching memory.
-                let allowed = inner
-                    .staged_remote
-                    .lock()
-                    .get(&req.location.id)
-                    .is_some_and(|&(r, _)| r == req.requester);
-                if !allowed {
-                    return Ok(BoolResp { value: false }.encode());
-                }
-                let mapping = inner
-                    .core
-                    .mapping_for(&req.location)
-                    .map_err(|e| Status::internal(e.to_string()))?;
-                mapping
-                    .write_at(req.location.offset, &req.payload)
-                    .map_err(|e| Status::internal(e.to_string()))?;
-                Ok(BoolResp { value: true }.encode())
             }
             method::REPLICATE_AT => {
                 let req = SpillAtReq::decode(request)
@@ -3487,36 +3180,7 @@ impl Service for Interconnect {
                 {
                     return refused(epoch);
                 }
-                let adopt = || -> Result<(), PlasmaError> {
-                    let bytes = match &req.payload {
-                        Some(p) => p.to_vec(),
-                        None => {
-                            if inner.data_plane.framed() {
-                                return Err(PlasmaError::Protocol(
-                                    "framed replicate without payload".into(),
-                                ));
-                            }
-                            inner.data_plane.pull(
-                                &StoreLink(&self.store),
-                                req.requester,
-                                &req.location,
-                            )?
-                        }
-                    };
-                    let loc = inner.core.create(
-                        id,
-                        req.location.data_size,
-                        req.location.metadata_size,
-                    )?;
-                    let staged = StagedCreateGuard::new(&self.store, id);
-                    let local_map = inner.core.mapping_for(&loc)?;
-                    local_map.write_at(loc.offset, &bytes)?;
-                    inner.core.seal(id)?;
-                    staged.disarm();
-                    inner.core.release(id)?; // creator's reference
-                    Ok(())
-                };
-                if adopt().is_err() {
+                if self.store.adopt_copy(&req.location).is_err() {
                     return refused(epoch);
                 }
                 // Unlike SPILL_AT, the owner keeps its copy — this is a
@@ -3665,6 +3329,28 @@ mod tests {
     use super::*;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::RpcClient;
+
+    /// The dispatch and the verb table agree: every id in `VERBS` has a
+    /// handler (an empty body may be rejected, but never as
+    /// `Unimplemented`), and the retired ids — and anything past `MAX` —
+    /// are answered `Unimplemented`, so a retired verb cannot be served.
+    #[test]
+    fn every_listed_verb_is_handled_and_retired_ids_are_not() {
+        let fabric = tfsim::Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
+        let service = DisaggStore::new(core, DisaggConfig::default()).interconnect_service();
+        let unimplemented = |id: u32| {
+            let answer = service.call(id, Bytes::new());
+            matches!(answer, Err(s) if s.code == StatusCode::Unimplemented)
+        };
+        for (id, name) in method::VERBS {
+            assert!(!unimplemented(*id), "{name} ({id}) has no handler");
+        }
+        for id in [1, 2, 17, 18, method::MAX + 1] {
+            assert!(unimplemented(id), "method id {id} must be unimplemented");
+        }
+    }
 
     /// Regression for the ambiguous-owner cache race: when two peers both
     /// answer a lookup for the same id, the duplicate pin is released back

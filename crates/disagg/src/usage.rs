@@ -3,15 +3,11 @@
 //! The paper identifies "distributed object-usage sharing" as a required
 //! constraint — a store must not evict objects that *remote* clients are
 //! still reading — but defers the implementation to future work. This
-//! module implements it: when a store answers a pinning `Lookup`, the
+//! module implements it: when a store answers a `GET_MANY`, each found
 //! object gains a store-side reference attributed to the requesting node
-//! in a [`RemoteRefs`] table; a later `Release` RPC from that node drops
+//! in a [`RemoteRefs`] table; a later `RELEASE` RPC from that node drops
 //! it. Together with the store's rule that referenced objects are never
 //! evicted, remote readers are safe from eviction.
-//!
-//! [`Reservations`] backs the id-uniqueness handshake: a store records its
-//! own in-flight creates, and concurrent reservations for the same id from
-//! two nodes are resolved deterministically (lowest node id wins).
 
 use parking_lot::Mutex;
 use plasma::ObjectId;
@@ -101,88 +97,6 @@ impl RemoteRefs {
     }
 }
 
-#[derive(Debug)]
-struct Pending {
-    /// Set when a lower-id node reserved the same id while our create was
-    /// in flight: we yielded, and our create must fail.
-    lost: bool,
-}
-
-/// Reservation table for the id-uniqueness handshake.
-///
-/// Only *our own* in-flight creates need tracking: a store holds its
-/// pending entry until the object is actually in its table, so any
-/// incoming reservation for the same id hits either the pending entry
-/// (tie-break) or the existing object (reject) — there is no window in
-/// which a granted-but-uncreated id can be double-created.
-#[derive(Debug, Default)]
-pub struct Reservations {
-    /// Our own in-flight creates.
-    mine: Mutex<HashMap<ObjectId, Pending>>,
-}
-
-/// Outcome of an incoming reserve request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReserveOutcome {
-    /// The id is free here; the requester may create it.
-    Granted,
-    /// The id already exists or a better-ranked create is pending.
-    Rejected,
-}
-
-impl Reservations {
-    /// New table with no pending creates.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begin a local create: returns false if the id is already pending
-    /// locally.
-    pub fn begin_local(&self, id: ObjectId) -> bool {
-        let mut mine = self.mine.lock();
-        if mine.contains_key(&id) {
-            return false;
-        }
-        mine.insert(id, Pending { lost: false });
-        true
-    }
-
-    /// Finish (or cancel) a local create; returns true if the reservation
-    /// was lost to a concurrent lower-id node while in flight.
-    pub fn end_local(&self, id: ObjectId) -> bool {
-        self.mine
-            .lock()
-            .remove(&id)
-            .map(|p| p.lost)
-            .unwrap_or(false)
-    }
-
-    /// Handle an incoming reservation from `requester` on a store running
-    /// at `self_node` where `exists_locally` reflects the object table.
-    pub fn on_remote_reserve(
-        &self,
-        self_node: NodeId,
-        requester: NodeId,
-        id: ObjectId,
-        exists_locally: bool,
-    ) -> ReserveOutcome {
-        if exists_locally {
-            return ReserveOutcome::Rejected;
-        }
-        let mut mine = self.mine.lock();
-        if let Some(pending) = mine.get_mut(&id) {
-            // Concurrent create race: lowest node id wins deterministically.
-            return if requester.0 < self_node.0 {
-                pending.lost = true;
-                ReserveOutcome::Granted
-            } else {
-                ReserveOutcome::Rejected
-            };
-        }
-        ReserveOutcome::Granted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,58 +139,5 @@ mod tests {
         assert!(r.reconcile(NodeId(1), &holds).is_empty());
         // id(9) was never pinned here; the report alone creates nothing.
         assert!(!r.unpin(NodeId(1), id(9)));
-    }
-
-    #[test]
-    fn local_reservation_lifecycle() {
-        let r = Reservations::new();
-        assert!(r.begin_local(id(1)));
-        assert!(!r.begin_local(id(1)), "double begin rejected");
-        assert!(!r.end_local(id(1)), "not lost");
-        assert!(r.begin_local(id(1)), "free again after end");
-    }
-
-    #[test]
-    fn remote_reserve_grants_when_free() {
-        let r = Reservations::new();
-        assert_eq!(
-            r.on_remote_reserve(NodeId(0), NodeId(1), id(1), false),
-            ReserveOutcome::Granted
-        );
-        // Granting does not block our own later creates: uniqueness of the
-        // granted id is enforced by the *requester's* store once the object
-        // exists there (exists_locally on the next reserve round-trip).
-        assert!(r.begin_local(id(1)));
-    }
-
-    #[test]
-    fn remote_reserve_rejected_when_object_exists() {
-        let r = Reservations::new();
-        assert_eq!(
-            r.on_remote_reserve(NodeId(0), NodeId(1), id(1), true),
-            ReserveOutcome::Rejected
-        );
-    }
-
-    #[test]
-    fn concurrent_race_lowest_node_wins() {
-        // Store on node 2 has an in-flight create; node 1 (lower) reserves.
-        let r = Reservations::new();
-        assert!(r.begin_local(id(1)));
-        assert_eq!(
-            r.on_remote_reserve(NodeId(2), NodeId(1), id(1), false),
-            ReserveOutcome::Granted,
-            "lower-id requester wins"
-        );
-        assert!(r.end_local(id(1)), "our create lost the race");
-
-        // Symmetric case: node 3 (higher) reserves against our pending.
-        assert!(r.begin_local(id(2)));
-        assert_eq!(
-            r.on_remote_reserve(NodeId(2), NodeId(3), id(2), false),
-            ReserveOutcome::Rejected,
-            "higher-id requester yields"
-        );
-        assert!(!r.end_local(id(2)), "our create proceeds");
     }
 }

@@ -128,13 +128,8 @@ fn one_snapshot_covers_plasma_disagg_and_rpc_layers() {
         N as u64 + 1
     );
     // interconnect client: ring placement makes a locally-owned create an
-    // owner-local check — no reserve broadcast ever; the one peer-owned
-    // create shows up as a single CREATE_AT to the owner.
-    assert_eq!(
-        snap.histogram("rpc.client.store-1.reserve.latency_ns")
-            .map_or(0, |h| h.count),
-        0
-    );
+    // owner-local check; the one peer-owned create shows up as a single
+    // CREATE_AT to the owner.
     assert_eq!(
         snap.histogram("rpc.client.store-1.create_at.latency_ns")
             .map_or(0, |h| h.count),

@@ -1,17 +1,17 @@
-//! Rendezvous-placement acceptance: creates issue **zero** reserve RPCs
-//! and land on their computed owner, a stable remote get is exactly
+//! Rendezvous-placement acceptance: creates land on their computed
+//! owner, a stable remote get is exactly
 //! **one** point-to-point RPC, membership epochs gossip on interconnect
 //! traffic, and off-ring objects stay reachable through the broadcast
 //! fallback.
 
-use disagg::{CacheMode, Cluster, ClusterConfig, Membership, PeerState};
+use disagg::{CacheMode, Cluster, ClusterConfig, Membership, PeerState, RetryPolicy};
 use plasma::{ObjectId, ObjectStore};
 use std::time::Duration;
 
 /// The tentpole claim: creates route deterministically to the rendezvous
-/// owner — no reserve broadcast, no reserve RPCs, anywhere, ever.
+/// owner.
 #[test]
-fn creates_issue_zero_reserve_rpcs_and_land_on_their_owner() {
+fn creates_land_on_their_owner() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
     for node in 0..3 {
         let client = cluster.client(node).unwrap();
@@ -22,23 +22,6 @@ fn creates_issue_zero_reserve_rpcs_and_land_on_their_owner() {
     }
     for node in 0..3 {
         let store = cluster.store(node);
-        assert_eq!(
-            store.disagg_stats().reserve_rpcs,
-            0,
-            "node {node} issued reserve RPCs"
-        );
-        let snap = store.metrics_snapshot();
-        for peer in 0..3 {
-            if peer == node {
-                continue;
-            }
-            let name = format!("rpc.client.store-{peer}.reserve.latency_ns");
-            assert_eq!(
-                snap.histogram(&name).map_or(0, |h| h.count),
-                0,
-                "node {node} has reserve samples against store-{peer}"
-            );
-        }
         // Every object this store holds is one the ring assigns to it.
         let node_id = cluster.node_id(node);
         for info in store.core().list() {
@@ -145,7 +128,6 @@ fn sixteen_node_fabric_resolves_every_get_in_one_rpc() {
             "node {node}: each remote get must cost exactly one RPC"
         );
         assert_eq!(stats.ring_hits, *remote_gets);
-        assert_eq!(stats.reserve_rpcs, 0, "node {node} issued reserve RPCs");
     }
 }
 
@@ -160,9 +142,49 @@ fn singleton_cluster_creates_without_any_rpc() {
         let id = ObjectId::from_name(&format!("solo/{i}"));
         client.put(id, b"alone", &[]).unwrap();
     }
-    let stats = cluster.store(0).disagg_stats();
-    assert_eq!(stats.reserve_rpcs, 0);
-    assert_eq!(stats.lookup_rpcs, 0);
+    assert_eq!(cluster.store(0).disagg_stats().lookup_rpcs, 0);
+}
+
+/// `contains` of an id nobody holds asks each peer once: the ring owner's
+/// point-to-point "no" is not repeated by the fallback fan-out. An owner
+/// that could *not* answer stays in the fan-out, which still finds an
+/// off-ring copy elsewhere.
+#[test]
+fn contains_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
+    let mut config = ClusterConfig::functional(3, 4 << 20);
+    config.interconnect.retry = RetryPolicy::none();
+    let mut cluster = Cluster::launch(config).unwrap();
+    let s0 = cluster.store(0).clone();
+    let contains_calls = |peer: usize| {
+        let name = format!("rpc.client.store-{peer}.contains.latency_ns");
+        s0.metrics_snapshot()
+            .histogram(&name)
+            .map_or(0, |h| h.count)
+    };
+
+    let absent = ObjectId::from_name(&cluster.owned_id(1, "contains/absent"));
+    assert!(!s0.contains(absent).unwrap());
+    assert_eq!(contains_calls(1), 1, "the owner is asked exactly once");
+    assert_eq!(contains_calls(2), 1, "the fan-out covers the other peer");
+    assert_eq!(s0.disagg_stats().ring_fallbacks, 1);
+
+    // An id the ring assigns to node 1 but that lives on node 2 (what a
+    // migration leaves behind), with node 1's interconnect down.
+    let stray = ObjectId::from_name(&cluster.owned_id(1, "contains/stray"));
+    let core2 = cluster.store(2).core();
+    core2.create(stray, 64, 0).unwrap();
+    core2.seal(stray).unwrap();
+    core2.release(stray).unwrap();
+    cluster.stop_rpc(1);
+    assert!(
+        s0.contains(stray).unwrap(),
+        "fan-out finds the off-ring copy"
+    );
+    assert_eq!(
+        s0.peer_health_stats(cluster.node_id(1)).failures,
+        2,
+        "the silent owner is probed point-to-point and again by the fan-out"
+    );
 }
 
 /// The Up→Down transition drops every cached hint pointing at the dead

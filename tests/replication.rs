@@ -6,7 +6,7 @@
 //! always served from its holder — never from a stale replica left by an
 //! earlier incarnation.
 
-use disagg::{Cluster, ClusterConfig, DataPlaneKind};
+use disagg::{Cluster, ClusterConfig};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
 
@@ -335,55 +335,32 @@ fn reconcile_replicas_trims_orphaned_owner_entries() {
     assert_eq!(cluster.store(1).replica_counts().held, 0);
 }
 
-/// The whole replication protocol also holds on the framed data plane:
-/// payloads ride inside control-channel frames (counted as framed
-/// bytes), while a mapped-plane cluster moves the same bytes with zero
-/// framed payload traffic.
+/// A replica's payload reaches the holder over the mapped data plane:
+/// the `REPLICATE_AT` frame carries only the descriptor, and the bytes
+/// are accounted on the holder's `mapped_payload_bytes` counter.
 #[test]
-fn replication_works_on_both_data_planes() {
-    for kind in [DataPlaneKind::Mapped, DataPlaneKind::Framed] {
-        let mut config = ClusterConfig::functional(2, 4 << 20);
-        config.data_plane = kind;
-        let cluster = Cluster::launch(config).unwrap();
-        assert_eq!(
-            cluster.store(0).data_plane_name(),
-            match kind {
-                DataPlaneKind::Mapped => "mapped",
-                DataPlaneKind::Framed => "framed",
-            }
-        );
-        let id = ObjectId::from_name(&cluster.owned_id(0, "rep/plane"));
-        let payload = vec![0xEE; 2048];
-        cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
-        assert!(cluster
-            .store(0)
-            .replicate_to(id, cluster.node_id(1))
-            .unwrap());
+fn replication_moves_the_payload_over_the_mapped_plane() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "rep/plane"));
+    let payload = vec![0xEE; 2048];
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+    assert!(cluster
+        .store(0)
+        .replicate_to(id, cluster.node_id(1))
+        .unwrap());
+    assert_eq!(
+        cluster
+            .store(1)
+            .metrics_snapshot()
+            .counter("disagg.fabric.mapped_payload_bytes"),
+        2048,
+        "the holder pulled exactly the payload over the fabric"
+    );
 
-        let at_holder = cluster.client(1).unwrap();
-        let buf = at_holder.get_one(id, GET_TIMEOUT).unwrap();
-        assert_eq!(buf.read_all().unwrap(), payload);
-        at_holder.release(id).unwrap();
-        cluster.client(1).unwrap().delete(id).unwrap();
-        assert!(!cluster.store(0).contains(id).unwrap());
-
-        let framed: u64 = (0..2)
-            .map(|i| {
-                cluster
-                    .store(i)
-                    .metrics_snapshot()
-                    .counter("disagg.fabric.framed_payload_bytes")
-            })
-            .sum();
-        match kind {
-            DataPlaneKind::Mapped => assert_eq!(
-                framed, 0,
-                "mapped plane must move zero payload bytes through frames"
-            ),
-            DataPlaneKind::Framed => assert!(
-                framed >= 2048,
-                "framed plane must account the replicated payload"
-            ),
-        }
-    }
+    let at_holder = cluster.client(1).unwrap();
+    let buf = at_holder.get_one(id, GET_TIMEOUT).unwrap();
+    assert_eq!(buf.read_all().unwrap(), payload);
+    at_holder.release(id).unwrap();
+    cluster.client(1).unwrap().delete(id).unwrap();
+    assert!(!cluster.store(0).contains(id).unwrap());
 }
