@@ -20,7 +20,7 @@
 //! [--ops N] [--seed N]`. Writes `BENCH_elastic.json`.
 
 use bench::cluster_config;
-use disagg::{Cluster, NodeId};
+use disagg::{Cluster, Kind, NodeId, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Duration;
@@ -166,19 +166,24 @@ fn counter_sum(cluster: &Cluster, name: &str) -> u64 {
         .sum()
 }
 
-/// Cross-check every borrow ledger pair: each owner-side lent entry must
-/// have the matching holder-side borrowed entry and vice versa. Returns
-/// the number of violations (must be zero at quiesce).
+/// Cross-check every lease: each owner-side (`out`) entry must have the
+/// matching holder-side (`held`) entry and vice versa. Returns the
+/// number of violations (must be zero at quiesce).
 fn audit_ledgers(cluster: &Cluster) -> u64 {
     let node_idx: HashMap<NodeId, usize> = (0..cluster.len())
         .map(|i| (cluster.node_id(i), i))
         .collect();
-    let lent: Vec<Vec<(ObjectId, NodeId)>> = (0..cluster.len())
-        .map(|i| cluster.store(i).lent_snapshot())
-        .collect();
-    let borrowed: Vec<Vec<(ObjectId, NodeId)>> = (0..cluster.len())
-        .map(|i| cluster.store(i).borrowed_snapshot())
-        .collect();
+    let leases = |side: Side| -> Vec<Vec<(ObjectId, NodeId)>> {
+        (0..cluster.len())
+            .map(|i| {
+                let all = cluster.store(i).delegations().into_iter();
+                all.filter(|r| r.side == side && r.kind == Kind::Lease)
+                    .map(|r| (r.id, r.peer))
+                    .collect()
+            })
+            .collect()
+    };
+    let (lent, borrowed) = (leases(Side::Out), leases(Side::Held));
     let mut violations = 0u64;
     for (owner, entries) in lent.iter().enumerate() {
         for &(id, holder) in entries {
@@ -433,7 +438,8 @@ fn main() {
     // Quiesce: heal ambiguous spills, then audit every ledger pair.
     eprintln!("  reconciling + auditing...");
     for node in 0..nodes {
-        cluster.store(node).reconcile_borrows().expect("reconcile");
+        let sweep = cluster.store(node).reconcile();
+        assert!(sweep.unreachable.is_empty(), "reconcile: {sweep:?}");
     }
     let violations = audit_ledgers(&cluster);
 

@@ -16,19 +16,18 @@
 //!    network: retry the releases that failed under fire (each failure
 //!    left its requester-side ledger entry in place), sweep `contains`
 //!    probes until parked remote releases have flushed (any successful
-//!    interconnect call flushes them), then reconcile pins so owners
-//!    can trim pins orphaned by responses the nemesis dropped, and
-//!    reconcile borrow and replica ledgers so ambiguous spills converge
-//!    back to a single accounted copy and replica records match what
-//!    holders actually seal.
-//! 4. Quiesce audit: every pin ledger must be empty — owner-side remote
-//!    pins, requester-side held pins, parked releases — and the borrow
-//!    ledgers must be mutually consistent: every off-ring sealed object
-//!    accounted for by exactly one owner-side lent entry, no orphans on
-//!    either side — and the replica ledgers likewise: every extra sealed
-//!    copy recorded by its ring owner, every holder inside the
-//!    membership, every replica backed by a live owner copy, and no id
-//!    both lent and replicated.
+//!    interconnect call flushes them), then reconcile: every node
+//!    reports what it holds to each owner, so owners can trim pins
+//!    orphaned by responses the nemesis dropped, ambiguous spills
+//!    converge back to a single accounted copy, and replica records
+//!    match what holders actually seal.
+//! 4. Quiesce audit: every pin count must be zero — owner-side remote
+//!    pins, requester-side held pins, parked releases — and the leases
+//!    and replicas in the delegation ledgers must be mutually
+//!    consistent: every off-ring sealed object accounted for by its
+//!    ring owner's lease or replica entry, no orphans on either side,
+//!    every holder inside the membership, every replica backed by a
+//!    live owner copy, and no id both lent and replicated.
 //! 5. Run the [`crate::checker`] over the recorded history.
 //!
 //! Fault decisions are deterministic per (link, direction, seq) — see
@@ -41,7 +40,10 @@ use crate::checker::{check, Verdict};
 use crate::history::{EventKind, HistoryRecorder, Observed};
 use crate::inject::ChaosInjector;
 use crate::plan::FaultPlan;
-use disagg::{Cluster, ClusterConfig, HealthConfig, InterconnectConfig, RetryPolicy};
+use disagg::{
+    Cluster, ClusterConfig, HealthConfig, InterconnectConfig, Kind, ReconcileReport, RetryPolicy,
+    Side,
+};
 use plasma::{checksum, AllocatorKind, ObjectId, PlasmaError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,8 +69,8 @@ pub struct SoakConfig {
     /// fault injection rides a tiered fabric instead of instant links.
     pub links: Option<disagg::LinkMap>,
     /// Mix elastic-tier store operations (spill-to-peer, heat-driven
-    /// rebalance) into the workload, and reconcile + audit the borrow
-    /// ledgers at quiesce. Exercises delegation under fault injection.
+    /// rebalance) into the workload. Exercises delegation under fault
+    /// injection; reconcile and the delegation audit run regardless.
     pub elastic: bool,
     /// Region allocator used by every store (the matrix reruns with
     /// `Slab` to soak the size-class hot path under faults).
@@ -133,8 +135,8 @@ pub struct SoakReport {
     /// Cluster-wide evictions during the run (gates the create-uniqueness
     /// invariant).
     pub evictions: u64,
-    /// Owner-side pins found orphaned by dropped responses and trimmed
-    /// during settle-phase reconciliation.
+    /// Owner-side pins (and orphaned staged creates) found stranded by
+    /// dropped responses and trimmed during settle-phase reconciliation.
     pub reconciled: u64,
     /// Redundant borrowed replicas dropped by settle-phase borrow
     /// reconciliation (an owner kept its copy after an ambiguous spill).
@@ -284,49 +286,27 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // 3c: pin reconciliation. A response the nemesis dropped left the
-    // owner with a pin the requester never ledgered — nothing will ever
-    // release it. With the workload drained, each node reports its exact
-    // holds so owners can trim the orphans (quiesce-only; see
-    // `DisaggStore::reconcile_pins`).
-    let mut reconciled = 0u64;
+    // 3c: reconciliation. A response the nemesis dropped left one side
+    // of a delegation without its counterpart: an owner with a pin the
+    // requester never ledgered (nothing will ever release it) or a
+    // staged create nobody will seal; a holder with a sealed copy the
+    // owner never recorded (duplication, never loss —
+    // seal-before-delete), or an owner with an entry no copy backs. With
+    // the workload drained, each node reports exactly what it holds to
+    // every owner, which trims the orphans, installs what it missed and
+    // declares redundant or stale copies droppable (quiesce-only; see
+    // `DisaggStore::reconcile`). A peer a sweep cannot reach is left to
+    // the audit below to report.
+    let mut healed = ReconcileReport::default();
     for i in 0..cfg.nodes {
-        reconciled += cluster.store(i).reconcile_pins().unwrap_or(0);
-    }
-
-    // 3d: borrow-ledger reconciliation. A SPILL_AT response the nemesis
-    // dropped left the holder with a sealed replica the owner never
-    // ledgered (duplication, never loss — seal-before-delete). Each
-    // holder reports exactly what it borrowed; owners re-install missing
-    // lent entries, declare redundant replicas droppable, and trim
-    // entries no holder honors.
-    let mut borrow_drops = 0u64;
-    let mut borrow_trims = 0u64;
-    for i in 0..cfg.nodes {
-        if let Ok((drops, trims)) = cluster.store(i).reconcile_borrows() {
-            borrow_drops += drops;
-            borrow_trims += trims;
-        }
-    }
-
-    // 3e: replica reconciliation. A REPLICATE_AT response the nemesis
-    // dropped left the holder with a sealed replica the owner never
-    // recorded (or the owner with an entry no replica backs, when the
-    // adopt itself was lost). Each holder reports its surviving replica
-    // set; owners heal missing entries, declare stale replicas
-    // droppable, and trim entries no holder honors.
-    let mut replica_drops = 0u64;
-    let mut replica_trims = 0u64;
-    for i in 0..cfg.nodes {
-        if let Ok((drops, trims)) = cluster.store(i).reconcile_replicas() {
-            replica_drops += drops;
-            replica_trims += trims;
-        }
+        let sweep = cluster.store(i).reconcile();
+        healed.dropped += sweep.dropped;
+        healed.trimmed += sweep.trimmed;
     }
 
     // Phase 4: quiesce audit — all pin ledgers must be empty, and every
     // surviving object must sit where the rendezvous ring says it does
-    // (or where the owner's borrow ledger says it was delegated).
+    // (or where the owner's ledger says it was delegated).
     let mut verdict = check_quiesce(&cluster, cfg.nodes);
     verdict
         .violations
@@ -347,11 +327,11 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         events,
         injected_faults: injector.injected_faults(),
         evictions,
-        reconciled,
-        borrow_drops,
-        borrow_trims,
-        replica_drops,
-        replica_trims,
+        reconciled: healed.trimmed[Kind::Pin] + healed.trimmed[Kind::Staged],
+        borrow_drops: healed.dropped[Kind::Lease],
+        borrow_trims: healed.trimmed[Kind::Lease],
+        replica_drops: healed.dropped[Kind::Replica],
+        replica_trims: healed.trimmed[Kind::Replica],
     })
 }
 
@@ -382,15 +362,17 @@ fn check_quiesce(cluster: &Cluster, nodes: usize) -> Verdict {
     verdict
 }
 
-/// Ring-ownership and borrow-ledger audit: with rendezvous placement
-/// every sealed survivor must live on exactly one node — either the node
-/// the ring computes as its owner, or a holder the owner's borrow ledger
-/// records for exactly that delegation — and all nodes must have
-/// converged on one membership epoch. Both sides of every delegation
-/// must agree: an owner-side `lent` entry whose holder has no sealed
-/// replica (or no matching `borrowed` entry) is an orphan, and so is the
-/// reverse. A violation here means a forwarded create or a spill landed
-/// (or left residue) somewhere the ledgers cannot account for.
+/// Ring-ownership and delegation audit: with rendezvous placement every
+/// sealed survivor must live where the ring computes its owner, or at a
+/// holder that owner's ledger names — the one holder of its lease, or a
+/// holder of one of its replicas — and all nodes must have converged on
+/// one membership epoch. Both sides of every lease and replica must
+/// agree: an owner-side entry whose holder has no sealed copy (or no
+/// matching `held` entry) is an orphan, and so is the reverse. Holders
+/// must be cluster members, a lease means the owner gave its copy up, a
+/// replica means it kept it, and no id is both lent and replicated. A
+/// violation here means a forwarded create, a spill or a replication
+/// landed (or left residue) somewhere the ledgers cannot account for.
 fn check_ring_placement(cluster: &Cluster, nodes: usize) -> Verdict {
     use std::collections::{HashMap, HashSet};
     let mut verdict = Verdict::default();
@@ -409,50 +391,46 @@ fn check_ring_placement(cluster: &Cluster, nodes: usize) -> Verdict {
         }
     }
 
-    // Gather both sides of every ledger and each node's sealed set.
+    // Gather each node's sealed set and its lease and replica entries.
     let index_of: HashMap<disagg::NodeId, usize> =
         (0..nodes).map(|i| (cluster.node_id(i), i)).collect();
     let mut sealed_at: Vec<HashSet<ObjectId>> = vec![HashSet::new(); nodes];
-    let mut holders: HashMap<ObjectId, Vec<usize>> = HashMap::new();
+    let mut sealers: HashMap<ObjectId, Vec<usize>> = HashMap::new();
     for (i, sealed) in sealed_at.iter_mut().enumerate() {
         for info in cluster.store(i).core().list() {
             if info.state == plasma::ObjectState::Sealed {
                 sealed.insert(info.id);
-                holders.entry(info.id).or_default().push(i);
+                sealers.entry(info.id).or_default().push(i);
             }
         }
     }
-    // lent[(owner idx, id)] = holder idx, from the owners' ledgers.
-    let mut lent: HashMap<(usize, ObjectId), usize> = HashMap::new();
-    for i in 0..nodes {
-        for (id, holder) in cluster.store(i).lent_snapshot() {
-            match index_of.get(&holder) {
+    let copies: Vec<Vec<disagg::DelegationRecord>> = (0..nodes)
+        .map(|i| {
+            let all = cluster.store(i).delegations().into_iter();
+            all.filter(|r| r.kind.is_copy()).collect()
+        })
+        .collect();
+    // out[(owner idx, id, kind)] = holder idxs, from the owners' side.
+    // Every recorded holder must be a cluster member.
+    let mut out: HashMap<(usize, ObjectId, Kind), HashSet<usize>> = HashMap::new();
+    for (i, records) in copies.iter().enumerate() {
+        for r in records.iter().filter(|r| r.side == Side::Out) {
+            match index_of.get(&r.peer) {
                 Some(&h) => {
-                    lent.insert((i, id), h);
+                    out.entry((i, r.id, r.kind)).or_default().insert(h);
                 }
                 None => verdict.violations.push(format!(
-                    "borrow violation: node {i} lends {id:?} to unknown node {holder:?}"
+                    "{:?} violation: node {i} records {:?} at unknown node {:?} \
+                     (holder outside membership)",
+                    r.kind, r.id, r.peer
                 )),
             }
         }
     }
-    // replica_held[(owner idx, id)] = holder idxs, from the owners'
-    // replica ledgers. Every recorded holder must be a cluster member
-    // (replica set ⊆ membership).
-    let mut replica_held: HashMap<(usize, ObjectId), HashSet<usize>> = HashMap::new();
-    for i in 0..nodes {
-        for (id, holder) in cluster.store(i).replica_held_snapshot() {
-            match index_of.get(&holder) {
-                Some(&h) => {
-                    replica_held.entry((i, id)).or_default().insert(h);
-                }
-                None => verdict.violations.push(format!(
-                    "replica violation: node {i} records a replica of {id:?} on unknown \
-                     node {holder:?} (replica set outside membership)"
-                )),
-            }
-        }
-    }
+    let names = |owner: usize, id: ObjectId, kind: Kind, holder: usize| {
+        out.get(&(owner, id, kind))
+            .is_some_and(|holders| holders.contains(&holder))
+    };
 
     for (i, sealed) in sealed_at.iter().enumerate() {
         let node_id = cluster.node_id(i);
@@ -461,141 +439,93 @@ fn check_ring_placement(cluster: &Cluster, nodes: usize) -> Verdict {
             if owner == Some(node_id) {
                 continue; // on-ring: the normal case
             }
-            // Off-ring: legitimate only as the recorded holder of the
-            // ring owner's delegation (lease) or read replica.
-            let accounted = owner.and_then(|o| index_of.get(&o)).is_some_and(|&o| {
-                lent.get(&(o, id)) == Some(&i)
-                    || replica_held.get(&(o, id)).is_some_and(|hs| hs.contains(&i))
-            });
+            // Off-ring: legitimate only as a recorded holder of the ring
+            // owner's lease or read replica.
+            let accounted = owner
+                .and_then(|o| index_of.get(&o))
+                .is_some_and(|&o| names(o, id, Kind::Lease, i) || names(o, id, Kind::Replica, i));
             if !accounted {
                 verdict.violations.push(format!(
                     "ring violation: node {i} holds {id:?} off-ring with no matching \
-                     lent or replica entry at its ring owner {owner:?}"
+                     lease or replica entry at its ring owner {owner:?}"
                 ));
             }
         }
     }
-    for (id, sealers) in &holders {
+    for (id, sealers) in &sealers {
         if sealers.len() <= 1 {
             continue;
         }
         // Multiple sealed copies are legal only for read replication:
         // one sealer is the ring owner (the write/metadata authority)
-        // and every other sealer is recorded in that owner's replica
-        // ledger. Anything else is a fork.
+        // and every other sealer is a replica holder it recorded.
+        // Anything else is a fork.
         let owner_idx = ring.owner_of(*id).and_then(|o| index_of.get(&o)).copied();
         let legal = owner_idx.is_some_and(|o| {
             sealers.contains(&o)
-                && sealers.iter().all(|&h| {
-                    h == o
-                        || replica_held
-                            .get(&(o, *id))
-                            .is_some_and(|hs| hs.contains(&h))
-                })
+                && sealers
+                    .iter()
+                    .all(|&h| h == o || names(o, *id, Kind::Replica, h))
         });
         if !legal {
             verdict.violations.push(format!(
                 "ring violation: {id:?} is sealed on multiple nodes {sealers:?} not \
-                 accounted for by the ring owner's replica ledger"
+                 accounted for by the ring owner's replica entries"
             ));
         }
     }
 
-    // Owner-side entries must be honored by their holder.
-    for (&(owner, id), &holder) in &lent {
-        if sealed_at[owner].contains(&id) {
+    // Owner-side entries must be honored by their holders, and say the
+    // truth about the owner's own copy.
+    for (&(owner, id, kind), holders) in &out {
+        let owner_seals = sealed_at[owner].contains(&id);
+        if kind == Kind::Lease && owner_seals {
             verdict.violations.push(format!(
-                "borrow violation: node {owner} both seals {id:?} and lends it to node {holder}"
+                "Lease violation: node {owner} both seals {id:?} and lends it to {holders:?}"
             ));
         }
-        if !sealed_at[holder].contains(&id) {
+        if kind == Kind::Replica && !owner_seals {
             verdict.violations.push(format!(
-                "borrow violation: node {owner} lends {id:?} to node {holder}, \
-                 which holds no sealed replica (orphaned lent entry)"
-            ));
-        }
-        let backref = cluster
-            .store(holder)
-            .borrowed_snapshot()
-            .into_iter()
-            .any(|(bid, from)| bid == id && index_of.get(&from) == Some(&owner));
-        if !backref {
-            verdict.violations.push(format!(
-                "borrow violation: node {owner} lends {id:?} to node {holder}, \
-                 but the holder has no matching borrowed entry"
-            ));
-        }
-    }
-    // Holder-side entries must be backed by the owner's ledger.
-    for i in 0..nodes {
-        for (id, from) in cluster.store(i).borrowed_snapshot() {
-            let Some(&owner) = index_of.get(&from) else {
-                verdict.violations.push(format!(
-                    "borrow violation: node {i} borrows {id:?} from unknown node {from:?}"
-                ));
-                continue;
-            };
-            if lent.get(&(owner, id)) != Some(&i) {
-                verdict.violations.push(format!(
-                    "borrow violation: node {i} borrows {id:?} from node {owner}, \
-                     which has no matching lent entry (orphaned borrowed entry)"
-                ));
-            }
-        }
-    }
-
-    // Replica ledgers must be two-sided consistent, back every replica
-    // with a live owner copy, and never coexist with a lease.
-    for (&(owner, id), holder_set) in &replica_held {
-        if lent.contains_key(&(owner, id)) {
-            verdict.violations.push(format!(
-                "replica violation: node {owner} both lends {id:?} and records replicas \
-                 of it (lent and replicated are mutually exclusive)"
-            ));
-        }
-        if !sealed_at[owner].contains(&id) {
-            verdict.violations.push(format!(
-                "replica violation: node {owner} records replicas of {id:?} but seals no \
+                "Replica violation: node {owner} records replicas of {id:?} but seals no \
                  owner copy (stale replica outlives its object)"
             ));
         }
-        for &h in holder_set {
+        if kind == Kind::Replica && out.contains_key(&(owner, id, Kind::Lease)) {
+            verdict.violations.push(format!(
+                "Replica violation: node {owner} both lends {id:?} and records replicas \
+                 of it (lent and replicated are mutually exclusive)"
+            ));
+        }
+        for &h in holders {
             if !sealed_at[h].contains(&id) {
                 verdict.violations.push(format!(
-                    "replica violation: node {owner} records a replica of {id:?} on node \
-                     {h}, which seals no copy (orphaned owner-side entry)"
+                    "{kind:?} violation: node {owner} records {id:?} at node {h}, \
+                     which seals no copy (orphaned owner-side entry)"
                 ));
             }
-            let backref = cluster
-                .store(h)
-                .replica_snapshot()
-                .into_iter()
-                .any(|(rid, from)| rid == id && index_of.get(&from) == Some(&owner));
+            let backref = copies[h].iter().any(|r| {
+                (r.side, r.kind, r.id) == (Side::Held, kind, id)
+                    && index_of.get(&r.peer) == Some(&owner)
+            });
             if !backref {
                 verdict.violations.push(format!(
-                    "replica violation: node {owner} records a replica of {id:?} on node \
-                     {h}, but the holder has no matching replica entry"
+                    "{kind:?} violation: node {owner} records {id:?} at node {h}, \
+                     but the holder has no matching held entry"
                 ));
             }
         }
     }
-    // Holder-side replica entries must be backed by the owner's ledger.
-    for i in 0..nodes {
-        for (id, from) in cluster.store(i).replica_snapshot() {
-            let Some(&owner) = index_of.get(&from) else {
+    // Holder-side entries must be backed by the owner's ledger.
+    for (i, records) in copies.iter().enumerate() {
+        for r in records.iter().filter(|r| r.side == Side::Held) {
+            let backed = index_of
+                .get(&r.peer)
+                .is_some_and(|&owner| names(owner, r.id, r.kind, i));
+            if !backed {
                 verdict.violations.push(format!(
-                    "replica violation: node {i} holds a replica of {id:?} from unknown \
-                     node {from:?}"
-                ));
-                continue;
-            };
-            if !replica_held
-                .get(&(owner, id))
-                .is_some_and(|hs| hs.contains(&i))
-            {
-                verdict.violations.push(format!(
-                    "replica violation: node {i} holds a replica of {id:?} from node \
-                     {owner}, which has no matching owner-side entry"
+                    "{:?} violation: node {i} holds {:?} for node {:?}, which has no \
+                     matching owner-side entry (orphaned held entry)",
+                    r.kind, r.id, r.peer
                 ));
             }
         }
@@ -684,7 +614,7 @@ fn worker(
             // ring-owned sealed object to a random peer, run a
             // heat-driven rebalance pass, or offer replicas to hot
             // readers. Not client-visible, so nothing is recorded; the
-            // borrow/replica-ledger quiesce audits and the
+            // delegation quiesce audit and the
             // redirect-following gets above are what hold them to
             // account.
             _ if cfg.elastic && cfg.nodes > 1 => {

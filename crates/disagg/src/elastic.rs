@@ -1,4 +1,4 @@
-//! Elastic capacity tier: pressure model, borrow ledger, heat tracking.
+//! Elastic capacity tier: pressure model and heat tracking.
 //!
 //! Three small mechanisms that together let a node's effective capacity
 //! stretch across the cluster:
@@ -8,10 +8,11 @@
 //!   free bytes, running the migration machinery *in reverse*: the lender
 //!   seals a replica before the owner deletes, so a lost response can
 //!   duplicate an immutable object but never lose it.
-//! * **Borrow ledger** — both ends record the delegation. The ring owner
-//!   keeps a `lent` entry so `get`s routed to it answer with a one-hop
-//!   `Moved` redirect; the holder keeps a `borrowed` entry so quiesce
-//!   reconciliation can prove no delegation is orphaned.
+//! * **The lease** — both ends record the delegation in the
+//!   [`crate::delegation`] ledger. The ring owner keeps the `out` entry
+//!   so `get`s routed to it answer with a one-hop `Moved` redirect; the
+//!   holder keeps the `held` entry so quiesce reconciliation can prove
+//!   no delegation is orphaned.
 //! * **Heat tracking** — owners count remote hits per (object, reader)
 //!   and push sufficiently hot objects *toward* their dominant reader
 //!   (rebalance), turning remote reads into local ones.
@@ -22,7 +23,7 @@
 
 use parking_lot::Mutex;
 use plasma::ObjectId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use tfsim::NodeId;
 
 /// Tuning knobs for the elastic capacity tier.
@@ -60,154 +61,6 @@ impl Default for ElasticConfig {
             max_inflight_creates: 0,
             retry_after_ms: 25,
             heat_min_hits: 8,
-        }
-    }
-}
-
-/// One recorded delegation: the remote end of a spilled object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Delegation {
-    /// The other node: the holder for a `lent` entry, the owner for a
-    /// `borrowed` entry.
-    peer: NodeId,
-    /// Object size (data + metadata), for spilled-bytes accounting.
-    bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct LedgerState {
-    /// Owner side: objects this node delegated away, by holder.
-    lent: HashMap<ObjectId, Delegation>,
-    /// Holder side: objects this node adopted, by owner.
-    borrowed: HashMap<ObjectId, Delegation>,
-}
-
-/// Aggregate ledger occupancy, for gauges and quiesce audits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LedgerCounts {
-    /// Number of objects this node has lent out.
-    pub lent: u64,
-    /// Total bytes this node has lent out (its "spilled" footprint).
-    pub lent_bytes: u64,
-    /// Number of objects this node holds on behalf of owners.
-    pub borrowed: u64,
-    /// Total bytes held on behalf of owners.
-    pub borrowed_bytes: u64,
-}
-
-/// Both ends of every delegation this node participates in.
-///
-/// The owner records `lent` entries when a spill is acknowledged; the
-/// holder records `borrowed` entries when it seals the replica. The two
-/// maps are disjoint in steady state (a node never borrows its own
-/// objects), and quiesce reconciliation proves every entry has its
-/// matching counterpart on the other node.
-#[derive(Debug, Default)]
-pub struct BorrowLedger {
-    state: Mutex<LedgerState>,
-}
-
-impl BorrowLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record (owner side) that `id` is now held by `holder`.
-    pub fn record_lent(&self, id: ObjectId, holder: NodeId, bytes: u64) {
-        self.state.lock().lent.insert(
-            id,
-            Delegation {
-                peer: holder,
-                bytes,
-            },
-        );
-    }
-
-    /// The holder of `id`, if this node lent it out.
-    pub fn lent_holder(&self, id: ObjectId) -> Option<NodeId> {
-        self.state.lock().lent.get(&id).map(|d| d.peer)
-    }
-
-    /// The recorded size of a lent entry, if any — used to preserve byte
-    /// accounting when reconciliation re-installs a delegation.
-    pub fn lent_bytes(&self, id: ObjectId) -> Option<u64> {
-        self.state.lock().lent.get(&id).map(|d| d.bytes)
-    }
-
-    /// Erase the owner-side entry for `id` (delegation ended).
-    pub fn remove_lent(&self, id: ObjectId) -> bool {
-        self.state.lock().lent.remove(&id).is_some()
-    }
-
-    /// Record (holder side) that `id` is held here for `owner`.
-    pub fn record_borrowed(&self, id: ObjectId, owner: NodeId, bytes: u64) {
-        self.state
-            .lock()
-            .borrowed
-            .insert(id, Delegation { peer: owner, bytes });
-    }
-
-    /// The owner of `id`, if this node borrowed it.
-    pub fn borrowed_owner(&self, id: ObjectId) -> Option<NodeId> {
-        self.state.lock().borrowed.get(&id).map(|d| d.peer)
-    }
-
-    /// Erase the holder-side entry for `id` (replica dropped or deleted).
-    pub fn remove_borrowed(&self, id: ObjectId) -> bool {
-        self.state.lock().borrowed.remove(&id).is_some()
-    }
-
-    /// Every id this node borrows from `owner` (one reconcile report).
-    pub fn borrowed_from(&self, owner: NodeId) -> Vec<ObjectId> {
-        self.state
-            .lock()
-            .borrowed
-            .iter()
-            .filter(|(_, d)| d.peer == owner)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Owner-side trim: drop every lent entry toward `holder` whose id is
-    /// not in `reported` (the holder no longer honors it). Returns how
-    /// many entries were dropped.
-    pub fn trim_lent(&self, holder: NodeId, reported: &HashSet<ObjectId>) -> u64 {
-        let mut st = self.state.lock();
-        let before = st.lent.len();
-        st.lent
-            .retain(|id, d| d.peer != holder || reported.contains(id));
-        (before - st.lent.len()) as u64
-    }
-
-    /// Owner-side view: every `(id, holder)` pair currently lent.
-    pub fn lent_snapshot(&self) -> Vec<(ObjectId, NodeId)> {
-        self.state
-            .lock()
-            .lent
-            .iter()
-            .map(|(id, d)| (*id, d.peer))
-            .collect()
-    }
-
-    /// Holder-side view: every `(id, owner)` pair currently borrowed.
-    pub fn borrowed_snapshot(&self) -> Vec<(ObjectId, NodeId)> {
-        self.state
-            .lock()
-            .borrowed
-            .iter()
-            .map(|(id, d)| (*id, d.peer))
-            .collect()
-    }
-
-    /// Aggregate counts and byte totals (gauge sync, audits).
-    pub fn counts(&self) -> LedgerCounts {
-        let st = self.state.lock();
-        LedgerCounts {
-            lent: st.lent.len() as u64,
-            lent_bytes: st.lent.values().map(|d| d.bytes).sum(),
-            borrowed: st.borrowed.len() as u64,
-            borrowed_bytes: st.borrowed.values().map(|d| d.bytes).sum(),
         }
     }
 }
@@ -295,48 +148,6 @@ mod tests {
 
     fn id(n: u8) -> ObjectId {
         ObjectId::from_bytes([n; 20])
-    }
-
-    #[test]
-    fn ledger_tracks_both_sides() {
-        let ledger = BorrowLedger::new();
-        ledger.record_lent(id(1), NodeId(2), 100);
-        ledger.record_borrowed(id(9), NodeId(7), 40);
-
-        assert_eq!(ledger.lent_holder(id(1)), Some(NodeId(2)));
-        assert_eq!(ledger.lent_holder(id(9)), None);
-        assert_eq!(ledger.borrowed_owner(id(9)), Some(NodeId(7)));
-        assert_eq!(ledger.borrowed_from(NodeId(7)), vec![id(9)]);
-        assert!(ledger.borrowed_from(NodeId(2)).is_empty());
-
-        let counts = ledger.counts();
-        assert_eq!(counts.lent, 1);
-        assert_eq!(counts.lent_bytes, 100);
-        assert_eq!(counts.borrowed, 1);
-        assert_eq!(counts.borrowed_bytes, 40);
-
-        assert!(ledger.remove_lent(id(1)));
-        assert!(!ledger.remove_lent(id(1)));
-        assert!(ledger.remove_borrowed(id(9)));
-        assert_eq!(ledger.counts(), LedgerCounts::default());
-    }
-
-    #[test]
-    fn trim_lent_drops_only_unreported_entries_of_that_holder() {
-        let ledger = BorrowLedger::new();
-        ledger.record_lent(id(1), NodeId(2), 10);
-        ledger.record_lent(id(2), NodeId(2), 10);
-        ledger.record_lent(id(3), NodeId(5), 10);
-
-        let reported: HashSet<ObjectId> = [id(1)].into_iter().collect();
-        assert_eq!(ledger.trim_lent(NodeId(2), &reported), 1);
-        assert_eq!(ledger.lent_holder(id(1)), Some(NodeId(2)));
-        assert_eq!(ledger.lent_holder(id(2)), None, "unreported: trimmed");
-        assert_eq!(
-            ledger.lent_holder(id(3)),
-            Some(NodeId(5)),
-            "other holder untouched"
-        );
     }
 
     #[test]

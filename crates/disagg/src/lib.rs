@@ -14,6 +14,11 @@
 //!   deployment.
 //! * [`IdCache`] — the paper's future-work remote-identifier cache, in a
 //!   safe (pinning) and an unsafe (direct) variant.
+//! * [`delegation`] — the one ledger of what each store holds for or at
+//!   another (pins, staged creates, leases, replicas), and the one
+//!   exchange that reconciles it. Pins are the paper's deferred
+//!   "distributed object-usage sharing": an owner never evicts an object
+//!   a remote client is reading.
 //!
 //! Remote lookups ride the batched `GET_MANY` interconnect verb: all ids
 //! one peer must answer for travel in a single round trip, and
@@ -43,6 +48,7 @@
 #![deny(missing_docs)]
 
 pub mod cluster;
+pub mod delegation;
 pub mod elastic;
 pub mod fabric;
 pub mod health;
@@ -51,18 +57,17 @@ pub mod proto;
 pub mod replicate;
 pub mod ring;
 pub mod store;
-pub mod usage;
 
 pub use cluster::{Cluster, ClusterConfig, LinkMap};
-pub use elastic::{BorrowLedger, ElasticConfig, HeatMap, LedgerCounts};
+pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
+pub use elastic::{ElasticConfig, HeatMap};
 pub use fabric::MappedFabric;
 pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
 pub use idcache::{CacheMode, CachedEntry, IdCache};
-pub use replicate::{ReplicaCounts, ReplicaLedger, ReplicationConfig};
+pub use replicate::ReplicationConfig;
 pub use ring::{Membership, Ring};
 pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
 pub use tfsim::NodeId;
-pub use usage::RemoteRefs;
 
 #[cfg(test)]
 mod tests {

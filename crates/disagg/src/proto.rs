@@ -8,6 +8,7 @@
 //! control-plane only: object payloads move over the fabric
 //! ([`crate::fabric`]), never inside a frame.
 
+use crate::delegation::{Claim, Kind, Tally};
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, OBJECT_ID_LEN};
 use rpclite::wire::{MsgDec, MsgEnc, WireError};
@@ -15,10 +16,20 @@ use tfsim::{NodeId, SegKey};
 
 /// Interconnect method ids.
 pub mod method {
-    // Ids 1 and 2 (the epoch-0 broadcast lookup and id reservation) and
-    // 17 and 18 (the framed data plane's read and write) are retired.
-    // They stay unassigned: a retired id is never reused, so an old
-    // peer's call can only meet `Unimplemented`.
+    /// Retired method ids with the verb each once carried: the epoch-0
+    /// broadcast lookup and id reservation, the framed data plane's read
+    /// and write, and the per-kind reconciles `RECONCILE` absorbed. A
+    /// retired id is never reused, so an old peer's call can only meet
+    /// `Unimplemented`. The dispatch test, the verb-table test and
+    /// `scripts/docs_drift.sh` all read this list.
+    pub const RETIRED: &[(u32, &str)] = &[
+        (1, "lookup"),
+        (2, "reserve"),
+        (16, "borrow_reconcile"),
+        (17, "data_read"),
+        (18, "data_write"),
+        (21, "replica_reconcile"),
+    ];
 
     /// Release references held on behalf of a remote node (`ReleaseReq`).
     pub const RELEASE: u32 = 3;
@@ -38,12 +49,14 @@ pub mod method {
     /// per-id status for partial success. The remote-get hot path — K
     /// objects on one owner cost one RPC instead of K.
     pub const GET_MANY: u32 = 9;
-    /// Pin-ledger reconciliation (`ReconcileReq` → `ReconcileResp`): the
-    /// requester reports every pin it ledgers toward the responder; the
-    /// responder trims its owner-side pins down to those counts. Heals
-    /// pins orphaned by lost responses (the owner pinned, the requester
-    /// never learned). Only sound while no get/release traffic between
-    /// the pair is in flight — e.g. at quiesce.
+    /// Delegation reconciliation (`ReconcileReq` → `ReconcileResp`): the
+    /// requester reports everything it holds on the responder's
+    /// authority — pins, staged creates, a lease, replicas — and the
+    /// responder, as owner, answers which of those to drop and trims
+    /// what went unreported (see [`crate::delegation::owner_verdict`]).
+    /// Heals every half-finished exchange a lost request or response can
+    /// leave. Only sound while no traffic between the pair is in flight
+    /// — e.g. at quiesce.
     pub const RECONCILE: u32 = 10;
     /// Forwarded create (`CreateAtReq` → `CreateAtResp`): the rendezvous
     /// ring routed a `create` to the id's computed owner, which allocates
@@ -66,37 +79,23 @@ pub mod method {
     /// Elastic spill (`SpillAtReq` → `SpillAtResp`): the id's ring owner
     /// asks a lender peer to adopt a sealed object. The lender copies the
     /// bytes over the fabric from the owner's (pinned) segment, seals a
-    /// local replica, and records a borrow-ledger entry — only then does
+    /// local replica, and records the lease it now holds — only then does
     /// the owner delete its copy, so duplication (never loss) is the sole
     /// failure mode of a lost response.
     pub const SPILL_AT: u32 = 15;
-    /// Borrow-ledger reconciliation (`BorrowReconcileReq` →
-    /// `BorrowReconcileResp`): a holder reports every object it borrows
-    /// from the responder; the responder answers which of those the
-    /// holder must drop (the owner re-acquired a local copy) and trims
-    /// its own lent entries down to the reported set. Like RECONCILE,
-    /// only sound at quiesce.
-    pub const BORROW_RECONCILE: u32 = 16;
     /// Hot-object read replication (`SpillAtReq` → `SpillAtResp`): the
     /// id's ring owner asks a frequent reader to adopt a *read replica*
     /// of a sealed object. Unlike SPILL_AT the owner keeps its copy and
-    /// remains the write/metadata authority; the holder records a
-    /// replica-ledger entry and serves subsequent local gets from the
+    /// remains the write/metadata authority; the holder records the
+    /// replica it now holds and serves subsequent local gets from the
     /// replica. Deletes on the owner fan out INVALIDATE to every holder.
     pub const REPLICATE_AT: u32 = 19;
     /// Replica invalidation (`InvalidateReq` → `BoolResp` dropped-now):
     /// the owner deleted (or reclaimed) an object; the holder must flush
     /// the replica's cache lines, drop the local copy, and erase its
-    /// replica-ledger entry. Modeled with the `tfsim::cache`
+    /// ledger entry. Modeled with the `tfsim::cache`
     /// flush/invalidate machinery so staleness is observable.
     pub const INVALIDATE: u32 = 20;
-    /// Replica-ledger reconciliation (`BorrowReconcileReq` →
-    /// `BorrowReconcileResp`, reusing the borrow shapes): a holder
-    /// reports every replica it keeps for the responder; the responder
-    /// answers which must drop (the source object is gone) and trims its
-    /// own replica entries down to the reported set. Like RECONCILE,
-    /// only sound at quiesce.
-    pub const REPLICA_RECONCILE: u32 = 21;
     /// Owner-directed delete of a *delegated* copy (`IdReq` → empty):
     /// issued only by the owner's delete chase (`delete_at_holder`)
     /// when the authoritative delete must retire a copy it lent out.
@@ -125,10 +124,8 @@ pub mod method {
         (ABORT_AT, "abort_at"),
         (MEMBERSHIP, "membership"),
         (SPILL_AT, "spill_at"),
-        (BORROW_RECONCILE, "borrow_reconcile"),
         (REPLICATE_AT, "replicate_at"),
         (INVALIDATE, "invalidate"),
-        (REPLICA_RECONCILE, "replica_reconcile"),
         (DELETE_HELD, "delete_held"),
     ];
 }
@@ -344,15 +341,16 @@ impl GetManyResp {
     }
 }
 
-/// Pin-ledger reconciliation request: the complete set of pins the
-/// requester's ledger holds toward the responder. Ids absent from
-/// `holds` are implicitly held zero times.
+/// Delegation reconciliation request: everything live the requester
+/// holds on the responder's authority. What is absent is held zero
+/// times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconcileReq {
-    /// Node whose pins should be reconciled.
+    /// The holder reporting.
     pub requester: NodeId,
-    /// Every `(id, count)` the requester ledgers toward the responder.
-    pub holds: Vec<(ObjectId, u64)>,
+    /// Every `(id, kind, count)` the requester's ledger holds toward the
+    /// responder.
+    pub claims: Vec<Claim>,
 }
 
 impl ReconcileReq {
@@ -360,10 +358,10 @@ impl ReconcileReq {
     pub fn encode(&self) -> Bytes {
         let mut e = MsgEnc::new();
         e.uint(1, u64::from(self.requester.0));
-        for (id, count) in &self.holds {
+        for (id, kind, count) in &self.claims {
             let mut m = MsgEnc::new();
             enc_id(&mut m, 1, id);
-            m.uint(2, *count);
+            m.uint(2, *count).uint(3, *kind as u64);
             e.message(2, m);
         }
         e.finish()
@@ -372,42 +370,66 @@ impl ReconcileReq {
     /// Parse from wire bytes.
     pub fn decode(b: Bytes) -> Result<Self, WireError> {
         let f = MsgDec::new(b).collect()?;
-        let holds = f
+        let claims = f
             .get_all(2)
-            .map(|v| -> Result<(ObjectId, u64), WireError> {
+            .map(|v| -> Result<Claim, WireError> {
                 let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(2))?)
                     .collect()?;
-                Ok((dec_id(&m.bytes(1)?)?, m.uint_or(2, 0)))
+                let kind = Kind::from_u64(m.uint_or(3, 0)).ok_or(WireError::MissingField(3))?;
+                Ok((dec_id(&m.bytes(1)?)?, kind, m.uint_or(2, 0)))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ReconcileReq {
             requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            holds,
+            claims,
         })
     }
 }
 
-/// Pin-ledger reconciliation response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Delegation reconciliation response: the owner's answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconcileResp {
-    /// Orphaned pins the responder dropped (with their object refs).
-    pub trimmed: u64,
+    /// Claims the requester must drop — erase the entry and, for a lease
+    /// or replica, delete the local copy.
+    pub drop: Vec<(ObjectId, Kind)>,
+    /// What the responder gave up because the requester did not claim
+    /// it, per kind.
+    pub trimmed: Tally,
 }
 
 impl ReconcileResp {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut e = MsgEnc::new();
-        e.uint(1, self.trimmed);
+        for (id, kind) in &self.drop {
+            let mut m = MsgEnc::new();
+            enc_id(&mut m, 1, id);
+            m.uint(2, *kind as u64);
+            e.message(1, m);
+        }
+        for kind in Kind::ALL {
+            e.uint(2, self.trimmed[kind]);
+        }
         e.finish()
     }
 
     /// Parse from wire bytes.
     pub fn decode(b: Bytes) -> Result<Self, WireError> {
         let f = MsgDec::new(b).collect()?;
-        Ok(ReconcileResp {
-            trimmed: f.uint_or(1, 0),
-        })
+        let drop = f
+            .get_all(1)
+            .map(|v| -> Result<(ObjectId, Kind), WireError> {
+                let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(1))?)
+                    .collect()?;
+                let kind = Kind::from_u64(m.uint_or(2, 0)).ok_or(WireError::MissingField(2))?;
+                Ok((dec_id(&m.bytes(1)?)?, kind))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut trimmed = Tally::default();
+        for (kind, v) in Kind::ALL.into_iter().zip(f.get_all(2)) {
+            trimmed[kind] = v.as_uint().ok_or(WireError::MissingField(2))?;
+        }
+        Ok(ReconcileResp { drop, trimmed })
     }
 }
 
@@ -696,87 +718,6 @@ impl SpillAtResp {
         Ok(SpillAtResp {
             status: SpillAtStatus::from_u64(f.uint_or(1, 1)),
             epoch: f.uint_or(2, 0),
-        })
-    }
-}
-
-/// Borrow-ledger reconciliation request: every object id the requester
-/// (a holder) currently borrows from the responder (the owner). Ids
-/// absent from `borrowed` are implicitly not borrowed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BorrowReconcileReq {
-    /// The holder reporting its borrowed set.
-    pub requester: NodeId,
-    /// Every id the holder's ledger records as borrowed from the owner.
-    pub borrowed: Vec<ObjectId>,
-}
-
-impl BorrowReconcileReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.requester.0));
-        for id in &self.borrowed {
-            enc_id(&mut e, 2, id);
-        }
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let borrowed = f
-            .get_all(2)
-            .map(|v| {
-                v.as_bytes()
-                    .ok_or(WireError::MissingField(2))
-                    .and_then(dec_id)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BorrowReconcileReq {
-            requester: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            borrowed,
-        })
-    }
-}
-
-/// Borrow-ledger reconciliation response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BorrowReconcileResp {
-    /// Borrowed ids the holder must drop (delete its replica and erase
-    /// the ledger entry): the owner holds a local sealed copy again, so
-    /// the delegation is redundant.
-    pub drop: Vec<ObjectId>,
-    /// Owner-side lent entries trimmed because the holder did not report
-    /// them (delegation lost before the replica materialized).
-    pub trimmed: u64,
-}
-
-impl BorrowReconcileResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for id in &self.drop {
-            enc_id(&mut e, 1, id);
-        }
-        e.uint(2, self.trimmed);
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let drop = f
-            .get_all(1)
-            .map(|v| {
-                v.as_bytes()
-                    .ok_or(WireError::MissingField(1))
-                    .and_then(dec_id)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BorrowReconcileResp {
-            drop,
-            trimmed: f.uint_or(2, 0),
         })
     }
 }
@@ -1072,16 +1013,31 @@ mod tests {
     fn reconcile_roundtrip() {
         let req = ReconcileReq {
             requester: NodeId(2),
-            holds: vec![(ObjectId::from_name("a"), 3), (ObjectId::from_name("b"), 1)],
+            claims: vec![
+                (ObjectId::from_name("a"), Kind::Pin, 3),
+                (ObjectId::from_name("b"), Kind::Replica, 1),
+            ],
         };
         assert_eq!(ReconcileReq::decode(req.encode()).unwrap(), req);
         let empty = ReconcileReq {
             requester: NodeId(0),
-            holds: vec![],
+            claims: vec![],
         };
         assert_eq!(ReconcileReq::decode(empty.encode()).unwrap(), empty);
-        let resp = ReconcileResp { trimmed: 7 };
+
+        let mut trimmed = Tally::default();
+        trimmed[Kind::Pin] = 7;
+        trimmed[Kind::Lease] = 1;
+        let resp = ReconcileResp {
+            drop: vec![(ObjectId::from_name("b"), Kind::Lease)],
+            trimmed,
+        };
         assert_eq!(ReconcileResp::decode(resp.encode()).unwrap(), resp);
+        let none = ReconcileResp {
+            drop: vec![],
+            trimmed: Tally::default(),
+        };
+        assert_eq!(ReconcileResp::decode(none.encode()).unwrap(), none);
     }
 
     #[test]
@@ -1165,31 +1121,6 @@ mod tests {
     }
 
     #[test]
-    fn borrow_reconcile_roundtrip() {
-        let req = BorrowReconcileReq {
-            requester: NodeId(6),
-            borrowed: vec![ObjectId::from_name("b1"), ObjectId::from_name("b2")],
-        };
-        assert_eq!(BorrowReconcileReq::decode(req.encode()).unwrap(), req);
-        let empty = BorrowReconcileReq {
-            requester: NodeId(0),
-            borrowed: vec![],
-        };
-        assert_eq!(BorrowReconcileReq::decode(empty.encode()).unwrap(), empty);
-
-        let resp = BorrowReconcileResp {
-            drop: vec![ObjectId::from_name("b2")],
-            trimmed: 1,
-        };
-        assert_eq!(BorrowReconcileResp::decode(resp.encode()).unwrap(), resp);
-        let none = BorrowReconcileResp {
-            drop: vec![],
-            trimmed: 0,
-        };
-        assert_eq!(BorrowReconcileResp::decode(none.encode()).unwrap(), none);
-    }
-
-    #[test]
     fn invalidate_roundtrip() {
         let r = InvalidateReq {
             owner: NodeId(2),
@@ -1252,13 +1183,15 @@ mod tests {
 
     #[test]
     fn verb_table_covers_every_method_id() {
-        const RETIRED: [u32; 4] = [1, 2, 17, 18];
         for (i, (id, name)) in method::VERBS.iter().enumerate() {
             assert!(
                 (1..=method::MAX).contains(id),
                 "{name}: id {id} out of range"
             );
-            assert!(!RETIRED.contains(id), "{name} reuses retired id {id}");
+            for (retired, was) in method::RETIRED {
+                assert_ne!(id, retired, "{name} reuses the id of retired {was}");
+                assert_ne!(name, was, "retired verb {was} is listed under id {id}");
+            }
             for (other_id, other_name) in &method::VERBS[..i] {
                 assert_ne!(id, other_id, "{name} and {other_name} share id {id}");
                 assert_ne!(name, other_name, "id {id} and {other_id} share a name");

@@ -4,22 +4,17 @@
 //! until the owner deletes the object. The protocol therefore has
 //! exactly one dangerous transition: delete. The store handles it by
 //! invalidating every replica *before* the owner's local delete (see
-//! DESIGN.md §13); a live replica thus implies the object has not been
+//! DESIGN.md §13, §15); a live replica thus implies the object has not been
 //! successfully deleted, which is what lets replicas be served as plain
 //! sealed local objects with no per-read coordination.
 //!
-//! This module holds the pure state: [`ReplicationConfig`] (what gets
-//! replicated, how widely) and [`ReplicaLedger`], a two-sided record in
-//! the mould of `elastic::BorrowLedger` — owners remember which peers
-//! hold replicas of their objects, holders remember which owner each
-//! replica came from. The chaos quiesce audit cross-checks both sides
+//! This module holds the policy, [`ReplicationConfig`] (what gets
+//! replicated, how widely). The bookkeeping is the `Replica` kind of the
+//! [`crate::delegation`] ledger — owners remember which peers hold
+//! replicas of their objects, holders remember which owner each replica
+//! came from — and the chaos quiesce audit cross-checks both sides
 //! against cluster state (replica set ⊆ membership, never lent and
 //! replicated at once, no stale replica after a delete).
-
-use parking_lot::Mutex;
-use plasma::ObjectId;
-use std::collections::{HashMap, HashSet};
-use tfsim::NodeId;
 
 /// What the replication machinery is allowed to do on one store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,248 +37,5 @@ impl Default for ReplicationConfig {
             min_hits: 8,
             max_holders: 2,
         }
-    }
-}
-
-/// Per-ledger tallies reported by [`ReplicaLedger::counts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplicaCounts {
-    /// Owner-side entries: objects of ours replicated elsewhere.
-    pub outstanding: usize,
-    /// Holder-side entries: replicas we hold for other owners.
-    pub held: usize,
-}
-
-#[derive(Default)]
-struct ReplicaState {
-    /// Owner side: per object, which peers hold a replica (and its
-    /// recorded size for accounting).
-    outstanding: HashMap<ObjectId, HashMap<NodeId, u64>>,
-    /// Holder side: which owner each locally held replica belongs to.
-    held: HashMap<ObjectId, NodeId>,
-}
-
-/// Two-sided replica record. The owner side is the authority the
-/// delete path consults for its invalidation fan-out; the holder side
-/// is what lets a node offer its replicas back during reconciliation
-/// after partitions heal.
-#[derive(Default)]
-pub struct ReplicaLedger {
-    state: Mutex<ReplicaState>,
-}
-
-impl ReplicaLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    // ---- owner side -------------------------------------------------
-
-    /// Record (owner side) that `holder` now has a replica of `id`.
-    pub fn record_held(&self, id: ObjectId, holder: NodeId, bytes: u64) {
-        self.state
-            .lock()
-            .outstanding
-            .entry(id)
-            .or_default()
-            .insert(holder, bytes);
-    }
-
-    /// The peers holding replicas of `id` (empty when none).
-    pub fn holders(&self, id: ObjectId) -> Vec<NodeId> {
-        self.state
-            .lock()
-            .outstanding
-            .get(&id)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of peers holding replicas of `id`.
-    pub fn holder_count(&self, id: ObjectId) -> usize {
-        self.state
-            .lock()
-            .outstanding
-            .get(&id)
-            .map_or(0, |m| m.len())
-    }
-
-    /// True when `holder` is recorded as holding a replica of `id`.
-    pub fn is_holder(&self, id: ObjectId, holder: NodeId) -> bool {
-        self.state
-            .lock()
-            .outstanding
-            .get(&id)
-            .is_some_and(|m| m.contains_key(&holder))
-    }
-
-    /// Erase the owner-side entry for one `(id, holder)` pair, e.g.
-    /// after a confirmed invalidation. Returns true when it existed.
-    pub fn remove_holder(&self, id: ObjectId, holder: NodeId) -> bool {
-        let mut state = self.state.lock();
-        let Some(m) = state.outstanding.get_mut(&id) else {
-            return false;
-        };
-        let existed = m.remove(&holder).is_some();
-        if m.is_empty() {
-            state.outstanding.remove(&id);
-        }
-        existed
-    }
-
-    /// Drop every owner-side entry naming `holder` whose id is *not* in
-    /// `confirmed` — the replica-reconcile trim after a holder reports
-    /// its surviving set. Returns how many entries were dropped.
-    pub fn trim_held(&self, holder: NodeId, confirmed: &HashSet<ObjectId>) -> u64 {
-        let mut state = self.state.lock();
-        let mut dropped = 0;
-        state.outstanding.retain(|id, m| {
-            if !confirmed.contains(id) && m.remove(&holder).is_some() {
-                dropped += 1;
-            }
-            !m.is_empty()
-        });
-        dropped
-    }
-
-    /// Owner-side snapshot: every `(id, holder)` pair, for audits.
-    pub fn held_snapshot(&self) -> Vec<(ObjectId, NodeId)> {
-        let state = self.state.lock();
-        state
-            .outstanding
-            .iter()
-            .flat_map(|(id, m)| m.keys().map(move |h| (*id, *h)))
-            .collect()
-    }
-
-    // ---- holder side ------------------------------------------------
-
-    /// Record (holder side) that a replica of `id` from `owner` lives
-    /// here.
-    pub fn record_replica(&self, id: ObjectId, owner: NodeId) {
-        self.state.lock().held.insert(id, owner);
-    }
-
-    /// The owner a locally held replica of `id` belongs to, if any.
-    pub fn replica_owner(&self, id: ObjectId) -> Option<NodeId> {
-        self.state.lock().held.get(&id).copied()
-    }
-
-    /// Erase the holder-side entry for `id` when it names `owner`
-    /// (owner-checked so a racing re-replication from a new owner epoch
-    /// is not clobbered). Returns true when the entry was removed.
-    pub fn remove_replica(&self, id: ObjectId, owner: NodeId) -> bool {
-        let mut state = self.state.lock();
-        if state.held.get(&id) == Some(&owner) {
-            state.held.remove(&id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Holder-side ids that came from `owner` — the set offered back
-    /// during replica reconciliation.
-    pub fn replicas_from(&self, owner: NodeId) -> Vec<ObjectId> {
-        self.state
-            .lock()
-            .held
-            .iter()
-            .filter(|(_, o)| **o == owner)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Holder-side snapshot: every `(id, owner)` pair, for audits.
-    pub fn replica_snapshot(&self) -> Vec<(ObjectId, NodeId)> {
-        let state = self.state.lock();
-        state.held.iter().map(|(id, o)| (*id, *o)).collect()
-    }
-
-    /// Entry tallies for gauges and audits.
-    pub fn counts(&self) -> ReplicaCounts {
-        let state = self.state.lock();
-        ReplicaCounts {
-            outstanding: state.outstanding.len(),
-            held: state.held.len(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn id(name: &str) -> ObjectId {
-        ObjectId::from_name(name)
-    }
-
-    #[test]
-    fn owner_side_tracks_holders_per_object() {
-        let ledger = ReplicaLedger::new();
-        ledger.record_held(id("a"), NodeId(1), 100);
-        ledger.record_held(id("a"), NodeId(2), 100);
-        ledger.record_held(id("b"), NodeId(1), 50);
-        assert_eq!(ledger.holder_count(id("a")), 2);
-        assert!(ledger.is_holder(id("a"), NodeId(2)));
-        assert!(!ledger.is_holder(id("b"), NodeId(2)));
-
-        assert!(ledger.remove_holder(id("a"), NodeId(1)));
-        assert!(!ledger.remove_holder(id("a"), NodeId(1)));
-        assert_eq!(ledger.holders(id("a")), vec![NodeId(2)]);
-        assert_eq!(ledger.counts().outstanding, 2);
-        assert!(ledger.remove_holder(id("a"), NodeId(2)));
-        assert_eq!(ledger.counts().outstanding, 1);
-    }
-
-    #[test]
-    fn holder_side_is_owner_checked() {
-        let ledger = ReplicaLedger::new();
-        ledger.record_replica(id("a"), NodeId(3));
-        assert_eq!(ledger.replica_owner(id("a")), Some(NodeId(3)));
-        // A remove naming the wrong owner must not clobber the entry.
-        assert!(!ledger.remove_replica(id("a"), NodeId(4)));
-        assert_eq!(ledger.replica_owner(id("a")), Some(NodeId(3)));
-        assert!(ledger.remove_replica(id("a"), NodeId(3)));
-        assert_eq!(ledger.replica_owner(id("a")), None);
-    }
-
-    #[test]
-    fn trim_drops_unconfirmed_entries_for_one_holder() {
-        let ledger = ReplicaLedger::new();
-        ledger.record_held(id("a"), NodeId(1), 10);
-        ledger.record_held(id("b"), NodeId(1), 10);
-        ledger.record_held(id("b"), NodeId(2), 10);
-        ledger.record_held(id("c"), NodeId(2), 10);
-
-        let confirmed: HashSet<ObjectId> = [id("a")].into_iter().collect();
-        // Holder 1 reports only "a": its "b" entry is dropped; holder 2's
-        // entries are untouched.
-        assert_eq!(ledger.trim_held(NodeId(1), &confirmed), 1);
-        assert!(ledger.is_holder(id("a"), NodeId(1)));
-        assert!(!ledger.is_holder(id("b"), NodeId(1)));
-        assert!(ledger.is_holder(id("b"), NodeId(2)));
-        assert!(ledger.is_holder(id("c"), NodeId(2)));
-    }
-
-    #[test]
-    fn snapshots_expose_both_sides() {
-        let ledger = ReplicaLedger::new();
-        ledger.record_held(id("a"), NodeId(1), 10);
-        ledger.record_replica(id("z"), NodeId(9));
-        let mut held = ledger.held_snapshot();
-        held.sort();
-        assert_eq!(held, vec![(id("a"), NodeId(1))]);
-        assert_eq!(ledger.replica_snapshot(), vec![(id("z"), NodeId(9))]);
-        assert_eq!(ledger.replicas_from(NodeId(9)), vec![id("z")]);
-        assert!(ledger.replicas_from(NodeId(1)).is_empty());
-        assert_eq!(
-            ledger.counts(),
-            ReplicaCounts {
-                outstanding: 1,
-                held: 1
-            }
-        );
     }
 }

@@ -1,0 +1,640 @@
+//! Moving objects between nodes: payload reads and writes over the data
+//! plane, delegating a copy to a peer (spill = `Lease`, replicate =
+//! `Replica`) and adopting one, retiring delegated copies when their
+//! object dies, and migration.
+
+use super::peer::PeerFail;
+use super::{DisaggStore, RemotePinGuard, StagedCreateGuard};
+use crate::delegation::{Kind, Side};
+use crate::proto::{
+    method, BoolResp, IdReq, InvalidateReq, SpillAtReq, SpillAtResp, SpillAtStatus,
+};
+use bytes::Bytes;
+use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
+use rpclite::{RpcError, StatusCode};
+use std::time::Duration;
+use tfsim::NodeId;
+
+impl DisaggStore {
+    /// Resolve `id` and read its full payload (data + metadata bytes)
+    /// through the data plane — the complete descriptor lifecycle in
+    /// one call: **negotiate** (pinning get over the control plane) →
+    /// **map/read** ([`crate::MappedFabric`]) → **release**. Returns
+    /// `None` when the id did not resolve within `timeout`.
+    pub fn get_bytes(
+        &self,
+        id: ObjectId,
+        timeout: Duration,
+    ) -> Result<Option<Vec<u8>>, PlasmaError> {
+        let found = ObjectStore::get(self, &[id], timeout)?;
+        let Some(loc) = found[0] else {
+            return Ok(None);
+        };
+        let pin = RemotePinGuard::new(self, id);
+        let bytes = self.read_payload(&loc)?;
+        pin.release()?;
+        Ok(Some(bytes))
+    }
+
+    /// Read the payload bytes behind a negotiated descriptor: local
+    /// objects straight from the local segment, remote ones through the
+    /// data plane. The caller must hold the pin the negotiation took
+    /// (see [`DisaggStore::get_bytes`]).
+    pub fn read_payload(&self, loc: &ObjectLocation) -> Result<Vec<u8>, PlasmaError> {
+        if loc.seg.owner == self.inner.node {
+            let mapping = self.inner.core.mapping_for(loc)?;
+            Ok(mapping.view(loc.offset, loc.total_size())?.read_all()?)
+        } else {
+            self.inner.data_plane.pull(loc)
+        }
+    }
+
+    /// Write `data` into a staged descriptor through the data plane —
+    /// the payload step of a forwarded create (`CREATE_AT` returned the
+    /// descriptor; this moves the bytes; `seal` completes it).
+    pub fn write_payload(&self, loc: &ObjectLocation, data: &[u8]) -> Result<(), PlasmaError> {
+        if loc.seg.owner == self.inner.node {
+            let mapping = self.inner.core.mapping_for(loc)?;
+            Ok(mapping.write_at(loc.offset, data)?)
+        } else {
+            self.inner.data_plane.push(loc, data)
+        }
+    }
+
+    /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
+    /// owner-pinned) bytes behind `src` straight from the owner's sealed
+    /// segment and seal a local copy under the same id. Any failure
+    /// before the seal aborts the staged copy.
+    fn adopt_copy(&self, src: &ObjectLocation) -> Result<(), PlasmaError> {
+        let core = &self.inner.core;
+        let bytes = self.inner.data_plane.pull(src)?;
+        let loc = core.create(src.id, src.data_size, src.metadata_size)?;
+        let staged = StagedCreateGuard::new(self, src.id);
+        core.mapping_for(&loc)?.write_at(loc.offset, &bytes)?;
+        core.seal(src.id)?;
+        staged.disarm();
+        core.release(src.id) // creator's reference
+    }
+
+    /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt
+    /// a copy of the requester's sealed object and record whose it is.
+    /// Refusing changes nothing anywhere; the answer to a retry is the
+    /// answer the first attempt gave.
+    pub(super) fn delegate_at(&self, kind: Kind, req: SpillAtReq) -> SpillAtResp {
+        let inner = &self.inner;
+        self.maybe_adopt_epoch(req.requester, req.epoch);
+        let (id, owner) = (req.location.id, req.requester);
+        let size = req.location.total_size();
+        let held = inner.ledger.held_copy(id);
+        let adopted = if kind == Kind::Replica && !inner.replication.enabled {
+            false
+        } else if inner.core.peek(id).is_some() {
+            // Idempotent retry: a delegation whose response was lost left
+            // the copy sealed here — re-acknowledge it so the owner can
+            // finish its half. A replica, though, only if the copy *is*
+            // this owner's recorded replica: a local copy that exists for
+            // some other reason (e.g. we are mid re-own) is refused
+            // rather than forking the accounting.
+            kind == Kind::Lease || held == Some((Kind::Replica, owner))
+        } else if matches!(held, Some((Kind::Lease, _))) {
+            // A lent object's only bytes live at its holder; it never
+            // also gains replicas (lent ⊕ replicated).
+            false
+        } else {
+            // Headroom gate: never let delegated bytes push this node
+            // past its own lending watermark, or spills would cascade
+            // (and replicas are strictly optional). Any failure before
+            // the seal aborts the staged copy and refuses — the owner's
+            // copy is untouched.
+            let st = inner.core.stats();
+            let after = u128::from(st.allocated_bytes) + u128::from(size);
+            st.capacity > 0
+                && after * 1_000_000 / u128::from(st.capacity)
+                    <= u128::from(inner.elastic.lend_headroom_ppm)
+                && self.adopt_copy(&req.location).is_ok()
+        };
+        if adopted {
+            inner.ledger.record(Side::Held, id, kind, owner, size);
+            self.sync_delegation_gauges();
+        }
+        SpillAtResp {
+            status: if adopted {
+                SpillAtStatus::Adopted
+            } else {
+                SpillAtStatus::Refused
+            },
+            epoch: self.ring_epoch(),
+        }
+    }
+
+    /// Delegate a copy of one sealed, locally-held object to `holder`:
+    /// a `Lease` hands the object over (`SPILL_AT`; the local copy goes
+    /// once the holder acknowledges), a `Replica` shares it
+    /// (`REPLICATE_AT`; the owner keeps its copy and the write/metadata
+    /// authority). The source copy is pinned while the holder copies, so
+    /// eviction cannot race the copy and a delete racing it fails
+    /// `ObjectInUse` until the pin drops. Returns whether the holder
+    /// adopted; `Ok(false)` means it refused and nothing changed.
+    ///
+    /// When the outcome is ambiguous — the holder may have sealed a copy
+    /// but no decodable answer arrived — each kind records what is safe
+    /// to be wrong about. A replica's entry is recorded anyway: an entry
+    /// without a replica is trimmed at reconcile, but a replica without
+    /// an entry would dodge invalidation and serve stale reads after a
+    /// delete. A lease is *not* recorded and the local copy stays: if
+    /// the holder did adopt, both immutable copies coexist harmlessly
+    /// until reconciliation drops the redundant one. A `Status` reply
+    /// was authored by the handler itself, which only answers with one
+    /// *before* any adopt: definite non-adoption.
+    fn delegate_to(&self, kind: Kind, id: ObjectId, holder: NodeId) -> Result<bool, PlasmaError> {
+        let inner = &self.inner;
+        // Lent ⊕ replicated: a lent object's bytes live at its holder,
+        // not here, so it is never replicated; an object with replicas
+        // out is never lent, so its delete stays a pure invalidation
+        // fan-out, not a lease chase on top of one.
+        let excluded = match kind {
+            Kind::Lease => !inner.ledger.peers(Side::Out, id, Kind::Replica).is_empty(),
+            _ => inner.ledger.find(Side::Out, id, Kind::Lease).is_some(),
+        };
+        if holder == inner.node || excluded {
+            return Ok(false);
+        }
+        let peer = self.peer(holder)?;
+        let Some(loc) = inner.core.get_local(id) else {
+            return Err(PlasmaError::ObjectNotFound(id));
+        };
+        let req = SpillAtReq {
+            requester: inner.node,
+            epoch: self.ring_epoch(),
+            location: loc,
+        };
+        let verb = match kind {
+            Kind::Lease => method::SPILL_AT,
+            _ => method::REPLICATE_AT,
+        };
+        // (adopted, ambiguous, error to surface)
+        let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, req.encode()) {
+            Ok(body) => match SpillAtResp::decode(body) {
+                Ok(resp) => {
+                    self.maybe_adopt_epoch(holder, resp.epoch);
+                    (resp.status == SpillAtStatus::Adopted, false, None)
+                }
+                Err(e) => {
+                    let e = PlasmaError::Protocol(format!("delegation response: {e}"));
+                    (false, true, Some(e))
+                }
+            },
+            Err(PeerFail::Skipped) => (false, false, None),
+            Err(PeerFail::Unreachable(_)) => (false, true, None),
+            Err(fail @ PeerFail::Rpc(RpcError::Status(_))) => {
+                (false, false, Some(self.peer_err(&peer, fail)))
+            }
+            Err(fail) => (false, true, Some(self.peer_err(&peer, fail))),
+        };
+        if adopted || (ambiguous && kind == Kind::Replica) {
+            inner
+                .ledger
+                .record(Side::Out, id, kind, holder, loc.total_size());
+            self.sync_delegation_gauges();
+        }
+        inner.core.release(id)?;
+        if let Some(e) = error {
+            return Err(e);
+        }
+        let m = &inner.metrics;
+        match (kind, adopted) {
+            (Kind::Lease, false) => m.spills_refused.inc(),
+            (_, false) => m.replicas_refused.inc(),
+            (Kind::Lease, true) => {
+                // The holder sealed its copy *before* we got here, so the
+                // lease is the truth: drop the local copy. Deletion is
+                // deferred — concurrent local readers (and remote pins)
+                // drain first.
+                let _ = inner.core.delete_deferred(id);
+                self.forget_cached(id);
+                inner.heat.clear(id);
+                m.spills_completed.inc();
+            }
+            (_, true) => m.replicas_created.inc(),
+        }
+        Ok(adopted)
+    }
+
+    /// Spill one sealed, locally-held object to `holder` — the elastic
+    /// primitive (capacity-driven via [`DisaggStore::spill_cold`],
+    /// heat-driven via [`DisaggStore::rebalance_once`]). The holder seals
+    /// its copy *before* the local one is deleted, and on an ambiguous
+    /// outcome the local copy stays, so a lost response can duplicate an
+    /// immutable object but never lose it. Returns whether the holder
+    /// adopted; `Ok(false)` means it refused and nothing changed.
+    pub fn spill_to(&self, id: ObjectId, holder: NodeId) -> Result<bool, PlasmaError> {
+        self.delegate_to(Kind::Lease, id, holder)
+    }
+
+    /// Propagate a read replica of one sealed, locally-held object to
+    /// `holder`, which then serves its own reads locally; the owner keeps
+    /// its copy and the write/metadata authority. On an ambiguous
+    /// outcome the owner records the replica anyway, so a delete still
+    /// invalidates it. Returns whether the holder adopted.
+    pub fn replicate_to(&self, id: ObjectId, holder: NodeId) -> Result<bool, PlasmaError> {
+        if !self.inner.replication.enabled {
+            return Ok(false);
+        }
+        self.delegate_to(Kind::Replica, id, holder)
+    }
+
+    /// One heat-driven replication pass: every owned object whose
+    /// dominant remote reader accumulated at least
+    /// [`crate::ReplicationConfig::min_hits`] remote hits gets a replica
+    /// *at that reader* (up to [`crate::ReplicationConfig::max_holders`]),
+    /// converting its future remote reads into local ones while the
+    /// owner keeps serving everyone else. Returns replicas created.
+    pub fn replicate_hot(&self) -> Result<u64, PlasmaError> {
+        let inner = &self.inner;
+        if !inner.replication.enabled {
+            return Ok(0);
+        }
+        let mut created = 0u64;
+        for (id, reader, _) in inner.heat.drain_hot(inner.replication.min_hits) {
+            let holders = inner.ledger.peers(Side::Out, id, Kind::Replica);
+            if self.ring_owner(id) != Some(inner.node)
+                || holders.len() >= inner.replication.max_holders
+                || holders.contains(&reader)
+                || inner.core.peek(id).is_none()
+            {
+                continue;
+            }
+            if matches!(self.replicate_to(id, reader), Ok(true)) {
+                created += 1;
+            }
+        }
+        Ok(created)
+    }
+
+    /// One heat-driven rebalance pass: every object whose dominant
+    /// remote reader accumulated at least `heat_min_hits` remote hits is
+    /// delegated *to that reader*, converting its future remote reads
+    /// into local ones. Returns the number of objects moved.
+    pub fn rebalance_once(&self) -> Result<u64, PlasmaError> {
+        let inner = &self.inner;
+        let mut moved = 0u64;
+        for (id, reader, _) in inner.heat.drain_hot(inner.elastic.heat_min_hits) {
+            if self.ring_owner(id) != Some(inner.node)
+                || inner.ledger.has_out_copy(id)
+                || inner.core.peek(id).is_none()
+            {
+                continue;
+            }
+            if matches!(self.spill_to(id, reader), Ok(true)) {
+                inner.metrics.rebalances.inc();
+                moved += 1;
+            }
+        }
+        Ok(moved)
+    }
+
+    /// Each reachable peer's advertised free bytes, read from the
+    /// `plasma.free_bytes` gauge of its METRICS snapshot — the capacity
+    /// gossip lender selection ranks on. Unreachable peers are omitted.
+    fn peer_free_bytes(&self) -> Vec<(NodeId, i64)> {
+        let peers = self.peers_snapshot();
+        let responses = self.fanout(&peers, |peer| {
+            self.peer_call(peer, method::METRICS, Bytes::new())
+        });
+        peers
+            .iter()
+            .zip(responses)
+            .filter_map(|(peer, response)| {
+                let (_, snap) = Self::decode_metrics(response.ok()?).ok()?;
+                Some((peer.node, snap.gauge("plasma.free_bytes")))
+            })
+            .collect()
+    }
+
+    /// Spill cold objects if local occupancy exceeds the configured high
+    /// watermark; otherwise a no-op. Returns bytes delegated away.
+    pub fn maybe_spill(&self) -> Result<u64, PlasmaError> {
+        if self.memory_pressure_ppm() < self.inner.elastic.high_watermark_ppm {
+            return Ok(0);
+        }
+        self.spill_cold(self.inner.elastic.max_spill_batch)
+    }
+
+    /// One spill pass: walk up to `max_objects` of the LRU tail
+    /// (coldest first) and delegate each to the peer currently
+    /// advertising the most free bytes, until occupancy drops below the
+    /// low watermark or candidates run out. Only ring-owned objects are
+    /// delegated — redirects are served from the owner's ledger, so an
+    /// off-ring copy spilled elsewhere would be unfindable. Returns
+    /// bytes delegated; refusals and unreachable lenders skip the
+    /// candidate rather than failing the pass.
+    pub fn spill_cold(&self, max_objects: usize) -> Result<u64, PlasmaError> {
+        let mut lenders = self.peer_free_bytes();
+        if lenders.is_empty() {
+            return Ok(0);
+        }
+        let low = self.inner.elastic.low_watermark_ppm;
+        let mut spilled = 0u64;
+        for (id, bytes) in self.inner.core.cold_candidates(max_objects) {
+            if self.memory_pressure_ppm() <= low {
+                break;
+            }
+            if self.ring_owner(id) != Some(self.inner.node) {
+                continue;
+            }
+            // Freest lender first; debit our own view as we go so one
+            // pass cannot dogpile a single peer past its headroom.
+            lenders.sort_by_key(|&(node, free)| (std::cmp::Reverse(free), node.0));
+            let Some(&(target, free)) = lenders.first() else {
+                break;
+            };
+            if free < bytes as i64 {
+                continue;
+            }
+            match self.spill_to(id, target) {
+                Ok(true) => {
+                    spilled += bytes;
+                    lenders[0].1 -= bytes as i64;
+                }
+                Ok(false) | Err(_) => {
+                    // Refused or unreachable: stop ranking this lender
+                    // first for the rest of the pass.
+                    lenders[0].1 = i64::MIN;
+                }
+            }
+        }
+        Ok(spilled)
+    }
+
+    /// Invalidate every replica of `id` **before** its delete proceeds.
+    /// Any holder that cannot confirm fails the delete — the object
+    /// stays intact. This ordering is the protocol's safety story: a
+    /// *successful* delete implies no live replica survived it, which
+    /// is exactly the invariant the chaos quiesce audit asserts.
+    pub(super) fn invalidate_replicas(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        let ledger = &self.inner.ledger;
+        for holder in ledger.peers(Side::Out, id, Kind::Replica) {
+            let peer = self.peer(holder)?;
+            let req = InvalidateReq {
+                owner: self.inner.node,
+                id,
+            };
+            // Confirmed means dropped now, or the holder had no entry —
+            // either way no replica survives there.
+            self.peer_call(&peer, method::INVALIDATE, req.encode())
+                .map_err(|fail| self.peer_err(&peer, fail))?;
+            ledger.remove(Side::Out, id, Kind::Replica, Some(holder));
+            self.sync_delegation_gauges();
+        }
+        Ok(())
+    }
+
+    /// `INVALIDATE` handler: the owner is deleting, so drop our replica
+    /// — owner-checked, so a racing re-replication under a newer owner
+    /// is not clobbered — and flush the simulated cache lines covering
+    /// it before the segment bytes are reused. Returns whether there
+    /// was one.
+    pub(super) fn invalidate_here(&self, req: InvalidateReq) -> bool {
+        let inner = &self.inner;
+        let entry = inner
+            .ledger
+            .remove(Side::Held, req.id, Kind::Replica, Some(req.owner));
+        if entry.is_none() {
+            return false;
+        }
+        if let Some(loc) = inner.core.peek(req.id) {
+            if let (Ok(cache), Ok(mapping)) = (
+                inner.core.fabric().node_cache(inner.node),
+                inner.core.mapping_for(&loc),
+            ) {
+                cache.invalidate_range(mapping.segment(), loc.offset, loc.total_size() as usize);
+            }
+            // Deferred: a read pinning the replica right now finishes;
+            // the bytes go when the pin drops. The ledger entry is
+            // already gone, so no *new* read can be attributed to a
+            // stale replica.
+            let _ = inner.core.delete_deferred(req.id);
+        }
+        inner.metrics.replicas_invalidated.inc();
+        self.sync_delegation_gauges();
+        true
+    }
+
+    /// Chase a delete of a lent object to its holder (`DELETE_HELD`),
+    /// retiring the lease once the holder confirms or reports the copy
+    /// already gone.
+    pub(super) fn delete_at_holder(&self, id: ObjectId, holder: NodeId) -> Result<(), PlasmaError> {
+        let peer = self.peer(holder)?;
+        match self.peer_call(&peer, method::DELETE_HELD, IdReq { id }.encode()) {
+            Ok(_) => {}
+            Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
+            Err(fail) => return Err(self.object_err(&peer, id, fail)),
+        }
+        let ledger = &self.inner.ledger;
+        ledger.remove(Side::Out, id, Kind::Lease, Some(holder));
+        self.sync_delegation_gauges();
+        self.forget_cached(id);
+        Ok(())
+    }
+
+    /// `DELETE_HELD` handler — the owner's delete chase. Unlike the
+    /// generic DELETE this verb *is* allowed to consume a delegated
+    /// copy: the owner already decided the object dies, and this node's
+    /// copy (leased or replicated) dies with it.
+    pub(super) fn delete_held(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        self.inner.core.delete(id)?;
+        if let Some((kind, owner)) = self.inner.ledger.held_copy(id) {
+            let ledger = &self.inner.ledger;
+            ledger.remove(Side::Held, id, kind, Some(owner));
+            self.sync_delegation_gauges();
+        }
+        Ok(())
+    }
+
+    /// Owner side of a delete, shared by `DELETE`, `DELETE_DEFERRED` and
+    /// the local call: the delete-authority discipline in one place.
+    /// Returns whether the object is gone now (`false`: deferred behind
+    /// a reader).
+    ///
+    /// * A *delegated* copy — a held replica or a leased (spilled)
+    ///   object — cannot satisfy a delete: the ring owner is the delete
+    ///   authority, and only its invalidate-before-delete / lease-chase
+    ///   ordering clears every copy. Consuming the local copy here would
+    ///   ack a delete the owner never saw, leaving the owner's primary
+    ///   (or an ambiguous-spill duplicate) serving reads. `NotFound`
+    ///   sends the caller's fan-out on to the owner, which retires
+    ///   delegated copies via `DELETE_HELD`.
+    /// * Replicas go before the local copy: an unconfirmed invalidation
+    ///   fails the delete with the object intact. A deferred delete
+    ///   hides the object at once, so the ordering is the same.
+    /// * No local copy, but a lease out: the object lives at its holder
+    ///   and is still this node's to delete.
+    pub(super) fn delete_here(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
+        let inner = &self.inner;
+        if inner.ledger.held_copy(id).is_some() {
+            return Err(PlasmaError::ObjectNotFound(id));
+        }
+        self.invalidate_replicas(id)?;
+        let local = if deferred {
+            inner.core.delete_deferred(id)
+        } else {
+            inner.core.delete(id).map(|()| true)
+        };
+        match (local, inner.ledger.find(Side::Out, id, Kind::Lease)) {
+            (Err(PlasmaError::ObjectNotFound(_)), Some(lease)) => {
+                self.delete_at_holder(id, lease.peer).map(|()| true)
+            }
+            (local, _) => local,
+        }
+    }
+
+    /// Requester side of a delete, shared by `delete` and
+    /// `delete_deferred`: act as the owner when this node is it, else
+    /// forward, probing the ring's computed owner first (most likely
+    /// holder). An unreachable peer might be the owner, so `NotFound` is
+    /// only definite once every peer answered.
+    pub(super) fn delete_routed(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
+        // `delete_here` refuses a delegated copy held here exactly as
+        // it refuses one for a peer: the owner runs the delete — for a
+        // replica that means invalidating every holder, us included,
+        // before its own copy goes.
+        match self.delete_here(id, deferred) {
+            Err(PlasmaError::ObjectNotFound(_)) => {}
+            settled => return settled,
+        }
+        let verb = if deferred {
+            method::DELETE_DEFERRED
+        } else {
+            method::DELETE
+        };
+        let mut unreachable: Option<PlasmaError> = None;
+        for peer in self.peers_owner_first(id) {
+            match self.peer_call(&peer, verb, IdReq { id }.encode()) {
+                Ok(body) => {
+                    self.forget_cached(id);
+                    if !deferred {
+                        return Ok(true);
+                    }
+                    let now = BoolResp::decode(body)
+                        .map_err(|e| PlasmaError::Protocol(format!("deferred delete: {e}")))?;
+                    return Ok(now.value);
+                }
+                Err(fail) if fail.status() == Some(StatusCode::NotFound) => continue,
+                Err(fail @ PeerFail::Rpc(_)) => return Err(self.object_err(&peer, id, fail)),
+                Err(fail) => {
+                    unreachable.get_or_insert(self.peer_err(&peer, fail));
+                }
+            }
+        }
+        Err(unreachable.unwrap_or(PlasmaError::ObjectNotFound(id)))
+    }
+
+    /// Migrate a remote object into this node's local store (locality
+    /// optimization: subsequent reads take the local path). The object is
+    /// copied over the fabric while pinned, the owner's copy is deleted,
+    /// and the local copy is sealed under the same id. Objects are
+    /// immutable, so the brief window in which both copies exist is
+    /// harmless; if another client still holds the owner's copy, migration
+    /// aborts with [`PlasmaError::ObjectInUse`] and nothing changes.
+    pub fn migrate_to_local(
+        &self,
+        id: ObjectId,
+        timeout: Duration,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        let result = self.migrate_inner(id, timeout);
+        let m = &self.inner.metrics;
+        match &result {
+            Ok(_) => m.migrations_completed.inc(),
+            Err(PlasmaError::ObjectInUse(_)) => m.migrations_aborted_in_use.inc(),
+            Err(_) => m.migrations_failed.inc(),
+        }
+        result
+    }
+
+    fn migrate_inner(
+        &self,
+        id: ObjectId,
+        timeout: Duration,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        if let Some(loc) = self.inner.core.peek(id) {
+            return Ok(loc); // already local
+        }
+        // Pinning lookup so the owner cannot evict mid-copy. The guard
+        // releases the pin on every early exit below — without it, a
+        // failed migration left the owner's copy pinned forever
+        // (unevictable, undeletable).
+        let found = ObjectStore::get(self, &[id], timeout)?;
+        let Some(remote_loc) = found[0] else {
+            return Err(PlasmaError::Timeout);
+        };
+        let pin = RemotePinGuard::new(self, id);
+        if remote_loc.seg.owner == self.inner.node {
+            // Sealed locally while we were looking: nothing to migrate.
+            pin.release()?;
+            return self
+                .inner
+                .core
+                .peek(id)
+                .ok_or(PlasmaError::ObjectNotFound(id));
+        }
+        let owner = remote_loc.seg.owner;
+
+        // Copy the (immutable) bytes through the data plane.
+        let bytes = self.inner.data_plane.pull(&remote_loc)?;
+
+        // Stage the local copy straight in the core (bypassing ring
+        // routing: the id is legitimately owned by the cluster already).
+        // Aborted on any failure before seal.
+        let local_loc =
+            self.inner
+                .core
+                .create(id, remote_loc.data_size, remote_loc.metadata_size)?;
+        let staged = StagedCreateGuard::new(self, id);
+        let local_map = self.inner.core.mapping_for(&local_loc)?;
+        local_map.write_at(local_loc.offset, &bytes)?;
+
+        // Drop our pin before sealing: once the copy is sealed under this
+        // id, the ledger must no longer carry the pin or local releases
+        // would be misrouted to the old owner. A failed RELEASE aborts the
+        // staged copy — the owner's copy is untouched, nothing is lost.
+        pin.release()?;
+
+        // Seal the local copy *before* asking the owner to delete. From
+        // here this node serves the object, so an ambiguous DELETE outcome
+        // (executed on the owner, response lost) can no longer destroy the
+        // only surviving copy.
+        let loc = self.inner.core.seal(id)?;
+        staged.disarm();
+        self.inner.core.release(id)?; // migration's creator reference
+        self.forget_cached(id);
+
+        // Ask the owner to delete its copy — best effort, never at the
+        // expense of the sealed local copy.
+        let Ok(peer) = self.peer(owner) else {
+            return Ok(loc);
+        };
+        match self.peer_call(&peer, method::DELETE, IdReq { id }.encode()) {
+            // A `NotFound` means the owner's copy is already gone: a
+            // retried DELETE whose first attempt executed (response
+            // lost) reports it, and so does an owner that evicted once
+            // our pin dropped.
+            Ok(_) => {}
+            Err(fail) if fail.status() == Some(StatusCode::FailedPrecondition) => {
+                // Another client still reads the owner's copy: undo the
+                // migration (contract: nothing changes). Best effort — if
+                // a reader raced onto our local copy it stays, and the two
+                // immutable copies coexist safely.
+                let _ = self.inner.core.delete(id);
+                return Err(PlasmaError::ObjectInUse(id));
+            }
+            Err(_) => {
+                // Ambiguous or failed outcome: the owner may or may not
+                // have deleted. The sealed local copy is authoritative
+                // either way; a surviving owner copy lingers as immutable
+                // garbage until deleted or evicted. Never abort the local
+                // copy here — it may be the only one left.
+            }
+        }
+        Ok(loc)
+    }
+}

@@ -1,0 +1,334 @@
+//! Talking to one peer, and to all of them: the guarded call (health
+//! admission, deadline, retries), the translation of a failed call into
+//! the caller's error, parked releases, parallel fan-out, and the
+//! cluster-wide reads built on it (metrics, inventory).
+
+use super::{DisaggStore, Peer};
+use crate::health::{Admission, PeerState, PeerStats};
+use crate::proto::{method, ListEntry, ListResp, MetricsResp, ReleaseReq};
+use bytes::Bytes;
+use obs::MetricsSnapshot;
+use plasma::{ObjectId, PlasmaError};
+use rpclite::{RpcError, StatusCode};
+use tfsim::NodeId;
+
+/// Why a guarded call to one peer produced no usable response.
+#[derive(Debug)]
+pub(super) enum PeerFail {
+    /// Peer is `Down`: skipped without touching the wire.
+    Skipped,
+    /// The call (and its retries) failed at the transport level — the
+    /// peer is unreachable right now.
+    Unreachable(String),
+    /// The peer answered with a definite, non-retryable error.
+    Rpc(RpcError),
+}
+
+impl PeerFail {
+    /// The status code of a definite error answer, if that is what this
+    /// failure is.
+    pub(super) fn status(&self) -> Option<StatusCode> {
+        match self {
+            PeerFail::Rpc(RpcError::Status(s)) => Some(s.code),
+            _ => None,
+        }
+    }
+}
+
+impl DisaggStore {
+    pub(super) fn peers_snapshot(&self) -> Vec<Peer> {
+        self.inner.peers.read().clone()
+    }
+
+    /// The connected peer running on `node`.
+    pub(super) fn peer(&self, node: NodeId) -> Result<Peer, PlasmaError> {
+        let peers = self.inner.peers.read();
+        let found = peers.iter().find(|p| p.node == node).cloned();
+        found
+            .ok_or_else(|| PlasmaError::PeerUnavailable(format!("no interconnect peer for {node}")))
+    }
+
+    /// The one translation of a failed peer call into the error the
+    /// caller sees.
+    pub(super) fn peer_err(&self, peer: &Peer, fail: PeerFail) -> PlasmaError {
+        match fail {
+            PeerFail::Skipped => {
+                PlasmaError::PeerUnavailable(format!("peer {} is down", peer.name))
+            }
+            PeerFail::Unreachable(m) => PlasmaError::PeerUnavailable(m),
+            PeerFail::Rpc(RpcError::Status(s)) => {
+                PlasmaError::Protocol(format!("peer status: {s}"))
+            }
+            PeerFail::Rpc(RpcError::Transport(io)) => PlasmaError::Transport(io.to_string()),
+            PeerFail::Rpc(RpcError::Deadline(d)) => {
+                PlasmaError::PeerUnavailable(format!("no response within {d:?}"))
+            }
+            PeerFail::Rpc(RpcError::Protocol(m)) => PlasmaError::Protocol(m),
+        }
+    }
+
+    /// [`DisaggStore::peer_err`] for a call about one object: the typed
+    /// statuses come back as the error the same operation raises
+    /// locally, whichever verb carried it — so a forwarded operation
+    /// answers what it would have answered at the owner.
+    pub(super) fn object_err(&self, peer: &Peer, id: ObjectId, fail: PeerFail) -> PlasmaError {
+        let PeerFail::Rpc(RpcError::Status(status)) = &fail else {
+            return self.peer_err(peer, fail);
+        };
+        match status.code {
+            StatusCode::NotFound => PlasmaError::ObjectNotFound(id),
+            StatusCode::FailedPrecondition => PlasmaError::ObjectInUse(id),
+            // The owner's admission gate shed the request: surface its
+            // backoff hint so callers can retry.
+            StatusCode::ResourceExhausted => PlasmaError::Overloaded {
+                retry_after_ms: Self::retry_after_from(
+                    &status.message,
+                    self.inner.elastic.retry_after_ms,
+                ),
+            },
+            _ => self.peer_err(peer, fail),
+        }
+    }
+
+    /// Parse the `retry_after_ms=N` hint an overloaded owner embeds in
+    /// its `ResourceExhausted` status message.
+    fn retry_after_from(message: &str, default_ms: u64) -> u64 {
+        message
+            .rsplit("retry_after_ms=")
+            .next()
+            .and_then(|tail| {
+                let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse().ok()
+            })
+            .unwrap_or(default_ms)
+    }
+
+    /// Liveness state of one peer, as seen by this node's failure detector.
+    pub fn peer_state(&self, node: NodeId) -> PeerState {
+        self.inner.health.state(node)
+    }
+
+    /// Failure-detector counters for one peer.
+    pub fn peer_health_stats(&self, node: NodeId) -> PeerStats {
+        self.inner.health.stats(node)
+    }
+
+    /// One guarded interconnect call: health admission, per-call deadline,
+    /// bounded retries with backoff charged to the cluster clock.
+    ///
+    /// Definite answers — including error statuses — prove the peer is
+    /// alive and reset its failure count; only transport-level failures
+    /// (connection loss, expired deadline, `Unavailable`) indict it.
+    pub(super) fn peer_call(
+        &self,
+        peer: &Peer,
+        method_id: u32,
+        body: Bytes,
+    ) -> Result<Bytes, PeerFail> {
+        let inner = &self.inner;
+        let mut attempts_left = match inner.health.admit(peer.node) {
+            Admission::Skip => return Err(PeerFail::Skipped),
+            Admission::Probe => 1, // one shot; failure re-arms the backoff window
+            Admission::Attempt => inner.retry.max_attempts.max(1),
+        };
+        let mut retry_no = 0u32;
+        loop {
+            match peer
+                .client
+                .call_with_deadline(method_id, body.clone(), inner.call_deadline)
+            {
+                Ok(resp) => {
+                    inner.health.record_success(peer.node);
+                    self.flush_parked_releases(peer);
+                    return Ok(resp);
+                }
+                Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
+                    inner.health.record_success(peer.node);
+                    return Err(PeerFail::Rpc(RpcError::Status(s)));
+                }
+                Err(e) if e.is_retryable() => {
+                    let state = self.note_peer_failure(peer.node);
+                    attempts_left -= 1;
+                    if attempts_left == 0 || state == PeerState::Down {
+                        return Err(PeerFail::Unreachable(format!(
+                            "peer {} unreachable: {e}",
+                            peer.name
+                        )));
+                    }
+                    retry_no += 1;
+                    inner.metrics.peer_retries.inc();
+                    let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
+                    // Advance-to rather than charge: fan-out workers
+                    // backing off concurrently model one overlapping
+                    // wait, not N stacked on the shared cluster clock.
+                    inner.clock.advance_to(inner.clock.now() + backoff);
+                }
+                Err(e) => {
+                    // Protocol violation: a response arrived, but the
+                    // connection is now suspect.
+                    self.note_peer_failure(peer.node);
+                    return Err(PeerFail::Rpc(e));
+                }
+            }
+        }
+    }
+
+    /// Record a call failure against `node`, and — on the exact failure
+    /// that completes an Up→Down transition — drop every id-cache hint
+    /// pointing at it. A cached hint for a dead peer would otherwise
+    /// steer each repeat `get` into a full call deadline before the
+    /// broadcast fallback ran.
+    fn note_peer_failure(&self, node: NodeId) -> PeerState {
+        let was_down = self.inner.health.state(node) == PeerState::Down;
+        let state = self.inner.health.record_failure(node);
+        if state == PeerState::Down && !was_down {
+            if let Some(cache) = &self.inner.idcache {
+                cache.invalidate_peer(node);
+            }
+        }
+        state
+    }
+
+    /// Retry the RELEASEs parked for `peer` (closing pins in the
+    /// ledger). Invoked after a successful call proved the peer
+    /// reachable; entries that fail again are re-parked. Uses the raw
+    /// client rather than [`DisaggStore::peer_call`] so a flush never
+    /// recurses into another flush.
+    fn flush_parked_releases(&self, peer: &Peer) {
+        let parked = self.inner.ledger.take_parked(peer.node);
+        if parked.is_empty() {
+            return;
+        }
+        for id in parked {
+            let req = ReleaseReq {
+                requester: self.inner.node,
+                id,
+            };
+            let sent = peer.client.call_with_deadline(
+                method::RELEASE,
+                req.encode(),
+                self.inner.call_deadline,
+            );
+            if sent.is_err() {
+                self.inner.ledger.park(id, peer.node);
+            }
+        }
+        self.sync_parked_gauge();
+    }
+
+    /// Park a RELEASE against an unreachable peer for later retry: the
+    /// owner-side pin must not leak for the peer's lifetime.
+    pub(super) fn park_release(&self, owner: NodeId, id: ObjectId) {
+        self.inner.ledger.park(id, owner);
+        self.sync_parked_gauge();
+    }
+
+    fn sync_parked_gauge(&self) {
+        let parked = self.inner.ledger.parked();
+        self.inner.metrics.pending_releases.set(parked as i64);
+    }
+
+    /// Releases that failed against an unreachable peer and await retry.
+    /// Zero in steady state; tests assert no release is silently dropped.
+    pub fn pending_release_count(&self) -> usize {
+        self.inner.ledger.parked() as usize
+    }
+
+    /// Run `f` against each of `peers` concurrently (scoped threads),
+    /// preserving order. Each peer gets its own deadline/retry budget, so
+    /// a broadcast with one hung peer costs one deadline — not one per
+    /// position in a serial loop.
+    pub(super) fn fanout<T: Send>(&self, peers: &[Peer], f: impl Fn(&Peer) -> T + Sync) -> Vec<T> {
+        match peers {
+            [] => Vec::new(),
+            [only] => vec![f(only)],
+            _ => std::thread::scope(|s| {
+                let f = &f;
+                let handles: Vec<_> = peers.iter().map(|peer| s.spawn(move || f(peer))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("peer fan-out thread panicked"))
+                    .collect()
+            }),
+        }
+    }
+
+    /// Fetch one peer's metrics snapshot over the interconnect
+    /// (`METRICS` RPC): any node can introspect any peer live.
+    pub fn peer_metrics(&self, node: NodeId) -> Result<MetricsSnapshot, PlasmaError> {
+        let peer = self.peer(node)?;
+        match self.peer_call(&peer, method::METRICS, Bytes::new()) {
+            Ok(body) => Self::decode_metrics(body).map(|(_, snap)| snap),
+            Err(fail) => Err(self.peer_err(&peer, fail)),
+        }
+    }
+
+    /// Cluster-wide metrics: this node's snapshot plus every reachable
+    /// peer's, queried in parallel. Like [`DisaggStore::global_list`],
+    /// unreachable peers are omitted — the snapshot degrades to a
+    /// partial cluster view instead of failing.
+    pub fn cluster_metrics(&self) -> Result<Vec<(NodeId, MetricsSnapshot)>, PlasmaError> {
+        let mut out = Vec::with_capacity(self.peer_count() + 1);
+        out.push((self.inner.node, self.metrics_snapshot()));
+        let peers = self.peers_snapshot();
+        let responses = self.fanout(&peers, |peer| {
+            self.peer_call(peer, method::METRICS, Bytes::new())
+        });
+        for response in responses {
+            let Ok(body) = response else { continue };
+            out.push(Self::decode_metrics(body)?);
+        }
+        Ok(out)
+    }
+
+    /// Merged cluster snapshot: the fold of
+    /// [`DisaggStore::cluster_metrics`] (merging is associative and
+    /// commutative, so the order of nodes does not matter).
+    pub fn merged_cluster_metrics(&self) -> Result<MetricsSnapshot, PlasmaError> {
+        Ok(MetricsSnapshot::merged(
+            self.cluster_metrics()?.iter().map(|(_, snap)| snap),
+        ))
+    }
+
+    pub(super) fn decode_metrics(body: Bytes) -> Result<(NodeId, MetricsSnapshot), PlasmaError> {
+        let resp = MetricsResp::decode(body)
+            .map_err(|e| PlasmaError::Protocol(format!("metrics response: {e}")))?;
+        let snap = MetricsSnapshot::decode(&resp.snapshot)
+            .map_err(|e| PlasmaError::Protocol(format!("metrics snapshot: {e}")))?;
+        Ok((resp.node, snap))
+    }
+
+    /// This store's sealed objects, as a `LIST` answers them.
+    pub(super) fn sealed_entries(&self) -> Vec<ListEntry> {
+        let sealed = self.inner.core.list().into_iter();
+        sealed
+            .filter(|i| i.state == plasma::ObjectState::Sealed)
+            .map(|i| ListEntry {
+                id: i.id,
+                data_size: i.data_size,
+                metadata_size: i.metadata_size,
+                ref_count: i.ref_count,
+            })
+            .collect()
+    }
+
+    /// Cluster-wide object inventory: this store's sealed objects plus
+    /// every reachable peer's, grouped by node, queried in parallel.
+    /// Extends Plasma's `List` across the interconnect. Unreachable peers
+    /// are omitted — the inventory is partial, not an error.
+    pub fn global_list(&self) -> Result<Vec<(NodeId, Vec<ListEntry>)>, PlasmaError> {
+        let mut out = Vec::with_capacity(self.peer_count() + 1);
+        out.push((self.inner.node, self.sealed_entries()));
+        let peers = self.peers_snapshot();
+        let responses = self.fanout(&peers, |peer| {
+            self.peer_call(peer, method::LIST, Bytes::new())
+        });
+        for response in responses {
+            let Ok(body) = response else { continue };
+            let resp = ListResp::decode(body)
+                .map_err(|e| PlasmaError::Protocol(format!("list response: {e}")))?;
+            out.push((resp.node, resp.entries));
+        }
+        Ok(out)
+    }
+}

@@ -1,0 +1,830 @@
+//! Finding the node that answers for an id: the membership table and
+//! the ring built on it, the remote lookup pass (id cache → ring owner →
+//! `Moved` redirect → broadcast fallback), and the ring-routed create —
+//! both the requester's half and the owner's.
+
+use super::peer::PeerFail;
+use super::{DisaggStore, Peer};
+use crate::delegation::{Kind, Side};
+use crate::idcache::{CacheMode, CachedEntry};
+use crate::proto::{
+    method, BoolResp, CreateAtReq, CreateAtResp, CreateAtStatus, ForwardReq, GetManyEntry,
+    GetManyReq, GetManyResp, GetManyStatus, IdReq, MembershipResp, ReleaseReq,
+};
+use crate::ring::{Membership, Ring};
+use bytes::Bytes;
+use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
+use rpclite::{RpcError, Status, StatusCode};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+use tfsim::NodeId;
+
+impl DisaggStore {
+    /// Install (or supersede) the membership table the placement ring
+    /// hashes over. Tables are versioned: a table whose epoch does not
+    /// exceed the installed one is ignored, so stale gossip can never
+    /// roll membership back. Returns whether the table was adopted.
+    pub fn set_membership(&self, membership: Membership) -> bool {
+        let mut ring = self.inner.ring.write();
+        let installed = ring.as_ref().map(|r| r.epoch()).unwrap_or(0);
+        if membership.epoch <= installed {
+            return false;
+        }
+        *ring = Some(Ring::new(membership));
+        true
+    }
+
+    /// The currently installed membership table, if any.
+    pub fn membership(&self) -> Option<Membership> {
+        let ring = self.inner.ring.read();
+        ring.as_ref().map(|r| r.membership().clone())
+    }
+
+    /// The installed membership epoch (0 = none).
+    pub fn ring_epoch(&self) -> u64 {
+        let ring = self.inner.ring.read();
+        ring.as_ref().map(|r| r.epoch()).unwrap_or(0)
+    }
+
+    /// The ring-computed owner of `id` (`None` without a membership).
+    /// A pure local computation — zero RPCs.
+    pub fn ring_owner(&self, id: ObjectId) -> Option<NodeId> {
+        self.inner.ring.read().as_ref().and_then(|r| r.owner_of(id))
+    }
+
+    /// `MEMBERSHIP` handler: this node's table (epoch 0, no nodes,
+    /// without one).
+    pub(super) fn membership_resp(&self) -> MembershipResp {
+        match self.membership() {
+            Some(m) => MembershipResp {
+                epoch: m.epoch,
+                nodes: m.nodes,
+            },
+            None => MembershipResp {
+                epoch: 0,
+                nodes: Vec::new(),
+            },
+        }
+    }
+
+    /// React to an epoch gossiped by `node`: if it is ahead of ours,
+    /// pull that node's membership table over the interconnect and adopt
+    /// it.
+    pub(super) fn maybe_adopt_epoch(&self, node: NodeId, peer_epoch: u64) {
+        if peer_epoch <= self.ring_epoch() {
+            return;
+        }
+        let Ok(peer) = self.peer(node) else {
+            return;
+        };
+        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, Bytes::new()) {
+            if let Ok(resp) = MembershipResp::decode(body) {
+                self.set_membership(Membership::new(resp.epoch, resp.nodes));
+            }
+        }
+    }
+
+    fn note_ring_hits(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.inner
+            .counters
+            .ring_hits
+            .fetch_add(n, Ordering::Relaxed);
+        self.inner.metrics.ring_hit.add(n);
+    }
+
+    fn note_ring_fallbacks(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.inner
+            .counters
+            .ring_fallbacks
+            .fetch_add(n, Ordering::Relaxed);
+        self.inner.metrics.ring_fallback.add(n);
+    }
+
+    /// Remote-id-cache counters, if a cache is configured: (hits, misses).
+    pub fn idcache_counters(&self) -> Option<(u64, u64)> {
+        self.inner.idcache.as_ref().map(|c| c.counters())
+    }
+
+    /// Number of entries currently in the remote-id cache, if one is
+    /// configured. Tests use this to observe invalidation (e.g. the
+    /// Up→Down transition dropping every hint at a dead peer).
+    pub fn idcache_len(&self) -> Option<usize> {
+        self.inner.idcache.as_ref().map(|c| c.len())
+    }
+
+    pub(super) fn forget_cached(&self, id: ObjectId) {
+        if let Some(cache) = &self.inner.idcache {
+            cache.invalidate(id);
+        }
+    }
+
+    /// Peers with the ring's computed owner of `id` moved to the front,
+    /// so serial forwarding loops probe the likeliest holder first.
+    pub(super) fn peers_owner_first(&self, id: ObjectId) -> Vec<Peer> {
+        let mut peers = self.peers_snapshot();
+        if let Some(owner) = self.ring_owner(id) {
+            if let Some(i) = peers.iter().position(|p| p.node == owner) {
+                peers.swap(0, i);
+            }
+        }
+        peers
+    }
+
+    /// Whether `id` exists as far as this node answers for it. A lent
+    /// object still *exists* from the cluster's point of view — the ring
+    /// owner answers for it even while a holder keeps the bytes.
+    /// Conversely, a *leased* copy held here is the owner's to account
+    /// for, not this node's: hiding it keeps an ambiguous-spill
+    /// duplicate from contradicting the owner after a delete.
+    pub(super) fn answers_for(&self, id: ObjectId) -> bool {
+        let ledger = &self.inner.ledger;
+        let hidden = matches!(ledger.held_copy(id), Some((Kind::Lease, _)));
+        (self.inner.core.contains(id) && !hidden)
+            || ledger.find(Side::Out, id, Kind::Lease).is_some()
+    }
+
+    /// Cluster-wide `contains`: this node's answer, then one
+    /// point-to-point probe at the ring owner, then everyone else.
+    pub(super) fn contains_anywhere(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+        if self.answers_for(id) {
+            return Ok(true);
+        }
+        let mut peers = self.peers_snapshot();
+        let holds = |body: Bytes| {
+            BoolResp::decode(body)
+                .map(|r| r.value)
+                .map_err(|e| PlasmaError::Protocol(format!("contains response: {e}")))
+        };
+        // Ring phase: a positive answer settles it; a negative one falls
+        // back to the broadcast below, because migration can move
+        // objects off-ring.
+        let ring_owner = self
+            .ring_owner(id)
+            .filter(|&owner| owner != self.inner.node);
+        if let Some(owner) = ring_owner {
+            if let Some(i) = peers.iter().position(|p| p.node == owner) {
+                let req = IdReq { id }.encode();
+                if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, req) {
+                    if holds(body)? {
+                        self.note_ring_hits(1);
+                        return Ok(true);
+                    }
+                    // The owner answered: the fan-out need not ask it
+                    // again. An owner that did not answer stays in.
+                    peers.swap_remove(i);
+                }
+            }
+            self.note_ring_fallbacks(1);
+        }
+        // Ask every remaining peer in parallel; unreachable peers count
+        // as "not here" (partial answer, not an error).
+        let req_body = IdReq { id }.encode();
+        let answers = self.fanout(&peers, |peer| {
+            self.peer_call(peer, method::CONTAINS, req_body.clone())
+        });
+        for answer in answers {
+            let Ok(body) = answer else { continue };
+            if holds(body)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Resolve many objects in one batched pass — the multi-get hot path.
+    ///
+    /// Semantically identical to [`ObjectStore::get`] with the same id
+    /// slice (which already batches: all ids a single peer owns travel in
+    /// **one** `GET_MANY` round trip, not one RPC per id). This alias
+    /// exists so callers reaching for a batch API find the batched
+    /// guarantee spelled out: `N` small objects held by one owner cost
+    /// one RPC, and the ids-per-RPC distribution is observable as the
+    /// `disagg.get_many.batch_size` histogram.
+    pub fn batch_get(
+        &self,
+        ids: &[ObjectId],
+        timeout: Duration,
+    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
+        ObjectStore::get(self, ids, timeout)
+    }
+
+    /// One remote-lookup round for the `None` slots of `out`: consult the
+    /// id cache (targeted `GET_MANY` batches or direct reads), then
+    /// broadcast a batched `GET_MANY` to peers for the rest — in
+    /// parallel. Unreachable peers contribute nothing; their objects
+    /// simply stay unresolved this round, so a dead peer degrades `get`
+    /// to a miss instead of an error.
+    pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [Option<ObjectLocation>]) {
+        let mut missing: Vec<ObjectId> = ids
+            .iter()
+            .zip(out.iter())
+            .filter(|(_, o)| o.is_none())
+            .map(|(id, _)| *id)
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let pass_started = Instant::now();
+        let mut found: HashMap<ObjectId, ObjectLocation> = HashMap::new();
+
+        // Consult the id cache first.
+        if let Some(cache) = &self.inner.idcache {
+            let mut targeted: HashMap<u16, Vec<ObjectId>> = HashMap::new();
+            missing.retain(|id| match cache.lookup(*id) {
+                Some(entry) if cache.mode() == CacheMode::Direct => {
+                    // Direct mode: trust the cached location outright — no
+                    // RPC, no pin (the paper's corruption hazard).
+                    self.inner.metrics.idcache_hits.inc();
+                    self.inner
+                        .counters
+                        .direct_cache_reads
+                        .fetch_add(1, Ordering::Relaxed);
+                    found.insert(*id, entry.location);
+                    false
+                }
+                Some(entry) => {
+                    self.inner.metrics.idcache_hits.inc();
+                    targeted.entry(entry.peer.0).or_default().push(*id);
+                    false
+                }
+                None => {
+                    self.inner.metrics.idcache_misses.inc();
+                    true
+                }
+            });
+            let peers = self.peers_snapshot();
+            for (peer_node, ids) in targeted {
+                match peers.iter().find(|p| p.node.0 == peer_node) {
+                    Some(peer) => match self.get_many_rpc(peer, &ids, true) {
+                        Ok(resp) => {
+                            self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
+                            self.follow_redirects(&resp, &mut found);
+                            // Cache pointed at a peer that no longer has
+                            // some ids: invalidate and re-broadcast those.
+                            for id in ids {
+                                if !found.contains_key(&id) {
+                                    cache.invalidate(id);
+                                    missing.push(id);
+                                }
+                            }
+                        }
+                        Err(_) => {
+                            // Peer unreachable: it may still own the
+                            // objects, so keep the cache entries and let
+                            // the broadcast ask the others.
+                            missing.extend(ids);
+                        }
+                    },
+                    None => missing.extend(ids),
+                }
+            }
+        }
+
+        // Ring-targeted phase: resolve each still-missing id's rendezvous
+        // owner locally (zero RPCs) and ask exactly that peer. Ids the
+        // owner does not hold — migrated off-ring, not yet created, or
+        // the owner is unreachable — fall through to the broadcast, as do
+        // ids this node owns itself (the local pass already missed them,
+        // so if they exist at all they live off-ring).
+        let ring = self.inner.ring.read().clone();
+        if let Some(ring) = ring {
+            let mut by_owner: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
+            let mut fallback: Vec<ObjectId> = Vec::new();
+            let mut lent: Vec<(ObjectId, NodeId)> = Vec::new();
+            for id in missing.drain(..) {
+                if found.contains_key(&id) {
+                    continue;
+                }
+                match ring.owner_of(id) {
+                    Some(owner) if owner != self.inner.node => {
+                        by_owner.entry(owner).or_default().push(id);
+                    }
+                    // Self-owned miss: if this node lent the id away, its
+                    // own ledger is the redirect — chase the holder like
+                    // a `Moved` answer instead of broadcasting (the
+                    // holder hides leased copies from broadcasts).
+                    _ => match self.inner.ledger.find(Side::Out, id, Kind::Lease) {
+                        Some(lease) => lent.push((id, lease.peer)),
+                        None => fallback.push(id),
+                    },
+                }
+            }
+            let peers = self.peers_snapshot();
+            let mut hits = 0u64;
+            if !lent.is_empty() {
+                let own_ledger = GetManyResp {
+                    entries: lent
+                        .iter()
+                        .map(|&(id, holder)| GetManyEntry {
+                            id,
+                            status: GetManyStatus::Moved,
+                            location: None,
+                            moved_to: Some(holder),
+                        })
+                        .collect(),
+                    epoch: self.ring_epoch(),
+                };
+                self.follow_redirects(&own_ledger, &mut found);
+                for (id, _) in lent {
+                    if found.contains_key(&id) {
+                        hits += 1;
+                    } else {
+                        fallback.push(id);
+                    }
+                }
+            }
+            for (owner, group) in by_owner {
+                match peers.iter().find(|p| p.node == owner) {
+                    Some(peer) => match self.get_many_rpc(peer, &group, false) {
+                        Ok(resp) => {
+                            self.maybe_adopt_epoch(owner, resp.epoch);
+                            self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
+                            // Redirect-resolved ids count as ring hits:
+                            // the owner *did* answer for them, one hop on.
+                            self.follow_redirects(&resp, &mut found);
+                            for id in group {
+                                if found.contains_key(&id) {
+                                    hits += 1;
+                                } else {
+                                    fallback.push(id);
+                                }
+                            }
+                        }
+                        Err(_) => fallback.extend(group),
+                    },
+                    None => fallback.extend(group),
+                }
+            }
+            self.note_ring_hits(hits);
+            self.note_ring_fallbacks(fallback.len() as u64);
+            missing = fallback;
+        }
+
+        // Broadcast to every peer, in parallel, for whatever is still
+        // missing; absorb responses (and their pins) sequentially.
+        let remaining: Vec<ObjectId> = missing
+            .iter()
+            .filter(|id| !found.contains_key(id))
+            .copied()
+            .collect();
+        if !remaining.is_empty() {
+            let peers = self.peers_snapshot();
+            let responses = self.fanout(&peers, |peer| self.get_many_rpc(peer, &remaining, false));
+            // Absorb every direct answer before chasing any redirect: the
+            // holder of a spilled object answers this same broadcast with
+            // `Pinned`, so chasing the owner's `Moved` first would pin the
+            // object at the holder twice while the caller releases once.
+            let answered: Vec<(&Peer, GetManyResp)> = peers
+                .iter()
+                .zip(responses)
+                .filter_map(|(peer, response)| response.ok().map(|resp| (peer, resp)))
+                .collect();
+            for (peer, resp) in &answered {
+                self.maybe_adopt_epoch(peer.node, resp.epoch);
+                self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
+            }
+            for (_, resp) in &answered {
+                self.follow_redirects(resp, &mut found);
+            }
+        }
+
+        self.inner
+            .metrics
+            .lookup_fanout
+            .record_duration(pass_started.elapsed());
+        for (slot, id) in out.iter_mut().zip(ids) {
+            if slot.is_none() {
+                if let Some(loc) = found.get(id) {
+                    *slot = Some(*loc);
+                }
+            }
+        }
+    }
+
+    /// Chase the `Moved` entries of one GET_MANY response: a ring owner
+    /// that spilled an id answers with the holder's address, and this
+    /// follow-up asks the holder directly — one extra hop, batched per
+    /// holder. Absorbing the holder's answer also inserts it into the id
+    /// cache, so the redirect is paid once; repeat gets go straight to
+    /// the holder.
+    fn follow_redirects(&self, resp: &GetManyResp, found: &mut HashMap<ObjectId, ObjectLocation>) {
+        let mut by_holder: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
+        for (id, holder) in resp.moved() {
+            if found.contains_key(&id) {
+                continue;
+            }
+            if holder == self.inner.node {
+                // The redirect points home: this node holds the leased
+                // copy. The local fast path hides it, but an
+                // owner-sanctioned redirect may serve it.
+                if let Some(loc) = self.inner.core.get_local(id) {
+                    self.inner.metrics.redirects_followed.inc();
+                    found.insert(id, loc);
+                }
+                continue;
+            }
+            by_holder.entry(holder).or_default().push(id);
+        }
+        if by_holder.is_empty() {
+            return;
+        }
+        let peers = self.peers_snapshot();
+        for (holder, ids) in by_holder {
+            let Some(peer) = peers.iter().find(|p| p.node == holder) else {
+                continue;
+            };
+            if let Ok(resp) = self.get_many_rpc(peer, &ids, true) {
+                self.maybe_adopt_epoch(holder, resp.epoch);
+                self.inner.metrics.redirects_followed.add(ids.len() as u64);
+                self.absorb_lookup(peer, resp.found().copied().collect(), found);
+            }
+        }
+    }
+
+    /// Issue one pinning GET_MANY RPC for `ids` to one peer: every id the
+    /// peer holds sealed comes back pinned (attributed to this node) with
+    /// its fabric descriptor attached — one round trip regardless of how
+    /// many ids the batch carries. Counted under `lookup_rpcs`, and the
+    /// batch size is recorded in `disagg.get_many.batch_size`.
+    fn get_many_rpc(
+        &self,
+        peer: &Peer,
+        ids: &[ObjectId],
+        redirected: bool,
+    ) -> Result<GetManyResp, PeerFail> {
+        if ids.is_empty() {
+            return Ok(GetManyResp {
+                entries: Vec::new(),
+                epoch: self.ring_epoch(),
+            });
+        }
+        let req = GetManyReq {
+            requester: self.inner.node,
+            ids: ids.to_vec(),
+            epoch: self.ring_epoch(),
+            redirected,
+        };
+        let result = self.peer_call(peer, method::GET_MANY, req.encode());
+        if !matches!(result, Err(PeerFail::Skipped)) {
+            self.inner
+                .counters
+                .lookup_rpcs
+                .fetch_add(1, Ordering::Relaxed);
+            self.inner.metrics.get_many_batch.record(ids.len() as u64);
+        }
+        GetManyResp::decode(result?)
+            .map_err(|e| PeerFail::Rpc(RpcError::Protocol(format!("get_many response: {e}"))))
+    }
+
+    /// Fold the locations one peer returned (with pins taken on our
+    /// behalf) into `found`, ledgering each pin under that peer — the
+    /// owner that actually took it: if the object moved between lookups
+    /// (migration race), a pin on the new owner must not be merged into,
+    /// and later "released" against, the stale owner's count. If two
+    /// peers answered for the same id, the first absorbed pin wins and
+    /// the duplicate is released back to the losing peer. The *same*
+    /// peer answering an id twice is not a race but a batch that
+    /// legitimately carried the id twice (the owner pinned once per
+    /// instance, and the caller will release once per filled slot) —
+    /// those extra pins are ledgered, not released.
+    pub(super) fn absorb_lookup(
+        &self,
+        peer: &Peer,
+        pinned: Vec<ObjectLocation>,
+        found: &mut HashMap<ObjectId, ObjectLocation>,
+    ) {
+        let ledger = &self.inner.ledger;
+        for loc in pinned {
+            let Some(&winner_loc) = found.get(&loc.id) else {
+                self.inner
+                    .counters
+                    .remote_found
+                    .fetch_add(1, Ordering::Relaxed);
+                ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
+                if let Some(cache) = &self.inner.idcache {
+                    cache.insert(CachedEntry {
+                        location: loc,
+                        peer: peer.node,
+                    });
+                }
+                found.insert(loc.id, loc);
+                continue;
+            };
+            // A location names the node whose segment holds the bytes,
+            // which is the node that answered with it.
+            let winner = winner_loc.seg.owner;
+            if winner == peer.node {
+                ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
+                continue;
+            }
+            // The losing answer must not survive in the id cache: a
+            // concurrent pass may have cached this peer between our
+            // winner's insert and now, and a stale hint at the loser
+            // misroutes (and, in Direct mode, corrupts) every repeat get
+            // once its pin is released below. Repoint at the ledgered
+            // winner atomically — `realign` leaves any fresher
+            // third-party entry alone.
+            if let Some(cache) = &self.inner.idcache {
+                let entry = CachedEntry {
+                    location: winner_loc,
+                    peer: winner,
+                };
+                cache.realign(loc.id, peer.node, entry);
+            }
+            let req = ReleaseReq {
+                requester: self.inner.node,
+                id: loc.id,
+            };
+            // A loser that did not confirm the release (dead, unreachable,
+            // or a definite error) keeps its pin until a retry lands:
+            // park it instead of leaking it.
+            if self.peer_call(peer, method::RELEASE, req.encode()).is_err() {
+                self.park_release(peer.node, loc.id);
+            }
+        }
+    }
+
+    /// Ring-routed `create`: compute the id's owner locally, allocate
+    /// there. Local owner → plain core create (the core's id map is the
+    /// uniqueness arbiter). Remote owner → one point-to-point `CREATE_AT`;
+    /// the owner stages the object, pins the creator reference to this
+    /// node, and returns the fabric descriptor so the client writes the
+    /// payload straight through the fabric. A `WrongOwner` answer means
+    /// our membership epoch is stale: adopt the owner's table and re-route
+    /// once.
+    pub(super) fn create_via_ring(
+        &self,
+        id: ObjectId,
+        data_size: u64,
+        metadata_size: u64,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        for _ in 0..2 {
+            // Without a table there is no owner to ask, and creating
+            // locally on a guess could fork the id against a peer.
+            let Some(owner) = self.ring_owner(id) else {
+                return Err(PlasmaError::PeerUnavailable(format!(
+                    "no membership table (or an empty one): cannot place {id} among {} peer(s)",
+                    self.peer_count()
+                )));
+            };
+            if owner == self.inner.node {
+                self.check_admission()?;
+                return self.inner.core.create(id, data_size, metadata_size);
+            }
+            let peer = self.peer(owner)?;
+            let req = CreateAtReq {
+                requester: self.inner.node,
+                epoch: self.ring_epoch(),
+                id,
+                data_size,
+                metadata_size,
+            };
+            // Uniqueness lives at the owner, so an unreachable owner
+            // fails the create outright — a create never proceeds on a
+            // guess.
+            let body = self
+                .peer_call(&peer, method::CREATE_AT, req.encode())
+                .map_err(|fail| self.object_err(&peer, id, fail))?;
+            let resp = CreateAtResp::decode(body)
+                .map_err(|e| PlasmaError::Protocol(format!("create_at response: {e}")))?;
+            match resp.status {
+                CreateAtStatus::Ok => {
+                    let loc = resp.location.ok_or_else(|| {
+                        PlasmaError::Protocol("create_at: Ok without location".to_string())
+                    })?;
+                    // Remember the owner so seal/abort route point-to-
+                    // point. The creator's reference lives entirely at
+                    // the owner (pinned to us) and is consumed by the
+                    // SEAL_AT / ABORT_AT that ends the staging.
+                    let ledger = &self.inner.ledger;
+                    ledger.record(Side::Held, id, Kind::Staged, owner, loc.total_size());
+                    return Ok(loc);
+                }
+                CreateAtStatus::Exists => return Err(PlasmaError::ObjectExists(id)),
+                CreateAtStatus::WrongOwner => {
+                    self.maybe_adopt_epoch(owner, resp.epoch);
+                }
+            }
+        }
+        Err(PlasmaError::PeerUnavailable(format!(
+            "ring ownership of {id} unsettled (membership change in flight)"
+        )))
+    }
+
+    /// Seal a create that was forwarded to a remote ring owner. The
+    /// owner seals *and* consumes the creator's reference in one RPC, so
+    /// the client's trailing release (plasma's put is create → write →
+    /// seal → release) completes locally — the staged entry starts
+    /// closing and that release finishes it — instead of a second
+    /// network call that could fail mid-put and strand the pin.
+    /// `SEAL_AT` is idempotent on the owner, so a lost response is safe
+    /// to retry; an owner that became unreachable leaves its staged
+    /// orphan to quiesce-time reconciliation (which aborts it).
+    pub(super) fn seal_forwarded(
+        &self,
+        id: ObjectId,
+        owner: NodeId,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        let peer = self.peer(owner)?;
+        let req = ForwardReq {
+            requester: self.inner.node,
+            epoch: self.ring_epoch(),
+            id,
+        };
+        match self.peer_call(&peer, method::SEAL_AT, req.encode()) {
+            Ok(body) => {
+                let resp = CreateAtResp::decode(body)
+                    .map_err(|e| PlasmaError::Protocol(format!("seal_at response: {e}")))?;
+                let loc = resp.location.ok_or_else(|| {
+                    PlasmaError::Protocol("seal_at: response without location".to_string())
+                })?;
+                self.inner.ledger.close_staged(id);
+                Ok(loc)
+            }
+            Err(fail @ (PeerFail::Skipped | PeerFail::Unreachable(_))) => {
+                // The object cannot be sealed now. Drop the requester's
+                // staging entry so quiesce accounting stays clean; the
+                // owner's staged orphan is aborted when the pair next
+                // reconciles.
+                let ledger = &self.inner.ledger;
+                ledger.remove(Side::Held, id, Kind::Staged, Some(owner));
+                Err(self.peer_err(&peer, fail))
+            }
+            Err(fail) => Err(self.peer_err(&peer, fail)),
+        }
+    }
+
+    /// Abort a create that was forwarded to `owner`. Best-effort: if the
+    /// owner is unreachable the staged orphan is aborted by
+    /// reconciliation at quiesce, so a failed ABORT_AT is not an error
+    /// the caller can act on.
+    pub(super) fn abort_forwarded(&self, id: ObjectId, owner: NodeId) {
+        if let Ok(peer) = self.peer(owner) {
+            let req = ForwardReq {
+                requester: self.inner.node,
+                epoch: self.ring_epoch(),
+                id,
+            };
+            let _ = self.peer_call(&peer, method::ABORT_AT, req.encode());
+        }
+    }
+
+    /// `GET_MANY` handler. Partial success by design: each id answers
+    /// for itself. Pins are taken (and attributed to the requester) only
+    /// for ids found sealed here, so a NotFound entry can never leak a
+    /// reference in the ledger.
+    pub(super) fn serve_get_many(&self, req: GetManyReq) -> GetManyResp {
+        let inner = &self.inner;
+        self.maybe_adopt_epoch(req.requester, req.epoch);
+        let entry = |id, status, location, moved_to| GetManyEntry {
+            id,
+            status,
+            location,
+            moved_to,
+        };
+        let answer = |id: ObjectId| {
+            // Leased copies answer only redirect-following requests: a
+            // broadcast observing one could serve reads after the
+            // owner's copy was deleted (the duplication left by an
+            // ambiguous spill).
+            let hidden =
+                !req.redirected && matches!(inner.ledger.held_copy(id), Some((Kind::Lease, _)));
+            if let Some(loc) = (!hidden).then(|| inner.core.get_local(id)).flatten() {
+                inner
+                    .ledger
+                    .record(Side::Out, id, Kind::Pin, req.requester, 0);
+                inner.heat.record(id, req.requester);
+                return entry(id, GetManyStatus::Pinned, Some(loc), None);
+            }
+            // Not held here, but lent out: answer with a one-hop redirect
+            // instead of NotFound, so the ring owner keeps resolving ids
+            // it spilled away.
+            match inner.ledger.find(Side::Out, id, Kind::Lease) {
+                Some(lease) => {
+                    inner.metrics.redirects_served.inc();
+                    entry(id, GetManyStatus::Moved, None, Some(lease.peer))
+                }
+                None => entry(id, GetManyStatus::NotFound, None, None),
+            }
+        };
+        GetManyResp {
+            entries: req.ids.iter().copied().map(answer).collect(),
+            epoch: self.ring_epoch(),
+        }
+    }
+
+    /// `CREATE_AT` handler: the owner's half of a ring-routed create.
+    pub(super) fn create_at(&self, req: CreateAtReq) -> Result<CreateAtResp, Status> {
+        let inner = &self.inner;
+        self.maybe_adopt_epoch(req.requester, req.epoch);
+        let epoch = self.ring_epoch();
+        let answer = |status, location| {
+            Ok(CreateAtResp {
+                status,
+                location,
+                epoch,
+            })
+        };
+        // Dispute ownership only from an installed ring: without one
+        // this node cannot know better than the requester.
+        if epoch > 0 && self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
+            return answer(CreateAtStatus::WrongOwner, None);
+        }
+        // Idempotent retry: the same requester re-asking for its own
+        // staged create gets the same location back (its first response
+        // may have been lost in flight).
+        if let Some(staged) = inner.ledger.find(Side::Out, req.id, Kind::Staged) {
+            return match inner.core.peek_unsealed(req.id) {
+                Some(loc) if staged.peer == req.requester => answer(CreateAtStatus::Ok, Some(loc)),
+                _ => answer(CreateAtStatus::Exists, None),
+            };
+        }
+        // A lent object still exists (its bytes live at the holder):
+        // refuse re-creation or the id would fork. The same goes for an
+        // id with outstanding replicas.
+        if inner.ledger.has_out_copy(req.id) {
+            return answer(CreateAtStatus::Exists, None);
+        }
+        // Admission gate sits *after* the idempotent-retry check: a
+        // requester re-asking about its own staged create must get its
+        // location back even under overload.
+        if let Err(PlasmaError::Overloaded { retry_after_ms }) = self.check_admission() {
+            return Err(Status::new(
+                StatusCode::ResourceExhausted,
+                format!("overloaded: retry_after_ms={retry_after_ms}"),
+            ));
+        }
+        // The core's id map is the uniqueness arbiter: no pre-check,
+        // `create` itself refuses duplicates.
+        match inner.core.create(req.id, req.data_size, req.metadata_size) {
+            Ok(loc) => {
+                // The entry *is* the creator's reference, pinned to the
+                // requester until SEAL_AT / ABORT_AT ends the staging —
+                // and what lets reconciliation abort an orphan.
+                let ledger = &inner.ledger;
+                ledger.record(
+                    Side::Out,
+                    req.id,
+                    Kind::Staged,
+                    req.requester,
+                    loc.total_size(),
+                );
+                answer(CreateAtStatus::Ok, Some(loc))
+            }
+            Err(PlasmaError::ObjectExists(_)) => answer(CreateAtStatus::Exists, None),
+            Err(e) => Err(Status::internal(e.to_string())),
+        }
+    }
+
+    /// `SEAL_AT` handler: seal the requester's staged create and consume
+    /// the creator's reference here, so the requester's put finishes
+    /// without a trailing RELEASE that could be lost.
+    pub(super) fn seal_at(&self, req: ForwardReq) -> Result<CreateAtResp, Status> {
+        let inner = &self.inner;
+        self.maybe_adopt_epoch(req.requester, req.epoch);
+        let staged = inner
+            .ledger
+            .remove(Side::Out, req.id, Kind::Staged, Some(req.requester));
+        let sealed = if staged.is_some() {
+            let loc = inner.core.seal(req.id);
+            let loc = loc.map_err(|e| Status::internal(e.to_string()))?;
+            let _ = inner.core.release(req.id);
+            Some(loc)
+        } else {
+            // Idempotent retry: a seal whose response was lost left the
+            // object sealed with no staging entry — peek answers sealed
+            // objects only, so this cannot resurrect aborts.
+            inner.core.peek(req.id)
+        };
+        match sealed {
+            Some(loc) => Ok(CreateAtResp {
+                status: CreateAtStatus::Ok,
+                location: Some(loc),
+                epoch: self.ring_epoch(),
+            }),
+            None => Err(Status::not_found("no staged create for id")),
+        }
+    }
+
+    /// `ABORT_AT` handler. Idempotent: aborting an id this requester has
+    /// no staged create for is a no-op (`false`).
+    pub(super) fn abort_at(&self, req: ForwardReq) -> Result<bool, Status> {
+        let inner = &self.inner;
+        self.maybe_adopt_epoch(req.requester, req.epoch);
+        let staged = inner
+            .ledger
+            .remove(Side::Out, req.id, Kind::Staged, Some(req.requester));
+        if staged.is_some() {
+            let aborted = inner.core.abort(req.id);
+            aborted.map_err(|e| Status::internal(e.to_string()))?;
+        }
+        Ok(staged.is_some())
+    }
+}

@@ -853,6 +853,16 @@ impl StoreCore {
         }
     }
 
+    /// Location of a created-but-unsealed object — where its creator is
+    /// writing. A forwarded create answers a retried `CREATE_AT` with it.
+    pub fn peek_unsealed(&self, id: ObjectId) -> Option<ObjectLocation> {
+        let sh = self.lock_shard(self.shard_of(&id));
+        match sh.objects.get(&id) {
+            Some(e) if e.state == ObjectState::Created => Some(Self::location(id, e)),
+            _ => None,
+        }
+    }
+
     /// Whether a *sealed* object with this id exists (Plasma `Contains`).
     pub fn contains(&self, id: ObjectId) -> bool {
         let sh = self.lock_shard(self.shard_of(&id));

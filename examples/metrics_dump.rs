@@ -7,6 +7,11 @@
 //! histograms) as one serialized snapshot, and snapshots merge by
 //! element-wise sum (max for histogram maxima).
 //!
+//! It ends with the other half of "what is this cluster doing": the
+//! delegation dump — every pin, staged create, lease and replica each
+//! store holds for or at a peer (`DisaggStore::delegations()`), which
+//! answers "who holds a copy of this object, and under what authority?"
+//!
 //! Run with: `cargo run --example metrics_dump --release`
 
 use disagg::{Cluster, ClusterConfig};
@@ -109,4 +114,53 @@ fn main() {
         let held = snap0.gauge(&name.replace(".live_bytes", ".held_bytes"));
         println!("  {name}: live={live} held={held} (slack={})", held - live);
     }
+
+    // Who holds what on whose authority, live: spill one object from
+    // node 0 to node 1, replicate another, leave a reader's pin open, and
+    // dump every store's side of each delegation.
+    let spilled = ObjectId::from_name(&cluster.owned_id(0, "dump/spilled"));
+    let shared = ObjectId::from_name(&cluster.owned_id(0, "dump/shared"));
+    for id in [spilled, shared] {
+        producer.put(id, &[7; 2048], &[]).expect("put");
+    }
+    let holder = cluster.node_id(1);
+    cluster.store(0).spill_to(spilled, holder).expect("spill");
+    cluster
+        .store(0)
+        .replicate_to(shared, holder)
+        .expect("replicate");
+    let pinned = ObjectId::from_name("dump/1");
+    let open_buf = consumer
+        .get_one(pinned, Duration::from_secs(5))
+        .expect("get");
+    println!("\ndelegations (DisaggStore::delegations()):");
+    for i in 0..cluster.len() {
+        for d in cluster.store(i).delegations() {
+            println!(
+                "  node {}: {:?} {:?} of {:?} {} node {} (count={} bytes={} {:?})",
+                cluster.node_id(i).0,
+                d.side,
+                d.kind,
+                d.id,
+                if d.side == disagg::Side::Out {
+                    "by"
+                } else {
+                    "for"
+                },
+                d.peer.0,
+                d.count,
+                d.bytes,
+                d.phase,
+            );
+        }
+    }
+    drop(open_buf);
+    consumer.release(pinned).expect("release");
+    let healed = cluster.store(1).reconcile();
+    println!(
+        "reconcile() from node 1 at quiesce: dropped {} trimmed {} unreachable {:?}",
+        healed.dropped.total(),
+        healed.trimmed.total(),
+        healed.unreachable
+    );
 }

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# docs-drift: fail when a documented interconnect verb number disagrees
-# with the method constant in crates/disagg/src/proto.rs.
+# docs-drift: fail when the docs disagree with the interconnect verbs in
+# crates/disagg/src/proto.rs.
 #
-# The docs reference wire verbs as `VERB` (method id N) — every such
-# pair is cross-checked against `pub const VERB: u32 = N;`. A verb the
-# docs name but proto.rs no longer defines is drift too.
+# 1. The docs reference wire verbs as `VERB` (method id N) — every such
+#    pair is cross-checked against `pub const VERB: u32 = N;`. A verb
+#    the docs name but proto.rs no longer defines is drift too.
+# 2. A verb in `method::RETIRED` may be named (in backticks) only under
+#    a heading that starts "Historical": anywhere else in README,
+#    DESIGN or EXPERIMENTS the text describes a protocol that is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +25,30 @@ while IFS=: read -r file line verb id; do
 done < <(grep -nH -oE '`[A-Z_]+`[^()]*\(method id [0-9]+\)' DESIGN.md README.md EXPERIMENTS.md ROADMAP.md 2>/dev/null |
     sed -E 's/^([^:]+):([0-9]+):`([A-Z_]+)`[^0-9]*([0-9]+)\)$/\1:\2:\3:\4/')
 
+retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
+    sed -n 's/^ *([0-9]*, "\([a-z_]*\)"),$/\1/p' | tr 'a-z' 'A-Z' | tr '\n' ' ')
+[ -n "$retired" ] || { echo "docs-drift: cannot read method::RETIRED from proto.rs" >&2; exit 1; }
+for file in README.md DESIGN.md EXPERIMENTS.md; do
+    awk -v verbs="$retired" -v file="$file" '
+        BEGIN { n = split(verbs, verb, " ") }
+        /^#+ / {
+            level = index($0, " ") - 1
+            title = substr($0, level + 2)
+            if (title ~ /^Historical/) historical = level
+            else if (historical && level <= historical) historical = 0
+        }
+        !historical {
+            for (i = 1; i <= n; i++)
+                if (index($0, "`" verb[i] "`")) {
+                    printf "docs-drift: %s:%d names retired verb `%s` outside a Historical section\n", file, NR, verb[i] > "/dev/stderr"
+                    bad = 1
+                }
+        }
+        END { exit bad }
+    ' "$file" || status=1
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids agree with proto.rs"
+    echo "docs-drift: documented method ids agree with proto.rs, no retired verb is documented as live"
 fi
 exit $status

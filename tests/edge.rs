@@ -1,8 +1,10 @@
 //! Edge-case regressions: GET_MANY batch shapes that historically leaked
-//! pins (duplicate ids, empty batches, all-missing batches) and the
-//! zero-length-object lifecycle, local and remote.
+//! pins (duplicate ids, empty batches, all-missing batches), the
+//! zero-length-object lifecycle, local and remote, and a reconcile sweep
+//! with a peer down.
 
-use disagg::{Cluster, ClusterConfig};
+use disagg::proto::{method, GetManyReq};
+use disagg::{Cluster, ClusterConfig, Kind};
 use memdis::plasma::{ObjectId, StoreConfig, StoreCore};
 use std::time::Duration;
 use tfsim::Fabric;
@@ -149,4 +151,41 @@ fn zero_length_object_lifecycle_remote_disagg() {
     assert!(!cluster.client(0).unwrap().contains(id).unwrap());
 
     assert_no_pins(&cluster, 2);
+}
+
+/// A reconcile sweep visits every peer: one that cannot be reached is
+/// named in the report, and the peers after it are still healed. (The
+/// three per-kind sweeps this replaced returned `PeerUnavailable` from
+/// inside the loop, so an orphan behind a dead peer was never trimmed.)
+#[test]
+fn reconcile_heals_the_peers_behind_an_unreachable_one() {
+    let mut cluster = Cluster::launch(ClusterConfig::functional(3, 8 << 20)).unwrap();
+    let id = oid(&cluster.owned_id(2, "edge/orphan-pin"));
+    cluster
+        .client(2)
+        .unwrap()
+        .put(id, &[5u8; 128], &[])
+        .unwrap();
+
+    // A lost GET_MANY response: node 2 pinned for node 0, node 0 never
+    // heard — nothing will ever release that pin.
+    let lost = GetManyReq {
+        requester: cluster.node_id(0),
+        ids: vec![id],
+        epoch: cluster.store(0).ring_epoch(),
+        redirected: false,
+    };
+    let node2 = cluster.store(2).interconnect_service();
+    node2.call(method::GET_MANY, lost.encode()).unwrap();
+    assert_eq!(cluster.store(2).remote_pin_count(), 1);
+    assert_eq!(cluster.store(0).held_remote_pins(), 0);
+
+    // Node 1 sits before node 2 in node 0's peer list, and is down.
+    cluster.stop_rpc(1);
+    let healed = cluster.store(0).reconcile();
+    assert_eq!(healed.unreachable, vec![cluster.node_id(1)]);
+    assert_eq!(healed.trimmed[Kind::Pin], 1, "{healed:?}");
+    assert_eq!(cluster.store(2).remote_pin_count(), 0, "orphan pin trimmed");
+    // The object is evictable and deletable again.
+    cluster.client(2).unwrap().delete(id).unwrap();
 }

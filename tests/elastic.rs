@@ -6,11 +6,25 @@
 //! ledgers, and borrow reconciliation heals an owner that re-acquired a
 //! local copy.
 
-use disagg::{CacheMode, Cluster, ClusterConfig};
+use disagg::{CacheMode, Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
 
 const GET_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The `(id, peer)` pairs one side of a store's ledger holds of `kind`.
+fn entries(store: &DisaggStore, side: Side, kind: Kind) -> Vec<(ObjectId, NodeId)> {
+    let all = store.delegations().into_iter();
+    all.filter(|r| r.side == side && r.kind == kind)
+        .map(|r| (r.id, r.peer))
+        .collect()
+}
+
+/// How many leases a store has out, and how many it holds.
+fn lease_counts(store: &DisaggStore) -> (usize, usize) {
+    let count = |side| entries(store, side, Kind::Lease).len();
+    (count(Side::Out), count(Side::Held))
+}
 
 /// Spill one object from its ring owner to a lender, then read it back
 /// from every vantage point: a third party (owner redirect), the holder
@@ -29,9 +43,12 @@ fn spilled_object_reads_from_every_node() {
 
     // Ledgers: the owner lent exactly this id to node 1, node 1 borrowed
     // it back from node 0, and the gauges mirror both sides.
-    assert_eq!(owner.lent_snapshot(), vec![(id, holder_node)]);
     assert_eq!(
-        cluster.store(1).borrowed_snapshot(),
+        entries(owner, Side::Out, Kind::Lease),
+        vec![(id, holder_node)]
+    );
+    assert_eq!(
+        entries(cluster.store(1), Side::Held, Kind::Lease),
         vec![(id, cluster.node_id(0))]
     );
     let owner_snap = owner.metrics_snapshot();
@@ -199,9 +216,8 @@ fn delete_of_lent_object_cleans_both_ledgers() {
 
         cluster.store(delete_from).delete(id).unwrap();
         for node in 0..3 {
-            let counts = cluster.store(node).ledger_counts();
             assert_eq!(
-                (counts.lent, counts.borrowed),
+                lease_counts(cluster.store(node)),
                 (0, 0),
                 "node {node} ledger not clean after delete from {delete_from}"
             );
@@ -213,6 +229,68 @@ fn delete_of_lent_object_cleans_both_ledgers() {
         // And the id is free again.
         cluster.store(0).create(id, 64, 0).unwrap();
         cluster.store(0).abort(id).unwrap();
+    }
+}
+
+/// A delete that has to chase a lent object answers the same typed
+/// outcome from everywhere: while a client on the holder still reads
+/// the bytes, `delete` and `delete_deferred` are `ObjectInUse` whether
+/// issued at the owner or forwarded to it by a third node — and change
+/// nothing. (A forwarded `DELETE_DEFERRED` used to come back as
+/// `Protocol("peer status: Internal…")`.)
+#[test]
+fn forwarded_delete_of_a_lent_object_in_use_keeps_its_typed_outcome() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "del/in-use"));
+    let payload = vec![0x4C; 300];
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
+    let ledgers = |cluster: &Cluster| -> Vec<_> {
+        let all = (0..3).map(|node| cluster.store(node));
+        all.map(|s| {
+            (
+                entries(s, Side::Out, Kind::Lease),
+                entries(s, Side::Held, Kind::Lease),
+            )
+        })
+        .collect()
+    };
+    let before = ledgers(&cluster);
+
+    let reader = cluster.client(1).unwrap();
+    let buf = reader.get_one(id, GET_TIMEOUT).unwrap();
+    for node in [2usize, 0] {
+        let store = cluster.store(node);
+        assert_eq!(
+            store.delete_deferred(id),
+            Err(PlasmaError::ObjectInUse(id)),
+            "node {node}"
+        );
+        assert_eq!(
+            store.delete(id),
+            Err(PlasmaError::ObjectInUse(id)),
+            "node {node}"
+        );
+    }
+    assert_eq!(
+        ledgers(&cluster),
+        before,
+        "a refused delete changes no ledger"
+    );
+    assert_eq!(buf.read_all().unwrap(), payload);
+    let third = cluster.client(2).unwrap();
+    assert_eq!(
+        third.get_one(id, GET_TIMEOUT).unwrap().read_all().unwrap(),
+        payload
+    );
+    third.release(id).unwrap();
+
+    drop(buf);
+    reader.release(id).unwrap();
+    assert_eq!(cluster.store(2).delete_deferred(id), Ok(true));
+    for node in 0..3 {
+        assert_eq!(lease_counts(cluster.store(node)), (0, 0), "node {node}");
+        assert!(!cluster.store(node).contains(id).unwrap(), "node {node}");
     }
 }
 
@@ -233,18 +311,17 @@ fn reconcile_drops_replica_once_owner_reacquires() {
     cluster.store(0).core().seal(id).unwrap();
     cluster.store(0).core().release(id).unwrap();
 
-    let (dropped, trimmed) = cluster.store(1).reconcile_borrows().unwrap();
-    assert_eq!((dropped, trimmed), (1, 0));
-    let owner_counts = cluster.store(0).ledger_counts();
-    let holder_counts = cluster.store(1).ledger_counts();
-    assert_eq!((owner_counts.lent, owner_counts.borrowed), (0, 0));
-    assert_eq!((holder_counts.lent, holder_counts.borrowed), (0, 0));
+    let healed = cluster.store(1).reconcile();
+    assert_eq!(healed.dropped[Kind::Lease], 1);
+    assert_eq!((healed.dropped.total(), healed.trimmed.total()), (1, 0));
+    assert_eq!(lease_counts(cluster.store(0)), (0, 0));
+    assert_eq!(lease_counts(cluster.store(1)), (0, 0));
     // The holder's replica is gone; the owner's copy serves.
     assert!(cluster.store(1).core().get_local(id).is_none());
     assert!(cluster.store(0).core().contains(id));
 
     // A second reconcile is a no-op — the protocol is idempotent.
-    assert_eq!(cluster.store(1).reconcile_borrows().unwrap(), (0, 0));
+    assert_eq!(cluster.store(1).reconcile(), ReconcileReport::default());
 }
 
 /// `spill_cold` under real pressure: fill the owner past the high
@@ -276,7 +353,7 @@ fn pressure_spill_sheds_load_and_keeps_objects_reachable() {
         "occupancy must drop under the high watermark"
     );
     assert_eq!(
-        store.ledger_counts().lent,
+        lease_counts(store).0 as u64,
         store.metrics_snapshot().counter("disagg.elastic.spills")
     );
 
@@ -314,7 +391,7 @@ fn rebalance_moves_hot_object_to_its_dominant_reader() {
     let moved = cluster.store(0).rebalance_once().unwrap();
     assert_eq!(moved, 1, "hot object must migrate to its reader");
     assert_eq!(
-        cluster.store(0).lent_snapshot(),
+        entries(cluster.store(0), Side::Out, Kind::Lease),
         vec![(id, cluster.node_id(1))]
     );
     assert_eq!(

@@ -6,11 +6,25 @@
 //! always served from its holder — never from a stale replica left by an
 //! earlier incarnation.
 
-use disagg::{Cluster, ClusterConfig};
+use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
 
 const GET_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The `(id, peer)` pairs one side of a store's ledger holds of `kind`.
+fn entries(store: &DisaggStore, side: Side, kind: Kind) -> Vec<(ObjectId, NodeId)> {
+    let all = store.delegations().into_iter();
+    all.filter(|r| r.side == side && r.kind == kind)
+        .map(|r| (r.id, r.peer))
+        .collect()
+}
+
+/// How many replicas a store has out, and how many it holds.
+fn replica_counts(store: &DisaggStore) -> (usize, usize) {
+    let count = |side| entries(store, side, Kind::Replica).len();
+    (count(Side::Out), count(Side::Held))
+}
 
 /// Replicate one object owner → holder, then read it at the holder: the
 /// get is served from the local replica (no interconnect round trip),
@@ -28,9 +42,12 @@ fn replica_serves_reads_locally_at_the_holder() {
 
     // Both ledger sides, and the owner still holds its sealed copy —
     // this is a read replica, not a lease handoff.
-    assert_eq!(owner.replica_held_snapshot(), vec![(id, holder_node)]);
     assert_eq!(
-        cluster.store(1).replica_snapshot(),
+        entries(owner, Side::Out, Kind::Replica),
+        vec![(id, holder_node)]
+    );
+    assert_eq!(
+        entries(cluster.store(1), Side::Held, Kind::Replica),
         vec![(id, cluster.node_id(0))]
     );
     assert!(owner.core().peek(id).is_some());
@@ -92,8 +109,7 @@ fn delete_invalidates_replicas_first() {
             !cluster.store(node).contains(id).unwrap(),
             "stale copy on node {node} after delete"
         );
-        assert_eq!(cluster.store(node).replica_counts().outstanding, 0);
-        assert_eq!(cluster.store(node).replica_counts().held, 0);
+        assert_eq!(replica_counts(cluster.store(node)), (0, 0));
     }
     assert_eq!(
         cluster
@@ -130,7 +146,7 @@ fn unconfirmed_invalidation_fails_the_delete_with_object_intact() {
     // half-state behind.
     assert!(cluster.store(0).contains(id).unwrap());
     assert_eq!(
-        cluster.store(0).replica_held_snapshot(),
+        entries(cluster.store(0), Side::Out, Kind::Replica),
         vec![(id, cluster.node_id(1))]
     );
     let buf = cluster.client(0).unwrap().get_one(id, GET_TIMEOUT).unwrap();
@@ -151,8 +167,8 @@ fn unconfirmed_invalidation_fails_the_delete_with_object_intact() {
     }
     assert!(!cluster.store(0).contains(id).unwrap());
     assert!(!cluster.store(1).contains(id).unwrap());
-    assert_eq!(cluster.store(0).replica_counts().outstanding, 0);
-    assert_eq!(cluster.store(1).replica_counts().held, 0);
+    assert_eq!(replica_counts(cluster.store(0)).0, 0);
+    assert_eq!(replica_counts(cluster.store(1)).1, 0);
 }
 
 /// A zero-length object (empty data, empty metadata) replicates,
@@ -182,8 +198,8 @@ fn zero_length_object_replicates_and_invalidates() {
     cluster.client(1).unwrap().delete(id).unwrap();
     assert!(!cluster.store(0).contains(id).unwrap());
     assert!(!cluster.store(1).contains(id).unwrap());
-    assert_eq!(cluster.store(0).replica_counts().outstanding, 0);
-    assert_eq!(cluster.store(1).replica_counts().held, 0);
+    assert_eq!(replica_counts(cluster.store(0)).0, 0);
+    assert_eq!(replica_counts(cluster.store(1)).1, 0);
 }
 
 /// Lease and replica are mutually exclusive, both directions: a lent
@@ -205,7 +221,7 @@ fn lease_and_replica_are_mutually_exclusive() {
         .store(0)
         .replicate_to(lent, cluster.node_id(2))
         .unwrap());
-    assert_eq!(cluster.store(0).replica_counts().outstanding, 0);
+    assert_eq!(replica_counts(cluster.store(0)).0, 0);
 
     // Replicated first: spill_to refuses, and the object stays put.
     let rep = ObjectId::from_name(&cluster.owned_id(0, "rep/pinned"));
@@ -217,9 +233,7 @@ fn lease_and_replica_are_mutually_exclusive() {
     assert!(!cluster.store(0).spill_to(rep, cluster.node_id(2)).unwrap());
     assert!(cluster.store(0).core().peek(rep).is_some());
     assert!(
-        !cluster
-            .store(0)
-            .lent_snapshot()
+        !entries(cluster.store(0), Side::Out, Kind::Lease)
             .iter()
             .any(|(i, _)| *i == rep),
         "replicated object must never gain a lease"
@@ -289,7 +303,7 @@ fn replicate_hot_offers_replica_to_the_dominant_reader() {
     }
     assert_eq!(cluster.store(0).replicate_hot().unwrap(), 1);
     assert_eq!(
-        cluster.store(0).replica_held_snapshot(),
+        entries(cluster.store(0), Side::Out, Kind::Replica),
         vec![(id, cluster.node_id(1))]
     );
     // The reader's next get is local.
@@ -314,7 +328,7 @@ fn replicate_hot_offers_replica_to_the_dominant_reader() {
 /// vanished behind the owner's back reports its (now empty) survivor
 /// set, and the owner trims the orphaned entry.
 #[test]
-fn reconcile_replicas_trims_orphaned_owner_entries() {
+fn reconcile_trims_orphaned_owner_replica_entries() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let id = ObjectId::from_name(&cluster.owned_id(0, "rep/heal"));
     cluster.client(0).unwrap().put(id, &[3; 128], &[]).unwrap();
@@ -326,13 +340,14 @@ fn reconcile_replicas_trims_orphaned_owner_entries() {
     // The holder loses its replica without telling the owner (models a
     // local eviction).
     cluster.store(1).core().delete(id).unwrap();
-    assert_eq!(cluster.store(0).replica_counts().outstanding, 1);
+    assert_eq!(replica_counts(cluster.store(0)).0, 1);
 
-    let (dropped, trimmed) = cluster.store(1).reconcile_replicas().unwrap();
-    assert_eq!(dropped, 0);
-    assert_eq!(trimmed, 1);
-    assert_eq!(cluster.store(0).replica_counts().outstanding, 0);
-    assert_eq!(cluster.store(1).replica_counts().held, 0);
+    let healed = cluster.store(1).reconcile();
+    assert_eq!(healed.dropped.total(), 0);
+    assert_eq!(healed.trimmed[Kind::Replica], 1);
+    assert_eq!(healed.trimmed.total(), 1);
+    assert_eq!(replica_counts(cluster.store(0)).0, 0);
+    assert_eq!(replica_counts(cluster.store(1)).1, 0);
 }
 
 /// A replica's payload reaches the holder over the mapped data plane:
