@@ -4,14 +4,17 @@
 //! notes that "improved allocators generally have substantial impact"
 //! (future work). This harness quantifies that: identical allocation
 //! traces replayed against the paper's first-fit, the paper's
-//! size-ordered-map (best-fit), and a dlmalloc-style segregated-bin
-//! allocator, reporting throughput, failure counts, and external
-//! fragmentation.
+//! size-ordered-map (best-fit), a dlmalloc-style segregated-bin
+//! allocator, a binary buddy allocator and the size-class slab allocator
+//! the store runs, reporting throughput, failure counts, and external
+//! fragmentation. The last workload first churns the region into
+//! thousands of small holes (untimed) — the state in which an
+//! address-ordered scan pays for every hole on every allocation.
 //!
 //! Usage: `cargo run -p bench --bin alloc_ablation --release [-- --seed N]`
 
-use bench::{render_table, HarnessOpts};
-use memalloc::{Buddy, DlSeg, FirstFit, RegionAllocator, SizeMap, Trace, TraceSpec};
+use bench::{fragment_region, render_table, windowed_trace, HarnessOpts};
+use memalloc::{Buddy, DlSeg, FirstFit, RegionAllocator, SizeMap, Slab, Trace, TraceSpec};
 use std::time::Instant;
 
 const CAPACITY: u64 = 1 << 30; // 1 GiB region
@@ -23,12 +26,13 @@ fn allocators() -> Vec<Box<dyn RegionAllocator>> {
         Box::new(SizeMap::new(CAPACITY)),
         Box::new(DlSeg::new(CAPACITY)),
         Box::new(Buddy::new(CAPACITY)),
+        Box::new(Slab::new(CAPACITY)),
     ]
 }
 
 fn main() {
     let opts = HarnessOpts::parse();
-    let workloads: Vec<(&str, TraceSpec)> = vec![
+    let specs: Vec<(&str, TraceSpec)> = vec![
         (
             "uniform 64B-64KB",
             TraceSpec::Uniform {
@@ -57,10 +61,21 @@ fn main() {
         "A1: allocator ablation — {OPS} ops on a 1 GiB region, seed {}",
         opts.seed
     );
+    // (name, trace, whether the region is fragmented before the clock starts)
+    let mut workloads: Vec<(&str, Trace, bool)> = specs
+        .into_iter()
+        .map(|(name, spec)| {
+            let trace = Trace::generate(spec, OPS, CAPACITY, 0.7, opts.seed);
+            (name, trace, false)
+        })
+        .collect();
+    workloads.push(("5000 holes, 4KB x64", windowed_trace(OPS / 2), true));
     let mut rows = Vec::new();
-    for (name, spec) in workloads {
-        let trace = Trace::generate(spec, OPS, CAPACITY, 0.7, opts.seed);
+    for (name, trace, fragmented) in workloads {
         for mut alloc in allocators() {
+            if fragmented {
+                fragment_region(alloc.as_mut());
+            }
             let start = Instant::now();
             let outcome = trace.replay(alloc.as_mut()).expect("replay");
             let elapsed = start.elapsed();

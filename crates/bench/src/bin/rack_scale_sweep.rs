@@ -6,16 +6,13 @@
 //! modification." — this harness runs the modified design at N = 2..8
 //! nodes and measures how remote `get` latency scales with cluster size.
 //! Every object ring-places on the last node and is read from node 0:
-//!
-//! * a cold get resolves the owner locally and sends it one targeted
-//!   `GET_MANY` — no fan-out, so its cost does not grow with peer count;
-//! * warm gets (pinning id cache) send the cached holder the same one
-//!   RPC, so they stay flat too.
+//! a get resolves the owner locally and sends it one targeted `GET_MANY`
+//! — no fan-out, so its cost does not grow with peer count.
 //!
 //! Usage: `cargo run -p bench --bin rack_scale_sweep --release [-- --reps N]`
 
 use bench::{commit_ids, render_table, BenchSpec, HarnessOpts, Summary};
-use disagg::{CacheMode, Cluster, ClusterConfig};
+use disagg::{Cluster, ClusterConfig};
 use plasma::ObjectId;
 use std::time::Duration;
 
@@ -35,7 +32,6 @@ fn main() {
     for nodes in [2usize, 3, 4, 6, 8] {
         let mut cfg = ClusterConfig::paper_testbed(32 << 20);
         cfg.nodes = nodes;
-        cfg.id_cache = Some((CacheMode::Pinning, 4096));
         let cluster = Cluster::launch(cfg).expect("launch");
 
         // Objects place on the LAST node and are read from node 0.
@@ -48,28 +44,23 @@ fn main() {
             .collect();
         commit_ids(&producer, &ids, spec.object_size, opts.seed).expect("commit");
 
-        let mut cold = Vec::new();
-        let mut warm = Vec::new();
-        for rep in 0..opts.reps {
+        let mut latencies = Vec::new();
+        for _ in 0..opts.reps {
             let (bufs, lat) = cluster
                 .clock()
                 .time(|| consumer.get(&ids, Duration::from_secs(60)).expect("get"));
-            if rep == 0 {
-                cold.push(lat);
-            } else {
-                warm.push(lat);
-            }
+            latencies.push(lat);
             for b in bufs.iter().flatten() {
                 consumer.release(b.id).expect("release");
             }
         }
-        let c = Summary::of_durations_ms(&cold);
-        let w = Summary::of_durations_ms(&warm);
+        let lat = Summary::of_durations_ms(&latencies);
         let d = cluster.store(0).disagg_stats();
         rows.push(vec![
             nodes.to_string(),
-            format!("{:.3}", c.median),
-            format!("{:.3}", w.median),
+            format!("{:.3}", lat.median),
+            format!("{:.3}", lat.min),
+            format!("{:.3}", lat.max),
             d.lookup_rpcs.to_string(),
         ]);
         eprintln!("  {nodes} nodes done");
@@ -77,10 +68,16 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["nodes", "cold get (ms)", "warm get med (ms)", "lookup RPCs"],
+            &[
+                "nodes",
+                "get med (ms)",
+                "min (ms)",
+                "max (ms)",
+                "lookup RPCs"
+            ],
             &rows
         )
     );
-    println!("(the ring resolves the owner locally: cold and warm gets alike cost one");
-    println!(" targeted RPC, independent of cluster size)");
+    println!("(the ring resolves the owner locally: every get costs one targeted RPC,");
+    println!(" independent of cluster size)");
 }

@@ -3,7 +3,8 @@
 //! Library pieces shared by the harness binaries (`src/bin/*.rs`) and the
 //! Criterion benches (`benches/*.rs`):
 //!
-//! * [`workload`] — Table I benchmark specs and object commit routines;
+//! * [`workload`] — Table I benchmark specs, object commit routines and
+//!   the fragmented-region allocator trace;
 //! * [`fabric`] — topology-driven cluster construction and the A6
 //!   multi-node workload replay with per-tier latency histograms;
 //! * [`measure`] — summary statistics and text-table rendering;
@@ -30,4 +31,7 @@ pub use runner::{
     one_rep, run_benchmark, run_benchmark_between, BenchResult, RepSample, READ_CHUNK,
 };
 pub use storeside::{print_store_side, render_store_side};
-pub use workload::{commit_ids, commit_objects, random_data, BenchSpec, TABLE_I, TABLE_I_SMALL};
+pub use workload::{
+    commit_ids, commit_objects, fragment_region, random_data, windowed_trace, BenchSpec, TABLE_I,
+    TABLE_I_SMALL,
+};

@@ -4,8 +4,10 @@
 //! orders of magnitude while scaling the object count down, "to mitigate
 //! any potential influence of caching of smaller objects". This module
 //! encodes those specs and the routines that commit and consume the
-//! corresponding objects.
+//! corresponding objects, plus the fragmented-region allocator trace of
+//! experiment A1.
 
+use memalloc::{RegionAllocator, Trace, TraceOp};
 use plasma::{ObjectId, PlasmaClient, PlasmaError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -143,6 +145,44 @@ pub fn commit_ids(
     Ok(())
 }
 
+/// Holes [`fragment_region`] leaves at the front of the region.
+const FRAG_HOLES: usize = 5_000;
+
+/// Churn `alloc` into the state a long-lived store reaches under
+/// Table I traffic: 10 000 allocations of 1 KiB, every other one freed,
+/// so 5 000 small holes sit ahead of all free space in address order
+/// and the survivors pin them open.
+pub fn fragment_region(alloc: &mut dyn RegionAllocator) {
+    let offsets: Vec<u64> = (0..2 * FRAG_HOLES)
+        .map(|_| alloc.alloc(1_024).expect("prelude alloc"))
+        .collect();
+    for off in offsets.into_iter().skip(1).step_by(2) {
+        alloc.free(off).expect("prelude free");
+    }
+}
+
+/// The trace measured over a [`fragment_region`]ed allocator: `allocs`
+/// allocations of 4 016 B — too big for any prelude hole, so an
+/// address-ordered scan walks past all of them — keeping a 64-object
+/// live window (allocate the newest, free the oldest). The window is
+/// drained at the end, so a replay leaves the allocator as it found it.
+pub fn windowed_trace(allocs: usize) -> Trace {
+    const WINDOW: usize = 64;
+    let mut ops = Vec::with_capacity(2 * allocs);
+    for i in 0..allocs + WINDOW {
+        if i >= WINDOW {
+            ops.push(TraceOp::Free { slot: i % WINDOW });
+        }
+        if i < allocs {
+            ops.push(TraceOp::Alloc {
+                slot: i % WINDOW,
+                size: 4_016,
+            });
+        }
+    }
+    Trace { ops, slots: WINDOW }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +217,19 @@ mod tests {
         assert!(a.iter().zip(&b).all(|(x, y)| x != y));
         let set: std::collections::HashSet<_> = a.iter().collect();
         assert_eq!(set.len(), 1000);
+    }
+
+    #[test]
+    fn windowed_trace_restores_the_fragmented_state() {
+        let mut alloc = memalloc::Slab::new(64 << 20);
+        fragment_region(&mut alloc);
+        let before = alloc.stats();
+        assert_eq!(before.live_allocs, FRAG_HOLES as u64);
+        let out = windowed_trace(500).replay(&mut alloc).unwrap();
+        assert_eq!((out.allocs_ok, out.allocs_failed, out.frees), (500, 0, 500));
+        let after = alloc.stats();
+        assert_eq!(after.allocated_bytes, before.allocated_bytes);
+        assert_eq!(after.free_regions, before.free_regions);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use disagg::{
     Cluster, ClusterConfig, HealthConfig, InterconnectConfig, Kind, ReconcileReport, RetryPolicy,
     Side,
 };
-use plasma::{checksum, AllocatorKind, ObjectId, PlasmaError};
+use plasma::{checksum, ObjectId, PlasmaError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -72,11 +72,6 @@ pub struct SoakConfig {
     /// rebalance) into the workload. Exercises delegation under fault
     /// injection; reconcile and the delegation audit run regardless.
     pub elastic: bool,
-    /// Region allocator used by every store (the matrix reruns with
-    /// `Slab` to soak the size-class hot path under faults).
-    pub allocator: AllocatorKind,
-    /// Object-table shards per store (see `plasma::StoreConfig::shards`).
-    pub shards: usize,
 }
 
 impl std::fmt::Debug for SoakConfig {
@@ -90,8 +85,6 @@ impl std::fmt::Debug for SoakConfig {
             .field("get_timeout", &self.get_timeout)
             .field("links", &self.links.as_ref().map(|_| "<map>"))
             .field("elastic", &self.elastic)
-            .field("allocator", &self.allocator)
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -109,17 +102,7 @@ impl SoakConfig {
             get_timeout: Duration::from_millis(50),
             links: None,
             elastic: true,
-            allocator: AllocatorKind::SizeMap,
-            shards: plasma::store::DEFAULT_SHARDS,
         }
-    }
-
-    /// The same soak over the concurrent hot-path configuration: slab
-    /// allocator + sharded object table.
-    pub fn with_hotpath(mut self) -> SoakConfig {
-        self.allocator = AllocatorKind::Slab;
-        self.shards = plasma::store::DEFAULT_SHARDS;
-        self
     }
 }
 
@@ -186,8 +169,6 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
     let injector = ChaosInjector::new(plan.clone());
     let mut cluster_config = ClusterConfig::functional(cfg.nodes, cfg.memory_per_node);
     cluster_config.seed = plan.seed;
-    cluster_config.allocator = cfg.allocator;
-    cluster_config.shards = cfg.shards;
     cluster_config.interconnect = soak_interconnect();
     cluster_config.fault_policy = Some(injector.clone());
     cluster_config.link_map = cfg.links.clone();

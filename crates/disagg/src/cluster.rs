@@ -8,7 +8,6 @@
 //! "rack-scale solutions \[with\] multiple nodes" (paper §V-B).
 
 use crate::elastic::ElasticConfig;
-use crate::idcache::CacheMode;
 use crate::proto::method;
 use crate::replicate::ReplicationConfig;
 use crate::ring::Membership;
@@ -17,8 +16,8 @@ use ipc::fault::{FaultConn, FaultPolicy};
 use ipc::{Conn, InprocHub};
 use netsim::{LinkModel, SharedLink};
 use plasma::{
-    AllocatorKind, ClientCost, Notifications, ObjectId, PlasmaClient, PlasmaError, PlasmaServer,
-    StoreConfig, StoreCore,
+    ClientCost, Notifications, ObjectId, PlasmaClient, PlasmaError, PlasmaServer, StoreConfig,
+    StoreCore,
 };
 use rpclite::{ClientMetrics, NetCost, RpcClient, ServerHandle};
 use std::sync::Arc;
@@ -38,10 +37,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Bytes of disaggregated memory donated per store.
     pub memory_per_node: usize,
-    /// Allocator used by every store.
-    pub allocator: AllocatorKind,
-    /// Object-table shards per store (see `plasma::StoreConfig::shards`).
-    pub shards: usize,
     /// Virtual (deterministic accounting) or Throttle (wall-clock) time.
     pub clock_mode: ClockMode,
     /// Delay model of the store-to-store RPC channel (every pair, unless
@@ -54,8 +49,6 @@ pub struct ClusterConfig {
     pub link_map: Option<LinkMap>,
     /// Whether Plasma clients charge modeled IPC costs to the clock.
     pub model_client_cost: bool,
-    /// Optional remote-id cache on every store.
-    pub id_cache: Option<(CacheMode, usize)>,
     /// Optional per-store growth policy: (increment bytes, max total bytes).
     pub growth: Option<(usize, usize)>,
     /// RNG seed for all delay sampling.
@@ -80,13 +73,10 @@ impl std::fmt::Debug for ClusterConfig {
         f.debug_struct("ClusterConfig")
             .field("nodes", &self.nodes)
             .field("memory_per_node", &self.memory_per_node)
-            .field("allocator", &self.allocator)
-            .field("shards", &self.shards)
             .field("clock_mode", &self.clock_mode)
             .field("rpc_link", &self.rpc_link)
             .field("link_map", &self.link_map.as_ref().map(|_| "<map>"))
             .field("model_client_cost", &self.model_client_cost)
-            .field("id_cache", &self.id_cache)
             .field("growth", &self.growth)
             .field("seed", &self.seed)
             .field("interconnect", &self.interconnect)
@@ -102,18 +92,15 @@ impl std::fmt::Debug for ClusterConfig {
 
 impl ClusterConfig {
     /// The paper's testbed shape: two nodes, gRPC-calibrated interconnect,
-    /// deterministic virtual time, modeled IPC costs, no id cache.
+    /// deterministic virtual time, modeled IPC costs.
     pub fn paper_testbed(memory_per_node: usize) -> Self {
         ClusterConfig {
             nodes: 2,
             memory_per_node,
-            allocator: AllocatorKind::SizeMap,
-            shards: plasma::store::DEFAULT_SHARDS,
             clock_mode: ClockMode::Virtual,
             rpc_link: LinkModel::grpc_lan(),
             link_map: None,
             model_client_cost: true,
-            id_cache: None,
             growth: None,
             seed: 0x7F1A,
             interconnect: InterconnectConfig::default(),
@@ -128,13 +115,10 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             memory_per_node,
-            allocator: AllocatorKind::SizeMap,
-            shards: plasma::store::DEFAULT_SHARDS,
             clock_mode: ClockMode::Virtual,
             rpc_link: LinkModel::instant(),
             link_map: None,
             model_client_cost: false,
-            id_cache: None,
             growth: None,
             seed: 1,
             interconnect: InterconnectConfig::default(),
@@ -173,27 +157,14 @@ impl Cluster {
         let mut nodes = Vec::with_capacity(config.nodes);
         for i in 0..config.nodes {
             let node = fabric.register_node();
-            let core = StoreCore::new(
-                &fabric,
-                node,
-                StoreConfig {
-                    name: format!("store-{i}"),
-                    memory_bytes: config.memory_per_node,
-                    allocator: config.allocator,
-                    shards: config.shards,
-                    enable_eviction: true,
-                    growth: config.growth.map(|(increment_bytes, max_total_bytes)| {
-                        plasma::store::GrowthPolicy {
-                            increment_bytes,
-                            max_total_bytes,
-                        }
-                    }),
-                },
-            )?;
+            let mut store_config = StoreConfig::new(format!("store-{i}"), config.memory_per_node);
+            if let Some((increment_bytes, max_total_bytes)) = config.growth {
+                store_config = store_config.with_growth(increment_bytes, max_total_bytes);
+            }
+            let core = StoreCore::new(&fabric, node, store_config)?;
             let store = DisaggStore::new(
                 core,
                 DisaggConfig {
-                    id_cache: config.id_cache,
                     interconnect: config.interconnect.clone(),
                     elastic: config.elastic,
                     replication: config.replication,

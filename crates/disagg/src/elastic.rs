@@ -5,9 +5,9 @@
 //!
 //! * **Pressure-driven spill** — a node above its high watermark pushes
 //!   cold sealed objects (the LRU tail) to the peer advertising the most
-//!   free bytes, running the migration machinery *in reverse*: the lender
-//!   seals a replica before the owner deletes, so a lost response can
-//!   duplicate an immutable object but never lose it.
+//!   free bytes: the lender seals its copy before the owner deletes, so
+//!   a lost response can duplicate an immutable object but never lose
+//!   it.
 //! * **The lease** — both ends record the delegation in the
 //!   [`crate::delegation`] ledger. The ring owner keeps the `out` entry
 //!   so `get`s routed to it answer with a one-hop `Moved` redirect; the

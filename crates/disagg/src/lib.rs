@@ -12,8 +12,6 @@
 //!   unchanged on top).
 //! * [`Cluster`] — one-call harness that launches an N-node simulated
 //!   deployment.
-//! * [`IdCache`] — the paper's future-work remote-identifier cache, in a
-//!   safe (pinning) and an unsafe (direct) variant.
 //! * [`delegation`] — the one ledger of what each store holds for or at
 //!   another (pins, staged creates, leases, replicas), and the one
 //!   exchange that reconciles it. Pins are the paper's deferred
@@ -52,7 +50,6 @@ pub mod delegation;
 pub mod elastic;
 pub mod fabric;
 pub mod health;
-pub mod idcache;
 pub mod proto;
 pub mod replicate;
 pub mod ring;
@@ -63,7 +60,6 @@ pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
 pub use elastic::{ElasticConfig, HeatMap};
 pub use fabric::MappedFabric;
 pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
-pub use idcache::{CacheMode, CachedEntry, IdCache};
 pub use replicate::ReplicationConfig;
 pub use ring::{Membership, Ring};
 pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
@@ -171,53 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn pinning_id_cache_reduces_rpc_fanout() {
-        let mut cfg = ClusterConfig::functional(4, 4 << 20);
-        cfg.id_cache = Some((CacheMode::Pinning, 1024));
-        let c = Cluster::launch(cfg).unwrap();
-        let producer = c.client(3).unwrap();
-        let consumer = c.client(0).unwrap();
-        let id = ObjectId::from_name("cached");
-        producer.put(id, b"warm", &[]).unwrap();
-
-        // Cold get: broadcast (up to 3 lookup RPCs, owner may come last).
-        let _ = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        let cold = c.store(0).disagg_stats().lookup_rpcs;
-        consumer.release(id).unwrap();
-
-        // Warm get: exactly one targeted RPC.
-        let _ = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        let warm = c.store(0).disagg_stats().lookup_rpcs - cold;
-        assert_eq!(warm, 1, "warm get should target the cached owner");
-        let (hits, _) = c.store(0).idcache_counters().unwrap();
-        assert!(hits >= 1);
-        consumer.release(id).unwrap();
-    }
-
-    #[test]
-    fn direct_id_cache_skips_rpc_but_does_not_pin() {
-        let mut cfg = ClusterConfig::functional(2, 4 << 20);
-        cfg.id_cache = Some((CacheMode::Direct, 1024));
-        let c = Cluster::launch(cfg).unwrap();
-        let producer = c.client(0).unwrap();
-        let consumer = c.client(1).unwrap();
-        let id = ObjectId::from_name("direct");
-        producer.put(id, b"zoom", &[]).unwrap();
-
-        let _ = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        consumer.release(id).unwrap();
-        let rpcs_after_cold = c.store(1).disagg_stats().lookup_rpcs;
-
-        let buf = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        assert_eq!(c.store(1).disagg_stats().lookup_rpcs, rpcs_after_cold);
-        assert_eq!(c.store(1).disagg_stats().direct_cache_reads, 1);
-        // No pin was taken — the hazard the paper warns about.
-        assert_eq!(c.store(0).remote_pin_count(), 0);
-        assert_eq!(buf.read_all().unwrap(), b"zoom");
-        consumer.release(id).unwrap();
-    }
-
-    #[test]
     fn rack_scale_all_pairs_share() {
         let c = Cluster::launch(ClusterConfig::functional(5, 4 << 20)).unwrap();
         let clients: Vec<_> = (0..5).map(|i| c.client(i).unwrap()).collect();
@@ -241,64 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_moves_object_and_flips_read_path() {
-        let c = two_nodes();
-        let producer = c.client(0).unwrap();
-        let consumer = c.client(1).unwrap();
-        let id = ObjectId::from_name(&c.owned_id(0, "hot-object"));
-        let payload = vec![0xC3; 64 << 10];
-        producer.put(id, &payload, b"hot-meta").unwrap();
-
-        // Before migration: consumer reads remotely.
-        let buf = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        assert_eq!(buf.data().path(), Path::Remote);
-        consumer.release(id).unwrap();
-
-        // Migrate to node 1's store.
-        let loc = c
-            .store(1)
-            .migrate_to_local(id, Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(loc.seg.owner, c.node_id(1));
-
-        // After migration: local path, data + metadata intact, owner copy
-        // gone.
-        let buf = consumer.get_one(id, Duration::from_secs(1)).unwrap();
-        assert_eq!(buf.data().path(), Path::Local);
-        assert_eq!(buf.read_all().unwrap(), payload);
-        assert_eq!(buf.metadata().read_all().unwrap(), b"hot-meta");
-        consumer.release(id).unwrap();
-        assert!(!c.store(0).core().contains(id));
-        // Idempotent: migrating again is a no-op.
-        let again = c
-            .store(1)
-            .migrate_to_local(id, Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(again.seg.owner, c.node_id(1));
-    }
-
-    #[test]
-    fn migration_aborts_cleanly_when_object_is_in_use() {
-        let c = two_nodes();
-        let producer = c.client(0).unwrap();
-        let id = ObjectId::from_name(&c.owned_id(0, "busy-object"));
-        producer.put(id, &[7; 1024], &[]).unwrap();
-        // A reader on node 0 pins the owner's copy.
-        let pin = producer.get_one(id, Duration::from_secs(1)).unwrap();
-
-        let err = c
-            .store(1)
-            .migrate_to_local(id, Duration::from_secs(5))
-            .unwrap_err();
-        assert_eq!(err, PlasmaError::ObjectInUse(id));
-        // Nothing changed: owner still serves it; node 1 has no copy.
-        assert!(c.store(0).core().contains(id));
-        assert!(!c.store(1).core().exists_any_state(id));
-        assert_eq!(pin.read_all().unwrap(), vec![7; 1024]);
-        producer.release(id).unwrap();
-    }
-
-    #[test]
     fn global_list_covers_all_nodes() {
         let c = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
         for i in 0..3 {
@@ -318,40 +209,6 @@ mod tests {
             .flat_map(|(_, e)| e.iter().map(|x| x.data_size))
             .sum();
         assert_eq!(total_bytes, 600);
-    }
-
-    #[test]
-    fn direct_cache_hazard_serves_stale_bytes_after_delete() {
-        // The corruption scenario the paper warns about for unmanaged
-        // caching: a Direct-mode cache keeps serving a location after the
-        // owner deleted the object and reused its memory.
-        let mut cfg = ClusterConfig::functional(2, 1 << 20);
-        cfg.id_cache = Some((CacheMode::Direct, 64));
-        let c = Cluster::launch(cfg).unwrap();
-        let producer = c.client(0).unwrap();
-        let consumer = c.client(1).unwrap();
-
-        let victim = ObjectId::from_name(&c.owned_id(0, "victim"));
-        producer.put(victim, &[0xAA; 1000], &[]).unwrap();
-        // Warm the consumer's direct cache.
-        let buf = consumer.get_one(victim, Duration::from_secs(1)).unwrap();
-        assert!(buf.read_all().unwrap().iter().all(|&b| b == 0xAA));
-        consumer.release(victim).unwrap();
-
-        // Owner deletes the object and a new object reuses the region.
-        producer.delete(victim).unwrap();
-        let squatter = ObjectId::from_name(&c.owned_id(0, "squatter"));
-        producer.put(squatter, &[0xBB; 1000], &[]).unwrap();
-
-        // The consumer's cached get still "succeeds" — and reads the
-        // squatter's bytes. No pin, no validation: silent corruption.
-        let stale = consumer.get_one(victim, Duration::from_secs(1)).unwrap();
-        let bytes = stale.read_all().unwrap();
-        assert!(
-            bytes.iter().all(|&b| b == 0xBB),
-            "direct cache must expose the reused memory (the documented hazard)"
-        );
-        assert_eq!(c.store(1).disagg_stats().direct_cache_reads, 1);
     }
 
     #[test]

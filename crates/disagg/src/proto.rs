@@ -175,8 +175,8 @@ pub struct GetManyReq {
     /// Requester's membership epoch (0 = none installed); piggybacked so
     /// the responder can detect a stale table and pull the newer one.
     pub epoch: u64,
-    /// The requester is following a location it was handed — a `Moved`
-    /// redirect or an id-cache hit. Borrowed replicas (bytes held for
+    /// The requester is following a location it was handed by a `Moved`
+    /// redirect. Borrowed replicas (bytes held for
     /// another node's ledger) answer only these requests: an ordinary
     /// broadcast must not observe them, or a replica duplicated by an
     /// ambiguous spill could serve reads its owner's delete never
@@ -229,8 +229,7 @@ pub enum GetManyStatus {
     NotFound = 1,
     /// The responder is the id's ring owner but lent the object to a
     /// peer (elastic spill); `moved_to` names the holder. The requester
-    /// should re-issue the get there (one-hop redirect) and cache the
-    /// holder in its id cache on hit.
+    /// should re-issue the get there (one-hop redirect).
     Moved = 2,
 }
 

@@ -12,7 +12,7 @@
 //! interconnect requests/responses; a node that observes a newer epoch
 //! pulls the full table with the `MEMBERSHIP` verb. While epochs disagree
 //! (a membership change in flight), or when the computed owner does not
-//! hold an id (e.g. it was migrated off-ring), gets fall back to a
+//! hold an id (e.g. an earlier epoch placed it elsewhere), gets fall back to a
 //! `GET_MANY` broadcast — the ring is a router, never an oracle about
 //! where bytes actually live.
 

@@ -20,13 +20,12 @@
 //! client directly through the disaggregated fabric — never copied over
 //! the network. A `GET_MANY` broadcast remains as the get-side fallback:
 //! when no membership is installed, when the computed owner does not
-//! hold the id (it may have been migrated off-ring), or while membership
-//! epochs disagree mid-change. Ring routing outcomes are surfaced as the
-//! `disagg.ring.hit` / `disagg.ring.fallback` counters. Remote lookups
-//! are batched: every id a single peer must answer for travels in one
-//! `GET_MANY` round trip (see [`DisaggStore::batch_get`]), and an
-//! optional [`IdCache`] accelerates repeat lookups.
-
+//! hold the id (an epoch change left it on its previous owner), or
+//! while membership epochs disagree mid-change. Ring routing outcomes
+//! are surfaced as the `disagg.ring.hit` / `disagg.ring.fallback`
+//! counters. Remote lookups are batched: every id a single peer must
+//! answer for travels in one `GET_MANY` round trip (see
+//! [`DisaggStore::batch_get`]).
 //!
 //! This file holds the store's state and its client-facing surface (the
 //! [`ObjectStore`] impl, the delegation dump and reconcile sweep); the
@@ -44,7 +43,6 @@ use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, 
 use crate::elastic::{ElasticConfig, HeatMap};
 use crate::fabric::MappedFabric;
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
-use crate::idcache::{CacheMode, IdCache};
 use crate::proto::{method, BoolResp, ReconcileReq, ReconcileResp, ReleaseReq};
 use crate::replicate::ReplicationConfig;
 use crate::ring::Ring;
@@ -86,8 +84,6 @@ pub struct DisaggCounters {
     pub remote_found: AtomicU64,
     /// Releases forwarded to owning peers.
     pub releases_forwarded: AtomicU64,
-    /// Gets served from the Direct-mode id cache (no RPC, no pin).
-    pub direct_cache_reads: AtomicU64,
     /// Ids resolved point-to-point at their computed ring owner.
     pub ring_hits: AtomicU64,
     /// Ids the ring could not settle (owner miss, owner unreachable, or
@@ -104,8 +100,6 @@ pub struct DisaggStats {
     pub remote_found: u64,
     /// Releases forwarded to owning peers.
     pub releases_forwarded: u64,
-    /// Gets served from the Direct-mode id cache (no RPC, no pin).
-    pub direct_cache_reads: u64,
     /// Ids resolved point-to-point at their computed ring owner.
     pub ring_hits: u64,
     /// Ids that fell back from ring routing to the lookup broadcast.
@@ -138,8 +132,6 @@ impl Default for InterconnectConfig {
 /// Configuration of the distributed layer.
 #[derive(Debug, Clone, Default)]
 pub struct DisaggConfig {
-    /// Optional remote-id cache.
-    pub id_cache: Option<(CacheMode, usize)>,
     /// Interconnect fault tolerance (deadlines, retries, peer health).
     pub interconnect: InterconnectConfig,
     /// Elastic capacity tier: spill watermarks, lender headroom,
@@ -162,7 +154,7 @@ struct DisaggMetrics {
     get_miss: Arc<Histogram>,
     /// End-to-end `create` latency (ring routing + allocate at the owner).
     create: Arc<Histogram>,
-    /// Latency of one remote-lookup round (cache consults + fan-out).
+    /// Latency of one remote-lookup round (ring phase + fan-out).
     lookup_fanout: Arc<Histogram>,
     /// Ids carried per GET_MANY RPC issued to a peer — the batching
     /// factor of the multi-get hot path (1 = degenerated to unary).
@@ -171,16 +163,11 @@ struct DisaggMetrics {
     ring_hit: Arc<Counter>,
     /// Ids that fell back from ring routing to the lookup broadcast.
     ring_fallback: Arc<Counter>,
-    idcache_hits: Arc<Counter>,
-    idcache_misses: Arc<Counter>,
     /// Interconnect call retries (attempts after the first).
     peer_retries: Arc<Counter>,
     /// Parked RELEASEs awaiting an unreachable peer (current backlog:
     /// the ledger's closing pins).
     pending_releases: Arc<Gauge>,
-    migrations_completed: Arc<Counter>,
-    migrations_aborted_in_use: Arc<Counter>,
-    migrations_failed: Arc<Counter>,
     /// Spills acknowledged by a lender (delegations created).
     spills_completed: Arc<Counter>,
     /// Spill attempts a lender refused (its own pressure) or that failed.
@@ -227,13 +214,8 @@ impl DisaggMetrics {
             get_many_batch: registry.histogram("disagg.get_many.batch_size"),
             ring_hit: registry.counter("disagg.ring.hit"),
             ring_fallback: registry.counter("disagg.ring.fallback"),
-            idcache_hits: registry.counter("disagg.idcache.hits"),
-            idcache_misses: registry.counter("disagg.idcache.misses"),
             peer_retries: registry.counter("disagg.peer.retries"),
             pending_releases: registry.gauge("disagg.pending_releases"),
-            migrations_completed: registry.counter("disagg.migrations.completed"),
-            migrations_aborted_in_use: registry.counter("disagg.migrations.aborted_in_use"),
-            migrations_failed: registry.counter("disagg.migrations.failed"),
             spills_completed: registry.counter("disagg.elastic.spills"),
             spills_refused: registry.counter("disagg.elastic.spills_refused"),
             rebalances: registry.counter("disagg.elastic.rebalances"),
@@ -257,7 +239,6 @@ struct Inner {
     core: StoreCore,
     node: NodeId,
     peers: RwLock<Vec<Peer>>,
-    idcache: Option<IdCache>,
     /// The rendezvous placement ring (`None` until a membership table is
     /// installed: peerless and hand-built stores).
     ring: RwLock<Option<Ring>>,
@@ -310,7 +291,6 @@ impl DisaggStore {
                 core,
                 node,
                 peers: RwLock::new(Vec::new()),
-                idcache: config.id_cache.map(|(mode, cap)| IdCache::new(mode, cap)),
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
                 heat: HeatMap::new(),
@@ -356,7 +336,6 @@ impl DisaggStore {
             lookup_rpcs: c.lookup_rpcs.load(Ordering::Relaxed),
             remote_found: c.remote_found.load(Ordering::Relaxed),
             releases_forwarded: c.releases_forwarded.load(Ordering::Relaxed),
-            direct_cache_reads: c.direct_cache_reads.load(Ordering::Relaxed),
             ring_hits: c.ring_hits.load(Ordering::Relaxed),
             ring_fallbacks: c.ring_fallbacks.load(Ordering::Relaxed),
         }
@@ -865,12 +844,6 @@ impl ObjectStore for DisaggStore {
                 Err(e) => Err(e),
             };
         }
-        // Direct-mode cache reads hold no reference: release is a no-op.
-        if let Some(cache) = &self.inner.idcache {
-            if cache.mode() == CacheMode::Direct && cache.lookup(id).is_some() {
-                return Ok(());
-            }
-        }
         if phantom {
             return Ok(());
         }
@@ -920,11 +893,9 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idcache::CachedEntry;
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
-    use rpclite::{RpcClient, StatusCode};
-    use std::collections::HashMap;
+    use rpclite::StatusCode;
 
     /// The dispatch and the verb table agree: every id in `VERBS` has a
     /// handler (an empty body may be rejected, but never as
@@ -947,74 +918,5 @@ mod tests {
         for (id, was) in method::RETIRED.iter().chain([&past_max]) {
             assert!(unimplemented(*id), "{was} ({id}) must be unimplemented");
         }
-    }
-
-    /// Regression for the ambiguous-owner cache race: when two peers both
-    /// answer a lookup for the same id, the duplicate pin is released back
-    /// to the loser — and the id cache must end up pointing at the
-    /// *ledgered winner*, even if a concurrent pass cached the loser
-    /// between the winner's insert and the duplicate's absorption. Before
-    /// the realign, the released loser entry survived in the cache and
-    /// misrouted (or, in Direct mode, corrupted) every repeat get.
-    #[test]
-    fn duplicate_absorb_realigns_cache_to_ledgered_winner() {
-        let fabric = tfsim::Fabric::virtual_thymesisflow();
-        let nodes: Vec<NodeId> = (0..3).map(|_| fabric.register_node()).collect();
-        let mk_core = |node, name: &str| {
-            StoreCore::new(&fabric, node, StoreConfig::new(name, 1 << 20)).unwrap()
-        };
-        let observer = DisaggStore::new(
-            mk_core(nodes[0], "observer"),
-            DisaggConfig {
-                id_cache: Some((CacheMode::Pinning, 64)),
-                ..DisaggConfig::default()
-            },
-        );
-        let winner_core = mk_core(nodes[1], "winner");
-        let loser_core = mk_core(nodes[2], "loser");
-
-        // Dual-copy state (what a migration race leaves behind): both
-        // peers hold the id sealed, at different fabric locations.
-        let id = ObjectId::from_name("dup");
-        let mut locs = Vec::new();
-        for core in [&winner_core, &loser_core] {
-            core.create(id, 64, 0).unwrap();
-            core.seal(id).unwrap();
-            core.release(id).unwrap();
-            locs.push(core.peek(id).unwrap());
-        }
-
-        // A stub interconnect that accepts the duplicate's release.
-        let hub = ipc::InprocHub::new();
-        let svc =
-            Arc::new(|_m: u32, _b: Bytes| -> Result<Bytes, rpclite::Status> { Ok(Bytes::new()) });
-        let _srv = rpclite::serve(Box::new(hub.bind("stub").unwrap()), svc);
-        let peer = |node, name: &str| Peer {
-            node,
-            name: name.into(),
-            client: Arc::new(RpcClient::new(Box::new(hub.connect("stub").unwrap()))),
-        };
-        let winner = peer(nodes[1], "winner");
-        let loser = peer(nodes[2], "loser");
-
-        let mut found = HashMap::new();
-        observer.absorb_lookup(&winner, vec![locs[0]], &mut found);
-
-        // The interleaving under test: a concurrent targeted pass caches
-        // the loser *after* the winner's answer was absorbed...
-        let cache = observer.inner.idcache.as_ref().unwrap();
-        cache.insert(CachedEntry {
-            location: locs[1],
-            peer: nodes[2],
-        });
-        assert_eq!(cache.lookup(id).unwrap().peer, nodes[2]);
-
-        // ...then the duplicate answer arrives: its pin goes back to the
-        // loser and the stale cache entry is realigned to the winner.
-        observer.absorb_lookup(&loser, vec![locs[1]], &mut found);
-        let entry = cache.lookup(id).expect("entry must survive realign");
-        assert_eq!(entry.peer, nodes[1], "cache must point at the winner");
-        assert_eq!(entry.location.seg.owner, nodes[1]);
-        assert_eq!(found[&id].seg.owner, nodes[1], "winner's answer stands");
     }
 }

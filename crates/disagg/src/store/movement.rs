@@ -1,7 +1,7 @@
 //! Moving objects between nodes: payload reads and writes over the data
 //! plane, delegating a copy to a peer (spill = `Lease`, replicate =
-//! `Replica`) and adopting one, retiring delegated copies when their
-//! object dies, and migration.
+//! `Replica`) and adopting one, and retiring delegated copies when their
+//! object dies.
 
 use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard, StagedCreateGuard};
@@ -211,7 +211,6 @@ impl DisaggStore {
                 // deferred — concurrent local readers (and remote pins)
                 // drain first.
                 let _ = inner.core.delete_deferred(id);
-                self.forget_cached(id);
                 inner.heat.clear(id);
                 m.spills_completed.inc();
             }
@@ -433,7 +432,6 @@ impl DisaggStore {
         let ledger = &self.inner.ledger;
         ledger.remove(Side::Out, id, Kind::Lease, Some(holder));
         self.sync_delegation_gauges();
-        self.forget_cached(id);
         Ok(())
     }
 
@@ -511,7 +509,6 @@ impl DisaggStore {
         for peer in self.peers_owner_first(id) {
             match self.peer_call(&peer, verb, IdReq { id }.encode()) {
                 Ok(body) => {
-                    self.forget_cached(id);
                     if !deferred {
                         return Ok(true);
                     }
@@ -527,114 +524,5 @@ impl DisaggStore {
             }
         }
         Err(unreachable.unwrap_or(PlasmaError::ObjectNotFound(id)))
-    }
-
-    /// Migrate a remote object into this node's local store (locality
-    /// optimization: subsequent reads take the local path). The object is
-    /// copied over the fabric while pinned, the owner's copy is deleted,
-    /// and the local copy is sealed under the same id. Objects are
-    /// immutable, so the brief window in which both copies exist is
-    /// harmless; if another client still holds the owner's copy, migration
-    /// aborts with [`PlasmaError::ObjectInUse`] and nothing changes.
-    pub fn migrate_to_local(
-        &self,
-        id: ObjectId,
-        timeout: Duration,
-    ) -> Result<ObjectLocation, PlasmaError> {
-        let result = self.migrate_inner(id, timeout);
-        let m = &self.inner.metrics;
-        match &result {
-            Ok(_) => m.migrations_completed.inc(),
-            Err(PlasmaError::ObjectInUse(_)) => m.migrations_aborted_in_use.inc(),
-            Err(_) => m.migrations_failed.inc(),
-        }
-        result
-    }
-
-    fn migrate_inner(
-        &self,
-        id: ObjectId,
-        timeout: Duration,
-    ) -> Result<ObjectLocation, PlasmaError> {
-        if let Some(loc) = self.inner.core.peek(id) {
-            return Ok(loc); // already local
-        }
-        // Pinning lookup so the owner cannot evict mid-copy. The guard
-        // releases the pin on every early exit below — without it, a
-        // failed migration left the owner's copy pinned forever
-        // (unevictable, undeletable).
-        let found = ObjectStore::get(self, &[id], timeout)?;
-        let Some(remote_loc) = found[0] else {
-            return Err(PlasmaError::Timeout);
-        };
-        let pin = RemotePinGuard::new(self, id);
-        if remote_loc.seg.owner == self.inner.node {
-            // Sealed locally while we were looking: nothing to migrate.
-            pin.release()?;
-            return self
-                .inner
-                .core
-                .peek(id)
-                .ok_or(PlasmaError::ObjectNotFound(id));
-        }
-        let owner = remote_loc.seg.owner;
-
-        // Copy the (immutable) bytes through the data plane.
-        let bytes = self.inner.data_plane.pull(&remote_loc)?;
-
-        // Stage the local copy straight in the core (bypassing ring
-        // routing: the id is legitimately owned by the cluster already).
-        // Aborted on any failure before seal.
-        let local_loc =
-            self.inner
-                .core
-                .create(id, remote_loc.data_size, remote_loc.metadata_size)?;
-        let staged = StagedCreateGuard::new(self, id);
-        let local_map = self.inner.core.mapping_for(&local_loc)?;
-        local_map.write_at(local_loc.offset, &bytes)?;
-
-        // Drop our pin before sealing: once the copy is sealed under this
-        // id, the ledger must no longer carry the pin or local releases
-        // would be misrouted to the old owner. A failed RELEASE aborts the
-        // staged copy — the owner's copy is untouched, nothing is lost.
-        pin.release()?;
-
-        // Seal the local copy *before* asking the owner to delete. From
-        // here this node serves the object, so an ambiguous DELETE outcome
-        // (executed on the owner, response lost) can no longer destroy the
-        // only surviving copy.
-        let loc = self.inner.core.seal(id)?;
-        staged.disarm();
-        self.inner.core.release(id)?; // migration's creator reference
-        self.forget_cached(id);
-
-        // Ask the owner to delete its copy — best effort, never at the
-        // expense of the sealed local copy.
-        let Ok(peer) = self.peer(owner) else {
-            return Ok(loc);
-        };
-        match self.peer_call(&peer, method::DELETE, IdReq { id }.encode()) {
-            // A `NotFound` means the owner's copy is already gone: a
-            // retried DELETE whose first attempt executed (response
-            // lost) reports it, and so does an owner that evicted once
-            // our pin dropped.
-            Ok(_) => {}
-            Err(fail) if fail.status() == Some(StatusCode::FailedPrecondition) => {
-                // Another client still reads the owner's copy: undo the
-                // migration (contract: nothing changes). Best effort — if
-                // a reader raced onto our local copy it stays, and the two
-                // immutable copies coexist safely.
-                let _ = self.inner.core.delete(id);
-                return Err(PlasmaError::ObjectInUse(id));
-            }
-            Err(_) => {
-                // Ambiguous or failed outcome: the owner may or may not
-                // have deleted. The sealed local copy is authoritative
-                // either way; a surviving owner copy lingers as immutable
-                // garbage until deleted or evicted. Never abort the local
-                // copy here — it may be the only one left.
-            }
-        }
-        Ok(loc)
     }
 }

@@ -147,7 +147,7 @@ impl DisaggStore {
                     return Err(PeerFail::Rpc(RpcError::Status(s)));
                 }
                 Err(e) if e.is_retryable() => {
-                    let state = self.note_peer_failure(peer.node);
+                    let state = inner.health.record_failure(peer.node);
                     attempts_left -= 1;
                     if attempts_left == 0 || state == PeerState::Down {
                         return Err(PeerFail::Unreachable(format!(
@@ -166,27 +166,11 @@ impl DisaggStore {
                 Err(e) => {
                     // Protocol violation: a response arrived, but the
                     // connection is now suspect.
-                    self.note_peer_failure(peer.node);
+                    inner.health.record_failure(peer.node);
                     return Err(PeerFail::Rpc(e));
                 }
             }
         }
-    }
-
-    /// Record a call failure against `node`, and — on the exact failure
-    /// that completes an Up→Down transition — drop every id-cache hint
-    /// pointing at it. A cached hint for a dead peer would otherwise
-    /// steer each repeat `get` into a full call deadline before the
-    /// broadcast fallback ran.
-    fn note_peer_failure(&self, node: NodeId) -> PeerState {
-        let was_down = self.inner.health.state(node) == PeerState::Down;
-        let state = self.inner.health.record_failure(node);
-        if state == PeerState::Down && !was_down {
-            if let Some(cache) = &self.inner.idcache {
-                cache.invalidate_peer(node);
-            }
-        }
-        state
     }
 
     /// Retry the RELEASEs parked for `peer` (closing pins in the

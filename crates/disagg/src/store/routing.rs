@@ -1,12 +1,11 @@
 //! Finding the node that answers for an id: the membership table and
-//! the ring built on it, the remote lookup pass (id cache → ring owner →
-//! `Moved` redirect → broadcast fallback), and the ring-routed create —
-//! both the requester's half and the owner's.
+//! the ring built on it, the remote lookup pass (ring owner → `Moved`
+//! redirect → broadcast fallback), and the ring-routed create — both the
+//! requester's half and the owner's.
 
 use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
-use crate::idcache::{CacheMode, CachedEntry};
 use crate::proto::{
     method, BoolResp, CreateAtReq, CreateAtResp, CreateAtStatus, ForwardReq, GetManyEntry,
     GetManyReq, GetManyResp, GetManyStatus, IdReq, MembershipResp, ReleaseReq,
@@ -107,24 +106,6 @@ impl DisaggStore {
         self.inner.metrics.ring_fallback.add(n);
     }
 
-    /// Remote-id-cache counters, if a cache is configured: (hits, misses).
-    pub fn idcache_counters(&self) -> Option<(u64, u64)> {
-        self.inner.idcache.as_ref().map(|c| c.counters())
-    }
-
-    /// Number of entries currently in the remote-id cache, if one is
-    /// configured. Tests use this to observe invalidation (e.g. the
-    /// Up→Down transition dropping every hint at a dead peer).
-    pub fn idcache_len(&self) -> Option<usize> {
-        self.inner.idcache.as_ref().map(|c| c.len())
-    }
-
-    pub(super) fn forget_cached(&self, id: ObjectId) {
-        if let Some(cache) = &self.inner.idcache {
-            cache.invalidate(id);
-        }
-    }
-
     /// Peers with the ring's computed owner of `id` moved to the front,
     /// so serial forwarding loops probe the likeliest holder first.
     pub(super) fn peers_owner_first(&self, id: ObjectId) -> Vec<Peer> {
@@ -163,8 +144,8 @@ impl DisaggStore {
                 .map_err(|e| PlasmaError::Protocol(format!("contains response: {e}")))
         };
         // Ring phase: a positive answer settles it; a negative one falls
-        // back to the broadcast below, because migration can move
-        // objects off-ring.
+        // back to the broadcast below, because an epoch change can leave
+        // objects behind on their previous owner.
         let ring_owner = self
             .ring_owner(id)
             .filter(|&owner| owner != self.inner.node);
@@ -215,12 +196,12 @@ impl DisaggStore {
         ObjectStore::get(self, ids, timeout)
     }
 
-    /// One remote-lookup round for the `None` slots of `out`: consult the
-    /// id cache (targeted `GET_MANY` batches or direct reads), then
-    /// broadcast a batched `GET_MANY` to peers for the rest — in
-    /// parallel. Unreachable peers contribute nothing; their objects
-    /// simply stay unresolved this round, so a dead peer degrades `get`
-    /// to a miss instead of an error.
+    /// One remote-lookup round for the `None` slots of `out`: ask each
+    /// id's ring owner with one batched `GET_MANY` (following `Moved`
+    /// redirects), then broadcast a batched `GET_MANY` to peers for the
+    /// rest — in parallel. Unreachable peers contribute nothing; their
+    /// objects simply stay unresolved this round, so a dead peer degrades
+    /// `get` to a miss instead of an error.
     pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [Option<ObjectLocation>]) {
         let mut missing: Vec<ObjectId> = ids
             .iter()
@@ -234,74 +215,19 @@ impl DisaggStore {
         let pass_started = Instant::now();
         let mut found: HashMap<ObjectId, ObjectLocation> = HashMap::new();
 
-        // Consult the id cache first.
-        if let Some(cache) = &self.inner.idcache {
-            let mut targeted: HashMap<u16, Vec<ObjectId>> = HashMap::new();
-            missing.retain(|id| match cache.lookup(*id) {
-                Some(entry) if cache.mode() == CacheMode::Direct => {
-                    // Direct mode: trust the cached location outright — no
-                    // RPC, no pin (the paper's corruption hazard).
-                    self.inner.metrics.idcache_hits.inc();
-                    self.inner
-                        .counters
-                        .direct_cache_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    found.insert(*id, entry.location);
-                    false
-                }
-                Some(entry) => {
-                    self.inner.metrics.idcache_hits.inc();
-                    targeted.entry(entry.peer.0).or_default().push(*id);
-                    false
-                }
-                None => {
-                    self.inner.metrics.idcache_misses.inc();
-                    true
-                }
-            });
-            let peers = self.peers_snapshot();
-            for (peer_node, ids) in targeted {
-                match peers.iter().find(|p| p.node.0 == peer_node) {
-                    Some(peer) => match self.get_many_rpc(peer, &ids, true) {
-                        Ok(resp) => {
-                            self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
-                            self.follow_redirects(&resp, &mut found);
-                            // Cache pointed at a peer that no longer has
-                            // some ids: invalidate and re-broadcast those.
-                            for id in ids {
-                                if !found.contains_key(&id) {
-                                    cache.invalidate(id);
-                                    missing.push(id);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // Peer unreachable: it may still own the
-                            // objects, so keep the cache entries and let
-                            // the broadcast ask the others.
-                            missing.extend(ids);
-                        }
-                    },
-                    None => missing.extend(ids),
-                }
-            }
-        }
-
-        // Ring-targeted phase: resolve each still-missing id's rendezvous
-        // owner locally (zero RPCs) and ask exactly that peer. Ids the
-        // owner does not hold — migrated off-ring, not yet created, or
-        // the owner is unreachable — fall through to the broadcast, as do
-        // ids this node owns itself (the local pass already missed them,
-        // so if they exist at all they live off-ring).
+        // Ring-targeted phase: resolve each missing id's rendezvous owner
+        // locally (zero RPCs) and ask exactly that peer. Ids the owner
+        // does not hold — stranded on a previous epoch's owner, not yet
+        // created, or the owner is unreachable — fall through to the
+        // broadcast, as do ids this node owns itself (the local pass
+        // already missed them, so if they exist at all they live
+        // off-ring).
         let ring = self.inner.ring.read().clone();
         if let Some(ring) = ring {
             let mut by_owner: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
             let mut fallback: Vec<ObjectId> = Vec::new();
             let mut lent: Vec<(ObjectId, NodeId)> = Vec::new();
             for id in missing.drain(..) {
-                if found.contains_key(&id) {
-                    continue;
-                }
                 match ring.owner_of(id) {
                     Some(owner) if owner != self.inner.node => {
                         by_owner.entry(owner).or_default().push(id);
@@ -411,9 +337,7 @@ impl DisaggStore {
     /// Chase the `Moved` entries of one GET_MANY response: a ring owner
     /// that spilled an id answers with the holder's address, and this
     /// follow-up asks the holder directly — one extra hop, batched per
-    /// holder. Absorbing the holder's answer also inserts it into the id
-    /// cache, so the redirect is paid once; repeat gets go straight to
-    /// the holder.
+    /// holder.
     fn follow_redirects(&self, resp: &GetManyResp, found: &mut HashMap<ObjectId, ObjectLocation>) {
         let mut by_holder: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
         for (id, holder) in resp.moved() {
@@ -485,9 +409,9 @@ impl DisaggStore {
 
     /// Fold the locations one peer returned (with pins taken on our
     /// behalf) into `found`, ledgering each pin under that peer — the
-    /// owner that actually took it: if the object moved between lookups
-    /// (migration race), a pin on the new owner must not be merged into,
-    /// and later "released" against, the stale owner's count. If two
+    /// owner that actually took it: if the object moved between lookups,
+    /// a pin on the new owner must not be merged into, and later
+    /// "released" against, the stale owner's count. If two
     /// peers answered for the same id, the first absorbed pin wins and
     /// the duplicate is released back to the losing peer. The *same*
     /// peer answering an id twice is not a race but a batch that
@@ -508,35 +432,14 @@ impl DisaggStore {
                     .remote_found
                     .fetch_add(1, Ordering::Relaxed);
                 ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
-                if let Some(cache) = &self.inner.idcache {
-                    cache.insert(CachedEntry {
-                        location: loc,
-                        peer: peer.node,
-                    });
-                }
                 found.insert(loc.id, loc);
                 continue;
             };
             // A location names the node whose segment holds the bytes,
             // which is the node that answered with it.
-            let winner = winner_loc.seg.owner;
-            if winner == peer.node {
+            if winner_loc.seg.owner == peer.node {
                 ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
                 continue;
-            }
-            // The losing answer must not survive in the id cache: a
-            // concurrent pass may have cached this peer between our
-            // winner's insert and now, and a stale hint at the loser
-            // misroutes (and, in Direct mode, corrupts) every repeat get
-            // once its pin is released below. Repoint at the ledgered
-            // winner atomically — `realign` leaves any fresher
-            // third-party entry alone.
-            if let Some(cache) = &self.inner.idcache {
-                let entry = CachedEntry {
-                    location: winner_loc,
-                    peer: winner,
-                };
-                cache.realign(loc.id, peer.node, entry);
             }
             let req = ReleaseReq {
                 requester: self.inner.node,

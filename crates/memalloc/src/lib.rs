@@ -18,8 +18,8 @@
 //!   for the dlmalloc baseline the paper removed.
 //! * [`Slab`] — size-class slabs over segment arenas tuned to the Table I
 //!   object-size distribution: O(1) allocation from per-class free-slot
-//!   lists, oversize requests falling through to first-fit (the store's
-//!   concurrent hot-path allocator; see `slab.rs`).
+//!   lists, oversize requests falling through to first-fit (the
+//!   allocator the store runs; see `slab.rs`).
 //!
 //! All allocators implement [`RegionAllocator`], operate on offsets into a
 //! caller-owned region (they never touch memory themselves), coalesce
@@ -99,12 +99,6 @@ pub trait RegionAllocator: Send {
 
     /// Current statistics.
     fn stats(&self) -> AllocStats;
-
-    /// Per-size-class occupancy, for allocators that segregate by class.
-    /// Empty for allocators without classes.
-    fn class_stats(&self) -> Vec<ClassOccupancy> {
-        Vec::new()
-    }
 
     /// Short human-readable allocator name (for benchmark tables).
     fn name(&self) -> &'static str;

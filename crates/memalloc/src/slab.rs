@@ -75,9 +75,16 @@ struct SlabMeta {
 struct ClassState {
     slabs: HashMap<u64, SlabMeta>,
     partial: BTreeSet<u64>,
-    /// Requested bytes across the class's live slots (kept incrementally
-    /// so occupancy reporting is O(classes), not O(live allocations)).
+    /// Requested bytes across the class's live slots. This and the two
+    /// figures below are kept incrementally so occupancy reporting is
+    /// O(classes): the store reads it under its alloc lock on every
+    /// create and delete.
     live_bytes: u64,
+    /// Extent bytes across the class's slabs (`carve` adds, retire
+    /// subtracts).
+    held_bytes: u64,
+    /// Live slots across the class's slabs.
+    live_slots: u64,
 }
 
 /// Where a live allocation's bytes came from.
@@ -143,6 +150,7 @@ impl Slab {
                         },
                     );
                     self.classes[class].partial.insert(off);
+                    self.classes[class].held_bytes += slots * slot;
                     return Some(off);
                 }
                 Err(_) if slots > 1 => slots /= 2,
@@ -156,18 +164,13 @@ impl Slab {
         SIZE_CLASSES
             .iter()
             .zip(&self.classes)
-            .map(|(&class_size, st)| {
-                let held_bytes: u64 = st.slabs.values().map(|s| s.bytes).sum();
-                let live_slots: u64 = st.slabs.values().map(|s| s.live).sum();
-                let live_bytes = st.live_bytes;
-                ClassOccupancy {
-                    class_size,
-                    slabs: st.slabs.len() as u64,
-                    total_slots: held_bytes / class_size,
-                    live_slots,
-                    live_bytes,
-                    held_bytes,
-                }
+            .map(|(&class_size, st)| ClassOccupancy {
+                class_size,
+                slabs: st.slabs.len() as u64,
+                total_slots: st.held_bytes / class_size,
+                live_slots: st.live_slots,
+                live_bytes: st.live_bytes,
+                held_bytes: st.held_bytes,
             })
             .collect()
     }
@@ -198,6 +201,7 @@ impl RegionAllocator for Slab {
                     self.classes[class].partial.remove(&slab_off);
                 }
                 self.classes[class].live_bytes += size;
+                self.classes[class].live_slots += 1;
                 self.live.insert(
                     off,
                     LiveAlloc {
@@ -245,13 +249,15 @@ impl RegionAllocator for Slab {
             LiveKind::Class { class, slab_off } => {
                 let st = &mut self.classes[class];
                 st.live_bytes -= alloc.size;
+                st.live_slots -= 1;
                 let slab = st.slabs.get_mut(&slab_off).expect("slab of a live slot");
                 slab.free.push(offset);
                 slab.live -= 1;
                 if slab.live == 0 {
                     // Retire: the whole extent goes back (and coalesces)
                     // so any class — or an oversize request — can reuse it.
-                    st.slabs.remove(&slab_off);
+                    let retired = st.slabs.remove(&slab_off).expect("just looked up");
+                    st.held_bytes -= retired.bytes;
                     st.partial.remove(&slab_off);
                     self.extents
                         .free(slab_off)
@@ -280,10 +286,6 @@ impl RegionAllocator for Slab {
         let ext = self.extents.stats();
         self.stats
             .render(ext.capacity, ext.free_regions, ext.largest_free)
-    }
-
-    fn class_stats(&self) -> Vec<ClassOccupancy> {
-        self.occupancy()
     }
 
     fn name(&self) -> &'static str {
@@ -398,6 +400,43 @@ mod tests {
         // Retired: the region is whole again for any request shape.
         let all = a.alloc_aligned(4_096, 1).unwrap();
         a.free(all).unwrap();
+    }
+
+    #[test]
+    fn incremental_occupancy_equals_full_recount() {
+        use crate::trace::SplitMix64;
+        // Small enough that carves degrade and slabs retire along the way.
+        let mut a = Slab::new(2 << 20);
+        let mut rng = SplitMix64(0x51AB);
+        let mut live: Vec<u64> = Vec::new();
+        for step in 0..4_000 {
+            if live.is_empty() || rng.below(5) < 3 {
+                let class = SIZE_CLASSES[rng.below(14) as usize];
+                let size = 1 + rng.below(class);
+                if let Ok(off) = a.alloc(size) {
+                    live.push(off);
+                }
+            } else {
+                let i = rng.below(live.len() as u64) as usize;
+                a.free(live.swap_remove(i)).unwrap();
+            }
+            if step % 97 != 0 {
+                continue;
+            }
+            for (occ, st) in a.occupancy().iter().zip(&a.classes) {
+                let held: u64 = st.slabs.values().map(|s| s.bytes).sum();
+                let slots: u64 = st.slabs.values().map(|s| s.live).sum();
+                assert_eq!(occ.held_bytes, held, "class {}", occ.class_size);
+                assert_eq!(occ.live_slots, slots, "class {}", occ.class_size);
+            }
+        }
+        for off in live {
+            a.free(off).unwrap();
+        }
+        assert!(a
+            .occupancy()
+            .iter()
+            .all(|c| c.held_bytes == 0 && c.live_slots == 0 && c.live_bytes == 0));
     }
 
     #[test]

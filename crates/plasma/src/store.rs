@@ -3,7 +3,7 @@
 //! A [`StoreCore`] is "a memory bookkeeping service for Plasma data
 //! objects" (paper §IV-A1): it owns a region of *disaggregated* memory
 //! (donated into the fabric at construction), allocates object buffers in
-//! it with a pluggable [`RegionAllocator`], and tracks object lifecycle —
+//! it with the size-class [`Slab`] allocator, and tracks object lifecycle —
 //! create → write (by the creator, directly through the fabric) → seal →
 //! get/release → delete or evict.
 //!
@@ -48,7 +48,7 @@ use crate::id::ObjectId;
 use crate::lru::LruIndex;
 use crate::object::{ObjectEntry, ObjectInfo, ObjectLocation, ObjectState};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use memalloc::{Buddy, DlSeg, FirstFit, RegionAllocator, SizeMap, Slab, SIZE_CLASSES};
+use memalloc::{RegionAllocator, Slab, SIZE_CLASSES};
 use obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -59,40 +59,6 @@ use tfsim::{Fabric, Mapping, NodeId, SegKey};
 
 /// Default number of object-table shards.
 pub const DEFAULT_SHARDS: usize = 16;
-
-/// Which allocator manages the store's region (ablation experiment A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocatorKind {
-    /// The paper's literal description: first fitting region in address
-    /// order.
-    FirstFit,
-    /// The paper's stated data structure: size-ordered map, best fit,
-    /// `O(log n)`.
-    #[default]
-    SizeMap,
-    /// dlmalloc-style segregated bins (the baseline Plasma originally
-    /// used).
-    DlSeg,
-    /// Binary buddy allocator (power-of-two blocks, O(log n) everything,
-    /// internal instead of external fragmentation).
-    Buddy,
-    /// Size-class slabs tuned to the Table I object-size distribution:
-    /// O(1) allocation independent of fragmentation, oversize requests
-    /// falling through to first-fit (experiment A9).
-    Slab,
-}
-
-impl AllocatorKind {
-    fn build(self, capacity: u64) -> Box<dyn RegionAllocator> {
-        match self {
-            AllocatorKind::FirstFit => Box::new(FirstFit::new(capacity)),
-            AllocatorKind::SizeMap => Box::new(SizeMap::new(capacity)),
-            AllocatorKind::DlSeg => Box::new(DlSeg::new(capacity)),
-            AllocatorKind::Buddy => Box::new(Buddy::new(capacity)),
-            AllocatorKind::Slab => Box::new(Slab::new(capacity)),
-        }
-    }
-}
 
 /// How a store grows beyond its initial donation when it runs out of
 /// memory: donate further segments of `increment_bytes` until the total
@@ -115,7 +81,6 @@ pub struct StoreConfig {
     /// Bytes of local memory donated to the disaggregated pool and managed
     /// by this store.
     pub memory_bytes: usize,
-    pub allocator: AllocatorKind,
     /// Whether allocation failures trigger LRU eviction.
     pub enable_eviction: bool,
     /// Optional dynamic growth by donating further segments.
@@ -131,7 +96,6 @@ impl StoreConfig {
         StoreConfig {
             name: name.into(),
             memory_bytes,
-            allocator: AllocatorKind::default(),
             enable_eviction: true,
             growth: None,
             shards: DEFAULT_SHARDS,
@@ -144,12 +108,6 @@ impl StoreConfig {
             increment_bytes,
             max_total_bytes,
         });
-        self
-    }
-
-    /// Select the region allocator.
-    pub fn with_allocator(mut self, allocator: AllocatorKind) -> Self {
-        self.allocator = allocator;
         self
     }
 
@@ -200,7 +158,7 @@ impl StoreStats {
 /// One donated segment and the allocator managing it.
 struct SegAlloc {
     key: SegKey,
-    alloc: Box<dyn RegionAllocator>,
+    alloc: Slab,
     capacity: u64,
 }
 
@@ -248,35 +206,30 @@ struct StoreMetrics {
     used_bytes: Arc<Gauge>,
     free_bytes: Arc<Gauge>,
     /// `plasma.shard.contention`: shard-lock acquisitions that found the
-    /// lock held (a `try_lock` miss). The hot-path benchmark's direct
-    /// view of table serialisation.
+    /// lock held (a `try_lock` miss) — the direct view of table
+    /// serialisation.
     shard_contention: Arc<Counter>,
     /// `plasma.shard.<i>.objects`: objects currently in each shard.
     shard_objects: Vec<Arc<Gauge>>,
     /// `plasma.alloc.class.<size>.{live,held}_bytes`: per-size-class
-    /// occupancy, registered only for the slab allocator (parallel to
-    /// `memalloc::SIZE_CLASSES`).
+    /// occupancy (parallel to `memalloc::SIZE_CLASSES`).
     class_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
 }
 
 impl StoreMetrics {
-    fn new(registry: Arc<Registry>, shards: usize, allocator: AllocatorKind) -> StoreMetrics {
+    fn new(registry: Arc<Registry>, shards: usize) -> StoreMetrics {
         let shard_objects = (0..shards)
             .map(|i| registry.gauge(&format!("plasma.shard.{i}.objects")))
             .collect();
-        let class_gauges = if allocator == AllocatorKind::Slab {
-            SIZE_CLASSES
-                .iter()
-                .map(|c| {
-                    (
-                        registry.gauge(&format!("plasma.alloc.class.{c}.live_bytes")),
-                        registry.gauge(&format!("plasma.alloc.class.{c}.held_bytes")),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let class_gauges = SIZE_CLASSES
+            .iter()
+            .map(|c| {
+                (
+                    registry.gauge(&format!("plasma.alloc.class.{c}.live_bytes")),
+                    registry.gauge(&format!("plasma.alloc.class.{c}.held_bytes")),
+                )
+            })
+            .collect();
         StoreMetrics {
             create: registry.histogram("plasma.create.latency_ns"),
             seal: registry.histogram("plasma.seal.latency_ns"),
@@ -294,28 +247,26 @@ impl StoreMetrics {
         }
     }
 
-    /// Refresh capacity gauges (and, for the slab allocator, per-class
-    /// occupancy gauges) from the allocator state. Called on every path
-    /// that changes occupancy, while the alloc lock is held.
+    /// Refresh the capacity and per-class occupancy gauges from the
+    /// allocator state. Called on every path that changes occupancy,
+    /// while the alloc lock is held.
     fn sync_capacity(&self, al: &AllocState) {
         let capacity = al.capacity as i64;
         let used = al.allocated_bytes() as i64;
         self.capacity_bytes.set(capacity);
         self.used_bytes.set(used);
         self.free_bytes.set(capacity - used);
-        if !self.class_gauges.is_empty() {
-            let mut live = vec![0i64; SIZE_CLASSES.len()];
-            let mut held = vec![0i64; SIZE_CLASSES.len()];
-            for seg in &al.segs {
-                for (i, occ) in seg.alloc.class_stats().iter().enumerate() {
-                    live[i] += occ.live_bytes as i64;
-                    held[i] += occ.held_bytes as i64;
-                }
+        let mut live = [0i64; SIZE_CLASSES.len()];
+        let mut held = [0i64; SIZE_CLASSES.len()];
+        for seg in &al.segs {
+            for (i, occ) in seg.alloc.occupancy().iter().enumerate() {
+                live[i] += occ.live_bytes as i64;
+                held[i] += occ.held_bytes as i64;
             }
-            for (i, (lg, hg)) in self.class_gauges.iter().enumerate() {
-                lg.set(live[i]);
-                hg.set(held[i]);
-            }
+        }
+        for (i, (lg, hg)) in self.class_gauges.iter().enumerate() {
+            lg.set(live[i]);
+            hg.set(held[i]);
         }
     }
 }
@@ -323,7 +274,6 @@ impl StoreMetrics {
 struct Inner {
     name: String,
     node: NodeId,
-    allocator: AllocatorKind,
     growth: Option<GrowthPolicy>,
     enable_eviction: bool,
     fabric: Fabric,
@@ -352,14 +302,13 @@ impl StoreCore {
         let seg = fabric.donate(node, config.memory_bytes)?;
         let capacity = config.memory_bytes as u64;
         let shards = config.shards.max(1);
-        let metrics = StoreMetrics::new(Registry::new(), shards, config.allocator);
+        let metrics = StoreMetrics::new(Registry::new(), shards);
         metrics.capacity_bytes.set(capacity as i64);
         metrics.free_bytes.set(capacity as i64);
         Ok(StoreCore {
             inner: Arc::new(Inner {
                 name: config.name,
                 node,
-                allocator: config.allocator,
                 growth: config.growth,
                 enable_eviction: config.enable_eviction,
                 fabric: fabric.clone(),
@@ -367,7 +316,7 @@ impl StoreCore {
                 alloc: Mutex::new(AllocState {
                     segs: vec![SegAlloc {
                         key: seg,
-                        alloc: config.allocator.build(capacity),
+                        alloc: Slab::new(capacity),
                         capacity,
                     }],
                     capacity,
@@ -566,7 +515,7 @@ impl StoreCore {
         let capacity = policy.increment_bytes as u64;
         al.segs.push(SegAlloc {
             key,
-            alloc: self.inner.allocator.build(capacity),
+            alloc: Slab::new(capacity),
             capacity,
         });
         al.capacity += capacity;
@@ -1205,10 +1154,10 @@ mod tests {
 
     #[test]
     fn eviction_reclaims_lru_unreferenced() {
-        let s = store(1 << 20); // 1 MiB
-                                // Three ~300 KiB objects fill most of the store.
+        // Three 256 KiB objects (an exact slab class) fill the store.
+        let s = store(768 << 10);
         for n in 1..=3u8 {
-            s.create(id(n), 300 << 10, 0).unwrap();
+            s.create(id(n), 256 << 10, 0).unwrap();
             s.seal(id(n)).unwrap();
             s.release(id(n)).unwrap(); // make evictable
         }
@@ -1216,7 +1165,7 @@ mod tests {
         let g = s.get_local(id(1)).unwrap();
         s.release(g.id).unwrap();
         // A fourth object forces eviction of id(2).
-        s.create(id(4), 300 << 10, 0).unwrap();
+        s.create(id(4), 256 << 10, 0).unwrap();
         assert!(s.contains(id(1)));
         assert!(!s.contains(id(2)), "LRU object should be evicted");
         assert!(s.contains(id(3)));
@@ -1263,9 +1212,9 @@ mod tests {
 
     #[test]
     fn eviction_order_stable_under_reinsertion() {
-        let s = store(1 << 20);
+        let s = store(768 << 10);
         for n in 1..=3u8 {
-            s.create(id(n), 300 << 10, 0).unwrap();
+            s.create(id(n), 256 << 10, 0).unwrap();
             s.seal(id(n)).unwrap();
             s.release(id(n)).unwrap();
         }
@@ -1273,15 +1222,15 @@ mod tests {
         // leaving object 2 as the eviction victim.
         s.get_local(id(1)).unwrap();
         s.release(id(1)).unwrap();
-        s.create(id(4), 300 << 10, 0).unwrap();
+        s.create(id(4), 256 << 10, 0).unwrap();
         assert!(!s.contains(id(2)), "oldest untouched object evicted first");
         assert!(s.contains(id(1)) && s.contains(id(3)));
         // Next eviction takes object 3, then object 1 — the re-inserted
         // object is evicted last.
-        assert_eq!(s.evict(1), 300 << 10);
+        assert_eq!(s.evict(1), 256 << 10);
         assert!(!s.contains(id(3)));
         assert!(s.contains(id(1)));
-        assert_eq!(s.evict(1), 300 << 10);
+        assert_eq!(s.evict(1), 256 << 10);
         assert!(!s.contains(id(1)));
     }
 
@@ -1531,15 +1480,15 @@ mod tests {
     fn single_shard_config_behaves_identically() {
         let fabric = Fabric::virtual_thymesisflow();
         let node = fabric.register_node();
-        let cfg = StoreConfig::new("one-shard", 1 << 20).with_shards(1);
+        let cfg = StoreConfig::new("one-shard", 768 << 10).with_shards(1);
         let s = StoreCore::new(&fabric, node, cfg).unwrap();
         assert_eq!(s.shard_count(), 1);
         for n in 1..=3u8 {
-            s.create(id(n), 300 << 10, 0).unwrap();
+            s.create(id(n), 256 << 10, 0).unwrap();
             s.seal(id(n)).unwrap();
             s.release(id(n)).unwrap();
         }
-        s.create(id(4), 300 << 10, 0).unwrap();
+        s.create(id(4), 256 << 10, 0).unwrap();
         assert!(!s.contains(id(1)), "LRU eviction still exact");
         assert!(s.contains(id(2)) && s.contains(id(3)));
     }
@@ -1632,10 +1581,7 @@ mod tests {
 
     #[test]
     fn slab_allocator_store_roundtrip_and_class_gauges() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let cfg = StoreConfig::new("slab", 4 << 20).with_allocator(AllocatorKind::Slab);
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
+        let s = store(4 << 20);
         let loc = s.create(id(1), 1000, 24).unwrap();
         let map = s.local_mapping().unwrap();
         map.write_at(loc.offset, &[7u8; 1024]).unwrap();
@@ -1652,6 +1598,33 @@ mod tests {
         let snap = s.registry().snapshot();
         assert_eq!(snap.gauge("plasma.alloc.class.1024.live_bytes"), 0);
         assert_eq!(snap.gauge("plasma.used_bytes"), 0);
+    }
+
+    #[test]
+    fn off_ladder_size_holds_a_whole_slot_but_is_accounted_as_requested() {
+        // 300 KiB sits between the 256 KiB and 512 KiB classes: it takes a
+        // one-slot 512 KiB slab, while `allocated_bytes` (and everything
+        // derived from it: `plasma.used_bytes`, the elastic tier's
+        // pressure figure) counts the 300 KiB requested. Slot rounding is
+        // visible only in the class gauges.
+        let s = store(1 << 20);
+        let before = s.stats().allocated_bytes;
+        s.create(id(1), 300 << 10, 0).unwrap();
+        assert_eq!(s.stats().allocated_bytes - before, 300 << 10);
+        let snap = s.registry().snapshot();
+        assert_eq!(snap.gauge("plasma.alloc.class.524288.held_bytes"), 524_288);
+        assert_eq!(
+            snap.gauge("plasma.alloc.class.524288.live_bytes"),
+            300 << 10
+        );
+        assert_eq!(snap.gauge("plasma.used_bytes"), 300 << 10);
+        // So only two such objects fit in 1 MiB, not the three their
+        // requested sizes add up to.
+        s.create(id(2), 300 << 10, 0).unwrap();
+        assert!(matches!(
+            s.create(id(3), 300 << 10, 0),
+            Err(PlasmaError::OutOfMemory { .. })
+        ));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based lifecycle tests of the store engine against a reference
 //! model: reference counting, eviction safety, deferred deletion, and
 //! allocator bookkeeping must stay consistent under arbitrary operation
-//! sequences, for every allocator kind.
+//! sequences.
 
-use plasma::{AllocatorKind, ObjectId, PlasmaError, StoreConfig, StoreCore};
+use plasma::{ObjectId, PlasmaError, StoreConfig, StoreCore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tfsim::Fabric;
@@ -49,11 +49,10 @@ struct ModelObj {
     doomed: bool,
 }
 
-fn run(kind: AllocatorKind, ops: Vec<Op>) -> Result<(), TestCaseError> {
+fn run(ops: Vec<Op>) -> Result<(), TestCaseError> {
     let fabric = Fabric::virtual_thymesisflow();
     let node = fabric.register_node();
     let mut cfg = StoreConfig::new("prop", CAPACITY);
-    cfg.allocator = kind;
     cfg.enable_eviction = false; // keep the model deterministic
     let store = StoreCore::new(&fabric, node, cfg).unwrap();
     let mut model: HashMap<u8, ModelObj> = HashMap::new();
@@ -218,27 +217,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lifecycle_model_size_map(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run(AllocatorKind::SizeMap, ops)?;
-    }
-
-    #[test]
-    fn lifecycle_model_first_fit(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run(AllocatorKind::FirstFit, ops)?;
-    }
-
-    #[test]
-    fn lifecycle_model_dlseg(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run(AllocatorKind::DlSeg, ops)?;
-    }
-
-    #[test]
-    fn lifecycle_model_buddy(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run(AllocatorKind::Buddy, ops)?;
-    }
-
-    #[test]
-    fn lifecycle_model_slab(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run(AllocatorKind::Slab, ops)?;
+    fn lifecycle_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+        run(ops)?;
     }
 }

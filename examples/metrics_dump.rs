@@ -16,16 +16,11 @@
 
 use disagg::{Cluster, ClusterConfig};
 use obs::MetricsSnapshot;
-use plasma::{AllocatorKind, ObjectId};
+use plasma::ObjectId;
 use std::time::Duration;
 
 fn main() {
-    // Run the hot-path store configuration (size-class slab allocator +
-    // 16-way sharded object table) so the per-class occupancy and
-    // per-shard gauges below are live.
-    let mut cfg = ClusterConfig::paper_testbed(64 << 20);
-    cfg.allocator = AllocatorKind::Slab;
-    let cluster = Cluster::launch(cfg).expect("launch");
+    let cluster = Cluster::launch(ClusterConfig::paper_testbed(64 << 20)).expect("launch");
 
     // Traffic: node 0 produces, node 1 consumes remotely (and once more,
     // so repeat-lookup paths record too), node 0 reads its own object.

@@ -1,15 +1,14 @@
 //! Rack-scale deployment: six nodes, a sharded dataset, and a global
-//! aggregation — the multi-node future-work scenario of the paper, plus
-//! the remote-id cache it proposes.
+//! aggregation — the multi-node future-work scenario of the paper.
 //!
-//! Every node owns one shard of a dataset; every node then computes a
-//! global sum by reading *all* shards, local and remote. The second pass
-//! repeats the computation to show the pinning id cache collapsing the
-//! lookup broadcast to a single targeted RPC per shard.
+//! Every node commits one shard of a dataset (the placement ring decides
+//! where each lands); every node then computes a global sum by reading
+//! *all* shards, local and remote. The shards one ring owner holds
+//! travel in one targeted lookup RPC to it — no peer is probed.
 //!
 //! Run with: `cargo run --example rack_scale --release`
 
-use disagg::{CacheMode, Cluster, ClusterConfig};
+use disagg::{Cluster, ClusterConfig};
 use plasma::{ObjectId, PlasmaError};
 use std::time::Duration;
 
@@ -47,10 +46,9 @@ fn global_sum(cluster: &Cluster, node: usize) -> Result<u64, PlasmaError> {
 fn main() -> Result<(), PlasmaError> {
     let mut cfg = ClusterConfig::paper_testbed(32 << 20);
     cfg.nodes = NODES;
-    cfg.id_cache = Some((CacheMode::Pinning, 4096));
     let cluster = Cluster::launch(cfg)?;
 
-    // Shard the dataset: node i owns shard i.
+    // Shard the dataset: node i commits shard i.
     for node in 0..NODES {
         let client = cluster.client(node)?;
         client.put(shard_id(node), &encode(&shard_values(node)), &[])?;
@@ -58,8 +56,7 @@ fn main() -> Result<(), PlasmaError> {
     let expected: u64 = (0..(NODES * VALUES_PER_SHARD) as u64).sum();
     println!("{NODES} shards committed, one per node ({VALUES_PER_SHARD} values each)");
 
-    // Pass 1: cold — lookups broadcast across peers.
-    let (sums, cold_time) = cluster.clock().time(|| {
+    let (sums, elapsed) = cluster.clock().time(|| {
         (0..NODES)
             .map(|n| global_sum(&cluster, n))
             .collect::<Result<Vec<_>, _>>()
@@ -67,40 +64,21 @@ fn main() -> Result<(), PlasmaError> {
     for (n, sum) in sums?.iter().enumerate() {
         assert_eq!(*sum, expected, "node {n} computed a wrong global sum");
     }
-    let cold_rpcs: u64 = (0..NODES)
-        .map(|i| cluster.store(i).disagg_stats().lookup_rpcs)
-        .sum();
-    println!("pass 1 (cold): every node aggregated all shards correctly");
-    println!("  simulated time {cold_time:?}, {cold_rpcs} lookup RPCs (broadcast discovery)");
-
-    // Pass 2: warm — the id cache targets the owning store directly.
-    let (sums, warm_time) = cluster.clock().time(|| {
-        (0..NODES)
-            .map(|n| global_sum(&cluster, n))
-            .collect::<Result<Vec<_>, _>>()
-    });
-    for sum in sums? {
-        assert_eq!(sum, expected);
-    }
-    let warm_rpcs: u64 = (0..NODES)
-        .map(|i| cluster.store(i).disagg_stats().lookup_rpcs)
-        .sum::<u64>()
-        - cold_rpcs;
-    let cache_hits: u64 = (0..NODES)
-        .filter_map(|i| cluster.store(i).idcache_counters())
-        .map(|(hits, _)| hits)
-        .sum();
-    println!("pass 2 (warm): id cache in effect");
+    let stats: Vec<_> = (0..NODES)
+        .map(|i| cluster.store(i).disagg_stats())
+        .collect();
+    let lookup_rpcs: u64 = stats.iter().map(|s| s.lookup_rpcs).sum();
+    let ring_hits: u64 = stats.iter().map(|s| s.ring_hits).sum();
+    let fallbacks: u64 = stats.iter().map(|s| s.ring_fallbacks).sum();
+    println!("every node aggregated all shards correctly");
     println!(
-        "  simulated time {warm_time:?}, {warm_rpcs} lookup RPCs — every one targeted \
-         via {cache_hits} cache hits (no peer probing; with single-object gets the \
-         broadcast saving would be up to {}x)",
-        NODES - 1
+        "  simulated time {elapsed:?}, {lookup_rpcs} lookup RPCs (one batch per ring owner) \
+         resolved {ring_hits} remote shards, {fallbacks} broadcast fallbacks"
     );
 
     let snap = cluster.fabric().stats().snapshot();
     println!(
-        "fabric: {:.2} MB remote reads, {:.2} MB local reads across both passes",
+        "fabric: {:.2} MB remote reads, {:.2} MB local reads",
         snap.remote_read_bytes as f64 / 1e6,
         snap.local_read_bytes as f64 / 1e6,
     );

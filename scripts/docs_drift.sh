@@ -8,6 +8,8 @@
 # 2. A verb in `method::RETIRED` may be named (in backticks) only under
 #    a heading that starts "Historical": anywhere else in README,
 #    DESIGN or EXPERIMENTS the text describes a protocol that is gone.
+# 3. The same goes for the identifiers of deleted mechanisms (the list
+#    below), over those files and the verify skill.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,12 +27,12 @@ while IFS=: read -r file line verb id; do
 done < <(grep -nH -oE '`[A-Z_]+`[^()]*\(method id [0-9]+\)' DESIGN.md README.md EXPERIMENTS.md ROADMAP.md 2>/dev/null |
     sed -E 's/^([^:]+):([0-9]+):`([A-Z_]+)`[^0-9]*([0-9]+)\)$/\1:\2:\3:\4/')
 
-retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
-    sed -n 's/^ *([0-9]*, "\([a-z_]*\)"),$/\1/p' | tr 'a-z' 'A-Z' | tr '\n' ' ')
-[ -n "$retired" ] || { echo "docs-drift: cannot read method::RETIRED from proto.rs" >&2; exit 1; }
-for file in README.md DESIGN.md EXPERIMENTS.md; do
-    awk -v verbs="$retired" -v file="$file" '
-        BEGIN { n = split(verbs, verb, " ") }
+# Fail on any of `tokens` (space-separated, matched as substrings)
+# appearing in `file` outside a heading that starts "Historical".
+outside_historical() {
+    local what=$1 file=$2 tokens=$3
+    awk -v tokens="$tokens" -v file="$file" -v what="$what" '
+        BEGIN { n = split(tokens, token, " ") }
         /^#+ / {
             level = index($0, " ") - 1
             title = substr($0, level + 2)
@@ -39,16 +41,29 @@ for file in README.md DESIGN.md EXPERIMENTS.md; do
         }
         !historical {
             for (i = 1; i <= n; i++)
-                if (index($0, "`" verb[i] "`")) {
-                    printf "docs-drift: %s:%d names retired verb `%s` outside a Historical section\n", file, NR, verb[i] > "/dev/stderr"
+                if (index($0, token[i])) {
+                    printf "docs-drift: %s:%d names %s %s outside a Historical section\n", file, NR, what, token[i] > "/dev/stderr"
                     bad = 1
                 }
         }
         END { exit bad }
-    ' "$file" || status=1
+    ' "$file"
+}
+
+retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
+    sed -n 's/^ *([0-9]*, "\([a-z_]*\)"),$/`\1`/p' | tr 'a-z' 'A-Z' | tr '\n' ' ')
+[ -n "$retired" ] || { echo "docs-drift: cannot read method::RETIRED from proto.rs" >&2; exit 1; }
+# Identifiers deleted with the mechanisms they named (PR 15): the second
+# allocator configuration, the id cache, unledgered migration, `hotpath`.
+identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath"
+for file in README.md DESIGN.md EXPERIMENTS.md; do
+    outside_historical "retired verb" "$file" "$retired" || status=1
+done
+for file in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    outside_historical "retired identifier" "$file" "$identifiers" || status=1
 done
 
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids agree with proto.rs, no retired verb is documented as live"
+    echo "docs-drift: documented method ids agree with proto.rs, no retired verb or identifier is documented as live"
 fi
 exit $status

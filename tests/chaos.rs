@@ -11,76 +11,65 @@ use chaos::{
 };
 use ipc::fault::Direction;
 
-/// Fixed seed matrix for the CI soak. Each seed fully determines its
-/// fault schedule; a new seed here is a new adversary forever. Seeds 5–6
-/// were added with the rendezvous ring: every soak now also audits ring
-/// placement at quiesce (one copy, on the computed owner, epochs
-/// agreed), so they pin adversaries against the forwarded-create
-/// protocol specifically. Seeds 7–8 were added with the elastic tier —
-/// the workload now spills and rebalances under fire, and the quiesce
-/// audit cross-checks every borrow ledger — so they pin adversaries
-/// against the spill handoff (partition while a `SPILL_AT` is in
-/// flight) and the heat-driven rebalance path (links frozen mid-pass).
-/// Seeds 9–10 were added with read replication — the workload now also
-/// replicates hot objects and the quiesce audit cross-checks both
-/// replica-ledger sides — so they pin adversaries against the
-/// invalidate-before-delete ordering (a delete racing a `REPLICATE_AT`
-/// still in flight must leave either no replica or a failed delete,
-/// never a stale replica that outlives its object).
-const SEED_MATRIX: &[u64] = &[
-    0xC0FFEE,
-    42,
-    7_577_577,
-    0xDEAD_2026,
-    0x11A5_41F0,
-    0xB1D5_0FF5,
-    0x5117_0D0D,
-    0xFBA1_A4CE,
-    0x4E91_1CA5,
-    0xDE1E_0BAD,
-];
-
-fn soak_with(seed: u64, cfg: &SoakConfig, label: &str) {
+fn soak_one(seed: u64) {
+    let cfg = SoakConfig::quick(3);
     let plan = FaultPlan::generate(seed, cfg.nodes, 4, 150);
-    let report = run_plan(&plan, cfg).expect("soak must launch");
+    let report = run_plan(&plan, &cfg).expect("soak must launch");
     assert!(report.events > 0, "soak recorded no operations");
     assert!(
         report.verdict.ok(),
-        "seed {seed} ({label}) violated consistency:\n{}\nreplay plan:\n{}",
+        "seed {seed} violated consistency:\n{}\nreplay plan:\n{}",
         report.verdict,
         plan.serialize()
     );
 }
 
-fn soak_one(seed: u64) {
-    soak_with(seed, &SoakConfig::quick(3), "default");
+/// Fixed seed matrix for the CI soak, one `#[test]` per seed so the
+/// harness names the failing seed and runs them in parallel. Each seed
+/// fully determines its fault schedule; a new seed here is a new
+/// adversary forever. Seeds 5–6 were added with the rendezvous ring:
+/// every soak now also audits ring placement at quiesce (one copy, on
+/// the computed owner, epochs agreed), so they pin adversaries against
+/// the forwarded-create protocol specifically. Seeds 7–8 were added
+/// with the elastic tier — the workload now spills and rebalances under
+/// fire, and the quiesce audit cross-checks every borrow ledger — so
+/// they pin adversaries against the spill handoff (partition while a
+/// `SPILL_AT` is in flight) and the heat-driven rebalance path (links
+/// frozen mid-pass). Seeds 9–10 were added with read replication — the
+/// workload now also replicates hot objects and the quiesce audit
+/// cross-checks both replica-ledger sides — so they pin adversaries
+/// against the invalidate-before-delete ordering (a delete racing a
+/// `REPLICATE_AT` still in flight must leave either no replica or a
+/// failed delete, never a stale replica that outlives its object).
+macro_rules! seed_matrix {
+    ($($name:ident: $seed:expr,)*) => {$(
+        #[test]
+        fn $name() {
+            soak_one($seed);
+        }
+    )*};
 }
 
-#[test]
-fn soak_seed_matrix_holds_consistency() {
-    for &seed in SEED_MATRIX {
-        soak_one(seed);
-    }
+seed_matrix! {
+    soak_seed_01_c0ffee: 0xC0FFEE,
+    soak_seed_02_42: 42,
+    soak_seed_03_7577577: 7_577_577,
+    soak_seed_04_dead2026: 0xDEAD_2026,
+    soak_seed_05_11a541f0: 0x11A5_41F0,
+    soak_seed_06_b1d50ff5: 0xB1D5_0FF5,
+    soak_seed_07_51170d0d: 0x5117_0D0D,
+    soak_seed_08_fba1a4ce: 0xFBA1_A4CE,
+    soak_seed_09_4e911ca5: 0x4E91_1CA5,
+    soak_seed_10_de1e0bad: 0xDE1E_0BAD,
 }
 
-/// The full seed matrix again, over the concurrent hot-path
-/// configuration: slab allocator + 16-way sharded object table. Same
-/// adversaries, same quiesce audits — consistency must not depend on
-/// which allocator or table layout the store runs.
+/// Eviction under contention: per-node memory squeezed until creates
+/// must evict mid-soak, so the cross-shard LRU scan, victim
+/// revalidation, and slab frees all run concurrently with faulted
+/// client traffic. The seed is pinned; the run must both stay
+/// consistent *and* actually evict (or it isn't testing anything).
 #[test]
-fn soak_seed_matrix_holds_on_slab_sharded_stores() {
-    for &seed in SEED_MATRIX {
-        soak_with(seed, &SoakConfig::quick(3).with_hotpath(), "slab+sharded");
-    }
-}
-
-/// Eviction under contention: the hot-path configuration with per-node
-/// memory squeezed until creates must evict mid-soak, so the cross-shard
-/// LRU scan, victim revalidation, and slab frees all run concurrently
-/// with faulted client traffic. The seed is pinned; the run must both
-/// stay consistent *and* actually evict (or it isn't testing anything).
-#[test]
-fn soak_evicts_under_contention_on_slab_sharded_stores() {
+fn soak_evicts_under_contention() {
     let seed: u64 = 0xE71C_7C0B;
     let cfg = SoakConfig {
         // 8 names × 8 KiB payloads against 16 KiB/node: only two
@@ -88,7 +77,7 @@ fn soak_evicts_under_contention_on_slab_sharded_stores() {
         // copies) must evict sealed LRU objects throughout the run.
         value_len: 8192,
         memory_per_node: 16 << 10,
-        ..SoakConfig::quick(3).with_hotpath()
+        ..SoakConfig::quick(3)
     };
     let plan = FaultPlan::generate(seed, cfg.nodes, 4, 150);
     let report = run_plan(&plan, &cfg).expect("soak must launch");

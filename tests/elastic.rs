@@ -1,12 +1,11 @@
 //! Elastic capacity tier acceptance: pressure-driven spill keeps spilled
 //! objects readable from every node through one-hop `Moved` redirects,
-//! the id cache learns the holder on the first redirect, admission
-//! control surfaces typed `Overloaded` rejections locally and through
-//! the forwarded-create path, deletes of lent objects retire both
-//! ledgers, and borrow reconciliation heals an owner that re-acquired a
-//! local copy.
+//! admission control surfaces typed `Overloaded` rejections locally and
+//! through the forwarded-create path, deletes of lent objects retire
+//! both ledgers, and borrow reconciliation heals an owner that
+//! re-acquired a local copy.
 
-use disagg::{CacheMode, Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Side};
+use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
 
@@ -102,45 +101,6 @@ fn spilled_object_reads_from_every_node() {
     for node in 0..3 {
         assert!(cluster.store(node).contains(id).unwrap(), "node {node}");
     }
-}
-
-/// The redirect is paid once: the first get through the owner installs
-/// the holder into the id cache, and the second get goes straight to
-/// the holder — no further `Moved` answers served by the owner.
-#[test]
-fn idcache_learns_holder_on_first_redirect() {
-    let mut config = ClusterConfig::functional(3, 4 << 20);
-    config.id_cache = Some((CacheMode::Pinning, 64));
-    let cluster = Cluster::launch(config).unwrap();
-    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/cache"));
-    cluster.client(0).unwrap().put(id, &[7; 512], &[]).unwrap();
-    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
-
-    let reader = cluster.store(2).clone();
-    let first = reader.get(&[id], GET_TIMEOUT).unwrap();
-    assert!(first[0].is_some());
-    reader.release(id).unwrap();
-    let served_after_first = cluster
-        .store(0)
-        .metrics_snapshot()
-        .counter("disagg.elastic.redirects_served");
-    assert_eq!(served_after_first, 1, "first get redirects via the owner");
-
-    let second = reader.get(&[id], GET_TIMEOUT).unwrap();
-    assert!(second[0].is_some());
-    reader.release(id).unwrap();
-    assert_eq!(
-        cluster
-            .store(0)
-            .metrics_snapshot()
-            .counter("disagg.elastic.redirects_served"),
-        served_after_first,
-        "second get must bypass the owner via the id cache"
-    );
-    assert!(
-        reader.metrics_snapshot().counter("disagg.idcache.hits") >= 1,
-        "cache hit expected on the second get"
-    );
 }
 
 /// Admission control: once `max_inflight_creates` objects sit created

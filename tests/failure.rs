@@ -354,62 +354,35 @@ fn deadline_bounds_calls_to_a_hung_peer() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn failed_migration_releases_its_pin() {
+fn failed_payload_read_releases_its_pin() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
     let producer = cluster.client(0).unwrap();
     let id = ObjectId::from_name(&cluster.owned_id(0, "stranded"));
     producer.put(id, &[0xAB; 32 << 10], &[]).unwrap();
 
-    // Data plane down, control plane up: migration pins the owner's copy
-    // over RPC, then fails copying the bytes over the fabric.
+    // Data plane down, control plane up: `get_bytes` pins the owner's
+    // copy over RPC, then fails reading the bytes over the fabric.
     cluster
         .fabric()
         .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Down);
     let err = cluster
         .store(1)
-        .migrate_to_local(id, Duration::from_secs(5))
+        .get_bytes(id, Duration::from_secs(5))
         .unwrap_err();
     assert!(matches!(err, PlasmaError::Fabric(_)), "{err:?}");
 
-    // The guard released the migration's pin; no staged residue either.
+    // The guard released the read's pin, on both sides of the ledger.
     assert_eq!(
         cluster.store(0).remote_pin_count(),
         0,
-        "pin leaked on failed migration"
+        "pin leaked on failed payload read"
     );
-    assert!(!cluster.store(1).core().exists_any_state(id));
+    assert_eq!(cluster.store(1).held_remote_pins(), 0);
 
     // Nothing still pins the object: the owner can delete it.
     cluster
         .fabric()
         .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Up);
-    producer.delete(id).unwrap();
-}
-
-#[test]
-fn aborted_in_use_migration_releases_its_pin() {
-    let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
-    let producer = cluster.client(0).unwrap();
-    let id = ObjectId::from_name("busy");
-    producer.put(id, &[7; 1024], &[]).unwrap();
-    let _hold = producer.get_one(id, Duration::from_secs(1)).unwrap();
-
-    let err = cluster
-        .store(1)
-        .migrate_to_local(id, Duration::from_secs(5))
-        .unwrap_err();
-    assert_eq!(err, PlasmaError::ObjectInUse(id));
-    assert_eq!(
-        cluster.store(0).remote_pin_count(),
-        0,
-        "pin leaked on aborted migration"
-    );
-    assert!(
-        !cluster.store(1).core().exists_any_state(id),
-        "staged copy not aborted"
-    );
-
-    producer.release(id).unwrap();
     producer.delete(id).unwrap();
 }
 
@@ -446,68 +419,6 @@ fn failed_release_keeps_the_pin_accounted() {
     s0.release(id).unwrap();
     assert_eq!(cluster.store(1).remote_pin_count(), 0);
     assert_eq!(cluster.store(0).disagg_stats().releases_forwarded, 1);
-}
-
-#[test]
-fn migration_survives_ambiguous_owner_delete() {
-    use disagg::proto::method;
-    use plasma::{StoreConfig, StoreCore};
-    use rpclite::{RpcClient, Status, StatusCode};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let fabric = tfsim::Fabric::virtual_thymesisflow();
-    let n0 = fabric.register_node();
-    let n1 = fabric.register_node();
-    let core0 = StoreCore::new(&fabric, n0, StoreConfig::new("migrator", 1 << 20)).unwrap();
-    let core1 = StoreCore::new(&fabric, n1, StoreConfig::new("owner", 1 << 20)).unwrap();
-    let s0 = DisaggStore::new(core0, DisaggConfig::default());
-    let s1 = DisaggStore::new(core1, DisaggConfig::default());
-
-    let id = ObjectId::from_name("ambiguous-delete");
-    s1.create(id, 1024, 0).unwrap();
-    s1.seal(id).unwrap();
-    s1.release(id).unwrap(); // creator reference
-
-    // The owner's interconnect, wrapped: the first DELETE *executes* but
-    // its response is replaced with Unavailable — the "owner deleted the
-    // object, then the response was lost" interleaving. The blind retry
-    // then sees the true post-state, NotFound.
-    let real = s1.interconnect_service();
-    let lose_delete_response = Arc::new(AtomicBool::new(true));
-    let flag = Arc::clone(&lose_delete_response);
-    let svc = Arc::new(move |m: u32, b: bytes::Bytes| {
-        let resp = real.call(m, b);
-        if m == method::DELETE && resp.is_ok() && flag.swap(false, Ordering::SeqCst) {
-            return Err(Status::new(StatusCode::Unavailable, "response lost"));
-        }
-        resp
-    });
-    let hub = ipc::InprocHub::new();
-    let _srv = rpclite::serve(Box::new(hub.bind("flaky-owner").unwrap()), svc);
-    s0.add_peer(Peer {
-        node: n1,
-        name: "owner".into(),
-        client: Arc::new(RpcClient::new(Box::new(
-            hub.connect("flaky-owner").unwrap(),
-        ))),
-    });
-
-    // The object must survive migration: the local copy is sealed before
-    // the owner is asked to delete, so the ambiguous DELETE outcome can
-    // never destroy the only remaining copy.
-    let loc = s0.migrate_to_local(id, Duration::from_secs(5)).unwrap();
-    assert_eq!(loc.seg.owner, n0);
-    assert!(
-        s0.core().contains(id),
-        "migrated copy must be sealed locally"
-    );
-    assert!(!s1.core().exists_any_state(id), "owner copy deleted");
-    assert_eq!(s1.remote_pin_count(), 0, "migration pin released");
-    assert!(
-        !lose_delete_response.load(Ordering::SeqCst),
-        "the lossy DELETE path was exercised"
-    );
 }
 
 #[test]

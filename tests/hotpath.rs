@@ -8,15 +8,14 @@
 //! releases, and deletions use `delete_deferred` so a read racing a
 //! delete only postpones, never prevents, the removal). That makes the
 //! end state comparable across table layouts: a 16-way sharded store
-//! must finish byte-identical to the single-mutex (1-shard) model, for
-//! both the first-fit and the slab allocator.
+//! must finish byte-identical to the single-mutex (1-shard) model.
 //!
 //! On top of the equivalence check, the battery asserts the sharding
 //! accounting contract: per-shard lifecycle counters sum to the global
 //! `stats()`, per-shard object counts sum to `list().len()`, and a full
 //! drain returns the allocator to zero bytes.
 
-use plasma::{AllocatorKind, ObjectId, ObjectState, StoreConfig, StoreCore};
+use plasma::{ObjectId, ObjectState, StoreConfig, StoreCore};
 use std::sync::Arc;
 use std::time::Duration;
 use tfsim::Fabric;
@@ -56,12 +55,10 @@ fn fate(slot: usize) -> usize {
     slot % 5
 }
 
-fn build_store(shards: usize, allocator: AllocatorKind) -> StoreCore {
+fn build_store(shards: usize) -> StoreCore {
     let fabric = Fabric::virtual_thymesisflow();
     let node = fabric.register_node();
-    let cfg = StoreConfig::new("hotpath", CAPACITY)
-        .with_shards(shards)
-        .with_allocator(allocator);
+    let cfg = StoreConfig::new("hotpath", CAPACITY).with_shards(shards);
     StoreCore::new(&fabric, node, cfg).expect("store must launch")
 }
 
@@ -235,28 +232,25 @@ fn drain(store: &StoreCore) {
     assert_eq!(stats.allocated_bytes, 0, "allocator leaked bytes");
 }
 
-fn run_config(shards: usize, allocator: AllocatorKind) -> Vec<(ObjectId, u64, ObjectState, u64)> {
-    let store = run_workload(build_store(shards, allocator));
+fn run_config(shards: usize) -> Vec<(ObjectId, u64, ObjectState, u64)> {
+    let store = run_workload(build_store(shards));
     let fp = fingerprint(&store);
     assert_shard_accounting(&store);
     drain(&store);
     fp
 }
 
-/// The tentpole equivalence: 16-way sharded stores (first-fit and slab)
-/// finish in exactly the state the single-mutex model does, and all
-/// three match the fate table computed without running a store at all.
+/// The tentpole equivalence: the 16-way sharded store finishes in
+/// exactly the state the single-mutex model does, and both match the
+/// fate table computed without running a store at all.
 #[test]
 fn sharded_store_matches_single_mutex_model_under_contention() {
     let expected = expected_fingerprint();
-    let model = run_config(1, AllocatorKind::FirstFit);
+    let model = run_config(1);
     assert_eq!(model, expected, "single-mutex model diverged from fates");
 
-    let sharded_ff = run_config(16, AllocatorKind::FirstFit);
-    assert_eq!(sharded_ff, expected, "16-shard first-fit diverged");
-
-    let sharded_slab = run_config(16, AllocatorKind::Slab);
-    assert_eq!(sharded_slab, expected, "16-shard slab diverged");
+    let sharded = run_config(16);
+    assert_eq!(sharded, expected, "16-shard store diverged");
 }
 
 /// Creators racing on the *same* id: exactly one create wins, the rest
@@ -264,7 +258,7 @@ fn sharded_store_matches_single_mutex_model_under_contention() {
 /// allocated bytes equal one object.
 #[test]
 fn same_id_create_race_has_exactly_one_winner() {
-    let store = Arc::new(build_store(16, AllocatorKind::Slab));
+    let store = Arc::new(build_store(16));
     let id = oid(7, 200);
     let mut handles = Vec::new();
     for _ in 0..8 {

@@ -1,8 +1,10 @@
 //! Property-based end-to-end test: a random sequence of store operations
 //! driven against a 3-node cluster must agree with a simple in-memory
-//! model (a map of sealed objects), and never corrupt data.
+//! model (a map of sealed objects), and never corrupt data — including
+//! while the ledgered movers (spill, replicate) relocate and copy the
+//! bytes underneath the clients.
 
-use disagg::{Cluster, ClusterConfig};
+use disagg::{Cluster, ClusterConfig, ReconcileReport, Side};
 use plasma::{ObjectId, PlasmaError};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -15,7 +17,8 @@ enum Op {
     Put { node: usize, name: u8, len: u16 },
     Get { node: usize, name: u8 },
     BatchGet { node: usize, names: Vec<u8> },
-    Migrate { node: usize, name: u8 },
+    Spill { name: u8, holder: usize },
+    Replicate { name: u8, holder: usize },
     Delete { node: usize, name: u8 },
     Contains { node: usize, name: u8 },
 }
@@ -39,9 +42,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 names: names.into_iter().map(|n| n % 16).collect(),
             }
         }),
-        (0..3usize, any::<u8>()).prop_map(|(node, name)| Op::Migrate {
-            node,
-            name: name % 16
+        (any::<u8>(), 0..3usize).prop_map(|(name, holder)| Op::Spill {
+            name: name % 16,
+            holder
+        }),
+        (any::<u8>(), 0..3usize).prop_map(|(name, holder)| Op::Replicate {
+            name: name % 16,
+            holder
         }),
         (0..3usize, any::<u8>()).prop_map(|(node, name)| Op::Delete {
             node,
@@ -116,25 +123,25 @@ proptest! {
                         }
                     }
                 }
-                Op::Migrate { node, name } => {
-                    // Pure locality optimization: moves the object's bytes
-                    // to `node` without changing what any client observes.
-                    let result = cluster
-                        .store(node)
-                        .migrate_to_local(oid(name), Duration::from_millis(200));
-                    if model.contains_key(&name) {
-                        result.unwrap();
-                    } else {
-                        // Absence surfaces as NotFound when provable
-                        // immediately, or Timeout after the lookup window.
-                        let err = result.unwrap_err();
-                        prop_assert!(
-                            matches!(
-                                err,
-                                PlasmaError::ObjectNotFound(_) | PlasmaError::Timeout
-                            ),
-                            "migrating an absent object: {err}"
-                        );
+                Op::Spill { name, holder } | Op::Replicate { name, holder } => {
+                    // Moving or copying the bytes is the ring owner's call
+                    // and changes nothing any client observes. The holder
+                    // may refuse (`Ok(false)`: it is the owner itself, or
+                    // lent ⊕ replicated forbids it) and an object already
+                    // lent away has no local copy to hand over (`NotFound`).
+                    let owner = cluster.store(0).ring_owner(oid(name)).unwrap();
+                    let at = (0..3).find(|&i| cluster.node_id(i) == owner).unwrap();
+                    let to = cluster.node_id(holder);
+                    let moved = match op {
+                        Op::Spill { .. } => cluster.store(at).spill_to(oid(name), to),
+                        _ => cluster.store(at).replicate_to(oid(name), to),
+                    };
+                    prop_assert!(
+                        matches!(moved, Ok(_) | Err(PlasmaError::ObjectNotFound(_))),
+                        "moving {name} to node {holder}: {moved:?}"
+                    );
+                    if !model.contains_key(&name) {
+                        prop_assert!(!matches!(moved, Ok(true)), "moved an absent object");
                     }
                 }
                 Op::Delete { node, name } => {
@@ -165,6 +172,25 @@ proptest! {
                 prop_assert_eq!(buf.read_all().unwrap(), fill(name, len));
                 client.release(oid(name)).unwrap();
             }
+        }
+        // ...and the movers left the ledgers two-sided and settled: every
+        // delegation an owner counts is held by the peer it names, and a
+        // reconcile sweep finds nothing to drop or trim.
+        for i in 0..3 {
+            for out in cluster.store(i).delegations() {
+                if out.side != Side::Out {
+                    continue;
+                }
+                let holder = (0..3).find(|&j| cluster.node_id(j) == out.peer).unwrap();
+                let counterpart = cluster.store(holder).delegations().into_iter().any(|held| {
+                    held.side == Side::Held
+                        && (held.id, held.kind, held.peer) == (out.id, out.kind, cluster.node_id(i))
+                });
+                prop_assert!(counterpart, "node {i}: {out:?} has no held counterpart");
+            }
+        }
+        for i in 0..3 {
+            prop_assert_eq!(cluster.store(i).reconcile(), ReconcileReport::default());
         }
     }
 }
