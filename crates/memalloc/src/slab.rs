@@ -77,7 +77,7 @@ struct ClassState {
     partial: BTreeSet<u64>,
     /// Requested bytes across the class's live slots. This and the two
     /// figures below are kept incrementally so occupancy reporting is
-    /// O(classes): the store reads it under its alloc lock on every
+    /// O(classes): the store reads it under its table lock on every
     /// create and delete.
     live_bytes: u64,
     /// Extent bytes across the class's slabs (`carve` adds, retire
@@ -159,8 +159,10 @@ impl Slab {
         }
     }
 
-    /// Per-class occupancy for observability and fragmentation tests.
-    pub fn occupancy(&self) -> Vec<ClassOccupancy> {
+    /// Per-class occupancy, one item per [`SIZE_CLASSES`] rung in ladder
+    /// order, without allocating: the store folds it into its gauges
+    /// under the table lock on every create and delete.
+    pub fn class_occupancy(&self) -> impl Iterator<Item = ClassOccupancy> + '_ {
         SIZE_CLASSES
             .iter()
             .zip(&self.classes)
@@ -172,7 +174,11 @@ impl Slab {
                 live_bytes: st.live_bytes,
                 held_bytes: st.held_bytes,
             })
-            .collect()
+    }
+
+    /// [`Slab::class_occupancy`] collected, for callers that index it.
+    pub fn occupancy(&self) -> Vec<ClassOccupancy> {
+        self.class_occupancy().collect()
     }
 }
 

@@ -36,39 +36,13 @@ impl LruIndex {
 
     /// Insert or refresh `id` as most recently used.
     pub fn touch(&mut self, id: ObjectId) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.touch_at(id, seq);
-    }
-
-    /// Insert or refresh `id` with an externally supplied recency
-    /// sequence. The sharded store stamps entries from one store-wide
-    /// atomic counter so recency comparisons hold *across* shards — the
-    /// global eviction order is exact, not per-shard approximate.
-    pub fn touch_at(&mut self, id: ObjectId, seq: u64) {
         if let Some(old) = self.seq_of.remove(&id) {
             self.by_seq.remove(&old);
         }
-        self.next_seq = self.next_seq.max(seq + 1);
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.by_seq.insert(seq, id);
         self.seq_of.insert(id, seq);
-    }
-
-    /// The coldest entry as `(seq, id)`, without removing it. Eviction
-    /// scans compare these across shards to find the global LRU victim.
-    pub fn coldest(&self) -> Option<(u64, ObjectId)> {
-        self.by_seq.iter().next().map(|(&s, &id)| (s, id))
-    }
-
-    /// The recency sequence of `id`, if present (victim revalidation
-    /// after a cross-shard scan re-acquires the shard lock).
-    pub fn seq_of(&self, id: &ObjectId) -> Option<u64> {
-        self.seq_of.get(id).copied()
-    }
-
-    /// Iterate `(seq, id)` coldest-first (cross-shard LRU merges).
-    pub fn iter_seq(&self) -> impl Iterator<Item = (u64, ObjectId)> + '_ {
-        self.by_seq.iter().map(|(&s, &id)| (s, id))
     }
 
     /// Remove `id` (it gained a reference or was deleted).

@@ -17,9 +17,6 @@ pub enum ObjectState {
 pub(crate) struct ObjectEntry {
     /// Index of the store segment holding the object.
     pub seg_idx: usize,
-    /// Key of that segment (cached so shard-local reads never touch the
-    /// allocator lock).
-    pub seg: SegKey,
     pub offset: u64,
     pub data_size: u64,
     pub metadata_size: u64,
@@ -35,6 +32,12 @@ pub(crate) struct ObjectEntry {
 impl ObjectEntry {
     pub fn total_size(&self) -> u64 {
         self.data_size + self.metadata_size
+    }
+
+    /// Whether a `get` may see the object: sealed, and not hidden by a
+    /// deferred delete.
+    pub fn visible(&self) -> bool {
+        self.state == ObjectState::Sealed && !self.pending_deletion
     }
 }
 
@@ -77,10 +80,6 @@ mod tests {
     fn total_size_sums_data_and_metadata() {
         let e = ObjectEntry {
             seg_idx: 0,
-            seg: SegKey {
-                owner: tfsim::NodeId(0),
-                index: 0,
-            },
             offset: 0,
             data_size: 100,
             metadata_size: 28,

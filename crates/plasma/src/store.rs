@@ -21,27 +21,14 @@
 //! ## Concurrency structure (DESIGN.md §14)
 //!
 //! The paper notes "Mutex functionality was built in to ensure
-//! thread-safety"; the original implementation put one mutex around the
-//! whole object table, which serialises every client thread. Here the
-//! table is **sharded** by object-id hash ([`StoreConfig::shards`],
-//! default [`DEFAULT_SHARDS`]) so unrelated objects proceed in parallel.
-//! The moving parts:
-//!
-//! * each shard owns its objects, its slice of the LRU index, and its
-//!   lifecycle counters ([`StoreCore::shard_stats`] sums to the global
-//!   [`StoreStats`]);
-//! * LRU entries are stamped from one store-wide atomic sequence, so
-//!   cross-shard recency comparisons are exact — eviction picks the true
-//!   global LRU victim, not a per-shard approximation;
-//! * the segment allocators sit behind a separate `alloc` mutex. Lock
-//!   order is **shard → alloc**, never the reverse; shard locks are never
-//!   nested;
-//! * blocked `get`s wait on a seal **generation counter** + condvar: the
-//!   generation is read before scanning, and the waiter sleeps only if no
-//!   seal has happened since — a seal between scan and wait can't be lost;
-//! * eviction scans every shard for its coldest entry, then re-locks the
-//!   victim's shard and revalidates the sequence number before dropping
-//!   (the object may have been touched, pinned, or deleted in between).
+//! thread-safety": one mutex around the object table. This store is built
+//! the same way. One `Mutex<Table>` covers the objects, the LRU index, the
+//! lifecycle counters and the segment allocators, and one `Condvar` paired
+//! with it wakes blocked `get`s. Payload bytes never pass the lock —
+//! clients read and write through the fabric mapping — so every critical
+//! section is a metadata edit, and the fastest recorded per-node workload
+//! leaves the lock ≥ 96 % idle (EXPERIMENTS.md, "Decision (PR 17)").
+//! `plasma.shard.contention` counts the acquisitions that found it held.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
@@ -52,13 +39,9 @@ use memalloc::{RegionAllocator, Slab, SIZE_CLASSES};
 use obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfsim::{Fabric, Mapping, NodeId, SegKey};
-
-/// Default number of object-table shards.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// How a store grows beyond its initial donation when it runs out of
 /// memory: donate further segments of `increment_bytes` until the total
@@ -85,10 +68,6 @@ pub struct StoreConfig {
     pub enable_eviction: bool,
     /// Optional dynamic growth by donating further segments.
     pub growth: Option<GrowthPolicy>,
-    /// Object-table shards (clamped to ≥ 1). `1` recovers the old
-    /// single-mutex behaviour; [`DEFAULT_SHARDS`] is the concurrent
-    /// default.
-    pub shards: usize,
 }
 
 impl StoreConfig {
@@ -98,7 +77,6 @@ impl StoreConfig {
             memory_bytes,
             enable_eviction: true,
             growth: None,
-            shards: DEFAULT_SHARDS,
         }
     }
 
@@ -108,12 +86,6 @@ impl StoreConfig {
             increment_bytes,
             max_total_bytes,
         });
-        self
-    }
-
-    /// Set the object-table shard count (clamped to ≥ 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 }
@@ -137,55 +109,55 @@ pub struct StoreStats {
     pub evicted_bytes: u64,
 }
 
-impl StoreStats {
-    /// Fold another shard's lifecycle counters into `self` (the capacity
-    /// fields — `capacity`, `segments`, `allocated_bytes` — are global,
-    /// not per-shard, and are left untouched).
-    fn absorb(&mut self, other: &StoreStats) {
-        self.objects += other.objects;
-        self.sealed_objects += other.sealed_objects;
-        self.creates += other.creates;
-        self.seals += other.seals;
-        self.gets += other.gets;
-        self.get_misses += other.get_misses;
-        self.releases += other.releases;
-        self.deletes += other.deletes;
-        self.evictions += other.evictions;
-        self.evicted_bytes += other.evicted_bytes;
-    }
-}
-
 /// One donated segment and the allocator managing it.
 struct SegAlloc {
     key: SegKey,
     alloc: Slab,
-    capacity: u64,
 }
 
-/// The segment allocators, behind their own mutex (lock order:
-/// shard → alloc).
-struct AllocState {
+/// Everything the store's one lock covers: the object table, the LRU
+/// index of its evictable entries, and the segment allocators behind
+/// them.
+struct Table {
+    objects: HashMap<ObjectId, ObjectEntry>,
+    lru: LruIndex,
+    /// Lifecycle counters; the capacity fields are filled in by
+    /// [`StoreCore::stats`] from the two fields below.
+    stats: StoreStats,
     segs: Vec<SegAlloc>,
     /// Sum of segment capacities (kept incrementally on growth).
     capacity: u64,
 }
 
-impl AllocState {
+impl Table {
     fn allocated_bytes(&self) -> u64 {
         self.segs
             .iter()
             .map(|s| s.alloc.stats().allocated_bytes)
             .sum()
     }
+
+    /// Take a reference on `id` for a getter, if a `get` may see it:
+    /// pinned objects leave the LRU index, so eviction never meets them.
+    fn pin(&mut self, id: ObjectId) -> Option<ObjectLocation> {
+        let e = self.objects.get_mut(&id).filter(|e| e.visible())?;
+        e.ref_count += 1;
+        let loc = location(&self.segs, id, e);
+        self.lru.remove(&id);
+        self.stats.gets += 1;
+        Some(loc)
+    }
 }
 
-/// One object-table shard: the objects hashing here, their slice of the
-/// LRU index, and this shard's lifecycle counters.
-#[derive(Default)]
-struct Shard {
-    objects: HashMap<ObjectId, ObjectEntry>,
-    lru: LruIndex,
-    stats: StoreStats,
+/// Where `e` lives, as handed to clients.
+fn location(segs: &[SegAlloc], id: ObjectId, e: &ObjectEntry) -> ObjectLocation {
+    ObjectLocation {
+        id,
+        seg: segs[e.seg_idx].key,
+        offset: e.offset,
+        data_size: e.data_size,
+        metadata_size: e.metadata_size,
+    }
 }
 
 /// Pre-registered `obs` handles for the store's hot paths. Wall-clock
@@ -205,22 +177,18 @@ struct StoreMetrics {
     capacity_bytes: Arc<Gauge>,
     used_bytes: Arc<Gauge>,
     free_bytes: Arc<Gauge>,
-    /// `plasma.shard.contention`: shard-lock acquisitions that found the
+    /// `plasma.shard.contention`: table-lock acquisitions that found the
     /// lock held (a `try_lock` miss) — the direct view of table
-    /// serialisation.
-    shard_contention: Arc<Counter>,
-    /// `plasma.shard.<i>.objects`: objects currently in each shard.
-    shard_objects: Vec<Arc<Gauge>>,
+    /// serialisation. The name predates the single table; benchmarks read
+    /// it by string.
+    contention: Arc<Counter>,
     /// `plasma.alloc.class.<size>.{live,held}_bytes`: per-size-class
     /// occupancy (parallel to `memalloc::SIZE_CLASSES`).
     class_gauges: Vec<(Arc<Gauge>, Arc<Gauge>)>,
 }
 
 impl StoreMetrics {
-    fn new(registry: Arc<Registry>, shards: usize) -> StoreMetrics {
-        let shard_objects = (0..shards)
-            .map(|i| registry.gauge(&format!("plasma.shard.{i}.objects")))
-            .collect();
+    fn new(registry: Arc<Registry>) -> StoreMetrics {
         let class_gauges = SIZE_CLASSES
             .iter()
             .map(|c| {
@@ -240,8 +208,7 @@ impl StoreMetrics {
             capacity_bytes: registry.gauge("plasma.capacity_bytes"),
             used_bytes: registry.gauge("plasma.used_bytes"),
             free_bytes: registry.gauge("plasma.free_bytes"),
-            shard_contention: registry.counter("plasma.shard.contention"),
-            shard_objects,
+            contention: registry.counter("plasma.shard.contention"),
             class_gauges,
             registry,
         }
@@ -249,17 +216,17 @@ impl StoreMetrics {
 
     /// Refresh the capacity and per-class occupancy gauges from the
     /// allocator state. Called on every path that changes occupancy,
-    /// while the alloc lock is held.
-    fn sync_capacity(&self, al: &AllocState) {
-        let capacity = al.capacity as i64;
-        let used = al.allocated_bytes() as i64;
+    /// under the table lock — so it allocates nothing.
+    fn sync_capacity(&self, t: &Table) {
+        let capacity = t.capacity as i64;
+        let used = t.allocated_bytes() as i64;
         self.capacity_bytes.set(capacity);
         self.used_bytes.set(used);
         self.free_bytes.set(capacity - used);
         let mut live = [0i64; SIZE_CLASSES.len()];
         let mut held = [0i64; SIZE_CLASSES.len()];
-        for seg in &al.segs {
-            for (i, occ) in seg.alloc.occupancy().iter().enumerate() {
+        for seg in &t.segs {
+            for (i, occ) in seg.alloc.class_occupancy().enumerate() {
                 live[i] += occ.live_bytes as i64;
                 held[i] += occ.held_bytes as i64;
             }
@@ -277,15 +244,11 @@ struct Inner {
     growth: Option<GrowthPolicy>,
     enable_eviction: bool,
     fabric: Fabric,
-    shards: Vec<Mutex<Shard>>,
-    alloc: Mutex<AllocState>,
+    table: Mutex<Table>,
+    /// Signalled on every seal; blocked `get_wait`s sleep on it under
+    /// the table lock.
+    sealed: Condvar,
     subscribers: Mutex<Vec<Sender<ObjectLocation>>>,
-    /// Bumped on every seal; `get_wait` snapshots it before scanning and
-    /// sleeps only if it is unchanged, so no seal is ever missed.
-    seal_gen: Mutex<u64>,
-    seal_cv: Condvar,
-    /// Store-wide LRU recency clock (see module docs).
-    lru_seq: AtomicU64,
     metrics: StoreMetrics,
 }
 
@@ -301,8 +264,7 @@ impl StoreCore {
     pub fn new(fabric: &Fabric, node: NodeId, config: StoreConfig) -> Result<Self, PlasmaError> {
         let seg = fabric.donate(node, config.memory_bytes)?;
         let capacity = config.memory_bytes as u64;
-        let shards = config.shards.max(1);
-        let metrics = StoreMetrics::new(Registry::new(), shards);
+        let metrics = StoreMetrics::new(Registry::new());
         metrics.capacity_bytes.set(capacity as i64);
         metrics.free_bytes.set(capacity as i64);
         Ok(StoreCore {
@@ -312,19 +274,18 @@ impl StoreCore {
                 growth: config.growth,
                 enable_eviction: config.enable_eviction,
                 fabric: fabric.clone(),
-                shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-                alloc: Mutex::new(AllocState {
+                table: Mutex::new(Table {
+                    objects: HashMap::new(),
+                    lru: LruIndex::new(),
+                    stats: StoreStats::default(),
                     segs: vec![SegAlloc {
                         key: seg,
                         alloc: Slab::new(capacity),
-                        capacity,
                     }],
                     capacity,
                 }),
+                sealed: Condvar::new(),
                 subscribers: Mutex::new(Vec::new()),
-                seal_gen: Mutex::new(0),
-                seal_cv: Condvar::new(),
-                lru_seq: AtomicU64::new(0),
                 metrics,
             }),
         })
@@ -348,45 +309,25 @@ impl StoreCore {
         self.inner.node
     }
 
-    /// Number of object-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// The shard index `id` hashes to (stable FNV-1a routing; exposed so
-    /// tests can construct shard-colliding and shard-spanning workloads).
-    pub fn shard_of(&self, id: &ObjectId) -> usize {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in id.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % self.inner.shards.len() as u64) as usize
-    }
-
-    /// Lock a shard, counting contended acquisitions.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
-        match self.inner.shards[idx].try_lock() {
+    /// Lock the table, counting contended acquisitions.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        match self.inner.table.try_lock() {
             Some(g) => g,
             None => {
-                self.inner.metrics.shard_contention.inc();
-                self.inner.shards[idx].lock()
+                self.inner.metrics.contention.inc();
+                self.inner.table.lock()
             }
         }
     }
 
-    fn next_lru_seq(&self) -> u64 {
-        self.inner.lru_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The store's primary (first-donated) segment.
     pub fn seg_key(&self) -> SegKey {
-        self.inner.alloc.lock().segs[0].key
+        self.table().segs[0].key
     }
 
     /// Every segment the store has donated, in donation order.
     pub fn seg_keys(&self) -> Vec<SegKey> {
-        self.inner.alloc.lock().segs.iter().map(|s| s.key).collect()
+        self.table().segs.iter().map(|s| s.key).collect()
     }
 
     /// The fabric this store participates in.
@@ -405,18 +346,11 @@ impl StoreCore {
         Ok(self.inner.fabric.attach(self.inner.node, loc.seg)?)
     }
 
-    fn location(id: ObjectId, e: &ObjectEntry) -> ObjectLocation {
-        ObjectLocation {
-            id,
-            seg: e.seg,
-            offset: e.offset,
-            data_size: e.data_size,
-            metadata_size: e.metadata_size,
-        }
-    }
-
     /// Allocate a new object. The creator holds one reference and must
     /// write the buffer (through the fabric) and then [`StoreCore::seal`].
+    /// Uniqueness, allocation (with any growth or eviction it needs) and
+    /// the insert are one critical section: a create refused as a
+    /// duplicate has grown and evicted nothing.
     pub fn create(
         &self,
         id: ObjectId,
@@ -424,19 +358,13 @@ impl StoreCore {
         metadata_size: u64,
     ) -> Result<ObjectLocation, PlasmaError> {
         let t0 = Instant::now();
-        let total = data_size + metadata_size;
-        let si = self.shard_of(&id);
-        // Cheap early uniqueness check; a racing create slipping past it
-        // is caught again at insert time (with allocation rollback).
-        if self.lock_shard(si).objects.contains_key(&id) {
+        let mut t = self.table();
+        if t.objects.contains_key(&id) {
             return Err(PlasmaError::ObjectExists(id));
         }
-        // Allocate without holding the shard lock: allocation may trigger
-        // growth or eviction, and eviction locks other shards.
-        let (seg_idx, seg, offset) = self.allocate(total)?;
+        let (seg_idx, offset) = self.allocate(&mut t, data_size + metadata_size)?;
         let entry = ObjectEntry {
             seg_idx,
-            seg,
             offset,
             data_size,
             metadata_size,
@@ -444,55 +372,36 @@ impl StoreCore {
             ref_count: 1,
             pending_deletion: false,
         };
-        let loc = Self::location(id, &entry);
-        {
-            let mut sh = self.lock_shard(si);
-            if sh.objects.contains_key(&id) {
-                drop(sh);
-                // Lost a create race: roll the allocation back.
-                let mut al = self.inner.alloc.lock();
-                al.segs[seg_idx]
-                    .alloc
-                    .free(offset)
-                    .expect("create rollback frees a live allocation");
-                self.inner.metrics.sync_capacity(&al);
-                return Err(PlasmaError::ObjectExists(id));
-            }
-            sh.objects.insert(id, entry);
-            sh.stats.creates += 1;
-            sh.stats.objects += 1;
-            self.inner.metrics.shard_objects[si].set(sh.objects.len() as i64);
-        }
+        let loc = location(&t.segs, id, &entry);
+        t.objects.insert(id, entry);
+        t.stats.creates += 1;
+        t.stats.objects += 1;
+        drop(t);
         self.inner.metrics.create.record_duration(t0.elapsed());
         Ok(loc)
     }
 
     /// Find room for `total` bytes: try each segment, then growth, then
-    /// eviction. Holds the alloc lock only while probing the allocators
-    /// (eviction needs shard locks, which must be taken first).
-    fn allocate(&self, total: u64) -> Result<(usize, SegKey, u64), PlasmaError> {
+    /// eviction of the LRU victim, until it fits or nothing is left to
+    /// evict. Returns the segment index and the offset within it.
+    fn allocate(&self, t: &mut Table, total: u64) -> Result<(usize, u64), PlasmaError> {
         let size = total.max(1);
         loop {
-            let capacity = {
-                let mut al = self.inner.alloc.lock();
-                for idx in 0..al.segs.len() {
-                    if let Ok(off) = al.segs[idx].alloc.alloc(size) {
-                        let key = al.segs[idx].key;
-                        self.inner.metrics.sync_capacity(&al);
-                        return Ok((idx, key, off));
-                    }
+            for idx in 0..t.segs.len() {
+                if let Ok(off) = t.segs[idx].alloc.alloc(size) {
+                    self.inner.metrics.sync_capacity(t);
+                    return Ok((idx, off));
                 }
-                // Prefer growing the disaggregated pool over evicting
-                // data; evict only when growth is exhausted.
-                if self.grow_locked(&mut al)? {
-                    continue;
-                }
-                al.capacity
-            };
-            if !self.inner.enable_eviction || self.evict_one().is_none() {
+            }
+            // Prefer growing the disaggregated pool over evicting
+            // data; evict only when growth is exhausted.
+            if self.grow(t)? {
+                continue;
+            }
+            if !self.inner.enable_eviction || self.evict_one(t).is_none() {
                 return Err(PlasmaError::OutOfMemory {
                     requested: total,
-                    capacity,
+                    capacity: t.capacity,
                 });
             }
         }
@@ -500,12 +409,11 @@ impl StoreCore {
 
     /// Donate one more segment per the growth policy. Returns whether the
     /// pool grew.
-    fn grow_locked(&self, al: &mut AllocState) -> Result<bool, PlasmaError> {
+    fn grow(&self, t: &mut Table) -> Result<bool, PlasmaError> {
         let Some(policy) = self.inner.growth else {
             return Ok(false);
         };
-        let current: u64 = al.segs.iter().map(|s| s.capacity).sum();
-        if current + policy.increment_bytes as u64 > policy.max_total_bytes as u64 {
+        if t.capacity + policy.increment_bytes as u64 > policy.max_total_bytes as u64 {
             return Ok(false);
         }
         let key = self
@@ -513,13 +421,12 @@ impl StoreCore {
             .fabric
             .donate(self.inner.node, policy.increment_bytes)?;
         let capacity = policy.increment_bytes as u64;
-        al.segs.push(SegAlloc {
+        t.segs.push(SegAlloc {
             key,
             alloc: Slab::new(capacity),
-            capacity,
         });
-        al.capacity += capacity;
-        self.inner.metrics.sync_capacity(al);
+        t.capacity += capacity;
+        self.inner.metrics.sync_capacity(t);
         Ok(true)
     }
 
@@ -528,8 +435,9 @@ impl StoreCore {
     pub fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
         let t0 = Instant::now();
         let loc = {
-            let mut sh = self.lock_shard(self.shard_of(&id));
-            let entry = sh
+            let mut guard = self.table();
+            let t = &mut *guard;
+            let entry = t
                 .objects
                 .get_mut(&id)
                 .ok_or(PlasmaError::ObjectNotFound(id))?;
@@ -537,21 +445,18 @@ impl StoreCore {
                 ObjectState::Sealed => return Err(PlasmaError::AlreadySealed(id)),
                 ObjectState::Created => entry.state = ObjectState::Sealed,
             }
-            let loc = Self::location(id, entry);
-            sh.stats.seals += 1;
-            sh.stats.sealed_objects += 1;
-            loc
+            t.stats.seals += 1;
+            t.stats.sealed_objects += 1;
+            location(&t.segs, id, entry)
         };
+        // The state flipped under the lock `get_wait` scans and waits
+        // under, so every waiter either saw it or is already asleep.
+        self.inner.sealed.notify_all();
         // Notify subscribers; drop hung-up ones.
         self.inner
             .subscribers
             .lock()
             .retain(|tx| tx.send(loc).is_ok());
-        {
-            let mut gen = self.inner.seal_gen.lock();
-            *gen += 1;
-            self.inner.seal_cv.notify_all();
-        }
         self.inner.metrics.seal.record_duration(t0.elapsed());
         Ok(loc)
     }
@@ -560,22 +465,14 @@ impl StoreCore {
     /// a reference (pinning the object against eviction).
     pub fn get_local(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t0 = Instant::now();
-        let mut sh = self.lock_shard(self.shard_of(&id));
-        match sh.objects.get_mut(&id) {
-            Some(e) if e.state == ObjectState::Sealed && !e.pending_deletion => {
-                e.ref_count += 1;
-                let loc = Self::location(id, e);
-                sh.lru.remove(&id);
-                sh.stats.gets += 1;
-                drop(sh);
-                self.inner.metrics.get.record_duration(t0.elapsed());
-                Some(loc)
-            }
-            _ => {
-                sh.stats.get_misses += 1;
-                None
-            }
-        }
+        let mut t = self.table();
+        let Some(loc) = t.pin(id) else {
+            t.stats.get_misses += 1;
+            return None;
+        };
+        drop(t);
+        self.inner.metrics.get.record_duration(t0.elapsed());
+        Some(loc)
     }
 
     /// Blocking batched get: waits up to `timeout` for each id to be
@@ -583,64 +480,38 @@ impl StoreCore {
     /// in time). Each `Some` carries a reference the caller must release.
     pub fn get_wait(&self, ids: &[ObjectId], timeout: Duration) -> Vec<Option<ObjectLocation>> {
         let t0 = Instant::now();
-        let out = self.get_wait_inner(ids, timeout);
-        self.inner.metrics.get.record_duration(t0.elapsed());
-        out
-    }
-
-    fn get_wait_inner(&self, ids: &[ObjectId], timeout: Duration) -> Vec<Option<ObjectLocation>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = t0 + timeout;
         let mut out: Vec<Option<ObjectLocation>> = vec![None; ids.len()];
+        let mut t = self.table();
         loop {
-            // Snapshot the seal generation *before* scanning: if a seal
-            // lands between the scan and the wait, the generation moves
-            // and the wait below is skipped (no lost wakeup).
-            let gen_before = *self.inner.seal_gen.lock();
-            let mut missing = 0usize;
-            for (i, id) in ids.iter().enumerate() {
-                if out[i].is_some() {
-                    continue;
+            let mut missing = 0u64;
+            for (slot, id) in out.iter_mut().zip(ids) {
+                if slot.is_none() {
+                    *slot = t.pin(*id);
+                    missing += u64::from(slot.is_none());
                 }
-                let mut sh = self.lock_shard(self.shard_of(id));
-                match sh.objects.get_mut(id) {
-                    Some(e) if e.state == ObjectState::Sealed && !e.pending_deletion => {
-                        e.ref_count += 1;
-                        let loc = Self::location(*id, e);
-                        sh.lru.remove(id);
-                        sh.stats.gets += 1;
-                        out[i] = Some(loc);
-                    }
-                    _ => missing += 1,
-                }
-            }
-            if missing == 0 {
-                return out;
             }
             let now = Instant::now();
-            if now >= deadline {
-                for (i, id) in ids.iter().enumerate() {
-                    if out[i].is_none() {
-                        self.lock_shard(self.shard_of(id)).stats.get_misses += 1;
-                    }
-                }
-                return out;
+            if missing == 0 || now >= deadline {
+                t.stats.get_misses += missing;
+                break;
             }
-            let mut gen = self.inner.seal_gen.lock();
-            if *gen == gen_before {
-                // Sleep until a seal bumps the generation or the deadline
-                // passes; either way loop back for one more scan.
-                let _ = self.inner.seal_cv.wait_for(&mut gen, deadline - now);
-            }
+            // Sleep until a seal or the deadline; either way scan once
+            // more. The wait releases the lock the scan ran under, and
+            // `seal` needs that lock: no seal falls between the two.
+            let _ = self.inner.sealed.wait_for(&mut t, deadline - now);
         }
+        drop(t);
+        self.inner.metrics.get.record_duration(t0.elapsed());
+        out
     }
 
     /// Drop one reference. When the last reference is gone the object
     /// becomes evictable.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
         let t0 = Instant::now();
-        let si = self.shard_of(&id);
-        let mut sh = self.lock_shard(si);
-        let entry = sh
+        let mut t = self.table();
+        let entry = t
             .objects
             .get_mut(&id)
             .ok_or(PlasmaError::ObjectNotFound(id))?;
@@ -652,32 +523,30 @@ impl StoreCore {
         let doomed = entry.pending_deletion;
         if last {
             if doomed {
-                self.drop_object_in_shard(&mut sh, si, id);
-                sh.stats.deletes += 1;
+                self.drop_object(&mut t, id);
+                t.stats.deletes += 1;
             } else {
-                let seq = self.next_lru_seq();
-                sh.lru.touch_at(id, seq);
+                t.lru.touch(id);
             }
         }
-        sh.stats.releases += 1;
-        drop(sh);
+        t.stats.releases += 1;
+        drop(t);
         self.inner.metrics.release.record_duration(t0.elapsed());
         Ok(())
     }
 
     /// Delete a sealed, unreferenced object, freeing its memory.
     pub fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let si = self.shard_of(&id);
-        let mut sh = self.lock_shard(si);
-        let entry = sh.objects.get(&id).ok_or(PlasmaError::ObjectNotFound(id))?;
+        let mut t = self.table();
+        let entry = t.objects.get(&id).ok_or(PlasmaError::ObjectNotFound(id))?;
         if entry.ref_count > 0 {
             return Err(PlasmaError::ObjectInUse(id));
         }
         if entry.state != ObjectState::Sealed {
             return Err(PlasmaError::NotSealed(id));
         }
-        self.drop_object_in_shard(&mut sh, si, id);
-        sh.stats.deletes += 1;
+        self.drop_object(&mut t, id);
+        t.stats.deletes += 1;
         Ok(())
     }
 
@@ -686,9 +555,8 @@ impl StoreCore {
     /// hide it from new `get`s and drop it when its last reference is
     /// released (returns `false`). Mirrors Arrow Plasma's deferred Delete.
     pub fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
-        let si = self.shard_of(&id);
-        let mut sh = self.lock_shard(si);
-        let entry = sh
+        let mut t = self.table();
+        let entry = t
             .objects
             .get_mut(&id)
             .ok_or(PlasmaError::ObjectNotFound(id))?;
@@ -696,12 +564,12 @@ impl StoreCore {
             return Err(PlasmaError::NotSealed(id));
         }
         if entry.ref_count == 0 {
-            self.drop_object_in_shard(&mut sh, si, id);
-            sh.stats.deletes += 1;
+            self.drop_object(&mut t, id);
+            t.stats.deletes += 1;
             Ok(true)
         } else {
             entry.pending_deletion = true;
-            sh.lru.remove(&id);
+            t.lru.remove(&id);
             Ok(false)
         }
     }
@@ -709,79 +577,53 @@ impl StoreCore {
     /// Abort an object the caller created but has not sealed: frees the
     /// allocation. (Plasma's `Abort`.)
     pub fn abort(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let si = self.shard_of(&id);
-        let mut sh = self.lock_shard(si);
-        let entry = sh.objects.get(&id).ok_or(PlasmaError::ObjectNotFound(id))?;
+        let mut t = self.table();
+        let entry = t.objects.get(&id).ok_or(PlasmaError::ObjectNotFound(id))?;
         if entry.state != ObjectState::Created {
             return Err(PlasmaError::AlreadySealed(id));
         }
-        self.drop_object_in_shard(&mut sh, si, id);
+        self.drop_object(&mut t, id);
         Ok(())
     }
 
-    /// Remove `id` from its (locked) shard and free its buffer. Takes the
-    /// alloc lock while holding the shard lock — the one sanctioned
-    /// shard → alloc nesting.
-    fn drop_object_in_shard(&self, sh: &mut Shard, si: usize, id: ObjectId) {
-        if let Some(entry) = sh.objects.remove(&id) {
-            sh.lru.remove(&id);
-            {
-                let mut al = self.inner.alloc.lock();
-                al.segs[entry.seg_idx]
-                    .alloc
-                    .free(entry.offset)
-                    .expect("object table and allocator agree");
-                self.inner.metrics.sync_capacity(&al);
-            }
-            if entry.state == ObjectState::Sealed {
-                sh.stats.sealed_objects -= 1;
-            }
-            sh.stats.objects -= 1;
-            self.inner.metrics.shard_objects[si].set(sh.objects.len() as i64);
+    /// Remove `id` from the table and free its buffer. Returns the bytes
+    /// the object occupied (0 if it was not there).
+    fn drop_object(&self, t: &mut Table, id: ObjectId) -> u64 {
+        let Some(entry) = t.objects.remove(&id) else {
+            return 0;
+        };
+        t.lru.remove(&id);
+        t.segs[entry.seg_idx]
+            .alloc
+            .free(entry.offset)
+            .expect("object table and allocator agree");
+        self.inner.metrics.sync_capacity(t);
+        if entry.state == ObjectState::Sealed {
+            t.stats.sealed_objects -= 1;
         }
+        t.stats.objects -= 1;
+        entry.total_size()
     }
 
-    /// Evict the globally least-recently-used evictable object. Returns
-    /// the evicted bytes, or `None` if nothing is evictable.
-    fn evict_one(&self) -> Option<u64> {
-        loop {
-            // Scan every shard for its coldest entry (one shard lock at a
-            // time, none held across shards). The store-wide sequence
-            // makes the minimum the exact global LRU victim.
-            let mut best: Option<(u64, usize, ObjectId)> = None;
-            for si in 0..self.inner.shards.len() {
-                let sh = self.lock_shard(si);
-                if let Some((seq, id)) = sh.lru.coldest() {
-                    if best.is_none_or(|(bs, _, _)| seq < bs) {
-                        best = Some((seq, si, id));
-                    }
-                }
-            }
-            let (seq, si, id) = best?;
-            // Re-lock the victim's shard and revalidate: between scan and
-            // now the object may have been touched (new seq), pinned, or
-            // deleted. On mismatch, rescan — the race implies progress.
-            let mut sh = self.lock_shard(si);
-            if sh.lru.seq_of(&id) != Some(seq) {
-                continue;
-            }
-            let bytes = sh.objects.get(&id).map(|e| e.total_size()).unwrap_or(0);
-            self.drop_object_in_shard(&mut sh, si, id);
-            sh.stats.evictions += 1;
-            sh.stats.evicted_bytes += bytes;
-            drop(sh);
-            self.inner.metrics.evictions.inc();
-            self.inner.metrics.evicted_bytes.add(bytes);
-            return Some(bytes);
-        }
+    /// Evict the least-recently-used evictable object. Returns the
+    /// evicted bytes, or `None` if nothing is evictable.
+    fn evict_one(&self, t: &mut Table) -> Option<u64> {
+        let id = t.lru.pop_lru()?;
+        let bytes = self.drop_object(t, id);
+        t.stats.evictions += 1;
+        t.stats.evicted_bytes += bytes;
+        self.inner.metrics.evictions.inc();
+        self.inner.metrics.evicted_bytes.add(bytes);
+        Some(bytes)
     }
 
     /// Evict until at least `bytes` have been reclaimed (or nothing is
     /// evictable). Returns the number of bytes reclaimed.
     pub fn evict(&self, bytes: u64) -> u64 {
+        let mut t = self.table();
         let mut reclaimed = 0u64;
         while reclaimed < bytes {
-            match self.evict_one() {
+            match self.evict_one(&mut t) {
                 Some(b) => reclaimed += b,
                 None => break,
             }
@@ -793,57 +635,48 @@ impl StoreCore {
     /// taking a reference. Used for contains-style interconnect queries;
     /// the returned location may be evicted at any time.
     pub fn peek(&self, id: ObjectId) -> Option<ObjectLocation> {
-        let sh = self.lock_shard(self.shard_of(&id));
-        match sh.objects.get(&id) {
-            Some(e) if e.state == ObjectState::Sealed && !e.pending_deletion => {
-                Some(Self::location(id, e))
-            }
-            _ => None,
-        }
+        let t = self.table();
+        let e = t.objects.get(&id).filter(|e| e.visible())?;
+        Some(location(&t.segs, id, e))
     }
 
     /// Location of a created-but-unsealed object — where its creator is
     /// writing. A forwarded create answers a retried `CREATE_AT` with it.
     pub fn peek_unsealed(&self, id: ObjectId) -> Option<ObjectLocation> {
-        let sh = self.lock_shard(self.shard_of(&id));
-        match sh.objects.get(&id) {
-            Some(e) if e.state == ObjectState::Created => Some(Self::location(id, e)),
+        let t = self.table();
+        match t.objects.get(&id) {
+            Some(e) if e.state == ObjectState::Created => Some(location(&t.segs, id, e)),
             _ => None,
         }
     }
 
     /// Whether a *sealed* object with this id exists (Plasma `Contains`).
     pub fn contains(&self, id: ObjectId) -> bool {
-        let sh = self.lock_shard(self.shard_of(&id));
-        matches!(
-            sh.objects.get(&id),
-            Some(e) if e.state == ObjectState::Sealed && !e.pending_deletion
-        )
+        self.table()
+            .objects
+            .get(&id)
+            .is_some_and(ObjectEntry::visible)
     }
 
     /// Whether the id exists in any state (used for id-uniqueness checks).
     pub fn exists_any_state(&self, id: ObjectId) -> bool {
-        self.lock_shard(self.shard_of(&id))
-            .objects
-            .contains_key(&id)
+        self.table().objects.contains_key(&id)
     }
 
-    /// List all objects. The listing visits shards one at a time, so it is
-    /// a consistent snapshot per shard but not across shards (an object
-    /// moving during the walk may be missed or double-counted — the same
-    /// contract a remote `List` RPC offers).
+    /// List all objects, sorted by id: one consistent snapshot.
     pub fn list(&self) -> Vec<ObjectInfo> {
-        let mut v: Vec<ObjectInfo> = Vec::new();
-        for si in 0..self.inner.shards.len() {
-            let sh = self.lock_shard(si);
-            v.extend(sh.objects.iter().map(|(&id, e)| ObjectInfo {
+        let mut v: Vec<ObjectInfo> = self
+            .table()
+            .objects
+            .iter()
+            .map(|(&id, e)| ObjectInfo {
                 id,
                 data_size: e.data_size,
                 metadata_size: e.metadata_size,
                 state: e.state,
                 ref_count: e.ref_count,
-            }));
-        }
+            })
+            .collect();
         v.sort_by_key(|o| o.id);
         v
     }
@@ -855,48 +688,30 @@ impl StoreCore {
         rx
     }
 
-    /// Current statistics snapshot: the shards' lifecycle counters summed,
-    /// plus the allocator's capacity fields.
+    /// Current statistics: one consistent snapshot of the lifecycle
+    /// counters and the allocator's capacity fields.
     pub fn stats(&self) -> StoreStats {
-        let mut s = StoreStats::default();
-        for si in 0..self.inner.shards.len() {
-            let sh = self.lock_shard(si);
-            s.absorb(&sh.stats);
+        let t = self.table();
+        StoreStats {
+            capacity: t.capacity,
+            segments: t.segs.len() as u64,
+            allocated_bytes: t.allocated_bytes(),
+            ..t.stats
         }
-        let al = self.inner.alloc.lock();
-        s.capacity = al.capacity;
-        s.segments = al.segs.len() as u64;
-        s.allocated_bytes = al.allocated_bytes();
-        s
-    }
-
-    /// Per-shard lifecycle counters, indexed by shard. The capacity fields
-    /// (`capacity`, `segments`, `allocated_bytes`) are global, not
-    /// per-shard, and are zero here; everything else sums to
-    /// [`StoreCore::stats`].
-    pub fn shard_stats(&self) -> Vec<StoreStats> {
-        (0..self.inner.shards.len())
-            .map(|si| self.lock_shard(si).stats)
-            .collect()
     }
 
     /// Up to `max` eviction candidates, coldest first: sealed,
-    /// unreferenced objects in global LRU order, with their total sizes.
+    /// unreferenced objects in LRU order, with their total sizes.
     /// This is the spill picker's menu — the same objects plain eviction
     /// would destroy, offered for relocation instead. Read-only;
-    /// membership may change the moment the locks drop.
+    /// membership may change the moment the lock drops.
     pub fn cold_candidates(&self, max: usize) -> Vec<(ObjectId, u64)> {
-        let mut cands: Vec<(u64, ObjectId, u64)> = Vec::new();
-        for si in 0..self.inner.shards.len() {
-            let sh = self.lock_shard(si);
-            for (seq, id) in sh.lru.iter_seq().take(max) {
-                let bytes = sh.objects.get(&id).map(|e| e.total_size()).unwrap_or(0);
-                cands.push((seq, id, bytes));
-            }
-        }
-        cands.sort_by_key(|&(seq, _, _)| seq);
-        cands.truncate(max);
-        cands.into_iter().map(|(_, id, b)| (id, b)).collect()
+        let t = self.table();
+        t.lru
+            .iter_lru()
+            .take(max)
+            .map(|id| (id, t.objects.get(&id).map_or(0, ObjectEntry::total_size)))
+            .collect()
     }
 }
 
@@ -905,7 +720,6 @@ impl std::fmt::Debug for StoreCore {
         f.debug_struct("StoreCore")
             .field("name", &self.inner.name)
             .field("node", &self.inner.node)
-            .field("shards", &self.inner.shards.len())
             .finish()
     }
 }
@@ -1451,125 +1265,59 @@ mod tests {
         assert_eq!(s.stats().gets, 100);
     }
 
-    // ---- sharding-specific tests ----
-
     #[test]
-    fn default_config_is_sharded() {
+    fn get_wait_never_misses_a_racing_seal() {
+        // Each round seals a fresh id with no delay while a `get_wait`
+        // for it starts on the other side of a barrier. A lost wakeup
+        // would not hang — the wait times out and the rescan finds the
+        // object — it would stall one round for the whole timeout.
+        const ROUNDS: usize = 300;
+        let timeout = Duration::from_secs(5);
+        let oid = |n: usize| ObjectId::from_name(&format!("race-{n}"));
         let s = store(1 << 20);
-        assert_eq!(s.shard_count(), DEFAULT_SHARDS);
-        // Routing is deterministic and in range.
-        for n in 0..64u8 {
-            let si = s.shard_of(&id(n));
-            assert!(si < DEFAULT_SHARDS);
-            assert_eq!(si, s.shard_of(&id(n)));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let sealer = {
+            let (s, start) = (s.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                for n in 0..ROUNDS {
+                    start.wait();
+                    s.seal(oid(n)).unwrap();
+                }
+            })
+        };
+        let t0 = Instant::now();
+        for n in 0..ROUNDS {
+            s.create(oid(n), 64, 0).unwrap();
+            start.wait();
+            let got = s.get_wait(&[oid(n)], timeout);
+            assert!(got[0].is_some(), "round {n} missed its seal");
         }
+        sealer.join().unwrap();
+        assert!(
+            t0.elapsed() < timeout,
+            "a round stalled: {:?} for {ROUNDS} rounds",
+            t0.elapsed()
+        );
     }
 
     #[test]
-    fn ids_spread_across_shards() {
-        let s = store(1 << 20);
-        let mut hit = vec![false; s.shard_count()];
-        for n in 0..255u8 {
-            hit[s.shard_of(&ObjectId::from_name(&format!("spread-{n}")))] = true;
-        }
-        let used = hit.iter().filter(|&&h| h).count();
-        assert!(used >= s.shard_count() / 2, "only {used} shards hit");
-    }
-
-    #[test]
-    fn single_shard_config_behaves_identically() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let cfg = StoreConfig::new("one-shard", 768 << 10).with_shards(1);
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
-        assert_eq!(s.shard_count(), 1);
-        for n in 1..=3u8 {
-            s.create(id(n), 256 << 10, 0).unwrap();
-            s.seal(id(n)).unwrap();
-            s.release(id(n)).unwrap();
-        }
-        s.create(id(4), 256 << 10, 0).unwrap();
-        assert!(!s.contains(id(1)), "LRU eviction still exact");
-        assert!(s.contains(id(2)) && s.contains(id(3)));
-    }
-
-    #[test]
-    fn shard_stats_sum_to_global() {
-        let s = store(4 << 20);
-        for n in 0..40u8 {
-            let oid = ObjectId::from_name(&format!("sum-{n}"));
-            s.create(oid, 512, 0).unwrap();
-            s.seal(oid).unwrap();
-            if n % 2 == 0 {
-                s.get_local(oid).unwrap();
-                s.release(oid).unwrap();
-            }
-            s.release(oid).unwrap();
-            if n % 5 == 0 {
-                s.delete(oid).unwrap();
-            }
-        }
-        let global = s.stats();
-        let per_shard = s.shard_stats();
-        assert_eq!(per_shard.len(), s.shard_count());
-        let mut sum = StoreStats::default();
-        for sh in &per_shard {
-            sum.absorb(sh);
-            assert_eq!(sh.capacity, 0, "capacity fields are global-only");
-        }
-        assert_eq!(sum.creates, global.creates);
-        assert_eq!(sum.seals, global.seals);
-        assert_eq!(sum.gets, global.gets);
-        assert_eq!(sum.get_misses, global.get_misses);
-        assert_eq!(sum.releases, global.releases);
-        assert_eq!(sum.deletes, global.deletes);
-        assert_eq!(sum.objects, global.objects);
-        assert_eq!(sum.sealed_objects, global.sealed_objects);
-        assert_eq!(sum.evictions, global.evictions);
-        assert_eq!(sum.evicted_bytes, global.evicted_bytes);
-    }
-
-    #[test]
-    fn per_shard_object_gauges_track_table() {
-        let s = store(4 << 20);
-        let mut expect = vec![0i64; s.shard_count()];
-        for n in 0..32u8 {
-            let oid = ObjectId::from_name(&format!("gauge-{n}"));
-            s.create(oid, 256, 0).unwrap();
-            expect[s.shard_of(&oid)] += 1;
-        }
-        let snap = s.registry().snapshot();
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(snap.gauge(&format!("plasma.shard.{i}.objects")), e);
-        }
-    }
-
-    #[test]
-    fn eviction_picks_global_lru_across_shards() {
-        // Objects land in different shards, yet eviction order must follow
-        // the store-wide release order exactly.
+    fn eviction_picks_lru_in_release_order() {
+        // Hashed (not sequential) ids: eviction order follows the
+        // store-wide release order, whatever the ids are.
         let s = store(1 << 20);
         let ids: Vec<ObjectId> = (0..4u8)
             .map(|n| ObjectId::from_name(&format!("glru-{n}")))
             .collect();
-        assert!(
-            ids.iter()
-                .map(|i| s.shard_of(i))
-                .collect::<std::collections::HashSet<_>>()
-                .len()
-                > 1,
-            "test ids must span shards"
-        );
         for oid in &ids {
             s.create(*oid, 100 << 10, 0).unwrap();
             s.seal(*oid).unwrap();
             s.release(*oid).unwrap();
         }
-        // Refresh ids[0]: ids[1] becomes the global victim.
+        // Refresh ids[0]: ids[1] becomes the victim.
         s.get_local(ids[0]).unwrap();
         s.release(ids[0]).unwrap();
         assert_eq!(s.evict(1), 100 << 10);
-        assert!(!s.contains(ids[1]), "global LRU victim evicted first");
+        assert!(!s.contains(ids[1]), "LRU victim evicted first");
         assert!(s.contains(ids[0]) && s.contains(ids[2]) && s.contains(ids[3]));
         assert_eq!(s.evict(1), 100 << 10);
         assert!(!s.contains(ids[2]));
@@ -1630,9 +1378,9 @@ mod tests {
     #[test]
     fn contention_counter_counts_try_lock_misses() {
         let s = store(4 << 20);
-        // Hammer a single id from many threads: every op routes to the
-        // same shard, so misses are likely (not guaranteed on one CPU —
-        // assert only that the counter exists and never goes backwards).
+        // Hammer the table from many threads: try-lock misses are likely
+        // (not guaranteed on one CPU — assert only that the counter
+        // exists and never goes backwards).
         let oid = ObjectId::from_name("hot");
         s.create(oid, 64, 0).unwrap();
         s.seal(oid).unwrap();

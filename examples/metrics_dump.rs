@@ -78,24 +78,14 @@ fn main() {
         );
     }
 
-    // Hot-path observability: the sharded table exposes one object
-    // gauge per shard (plus a try-lock contention counter), and the
-    // slab allocator one live/held pair per size class — held − live is
-    // internal fragmentation, visible without touching the store.
+    // Hot-path observability: the table lock counts the acquisitions
+    // that found it held, and the slab allocator exposes one live/held
+    // pair per size class — held − live is internal fragmentation,
+    // visible without touching the store.
     let (node0, snap0) = &per_node[0];
     println!(
-        "\nnode {} object-table shards (plasma.shard.* gauges):",
-        node0.0
-    );
-    let occupied: Vec<String> = snap0
-        .gauges
-        .iter()
-        .filter(|(name, v)| name.starts_with("plasma.shard.") && **v > 0)
-        .map(|(name, v)| format!("{}={v}", name.trim_start_matches("plasma.shard.")))
-        .collect();
-    println!(
-        "  occupied: {} (contention events: {})",
-        occupied.join(" "),
+        "\nnode {} table-lock contention events (plasma.shard.contention): {}",
+        node0.0,
         snap0.counter("plasma.shard.contention")
     );
 

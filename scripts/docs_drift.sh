@@ -53,9 +53,10 @@ outside_historical() {
 retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
     sed -n 's/^ *([0-9]*, "\([a-z_]*\)"),$/`\1`/p' | tr 'a-z' 'A-Z' | tr '\n' ' ')
 [ -n "$retired" ] || { echo "docs-drift: cannot read method::RETIRED from proto.rs" >&2; exit 1; }
-# Identifiers deleted with the mechanisms they named (PR 15): the second
-# allocator configuration, the id cache, unledgered migration, `hotpath`.
-identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath"
+# Identifiers deleted with the mechanisms they named: the second
+# allocator configuration, the id cache, unledgered migration, `hotpath`
+# (PR 15); the sharded object table (PR 17).
+identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done

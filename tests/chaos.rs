@@ -64,10 +64,10 @@ seed_matrix! {
 }
 
 /// Eviction under contention: per-node memory squeezed until creates
-/// must evict mid-soak, so the cross-shard LRU scan, victim
-/// revalidation, and slab frees all run concurrently with faulted
-/// client traffic. The seed is pinned; the run must both stay
-/// consistent *and* actually evict (or it isn't testing anything).
+/// must evict mid-soak, so LRU eviction and slab frees run inside
+/// creates that race faulted client traffic for the table lock. The
+/// seed is pinned; the run must both stay consistent *and* actually
+/// evict (or it isn't testing anything).
 #[test]
 fn soak_evicts_under_contention() {
     let seed: u64 = 0xE71C_7C0B;
