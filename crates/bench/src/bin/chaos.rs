@@ -109,8 +109,7 @@ fn main() {
         report.replica_trims,
         report.verdict.ok(),
     );
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json");
+    bench::write_result("chaos", &json);
 
     if report.verdict.ok() {
         println!("verdict: CONSISTENT");

@@ -5,7 +5,8 @@
 //! cross-rack / cross-pod tier taxonomy, generates a seeded multi-tenant
 //! workload (zipf popularity, lognormal arrivals, spatial skews), and
 //! replays it on the virtual clock, reporting get-latency p50/p90/p99
-//! per tier plus the placement-ring bill. Writes `BENCH_cluster.json`.
+//! per tier plus the placement-ring bill. Writes
+//! `target/bench/BENCH_cluster.json`.
 //!
 //! Usage: `cargo run -p bench --bin cluster --release [-- --smoke]
 //! [--pods N] [--racks N] [--hosts N] [--ops N] [--seed N]`
@@ -13,7 +14,7 @@
 //! Defaults to the acceptance shape: 4 pods × 4 racks × 4 hosts
 //! (64 nodes), 1M ops. `--smoke` is the CI shape: 2 × 2 × 2, 50k ops.
 
-use bench::{cluster_config, render_table, run_cluster_workload, ClusterRunReport};
+use bench::{cluster_config, render_table, run_cluster_workload, write_result, ClusterRunReport};
 use disagg::Cluster;
 use topo::{ClusterSpec, Tier, WorkloadSpec};
 
@@ -190,7 +191,5 @@ fn main() {
         "stable membership must never fall back to broadcast"
     );
 
-    let path = "BENCH_cluster.json";
-    std::fs::write(path, json(&spec, &report)).expect("write BENCH_cluster.json");
-    println!("wrote {path}");
+    write_result("cluster", &json(&spec, &report));
 }

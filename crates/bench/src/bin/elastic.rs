@@ -17,9 +17,9 @@
 //! orphaned delegation). Any violation aborts the process.
 //!
 //! Usage: `cargo run -p bench --bin elastic --release [-- --smoke]
-//! [--ops N] [--seed N]`. Writes `BENCH_elastic.json`.
+//! [--ops N] [--seed N]`. Writes `target/bench/BENCH_elastic.json`.
 
-use bench::cluster_config;
+use bench::{cluster_config, write_result};
 use disagg::{Cluster, Kind, NodeId, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -518,7 +518,5 @@ fn main() {
         ops_per_sec,
         violations,
     );
-    let path = "BENCH_elastic.json";
-    std::fs::write(path, json).expect("write BENCH_elastic.json");
-    println!("wrote {path}");
+    write_result("elastic", &json);
 }

@@ -19,7 +19,7 @@
 //!
 //! Usage: `cargo run -p bench --bin pipeline --release [-- --small --reps N]`
 
-use bench::{commit_objects, render_table, HarnessOpts, Summary};
+use bench::{commit_objects, render_table, write_result, HarnessOpts, Summary};
 use disagg::{Cluster, ClusterConfig, DisaggStore};
 use plasma::{ObjectId, ObjectStore};
 use std::time::Duration;
@@ -182,6 +182,5 @@ fn main() {
         DEPTH,
         json_rows.join(",\n"),
     );
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!("wrote BENCH_pipeline.json");
+    write_result("pipeline", &json);
 }

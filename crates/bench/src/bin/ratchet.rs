@@ -2,8 +2,8 @@
 //! committed baselines and fail on a >10% regression.
 //!
 //! ```text
-//! cargo run -p bench --bin ratchet -- BENCH_placement.json fresh/BENCH_placement.json \
-//!                                     BENCH_elastic.json   fresh/BENCH_elastic.json
+//! cargo run -p bench --bin ratchet -- BENCH_pipeline.json target/bench/BENCH_pipeline.json \
+//!                                     BENCH_elastic.json  target/bench/BENCH_elastic.json
 //! ```
 //!
 //! Arguments are `baseline fresh` pairs. Each file is flattened into

@@ -1,13 +1,13 @@
 //! # bench — harnesses regenerating every table and figure of the paper
 //!
-//! Library pieces shared by the harness binaries (`src/bin/*.rs`) and the
-//! Criterion benches (`benches/*.rs`):
+//! Library pieces shared by the harness binaries (`src/bin/*.rs`):
 //!
 //! * [`workload`] — Table I benchmark specs, object commit routines and
 //!   the fragmented-region allocator trace;
 //! * [`fabric`] — topology-driven cluster construction and the A6
 //!   multi-node workload replay with per-tier latency histograms;
-//! * [`measure`] — summary statistics and text-table rendering;
+//! * [`measure`] — summary statistics, text-table rendering and the
+//!   `target/bench/` result-file writer;
 //! * [`runner`] — the paper's retrieval/read measurement procedure;
 //! * [`storeside`] — store-side latency report from the obs registries,
 //!   appended to the figure output.
@@ -26,12 +26,9 @@ pub use cli::HarnessOpts;
 pub use fabric::{
     cluster_config, run_cluster_schedule, run_cluster_workload, ClusterRunReport, TierStat,
 };
-pub use measure::{gibps, percentile, render_table, Summary};
-pub use runner::{
-    one_rep, run_benchmark, run_benchmark_between, BenchResult, RepSample, READ_CHUNK,
-};
+pub use measure::{gibps, render_table, write_result, Summary};
+pub use runner::{one_rep, run_benchmark, run_benchmark_between, BenchResult, RepSample};
 pub use storeside::{print_store_side, render_store_side};
 pub use workload::{
-    commit_ids, commit_objects, fragment_region, random_data, windowed_trace, BenchSpec, TABLE_I,
-    TABLE_I_SMALL,
+    commit_objects, fragment_region, random_data, windowed_trace, BenchSpec, TABLE_I, TABLE_I_SMALL,
 };

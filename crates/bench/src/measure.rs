@@ -1,4 +1,4 @@
-//! Measurement statistics and table formatting.
+//! Measurement statistics, table formatting and the result-file writer.
 
 use std::time::Duration;
 
@@ -55,7 +55,7 @@ impl Summary {
 }
 
 /// Linear-interpolated percentile of a pre-sorted sample, `q` in [0, 1].
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -104,6 +104,18 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
         line(&mut out, row.iter().map(String::as_str).collect(), &widths);
     }
     out
+}
+
+/// Write a bin's result document to `target/bench/BENCH_<name>.json`,
+/// relative to the cwd (as `e2e` writes `target/e2e/`). The committed
+/// baselines at the repo root are never a bin's output: re-recording one
+/// is a `cp` from here.
+pub fn write_result(name: &str, json: &str) {
+    let dir = std::path::Path::new("target/bench");
+    std::fs::create_dir_all(dir).expect("create target/bench");
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The paper's microbenchmark procedure (§IV-B), reusable by the figure
-//! harness binaries and the Criterion benches.
+//! The paper's microbenchmark procedure (§IV-B), shared by the figure
+//! harness binaries.
 //!
 //! For each benchmark of Table I: commit the objects to store 0, then have
 //! a *local* client (node 0, store 0) and a *remote* client (node 1,

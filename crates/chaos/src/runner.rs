@@ -156,7 +156,6 @@ fn soak_interconnect() -> InterconnectConfig {
         health: HealthConfig {
             probe_backoff: Duration::from_millis(10),
             probe_backoff_max: Duration::from_millis(100),
-            ..HealthConfig::default()
         },
     }
 }

@@ -21,7 +21,7 @@ use plasma::{
 };
 use rpclite::{ClientMetrics, NetCost, RpcClient, ServerHandle};
 use std::sync::Arc;
-use tfsim::{Clock, ClockMode, CostModel, Fabric, NodeId};
+use tfsim::{Clock, Fabric, NodeId};
 
 /// Per-node-pair link selection: given directed pair `(i, j)`, the delay
 /// model of the interconnect channel node `i` dials to node `j`. Produced
@@ -37,8 +37,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Bytes of disaggregated memory donated per store.
     pub memory_per_node: usize,
-    /// Virtual (deterministic accounting) or Throttle (wall-clock) time.
-    pub clock_mode: ClockMode,
     /// Delay model of the store-to-store RPC channel (every pair, unless
     /// overridden per pair by `link_map`).
     pub rpc_link: LinkModel,
@@ -73,7 +71,6 @@ impl std::fmt::Debug for ClusterConfig {
         f.debug_struct("ClusterConfig")
             .field("nodes", &self.nodes)
             .field("memory_per_node", &self.memory_per_node)
-            .field("clock_mode", &self.clock_mode)
             .field("rpc_link", &self.rpc_link)
             .field("link_map", &self.link_map.as_ref().map(|_| "<map>"))
             .field("model_client_cost", &self.model_client_cost)
@@ -97,7 +94,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes: 2,
             memory_per_node,
-            clock_mode: ClockMode::Virtual,
             rpc_link: LinkModel::grpc_lan(),
             link_map: None,
             model_client_cost: true,
@@ -115,7 +111,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             memory_per_node,
-            clock_mode: ClockMode::Virtual,
             rpc_link: LinkModel::instant(),
             link_map: None,
             model_client_cost: false,
@@ -149,8 +144,7 @@ impl Cluster {
     /// Launch a cluster per `config`.
     pub fn launch(config: ClusterConfig) -> Result<Cluster, PlasmaError> {
         assert!(config.nodes >= 1, "cluster needs at least one node");
-        let clock = Clock::new(config.clock_mode);
-        let fabric = Fabric::new(clock, CostModel::thymesisflow());
+        let fabric = Fabric::virtual_thymesisflow();
         let hub = InprocHub::new();
 
         // Stage 1: stores + their RPC and Plasma endpoints.

@@ -35,11 +35,6 @@ pub struct ElasticConfig {
     pub high_watermark_ppm: u64,
     /// Spilling stops once occupancy drops to this level.
     pub low_watermark_ppm: u64,
-    /// A lender refuses to adopt an object that would push its own
-    /// occupancy above this level — pressure must never cascade.
-    pub lend_headroom_ppm: u64,
-    /// Most objects examined per spill pass (bounds pass latency).
-    pub max_spill_batch: usize,
     /// Most in-flight (created, not yet sealed) objects admitted before
     /// `create` sheds load with `Overloaded`. `0` disables admission
     /// control.
@@ -51,13 +46,16 @@ pub struct ElasticConfig {
     pub heat_min_hits: u32,
 }
 
+/// A lender refuses to adopt an object that would push its own occupancy
+/// (parts-per-million of capacity) above this level — pressure must never
+/// cascade, so it sits below the default low watermark.
+pub(crate) const LEND_HEADROOM_PPM: u64 = 600_000;
+
 impl Default for ElasticConfig {
     fn default() -> Self {
         ElasticConfig {
             high_watermark_ppm: 850_000,
             low_watermark_ppm: 700_000,
-            lend_headroom_ppm: 600_000,
-            max_spill_batch: 32,
             max_inflight_creates: 0,
             retry_after_ms: 25,
             heat_min_hits: 8,
@@ -188,6 +186,6 @@ mod tests {
         let cfg = ElasticConfig::default();
         assert_eq!(cfg.max_inflight_creates, 0, "admission off by default");
         assert!(cfg.low_watermark_ppm < cfg.high_watermark_ppm);
-        assert!(cfg.lend_headroom_ppm < cfg.low_watermark_ppm);
+        assert!(LEND_HEADROOM_PPM < cfg.low_watermark_ppm);
     }
 }

@@ -5,7 +5,7 @@
 //! module gives the interconnect the standard failure-detector shape:
 //!
 //! * Each peer is `Up`, `Suspect`, or `Down`. Consecutive call failures
-//!   demote it (`suspect_after`, then `down_after`); any success restores
+//!   demote it (`SUSPECT_AFTER`, then `DOWN_AFTER`); any success restores
 //!   `Up` immediately.
 //! * Broadcasts skip `Down` peers entirely, except that one caller per
 //!   backoff window is admitted as a *probe* — if the peer has recovered,
@@ -32,20 +32,21 @@ use tfsim::{Clock, NodeId};
 pub enum PeerState {
     /// Healthy: all calls admitted.
     Up,
-    /// Recent failures, not yet past `down_after`: still called (the next
+    /// Recent failures, not yet past `DOWN_AFTER`: still called (the next
     /// outcome decides the direction), but flagged for observability.
     Suspect,
     /// Unreachable: skipped by broadcasts, probed once per backoff window.
     Down,
 }
 
-/// Thresholds and pacing for the health state machine.
+/// Consecutive failures before a peer is marked `Suspect`.
+const SUSPECT_AFTER: u32 = 1;
+/// Consecutive failures before a peer is marked `Down`.
+const DOWN_AFTER: u32 = 3;
+
+/// Probe pacing for the health state machine.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Consecutive failures before a peer is marked `Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive failures before a peer is marked `Down`.
-    pub down_after: u32,
     /// Initial wait before probing a `Down` peer.
     pub probe_backoff: Duration,
     /// Cap on the (doubling) probe interval.
@@ -55,8 +56,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            suspect_after: 1,
-            down_after: 3,
             probe_backoff: Duration::from_millis(200),
             probe_backoff_max: Duration::from_secs(5),
         }
@@ -202,7 +201,7 @@ impl PeerHealth {
         let entry = entries.entry(peer).or_insert_with(Entry::new);
         entry.consecutive_failures += 1;
         entry.stats.failures += 1;
-        if entry.consecutive_failures >= self.cfg.down_after {
+        if entry.consecutive_failures >= DOWN_AFTER {
             if entry.state != PeerState::Down {
                 entry.state = PeerState::Down;
                 entry.backoff = self.cfg.probe_backoff;
@@ -211,9 +210,7 @@ impl PeerHealth {
                     m.to_down.inc();
                 }
             }
-        } else if entry.consecutive_failures >= self.cfg.suspect_after
-            && entry.state != PeerState::Suspect
-        {
+        } else if entry.consecutive_failures >= SUSPECT_AFTER && entry.state != PeerState::Suspect {
             entry.state = PeerState::Suspect;
             if let Some(m) = &self.metrics {
                 m.to_suspect.inc();
@@ -300,8 +297,6 @@ mod tests {
     fn tracker(clock: &Clock) -> PeerHealth {
         PeerHealth::new(
             HealthConfig {
-                suspect_after: 1,
-                down_after: 3,
                 probe_backoff: Duration::from_millis(100),
                 probe_backoff_max: Duration::from_millis(400),
             },
@@ -425,7 +420,7 @@ mod tests {
     }
 
     /// Exhaustive walk of the state machine: every (state, event) pair
-    /// and the state it must land in. `suspect_after: 1`, `down_after: 3`.
+    /// and the state it must land in (`SUSPECT_AFTER` 1, `DOWN_AFTER` 3).
     #[test]
     fn exhaustive_transition_table() {
         let p = NodeId(1);
@@ -438,11 +433,11 @@ mod tests {
             ("Up + failure", "F", PeerState::Suspect),
             ("Suspect + success", "FS", PeerState::Up),
             (
-                "Suspect + failure (below down_after)",
+                "Suspect + failure (below DOWN_AFTER)",
                 "FF",
                 PeerState::Suspect,
             ),
-            ("Suspect + failure (at down_after)", "FFF", PeerState::Down),
+            ("Suspect + failure (at DOWN_AFTER)", "FFF", PeerState::Down),
             ("Down + failure", "FFFF", PeerState::Down),
             ("Down + admit inside window (skip)", "FFFA", PeerState::Down),
             (
@@ -508,8 +503,6 @@ mod tests {
         let registry = obs::Registry::new();
         let h = PeerHealth::with_metrics(
             HealthConfig {
-                suspect_after: 1,
-                down_after: 3,
                 probe_backoff: Duration::from_millis(100),
                 probe_backoff_max: Duration::from_millis(400),
             },

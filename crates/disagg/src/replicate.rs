@@ -9,7 +9,7 @@
 //! sealed local objects with no per-read coordination.
 //!
 //! This module holds the policy, [`ReplicationConfig`] (what gets
-//! replicated, how widely). The bookkeeping is the `Replica` kind of the
+//! replicated). The bookkeeping is the `Replica` kind of the
 //! [`crate::delegation`] ledger — owners remember which peers hold
 //! replicas of their objects, holders remember which owner each replica
 //! came from — and the chaos quiesce audit cross-checks both sides
@@ -19,23 +19,13 @@
 /// What the replication machinery is allowed to do on one store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
-    /// Master switch. When false the store neither offers nor accepts
-    /// replicas (existing benches and chaos plans replay unchanged).
-    pub enabled: bool,
     /// Remote-read heat (per `HeatMap` window) an object must reach
     /// before it is offered a replica on its hottest reader.
     pub min_hits: u32,
-    /// Cap on replica holders per object — bounds the invalidation
-    /// fan-out a delete must complete before it may proceed.
-    pub max_holders: usize,
 }
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
-        ReplicationConfig {
-            enabled: true,
-            min_hits: 8,
-            max_holders: 2,
-        }
+        ReplicationConfig { min_hits: 8 }
     }
 }

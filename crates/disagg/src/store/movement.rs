@@ -6,6 +6,7 @@
 use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard, StagedCreateGuard};
 use crate::delegation::{Kind, Side};
+use crate::elastic::LEND_HEADROOM_PPM;
 use crate::proto::{
     method, BoolResp, IdReq, InvalidateReq, SpillAtReq, SpillAtResp, SpillAtStatus,
 };
@@ -14,6 +15,13 @@ use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
 use rpclite::{RpcError, StatusCode};
 use std::time::Duration;
 use tfsim::NodeId;
+
+/// Cap on replica holders per object — bounds the invalidation fan-out a
+/// delete must complete before it may proceed.
+const MAX_REPLICA_HOLDERS: usize = 2;
+
+/// Most objects examined per `maybe_spill` pass (bounds pass latency).
+const MAX_SPILL_BATCH: usize = 32;
 
 impl DisaggStore {
     /// Resolve `id` and read its full payload (data + metadata bytes)
@@ -86,9 +94,7 @@ impl DisaggStore {
         let (id, owner) = (req.location.id, req.requester);
         let size = req.location.total_size();
         let held = inner.ledger.held_copy(id);
-        let adopted = if kind == Kind::Replica && !inner.replication.enabled {
-            false
-        } else if inner.core.peek(id).is_some() {
+        let adopted = if inner.core.peek(id).is_some() {
             // Idempotent retry: a delegation whose response was lost left
             // the copy sealed here — re-acknowledge it so the owner can
             // finish its half. A replica, though, only if the copy *is*
@@ -109,8 +115,7 @@ impl DisaggStore {
             let st = inner.core.stats();
             let after = u128::from(st.allocated_bytes) + u128::from(size);
             st.capacity > 0
-                && after * 1_000_000 / u128::from(st.capacity)
-                    <= u128::from(inner.elastic.lend_headroom_ppm)
+                && after * 1_000_000 / u128::from(st.capacity) <= u128::from(LEND_HEADROOM_PPM)
                 && self.adopt_copy(&req.location).is_ok()
         };
         if adopted {
@@ -236,28 +241,22 @@ impl DisaggStore {
     /// outcome the owner records the replica anyway, so a delete still
     /// invalidates it. Returns whether the holder adopted.
     pub fn replicate_to(&self, id: ObjectId, holder: NodeId) -> Result<bool, PlasmaError> {
-        if !self.inner.replication.enabled {
-            return Ok(false);
-        }
         self.delegate_to(Kind::Replica, id, holder)
     }
 
     /// One heat-driven replication pass: every owned object whose
     /// dominant remote reader accumulated at least
     /// [`crate::ReplicationConfig::min_hits`] remote hits gets a replica
-    /// *at that reader* (up to [`crate::ReplicationConfig::max_holders`]),
+    /// *at that reader* (up to `MAX_REPLICA_HOLDERS`),
     /// converting its future remote reads into local ones while the
     /// owner keeps serving everyone else. Returns replicas created.
     pub fn replicate_hot(&self) -> Result<u64, PlasmaError> {
         let inner = &self.inner;
-        if !inner.replication.enabled {
-            return Ok(0);
-        }
         let mut created = 0u64;
         for (id, reader, _) in inner.heat.drain_hot(inner.replication.min_hits) {
             let holders = inner.ledger.peers(Side::Out, id, Kind::Replica);
             if self.ring_owner(id) != Some(inner.node)
-                || holders.len() >= inner.replication.max_holders
+                || holders.len() >= MAX_REPLICA_HOLDERS
                 || holders.contains(&reader)
                 || inner.core.peek(id).is_none()
             {
@@ -316,7 +315,7 @@ impl DisaggStore {
         if self.memory_pressure_ppm() < self.inner.elastic.high_watermark_ppm {
             return Ok(0);
         }
-        self.spill_cold(self.inner.elastic.max_spill_batch)
+        self.spill_cold(MAX_SPILL_BATCH)
     }
 
     /// One spill pass: walk up to `max_objects` of the LRU tail

@@ -2,8 +2,8 @@
 //!
 //! [`FaultConn`] decorates any [`Conn`] and consults a [`FaultPolicy`]
 //! before moving each frame, so a chaos harness can drop, delay,
-//! duplicate, corrupt or truncate traffic at the wire — on any of the
-//! three transports (inproc, UDS, TCP) and underneath a pipelined RPC
+//! duplicate, corrupt or truncate traffic at the wire — on either
+//! transport (inproc, UDS) and underneath a pipelined RPC
 //! client, which only ever sees the [`Conn`] trait. The wrapper itself is
 //! mechanism only: *which* frame suffers *what* is entirely the policy's
 //! decision, so a deterministic policy yields a deterministic fault

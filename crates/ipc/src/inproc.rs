@@ -14,12 +14,6 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How often a blocked accept checks its stop flag. An incoming
-/// connection wakes the parked `recv_timeout` immediately, so this only
-/// bounds listener-stop latency — it can be generous, which matters when
-/// one process hosts a whole simulated fabric of listeners.
-const POLL: Duration = Duration::from_millis(250);
-
 /// One half of an in-process connection.
 #[derive(Debug)]
 pub struct InprocConn {
@@ -123,11 +117,16 @@ impl InprocHub {
             ));
         }
         reg.insert(name.to_string(), tx);
+        // Stopping unbinds the name: dropping the registry's `Sender`
+        // disconnects the channel, which wakes a parked `accept`.
+        let registry = Arc::clone(&self.registry);
+        let bound = name.to_string();
         Ok(InprocListener {
             name: name.to_string(),
             rx,
-            stop: StopHandle::new(),
-            registry: Arc::clone(&self.registry),
+            stop: StopHandle::with_wake(move || {
+                registry.lock().unwrap().remove(&bound);
+            }),
         })
     }
 
@@ -153,35 +152,28 @@ impl InprocHub {
     }
 }
 
-/// Listener half of an in-process endpoint. Unbinds its name on drop.
+/// Listener half of an in-process endpoint. Unbinds its name when
+/// stopped or dropped, whichever comes first.
 #[derive(Debug)]
 pub struct InprocListener {
     name: String,
     rx: Receiver<InprocConn>,
     stop: StopHandle,
-    registry: Registry,
 }
 
 impl Listener for InprocListener {
     fn accept(&mut self) -> io::Result<Box<dyn Conn>> {
-        loop {
-            if self.stop.is_stopped() {
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "listener stopped",
-                ));
-            }
-            match self.rx.recv_timeout(POLL) {
-                Ok(conn) => return Ok(Box::new(conn)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "inproc hub dropped",
-                    ))
-                }
+        // Only a stop drops the registry's `Sender`, so a disconnected
+        // channel and a set flag are the same event.
+        if !self.stop.is_stopped() {
+            if let Ok(conn) = self.rx.recv() {
+                return Ok(Box::new(conn));
             }
         }
+        Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            "listener stopped",
+        ))
     }
 
     fn stop_handle(&self) -> StopHandle {
@@ -195,7 +187,7 @@ impl Listener for InprocListener {
 
 impl Drop for InprocListener {
     fn drop(&mut self) {
-        self.registry.lock().unwrap().remove(&self.name);
+        self.stop.stop();
     }
 }
 

@@ -1,11 +1,10 @@
 //! # ipc — framed message transports
 //!
 //! The real Plasma store talks to its clients over Unix domain sockets.
-//! This crate provides that transport ([`uds`]), a TCP transport for the
-//! cross-node store interconnect ([`tcp`]), and an in-process equivalent
-//! ([`inproc`]) used to run whole simulated clusters inside one test —
-//! all speaking the same length-prefixed [`Frame`] protocol — plus the
-//! checked payload codec ([`codec`]) the higher-level protocols are
+//! This crate provides that transport ([`uds`]) and an in-process
+//! equivalent ([`inproc`]) used to run whole simulated clusters inside one
+//! test — both speaking the same length-prefixed [`Frame`] protocol — plus
+//! the checked payload codec ([`codec`]) the higher-level protocols are
 //! written in.
 //!
 //! ## Example
@@ -26,7 +25,6 @@ pub mod codec;
 pub mod fault;
 pub mod frame;
 pub mod inproc;
-pub mod tcp;
 pub mod transport;
 pub mod uds;
 
@@ -34,6 +32,5 @@ pub use codec::{CodecError, Dec, Enc};
 pub use fault::{Direction, FaultAction, FaultConn, FaultPolicy, NoFaults};
 pub use frame::{Frame, MAX_FRAME_LEN};
 pub use inproc::{InprocConn, InprocHub, InprocListener};
-pub use tcp::{TcpConn, TcpListener};
 pub use transport::{Conn, Listener, StopHandle};
 pub use uds::{UdsConn, UdsListener};

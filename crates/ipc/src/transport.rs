@@ -6,7 +6,10 @@
 //! can run deterministically inside one test. Both speak [`Frame`]s.
 
 use crate::frame::Frame;
+use std::fmt;
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A bidirectional, blocking, framed connection.
@@ -60,10 +63,12 @@ pub trait Listener: Send {
     fn addr(&self) -> String;
 }
 
-/// Requests a listener to stop accepting.
-#[derive(Debug, Clone, Default)]
+/// Requests a listener to stop accepting: a flag `accept` checks, plus
+/// whatever it takes to wake an `accept` already parked.
+#[derive(Clone, Default)]
 pub struct StopHandle {
-    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    flag: Arc<AtomicBool>,
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl StopHandle {
@@ -71,11 +76,33 @@ impl StopHandle {
         Self::default()
     }
 
+    /// A handle whose first [`StopHandle::stop`] also runs `wake`, for a
+    /// listener that blocks in `accept` instead of polling the flag.
+    pub(crate) fn with_wake(wake: impl Fn() + Send + Sync + 'static) -> Self {
+        StopHandle {
+            flag: Arc::default(),
+            wake: Some(Arc::new(wake)),
+        }
+    }
+
     pub fn stop(&self) {
-        self.flag.store(true, std::sync::atomic::Ordering::Release);
+        // The flag is set before the wake runs, so a woken `accept` sees it.
+        if !self.flag.swap(true, Ordering::AcqRel) {
+            if let Some(wake) = &self.wake {
+                wake();
+            }
+        }
     }
 
     pub fn is_stopped(&self) -> bool {
-        self.flag.load(std::sync::atomic::Ordering::Acquire)
+        self.flag.load(Ordering::Acquire)
+    }
+}
+
+impl fmt::Debug for StopHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StopHandle")
+            .field("stopped", &self.is_stopped())
+            .finish()
     }
 }

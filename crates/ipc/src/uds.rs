@@ -67,7 +67,7 @@ where
 
 /// OS read timeouts reject `Duration::ZERO`; clamp to the smallest
 /// representable bound instead.
-pub(crate) fn os_timeout(timeout: Duration) -> Duration {
+fn os_timeout(timeout: Duration) -> Duration {
     timeout.max(Duration::from_micros(1))
 }
 

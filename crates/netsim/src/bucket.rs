@@ -7,7 +7,7 @@
 //! disaggregated access avoids.
 //!
 //! The bucket works in *simulated* time supplied by the caller, so it
-//! composes with both virtual and throttled clocks.
+//! composes with the virtual clock.
 
 use parking_lot::Mutex;
 use std::sync::Arc;

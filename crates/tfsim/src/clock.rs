@@ -2,106 +2,37 @@
 //!
 //! Every modeled hardware cost in the simulator (fabric access latency,
 //! per-byte transfer time, injected network delay) is *charged* to a
-//! [`Clock`]. The clock runs in one of two modes:
-//!
-//! * [`ClockMode::Virtual`] — charging a cost only advances a shared virtual
-//!   nanosecond counter. Nothing sleeps, so experiments are deterministic and
-//!   fast regardless of the modeled data volume. Figure/table harnesses
-//!   measure elapsed *virtual* time.
-//! * [`ClockMode::Throttle`] — charging a cost busy-waits for that real
-//!   duration (minus the time the actual work took, when charged through
-//!   [`Clock::charge_spanning`]). Wall-clock measurements (e.g. Criterion)
-//!   then exhibit the modeled performance shape.
-//!
-//! Both modes are driven by the same [`crate::cost::CostModel`], so a figure
-//! regenerated under virtual time and a Criterion bench under throttled time
-//! agree on the *shape* of the results.
+//! [`Clock`]: a shared virtual nanosecond counter. Nothing sleeps, so
+//! experiments are deterministic and fast regardless of the modeled data
+//! volume, and every harness measures elapsed *virtual* time. The real
+//! time the simulator itself takes (the memcpy behind a fabric read) is an
+//! artifact of the simulation, not of the modeled hardware, and is never
+//! charged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How modeled costs are realized. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Accumulate costs on a virtual counter; never sleep.
-    Virtual,
-    /// Busy-wait so that real time reflects modeled time.
-    Throttle,
-}
-
-#[derive(Debug)]
-struct Inner {
-    mode: ClockMode,
-    /// Virtual nanoseconds accumulated so far (Virtual mode only).
-    virt_ns: AtomicU64,
-    /// Real-time epoch used by `now()` in Throttle mode.
-    epoch: Instant,
-}
+use std::time::Duration;
 
 /// A cloneable handle to a simulation clock shared by all components of one
 /// simulated cluster.
 #[derive(Debug, Clone)]
 pub struct Clock {
-    inner: Arc<Inner>,
+    /// Virtual nanoseconds accumulated so far.
+    virt_ns: Arc<AtomicU64>,
 }
 
 impl Clock {
-    /// Create a clock in the given mode.
-    pub fn new(mode: ClockMode) -> Self {
-        Clock {
-            inner: Arc::new(Inner {
-                mode,
-                virt_ns: AtomicU64::new(0),
-                epoch: Instant::now(),
-            }),
-        }
-    }
-
-    /// A virtual-time clock (deterministic accounting).
+    /// A clock at virtual time zero.
     pub fn virtual_time() -> Self {
-        Self::new(ClockMode::Virtual)
+        Clock {
+            virt_ns: Arc::new(AtomicU64::new(0)),
+        }
     }
 
-    /// A throttling clock (modeled costs become real busy-waits).
-    pub fn throttled() -> Self {
-        Self::new(ClockMode::Throttle)
-    }
-
-    /// The mode this clock runs in.
-    pub fn mode(&self) -> ClockMode {
-        self.inner.mode
-    }
-
-    /// Charge a modeled cost to the clock.
-    ///
-    /// In `Virtual` mode this advances the virtual counter; in `Throttle`
-    /// mode it busy-waits for `cost`.
+    /// Charge a modeled cost: advance the virtual counter by `cost`.
     pub fn charge(&self, cost: Duration) {
-        match self.inner.mode {
-            ClockMode::Virtual => {
-                let ns = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
-                self.inner.virt_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-            ClockMode::Throttle => spin_for(cost),
-        }
-    }
-
-    /// Charge a modeled cost for an operation that already took `elapsed`
-    /// real time to execute (e.g. the memcpy backing a simulated fabric
-    /// read). In `Throttle` mode only the *remainder* is spun so the total
-    /// real duration approximates `cost`; in `Virtual` mode the full cost is
-    /// accounted (the real execution time is an artifact of the simulator,
-    /// not of the modeled hardware).
-    pub fn charge_spanning(&self, cost: Duration, elapsed: Duration) {
-        match self.inner.mode {
-            ClockMode::Virtual => self.charge(cost),
-            ClockMode::Throttle => {
-                if cost > elapsed {
-                    spin_for(cost - elapsed);
-                }
-            }
-        }
+        let ns = u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX);
+        self.virt_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Advance the clock to at least `target` simulation time (no-op if
@@ -113,29 +44,13 @@ impl Clock {
     /// waits such as retry backoff, where parallel fan-out workers sleep
     /// through the *same* interval.
     pub fn advance_to(&self, target: Duration) {
-        match self.inner.mode {
-            ClockMode::Virtual => {
-                let ns = u64::try_from(target.as_nanos()).unwrap_or(u64::MAX);
-                self.inner.virt_ns.fetch_max(ns, Ordering::Relaxed);
-            }
-            ClockMode::Throttle => {
-                let now = self.inner.epoch.elapsed();
-                if target > now {
-                    spin_for(target - now);
-                }
-            }
-        }
+        let ns = u64::try_from(target.as_nanos()).unwrap_or(u64::MAX);
+        self.virt_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Current simulation time.
-    ///
-    /// In `Virtual` mode: the accumulated virtual time. In `Throttle` mode:
-    /// real time elapsed since the clock was created.
+    /// Current simulation time: the accumulated virtual time.
     pub fn now(&self) -> Duration {
-        match self.inner.mode {
-            ClockMode::Virtual => Duration::from_nanos(self.inner.virt_ns.load(Ordering::Relaxed)),
-            ClockMode::Throttle => self.inner.epoch.elapsed(),
-        }
+        Duration::from_nanos(self.virt_ns.load(Ordering::Relaxed))
     }
 
     /// Convenience: run `f` and return both its result and the simulated
@@ -144,24 +59,6 @@ impl Clock {
         let start = self.now();
         let out = f();
         (out, self.now().saturating_sub(start))
-    }
-}
-
-/// Busy-wait for approximately `d`. Uses `spin_loop` hints; for waits longer
-/// than a millisecond it yields to the OS scheduler to avoid starving other
-/// simulated nodes running on the same host.
-fn spin_for(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    let start = Instant::now();
-    while start.elapsed() < d {
-        let remaining = d.saturating_sub(start.elapsed());
-        if remaining > Duration::from_millis(1) {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -189,28 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn throttle_clock_spins_real_time() {
-        let c = Clock::throttled();
-        let start = Instant::now();
-        c.charge(Duration::from_millis(3));
-        assert!(start.elapsed() >= Duration::from_millis(3));
-    }
-
-    #[test]
-    fn charge_spanning_subtracts_elapsed() {
-        let c = Clock::throttled();
-        let start = Instant::now();
-        // Work already "took" 2ms; only ~1ms more should be spun.
-        c.charge_spanning(Duration::from_millis(3), Duration::from_millis(2));
-        let e = start.elapsed();
-        assert!(e >= Duration::from_millis(1));
-        assert!(e < Duration::from_millis(3));
-    }
-
-    #[test]
-    fn charge_spanning_virtual_charges_full_cost() {
+    fn charge_accounts_the_full_cost() {
         let c = Clock::virtual_time();
-        c.charge_spanning(Duration::from_millis(3), Duration::from_millis(2));
+        c.charge(Duration::from_millis(3));
         assert_eq!(c.now(), Duration::from_millis(3));
     }
 
@@ -237,18 +115,6 @@ mod tests {
             }
         });
         assert_eq!(c.now(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn advance_to_throttled_waits_real_time() {
-        let c = Clock::throttled();
-        let start = Instant::now();
-        c.advance_to(c.now() + Duration::from_millis(3));
-        assert!(start.elapsed() >= Duration::from_millis(3));
-        // A target already in the past returns immediately.
-        let start = Instant::now();
-        c.advance_to(Duration::ZERO);
-        assert!(start.elapsed() < Duration::from_millis(3));
     }
 
     #[test]

@@ -21,7 +21,6 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Identifier of a node participating in the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -311,12 +310,7 @@ impl Mapping {
         &self.seg
     }
 
-    fn charge(
-        &self,
-        op: MemOp,
-        bytes: usize,
-        elapsed: std::time::Duration,
-    ) -> Result<(), FabricError> {
+    fn charge(&self, op: MemOp, bytes: usize) -> Result<(), FabricError> {
         let mut cost = self
             .fabric
             .cost
@@ -336,23 +330,21 @@ impl Mapping {
                 }
             }
         }
-        self.fabric.clock.charge_spanning(cost, elapsed);
+        self.fabric.clock.charge(cost);
         self.fabric.stats.record(self.path, op, bytes);
         Ok(())
     }
 
     /// Read `dst.len()` bytes at `offset`, charging the modeled cost.
     pub fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<(), FabricError> {
-        let start = Instant::now();
         self.seg.read_into(offset, dst)?;
-        self.charge(MemOp::Read, dst.len(), start.elapsed())
+        self.charge(MemOp::Read, dst.len())
     }
 
     /// Write `src` at `offset`, charging the modeled cost.
     pub fn write_at(&self, offset: u64, src: &[u8]) -> Result<(), FabricError> {
-        let start = Instant::now();
         self.seg.write_from(offset, src)?;
-        self.charge(MemOp::Write, src.len(), start.elapsed())
+        self.charge(MemOp::Write, src.len())
     }
 
     /// Read into a fresh vector.
@@ -366,9 +358,8 @@ impl Mapping {
     /// meaningful for local mappings; models the Fig. 3b staleness hazard.
     pub fn read_cached(&self, offset: u64, dst: &mut [u8]) -> Result<(), FabricError> {
         let cache = self.fabric.node_cache(self.mapper)?;
-        let start = Instant::now();
         cache.read_through(&self.seg, offset, dst)?;
-        self.charge(MemOp::Read, dst.len(), start.elapsed())
+        self.charge(MemOp::Read, dst.len())
     }
 
     /// A bounds-checked window `[offset, offset+len)` of this mapping.

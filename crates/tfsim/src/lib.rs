@@ -14,9 +14,8 @@
 //!    a fabric write does not invalidate the *owning* node's CPU cache, so
 //!    the owner can observe stale data ([`CacheSim`], paper Fig. 3b).
 //!
-//! Costs are charged to a [`Clock`] that either accumulates virtual time
-//! (deterministic experiments) or busy-waits (wall-clock benchmarks); see
-//! [`clock`].
+//! Costs are charged to a [`Clock`] that accumulates virtual time, so
+//! experiments are deterministic; see [`clock`].
 //!
 //! ## Example
 //!
@@ -47,7 +46,7 @@ pub mod seg;
 pub mod stats;
 
 pub use cache::{CacheOutcome, CacheSim, DEFAULT_LINE_SIZE};
-pub use clock::{Clock, ClockMode};
+pub use clock::Clock;
 pub use cost::{CostModel, MemOp, Path, PathCost};
 pub use fabric::{Fabric, FabricError, LinkState, MappedView, Mapping, NodeId, SegKey};
 pub use seg::{SegError, Segment, SEGMENT_ALIGN};

@@ -218,6 +218,55 @@ fn deferred_delete_across_the_cluster() {
     assert!(!cluster.store(0).core().exists_any_state(id));
 }
 
+/// The mapped data plane accounts every payload byte to the node that
+/// pulled it: N remote `get_bytes` of an S-byte object add exactly N × S
+/// to the reader's `disagg.fabric.mapped_payload_bytes` and nothing to
+/// the owner's, whose segment was read in place.
+#[test]
+fn remote_reads_account_every_payload_byte_to_the_reader() {
+    const READS: u64 = 5;
+    const SIZE: usize = 64 << 10;
+    let mapped_bytes = |store: &disagg::DisaggStore| {
+        store
+            .metrics_snapshot()
+            .counter("disagg.fabric.mapped_payload_bytes")
+    };
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "plane/bytes"));
+    let payload: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8).collect();
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+
+    let reader = cluster.store(2);
+    for _ in 0..READS {
+        let bytes = reader.get_bytes(id, Duration::from_secs(5)).unwrap();
+        assert_eq!(bytes.as_deref(), Some(&payload[..]));
+    }
+    assert_eq!(mapped_bytes(reader), READS * SIZE as u64);
+    assert_eq!(mapped_bytes(cluster.store(0)), 0);
+}
+
+/// Stopping a listener wakes its parked `accept`, so tearing a cluster
+/// down joins its 2 × nodes accept threads without waiting out a
+/// stop-flag poll. The bound is generous and the best of three launches
+/// is judged, so a descheduled test thread cannot fail it but a poll of
+/// any useful period would.
+#[test]
+fn dropping_an_idle_cluster_does_not_wait_on_a_poll() {
+    let fastest = (0..3)
+        .map(|_| {
+            let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+            let start = std::time::Instant::now();
+            drop(cluster);
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(50),
+        "drop(Cluster) took {fastest:?}"
+    );
+}
+
 #[test]
 fn facade_crate_reexports_whole_api() {
     // Compile-time check that the memdis facade exposes every layer.

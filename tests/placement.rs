@@ -145,6 +145,40 @@ fn singleton_cluster_creates_without_any_rpc() {
     assert_eq!(cluster.store(0).disagg_stats().lookup_rpcs, 0);
 }
 
+/// The RPC bill of a client `put`, read off the requester's per-verb
+/// `rpc.client.*` histograms: an id the requester owns costs no RPC at
+/// all, and an id a peer owns costs exactly one `CREATE_AT` and one
+/// `SEAL_AT` — the seal drops the creator's reference at the owner, so
+/// no `RELEASE` follows it.
+#[test]
+fn forwarded_put_costs_one_create_at_and_one_seal_at_and_a_local_put_nothing() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let client = cluster.client(0).unwrap();
+    // Every interconnect verb node 0 has called so far, with its count
+    // (one `<peer>.<verb>.latency_ns` sample per call).
+    let bill = || -> Vec<(String, u64)> {
+        let snap = cluster.store(0).metrics_snapshot();
+        snap.histograms_with_prefix("rpc.client.")
+            .filter(|(name, h)| name.ends_with(".latency_ns") && h.count > 0)
+            .map(|(name, h)| (name.to_string(), h.count))
+            .collect()
+    };
+
+    let own = ObjectId::from_name(&cluster.owned_id(0, "bill/own"));
+    client.put(own, &[1; 1024], &[]).unwrap();
+    assert_eq!(bill(), vec![], "a self-owned put stays on its node");
+
+    let forwarded = ObjectId::from_name(&cluster.owned_id(1, "bill/forwarded"));
+    client.put(forwarded, &[2; 1024], &[]).unwrap();
+    assert_eq!(
+        bill(),
+        vec![
+            ("rpc.client.store-1.create_at.latency_ns".to_string(), 1),
+            ("rpc.client.store-1.seal_at.latency_ns".to_string(), 1),
+        ]
+    );
+}
+
 /// `contains` of an id nobody holds asks each peer once: the ring owner's
 /// point-to-point "no" is not repeated by the fallback fan-out. An owner
 /// that could *not* answer stays in the fan-out, which still finds an
