@@ -25,13 +25,17 @@
 //! are surfaced as the `disagg.ring.hit` / `disagg.ring.fallback`
 //! counters. Remote lookups are batched: every id a single peer must
 //! answer for travels in one `GET_MANY` round trip (see
-//! [`DisaggStore::batch_get`]).
+//! [`DisaggStore::batch_get`]) — and overlapped: the peers one phase of
+//! a lookup asks (owners, then the holders their `Moved` answers name,
+//! then the broadcast) are all sent to before any answer is waited for,
+//! from the calling thread, so a phase costs its slowest round trip,
+//! not their sum.
 //!
 //! This file holds the store's state and its client-facing surface (the
 //! [`ObjectStore`] impl, the delegation dump and reconcile sweep); the
 //! rest is cut along the seams the [`crate::delegation`] ledger leaves:
 //! `routing` finds the node that answers for an id, `movement` moves and
-//! retires copies, `peer` talks to one peer or all of them, and
+//! retires copies, `peer` talks to one peer or several at once, and
 //! `service` is the interconnect dispatch.
 
 mod movement;
@@ -154,7 +158,7 @@ struct DisaggMetrics {
     get_miss: Arc<Histogram>,
     /// End-to-end `create` latency (ring routing + allocate at the owner).
     create: Arc<Histogram>,
-    /// Latency of one remote-lookup round (ring phase + fan-out).
+    /// Latency of one remote-lookup round (owners, redirects, broadcast).
     lookup_fanout: Arc<Histogram>,
     /// Ids carried per GET_MANY RPC issued to a peer — the batching
     /// factor of the multi-get hot path (1 = degenerated to unary).

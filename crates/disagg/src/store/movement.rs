@@ -296,12 +296,13 @@ impl DisaggStore {
     /// gossip lender selection ranks on. Unreachable peers are omitted.
     fn peer_free_bytes(&self) -> Vec<(NodeId, i64)> {
         let peers = self.peers_snapshot();
-        let responses = self.fanout(&peers, |peer| {
-            self.peer_call(peer, method::METRICS, Bytes::new())
-        });
+        let calls: Vec<_> = peers
+            .iter()
+            .map(|peer| (peer, method::METRICS, Bytes::new()))
+            .collect();
         peers
             .iter()
-            .zip(responses)
+            .zip(self.scatter(&calls))
             .filter_map(|(peer, response)| {
                 let (_, snap) = Self::decode_metrics(response.ok()?).ok()?;
                 Some((peer.node, snap.gauge("plasma.free_bytes")))

@@ -1,7 +1,8 @@
-//! Talking to one peer, and to all of them: the guarded call (health
-//! admission, deadline, retries), the translation of a failed call into
-//! the caller's error, parked releases, parallel fan-out, and the
-//! cluster-wide reads built on it (metrics, inventory).
+//! Talking to one peer, and to several at once: the guarded exchange
+//! (`scatter`: health admission, deadline, retry rounds — a call to one
+//! peer is a scatter of one), the translation of a failed call into the
+//! caller's error, parked releases, and the cluster-wide reads built on
+//! it (metrics, inventory).
 
 use super::{DisaggStore, Peer};
 use crate::health::{Admission, PeerState, PeerStats};
@@ -113,70 +114,121 @@ impl DisaggStore {
         self.inner.health.stats(node)
     }
 
-    /// One guarded interconnect call: health admission, per-call deadline,
-    /// bounded retries with backoff charged to the cluster clock.
+    /// One guarded exchange with several peers at once: every member is
+    /// admitted by the failure detector, every admitted call is sent
+    /// from this thread in slice order, and only then are the answers
+    /// gathered, in the same order. All sends leave at one virtual
+    /// instant and each call charges `advance_to(its send + its delay)`,
+    /// so the exchange costs its slowest round trip, not their sum —
+    /// and a fixed send and gather order keeps that cost the same on
+    /// every run of one seed. Each deadline runs from its own send, so
+    /// N hung members cost one deadline between them.
     ///
     /// Definite answers — including error statuses — prove the peer is
     /// alive and reset its failure count; only transport-level failures
-    /// (connection loss, expired deadline, `Unavailable`) indict it.
+    /// (connection loss, expired deadline, `Unavailable`) indict it. A
+    /// retry is another round: the members still worth retrying are
+    /// re-sent together after one shared backoff charged to the cluster
+    /// clock.
+    pub(super) fn scatter(&self, calls: &[(&Peer, u32, Bytes)]) -> Vec<Result<Bytes, PeerFail>> {
+        let inner = &self.inner;
+        let mut attempts_left: Vec<u32> = calls
+            .iter()
+            .map(|(peer, ..)| match inner.health.admit(peer.node) {
+                Admission::Skip => 0,
+                Admission::Probe => 1, // one shot; failure re-arms the backoff window
+                Admission::Attempt => inner.retry.max_attempts.max(1),
+            })
+            .collect();
+        // `None` while a member still has a call to make or to wait for.
+        let mut answers: Vec<Option<Result<Bytes, PeerFail>>> = attempts_left
+            .iter()
+            .map(|&attempts| (attempts == 0).then_some(Err(PeerFail::Skipped)))
+            .collect();
+        let mut retry_no = 0u32;
+        loop {
+            // Every send of the round goes out before any answer is
+            // waited for.
+            let tickets: Vec<_> = calls
+                .iter()
+                .zip(&answers)
+                .map(|((peer, method_id, body), answer)| {
+                    answer
+                        .is_none()
+                        .then(|| peer.client.call_async(*method_id, body.clone()))
+                })
+                .collect();
+            let mut retrying = 0u64;
+            for (i, ticket) in tickets.into_iter().enumerate() {
+                let Some(ticket) = ticket else { continue };
+                let peer = calls[i].0;
+                answers[i] = match ticket.and_then(|t| t.wait_deadline(inner.call_deadline)) {
+                    Ok(resp) => {
+                        inner.health.record_success(peer.node);
+                        Some(Ok(resp))
+                    }
+                    Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
+                        inner.health.record_success(peer.node);
+                        Some(Err(PeerFail::Rpc(RpcError::Status(s))))
+                    }
+                    Err(e) if e.is_retryable() => {
+                        let state = inner.health.record_failure(peer.node);
+                        attempts_left[i] -= 1;
+                        if attempts_left[i] == 0 || state == PeerState::Down {
+                            Some(Err(PeerFail::Unreachable(format!(
+                                "peer {} unreachable: {e}",
+                                peer.name
+                            ))))
+                        } else {
+                            retrying += 1;
+                            None
+                        }
+                    }
+                    Err(e) => {
+                        // Protocol violation: a response arrived, but the
+                        // connection is now suspect.
+                        inner.health.record_failure(peer.node);
+                        Some(Err(PeerFail::Rpc(e)))
+                    }
+                };
+            }
+            if retrying == 0 {
+                break;
+            }
+            retry_no += 1;
+            inner.metrics.peer_retries.add(retrying);
+            let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
+            inner.clock.advance_to(inner.clock.now() + backoff);
+        }
+        // Only now, with nothing of the exchange left in flight: a flush
+        // is serial calls of its own.
+        for ((peer, ..), answer) in calls.iter().zip(&answers) {
+            if matches!(answer, Some(Ok(_))) {
+                self.flush_parked_releases(peer);
+            }
+        }
+        let settled = answers.into_iter();
+        settled
+            .map(|answer| answer.expect("the rounds end only once no member is retrying"))
+            .collect()
+    }
+
+    /// [`DisaggStore::scatter`] of one: the guarded call to a single
+    /// peer.
     pub(super) fn peer_call(
         &self,
         peer: &Peer,
         method_id: u32,
         body: Bytes,
     ) -> Result<Bytes, PeerFail> {
-        let inner = &self.inner;
-        let mut attempts_left = match inner.health.admit(peer.node) {
-            Admission::Skip => return Err(PeerFail::Skipped),
-            Admission::Probe => 1, // one shot; failure re-arms the backoff window
-            Admission::Attempt => inner.retry.max_attempts.max(1),
-        };
-        let mut retry_no = 0u32;
-        loop {
-            match peer
-                .client
-                .call_with_deadline(method_id, body.clone(), inner.call_deadline)
-            {
-                Ok(resp) => {
-                    inner.health.record_success(peer.node);
-                    self.flush_parked_releases(peer);
-                    return Ok(resp);
-                }
-                Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
-                    inner.health.record_success(peer.node);
-                    return Err(PeerFail::Rpc(RpcError::Status(s)));
-                }
-                Err(e) if e.is_retryable() => {
-                    let state = inner.health.record_failure(peer.node);
-                    attempts_left -= 1;
-                    if attempts_left == 0 || state == PeerState::Down {
-                        return Err(PeerFail::Unreachable(format!(
-                            "peer {} unreachable: {e}",
-                            peer.name
-                        )));
-                    }
-                    retry_no += 1;
-                    inner.metrics.peer_retries.inc();
-                    let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
-                    // Advance-to rather than charge: fan-out workers
-                    // backing off concurrently model one overlapping
-                    // wait, not N stacked on the shared cluster clock.
-                    inner.clock.advance_to(inner.clock.now() + backoff);
-                }
-                Err(e) => {
-                    // Protocol violation: a response arrived, but the
-                    // connection is now suspect.
-                    inner.health.record_failure(peer.node);
-                    return Err(PeerFail::Rpc(e));
-                }
-            }
-        }
+        let mut answers = self.scatter(&[(peer, method_id, body)]);
+        answers.pop().expect("one answer per member")
     }
 
     /// Retry the RELEASEs parked for `peer` (closing pins in the
     /// ledger). Invoked after a successful call proved the peer
     /// reachable; entries that fail again are re-parked. Uses the raw
-    /// client rather than [`DisaggStore::peer_call`] so a flush never
+    /// client rather than [`DisaggStore::scatter`] so a flush never
     /// recurses into another flush.
     fn flush_parked_releases(&self, peer: &Peer) {
         let parked = self.inner.ledger.take_parked(peer.node);
@@ -218,25 +270,6 @@ impl DisaggStore {
         self.inner.ledger.parked() as usize
     }
 
-    /// Run `f` against each of `peers` concurrently (scoped threads),
-    /// preserving order. Each peer gets its own deadline/retry budget, so
-    /// a broadcast with one hung peer costs one deadline — not one per
-    /// position in a serial loop.
-    pub(super) fn fanout<T: Send>(&self, peers: &[Peer], f: impl Fn(&Peer) -> T + Sync) -> Vec<T> {
-        match peers {
-            [] => Vec::new(),
-            [only] => vec![f(only)],
-            _ => std::thread::scope(|s| {
-                let f = &f;
-                let handles: Vec<_> = peers.iter().map(|peer| s.spawn(move || f(peer))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("peer fan-out thread panicked"))
-                    .collect()
-            }),
-        }
-    }
-
     /// Fetch one peer's metrics snapshot over the interconnect
     /// (`METRICS` RPC): any node can introspect any peer live.
     pub fn peer_metrics(&self, node: NodeId) -> Result<MetricsSnapshot, PlasmaError> {
@@ -248,17 +281,18 @@ impl DisaggStore {
     }
 
     /// Cluster-wide metrics: this node's snapshot plus every reachable
-    /// peer's, queried in parallel. Like [`DisaggStore::global_list`],
+    /// peer's, queried in one exchange. Like [`DisaggStore::global_list`],
     /// unreachable peers are omitted — the snapshot degrades to a
     /// partial cluster view instead of failing.
     pub fn cluster_metrics(&self) -> Result<Vec<(NodeId, MetricsSnapshot)>, PlasmaError> {
         let mut out = Vec::with_capacity(self.peer_count() + 1);
         out.push((self.inner.node, self.metrics_snapshot()));
         let peers = self.peers_snapshot();
-        let responses = self.fanout(&peers, |peer| {
-            self.peer_call(peer, method::METRICS, Bytes::new())
-        });
-        for response in responses {
+        let calls: Vec<_> = peers
+            .iter()
+            .map(|peer| (peer, method::METRICS, Bytes::new()))
+            .collect();
+        for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
             out.push(Self::decode_metrics(body)?);
         }
@@ -297,17 +331,18 @@ impl DisaggStore {
     }
 
     /// Cluster-wide object inventory: this store's sealed objects plus
-    /// every reachable peer's, grouped by node, queried in parallel.
+    /// every reachable peer's, grouped by node, queried in one exchange.
     /// Extends Plasma's `List` across the interconnect. Unreachable peers
     /// are omitted — the inventory is partial, not an error.
     pub fn global_list(&self) -> Result<Vec<(NodeId, Vec<ListEntry>)>, PlasmaError> {
         let mut out = Vec::with_capacity(self.peer_count() + 1);
         out.push((self.inner.node, self.sealed_entries()));
         let peers = self.peers_snapshot();
-        let responses = self.fanout(&peers, |peer| {
-            self.peer_call(peer, method::LIST, Bytes::new())
-        });
-        for response in responses {
+        let calls: Vec<_> = peers
+            .iter()
+            .map(|peer| (peer, method::LIST, Bytes::new()))
+            .collect();
+        for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
             let resp = ListResp::decode(body)
                 .map_err(|e| PlasmaError::Protocol(format!("list response: {e}")))?;

@@ -1,7 +1,7 @@
 //! Finding the node that answers for an id: the membership table and
-//! the ring built on it, the remote lookup pass (ring owner → `Moved`
-//! redirect → broadcast fallback), and the ring-routed create — both the
-//! requester's half and the owner's.
+//! the ring built on it, the remote lookup pass (ring owners → `Moved`
+//! redirects → broadcast fallback, one overlapped exchange each), and
+//! the ring-routed create — both the requester's half and the owner's.
 
 use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
@@ -13,8 +13,8 @@ use crate::proto::{
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
-use rpclite::{RpcError, Status, StatusCode};
-use std::collections::HashMap;
+use rpclite::{Status, StatusCode};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use tfsim::NodeId;
@@ -157,20 +157,20 @@ impl DisaggStore {
                         self.note_ring_hits(1);
                         return Ok(true);
                     }
-                    // The owner answered: the fan-out need not ask it
+                    // The owner answered: the broadcast need not ask it
                     // again. An owner that did not answer stays in.
                     peers.swap_remove(i);
                 }
             }
             self.note_ring_fallbacks(1);
         }
-        // Ask every remaining peer in parallel; unreachable peers count
-        // as "not here" (partial answer, not an error).
-        let req_body = IdReq { id }.encode();
-        let answers = self.fanout(&peers, |peer| {
-            self.peer_call(peer, method::CONTAINS, req_body.clone())
-        });
-        for answer in answers {
+        // Ask every remaining peer in one exchange; unreachable peers
+        // count as "not here" (partial answer, not an error).
+        let calls: Vec<_> = peers
+            .iter()
+            .map(|peer| (peer, method::CONTAINS, IdReq { id }.encode()))
+            .collect();
+        for answer in self.scatter(&calls) {
             let Ok(body) = answer else { continue };
             if holds(body)? {
                 return Ok(true);
@@ -196,14 +196,17 @@ impl DisaggStore {
         ObjectStore::get(self, ids, timeout)
     }
 
-    /// One remote-lookup round for the `None` slots of `out`: ask each
-    /// id's ring owner with one batched `GET_MANY` (following `Moved`
-    /// redirects), then broadcast a batched `GET_MANY` to peers for the
-    /// rest — in parallel. Unreachable peers contribute nothing; their
-    /// objects simply stay unresolved this round, so a dead peer degrades
-    /// `get` to a miss instead of an error.
+    /// One remote-lookup round for the `None` slots of `out`, in three
+    /// phases of one [`DisaggStore::scatter`] each, so a phase costs its
+    /// slowest round trip however many peers it asks: (1) one batched
+    /// `GET_MANY` per ring owner; (2) the `Moved` redirects of all their
+    /// answers, one call per holder; (3) a broadcast for whatever is
+    /// still missing (whose own redirects are chased the same way).
+    /// Unreachable peers contribute nothing; their objects simply stay
+    /// unresolved this round, so a dead peer degrades `get` to a miss
+    /// instead of an error.
     pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [Option<ObjectLocation>]) {
-        let mut missing: Vec<ObjectId> = ids
+        let missing: Vec<ObjectId> = ids
             .iter()
             .zip(out.iter())
             .filter(|(_, o)| o.is_none())
@@ -214,111 +217,75 @@ impl DisaggStore {
         }
         let pass_started = Instant::now();
         let mut found: HashMap<ObjectId, ObjectLocation> = HashMap::new();
+        let peers = self.peers_snapshot();
+        // What each ring owner answered for in this pass: the broadcast
+        // does not ask it about those ids again.
+        let mut answered: Vec<(NodeId, ObjectId)> = Vec::new();
 
-        // Ring-targeted phase: resolve each missing id's rendezvous owner
-        // locally (zero RPCs) and ask exactly that peer. Ids the owner
-        // does not hold — stranded on a previous epoch's owner, not yet
-        // created, or the owner is unreachable — fall through to the
+        // Ring-targeted phases: resolve each missing id's rendezvous
+        // owner locally (zero RPCs) and ask exactly that peer. Ids the
+        // owner does not hold — stranded on a previous epoch's owner, not
+        // yet created, or the owner is unreachable — fall through to the
         // broadcast, as do ids this node owns itself (the local pass
         // already missed them, so if they exist at all they live
         // off-ring).
         let ring = self.inner.ring.read().clone();
         if let Some(ring) = ring {
-            let mut by_owner: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
-            let mut fallback: Vec<ObjectId> = Vec::new();
+            // Groups in node order: the order of the sends and of the
+            // absorbed answers must not depend on a hasher's seed.
+            let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
+            // Self-owned miss: if this node lent the id away, its own
+            // ledger is the redirect — chase the holder like a `Moved`
+            // answer instead of broadcasting (the holder hides leased
+            // copies from broadcasts).
             let mut lent: Vec<(ObjectId, NodeId)> = Vec::new();
-            for id in missing.drain(..) {
+            for &id in &missing {
                 match ring.owner_of(id) {
                     Some(owner) if owner != self.inner.node => {
                         by_owner.entry(owner).or_default().push(id);
                     }
-                    // Self-owned miss: if this node lent the id away, its
-                    // own ledger is the redirect — chase the holder like
-                    // a `Moved` answer instead of broadcasting (the
-                    // holder hides leased copies from broadcasts).
-                    _ => match self.inner.ledger.find(Side::Out, id, Kind::Lease) {
-                        Some(lease) => lent.push((id, lease.peer)),
-                        None => fallback.push(id),
-                    },
-                }
-            }
-            let peers = self.peers_snapshot();
-            let mut hits = 0u64;
-            if !lent.is_empty() {
-                let own_ledger = GetManyResp {
-                    entries: lent
-                        .iter()
-                        .map(|&(id, holder)| GetManyEntry {
-                            id,
-                            status: GetManyStatus::Moved,
-                            location: None,
-                            moved_to: Some(holder),
-                        })
-                        .collect(),
-                    epoch: self.ring_epoch(),
-                };
-                self.follow_redirects(&own_ledger, &mut found);
-                for (id, _) in lent {
-                    if found.contains_key(&id) {
-                        hits += 1;
-                    } else {
-                        fallback.push(id);
+                    _ => {
+                        if let Some(lease) = self.inner.ledger.find(Side::Out, id, Kind::Lease) {
+                            lent.push((id, lease.peer));
+                        }
                     }
                 }
             }
-            for (owner, group) in by_owner {
-                match peers.iter().find(|p| p.node == owner) {
-                    Some(peer) => match self.get_many_rpc(peer, &group, false) {
-                        Ok(resp) => {
-                            self.maybe_adopt_epoch(owner, resp.epoch);
-                            self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
-                            // Redirect-resolved ids count as ring hits:
-                            // the owner *did* answer for them, one hop on.
-                            self.follow_redirects(&resp, &mut found);
-                            for id in group {
-                                if found.contains_key(&id) {
-                                    hits += 1;
-                                } else {
-                                    fallback.push(id);
-                                }
-                            }
-                        }
-                        Err(_) => fallback.extend(group),
-                    },
-                    None => fallback.extend(group),
+            let asks: Vec<(&Peer, Vec<ObjectId>)> = by_owner
+                .into_iter()
+                .filter_map(|(owner, group)| Some((peers.iter().find(|p| p.node == owner)?, group)))
+                .collect();
+            let replied = self.ask_and_chase(&peers, &asks, lent, &mut found);
+            for ((owner, group), replied) in asks.iter().zip(replied) {
+                if replied {
+                    answered.extend(group.iter().map(|id| (owner.node, *id)));
                 }
             }
-            self.note_ring_hits(hits);
-            self.note_ring_fallbacks(fallback.len() as u64);
-            missing = fallback;
+            // Redirect-resolved ids count as ring hits: the owner *did*
+            // answer for them, one hop on.
+            let hits = missing.iter().filter(|id| found.contains_key(id)).count();
+            self.note_ring_hits(hits as u64);
+            self.note_ring_fallbacks((missing.len() - hits) as u64);
         }
 
-        // Broadcast to every peer, in parallel, for whatever is still
-        // missing; absorb responses (and their pins) sequentially.
+        // Broadcast for whatever is still missing. Each peer is sent only
+        // the ids it has not already answered for as their ring owner; an
+        // owner that was skipped or did not answer stays in.
         let remaining: Vec<ObjectId> = missing
             .iter()
             .filter(|id| !found.contains_key(id))
             .copied()
             .collect();
         if !remaining.is_empty() {
-            let peers = self.peers_snapshot();
-            let responses = self.fanout(&peers, |peer| self.get_many_rpc(peer, &remaining, false));
-            // Absorb every direct answer before chasing any redirect: the
-            // holder of a spilled object answers this same broadcast with
-            // `Pinned`, so chasing the owner's `Moved` first would pin the
-            // object at the holder twice while the caller releases once.
-            let answered: Vec<(&Peer, GetManyResp)> = peers
+            let asks: Vec<(&Peer, Vec<ObjectId>)> = peers
                 .iter()
-                .zip(responses)
-                .filter_map(|(peer, response)| response.ok().map(|resp| (peer, resp)))
+                .map(|peer| {
+                    let unasked = |id: &&ObjectId| !answered.contains(&(peer.node, **id));
+                    (peer, remaining.iter().filter(unasked).copied().collect())
+                })
+                .filter(|(_, ids): &(_, Vec<ObjectId>)| !ids.is_empty())
                 .collect();
-            for (peer, resp) in &answered {
-                self.maybe_adopt_epoch(peer.node, resp.epoch);
-                self.absorb_lookup(peer, resp.found().copied().collect(), &mut found);
-            }
-            for (_, resp) in &answered {
-                self.follow_redirects(resp, &mut found);
-            }
+            self.ask_and_chase(&peers, &asks, Vec::new(), &mut found);
         }
 
         self.inner
@@ -334,13 +301,49 @@ impl DisaggStore {
         }
     }
 
-    /// Chase the `Moved` entries of one GET_MANY response: a ring owner
-    /// that spilled an id answers with the holder's address, and this
-    /// follow-up asks the holder directly — one extra hop, batched per
-    /// holder.
-    fn follow_redirects(&self, resp: &GetManyResp, found: &mut HashMap<ObjectId, ObjectLocation>) {
-        let mut by_holder: HashMap<NodeId, Vec<ObjectId>> = HashMap::new();
-        for (id, holder) in resp.moved() {
+    /// Two exchanges: ask each of `asks`' peers for its ids and absorb
+    /// every direct answer, then chase `redirects` together with the
+    /// `Moved` entries of all those answers. Returns, per ask, whether
+    /// the peer answered.
+    ///
+    /// Absorbing before chasing matters: a copy that answers directly
+    /// wins, and a `Moved` another peer gave for the same id is then not
+    /// chased at all. (A leased copy never answers a broadcast — its
+    /// holder hides it from all but redirected requests — so chasing
+    /// first would pin a second copy only to hand it back.)
+    fn ask_and_chase(
+        &self,
+        peers: &[Peer],
+        asks: &[(&Peer, Vec<ObjectId>)],
+        mut redirects: Vec<(ObjectId, NodeId)>,
+        found: &mut HashMap<ObjectId, ObjectLocation>,
+    ) -> Vec<bool> {
+        let answers = self.get_many(asks, false);
+        for ((peer, _), resp) in asks.iter().zip(&answers) {
+            let Some(resp) = resp else { continue };
+            self.maybe_adopt_epoch(peer.node, resp.epoch);
+            self.absorb_lookup(peer, resp.found().copied().collect(), found);
+            redirects.extend(resp.moved());
+        }
+        self.follow_redirects(peers, redirects, found);
+        answers.iter().map(Option::is_some).collect()
+    }
+
+    /// Chase `Moved` redirects — `(id, holder)` pairs, from any number of
+    /// `GET_MANY` answers — in one exchange: a ring owner that spilled an
+    /// id answers with the holder's address, and this follow-up asks the
+    /// holder directly — one extra hop, batched per holder, every holder
+    /// asked at once. An id named at two holders is asked at both; the
+    /// first copy absorbed wins and [`DisaggStore::absorb_lookup`] hands
+    /// the other pin back.
+    fn follow_redirects(
+        &self,
+        peers: &[Peer],
+        redirects: Vec<(ObjectId, NodeId)>,
+        found: &mut HashMap<ObjectId, ObjectLocation>,
+    ) {
+        let mut by_holder: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
+        for (id, holder) in redirects {
             if found.contains_key(&id) {
                 continue;
             }
@@ -356,55 +359,61 @@ impl DisaggStore {
             }
             by_holder.entry(holder).or_default().push(id);
         }
-        if by_holder.is_empty() {
-            return;
-        }
-        let peers = self.peers_snapshot();
-        for (holder, ids) in by_holder {
-            let Some(peer) = peers.iter().find(|p| p.node == holder) else {
-                continue;
-            };
-            if let Ok(resp) = self.get_many_rpc(peer, &ids, true) {
-                self.maybe_adopt_epoch(holder, resp.epoch);
-                self.inner.metrics.redirects_followed.add(ids.len() as u64);
-                self.absorb_lookup(peer, resp.found().copied().collect(), found);
-            }
+        let asks: Vec<(&Peer, Vec<ObjectId>)> = by_holder
+            .into_iter()
+            .filter_map(|(holder, ids)| Some((peers.iter().find(|p| p.node == holder)?, ids)))
+            .collect();
+        for ((holder, ids), resp) in asks.iter().zip(self.get_many(&asks, true)) {
+            let Some(resp) = resp else { continue };
+            self.maybe_adopt_epoch(holder.node, resp.epoch);
+            self.inner.metrics.redirects_followed.add(ids.len() as u64);
+            self.absorb_lookup(holder, resp.found().copied().collect(), found);
         }
     }
 
-    /// Issue one pinning GET_MANY RPC for `ids` to one peer: every id the
-    /// peer holds sealed comes back pinned (attributed to this node) with
-    /// its fabric descriptor attached — one round trip regardless of how
-    /// many ids the batch carries. Counted under `lookup_rpcs`, and the
-    /// batch size is recorded in `disagg.get_many.batch_size`.
-    fn get_many_rpc(
+    /// One pinning `GET_MANY` to each of `asks`' peers for its ids, all
+    /// in one [`DisaggStore::scatter`]: every id a peer holds sealed
+    /// comes back pinned (attributed to this node) with its fabric
+    /// descriptor attached — one round trip regardless of how many ids a
+    /// batch carries or how many peers are asked. `None` for a peer that
+    /// gave no usable answer. Every call issued counts under
+    /// `lookup_rpcs`, and its batch size is recorded in
+    /// `disagg.get_many.batch_size`.
+    fn get_many(
         &self,
-        peer: &Peer,
-        ids: &[ObjectId],
+        asks: &[(&Peer, Vec<ObjectId>)],
         redirected: bool,
-    ) -> Result<GetManyResp, PeerFail> {
-        if ids.is_empty() {
-            return Ok(GetManyResp {
-                entries: Vec::new(),
-                epoch: self.ring_epoch(),
-            });
+    ) -> Vec<Option<GetManyResp>> {
+        if asks.is_empty() {
+            return Vec::new();
         }
-        let req = GetManyReq {
-            requester: self.inner.node,
-            ids: ids.to_vec(),
-            epoch: self.ring_epoch(),
-            redirected,
-        };
-        let result = self.peer_call(peer, method::GET_MANY, req.encode());
-        if !matches!(result, Err(PeerFail::Skipped)) {
-            self.inner
-                .counters
-                .lookup_rpcs
-                .fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.get_many_batch.record(ids.len() as u64);
-        }
-        GetManyResp::decode(result?)
-            .map_err(|e| PeerFail::Rpc(RpcError::Protocol(format!("get_many response: {e}"))))
+        let epoch = self.ring_epoch();
+        let calls: Vec<_> = asks
+            .iter()
+            .map(|(peer, ids)| {
+                let req = GetManyReq {
+                    requester: self.inner.node,
+                    ids: ids.clone(),
+                    epoch,
+                    redirected,
+                };
+                (*peer, method::GET_MANY, req.encode())
+            })
+            .collect();
+        let answers = self.scatter(&calls).into_iter();
+        answers
+            .zip(asks)
+            .map(|(answer, (_, ids))| {
+                if !matches!(answer, Err(PeerFail::Skipped)) {
+                    self.inner
+                        .counters
+                        .lookup_rpcs
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.inner.metrics.get_many_batch.record(ids.len() as u64);
+                }
+                GetManyResp::decode(answer.ok()?).ok()
+            })
+            .collect()
     }
 
     /// Fold the locations one peer returned (with pins taken on our

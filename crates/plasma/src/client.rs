@@ -130,10 +130,18 @@ impl<'a> ObjectBuilder<'a> {
     }
 
     /// Seal the object, making it immutable and visible to `get`, and
-    /// release the creator's reference.
+    /// release the creator's reference. A seal that fails abandons the
+    /// object: the builder is consumed either way, so nothing else could
+    /// ever abort it, and a create staged at a remote owner would stay
+    /// staged — on both nodes' books — for good. (Best-effort, and a
+    /// no-op if the seal did land and only its answer was lost: a
+    /// sealed object cannot be aborted.)
     pub fn seal(self) -> Result<ObjectId, PlasmaError> {
         let id = self.location.id;
-        self.client.seal_raw(id)?;
+        if let Err(e) = self.client.seal_raw(id) {
+            let _ = self.abort();
+            return Err(e);
+        }
         self.client.release(id)?;
         Ok(id)
     }

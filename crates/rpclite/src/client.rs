@@ -413,10 +413,12 @@ impl RpcClient {
         self.metrics = Some(metrics);
     }
 
-    /// Cap the number of requests in flight per connection (minimum 1;
-    /// default 64). A send that would exceed the window blocks until an
-    /// in-flight call completes. Called once while building the client.
-    pub fn set_window(&mut self, window: usize) {
+    /// Shrink the cap on requests in flight per connection (minimum 1;
+    /// every client runs with the default, 64). A send that would exceed
+    /// the window blocks until an in-flight call completes. Test-only:
+    /// the window test below is the one caller a smaller cap ever had.
+    #[cfg(test)]
+    pub(crate) fn set_window(&mut self, window: usize) {
         self.window = window.max(1);
     }
 

@@ -56,8 +56,12 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # Identifiers deleted with the mechanisms they named: the second
 # allocator configuration, the id cache, unledgered migration, `hotpath`
 # (PR 15); the sharded object table (PR 17); the throttling clock mode,
-# the TCP transport and the bins and baselines `e2e` superseded (PR 19).
-identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener"
+# the TCP transport and the bins and baselines `e2e` superseded (PR 19);
+# the thread-per-peer `DisaggStore::fanout` and the public in-flight
+# window setter (PR 20; `fanout` is spelled quoted, as a path and as a
+# call, so that the metric `disagg.lookup.fanout.latency_ns`, which
+# stays, is not hit).
+identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout("
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done

@@ -348,6 +348,88 @@ fn deadline_bounds_calls_to_a_hung_peer() {
     assert_eq!(store.peer_health_stats(hung).failures, 1);
 }
 
+/// Every call of one exchange is sent before any answer is waited for,
+/// and each deadline runs from its own send: two wedged peers cost one
+/// deadline between them, and the peer that does answer is not lost.
+#[test]
+fn two_hung_peers_in_one_exchange_cost_one_deadline() {
+    use plasma::{StoreConfig, StoreCore};
+    use rpclite::{RpcClient, Status, StatusCode};
+    use std::sync::Arc;
+
+    const DEADLINE: Duration = Duration::from_millis(100);
+    let fabric = tfsim::Fabric::virtual_thymesisflow();
+    let store_on = |name: &str| {
+        let core = StoreCore::new(
+            &fabric,
+            fabric.register_node(),
+            StoreConfig::new(name, 1 << 20),
+        );
+        DisaggStore::new(
+            core.unwrap(),
+            DisaggConfig {
+                interconnect: InterconnectConfig {
+                    call_deadline: Some(DEADLINE),
+                    retry: RetryPolicy::none(),
+                    ..InterconnectConfig::default()
+                },
+                ..DisaggConfig::default()
+            },
+        )
+    };
+    let store = store_on("impatient");
+    let healthy = store_on("healthy");
+    let id = ObjectId::from_name("on-the-healthy-peer");
+    healthy.create(id, 64, 0).unwrap();
+    healthy.seal(id).unwrap();
+    healthy.release(id).unwrap();
+
+    // Two peers that accept the call and wedge far past the deadline,
+    // listed before the one that answers.
+    let hub = ipc::InprocHub::new();
+    let wedged = Arc::new(
+        |_m: u32, _b: bytes::Bytes| -> Result<bytes::Bytes, Status> {
+            std::thread::sleep(4 * DEADLINE);
+            Err(Status::new(StatusCode::Unavailable, "eventually"))
+        },
+    );
+    let mut servers = Vec::new();
+    for (name, node) in [("hung-a", 7), ("hung-b", 8)] {
+        servers.push(rpclite::serve(
+            Box::new(hub.bind(name).unwrap()),
+            wedged.clone(),
+        ));
+        store.add_peer(Peer {
+            node: tfsim::NodeId(node),
+            name: name.into(),
+            client: Arc::new(RpcClient::new(Box::new(hub.connect(name).unwrap()))),
+        });
+    }
+    servers.push(rpclite::serve(
+        Box::new(hub.bind("healthy").unwrap()),
+        healthy.interconnect_service(),
+    ));
+    store.add_peer(Peer {
+        node: healthy.node(),
+        name: "healthy".into(),
+        client: Arc::new(RpcClient::new(Box::new(hub.connect("healthy").unwrap()))),
+    });
+
+    let start = std::time::Instant::now();
+    let inventory = store.global_list().unwrap();
+    let elapsed = start.elapsed();
+    let nodes: Vec<_> = inventory.iter().map(|(node, _)| *node).collect();
+    assert_eq!(nodes, vec![store.node(), healthy.node()]);
+    assert_eq!(inventory[1].1.len(), 1, "the healthy peer's answer is kept");
+    assert!(
+        elapsed >= DEADLINE && elapsed < DEADLINE * 19 / 10,
+        "two hung peers must cost one {DEADLINE:?} deadline, not two: {elapsed:?}"
+    );
+    for hung in [7, 8] {
+        assert_eq!(store.peer_health_stats(tfsim::NodeId(hung)).failures, 1);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Reference-count regressions: failed cross-node operations must roll
 // back every pin they took (remote_pin_count returns to zero).
@@ -384,6 +466,65 @@ fn failed_payload_read_releases_its_pin() {
         .fabric()
         .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Up);
     producer.delete(id).unwrap();
+}
+
+/// A `put` whose forwarded seal fails abandons its staged create: the
+/// builder is consumed either way, so nothing could abort it later, and
+/// left alone it would stay staged on both nodes' books for good (a
+/// reconcile keeps what both sides still claim).
+#[test]
+fn failed_forwarded_seal_aborts_the_staged_create() {
+    use disagg::proto::method;
+    use disagg::Membership;
+    use plasma::{PlasmaClient, StoreConfig, StoreCore};
+    use rpclite::{RpcClient, Status};
+    use std::sync::Arc;
+
+    let fabric = tfsim::Fabric::virtual_thymesisflow();
+    let nodes = [fabric.register_node(), fabric.register_node()];
+    let store_on = |i: usize, name: &str| {
+        let core = StoreCore::new(&fabric, nodes[i], StoreConfig::new(name, 1 << 20)).unwrap();
+        let store = DisaggStore::new(core, DisaggConfig::default());
+        store.set_membership(Membership::new(1, nodes.to_vec()));
+        store
+    };
+    let requester = store_on(0, "requester");
+    let owner = store_on(1, "owner");
+
+    // The owner stages creates as usual but refuses every SEAL_AT with a
+    // definite error — what a garbled frame on the connection amounts to.
+    let hub = ipc::InprocHub::new();
+    let real = owner.interconnect_service();
+    let refusing = Arc::new(move |m: u32, b: bytes::Bytes| {
+        if m == method::SEAL_AT {
+            return Err(Status::internal("seal refused"));
+        }
+        real.call(m, b)
+    });
+    let _rpc = rpclite::serve(Box::new(hub.bind("owner").unwrap()), refusing);
+    requester.add_peer(Peer {
+        node: nodes[1],
+        name: "owner".into(),
+        client: Arc::new(RpcClient::new(Box::new(hub.connect("owner").unwrap()))),
+    });
+    let _plasma = plasma::serve_store(
+        Box::new(hub.bind("plasma").unwrap()),
+        Arc::new(requester.clone()),
+    );
+    let client = PlasmaClient::new(
+        Box::new(hub.connect("plasma").unwrap()),
+        fabric.clone(),
+        nodes[0],
+    );
+
+    let id = (0..)
+        .map(|k| ObjectId::from_name(&format!("seal-refused/{k}")))
+        .find(|id| requester.ring_owner(*id) == Some(nodes[1]))
+        .unwrap();
+    client.put(id, &[7; 256], &[]).unwrap_err();
+    assert_eq!(requester.delegations(), vec![], "no staged entry is kept");
+    assert_eq!(owner.delegations(), vec![], "the owner's half is aborted");
+    assert!(!owner.core().exists_any_state(id), "and its buffer freed");
 }
 
 #[test]

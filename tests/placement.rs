@@ -221,6 +221,49 @@ fn contains_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
     );
 }
 
+/// The twin of the `contains` test above for `get`: a miss asks each peer
+/// once — the broadcast sends a ring owner only the ids it has not just
+/// answered for. An owner that could *not* answer stays in the
+/// broadcast, which still finds an off-ring copy elsewhere.
+#[test]
+fn get_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
+    let mut config = ClusterConfig::functional(3, 4 << 20);
+    config.interconnect.retry = RetryPolicy::none();
+    let mut cluster = Cluster::launch(config).unwrap();
+    let s0 = cluster.store(0).clone();
+    let get_many_calls = |peer: usize| {
+        let name = format!("rpc.client.store-{peer}.get_many.latency_ns");
+        s0.metrics_snapshot()
+            .histogram(&name)
+            .map_or(0, |h| h.count)
+    };
+
+    let absent = ObjectId::from_name(&cluster.owned_id(1, "get/absent"));
+    let got = s0.get(&[absent], Duration::ZERO).unwrap();
+    assert!(got[0].is_none());
+    assert_eq!(get_many_calls(1), 1, "the owner is asked exactly once");
+    assert_eq!(get_many_calls(2), 1, "the broadcast covers the other peer");
+    assert_eq!(s0.disagg_stats().lookup_rpcs, 2);
+    assert_eq!(s0.disagg_stats().ring_fallbacks, 1);
+
+    // An id the ring assigns to node 1 but that lives on node 2 (what an
+    // epoch change leaves behind), with node 1's interconnect down.
+    let stray = ObjectId::from_name(&cluster.owned_id(1, "get/stray"));
+    let core2 = cluster.store(2).core();
+    core2.create(stray, 64, 0).unwrap();
+    core2.seal(stray).unwrap();
+    core2.release(stray).unwrap();
+    cluster.stop_rpc(1);
+    let got = s0.get(&[stray], Duration::ZERO).unwrap();
+    assert!(got[0].is_some(), "the broadcast finds the off-ring copy");
+    assert_eq!(
+        s0.peer_health_stats(cluster.node_id(1)).failures,
+        2,
+        "the silent owner is asked point-to-point and again by the broadcast"
+    );
+    s0.release(stray).unwrap();
+}
+
 /// A membership bump gossips epoch-first: peers that see a newer epoch on
 /// any interconnect call pull the full table. Objects stranded off-ring
 /// by the change stay reachable via the broadcast fallback.
