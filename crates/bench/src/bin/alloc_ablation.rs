@@ -5,16 +5,16 @@
 //! (future work). This harness quantifies that: identical allocation
 //! traces replayed against the paper's first-fit, the paper's
 //! size-ordered-map (best-fit), a dlmalloc-style segregated-bin
-//! allocator, a binary buddy allocator and the size-class slab allocator
-//! the store runs, reporting throughput, failure counts, and external
-//! fragmentation. The last workload first churns the region into
-//! thousands of small holes (untimed) — the state in which an
-//! address-ordered scan pays for every hole on every allocation.
+//! allocator and the size-class slab allocator the store runs,
+//! reporting throughput, failure counts, and external fragmentation.
+//! The last workload first churns the region into thousands of small
+//! holes (untimed) — the state in which an address-ordered scan pays
+//! for every hole on every allocation.
 //!
 //! Usage: `cargo run -p bench --bin alloc_ablation --release [-- --seed N]`
 
 use bench::{fragment_region, render_table, windowed_trace, HarnessOpts};
-use memalloc::{Buddy, DlSeg, FirstFit, RegionAllocator, SizeMap, Slab, Trace, TraceSpec};
+use memalloc::{DlSeg, FirstFit, RegionAllocator, SizeMap, Slab, Trace, TraceSpec};
 use std::time::Instant;
 
 const CAPACITY: u64 = 1 << 30; // 1 GiB region
@@ -25,7 +25,6 @@ fn allocators() -> Vec<Box<dyn RegionAllocator>> {
         Box::new(FirstFit::new(CAPACITY)),
         Box::new(SizeMap::new(CAPACITY)),
         Box::new(DlSeg::new(CAPACITY)),
-        Box::new(Buddy::new(CAPACITY)),
         Box::new(Slab::new(CAPACITY)),
     ]
 }

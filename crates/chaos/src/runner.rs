@@ -111,6 +111,10 @@ impl SoakConfig {
 pub struct SoakReport {
     /// The checker's verdict, including quiesce-audit violations.
     pub verdict: Verdict,
+    /// Why the settle sweep ended: `true` once every backlog had drained,
+    /// `false` when its deadline cut it short (the quiesce audit then
+    /// reports what was left).
+    pub settled: bool,
     /// Number of client-visible operations recorded.
     pub events: usize,
     /// Frames the injector interfered with.
@@ -199,8 +203,9 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
     // round trip marks a `Down` peer alive again and flushes its parked
     // releases — then retries the releases that failed under fire (each
     // failure left its requester-side ledger entry in place, so a clean
-    // retry drains it). Rounds repeat until both backlogs are empty or
-    // the deadline passes (the quiesce audit below reports what's left).
+    // retry drains it). Rounds repeat until both backlogs are empty
+    // (`settled`) or the deadline passes (the quiesce audit below reports
+    // what's left).
     let mut failed_releases = failed_releases;
     // Debug builds run the whole matrix several times slower, and the
     // tier-1 suite runs many test binaries concurrently — give the
@@ -209,7 +214,7 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
     // real invariant violation fails regardless of the deadline.
     let settle_secs = if cfg!(debug_assertions) { 20 } else { 5 };
     let settle_deadline = Instant::now() + Duration::from_secs(settle_secs);
-    loop {
+    let settled = loop {
         // The functional cluster runs on a virtual clock, and `Down`
         // peers re-arm their recovery-probe window in *modeled* time —
         // which a sleeping settle loop never advances. Charge each
@@ -223,9 +228,12 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
             let Ok(client) = cluster.client(node) else {
                 return true;
             };
+            // `NotReferenced`: the attempt that failed under fire did
+            // land and only its answer was lost — nothing is left to
+            // release, and asking again will never say otherwise.
             !matches!(
                 client.release(id),
-                Ok(()) | Err(PlasmaError::ObjectNotFound(_))
+                Ok(()) | Err(PlasmaError::ObjectNotFound(_) | PlasmaError::NotReferenced(_))
             )
         });
         let parked: usize = (0..cfg.nodes)
@@ -258,13 +266,14 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
                 .map(|i| cluster.store(i).held_remote_pins())
                 .sum();
         }
-        if (failed_releases.is_empty() && parked == 0 && all_up && leftover == 0)
-            || Instant::now() > settle_deadline
-        {
-            break;
+        if failed_releases.is_empty() && parked == 0 && all_up && leftover == 0 {
+            break true;
+        }
+        if Instant::now() > settle_deadline {
+            break false;
         }
         std::thread::sleep(Duration::from_millis(10));
-    }
+    };
 
     // 3c: reconciliation. A response the nemesis dropped left one side
     // of a delegation without its counterpart: an owner with a pin the
@@ -304,6 +313,7 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
 
     Ok(SoakReport {
         verdict,
+        settled,
         events,
         injected_faults: injector.injected_faults(),
         evictions,

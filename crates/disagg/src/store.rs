@@ -47,7 +47,7 @@ use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, 
 use crate::elastic::{ElasticConfig, HeatMap};
 use crate::fabric::MappedFabric;
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
-use crate::proto::{method, BoolResp, ReconcileReq, ReconcileResp, ReleaseReq};
+use crate::proto::{method, BoolResp, IdReq, ReconcileReq, ReconcileResp};
 use crate::replicate::ReplicationConfig;
 use crate::ring::Ring;
 use crossbeam::channel::Receiver;
@@ -443,7 +443,6 @@ impl DisaggStore {
         let sealed = |id| inner.core.peek(id).is_some();
         for peer in self.peers_snapshot() {
             let req = ReconcileReq {
-                requester: inner.node,
                 claims: inner.ledger.claims_on(peer.node, sealed),
             };
             let answered = self.peer_call(&peer, method::RECONCILE, req.encode());
@@ -468,12 +467,13 @@ impl DisaggStore {
     }
 
     /// `RECONCILE` handler: the owner's half — settle the ledger against
-    /// the reporter's claims, then make the local objects match.
-    fn settle_for(&self, req: ReconcileReq) -> ReconcileResp {
+    /// the claims of the reporter, `from`, then make the local objects
+    /// match.
+    fn settle_for(&self, from: NodeId, req: ReconcileReq) -> ReconcileResp {
         let core = &self.inner.core;
         let sealed_size = |id| core.peek(id).map(|loc| loc.total_size());
         let ledger = &self.inner.ledger;
-        let settled = ledger.settle(req.requester, &req.claims, sealed_size);
+        let settled = ledger.settle(from, &req.claims, sealed_size);
         for id in settled.abort {
             let _ = core.abort(id);
         }
@@ -491,14 +491,14 @@ impl DisaggStore {
         }
     }
 
-    /// `RELEASE` handler: drop one pin held for the requester. `false`
-    /// means none was recorded — to the requester, proof that the entry
-    /// it released against was a phantom.
-    fn release_for(&self, req: ReleaseReq) -> Result<bool, PlasmaError> {
+    /// `RELEASE` handler: drop one pin held for the caller, `from`.
+    /// `false` means none was recorded — to the caller, proof that the
+    /// entry it released against was a phantom.
+    fn release_for(&self, from: NodeId, id: ObjectId) -> Result<bool, PlasmaError> {
         let ledger = &self.inner.ledger;
-        let pinned = ledger.unpin(Side::Out, req.id, Some(req.requester), |_| true);
+        let pinned = ledger.unpin(Side::Out, id, Some(from), |_| true);
         if pinned.is_some() {
-            self.inner.core.release(req.id)?;
+            self.inner.core.release(id)?;
         }
         Ok(pinned.is_some())
     }
@@ -802,11 +802,7 @@ impl ObjectStore for DisaggStore {
         let alive = |node| self.inner.health.state(node) != PeerState::Down;
         while let Some(owner) = ledger.unpin(Side::Held, id, None, alive) {
             let released = self.peer(owner).and_then(|peer| {
-                let req = ReleaseReq {
-                    requester: self.inner.node,
-                    id,
-                };
-                match self.peer_call(&peer, method::RELEASE, req.encode()) {
+                match self.peer_call(&peer, method::RELEASE, IdReq { id }.encode()) {
                     Ok(body) => Ok(BoolResp::decode(body).map(|r| r.value).unwrap_or(true)),
                     Err(fail) => Err(self.object_err(&peer, id, fail)),
                 }
@@ -897,30 +893,50 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{CallHeader, ListResp, ReplyHeader};
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::StatusCode;
 
     /// The dispatch and the verb table agree: every id in `VERBS` has a
-    /// handler (an empty body may be rejected, but never as
-    /// `Unimplemented`), and the retired ids — and anything past `MAX` —
-    /// are answered `Unimplemented`, so a retired verb cannot be served.
+    /// handler — a body without a call header is `InvalidArgument`, a
+    /// header alone may be rejected by the verb, but neither is ever
+    /// `Unimplemented` — and the retired ids, id 0 and anything past the
+    /// last one are answered `Unimplemented` before the frame is read,
+    /// so a retired verb cannot be served.
     #[test]
     fn every_listed_verb_is_handled_and_retired_ids_are_not() {
         let fabric = tfsim::Fabric::virtual_thymesisflow();
         let node = fabric.register_node();
         let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
         let service = DisaggStore::new(core, DisaggConfig::default()).interconnect_service();
-        let unimplemented = |id: u32| {
-            let answer = service.call(id, Bytes::new());
-            matches!(answer, Err(s) if s.code == StatusCode::Unimplemented)
+        let header = CallHeader {
+            from: NodeId(9),
+            epoch: 0,
         };
+        let code = |id: u32, request: Bytes| service.call(id, request).err().map(|s| s.code);
         for (id, name) in method::VERBS {
-            assert!(!unimplemented(*id), "{name} ({id}) has no handler");
+            let bare = code(*id, Bytes::from_static(b"no header"));
+            assert_eq!(bare, Some(StatusCode::InvalidArgument), "{name} ({id})");
+            let framed = code(*id, header.frame(&[]));
+            assert_ne!(framed, Some(StatusCode::Unimplemented), "{name} ({id})");
         }
-        let past_max = (method::MAX + 1, "past MAX");
-        for (id, was) in method::RETIRED.iter().chain([&past_max]) {
-            assert!(unimplemented(*id), "{was} ({id}) must be unimplemented");
+        let last = method::VERBS
+            .iter()
+            .chain(method::RETIRED)
+            .map(|(id, _)| *id);
+        let unassigned = [(0, "id 0"), (last.max().unwrap() + 1, "past the last id")];
+        for (id, was) in method::RETIRED.iter().chain(&unassigned) {
+            for request in [Bytes::new(), header.frame(&[])] {
+                let answer = code(*id, request);
+                assert_eq!(answer, Some(StatusCode::Unimplemented), "{was} ({id})");
+            }
         }
+        // A header alone is a whole request for the verbs that take none,
+        // and the answer comes back under a reply header.
+        let listed = service.call(method::LIST, header.frame(&[])).unwrap();
+        let (reply, body) = ReplyHeader::split(listed).unwrap();
+        assert_eq!(reply.epoch, 0);
+        assert!(ListResp::decode(body).unwrap().entries.is_empty());
     }
 }

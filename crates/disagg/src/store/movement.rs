@@ -7,9 +7,7 @@ use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard, StagedCreateGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::LEND_HEADROOM_PPM;
-use crate::proto::{
-    method, BoolResp, IdReq, InvalidateReq, SpillAtReq, SpillAtResp, SpillAtStatus,
-};
+use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DelegateStatus, DeleteReq, IdReq};
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
 use rpclite::{RpcError, StatusCode};
@@ -85,13 +83,12 @@ impl DisaggStore {
     }
 
     /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt
-    /// a copy of the requester's sealed object and record whose it is.
-    /// Refusing changes nothing anywhere; the answer to a retry is the
-    /// answer the first attempt gave.
-    pub(super) fn delegate_at(&self, kind: Kind, req: SpillAtReq) -> SpillAtResp {
+    /// a copy of the sealed object of the caller — its `owner` — and
+    /// record whose it is. Refusing changes nothing anywhere; the answer
+    /// to a retry is the answer the first attempt gave.
+    pub(super) fn delegate_at(&self, kind: Kind, owner: NodeId, req: DelegateReq) -> DelegateResp {
         let inner = &self.inner;
-        self.maybe_adopt_epoch(req.requester, req.epoch);
-        let (id, owner) = (req.location.id, req.requester);
+        let id = req.location.id;
         let size = req.location.total_size();
         let held = inner.ledger.held_copy(id);
         let adopted = if inner.core.peek(id).is_some() {
@@ -122,13 +119,12 @@ impl DisaggStore {
             inner.ledger.record(Side::Held, id, kind, owner, size);
             self.sync_delegation_gauges();
         }
-        SpillAtResp {
+        DelegateResp {
             status: if adopted {
-                SpillAtStatus::Adopted
+                DelegateStatus::Adopted
             } else {
-                SpillAtStatus::Refused
+                DelegateStatus::Refused
             },
-            epoch: self.ring_epoch(),
         }
     }
 
@@ -168,22 +164,15 @@ impl DisaggStore {
         let Some(loc) = inner.core.get_local(id) else {
             return Err(PlasmaError::ObjectNotFound(id));
         };
-        let req = SpillAtReq {
-            requester: inner.node,
-            epoch: self.ring_epoch(),
-            location: loc,
-        };
+        let req = DelegateReq { location: loc };
         let verb = match kind {
             Kind::Lease => method::SPILL_AT,
             _ => method::REPLICATE_AT,
         };
         // (adopted, ambiguous, error to surface)
         let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, req.encode()) {
-            Ok(body) => match SpillAtResp::decode(body) {
-                Ok(resp) => {
-                    self.maybe_adopt_epoch(holder, resp.epoch);
-                    (resp.status == SpillAtStatus::Adopted, false, None)
-                }
+            Ok(body) => match DelegateResp::decode(body) {
+                Ok(resp) => (resp.status == DelegateStatus::Adopted, false, None),
                 Err(e) => {
                     let e = PlasmaError::Protocol(format!("delegation response: {e}"));
                     (false, true, Some(e))
@@ -374,13 +363,9 @@ impl DisaggStore {
         let ledger = &self.inner.ledger;
         for holder in ledger.peers(Side::Out, id, Kind::Replica) {
             let peer = self.peer(holder)?;
-            let req = InvalidateReq {
-                owner: self.inner.node,
-                id,
-            };
             // Confirmed means dropped now, or the holder had no entry —
             // either way no replica survives there.
-            self.peer_call(&peer, method::INVALIDATE, req.encode())
+            self.peer_call(&peer, method::INVALIDATE, IdReq { id }.encode())
                 .map_err(|fail| self.peer_err(&peer, fail))?;
             ledger.remove(Side::Out, id, Kind::Replica, Some(holder));
             self.sync_delegation_gauges();
@@ -388,43 +373,52 @@ impl DisaggStore {
         Ok(())
     }
 
-    /// `INVALIDATE` handler: the owner is deleting, so drop our replica
-    /// — owner-checked, so a racing re-replication under a newer owner
-    /// is not clobbered — and flush the simulated cache lines covering
-    /// it before the segment bytes are reused. Returns whether there
-    /// was one.
-    pub(super) fn invalidate_here(&self, req: InvalidateReq) -> bool {
+    /// `INVALIDATE` handler — the one way a delegated copy dies: `owner`
+    /// decided the object dies, and the copy this node holds on its
+    /// authority dies with it. Owner-checked for both kinds, so a copy
+    /// recorded under another owner (a racing re-delegation under a
+    /// newer one) is not clobbered. Returns whether there was one.
+    ///
+    /// A replica's simulated cache lines are flushed before its segment
+    /// bytes are reused, and its delete is deferred: a read pinning it
+    /// right now finishes, while the ledger entry is already gone, so no
+    /// *new* read can be attributed to a stale replica. A leased copy is
+    /// the object itself, so its delete is the object's: immediate, and
+    /// a reader still pinning it fails the call (`ObjectInUse`) with copy
+    /// and entry intact.
+    pub(super) fn invalidate_here(&self, owner: NodeId, id: ObjectId) -> Result<bool, PlasmaError> {
         let inner = &self.inner;
-        let entry = inner
-            .ledger
-            .remove(Side::Held, req.id, Kind::Replica, Some(req.owner));
-        if entry.is_none() {
-            return false;
+        let kind = match inner.ledger.held_copy(id) {
+            Some((kind, recorded)) if recorded == owner => kind,
+            _ => return Ok(false),
+        };
+        if kind == Kind::Lease {
+            inner.core.delete(id)?;
         }
-        if let Some(loc) = inner.core.peek(req.id) {
-            if let (Ok(cache), Ok(mapping)) = (
-                inner.core.fabric().node_cache(inner.node),
-                inner.core.mapping_for(&loc),
-            ) {
-                cache.invalidate_range(mapping.segment(), loc.offset, loc.total_size() as usize);
+        inner.ledger.remove(Side::Held, id, kind, Some(owner));
+        if kind == Kind::Replica {
+            if let Some(loc) = inner.core.peek(id) {
+                if let (Ok(cache), Ok(mapping)) = (
+                    inner.core.fabric().node_cache(inner.node),
+                    inner.core.mapping_for(&loc),
+                ) {
+                    let len = loc.total_size() as usize;
+                    cache.invalidate_range(mapping.segment(), loc.offset, len);
+                }
+                let _ = inner.core.delete_deferred(id);
             }
-            // Deferred: a read pinning the replica right now finishes;
-            // the bytes go when the pin drops. The ledger entry is
-            // already gone, so no *new* read can be attributed to a
-            // stale replica.
-            let _ = inner.core.delete_deferred(req.id);
+            inner.metrics.replicas_invalidated.inc();
         }
-        inner.metrics.replicas_invalidated.inc();
         self.sync_delegation_gauges();
-        true
+        Ok(true)
     }
 
-    /// Chase a delete of a lent object to its holder (`DELETE_HELD`),
+    /// Chase a delete of a lent object to its holder (`INVALIDATE`),
     /// retiring the lease once the holder confirms or reports the copy
     /// already gone.
     pub(super) fn delete_at_holder(&self, id: ObjectId, holder: NodeId) -> Result<(), PlasmaError> {
         let peer = self.peer(holder)?;
-        match self.peer_call(&peer, method::DELETE_HELD, IdReq { id }.encode()) {
+        match self.peer_call(&peer, method::INVALIDATE, IdReq { id }.encode()) {
             Ok(_) => {}
             Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
             Err(fail) => return Err(self.object_err(&peer, id, fail)),
@@ -435,24 +429,9 @@ impl DisaggStore {
         Ok(())
     }
 
-    /// `DELETE_HELD` handler — the owner's delete chase. Unlike the
-    /// generic DELETE this verb *is* allowed to consume a delegated
-    /// copy: the owner already decided the object dies, and this node's
-    /// copy (leased or replicated) dies with it.
-    pub(super) fn delete_held(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        self.inner.core.delete(id)?;
-        if let Some((kind, owner)) = self.inner.ledger.held_copy(id) {
-            let ledger = &self.inner.ledger;
-            ledger.remove(Side::Held, id, kind, Some(owner));
-            self.sync_delegation_gauges();
-        }
-        Ok(())
-    }
-
-    /// Owner side of a delete, shared by `DELETE`, `DELETE_DEFERRED` and
-    /// the local call: the delete-authority discipline in one place.
-    /// Returns whether the object is gone now (`false`: deferred behind
-    /// a reader).
+    /// Owner side of a delete, shared by `DELETE` and the local call: the
+    /// delete-authority discipline in one place. Returns whether the
+    /// object is gone now (`false`: deferred behind a reader).
     ///
     /// * A *delegated* copy — a held replica or a leased (spilled)
     ///   object — cannot satisfy a delete: the ring owner is the delete
@@ -461,7 +440,7 @@ impl DisaggStore {
     ///   ack a delete the owner never saw, leaving the owner's primary
     ///   (or an ambiguous-spill duplicate) serving reads. `NotFound`
     ///   sends the caller's fan-out on to the owner, which retires
-    ///   delegated copies via `DELETE_HELD`.
+    ///   delegated copies via `INVALIDATE`.
     /// * Replicas go before the local copy: an unconfirmed invalidation
     ///   fails the delete with the object intact. A deferred delete
     ///   hides the object at once, so the ordering is the same.
@@ -500,20 +479,13 @@ impl DisaggStore {
             Err(PlasmaError::ObjectNotFound(_)) => {}
             settled => return settled,
         }
-        let verb = if deferred {
-            method::DELETE_DEFERRED
-        } else {
-            method::DELETE
-        };
+        let req = DeleteReq { id, deferred }.encode();
         let mut unreachable: Option<PlasmaError> = None;
         for peer in self.peers_owner_first(id) {
-            match self.peer_call(&peer, verb, IdReq { id }.encode()) {
+            match self.peer_call(&peer, method::DELETE, req.clone()) {
                 Ok(body) => {
-                    if !deferred {
-                        return Ok(true);
-                    }
                     let now = BoolResp::decode(body)
-                        .map_err(|e| PlasmaError::Protocol(format!("deferred delete: {e}")))?;
+                        .map_err(|e| PlasmaError::Protocol(format!("delete response: {e}")))?;
                     return Ok(now.value);
                 }
                 Err(fail) if fail.status() == Some(StatusCode::NotFound) => continue,

@@ -6,7 +6,7 @@
 
 use super::{DisaggStore, Peer};
 use crate::health::{Admission, PeerState, PeerStats};
-use crate::proto::{method, ListEntry, ListResp, MetricsResp, ReleaseReq};
+use crate::proto::{method, CallHeader, IdReq, ListEntry, ListResp, MetricsResp, ReplyHeader};
 use bytes::Bytes;
 use obs::MetricsSnapshot;
 use plasma::{ObjectId, PlasmaError};
@@ -124,6 +124,12 @@ impl DisaggStore {
     /// every run of one seed. Each deadline runs from its own send, so
     /// N hung members cost one deadline between them.
     ///
+    /// This is the one place a request is framed and a reply unframed:
+    /// every call goes out under one [`CallHeader`] — this node and its
+    /// membership epoch — and every `Ok` answer comes back stripped of
+    /// its [`ReplyHeader`]; a responder whose epoch is ahead has its
+    /// table pulled before the answers are returned.
+    ///
     /// Definite answers — including error statuses — prove the peer is
     /// alive and reset its failure count; only transport-level failures
     /// (connection loss, expired deadline, `Unavailable`) indict it. A
@@ -132,6 +138,12 @@ impl DisaggStore {
     /// clock.
     pub(super) fn scatter(&self, calls: &[(&Peer, u32, Bytes)]) -> Vec<Result<Bytes, PeerFail>> {
         let inner = &self.inner;
+        let header = CallHeader {
+            from: inner.node,
+            epoch: self.ring_epoch(),
+        };
+        let frames: Vec<Bytes> = calls.iter().map(|(.., body)| header.frame(body)).collect();
+        let mut reply_epochs = vec![0u64; calls.len()];
         let mut attempts_left: Vec<u32> = calls
             .iter()
             .map(|(peer, ..)| match inner.health.admit(peer.node) {
@@ -151,21 +163,29 @@ impl DisaggStore {
             // waited for.
             let tickets: Vec<_> = calls
                 .iter()
+                .zip(&frames)
                 .zip(&answers)
-                .map(|((peer, method_id, body), answer)| {
+                .map(|(((peer, method_id, _), frame), answer)| {
                     answer
                         .is_none()
-                        .then(|| peer.client.call_async(*method_id, body.clone()))
+                        .then(|| peer.client.call_async(*method_id, frame.clone()))
                 })
                 .collect();
             let mut retrying = 0u64;
             for (i, ticket) in tickets.into_iter().enumerate() {
                 let Some(ticket) = ticket else { continue };
                 let peer = calls[i].0;
-                answers[i] = match ticket.and_then(|t| t.wait_deadline(inner.call_deadline)) {
-                    Ok(resp) => {
+                let answer = ticket
+                    .and_then(|t| t.wait_deadline(inner.call_deadline))
+                    .and_then(|resp| {
+                        ReplyHeader::split(resp)
+                            .map_err(|e| RpcError::Protocol(format!("reply header: {e}")))
+                    });
+                answers[i] = match answer {
+                    Ok((reply, body)) => {
                         inner.health.record_success(peer.node);
-                        Some(Ok(resp))
+                        reply_epochs[i] = reply.epoch;
+                        Some(Ok(body))
                     }
                     Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
                         inner.health.record_success(peer.node);
@@ -201,10 +221,16 @@ impl DisaggStore {
             inner.clock.advance_to(inner.clock.now() + backoff);
         }
         // Only now, with nothing of the exchange left in flight: a flush
-        // is serial calls of its own.
+        // is serial calls of its own, and so is a membership pull (whose
+        // own reply is the table, not a reason to pull again).
         for ((peer, ..), answer) in calls.iter().zip(&answers) {
             if matches!(answer, Some(Ok(_))) {
-                self.flush_parked_releases(peer);
+                self.flush_parked_releases(peer, header);
+            }
+        }
+        for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
+            if *method_id != method::MEMBERSHIP {
+                self.maybe_adopt_epoch(peer.node, epoch);
             }
         }
         let settled = answers.into_iter();
@@ -229,20 +255,17 @@ impl DisaggStore {
     /// ledger). Invoked after a successful call proved the peer
     /// reachable; entries that fail again are re-parked. Uses the raw
     /// client rather than [`DisaggStore::scatter`] so a flush never
-    /// recurses into another flush.
-    fn flush_parked_releases(&self, peer: &Peer) {
+    /// recurses into another flush, under the `header` of the exchange
+    /// that triggered it.
+    fn flush_parked_releases(&self, peer: &Peer, header: CallHeader) {
         let parked = self.inner.ledger.take_parked(peer.node);
         if parked.is_empty() {
             return;
         }
         for id in parked {
-            let req = ReleaseReq {
-                requester: self.inner.node,
-                id,
-            };
             let sent = peer.client.call_with_deadline(
                 method::RELEASE,
-                req.encode(),
+                header.frame(&IdReq { id }.encode()),
                 self.inner.call_deadline,
             );
             if sent.is_err() {

@@ -7,8 +7,8 @@ use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
-    method, BoolResp, CreateAtReq, CreateAtResp, CreateAtStatus, ForwardReq, GetManyEntry,
-    GetManyReq, GetManyResp, GetManyStatus, IdReq, MembershipResp, ReleaseReq,
+    method, BoolResp, CreateAtReq, CreateAtResp, CreateAtStatus, GetManyEntry, GetManyReq,
+    GetManyResp, GetManyStatus, IdReq, MembershipResp,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
@@ -67,9 +67,9 @@ impl DisaggStore {
         }
     }
 
-    /// React to an epoch gossiped by `node`: if it is ahead of ours,
-    /// pull that node's membership table over the interconnect and adopt
-    /// it.
+    /// React to the epoch in the header of a call from, or a reply by,
+    /// `node`: if it is ahead of ours, pull that node's membership table
+    /// over the interconnect and adopt it.
     pub(super) fn maybe_adopt_epoch(&self, node: NodeId, peer_epoch: u64) {
         if peer_epoch <= self.ring_epoch() {
             return;
@@ -321,7 +321,6 @@ impl DisaggStore {
         let answers = self.get_many(asks, false);
         for ((peer, _), resp) in asks.iter().zip(&answers) {
             let Some(resp) = resp else { continue };
-            self.maybe_adopt_epoch(peer.node, resp.epoch);
             self.absorb_lookup(peer, resp.found().copied().collect(), found);
             redirects.extend(resp.moved());
         }
@@ -365,7 +364,6 @@ impl DisaggStore {
             .collect();
         for ((holder, ids), resp) in asks.iter().zip(self.get_many(&asks, true)) {
             let Some(resp) = resp else { continue };
-            self.maybe_adopt_epoch(holder.node, resp.epoch);
             self.inner.metrics.redirects_followed.add(ids.len() as u64);
             self.absorb_lookup(holder, resp.found().copied().collect(), found);
         }
@@ -387,14 +385,11 @@ impl DisaggStore {
         if asks.is_empty() {
             return Vec::new();
         }
-        let epoch = self.ring_epoch();
         let calls: Vec<_> = asks
             .iter()
             .map(|(peer, ids)| {
                 let req = GetManyReq {
-                    requester: self.inner.node,
                     ids: ids.clone(),
-                    epoch,
                     redirected,
                 };
                 (*peer, method::GET_MANY, req.encode())
@@ -450,10 +445,7 @@ impl DisaggStore {
                 ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
                 continue;
             }
-            let req = ReleaseReq {
-                requester: self.inner.node,
-                id: loc.id,
-            };
+            let req = IdReq { id: loc.id };
             // A loser that did not confirm the release (dead, unreachable,
             // or a definite error) keeps its pin until a retry lands:
             // park it instead of leaking it.
@@ -469,8 +461,8 @@ impl DisaggStore {
     /// the owner stages the object, pins the creator reference to this
     /// node, and returns the fabric descriptor so the client writes the
     /// payload straight through the fabric. A `WrongOwner` answer means
-    /// our membership epoch is stale: adopt the owner's table and re-route
-    /// once.
+    /// our membership epoch was stale: the owner's table came back with
+    /// the reply, so re-route once.
     pub(super) fn create_via_ring(
         &self,
         id: ObjectId,
@@ -492,8 +484,6 @@ impl DisaggStore {
             }
             let peer = self.peer(owner)?;
             let req = CreateAtReq {
-                requester: self.inner.node,
-                epoch: self.ring_epoch(),
                 id,
                 data_size,
                 metadata_size,
@@ -520,9 +510,7 @@ impl DisaggStore {
                     return Ok(loc);
                 }
                 CreateAtStatus::Exists => return Err(PlasmaError::ObjectExists(id)),
-                CreateAtStatus::WrongOwner => {
-                    self.maybe_adopt_epoch(owner, resp.epoch);
-                }
+                CreateAtStatus::WrongOwner => {}
             }
         }
         Err(PlasmaError::PeerUnavailable(format!(
@@ -545,12 +533,7 @@ impl DisaggStore {
         owner: NodeId,
     ) -> Result<ObjectLocation, PlasmaError> {
         let peer = self.peer(owner)?;
-        let req = ForwardReq {
-            requester: self.inner.node,
-            epoch: self.ring_epoch(),
-            id,
-        };
-        match self.peer_call(&peer, method::SEAL_AT, req.encode()) {
+        match self.peer_call(&peer, method::SEAL_AT, IdReq { id }.encode()) {
             Ok(body) => {
                 let resp = CreateAtResp::decode(body)
                     .map_err(|e| PlasmaError::Protocol(format!("seal_at response: {e}")))?;
@@ -579,22 +562,16 @@ impl DisaggStore {
     /// the caller can act on.
     pub(super) fn abort_forwarded(&self, id: ObjectId, owner: NodeId) {
         if let Ok(peer) = self.peer(owner) {
-            let req = ForwardReq {
-                requester: self.inner.node,
-                epoch: self.ring_epoch(),
-                id,
-            };
-            let _ = self.peer_call(&peer, method::ABORT_AT, req.encode());
+            let _ = self.peer_call(&peer, method::ABORT_AT, IdReq { id }.encode());
         }
     }
 
     /// `GET_MANY` handler. Partial success by design: each id answers
-    /// for itself. Pins are taken (and attributed to the requester) only
-    /// for ids found sealed here, so a NotFound entry can never leak a
-    /// reference in the ledger.
-    pub(super) fn serve_get_many(&self, req: GetManyReq) -> GetManyResp {
+    /// for itself. Pins are taken (and attributed to the caller, `from`)
+    /// only for ids found sealed here, so a NotFound entry can never
+    /// leak a reference in the ledger.
+    pub(super) fn serve_get_many(&self, from: NodeId, req: GetManyReq) -> GetManyResp {
         let inner = &self.inner;
-        self.maybe_adopt_epoch(req.requester, req.epoch);
         let entry = |id, status, location, moved_to| GetManyEntry {
             id,
             status,
@@ -609,10 +586,8 @@ impl DisaggStore {
             let hidden =
                 !req.redirected && matches!(inner.ledger.held_copy(id), Some((Kind::Lease, _)));
             if let Some(loc) = (!hidden).then(|| inner.core.get_local(id)).flatten() {
-                inner
-                    .ledger
-                    .record(Side::Out, id, Kind::Pin, req.requester, 0);
-                inner.heat.record(id, req.requester);
+                inner.ledger.record(Side::Out, id, Kind::Pin, from, 0);
+                inner.heat.record(id, from);
                 return entry(id, GetManyStatus::Pinned, Some(loc), None);
             }
             // Not held here, but lent out: answer with a one-hop redirect
@@ -628,25 +603,16 @@ impl DisaggStore {
         };
         GetManyResp {
             entries: req.ids.iter().copied().map(answer).collect(),
-            epoch: self.ring_epoch(),
         }
     }
 
     /// `CREATE_AT` handler: the owner's half of a ring-routed create.
-    pub(super) fn create_at(&self, req: CreateAtReq) -> Result<CreateAtResp, Status> {
+    pub(super) fn create_at(&self, from: NodeId, req: CreateAtReq) -> Result<CreateAtResp, Status> {
         let inner = &self.inner;
-        self.maybe_adopt_epoch(req.requester, req.epoch);
-        let epoch = self.ring_epoch();
-        let answer = |status, location| {
-            Ok(CreateAtResp {
-                status,
-                location,
-                epoch,
-            })
-        };
+        let answer = |status, location| Ok(CreateAtResp { status, location });
         // Dispute ownership only from an installed ring: without one
         // this node cannot know better than the requester.
-        if epoch > 0 && self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
+        if self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
             return answer(CreateAtStatus::WrongOwner, None);
         }
         // Idempotent retry: the same requester re-asking for its own
@@ -654,7 +620,7 @@ impl DisaggStore {
         // may have been lost in flight).
         if let Some(staged) = inner.ledger.find(Side::Out, req.id, Kind::Staged) {
             return match inner.core.peek_unsealed(req.id) {
-                Some(loc) if staged.peer == req.requester => answer(CreateAtStatus::Ok, Some(loc)),
+                Some(loc) if staged.peer == from => answer(CreateAtStatus::Ok, Some(loc)),
                 _ => answer(CreateAtStatus::Exists, None),
             };
         }
@@ -681,13 +647,7 @@ impl DisaggStore {
                 // requester until SEAL_AT / ABORT_AT ends the staging —
                 // and what lets reconciliation abort an orphan.
                 let ledger = &inner.ledger;
-                ledger.record(
-                    Side::Out,
-                    req.id,
-                    Kind::Staged,
-                    req.requester,
-                    loc.total_size(),
-                );
+                ledger.record(Side::Out, req.id, Kind::Staged, from, loc.total_size());
                 answer(CreateAtStatus::Ok, Some(loc))
             }
             Err(PlasmaError::ObjectExists(_)) => answer(CreateAtStatus::Exists, None),
@@ -698,43 +658,36 @@ impl DisaggStore {
     /// `SEAL_AT` handler: seal the requester's staged create and consume
     /// the creator's reference here, so the requester's put finishes
     /// without a trailing RELEASE that could be lost.
-    pub(super) fn seal_at(&self, req: ForwardReq) -> Result<CreateAtResp, Status> {
+    pub(super) fn seal_at(&self, from: NodeId, id: ObjectId) -> Result<CreateAtResp, Status> {
         let inner = &self.inner;
-        self.maybe_adopt_epoch(req.requester, req.epoch);
-        let staged = inner
-            .ledger
-            .remove(Side::Out, req.id, Kind::Staged, Some(req.requester));
+        let staged = inner.ledger.remove(Side::Out, id, Kind::Staged, Some(from));
         let sealed = if staged.is_some() {
-            let loc = inner.core.seal(req.id);
+            let loc = inner.core.seal(id);
             let loc = loc.map_err(|e| Status::internal(e.to_string()))?;
-            let _ = inner.core.release(req.id);
+            let _ = inner.core.release(id);
             Some(loc)
         } else {
             // Idempotent retry: a seal whose response was lost left the
             // object sealed with no staging entry — peek answers sealed
             // objects only, so this cannot resurrect aborts.
-            inner.core.peek(req.id)
+            inner.core.peek(id)
         };
         match sealed {
             Some(loc) => Ok(CreateAtResp {
                 status: CreateAtStatus::Ok,
                 location: Some(loc),
-                epoch: self.ring_epoch(),
             }),
             None => Err(Status::not_found("no staged create for id")),
         }
     }
 
-    /// `ABORT_AT` handler. Idempotent: aborting an id this requester has
-    /// no staged create for is a no-op (`false`).
-    pub(super) fn abort_at(&self, req: ForwardReq) -> Result<bool, Status> {
+    /// `ABORT_AT` handler. Idempotent: aborting an id the caller has no
+    /// staged create for is a no-op (`false`).
+    pub(super) fn abort_at(&self, from: NodeId, id: ObjectId) -> Result<bool, Status> {
         let inner = &self.inner;
-        self.maybe_adopt_epoch(req.requester, req.epoch);
-        let staged = inner
-            .ledger
-            .remove(Side::Out, req.id, Kind::Staged, Some(req.requester));
+        let staged = inner.ledger.remove(Side::Out, id, Kind::Staged, Some(from));
         if staged.is_some() {
-            let aborted = inner.core.abort(req.id);
+            let aborted = inner.core.abort(id);
             aborted.map_err(|e| Status::internal(e.to_string()))?;
         }
         Ok(staged.is_some())

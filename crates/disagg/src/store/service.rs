@@ -1,16 +1,18 @@
-//! The interconnect dispatch: each verb decodes its request, makes one
-//! call on the store, and encodes the answer.
+//! The interconnect dispatch: strip the call header, adopt a newer
+//! epoch, let the verb decode its request, make one call on the store
+//! and encode the answer, then stamp the reply header.
 
 use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
-    method, BoolResp, CreateAtReq, ForwardReq, GetManyReq, IdReq, InvalidateReq, ListResp,
-    MetricsResp, ReconcileReq, ReleaseReq, SpillAtReq,
+    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, ListResp,
+    MetricsResp, ReconcileReq, ReplyHeader,
 };
 use bytes::Bytes;
 use plasma::PlasmaError;
 use rpclite::wire::WireError;
 use rpclite::{Service, Status, StatusCode};
+use tfsim::NodeId;
 
 /// RPC service answering peer interconnect calls against a [`DisaggStore`].
 pub(super) struct Interconnect {
@@ -42,32 +44,41 @@ fn status_of(e: PlasmaError) -> Status {
 
 impl Service for Interconnect {
     fn call(&self, method_id: u32, request: Bytes) -> Result<Bytes, Status> {
+        // Unknown and retired ids are refused before the frame is read.
+        if !method::VERBS.iter().any(|(id, _)| *id == method_id) {
+            return Err(Status::unimplemented(method_id));
+        }
+        let store = &self.store;
+        let (header, body) = decoded(CallHeader::split(request))?;
+        // A MEMBERSHIP pull is how a table is adopted; adopting on one
+        // would pull in answer to a pull.
+        if method_id != method::MEMBERSHIP {
+            store.maybe_adopt_epoch(header.from, header.epoch);
+        }
+        let reply = self.serve(method_id, header.from, body)?;
+        let epoch = store.ring_epoch();
+        Ok(ReplyHeader { epoch }.frame(&reply))
+    }
+}
+
+impl Interconnect {
+    /// One verb's body, on behalf of the node `from`.
+    fn serve(&self, method_id: u32, from: NodeId, request: Bytes) -> Result<Bytes, Status> {
         let store = &self.store;
         match method_id {
             method::RELEASE => {
-                let req = decoded(ReleaseReq::decode(request))?;
-                store.release_for(req).map(truth).map_err(status_of)
+                let req = decoded(IdReq::decode(request))?;
+                let released = store.release_for(from, req.id);
+                released.map(truth).map_err(status_of)
             }
             method::CONTAINS => {
                 let req = decoded(IdReq::decode(request))?;
                 Ok(truth(store.answers_for(req.id)))
             }
             method::DELETE => {
-                let req = decoded(IdReq::decode(request))?;
-                let done = store.delete_here(req.id, false);
-                done.map(|_| Bytes::new()).map_err(status_of)
-            }
-            method::DELETE_DEFERRED => {
-                let req = decoded(IdReq::decode(request))?;
-                store
-                    .delete_here(req.id, true)
-                    .map(truth)
-                    .map_err(status_of)
-            }
-            method::DELETE_HELD => {
-                let req = decoded(IdReq::decode(request))?;
-                let done = store.delete_held(req.id);
-                done.map(|()| Bytes::new()).map_err(status_of)
+                let req = decoded(DeleteReq::decode(request))?;
+                let done = store.delete_here(req.id, req.deferred);
+                done.map(truth).map_err(status_of)
             }
             method::LIST => Ok(ListResp {
                 node: store.node(),
@@ -76,35 +87,36 @@ impl Service for Interconnect {
             .encode()),
             method::GET_MANY => {
                 let req = decoded(GetManyReq::decode(request))?;
-                Ok(store.serve_get_many(req).encode())
+                Ok(store.serve_get_many(from, req).encode())
             }
             method::RECONCILE => {
                 let req = decoded(ReconcileReq::decode(request))?;
-                Ok(store.settle_for(req).encode())
+                Ok(store.settle_for(from, req).encode())
             }
             method::CREATE_AT => {
                 let req = decoded(CreateAtReq::decode(request))?;
-                store.create_at(req).map(|resp| resp.encode())
+                store.create_at(from, req).map(|resp| resp.encode())
             }
             method::SEAL_AT => {
-                let req = decoded(ForwardReq::decode(request))?;
-                store.seal_at(req).map(|resp| resp.encode())
+                let req = decoded(IdReq::decode(request))?;
+                store.seal_at(from, req.id).map(|resp| resp.encode())
             }
             method::ABORT_AT => {
-                let req = decoded(ForwardReq::decode(request))?;
-                store.abort_at(req).map(truth)
+                let req = decoded(IdReq::decode(request))?;
+                store.abort_at(from, req.id).map(truth)
             }
             method::SPILL_AT => {
-                let req = decoded(SpillAtReq::decode(request))?;
-                Ok(store.delegate_at(Kind::Lease, req).encode())
+                let req = decoded(DelegateReq::decode(request))?;
+                Ok(store.delegate_at(Kind::Lease, from, req).encode())
             }
             method::REPLICATE_AT => {
-                let req = decoded(SpillAtReq::decode(request))?;
-                Ok(store.delegate_at(Kind::Replica, req).encode())
+                let req = decoded(DelegateReq::decode(request))?;
+                Ok(store.delegate_at(Kind::Replica, from, req).encode())
             }
             method::INVALIDATE => {
-                let req = decoded(InvalidateReq::decode(request))?;
-                Ok(truth(store.invalidate_here(req)))
+                let req = decoded(IdReq::decode(request))?;
+                let dropped = store.invalidate_here(from, req.id);
+                dropped.map(truth).map_err(status_of)
             }
             method::MEMBERSHIP => Ok(store.membership_resp().encode()),
             method::METRICS => Ok(MetricsResp {

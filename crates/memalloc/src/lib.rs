@@ -26,7 +26,6 @@
 //! adjacent free regions on `free`, support power-of-two alignment, and
 //! report [`AllocStats`] including fragmentation indicators.
 
-pub mod buddy;
 pub mod dlseg;
 pub mod firstfit;
 pub mod freemap;
@@ -35,7 +34,6 @@ pub mod slab;
 pub mod stats;
 pub mod trace;
 
-pub use buddy::Buddy;
 pub use dlseg::DlSeg;
 pub use firstfit::FirstFit;
 pub use sizemap::SizeMap;
@@ -133,7 +131,6 @@ mod conformance {
             Box::new(FirstFit::new(capacity)),
             Box::new(SizeMap::new(capacity)),
             Box::new(DlSeg::new(capacity)),
-            Box::new(Buddy::new(capacity)),
             Box::new(Slab::new(capacity)),
         ]
     }
@@ -304,11 +301,6 @@ mod conformance {
         #[test]
         fn model_dlseg(ops in proptest::collection::vec((any::<bool>(), any::<u64>()), 1..200)) {
             run_model(Box::new(DlSeg::new(1 << 20)), &ops);
-        }
-
-        #[test]
-        fn model_buddy(ops in proptest::collection::vec((any::<bool>(), any::<u64>()), 1..200)) {
-            run_model(Box::new(Buddy::new(1 << 20)), &ops);
         }
 
         #[test]

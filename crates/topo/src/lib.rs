@@ -21,11 +21,11 @@
 //!   from equal specs are byte-identical and independent of thread
 //!   interleaving.
 //!
-//! Both spec types serialize to a stable, diff-friendly text format
-//! (integer fields only — no floats on the wire) that round-trips
-//! exactly, mirroring `chaos::FaultPlan`'s plan files. `bench --bin
-//! cluster` (experiment A6) drives a [`ClusterSpec`]-built cluster with
-//! a generated schedule and reports latency percentiles per tier.
+//! Both spec types hold integer fields only, so equal specs compare
+//! equal exactly, and a generated [`Schedule`] has an exact text form
+//! and digest as its identity. `bench --bin cluster` (experiment A6)
+//! drives a [`ClusterSpec`]-built cluster with a generated schedule and
+//! reports latency percentiles per tier.
 
 #![deny(missing_docs)]
 

@@ -53,8 +53,8 @@ impl Tier {
     }
 }
 
-/// Link parameters of one tier, integer-encoded so specs serialize
-/// exactly (no floats on the wire). Expands to a log-normal base delay —
+/// Link parameters of one tier, integer-encoded so equal specs compare
+/// equal exactly (no floats). Expands to a log-normal base delay —
 /// the classic datacenter RPC shape already calibrated in
 /// [`netsim::LinkModel::grpc_lan`] — plus a per-byte streaming cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,88 +301,6 @@ impl ClusterSpec {
             .max_by_key(|&j| (self.tier(i, j), std::cmp::Reverse(j)))
             .expect("spec has at least one node")
     }
-
-    /// Serialize to the stable text format (round-trips through
-    /// [`ClusterSpec::parse`]).
-    pub fn serialize(&self) -> String {
-        let mut out = format!(
-            "topo v1 pods={} racks={} hosts={} seed={}\n",
-            self.pods, self.racks_per_pod, self.hosts_per_rack, self.seed
-        );
-        for (name, link) in [
-            ("intra_rack", self.intra_rack),
-            ("cross_rack", self.cross_rack),
-            ("cross_pod", self.cross_pod),
-        ] {
-            out.push_str(&format!(
-                "tier {name} median_us={} sigma_milli={} bytes_per_us={}\n",
-                link.median_us, link.sigma_milli, link.bytes_per_us
-            ));
-        }
-        out
-    }
-
-    /// Parse the text format produced by [`ClusterSpec::serialize`].
-    pub fn parse(text: &str) -> Result<ClusterSpec, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty spec")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("topo") || parts.next() != Some("v1") {
-            return Err(format!("bad topo header: {header}"));
-        }
-        let mut spec = ClusterSpec {
-            pods: 0,
-            racks_per_pod: 0,
-            hosts_per_rack: 0,
-            seed: 0,
-            intra_rack: TierLink::instant(),
-            cross_rack: TierLink::instant(),
-            cross_pod: TierLink::instant(),
-        };
-        for kv in parts {
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("bad token {kv}"))?;
-            let n = v.parse::<u64>().map_err(|e| format!("{k}: {e}"))?;
-            match k {
-                "pods" => spec.pods = n as usize,
-                "racks" => spec.racks_per_pod = n as usize,
-                "hosts" => spec.hosts_per_rack = n as usize,
-                "seed" => spec.seed = n,
-                _ => return Err(format!("unknown header field {k}")),
-            }
-        }
-        if spec.pods == 0 || spec.racks_per_pod == 0 || spec.hosts_per_rack == 0 {
-            return Err("spec needs pods, racks and hosts ≥ 1".into());
-        }
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("tier") {
-                return Err(format!("bad tier line: {line}"));
-            }
-            let name = parts.next().ok_or("tier line missing name")?;
-            let mut link = TierLink::instant();
-            for kv in parts {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad token {kv}"))?;
-                let n = v.parse::<u64>().map_err(|e| format!("{k}: {e}"))?;
-                match k {
-                    "median_us" => link.median_us = n,
-                    "sigma_milli" => link.sigma_milli = n as u32,
-                    "bytes_per_us" => link.bytes_per_us = n,
-                    _ => return Err(format!("unknown tier field {k}")),
-                }
-            }
-            match name {
-                "intra_rack" => spec.intra_rack = link,
-                "cross_rack" => spec.cross_rack = link,
-                "cross_pod" => spec.cross_pod = link,
-                _ => return Err(format!("unknown tier {name}")),
-            }
-        }
-        Ok(spec)
-    }
 }
 
 /// splitmix64 finalizer (same mixer the placement ring uses), for
@@ -451,32 +369,6 @@ mod tests {
             (0..64)
                 .map(|s| other.delay_at(0, 5, 128, s))
                 .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn serialize_parse_round_trip() {
-        for spec in [
-            ClusterSpec::paper_testbed(),
-            ClusterSpec::small_fabric(3),
-            ClusterSpec::paper_fabric(99),
-        ] {
-            let text = spec.serialize();
-            let back = ClusterSpec::parse(&text).unwrap();
-            assert_eq!(spec, back);
-            assert_eq!(text, back.serialize());
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(ClusterSpec::parse("").is_err());
-        assert!(ClusterSpec::parse("topo v2 pods=1 racks=1 hosts=2 seed=0").is_err());
-        assert!(ClusterSpec::parse("topo v1 pods=0 racks=1 hosts=2 seed=0").is_err());
-        assert!(ClusterSpec::parse("topo v1 pods=1 racks=1 hosts=2 seed=0\ntier bogus").is_err());
-        assert!(
-            ClusterSpec::parse("topo v1 pods=1 racks=1 hosts=2 seed=0\ntier intra_rack x=1")
-                .is_err()
         );
     }
 

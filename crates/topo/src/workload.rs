@@ -519,153 +519,6 @@ impl WorkloadSpec {
         }
         matrix
     }
-
-    /// Serialize to the stable text format (round-trips through
-    /// [`WorkloadSpec::parse`]).
-    pub fn serialize(&self) -> String {
-        let mut out = format!("load v1 seed={} ops={}\n", self.seed, self.ops);
-        for c in &self.classes {
-            out.push_str(&format!("class bytes={} weight={}\n", c.bytes, c.weight));
-        }
-        for t in &self.tenants {
-            let spatial = match t.spatial {
-                Spatial::Uniform => "uniform".to_string(),
-                Spatial::RackLocal { local_ppm } => format!("rack_local:{local_ppm}"),
-                Spatial::HotPod { pod, hot_ppm } => format!("hot_pod:{pod}:{hot_ppm}"),
-            };
-            out.push_str(&format!(
-                "tenant clients={}..{} objects_per_node={} zipf_milli={} rate={} \
-                 sigma_milli={} put_ppm={} spatial={spatial}\n",
-                t.clients.0,
-                t.clients.1,
-                t.objects_per_node,
-                t.zipf_milli,
-                t.ops_per_sec,
-                t.sigma_milli,
-                t.put_ppm,
-            ));
-        }
-        out
-    }
-
-    /// Parse the text format produced by [`WorkloadSpec::serialize`].
-    pub fn parse(text: &str) -> Result<WorkloadSpec, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty workload")?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("load") || parts.next() != Some("v1") {
-            return Err(format!("bad load header: {header}"));
-        }
-        let mut load = WorkloadSpec {
-            seed: 0,
-            ops: 0,
-            classes: Vec::new(),
-            tenants: Vec::new(),
-        };
-        for kv in parts {
-            let (k, v) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("bad token {kv}"))?;
-            let n = v.parse::<u64>().map_err(|e| format!("{k}: {e}"))?;
-            match k {
-                "seed" => load.seed = n,
-                "ops" => load.ops = n,
-                _ => return Err(format!("unknown header field {k}")),
-            }
-        }
-        for line in lines {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("class") => {
-                    let mut class = SizeClass {
-                        bytes: 0,
-                        weight: 0,
-                    };
-                    for kv in parts {
-                        let (k, v) = kv
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad token {kv}"))?;
-                        let n = v.parse::<u64>().map_err(|e| format!("{k}: {e}"))?;
-                        match k {
-                            "bytes" => class.bytes = n,
-                            "weight" => class.weight = n as u32,
-                            _ => return Err(format!("unknown class field {k}")),
-                        }
-                    }
-                    load.classes.push(class);
-                }
-                Some("tenant") => {
-                    let mut t = TenantSpec {
-                        clients: (0, 0),
-                        objects_per_node: 0,
-                        zipf_milli: 0,
-                        ops_per_sec: 0,
-                        sigma_milli: 0,
-                        put_ppm: 0,
-                        spatial: Spatial::Uniform,
-                    };
-                    for kv in parts {
-                        let (k, v) = kv
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad token {kv}"))?;
-                        match k {
-                            "clients" => {
-                                let (lo, hi) = v.split_once("..").ok_or("clients needs lo..hi")?;
-                                t.clients = (
-                                    lo.parse().map_err(|e| format!("clients lo: {e}"))?,
-                                    hi.parse().map_err(|e| format!("clients hi: {e}"))?,
-                                );
-                            }
-                            "objects_per_node" => {
-                                t.objects_per_node = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                            }
-                            "zipf_milli" => {
-                                t.zipf_milli = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                            }
-                            "rate" => {
-                                t.ops_per_sec = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                            }
-                            "sigma_milli" => {
-                                t.sigma_milli = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                            }
-                            "put_ppm" => {
-                                t.put_ppm = v.parse().map_err(|e| format!("{k}: {e}"))?;
-                            }
-                            "spatial" => {
-                                t.spatial = parse_spatial(v)?;
-                            }
-                            _ => return Err(format!("unknown tenant field {k}")),
-                        }
-                    }
-                    load.tenants.push(t);
-                }
-                _ => return Err(format!("bad workload line: {line}")),
-            }
-        }
-        if load.tenants.is_empty() {
-            return Err("workload has no tenants".into());
-        }
-        Ok(load)
-    }
-}
-
-fn parse_spatial(v: &str) -> Result<Spatial, String> {
-    if v == "uniform" {
-        return Ok(Spatial::Uniform);
-    }
-    if let Some(ppm) = v.strip_prefix("rack_local:") {
-        return Ok(Spatial::RackLocal {
-            local_ppm: ppm.parse().map_err(|e| format!("rack_local ppm: {e}"))?,
-        });
-    }
-    if let Some(rest) = v.strip_prefix("hot_pod:") {
-        let (pod, ppm) = rest.split_once(':').ok_or("hot_pod needs pod:ppm")?;
-        return Ok(Spatial::HotPod {
-            pod: pod.parse().map_err(|e| format!("hot pod: {e}"))?,
-            hot_ppm: ppm.parse().map_err(|e| format!("hot_pod ppm: {e}"))?,
-        });
-    }
-    Err(format!("unknown spatial pattern {v}"))
 }
 
 /// Draw a size from the class weights.
@@ -784,24 +637,6 @@ mod tests {
             .sum();
         assert_eq!(a.len(), expected);
         assert!(a.iter().all(|o| o.bytes > 0));
-    }
-
-    #[test]
-    fn workload_serialize_parse_round_trip() {
-        let spec = small_spec();
-        let load = WorkloadSpec::default_for(&spec, 123_456);
-        let text = load.serialize();
-        let back = WorkloadSpec::parse(&text).unwrap();
-        assert_eq!(load, back);
-        assert_eq!(text, back.serialize());
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(WorkloadSpec::parse("").is_err());
-        assert!(WorkloadSpec::parse("load v2 seed=1 ops=2").is_err());
-        assert!(WorkloadSpec::parse("load v1 seed=1 ops=2").is_err()); // no tenants
-        assert!(WorkloadSpec::parse("load v1 seed=1 ops=2\ntenant spatial=bogus").is_err());
     }
 
     #[test]

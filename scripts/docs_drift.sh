@@ -10,6 +10,9 @@
 #    DESIGN or EXPERIMENTS the text describes a protocol that is gone.
 # 3. The same goes for the identifiers of deleted mechanisms (the list
 #    below), over those files and the verify skill.
+# 4. README and DESIGN state how many interconnect verbs there are
+#    ("N interconnect verbs"); N is the number of `pub const VERB: u32`
+#    in proto.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,15 +56,16 @@ outside_historical() {
 retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
     sed -n 's/^ *([0-9]*, "\([a-z_]*\)"),$/`\1`/p' | tr 'a-z' 'A-Z' | tr '\n' ' ')
 [ -n "$retired" ] || { echo "docs-drift: cannot read method::RETIRED from proto.rs" >&2; exit 1; }
-# Identifiers deleted with the mechanisms they named: the second
-# allocator configuration, the id cache, unledgered migration, `hotpath`
-# (PR 15); the sharded object table (PR 17); the throttling clock mode,
-# the TCP transport and the bins and baselines `e2e` superseded (PR 19);
-# the thread-per-peer `DisaggStore::fanout` and the public in-flight
-# window setter (PR 20; `fanout` is spelled quoted, as a path and as a
-# call, so that the metric `disagg.lookup.fanout.latency_ns`, which
-# stays, is not hit).
-identifiers="AllocatorKind with_allocator id_cache CacheMode IdCache idcache_ablation migrate_to_local with_hotpath BENCH_hotpath with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout("
+# Identifiers deleted with the mechanisms they named: the sharded object
+# table (PR 17); the throttling clock mode, the TCP transport and the
+# bins and baselines `e2e` superseded (PR 19); the thread-per-peer
+# `DisaggStore::fanout` and the public in-flight window setter (PR 20;
+# `fanout` is spelled quoted, as a path and as a call, so that the
+# metric `disagg.lookup.fanout.latency_ns`, which stays, is not hit);
+# the binary-split allocator, the messages the call header and the
+# `DelegateReq` rename replaced, and the lease chase's handler (PR 21).
+# A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
+identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held("
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -69,7 +73,16 @@ for file in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; d
     outside_historical "retired identifier" "$file" "$identifiers" || status=1
 done
 
+verbs=$(grep -cE '^ *pub const [A-Z_]+: u32 = [0-9]+;' crates/disagg/src/proto.rs)
+for file in README.md DESIGN.md; do
+    stated=$({ grep -oE '[0-9]+ interconnect verbs' "$file" || true; } | cut -d' ' -f1 | sort -u | tr '\n' ' ')
+    if [ "$stated" != "$verbs " ]; then
+        echo "docs-drift: $file states \"${stated:-no count of} interconnect verbs\" but proto.rs defines $verbs" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids agree with proto.rs, no retired verb or identifier is documented as live"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live"
 fi
 exit $status

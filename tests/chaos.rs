@@ -22,6 +22,10 @@ fn soak_one(seed: u64) {
         report.verdict,
         plan.serialize()
     );
+    assert!(
+        report.settled,
+        "seed {seed}: the settle sweep ran out its clock instead of draining its backlogs"
+    );
 }
 
 /// Fixed seed matrix for the CI soak, one `#[test]` per seed so the

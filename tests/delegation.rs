@@ -5,12 +5,15 @@
 //! makes the two sides agree; named cases pin `owner_verdict` to each
 //! historical lost-response bug; and the behaviours the retired
 //! `RemoteRefs`, `BorrowLedger` and `ReplicaLedger` unit tests asserted
-//! are re-asserted against the one ledger that replaced them.
+//! are re-asserted against the one ledger that replaced them. The last
+//! case is the exception that needs a cluster: who may retire a
+//! delegated copy.
 
 use disagg::delegation::{
     owner_verdict, Claim, Delegation, Ledger, OwnerView, Settlement, Verdict,
 };
-use disagg::{Kind, NodeId, Phase, Side};
+use disagg::proto::{method, BoolResp, CallHeader, IdReq, ReplyHeader};
+use disagg::{Cluster, ClusterConfig, Kind, NodeId, Phase, Side};
 use plasma::ObjectId;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
@@ -87,7 +90,7 @@ enum Action {
     /// `REPLICATE_AT`: the holder adopts; the owner records the replica
     /// and keeps its copy.
     Replicate,
-    /// `DELETE_HELD` / `INVALIDATE`: the copy entry goes, both sides.
+    /// `INVALIDATE`: the copy entry goes, both sides.
     Retire,
     /// The owner re-acquires (or loses) a sealed local copy.
     ToggleSealed,
@@ -578,4 +581,52 @@ fn closing_entries_are_neither_claimed_nor_live() {
         "the trailing release finishes it"
     );
     assert!(!ledger.finish_staged(oid(3)));
+}
+
+/// `INVALIDATE` is the one way a delegated copy dies, and it obeys only
+/// the owner the copy is recorded under — for a lease as for a replica.
+/// Asked by any other node it answers `false` and retires nothing; asked
+/// by the owner, the copy and its entry go.
+#[test]
+fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let (owner, holder) = (cluster.store(0), cluster.store(1));
+    let lent = ObjectId::from_name(&cluster.owned_id(0, "inv/lent"));
+    let shared = ObjectId::from_name(&cluster.owned_id(0, "inv/shared"));
+    for id in [lent, shared] {
+        cluster.client(0).unwrap().put(id, &[6; 200], &[]).unwrap();
+    }
+    assert!(owner.spill_to(lent, holder.node()).unwrap());
+    assert!(owner.replicate_to(shared, holder.node()).unwrap());
+    let held = || -> BTreeSet<(ObjectId, Kind)> {
+        let copies = holder.delegations().into_iter();
+        let copies = copies.filter(|r| r.side == Side::Held && r.kind.is_copy());
+        copies.map(|r| (r.id, r.kind)).collect()
+    };
+    let both = BTreeSet::from([(lent, Kind::Lease), (shared, Kind::Replica)]);
+    assert_eq!(held(), both);
+
+    let service = holder.interconnect_service();
+    let invalidate = |from: NodeId, id: ObjectId| {
+        let header = CallHeader {
+            from,
+            epoch: holder.ring_epoch(),
+        };
+        let request = header.frame(&IdReq { id }.encode());
+        let answer = service.call(method::INVALIDATE, request).unwrap();
+        let (_, body) = ReplyHeader::split(answer).unwrap();
+        BoolResp::decode(body).unwrap().value
+    };
+    for id in [lent, shared] {
+        assert!(!invalidate(cluster.node_id(2), id), "not the owner");
+        assert!(holder.core().contains(id), "the copy stays");
+    }
+    assert_eq!(held(), both, "and so does its entry");
+
+    for id in [lent, shared] {
+        assert!(invalidate(owner.node(), id), "the recorded owner");
+        assert!(!holder.core().contains(id));
+        assert!(!invalidate(owner.node(), id), "nothing left to retire");
+    }
+    assert_eq!(held(), BTreeSet::new());
 }

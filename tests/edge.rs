@@ -3,7 +3,7 @@
 //! zero-length-object lifecycle, local and remote, and a reconcile sweep
 //! with a peer down.
 
-use disagg::proto::{method, GetManyReq};
+use disagg::proto::{method, CallHeader, GetManyReq};
 use disagg::{Cluster, ClusterConfig, Kind};
 use memdis::plasma::{ObjectId, StoreConfig, StoreCore};
 use std::time::Duration;
@@ -170,13 +170,17 @@ fn reconcile_heals_the_peers_behind_an_unreachable_one() {
     // A lost GET_MANY response: node 2 pinned for node 0, node 0 never
     // heard — nothing will ever release that pin.
     let lost = GetManyReq {
-        requester: cluster.node_id(0),
         ids: vec![id],
-        epoch: cluster.store(0).ring_epoch(),
         redirected: false,
     };
+    let from_node0 = CallHeader {
+        from: cluster.node_id(0),
+        epoch: cluster.store(0).ring_epoch(),
+    };
     let node2 = cluster.store(2).interconnect_service();
-    node2.call(method::GET_MANY, lost.encode()).unwrap();
+    node2
+        .call(method::GET_MANY, from_node0.frame(&lost.encode()))
+        .unwrap();
     assert_eq!(cluster.store(2).remote_pin_count(), 1);
     assert_eq!(cluster.store(0).held_remote_pins(), 0);
 

@@ -297,6 +297,44 @@ fn epoch_bump_gossips_and_off_ring_objects_stay_reachable() {
     assert!(cluster.client(1).unwrap().contains(id).unwrap());
 }
 
+/// The epoch rides the header of *every* interconnect call, not the
+/// body of a few: a bare `release`, `contains` and `delete` each carry a
+/// newer epoch to a peer that then pulls the table, and a reply carries
+/// one back to its caller.
+#[test]
+fn release_contains_and_delete_each_carry_the_epoch() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let (s0, s1) = (cluster.store(0).clone(), cluster.store(1).clone());
+    let members = vec![cluster.node_id(0), cluster.node_id(1)];
+    let id = ObjectId::from_name(&cluster.owned_id(1, "epoch/carried"));
+    cluster.client(1).unwrap().put(id, &[3; 256], &[]).unwrap();
+    let got = s0.get(&[id], Duration::from_secs(1)).unwrap();
+    assert!(got[0].is_some());
+
+    // Each bump is installed on node 0 only; the one call that follows
+    // is node 1's only way to hear of it.
+    let bump = |epoch: u64| {
+        assert!(s0.set_membership(Membership::new(epoch, members.clone())));
+        assert_eq!(s1.ring_epoch(), epoch - 1, "not yet gossiped");
+    };
+    bump(2);
+    s0.release(id).unwrap();
+    assert_eq!(s1.ring_epoch(), 2, "RELEASE carried the epoch");
+    bump(3);
+    assert!(s0.contains(id).unwrap());
+    assert_eq!(s1.ring_epoch(), 3, "CONTAINS carried the epoch");
+    bump(4);
+    s0.delete(id).unwrap();
+    assert_eq!(s1.ring_epoch(), 4, "DELETE carried the epoch");
+    assert!(!s1.contains(id).unwrap());
+
+    // The other direction: node 1 is ahead, and its *reply* says so.
+    assert!(s1.set_membership(Membership::new(5, members.clone())));
+    assert!(!s0.contains(id).unwrap());
+    assert_eq!(s0.ring_epoch(), 5, "the reply carried the epoch back");
+    assert_eq!(s0.membership(), Some(Membership::new(5, members)));
+}
+
 /// Epoch-transition regression: an object created under epoch 1 stays
 /// reachable across a membership bump that reassigns its ring owner,
 /// through the broadcast fallback (nothing re-homes it yet — ROADMAP
