@@ -550,8 +550,21 @@ fn worker(
                 put_seq += 1;
                 let tag = ((node as u64 + 1) << 48) | put_seq;
                 let data = checksum::fill(tag, cfg.value_len);
+                // Values are far below `plasma::INLINE_PUT_MAX`, so `put`
+                // alone would never stage a create: half the puts take
+                // the builder's create → write → seal instead, keeping
+                // `SEAL_AT` / `ABORT_AT` and the staged ledger under fault.
+                let two_step = rng.gen_bool(0.5);
                 let invoke = recorder.now_us();
-                let ok = client.put(id, &data, &[]).is_ok();
+                let ok = if two_step {
+                    client
+                        .create(id, data.len() as u64, 0)
+                        .is_ok_and(|builder| {
+                            builder.write(0, &data).is_ok() && builder.seal().is_ok()
+                        })
+                } else {
+                    client.put(id, &data, &[]).is_ok()
+                };
                 recorder.record(node, invoke, EventKind::Put { name, tag, ok });
             }
             // 30%: single get.

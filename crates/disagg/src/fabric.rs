@@ -2,19 +2,25 @@
 //!
 //! The paper's central claim is that object *data* moves over the
 //! disaggregated memory fabric while only small control messages ride
-//! the RPC channel. Every bulk payload movement in the distributed store
-//! — remote reads after a `GET_MANY` descriptor negotiation, payload
-//! writes after a forwarded `CREATE_AT`, spill and replica propagation —
-//! goes through [`MappedFabric`]: the bytes are read from (or written
-//! to) the mapped `tfsim` segment named by the negotiated `(segment,
-//! offset, len)` descriptor. **No payload byte ever enters an rpclite
-//! frame** — no interconnect message has a payload field (the `proto`
-//! tests pin every descriptor-carrying frame to O(1) in object size).
+//! the RPC channel. Every bulk payload *read* in the distributed store —
+//! remote reads after a `GET_MANY` descriptor negotiation, spill and
+//! replica propagation — goes through [`MappedFabric`]: the bytes are
+//! read from the mapped `tfsim` segment named by the negotiated
+//! `(segment, offset, len)` descriptor. **A read never moves a payload
+//! byte in an rpclite frame** (the `proto` tests pin every
+//! descriptor-carrying frame to O(1) in object size).
+//!
+//! A store never *writes* another node's memory: the plane has no write
+//! half. A forwarded create is written by the client through its own
+//! fabric mapping; a forwarded small put (up to `plasma::INLINE_PUT_MAX`
+//! bytes) carries its bytes in the `CREATE_AT` and the owner writes them
+//! into its own segment — the paper's Fig. 3 rule, "don't build the
+//! store-to-store channel on remote writes".
 //!
 //! The descriptor lifecycle: **negotiate** (a control-plane RPC pins the
 //! object and returns its descriptor) → **map** (attach the segment) →
-//! **read/write** (bulk bytes move) → **release** (a control-plane RPC
-//! drops the pin).
+//! **read** (bulk bytes move) → **release** (a control-plane RPC drops
+//! the pin).
 
 use obs::{Counter, Registry};
 use plasma::{ObjectLocation, PlasmaError};
@@ -22,8 +28,7 @@ use std::sync::Arc;
 use tfsim::NodeId;
 
 /// The zero-copy data plane of the store on one node: payloads move by
-/// attaching the descriptor's `tfsim` segment and reading/writing it
-/// directly.
+/// attaching the descriptor's `tfsim` segment and reading it directly.
 #[derive(Debug)]
 pub struct MappedFabric {
     fabric: tfsim::Fabric,
@@ -52,15 +57,6 @@ impl MappedFabric {
         self.mapped_payload_bytes.add(bytes.len() as u64);
         Ok(bytes)
     }
-
-    /// Write `data` into the staged location `loc` (the payload step of
-    /// a forwarded create).
-    pub fn push(&self, loc: &ObjectLocation, data: &[u8]) -> Result<(), PlasmaError> {
-        let mapping = self.fabric.attach(self.node, loc.seg)?;
-        mapping.write_at(loc.offset, data)?;
-        self.mapped_payload_bytes.add(data.len() as u64);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -84,14 +80,15 @@ mod tests {
             data_size: 40,
             metadata_size: 8,
         };
-        dp.push(&target, &[5u8; 48]).unwrap();
+        let written = fabric.attach(owner, key).unwrap();
+        written.write_at(target.offset, &[5u8; 48]).unwrap();
         let got = dp.pull(&target).unwrap();
         assert_eq!(got, vec![5u8; 48]);
         assert_eq!(
             registry
                 .snapshot()
                 .counter("disagg.fabric.mapped_payload_bytes"),
-            96
+            48
         );
     }
 }

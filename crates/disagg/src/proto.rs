@@ -8,8 +8,11 @@
 //! membership epoch they routed by — and every `Ok` reply with a
 //! [`ReplyHeader`]; no message body repeats either fact. Bodies are
 //! encoded with the protobuf-style wire format from [`rpclite::wire`].
-//! Every message is control-plane only: object payloads move over the
-//! fabric ([`crate::fabric`]), never inside a frame.
+//! A *read* never moves payload bytes inside a frame: every answer
+//! carries a descriptor and the bytes move over the fabric
+//! ([`crate::fabric`]). The one message with a payload is a `CREATE_AT`
+//! forwarding a small put (up to `plasma::INLINE_PUT_MAX` bytes), which
+//! carries its own so the owner can create, fill and seal in one step.
 
 use crate::delegation::{Claim, Kind, Tally};
 use bytes::Bytes;
@@ -68,7 +71,10 @@ pub mod method {
     /// ring routed a `create` to the id's computed owner, which allocates
     /// locally — id uniqueness is an owner-local check. Idempotent per
     /// caller: a retry whose first attempt executed (response lost)
-    /// returns the same staged location.
+    /// returns the same staged location. With a `payload` it is a whole
+    /// put — the owner creates, fills, seals and drops the creator's
+    /// reference, and answers with the sealed location; nothing is
+    /// staged, and a retry is recognised by its content.
     pub const CREATE_AT: u32 = 11;
     /// Seal a forwarded create on its owner (`IdReq` →
     /// `CreateAtResp` carrying the sealed location). Idempotent:
@@ -491,7 +497,7 @@ impl ReconcileResp {
 
 /// Forwarded create: allocate `id` on the responder (the id's rendezvous
 /// owner). Uniqueness is checked owner-locally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreateAtReq {
     /// The id to create (the caller becomes its writer/creator).
     pub id: ObjectId,
@@ -499,6 +505,10 @@ pub struct CreateAtReq {
     pub data_size: u64,
     /// Metadata size in bytes.
     pub metadata_size: u64,
+    /// The whole object — data, then metadata — when the create forwards
+    /// a small put: the owner fills and seals it too. `None` stages the
+    /// object for the caller to write through the fabric.
+    pub payload: Option<Bytes>,
 }
 
 impl CreateAtReq {
@@ -507,16 +517,24 @@ impl CreateAtReq {
         let mut e = MsgEnc::new();
         enc_id(&mut e, 3, &self.id);
         e.uint(4, self.data_size).uint(5, self.metadata_size);
+        if let Some(payload) = &self.payload {
+            e.bytes(6, payload);
+        }
         e.finish()
     }
 
     /// Parse from wire bytes.
     pub fn decode(b: Bytes) -> Result<Self, WireError> {
         let f = MsgDec::new(b).collect()?;
+        let payload = match f.get(6) {
+            Some(fv) => Some(fv.as_bytes().cloned().ok_or(WireError::MissingField(6))?),
+            None => None,
+        };
         Ok(CreateAtReq {
             id: dec_id(&f.bytes(3)?)?,
             data_size: f.uint_or(4, 0),
             metadata_size: f.uint_or(5, 0),
+            payload,
         })
     }
 }
@@ -524,8 +542,9 @@ impl CreateAtReq {
 /// Outcome of a forwarded create on the computed owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreateAtStatus {
-    /// Created (or a staged retry of the same caller's create): the
-    /// fabric descriptor is attached and the caller may write.
+    /// Created (or a retry of the same caller's create): the fabric
+    /// descriptor is attached. Without a payload the object is staged
+    /// and the caller may write; with one it is already sealed.
     Ok = 0,
     /// The id already exists on the owner — cluster-wide duplicate.
     Exists = 1,
@@ -551,7 +570,8 @@ impl CreateAtStatus {
 pub struct CreateAtResp {
     /// What happened on the owner.
     pub status: CreateAtStatus,
-    /// Fabric descriptor of the staged object; present iff `status` is
+    /// Fabric descriptor of the staged (or, for a payload-carrying
+    /// create, sealed) object; present iff `status` is
     /// [`CreateAtStatus::Ok`].
     pub location: Option<ObjectLocation>,
 }
@@ -1050,12 +1070,28 @@ mod tests {
 
     #[test]
     fn create_at_roundtrip() {
-        let req = CreateAtReq {
+        let staged = CreateAtReq {
             id: ObjectId::from_name("fwd"),
             data_size: 4096,
             metadata_size: 16,
+            payload: None,
         };
-        assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
+        let inline = CreateAtReq {
+            data_size: 5,
+            metadata_size: 2,
+            payload: Some(Bytes::from_static(b"hellomd")),
+            ..staged.clone()
+        };
+        // An empty payload is still a payload: a zero-byte put.
+        let empty = CreateAtReq {
+            data_size: 0,
+            metadata_size: 0,
+            payload: Some(Bytes::new()),
+            ..staged.clone()
+        };
+        for req in [staged, inline, empty] {
+            assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
+        }
 
         let ok = CreateAtResp {
             status: CreateAtStatus::Ok,
@@ -1098,10 +1134,12 @@ mod tests {
         assert_eq!(bare.status, DelegateStatus::Refused);
     }
 
-    /// The executable form of "no payload byte enters an rpclite frame":
-    /// the frames that carry a fabric descriptor — header included — are
-    /// O(1) in object size: a 1 MiB object's frame outgrows a 64 B
-    /// object's by the varint width of the size field and nothing else.
+    /// The executable form of "a read never moves payload bytes in a
+    /// frame": the frames that carry a fabric descriptor — header
+    /// included — are O(1) in object size: a 1 MiB object's frame outgrows
+    /// a 64 B object's by the varint width of the size field and nothing
+    /// else. The one frame with a payload, a `CREATE_AT` forwarding a
+    /// small put, is that payload plus O(1).
     #[test]
     fn descriptor_frames_are_constant_in_object_size() {
         let sized = |data_size: u64| ObjectLocation {
@@ -1114,9 +1152,16 @@ mod tests {
             epoch: 1,
         };
         let reply = ReplyHeader { epoch: 1 };
+        let create_at = |l: ObjectLocation, payload| CreateAtReq {
+            id: l.id,
+            data_size: l.data_size,
+            metadata_size: 0,
+            payload,
+        };
         let frames = |l: ObjectLocation| {
             [
                 call.frame(&DelegateReq { location: l }.encode()).len(),
+                call.frame(&create_at(l, None).encode()).len(),
                 reply
                     .frame(
                         &GetManyResp {
@@ -1149,6 +1194,15 @@ mod tests {
                 l - s <= 2,
                 "frame grew {} bytes for a 16384x larger object",
                 l - s
+            );
+        }
+        for len in [0usize, 64, 64 << 10] {
+            let payload = Some(Bytes::from(vec![7u8; len]));
+            let frame = call.frame(&create_at(sized(len as u64), payload).encode());
+            let overhead = frame.len() - len;
+            assert!(
+                overhead < 64,
+                "{len} B put: {overhead} B beside the payload"
             );
         }
     }

@@ -560,6 +560,35 @@ impl DisaggStore {
         (u128::from(st.allocated_bytes) * 1_000_000 / u128::from(st.capacity)) as u64
     }
 
+    /// [`ObjectStore::create`] and, given the object's bytes as `payload`
+    /// (data, metadata), [`ObjectStore::put`]: the same pre-checks and
+    /// the same routing to the id's owner, which either stages the object
+    /// or fills and seals it.
+    fn create_routed(
+        &self,
+        id: ObjectId,
+        data_size: u64,
+        metadata_size: u64,
+        payload: Option<(&[u8], &[u8])>,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        let started = Instant::now();
+        // An object this node lent out or replicated still exists — the
+        // bytes live at a holder even if the copy here was handed over
+        // or evicted. Re-creating it would fork the id against them.
+        if self.inner.core.exists_any_state(id) || self.inner.ledger.has_out_copy(id) {
+            return Err(PlasmaError::ObjectExists(id));
+        }
+        // Singleton cluster: no peer could hold or contest the id, so the
+        // local existence check above *is* the uniqueness check.
+        let loc = if self.inner.peers.read().is_empty() {
+            self.create_here(id, data_size, metadata_size, payload)?
+        } else {
+            self.create_via_ring(id, data_size, metadata_size, payload)?
+        };
+        self.inner.metrics.create.record_duration(started.elapsed());
+        Ok(loc)
+    }
+
     /// Uninstrumented body of [`ObjectStore::get`]. Slots resolved by a
     /// remote lookup round are flagged in `remote_slots` so the wrapper
     /// can split its latency recording local-hit / remote-hit / miss.
@@ -686,36 +715,6 @@ impl Drop for RemotePinGuard<'_> {
     }
 }
 
-/// Aborts a staged (created but unsealed) local object when dropped,
-/// unless disarmed. Keeps error paths from leaking half-written copies.
-struct StagedCreateGuard<'a> {
-    store: &'a DisaggStore,
-    id: ObjectId,
-    armed: bool,
-}
-
-impl<'a> StagedCreateGuard<'a> {
-    fn new(store: &'a DisaggStore, id: ObjectId) -> Self {
-        StagedCreateGuard {
-            store,
-            id,
-            armed: true,
-        }
-    }
-
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for StagedCreateGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.store.inner.core.abort(self.id);
-        }
-    }
-}
-
 impl std::fmt::Debug for DisaggStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DisaggStore")
@@ -732,23 +731,17 @@ impl ObjectStore for DisaggStore {
         data_size: u64,
         metadata_size: u64,
     ) -> Result<ObjectLocation, PlasmaError> {
-        let started = Instant::now();
-        // An object this node lent out or replicated still exists — the
-        // bytes live at a holder even if the copy here was handed over
-        // or evicted. Re-creating it would fork the id against them.
-        if self.inner.core.exists_any_state(id) || self.inner.ledger.has_out_copy(id) {
-            return Err(PlasmaError::ObjectExists(id));
-        }
-        // Singleton cluster: no peer could hold or contest the id, so the
-        // local existence check above *is* the uniqueness check.
-        let loc = if self.inner.peers.read().is_empty() {
-            self.check_admission()?;
-            self.inner.core.create(id, data_size, metadata_size)?
-        } else {
-            self.create_via_ring(id, data_size, metadata_size)?
-        };
-        self.inner.metrics.create.record_duration(started.elapsed());
-        Ok(loc)
+        self.create_routed(id, data_size, metadata_size, None)
+    }
+
+    fn put(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Result<ObjectLocation, PlasmaError> {
+        let (data_size, metadata_size) = (data.len() as u64, metadata.len() as u64);
+        self.create_routed(id, data_size, metadata_size, Some((data, metadata)))
     }
 
     fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {

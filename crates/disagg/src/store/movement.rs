@@ -1,10 +1,10 @@
-//! Moving objects between nodes: payload reads and writes over the data
-//! plane, delegating a copy to a peer (spill = `Lease`, replicate =
+//! Moving objects between nodes: payload reads over the data plane,
+//! delegating a copy to a peer (spill = `Lease`, replicate =
 //! `Replica`) and adopting one, and retiring delegated copies when their
 //! object dies.
 
 use super::peer::PeerFail;
-use super::{DisaggStore, RemotePinGuard, StagedCreateGuard};
+use super::{DisaggStore, RemotePinGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::LEND_HEADROOM_PPM;
 use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DelegateStatus, DeleteReq, IdReq};
@@ -55,31 +55,13 @@ impl DisaggStore {
         }
     }
 
-    /// Write `data` into a staged descriptor through the data plane —
-    /// the payload step of a forwarded create (`CREATE_AT` returned the
-    /// descriptor; this moves the bytes; `seal` completes it).
-    pub fn write_payload(&self, loc: &ObjectLocation, data: &[u8]) -> Result<(), PlasmaError> {
-        if loc.seg.owner == self.inner.node {
-            let mapping = self.inner.core.mapping_for(loc)?;
-            Ok(mapping.write_at(loc.offset, data)?)
-        } else {
-            self.inner.data_plane.push(loc, data)
-        }
-    }
-
     /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
     /// owner-pinned) bytes behind `src` straight from the owner's sealed
-    /// segment and seal a local copy under the same id. Any failure
-    /// before the seal aborts the staged copy.
+    /// segment and seal a local copy under the same id.
     fn adopt_copy(&self, src: &ObjectLocation) -> Result<(), PlasmaError> {
-        let core = &self.inner.core;
         let bytes = self.inner.data_plane.pull(src)?;
-        let loc = core.create(src.id, src.data_size, src.metadata_size)?;
-        let staged = StagedCreateGuard::new(self, src.id);
-        core.mapping_for(&loc)?.write_at(loc.offset, &bytes)?;
-        core.seal(src.id)?;
-        staged.disarm();
-        core.release(src.id) // creator's reference
+        let (data, metadata) = bytes.split_at(src.data_size as usize);
+        self.inner.core.put(src.id, data, metadata).map(|_| ())
     }
 
     /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt

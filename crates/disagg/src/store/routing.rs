@@ -463,12 +463,19 @@ impl DisaggStore {
     /// payload straight through the fabric. A `WrongOwner` answer means
     /// our membership epoch was stale: the owner's table came back with
     /// the reply, so re-route once.
+    ///
+    /// With `payload` (data, metadata) the create is a whole put: the
+    /// bytes travel with the `CREATE_AT`, the owner fills and seals, and
+    /// the location that comes back is the sealed object's — nothing is
+    /// staged on either node and no `SEAL_AT` follows.
     pub(super) fn create_via_ring(
         &self,
         id: ObjectId,
         data_size: u64,
         metadata_size: u64,
+        payload: Option<(&[u8], &[u8])>,
     ) -> Result<ObjectLocation, PlasmaError> {
+        let mut request = None;
         for _ in 0..2 {
             // Without a table there is no owner to ask, and creating
             // locally on a guess could fork the id against a peer.
@@ -479,20 +486,23 @@ impl DisaggStore {
                 )));
             };
             if owner == self.inner.node {
-                self.check_admission()?;
-                return self.inner.core.create(id, data_size, metadata_size);
+                return self.create_here(id, data_size, metadata_size, payload);
             }
             let peer = self.peer(owner)?;
-            let req = CreateAtReq {
-                id,
-                data_size,
-                metadata_size,
-            };
+            let request = request.get_or_insert_with(|| {
+                let req = CreateAtReq {
+                    id,
+                    data_size,
+                    metadata_size,
+                    payload: payload.map(|(data, metadata)| [data, metadata].concat().into()),
+                };
+                req.encode()
+            });
             // Uniqueness lives at the owner, so an unreachable owner
             // fails the create outright — a create never proceeds on a
             // guess.
             let body = self
-                .peer_call(&peer, method::CREATE_AT, req.encode())
+                .peer_call(&peer, method::CREATE_AT, request.clone())
                 .map_err(|fail| self.object_err(&peer, id, fail))?;
             let resp = CreateAtResp::decode(body)
                 .map_err(|e| PlasmaError::Protocol(format!("create_at response: {e}")))?;
@@ -501,12 +511,14 @@ impl DisaggStore {
                     let loc = resp.location.ok_or_else(|| {
                         PlasmaError::Protocol("create_at: Ok without location".to_string())
                     })?;
-                    // Remember the owner so seal/abort route point-to-
-                    // point. The creator's reference lives entirely at
-                    // the owner (pinned to us) and is consumed by the
-                    // SEAL_AT / ABORT_AT that ends the staging.
-                    let ledger = &self.inner.ledger;
-                    ledger.record(Side::Held, id, Kind::Staged, owner, loc.total_size());
+                    if payload.is_none() {
+                        // Remember the owner so seal/abort route point-to-
+                        // point. The creator's reference lives entirely at
+                        // the owner (pinned to us) and is consumed by the
+                        // SEAL_AT / ABORT_AT that ends the staging.
+                        let ledger = &self.inner.ledger;
+                        ledger.record(Side::Held, id, Kind::Staged, owner, loc.total_size());
+                    }
                     return Ok(loc);
                 }
                 CreateAtStatus::Exists => return Err(PlasmaError::ObjectExists(id)),
@@ -516,6 +528,23 @@ impl DisaggStore {
         Err(PlasmaError::PeerUnavailable(format!(
             "ring ownership of {id} unsettled (membership change in flight)"
         )))
+    }
+
+    /// Create on this node, past its admission gate: staged for the
+    /// caller to fill and seal, or — given the bytes — filled and sealed
+    /// here, leaving no reference behind.
+    pub(super) fn create_here(
+        &self,
+        id: ObjectId,
+        data_size: u64,
+        metadata_size: u64,
+        payload: Option<(&[u8], &[u8])>,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        self.check_admission()?;
+        match payload {
+            None => self.inner.core.create(id, data_size, metadata_size),
+            Some((data, metadata)) => self.inner.core.put(id, data, metadata),
+        }
     }
 
     /// Seal a create that was forwarded to a remote ring owner. The
@@ -610,10 +639,41 @@ impl DisaggStore {
     pub(super) fn create_at(&self, from: NodeId, req: CreateAtReq) -> Result<CreateAtResp, Status> {
         let inner = &self.inner;
         let answer = |status, location| Ok(CreateAtResp { status, location });
+        let sizes = req.data_size.checked_add(req.metadata_size);
+        let payload = match &req.payload {
+            // Data, then metadata, and not a byte more or less.
+            Some(bytes) if sizes == Some(bytes.len() as u64) => {
+                Some(bytes.split_at(req.data_size as usize))
+            }
+            Some(bytes) => {
+                return Err(Status::invalid_argument(format!(
+                    "create_at: a {} B payload for {} B of data and {} B of metadata",
+                    bytes.len(),
+                    req.data_size,
+                    req.metadata_size
+                )))
+            }
+            None => None,
+        };
         // Dispute ownership only from an installed ring: without one
         // this node cannot know better than the requester.
         if self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
             return answer(CreateAtStatus::WrongOwner, None);
+        }
+        // Idempotent retry of a whole put. Nothing was ledgered for the
+        // first attempt, and nothing need be: an id names immutable
+        // bytes, so the id sealed here with these sizes and these very
+        // bytes *is* the object the caller is putting — its first
+        // attempt landed and the response was lost. Anything else under
+        // the id (other bytes, an unsealed create, a copy lent away) is
+        // somebody's object already.
+        if let Some((data, metadata)) = payload {
+            if inner.core.exists_any_state(req.id) {
+                return match self.sealed_copy_is(req.id, data, metadata) {
+                    Some(loc) => answer(CreateAtStatus::Ok, Some(loc)),
+                    None => answer(CreateAtStatus::Exists, None),
+                };
+            }
         }
         // Idempotent retry: the same requester re-asking for its own
         // staged create gets the same location back (its first response
@@ -630,29 +690,44 @@ impl DisaggStore {
         if inner.ledger.has_out_copy(req.id) {
             return answer(CreateAtStatus::Exists, None);
         }
-        // Admission gate sits *after* the idempotent-retry check: a
-        // requester re-asking about its own staged create must get its
-        // location back even under overload.
-        if let Err(PlasmaError::Overloaded { retry_after_ms }) = self.check_admission() {
-            return Err(Status::new(
-                StatusCode::ResourceExhausted,
-                format!("overloaded: retry_after_ms={retry_after_ms}"),
-            ));
-        }
+        // Admission gate sits *after* the idempotent-retry checks: a
+        // requester re-asking about its own create must get its location
+        // back even under overload.
+        //
         // The core's id map is the uniqueness arbiter: no pre-check,
         // `create` itself refuses duplicates.
-        match inner.core.create(req.id, req.data_size, req.metadata_size) {
+        match self.create_here(req.id, req.data_size, req.metadata_size, payload) {
             Ok(loc) => {
-                // The entry *is* the creator's reference, pinned to the
-                // requester until SEAL_AT / ABORT_AT ends the staging —
-                // and what lets reconciliation abort an orphan.
-                let ledger = &inner.ledger;
-                ledger.record(Side::Out, req.id, Kind::Staged, from, loc.total_size());
+                if payload.is_none() {
+                    // The entry *is* the creator's reference, pinned to
+                    // the requester until SEAL_AT / ABORT_AT ends the
+                    // staging — and what lets reconciliation abort an
+                    // orphan. A whole put left no reference to track.
+                    let ledger = &inner.ledger;
+                    ledger.record(Side::Out, req.id, Kind::Staged, from, loc.total_size());
+                }
                 answer(CreateAtStatus::Ok, Some(loc))
             }
             Err(PlasmaError::ObjectExists(_)) => answer(CreateAtStatus::Exists, None),
+            Err(PlasmaError::Overloaded { retry_after_ms }) => Err(Status::new(
+                StatusCode::ResourceExhausted,
+                format!("overloaded: retry_after_ms={retry_after_ms}"),
+            )),
             Err(e) => Err(Status::internal(e.to_string())),
         }
+    }
+
+    /// The location of `id` if it is sealed here as exactly `data` then
+    /// `metadata`. The copy is pinned while its bytes are compared.
+    fn sealed_copy_is(&self, id: ObjectId, data: &[u8], metadata: &[u8]) -> Option<ObjectLocation> {
+        let core = &self.inner.core;
+        let loc = core.get_local(id)?;
+        let same = (loc.data_size, loc.metadata_size) == (data.len() as u64, metadata.len() as u64)
+            && self
+                .read_payload(&loc)
+                .is_ok_and(|held| held[..data.len()] == *data && held[data.len()..] == *metadata);
+        let _ = core.release(id);
+        same.then_some(loc)
     }
 
     /// `SEAL_AT` handler: seal the requester's staged create and consume

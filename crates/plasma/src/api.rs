@@ -25,6 +25,17 @@ pub trait ObjectStore: Send + Sync {
 
     fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError>;
 
+    /// Create, fill, seal and release in one call, for a caller that
+    /// already holds the whole object: the bytes are written by the store
+    /// that owns the id, into its own memory. Returns the sealed location;
+    /// no reference is left with the caller.
+    fn put(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Result<ObjectLocation, PlasmaError>;
+
     /// Batched lookup with timeout; `None` entries were not available in
     /// time. Successful entries carry a reference the caller must release.
     fn get(
@@ -67,6 +78,15 @@ impl ObjectStore for StoreCore {
 
     fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
         StoreCore::seal(self, id)
+    }
+
+    fn put(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Result<ObjectLocation, PlasmaError> {
+        StoreCore::put(self, id, data, metadata)
     }
 
     fn get(

@@ -4,12 +4,16 @@
 //! Plasma API: `create` (returning a writable builder), `seal`, `get`
 //! (returning read-only buffers), `release`, `delete`, `contains`, `list`.
 //!
-//! Object payloads never cross the IPC channel: the store hands back
-//! [`ObjectLocation`]s and the client maps the owning (possibly remote)
-//! segment through the fabric — the disaggregated-memory analogue of
-//! Plasma's file-descriptor passing. Whether a buffer read is then charged
-//! the local or the remote cost falls out of *which node the client runs
-//! on*, with no client-visible API difference.
+//! A *read* never moves payload bytes over the IPC channel: the store
+//! hands back [`ObjectLocation`]s and the client maps the owning (possibly
+//! remote) segment through the fabric — the disaggregated-memory analogue
+//! of Plasma's file-descriptor passing. Whether a buffer read is then
+//! charged the local or the remote cost falls out of *which node the
+//! client runs on*, with no client-visible API difference. A `put` of up
+//! to [`INLINE_PUT_MAX`] bytes is the one call that carries its own
+//! payload: the client already holds the whole object, so one request
+//! replaces create, seal and release, and the store that owns the id
+//! writes the bytes into its own memory.
 //!
 //! An optional [`ClientCost`] charges the modeled IPC round-trip and
 //! per-object servicing cost to the simulation clock; this is what gives
@@ -21,12 +25,20 @@ use crate::id::ObjectId;
 use crate::object::{ObjectInfo, ObjectLocation};
 use crate::protocol::{Request, Response};
 use crate::store::StoreStats;
+use bytes::Bytes;
 use ipc::Conn;
 use netsim::{LinkModel, SharedLink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 use tfsim::{Clock, Fabric, MappedView, Mapping, NodeId, SegKey};
+
+/// Largest object (data + metadata, in bytes) [`PlasmaClient::put`] sends
+/// inside its request. Below it, copying the bytes once more is cheaper
+/// than the round trips it saves — two on the IPC channel and, for an id
+/// another node owns, one between stores; above it the builder path's
+/// zero-copy write through the fabric wins (DESIGN.md, "put").
+pub const INLINE_PUT_MAX: usize = 64 << 10;
 
 /// Modeled cost of client↔store IPC, charged to the simulation clock.
 #[derive(Clone)]
@@ -88,12 +100,17 @@ impl ObjectBuffer {
 }
 
 /// A writable, not-yet-sealed object. Write the buffers, then
-/// [`ObjectBuilder::seal`].
+/// [`ObjectBuilder::seal`]. A builder dropped any other way — an early
+/// return after a failed write, say — aborts its create, so the id and
+/// the buffer (staged on a remote owner's books too, for a forwarded
+/// create) are not left behind.
 pub struct ObjectBuilder<'a> {
     client: &'a PlasmaClient,
     location: ObjectLocation,
     data: MappedView,
     metadata: MappedView,
+    /// Neither sealed nor aborted yet: dropping the builder aborts.
+    open: bool,
 }
 
 impl std::fmt::Debug for ObjectBuilder<'_> {
@@ -131,24 +148,29 @@ impl<'a> ObjectBuilder<'a> {
 
     /// Seal the object, making it immutable and visible to `get`, and
     /// release the creator's reference. A seal that fails abandons the
-    /// object: the builder is consumed either way, so nothing else could
-    /// ever abort it, and a create staged at a remote owner would stay
-    /// staged — on both nodes' books — for good. (Best-effort, and a
-    /// no-op if the seal did land and only its answer was lost: a
-    /// sealed object cannot be aborted.)
-    pub fn seal(self) -> Result<ObjectId, PlasmaError> {
+    /// object (the drop aborts it — a no-op if the seal did land and only
+    /// its answer was lost: a sealed object cannot be aborted).
+    pub fn seal(mut self) -> Result<ObjectId, PlasmaError> {
         let id = self.location.id;
-        if let Err(e) = self.client.seal_raw(id) {
-            let _ = self.abort();
-            return Err(e);
-        }
+        self.client.request_location(Request::Seal(id))?;
+        self.open = false;
         self.client.release(id)?;
         Ok(id)
     }
 
     /// Abandon the object, freeing its allocation.
-    pub fn abort(self) -> Result<(), PlasmaError> {
+    pub fn abort(mut self) -> Result<(), PlasmaError> {
+        self.open = false;
         self.client.request_unit(Request::Abort(self.location.id))
+    }
+}
+
+impl Drop for ObjectBuilder<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            // Best-effort: there is no one to report a failure to.
+            let _ = self.client.request_unit(Request::Abort(self.location.id));
+        }
     }
 }
 
@@ -216,6 +238,15 @@ impl PlasmaClient {
         }
     }
 
+    fn request_location(&self, req: Request) -> Result<ObjectLocation, PlasmaError> {
+        match self.request(req)? {
+            Response::Location(loc) => Ok(loc),
+            other => Err(PlasmaError::Protocol(format!(
+                "expected Location, got {other:?}"
+            ))),
+        }
+    }
+
     fn mapping_for(&self, seg: SegKey) -> Result<Mapping, PlasmaError> {
         let mut maps = self.mappings.lock();
         if let Some(m) = maps.get(&seg) {
@@ -241,25 +272,33 @@ impl PlasmaClient {
         data_size: u64,
         metadata_size: u64,
     ) -> Result<ObjectBuilder<'_>, PlasmaError> {
-        let resp = self.request(Request::Create {
+        let location = self.request_location(Request::Create {
             id,
             data_size,
             metadata_size,
         })?;
-        let Response::Location(location) = resp else {
-            return Err(PlasmaError::Protocol("expected Location".into()));
-        };
         let (data, metadata) = self.views_for(&location)?;
         Ok(ObjectBuilder {
             client: self,
             location,
             data,
             metadata,
+            open: true,
         })
     }
 
-    /// Convenience: create, write, seal in one call.
+    /// Store a whole object. Up to [`INLINE_PUT_MAX`] bytes travel inside
+    /// one request and the owning store does the rest; a larger object is
+    /// created, written through the fabric mapping and sealed.
     pub fn put(&self, id: ObjectId, data: &[u8], metadata: &[u8]) -> Result<ObjectId, PlasmaError> {
+        if data.len() + metadata.len() <= INLINE_PUT_MAX {
+            let put = Request::Put {
+                id,
+                data: Bytes::copy_from_slice(data),
+                metadata: Bytes::copy_from_slice(metadata),
+            };
+            return self.request_location(put).map(|_| id);
+        }
         let builder = self.create(id, data.len() as u64, metadata.len() as u64)?;
         if !data.is_empty() {
             builder.write(0, data)?;
@@ -268,15 +307,6 @@ impl PlasmaClient {
             builder.write_metadata(0, metadata)?;
         }
         builder.seal()
-    }
-
-    fn seal_raw(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
-        match self.request(Request::Seal(id))? {
-            Response::Location(loc) => Ok(loc),
-            other => Err(PlasmaError::Protocol(format!(
-                "expected Location, got {other:?}"
-            ))),
-        }
     }
 
     /// Batched get with timeout. Each returned buffer holds a store

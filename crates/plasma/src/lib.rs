@@ -51,7 +51,9 @@ pub mod server;
 pub mod store;
 
 pub use api::ObjectStore;
-pub use client::{ClientCost, Notifications, ObjectBuffer, ObjectBuilder, PlasmaClient};
+pub use client::{
+    ClientCost, Notifications, ObjectBuffer, ObjectBuilder, PlasmaClient, INLINE_PUT_MAX,
+};
 pub use error::PlasmaError;
 pub use id::{ObjectId, OBJECT_ID_LEN};
 pub use object::{ObjectInfo, ObjectLocation, ObjectState};
@@ -124,6 +126,27 @@ mod end_to_end {
     }
 
     #[test]
+    fn builder_dropped_unsealed_aborts_its_create() {
+        let r = rig(1 << 20);
+        let client = client_on(&r, r.store.node());
+        let id = ObjectId::from_name("abandoned");
+        let b = client.create(id, 4096, 0).unwrap();
+        b.write(0, b"half").unwrap();
+        assert!(r.store.exists_any_state(id));
+        drop(b);
+        assert!(!r.store.exists_any_state(id), "the drop aborted it");
+        assert_eq!(r.store.stats().allocated_bytes, 0);
+        // Sealed and aborted builders are left alone by their drop.
+        client.create(id, 4, 0).unwrap().seal().unwrap();
+        assert!(r.store.contains(id));
+        let other = ObjectId::from_name("aborted");
+        client.create(other, 4, 0).unwrap().abort().unwrap();
+        let refused = &r._server.metrics().errors;
+        let refused = refused.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(refused, 0, "neither drop sent a second abort");
+    }
+
+    #[test]
     fn remote_client_reads_over_fabric() {
         let r = rig(1 << 20);
         let remote_node = r.fabric.register_node();
@@ -145,6 +168,8 @@ mod end_to_end {
         let id = ObjectId::from_name("dup");
         client.put(id, b"x", &[]).unwrap();
         let err = client.create(id, 1, 0).unwrap_err();
+        assert_eq!(err, PlasmaError::ObjectExists(id));
+        let err = client.put(id, b"y", &[]).unwrap_err();
         assert_eq!(err, PlasmaError::ObjectExists(id));
         let missing = ObjectId::from_name("missing");
         assert_eq!(
@@ -212,13 +237,26 @@ mod end_to_end {
         let id = ObjectId::from_name("costed");
         let before = clock.now();
         client.put(id, b"x", &[]).unwrap();
+        let put = clock.now() - before;
+        // A small put is one request (~55 µs, σ 6): its byte rides along.
+        assert!(put > Duration::from_micros(25), "{put:?}");
+        assert!(put < Duration::from_micros(100), "{put:?}");
         let buf = client.get_one(id, Duration::from_secs(1)).unwrap();
         let _ = buf;
-        let elapsed = clock.now() - before;
-        // put = 3 requests (create/seal/release), get = 1 request + 1
-        // per-object charge; each request ~55 µs.
-        assert!(elapsed > Duration::from_micros(150), "{elapsed:?}");
-        assert!(elapsed < Duration::from_millis(5), "{elapsed:?}");
+        // get = 1 request + 1 per-object charge.
+        let get = clock.now() - before - put;
+        assert!(get > Duration::from_micros(25), "{get:?}");
+        assert!(get < Duration::from_micros(100), "{get:?}");
+        // Past the threshold a put is three requests: create, seal,
+        // release.
+        let big = vec![7u8; INLINE_PUT_MAX + 1];
+        let before = clock.now();
+        client
+            .put(ObjectId::from_name("costed-big"), &big, &[])
+            .unwrap();
+        let three = clock.now() - before;
+        assert!(three > Duration::from_micros(130), "{three:?}");
+        assert!(three < Duration::from_millis(5), "{three:?}");
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! Request/response messages carried in [`ipc::Frame`]s. The response to a
 //! `Get` carries [`ObjectLocation`]s — segment key + offset — rather than
 //! data: like real Plasma's file-descriptor handoff, the client maps the
-//! (disaggregated) segment itself and reads the buffer directly, so object
-//! payloads never traverse the IPC channel.
+//! (disaggregated) segment itself and reads the buffer directly, so a
+//! *read* never moves payload bytes over the IPC channel. The one message
+//! with a payload is `Put`: a client that already holds a whole small
+//! object (up to [`crate::INLINE_PUT_MAX`] bytes) sends the bytes with the
+//! request, and the store that owns the id writes them into its own memory.
 
 use crate::error::PlasmaError;
 use crate::id::{ObjectId, OBJECT_ID_LEN};
 use crate::object::{ObjectInfo, ObjectLocation, ObjectState};
 use crate::store::StoreStats;
+use bytes::Bytes;
 use ipc::{CodecError, Dec, Enc, Frame};
 use tfsim::{NodeId, SegKey};
 
@@ -27,6 +31,7 @@ pub mod tag {
     pub const EVICT: u32 = 10;
     pub const SUBSCRIBE: u32 = 11;
     pub const DELETE_DEFERRED: u32 = 12;
+    pub const PUT: u32 = 13;
 
     pub const R_LOCATION: u32 = 101;
     pub const R_LOCATIONS: u32 = 102;
@@ -48,6 +53,13 @@ pub enum Request {
         metadata_size: u64,
     },
     Seal(ObjectId),
+    /// Create, fill, seal and release in one request: the object's bytes
+    /// travel with it.
+    Put {
+        id: ObjectId,
+        data: Bytes,
+        metadata: Bytes,
+    },
     Get {
         ids: Vec<ObjectId>,
         timeout_ms: u64,
@@ -128,6 +140,12 @@ impl Request {
                 put_id(&mut e, id);
                 tag::SEAL
             }
+            Request::Put { id, data, metadata } => {
+                e = Enc::with_capacity(OBJECT_ID_LEN + 16 + data.len() + metadata.len());
+                put_id(&mut e, id);
+                e.bytes(data).bytes(metadata);
+                tag::PUT
+            }
             Request::Get { ids, timeout_ms } => {
                 e.u64(*timeout_ms).u64(ids.len() as u64);
                 for id in ids {
@@ -175,6 +193,11 @@ impl Request {
                 metadata_size: d.u64()?,
             },
             tag::SEAL => Request::Seal(get_id(&mut d)?),
+            tag::PUT => Request::Put {
+                id: get_id(&mut d)?,
+                data: d.bytes()?,
+                metadata: d.bytes()?,
+            },
             tag::GET => {
                 let timeout_ms = d.u64()?;
                 let n = d.u64()?;
@@ -413,6 +436,16 @@ mod tests {
                 metadata_size: 2,
             },
             Request::Seal(id),
+            Request::Put {
+                id,
+                data: Bytes::from_static(b"payload"),
+                metadata: Bytes::from_static(b"md"),
+            },
+            Request::Put {
+                id,
+                data: Bytes::new(),
+                metadata: Bytes::new(),
+            },
             Request::Get {
                 ids: vec![id, ObjectId::from_name("y")],
                 timeout_ms: 1500,
@@ -485,10 +518,30 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut f = Request::Seal(ObjectId::from_name("x")).to_frame();
-        let mut payload = f.payload.to_vec();
-        payload.push(0xFF);
-        f.payload = payload.into();
+        let id = ObjectId::from_name("x");
+        let put = Request::Put {
+            id,
+            data: Bytes::from_static(b"payload"),
+            metadata: Bytes::new(),
+        };
+        for req in [Request::Seal(id), put] {
+            let mut f = req.to_frame();
+            let mut payload = f.payload.to_vec();
+            payload.push(0xFF);
+            f.payload = payload.into();
+            assert!(Request::from_frame(&f).is_err(), "{req:?}");
+        }
+    }
+
+    #[test]
+    fn put_with_a_length_past_the_frame_is_rejected() {
+        let put = Request::Put {
+            id: ObjectId::from_name("x"),
+            data: Bytes::from_static(b"payload"),
+            metadata: Bytes::from_static(b"md"),
+        };
+        let mut f = put.to_frame();
+        f.payload = f.payload.slice(..f.payload.len() - 1);
         assert!(Request::from_frame(&f).is_err());
     }
 

@@ -104,6 +104,9 @@ fn dispatch(store: &Arc<dyn ObjectStore>, req: Request) -> Response {
             .create(id, data_size, metadata_size)
             .map(Response::Location),
         Request::Seal(id) => store.seal(id).map(Response::Location),
+        Request::Put { id, data, metadata } => {
+            store.put(id, &data, &metadata).map(Response::Location)
+        }
         Request::Get { ids, timeout_ms } => {
             let timeout = Duration::from_millis(timeout_ms).min(MAX_GET_WAIT);
             store.get(&ids, timeout).map(Response::Locations)

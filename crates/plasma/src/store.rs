@@ -461,6 +461,48 @@ impl StoreCore {
         Ok(loc)
     }
 
+    /// Store a whole object the caller already holds: create, write
+    /// `data` then `metadata` through the local mapping, seal, and drop
+    /// the creator's reference — what a client's create → write → seal →
+    /// release amounts to, in one call on the node whose memory it is.
+    /// Returns the sealed location. A failed write aborts the create.
+    pub fn put(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Result<ObjectLocation, PlasmaError> {
+        self.put_with(id, data.len() as u64, metadata.len() as u64, |map, loc| {
+            if !data.is_empty() {
+                map.write_at(loc.offset, data)?;
+            }
+            if !metadata.is_empty() {
+                map.write_at(loc.offset + loc.data_size, metadata)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// [`StoreCore::put`] with the write as a parameter, so a test can
+    /// make it fail.
+    fn put_with(
+        &self,
+        id: ObjectId,
+        data_size: u64,
+        metadata_size: u64,
+        fill: impl FnOnce(&Mapping, &ObjectLocation) -> Result<(), PlasmaError>,
+    ) -> Result<ObjectLocation, PlasmaError> {
+        let loc = self.create(id, data_size, metadata_size)?;
+        let filled = self.mapping_for(&loc).and_then(|map| fill(&map, &loc));
+        if let Err(e) = filled {
+            let _ = self.abort(id);
+            return Err(e);
+        }
+        let sealed = self.seal(id)?;
+        self.release(id)?;
+        Ok(sealed)
+    }
+
     /// Non-blocking lookup of a sealed object. On success the caller gains
     /// a reference (pinning the object against eviction).
     pub fn get_local(&self, id: ObjectId) -> Option<ObjectLocation> {
@@ -752,6 +794,42 @@ mod tests {
         assert_eq!(got.data_size, 11);
         assert_eq!(got.metadata_size, 0);
         assert_eq!(map.read_vec(got.offset, 11).unwrap(), b"hello world");
+    }
+
+    #[test]
+    fn put_leaves_a_sealed_unreferenced_object() {
+        let s = store(1 << 20);
+        let loc = s.put(id(1), b"hello", b"md").unwrap();
+        assert_eq!((loc.data_size, loc.metadata_size), (5, 2));
+        assert_eq!(s.peek(id(1)), Some(loc));
+        let info = s.list().pop().unwrap();
+        assert_eq!(info.state, ObjectState::Sealed);
+        assert_eq!(info.ref_count, 0, "the creator's reference is gone");
+        let map = s.local_mapping().unwrap();
+        assert_eq!(map.read_vec(loc.offset, 7).unwrap(), b"hellomd");
+        // Sealed and unreferenced: deletable at once, like any put.
+        assert_eq!(
+            s.put(id(1), b"other", &[]).unwrap_err(),
+            PlasmaError::ObjectExists(id(1))
+        );
+        s.delete(id(1)).unwrap();
+        // A zero-byte object is an object.
+        s.put(id(2), &[], &[]).unwrap();
+        assert!(s.contains(id(2)));
+    }
+
+    #[test]
+    fn put_whose_fill_fails_leaves_nothing() {
+        let s = store(1 << 20);
+        let err = s
+            .put_with(id(1), 4096, 0, |_, _| Err(PlasmaError::Fabric("no".into())))
+            .unwrap_err();
+        assert_eq!(err, PlasmaError::Fabric("no".into()));
+        assert!(!s.exists_any_state(id(1)));
+        let st = s.stats();
+        assert_eq!((st.objects, st.allocated_bytes, st.seals), (0, 0, 0));
+        // The id is free again.
+        s.put(id(1), b"x", &[]).unwrap();
     }
 
     #[test]

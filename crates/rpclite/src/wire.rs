@@ -58,11 +58,13 @@ impl WireType {
     }
 }
 
-/// Lookup table for [`crc32`] (reflected IEEE 802.3 polynomial).
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Lookup tables for [`crc32`] (reflected IEEE 802.3 polynomial):
+/// `CRC32_TABLES[0]` advances the register by one byte, `CRC32_TABLES[k]`
+/// by that same byte followed by `k` zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -75,10 +77,28 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Advance the CRC register `c` over `data`, one table lookup per byte.
+fn crc32_fold_bytes(mut c: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        c = CRC32_TABLES[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// CRC-32 (IEEE 802.3, as used by Ethernet and zlib).
@@ -89,12 +109,27 @@ const fn crc32_table() -> [u32; 256] {
 /// so a flipped bit surfaces as [`WireError::Checksum`] instead of a
 /// silently mis-decoded message — in the worst case, one delivered to
 /// the wrong `call_id`.
+///
+/// Every byte is folded; eight at a step (slicing-by-8) while at least
+/// eight remain, because an envelope may carry a small object's payload
+/// and is checksummed once on each side of the wire.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &byte in data {
-        c = CRC32_TABLE[((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !c
+    !crc32_fold_bytes(c, chunks.remainder())
 }
 
 /// Append a base-128 varint.
@@ -339,6 +374,20 @@ mod tests {
                 let mut flipped = data.to_vec();
                 flipped[byte] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), clean, "missed flip at {byte}:{bit}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The eight-bytes-a-step fold and the bytewise one are the same
+        /// function, whatever the length and wherever the slice starts.
+        #[test]
+        fn crc32_sliced_and_bytewise_folds_agree(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096 + 8),
+        ) {
+            for start in 0..8.min(buf.len() + 1) {
+                let data = &buf[start..];
+                proptest::prop_assert_eq!(crc32(data), !crc32_fold_bytes(!0, data));
             }
         }
     }

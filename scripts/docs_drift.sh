@@ -63,9 +63,10 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # `fanout` is spelled quoted, as a path and as a call, so that the
 # metric `disagg.lookup.fanout.latency_ns`, which stays, is not hit);
 # the binary-split allocator, the messages the call header and the
-# `DelegateReq` rename replaced, and the lease chase's handler (PR 21).
+# `DelegateReq` rename replaced, and the lease chase's handler (PR 21);
+# the store-side remote write (PR 22).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held("
+identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done

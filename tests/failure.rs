@@ -468,9 +468,34 @@ fn failed_payload_read_releases_its_pin() {
     producer.delete(id).unwrap();
 }
 
-/// A `put` whose forwarded seal fails abandons its staged create: the
-/// builder is consumed either way, so nothing could abort it later, and
-/// left alone it would stay staged on both nodes' books for good (a
+/// A two-step put whose payload write fails — the fabric link to the
+/// owner is down, the control plane up — abandons its staged create: the
+/// builder is dropped by the early return, and its drop aborts. Left
+/// alone the create would stay staged on both nodes' books, with the
+/// buffer allocated at the owner, until a reconcile.
+#[test]
+fn failed_payload_write_aborts_the_staged_create() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
+    let client = cluster.client(0).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(1, "write-fails"));
+    cluster
+        .fabric()
+        .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Down);
+    // 100 KiB: above the inline threshold, so create → write → seal.
+    let err = client.put(id, &[7; 100 << 10], &[]).unwrap_err();
+    assert!(matches!(err, PlasmaError::Fabric(_)), "{err:?}");
+    assert_eq!(cluster.store(0).delegations(), vec![], "requester's books");
+    assert_eq!(cluster.store(1).delegations(), vec![], "owner's books");
+    assert!(
+        !cluster.store(1).core().exists_any_state(id),
+        "buffer freed"
+    );
+    assert_eq!(cluster.store(1).core().stats().allocated_bytes, 0);
+}
+
+/// A two-step put whose forwarded seal fails abandons its staged create:
+/// the builder is consumed either way, so nothing could abort it later,
+/// and left alone it would stay staged on both nodes' books for good (a
 /// reconcile keeps what both sides still claim).
 #[test]
 fn failed_forwarded_seal_aborts_the_staged_create() {
@@ -521,7 +546,9 @@ fn failed_forwarded_seal_aborts_the_staged_create() {
         .map(|k| ObjectId::from_name(&format!("seal-refused/{k}")))
         .find(|id| requester.ring_owner(*id) == Some(nodes[1]))
         .unwrap();
-    client.put(id, &[7; 256], &[]).unwrap_err();
+    let builder = client.create(id, 256, 0).unwrap();
+    builder.write(0, &[7; 256]).unwrap();
+    builder.seal().unwrap_err();
     assert_eq!(requester.delegations(), vec![], "no staged entry is kept");
     assert_eq!(owner.delegations(), vec![], "the owner's half is aborted");
     assert!(!owner.core().exists_any_state(id), "and its buffer freed");

@@ -4,8 +4,9 @@
 //! traffic, and off-ring objects stay reachable through the broadcast
 //! fallback.
 
+use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, CreateAtStatus, ReplyHeader};
 use disagg::{Cluster, ClusterConfig, Membership, RetryPolicy};
-use plasma::{ObjectId, ObjectStore};
+use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
 
 /// The tentpole claim: creates route deterministically to the rendezvous
@@ -145,38 +146,262 @@ fn singleton_cluster_creates_without_any_rpc() {
     assert_eq!(cluster.store(0).disagg_stats().lookup_rpcs, 0);
 }
 
-/// The RPC bill of a client `put`, read off the requester's per-verb
-/// `rpc.client.*` histograms: an id the requester owns costs no RPC at
-/// all, and an id a peer owns costs exactly one `CREATE_AT` and one
-/// `SEAL_AT` — the seal drops the creator's reference at the owner, so
-/// no `RELEASE` follows it.
+/// Every interconnect verb node `node` has called so far, with its count
+/// (one `<peer>.<verb>.latency_ns` sample per call).
+fn rpc_bill(cluster: &Cluster, node: usize) -> Vec<(String, u64)> {
+    let snap = cluster.store(node).metrics_snapshot();
+    snap.histograms_with_prefix("rpc.client.")
+        .filter(|(name, h)| name.ends_with(".latency_ns") && h.count > 0)
+        .map(|(name, h)| (name.to_string(), h.count))
+        .collect()
+}
+
+/// The RPC bill of the two-step put — create, write through the fabric,
+/// seal — which every object above `INLINE_PUT_MAX` takes: an id the
+/// requester owns costs no RPC at all, and an id a peer owns costs
+/// exactly one `CREATE_AT` and one `SEAL_AT` — the seal drops the
+/// creator's reference at the owner, so no `RELEASE` follows it.
 #[test]
 fn forwarded_put_costs_one_create_at_and_one_seal_at_and_a_local_put_nothing() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let client = cluster.client(0).unwrap();
-    // Every interconnect verb node 0 has called so far, with its count
-    // (one `<peer>.<verb>.latency_ns` sample per call).
-    let bill = || -> Vec<(String, u64)> {
-        let snap = cluster.store(0).metrics_snapshot();
-        snap.histograms_with_prefix("rpc.client.")
-            .filter(|(name, h)| name.ends_with(".latency_ns") && h.count > 0)
-            .map(|(name, h)| (name.to_string(), h.count))
-            .collect()
+    let two_step = |id: ObjectId, data: &[u8]| {
+        let builder = client.create(id, data.len() as u64, 0).unwrap();
+        builder.write(0, data).unwrap();
+        builder.seal().unwrap();
     };
 
     let own = ObjectId::from_name(&cluster.owned_id(0, "bill/own"));
-    client.put(own, &[1; 1024], &[]).unwrap();
-    assert_eq!(bill(), vec![], "a self-owned put stays on its node");
+    two_step(own, &[1; 1024]);
+    assert_eq!(
+        rpc_bill(&cluster, 0),
+        vec![],
+        "a self-owned put stays on its node"
+    );
 
     let forwarded = ObjectId::from_name(&cluster.owned_id(1, "bill/forwarded"));
-    client.put(forwarded, &[2; 1024], &[]).unwrap();
+    two_step(forwarded, &[2; 1024]);
+    let create_and_seal = vec![
+        ("rpc.client.store-1.create_at.latency_ns".to_string(), 1),
+        ("rpc.client.store-1.seal_at.latency_ns".to_string(), 1),
+    ];
+    assert_eq!(rpc_bill(&cluster, 0), create_and_seal);
+
+    // A `put` one byte past the threshold is that same path.
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let client = cluster.client(0).unwrap();
+    let big = ObjectId::from_name(&cluster.owned_id(1, "bill/past-the-threshold"));
+    client.put(big, &vec![3; INLINE_PUT_MAX + 1], &[]).unwrap();
+    assert_eq!(rpc_bill(&cluster, 0), create_and_seal);
+}
+
+/// The RPC bill of a small `put` — one that carries its bytes: an id the
+/// requester owns costs no RPC, an id a peer owns exactly one `CREATE_AT`
+/// and nothing else, up to and including `INLINE_PUT_MAX` bytes. Nothing
+/// is staged or pinned on either node afterwards, and the object reads
+/// back whole from both.
+#[test]
+fn small_forwarded_put_costs_one_create_at_and_leaves_no_ledger_entry() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let client = cluster.client(0).unwrap();
+
+    let own = ObjectId::from_name(&cluster.owned_id(0, "inline/own"));
+    client.put(own, &[1; 1024], b"md").unwrap();
     assert_eq!(
-        bill(),
-        vec![
-            ("rpc.client.store-1.create_at.latency_ns".to_string(), 1),
-            ("rpc.client.store-1.seal_at.latency_ns".to_string(), 1),
-        ]
+        rpc_bill(&cluster, 0),
+        vec![],
+        "a self-owned put stays on its node"
     );
+
+    let small = ObjectId::from_name(&cluster.owned_id(1, "inline/small"));
+    let largest = ObjectId::from_name(&cluster.owned_id(1, "inline/largest"));
+    client.put(small, &[2; 1024], b"md").unwrap();
+    let one_create_at = |n| vec![("rpc.client.store-1.create_at.latency_ns".to_string(), n)];
+    assert_eq!(rpc_bill(&cluster, 0), one_create_at(1));
+    let data = vec![3; INLINE_PUT_MAX - 2];
+    client.put(largest, &data, b"md").unwrap();
+    assert_eq!(rpc_bill(&cluster, 0), one_create_at(2));
+
+    for node in 0..2 {
+        let store = cluster.store(node);
+        assert_eq!(store.delegations(), vec![], "node {node}");
+        assert_eq!(store.remote_pin_count(), 0, "node {node}");
+    }
+    let at_owner = cluster.store(1).core().list();
+    assert_eq!(at_owner.len(), 2);
+    for info in at_owner {
+        assert_eq!(info.state, plasma::ObjectState::Sealed);
+        assert_eq!(info.ref_count, 0, "the creator's reference is consumed");
+    }
+    for node in 0..2 {
+        let reader = cluster.client(node).unwrap();
+        let buf = reader.get_one(largest, Duration::from_secs(1)).unwrap();
+        assert_eq!(buf.read_all().unwrap(), data, "node {node}");
+        assert_eq!(buf.metadata().read_all().unwrap(), b"md");
+        reader.release(largest).unwrap();
+    }
+}
+
+/// Uniqueness stays where it was — checked at the owner, at create time:
+/// once an id is put, a `put` of other bytes and a `create` are both
+/// `ObjectExists`, from the owner's node and from a peer's.
+#[test]
+fn put_and_create_of_an_inline_put_id_are_object_exists_from_every_node() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(1, "inline/taken"));
+    cluster.client(0).unwrap().put(id, &[1; 512], &[]).unwrap();
+    for node in 0..3 {
+        let client = cluster.client(node).unwrap();
+        let put = client.put(id, &[2; 512], &[]).unwrap_err();
+        assert_eq!(put, PlasmaError::ObjectExists(id), "put from node {node}");
+        let create = client.create(id, 512, 0).unwrap_err();
+        assert_eq!(
+            create,
+            PlasmaError::ObjectExists(id),
+            "create from node {node}"
+        );
+    }
+    let got = cluster.store(2).get_bytes(id, Duration::from_secs(1));
+    assert_eq!(got.unwrap().unwrap(), vec![1; 512], "the first put stands");
+}
+
+/// A `CREATE_AT` response lost on the wire is retried by `scatter`, and
+/// the owner — which kept no entry for the first attempt — recognises
+/// the retry by its content: the put succeeds, the object exists once.
+#[test]
+fn inline_put_survives_a_lost_create_at_response() {
+    use ipc::fault::{Direction, FaultAction, FaultPolicy};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Drops the first frame node 0 receives from node 1.
+    struct DropFirstAnswer(AtomicBool);
+    impl FaultPolicy for DropFirstAnswer {
+        fn on_frame(&self, link: &str, dir: Direction, _: &ipc::Frame) -> FaultAction {
+            let answer = link == "0->1" && dir == Direction::Inbound;
+            if answer && !self.0.swap(true, Ordering::SeqCst) {
+                return FaultAction::Drop;
+            }
+            FaultAction::Deliver
+        }
+    }
+
+    let mut config = ClusterConfig::functional(2, 4 << 20);
+    config.fault_policy = Some(std::sync::Arc::new(DropFirstAnswer(AtomicBool::new(false))));
+    config.interconnect.call_deadline = Some(Duration::from_millis(200));
+    let cluster = Cluster::launch(config).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(1, "inline/lost-answer"));
+    cluster.client(0).unwrap().put(id, &[9; 2048], &[]).unwrap();
+
+    let snap = cluster.store(0).metrics_snapshot();
+    assert_eq!(snap.counter("disagg.peer.retries"), 1);
+    let owner = cluster.store(1);
+    assert_eq!(owner.core().list().len(), 1, "created once");
+    assert_eq!(owner.core().stats().creates, 1, "the retry created nothing");
+    assert_eq!(owner.delegations(), vec![]);
+    assert_eq!(cluster.store(0).delegations(), vec![]);
+    let got = cluster.store(0).get_bytes(id, Duration::from_secs(1));
+    assert_eq!(got.unwrap().unwrap(), vec![9; 2048]);
+}
+
+/// The owner's half of a payload-carrying `CREATE_AT`, called by hand:
+/// the same bytes for a sealed id are the caller's own retry (`Ok`, the
+/// same location), other bytes or other sizes a duplicate (`Exists`), an
+/// id somebody staged a duplicate, and a payload that is not exactly
+/// data + metadata is refused before anything else is looked at.
+#[test]
+fn payload_carrying_create_at_is_idempotent_by_content_and_nothing_else() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let owner = cluster.store(1).interconnect_service();
+    let header = CallHeader {
+        from: cluster.node_id(0),
+        epoch: cluster.store(0).ring_epoch(),
+    };
+    let create_at = |id: ObjectId, data_size: u64, metadata_size: u64, payload: &[u8]| {
+        let req = CreateAtReq {
+            id,
+            data_size,
+            metadata_size,
+            payload: Some(payload.to_vec().into()),
+        };
+        let reply = owner.call(method::CREATE_AT, header.frame(&req.encode()))?;
+        let (_, body) = ReplyHeader::split(reply).unwrap();
+        Ok::<_, rpclite::Status>(CreateAtResp::decode(body).unwrap())
+    };
+
+    let id = ObjectId::from_name(&cluster.owned_id(1, "inline/by-hand"));
+    let first = create_at(id, 5, 2, b"hellomd").unwrap();
+    assert_eq!(first.status, CreateAtStatus::Ok);
+    assert_eq!(cluster.store(1).core().peek(id), first.location);
+    // Its own retry.
+    assert_eq!(create_at(id, 5, 2, b"hellomd").unwrap(), first);
+    // Other bytes; the same bytes split differently.
+    let exists = CreateAtResp {
+        status: CreateAtStatus::Exists,
+        location: None,
+    };
+    assert_eq!(create_at(id, 5, 2, b"HELLOmd").unwrap(), exists);
+    assert_eq!(create_at(id, 4, 3, b"hellomd").unwrap(), exists);
+    assert_eq!(create_at(id, 5, 0, b"hello").unwrap(), exists);
+    assert_eq!(cluster.store(1).core().stats().creates, 1);
+
+    // An id somebody is still writing.
+    let staged = ObjectId::from_name(&cluster.owned_id(1, "inline/staged"));
+    let writer = cluster.client(0).unwrap();
+    let builder = writer.create(staged, 7, 0).unwrap();
+    assert_eq!(create_at(staged, 7, 0, b"hellomd").unwrap(), exists);
+    builder.abort().unwrap();
+
+    // A payload that is not data then metadata, no more and no less.
+    let fresh = ObjectId::from_name(&cluster.owned_id(1, "inline/bad-length"));
+    for (data_size, metadata_size) in [(5, 1), (5, 3), (u64::MAX, 8)] {
+        let refused = create_at(fresh, data_size, metadata_size, b"hellomd").unwrap_err();
+        assert_eq!(refused.code, rpclite::StatusCode::InvalidArgument);
+    }
+    assert!(!cluster.store(1).core().exists_any_state(fresh));
+    // Not this node's id: the caller's table is stale.
+    let elsewhere = ObjectId::from_name(&cluster.owned_id(0, "inline/elsewhere"));
+    let wrong = create_at(elsewhere, 5, 2, b"hellomd").unwrap();
+    assert_eq!(wrong.status, CreateAtStatus::WrongOwner);
+    assert!(!cluster.store(1).core().exists_any_state(elsewhere));
+}
+
+/// A put routed by a stale table is answered `WrongOwner`; the reply's
+/// header carried the newer epoch, so the requester has the table by
+/// then and the payload goes out again, once, to the right owner.
+#[test]
+fn wrong_owner_re_routes_a_payload_carrying_create() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    // Epoch 2 drains node 2, installed on nodes 1 and 2 only; node 0
+    // still routes by epoch 1.
+    let survivors = vec![cluster.node_id(0), cluster.node_id(1)];
+    for node in [1, 2] {
+        let shrunk = Membership::new(2, survivors.clone());
+        assert!(cluster.store(node).set_membership(shrunk));
+    }
+    // An id epoch 1 gives to node 2 and epoch 2 to node 1.
+    let id = (0..)
+        .map(|k| ObjectId::from_name(&cluster.owned_id(2, &format!("inline/moved/{k}"))))
+        .find(|id| cluster.store(1).ring_owner(*id) == Some(cluster.node_id(1)))
+        .unwrap();
+    cluster.client(0).unwrap().put(id, &[5; 4096], &[]).unwrap();
+
+    assert_eq!(
+        cluster.store(0).ring_epoch(),
+        2,
+        "the reply carried the epoch"
+    );
+    assert!(
+        cluster.store(1).core().contains(id),
+        "landed on the new owner"
+    );
+    assert!(!cluster.store(2).core().exists_any_state(id));
+    let bill = rpc_bill(&cluster, 0);
+    let calls = |name: &str| bill.iter().find(|(n, _)| n == name).map_or(0, |(_, c)| *c);
+    assert_eq!(calls("rpc.client.store-2.create_at.latency_ns"), 1);
+    assert_eq!(calls("rpc.client.store-1.create_at.latency_ns"), 1);
+    for node in 0..3 {
+        assert_eq!(cluster.store(node).delegations(), vec![], "node {node}");
+    }
 }
 
 /// `contains` of an id nobody holds asks each peer once: the ring owner's
