@@ -9,7 +9,7 @@
 //! * **pipelined** — the same per-id gets, but `DEPTH` of them in flight
 //!   at once on the shared connection: round trips overlap, so a window
 //!   costs roughly one RTT instead of `DEPTH`.
-//! * **batched** — a single `batch_get` carrying every id: one `GET_MANY`
+//! * **batched** — a single `get` carrying every id: one `GET_MANY`
 //!   round trip total, `T ≈ RTT`.
 //!
 //! Only identifier resolution (the RPC hot path this bench isolates) is
@@ -56,7 +56,7 @@ fn pipelined(store: &DisaggStore, ids: &[ObjectId]) {
 
 /// Resolve every id in one batched multi-get (a single GET_MANY RPC).
 fn batched(store: &DisaggStore, ids: &[ObjectId]) {
-    let got = store.batch_get(ids, GET_TIMEOUT).expect("batch get");
+    let got = store.get(ids, GET_TIMEOUT).expect("batch get");
     assert!(got.iter().all(Option::is_some), "all objects must resolve");
 }
 

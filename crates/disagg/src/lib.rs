@@ -19,8 +19,7 @@
 //!   a remote client is reading.
 //!
 //! Remote lookups ride the batched `GET_MANY` interconnect verb: all ids
-//! one peer must answer for travel in a single round trip, and
-//! [`DisaggStore::batch_get`] exposes the batched hot path directly.
+//! one peer must answer for travel in a single round trip.
 //!
 //! ## Example: two nodes sharing an object
 //!
@@ -48,7 +47,6 @@
 pub mod cluster;
 pub mod delegation;
 pub mod elastic;
-pub mod fabric;
 pub mod health;
 pub mod proto;
 pub mod replicate;
@@ -58,7 +56,6 @@ pub mod store;
 pub use cluster::{Cluster, ClusterConfig, LinkMap};
 pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
 pub use elastic::{ElasticConfig, HeatMap};
-pub use fabric::MappedFabric;
 pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
 pub use replicate::ReplicationConfig;
 pub use ring::{Membership, Ring};

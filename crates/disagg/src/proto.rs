@@ -10,8 +10,8 @@
 //! encoded with the protobuf-style wire format from [`rpclite::wire`].
 //! A *read* never moves payload bytes inside a frame: every answer
 //! carries a descriptor and the bytes move over the fabric
-//! ([`crate::fabric`]). The one message with a payload is a `CREATE_AT`
-//! forwarding a small put (up to `plasma::INLINE_PUT_MAX` bytes), which
+//! ([`crate::DisaggStore::read_payload`]). The one message with a payload
+//! is a `CREATE_AT` forwarding a small put (up to `plasma::INLINE_PUT_MAX` bytes), which
 //! carries its own so the owner can create, fill and seal in one step.
 
 use crate::delegation::{Claim, Kind, Tally};
@@ -249,7 +249,7 @@ fn dec_location(b: Bytes) -> Result<ObjectLocation, WireError> {
 }
 
 /// Batched multi-get request: pin and return fabric descriptors for many
-/// object ids in one round trip (the remote `batch_get` hot path).
+/// object ids in one round trip (the remote multi-get hot path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetManyReq {
     /// Object ids to fetch (found objects are pinned on the caller's

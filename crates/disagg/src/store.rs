@@ -24,8 +24,9 @@
 //! while membership epochs disagree mid-change. Ring routing outcomes
 //! are surfaced as the `disagg.ring.hit` / `disagg.ring.fallback`
 //! counters. Remote lookups are batched: every id a single peer must
-//! answer for travels in one `GET_MANY` round trip (see
-//! [`DisaggStore::batch_get`]) — and overlapped: the peers one phase of
+//! answer for travels in one `GET_MANY` round trip (the ids-per-RPC
+//! distribution is the `disagg.get_many.batch_size` histogram) — and
+//! overlapped: the peers one phase of
 //! a lookup asks (owners, then the holders their `Moved` answers name,
 //! then the broadcast) are all sent to before any answer is waited for,
 //! from the calling thread, so a phase costs its slowest round trip,
@@ -45,7 +46,6 @@ mod service;
 
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
 use crate::elastic::{ElasticConfig, HeatMap};
-use crate::fabric::MappedFabric;
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
 use crate::proto::{method, BoolResp, IdReq, ReconcileReq, ReconcileResp};
 use crate::replicate::ReplicationConfig;
@@ -88,11 +88,6 @@ pub struct DisaggCounters {
     pub remote_found: AtomicU64,
     /// Releases forwarded to owning peers.
     pub releases_forwarded: AtomicU64,
-    /// Ids resolved point-to-point at their computed ring owner.
-    pub ring_hits: AtomicU64,
-    /// Ids the ring could not settle (owner miss, owner unreachable, or
-    /// self-owned but absent) that fell back to the lookup broadcast.
-    pub ring_fallbacks: AtomicU64,
 }
 
 /// Snapshot of [`DisaggCounters`].
@@ -165,7 +160,8 @@ struct DisaggMetrics {
     get_many_batch: Arc<Histogram>,
     /// Ids resolved point-to-point at their computed ring owner.
     ring_hit: Arc<Counter>,
-    /// Ids that fell back from ring routing to the lookup broadcast.
+    /// Ids the ring could not settle (owner miss, owner unreachable, or
+    /// self-owned but absent) that fell back to the lookup broadcast.
     ring_fallback: Arc<Counter>,
     /// Interconnect call retries (attempts after the first).
     peer_retries: Arc<Counter>,
@@ -205,6 +201,9 @@ struct DisaggMetrics {
     replicas_outstanding: Arc<Gauge>,
     /// Replicas currently held here for other owners (`held` replicas).
     replicas_held: Arc<Gauge>,
+    /// Payload bytes this node read out of other nodes' mapped segments —
+    /// the data plane's whole traffic, accounted on the reader.
+    mapped_payload_bytes: Arc<Counter>,
 }
 
 impl DisaggMetrics {
@@ -235,6 +234,7 @@ impl DisaggMetrics {
             replica_local_hits: registry.counter("disagg.replica.local_hits"),
             replicas_outstanding: registry.gauge("disagg.replica.outstanding"),
             replicas_held: registry.gauge("disagg.replica.held"),
+            mapped_payload_bytes: registry.counter("disagg.fabric.mapped_payload_bytes"),
         }
     }
 }
@@ -253,8 +253,6 @@ struct Inner {
     heat: HeatMap,
     elastic: ElasticConfig,
     replication: ReplicationConfig,
-    /// The bulk data plane remote payload bytes move over.
-    data_plane: MappedFabric,
     counters: DisaggCounters,
     metrics: DisaggMetrics,
     health: PeerHealth,
@@ -279,7 +277,6 @@ impl DisaggStore {
         let node = core.node();
         let clock = core.fabric().clock().clone();
         let metrics = DisaggMetrics::new(core.registry());
-        let data_plane = MappedFabric::new(core.fabric().clone(), node, core.registry());
         DisaggStore {
             inner: Arc::new(Inner {
                 health: PeerHealth::with_metrics(
@@ -300,7 +297,6 @@ impl DisaggStore {
                 heat: HeatMap::new(),
                 elastic: config.elastic,
                 replication: config.replication,
-                data_plane,
                 counters: DisaggCounters::default(),
             }),
         }
@@ -340,8 +336,8 @@ impl DisaggStore {
             lookup_rpcs: c.lookup_rpcs.load(Ordering::Relaxed),
             remote_found: c.remote_found.load(Ordering::Relaxed),
             releases_forwarded: c.releases_forwarded.load(Ordering::Relaxed),
-            ring_hits: c.ring_hits.load(Ordering::Relaxed),
-            ring_fallbacks: c.ring_fallbacks.load(Ordering::Relaxed),
+            ring_hits: self.inner.metrics.ring_hit.get(),
+            ring_fallbacks: self.inner.metrics.ring_fallback.get(),
         }
     }
 

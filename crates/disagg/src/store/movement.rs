@@ -2,6 +2,31 @@
 //! delegating a copy to a peer (spill = `Lease`, replicate =
 //! `Replica`) and adopting one, and retiring delegated copies when their
 //! object dies.
+//!
+//! ## The data plane
+//!
+//! The paper's central claim is that object *data* moves over the
+//! disaggregated memory fabric while only small control messages ride
+//! the RPC channel. Every bulk payload *read* in the distributed store —
+//! remote reads after a `GET_MANY` descriptor negotiation, spill and
+//! replica propagation — is one function, [`DisaggStore::read_payload`]:
+//! the bytes are read from the mapped `tfsim` segment named by the
+//! negotiated `(segment, offset, len)` descriptor, and counted on the
+//! reader (`disagg.fabric.mapped_payload_bytes`). **A read never moves a
+//! payload byte in an rpclite frame** (the `proto` tests pin every
+//! descriptor-carrying frame to O(1) in object size).
+//!
+//! A store never *writes* another node's memory: the plane has no write
+//! half. A forwarded create is written by the client through its own
+//! fabric mapping; a forwarded small put (up to `plasma::INLINE_PUT_MAX`
+//! bytes) carries its bytes in the `CREATE_AT` and the owner writes them
+//! into its own segment — the paper's Fig. 3 rule, "don't build the
+//! store-to-store channel on remote writes".
+//!
+//! The descriptor lifecycle: **negotiate** (a control-plane RPC pins the
+//! object and returns its descriptor) → **map** (attach the segment) →
+//! **read** (bulk bytes move) → **release** (a control-plane RPC drops
+//! the pin).
 
 use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard};
@@ -25,7 +50,7 @@ impl DisaggStore {
     /// Resolve `id` and read its full payload (data + metadata bytes)
     /// through the data plane — the complete descriptor lifecycle in
     /// one call: **negotiate** (pinning get over the control plane) →
-    /// **map/read** ([`crate::MappedFabric`]) → **release**. Returns
+    /// **map/read** ([`DisaggStore::read_payload`]) → **release**. Returns
     /// `None` when the id did not resolve within `timeout`.
     pub fn get_bytes(
         &self,
@@ -42,26 +67,39 @@ impl DisaggStore {
         Ok(Some(bytes))
     }
 
-    /// Read the payload bytes behind a negotiated descriptor: local
-    /// objects straight from the local segment, remote ones through the
-    /// data plane. The caller must hold the pin the negotiation took
-    /// (see [`DisaggStore::get_bytes`]).
+    /// Read the `loc.total_size()` payload bytes behind a negotiated
+    /// descriptor by attaching the descriptor's `tfsim` segment — this
+    /// node's own or another's — and reading it directly: zero-copy, no
+    /// frame. Bytes read out of another node's segment are the data
+    /// plane's traffic and are counted, on the reader. The caller must
+    /// hold the pin the negotiation took (see [`DisaggStore::get_bytes`])
+    /// until this returns.
     pub fn read_payload(&self, loc: &ObjectLocation) -> Result<Vec<u8>, PlasmaError> {
-        if loc.seg.owner == self.inner.node {
-            let mapping = self.inner.core.mapping_for(loc)?;
-            Ok(mapping.view(loc.offset, loc.total_size())?.read_all()?)
-        } else {
-            self.inner.data_plane.pull(loc)
+        let inner = &self.inner;
+        let mapping = inner.core.mapping_for(loc)?;
+        let bytes = mapping.view(loc.offset, loc.total_size())?.read_all()?;
+        if loc.seg.owner != inner.node {
+            inner.metrics.mapped_payload_bytes.add(bytes.len() as u64);
         }
+        Ok(bytes)
     }
 
     /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
     /// owner-pinned) bytes behind `src` straight from the owner's sealed
     /// segment and seal a local copy under the same id.
     fn adopt_copy(&self, src: &ObjectLocation) -> Result<(), PlasmaError> {
-        let bytes = self.inner.data_plane.pull(src)?;
+        let bytes = self.read_payload(src)?;
         let (data, metadata) = bytes.split_at(src.data_size as usize);
         self.inner.core.put(src.id, data, metadata).map(|_| ())
+    }
+
+    /// Whether the copy sealed here under `src.id` is byte for byte the
+    /// object `src` describes at its owner.
+    fn holds_copy_of(&self, src: &ObjectLocation) -> bool {
+        self.read_payload(src).is_ok_and(|offered| {
+            let (data, metadata) = offered.split_at(src.data_size as usize);
+            self.sealed_copy_is(src.id, data, metadata).is_some()
+        })
     }
 
     /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt
@@ -76,11 +114,21 @@ impl DisaggStore {
         let adopted = if inner.core.peek(id).is_some() {
             // Idempotent retry: a delegation whose response was lost left
             // the copy sealed here — re-acknowledge it so the owner can
-            // finish its half. A replica, though, only if the copy *is*
-            // this owner's recorded replica: a local copy that exists for
-            // some other reason (e.g. we are mid re-own) is refused
-            // rather than forking the accounting.
-            kind == Kind::Lease || held == Some((Kind::Replica, owner))
+            // finish its half. But only the copy recorded as this owner's,
+            // of this kind, *and* holding the offered bytes: an id names
+            // immutable bytes, so a recorded copy that differs is what
+            // this owner left behind of an object it has since deleted
+            // (it never learnt of the copy, so its delete chased nothing)
+            // — that one dies the way delegated copies die, and the
+            // refusal lets the owner's next attempt adopt the live bytes.
+            // A local copy that exists for some other reason (e.g. we are
+            // mid re-own) is refused rather than forking the accounting.
+            let recorded = held == Some((kind, owner));
+            let same = recorded && self.holds_copy_of(&req.location);
+            if recorded && !same {
+                let _ = self.invalidate_here(owner, id);
+            }
+            same
         } else if matches!(held, Some((Kind::Lease, _))) {
             // A lent object's only bytes live at its holder; it never
             // also gains replicas (lent ⊕ replicated).

@@ -12,11 +12,11 @@ use crate::proto::{
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
-use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
+use plasma::{ObjectId, ObjectLocation, PlasmaError};
 use rpclite::{Status, StatusCode};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tfsim::NodeId;
 
 impl DisaggStore {
@@ -84,28 +84,6 @@ impl DisaggStore {
         }
     }
 
-    fn note_ring_hits(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.inner
-            .counters
-            .ring_hits
-            .fetch_add(n, Ordering::Relaxed);
-        self.inner.metrics.ring_hit.add(n);
-    }
-
-    fn note_ring_fallbacks(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.inner
-            .counters
-            .ring_fallbacks
-            .fetch_add(n, Ordering::Relaxed);
-        self.inner.metrics.ring_fallback.add(n);
-    }
-
     /// Peers with the ring's computed owner of `id` moved to the front,
     /// so serial forwarding loops probe the likeliest holder first.
     pub(super) fn peers_owner_first(&self, id: ObjectId) -> Vec<Peer> {
@@ -154,7 +132,7 @@ impl DisaggStore {
                 let req = IdReq { id }.encode();
                 if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, req) {
                     if holds(body)? {
-                        self.note_ring_hits(1);
+                        self.inner.metrics.ring_hit.inc();
                         return Ok(true);
                     }
                     // The owner answered: the broadcast need not ask it
@@ -162,7 +140,7 @@ impl DisaggStore {
                     peers.swap_remove(i);
                 }
             }
-            self.note_ring_fallbacks(1);
+            self.inner.metrics.ring_fallback.inc();
         }
         // Ask every remaining peer in one exchange; unreachable peers
         // count as "not here" (partial answer, not an error).
@@ -177,23 +155,6 @@ impl DisaggStore {
             }
         }
         Ok(false)
-    }
-
-    /// Resolve many objects in one batched pass — the multi-get hot path.
-    ///
-    /// Semantically identical to [`ObjectStore::get`] with the same id
-    /// slice (which already batches: all ids a single peer owns travel in
-    /// **one** `GET_MANY` round trip, not one RPC per id). This alias
-    /// exists so callers reaching for a batch API find the batched
-    /// guarantee spelled out: `N` small objects held by one owner cost
-    /// one RPC, and the ids-per-RPC distribution is observable as the
-    /// `disagg.get_many.batch_size` histogram.
-    pub fn batch_get(
-        &self,
-        ids: &[ObjectId],
-        timeout: Duration,
-    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
-        ObjectStore::get(self, ids, timeout)
     }
 
     /// One remote-lookup round for the `None` slots of `out`, in three
@@ -264,8 +225,11 @@ impl DisaggStore {
             // Redirect-resolved ids count as ring hits: the owner *did*
             // answer for them, one hop on.
             let hits = missing.iter().filter(|id| found.contains_key(id)).count();
-            self.note_ring_hits(hits as u64);
-            self.note_ring_fallbacks((missing.len() - hits) as u64);
+            self.inner.metrics.ring_hit.add(hits as u64);
+            self.inner
+                .metrics
+                .ring_fallback
+                .add((missing.len() - hits) as u64);
         }
 
         // Broadcast for whatever is still missing. Each peer is sent only
@@ -719,7 +683,12 @@ impl DisaggStore {
 
     /// The location of `id` if it is sealed here as exactly `data` then
     /// `metadata`. The copy is pinned while its bytes are compared.
-    fn sealed_copy_is(&self, id: ObjectId, data: &[u8], metadata: &[u8]) -> Option<ObjectLocation> {
+    pub(super) fn sealed_copy_is(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Option<ObjectLocation> {
         let core = &self.inner.core;
         let loc = core.get_local(id)?;
         let same = (loc.data_size, loc.metadata_size) == (data.len() as u64, metadata.len() as u64)

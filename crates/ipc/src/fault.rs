@@ -187,8 +187,8 @@ impl Conn for FaultConn {
         }
     }
 
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.set_recv_timeout(timeout)
+    fn close(&self) {
+        self.inner.close();
     }
 
     fn peer(&self) -> String {
@@ -353,6 +353,12 @@ mod tests {
         client.send(&Frame::new(1, &b"slow"[..])).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
         assert_eq!(server.recv().unwrap().msg_type, 1);
+    }
+
+    #[test]
+    fn close_passes_through_to_both_ends() {
+        let (client, server) = pair(Arc::new(NoFaults));
+        crate::transport::tests::close_wakes_both_ends(Box::new(client), server);
     }
 
     #[test]

@@ -1,79 +1,105 @@
 //! In-process transport.
 //!
 //! A [`InprocHub`] is a namespace of endpoints; binding a name yields a
-//! listener, connecting to the name yields the other half of a fresh
-//! channel pair. Everything is plain crossbeam channels, so a simulated
-//! multi-node cluster runs in one process with no sockets, files, or
-//! nondeterministic OS buffering.
+//! listener, connecting to the name yields one end of a fresh connection
+//! and queues the other end for `accept`. A connection is two frame
+//! queues under one lock, so a simulated multi-node cluster runs in one
+//! process with no sockets, files, or nondeterministic OS buffering — and
+//! nothing in it waits on a timer: a parked `recv` wakes for a frame, for
+//! the peer's last handle going away, or for [`Conn::close`].
 
 use crate::frame::Frame;
 use crate::transport::{Conn, Listener, StopHandle};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::HashMap;
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One half of an in-process connection.
+/// What the two ends of one connection, and every clone of either, share.
+#[derive(Debug, Default)]
+struct Pipe {
+    state: Mutex<PipeState>,
+    /// `readable[e]` is signalled when a `recv` on end `e` has something
+    /// to wake for: a frame, a `close`, or the other end hanging up.
+    readable: [Condvar; 2],
+}
+
+#[derive(Debug, Default)]
+struct PipeState {
+    /// `inbox[e]`: frames sent to end `e` and not yet received.
+    inbox: [VecDeque<Frame>; 2],
+    /// Live handles per end (the original and its clones); 0 = hung up.
+    handles: [usize; 2],
+    /// Set once by [`Conn::close`] on any handle of either end.
+    closed: bool,
+}
+
+impl Pipe {
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        // Every update leaves the state valid, so a panicked holder's
+        // guard is safe to recover.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One end of an in-process connection.
 #[derive(Debug)]
 pub struct InprocConn {
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
+    pipe: Arc<Pipe>,
+    /// Which end this is (0 or 1); the peer is `1 - end`.
+    end: usize,
     label: String,
-    recv_timeout: Option<Duration>,
 }
 
 impl InprocConn {
     fn pair(a: &str, b: &str) -> (InprocConn, InprocConn) {
-        let (atx, brx) = unbounded();
-        let (btx, arx) = unbounded();
-        (
-            InprocConn {
-                tx: atx,
-                rx: arx,
-                label: b.to_string(),
-                recv_timeout: None,
-            },
-            InprocConn {
-                tx: btx,
-                rx: brx,
-                label: a.to_string(),
-                recv_timeout: None,
-            },
-        )
+        let pipe = Arc::new(Pipe::default());
+        pipe.lock().handles = [1, 1];
+        let half = |end, label: &str| InprocConn {
+            pipe: Arc::clone(&pipe),
+            end,
+            label: label.to_string(),
+        };
+        (half(0, b), half(1, a))
     }
+}
+
+fn peer_closed(kind: io::ErrorKind) -> io::Error {
+    io::Error::new(kind, "inproc peer closed")
 }
 
 impl Conn for InprocConn {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.tx
-            .send(frame.clone())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "inproc peer closed"))
+        let peer = 1 - self.end;
+        let mut st = self.pipe.lock();
+        if st.closed || st.handles[peer] == 0 {
+            return Err(peer_closed(io::ErrorKind::BrokenPipe));
+        }
+        st.inbox[peer].push_back(frame.clone());
+        self.pipe.readable[peer].notify_one();
+        Ok(())
     }
 
     fn recv(&mut self) -> io::Result<Frame> {
-        match self.recv_timeout {
-            None => self
-                .rx
-                .recv()
-                .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "inproc peer closed")),
-            Some(timeout) => match self.rx.recv_timeout(timeout) {
-                Ok(frame) => Ok(frame),
-                Err(RecvTimeoutError::Timeout) => Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "inproc recv timed out",
-                )),
-                Err(RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "inproc peer closed",
-                )),
-            },
+        let mut st = self.pipe.lock();
+        loop {
+            if let Some(frame) = st.inbox[self.end].pop_front() {
+                return Ok(frame);
+            }
+            if st.closed || st.handles[1 - self.end] == 0 {
+                return Err(peer_closed(io::ErrorKind::UnexpectedEof));
+            }
+            st = self.pipe.readable[self.end]
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.recv_timeout = timeout;
-        Ok(())
+    fn close(&self) {
+        self.pipe.lock().closed = true;
+        for end in &self.pipe.readable {
+            end.notify_all();
+        }
     }
 
     fn peer(&self) -> String {
@@ -81,15 +107,25 @@ impl Conn for InprocConn {
     }
 
     fn try_clone(&self) -> io::Result<Box<dyn Conn>> {
-        // Crossbeam endpoints are cheaply cloneable. Frames go to whichever
-        // clone happens to be blocked in `recv`, so callers must follow the
-        // one-receiver discipline documented on `Conn::try_clone`.
+        // Frames go to whichever clone happens to be parked in `recv`, so
+        // callers must follow the one-receiver discipline documented on
+        // `Conn::try_clone`.
+        self.pipe.lock().handles[self.end] += 1;
         Ok(Box::new(InprocConn {
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
+            pipe: Arc::clone(&self.pipe),
+            end: self.end,
             label: self.label.clone(),
-            recv_timeout: self.recv_timeout,
         }))
+    }
+}
+
+impl Drop for InprocConn {
+    fn drop(&mut self) {
+        let mut st = self.pipe.lock();
+        st.handles[self.end] -= 1;
+        if st.handles[self.end] == 0 {
+            self.pipe.readable[1 - self.end].notify_all();
+        }
     }
 }
 
@@ -194,6 +230,7 @@ impl Drop for InprocListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn connect_and_exchange() {
@@ -262,29 +299,24 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires_and_conn_survives() {
+    fn close_wakes_a_parked_recv_on_both_ends() {
+        let hub = InprocHub::new();
+        let mut listener = hub.bind("s").unwrap();
+        let client = hub.connect("s").unwrap();
+        let server = listener.accept().unwrap();
+        crate::transport::tests::close_wakes_both_ends(Box::new(client), server);
+    }
+
+    #[test]
+    fn frames_sent_before_close_are_still_delivered() {
         let hub = InprocHub::new();
         let mut listener = hub.bind("s").unwrap();
         let mut client = hub.connect("s").unwrap();
         let mut server = listener.accept().unwrap();
-        server
-            .set_recv_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(server.recv().unwrap_err().kind(), io::ErrorKind::TimedOut);
-        client.send(&Frame::new(3, &b"late"[..])).unwrap();
-        assert_eq!(&server.recv().unwrap().payload[..], b"late");
-    }
-
-    #[test]
-    fn peer_drop_under_timeout_is_eof() {
-        let hub = InprocHub::new();
-        let mut listener = hub.bind("s").unwrap();
-        let client = hub.connect("s").unwrap();
-        let mut server = listener.accept().unwrap();
-        server
-            .set_recv_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        drop(client);
+        client.send(&Frame::new(1, &b"last"[..])).unwrap();
+        client.close();
+        client.close(); // idempotent
+        assert_eq!(&server.recv().unwrap().payload[..], b"last");
         assert_eq!(
             server.recv().unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof

@@ -3,14 +3,16 @@
 //! Plasma's client↔store IPC runs over Unix domain sockets on the real
 //! system. The simulation keeps that option ([`crate::uds`]) and adds an
 //! in-process transport ([`crate::inproc`]) so a whole multi-node cluster
-//! can run deterministically inside one test. Both speak [`Frame`]s.
+//! can run deterministically inside one test. Both speak [`Frame`]s, and
+//! neither waits on a timer: a parked [`Conn::recv`] is woken by a frame,
+//! by the peer going away or by [`Conn::close`]; a parked
+//! [`Listener::accept`] by a connection or by [`StopHandle::stop`].
 
 use crate::frame::Frame;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A bidirectional, blocking, framed connection.
 pub trait Conn: Send {
@@ -20,17 +22,13 @@ pub trait Conn: Send {
     /// Receive one frame, blocking. `UnexpectedEof` once the peer is gone.
     fn recv(&mut self) -> io::Result<Frame>;
 
-    /// Bound how long subsequent [`Conn::recv`] calls wait for the next
-    /// frame to *begin* arriving; `None` restores indefinite blocking.
-    ///
-    /// A `recv` that sees no frame within the window fails with
-    /// [`io::ErrorKind::TimedOut`] and consumes nothing, so the
-    /// connection stays usable. Once a frame has started arriving its
-    /// remainder is read without the bound (senders write frames
-    /// atomically, so arrival of the first byte implies the rest is in
-    /// flight) — the bound is a liveness check on the peer, not a
-    /// transfer-rate limit.
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
+    /// End the connection, for every clone and for the peer: a
+    /// [`Conn::recv`] parked on any clone, on either end, wakes with
+    /// `UnexpectedEof` (frames that had already arrived are delivered
+    /// first) and every later `send` fails with `BrokenPipe`. Idempotent.
+    /// This is how a thread blocked in `recv` is told to stop: by an
+    /// event, from a thread holding a clone — never by a timer.
+    fn close(&self);
 
     /// A short label describing the peer (diagnostics only).
     fn peer(&self) -> String;
@@ -42,7 +40,7 @@ pub trait Conn: Send {
     /// while the connection is quiescent (right after it is established,
     /// before any `recv`), and from then on let exactly **one** half call
     /// [`Conn::recv`] — concurrent receivers would race for frames (the
-    /// in-process transport hands each frame to whichever clone polls
+    /// in-process transport hands each frame to whichever clone asks
     /// first, and the socket transports each buffer reads privately, so a
     /// late clone could strand bytes already buffered by the original).
     /// Both halves may send: frames are written atomically.
@@ -64,33 +62,27 @@ pub trait Listener: Send {
 }
 
 /// Requests a listener to stop accepting: a flag `accept` checks, plus
-/// whatever it takes to wake an `accept` already parked.
-#[derive(Clone, Default)]
+/// the listener's way of waking an `accept` already parked.
+#[derive(Clone)]
 pub struct StopHandle {
     flag: Arc<AtomicBool>,
-    wake: Option<Arc<dyn Fn() + Send + Sync>>,
+    wake: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl StopHandle {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A handle whose first [`StopHandle::stop`] also runs `wake`, for a
-    /// listener that blocks in `accept` instead of polling the flag.
+    /// A handle whose first [`StopHandle::stop`] sets the flag, then runs
+    /// `wake`. Every listener blocks in `accept`; none polls the flag.
     pub(crate) fn with_wake(wake: impl Fn() + Send + Sync + 'static) -> Self {
         StopHandle {
             flag: Arc::default(),
-            wake: Some(Arc::new(wake)),
+            wake: Arc::new(wake),
         }
     }
 
     pub fn stop(&self) {
         // The flag is set before the wake runs, so a woken `accept` sees it.
         if !self.flag.swap(true, Ordering::AcqRel) {
-            if let Some(wake) = &self.wake {
-                wake();
-            }
+            (self.wake)();
         }
     }
 
@@ -104,5 +96,30 @@ impl fmt::Debug for StopHandle {
         f.debug_struct("StopHandle")
             .field("stopped", &self.is_stopped())
             .finish()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// The `close` contract, shared by every transport's own test: a
+    /// `recv` parked on a clone in another thread and one parked on the
+    /// peer both wake with EOF, and the peer's next `send` is refused.
+    /// Ends by `join`: whether a `recv` was already parked when `close`
+    /// ran or arrives after it, the outcome is the same.
+    pub(crate) fn close_wakes_both_ends(client: Box<dyn Conn>, mut server: Box<dyn Conn>) {
+        let mut reader = client.try_clone().unwrap();
+        let parked = std::thread::spawn(move || reader.recv().map(|_| ()));
+        let peer = std::thread::spawn(move || {
+            let eof = server.recv().map(|_| ());
+            (eof, server.send(&Frame::new(1, &b"late"[..])))
+        });
+        client.close();
+        let eof = |r: io::Result<()>| r.unwrap_err().kind();
+        assert_eq!(eof(parked.join().unwrap()), io::ErrorKind::UnexpectedEof);
+        let (peer_recv, peer_send) = peer.join().unwrap();
+        assert_eq!(eof(peer_recv), io::ErrorKind::UnexpectedEof);
+        assert_eq!(eof(peer_send), io::ErrorKind::BrokenPipe);
     }
 }

@@ -3,24 +3,23 @@
 //! clients through Unix domain sockets").
 //!
 //! Framing is identical to the in-process transport, so the store code is
-//! transport-agnostic. The listener polls with a short timeout so a
-//! [`StopHandle`] can interrupt `accept` without platform-specific tricks.
+//! transport-agnostic. Nothing here waits on a timer: `accept` and `recv`
+//! block in the kernel, [`Conn::close`] is `shutdown(Both)` — which wakes
+//! every reader of the socket on both ends — and a [`StopHandle`] wakes a
+//! parked `accept` by connecting to the listener's own path.
 
 use crate::frame::Frame;
 use crate::transport::{Conn, Listener, StopHandle};
-use std::io::{self, BufRead, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-const POLL: Duration = Duration::from_millis(10);
 
 /// A framed connection over a Unix stream socket.
 pub struct UdsConn {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,
     label: String,
-    recv_timeout: Option<Duration>,
 }
 
 impl UdsConn {
@@ -36,39 +35,8 @@ impl UdsConn {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
             label,
-            recv_timeout: None,
         })
     }
-}
-
-/// Wait for at least one readable byte within `timeout`, without
-/// consuming it. Distinguishes "peer idle" (TimedOut, stream intact) from
-/// "peer gone" (UnexpectedEof), so a bounded `recv` never desynchronizes
-/// the byte stream.
-fn await_first_byte<S>(reader: &mut BufReader<S>, timeout: Duration) -> io::Result<()>
-where
-    S: io::Read,
-{
-    match reader.fill_buf() {
-        Ok([]) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed while awaiting frame",
-        )),
-        Ok(_) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("no frame within {timeout:?}"),
-            ))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// OS read timeouts reject `Duration::ZERO`; clamp to the smallest
-/// representable bound instead.
-fn os_timeout(timeout: Duration) -> Duration {
-    timeout.max(Duration::from_micros(1))
 }
 
 impl Conn for UdsConn {
@@ -77,22 +45,14 @@ impl Conn for UdsConn {
     }
 
     fn recv(&mut self) -> io::Result<Frame> {
-        if let Some(timeout) = self.recv_timeout {
-            // Bound the wait for the frame to start, then read its
-            // remainder blocking (see `Conn::set_recv_timeout`).
-            self.reader
-                .get_ref()
-                .set_read_timeout(Some(os_timeout(timeout)))?;
-            let arrived = await_first_byte(&mut self.reader, timeout);
-            self.reader.get_ref().set_read_timeout(None)?;
-            arrived?;
-        }
         Frame::read_from(&mut self.reader)
     }
 
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.recv_timeout = timeout;
-        Ok(())
+    fn close(&self) {
+        // Every clone is a dup of one socket, so this reaches them all.
+        // `NotConnected` (already shut down, or the peer went first) is
+        // the idempotent case.
+        let _ = self.reader.get_ref().shutdown(Shutdown::Both);
     }
 
     fn peer(&self) -> String {
@@ -124,36 +84,36 @@ impl UdsListener {
             std::fs::remove_file(&path)?;
         }
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
+        // A parked `accept` is woken by a connection: stopping dials the
+        // listener's own path, and `accept` finds the flag already set.
+        let wake_path = path.clone();
+        let stop = StopHandle::with_wake(move || {
+            let _ = UnixStream::connect(&wake_path);
+        });
         Ok(UdsListener {
             listener,
             path,
-            stop: StopHandle::new(),
+            stop,
         })
     }
 }
 
 impl Listener for UdsListener {
     fn accept(&mut self) -> io::Result<Box<dyn Conn>> {
-        loop {
-            if self.stop.is_stopped() {
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "listener stopped",
-                ));
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    let conn = UdsConn::from_stream(stream, "uds-client".to_string())?;
-                    return Ok(Box::new(conn));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => return Err(e),
+        if !self.stop.is_stopped() {
+            let accepted = self.listener.accept();
+            // The flag is set before the wake dials, so the connection
+            // that woke us is recognised here and dropped.
+            if !self.stop.is_stopped() {
+                let (stream, _) = accepted?;
+                let conn = UdsConn::from_stream(stream, "uds-client".to_string())?;
+                return Ok(Box::new(conn));
             }
         }
+        Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            "listener stopped",
+        ))
     }
 
     fn stop_handle(&self) -> StopHandle {
@@ -174,6 +134,7 @@ impl Drop for UdsListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn tmp_sock(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -221,34 +182,25 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires_and_conn_survives() {
-        let path = tmp_sock("timeout");
-        let mut listener = UdsListener::bind(&path).unwrap();
-        let mut client = UdsConn::connect(&path).unwrap();
-        let mut server = listener.accept().unwrap();
-        server
-            .set_recv_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(server.recv().unwrap_err().kind(), io::ErrorKind::TimedOut);
-        // The stream is still synchronized: a frame sent later arrives.
-        client.send(&Frame::new(3, &b"late"[..])).unwrap();
-        assert_eq!(&server.recv().unwrap().payload[..], b"late");
-    }
-
-    #[test]
-    fn peer_close_under_timeout_is_eof() {
-        let path = tmp_sock("timeout-eof");
+    fn recv_after_peer_drop_is_eof() {
+        let path = tmp_sock("peer-drop");
         let mut listener = UdsListener::bind(&path).unwrap();
         let client = UdsConn::connect(&path).unwrap();
         let mut server = listener.accept().unwrap();
-        server
-            .set_recv_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
         drop(client);
         assert_eq!(
             server.recv().unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn close_wakes_a_parked_recv_on_both_ends() {
+        let path = tmp_sock("close");
+        let mut listener = UdsListener::bind(&path).unwrap();
+        let client = UdsConn::connect(&path).unwrap();
+        let server = listener.accept().unwrap();
+        crate::transport::tests::close_wakes_both_ends(Box::new(client), server);
     }
 
     #[test]

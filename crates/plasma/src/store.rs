@@ -127,6 +127,9 @@ struct Table {
     segs: Vec<SegAlloc>,
     /// Sum of segment capacities (kept incrementally on growth).
     capacity: u64,
+    /// `get_wait` calls asleep on `Inner::sealed` right now; a seal with
+    /// nobody to wake skips the notify.
+    waiters: usize,
 }
 
 impl Table {
@@ -215,8 +218,9 @@ impl StoreMetrics {
     }
 
     /// Refresh the capacity and per-class occupancy gauges from the
-    /// allocator state. Called on every path that changes occupancy,
-    /// under the table lock — so it allocates nothing.
+    /// allocator state. Called once by every call that changes occupancy
+    /// — however many victims it evicted on the way — under the table
+    /// lock, so it allocates nothing.
     fn sync_capacity(&self, t: &Table) {
         let capacity = t.capacity as i64;
         let used = t.allocated_bytes() as i64;
@@ -245,8 +249,8 @@ struct Inner {
     enable_eviction: bool,
     fabric: Fabric,
     table: Mutex<Table>,
-    /// Signalled on every seal; blocked `get_wait`s sleep on it under
-    /// the table lock.
+    /// Signalled by a seal that finds `Table::waiters` non-zero;
+    /// blocked `get_wait`s sleep on it under the table lock.
     sealed: Condvar,
     subscribers: Mutex<Vec<Sender<ObjectLocation>>>,
     metrics: StoreMetrics,
@@ -283,6 +287,7 @@ impl StoreCore {
                         alloc: Slab::new(capacity),
                     }],
                     capacity,
+                    waiters: 0,
                 }),
                 sealed: Condvar::new(),
                 subscribers: Mutex::new(Vec::new()),
@@ -341,7 +346,8 @@ impl StoreCore {
         Ok(self.inner.fabric.attach(self.inner.node, key)?)
     }
 
-    /// A local mapping of the segment holding `loc`.
+    /// This node's mapping of the segment holding `loc`, whichever node
+    /// donated it.
     pub fn mapping_for(&self, loc: &ObjectLocation) -> Result<Mapping, PlasmaError> {
         Ok(self.inner.fabric.attach(self.inner.node, loc.seg)?)
     }
@@ -362,7 +368,10 @@ impl StoreCore {
         if t.objects.contains_key(&id) {
             return Err(PlasmaError::ObjectExists(id));
         }
-        let (seg_idx, offset) = self.allocate(&mut t, data_size + metadata_size)?;
+        let placed = self.allocate(&mut t, data_size + metadata_size);
+        // Once, for whatever it grew or evicted, whether or not it fit.
+        self.inner.metrics.sync_capacity(&t);
+        let (seg_idx, offset) = placed?;
         let entry = ObjectEntry {
             seg_idx,
             offset,
@@ -389,7 +398,6 @@ impl StoreCore {
         loop {
             for idx in 0..t.segs.len() {
                 if let Ok(off) = t.segs[idx].alloc.alloc(size) {
-                    self.inner.metrics.sync_capacity(t);
                     return Ok((idx, off));
                 }
             }
@@ -426,7 +434,6 @@ impl StoreCore {
             alloc: Slab::new(capacity),
         });
         t.capacity += capacity;
-        self.inner.metrics.sync_capacity(t);
         Ok(true)
     }
 
@@ -434,7 +441,7 @@ impl StoreCore {
     /// blocked getters and notifies subscribers.
     pub fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
         let t0 = Instant::now();
-        let loc = {
+        let (loc, waiters) = {
             let mut guard = self.table();
             let t = &mut *guard;
             let entry = t
@@ -447,11 +454,14 @@ impl StoreCore {
             }
             t.stats.seals += 1;
             t.stats.sealed_objects += 1;
-            location(&t.segs, id, entry)
+            (location(&t.segs, id, entry), t.waiters)
         };
-        // The state flipped under the lock `get_wait` scans and waits
-        // under, so every waiter either saw it or is already asleep.
-        self.inner.sealed.notify_all();
+        // The state flipped under the lock `get_wait` scans, registers
+        // and waits under, so every waiter either saw it or is counted
+        // and already asleep.
+        if waiters > 0 {
+            self.inner.sealed.notify_all();
+        }
         // Notify subscribers; drop hung-up ones.
         self.inner
             .subscribers
@@ -541,7 +551,9 @@ impl StoreCore {
             // Sleep until a seal or the deadline; either way scan once
             // more. The wait releases the lock the scan ran under, and
             // `seal` needs that lock: no seal falls between the two.
+            t.waiters += 1;
             let _ = self.inner.sealed.wait_for(&mut t, deadline - now);
+            t.waiters -= 1;
         }
         drop(t);
         self.inner.metrics.get.record_duration(t0.elapsed());
@@ -628,9 +640,18 @@ impl StoreCore {
         Ok(())
     }
 
-    /// Remove `id` from the table and free its buffer. Returns the bytes
-    /// the object occupied (0 if it was not there).
+    /// Remove `id` from the table, free its buffer and refresh the
+    /// capacity gauges. Returns the bytes the object occupied (0 if it
+    /// was not there).
     fn drop_object(&self, t: &mut Table, id: ObjectId) -> u64 {
+        let bytes = Self::unlink(t, id);
+        self.inner.metrics.sync_capacity(t);
+        bytes
+    }
+
+    /// [`StoreCore::drop_object`] less the gauge refresh, for a caller
+    /// that may drop several objects and refreshes once itself.
+    fn unlink(t: &mut Table, id: ObjectId) -> u64 {
         let Some(entry) = t.objects.remove(&id) else {
             return 0;
         };
@@ -639,7 +660,6 @@ impl StoreCore {
             .alloc
             .free(entry.offset)
             .expect("object table and allocator agree");
-        self.inner.metrics.sync_capacity(t);
         if entry.state == ObjectState::Sealed {
             t.stats.sealed_objects -= 1;
         }
@@ -648,10 +668,11 @@ impl StoreCore {
     }
 
     /// Evict the least-recently-used evictable object. Returns the
-    /// evicted bytes, or `None` if nothing is evictable.
+    /// evicted bytes, or `None` if nothing is evictable. The caller
+    /// refreshes the capacity gauges when it is done evicting.
     fn evict_one(&self, t: &mut Table) -> Option<u64> {
         let id = t.lru.pop_lru()?;
-        let bytes = self.drop_object(t, id);
+        let bytes = Self::unlink(t, id);
         t.stats.evictions += 1;
         t.stats.evicted_bytes += bytes;
         self.inner.metrics.evictions.inc();
@@ -670,6 +691,7 @@ impl StoreCore {
                 None => break,
             }
         }
+        self.inner.metrics.sync_capacity(&t);
         reclaimed
     }
 

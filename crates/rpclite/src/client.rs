@@ -1,14 +1,10 @@
 //! RPC client: pipelined unary calls multiplexed on one connection.
 //!
-//! Historically this client was *lock-step*: one connection mutex was held
-//! across the whole send→recv exchange, so at most one request was in
-//! flight and concurrent callers serialized even when the server was
-//! healthy (K concurrent calls cost `K·RTT`). The client is now
-//! *pipelined*: requests carry a correlation id (the envelope's
-//! `call_id`), a dedicated reader thread completes responses out of order
+//! Requests carry a correlation id (the envelope's `call_id`), a
+//! dedicated reader thread per connection completes responses out of order
 //! by matching ids against a pending-call map, and up to an in-flight
 //! window of requests share the connection concurrently — K concurrent
-//! calls cost `≈ RTT + K·t_serve`.
+//! calls cost `≈ RTT + K·t_serve`, not `K·RTT`.
 //!
 //! [`RpcClient::call_async`] sends a request and returns a
 //! [`PendingCall`] ticket; [`RpcClient::call`] is send + wait-for-my-id.
@@ -32,6 +28,12 @@
 //! otherwise subsequent calls fail with `Transport(NotConnected)` until
 //! the client is replaced. This mirrors gRPC channel behavior: a channel
 //! outlives any one TCP connection.
+//!
+//! The reader parks in `recv` and is never polled awake: whoever retires
+//! a connection — a poison, or the client's `Drop` — supersedes its
+//! generation and closes it ([`ipc::Conn::close`]); the reader reads EOF,
+//! sees the generation moved on and returns. `Drop` joins the reader, so
+//! a dropped client leaves no thread behind.
 
 use crate::envelope::{Request, Response, FRAME_RESPONSE};
 use crate::service::{Status, StatusCode};
@@ -43,18 +45,11 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tfsim::Clock;
-
-/// How often the reader thread wakes from `recv` to check its stop flag,
-/// so poisoned/replaced connections release their thread promptly.
-const READER_POLL: Duration = Duration::from_millis(25);
-
-/// Ceiling for the idle-poll backoff in `reader_loop`: the longest an
-/// idle reader thread sleeps between stop-flag checks.
-const IDLE_POLL_CAP: Duration = Duration::from_millis(500);
 
 /// Default cap on requests in flight per connection (gRPC's HTTP/2
 /// default stream window is 100; we default slightly under).
@@ -210,13 +205,26 @@ struct ChannelState {
     /// Bumped on every (re)dial and poison, so a stale reader thread can
     /// tell its connection has been replaced and must not touch state.
     generation: u64,
-    /// Stop flag of the current reader thread (`None` before the first
-    /// send on an eagerly-provided connection).
-    reader_stop: Option<Arc<AtomicBool>>,
+    /// The reader of the newest connection, kept for `Drop` to join. A
+    /// reader it replaces is already on its way out (its connection was
+    /// closed when it was retired), so dropping that handle loses nothing.
+    reader: Option<JoinHandle<()>>,
     /// In-flight and completed-but-unclaimed calls, keyed by call id.
     pending: HashMap<u64, PendingState>,
     /// Number of `Waiting` entries (the true in-flight depth).
     waiting: usize,
+}
+
+impl ChannelState {
+    /// Retire the live connection, if any: supersede its generation and
+    /// close it. That is the whole stand-down — its reader wakes from
+    /// `recv` with EOF, finds the generation moved on, and returns.
+    fn retire(&mut self) {
+        self.generation += 1;
+        if let Some(writer) = self.writer.take() {
+            writer.close();
+        }
+    }
 }
 
 struct Shared {
@@ -226,19 +234,45 @@ struct Shared {
 }
 
 impl Shared {
-    /// Poison generation `generation`: drop the writer, fail every
-    /// in-flight call with `cause`, and bump the generation so stale
-    /// readers stand down. No-op if the connection was already replaced.
+    fn new() -> Arc<Shared> {
+        Arc::new(Shared {
+            state: Mutex::new(ChannelState {
+                writer: None,
+                generation: 0,
+                reader: None,
+                pending: HashMap::new(),
+                waiting: 0,
+            }),
+            cond: Condvar::new(),
+            metrics: Mutex::new(None),
+        })
+    }
+
+    /// Make `conn` the live connection and start its reader. Caller holds
+    /// the state lock and has no live connection (`writer` is `None`).
+    fn install(self: &Arc<Self>, st: &mut ChannelState, conn: Box<dyn Conn>) -> io::Result<()> {
+        let recv_half = conn.try_clone()?;
+        st.writer = Some(conn);
+        st.generation += 1;
+        let (shared, generation) = (Arc::clone(self), st.generation);
+        st.reader = Some(
+            std::thread::Builder::new()
+                .name("rpc-reader".to_string())
+                .spawn(move || reader_loop(recv_half, shared, generation))
+                .expect("spawn rpc reader thread"),
+        );
+        Ok(())
+    }
+
+    /// Poison generation `generation`: retire the connection and fail
+    /// every in-flight call with `cause`. No-op if the connection was
+    /// already replaced.
     fn poison(&self, generation: u64, cause: PoisonCause) {
         let mut st = self.state.lock();
         if st.generation != generation {
             return;
         }
-        st.generation += 1;
-        st.writer = None;
-        if let Some(stop) = st.reader_stop.take() {
-            stop.store(true, Ordering::Release);
-        }
+        st.retire();
         for slot in st.pending.values_mut() {
             if matches!(slot, PendingState::Waiting) {
                 *slot = PendingState::Done(Err(cause.to_error()));
@@ -255,47 +289,17 @@ impl Shared {
 /// The dedicated per-connection reader: demultiplexes responses to their
 /// pending slots by call id, discards late responses whose call has been
 /// abandoned, and poisons the connection on transport/protocol failure.
-fn reader_loop(
-    mut conn: Box<dyn Conn>,
-    shared: Arc<Shared>,
-    generation: u64,
-    stop: Arc<AtomicBool>,
-) {
-    if conn.set_recv_timeout(Some(READER_POLL)).is_err() {
-        shared.poison(
-            generation,
-            PoisonCause::Transport(io::ErrorKind::Other, "reader setup failed".to_string()),
-        );
-        return;
-    }
-    // The recv timeout only bounds how fast an *idle* reader notices its
-    // stop flag — traffic wakes a parked recv immediately. Back the poll
-    // off exponentially while idle so a large simulated fabric (64 nodes
-    // ≈ 4k channels) doesn't burn the host CPU on idle wakeups, and snap
-    // back to the floor whenever a frame actually arrives.
-    let mut poll = READER_POLL;
+fn reader_loop(mut conn: Box<dyn Conn>, shared: Arc<Shared>, generation: u64) {
     loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
         let frame = match conn.recv() {
             Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                // Idle: re-check stop, then wait longer next round.
-                let next = (poll * 2).min(IDLE_POLL_CAP);
-                if next != poll && conn.set_recv_timeout(Some(next)).is_ok() {
-                    poll = next;
-                }
-                continue;
-            }
             Err(e) => {
+                // The peer went away — or this connection was retired, in
+                // which case the generation moved on and this is a no-op.
                 shared.poison(generation, PoisonCause::Transport(e.kind(), e.to_string()));
                 return;
             }
         };
-        if poll != READER_POLL && conn.set_recv_timeout(Some(READER_POLL)).is_ok() {
-            poll = READER_POLL;
-        }
         if frame.msg_type != FRAME_RESPONSE {
             shared.poison(
                 generation,
@@ -357,46 +361,24 @@ impl RpcClient {
         Self::with_net(conn, None)
     }
 
-    /// Wrap a connection, charging `net` per call if given.
+    /// Wrap a connection, charging `net` per call if given. A connection
+    /// that cannot be cloned for its reader counts as already poisoned.
     pub fn with_net(conn: Box<dyn Conn>, net: Option<NetCost>) -> Self {
-        RpcClient {
-            shared: Arc::new(Shared {
-                state: Mutex::new(ChannelState {
-                    writer: Some(conn),
-                    generation: 0,
-                    reader_stop: None,
-                    pending: HashMap::new(),
-                    waiting: 0,
-                }),
-                cond: Condvar::new(),
-                metrics: Mutex::new(None),
-            }),
-            connector: None,
-            net,
-            metrics: None,
-            window: DEFAULT_WINDOW,
-            next_id: AtomicU64::new(1),
-            calls: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-        }
+        let client = Self::build(None, net);
+        let _ = client.shared.install(&mut client.shared.state.lock(), conn);
+        client
     }
 
     /// Build a client that dials lazily via `connector` and redials after
     /// a poisoned connection. The first call performs the first dial.
     pub fn with_connector(connector: Connector, net: Option<NetCost>) -> Self {
+        Self::build(Some(connector), net)
+    }
+
+    fn build(connector: Option<Connector>, net: Option<NetCost>) -> Self {
         RpcClient {
-            shared: Arc::new(Shared {
-                state: Mutex::new(ChannelState {
-                    writer: None,
-                    generation: 0,
-                    reader_stop: None,
-                    pending: HashMap::new(),
-                    waiting: 0,
-                }),
-                cond: Condvar::new(),
-                metrics: Mutex::new(None),
-            }),
-            connector: Some(connector),
+            shared: Shared::new(),
+            connector,
             net,
             metrics: None,
             window: DEFAULT_WINDOW,
@@ -469,7 +451,6 @@ impl RpcClient {
             if st.writer.is_none() {
                 self.dial_locked(&mut st)?;
             }
-            self.ensure_reader_locked(&mut st)?;
             if st.waiting < self.window {
                 break;
             }
@@ -511,51 +492,27 @@ impl RpcClient {
             ))
         })?;
         let fresh = connector().map_err(RpcError::Transport)?;
-        st.writer = Some(fresh);
-        st.generation += 1;
-        if let Some(stop) = st.reader_stop.take() {
-            stop.store(true, Ordering::Release);
-        }
+        self.shared
+            .install(st, fresh)
+            .map_err(RpcError::Transport)?;
         self.reconnects.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.redials.inc();
         }
         Ok(())
     }
-
-    /// Spawn the reader for the current connection if it isn't running
-    /// (first send on an eager connection, or right after a redial).
-    /// Caller holds the state lock.
-    fn ensure_reader_locked(&self, st: &mut ChannelState) -> Result<(), RpcError> {
-        if st.reader_stop.is_some() {
-            return Ok(());
-        }
-        let recv_half = match st.writer.as_ref().expect("writer present").try_clone() {
-            Ok(half) => half,
-            Err(e) => {
-                st.writer = None;
-                return Err(RpcError::Transport(e));
-            }
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        st.reader_stop = Some(Arc::clone(&stop));
-        let shared = Arc::clone(&self.shared);
-        let generation = st.generation;
-        std::thread::Builder::new()
-            .name("rpc-reader".to_string())
-            .spawn(move || reader_loop(recv_half, shared, generation, stop))
-            .expect("spawn rpc reader thread");
-        Ok(())
-    }
 }
 
 impl Drop for RpcClient {
     fn drop(&mut self) {
-        // Release the reader thread promptly instead of waiting for the
-        // server side to close the stream.
-        let st = self.shared.state.lock();
-        if let Some(stop) = &st.reader_stop {
-            stop.store(true, Ordering::Release);
+        // Joined outside the lock the reader takes on its way out.
+        let reader = {
+            let mut st = self.shared.state.lock();
+            st.retire();
+            st.reader.take()
+        };
+        if let Some(reader) = reader {
+            let _ = reader.join();
         }
     }
 }
@@ -863,6 +820,19 @@ mod tests {
         // And new connections are refused.
         let hub = InprocHub::new();
         assert!(hub.connect("svc").is_err());
+    }
+
+    #[test]
+    fn dropped_client_leaves_no_reader_thread() {
+        let (srv, client) = setup();
+        client.call(1, Bytes::new()).unwrap();
+        let shared = Arc::downgrade(&client.shared);
+        drop(client);
+        // The server is still up, so only the client's own close can have
+        // ended the reader — and `Drop` joined it: the reader held the one
+        // other reference to the shared state.
+        assert_eq!(shared.strong_count(), 0);
+        assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -8,29 +8,23 @@
 //! in flight: a slow call no longer blocks the responses of faster calls
 //! behind it.
 //!
-//! Connection threads poll the server's stop flag between requests and
-//! join their outstanding handlers on exit, so
-//! [`ServerHandle::shutdown`] tears the whole server down deterministically
-//! — after it returns, no handler is running and no response will be
-//! written. Failure-injection tests rely on this to stop a peer node and
-//! know it is really gone.
+//! Nothing here polls. A connection thread parks in `recv` until a
+//! request arrives or the connection ends — the client hung up, or
+//! [`ServerHandle::shutdown`] closed it ([`ipc::Conn::close`] wakes the
+//! parked `recv`). The accept loop, every connection thread and every
+//! handler are scoped threads of one accept thread, so joining that one
+//! thread is joining them all: after `shutdown` returns, no handler is
+//! running and no response will be written. Failure-injection tests rely
+//! on this to stop a peer node and know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
 use crate::service::{Service, Status};
-use ipc::{Listener, StopHandle};
+use ipc::{Conn, Listener, StopHandle};
 use parking_lot::Mutex;
-use std::io;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How often an idle connection thread checks the server stop flag.
-const CONN_POLL: Duration = Duration::from_millis(20);
-
-/// Ceiling for the idle-poll backoff in `serve_conn`: the longest an
-/// idle connection thread sleeps between stop-flag checks.
-const IDLE_POLL_CAP: Duration = Duration::from_millis(500);
+use std::thread::{Builder, JoinHandle};
 
 /// How many recent call ids a connection remembers for duplicate
 /// suppression. Duplicated frames arrive adjacent to their original
@@ -85,11 +79,18 @@ pub struct ServerMetrics {
     pub duplicates: AtomicU64,
 }
 
-/// Handle to a running server; stops accept and connection threads on drop.
+/// The connections a server currently holds open, keyed by accept
+/// order: one clone of each, kept so shutdown can close it — a clone of
+/// its own rather than the handlers' writer, so that closing never waits
+/// behind a send. A connection thread removes its own entry on the way
+/// out.
+type Live = Mutex<HashMap<u64, Box<dyn Conn>>>;
+
+/// Handle to a running server; shuts it down on drop.
 pub struct ServerHandle {
     stop: StopHandle,
     accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    live: Arc<Live>,
     metrics: Arc<ServerMetrics>,
     addr: String,
 }
@@ -105,25 +106,22 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// Connection-thread handles currently tracked. Finished handles are
-    /// reaped as new connections arrive, so under churn this stays near
-    /// the number of *live* connections rather than growing with every
-    /// connection ever accepted.
+    /// Connections currently open. A connection whose client hung up
+    /// leaves nothing behind, so under churn this follows the number of
+    /// *live* connections, not the number ever accepted.
     pub fn tracked_connections(&self) -> usize {
-        self.conn_threads.lock().len()
+        self.live.lock().len()
     }
 
     /// Stop the server and wait until it is fully quiescent: the accept
-    /// loop has exited and every connection thread has finished its
-    /// in-flight request and returned. Clients see dead connections on
-    /// their next exchange.
+    /// loop has exited, every accepted connection is closed, and every
+    /// connection thread and handler has returned. A call in flight
+    /// either delivered its response before the close or fails at the
+    /// client with a transport error; clients see dead connections from
+    /// then on.
     pub fn shutdown(&mut self) {
         self.stop.stop();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let threads = std::mem::take(&mut *self.conn_threads.lock());
-        for t in threads {
             let _ = t.join();
         }
     }
@@ -140,138 +138,110 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     let stop = listener.stop_handle();
     let metrics = Arc::new(ServerMetrics::default());
     let addr = listener.addr();
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept_metrics = Arc::clone(&metrics);
-    let accept_stop = stop.clone();
-    let accept_threads = Arc::clone(&conn_threads);
-    let accept_thread = std::thread::Builder::new()
+    let live = Arc::new(Live::default());
+    let accept_thread = Builder::new()
         .name(format!("rpc-accept:{addr}"))
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok(conn) => {
-                    accept_metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    let svc = Arc::clone(&service);
-                    let m = Arc::clone(&accept_metrics);
-                    let conn_stop = accept_stop.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("rpc-conn".to_string())
-                        .spawn(move || serve_conn(conn, svc, m, conn_stop))
-                        .expect("spawn rpc connection thread");
-                    // Reap handles of connections that have since closed,
-                    // so churny long-lived servers don't accumulate one
-                    // JoinHandle per connection ever accepted.
-                    let mut threads = accept_threads.lock();
-                    threads.retain(|t| !t.is_finished());
-                    threads.push(handle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
-                Err(_) => return,
+        .spawn({
+            let (metrics, live) = (Arc::clone(&metrics), Arc::clone(&live));
+            move || {
+                std::thread::scope(|scope| {
+                    // Any `accept` error ends the server; a stop is the
+                    // `Interrupted` one.
+                    while let Ok(conn) = listener.accept() {
+                        let id = metrics.connections.fetch_add(1, Ordering::Relaxed);
+                        let Ok(closer) = conn.try_clone() else {
+                            continue;
+                        };
+                        live.lock().insert(id, closer);
+                        let (service, metrics, live) = (&*service, &*metrics, &*live);
+                        Builder::new()
+                            .name("rpc-conn".to_string())
+                            .spawn_scoped(scope, move || {
+                                serve_conn(conn, service, metrics);
+                                live.lock().remove(&id);
+                            })
+                            .expect("spawn rpc connection thread");
+                    }
+                    // No connection is accepted past this point, so closing
+                    // what is open wakes every connection thread there is;
+                    // the scope joins them.
+                    for conn in live.lock().values() {
+                        conn.close();
+                    }
+                })
             }
         })
         .expect("spawn rpc accept thread");
     ServerHandle {
         stop,
         accept_thread: Some(accept_thread),
-        conn_threads,
+        live,
         metrics,
         addr,
     }
 }
 
-fn serve_conn(
-    mut conn: Box<dyn ipc::Conn>,
-    service: Arc<dyn Service>,
-    metrics: Arc<ServerMetrics>,
-    stop: StopHandle,
-) {
-    // Poll the stop flag between requests so shutdown can join this
-    // thread even while the client connection stays open. The timeout
-    // only bounds stop-flag latency — an arriving frame wakes the parked
-    // recv immediately — so idle connections back off exponentially to
-    // keep a large simulated fabric from burning the host CPU on idle
-    // wakeups, snapping back to the floor when traffic resumes.
-    if conn.set_recv_timeout(Some(CONN_POLL)).is_err() {
-        return;
-    }
-    let mut poll = CONN_POLL;
+fn serve_conn(mut conn: Box<dyn Conn>, service: &dyn Service, metrics: &ServerMetrics) {
     // Handlers run concurrently and share the write half of the
     // connection behind a mutex; frames are written atomically, so
     // responses interleave cleanly in completion order.
-    let writer: Arc<Mutex<Box<dyn ipc::Conn>>> = match conn.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
+    let Ok(writer) = conn.try_clone().map(Mutex::new) else {
+        return;
     };
     // Per-connection duplicate suppression (see `SeenCalls`).
-    let seen = Arc::new(Mutex::new(SeenCalls::new()));
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.is_stopped() {
-            break;
-        }
-        let frame = match conn.recv() {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                // Idle: re-check stop and reap finished handlers so a
-                // long-lived connection doesn't accumulate handles.
-                handlers.retain(|h| !h.is_finished());
-                let next = (poll * 2).min(IDLE_POLL_CAP);
-                if next != poll && conn.set_recv_timeout(Some(next)).is_ok() {
-                    poll = next;
-                }
-                continue;
+    let seen = Mutex::new(SeenCalls::new());
+    // The scope joins every in-flight handler before the connection is
+    // torn down — shutdown's "no handler survives" guarantee.
+    std::thread::scope(|scope| {
+        // `recv` fails once the peer is gone or the connection is closed.
+        while let Ok(frame) = conn.recv() {
+            if frame.msg_type != FRAME_REQUEST {
+                // Protocol violation: drop the connection.
+                break;
             }
-            Err(_) => break, // peer gone
-        };
-        if poll != CONN_POLL && conn.set_recv_timeout(Some(CONN_POLL)).is_ok() {
-            poll = CONN_POLL;
-        }
-        if frame.msg_type != FRAME_REQUEST {
-            // Protocol violation: drop the connection.
-            break;
-        }
-        let svc = Arc::clone(&service);
-        let m = Arc::clone(&metrics);
-        let w = Arc::clone(&writer);
-        let dedup = Arc::clone(&seen);
-        let handle = std::thread::Builder::new()
-            .name("rpc-handler".to_string())
-            .spawn(move || {
-                let response = match Request::from_frame(&frame) {
-                    Ok(req) => {
-                        if !dedup.lock().first_sighting(req.call_id) {
-                            // Duplicated frame: the original execution's
-                            // response answers the client; executing again
-                            // would double a non-idempotent call.
-                            m.duplicates.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        m.calls.fetch_add(1, Ordering::Relaxed);
-                        let result = svc.call(req.method, req.body);
-                        if result.is_err() {
-                            m.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Response {
-                            call_id: req.call_id,
-                            result,
-                        }
+            let (writer, seen) = (&writer, &seen);
+            Builder::new()
+                .name("rpc-handler".to_string())
+                .spawn_scoped(scope, move || {
+                    if let Some(response) = handle(&frame, service, metrics, seen) {
+                        let _ = writer.lock().send(&response.to_frame());
                     }
-                    Err(e) => {
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        Response {
-                            call_id: 0,
-                            result: Err(Status::invalid_argument(format!("bad request: {e}"))),
-                        }
-                    }
-                };
-                let _ = w.lock().send(&response.to_frame());
-            })
-            .expect("spawn rpc handler thread");
-        handlers.retain(|h| !h.is_finished());
-        handlers.push(handle);
+                })
+                .expect("spawn rpc handler thread");
+        }
+    });
+}
+
+/// Execute one request frame. `None` for a duplicated frame: the original
+/// execution's response answers the client, and executing again would
+/// double a non-idempotent call.
+fn handle(
+    frame: &ipc::Frame,
+    service: &dyn Service,
+    metrics: &ServerMetrics,
+    seen: &Mutex<SeenCalls>,
+) -> Option<Response> {
+    let req = match Request::from_frame(frame) {
+        Ok(req) => req,
+        Err(e) => {
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+            return Some(Response {
+                call_id: 0,
+                result: Err(Status::invalid_argument(format!("bad request: {e}"))),
+            });
+        }
+    };
+    if !seen.lock().first_sighting(req.call_id) {
+        metrics.duplicates.fetch_add(1, Ordering::Relaxed);
+        return None;
     }
-    // Drain in-flight handlers before tearing the connection down, so
-    // shutdown keeps its "no handler survives" guarantee.
-    for h in handlers {
-        let _ = h.join();
+    metrics.calls.fetch_add(1, Ordering::Relaxed);
+    let result = service.call(req.method, req.body);
+    if result.is_err() {
+        metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
+    Some(Response {
+        call_id: req.call_id,
+        result,
+    })
 }

@@ -1,11 +1,12 @@
-//! Connection-thread bookkeeping under churn: finished handles must be
-//! reaped as new connections arrive, not accumulated until shutdown.
+//! Connection bookkeeping under churn: a connection whose client went
+//! away must leave nothing behind at the server, not sit there until
+//! shutdown.
 
 use bytes::Bytes;
 use rpclite::{RpcClient, Status};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn finished_connection_threads_are_reaped_under_churn() {
@@ -19,17 +20,22 @@ fn finished_connection_threads_are_reaped_under_churn() {
         client.call(1, Bytes::from_static(b"ping")).unwrap();
         drop(client);
     }
-    // Let the dropped connections' threads notice the hangup (they poll
-    // the stop flag / socket every 20ms), then accept one more connection
-    // so the accept loop reaps the finished handles.
-    std::thread::sleep(Duration::from_millis(200));
     let client = RpcClient::new(Box::new(hub.connect("churn").unwrap()));
     client.call(1, Bytes::from_static(b"ping")).unwrap();
-
     assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 17);
-    assert!(
-        srv.tracked_connections() <= 2,
-        "finished conn threads must be reaped under churn, still tracking {}",
-        srv.tracked_connections()
-    );
+
+    // Each dropped client closed its connection, which wakes that
+    // connection's thread; the thread forgets the connection on its way
+    // out. Nothing is waited for but that count — the bound only turns a
+    // thread that never wakes into a failure instead of a hang.
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while srv.tracked_connections() > 1 {
+        assert!(
+            Instant::now() < give_up,
+            "closed connections must be forgotten under churn, still tracking {}",
+            srv.tracked_connections()
+        );
+        std::thread::yield_now();
+    }
+    drop(client);
 }

@@ -13,6 +13,11 @@
 # 4. README and DESIGN state how many interconnect verbs there are
 #    ("N interconnect verbs"); N is the number of `pub const VERB: u32`
 #    in proto.rs.
+# 5. The transport has no timer: a `*_POLL*` constant under crates/ipc
+#    or crates/rpclite means some thread is again learning that it
+#    should stop from a wall-clock poll instead of a `close` (PR 23).
+#    (`disagg`'s `REMOTE_POLL` paces a blocking get's re-lookups; it is
+#    a different thing and is not looked at.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,9 +69,13 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # metric `disagg.lookup.fanout.latency_ns`, which stays, is not hit);
 # the binary-split allocator, the messages the call header and the
 # `DelegateReq` rename replaced, and the lease chase's handler (PR 21);
-# the store-side remote write (PR 22).
+# the store-side remote write (PR 22); the recv timeout and the reader's
+# stop flag, the data-plane wrapper type and the `get` alias (PR 23;
+# `batch_get` is spelled quoted, as a path and as a call, so that the
+# metric `batch_get_model_us_per_obj` and the span `op.batch_get`, which
+# stay, are not hit).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload"
+identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get("
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -83,7 +92,13 @@ for file in README.md DESIGN.md; do
     fi
 done
 
+if polls=$(grep -rnE '\b[A-Z_]*POLL[A-Z_]*\b' crates/ipc crates/rpclite); then
+    echo "docs-drift: a poll constant is back in the transport (wake the thread with Conn::close / StopHandle::stop instead):" >&2
+    echo "$polls" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport"
 fi
 exit $status

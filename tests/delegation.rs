@@ -6,8 +6,8 @@
 //! historical lost-response bug; and the behaviours the retired
 //! `RemoteRefs`, `BorrowLedger` and `ReplicaLedger` unit tests asserted
 //! are re-asserted against the one ledger that replaced them. The last
-//! case is the exception that needs a cluster: who may retire a
-//! delegated copy.
+//! two cases are the exceptions that need a cluster: who may retire a
+//! delegated copy, and which copy a holder may re-acknowledge.
 
 use disagg::delegation::{
     owner_verdict, Claim, Delegation, Ledger, OwnerView, Settlement, Verdict,
@@ -629,4 +629,74 @@ fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
         assert!(!invalidate(owner.node(), id), "nothing left to retire");
     }
     assert_eq!(held(), BTreeSet::new());
+}
+
+/// ROADMAP 2b, the stale lease that re-acknowledged. A spill whose answer
+/// is lost for good leaves the holder a copy and a `Lease` entry the
+/// owner knows nothing of; the owner's delete cannot chase what it never
+/// recorded, so that copy outlives the object. When the id is put again —
+/// same sizes, other bytes — and spilled to the same holder, the holder
+/// must not mistake its leftover for the new object: it re-acknowledges
+/// only a copy whose bytes are the offered ones, drops one that differs,
+/// and refuses, so the next spill adopts the live bytes.
+#[test]
+fn stale_leased_copy_of_a_deleted_object_is_not_re_acknowledged() {
+    use ipc::fault::{Direction, FaultAction, FaultPolicy};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    /// Drops the next frame node 0 receives from node 1, once armed.
+    struct DropNextAnswer(AtomicBool);
+    impl FaultPolicy for DropNextAnswer {
+        fn on_frame(&self, link: &str, dir: Direction, _: &ipc::Frame) -> FaultAction {
+            let answer = link == "0->1" && dir == Direction::Inbound;
+            if answer && self.0.swap(false, Ordering::SeqCst) {
+                return FaultAction::Drop;
+            }
+            FaultAction::Deliver
+        }
+    }
+
+    let lose_answer = std::sync::Arc::new(DropNextAnswer(AtomicBool::new(false)));
+    let mut config = ClusterConfig::functional(2, 4 << 20);
+    config.fault_policy = Some(lose_answer.clone());
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.retry = disagg::RetryPolicy::none();
+    let cluster = Cluster::launch(config).unwrap();
+    let (owner, holder) = (cluster.store(0), cluster.store(1));
+    let client = cluster.client(0).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "lease/stale"));
+    let held_lease = || {
+        let rows = holder.delegations().into_iter();
+        rows.filter(|r| (r.side, r.kind) == (Side::Held, Kind::Lease))
+            .count()
+    };
+
+    // The spill lands, its answer does not: the owner keeps its copy and
+    // records nothing, the holder keeps a copy and its entry.
+    client.put(id, &[1; 300], b"old").unwrap();
+    lose_answer.0.store(true, Ordering::SeqCst);
+    assert!(!owner.spill_to(id, holder.node()).unwrap(), "no answer");
+    assert_eq!(owner.delegations(), vec![]);
+    assert!(holder.core().contains(id));
+    assert_eq!(held_lease(), 1);
+
+    // Deleted at the owner (acked) and put again: same sizes, other bytes.
+    client.delete(id).unwrap();
+    client.put(id, &[2; 300], b"new").unwrap();
+
+    // The holder refuses the copy it cannot vouch for and forgets it ...
+    assert!(
+        !owner.spill_to(id, holder.node()).unwrap(),
+        "stale: refused"
+    );
+    assert!(!holder.core().contains(id));
+    assert_eq!(held_lease(), 0);
+    // ... so the retry adopts the live bytes, and only those are ever read.
+    assert!(owner.spill_to(id, holder.node()).unwrap());
+    assert_eq!(held_lease(), 1);
+    let read = cluster.store(0).get_bytes(id, Duration::from_secs(1));
+    let mut live = vec![2; 300];
+    live.extend_from_slice(b"new");
+    assert_eq!(read.unwrap().unwrap(), live);
 }

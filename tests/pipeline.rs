@@ -25,7 +25,7 @@ fn owned_ids(cluster: &Cluster, node: usize, prefix: &str, n: usize) -> Vec<Obje
         .collect()
 }
 
-/// The headline batching guarantee: a `batch_get` of 100 small objects
+/// The headline batching guarantee: a `get` of 100 small objects
 /// all held by one owner costs exactly **one** `GET_MANY` RPC, visible
 /// both in the interconnect counters and the per-verb client histogram.
 #[test]
@@ -39,7 +39,7 @@ fn batched_get_of_100_objects_is_one_rpc() {
     }
 
     let store_b = cluster.store(1);
-    let got = store_b.batch_get(&ids, Duration::from_secs(5)).unwrap();
+    let got = store_b.get(&ids, Duration::from_secs(5)).unwrap();
     assert!(got.iter().all(Option::is_some), "all 100 resolve remotely");
 
     assert_eq!(
@@ -83,7 +83,7 @@ fn get_many_partial_success_pins_only_found_ids() {
     let mut all = present.clone();
     all.extend(&absent);
     let store_b = cluster.store(1);
-    let got = store_b.batch_get(&all, Duration::from_millis(200)).unwrap();
+    let got = store_b.get(&all, Duration::from_millis(200)).unwrap();
     assert!(got[..3].iter().all(Option::is_some), "present ids resolve");
     assert!(got[3..].iter().all(Option::is_none), "absent ids miss");
 
