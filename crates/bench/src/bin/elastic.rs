@@ -248,7 +248,7 @@ fn main() {
     );
 
     let mut config = cluster_config(&spec, MEMORY_PER_NODE);
-    config.elastic.max_inflight_creates = 3;
+    config.max_inflight_creates = 3;
     let cluster = Cluster::launch(config).expect("launch cluster");
     let clock = cluster.clock().clone();
     let started = clock.now();

@@ -155,7 +155,6 @@ fn soak_interconnect() -> InterconnectConfig {
             max_attempts: 2,
             base_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(20),
-            jitter: 0.25,
         },
         health: HealthConfig {
             probe_backoff: Duration::from_millis(10),

@@ -7,9 +7,7 @@
 //! the 2-node instance of this; the design — and this harness — support
 //! "rack-scale solutions \[with\] multiple nodes" (paper §V-B).
 
-use crate::elastic::ElasticConfig;
 use crate::proto::method;
-use crate::replicate::ReplicationConfig;
 use crate::ring::Membership;
 use crate::store::{DisaggConfig, DisaggStore, InterconnectConfig, Peer};
 use ipc::fault::{FaultConn, FaultPolicy};
@@ -30,7 +28,10 @@ use tfsim::{Clock, Fabric, NodeId};
 /// links instead of one uniform `rpc_link`.
 pub type LinkMap = Arc<dyn Fn(usize, usize) -> LinkModel + Send + Sync>;
 
-/// Cluster construction parameters.
+/// Cluster construction parameters. Built by one of the two constructors
+/// ([`ClusterConfig::paper_testbed`], [`ClusterConfig::functional`]),
+/// which decide whether Plasma clients charge modeled IPC costs to the
+/// clock; every public field may be overridden afterwards.
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of nodes (each runs one store).
@@ -46,18 +47,15 @@ pub struct ClusterConfig {
     /// everywhere reproduces the uniform mesh byte-for-byte.
     pub link_map: Option<LinkMap>,
     /// Whether Plasma clients charge modeled IPC costs to the clock.
-    pub model_client_cost: bool,
-    /// Optional per-store growth policy: (increment bytes, max total bytes).
-    pub growth: Option<(usize, usize)>,
+    model_client_cost: bool,
     /// RNG seed for all delay sampling.
     pub seed: u64,
     /// Interconnect fault tolerance (deadlines, retries, peer health).
     pub interconnect: InterconnectConfig,
-    /// Elastic capacity tier: spill/lend watermarks, admission control,
-    /// rebalance heat threshold. Applied to every store.
-    pub elastic: ElasticConfig,
-    /// Hot-object read replication policy, applied to every store.
-    pub replication: ReplicationConfig,
+    /// Most in-flight (created, not yet sealed) objects each store admits
+    /// before `create` sheds load with `Overloaded`. `0` disables
+    /// admission control.
+    pub max_inflight_creates: u64,
     /// Optional wire-level fault policy: every interconnect connection
     /// node `i` dials to node `j` is wrapped in an [`FaultConn`] labeled
     /// `"i->j"`, so a chaos harness can drop, delay, duplicate, corrupt
@@ -74,11 +72,9 @@ impl std::fmt::Debug for ClusterConfig {
             .field("rpc_link", &self.rpc_link)
             .field("link_map", &self.link_map.as_ref().map(|_| "<map>"))
             .field("model_client_cost", &self.model_client_cost)
-            .field("growth", &self.growth)
             .field("seed", &self.seed)
             .field("interconnect", &self.interconnect)
-            .field("elastic", &self.elastic)
-            .field("replication", &self.replication)
+            .field("max_inflight_creates", &self.max_inflight_creates)
             .field(
                 "fault_policy",
                 &self.fault_policy.as_ref().map(|_| "<policy>"),
@@ -97,11 +93,9 @@ impl ClusterConfig {
             rpc_link: LinkModel::grpc_lan(),
             link_map: None,
             model_client_cost: true,
-            growth: None,
             seed: 0x7F1A,
             interconnect: InterconnectConfig::default(),
-            elastic: ElasticConfig::default(),
-            replication: ReplicationConfig::default(),
+            max_inflight_creates: 0,
             fault_policy: None,
         }
     }
@@ -114,11 +108,9 @@ impl ClusterConfig {
             rpc_link: LinkModel::instant(),
             link_map: None,
             model_client_cost: false,
-            growth: None,
             seed: 1,
             interconnect: InterconnectConfig::default(),
-            elastic: ElasticConfig::default(),
-            replication: ReplicationConfig::default(),
+            max_inflight_creates: 0,
             fault_policy: None,
         }
     }
@@ -151,17 +143,13 @@ impl Cluster {
         let mut nodes = Vec::with_capacity(config.nodes);
         for i in 0..config.nodes {
             let node = fabric.register_node();
-            let mut store_config = StoreConfig::new(format!("store-{i}"), config.memory_per_node);
-            if let Some((increment_bytes, max_total_bytes)) = config.growth {
-                store_config = store_config.with_growth(increment_bytes, max_total_bytes);
-            }
+            let store_config = StoreConfig::new(format!("store-{i}"), config.memory_per_node);
             let core = StoreCore::new(&fabric, node, store_config)?;
             let store = DisaggStore::new(
                 core,
                 DisaggConfig {
                     interconnect: config.interconnect.clone(),
-                    elastic: config.elastic,
-                    replication: config.replication,
+                    max_inflight_creates: config.max_inflight_creates,
                 },
             );
             let rpc_listener = hub.bind(&format!("rpc-{i}"))?;
@@ -304,11 +292,6 @@ impl Cluster {
         );
         self.nodes[i].rpc_server = Some(server);
         Ok(())
-    }
-
-    /// Whether node `i`'s interconnect RPC server is currently running.
-    pub fn rpc_running(&self, i: usize) -> bool {
-        self.nodes[i].rpc_server.is_some()
     }
 
     /// Connect a new Plasma client to the store on node `store_idx`,

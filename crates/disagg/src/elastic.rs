@@ -15,53 +15,46 @@
 //!   no delegation is orphaned.
 //! * **Heat tracking** — owners count remote hits per (object, reader)
 //!   and push sufficiently hot objects *toward* their dominant reader
-//!   (rebalance), turning remote reads into local ones.
+//!   (rebalance) or copy them there (read replication), turning remote
+//!   reads into local ones.
 //!
-//! Admission control rides the same config: a bounded number of in-flight
-//! (created-but-unsealed) objects per node, beyond which `create` sheds
-//! load with [`plasma::PlasmaError::Overloaded`] instead of collapsing.
+//! Admission control rides the same tier: a bounded number of in-flight
+//! (created-but-unsealed) objects per node
+//! ([`crate::DisaggConfig::max_inflight_creates`]), beyond which `create`
+//! sheds load with [`plasma::PlasmaError::Overloaded`] instead of
+//! collapsing.
+//!
+//! The thresholds below are constants, not settings: every workload runs
+//! the tier at these values (DESIGN.md §5, "Options").
 
 use parking_lot::Mutex;
 use plasma::ObjectId;
 use std::collections::HashMap;
 use tfsim::NodeId;
 
-/// Tuning knobs for the elastic capacity tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticConfig {
-    /// Local occupancy (parts-per-million of capacity) above which
-    /// [`maybe_spill`](crate::DisaggStore::maybe_spill) starts pushing
-    /// cold objects to lenders.
-    pub high_watermark_ppm: u64,
-    /// Spilling stops once occupancy drops to this level.
-    pub low_watermark_ppm: u64,
-    /// Most in-flight (created, not yet sealed) objects admitted before
-    /// `create` sheds load with `Overloaded`. `0` disables admission
-    /// control.
-    pub max_inflight_creates: u64,
-    /// Backoff hint carried by `Overloaded` rejections, milliseconds.
-    pub retry_after_ms: u64,
-    /// Remote hits from one reader before a rebalance pass considers the
-    /// object hot enough to move toward that reader.
-    pub heat_min_hits: u32,
-}
+/// Local occupancy (parts-per-million of capacity) from which
+/// [`maybe_spill`](crate::DisaggStore::maybe_spill) pushes cold objects
+/// to lenders.
+pub const HIGH_WATERMARK_PPM: u64 = 850_000;
+
+/// Spilling stops once occupancy drops to this level.
+pub const LOW_WATERMARK_PPM: u64 = 700_000;
 
 /// A lender refuses to adopt an object that would push its own occupancy
-/// (parts-per-million of capacity) above this level — pressure must never
-/// cascade, so it sits below the default low watermark.
+/// (parts-per-million of capacity) above this level.
 pub(crate) const LEND_HEADROOM_PPM: u64 = 600_000;
 
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            high_watermark_ppm: 850_000,
-            low_watermark_ppm: 700_000,
-            max_inflight_creates: 0,
-            retry_after_ms: 25,
-            heat_min_hits: 8,
-        }
-    }
-}
+// A lender must never be pushed into spilling by what it adopted.
+const _: () =
+    assert!(LEND_HEADROOM_PPM < LOW_WATERMARK_PPM && LOW_WATERMARK_PPM < HIGH_WATERMARK_PPM);
+
+/// Remote hits from one reader, per [`HeatMap`] window, before a
+/// rebalance or replication pass considers the object hot enough to move
+/// toward — or be copied to — that reader.
+pub const HOT_AFTER_HITS: u32 = 8;
+
+/// Backoff hint carried by every `Overloaded` rejection, milliseconds.
+pub const RETRY_AFTER_MS: u64 = 25;
 
 /// Owner-side remote-hit accounting: how many times each remote reader
 /// fetched each object, so rebalancing can move hot objects toward their
@@ -179,13 +172,5 @@ mod tests {
         assert_eq!(heat.len(), 1, "cold object keeps accumulating");
         assert_eq!(heat.hottest(id(2)), Some((NodeId(3), 1)));
         assert!(heat.drain_hot(4).is_empty(), "drained objects restart cold");
-    }
-
-    #[test]
-    fn config_default_disables_admission_only() {
-        let cfg = ElasticConfig::default();
-        assert_eq!(cfg.max_inflight_creates, 0, "admission off by default");
-        assert!(cfg.low_watermark_ppm < cfg.high_watermark_ppm);
-        assert!(LEND_HEADROOM_PPM < cfg.low_watermark_ppm);
     }
 }

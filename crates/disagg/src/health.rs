@@ -125,32 +125,25 @@ pub struct PeerHealth {
     cfg: HealthConfig,
     clock: Clock,
     entries: Mutex<HashMap<NodeId, Entry>>,
-    metrics: Option<TransitionCounters>,
+    metrics: TransitionCounters,
 }
 
 impl PeerHealth {
-    /// New detector with all peers assumed `Up`.
-    pub fn new(cfg: HealthConfig, clock: Clock) -> Self {
+    /// New detector with all peers assumed `Up`, its state-transition
+    /// counters (`disagg.health.to_suspect` / `.to_down` / `.recovered`)
+    /// registered in `registry`. Each counter increments exactly once
+    /// per transition, summed over all peers.
+    pub fn new(cfg: HealthConfig, clock: Clock, registry: &Registry) -> Self {
         PeerHealth {
             cfg,
             clock,
             entries: Mutex::new(HashMap::new()),
-            metrics: None,
+            metrics: TransitionCounters {
+                to_suspect: registry.counter("disagg.health.to_suspect"),
+                to_down: registry.counter("disagg.health.to_down"),
+                recovered: registry.counter("disagg.health.recovered"),
+            },
         }
-    }
-
-    /// Like [`PeerHealth::new`], with state-transition counters
-    /// (`disagg.health.to_suspect` / `.to_down` / `.recovered`)
-    /// registered in `registry`. Each counter increments exactly once
-    /// per transition, summed over all peers.
-    pub fn with_metrics(cfg: HealthConfig, clock: Clock, registry: &Registry) -> Self {
-        let mut health = PeerHealth::new(cfg, clock);
-        health.metrics = Some(TransitionCounters {
-            to_suspect: registry.counter("disagg.health.to_suspect"),
-            to_down: registry.counter("disagg.health.to_down"),
-            recovered: registry.counter("disagg.health.recovered"),
-        });
-        health
     }
 
     /// Decide whether a call to `peer` should proceed. `Probe` admissions
@@ -182,9 +175,7 @@ impl PeerHealth {
         let mut entries = self.entries.lock();
         let entry = entries.entry(peer).or_insert_with(Entry::new);
         if entry.state != PeerState::Up {
-            if let Some(m) = &self.metrics {
-                m.recovered.inc();
-            }
+            self.metrics.recovered.inc();
         }
         entry.state = PeerState::Up;
         entry.consecutive_failures = 0;
@@ -206,15 +197,11 @@ impl PeerHealth {
                 entry.state = PeerState::Down;
                 entry.backoff = self.cfg.probe_backoff;
                 entry.next_probe_at = self.clock.now() + entry.backoff;
-                if let Some(m) = &self.metrics {
-                    m.to_down.inc();
-                }
+                self.metrics.to_down.inc();
             }
         } else if entry.consecutive_failures >= SUSPECT_AFTER && entry.state != PeerState::Suspect {
             entry.state = PeerState::Suspect;
-            if let Some(m) = &self.metrics {
-                m.to_suspect.inc();
-            }
+            self.metrics.to_suspect.inc();
         }
         entry.state
     }
@@ -248,10 +235,11 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Cap on the backoff.
     pub max_backoff: Duration,
-    /// Fractional jitter: the backoff is scaled by a factor drawn
-    /// uniformly from `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
 }
+
+/// Fractional jitter: every backoff is scaled by a factor drawn uniformly
+/// from `[1 - RETRY_JITTER, 1 + RETRY_JITTER]`.
+const RETRY_JITTER: f64 = 0.25;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -259,7 +247,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(500),
-            jitter: 0.25,
         }
     }
 }
@@ -280,8 +267,8 @@ impl RetryPolicy {
             .base_backoff
             .saturating_mul(1u32 << exp)
             .min(self.max_backoff);
-        let factor = 1.0 + self.jitter * (rng.gen::<f64>() * 2.0 - 1.0);
-        raw.mul_f64(factor.max(0.0))
+        let factor = 1.0 + RETRY_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
+        raw.mul_f64(factor)
     }
 
     /// A deterministic jitter source for this node.
@@ -294,14 +281,19 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
-    fn tracker(clock: &Clock) -> PeerHealth {
+    fn tracker_in(clock: &Clock, registry: &Registry) -> PeerHealth {
         PeerHealth::new(
             HealthConfig {
                 probe_backoff: Duration::from_millis(100),
                 probe_backoff_max: Duration::from_millis(400),
             },
             clock.clone(),
+            registry,
         )
+    }
+
+    fn tracker(clock: &Clock) -> PeerHealth {
+        tracker_in(clock, &Registry::new())
     }
 
     #[test]
@@ -500,15 +492,8 @@ mod tests {
     #[test]
     fn metrics_record_each_transition_exactly_once() {
         let clock = Clock::virtual_time();
-        let registry = obs::Registry::new();
-        let h = PeerHealth::with_metrics(
-            HealthConfig {
-                probe_backoff: Duration::from_millis(100),
-                probe_backoff_max: Duration::from_millis(400),
-            },
-            clock.clone(),
-            &registry,
-        );
+        let registry = Registry::new();
+        let h = tracker_in(&clock, &registry);
         let p = NodeId(1);
         // Five consecutive failures: one Up→Suspect, one Suspect→Down —
         // the repeats inside each state must not re-count.
@@ -535,43 +520,36 @@ mod tests {
         assert_eq!(snap.counter("disagg.health.recovered"), 2);
     }
 
+    /// `backoff(retry)` lies within the jitter band around `raw_ms`.
+    fn assert_in_band(policy: &RetryPolicy, rng: &mut SmallRng, retry: u32, raw_ms: u64) {
+        let raw = Duration::from_millis(raw_ms);
+        let d = policy.backoff(retry, rng);
+        let (lo, hi) = (1.0 - RETRY_JITTER, 1.0 + RETRY_JITTER);
+        assert!(
+            d >= raw.mul_f64(lo) && d <= raw.mul_f64(hi),
+            "retry {retry}: {d:?} outside {lo}..{hi} of {raw:?}"
+        );
+    }
+
     #[test]
     fn retry_backoff_doubles_and_caps() {
         let policy = RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(40),
-            jitter: 0.0,
         };
         let mut rng = RetryPolicy::rng(7);
-        assert_eq!(policy.backoff(1, &mut rng), Duration::from_millis(10));
-        assert_eq!(policy.backoff(2, &mut rng), Duration::from_millis(20));
-        assert_eq!(policy.backoff(3, &mut rng), Duration::from_millis(40));
-        assert_eq!(policy.backoff(4, &mut rng), Duration::from_millis(40));
+        for (retry, raw_ms) in [(1, 10), (2, 20), (3, 40), (4, 40)] {
+            assert_in_band(&policy, &mut rng, retry, raw_ms);
+        }
     }
 
     #[test]
     fn retry_jitter_stays_in_band() {
-        let policy = RetryPolicy {
-            jitter: 0.25,
-            ..Default::default()
-        };
+        let policy = RetryPolicy::default();
         let mut rng = RetryPolicy::rng(42);
-        for retry in 1..=4 {
-            let exp = retry - 1;
-            let raw = policy
-                .base_backoff
-                .saturating_mul(1 << exp)
-                .min(policy.max_backoff);
-            let d = policy.backoff(retry as u32, &mut rng);
-            assert!(
-                d >= raw.mul_f64(0.75),
-                "retry {retry}: {d:?} < 75% of {raw:?}"
-            );
-            assert!(
-                d <= raw.mul_f64(1.25),
-                "retry {retry}: {d:?} > 125% of {raw:?}"
-            );
+        for (retry, raw_ms) in [(1, 10), (2, 20), (3, 40), (4, 80)] {
+            assert_in_band(&policy, &mut rng, retry, raw_ms);
         }
     }
 

@@ -49,15 +49,13 @@ pub mod delegation;
 pub mod elastic;
 pub mod health;
 pub mod proto;
-pub mod replicate;
 pub mod ring;
 pub mod store;
 
 pub use cluster::{Cluster, ClusterConfig, LinkMap};
 pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
-pub use elastic::{ElasticConfig, HeatMap};
+pub use elastic::HeatMap;
 pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
-pub use replicate::ReplicationConfig;
 pub use ring::{Membership, Ring};
 pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
 pub use tfsim::NodeId;

@@ -45,10 +45,9 @@ mod routing;
 mod service;
 
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
-use crate::elastic::{ElasticConfig, HeatMap};
+use crate::elastic::{HeatMap, RETRY_AFTER_MS};
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
 use crate::proto::{method, BoolResp, IdReq, ReconcileReq, ReconcileResp};
-use crate::replicate::ReplicationConfig;
 use crate::ring::Ring;
 use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -133,11 +132,10 @@ impl Default for InterconnectConfig {
 pub struct DisaggConfig {
     /// Interconnect fault tolerance (deadlines, retries, peer health).
     pub interconnect: InterconnectConfig,
-    /// Elastic capacity tier: spill watermarks, lender headroom,
-    /// admission control, heat threshold.
-    pub elastic: ElasticConfig,
-    /// Hot-object read replication policy.
-    pub replication: ReplicationConfig,
+    /// Most in-flight (created, not yet sealed) objects admitted before
+    /// `create` sheds load with `Overloaded`. `0` (the default) disables
+    /// admission control.
+    pub max_inflight_creates: u64,
 }
 
 /// Pre-resolved [`obs`] handles for the distributed layer, registered in
@@ -251,8 +249,7 @@ struct Inner {
     ledger: Ledger,
     /// Owner-side remote-hit attribution driving rebalancing.
     heat: HeatMap,
-    elastic: ElasticConfig,
-    replication: ReplicationConfig,
+    max_inflight_creates: u64,
     counters: DisaggCounters,
     metrics: DisaggMetrics,
     health: PeerHealth,
@@ -279,11 +276,7 @@ impl DisaggStore {
         let metrics = DisaggMetrics::new(core.registry());
         DisaggStore {
             inner: Arc::new(Inner {
-                health: PeerHealth::with_metrics(
-                    config.interconnect.health,
-                    clock.clone(),
-                    core.registry(),
-                ),
+                health: PeerHealth::new(config.interconnect.health, clock.clone(), core.registry()),
                 metrics,
                 retry: config.interconnect.retry,
                 call_deadline: config.interconnect.call_deadline,
@@ -295,8 +288,7 @@ impl DisaggStore {
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
                 heat: HeatMap::new(),
-                elastic: config.elastic,
-                replication: config.replication,
+                max_inflight_creates: config.max_inflight_creates,
                 counters: DisaggCounters::default(),
             }),
         }
@@ -532,7 +524,7 @@ impl DisaggStore {
     /// operation is not started, so the typed rejection is always safe to
     /// retry after the suggested backoff.
     fn check_admission(&self) -> Result<(), PlasmaError> {
-        let max = self.inner.elastic.max_inflight_creates;
+        let max = self.inner.max_inflight_creates;
         if max == 0 {
             return Ok(());
         }
@@ -540,7 +532,7 @@ impl DisaggStore {
         if st.objects.saturating_sub(st.sealed_objects) >= max {
             self.inner.metrics.overload_rejected.inc();
             return Err(PlasmaError::Overloaded {
-                retry_after_ms: self.inner.elastic.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         Ok(())
@@ -549,11 +541,18 @@ impl DisaggStore {
     /// Local memory occupancy in parts-per-million of capacity — the
     /// pressure signal driving [`DisaggStore::maybe_spill`].
     pub fn memory_pressure_ppm(&self) -> u64 {
+        self.occupancy_ppm(0)
+    }
+
+    /// What [`DisaggStore::memory_pressure_ppm`] would read with `extra`
+    /// more bytes allocated. A store with no capacity is full.
+    fn occupancy_ppm(&self, extra: u64) -> u64 {
         let st = self.inner.core.stats();
-        if st.capacity == 0 {
-            return 0;
+        let used = u128::from(st.allocated_bytes) + u128::from(extra);
+        match u128::from(st.capacity) {
+            0 => u64::MAX,
+            capacity => (used * 1_000_000 / capacity) as u64,
         }
-        (u128::from(st.allocated_bytes) * 1_000_000 / u128::from(st.capacity)) as u64
     }
 
     /// [`ObjectStore::create`] and, given the object's bytes as `payload`

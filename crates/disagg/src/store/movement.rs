@@ -31,7 +31,7 @@
 use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard};
 use crate::delegation::{Kind, Side};
-use crate::elastic::LEND_HEADROOM_PPM;
+use crate::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LEND_HEADROOM_PPM, LOW_WATERMARK_PPM};
 use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DelegateStatus, DeleteReq, IdReq};
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
@@ -139,11 +139,7 @@ impl DisaggStore {
             // (and replicas are strictly optional). Any failure before
             // the seal aborts the staged copy and refuses — the owner's
             // copy is untouched.
-            let st = inner.core.stats();
-            let after = u128::from(st.allocated_bytes) + u128::from(size);
-            st.capacity > 0
-                && after * 1_000_000 / u128::from(st.capacity) <= u128::from(LEND_HEADROOM_PPM)
-                && self.adopt_copy(&req.location).is_ok()
+            self.occupancy_ppm(size) <= LEND_HEADROOM_PPM && self.adopt_copy(&req.location).is_ok()
         };
         if adopted {
             inner.ledger.record(Side::Held, id, kind, owner, size);
@@ -264,15 +260,15 @@ impl DisaggStore {
     }
 
     /// One heat-driven replication pass: every owned object whose
-    /// dominant remote reader accumulated at least
-    /// [`crate::ReplicationConfig::min_hits`] remote hits gets a replica
-    /// *at that reader* (up to `MAX_REPLICA_HOLDERS`),
-    /// converting its future remote reads into local ones while the
-    /// owner keeps serving everyone else. Returns replicas created.
+    /// dominant remote reader accumulated at least [`HOT_AFTER_HITS`]
+    /// remote hits gets a replica *at that reader* (up to
+    /// `MAX_REPLICA_HOLDERS`), converting its future remote reads into
+    /// local ones while the owner keeps serving everyone else. Returns
+    /// replicas created.
     pub fn replicate_hot(&self) -> Result<u64, PlasmaError> {
         let inner = &self.inner;
         let mut created = 0u64;
-        for (id, reader, _) in inner.heat.drain_hot(inner.replication.min_hits) {
+        for (id, reader, _) in inner.heat.drain_hot(HOT_AFTER_HITS) {
             let holders = inner.ledger.peers(Side::Out, id, Kind::Replica);
             if self.ring_owner(id) != Some(inner.node)
                 || holders.len() >= MAX_REPLICA_HOLDERS
@@ -289,13 +285,13 @@ impl DisaggStore {
     }
 
     /// One heat-driven rebalance pass: every object whose dominant
-    /// remote reader accumulated at least `heat_min_hits` remote hits is
-    /// delegated *to that reader*, converting its future remote reads
+    /// remote reader accumulated at least [`HOT_AFTER_HITS`] remote hits
+    /// is delegated *to that reader*, converting its future remote reads
     /// into local ones. Returns the number of objects moved.
     pub fn rebalance_once(&self) -> Result<u64, PlasmaError> {
         let inner = &self.inner;
         let mut moved = 0u64;
-        for (id, reader, _) in inner.heat.drain_hot(inner.elastic.heat_min_hits) {
+        for (id, reader, _) in inner.heat.drain_hot(HOT_AFTER_HITS) {
             if self.ring_owner(id) != Some(inner.node)
                 || inner.ledger.has_out_copy(id)
                 || inner.core.peek(id).is_none()
@@ -329,10 +325,11 @@ impl DisaggStore {
             .collect()
     }
 
-    /// Spill cold objects if local occupancy exceeds the configured high
-    /// watermark; otherwise a no-op. Returns bytes delegated away.
+    /// Spill cold objects if local occupancy has reached
+    /// [`HIGH_WATERMARK_PPM`]; otherwise a no-op. Returns bytes delegated
+    /// away.
     pub fn maybe_spill(&self) -> Result<u64, PlasmaError> {
-        if self.memory_pressure_ppm() < self.inner.elastic.high_watermark_ppm {
+        if self.memory_pressure_ppm() < HIGH_WATERMARK_PPM {
             return Ok(0);
         }
         self.spill_cold(MAX_SPILL_BATCH)
@@ -340,21 +337,20 @@ impl DisaggStore {
 
     /// One spill pass: walk up to `max_objects` of the LRU tail
     /// (coldest first) and delegate each to the peer currently
-    /// advertising the most free bytes, until occupancy drops below the
-    /// low watermark or candidates run out. Only ring-owned objects are
-    /// delegated — redirects are served from the owner's ledger, so an
-    /// off-ring copy spilled elsewhere would be unfindable. Returns
-    /// bytes delegated; refusals and unreachable lenders skip the
-    /// candidate rather than failing the pass.
+    /// advertising the most free bytes, until occupancy drops to
+    /// [`LOW_WATERMARK_PPM`] or candidates run out. Only ring-owned
+    /// objects are delegated — redirects are served from the owner's
+    /// ledger, so an off-ring copy spilled elsewhere would be
+    /// unfindable. Returns bytes delegated; refusals and unreachable
+    /// lenders skip the candidate rather than failing the pass.
     pub fn spill_cold(&self, max_objects: usize) -> Result<u64, PlasmaError> {
         let mut lenders = self.peer_free_bytes();
         if lenders.is_empty() {
             return Ok(0);
         }
-        let low = self.inner.elastic.low_watermark_ppm;
         let mut spilled = 0u64;
         for (id, bytes) in self.inner.core.cold_candidates(max_objects) {
-            if self.memory_pressure_ppm() <= low {
+            if self.memory_pressure_ppm() <= LOW_WATERMARK_PPM {
                 break;
             }
             if self.ring_owner(id) != Some(self.inner.node) {

@@ -5,6 +5,7 @@
 //! it (metrics, inventory).
 
 use super::{DisaggStore, Peer};
+use crate::elastic::RETRY_AFTER_MS;
 use crate::health::{Admission, PeerState, PeerStats};
 use crate::proto::{method, CallHeader, IdReq, ListEntry, ListResp, MetricsResp, ReplyHeader};
 use bytes::Bytes;
@@ -79,29 +80,14 @@ impl DisaggStore {
         match status.code {
             StatusCode::NotFound => PlasmaError::ObjectNotFound(id),
             StatusCode::FailedPrecondition => PlasmaError::ObjectInUse(id),
-            // The owner's admission gate shed the request: surface its
-            // backoff hint so callers can retry.
+            // The owner's admission gate shed the request: the same
+            // typed rejection, with the same backoff hint, a local
+            // create would have raised.
             StatusCode::ResourceExhausted => PlasmaError::Overloaded {
-                retry_after_ms: Self::retry_after_from(
-                    &status.message,
-                    self.inner.elastic.retry_after_ms,
-                ),
+                retry_after_ms: RETRY_AFTER_MS,
             },
             _ => self.peer_err(peer, fail),
         }
-    }
-
-    /// Parse the `retry_after_ms=N` hint an overloaded owner embeds in
-    /// its `ResourceExhausted` status message.
-    fn retry_after_from(message: &str, default_ms: u64) -> u64 {
-        message
-            .rsplit("retry_after_ms=")
-            .next()
-            .and_then(|tail| {
-                let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse().ok()
-            })
-            .unwrap_or(default_ms)
     }
 
     /// Liveness state of one peer, as seen by this node's failure detector.

@@ -673,10 +673,9 @@ impl DisaggStore {
                 answer(CreateAtStatus::Ok, Some(loc))
             }
             Err(PlasmaError::ObjectExists(_)) => answer(CreateAtStatus::Exists, None),
-            Err(PlasmaError::Overloaded { retry_after_ms }) => Err(Status::new(
-                StatusCode::ResourceExhausted,
-                format!("overloaded: retry_after_ms={retry_after_ms}"),
-            )),
+            Err(PlasmaError::Overloaded { .. }) => {
+                Err(Status::new(StatusCode::ResourceExhausted, "overloaded"))
+            }
             Err(e) => Err(Status::internal(e.to_string())),
         }
     }

@@ -58,7 +58,7 @@ pub use error::PlasmaError;
 pub use id::{ObjectId, OBJECT_ID_LEN};
 pub use object::{ObjectInfo, ObjectLocation, ObjectState};
 pub use server::{serve_store, PlasmaServer, PlasmaServerMetrics};
-pub use store::{GrowthPolicy, StoreConfig, StoreCore, StoreStats};
+pub use store::{StoreConfig, StoreCore, StoreStats};
 
 #[cfg(test)]
 mod end_to_end {

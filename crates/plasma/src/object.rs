@@ -15,8 +15,7 @@ pub enum ObjectState {
 /// Internal bookkeeping for one object.
 #[derive(Debug, Clone)]
 pub(crate) struct ObjectEntry {
-    /// Index of the store segment holding the object.
-    pub seg_idx: usize,
+    /// Offset of the data buffer within the store's segment.
     pub offset: u64,
     pub data_size: u64,
     pub metadata_size: u64,
@@ -79,7 +78,6 @@ mod tests {
     #[test]
     fn total_size_sums_data_and_metadata() {
         let e = ObjectEntry {
-            seg_idx: 0,
             offset: 0,
             data_size: 100,
             metadata_size: 28,

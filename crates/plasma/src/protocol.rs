@@ -273,7 +273,6 @@ impl Response {
             }
             Response::Stats(s) => {
                 e.u64(s.capacity)
-                    .u64(s.segments)
                     .u64(s.allocated_bytes)
                     .u64(s.objects)
                     .u64(s.sealed_objects)
@@ -375,7 +374,6 @@ impl Response {
             }
             tag::R_STATS => Response::Stats(StoreStats {
                 capacity: d.u64()?,
-                segments: d.u64()?,
                 allocated_bytes: d.u64()?,
                 objects: d.u64()?,
                 sealed_objects: d.u64()?,
@@ -487,7 +485,6 @@ mod tests {
             }]),
             Response::Stats(StoreStats {
                 capacity: 100,
-                segments: 1,
                 allocated_bytes: 50,
                 objects: 2,
                 sealed_objects: 1,

@@ -14,7 +14,7 @@
 //!   evicted ("in-use objects will not be evicted, because clients might
 //!   still be reading from memory");
 //! * when an allocation fails, sealed unreferenced objects are evicted in
-//!   LRU order until it fits (if eviction is enabled);
+//!   LRU order until it fits;
 //! * `get` can block with a timeout until an object is sealed;
 //! * sealing broadcasts a notification to subscribers.
 //!
@@ -23,7 +23,7 @@
 //! The paper notes "Mutex functionality was built in to ensure
 //! thread-safety": one mutex around the object table. This store is built
 //! the same way. One `Mutex<Table>` covers the objects, the LRU index, the
-//! lifecycle counters and the segment allocators, and one `Condvar` paired
+//! lifecycle counters and the segment's allocator, and one `Condvar` paired
 //! with it wakes blocked `get`s. Payload bytes never pass the lock —
 //! clients read and write through the fabric mapping — so every critical
 //! section is a metadata edit, and the fastest recorded per-node workload
@@ -43,19 +43,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfsim::{Fabric, Mapping, NodeId, SegKey};
 
-/// How a store grows beyond its initial donation when it runs out of
-/// memory: donate further segments of `increment_bytes` until the total
-/// reaches `max_total_bytes`. Growth is attempted *before* eviction —
-/// the disaggregation promise is that memory volume, not locality, is the
-/// scaling limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrowthPolicy {
-    /// Size of each additional donated segment.
-    pub increment_bytes: usize,
-    /// Hard cap on the store's total donated memory.
-    pub max_total_bytes: usize,
-}
-
 /// Store construction parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -64,10 +51,6 @@ pub struct StoreConfig {
     /// Bytes of local memory donated to the disaggregated pool and managed
     /// by this store.
     pub memory_bytes: usize,
-    /// Whether allocation failures trigger LRU eviction.
-    pub enable_eviction: bool,
-    /// Optional dynamic growth by donating further segments.
-    pub growth: Option<GrowthPolicy>,
 }
 
 impl StoreConfig {
@@ -75,18 +58,7 @@ impl StoreConfig {
         StoreConfig {
             name: name.into(),
             memory_bytes,
-            enable_eviction: true,
-            growth: None,
         }
-    }
-
-    /// Enable segment-at-a-time growth up to `max_total_bytes`.
-    pub fn with_growth(mut self, increment_bytes: usize, max_total_bytes: usize) -> Self {
-        self.growth = Some(GrowthPolicy {
-            increment_bytes,
-            max_total_bytes,
-        });
-        self
     }
 }
 
@@ -94,8 +66,6 @@ impl StoreConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     pub capacity: u64,
-    /// Number of donated segments backing the store.
-    pub segments: u64,
     pub allocated_bytes: u64,
     pub objects: u64,
     pub sealed_objects: u64,
@@ -109,24 +79,18 @@ pub struct StoreStats {
     pub evicted_bytes: u64,
 }
 
-/// One donated segment and the allocator managing it.
-struct SegAlloc {
-    key: SegKey,
-    alloc: Slab,
-}
-
 /// Everything the store's one lock covers: the object table, the LRU
-/// index of its evictable entries, and the segment allocators behind
-/// them.
+/// index of its evictable entries, and the allocator of the donated
+/// segment behind them.
 struct Table {
     objects: HashMap<ObjectId, ObjectEntry>,
     lru: LruIndex,
     /// Lifecycle counters; the capacity fields are filled in by
-    /// [`StoreCore::stats`] from the two fields below.
+    /// [`StoreCore::stats`] from the allocator.
     stats: StoreStats,
-    segs: Vec<SegAlloc>,
-    /// Sum of segment capacities (kept incrementally on growth).
-    capacity: u64,
+    /// The segment the store donated at construction.
+    seg: SegKey,
+    alloc: Slab,
     /// `get_wait` calls asleep on `Inner::sealed` right now; a seal with
     /// nobody to wake skips the notify.
     waiters: usize,
@@ -134,10 +98,7 @@ struct Table {
 
 impl Table {
     fn allocated_bytes(&self) -> u64 {
-        self.segs
-            .iter()
-            .map(|s| s.alloc.stats().allocated_bytes)
-            .sum()
+        self.alloc.stats().allocated_bytes
     }
 
     /// Take a reference on `id` for a getter, if a `get` may see it:
@@ -145,7 +106,7 @@ impl Table {
     fn pin(&mut self, id: ObjectId) -> Option<ObjectLocation> {
         let e = self.objects.get_mut(&id).filter(|e| e.visible())?;
         e.ref_count += 1;
-        let loc = location(&self.segs, id, e);
+        let loc = location(self.seg, id, e);
         self.lru.remove(&id);
         self.stats.gets += 1;
         Some(loc)
@@ -153,10 +114,10 @@ impl Table {
 }
 
 /// Where `e` lives, as handed to clients.
-fn location(segs: &[SegAlloc], id: ObjectId, e: &ObjectEntry) -> ObjectLocation {
+fn location(seg: SegKey, id: ObjectId, e: &ObjectEntry) -> ObjectLocation {
     ObjectLocation {
         id,
-        seg: segs[e.seg_idx].key,
+        seg,
         offset: e.offset,
         data_size: e.data_size,
         metadata_size: e.metadata_size,
@@ -222,22 +183,14 @@ impl StoreMetrics {
     /// — however many victims it evicted on the way — under the table
     /// lock, so it allocates nothing.
     fn sync_capacity(&self, t: &Table) {
-        let capacity = t.capacity as i64;
+        let capacity = t.alloc.capacity() as i64;
         let used = t.allocated_bytes() as i64;
         self.capacity_bytes.set(capacity);
         self.used_bytes.set(used);
         self.free_bytes.set(capacity - used);
-        let mut live = [0i64; SIZE_CLASSES.len()];
-        let mut held = [0i64; SIZE_CLASSES.len()];
-        for seg in &t.segs {
-            for (i, occ) in seg.alloc.class_occupancy().enumerate() {
-                live[i] += occ.live_bytes as i64;
-                held[i] += occ.held_bytes as i64;
-            }
-        }
-        for (i, (lg, hg)) in self.class_gauges.iter().enumerate() {
-            lg.set(live[i]);
-            hg.set(held[i]);
+        for ((live, held), occ) in self.class_gauges.iter().zip(t.alloc.class_occupancy()) {
+            live.set(occ.live_bytes as i64);
+            held.set(occ.held_bytes as i64);
         }
     }
 }
@@ -245,8 +198,6 @@ impl StoreMetrics {
 struct Inner {
     name: String,
     node: NodeId,
-    growth: Option<GrowthPolicy>,
-    enable_eviction: bool,
     fabric: Fabric,
     table: Mutex<Table>,
     /// Signalled by a seal that finds `Table::waiters` non-zero;
@@ -275,18 +226,13 @@ impl StoreCore {
             inner: Arc::new(Inner {
                 name: config.name,
                 node,
-                growth: config.growth,
-                enable_eviction: config.enable_eviction,
                 fabric: fabric.clone(),
                 table: Mutex::new(Table {
                     objects: HashMap::new(),
                     lru: LruIndex::new(),
                     stats: StoreStats::default(),
-                    segs: vec![SegAlloc {
-                        key: seg,
-                        alloc: Slab::new(capacity),
-                    }],
-                    capacity,
+                    seg,
+                    alloc: Slab::new(capacity),
                     waiters: 0,
                 }),
                 sealed: Condvar::new(),
@@ -325,14 +271,9 @@ impl StoreCore {
         }
     }
 
-    /// The store's primary (first-donated) segment.
+    /// The segment the store donated, which holds every object.
     pub fn seg_key(&self) -> SegKey {
-        self.table().segs[0].key
-    }
-
-    /// Every segment the store has donated, in donation order.
-    pub fn seg_keys(&self) -> Vec<SegKey> {
-        self.table().segs.iter().map(|s| s.key).collect()
+        self.table().seg
     }
 
     /// The fabric this store participates in.
@@ -340,7 +281,7 @@ impl StoreCore {
         &self.inner.fabric
     }
 
-    /// A local mapping of the store's primary segment (owner path).
+    /// A local mapping of the store's segment (owner path).
     pub fn local_mapping(&self) -> Result<Mapping, PlasmaError> {
         let key = self.seg_key();
         Ok(self.inner.fabric.attach(self.inner.node, key)?)
@@ -354,9 +295,9 @@ impl StoreCore {
 
     /// Allocate a new object. The creator holds one reference and must
     /// write the buffer (through the fabric) and then [`StoreCore::seal`].
-    /// Uniqueness, allocation (with any growth or eviction it needs) and
-    /// the insert are one critical section: a create refused as a
-    /// duplicate has grown and evicted nothing.
+    /// Uniqueness, allocation (with any eviction it needs) and the insert
+    /// are one critical section: a create refused as a duplicate has
+    /// evicted nothing.
     pub fn create(
         &self,
         id: ObjectId,
@@ -369,19 +310,17 @@ impl StoreCore {
             return Err(PlasmaError::ObjectExists(id));
         }
         let placed = self.allocate(&mut t, data_size + metadata_size);
-        // Once, for whatever it grew or evicted, whether or not it fit.
+        // Once, for whatever it evicted, whether or not it fit.
         self.inner.metrics.sync_capacity(&t);
-        let (seg_idx, offset) = placed?;
         let entry = ObjectEntry {
-            seg_idx,
-            offset,
+            offset: placed?,
             data_size,
             metadata_size,
             state: ObjectState::Created,
             ref_count: 1,
             pending_deletion: false,
         };
-        let loc = location(&t.segs, id, &entry);
+        let loc = location(t.seg, id, &entry);
         t.objects.insert(id, entry);
         t.stats.creates += 1;
         t.stats.objects += 1;
@@ -390,51 +329,21 @@ impl StoreCore {
         Ok(loc)
     }
 
-    /// Find room for `total` bytes: try each segment, then growth, then
-    /// eviction of the LRU victim, until it fits or nothing is left to
-    /// evict. Returns the segment index and the offset within it.
-    fn allocate(&self, t: &mut Table, total: u64) -> Result<(usize, u64), PlasmaError> {
+    /// Find room for `total` bytes, evicting the LRU victim until it fits
+    /// or nothing is left to evict. Returns the offset within the segment.
+    fn allocate(&self, t: &mut Table, total: u64) -> Result<u64, PlasmaError> {
         let size = total.max(1);
         loop {
-            for idx in 0..t.segs.len() {
-                if let Ok(off) = t.segs[idx].alloc.alloc(size) {
-                    return Ok((idx, off));
-                }
+            if let Ok(offset) = t.alloc.alloc(size) {
+                return Ok(offset);
             }
-            // Prefer growing the disaggregated pool over evicting
-            // data; evict only when growth is exhausted.
-            if self.grow(t)? {
-                continue;
-            }
-            if !self.inner.enable_eviction || self.evict_one(t).is_none() {
+            if self.evict_one(t).is_none() {
                 return Err(PlasmaError::OutOfMemory {
                     requested: total,
-                    capacity: t.capacity,
+                    capacity: t.alloc.capacity(),
                 });
             }
         }
-    }
-
-    /// Donate one more segment per the growth policy. Returns whether the
-    /// pool grew.
-    fn grow(&self, t: &mut Table) -> Result<bool, PlasmaError> {
-        let Some(policy) = self.inner.growth else {
-            return Ok(false);
-        };
-        if t.capacity + policy.increment_bytes as u64 > policy.max_total_bytes as u64 {
-            return Ok(false);
-        }
-        let key = self
-            .inner
-            .fabric
-            .donate(self.inner.node, policy.increment_bytes)?;
-        let capacity = policy.increment_bytes as u64;
-        t.segs.push(SegAlloc {
-            key,
-            alloc: Slab::new(capacity),
-        });
-        t.capacity += capacity;
-        Ok(true)
     }
 
     /// Seal an object: it becomes immutable and visible to `get`. Wakes
@@ -454,7 +363,7 @@ impl StoreCore {
             }
             t.stats.seals += 1;
             t.stats.sealed_objects += 1;
-            (location(&t.segs, id, entry), t.waiters)
+            (location(t.seg, id, entry), t.waiters)
         };
         // The state flipped under the lock `get_wait` scans, registers
         // and waits under, so every waiter either saw it or is counted
@@ -656,8 +565,7 @@ impl StoreCore {
             return 0;
         };
         t.lru.remove(&id);
-        t.segs[entry.seg_idx]
-            .alloc
+        t.alloc
             .free(entry.offset)
             .expect("object table and allocator agree");
         if entry.state == ObjectState::Sealed {
@@ -701,7 +609,7 @@ impl StoreCore {
     pub fn peek(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t = self.table();
         let e = t.objects.get(&id).filter(|e| e.visible())?;
-        Some(location(&t.segs, id, e))
+        Some(location(t.seg, id, e))
     }
 
     /// Location of a created-but-unsealed object — where its creator is
@@ -709,7 +617,7 @@ impl StoreCore {
     pub fn peek_unsealed(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t = self.table();
         match t.objects.get(&id) {
-            Some(e) if e.state == ObjectState::Created => Some(location(&t.segs, id, e)),
+            Some(e) if e.state == ObjectState::Created => Some(location(t.seg, id, e)),
             _ => None,
         }
     }
@@ -757,8 +665,7 @@ impl StoreCore {
     pub fn stats(&self) -> StoreStats {
         let t = self.table();
         StoreStats {
-            capacity: t.capacity,
-            segments: t.segs.len() as u64,
+            capacity: t.alloc.capacity(),
             allocated_bytes: t.allocated_bytes(),
             ..t.stats
         }
@@ -1001,72 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn growth_donates_new_segments_before_evicting() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let cfg = StoreConfig::new("growing", 1 << 20).with_growth(1 << 20, 3 << 20);
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
-        // Three ~800 KiB objects: only one fits per segment, so the store
-        // must grow twice — and nothing may be evicted.
-        for n in 1..=3u8 {
-            s.create(id(n), 800 << 10, 0).unwrap();
-            s.seal(id(n)).unwrap();
-            s.release(id(n)).unwrap();
-        }
-        let st = s.stats();
-        assert_eq!(st.segments, 3);
-        assert_eq!(st.capacity, 3 << 20);
-        assert_eq!(st.evictions, 0);
-        for n in 1..=3u8 {
-            assert!(s.contains(id(n)), "object {n} must survive");
-        }
-        assert_eq!(s.seg_keys().len(), 3);
-        // Objects report the segment they actually live in.
-        let locs: Vec<_> = (1..=3u8).map(|n| s.peek(id(n)).unwrap()).collect();
-        let segs: std::collections::HashSet<_> = locs.iter().map(|l| l.seg).collect();
-        assert_eq!(segs.len(), 3, "each object in its own segment");
-    }
-
-    #[test]
-    fn growth_cap_falls_back_to_eviction() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let cfg = StoreConfig::new("capped", 1 << 20).with_growth(1 << 20, 2 << 20);
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
-        for n in 1..=3u8 {
-            s.create(id(n), 800 << 10, 0).unwrap();
-            s.seal(id(n)).unwrap();
-            s.release(id(n)).unwrap();
-        }
-        let st = s.stats();
-        assert_eq!(st.segments, 2, "growth stops at the cap");
-        assert_eq!(st.evictions, 1, "then eviction resumes");
-        assert!(!s.contains(id(1)), "LRU object evicted");
-        assert!(s.contains(id(2)));
-        assert!(s.contains(id(3)));
-    }
-
-    #[test]
-    fn objects_in_grown_segments_are_readable() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let cfg = StoreConfig::new("grown-read", 1 << 20).with_growth(1 << 20, 4 << 20);
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
-        for n in 1..=3u8 {
-            let loc = s.create(id(n), 800 << 10, 0).unwrap();
-            let map = s.mapping_for(&loc).unwrap();
-            map.write_at(loc.offset, &vec![n; 800 << 10]).unwrap();
-            s.seal(id(n)).unwrap();
-        }
-        for n in 1..=3u8 {
-            let loc = s.peek(id(n)).unwrap();
-            let map = s.mapping_for(&loc).unwrap();
-            let data = map.read_vec(loc.offset, 800 << 10).unwrap();
-            assert!(data.iter().all(|&b| b == n), "object {n} intact");
-        }
-    }
-
-    #[test]
     fn eviction_reclaims_lru_unreferenced() {
         // Three 256 KiB objects (an exact slab class) fill the store.
         let s = store(768 << 10);
@@ -1233,23 +1074,6 @@ mod tests {
             assert!(h.count >= 1, "{name} not recorded");
             assert!(h.max > 0, "{name} recorded zero wall time");
         }
-    }
-
-    #[test]
-    fn eviction_disabled_fails_fast() {
-        let fabric = Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let mut cfg = StoreConfig::new("noevict", 1 << 20);
-        cfg.enable_eviction = false;
-        let s = StoreCore::new(&fabric, node, cfg).unwrap();
-        s.create(id(1), 700 << 10, 0).unwrap();
-        s.seal(id(1)).unwrap();
-        s.release(id(1)).unwrap(); // evictable, but eviction disabled
-        assert!(matches!(
-            s.create(id(2), 700 << 10, 0),
-            Err(PlasmaError::OutOfMemory { .. })
-        ));
-        assert!(s.contains(id(1)));
     }
 
     #[test]

@@ -52,9 +52,7 @@ struct ModelObj {
 fn run(ops: Vec<Op>) -> Result<(), TestCaseError> {
     let fabric = Fabric::virtual_thymesisflow();
     let node = fabric.register_node();
-    let mut cfg = StoreConfig::new("prop", CAPACITY);
-    cfg.enable_eviction = false; // keep the model deterministic
-    let store = StoreCore::new(&fabric, node, cfg).unwrap();
+    let store = StoreCore::new(&fabric, node, StoreConfig::new("prop", CAPACITY)).unwrap();
     let mut model: HashMap<u8, ModelObj> = HashMap::new();
 
     for op in ops {

@@ -84,21 +84,6 @@ impl CostModel {
         }
     }
 
-    /// A model with zero cost everywhere. Useful for functional tests where
-    /// timing is irrelevant.
-    pub fn free() -> Self {
-        let z = PathCost {
-            read_gibps: f64::INFINITY,
-            write_gibps: f64::INFINITY,
-            op_latency: Duration::ZERO,
-        };
-        CostModel {
-            local: z,
-            remote: z,
-            jitter: 0.0,
-        }
-    }
-
     /// Cost of transferring `bytes` in one operation over `path`.
     pub fn cost(&self, path: Path, op: MemOp, bytes: usize) -> Duration {
         match path {
@@ -158,12 +143,6 @@ mod tests {
         // effective bandwidth collapses far below the plateau.
         let bw = m.effective_gibps(Path::Remote, MemOp::Read, 64);
         assert!(bw < 1.0, "bw={bw}");
-    }
-
-    #[test]
-    fn free_model_costs_nothing() {
-        let m = CostModel::free();
-        assert_eq!(m.cost(Path::Remote, MemOp::Write, 1 << 30), Duration::ZERO);
     }
 
     #[test]

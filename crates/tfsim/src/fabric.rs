@@ -107,23 +107,19 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    pub fn new(clock: Clock, cost: CostModel) -> Self {
+    /// Fabric with the paper-calibrated cost model and a virtual clock —
+    /// the one configuration every store, test and figure harness runs on.
+    pub fn virtual_thymesisflow() -> Self {
         Fabric {
             inner: Arc::new(RwLock::new(FabricInner {
                 nodes: Vec::new(),
                 links: HashMap::new(),
             })),
-            clock,
-            cost,
+            clock: Clock::virtual_time(),
+            cost: CostModel::thymesisflow(),
             stats: FabricStats::new(),
             noise: Arc::new(std::sync::atomic::AtomicU64::new(0x5EED_0FFA_B51C)),
         }
-    }
-
-    /// Fabric with the paper-calibrated cost model and a virtual clock —
-    /// the configuration used by deterministic tests and figure harnesses.
-    pub fn virtual_thymesisflow() -> Self {
-        Self::new(Clock::virtual_time(), CostModel::thymesisflow())
     }
 
     /// Register a new node; returns its id.

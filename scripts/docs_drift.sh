@@ -18,6 +18,12 @@
 #    should stop from a wall-clock poll instead of a `close` (PR 23).
 #    (`disagg`'s `REMOTE_POLL` paces a blocking get's re-lookups; it is
 #    a different thing and is not looked at.)
+# 6. DESIGN states how many options a cluster has ("N options") and
+#    gives each a row in its Options table; N is the number of leaf
+#    `pub` fields of `ClusterConfig`, `InterconnectConfig`, `RetryPolicy`
+#    and `HealthConfig` (a field holding another of these is not a
+#    leaf) plus `StoreConfig::name`. A field added without a row — or
+#    without the two callers a row has to name — fails here (PR 24).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,9 +79,11 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # stop flag, the data-plane wrapper type and the `get` alias (PR 23;
 # `batch_get` is spelled quoted, as a path and as a call, so that the
 # metric `batch_get_model_us_per_obj` and the span `op.batch_get`, which
-# stay, are not hit).
+# stay, are not hit); store growth, the eviction switch, the elastic and
+# replication sub-configs with their fields, the client-cost switch as a
+# public field, the hint parser and an uncalled `Cluster` getter (PR 24).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get("
+identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -98,7 +106,34 @@ if polls=$(grep -rnE '\b[A-Z_]*POLL[A-Z_]*\b' crates/ipc crates/rpclite); then
     status=1
 fi
 
+# The `pub` fields of `struct` in `file` that are not themselves one of
+# the option structs; with a third argument, only the field of that name.
+leaf_fields() {
+    awk -v name="$2" -v only="${3:-[a-z_]+}" '
+        $0 ~ "^pub struct " name " \\{" { inside = 1; next }
+        inside && /^}/ { exit }
+        inside && $0 ~ "^    pub " only ": " {
+            type = $0
+            sub(/^    pub [a-z_]+: /, "", type)
+            sub(/,$/, "", type)
+            if (type !~ /^(ClusterConfig|InterconnectConfig|RetryPolicy|HealthConfig)$/) n++
+        }
+        END { print n + 0 }
+    ' "$1"
+}
+options=$(($(leaf_fields crates/disagg/src/cluster.rs ClusterConfig) +
+    $(leaf_fields crates/disagg/src/store.rs InterconnectConfig) +
+    $(leaf_fields crates/disagg/src/health.rs RetryPolicy) +
+    $(leaf_fields crates/disagg/src/health.rs HealthConfig) +
+    $(leaf_fields crates/plasma/src/store.rs StoreConfig name)))
+stated=$({ grep -oE '[0-9]+ options' DESIGN.md || true; } | cut -d' ' -f1 | sort -u | tr '\n' ' ')
+rows=$(awk '/^### Options/ { table = 1; next } /^#/ { table = 0 } table && /^\| `/' DESIGN.md | wc -l)
+if [ "$stated" != "$options " ] || [ "$rows" -ne "$options" ]; then
+    echo "docs-drift: DESIGN.md states \"${stated:-no count of }options\" over $rows table rows but the config structs have $options settable fields" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row"
 fi
 exit $status

@@ -165,39 +165,6 @@ fn remote_buffer_views_are_bounds_checked() {
 }
 
 #[test]
-fn store_growth_spans_segments_transparently_for_remote_readers() {
-    // Stores grow by donating extra segments; clients (local and remote)
-    // must follow objects into grown segments without any API change.
-    let mut cfg = ClusterConfig::functional(2, 1 << 20);
-    cfg.growth = Some((1 << 20, 4 << 20));
-    let cluster = Cluster::launch(cfg).unwrap();
-    let producer = cluster.client(0).unwrap();
-    let consumer = cluster.client(1).unwrap();
-
-    // All four land on node 0, forcing *that* store to grow.
-    let ids: Vec<ObjectId> = (0..4)
-        .map(|i| ObjectId::from_name(&cluster.owned_id(0, &format!("grown/{i}"))))
-        .collect();
-    for (i, id) in ids.iter().enumerate() {
-        producer
-            .put(*id, &vec![i as u8 + 1; 700 << 10], &[])
-            .unwrap();
-    }
-    let stats = cluster.store(0).core().stats();
-    assert!(stats.segments >= 3, "store must have grown: {stats:?}");
-    assert_eq!(stats.evictions, 0, "growth should preempt eviction");
-
-    // A remote consumer reads all of them, across all segments.
-    let bufs = consumer.get(&ids, Duration::from_secs(10)).unwrap();
-    for (i, buf) in bufs.iter().enumerate() {
-        let buf = buf.as_ref().expect("object present");
-        assert_eq!(buf.data().path(), Path::Remote);
-        assert!(buf.read_all().unwrap().iter().all(|&b| b == i as u8 + 1));
-        consumer.release(buf.id).unwrap();
-    }
-}
-
-#[test]
 fn deferred_delete_across_the_cluster() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let producer = cluster.client(0).unwrap();

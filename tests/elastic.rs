@@ -5,6 +5,7 @@
 //! both ledgers, and borrow reconciliation heals an owner that
 //! re-acquired a local copy.
 
+use disagg::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LOW_WATERMARK_PPM, RETRY_AFTER_MS};
 use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
@@ -111,8 +112,7 @@ fn spilled_object_reads_from_every_node() {
 #[test]
 fn admission_control_rejects_with_typed_overload() {
     let mut config = ClusterConfig::functional(2, 4 << 20);
-    config.elastic.max_inflight_creates = 2;
-    config.elastic.retry_after_ms = 40;
+    config.max_inflight_creates = 2;
     let cluster = Cluster::launch(config).unwrap();
     let store = cluster.store(0);
 
@@ -124,7 +124,9 @@ fn admission_control_rejects_with_typed_overload() {
 
     // Local path.
     match store.create(ids[2], 128, 0) {
-        Err(PlasmaError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 40),
+        Err(PlasmaError::Overloaded { retry_after_ms }) => {
+            assert_eq!(retry_after_ms, RETRY_AFTER_MS)
+        }
         other => panic!("expected Overloaded, got {other:?}"),
     }
     let overloads = store
@@ -134,14 +136,19 @@ fn admission_control_rejects_with_typed_overload() {
 
     // Client IPC path: the typed rejection survives the wire format.
     match cluster.client(0).unwrap().create(ids[2], 128, 0) {
-        Err(PlasmaError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 40),
+        Err(PlasmaError::Overloaded { retry_after_ms }) => {
+            assert_eq!(retry_after_ms, RETRY_AFTER_MS)
+        }
         other => panic!("expected Overloaded via IPC, got {:?}", other.map(|_| ())),
     }
 
     // Forwarded-create path: a peer routing a create to the overloaded
-    // ring owner gets `ResourceExhausted` back and re-types it.
+    // ring owner gets `ResourceExhausted` back and re-types it, with the
+    // hint the owner itself would have given.
     match cluster.store(1).create(ids[2], 128, 0) {
-        Err(PlasmaError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 40),
+        Err(PlasmaError::Overloaded { retry_after_ms }) => {
+            assert_eq!(retry_after_ms, RETRY_AFTER_MS)
+        }
         other => panic!("expected Overloaded via CREATE_AT, got {other:?}"),
     }
 
@@ -284,33 +291,35 @@ fn reconcile_drops_replica_once_owner_reacquires() {
     assert_eq!(cluster.store(1).reconcile(), ReconcileReport::default());
 }
 
-/// `spill_cold` under real pressure: fill the owner past the high
-/// watermark, run `maybe_spill`, and occupancy drops below it with
-/// every spilled object still reachable.
+/// `spill_cold` under real pressure, at the watermarks every workload
+/// runs with: fill the owner past the high watermark, run `maybe_spill`,
+/// and occupancy drops to the low one — no further — with the lender
+/// left inside its headroom and every spilled object still reachable.
 #[test]
 fn pressure_spill_sheds_load_and_keeps_objects_reachable() {
-    let mut config = ClusterConfig::functional(2, 1 << 20);
-    config.elastic.high_watermark_ppm = 500_000;
-    config.elastic.low_watermark_ppm = 300_000;
-    let cluster = Cluster::launch(config).unwrap();
+    const OBJECT: u64 = 64 << 10;
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
 
-    // ~62% full: 10 × 64 KiB objects owned by node 0, oldest coldest.
+    // 87.5 % full: 14 × 64 KiB objects owned by node 0, oldest coldest.
     let producer = cluster.client(0).unwrap();
-    let ids: Vec<ObjectId> = (0..10)
+    let ids: Vec<ObjectId> = (0..14)
         .map(|i| {
             let id = ObjectId::from_name(&cluster.owned_id(0, &format!("load/{i}")));
-            producer.put(id, &[i as u8; 64 << 10], &[]).unwrap();
+            producer.put(id, &[i as u8; OBJECT as usize], &[]).unwrap();
             id
         })
         .collect();
     let store = cluster.store(0);
-    assert!(store.memory_pressure_ppm() > 500_000);
+    assert!(store.memory_pressure_ppm() >= HIGH_WATERMARK_PPM);
 
+    // Three objects take 87.5 % to 68.75 %: the first occupancy at or
+    // under the low watermark, where the pass stops.
     let spilled = store.maybe_spill().unwrap();
-    assert!(spilled > 0, "pressure above the watermark must spill");
+    assert_eq!(spilled, 3 * OBJECT, "spill down to the low watermark");
+    assert!(store.memory_pressure_ppm() <= LOW_WATERMARK_PPM);
     assert!(
-        store.memory_pressure_ppm() <= 500_000,
-        "occupancy must drop under the high watermark"
+        cluster.store(1).memory_pressure_ppm() <= 600_000,
+        "the lender stays inside its headroom"
     );
     assert_eq!(
         lease_counts(store).0 as u64,
@@ -331,18 +340,16 @@ fn pressure_spill_sheds_load_and_keeps_objects_reachable() {
 }
 
 /// Heat-driven rebalance: a remote reader hammering one object pulls it
-/// to itself once its hit count crosses `heat_min_hits`, converting
+/// to itself once its hit count reaches `HOT_AFTER_HITS`, converting
 /// future remote reads into local ones.
 #[test]
 fn rebalance_moves_hot_object_to_its_dominant_reader() {
-    let mut config = ClusterConfig::functional(2, 4 << 20);
-    config.elastic.heat_min_hits = 4;
-    let cluster = Cluster::launch(config).unwrap();
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let id = ObjectId::from_name(&cluster.owned_id(0, "hot/obj"));
     cluster.client(0).unwrap().put(id, &[5; 1024], &[]).unwrap();
 
     let reader = cluster.store(1).clone();
-    for _ in 0..4 {
+    for _ in 0..HOT_AFTER_HITS {
         let got = reader.get(&[id], GET_TIMEOUT).unwrap();
         assert!(got[0].is_some());
         reader.release(id).unwrap();

@@ -210,59 +210,50 @@ fn concurrent_workload_matches_fate_table() {
 
 /// Creators racing on the *same* id, on a store already full of sealed,
 /// released objects: exactly one create wins, the rest see
-/// `ObjectExists`, and a refused create costs the store nothing — the
-/// pool grows or evicts for the one winner only. (The window in which a
-/// create that allocates before it is sure of uniqueness would evict an
-/// innocent object is narrow, hence the rounds.)
+/// `ObjectExists`, and a refused create costs the store nothing — one
+/// LRU victim is evicted, for the one winner only. (The window in which
+/// a create that allocates before it is sure of uniqueness would evict
+/// an innocent object is narrow, hence the rounds.)
 #[test]
 fn same_id_create_race_has_exactly_one_winner() {
     const ROUNDS: usize = 100;
     const SLOT: u64 = 256 << 10; // an exact slab class
     const FILL: u64 = 4;
-    let cap = (FILL * SLOT) as usize;
-    // What the single winning create needs: without growth it evicts one
-    // LRU victim; with room to grow it donates one segment and evicts
-    // nothing.
-    let full = StoreConfig::new("race-full", cap);
-    let growing = full.clone().with_growth(cap, 4 * cap);
-    for (cfg, evictions, segments) in [(full, 1, 1), (growing, 0, 2)] {
-        for round in 0..ROUNDS {
-            let store = Arc::new(build_store(cfg.clone()));
-            for slot in 0..FILL as usize {
-                let filler = oid(6, slot);
-                store.create(filler, SLOT, 0).expect("fill");
-                store.seal(filler).expect("seal filler");
-                store.release(filler).expect("release filler");
-            }
-            assert_eq!(store.stats().segments, 1);
-            assert_eq!(store.stats().allocated_bytes, FILL * SLOT, "store is full");
-
-            let id = oid(7, 200);
-            let start = Arc::new(Barrier::new(8));
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let (s, start) = (Arc::clone(&store), Arc::clone(&start));
-                    std::thread::spawn(move || {
-                        start.wait();
-                        s.create(id, SLOT, 0).is_ok()
-                    })
-                })
-                .collect();
-            let wins = handles
-                .into_iter()
-                .map(|h| h.join().expect("creator thread panicked"))
-                .filter(|&ok| ok)
-                .count();
-            assert_eq!(wins, 1, "round {round}: exactly one create wins");
-            let st = store.stats();
-            assert_eq!(st.evictions, evictions, "round {round}: a loser evicted");
-            assert_eq!(st.segments, segments, "round {round}: a loser grew");
-            assert_eq!(st.objects, FILL - evictions + 1);
-            assert_eq!(st.allocated_bytes, st.objects * SLOT);
-            store.seal(id).unwrap();
-            store.release(id).unwrap();
-            store.delete(id).unwrap();
-            assert_eq!(store.stats().allocated_bytes, (st.objects - 1) * SLOT);
+    for round in 0..ROUNDS {
+        let full = StoreConfig::new("race-full", (FILL * SLOT) as usize);
+        let store = Arc::new(build_store(full));
+        for slot in 0..FILL as usize {
+            let filler = oid(6, slot);
+            store.create(filler, SLOT, 0).expect("fill");
+            store.seal(filler).expect("seal filler");
+            store.release(filler).expect("release filler");
         }
+        assert_eq!(store.stats().allocated_bytes, FILL * SLOT, "store is full");
+
+        let id = oid(7, 200);
+        let start = Arc::new(Barrier::new(8));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (s, start) = (Arc::clone(&store), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    s.create(id, SLOT, 0).is_ok()
+                })
+            })
+            .collect();
+        let wins = handles
+            .into_iter()
+            .map(|h| h.join().expect("creator thread panicked"))
+            .filter(|&ok| ok)
+            .count();
+        assert_eq!(wins, 1, "round {round}: exactly one create wins");
+        let st = store.stats();
+        assert_eq!(st.evictions, 1, "round {round}: a loser evicted");
+        assert_eq!(st.objects, FILL);
+        assert_eq!(st.allocated_bytes, st.objects * SLOT);
+        store.seal(id).unwrap();
+        store.release(id).unwrap();
+        store.delete(id).unwrap();
+        assert_eq!(store.stats().allocated_bytes, (st.objects - 1) * SLOT);
     }
 }

@@ -284,18 +284,16 @@ fn moved_object_is_served_from_holder_not_stale_replica() {
 }
 
 /// Heat-driven propagation: enough remote reads from one node push the
-/// object over `ReplicationConfig::min_hits`, and the next
-/// `replicate_hot` pass plants a replica at that reader.
+/// object to `HOT_AFTER_HITS`, and the next `replicate_hot` pass plants
+/// a replica at that reader.
 #[test]
 fn replicate_hot_offers_replica_to_the_dominant_reader() {
-    let mut config = ClusterConfig::functional(2, 4 << 20);
-    config.replication.min_hits = 4;
-    let cluster = Cluster::launch(config).unwrap();
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let id = ObjectId::from_name(&cluster.owned_id(0, "rep/hot"));
     cluster.client(0).unwrap().put(id, &[7; 256], &[]).unwrap();
 
     let reader = cluster.client(1).unwrap();
-    for _ in 0..4 {
+    for _ in 0..disagg::elastic::HOT_AFTER_HITS {
         let buf = reader.get_one(id, GET_TIMEOUT).unwrap();
         buf.read_all().unwrap();
         drop(buf);
