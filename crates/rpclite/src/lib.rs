@@ -14,7 +14,8 @@
 //!   ([`NetCost`]) to the simulation clock, with concurrent calls
 //!   overlapping their round trips as on a real wire,
 //! * a server ([`serve`]) with a dedicated accept thread and concurrent
-//!   per-connection servicing (responses return in completion order).
+//!   per-connection servicing (responses return in completion order) on
+//!   handler threads that park between calls.
 //!
 //! Transports come from the [`ipc`] crate, so services run identically over
 //! Unix domain sockets or in-process channels.

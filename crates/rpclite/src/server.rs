@@ -1,12 +1,18 @@
 //! RPC server: accept loop + per-connection concurrent servicing.
 //!
 //! Each accepted connection gets a reader thread that decodes requests
-//! and dispatches every call to its own handler thread; responses are
+//! and hands every call to the server's handler threads; responses are
 //! written back through a mutex-shared clone of the connection (frame
 //! writes are atomic) **in completion order, not arrival order**. This is
 //! what lets a pipelined client keep many correlation-id-tagged requests
 //! in flight: a slow call no longer blocks the responses of faster calls
 //! behind it.
+//!
+//! A call runs on a *parked* handler if the server has one and on a new
+//! thread if it has none, so no call ever waits for another to finish; a
+//! handler that finishes while another is parked exits, so an idle server
+//! keeps at most one (DESIGN §8, "Serving a request"). There is no pool
+//! size and no idle timer.
 //!
 //! Nothing here polls. A connection thread parks in `recv` until a
 //! request arrives or the connection ends — the client hung up, or
@@ -18,13 +24,13 @@
 //! on this to stop a peer node and know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
-use crate::service::{Service, Status};
+use crate::service::Service;
 use ipc::{Conn, Listener, StopHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::{Builder, JoinHandle};
+use std::sync::{mpsc, Arc};
+use std::thread::{Builder, JoinHandle, Scope};
 
 /// How many recent call ids a connection remembers for duplicate
 /// suppression. Duplicated frames arrive adjacent to their original
@@ -70,7 +76,8 @@ impl SeenCalls {
 pub struct ServerMetrics {
     /// Requests decoded and dispatched to the service.
     pub calls: AtomicU64,
-    /// Calls that returned an error status (plus undecodable requests).
+    /// Calls that returned an error status, plus connections closed for
+    /// a frame that was not a decodable request.
     pub errors: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
@@ -85,6 +92,94 @@ pub struct ServerMetrics {
 /// behind a send. A connection thread removes its own entry on the way
 /// out.
 type Live = Mutex<HashMap<u64, Box<dyn Conn>>>;
+
+/// A decoded request and the write half of the connection its answer
+/// goes to. The writer is shared by that connection's calls and outlives
+/// its connection thread if a call does.
+type Job = (Request, Arc<Mutex<Box<dyn Conn>>>);
+
+/// What one server runs calls with: new threads, and at most one parked
+/// handler between calls.
+struct Handlers<'a> {
+    parked: Mutex<Parked>,
+    service: &'a dyn Service,
+    metrics: &'a ServerMetrics,
+}
+
+/// The slot for the server's one parked handler.
+#[derive(Default)]
+enum Parked {
+    /// Every handler is busy (or there is none).
+    #[default]
+    None,
+    /// The inbox of the one handler waiting for a call.
+    One(mpsc::Sender<Job>),
+    /// The server is stopping: no handler parks any more.
+    Stopped,
+}
+
+impl Handlers<'_> {
+    /// Run `job` on the parked handler, or on a new thread if none is
+    /// parked — never behind a busy handler, whose own call may be
+    /// waiting for this very job (a nested call back to this server).
+    fn submit<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, job: Job) {
+        let free = match &mut *self.parked.lock() {
+            parked @ Parked::One(_) => std::mem::take(parked),
+            _ => Parked::None,
+        };
+        let job = match free {
+            Parked::One(inbox) => match inbox.send(job) {
+                Ok(()) => return,
+                Err(mpsc::SendError(job)) => job,
+            },
+            _ => job,
+        };
+        Builder::new()
+            .name("rpc-handler".to_string())
+            .spawn_scoped(scope, move || self.run(job))
+            .expect("spawn rpc handler thread");
+    }
+
+    /// A handler's life: run a job, then park for the next one — or exit,
+    /// if another handler is parked already or the server is stopping.
+    fn run(&self, mut job: Job) {
+        loop {
+            let (request, writer) = job;
+            let result = self.service.call(request.method, request.body);
+            if result.is_err() {
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            let response = Response {
+                call_id: request.call_id,
+                result,
+            };
+            // Park before answering: the request this answer lets the
+            // caller send must find this handler, not spawn another.
+            let inbox = match &mut *self.parked.lock() {
+                parked @ Parked::None => {
+                    let (sender, inbox) = mpsc::channel();
+                    *parked = Parked::One(sender);
+                    Some(inbox)
+                }
+                _ => None,
+            };
+            let _ = writer.lock().send(&response.to_frame());
+            drop(writer);
+            // The next job, or a closed inbox once `stop` dropped its sender.
+            match inbox.map(|inbox| inbox.recv()) {
+                Some(Ok(next)) => job = next,
+                _ => return,
+            }
+        }
+    }
+
+    /// Wake the parked handler to exit, and let no handler park again. A
+    /// job sent to it first still runs: `recv` delivers it before the
+    /// closed inbox.
+    fn stop(&self) {
+        *self.parked.lock() = Parked::Stopped;
+    }
+}
 
 /// Handle to a running server; shuts it down on drop.
 pub struct ServerHandle {
@@ -144,6 +239,11 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
         .spawn({
             let (metrics, live) = (Arc::clone(&metrics), Arc::clone(&live));
             move || {
+                let handlers = Handlers {
+                    parked: Mutex::default(),
+                    service: &*service,
+                    metrics: &metrics,
+                };
                 std::thread::scope(|scope| {
                     // Any `accept` error ends the server; a stop is the
                     // `Interrupted` one.
@@ -153,21 +253,23 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
                             continue;
                         };
                         live.lock().insert(id, closer);
-                        let (service, metrics, live) = (&*service, &*metrics, &*live);
+                        let (live, handlers) = (&*live, &handlers);
                         Builder::new()
                             .name("rpc-conn".to_string())
                             .spawn_scoped(scope, move || {
-                                serve_conn(conn, service, metrics);
+                                serve_conn(conn, scope, handlers);
                                 live.lock().remove(&id);
                             })
                             .expect("spawn rpc connection thread");
                     }
                     // No connection is accepted past this point, so closing
-                    // what is open wakes every connection thread there is;
-                    // the scope joins them.
+                    // what is open wakes every connection thread there is,
+                    // and stopping the handlers wakes every parked one; the
+                    // scope joins them all.
                     for conn in live.lock().values() {
                         conn.close();
                     }
+                    handlers.stop();
                 })
             }
         })
@@ -181,67 +283,139 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     }
 }
 
-fn serve_conn(mut conn: Box<dyn Conn>, service: &dyn Service, metrics: &ServerMetrics) {
-    // Handlers run concurrently and share the write half of the
-    // connection behind a mutex; frames are written atomically, so
-    // responses interleave cleanly in completion order.
-    let Ok(writer) = conn.try_clone().map(Mutex::new) else {
+/// A connection thread: decode each request, drop a duplicate, and hand
+/// the call to `handlers` — it never runs one itself, so a slow call does
+/// not hold up the next request on its connection.
+fn serve_conn<'scope>(
+    mut conn: Box<dyn Conn>,
+    scope: &'scope Scope<'scope, '_>,
+    handlers: &'scope Handlers,
+) {
+    let metrics = handlers.metrics;
+    let Ok(writer) = conn.try_clone() else {
         return;
     };
-    // Per-connection duplicate suppression (see `SeenCalls`).
-    let seen = Mutex::new(SeenCalls::new());
-    // The scope joins every in-flight handler before the connection is
-    // torn down — shutdown's "no handler survives" guarantee.
-    std::thread::scope(|scope| {
-        // `recv` fails once the peer is gone or the connection is closed.
-        while let Ok(frame) = conn.recv() {
-            if frame.msg_type != FRAME_REQUEST {
-                // Protocol violation: drop the connection.
-                break;
-            }
-            let (writer, seen) = (&writer, &seen);
-            Builder::new()
-                .name("rpc-handler".to_string())
-                .spawn_scoped(scope, move || {
-                    if let Some(response) = handle(&frame, service, metrics, seen) {
-                        let _ = writer.lock().send(&response.to_frame());
-                    }
-                })
-                .expect("spawn rpc handler thread");
+    let writer = Arc::new(Mutex::new(writer));
+    let mut seen = SeenCalls::new();
+    // `recv` fails once the peer is gone or the connection is closed.
+    while let Ok(frame) = conn.recv() {
+        let request = match frame.msg_type {
+            FRAME_REQUEST => Request::from_frame(&frame).ok(),
+            _ => None,
+        };
+        let Some(request) = request else {
+            // A frame that is not a decodable request — a wrong type, a
+            // failed checksum, a truncation — is a protocol violation.
+            // Its caller cannot be told apart from any other (the call id
+            // is inside what failed to decode), so the connection ends:
+            // the client fails every call on it at once and redials.
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+            conn.close();
+            return;
+        };
+        if !seen.first_sighting(request.call_id) {
+            // The original execution's response answers the client, and
+            // executing again would double a non-idempotent call.
+            metrics.duplicates.fetch_add(1, Ordering::Relaxed);
+            continue;
         }
-    });
+        metrics.calls.fetch_add(1, Ordering::Relaxed);
+        handlers.submit(scope, (request, Arc::clone(&writer)));
+    }
 }
 
-/// Execute one request frame. `None` for a duplicated frame: the original
-/// execution's response answers the client, and executing again would
-/// double a non-idempotent call.
-fn handle(
-    frame: &ipc::Frame,
-    service: &dyn Service,
-    metrics: &ServerMetrics,
-    seen: &Mutex<SeenCalls>,
-) -> Option<Response> {
-    let req = match Request::from_frame(frame) {
-        Ok(req) => req,
-        Err(e) => {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            return Some(Response {
-                call_id: 0,
-                result: Err(Status::invalid_argument(format!("bad request: {e}"))),
-            });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{RpcClient, RpcError};
+    use crate::service::{MethodId, Status};
+    use bytes::Bytes;
+    use ipc::{Direction, FaultAction, FaultConn, FaultPolicy, Frame, InprocHub};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    #[test]
+    fn a_waiting_handler_never_stalls_its_connection() {
+        // Call 1 blocks until call 2, sent after it on the same
+        // connection, releases it: call 2 must not wait for a handler
+        // that call 1 holds. The warm-up call leaves one parked handler,
+        // so call 1 takes it and call 2 finds none free.
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let service = Arc::new(move |method: MethodId, body: Bytes| match method {
+            1 => released
+                .lock()
+                .recv()
+                .map(|()| body)
+                .map_err(|_| Status::internal("releaser gone")),
+            2 => release
+                .send(())
+                .map(|()| body)
+                .map_err(|_| Status::internal("waiter gone")),
+            _ => Ok(body),
+        });
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("hol").unwrap()), service);
+        let client = RpcClient::new(Box::new(hub.connect("hol").unwrap()));
+        client.call(3, Bytes::new()).unwrap();
+
+        let waiter = client.call_async(1, Bytes::from_static(b"a")).unwrap();
+        let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
+        assert_eq!(&releaser[..], b"b");
+        assert_eq!(&waiter.wait().unwrap()[..], b"a");
+    }
+
+    /// Corrupts the first request frame it is shown, then delivers.
+    struct GarbleFirst(AtomicBool);
+
+    impl FaultPolicy for GarbleFirst {
+        fn on_frame(&self, _link: &str, dir: Direction, _frame: &Frame) -> FaultAction {
+            if dir == Direction::Outbound && self.0.swap(false, Ordering::Relaxed) {
+                FaultAction::Corrupt {
+                    offset: 6,
+                    mask: 0x10,
+                }
+            } else {
+                FaultAction::Deliver
+            }
         }
-    };
-    if !seen.lock().first_sighting(req.call_id) {
-        metrics.duplicates.fetch_add(1, Ordering::Relaxed);
-        return None;
     }
-    metrics.calls.fetch_add(1, Ordering::Relaxed);
-    let result = service.call(req.method, req.body);
-    if result.is_err() {
-        metrics.errors.fetch_add(1, Ordering::Relaxed);
+
+    #[test]
+    fn garbled_request_fails_its_call_at_once_and_the_client_redials() {
+        let hub = InprocHub::new();
+        let echo = Arc::new(|_m: MethodId, b: Bytes| -> Result<Bytes, Status> { Ok(b) });
+        let srv = serve(Box::new(hub.bind("garble").unwrap()), echo);
+        let policy: Arc<dyn FaultPolicy> = Arc::new(GarbleFirst(AtomicBool::new(true)));
+        let dial_hub = hub.clone();
+        let client = Arc::new(RpcClient::with_connector(
+            Box::new(move || {
+                let conn = dial_hub.connect("garble")?;
+                let conn = FaultConn::wrap(Box::new(conn), "garble", Arc::clone(&policy));
+                Ok(Box::new(conn) as Box<dyn Conn>)
+            }),
+            None,
+        ));
+        // No deadline: before the fix the answer went to call id 0 and
+        // this call waited for ever. The bound only turns that into a
+        // failure instead of a hang.
+        let (done, outcome) = mpsc::channel();
+        let caller = Arc::clone(&client);
+        let call = std::thread::spawn(move || {
+            let _ = done.send(caller.call(1, Bytes::from_static(b"garbled")));
+        });
+        let err = outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a garbled request must fail its call, not hang it")
+            .unwrap_err();
+        call.join().unwrap();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        assert!(err.is_retryable());
+        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
+        assert_eq!(srv.metrics().calls.load(Ordering::Relaxed), 0);
+
+        let out = client.call(1, Bytes::from_static(b"clean")).unwrap();
+        assert_eq!(&out[..], b"clean");
+        assert_eq!(client.reconnect_count(), 2);
     }
-    Some(Response {
-        call_id: req.call_id,
-        result,
-    })
 }

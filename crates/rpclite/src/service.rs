@@ -112,9 +112,10 @@ impl fmt::Display for Status {
 impl std::error::Error for Status {}
 
 /// A unary-call service: decode the request, do the work, encode the reply.
-/// Each call runs synchronously on its own handler thread; calls from one
-/// connection may execute concurrently (the server writes responses back
-/// in completion order, keyed by correlation id).
+/// Each call runs synchronously on a handler thread that runs no other
+/// call meanwhile (a parked one if the server has one, a new one if not);
+/// calls from one connection may execute concurrently (the server writes
+/// responses back in completion order, keyed by correlation id).
 pub trait Service: Send + Sync {
     /// Handle one unary call.
     fn call(&self, method: MethodId, request: Bytes) -> Result<Bytes, Status>;

@@ -24,6 +24,10 @@
 #    and `HealthConfig` (a field holding another of these is not a
 #    leaf) plus `StoreConfig::name`. A field added without a row — or
 #    without the two callers a row has to name — fails here (PR 24).
+# 7. A request is not a thread: `serve_conn`, the receive loop in
+#    crates/rpclite/src/server.rs, hands each call to the server's parked
+#    handlers. A `spawn` in its body means a thread born and joined per
+#    request is back (PR 25).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -133,7 +137,17 @@ if [ "$stated" != "$options " ] || [ "$rows" -ne "$options" ]; then
     status=1
 fi
 
+serve_conn=$(awk '/^fn serve_conn[<(]/ { inside = 1 } inside { print FNR ": " $0 } inside && /^}/ { exit }' crates/rpclite/src/server.rs)
+if [ -z "$serve_conn" ]; then
+    echo "docs-drift: cannot find fn serve_conn in crates/rpclite/src/server.rs" >&2
+    status=1
+elif spawns=$(grep -E 'spawn' <<<"$serve_conn"); then
+    echo "docs-drift: serve_conn spawns a thread per request again (hand the call to the server's handlers instead):" >&2
+    echo "$spawns" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request"
 fi
 exit $status
