@@ -7,7 +7,8 @@
 //! the typed `Overloaded { retry_after }` rejection — which this harness
 //! honors by backing off and retrying on the virtual clock. Meanwhile
 //! each node's occupancy crosses the spill watermark and the elastic
-//! tier sheds cold sealed objects to lender peers in the idle pods;
+//! tier sheds cold sealed objects to each id's rendezvous successors,
+//! walking past the lenders whose own headroom refuses;
 //! periodic heat-driven rebalance passes pull hot catalog objects toward
 //! their dominant readers.
 //!

@@ -3,11 +3,11 @@
 //! Three small mechanisms that together let a node's effective capacity
 //! stretch across the cluster:
 //!
-//! * **Pressure-driven spill** — a node above its high watermark pushes
-//!   cold sealed objects (the LRU tail) to the peer advertising the most
-//!   free bytes: the lender seals its copy before the owner deletes, so
-//!   a lost response can duplicate an immutable object but never lose
-//!   it.
+//! * **Pressure-driven spill** — a node above its high watermark offers
+//!   cold sealed objects (the LRU tail) to each id's rendezvous
+//!   successors in turn; the lender's own headroom gate decides. It
+//!   seals its copy before the owner deletes, so a lost response can
+//!   duplicate an immutable object but never lose it.
 //! * **The lease** — both ends record the delegation in the
 //!   [`crate::delegation`] ledger. The ring owner keeps the `out` entry
 //!   so `get`s routed to it answer with a one-hop `Moved` redirect; the

@@ -52,6 +52,7 @@ pub mod method {
     pub const LIST: u32 = 6;
     /// Metrics introspection (empty → `MetricsResp`): the responder's
     /// full [`obs`] snapshot, so any node can observe any peer live.
+    /// Operator-only: no protocol decision reads a peer's snapshot.
     pub const METRICS: u32 = 8;
     /// Batched multi-get (`GetManyReq` → `GetManyResp`): pin and return
     /// fabric descriptors for many object ids in one round trip, with
@@ -90,11 +91,12 @@ pub mod method {
     /// neither side adopts an epoch on — its reply *is* the table.
     pub const MEMBERSHIP: u32 = 14;
     /// Elastic spill (`DelegateReq` → `DelegateResp`): the id's ring owner
-    /// asks a lender peer to adopt a sealed object. The lender copies the
-    /// bytes over the fabric from the owner's (pinned) segment, seals a
-    /// local replica, and records the lease it now holds — only then does
-    /// the owner delete its copy, so duplication (never loss) is the sole
-    /// failure mode of a lost response.
+    /// asks its next rendezvous choice to adopt a sealed object. The
+    /// lender's headroom gate decides; it copies the bytes over the
+    /// fabric from the owner's (pinned) segment, seals a local replica,
+    /// and records the lease it now holds — only then does the owner
+    /// delete its copy, so duplication (never loss) is the sole failure
+    /// mode of a lost response.
     pub const SPILL_AT: u32 = 15;
     /// Hot-object read replication (`DelegateReq` → `DelegateResp`): the
     /// id's ring owner asks a frequent reader to adopt a *read replica*

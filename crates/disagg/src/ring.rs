@@ -74,13 +74,24 @@ impl Ring {
     /// `None` when the membership is empty.
     pub fn owner_of(&self, id: ObjectId) -> Option<NodeId> {
         let id_hash = fnv1a64(id.as_bytes());
-        self.membership
-            .nodes
-            .iter()
-            .map(|&node| (score(id_hash, node), std::cmp::Reverse(node.0), node))
-            .max_by_key(|&(s, rev, _)| (s, rev))
-            .map(|(_, _, node)| node)
+        let nodes = self.membership.nodes.iter().copied();
+        nodes.max_by_key(|&node| rank(id_hash, node))
     }
+
+    /// Every member in `id`'s rendezvous order: the owner first, then
+    /// the node that would own `id` were the owner gone, and so on. The
+    /// spill tier offers a cold object to its successors in this order.
+    pub fn ranked(&self, id: ObjectId) -> Vec<NodeId> {
+        let id_hash = fnv1a64(id.as_bytes());
+        let mut nodes = self.membership.nodes.clone();
+        nodes.sort_by_cached_key(|&node| std::cmp::Reverse(rank(id_hash, node)));
+        nodes
+    }
+}
+
+/// `node`'s standing for an id: its score, ties to the lowest node id.
+fn rank(id_hash: u64, node: NodeId) -> (u64, std::cmp::Reverse<u16>) {
+    (score(id_hash, node), std::cmp::Reverse(node.0))
 }
 
 /// Per-(id, node) rendezvous score: the id hash mixed with the node
@@ -248,6 +259,26 @@ mod tests {
             prop_assert_eq!(here.membership(), there.membership());
             for name in &names {
                 prop_assert_eq!(here.owner_of(oid(name)), there.owner_of(oid(name)));
+            }
+        }
+
+        /// The rendezvous order is every member once, led by the owner,
+        /// and its second entry owns the id once the owner is gone: a
+        /// spill lands where the id would move next.
+        #[test]
+        fn ranked_is_the_succession_of_owners(
+            nodes in proptest::collection::vec(0u16..32, 1..8),
+            names in proptest::collection::vec("[a-z]{1,12}", 1..40),
+        ) {
+            let members = members_of(nodes);
+            let r = ring(3, &members);
+            for name in &names {
+                let ranked: Vec<u16> = r.ranked(oid(name)).iter().map(|n| n.0).collect();
+                prop_assert_eq!(ranked.len(), members.len());
+                prop_assert_eq!(members_of(ranked.clone()), members.clone());
+                prop_assert_eq!(r.owner_of(oid(name)), Some(NodeId(ranked[0])));
+                let successor = ring(4, &ranked[1..]).owner_of(oid(name));
+                prop_assert_eq!(successor, ranked.get(1).map(|&n| NodeId(n)));
             }
         }
     }

@@ -33,7 +33,6 @@ use super::{DisaggStore, RemotePinGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LEND_HEADROOM_PPM, LOW_WATERMARK_PPM};
 use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DelegateStatus, DeleteReq, IdReq};
-use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
 use rpclite::{RpcError, StatusCode};
 use std::time::Duration;
@@ -306,25 +305,6 @@ impl DisaggStore {
         Ok(moved)
     }
 
-    /// Each reachable peer's advertised free bytes, read from the
-    /// `plasma.free_bytes` gauge of its METRICS snapshot — the capacity
-    /// gossip lender selection ranks on. Unreachable peers are omitted.
-    fn peer_free_bytes(&self) -> Vec<(NodeId, i64)> {
-        let peers = self.peers_snapshot();
-        let calls: Vec<_> = peers
-            .iter()
-            .map(|peer| (peer, method::METRICS, Bytes::new()))
-            .collect();
-        peers
-            .iter()
-            .zip(self.scatter(&calls))
-            .filter_map(|(peer, response)| {
-                let (_, snap) = Self::decode_metrics(response.ok()?).ok()?;
-                Some((peer.node, snap.gauge("plasma.free_bytes")))
-            })
-            .collect()
-    }
-
     /// Spill cold objects if local occupancy has reached
     /// [`HIGH_WATERMARK_PPM`]; otherwise a no-op. Returns bytes delegated
     /// away.
@@ -336,45 +316,39 @@ impl DisaggStore {
     }
 
     /// One spill pass: walk up to `max_objects` of the LRU tail
-    /// (coldest first) and delegate each to the peer currently
-    /// advertising the most free bytes, until occupancy drops to
-    /// [`LOW_WATERMARK_PPM`] or candidates run out. Only ring-owned
-    /// objects are delegated — redirects are served from the owner's
-    /// ledger, so an off-ring copy spilled elsewhere would be
-    /// unfindable. Returns bytes delegated; refusals and unreachable
-    /// lenders skip the candidate rather than failing the pass.
+    /// (coldest first), until occupancy drops to [`LOW_WATERMARK_PPM`],
+    /// offering each to its rendezvous successors ([`crate::Ring::ranked`])
+    /// until one adopts. The lender's own headroom gate decides; one that
+    /// refused or could not be reached is not asked again this pass.
+    /// Only ring-owned objects are delegated — redirects are served from
+    /// the owner's ledger, so an off-ring copy spilled elsewhere would be
+    /// unfindable. Returns bytes delegated.
     pub fn spill_cold(&self, max_objects: usize) -> Result<u64, PlasmaError> {
-        let mut lenders = self.peer_free_bytes();
-        if lenders.is_empty() {
+        let inner = &self.inner;
+        let Some(ring) = inner.ring.read().clone() else {
             return Ok(0);
-        }
+        };
+        let mut refused = Vec::new();
         let mut spilled = 0u64;
-        for (id, bytes) in self.inner.core.cold_candidates(max_objects) {
+        for (id, bytes) in inner.core.cold_candidates(max_objects) {
             if self.memory_pressure_ppm() <= LOW_WATERMARK_PPM {
                 break;
             }
-            if self.ring_owner(id) != Some(self.inner.node) {
+            let ranked = ring.ranked(id);
+            // A copy already out (a replica) is the candidate's reason
+            // to stay, not a lender's to refuse.
+            if ranked.first() != Some(&inner.node) || inner.ledger.has_out_copy(id) {
                 continue;
             }
-            // Freest lender first; debit our own view as we go so one
-            // pass cannot dogpile a single peer past its headroom.
-            lenders.sort_by_key(|&(node, free)| (std::cmp::Reverse(free), node.0));
-            let Some(&(target, free)) = lenders.first() else {
-                break;
-            };
-            if free < bytes as i64 {
-                continue;
-            }
-            match self.spill_to(id, target) {
-                Ok(true) => {
+            for &lender in &ranked[1..] {
+                if refused.contains(&lender) {
+                    continue;
+                }
+                if matches!(self.spill_to(id, lender), Ok(true)) {
                     spilled += bytes;
-                    lenders[0].1 -= bytes as i64;
+                    break;
                 }
-                Ok(false) | Err(_) => {
-                    // Refused or unreachable: stop ranking this lender
-                    // first for the rest of the pass.
-                    lenders[0].1 = i64::MIN;
-                }
+                refused.push(lender);
             }
         }
         Ok(spilled)

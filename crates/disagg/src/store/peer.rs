@@ -317,7 +317,7 @@ impl DisaggStore {
         ))
     }
 
-    pub(super) fn decode_metrics(body: Bytes) -> Result<(NodeId, MetricsSnapshot), PlasmaError> {
+    fn decode_metrics(body: Bytes) -> Result<(NodeId, MetricsSnapshot), PlasmaError> {
         let resp = MetricsResp::decode(body)
             .map_err(|e| PlasmaError::Protocol(format!("metrics response: {e}")))?;
         let snap = MetricsSnapshot::decode(&resp.snapshot)

@@ -135,9 +135,9 @@ struct StoreMetrics {
     release: Arc<Histogram>,
     evictions: Arc<Counter>,
     evicted_bytes: Arc<Counter>,
-    /// Capacity-advertisement gauges: the elastic tier reads these out
-    /// of peers' `MetricsSnapshot`s to pick lenders, so they are kept in
-    /// sync with the allocator on every path that changes occupancy.
+    /// Capacity gauges for operators (`METRICS`, `metrics_dump`), kept
+    /// in sync with the allocator on every path that changes occupancy.
+    /// No protocol reads them: a lender judges its own headroom.
     capacity_bytes: Arc<Gauge>,
     used_bytes: Arc<Gauge>,
     free_bytes: Arc<Gauge>,
@@ -297,7 +297,8 @@ impl StoreCore {
     /// write the buffer (through the fabric) and then [`StoreCore::seal`].
     /// Uniqueness, allocation (with any eviction it needs) and the insert
     /// are one critical section: a create refused as a duplicate has
-    /// evicted nothing.
+    /// evicted nothing. Sizes arrive from clients and peers, so a sum
+    /// that overflows is refused before the table is touched.
     pub fn create(
         &self,
         id: ObjectId,
@@ -305,11 +306,13 @@ impl StoreCore {
         metadata_size: u64,
     ) -> Result<ObjectLocation, PlasmaError> {
         let t0 = Instant::now();
+        let overflow = || PlasmaError::Protocol("data + metadata size overflows u64".into());
+        let total = data_size.checked_add(metadata_size).ok_or_else(overflow)?;
         let mut t = self.table();
         if t.objects.contains_key(&id) {
             return Err(PlasmaError::ObjectExists(id));
         }
-        let placed = self.allocate(&mut t, data_size + metadata_size);
+        let placed = self.allocate(&mut t, total);
         // Once, for whatever it evicted, whether or not it fit.
         self.inner.metrics.sync_capacity(&t);
         let entry = ObjectEntry {
@@ -1276,9 +1279,9 @@ mod tests {
     fn off_ladder_size_holds_a_whole_slot_but_is_accounted_as_requested() {
         // 300 KiB sits between the 256 KiB and 512 KiB classes: it takes a
         // one-slot 512 KiB slab, while `allocated_bytes` (and everything
-        // derived from it: `plasma.used_bytes`, the elastic tier's
-        // pressure figure) counts the 300 KiB requested. Slot rounding is
-        // visible only in the class gauges.
+        // derived from it: `plasma.used_bytes`, the spill watermarks and
+        // a lender's headroom gate) counts the 300 KiB requested. Slot
+        // rounding is visible only in the class gauges.
         let s = store(1 << 20);
         let before = s.stats().allocated_bytes;
         s.create(id(1), 300 << 10, 0).unwrap();

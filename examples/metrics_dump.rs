@@ -64,8 +64,8 @@ fn main() {
         remote_hits.p99() as f64 / 1e3,
     );
 
-    // Capacity gauges feed the elastic tier's pressure gossip; the same
-    // numbers any peer sees over METRICS when deciding where to spill.
+    // Capacity gauges, for the operator: no node reads a peer's to
+    // decide where to spill — a lender's own headroom gate decides.
     println!("\nper-node capacity (plasma.* gauges):");
     for (node, snap) in &per_node {
         println!(

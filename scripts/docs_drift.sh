@@ -28,6 +28,12 @@
 #    crates/rpclite/src/server.rs, hands each call to the server's parked
 #    handlers. A `spawn` in its body means a thread born and joined per
 #    request is back (PR 25).
+# 8. A spill asks no one: `METRICS` is an operator read. Under
+#    crates/disagg/src/store* it may be called only from peer.rs (the
+#    operator reads) and dispatched only in service.rs; anywhere else a
+#    protocol decision is again reading peers' snapshots (PR 27).
+# 9. A CHANGES.md entry from PR 27 on is at most 1 200 characters
+#    (ROADMAP's rule iv): run detail goes to EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,9 +91,10 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # metric `batch_get_model_us_per_obj` and the span `op.batch_get`, which
 # stay, are not hit); store growth, the eviction switch, the elastic and
 # replication sub-configs with their fields, the client-cost switch as a
-# public field, the hint parser and an uncalled `Cluster` getter (PR 24).
+# public field, the hint parser and an uncalled `Cluster` getter (PR 24);
+# the capacity scatter a spill pass made before choosing a lender (PR 27).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running"
+identifiers="with_shards shard_stats shard_count shard_of DEFAULT_SHARDS plasma.shard.{ ClockMode Throttle fabric_dp rack_scale_sweep BENCH_fabric BENCH_placement TcpConn TcpListener set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -147,7 +154,31 @@ elif spawns=$(grep -E 'spawn' <<<"$serve_conn"); then
     status=1
 fi
 
+if asks=$(grep -rn 'method::METRICS' crates/disagg/src/store.rs crates/disagg/src/store/ |
+    grep -vE '^crates/disagg/src/store/(peer|service)\.rs:'); then
+    echo "docs-drift: a protocol path reads peers' METRICS again (the lender's own headroom gate decides; METRICS is an operator read):" >&2
+    echo "$asks" >&2
+    status=1
+fi
+
+# One CHANGES.md entry per line: a "- PR N" line and any lines that
+# continue it, up to a blank line or the next entry.
+while IFS= read -r entry; do
+    pr=$(sed -E 's/^- PR ([0-9]+).*/\1/' <<<"$entry")
+    [ "$pr" -ge 27 ] || continue
+    chars=$(printf '%s' "$entry" | LC_ALL=C.UTF-8 wc -m)
+    if [ "$chars" -gt 1200 ]; then
+        echo "docs-drift: the CHANGES.md entry of PR $pr is $chars characters (at most 1 200; run detail goes to EXPERIMENTS.md)" >&2
+        status=1
+    fi
+done < <(awk '
+    /^- PR [0-9]+/ { if (entry != "") print entry; entry = $0; next }
+    /^$/ { if (entry != "") print entry; entry = ""; next }
+    entry != "" { entry = entry " " $0 }
+    END { if (entry != "") print entry }
+' CHANGES.md)
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters"
 fi
 exit $status

@@ -1,11 +1,11 @@
 //! Edge-case regressions: GET_MANY batch shapes that historically leaked
 //! pins (duplicate ids, empty batches, all-missing batches), the
-//! zero-length-object lifecycle, local and remote, and a reconcile sweep
-//! with a peer down.
+//! zero-length-object lifecycle, local and remote, a create whose sizes
+//! overflow, and a reconcile sweep with a peer down.
 
 use disagg::proto::{method, CallHeader, GetManyReq};
-use disagg::{Cluster, ClusterConfig, Kind};
-use memdis::plasma::{ObjectId, StoreConfig, StoreCore};
+use disagg::{Cluster, ClusterConfig, Kind, PeerState};
+use memdis::plasma::{ObjectId, PlasmaError, StoreConfig, StoreCore};
 use std::time::Duration;
 use tfsim::Fabric;
 
@@ -151,6 +151,48 @@ fn zero_length_object_lifecycle_remote_disagg() {
     assert!(!cluster.client(0).unwrap().contains(id).unwrap());
 
     assert_no_pins(&cluster, 2);
+}
+
+/// A create whose data and metadata sizes overflow a `u64` when summed
+/// fails `Protocol` at once, whether the client's own store owns the id
+/// or forwards it to a peer. Nothing is left on either node, and the
+/// owner takes the next put. (The unchecked sum panicked the owner's
+/// `CREATE_AT` handler on every retry, and the caller got
+/// `PeerUnavailable` with the owner marked down.)
+#[test]
+fn create_with_overflowing_sizes_fails_typed_and_leaves_nothing() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
+    let client = cluster.client(0).unwrap();
+    for owner in [0usize, 1] {
+        let id = oid(&cluster.owned_id(owner, "edge/overflow"));
+        match client.create(id, u64::MAX, 1) {
+            Err(PlasmaError::Protocol(m)) => assert!(m.contains("overflows"), "{m}"),
+            other => panic!(
+                "owner {owner}: expected Protocol, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        let store = cluster.store(0);
+        assert_eq!(store.peer_state(cluster.node_id(1)), PeerState::Up);
+        assert_eq!(store.metrics_snapshot().counter("disagg.peer.retries"), 0);
+        for node in 0..2 {
+            let store = cluster.store(node);
+            assert!(
+                !store.core().exists_any_state(id),
+                "owner {owner}, node {node}"
+            );
+            assert_eq!(store.delegations(), vec![], "owner {owner}, node {node}");
+        }
+
+        let next = oid(&cluster.owned_id(owner, "edge/after-overflow"));
+        client.put(next, b"fits", &[]).unwrap();
+        let reader = cluster.client(1).unwrap();
+        assert_eq!(
+            reader.get_one(next, GET).unwrap().read_all().unwrap(),
+            b"fits"
+        );
+        reader.release(next).unwrap();
+    }
 }
 
 /// A reconcile sweep visits every peer: one that cannot be reached is

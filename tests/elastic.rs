@@ -1,12 +1,13 @@
 //! Elastic capacity tier acceptance: pressure-driven spill keeps spilled
-//! objects readable from every node through one-hop `Moved` redirects,
+//! objects readable from every node through one-hop `Moved` redirects
+//! and picks its lender by the ring, not by asking peers,
 //! admission control surfaces typed `Overloaded` rejections locally and
 //! through the forwarded-create path, deletes of lent objects retire
 //! both ledgers, and borrow reconciliation heals an owner that
 //! re-acquired a local copy.
 
 use disagg::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LOW_WATERMARK_PPM, RETRY_AFTER_MS};
-use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Side};
+use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Ring, Side};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::time::Duration;
 
@@ -337,6 +338,63 @@ fn pressure_spill_sheds_load_and_keeps_objects_reachable() {
     }
     // And a subsequent maybe_spill below the watermark is a no-op.
     assert_eq!(store.maybe_spill().unwrap(), 0);
+}
+
+/// A spill asks the ring, not the peers: each cold object is offered to
+/// its rendezvous successor first, and the lender's own headroom gate
+/// decides. With the successor filled past its headroom, it refuses once,
+/// is not asked again in the pass, and every spilled object lands on its
+/// third choice — and the pass asks no peer for `METRICS`.
+#[test]
+fn spill_walks_the_rendezvous_order_and_asks_no_peer_for_metrics() {
+    const OBJECT: usize = 64 << 10;
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();
+    let nodes: Vec<NodeId> = (0..3).map(|i| cluster.node_id(i)).collect();
+    let ring = Ring::new(cluster.store(0).membership().unwrap());
+
+    // The successor, node 1, at 56.25 %: one more object would lift it
+    // past its 60 % lending headroom.
+    let filler = cluster.client(1).unwrap();
+    for i in 0..9 {
+        let id = ObjectId::from_name(&cluster.owned_id(1, &format!("succ/fill/{i}")));
+        filler.put(id, &[1; OBJECT], &[]).unwrap();
+    }
+    // Node 0 at 87.5 %, every object ranked node 0, then 1, then 2.
+    let producer = cluster.client(0).unwrap();
+    let ids: Vec<ObjectId> = (0..)
+        .map(|k| ObjectId::from_name(&format!("succ/cold/{k}")))
+        .filter(|&id| ring.ranked(id) == nodes)
+        .take(14)
+        .collect();
+    for &id in &ids {
+        producer.put(id, &[0; OBJECT], &[]).unwrap();
+    }
+
+    let owner = cluster.store(0);
+    assert_eq!(owner.maybe_spill().unwrap(), 3 * OBJECT as u64);
+    assert!(owner.memory_pressure_ppm() <= LOW_WATERMARK_PPM);
+    let lent = entries(owner, Side::Out, Kind::Lease);
+    assert_eq!(lent.len(), 3);
+    assert!(
+        lent.iter().all(|&(_, holder)| holder == nodes[2]),
+        "{lent:?}"
+    );
+    assert_eq!(lease_counts(cluster.store(1)), (0, 0));
+    let snap = owner.metrics_snapshot();
+    assert_eq!(snap.counter("disagg.elastic.spills"), 3);
+    assert_eq!(snap.counter("disagg.elastic.spills_refused"), 1);
+    let asked: Vec<_> = snap
+        .histograms_with_prefix("rpc.client.")
+        .filter(|(name, h)| name.ends_with(".metrics.latency_ns") && h.count > 0)
+        .map(|(name, h)| (name.to_string(), h.count))
+        .collect();
+    assert_eq!(asked, vec![], "a spill pass asks no peer for METRICS");
+
+    let got = cluster.store(1).get(&ids, GET_TIMEOUT).unwrap();
+    assert!(got.iter().all(Option::is_some), "every object still reads");
+    for &id in &ids {
+        cluster.store(1).release(id).unwrap();
+    }
 }
 
 /// Heat-driven rebalance: a remote reader hammering one object pulls it
