@@ -236,17 +236,25 @@ fn enc_location(loc: &ObjectLocation) -> MsgEnc {
     e
 }
 
+/// A location arrives from a peer, and every reader of one sums its
+/// fields (`total_size`, a view's end): one whose end does not fit in a
+/// `u64` names no bytes and is refused here, once, for all of them.
 fn dec_location(b: Bytes) -> Result<ObjectLocation, WireError> {
     let f = MsgDec::new(b).collect()?;
+    let (offset, data_size, metadata_size) = (f.uint(4)?, f.uint(5)?, f.uint(6)?);
+    offset
+        .checked_add(data_size)
+        .and_then(|end| end.checked_add(metadata_size))
+        .ok_or(WireError::MissingField(6))?;
     Ok(ObjectLocation {
         id: dec_id(&f.bytes(1)?)?,
         seg: SegKey {
             owner: NodeId(u16::try_from(f.uint(2)?).map_err(|_| WireError::MissingField(2))?),
             index: u32::try_from(f.uint(3)?).map_err(|_| WireError::MissingField(3))?,
         },
-        offset: f.uint(4)?,
-        data_size: f.uint(5)?,
-        metadata_size: f.uint(6)?,
+        offset,
+        data_size,
+        metadata_size,
     })
 }
 
@@ -1134,6 +1142,53 @@ mod tests {
         // Missing status defaults to the safe Refused (owner keeps copy).
         let bare = DelegateResp::decode(MsgEnc::new().finish()).unwrap();
         assert_eq!(bare.status, DelegateStatus::Refused);
+    }
+
+    /// A location whose `offset + data_size + metadata_size` overflows
+    /// does not decode, in a request (`DelegateReq`) or in an answer
+    /// (`GetManyResp`, `CreateAtResp`); one that ends at `u64::MAX` does.
+    #[test]
+    fn a_location_whose_end_overflows_is_refused() {
+        let sized = |offset, data_size, metadata_size| ObjectLocation {
+            offset,
+            data_size,
+            metadata_size,
+            ..loc(3)
+        };
+        let messages = |l: ObjectLocation| {
+            let get_many = GetManyResp {
+                entries: vec![GetManyEntry {
+                    id: l.id,
+                    status: GetManyStatus::Pinned,
+                    location: Some(l),
+                    moved_to: None,
+                }],
+            };
+            let create_at = CreateAtResp {
+                status: CreateAtStatus::Ok,
+                location: Some(l),
+            };
+            [
+                DelegateReq::decode(DelegateReq { location: l }.encode()).map(|r| r.location),
+                GetManyResp::decode(get_many.encode()).map(|r| r.entries[0].location.unwrap()),
+                CreateAtResp::decode(create_at.encode()).map(|r| r.location.unwrap()),
+            ]
+        };
+        for l in [
+            sized(0, u64::MAX, 1),
+            sized(0, 1, u64::MAX),
+            sized(u64::MAX, 1, 0),
+            sized(1 << 63, 1 << 62, 1 << 62),
+        ] {
+            for decoded in messages(l) {
+                assert_eq!(decoded, Err(WireError::MissingField(6)), "{l:?}");
+            }
+        }
+        for l in [sized(0, u64::MAX, 0), sized(1, u64::MAX - 2, 1)] {
+            for decoded in messages(l) {
+                assert_eq!(decoded, Ok(l));
+            }
+        }
     }
 
     /// The executable form of "a read never moves payload bytes in a

@@ -881,7 +881,7 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CallHeader, ListResp, ReplyHeader};
+    use crate::proto::{CallHeader, DelegateReq, ListResp, ReplyHeader};
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::StatusCode;
@@ -926,5 +926,36 @@ mod tests {
         let (reply, body) = ReplyHeader::split(listed).unwrap();
         assert_eq!(reply.epoch, 0);
         assert!(ListResp::decode(body).unwrap().entries.is_empty());
+    }
+
+    /// A delegation offering a location whose sizes overflow when summed
+    /// is `InvalidArgument` before any handler sums them: no panic (debug
+    /// overflow check) and no wrapped size slipping past the headroom
+    /// gate (release), and nothing is ledgered or stored.
+    #[test]
+    fn a_delegation_whose_sizes_overflow_is_refused_and_ledgers_nothing() {
+        let fabric = tfsim::Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
+        let store = DisaggStore::new(core, DisaggConfig::default());
+        let service = store.interconnect_service();
+        let location = ObjectLocation {
+            id: ObjectId::from_name("overflow"),
+            seg: store.core().seg_key(),
+            offset: 0,
+            data_size: u64::MAX,
+            metadata_size: 1,
+        };
+        let header = CallHeader {
+            from: NodeId(9),
+            epoch: 0,
+        };
+        let request = header.frame(&DelegateReq { location }.encode());
+        for verb in [method::SPILL_AT, method::REPLICATE_AT] {
+            let answer = service.call(verb, request.clone()).err().map(|s| s.code);
+            assert_eq!(answer, Some(StatusCode::InvalidArgument), "verb {verb}");
+        }
+        assert!(store.delegations().is_empty());
+        assert!(!store.core().contains(location.id));
     }
 }

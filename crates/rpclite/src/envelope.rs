@@ -5,14 +5,17 @@
 //!
 //! ## Integrity
 //!
-//! The frame payload is `crc32(E)` (4 bytes, little-endian) followed by
-//! the encoded envelope `E`. The checksum is verified before decoding, so
-//! bytes corrupted in transit surface as [`WireError::Checksum`] — a
-//! protocol error that poisons the connection — rather than decoding into
-//! a plausible envelope and, worst of all, completing the wrong pending
-//! `call_id` on a pipelined client. CRC-32 detects all single- and
-//! double-bit errors at envelope sizes, which is exactly the corruption
-//! class a flaky wire (or a chaos harness) injects.
+//! The frame payload is `crc32(E)` — CRC-32C, 4 bytes, little-endian —
+//! followed by the encoded envelope `E`. The checksum is verified before
+//! decoding, so bytes corrupted in transit surface as
+//! [`WireError::Checksum`] — a protocol error that poisons the
+//! connection — rather than decoding into a plausible envelope and,
+//! worst of all, completing the wrong pending `call_id` on a pipelined
+//! client. CRC-32C detects all single- and double-bit errors at every
+//! envelope size (an inlined put's included), which is exactly the
+//! corruption class a flaky wire (or a chaos harness) injects. It is
+//! computed on the CPU's `crc32` instruction where there is one
+//! ([`crate::wire::crc32`]), since each side checksums every byte.
 
 use crate::service::{Status, StatusCode};
 use crate::wire::{crc32, MsgDec, MsgEnc, WireError};
@@ -187,6 +190,49 @@ mod tests {
                     "flip at {byte}:{bit} decoded"
                 );
             }
+        }
+    }
+
+    /// A frame carrying a 64 KiB body — the largest inlined put — with
+    /// one or two flipped bits, at sampled positions anywhere in the
+    /// payload (checksum prefix included), fails its checksum.
+    #[test]
+    fn sampled_bit_flips_in_a_64_kib_frame_are_rejected() {
+        let frame = Request {
+            call_id: 11,
+            method: 11,
+            body: Bytes::from((0..64 << 10).map(|i| (i * 7) as u8).collect::<Vec<_>>()),
+        }
+        .to_frame();
+        let bits = frame.payload.len() * 8;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut sample = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize % bits
+        };
+        let rejected = |flips: &[usize]| {
+            let mut corrupted = frame.payload.to_vec();
+            for &bit in flips {
+                corrupted[bit / 8] ^= 1 << (bit % 8);
+            }
+            let f = Frame::new(frame.msg_type, corrupted);
+            Request::from_frame(&f) == Err(WireError::Checksum)
+        };
+        for _ in 0..200 {
+            let bit = sample();
+            assert!(rejected(&[bit]), "flip at bit {bit}");
+            // A second flip far away, and one inside the same 32-bit burst.
+            let (far, near) = (sample(), (bit + 1 + sample() % 31) % bits);
+            for other in [far, near] {
+                if other != bit {
+                    assert!(rejected(&[bit, other]), "flips at bits {bit}, {other}");
+                }
+            }
+        }
+        for ends in [[0, 1], [0, bits - 1], [bits - 2, bits - 1]] {
+            assert!(rejected(&ends), "flips at bits {ends:?}");
         }
     }
 

@@ -34,6 +34,10 @@
 #    protocol decision is again reading peers' snapshots (PR 27).
 # 9. A CHANGES.md entry from PR 27 on is at most 1 200 characters
 #    (ROADMAP's rule iv): run detail goes to EXPERIMENTS.md.
+# 10. The envelope checksum is the CPU's: crates/rpclite/src/wire.rs
+#    computes CRC-32C (`0x82F6_3B78`) and calls `_mm_crc32_u64` behind
+#    `is_x86_feature_detected!("sse4.2")`; the IEEE polynomial
+#    (`0xEDB8_8320`), which that instruction does not compute, is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -178,7 +182,16 @@ done < <(awk '
     END { if (entry != "") print entry }
 ' CHANGES.md)
 
+wire=crates/rpclite/src/wire.rs
+if ! grep -q '0x82F6_3B78' "$wire" ||
+    ! grep -q 'is_x86_feature_detected!("sse4.2")' "$wire" ||
+    ! grep -q '_mm_crc32_u64(' "$wire" ||
+    grep -q '0xEDB8_8320' "$wire"; then
+    echo "docs-drift: $wire must compute CRC-32C (0x82F6_3B78) with _mm_crc32_u64 behind is_x86_feature_detected!(\"sse4.2\"), and not the IEEE polynomial (0xEDB8_8320)" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters, the envelope checksum is the CPU's CRC-32C"
 fi
 exit $status
