@@ -521,14 +521,40 @@ pub struct CreateAtReq {
     pub payload: Option<Bytes>,
 }
 
+/// The most a `CreateAtReq`'s fields take beside its payload: the id
+/// field (tag, length, id) and three one-byte tags with varints of at
+/// most ten bytes.
+const CREATE_AT_FIELDS_MAX: usize = 2 + OBJECT_ID_LEN + 3 * 11;
+
 impl CreateAtReq {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        enc_id(&mut e, 3, &self.id);
-        e.uint(4, self.data_size).uint(5, self.metadata_size);
-        if let Some(payload) = &self.payload {
-            e.bytes(6, payload);
+        let payload = self.payload.as_deref().map(|p| [p, &[][..]]);
+        Self::write(&self.id, self.data_size, self.metadata_size, payload)
+    }
+
+    /// The encoding of a `CreateAtReq` forwarding the put of `data` and
+    /// `metadata`, written from the two slices into one right-sized
+    /// buffer: the payload is copied once, and never joined first.
+    pub(crate) fn encode_put(id: &ObjectId, data: &[u8], metadata: &[u8]) -> Bytes {
+        let (data_size, metadata_size) = (data.len() as u64, metadata.len() as u64);
+        Self::write(id, data_size, metadata_size, Some([data, metadata]))
+    }
+
+    /// The one writer of both encodings: `payload`'s parts become one
+    /// field, back to back.
+    fn write(
+        id: &ObjectId,
+        data_size: u64,
+        metadata_size: u64,
+        payload: Option<[&[u8]; 2]>,
+    ) -> Bytes {
+        let carried = payload.map_or(0, |[a, b]| a.len() + b.len());
+        let mut e = MsgEnc::with_capacity(CREATE_AT_FIELDS_MAX + carried);
+        enc_id(&mut e, 3, id);
+        e.uint(4, data_size).uint(5, metadata_size);
+        if let Some(parts) = payload {
+            e.bytes_concat(6, &parts);
         }
         e.finish()
     }
@@ -1099,6 +1125,8 @@ mod tests {
             payload: Some(Bytes::new()),
             ..staged.clone()
         };
+        let put = CreateAtReq::encode_put(&inline.id, b"hello", b"md");
+        assert_eq!(put, inline.encode());
         for req in [staged, inline, empty] {
             assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
         }
@@ -1114,6 +1142,31 @@ mod tests {
                 location: None,
             };
             assert_eq!(CreateAtResp::decode(resp.encode()).unwrap(), resp);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Writing a forwarded put from its two slices changes no byte
+        /// of the request: it equals the `MsgEnc` encoding of the
+        /// concatenated payload, at every size up to past the largest
+        /// inlined put and at every split between data and metadata.
+        #[test]
+        fn a_put_create_at_equals_the_encoding_of_its_joined_payload(
+            len in 0usize..300 << 10,
+            split in proptest::prelude::any::<usize>(),
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let id = ObjectId::from_name("fwd/put");
+            let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            let (data, metadata) = payload.split_at(split % (len + 1));
+            let mut e = MsgEnc::new();
+            enc_id(&mut e, 3, &id);
+            e.uint(4, data.len() as u64)
+                .uint(5, metadata.len() as u64)
+                .bytes(6, &payload);
+            proptest::prop_assert!(CreateAtReq::encode_put(&id, data, metadata) == e.finish());
         }
     }
 
@@ -1253,7 +1306,7 @@ mod tests {
                 l - s
             );
         }
-        for len in [0usize, 64, 64 << 10] {
+        for len in [0usize, 64, 64 << 10, plasma::INLINE_PUT_MAX] {
             let payload = Some(Bytes::from(vec![7u8; len]));
             let frame = call.frame(&create_at(sized(len as u64), payload).encode());
             let overhead = frame.len() - len;

@@ -453,14 +453,15 @@ impl DisaggStore {
                 return self.create_here(id, data_size, metadata_size, payload);
             }
             let peer = self.peer(owner)?;
-            let request = request.get_or_insert_with(|| {
-                let req = CreateAtReq {
+            let request = request.get_or_insert_with(|| match payload {
+                Some((data, metadata)) => CreateAtReq::encode_put(&id, data, metadata),
+                None => CreateAtReq {
                     id,
                     data_size,
                     metadata_size,
-                    payload: payload.map(|(data, metadata)| [data, metadata].concat().into()),
-                };
-                req.encode()
+                    payload: None,
+                }
+                .encode(),
             });
             // Uniqueness lives at the owner, so an unreachable owner
             // fails the create outright — a create never proceeds on a

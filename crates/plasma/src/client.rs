@@ -23,10 +23,9 @@
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::object::{ObjectInfo, ObjectLocation};
-use crate::protocol::{Request, Response};
+use crate::protocol::{put_frame, Request, Response};
 use crate::store::StoreStats;
-use bytes::Bytes;
-use ipc::Conn;
+use ipc::{Conn, Frame};
 use netsim::{LinkModel, SharedLink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -34,11 +33,15 @@ use std::time::Duration;
 use tfsim::{Clock, Fabric, MappedView, Mapping, NodeId, SegKey};
 
 /// Largest object (data + metadata, in bytes) [`PlasmaClient::put`] sends
-/// inside its request. Below it, copying the bytes once more is cheaper
-/// than the round trips it saves — two on the IPC channel and, for an id
-/// another node owns, one between stores; above it the builder path's
-/// zero-copy write through the fabric wins (DESIGN.md, "put").
-pub const INLINE_PUT_MAX: usize = 64 << 10;
+/// inside its request. Each hop copies a carried byte once — into the
+/// client's request, into the forwarded `CREATE_AT`, into the owner's
+/// segment — and up to here that costs less than the round trips it
+/// saves: two on the IPC channel and, for an id another node owns, one
+/// between stores. It is the largest power of two at which inlining
+/// stays ahead by more than half the LAN round trip it saves; above it
+/// the builder path's zero-copy write through the fabric wins (DESIGN.md,
+/// "put").
+pub const INLINE_PUT_MAX: usize = 256 << 10;
 
 /// Modeled cost of client↔store IPC, charged to the simulation clock.
 #[derive(Clone)]
@@ -152,7 +155,8 @@ impl<'a> ObjectBuilder<'a> {
     /// its answer was lost: a sealed object cannot be aborted).
     pub fn seal(mut self) -> Result<ObjectId, PlasmaError> {
         let id = self.location.id;
-        self.client.request_location(Request::Seal(id))?;
+        self.client
+            .request_location(&Request::Seal(id).to_frame())?;
         self.open = false;
         self.client.release(id)?;
         Ok(id)
@@ -212,11 +216,15 @@ impl PlasmaClient {
     }
 
     fn request(&self, req: Request) -> Result<Response, PlasmaError> {
-        let frame = req.to_frame();
+        self.exchange(&req.to_frame())
+    }
+
+    /// Send one request frame and read the store's answer.
+    fn exchange(&self, frame: &Frame) -> Result<Response, PlasmaError> {
         let req_len = frame.payload.len();
         let resp_frame = {
             let mut conn = self.conn.lock();
-            conn.send(&frame)?;
+            conn.send(frame)?;
             conn.recv()?
         };
         if let Some(c) = &self.cost {
@@ -238,8 +246,8 @@ impl PlasmaClient {
         }
     }
 
-    fn request_location(&self, req: Request) -> Result<ObjectLocation, PlasmaError> {
-        match self.request(req)? {
+    fn request_location(&self, frame: &Frame) -> Result<ObjectLocation, PlasmaError> {
+        match self.exchange(frame)? {
             Response::Location(loc) => Ok(loc),
             other => Err(PlasmaError::Protocol(format!(
                 "expected Location, got {other:?}"
@@ -272,11 +280,12 @@ impl PlasmaClient {
         data_size: u64,
         metadata_size: u64,
     ) -> Result<ObjectBuilder<'_>, PlasmaError> {
-        let location = self.request_location(Request::Create {
+        let create = Request::Create {
             id,
             data_size,
             metadata_size,
-        })?;
+        };
+        let location = self.request_location(&create.to_frame())?;
         let (data, metadata) = self.views_for(&location)?;
         Ok(ObjectBuilder {
             client: self,
@@ -288,16 +297,14 @@ impl PlasmaClient {
     }
 
     /// Store a whole object. Up to [`INLINE_PUT_MAX`] bytes travel inside
-    /// one request and the owning store does the rest; a larger object is
-    /// created, written through the fabric mapping and sealed.
+    /// one request, encoded straight from `data` and `metadata`, and the
+    /// owning store does the rest; a larger object is created, written
+    /// through the fabric mapping and sealed.
     pub fn put(&self, id: ObjectId, data: &[u8], metadata: &[u8]) -> Result<ObjectId, PlasmaError> {
         if data.len() + metadata.len() <= INLINE_PUT_MAX {
-            let put = Request::Put {
-                id,
-                data: Bytes::copy_from_slice(data),
-                metadata: Bytes::copy_from_slice(metadata),
-            };
-            return self.request_location(put).map(|_| id);
+            return self
+                .request_location(&put_frame(&id, data, metadata))
+                .map(|_| id);
         }
         let builder = self.create(id, data.len() as u64, metadata.len() as u64)?;
         if !data.is_empty() {

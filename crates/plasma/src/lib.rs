@@ -259,6 +259,50 @@ mod end_to_end {
         assert!(three < Duration::from_millis(5), "{three:?}");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The frame `PlasmaClient::put` sends, written from the caller's
+        /// slices, is the frame of the `Request::Put` it stands for, at
+        /// every inlined size.
+        #[test]
+        fn a_client_put_sends_the_frame_of_its_request(
+            len in 0..=INLINE_PUT_MAX,
+            split in proptest::prelude::any::<usize>(),
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            use protocol::{Request, Response};
+            let hub = InprocHub::new();
+            let mut listener = hub.bind("s0").unwrap();
+            let fabric = Fabric::virtual_thymesisflow();
+            let node = fabric.register_node();
+            let client = PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric, node);
+            let id = ObjectId::from_name("framed");
+            let object: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            let (data, metadata) = object.split_at(split % (len + 1));
+            let store = std::thread::spawn(move || {
+                let mut conn = ipc::Listener::accept(&mut listener).unwrap();
+                let sent = conn.recv().unwrap();
+                let sealed = ObjectLocation {
+                    id,
+                    seg: tfsim::SegKey { owner: node, index: 0 },
+                    offset: 0,
+                    data_size: 0,
+                    metadata_size: 0,
+                };
+                conn.send(&Response::Location(sealed).to_frame()).unwrap();
+                sent
+            });
+            client.put(id, data, metadata).unwrap();
+            let expected = Request::Put {
+                id,
+                data: bytes::Bytes::copy_from_slice(data),
+                metadata: bytes::Bytes::copy_from_slice(metadata),
+            };
+            proptest::prop_assert!(store.join().unwrap() == expected.to_frame());
+        }
+    }
+
     #[test]
     fn many_objects_many_clients() {
         let r = rig(8 << 20);

@@ -123,6 +123,16 @@ fn get_location(d: &mut Dec) -> Result<ObjectLocation, CodecError> {
     })
 }
 
+/// The frame of a [`Request::Put`], written straight from the object's
+/// slices into one right-sized buffer: the one encoder of a put, which
+/// [`Request::to_frame`] and [`crate::PlasmaClient::put`] share.
+pub(crate) fn put_frame(id: &ObjectId, data: &[u8], metadata: &[u8]) -> Frame {
+    let mut e = Enc::with_capacity(OBJECT_ID_LEN + 16 + data.len() + metadata.len());
+    put_id(&mut e, id);
+    e.bytes(data).bytes(metadata);
+    Frame::new(tag::PUT, e.finish())
+}
+
 impl Request {
     pub fn to_frame(&self) -> Frame {
         let mut e = Enc::new();
@@ -140,12 +150,7 @@ impl Request {
                 put_id(&mut e, id);
                 tag::SEAL
             }
-            Request::Put { id, data, metadata } => {
-                e = Enc::with_capacity(OBJECT_ID_LEN + 16 + data.len() + metadata.len());
-                put_id(&mut e, id);
-                e.bytes(data).bytes(metadata);
-                tag::PUT
-            }
+            Request::Put { id, data, metadata } => return put_frame(id, data, metadata),
             Request::Get { ids, timeout_ms } => {
                 e.u64(*timeout_ms).u64(ids.len() as u64);
                 for id in ids {
@@ -540,6 +545,36 @@ mod tests {
         let mut f = put.to_frame();
         f.payload = f.payload.slice(..f.payload.len() - 1);
         assert!(Request::from_frame(&f).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Writing a put straight from its slices changes no byte of the
+        /// frame: it equals the encoding of id, data and metadata in one
+        /// `Enc`, at every size up to past the largest inlined put and at
+        /// every split between data and metadata.
+        #[test]
+        fn a_put_frame_equals_its_field_by_field_encoding(
+            len in 0usize..300 << 10,
+            split in proptest::prelude::any::<usize>(),
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let id = ObjectId::from_name("put");
+            let object: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            let (data, metadata) = object.split_at(split % (len + 1));
+            let frame = Request::Put {
+                id,
+                data: Bytes::copy_from_slice(data),
+                metadata: Bytes::copy_from_slice(metadata),
+            }
+            .to_frame();
+            let mut e = Enc::new();
+            put_id(&mut e, &id);
+            e.bytes(data).bytes(metadata);
+            proptest::prop_assert_eq!(frame.msg_type, tag::PUT);
+            proptest::prop_assert!(frame.payload == e.finish());
+        }
     }
 
     #[test]

@@ -16,18 +16,38 @@
 //! corruption class a flaky wire (or a chaos harness) injects. It is
 //! computed on the CPU's `crc32` instruction where there is one
 //! ([`crate::wire::crc32`]), since each side checksums every byte.
+//!
+//! A frame is built once: the encoder reserves the checksum's four bytes
+//! at the front of its buffer, and the checksum is written there once the
+//! envelope is complete, so a body carried in the envelope (an inlined
+//! put's payload) is copied into exactly one buffer.
 
 use crate::service::{Status, StatusCode};
 use crate::wire::{crc32, MsgDec, MsgEnc, WireError};
 use bytes::{Buf, Bytes};
 use ipc::Frame;
 
-/// Wrap an encoded envelope in a checksummed frame payload.
-fn seal_frame(msg_type: u32, envelope: Bytes) -> Frame {
-    let mut payload = Vec::with_capacity(4 + envelope.len());
-    payload.extend_from_slice(&crc32(&envelope).to_le_bytes());
-    payload.extend_from_slice(&envelope);
-    Frame::new(msg_type, payload)
+/// Width of the checksum that starts every frame payload.
+const CRC_LEN: usize = 4;
+
+/// The most an envelope's own fields take beside its body or message:
+/// three one-byte tags and three varints of at most ten bytes.
+const ENVELOPE_FIELDS_MAX: usize = 3 + 3 * 10;
+
+/// An envelope encoder for a body or message of `body_len` bytes. Its
+/// buffer starts with room for the checksum and has room for the whole
+/// frame payload, so the frame is built in this one buffer.
+fn envelope_enc(body_len: usize) -> MsgEnc {
+    MsgEnc::after_reserved(CRC_LEN, ENVELOPE_FIELDS_MAX + body_len)
+}
+
+/// Write the checksum of the encoded envelope into the prefix
+/// [`envelope_enc`] reserved, and frame the buffer as it stands.
+fn seal_frame(msg_type: u32, e: MsgEnc) -> Frame {
+    let mut payload = e.into_buf();
+    let crc = crc32(&payload[CRC_LEN..]);
+    payload[..CRC_LEN].copy_from_slice(&crc.to_le_bytes());
+    Frame::new(msg_type, payload.freeze())
 }
 
 /// Verify and strip the checksum prefix, returning the envelope bytes.
@@ -63,11 +83,11 @@ pub struct Request {
 impl Request {
     /// Encode into a [`FRAME_REQUEST`] frame.
     pub fn to_frame(&self) -> Frame {
-        let mut e = MsgEnc::new();
+        let mut e = envelope_enc(self.body.len());
         e.uint(1, self.call_id)
             .uint(2, u64::from(self.method))
             .bytes(3, &self.body);
-        seal_frame(FRAME_REQUEST, e.finish())
+        seal_frame(FRAME_REQUEST, e)
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.
@@ -93,7 +113,10 @@ pub struct Response {
 impl Response {
     /// Encode into a [`FRAME_RESPONSE`] frame.
     pub fn to_frame(&self) -> Frame {
-        let mut e = MsgEnc::new();
+        let mut e = envelope_enc(match &self.result {
+            Ok(body) => body.len(),
+            Err(status) => status.message.len(),
+        });
         e.uint(1, self.call_id);
         match &self.result {
             Ok(body) => {
@@ -105,7 +128,7 @@ impl Response {
                 e.string(3, &status.message);
             }
         }
-        seal_frame(FRAME_RESPONSE, e.finish())
+        seal_frame(FRAME_RESPONSE, e)
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.
@@ -193,15 +216,15 @@ mod tests {
         }
     }
 
-    /// A frame carrying a 64 KiB body — the largest inlined put — with
+    /// A frame carrying a 256 KiB body — the largest inlined put — with
     /// one or two flipped bits, at sampled positions anywhere in the
     /// payload (checksum prefix included), fails its checksum.
     #[test]
-    fn sampled_bit_flips_in_a_64_kib_frame_are_rejected() {
+    fn sampled_bit_flips_in_a_256_kib_frame_are_rejected() {
         let frame = Request {
             call_id: 11,
             method: 11,
-            body: Bytes::from((0..64 << 10).map(|i| (i * 7) as u8).collect::<Vec<_>>()),
+            body: Bytes::from((0..256 << 10).map(|i| (i * 7) as u8).collect::<Vec<_>>()),
         }
         .to_frame();
         let bits = frame.payload.len() * 8;
@@ -233,6 +256,52 @@ mod tests {
         }
         for ends in [[0, 1], [0, bits - 1], [bits - 2, bits - 1]] {
             assert!(rejected(&ends), "flips at bits {ends:?}");
+        }
+    }
+
+    /// The reference a frame payload must equal byte for byte: the
+    /// envelope encoded in a buffer of its own, then copied behind its
+    /// checksum into a second one.
+    fn two_buffer_payload(envelope: MsgEnc) -> Vec<u8> {
+        let envelope = envelope.finish();
+        let mut payload = crc32(&envelope).to_le_bytes().to_vec();
+        payload.extend_from_slice(&envelope);
+        payload
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Building a frame in one buffer changes no byte of it: a
+        /// request, an answer and an error status each equal the
+        /// 4-byte little-endian `crc32(E)` followed by `E`, at every body
+        /// size up to past the largest inlined put.
+        #[test]
+        fn frames_equal_their_two_buffer_encoding(
+            call_id in proptest::prelude::any::<u64>(),
+            method in proptest::prelude::any::<u32>(),
+            len in 0usize..300 << 10,
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let body = Bytes::from(vec![fill; len]);
+            let request = Request { call_id, method, body: body.clone() }.to_frame();
+            let mut e = MsgEnc::new();
+            e.uint(1, call_id).uint(2, u64::from(method)).bytes(3, &body);
+            proptest::prop_assert_eq!(request.msg_type, FRAME_REQUEST);
+            proptest::prop_assert!(request.payload == two_buffer_payload(e));
+
+            let ok = Response { call_id, result: Ok(body.clone()) }.to_frame();
+            let mut e = MsgEnc::new();
+            e.uint(1, call_id).uint(2, StatusCode::Ok as u64).bytes(4, &body);
+            proptest::prop_assert_eq!(ok.msg_type, FRAME_RESPONSE);
+            proptest::prop_assert!(ok.payload == two_buffer_payload(e));
+
+            let message = "m".repeat(len % 512);
+            let status = Status::new(StatusCode::from_u32(1 + method % 15), message.clone());
+            let err = Response { call_id, result: Err(status.clone()) }.to_frame();
+            let mut e = MsgEnc::new();
+            e.uint(1, call_id).uint(2, status.code as u64).string(3, &message);
+            proptest::prop_assert!(err.payload == two_buffer_payload(e));
         }
     }
 

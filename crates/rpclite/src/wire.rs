@@ -219,6 +219,29 @@ impl MsgEnc {
         Self::default()
     }
 
+    /// New, empty encoder with room for `cap` bytes before it grows.
+    pub fn with_capacity(cap: usize) -> Self {
+        MsgEnc {
+            buf: BytesMut::with_capacity(cap),
+        }
+    }
+
+    /// An encoder whose message starts after `reserved` zero bytes, with
+    /// room for `cap` bytes of message: the envelope writes its checksum
+    /// there once the message is complete ([`MsgEnc::into_buf`]).
+    pub(crate) fn after_reserved(reserved: usize, cap: usize) -> Self {
+        let mut e = MsgEnc::with_capacity(reserved + cap);
+        for _ in 0..reserved {
+            e.buf.put_u8(0);
+        }
+        e
+    }
+
+    /// The buffer, reserved bytes included, still writable.
+    pub(crate) fn into_buf(self) -> BytesMut {
+        self.buf
+    }
+
     fn tag(&mut self, field: u32, wt: WireType) {
         put_varint(&mut self.buf, u64::from(field) << 3 | wt as u64);
     }
@@ -237,9 +260,19 @@ impl MsgEnc {
 
     /// `field: bytes` (length-delimited).
     pub fn bytes(&mut self, field: u32, v: &[u8]) -> &mut Self {
+        self.bytes_concat(field, &[v])
+    }
+
+    /// `field: bytes` whose value is `parts` back to back: the encoding
+    /// of [`MsgEnc::bytes`] over their concatenation, written without
+    /// joining them first.
+    pub fn bytes_concat(&mut self, field: u32, parts: &[&[u8]]) -> &mut Self {
         self.tag(field, WireType::Len);
-        put_varint(&mut self.buf, v.len() as u64);
-        self.buf.put_slice(v);
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        put_varint(&mut self.buf, len as u64);
+        for part in parts {
+            self.buf.put_slice(part);
+        }
         self
     }
 
@@ -438,10 +471,10 @@ mod tests {
         }
     }
 
-    /// The same at the largest inlined put, 64 KiB, at every alignment.
+    /// The same at the largest inlined put, 256 KiB, at every alignment.
     #[test]
-    fn crc32_paths_agree_on_a_64_kib_payload() {
-        let buf: Vec<u8> = (0..(64u32 << 10) + 7)
+    fn crc32_paths_agree_on_a_256_kib_payload() {
+        let buf: Vec<u8> = (0..(256u32 << 10) + 7)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
         for start in 0..8 {

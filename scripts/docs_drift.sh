@@ -38,6 +38,13 @@
 #    computes CRC-32C (`0x82F6_3B78`) and calls `_mm_crc32_u64` behind
 #    `is_x86_feature_detected!("sse4.2")`; the IEEE polynomial
 #    (`0xEDB8_8320`), which that instruction does not compute, is gone.
+# 11. A carried byte is copied once per hop: (a) the vendored
+#    `Bytes` in third_party/bytes/src/lib.rs is not an `Arc<[u8]>`, since
+#    turning a `Vec` into one copies it, so every `Bytes::from(Vec)` and
+#    `freeze` would copy again; (b) every statement of the inline-put
+#    threshold in README, DESIGN and the verify skill — "`INLINE_PUT_MAX`
+#    = N KiB", "`INLINE_PUT_MAX` (N KiB)", "`put` ≤ N KiB" or "`put` >
+#    N KiB" — names the constant in crates/plasma/src/client.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -191,7 +198,27 @@ if ! grep -q '0x82F6_3B78' "$wire" ||
     status=1
 fi
 
+bytes_lib=third_party/bytes/src/lib.rs
+if shared=$(grep -n 'Arc<\[u8\]>' "$bytes_lib"); then
+    echo "docs-drift: $bytes_lib is backed by Arc<[u8]> again (converting a Vec into it copies; share the Vec itself):" >&2
+    echo "$shared" >&2
+    status=1
+fi
+inline_kib=$(sed -n 's/^pub const INLINE_PUT_MAX: usize = \([0-9]*\) << 10;$/\1/p' crates/plasma/src/client.rs)
+if [ -z "$inline_kib" ]; then
+    echo "docs-drift: cannot read INLINE_PUT_MAX (as \"N << 10\") from crates/plasma/src/client.rs" >&2
+    status=1
+else
+    while IFS=: read -r file line stated; do
+        kib=$(grep -oE '[0-9]+ KiB' <<<"$stated" | cut -d' ' -f1)
+        if [ "$kib" != "$inline_kib" ]; then
+            echo "docs-drift: $file:$line says \"$stated\" but INLINE_PUT_MAX is $inline_kib KiB" >&2
+            status=1
+        fi
+    done < <(grep -nH -oE 'INLINE_PUT_MAX`? (= |\()[0-9]+ KiB|`put`? (≤|>) [0-9]+ KiB' README.md DESIGN.md .claude/skills/verify/SKILL.md)
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters, the envelope checksum is the CPU's CRC-32C"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters, the envelope checksum is the CPU's CRC-32C, \`Bytes\` shares its Vec and every stated inline-put threshold is $inline_kib KiB"
 fi
 exit $status

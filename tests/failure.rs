@@ -6,7 +6,7 @@ use disagg::{
     Cluster, ClusterConfig, DisaggConfig, DisaggStore, InterconnectConfig, Peer, PeerState,
     RetryPolicy,
 };
-use plasma::{ObjectId, ObjectStore, PlasmaError};
+use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
 use tfsim::LinkState;
 
@@ -481,8 +481,10 @@ fn failed_payload_write_aborts_the_staged_create() {
     cluster
         .fabric()
         .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Down);
-    // 100 KiB: above the inline threshold, so create → write → seal.
-    let err = client.put(id, &[7; 100 << 10], &[]).unwrap_err();
+    // One byte above the inline threshold, so create → write → seal.
+    let err = client
+        .put(id, &vec![7; INLINE_PUT_MAX + 1], &[])
+        .unwrap_err();
     assert!(matches!(err, PlasmaError::Fabric(_)), "{err:?}");
     assert_eq!(cluster.store(0).delegations(), vec![], "requester's books");
     assert_eq!(cluster.store(1).delegations(), vec![], "owner's books");
