@@ -59,6 +59,17 @@ impl Service for Interconnect {
         let epoch = store.ring_epoch();
         Ok(ReplyHeader { epoch }.frame(&reply))
     }
+
+    /// Only `DELETE` waits on another call a peer may be waiting on: its
+    /// `INVALIDATE` round goes to the holders of the object's copies, and
+    /// two nodes deleting each other's replicated objects at once would
+    /// each hold the one thread that could answer the other. Every other
+    /// verb is a leaf: the one call `call` itself may make, the epoch
+    /// pull, goes only to a node whose epoch is strictly newer, so pulls
+    /// cannot form a cycle.
+    fn may_wait(&self, method_id: u32) -> bool {
+        method_id == method::DELETE
+    }
 }
 
 impl Interconnect {

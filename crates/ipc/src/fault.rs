@@ -14,15 +14,16 @@
 //! [`Direction::Inbound`]). A dropped inbound frame is read off the
 //! underlying connection and discarded, exactly as if the network had
 //! eaten it; a duplicated inbound frame is queued and handed to the next
-//! `recv`.
+//! `recv`; a delayed one is held until it is due — a receiver whose
+//! deadline comes first times out and leaves it held for the next.
 
 use crate::frame::Frame;
-use crate::transport::Conn;
+use crate::transport::{deadline_passed, Conn};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which way a frame is travelling, relative to the wrapped endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,9 +79,9 @@ pub enum FaultAction {
 /// Decides the fate of each frame crossing a [`FaultConn`].
 ///
 /// Implementations must be thread-safe: a pipelined client sends from
-/// caller threads while its reader thread receives. Determinism is the
-/// implementation's responsibility — the wrapper reports only the link
-/// label, the direction and the frame.
+/// its callers' threads while another of its callers receives.
+/// Determinism is the implementation's responsibility — the wrapper
+/// reports only the link label, the direction and the frame.
 pub trait FaultPolicy: Send + Sync {
     /// Decide what happens to `frame` crossing `link` in `dir`.
     fn on_frame(&self, link: &str, dir: Direction, frame: &Frame) -> FaultAction;
@@ -102,8 +103,10 @@ pub struct FaultConn {
     inner: Box<dyn Conn>,
     link: String,
     policy: Arc<dyn FaultPolicy>,
-    /// Inbound frames queued for redelivery (duplicates).
-    pending: VecDeque<Frame>,
+    /// Inbound frames read off `inner` but not yet handed on, in order,
+    /// each with the instant it is due: a delayed frame once its delay
+    /// has passed, a duplicate at once.
+    pending: VecDeque<(Instant, Frame)>,
 }
 
 impl FaultConn {
@@ -163,21 +166,25 @@ impl Conn for FaultConn {
         }
     }
 
-    fn recv(&mut self) -> io::Result<Frame> {
-        if let Some(queued) = self.pending.pop_front() {
-            return Ok(queued);
-        }
+    fn recv_until(&mut self, deadline: Option<Instant>) -> io::Result<Frame> {
         loop {
-            let frame = self.inner.recv()?;
+            if let Some(&(due, _)) = self.pending.front() {
+                // Wait for the frame, or for the caller's deadline if it
+                // comes first; the frame stays held for the next `recv`.
+                let wake = deadline.map_or(due, |deadline| deadline.min(due));
+                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                if wake < due {
+                    return Err(deadline_passed());
+                }
+                return Ok(self.pending.pop_front().expect("front checked").1);
+            }
+            let frame = self.inner.recv_until(deadline)?;
             match self.policy.on_frame(&self.link, Direction::Inbound, &frame) {
                 FaultAction::Deliver => return Ok(frame),
                 FaultAction::Drop => continue,
-                FaultAction::Delay(d) => {
-                    std::thread::sleep(d);
-                    return Ok(frame);
-                }
+                FaultAction::Delay(d) => self.pending.push_back((Instant::now() + d, frame)),
                 FaultAction::Duplicate => {
-                    self.pending.push_back(frame.clone());
+                    self.pending.push_back((Instant::now(), frame.clone()));
                     return Ok(frame);
                 }
                 action @ (FaultAction::Corrupt { .. } | FaultAction::Truncate { .. }) => {
@@ -353,6 +360,23 @@ mod tests {
         client.send(&Frame::new(1, &b"slow"[..])).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
         assert_eq!(server.recv().unwrap().msg_type, 1);
+    }
+
+    #[test]
+    fn inbound_delay_is_held_past_a_deadline_that_comes_first() {
+        let delay = Duration::from_millis(80);
+        let policy = Script::new(vec![], vec![FaultAction::Delay(delay)]);
+        let (mut client, mut server) = pair(policy);
+        server.send(&Frame::new(1, &b"slow"[..])).unwrap();
+        let start = Instant::now();
+        let err = client
+            .recv_until(Some(start + Duration::from_millis(10)))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(start.elapsed() < delay, "slept past the deadline");
+        // The frame was held, not lost, and is not early.
+        assert_eq!(&client.recv().unwrap().payload[..], b"slow");
+        assert!(start.elapsed() >= delay);
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! and queues the other end for `accept`. A connection is two frame
 //! queues under one lock, so a simulated multi-node cluster runs in one
 //! process with no sockets, files, or nondeterministic OS buffering — and
-//! nothing in it waits on a timer: a parked `recv` wakes for a frame, for
-//! the peer's last handle going away, or for [`Conn::close`].
+//! nothing in it waits on a timer of its own: a parked `recv` wakes for a
+//! frame, for the peer's last handle going away, for [`Conn::close`], or
+//! for the deadline its caller passed to [`Conn::recv_until`].
 
 use crate::frame::Frame;
-use crate::transport::{Conn, Listener, StopHandle};
+use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// What the two ends of one connection, and every clone of either, share.
 #[derive(Debug, Default)]
@@ -80,7 +82,8 @@ impl Conn for InprocConn {
         Ok(())
     }
 
-    fn recv(&mut self) -> io::Result<Frame> {
+    fn recv_until(&mut self, deadline: Option<Instant>) -> io::Result<Frame> {
+        let readable = &self.pipe.readable[self.end];
         let mut st = self.pipe.lock();
         loop {
             if let Some(frame) = st.inbox[self.end].pop_front() {
@@ -89,9 +92,17 @@ impl Conn for InprocConn {
             if st.closed || st.handles[1 - self.end] == 0 {
                 return Err(peer_closed(io::ErrorKind::UnexpectedEof));
             }
-            st = self.pipe.readable[self.end]
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = match deadline {
+                None => readable.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(deadline_passed());
+                    }
+                    let woken = readable.wait_timeout(st, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
     }
 
@@ -335,6 +346,23 @@ mod tests {
         let f = server.recv().unwrap();
         server.send(&Frame::new(2, f.payload)).unwrap();
         assert_eq!(&client.recv().unwrap().payload[..], b"via-clone");
+    }
+
+    #[test]
+    fn a_passed_deadline_consumes_no_frame() {
+        let hub = InprocHub::new();
+        let mut listener = hub.bind("s").unwrap();
+        let mut client = hub.connect("s").unwrap();
+        let mut server = listener.accept().unwrap();
+        let soon = std::time::Instant::now() + Duration::from_millis(20);
+        let err = client.recv_until(Some(soon)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(std::time::Instant::now() >= soon);
+        // A frame that is already there has arrived first, however late
+        // the deadline.
+        server.send(&Frame::new(1, &b"after"[..])).unwrap();
+        let late = client.recv_until(Some(soon)).unwrap();
+        assert_eq!(&late.payload[..], b"after");
     }
 
     #[test]

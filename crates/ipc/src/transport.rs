@@ -4,15 +4,17 @@
 //! system. The simulation keeps that option ([`crate::uds`]) and adds an
 //! in-process transport ([`crate::inproc`]) so a whole multi-node cluster
 //! can run deterministically inside one test. Both speak [`Frame`]s, and
-//! neither waits on a timer: a parked [`Conn::recv`] is woken by a frame,
-//! by the peer going away or by [`Conn::close`]; a parked
-//! [`Listener::accept`] by a connection or by [`StopHandle::stop`].
+//! neither waits on a timer of its own: a parked [`Conn::recv_until`] is
+//! woken by a frame, by the peer going away, by [`Conn::close`] or by the
+//! deadline its caller passed in; a parked [`Listener::accept`] by a
+//! connection or by [`StopHandle::stop`].
 
 use crate::frame::Frame;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A bidirectional, blocking, framed connection.
 pub trait Conn: Send {
@@ -20,7 +22,15 @@ pub trait Conn: Send {
     fn send(&mut self, frame: &Frame) -> io::Result<()>;
 
     /// Receive one frame, blocking. `UnexpectedEof` once the peer is gone.
-    fn recv(&mut self) -> io::Result<Frame>;
+    fn recv(&mut self) -> io::Result<Frame> {
+        self.recv_until(None)
+    }
+
+    /// [`Conn::recv`], waiting until `deadline` at the latest: if it
+    /// passes before a frame is there, the call fails with `TimedOut` and
+    /// no frame is consumed — the next call receives the frame this one
+    /// would have. `None` waits as long as it takes.
+    fn recv_until(&mut self, deadline: Option<Instant>) -> io::Result<Frame>;
 
     /// End the connection, for every clone and for the peer: a
     /// [`Conn::recv`] parked on any clone, on either end, wakes with
@@ -34,7 +44,8 @@ pub trait Conn: Send {
     fn peer(&self) -> String;
 
     /// Clone the connection so one half can send while the other receives
-    /// (e.g. a pipelined RPC client's dedicated reader thread).
+    /// (e.g. a pipelined RPC client's receive half, which its waiting
+    /// callers take turns to read).
     ///
     /// The clone shares the underlying stream. Discipline: take the clone
     /// while the connection is quiescent (right after it is established,
@@ -45,6 +56,11 @@ pub trait Conn: Send {
     /// late clone could strand bytes already buffered by the original).
     /// Both halves may send: frames are written atomically.
     fn try_clone(&self) -> io::Result<Box<dyn Conn>>;
+}
+
+/// The error of a [`Conn::recv_until`] whose deadline passed first.
+pub(crate) fn deadline_passed() -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, "deadline passed before a frame")
 }
 
 /// A connection acceptor with cooperative shutdown.

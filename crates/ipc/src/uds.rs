@@ -3,23 +3,36 @@
 //! clients through Unix domain sockets").
 //!
 //! Framing is identical to the in-process transport, so the store code is
-//! transport-agnostic. Nothing here waits on a timer: `accept` and `recv`
-//! block in the kernel, [`Conn::close`] is `shutdown(Both)` — which wakes
+//! transport-agnostic. Nothing here waits on a timer of its own: `accept`
+//! and `recv` block in the kernel (a [`Conn::recv_until`] deadline is the
+//! socket's read timeout), [`Conn::close`] is `shutdown(Both)` — which wakes
 //! every reader of the socket on both ends — and a [`StopHandle`] wakes a
 //! parked `accept` by connecting to the listener's own path.
 
 use crate::frame::Frame;
-use crate::transport::{Conn, Listener, StopHandle};
-use std::io::{self, BufReader, BufWriter};
+use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
+use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// Whether a read failed because the socket's read timeout ran out.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
 
 /// A framed connection over a Unix stream socket.
 pub struct UdsConn {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,
     label: String,
+    /// The read timeout last set on the socket, so that a `recv` with the
+    /// same one (`None`, as a rule) makes no system call for it.
+    timeout: Option<Duration>,
 }
 
 impl UdsConn {
@@ -35,6 +48,7 @@ impl UdsConn {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
             label,
+            timeout: None,
         })
     }
 }
@@ -44,8 +58,35 @@ impl Conn for UdsConn {
         frame.write_to(&mut self.writer)
     }
 
-    fn recv(&mut self) -> io::Result<Frame> {
-        Frame::read_from(&mut self.reader)
+    fn recv_until(&mut self, deadline: Option<Instant>) -> io::Result<Frame> {
+        let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(left) if left.is_zero() => return Err(deadline_passed()),
+            timeout => timeout,
+        };
+        // The timeout is the socket's, shared by every clone; only the one
+        // receiving half (`Conn::try_clone`'s discipline) ever sets it.
+        if timeout != self.timeout {
+            self.reader.get_ref().set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        // A deadline that passes before the frame's first byte consumes
+        // nothing; one that passes inside a frame leaves the stream out of
+        // step, so the connection ends.
+        if timeout.is_some() && self.reader.buffer().is_empty() {
+            if let Err(e) = self.reader.fill_buf() {
+                return Err(if timed_out(&e) { deadline_passed() } else { e });
+            }
+        }
+        Frame::read_from(&mut self.reader).map_err(|e| {
+            if !timed_out(&e) {
+                return e;
+            }
+            self.close();
+            io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "deadline passed mid-frame",
+            )
+        })
     }
 
     fn close(&self) {
@@ -229,6 +270,27 @@ mod tests {
         let f = server.recv().unwrap();
         server.send(&Frame::new(2, f.payload)).unwrap();
         assert_eq!(&client.recv().unwrap().payload[..], b"via-clone");
+    }
+
+    #[test]
+    fn a_deadline_before_a_frame_consumes_nothing_and_one_inside_ends_it() {
+        use std::io::Write;
+        let path = tmp_sock("deadline");
+        let mut listener = UdsListener::bind(&path).unwrap();
+        let mut raw = UnixStream::connect(&path).unwrap();
+        let mut server = listener.accept().unwrap();
+        let soon = || Some(Instant::now() + Duration::from_millis(20));
+        let err = server.recv_until(soon()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let mut frame = Vec::new();
+        Frame::new(1, &b"whole"[..]).write_to(&mut frame).unwrap();
+        raw.write_all(&frame).unwrap();
+        assert_eq!(&server.recv_until(soon()).unwrap().payload[..], b"whole");
+        // Half a header, then nothing: the stream is out of step.
+        raw.write_all(&frame[..4]).unwrap();
+        let err = server.recv_until(soon()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
+        assert!(server.recv().is_err());
     }
 
     #[test]

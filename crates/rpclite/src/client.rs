@@ -1,10 +1,18 @@
 //! RPC client: pipelined unary calls multiplexed on one connection.
 //!
-//! Requests carry a correlation id (the envelope's `call_id`), a
-//! dedicated reader thread per connection completes responses out of order
-//! by matching ids against a pending-call map, and up to an in-flight
-//! window of requests share the connection concurrently — K concurrent
-//! calls cost `≈ RTT + K·t_serve`, not `K·RTT`.
+//! Requests carry a correlation id (the envelope's `call_id`), responses
+//! complete out of order by matching ids against a pending-call map, and
+//! up to an in-flight window of requests share the connection
+//! concurrently — K concurrent calls cost `≈ RTT + K·t_serve`, not
+//! `K·RTT`.
+//!
+//! No thread of the client's own reads the connection: a caller waiting
+//! for its answer does. The first waiter to find the receive half free
+//! takes it and reads, filing every other call's answer into that call's
+//! slot and waking its waiter, until its own answer arrives; then it puts
+//! the half back and wakes the others, one of whom reads next. Everyone
+//! else waits on a condvar. So a call is one thread hand-off each way —
+//! to the server and back — as on the plasma IPC path.
 //!
 //! [`RpcClient::call_async`] sends a request and returns a
 //! [`PendingCall`] ticket; [`RpcClient::call`] is send + wait-for-my-id.
@@ -19,21 +27,22 @@
 //! [`RpcClient::call_with_deadline`] bounds how long a call waits for its
 //! response; an expired deadline surfaces as [`RpcError::Deadline`]. With
 //! correlation ids a deadline expiry no longer poisons the connection:
-//! the expired call abandons its pending slot and the reader discards the
-//! late response by its unmatched id, while neighboring in-flight calls
-//! proceed undisturbed. Only *transport or protocol* failures poison the
-//! connection — the reader fails every in-flight call with the same
-//! error and drops the stream. If the client was built with a connector
-//! ([`RpcClient::with_connector`]) the next call transparently redials;
-//! otherwise subsequent calls fail with `Transport(NotConnected)` until
-//! the client is replaced. This mirrors gRPC channel behavior: a channel
-//! outlives any one TCP connection.
+//! the expired call abandons its pending slot and whoever reads next
+//! discards the late response by its unmatched id, while neighboring
+//! in-flight calls proceed undisturbed. A caller reading the connection
+//! reads it only until its own deadline ([`ipc::Conn::recv_until`]), then
+//! hands the receive half on. Only *transport or protocol* failures
+//! poison the connection — the caller that meets one fails every
+//! in-flight call with the same error and drops the stream. If the client
+//! was built with a connector ([`RpcClient::with_connector`]) the next
+//! call transparently redials; otherwise subsequent calls fail with
+//! `Transport(NotConnected)` until the client is replaced. This mirrors
+//! gRPC channel behavior: a channel outlives any one TCP connection.
 //!
-//! The reader parks in `recv` and is never polled awake: whoever retires
-//! a connection — a poison, or the client's `Drop` — supersedes its
-//! generation and closes it ([`ipc::Conn::close`]); the reader reads EOF,
-//! sees the generation moved on and returns. `Drop` joins the reader, so
-//! a dropped client leaves no thread behind.
+//! Nothing is polled awake: whoever retires a connection — a poison, or
+//! the client's `Drop` — supersedes its generation and closes it
+//! ([`ipc::Conn::close`]); a caller reading it reads EOF, sees the
+//! generation moved on and drops its half.
 
 use crate::envelope::{Request, Response, FRAME_RESPONSE};
 use crate::service::{Status, StatusCode};
@@ -41,13 +50,12 @@ use bytes::Bytes;
 use ipc::Conn;
 use netsim::SharedLink;
 use obs::{Counter, Histogram, Registry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tfsim::Clock;
 
@@ -192,149 +200,58 @@ impl PoisonCause {
 enum PendingState {
     /// Sent, no response yet.
     Waiting,
-    /// Completed by the reader (or failed by a poison event); awaiting
-    /// pickup by the caller's `wait`.
+    /// Completed by whichever caller read its response (or failed by a
+    /// poison event); awaiting pickup by the caller's `wait`.
     Done(Result<Response, RpcError>),
 }
 
-/// Connection state shared between callers and the reader thread.
+/// Connection state shared by a client's callers.
+#[derive(Default)]
 struct ChannelState {
     /// Send half of the live connection; `None` when poisoned or not yet
     /// dialed.
     writer: Option<Box<dyn Conn>>,
-    /// Bumped on every (re)dial and poison, so a stale reader thread can
-    /// tell its connection has been replaced and must not touch state.
+    /// Receive half of the live connection while no caller is reading
+    /// it. A waiting caller takes it, and puts it back once its own
+    /// response is in or its deadline has passed.
+    reader: Option<Box<dyn Conn>>,
+    /// Bumped on every (re)dial and poison, so a caller still reading a
+    /// replaced connection can tell, and must not touch state.
     generation: u64,
-    /// The reader of the newest connection, kept for `Drop` to join. A
-    /// reader it replaces is already on its way out (its connection was
-    /// closed when it was retired), so dropping that handle loses nothing.
-    reader: Option<JoinHandle<()>>,
-    /// In-flight and completed-but-unclaimed calls, keyed by call id.
+    /// Calls sent and not yet picked up by their caller, keyed by call
+    /// id. Their number is the in-flight depth the window caps.
     pending: HashMap<u64, PendingState>,
-    /// Number of `Waiting` entries (the true in-flight depth).
-    waiting: usize,
 }
 
 impl ChannelState {
+    /// Make `conn` the live connection. The caller holds no live
+    /// connection (`writer` is `None`).
+    fn install(&mut self, conn: Box<dyn Conn>) -> io::Result<()> {
+        self.reader = Some(conn.try_clone()?);
+        self.writer = Some(conn);
+        self.generation += 1;
+        Ok(())
+    }
+
     /// Retire the live connection, if any: supersede its generation and
-    /// close it. That is the whole stand-down — its reader wakes from
-    /// `recv` with EOF, finds the generation moved on, and returns.
+    /// close it. That is the whole stand-down — a caller reading it wakes
+    /// from `recv` with EOF, finds the generation moved on, and drops its
+    /// half.
     fn retire(&mut self) {
         self.generation += 1;
+        self.reader = None;
         if let Some(writer) = self.writer.take() {
             writer.close();
         }
     }
 }
 
+#[derive(Default)]
 struct Shared {
     state: Mutex<ChannelState>,
+    /// Signalled when a response is filed, when the receive half is put
+    /// back, when a full window frees a share and on poison.
     cond: Condvar,
-    metrics: Mutex<Option<Arc<ClientMetrics>>>,
-}
-
-impl Shared {
-    fn new() -> Arc<Shared> {
-        Arc::new(Shared {
-            state: Mutex::new(ChannelState {
-                writer: None,
-                generation: 0,
-                reader: None,
-                pending: HashMap::new(),
-                waiting: 0,
-            }),
-            cond: Condvar::new(),
-            metrics: Mutex::new(None),
-        })
-    }
-
-    /// Make `conn` the live connection and start its reader. Caller holds
-    /// the state lock and has no live connection (`writer` is `None`).
-    fn install(self: &Arc<Self>, st: &mut ChannelState, conn: Box<dyn Conn>) -> io::Result<()> {
-        let recv_half = conn.try_clone()?;
-        st.writer = Some(conn);
-        st.generation += 1;
-        let (shared, generation) = (Arc::clone(self), st.generation);
-        st.reader = Some(
-            std::thread::Builder::new()
-                .name("rpc-reader".to_string())
-                .spawn(move || reader_loop(recv_half, shared, generation))
-                .expect("spawn rpc reader thread"),
-        );
-        Ok(())
-    }
-
-    /// Poison generation `generation`: retire the connection and fail
-    /// every in-flight call with `cause`. No-op if the connection was
-    /// already replaced.
-    fn poison(&self, generation: u64, cause: PoisonCause) {
-        let mut st = self.state.lock();
-        if st.generation != generation {
-            return;
-        }
-        st.retire();
-        for slot in st.pending.values_mut() {
-            if matches!(slot, PendingState::Waiting) {
-                *slot = PendingState::Done(Err(cause.to_error()));
-            }
-        }
-        st.waiting = 0;
-        if let Some(m) = &*self.metrics.lock() {
-            m.poisoned.inc();
-        }
-        self.cond.notify_all();
-    }
-}
-
-/// The dedicated per-connection reader: demultiplexes responses to their
-/// pending slots by call id, discards late responses whose call has been
-/// abandoned, and poisons the connection on transport/protocol failure.
-fn reader_loop(mut conn: Box<dyn Conn>, shared: Arc<Shared>, generation: u64) {
-    loop {
-        let frame = match conn.recv() {
-            Ok(f) => f,
-            Err(e) => {
-                // The peer went away — or this connection was retired, in
-                // which case the generation moved on and this is a no-op.
-                shared.poison(generation, PoisonCause::Transport(e.kind(), e.to_string()));
-                return;
-            }
-        };
-        if frame.msg_type != FRAME_RESPONSE {
-            shared.poison(
-                generation,
-                PoisonCause::Protocol(format!("unexpected frame type {:#x}", frame.msg_type)),
-            );
-            return;
-        }
-        let response = match Response::from_frame(&frame) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.poison(
-                    generation,
-                    PoisonCause::Protocol(format!("bad response: {e}")),
-                );
-                return;
-            }
-        };
-        let mut st = shared.state.lock();
-        if st.generation != generation {
-            return; // connection replaced under us; late frame is stale
-        }
-        if let std::collections::hash_map::Entry::Occupied(mut slot) =
-            st.pending.entry(response.call_id)
-        {
-            let was_waiting = matches!(slot.get(), PendingState::Waiting);
-            slot.insert(PendingState::Done(Ok(response)));
-            if was_waiting {
-                st.waiting -= 1;
-            }
-            shared.cond.notify_all();
-        }
-        // No slot: the call abandoned its deadline and this response is
-        // late. Dropping it by unmatched id is exactly why correlation
-        // ids let deadlines expire without poisoning the connection.
-    }
 }
 
 /// A pipelined unary RPC client.
@@ -362,10 +279,11 @@ impl RpcClient {
     }
 
     /// Wrap a connection, charging `net` per call if given. A connection
-    /// that cannot be cloned for its reader counts as already poisoned.
+    /// that cannot be cloned into a receive half counts as already
+    /// poisoned.
     pub fn with_net(conn: Box<dyn Conn>, net: Option<NetCost>) -> Self {
         let client = Self::build(None, net);
-        let _ = client.shared.install(&mut client.shared.state.lock(), conn);
+        let _ = client.shared.state.lock().install(conn);
         client
     }
 
@@ -377,7 +295,7 @@ impl RpcClient {
 
     fn build(connector: Option<Connector>, net: Option<NetCost>) -> Self {
         RpcClient {
-            shared: Shared::new(),
+            shared: Arc::default(),
             connector,
             net,
             metrics: None,
@@ -391,14 +309,13 @@ impl RpcClient {
     /// Attach pre-registered metric handles (see [`ClientMetrics`]).
     /// Called once while building the client, before it is shared.
     pub fn set_metrics(&mut self, metrics: Arc<ClientMetrics>) {
-        *self.shared.metrics.lock() = Some(Arc::clone(&metrics));
         self.metrics = Some(metrics);
     }
 
     /// Shrink the cap on requests in flight per connection (minimum 1;
     /// every client runs with the default, 64). A send that would exceed
     /// the window blocks until an in-flight call completes. Test-only:
-    /// the window test below is the one caller a smaller cap ever had.
+    /// the window tests below are the one caller a smaller cap ever had.
     #[cfg(test)]
     pub(crate) fn set_window(&mut self, window: usize) {
         self.window = window.max(1);
@@ -445,31 +362,30 @@ impl RpcClient {
             body,
         };
         let req_len = request.body.len();
-        let t0 = self.net.as_ref().map(|n| n.clock.now());
         let mut st = self.shared.state.lock();
         loop {
             if st.writer.is_none() {
                 self.dial_locked(&mut st)?;
             }
-            if st.waiting < self.window {
+            if st.pending.len() < self.window {
                 break;
             }
             self.shared.cond.wait(&mut st);
         }
+        // The virtual send time is read once the window admits the send:
+        // a call that waited for a share leaves when the call it waited
+        // for has come back, not when it asked to leave.
+        let t0 = self.net.as_ref().map(|n| n.clock.now());
         st.pending.insert(call_id, PendingState::Waiting);
-        st.waiting += 1;
         if let Some(m) = &self.metrics {
-            m.in_flight.record(st.waiting as u64);
+            m.in_flight.record(st.pending.len() as u64);
         }
         let started = Instant::now();
-        let generation = st.generation;
         let frame = request.to_frame();
         if let Err(e) = st.writer.as_mut().expect("writer present").send(&frame) {
             st.pending.remove(&call_id);
-            st.waiting -= 1;
             let cause = PoisonCause::Transport(e.kind(), e.to_string());
-            drop(st);
-            self.shared.poison(generation, cause);
+            self.poison(&mut st, cause);
             return Err(RpcError::Transport(e));
         }
         Ok(PendingCall {
@@ -492,28 +408,104 @@ impl RpcClient {
             ))
         })?;
         let fresh = connector().map_err(RpcError::Transport)?;
-        self.shared
-            .install(st, fresh)
-            .map_err(RpcError::Transport)?;
+        st.install(fresh).map_err(RpcError::Transport)?;
         self.reconnects.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.redials.inc();
         }
         Ok(())
     }
+
+    /// Poison the live connection: retire it and fail every in-flight
+    /// call with `cause`. The caller has checked that the connection it
+    /// failed on is still the live one.
+    fn poison(&self, st: &mut ChannelState, cause: PoisonCause) {
+        st.retire();
+        for slot in st.pending.values_mut() {
+            if matches!(slot, PendingState::Waiting) {
+                *slot = PendingState::Done(Err(cause.to_error()));
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.poisoned.inc();
+        }
+        self.shared.cond.notify_all();
+    }
+
+    /// Remove `call_id`'s slot, waking the callers a full window holds
+    /// back if the slot held the last share.
+    fn free_slot(&self, st: &mut ChannelState, call_id: u64) -> Option<PendingState> {
+        let slot = st.pending.remove(&call_id)?;
+        if st.pending.len() + 1 == self.window {
+            self.shared.cond.notify_all();
+        }
+        Some(slot)
+    }
+
+    /// Read the connection through `reader`, the one caller doing so,
+    /// until `call_id`'s own response is in or `until` passes: file each
+    /// response into its call's slot and wake that call's waiter. Then
+    /// put the receive half back and wake the other waiters, one of whom
+    /// reads next — unless the connection failed (this poisons it) or was
+    /// replaced meanwhile (the half is stale and is dropped). The state
+    /// lock is released while the caller reads.
+    fn read_responses<'s>(
+        &'s self,
+        mut st: MutexGuard<'s, ChannelState>,
+        mut reader: Box<dyn Conn>,
+        call_id: u64,
+        until: Option<Instant>,
+    ) -> MutexGuard<'s, ChannelState> {
+        let generation = st.generation;
+        loop {
+            drop(st);
+            let frame = reader.recv_until(until);
+            st = self.shared.state.lock();
+            if st.generation != generation {
+                return st;
+            }
+            let response = match frame {
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => break,
+                Err(e) => Err(PoisonCause::Transport(e.kind(), e.to_string())),
+                Ok(frame) if frame.msg_type != FRAME_RESPONSE => Err(PoisonCause::Protocol(
+                    format!("unexpected frame type {:#x}", frame.msg_type),
+                )),
+                Ok(frame) => Response::from_frame(&frame)
+                    .map_err(|e| PoisonCause::Protocol(format!("bad response: {e}"))),
+            };
+            let response = match response {
+                Ok(response) => response,
+                Err(cause) => {
+                    self.poison(&mut st, cause);
+                    return st;
+                }
+            };
+            let mine = response.call_id == call_id;
+            // No slot: the call abandoned its deadline and this response
+            // is late. Dropping it by unmatched id is exactly why
+            // correlation ids let deadlines expire without poisoning the
+            // connection.
+            if let Some(slot) = st.pending.get_mut(&response.call_id) {
+                *slot = PendingState::Done(Ok(response));
+                if !mine {
+                    self.shared.cond.notify_all();
+                }
+            }
+            if mine {
+                break;
+            }
+        }
+        st.reader = Some(reader);
+        self.shared.cond.notify_all();
+        st
+    }
 }
 
 impl Drop for RpcClient {
     fn drop(&mut self) {
-        // Joined outside the lock the reader takes on its way out.
-        let reader = {
-            let mut st = self.shared.state.lock();
-            st.retire();
-            st.reader.take()
-        };
-        if let Some(reader) = reader {
-            let _ = reader.join();
-        }
+        // A ticket borrows its client, so no caller is reading now:
+        // closing the connection is the whole stand-down.
+        self.shared.state.lock().retire();
     }
 }
 
@@ -521,7 +513,7 @@ impl Drop for RpcClient {
 ///
 /// Consume it with [`PendingCall::wait`] or [`PendingCall::wait_deadline`]
 /// to obtain the response. Dropping the ticket abandons the call: its
-/// response, when it arrives, is discarded by the reader.
+/// response, when it arrives, is discarded by whichever caller reads it.
 pub struct PendingCall<'a> {
     client: &'a RpcClient,
     call_id: u64,
@@ -548,20 +540,17 @@ impl PendingCall<'_> {
     /// from the send). On expiry the call abandons its pending slot and
     /// fails with [`RpcError::Deadline`]; the connection and its other
     /// in-flight calls are unaffected.
+    ///
+    /// While it waits, the caller reads the connection itself whenever no
+    /// other caller is reading it (see the module docs).
     pub fn wait_deadline(mut self, deadline: Option<Duration>) -> Result<Bytes, RpcError> {
         self.claimed = true;
-        let shared = Arc::clone(&self.client.shared);
+        let client = self.client;
         let wait_until = deadline.map(|d| self.started + d);
-        let mut st = shared.state.lock();
+        let mut st = client.shared.state.lock();
         loop {
             match st.pending.get(&self.call_id) {
-                Some(PendingState::Done(_)) => {
-                    let Some(PendingState::Done(result)) = st.pending.remove(&self.call_id) else {
-                        unreachable!("checked above");
-                    };
-                    drop(st);
-                    return self.finish(result);
-                }
+                Some(PendingState::Done(_)) => break,
                 Some(PendingState::Waiting) => {}
                 None => {
                     return Err(RpcError::Protocol(format!(
@@ -570,30 +559,35 @@ impl PendingCall<'_> {
                     )))
                 }
             }
-            match wait_until {
-                None => {
-                    shared.cond.wait(&mut st);
+            if let Some(reader) = st.reader.take() {
+                // Even past the deadline: a response that is already
+                // there has arrived in time.
+                st = client.read_responses(st, reader, self.call_id, wait_until);
+                if !matches!(st.pending.get(&self.call_id), Some(PendingState::Waiting)) {
+                    continue;
                 }
-                Some(t) => {
-                    let now = Instant::now();
-                    let remaining = t.saturating_duration_since(now);
-                    if remaining.is_zero() || shared.cond.wait_for(&mut st, remaining).timed_out() {
-                        // A completion may have raced the timeout; prefer it.
-                        if matches!(st.pending.get(&self.call_id), Some(PendingState::Done(_))) {
-                            continue;
-                        }
-                        st.pending.remove(&self.call_id);
-                        st.waiting -= 1;
-                        shared.cond.notify_all();
-                        drop(st);
-                        if let Some(m) = &self.client.metrics {
-                            m.deadline_expired.inc();
-                        }
-                        return Err(RpcError::Deadline(deadline.unwrap_or_default()));
+            }
+            match wait_until.map(|t| t.saturating_duration_since(Instant::now())) {
+                None => client.shared.cond.wait(&mut st),
+                Some(left) if !left.is_zero() => {
+                    client.shared.cond.wait_for(&mut st, left);
+                }
+                Some(_) => {
+                    client.free_slot(&mut st, self.call_id);
+                    drop(st);
+                    if let Some(m) = &client.metrics {
+                        m.deadline_expired.inc();
                     }
+                    return Err(RpcError::Deadline(deadline.unwrap_or_default()));
                 }
             }
         }
+        let Some(PendingState::Done(result)) = client.free_slot(&mut st, self.call_id) else {
+            unreachable!("checked above");
+        };
+        // Finished under the lock: a call the freed share admits reads the
+        // virtual clock for its send only after this call's charge.
+        self.finish(result)
     }
 
     /// Account for a completed exchange and unwrap its payload.
@@ -630,15 +624,10 @@ impl Drop for PendingCall<'_> {
         if self.claimed {
             return;
         }
-        // Abandon the call: free its slot (and window share) so the late
-        // response is discarded by the reader.
+        // Abandon the call: free its slot (and window share), so its
+        // response is discarded when it arrives.
         let mut st = self.client.shared.state.lock();
-        if let Some(slot) = st.pending.remove(&self.call_id) {
-            if matches!(slot, PendingState::Waiting) {
-                st.waiting -= 1;
-            }
-            self.client.shared.cond.notify_all();
-        }
+        self.client.free_slot(&mut st, self.call_id);
     }
 }
 
@@ -743,23 +732,26 @@ mod tests {
         assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 4);
     }
 
+    /// A 2 ms round trip whatever the payload, charged to `clock`.
+    fn two_ms_link(clock: &Clock) -> Option<NetCost> {
+        let model = LinkModel {
+            base: Latency::Constant(Duration::from_millis(2)),
+            secs_per_byte: 0.0,
+        };
+        Some(NetCost {
+            link: SharedLink::new(model, 1),
+            clock: clock.clone(),
+        })
+    }
+
     #[test]
     fn net_cost_charged_to_virtual_clock() {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
         let _srv = serve(Box::new(listener), echo_service());
         let clock = Clock::virtual_time();
-        let net = NetCost {
-            link: SharedLink::new(
-                LinkModel {
-                    base: Latency::Constant(Duration::from_millis(2)),
-                    secs_per_byte: 0.0,
-                },
-                1,
-            ),
-            clock: clock.clone(),
-        };
-        let client = RpcClient::with_net(Box::new(hub.connect("svc").unwrap()), Some(net));
+        let conn = Box::new(hub.connect("svc").unwrap());
+        let client = RpcClient::with_net(conn, two_ms_link(&clock));
         client.call(1, Bytes::from_static(b"x")).unwrap();
         client.call(1, Bytes::from_static(b"x")).unwrap();
         // Sequential calls accumulate serially on the virtual clock.
@@ -772,20 +764,8 @@ mod tests {
         let listener = hub.bind("svc").unwrap();
         let _srv = serve(Box::new(listener), echo_service());
         let clock = Clock::virtual_time();
-        let net = NetCost {
-            link: SharedLink::new(
-                LinkModel {
-                    base: Latency::Constant(Duration::from_millis(2)),
-                    secs_per_byte: 0.0,
-                },
-                1,
-            ),
-            clock: clock.clone(),
-        };
-        let client = Arc::new(RpcClient::with_net(
-            Box::new(hub.connect("svc").unwrap()),
-            Some(net),
-        ));
+        let conn = Box::new(hub.connect("svc").unwrap());
+        let client = Arc::new(RpcClient::with_net(conn, two_ms_link(&clock)));
         // 8 concurrent calls all depart at t=0 (the barrier plus the
         // 100ms service delay guarantee every send happens before any
         // completion); their modeled round trips overlap to ~1 RTT
@@ -808,13 +788,40 @@ mod tests {
     }
 
     #[test]
+    fn a_call_held_back_by_the_window_is_charged_from_its_own_send() {
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        let clock = Clock::virtual_time();
+        let conn = Box::new(hub.connect("svc").unwrap());
+        let mut client = RpcClient::with_net(conn, two_ms_link(&clock));
+        client.set_window(1);
+        let client = Arc::new(client);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (c, b) = (Arc::clone(&client), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    b.wait();
+                    c.call(4, Bytes::from_static(b"x")).map(|_| ())
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap().unwrap();
+        }
+        // One share: the second call leaves once the first is back, so
+        // their round trips follow each other instead of overlapping.
+        assert_eq!(clock.now(), Duration::from_millis(4));
+    }
+
+    #[test]
     fn call_after_server_shutdown_fails() {
         let (mut srv, client) = setup();
         // Establish the connection first.
         client.call(1, Bytes::new()).unwrap();
         srv.shutdown();
         // Shutdown joins the connection threads, so the next call sees a
-        // dead peer (either at send, or via the reader's poison).
+        // dead peer (either at send, or when its caller reads EOF).
         let err = client.call(1, Bytes::new()).unwrap_err();
         assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         // And new connections are refused.
@@ -823,16 +830,21 @@ mod tests {
     }
 
     #[test]
-    fn dropped_client_leaves_no_reader_thread() {
+    fn dropped_client_leaves_its_shared_state_unreferenced() {
         let (srv, client) = setup();
         client.call(1, Bytes::new()).unwrap();
         let shared = Arc::downgrade(&client.shared);
         drop(client);
-        // The server is still up, so only the client's own close can have
-        // ended the reader — and `Drop` joined it: the reader held the one
-        // other reference to the shared state.
+        // No thread of the client's own outlives it holding the state,
+        // and its close ends the connection at the server, which is
+        // still up.
         assert_eq!(shared.strong_count(), 0);
         assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 1);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while srv.tracked_connections() > 0 {
+            assert!(Instant::now() < give_up, "the server kept the connection");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -927,6 +939,86 @@ mod tests {
                 .unwrap();
             assert_eq!(out, body);
         }
+    }
+
+    /// Holds back the first response it is shown by 200 ms.
+    struct DelayFirstResponse(std::sync::atomic::AtomicBool);
+
+    impl ipc::FaultPolicy for DelayFirstResponse {
+        fn on_frame(
+            &self,
+            _link: &str,
+            dir: ipc::Direction,
+            _frame: &ipc::Frame,
+        ) -> ipc::FaultAction {
+            if dir == ipc::Direction::Inbound && self.0.swap(false, Ordering::Relaxed) {
+                ipc::FaultAction::Delay(Duration::from_millis(200))
+            } else {
+                ipc::FaultAction::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_back_response_fails_its_deadline_and_keeps_the_connection() {
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        let policy: Arc<dyn ipc::FaultPolicy> = Arc::new(DelayFirstResponse(true.into()));
+        let client = RpcClient::with_connector(
+            Box::new(move || {
+                let conn = Box::new(hub.connect("svc")?);
+                let conn = ipc::FaultConn::wrap(conn, "svc", Arc::clone(&policy));
+                Ok(Box::new(conn) as Box<dyn Conn>)
+            }),
+            None,
+        );
+        // The caller reading the connection gives up at its own deadline,
+        // not when the held-back response is finally due.
+        let t0 = Instant::now();
+        let err = client
+            .call_with_deadline(
+                1,
+                Bytes::from_static(b"late"),
+                Some(Duration::from_millis(30)),
+            )
+            .unwrap_err();
+        assert!(matches!(err, RpcError::Deadline(_)), "got {err}");
+        assert!(t0.elapsed() < Duration::from_millis(150));
+        // The next call reads the late response, drops it by its id, and
+        // gets its own on the same connection.
+        let out = client.call(1, Bytes::from_static(b"next")).unwrap();
+        assert_eq!(&out[..], b"next");
+        assert_eq!(client.reconnect_count(), 1);
+    }
+
+    #[test]
+    fn a_waiter_reads_on_when_the_caller_reading_gives_up() {
+        let (_srv, client) = setup();
+        let doomed = client.call_async(3, Bytes::from_static(b"hung")).unwrap();
+        let patient = client.call_async(4, Bytes::from_static(b"slow")).unwrap();
+        std::thread::scope(|s| {
+            // The doomed call is the one reading when its 50 ms deadline
+            // passes, with the 100 ms response of the patient call still
+            // to come: the patient call waits only once the receive half
+            // is taken.
+            let reading = s.spawn(|| {
+                let t0 = Instant::now();
+                let err = doomed
+                    .wait_deadline(Some(Duration::from_millis(50)))
+                    .unwrap_err();
+                assert!(matches!(err, RpcError::Deadline(_)), "got {err}");
+                t0.elapsed()
+            });
+            while client.shared.state.lock().reader.is_some() && !reading.is_finished() {
+                std::thread::yield_now();
+            }
+            let t0 = Instant::now();
+            let out = patient.wait_deadline(Some(Duration::from_secs(5)));
+            assert_eq!(&out.unwrap()[..], b"slow");
+            assert!(t0.elapsed() < Duration::from_secs(1));
+            assert!(reading.join().unwrap() < Duration::from_millis(150));
+        });
+        assert_eq!(client.reconnect_count(), 0);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   wait on later — and optionally charges a modeled network round trip
 //!   ([`NetCost`]) to the simulation clock, with concurrent calls
 //!   overlapping their round trips as on a real wire,
-//! * a server ([`serve`]) with a dedicated accept thread and concurrent
-//!   per-connection servicing (responses return in completion order) on
-//!   handler threads that park between calls.
+//! * a server ([`serve`]) with a dedicated accept thread and a thread per
+//!   connection, which runs a call that cannot wait on another call
+//!   itself and hands any other to handler threads that park between
+//!   calls (responses return in completion order).
 //!
 //! Transports come from the [`ipc`] crate, so services run identically over
 //! Unix domain sockets or in-process channels.

@@ -1,18 +1,20 @@
 //! RPC server: accept loop + per-connection concurrent servicing.
 //!
-//! Each accepted connection gets a reader thread that decodes requests
-//! and hands every call to the server's handler threads; responses are
-//! written back through a mutex-shared clone of the connection (frame
-//! writes are atomic) **in completion order, not arrival order**. This is
-//! what lets a pipelined client keep many correlation-id-tagged requests
-//! in flight: a slow call no longer blocks the responses of faster calls
-//! behind it.
+//! Each accepted connection gets a thread that decodes its requests. A
+//! call that cannot wait on another call ([`Service::may_wait`]) runs
+//! right there, on the thread that read it, and its response is written
+//! before the next request is read. Every other call goes to the server's
+//! handler threads, and its response is written back **in completion
+//! order, not arrival order**, through a mutex-shared clone of the
+//! connection (frame writes are atomic). This is what lets a pipelined
+//! client keep many correlation-id-tagged requests in flight: a call
+//! blocked on another call never blocks the requests behind it.
 //!
-//! A call runs on a *parked* handler if the server has one and on a new
-//! thread if it has none, so no call ever waits for another to finish; a
-//! handler that finishes while another is parked exits, so an idle server
-//! keeps at most one (DESIGN §8, "Serving a request"). There is no pool
-//! size and no idle timer.
+//! A handed-off call runs on a *parked* handler if the server has one and
+//! on a new thread if it has none, so no call ever waits for another to
+//! finish; a handler that finishes while another is parked exits, so an
+//! idle server keeps at most one (DESIGN §8, "Serving a request"). There
+//! is no pool size and no idle timer.
 //!
 //! Nothing here polls. A connection thread parks in `recv` until a
 //! request arrives or the connection ends — the client hung up, or
@@ -25,7 +27,7 @@
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
 use crate::service::Service;
-use ipc::{Conn, Listener, StopHandle};
+use ipc::{Conn, Frame, Listener, StopHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,6 +121,19 @@ enum Parked {
 }
 
 impl Handlers<'_> {
+    /// Run one call and frame its response.
+    fn answer(&self, request: Request) -> Frame {
+        let result = self.service.call(request.method, request.body);
+        if result.is_err() {
+            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let response = Response {
+            call_id: request.call_id,
+            result,
+        };
+        response.to_frame()
+    }
+
     /// Run `job` on the parked handler, or on a new thread if none is
     /// parked — never behind a busy handler, whose own call may be
     /// waiting for this very job (a nested call back to this server).
@@ -145,14 +160,7 @@ impl Handlers<'_> {
     fn run(&self, mut job: Job) {
         loop {
             let (request, writer) = job;
-            let result = self.service.call(request.method, request.body);
-            if result.is_err() {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let response = Response {
-                call_id: request.call_id,
-                result,
-            };
+            let response = self.answer(request);
             // Park before answering: the request this answer lets the
             // caller send must find this handler, not spawn another.
             let inbox = match &mut *self.parked.lock() {
@@ -163,7 +171,7 @@ impl Handlers<'_> {
                 }
                 _ => None,
             };
-            let _ = writer.lock().send(&response.to_frame());
+            let _ = writer.lock().send(&response);
             drop(writer);
             // The next job, or a closed inbox once `stop` dropped its sender.
             match inbox.map(|inbox| inbox.recv()) {
@@ -283,9 +291,10 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     }
 }
 
-/// A connection thread: decode each request, drop a duplicate, and hand
-/// the call to `handlers` — it never runs one itself, so a slow call does
-/// not hold up the next request on its connection.
+/// A connection thread: decode each request, drop a duplicate, and run
+/// the call — here, if it cannot wait on another call, else on one of
+/// `handlers`, so that a call blocked on another call never holds up the
+/// next request on its connection.
 fn serve_conn<'scope>(
     mut conn: Box<dyn Conn>,
     scope: &'scope Scope<'scope, '_>,
@@ -320,7 +329,12 @@ fn serve_conn<'scope>(
             continue;
         }
         metrics.calls.fetch_add(1, Ordering::Relaxed);
-        handlers.submit(scope, (request, Arc::clone(&writer)));
+        if handlers.service.may_wait(request.method) {
+            handlers.submit(scope, (request, Arc::clone(&writer)));
+        } else {
+            let response = handlers.answer(request);
+            let _ = writer.lock().send(&response);
+        }
     }
 }
 
@@ -363,6 +377,62 @@ mod tests {
         let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
         assert_eq!(&releaser[..], b"b");
         assert_eq!(&waiter.wait().unwrap()[..], b"a");
+    }
+
+    /// Method 1 may wait: it blocks until a method 2 releases it. Method
+    /// 2 cannot, so it runs on the connection thread. Each records the
+    /// name of the thread it ran on.
+    struct Gate {
+        release: mpsc::Sender<()>,
+        released: Mutex<mpsc::Receiver<()>>,
+        ran_on: Mutex<Vec<(MethodId, String)>>,
+    }
+
+    impl Service for Gate {
+        fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            self.ran_on.lock().push((method, thread));
+            let partner = match method {
+                1 => self.released.lock().recv().is_ok(),
+                _ => self.release.send(()).is_ok(),
+            };
+            partner
+                .then_some(body)
+                .ok_or_else(|| Status::internal("gate partner gone"))
+        }
+
+        fn may_wait(&self, method: MethodId) -> bool {
+            method == 1
+        }
+    }
+
+    #[test]
+    fn a_call_that_may_wait_never_holds_up_its_connection() {
+        // Call 1 goes to a handler and blocks until call 2, sent after it
+        // on the same connection, releases it. Call 2 runs on the
+        // connection thread, so that thread must not be the one call 1
+        // holds.
+        let (release, released) = mpsc::channel();
+        let gate = Arc::new(Gate {
+            release,
+            released: Mutex::new(released),
+            ran_on: Mutex::default(),
+        });
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("gate").unwrap()), gate.clone());
+        let client = RpcClient::new(Box::new(hub.connect("gate").unwrap()));
+
+        let waiter = client.call_async(1, Bytes::from_static(b"a")).unwrap();
+        let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
+        assert_eq!(&releaser[..], b"b");
+        assert_eq!(&waiter.wait().unwrap()[..], b"a");
+        let mut ran_on = gate.ran_on.lock().clone();
+        ran_on.sort();
+        assert_eq!(
+            ran_on,
+            [(1, "rpc-handler".into()), (2, "rpc-conn".into())],
+            "call 1 on a handler, call 2 on the connection thread"
+        );
     }
 
     /// Corrupts the first request frame it is shown, then delivers.

@@ -24,10 +24,8 @@
 #    and `HealthConfig` (a field holding another of these is not a
 #    leaf) plus `StoreConfig::name`. A field added without a row — or
 #    without the two callers a row has to name — fails here (PR 24).
-# 7. A request is not a thread: `serve_conn`, the receive loop in
-#    crates/rpclite/src/server.rs, hands each call to the server's parked
-#    handlers. A `spawn` in its body means a thread born and joined per
-#    request is back (PR 25).
+# 7. Retired: a thread per request is caught by a test,
+#    crates/rpclite/tests/thread_census.rs, not by grepping `serve_conn`.
 # 8. A spill asks no one: `METRICS` is an operator read. Under
 #    crates/disagg/src/store* it may be called only from peer.rs (the
 #    operator reads) and dispatched only in service.rs; anywhere else a
@@ -155,16 +153,6 @@ if [ "$stated" != "$options " ] || [ "$rows" -ne "$options" ]; then
     status=1
 fi
 
-serve_conn=$(awk '/^fn serve_conn[<(]/ { inside = 1 } inside { print FNR ": " $0 } inside && /^}/ { exit }' crates/rpclite/src/server.rs)
-if [ -z "$serve_conn" ]; then
-    echo "docs-drift: cannot find fn serve_conn in crates/rpclite/src/server.rs" >&2
-    status=1
-elif spawns=$(grep -E 'spawn' <<<"$serve_conn"); then
-    echo "docs-drift: serve_conn spawns a thread per request again (hand the call to the server's handlers instead):" >&2
-    echo "$spawns" >&2
-    status=1
-fi
-
 if asks=$(grep -rn 'method::METRICS' crates/disagg/src/store.rs crates/disagg/src/store/ |
     grep -vE '^crates/disagg/src/store/(peer|service)\.rs:'); then
     echo "docs-drift: a protocol path reads peers' METRICS again (the lender's own headroom gate decides; METRICS is an operator read):" >&2
@@ -219,6 +207,6 @@ else
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no thread spawned per request, no protocol path reads METRICS, every CHANGES.md entry from PR 27 on fits 1 200 characters, the envelope checksum is the CPU's CRC-32C, \`Bytes\` shares its Vec and every stated inline-put threshold is $inline_kib KiB"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no protocol path reads METRICS, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum is the CPU's CRC-32C, \`Bytes\` shares its Vec and every stated inline-put threshold is $inline_kib KiB"
 fi
 exit $status

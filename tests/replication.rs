@@ -120,6 +120,53 @@ fn delete_invalidates_replicas_first() {
     );
 }
 
+/// Two nodes delete each other's replicated objects at the same moment,
+/// round after round. Each forwarded `DELETE` waits on an `INVALIDATE`
+/// back to the node that sent it, so were `DELETE` served on the
+/// connection thread that read it, each node's thread would wait on the
+/// other's until the deadline, and both deletes would fail.
+#[test]
+fn crossing_deletes_of_each_others_replicated_objects_both_succeed() {
+    let mut config = ClusterConfig::functional(2, 4 << 20);
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.retry = disagg::RetryPolicy::none();
+    let cluster = Cluster::launch(config).unwrap();
+    for round in 0..20 {
+        let ids = [0, 1].map(|owner| {
+            let name = cluster.owned_id(owner, &format!("rep/cross/{round}"));
+            let id = ObjectId::from_name(&name);
+            cluster
+                .client(owner)
+                .unwrap()
+                .put(id, &[7; 64], &[])
+                .unwrap();
+            let other = cluster.node_id(1 - owner);
+            assert!(cluster.store(owner).replicate_to(id, other).unwrap());
+            id
+        });
+        let barrier = std::sync::Barrier::new(2);
+        let deleted: Vec<_> = std::thread::scope(|s| {
+            let deleters: Vec<_> = [0, 1]
+                .map(|node| {
+                    let (barrier, store, id) = (&barrier, cluster.store(node), ids[1 - node]);
+                    s.spawn(move || {
+                        barrier.wait();
+                        store.delete(id)
+                    })
+                })
+                .into_iter()
+                .collect();
+            deleters.into_iter().map(|d| d.join().unwrap()).collect()
+        });
+        for (node, outcome) in deleted.into_iter().enumerate() {
+            assert!(outcome.is_ok(), "round {round}, node {node}: {outcome:?}");
+        }
+        for node in 0..2 {
+            assert_eq!(replica_counts(cluster.store(node)), (0, 0));
+        }
+    }
+}
+
 /// An unreachable replica holder fails the delete — with the object
 /// intact everywhere — until the holder is back and can confirm.
 #[test]
