@@ -13,11 +13,9 @@
 # 4. README and DESIGN state how many interconnect verbs there are
 #    ("N interconnect verbs"); N is the number of `pub const VERB: u32`
 #    in proto.rs.
-# 5. The transport has no timer: a `*_POLL*` constant under crates/ipc
-#    or crates/rpclite means some thread is again learning that it
-#    should stop from a wall-clock poll instead of a `close` (PR 23).
-#    (`disagg`'s `REMOTE_POLL` paces a blocking get's re-lookups; it is
-#    a different thing and is not looked at.)
+# 5. Retired: a wall-clock poll in the transport is caught by a test,
+#    crates/rpclite/tests/thread_census.rs (idle server threads take no
+#    context switch in 750 ms), not by grepping for a `*POLL*` constant.
 # 6. DESIGN states how many options a cluster has ("N options") and
 #    gives each a row in its Options table; N is the number of leaf
 #    `pub` fields of `ClusterConfig`, `InterconnectConfig`, `RetryPolicy`
@@ -120,12 +118,6 @@ for file in README.md DESIGN.md; do
     fi
 done
 
-if polls=$(grep -rnE '\b[A-Z_]*POLL[A-Z_]*\b' crates/ipc crates/rpclite); then
-    echo "docs-drift: a poll constant is back in the transport (wake the thread with Conn::close / StopHandle::stop instead):" >&2
-    echo "$polls" >&2
-    status=1
-fi
-
 # The `pub` fields of `struct` in `file` that are not themselves one of
 # the option structs; with a third argument, only the field of that name.
 leaf_fields() {
@@ -207,6 +199,6 @@ else
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, no poll constant in the transport, $options options each with a row, no protocol path reads METRICS, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum is the CPU's CRC-32C, \`Bytes\` shares its Vec and every stated inline-put threshold is $inline_kib KiB"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, $options options each with a row, no protocol path reads METRICS, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum is the CPU's CRC-32C, \`Bytes\` shares its Vec and every stated inline-put threshold is $inline_kib KiB"
 fi
 exit $status

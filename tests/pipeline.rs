@@ -6,7 +6,9 @@
 //! holders it asks — reproducibly, and with one pin per resolved id.
 
 use disagg::{Cluster, ClusterConfig, DisaggStore, RetryPolicy};
+use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use plasma::{ObjectId, ObjectStore};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn ids(prefix: &str, n: usize) -> Vec<ObjectId> {
@@ -99,16 +101,63 @@ fn get_many_partial_success_pins_only_found_ids() {
     assert!(store_b.release(absent[0]).is_err());
 }
 
+/// Holds every answer node 1 reads from node 0 until the requests it was
+/// armed for have all left on that link. Calls made at once then all
+/// leave at one virtual instant, however their threads are scheduled:
+/// without it an early answer could advance the clock before a late
+/// call had left.
+#[derive(Default)]
+struct HoldAnswers {
+    unsent: Mutex<usize>,
+    all_sent: Condvar,
+}
+
+impl HoldAnswers {
+    fn arm(&self, requests: usize) {
+        *self.unsent.lock().unwrap() = requests;
+    }
+}
+
+impl FaultPolicy for HoldAnswers {
+    fn on_frame(&self, link: &str, dir: Direction, _: &ipc::Frame) -> FaultAction {
+        if link == "1->0" {
+            let mut unsent = self.unsent.lock().unwrap();
+            match dir {
+                Direction::Outbound if *unsent > 0 => {
+                    *unsent -= 1;
+                    let all_sent = *unsent == 0;
+                    drop(unsent);
+                    if all_sent {
+                        self.all_sent.notify_all();
+                    }
+                }
+                Direction::Outbound => {}
+                Direction::Inbound => {
+                    // Bounded, so a call that never leaves fails the
+                    // overlap assert below instead of hanging the test.
+                    let wait = Duration::from_secs(5);
+                    drop(self.all_sent.wait_timeout_while(unsent, wait, |n| *n > 0));
+                }
+            }
+        }
+        FaultAction::Deliver
+    }
+}
+
 /// With the pipelined interconnect, K concurrent remote gets share the
 /// connection and their modeled round trips overlap on the virtual
 /// clock; the old lock-step client paid K full round trips.
 #[test]
 fn pipelined_remote_gets_overlap_on_virtual_clock() {
-    let cluster = Cluster::launch(ClusterConfig::paper_testbed(16 << 20)).unwrap();
+    let hold = Arc::new(HoldAnswers::default());
+    let mut config = ClusterConfig::paper_testbed(16 << 20);
+    config.fault_policy = Some(hold.clone());
+    let cluster = Cluster::launch(config).unwrap();
     let producer = cluster.client(0).unwrap();
     const K: usize = 8;
-    let seq_ids = ids("pipe/seq", K);
-    let pipe_ids = ids("pipe/par", K);
+    // Owned by node 0, so every get from node 1 is one call to it.
+    let seq_ids = owned_ids(&cluster, 0, "pipe/seq", K);
+    let pipe_ids = owned_ids(&cluster, 0, "pipe/par", K);
     for id in seq_ids.iter().chain(&pipe_ids) {
         producer.put(*id, &[7; 1024], &[]).unwrap();
     }
@@ -125,6 +174,7 @@ fn pipelined_remote_gets_overlap_on_virtual_clock() {
 
     // Pipelined: K gets in flight at once on the same shared client.
     let barrier = std::sync::Barrier::new(K);
+    hold.arm(K);
     let t1 = clock.now();
     std::thread::scope(|s| {
         for id in &pipe_ids {
