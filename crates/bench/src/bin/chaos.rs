@@ -85,20 +85,8 @@ fn main() {
     println!("{}", plan.serialize());
     let report = run_plan(&plan, &cfg).expect("soak failed to launch");
     println!(
-        "events={} injected_faults={} evictions={} reconciled={}",
-        report.events, report.injected_faults, report.evictions, report.reconciled
-    );
-
-    // Counters only: a fault-injected soak has no meaningful latency or
-    // throughput figure, so the ratchet treats this file as informational.
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"seed\": {},\n  \"nodes\": {},\n  \
-         \"events\": {},\n  \"injected_faults\": {},\n  \"evictions\": {},\n  \
-         \"reconciled\": {},\n  \"borrow_drops\": {},\n  \"borrow_trims\": {},\n  \
-         \"replica_drops\": {},\n  \"replica_trims\": {},\n  \
-         \"consistent\": {}\n}}\n",
-        plan.seed,
-        opts.nodes,
+        "events={} injected_faults={} evictions={} reconciled={} borrow_drops={} \
+         borrow_trims={} replica_drops={} replica_trims={}",
         report.events,
         report.injected_faults,
         report.evictions,
@@ -106,10 +94,8 @@ fn main() {
         report.borrow_drops,
         report.borrow_trims,
         report.replica_drops,
-        report.replica_trims,
-        report.verdict.ok(),
+        report.replica_trims
     );
-    bench::write_result("chaos", &json);
 
     if report.verdict.ok() {
         println!("verdict: CONSISTENT");

@@ -15,11 +15,12 @@
 //! Only identifier resolution (the RPC hot path this bench isolates) is
 //! timed; object payloads are not read back. The trailing RPC-count
 //! columns prove the structural claim behind the latency: unary issues
-//! one interconnect call per object, batched exactly one per benchmark.
+//! one interconnect call per remote object, batched exactly one per
+//! benchmark (`tests/pipeline.rs` pins both counts).
 //!
 //! Usage: `cargo run -p bench --bin pipeline --release [-- --small --reps N]`
 
-use bench::{commit_objects, render_table, write_result, HarnessOpts, Summary};
+use bench::{commit_objects, render_table, HarnessOpts, Summary};
 use disagg::{Cluster, ClusterConfig, DisaggStore};
 use plasma::{ObjectId, ObjectStore};
 use std::time::Duration;
@@ -72,7 +73,6 @@ fn main() {
         if opts.small { ", scaled objects" } else { "" }
     );
     let mut rows = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
     for spec in opts.specs() {
         let producer = cluster.client(0).expect("producer client");
         let ids = commit_objects(&producer, spec, "pipe", opts.seed).expect("commit");
@@ -113,23 +113,6 @@ fn main() {
             rpcs[0].to_string(),
             rpcs[2].to_string(),
         ]);
-        // Batched resolution rate is the ratchetable throughput figure:
-        // serial and virtual-clocked, so it is deterministic per seed
-        // (the pipelined strategy races real threads and is reported as
-        // latency only).
-        json_rows.push(format!(
-            "    {{\"bench\": {}, \"objects\": {}, \"unary_ms\": {:.3}, \
-             \"pipelined_ms\": {:.3}, \"batched_ms\": {:.3}, \"unary_rpcs\": {}, \
-             \"batched_rpcs\": {}, \"batched_gets_per_sec\": {:.1}}}",
-            spec.index,
-            spec.num_objects,
-            medians[0],
-            medians[1],
-            medians[2],
-            rpcs[0],
-            rpcs[2],
-            spec.num_objects as f64 / (medians[2] / 1e3).max(1e-9),
-        ));
         for id in &ids {
             producer.delete(*id).expect("cleanup");
         }
@@ -172,15 +155,4 @@ fn main() {
             h.max
         );
     }
-
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline\",\n  \"small\": {},\n  \"reps\": {},\n  \
-         \"seed\": {},\n  \"depth\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        opts.small,
-        opts.reps,
-        opts.seed,
-        DEPTH,
-        json_rows.join(",\n"),
-    );
-    write_result("pipeline", &json);
 }

@@ -107,9 +107,9 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Write a bin's result document to `target/bench/BENCH_<name>.json`,
-/// relative to the cwd (as `e2e` writes `target/e2e/`). The committed
-/// baselines at the repo root are never a bin's output: re-recording one
-/// is a `cp` from here.
+/// relative to the cwd (as `e2e` writes `target/e2e/`). Only `cluster`
+/// writes one: CI's cluster-smoke job uploads it, and A6's record at the
+/// repo root is a `cp` from here.
 pub fn write_result(name: &str, json: &str) {
     let dir = std::path::Path::new("target/bench");
     std::fs::create_dir_all(dir).expect("create target/bench");

@@ -241,13 +241,13 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         // Reconciliation silently skips peers still marked `Down` (their
         // admission gate short-circuits the call), so the settle phase
         // must also outlast every failure detector: keep probing until
-        // all pairs are back to `Up`, or orphans behind a skipped pair
-        // would survive the reconcile and fail the quiesce audit.
-        let all_up = (0..cfg.nodes).all(|i| {
+        // no pair is `Down`, or orphans behind a skipped pair would
+        // survive the reconcile and fail the quiesce audit.
+        let none_down = (0..cfg.nodes).all(|i| {
             let store = cluster.store(i);
             (0..cfg.nodes)
                 .filter(|&j| j != i)
-                .all(|j| store.peer_state(cluster.node_id(j)) == disagg::PeerState::Up)
+                .all(|j| store.peer_state(cluster.node_id(j)) != disagg::PeerState::Down)
         });
         // 3b: ledger drain. Once the backlogs are empty the only pins
         // left in the requester-side ledgers are ones the workload
@@ -257,7 +257,7 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         // loop because a drain can itself fail transiently; the exit
         // condition requires the ledgers to actually reach zero.
         let mut leftover = 0u64;
-        if failed_releases.is_empty() && parked == 0 && all_up {
+        if failed_releases.is_empty() && parked == 0 && none_down {
             for i in 0..cfg.nodes {
                 cluster.store(i).drain_remote_pins();
             }
@@ -265,7 +265,7 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
                 .map(|i| cluster.store(i).held_remote_pins())
                 .sum();
         }
-        if failed_releases.is_empty() && parked == 0 && all_up && leftover == 0 {
+        if failed_releases.is_empty() && parked == 0 && none_down && leftover == 0 {
             break true;
         }
         if Instant::now() > settle_deadline {

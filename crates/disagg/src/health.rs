@@ -4,9 +4,8 @@
 //! reachable; a hung or crashed peer would stall every broadcast. This
 //! module gives the interconnect the standard failure-detector shape:
 //!
-//! * Each peer is `Up`, `Suspect`, or `Down`. Consecutive call failures
-//!   demote it (`SUSPECT_AFTER`, then `DOWN_AFTER`); any success restores
-//!   `Up` immediately.
+//! * Each peer is `Up` or `Down`. `DOWN_AFTER` consecutive call failures
+//!   take it down; any success restores `Up` immediately.
 //! * Broadcasts skip `Down` peers entirely, except that one caller per
 //!   backoff window is admitted as a *probe* — if the peer has recovered,
 //!   the probe's success restores it to rotation. The probe window grows
@@ -30,17 +29,13 @@ use tfsim::{Clock, NodeId};
 /// Liveness state of one peer store, as observed by this node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerState {
-    /// Healthy: all calls admitted.
+    /// In rotation: all calls admitted, including while recent failures
+    /// stay below `DOWN_AFTER`.
     Up,
-    /// Recent failures, not yet past `DOWN_AFTER`: still called (the next
-    /// outcome decides the direction), but flagged for observability.
-    Suspect,
     /// Unreachable: skipped by broadcasts, probed once per backoff window.
     Down,
 }
 
-/// Consecutive failures before a peer is marked `Suspect`.
-const SUSPECT_AFTER: u32 = 1;
 /// Consecutive failures before a peer is marked `Down`.
 const DOWN_AFTER: u32 = 3;
 
@@ -112,9 +107,8 @@ impl Entry {
 }
 
 /// State-transition counters, recorded exactly once per transition (a
-/// repeat failure of an already-`Suspect` peer does not re-count).
+/// repeat failure of an already-`Down` peer does not re-count).
 struct TransitionCounters {
-    to_suspect: Arc<Counter>,
     to_down: Arc<Counter>,
     recovered: Arc<Counter>,
 }
@@ -130,16 +124,15 @@ pub struct PeerHealth {
 
 impl PeerHealth {
     /// New detector with all peers assumed `Up`, its state-transition
-    /// counters (`disagg.health.to_suspect` / `.to_down` / `.recovered`)
-    /// registered in `registry`. Each counter increments exactly once
-    /// per transition, summed over all peers.
+    /// counters (`disagg.health.to_down` / `.recovered`, the latter
+    /// counting `Down → Up` only) registered in `registry`. Each counter
+    /// increments exactly once per transition, summed over all peers.
     pub fn new(cfg: HealthConfig, clock: Clock, registry: &Registry) -> Self {
         PeerHealth {
             cfg,
             clock,
             entries: Mutex::new(HashMap::new()),
             metrics: TransitionCounters {
-                to_suspect: registry.counter("disagg.health.to_suspect"),
                 to_down: registry.counter("disagg.health.to_down"),
                 recovered: registry.counter("disagg.health.recovered"),
             },
@@ -153,7 +146,7 @@ impl PeerHealth {
         let mut entries = self.entries.lock();
         let entry = entries.entry(peer).or_insert_with(Entry::new);
         match entry.state {
-            PeerState::Up | PeerState::Suspect => Admission::Attempt,
+            PeerState::Up => Admission::Attempt,
             PeerState::Down => {
                 let now = self.clock.now();
                 if now >= entry.next_probe_at {
@@ -192,16 +185,11 @@ impl PeerHealth {
         let entry = entries.entry(peer).or_insert_with(Entry::new);
         entry.consecutive_failures += 1;
         entry.stats.failures += 1;
-        if entry.consecutive_failures >= DOWN_AFTER {
-            if entry.state != PeerState::Down {
-                entry.state = PeerState::Down;
-                entry.backoff = self.cfg.probe_backoff;
-                entry.next_probe_at = self.clock.now() + entry.backoff;
-                self.metrics.to_down.inc();
-            }
-        } else if entry.consecutive_failures >= SUSPECT_AFTER && entry.state != PeerState::Suspect {
-            entry.state = PeerState::Suspect;
-            self.metrics.to_suspect.inc();
+        if entry.consecutive_failures >= DOWN_AFTER && entry.state != PeerState::Down {
+            entry.state = PeerState::Down;
+            entry.backoff = self.cfg.probe_backoff;
+            entry.next_probe_at = self.clock.now() + entry.backoff;
+            self.metrics.to_down.inc();
         }
         entry.state
     }
@@ -305,6 +293,8 @@ mod tests {
         assert_eq!(h.admit(p), Admission::Attempt);
     }
 
+    /// A suspect peer (failures below `DOWN_AFTER`) is still `Up` and
+    /// still called; the failure that reaches `DOWN_AFTER` takes it down.
     #[test]
     fn failures_walk_up_suspect_down() {
         let clock = Clock::virtual_time();
@@ -312,11 +302,11 @@ mod tests {
         let p = NodeId(1);
         // The return value reports the post-transition state, so the
         // caller that *caused* a demotion can react to it directly.
-        assert_eq!(h.record_failure(p), PeerState::Suspect);
-        assert_eq!(h.state(p), PeerState::Suspect);
-        assert_eq!(h.admit(p), Admission::Attempt); // suspect still called
-        assert_eq!(h.record_failure(p), PeerState::Suspect);
-        assert_eq!(h.state(p), PeerState::Suspect);
+        for _ in 1..DOWN_AFTER {
+            assert_eq!(h.record_failure(p), PeerState::Up);
+            assert_eq!(h.state(p), PeerState::Up);
+            assert_eq!(h.admit(p), Admission::Attempt);
+        }
         assert_eq!(h.record_failure(p), PeerState::Down);
         assert_eq!(h.state(p), PeerState::Down);
         assert_eq!(h.admit(p), Admission::Skip);
@@ -329,10 +319,11 @@ mod tests {
         let p = NodeId(1);
         h.record_failure(p);
         h.record_success(p);
+        // The success cleared the count: two more failures are not three.
+        h.record_failure(p);
+        h.record_failure(p);
         assert_eq!(h.state(p), PeerState::Up);
-        for _ in 0..3 {
-            h.record_failure(p);
-        }
+        h.record_failure(p);
         assert_eq!(h.state(p), PeerState::Down);
         h.record_success(p);
         assert_eq!(h.state(p), PeerState::Up);
@@ -412,7 +403,7 @@ mod tests {
     }
 
     /// Exhaustive walk of the state machine: every (state, event) pair
-    /// and the state it must land in (`SUSPECT_AFTER` 1, `DOWN_AFTER` 3).
+    /// and the state it must land in (`DOWN_AFTER` 3).
     #[test]
     fn exhaustive_transition_table() {
         let p = NodeId(1);
@@ -422,14 +413,10 @@ mod tests {
         let table: &[(&str, &str, PeerState)] = &[
             ("fresh peer", "", PeerState::Up),
             ("Up + success", "S", PeerState::Up),
-            ("Up + failure", "F", PeerState::Suspect),
-            ("Suspect + success", "FS", PeerState::Up),
-            (
-                "Suspect + failure (below DOWN_AFTER)",
-                "FF",
-                PeerState::Suspect,
-            ),
-            ("Suspect + failure (at DOWN_AFTER)", "FFF", PeerState::Down),
+            ("Up + failure (below DOWN_AFTER)", "F", PeerState::Up),
+            ("Up + failures (below DOWN_AFTER)", "FF", PeerState::Up),
+            ("Up + failure (at DOWN_AFTER)", "FFF", PeerState::Down),
+            ("success clears the failure count", "FFSFF", PeerState::Up),
             ("Down + failure", "FFFF", PeerState::Down),
             ("Down + admit inside window (skip)", "FFFA", PeerState::Down),
             (
@@ -442,7 +429,12 @@ mod tests {
             (
                 "recovered peer + failure starts over",
                 "FFFWASF",
-                PeerState::Suspect,
+                PeerState::Up,
+            ),
+            (
+                "recovered peer + DOWN_AFTER failures",
+                "FFFWASFFF",
+                PeerState::Down,
             ),
         ];
         for (label, events, expected) in table {
@@ -495,13 +487,18 @@ mod tests {
         let registry = Registry::new();
         let h = tracker_in(&clock, &registry);
         let p = NodeId(1);
-        // Five consecutive failures: one Up→Suspect, one Suspect→Down —
-        // the repeats inside each state must not re-count.
+        // A failure and a success below DOWN_AFTER transition nothing.
+        h.record_failure(p);
+        h.record_success(p);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("disagg.health.to_down"), 0);
+        assert_eq!(snap.counter("disagg.health.recovered"), 0);
+        // Five consecutive failures: one Up→Down — the repeats while
+        // Down must not re-count.
         for _ in 0..5 {
             h.record_failure(p);
         }
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("disagg.health.to_suspect"), 1);
         assert_eq!(snap.counter("disagg.health.to_down"), 1);
         assert_eq!(snap.counter("disagg.health.recovered"), 0);
         // Recovery counts once, and repeat successes while Up don't.
@@ -515,7 +512,6 @@ mod tests {
         }
         h.record_success(p);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("disagg.health.to_suspect"), 2);
         assert_eq!(snap.counter("disagg.health.to_down"), 2);
         assert_eq!(snap.counter("disagg.health.recovered"), 2);
     }

@@ -16,6 +16,7 @@
 //! `GET_MANY` broadcast — the ring is a router, never an oracle about
 //! where bytes actually live.
 
+use plasma::checksum::fnv1a64;
 use plasma::ObjectId;
 use tfsim::NodeId;
 
@@ -73,6 +74,8 @@ impl Ring {
     /// collision, but the rule keeps placement total and deterministic).
     /// `None` when the membership is empty.
     pub fn owner_of(&self, id: ObjectId) -> Option<NodeId> {
+        // FNV-1a over the id bytes: cheap and stable, and it disperses
+        // well enough once `score` post-mixes it with splitmix64.
         let id_hash = fnv1a64(id.as_bytes());
         let nodes = self.membership.nodes.iter().copied();
         nodes.max_by_key(|&node| rank(id_hash, node))
@@ -99,17 +102,6 @@ fn rank(id_hash: u64, node: NodeId) -> (u64, std::cmp::Reverse<u16>) {
 /// permutation of id scores.
 fn score(id_hash: u64, node: NodeId) -> u64 {
     splitmix64(id_hash ^ splitmix64(0x9e37_79b9_7f4a_7c15 ^ u64::from(node.0)))
-}
-
-/// FNV-1a over the id bytes: cheap, stable, and good enough dispersion
-/// once post-mixed by splitmix64.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// splitmix64 finalizer: a full-avalanche bijection on u64.

@@ -344,7 +344,11 @@ fn pressure_spill_sheds_load_and_keeps_objects_reachable() {
 /// its rendezvous successor first, and the lender's own headroom gate
 /// decides. With the successor filled past its headroom, it refuses once,
 /// is not asked again in the pass, and every spilled object lands on its
-/// third choice — and the pass asks no peer for `METRICS`.
+/// third choice. `METRICS` is an operator read: neither the spill pass
+/// nor any other path the benchmarks and the chaos soak drive — a put
+/// at the owner and a forwarded one, a get that follows a `Moved`
+/// redirect, a forwarded delete that invalidates a replica, a
+/// replication pass, a rebalance pass, a reconcile — asks a peer for it.
 #[test]
 fn spill_walks_the_rendezvous_order_and_asks_no_peer_for_metrics() {
     const OBJECT: usize = 64 << 10;
@@ -383,18 +387,59 @@ fn spill_walks_the_rendezvous_order_and_asks_no_peer_for_metrics() {
     let snap = owner.metrics_snapshot();
     assert_eq!(snap.counter("disagg.elastic.spills"), 3);
     assert_eq!(snap.counter("disagg.elastic.spills_refused"), 1);
-    let asked: Vec<_> = snap
-        .histograms_with_prefix("rpc.client.")
-        .filter(|(name, h)| name.ends_with(".metrics.latency_ns") && h.count > 0)
-        .map(|(name, h)| (name.to_string(), h.count))
-        .collect();
-    assert_eq!(asked, vec![], "a spill pass asks no peer for METRICS");
 
+    // Node 1 asks the owner, which answers `Moved` for the three it lent.
     let got = cluster.store(1).get(&ids, GET_TIMEOUT).unwrap();
     assert!(got.iter().all(Option::is_some), "every object still reads");
     for &id in &ids {
         cluster.store(1).release(id).unwrap();
     }
+    let snap = cluster.store(1).metrics_snapshot();
+    assert_eq!(snap.counter("disagg.elastic.redirects_followed"), 3);
+
+    // A put at the owner and one forwarded to it; each object then turns
+    // hot at one reader, and the owner's passes copy the first to it and
+    // move the second to it.
+    let replicated = ObjectId::from_name(&cluster.owned_id(0, "succ/replicated"));
+    let rebalanced = ObjectId::from_name(&cluster.owned_id(0, "succ/rebalanced"));
+    producer.put(replicated, &[2; 1024], &[]).unwrap();
+    let forwarder = cluster.client(1).unwrap();
+    forwarder.put(rebalanced, &[3; 1024], &[]).unwrap();
+    let heat = |id: ObjectId, reader: usize| {
+        let store = cluster.store(reader);
+        for _ in 0..HOT_AFTER_HITS {
+            assert!(store.get(&[id], GET_TIMEOUT).unwrap()[0].is_some());
+            store.release(id).unwrap();
+        }
+    };
+    heat(replicated, 1);
+    assert_eq!(owner.replicate_hot().unwrap(), 1);
+    heat(rebalanced, 2);
+    assert_eq!(owner.rebalance_once().unwrap(), 1);
+    // Forwarded to the owner, which invalidates node 1's replica first.
+    cluster.store(2).delete(replicated).unwrap();
+    assert!(entries(cluster.store(1), Side::Held, Kind::Replica).is_empty());
+    for node in 0..3 {
+        assert_eq!(cluster.store(node).reconcile(), ReconcileReport::default());
+    }
+
+    let asked = || -> Vec<(usize, String, u64)> {
+        let mut asked = Vec::new();
+        for node in 0..3 {
+            let snap = cluster.store(node).metrics_snapshot();
+            let histograms = snap.histograms_with_prefix("rpc.client.");
+            asked.extend(
+                histograms
+                    .filter(|(name, h)| name.ends_with(".metrics.latency_ns") && h.count > 0)
+                    .map(|(name, h)| (node, name.to_string(), h.count)),
+            );
+        }
+        asked
+    };
+    assert_eq!(asked(), vec![], "a protocol path asked a peer for METRICS");
+    // The operator read is what the filter above would have caught.
+    owner.peer_metrics(nodes[1]).unwrap();
+    assert_eq!(asked().len(), 1, "{:?}", asked());
 }
 
 /// Heat-driven rebalance: a remote reader hammering one object pulls it

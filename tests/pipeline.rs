@@ -30,6 +30,7 @@ fn owned_ids(cluster: &Cluster, node: usize, prefix: &str, n: usize) -> Vec<Obje
 /// The headline batching guarantee: a `get` of 100 small objects
 /// all held by one owner costs exactly **one** `GET_MANY` RPC, visible
 /// both in the interconnect counters and the per-verb client histogram.
+/// The same 100 asked one `get` at a time cost one `GET_MANY` each.
 #[test]
 fn batched_get_of_100_objects_is_one_rpc() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 16 << 20)).unwrap();
@@ -66,6 +67,17 @@ fn batched_get_of_100_objects_is_one_rpc() {
         store_b.release(*id).unwrap();
     }
     assert_eq!(cluster.store(0).remote_pin_count(), 0);
+
+    for id in &ids {
+        let got = store_b.get(&[*id], Duration::from_secs(5)).unwrap();
+        assert!(got[0].is_some());
+        store_b.release(*id).unwrap();
+    }
+    assert_eq!(
+        store_b.disagg_stats().lookup_rpcs,
+        1 + 100,
+        "one round trip per remote id asked alone"
+    );
 }
 
 /// `GET_MANY` answers per id: found ids come back pinned with their
