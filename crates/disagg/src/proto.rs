@@ -164,12 +164,20 @@ impl CallHeader {
     /// Encoded width in bytes.
     pub const LEN: usize = 10;
 
-    /// The request frame: this header, then `body`.
-    pub fn frame(&self, body: &[u8]) -> Bytes {
+    /// The header's wire bytes, which every request body starts with.
+    pub fn encode(&self) -> [u8; Self::LEN] {
         let mut prefix = [0u8; Self::LEN];
         prefix[..2].copy_from_slice(&self.from.0.to_le_bytes());
         prefix[2..].copy_from_slice(&self.epoch.to_le_bytes());
-        prefixed(&prefix, body)
+        prefix
+    }
+
+    /// The request frame: this header, then `body`, joined. A store
+    /// sends its calls as parts instead (the header, then the body's),
+    /// which the rpclite envelope writes back to back; this is for a
+    /// caller that hands a service a request by hand.
+    pub fn frame(&self, body: &[u8]) -> Bytes {
+        prefixed(&self.encode(), body)
     }
 
     /// Split a request frame into its header and body.
@@ -529,34 +537,32 @@ const CREATE_AT_FIELDS_MAX: usize = 2 + OBJECT_ID_LEN + 3 * 11;
 impl CreateAtReq {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let payload = self.payload.as_deref().map(|p| [p, &[][..]]);
-        Self::write(&self.id, self.data_size, self.metadata_size, payload)
+        let carried = self.payload.as_ref().map_or(0, |p| p.len());
+        let mut e = Self::fields(&self.id, self.data_size, self.metadata_size, carried);
+        if let Some(payload) = &self.payload {
+            e.bytes(6, payload);
+        }
+        e.finish()
     }
 
-    /// The encoding of a `CreateAtReq` forwarding the put of `data` and
-    /// `metadata`, written from the two slices into one right-sized
-    /// buffer: the payload is copied once, and never joined first.
-    pub(crate) fn encode_put(id: &ObjectId, data: &[u8], metadata: &[u8]) -> Bytes {
-        let (data_size, metadata_size) = (data.len() as u64, metadata.len() as u64);
-        Self::write(id, data_size, metadata_size, Some([data, metadata]))
+    /// The encoding of a `CreateAtReq` forwarding a put of `data_size`
+    /// data and `metadata_size` metadata bytes, up to and including its
+    /// payload's length prefix. Followed by the data, then the metadata,
+    /// it is the whole request: the sender hands the three to the
+    /// envelope as parts, which copies the payload into the frame once.
+    pub(crate) fn put_head(id: &ObjectId, data_size: u64, metadata_size: u64) -> Bytes {
+        let mut e = Self::fields(id, data_size, metadata_size, 0);
+        e.bytes_head(6, (data_size + metadata_size) as usize);
+        e.finish()
     }
 
-    /// The one writer of both encodings: `payload`'s parts become one
-    /// field, back to back.
-    fn write(
-        id: &ObjectId,
-        data_size: u64,
-        metadata_size: u64,
-        payload: Option<[&[u8]; 2]>,
-    ) -> Bytes {
-        let carried = payload.map_or(0, |[a, b]| a.len() + b.len());
+    /// The fields every `CreateAtReq` carries, in an encoder with room
+    /// for `carried` payload bytes besides.
+    fn fields(id: &ObjectId, data_size: u64, metadata_size: u64, carried: usize) -> MsgEnc {
         let mut e = MsgEnc::with_capacity(CREATE_AT_FIELDS_MAX + carried);
         enc_id(&mut e, 3, id);
         e.uint(4, data_size).uint(5, metadata_size);
-        if let Some(parts) = payload {
-            e.bytes_concat(6, &parts);
-        }
-        e.finish()
+        e
     }
 
     /// Parse from wire bytes.
@@ -1125,8 +1131,8 @@ mod tests {
             payload: Some(Bytes::new()),
             ..staged.clone()
         };
-        let put = CreateAtReq::encode_put(&inline.id, b"hello", b"md");
-        assert_eq!(put, inline.encode());
+        let head = CreateAtReq::put_head(&inline.id, 5, 2);
+        assert_eq!(inline.encode(), [&head[..], b"hello", b"md"].concat());
         for req in [staged, inline, empty] {
             assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
         }
@@ -1148,10 +1154,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Writing a forwarded put from its two slices changes no byte
-        /// of the request: it equals the `MsgEnc` encoding of the
-        /// concatenated payload, at every size up to past the largest
-        /// inlined put and at every split between data and metadata.
+        /// A forwarded put's fields, then its data, then its metadata,
+        /// are the `MsgEnc` encoding of the request carrying the joined
+        /// payload, at every size up to past the largest inlined put and
+        /// at every split between data and metadata.
         #[test]
         fn a_put_create_at_equals_the_encoding_of_its_joined_payload(
             len in 0usize..300 << 10,
@@ -1166,7 +1172,8 @@ mod tests {
             e.uint(4, data.len() as u64)
                 .uint(5, metadata.len() as u64)
                 .bytes(6, &payload);
-            proptest::prop_assert!(CreateAtReq::encode_put(&id, data, metadata) == e.finish());
+            let head = CreateAtReq::put_head(&id, data.len() as u64, metadata.len() as u64);
+            proptest::prop_assert!(e.finish() == [&head[..], data, metadata].concat());
         }
     }
 

@@ -433,7 +433,7 @@ impl DisaggStore {
             let req = ReconcileReq {
                 claims: inner.ledger.claims_on(peer.node, sealed),
             };
-            let answered = self.peer_call(&peer, method::RECONCILE, req.encode());
+            let answered = self.peer_call(&peer, method::RECONCILE, &[&req.encode()]);
             let Some(resp) = answered.ok().and_then(|b| ReconcileResp::decode(b).ok()) else {
                 report.unreachable.push(peer.node);
                 continue;
@@ -790,7 +790,7 @@ impl ObjectStore for DisaggStore {
         let alive = |node| self.inner.health.state(node) != PeerState::Down;
         while let Some(owner) = ledger.unpin(Side::Held, id, None, alive) {
             let released = self.peer(owner).and_then(|peer| {
-                match self.peer_call(&peer, method::RELEASE, IdReq { id }.encode()) {
+                match self.peer_call(&peer, method::RELEASE, &[&IdReq { id }.encode()]) {
                     Ok(body) => Ok(BoolResp::decode(body).map(|r| r.value).unwrap_or(true)),
                     Err(fail) => Err(self.object_err(&peer, id, fail)),
                 }

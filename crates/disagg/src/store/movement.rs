@@ -195,7 +195,7 @@ impl DisaggStore {
             _ => method::REPLICATE_AT,
         };
         // (adopted, ambiguous, error to surface)
-        let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, req.encode()) {
+        let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, &[&req.encode()]) {
             Ok(body) => match DelegateResp::decode(body) {
                 Ok(resp) => (resp.status == DelegateStatus::Adopted, false, None),
                 Err(e) => {
@@ -365,7 +365,7 @@ impl DisaggStore {
             let peer = self.peer(holder)?;
             // Confirmed means dropped now, or the holder had no entry —
             // either way no replica survives there.
-            self.peer_call(&peer, method::INVALIDATE, IdReq { id }.encode())
+            self.peer_call(&peer, method::INVALIDATE, &[&IdReq { id }.encode()])
                 .map_err(|fail| self.peer_err(&peer, fail))?;
             ledger.remove(Side::Out, id, Kind::Replica, Some(holder));
             self.sync_delegation_gauges();
@@ -418,7 +418,7 @@ impl DisaggStore {
     /// already gone.
     pub(super) fn delete_at_holder(&self, id: ObjectId, holder: NodeId) -> Result<(), PlasmaError> {
         let peer = self.peer(holder)?;
-        match self.peer_call(&peer, method::INVALIDATE, IdReq { id }.encode()) {
+        match self.peer_call(&peer, method::INVALIDATE, &[&IdReq { id }.encode()]) {
             Ok(_) => {}
             Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
             Err(fail) => return Err(self.object_err(&peer, id, fail)),
@@ -482,7 +482,7 @@ impl DisaggStore {
         let req = DeleteReq { id, deferred }.encode();
         let mut unreachable: Option<PlasmaError> = None;
         for peer in self.peers_owner_first(id) {
-            match self.peer_call(&peer, method::DELETE, req.clone()) {
+            match self.peer_call(&peer, method::DELETE, &[&req]) {
                 Ok(body) => {
                     let now = BoolResp::decode(body)
                         .map_err(|e| PlasmaError::Protocol(format!("delete response: {e}")))?;

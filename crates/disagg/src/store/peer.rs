@@ -114,7 +114,11 @@ impl DisaggStore {
     /// every call goes out under one [`CallHeader`] — this node and its
     /// membership epoch — and every `Ok` answer comes back stripped of
     /// its [`ReplyHeader`]; a responder whose epoch is ahead has its
-    /// table pulled before the answers are returned.
+    /// table pulled before the answers are returned. A member's body is
+    /// borrowed as parts, and the header's bytes join them as the first:
+    /// the rpclite envelope writes them all into the frame's one buffer,
+    /// so a payload a body carries (a forwarded put's) is copied once,
+    /// in every round that sends it.
     ///
     /// Definite answers — including error statuses — prove the peer is
     /// alive and reset its failure count; only transport-level failures
@@ -122,13 +126,21 @@ impl DisaggStore {
     /// retry is another round: the members still worth retrying are
     /// re-sent together after one shared backoff charged to the cluster
     /// clock.
-    pub(super) fn scatter(&self, calls: &[(&Peer, u32, Bytes)]) -> Vec<Result<Bytes, PeerFail>> {
+    pub(super) fn scatter(&self, calls: &[(&Peer, u32, &[&[u8]])]) -> Vec<Result<Bytes, PeerFail>> {
         let inner = &self.inner;
         let header = CallHeader {
             from: inner.node,
             epoch: self.ring_epoch(),
         };
-        let frames: Vec<Bytes> = calls.iter().map(|(.., body)| header.frame(body)).collect();
+        let head = header.encode();
+        let framed: Vec<Vec<&[u8]>> = calls
+            .iter()
+            .map(|(.., body)| {
+                let mut parts = vec![&head[..]];
+                parts.extend_from_slice(body);
+                parts
+            })
+            .collect();
         let mut reply_epochs = vec![0u64; calls.len()];
         let mut attempts_left: Vec<u32> = calls
             .iter()
@@ -149,12 +161,12 @@ impl DisaggStore {
             // waited for.
             let tickets: Vec<_> = calls
                 .iter()
-                .zip(&frames)
+                .zip(&framed)
                 .zip(&answers)
-                .map(|(((peer, method_id, _), frame), answer)| {
+                .map(|(((peer, method_id, _), parts), answer)| {
                     answer
                         .is_none()
-                        .then(|| peer.client.call_async(*method_id, frame.clone()))
+                        .then(|| peer.client.call_async(*method_id, parts))
                 })
                 .collect();
             let mut retrying = 0u64;
@@ -231,7 +243,7 @@ impl DisaggStore {
         &self,
         peer: &Peer,
         method_id: u32,
-        body: Bytes,
+        body: &[&[u8]],
     ) -> Result<Bytes, PeerFail> {
         let mut answers = self.scatter(&[(peer, method_id, body)]);
         answers.pop().expect("one answer per member")
@@ -248,12 +260,12 @@ impl DisaggStore {
         if parked.is_empty() {
             return;
         }
+        let head = header.encode();
         for id in parked {
-            let sent = peer.client.call_with_deadline(
-                method::RELEASE,
-                header.frame(&IdReq { id }.encode()),
-                self.inner.call_deadline,
-            );
+            let sent = peer
+                .client
+                .call_async(method::RELEASE, &[&head, &IdReq { id }.encode()])
+                .and_then(|call| call.wait_deadline(self.inner.call_deadline));
             if sent.is_err() {
                 self.inner.ledger.park(id, peer.node);
             }
@@ -283,7 +295,7 @@ impl DisaggStore {
     /// (`METRICS` RPC): any node can introspect any peer live.
     pub fn peer_metrics(&self, node: NodeId) -> Result<MetricsSnapshot, PlasmaError> {
         let peer = self.peer(node)?;
-        match self.peer_call(&peer, method::METRICS, Bytes::new()) {
+        match self.peer_call(&peer, method::METRICS, &[]) {
             Ok(body) => Self::decode_metrics(body).map(|(_, snap)| snap),
             Err(fail) => Err(self.peer_err(&peer, fail)),
         }
@@ -299,7 +311,7 @@ impl DisaggStore {
         let peers = self.peers_snapshot();
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::METRICS, Bytes::new()))
+            .map(|peer| (peer, method::METRICS, &[][..]))
             .collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
@@ -349,7 +361,7 @@ impl DisaggStore {
         let peers = self.peers_snapshot();
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::LIST, Bytes::new()))
+            .map(|peer| (peer, method::LIST, &[][..]))
             .collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };

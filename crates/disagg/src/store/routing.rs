@@ -77,7 +77,7 @@ impl DisaggStore {
         let Ok(peer) = self.peer(node) else {
             return;
         };
-        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, Bytes::new()) {
+        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, &[]) {
             if let Ok(resp) = MembershipResp::decode(body) {
                 self.set_membership(Membership::new(resp.epoch, resp.nodes));
             }
@@ -116,6 +116,8 @@ impl DisaggStore {
             return Ok(true);
         }
         let mut peers = self.peers_snapshot();
+        let req = IdReq { id }.encode();
+        let ask = [&req[..]];
         let holds = |body: Bytes| {
             BoolResp::decode(body)
                 .map(|r| r.value)
@@ -129,8 +131,7 @@ impl DisaggStore {
             .filter(|&owner| owner != self.inner.node);
         if let Some(owner) = ring_owner {
             if let Some(i) = peers.iter().position(|p| p.node == owner) {
-                let req = IdReq { id }.encode();
-                if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, req) {
+                if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, &ask) {
                     if holds(body)? {
                         self.inner.metrics.ring_hit.inc();
                         return Ok(true);
@@ -146,7 +147,7 @@ impl DisaggStore {
         // count as "not here" (partial answer, not an error).
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::CONTAINS, IdReq { id }.encode()))
+            .map(|peer| (peer, method::CONTAINS, &ask[..]))
             .collect();
         for answer in self.scatter(&calls) {
             let Ok(body) = answer else { continue };
@@ -349,15 +350,21 @@ impl DisaggStore {
         if asks.is_empty() {
             return Vec::new();
         }
-        let calls: Vec<_> = asks
+        let reqs: Vec<Bytes> = asks
             .iter()
-            .map(|(peer, ids)| {
+            .map(|(_, ids)| {
                 let req = GetManyReq {
                     ids: ids.clone(),
                     redirected,
                 };
-                (*peer, method::GET_MANY, req.encode())
+                req.encode()
             })
+            .collect();
+        let bodies: Vec<[&[u8]; 1]> = reqs.iter().map(|req| [&req[..]]).collect();
+        let calls: Vec<_> = asks
+            .iter()
+            .zip(&bodies)
+            .map(|((peer, _), body)| (*peer, method::GET_MANY, &body[..]))
             .collect();
         let answers = self.scatter(&calls).into_iter();
         answers
@@ -413,7 +420,10 @@ impl DisaggStore {
             // A loser that did not confirm the release (dead, unreachable,
             // or a definite error) keeps its pin until a retry lands:
             // park it instead of leaking it.
-            if self.peer_call(peer, method::RELEASE, req.encode()).is_err() {
+            if self
+                .peer_call(peer, method::RELEASE, &[&req.encode()])
+                .is_err()
+            {
                 self.park_release(peer.node, loc.id);
             }
         }
@@ -439,7 +449,6 @@ impl DisaggStore {
         metadata_size: u64,
         payload: Option<(&[u8], &[u8])>,
     ) -> Result<ObjectLocation, PlasmaError> {
-        let mut request = None;
         for _ in 0..2 {
             // Without a table there is no owner to ask, and creating
             // locally on a guess could fork the id against a peer.
@@ -453,8 +462,11 @@ impl DisaggStore {
                 return self.create_here(id, data_size, metadata_size, payload);
             }
             let peer = self.peer(owner)?;
-            let request = request.get_or_insert_with(|| match payload {
-                Some((data, metadata)) => CreateAtReq::encode_put(&id, data, metadata),
+            // A put's request is its fields, then the data and the
+            // metadata as they are: the envelope copies them into the
+            // frame, and nothing joins them before.
+            let fields = match payload {
+                Some(_) => CreateAtReq::put_head(&id, data_size, metadata_size),
                 None => CreateAtReq {
                     id,
                     data_size,
@@ -462,12 +474,13 @@ impl DisaggStore {
                     payload: None,
                 }
                 .encode(),
-            });
+            };
+            let (data, metadata) = payload.unwrap_or_default();
             // Uniqueness lives at the owner, so an unreachable owner
             // fails the create outright — a create never proceeds on a
             // guess.
             let body = self
-                .peer_call(&peer, method::CREATE_AT, request.clone())
+                .peer_call(&peer, method::CREATE_AT, &[&fields, data, metadata])
                 .map_err(|fail| self.object_err(&peer, id, fail))?;
             let resp = CreateAtResp::decode(body)
                 .map_err(|e| PlasmaError::Protocol(format!("create_at response: {e}")))?;
@@ -527,7 +540,7 @@ impl DisaggStore {
         owner: NodeId,
     ) -> Result<ObjectLocation, PlasmaError> {
         let peer = self.peer(owner)?;
-        match self.peer_call(&peer, method::SEAL_AT, IdReq { id }.encode()) {
+        match self.peer_call(&peer, method::SEAL_AT, &[&IdReq { id }.encode()]) {
             Ok(body) => {
                 let resp = CreateAtResp::decode(body)
                     .map_err(|e| PlasmaError::Protocol(format!("seal_at response: {e}")))?;
@@ -556,7 +569,7 @@ impl DisaggStore {
     /// the caller can act on.
     pub(super) fn abort_forwarded(&self, id: ObjectId, owner: NodeId) {
         if let Ok(peer) = self.peer(owner) {
-            let _ = self.peer_call(&peer, method::ABORT_AT, IdReq { id }.encode());
+            let _ = self.peer_call(&peer, method::ABORT_AT, &[&IdReq { id }.encode()]);
         }
     }
 

@@ -347,21 +347,23 @@ impl RpcClient {
         body: Bytes,
         deadline: Option<Duration>,
     ) -> Result<Bytes, RpcError> {
-        self.call_async(method, body)?.wait_deadline(deadline)
+        self.call_async(method, &[&body])?.wait_deadline(deadline)
     }
 
-    /// Send one request and return a [`PendingCall`] ticket without
-    /// waiting for the response; other calls may be issued and completed
-    /// while this one is in flight. Blocks only if the in-flight window
-    /// is full or the connection must be (re)dialed.
-    pub fn call_async(&self, method: u32, body: Bytes) -> Result<PendingCall<'_>, RpcError> {
+    /// Send one request whose body is `body`'s parts back to back, and
+    /// return a [`PendingCall`] ticket without waiting for the response;
+    /// other calls may be issued and completed while this one is in
+    /// flight. Blocks only if the in-flight window is full or the
+    /// connection must be (re)dialed.
+    ///
+    /// The parts are written straight into the request frame
+    /// ([`Request::frame`]), so a caller that frames a payload — a
+    /// header, fields, then the bytes — never joins them into a buffer
+    /// of its own first. The frame, and the request length the modeled
+    /// network charges, are those of the joined body.
+    pub fn call_async(&self, method: u32, body: &[&[u8]]) -> Result<PendingCall<'_>, RpcError> {
         let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let request = Request {
-            call_id,
-            method,
-            body,
-        };
-        let req_len = request.body.len();
+        let req_len = body.iter().map(|p| p.len()).sum();
         let mut st = self.shared.state.lock();
         loop {
             if st.writer.is_none() {
@@ -381,7 +383,7 @@ impl RpcClient {
             m.in_flight.record(st.pending.len() as u64);
         }
         let started = Instant::now();
-        let frame = request.to_frame();
+        let frame = Request::frame(call_id, method, body);
         if let Err(e) = st.writer.as_mut().expect("writer present").send(&frame) {
             st.pending.remove(&call_id);
             let cause = PoisonCause::Transport(e.kind(), e.to_string());
@@ -994,8 +996,8 @@ mod tests {
     #[test]
     fn a_waiter_reads_on_when_the_caller_reading_gives_up() {
         let (_srv, client) = setup();
-        let doomed = client.call_async(3, Bytes::from_static(b"hung")).unwrap();
-        let patient = client.call_async(4, Bytes::from_static(b"slow")).unwrap();
+        let doomed = client.call_async(3, &[b"hung".as_slice()]).unwrap();
+        let patient = client.call_async(4, &[b"slow".as_slice()]).unwrap();
         std::thread::scope(|s| {
             // The doomed call is the one reading when its 50 ms deadline
             // passes, with the 100 ms response of the patient call still
@@ -1049,7 +1051,7 @@ mod tests {
     fn out_of_order_completion() {
         // Slow call issued first; fast call returns first.
         let (_srv, client) = setup();
-        let slow = client.call_async(3, Bytes::from_static(b"slow")).unwrap();
+        let slow = client.call_async(3, &[b"slow".as_slice()]).unwrap();
         let t0 = Instant::now();
         let fast = client.call(1, Bytes::from_static(b"fast")).unwrap();
         assert_eq!(&fast[..], b"fast");
@@ -1065,7 +1067,7 @@ mod tests {
         let (_srv, client) = setup();
         let client = Arc::new(client);
         // One call that will expire, surrounded by healthy in-flight calls.
-        let doomed = client.call_async(3, Bytes::new()).unwrap();
+        let doomed = client.call_async(3, &[]).unwrap();
         let neighbors: Vec<_> = (0..4)
             .map(|i| {
                 let c = Arc::clone(&client);
@@ -1106,7 +1108,7 @@ mod tests {
         );
         assert_eq!(&client.call(1, Bytes::from_static(b"a")).unwrap()[..], b"a");
         // Leave a slow call in flight, then tear the server down under it.
-        let in_flight = client.call_async(3, Bytes::from_static(b"slow")).unwrap();
+        let in_flight = client.call_async(3, &[b"slow".as_slice()]).unwrap();
         srv.shutdown();
         // The in-flight call must resolve (its handler raced shutdown: it
         // either delivered a response before teardown or the poison failed

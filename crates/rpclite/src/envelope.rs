@@ -20,7 +20,10 @@
 //! A frame is built once: the encoder reserves the checksum's four bytes
 //! at the front of its buffer, and the checksum is written there once the
 //! envelope is complete, so a body carried in the envelope (an inlined
-//! put's payload) is copied into exactly one buffer.
+//! put's payload) is copied into exactly one buffer. A request body may
+//! come in parts ([`Request::frame`]) — a call header, a message's
+//! fields, the payload they describe — which are written back to back
+//! into that buffer and never joined beforehand.
 
 use crate::service::{Status, StatusCode};
 use crate::wire::{crc32, MsgDec, MsgEnc, WireError};
@@ -83,10 +86,18 @@ pub struct Request {
 impl Request {
     /// Encode into a [`FRAME_REQUEST`] frame.
     pub fn to_frame(&self) -> Frame {
-        let mut e = envelope_enc(self.body.len());
-        e.uint(1, self.call_id)
-            .uint(2, u64::from(self.method))
-            .bytes(3, &self.body);
+        Self::frame(self.call_id, self.method, &[&self.body])
+    }
+
+    /// The [`FRAME_REQUEST`] frame of a request whose body is `parts`
+    /// back to back: byte for byte the frame of the request carrying
+    /// their concatenation, written without joining them first, so each
+    /// part is copied once, into the frame's one buffer.
+    pub fn frame(call_id: u64, method: u32, parts: &[&[u8]]) -> Frame {
+        let mut e = envelope_enc(parts.iter().map(|p| p.len()).sum());
+        e.uint(1, call_id)
+            .uint(2, u64::from(method))
+            .bytes_concat(3, parts);
         seal_frame(FRAME_REQUEST, e)
     }
 
@@ -302,6 +313,26 @@ mod tests {
             let mut e = MsgEnc::new();
             e.uint(1, call_id).uint(2, status.code as u64).string(3, &message);
             proptest::prop_assert!(err.payload == two_buffer_payload(e));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A body in parts frames exactly as the request carrying their
+        /// concatenation does, wherever it is cut, empty parts included.
+        #[test]
+        fn a_body_in_parts_frames_as_its_concatenation(
+            call_id in proptest::prelude::any::<u64>(),
+            method in proptest::prelude::any::<u32>(),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+            cuts in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+        ) {
+            let (a, b) = (cuts.0 % (body.len() + 1), cuts.1 % (body.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let parts = [&body[..a], &body[a..b], &[][..], &body[b..]];
+            let whole = Request { call_id, method, body: Bytes::from(body.clone()) }.to_frame();
+            proptest::prop_assert!(Request::frame(call_id, method, &parts) == whole);
         }
     }
 

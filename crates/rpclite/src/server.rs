@@ -373,7 +373,7 @@ mod tests {
         let client = RpcClient::new(Box::new(hub.connect("hol").unwrap()));
         client.call(3, Bytes::new()).unwrap();
 
-        let waiter = client.call_async(1, Bytes::from_static(b"a")).unwrap();
+        let waiter = client.call_async(1, &[b"a".as_slice()]).unwrap();
         let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
         assert_eq!(&releaser[..], b"b");
         assert_eq!(&waiter.wait().unwrap()[..], b"a");
@@ -422,7 +422,7 @@ mod tests {
         let _srv = serve(Box::new(hub.bind("gate").unwrap()), gate.clone());
         let client = RpcClient::new(Box::new(hub.connect("gate").unwrap()));
 
-        let waiter = client.call_async(1, Bytes::from_static(b"a")).unwrap();
+        let waiter = client.call_async(1, &[b"a".as_slice()]).unwrap();
         let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
         assert_eq!(&releaser[..], b"b");
         assert_eq!(&waiter.wait().unwrap()[..], b"a");

@@ -267,12 +267,20 @@ impl MsgEnc {
     /// of [`MsgEnc::bytes`] over their concatenation, written without
     /// joining them first.
     pub fn bytes_concat(&mut self, field: u32, parts: &[&[u8]]) -> &mut Self {
-        self.tag(field, WireType::Len);
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        put_varint(&mut self.buf, len as u64);
+        self.bytes_head(field, parts.iter().map(|p| p.len()).sum());
         for part in parts {
             self.buf.put_slice(part);
         }
+        self
+    }
+
+    /// The tag and length of a `field: bytes` whose `len`-byte value
+    /// the caller writes after this message, elsewhere: a message that
+    /// ends in such a head, followed by the value, is the message that
+    /// carries the value itself.
+    pub fn bytes_head(&mut self, field: u32, len: usize) -> &mut Self {
+        self.tag(field, WireType::Len);
+        put_varint(&mut self.buf, len as u64);
         self
     }
 

@@ -26,8 +26,11 @@
 #                 allows to tell, and not every run of the change reads
 #                 better than every run of the parent
 #   within bound  otherwise
+# Under each table it prints both sides' median [min, max] of the terms
+# the sw-clock ratios are made of, read from each run's `count` lines:
+# `reference_ns` (the denominator), `get_sw_ns` and `put_sw_ns`.
 # The exports and build directories are removed on exit; the raw result
-# lines stay in <dir>/runs. Exits non-zero if any run failed, reported
+# lines and logs stay in <dir>/runs. Exits non-zero if any run failed, reported
 # itself incorrect or failed an operation. bash + python3 stdlib only.
 set -euo pipefail
 
@@ -116,6 +119,19 @@ def load(workload, side, pair):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def counts(workload, side, pair):
+    """The `count NAME VALUE` lines of one run's log."""
+    found = {}
+    try:
+        for line in open(f"{runs}/{workload}.{side}.{pair}.log"):
+            words = line.split()
+            if len(words) == 3 and words[0] == "count":
+                found[words[1]] = float(words[2])
+    except OSError:
+        pass
+    return found
+
+
 def quartiles(values):
     if len(values) == 1:
         return values[0], values[0]
@@ -163,6 +179,23 @@ for workload in workloads:
     widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
     for r in rows:
         print("  " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+
+    # What the sw-clock ratios are made of: a claim on one shows its
+    # numerator and its denominator.
+    logged = {side: [counts(workload, side, p) for p in range(1, pairs + 1)] for side in ("parent", "change")}
+    rows = [("count", "parent median [min, max]", "change median [min, max]", "delta %")]
+    for name in ("reference_ns", "get_sw_ns", "put_sw_ns"):
+        values = [[c[name] for c in logged[side] if name in c] for side in ("parent", "change")]
+        if not all(values):
+            rows.append((name, "-", "-", "-"))
+            continue
+        pm, cm = (statistics.median(v) for v in values)
+        spans = [f"{fmt(statistics.median(v))} [{fmt(min(v))}, {fmt(max(v))}]" for v in values]
+        rows.append((name, *spans, f"{(cm - pm) / (pm or 1.0) * 100:+.2f}"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    print("  sw-clock terms, from the logs' count lines (ns):")
+    for r in rows:
+        print("    " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
 sys.exit(1 if bad else 0)
 EOF

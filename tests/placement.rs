@@ -268,6 +268,9 @@ fn put_and_create_of_an_inline_put_id_are_object_exists_from_every_node() {
 /// A `CREATE_AT` response lost on the wire is retried by `scatter`, and
 /// the owner — which kept no entry for the first attempt — recognises
 /// the retry by its content: the put succeeds, the object exists once.
+/// The put carries ≈ 200 KiB of data and some metadata, so the retry
+/// round frames a body of several parts above 128 KiB again from the
+/// same borrowed slices.
 #[test]
 fn inline_put_survives_a_lost_create_at_response() {
     use ipc::fault::{Direction, FaultAction, FaultPolicy};
@@ -290,7 +293,9 @@ fn inline_put_survives_a_lost_create_at_response() {
     config.interconnect.call_deadline = Some(Duration::from_millis(200));
     let cluster = Cluster::launch(config).unwrap();
     let id = ObjectId::from_name(&cluster.owned_id(1, "inline/lost-answer"));
-    cluster.client(0).unwrap().put(id, &[9; 2048], &[]).unwrap();
+    let data: Vec<u8> = (0..200 << 10).map(|i| (i * 7) as u8).collect();
+    let metadata = b"lost-answer metadata";
+    cluster.client(0).unwrap().put(id, &data, metadata).unwrap();
 
     let snap = cluster.store(0).metrics_snapshot();
     assert_eq!(snap.counter("disagg.peer.retries"), 1);
@@ -300,7 +305,7 @@ fn inline_put_survives_a_lost_create_at_response() {
     assert_eq!(owner.delegations(), vec![]);
     assert_eq!(cluster.store(0).delegations(), vec![]);
     let got = cluster.store(0).get_bytes(id, Duration::from_secs(1));
-    assert_eq!(got.unwrap().unwrap(), vec![9; 2048]);
+    assert_eq!(got.unwrap().unwrap(), [&data[..], metadata].concat());
 }
 
 /// The owner's half of a payload-carrying `CREATE_AT`, called by hand:

@@ -1,9 +1,11 @@
 //! What a small put allocates, per byte it carries. Each hop copies the
-//! payload once: into the client's IPC request, into the forwarded
-//! `CREATE_AT` (then once more behind its call header), into the rpclite
-//! frame, and on the owner into its segment, which allocates nothing. So
-//! a forwarded put allocates about four bytes per payload byte and a put
-//! the client's own store owns about one.
+//! payload once, and a forwarded put fills two buffers of its size: the
+//! client's IPC request, and the rpclite frame of its `CREATE_AT`, into
+//! which the call header, the request's fields and the payload are
+//! written back to back. On the owner the payload is copied into its
+//! segment, which allocates nothing. So a forwarded put allocates about
+//! two bytes per payload byte and a put the client's own store owns
+//! about one.
 //!
 //! A test binary of its own: the counting allocator below sees every
 //! thread of the process, so nothing else may run beside the one test.
@@ -44,15 +46,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A payload below `plasma::INLINE_PUT_MAX`, so every put is inlined.
+/// Payloads below `plasma::INLINE_PUT_MAX`, so every put is inlined: a
+/// mid-sized one, and one just under the threshold.
 const PAYLOAD: usize = 60_000;
+const LARGEST: usize = 250_000;
 const PUTS: usize = 50;
 
-/// Bytes allocated by all threads per payload byte, over `PUTS` puts
-/// from node 0 of ids that node `owner` owns.
-fn allocated_per_payload_byte(cluster: &Cluster, owner: usize, base: &str) -> f64 {
+/// Bytes allocated by all threads per payload byte, over `PUTS` puts of
+/// `payload` bytes from node 0 of ids that node `owner` owns.
+fn allocated_per_payload_byte(cluster: &Cluster, owner: usize, base: &str, payload: usize) -> f64 {
     let client = cluster.client(0).unwrap();
-    let data = vec![0x5A; PAYLOAD];
+    let data = vec![0x5A; payload];
     let ids: Vec<ObjectId> = cluster
         .owned_ids(owner, base, PUTS + 1)
         .iter()
@@ -65,18 +69,20 @@ fn allocated_per_payload_byte(cluster: &Cluster, owner: usize, base: &str) -> f6
         client.put(id, &data, &[]).unwrap();
     }
     let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
-    allocated as f64 / (PUTS * PAYLOAD) as f64
+    allocated as f64 / (PUTS * payload) as f64
 }
 
 #[test]
 fn a_put_copies_its_payload_once_per_hop() {
-    let cluster = Cluster::launch(ClusterConfig::functional(2, 8 << 20)).unwrap();
-    let far = allocated_per_payload_byte(&cluster, 1, "copies/far");
-    assert!(
-        far <= 4.5,
-        "a forwarded put allocated {far:.2} B per payload byte"
-    );
-    let near = allocated_per_payload_byte(&cluster, 0, "copies/near");
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 32 << 20)).unwrap();
+    for (payload, base) in [(PAYLOAD, "copies/far"), (LARGEST, "copies/far-largest")] {
+        let far = allocated_per_payload_byte(&cluster, 1, base, payload);
+        assert!(
+            far <= 2.5,
+            "a forwarded put of {payload} B allocated {far:.2} B per payload byte"
+        );
+    }
+    let near = allocated_per_payload_byte(&cluster, 0, "copies/near", PAYLOAD);
     assert!(
         near <= 1.5,
         "a put its own store owns allocated {near:.2} B per payload byte"
