@@ -29,12 +29,7 @@ use std::time::Duration;
 
 /// FNV-1a over the link label: gives each link its own decision stream.
 fn hash_link(link: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in link.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    plasma::checksum::fnv1a64(link.as_bytes())
 }
 
 /// SplitMix64 finalizer: decorrelates the packed decision coordinates.
@@ -253,6 +248,64 @@ mod tests {
                 StepPlan::quiet(),
             ],
         }
+    }
+
+    /// One link's first decisions under `busy_plan`, and another's in
+    /// the other direction, recorded before `hash_link` shared
+    /// `plasma::checksum::fnv1a64`: every seeded schedule stays put.
+    #[test]
+    fn decision_known_answers() {
+        use FaultAction::{Deliver, Drop, Duplicate};
+        let inj = ChaosInjector::new(busy_plan());
+        let delay = |ns| FaultAction::Delay(Duration::from_nanos(ns));
+        let corrupt = |offset, mask| FaultAction::Corrupt { offset, mask };
+        let truncate = |keep| FaultAction::Truncate { keep };
+        let out: Vec<_> = (0..24)
+            .map(|s| inj.decision_at("0->1", Direction::Outbound, s, 64))
+            .collect();
+        assert_eq!(
+            out,
+            [
+                truncate(48),
+                corrupt(16, 2),
+                Deliver,
+                Deliver,
+                truncate(24),
+                Deliver,
+                Deliver,
+                Drop,
+                delay(22_869),
+                truncate(53),
+                Duplicate,
+                Deliver,
+                corrupt(10, 7),
+                corrupt(49, 222),
+                Deliver,
+                Deliver,
+                truncate(62),
+                delay(71_989),
+                Drop,
+                Drop,
+                Duplicate,
+                delay(38_268),
+                delay(94_537),
+                Deliver,
+            ]
+        );
+        let back: Vec<_> = (0..8)
+            .map(|s| inj.decision_at("2->0", Direction::Inbound, s, 64))
+            .collect();
+        let expected = [
+            delay(97_188),
+            Duplicate,
+            Duplicate,
+            truncate(6),
+            Deliver,
+            Drop,
+            Deliver,
+            Drop,
+        ];
+        assert_eq!(back, expected);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! replica, invalidate) and reconciliation exchanges. Every request
 //! starts with one fixed-width [`CallHeader`] — who is asking and the
 //! membership epoch they routed by — and every `Ok` reply with a
-//! [`ReplyHeader`]; no message body repeats either fact. Bodies are
-//! encoded with the protobuf-style wire format from [`rpclite::wire`].
+//! [`ReplyHeader`]; no message body repeats either fact. Every message
+//! is a [`Message`]: fixed-width fields written with [`ipc::Enc`] and
+//! read back in order with [`ipc::Dec`], the codec the Plasma IPC
+//! protocol uses. A decoder reads every field and not a byte more, so a
+//! cut or padded frame, an unknown tag or an out-of-range value is a
+//! [`CodecError`], never a default.
 //! A *read* never moves payload bytes inside a frame: every answer
 //! carries a descriptor and the bytes move over the fabric
 //! ([`crate::DisaggStore::read_payload`]). The one message with a payload
@@ -16,9 +20,10 @@
 
 use crate::delegation::{Claim, Kind, Tally};
 use bytes::Bytes;
+use ipc::{CodecError, Dec, Enc};
+use plasma::protocol::{get_id, get_location, put_id, put_location};
 use plasma::{ObjectId, ObjectLocation, OBJECT_ID_LEN};
-use rpclite::wire::{MsgDec, MsgEnc, WireError};
-use tfsim::{NodeId, SegKey};
+use tfsim::NodeId;
 
 /// Interconnect method ids.
 pub mod method {
@@ -139,11 +144,77 @@ pub mod method {
     ];
 }
 
-fn prefixed(prefix: &[u8], body: &[u8]) -> Bytes {
-    let mut frame = Vec::with_capacity(prefix.len() + body.len());
-    frame.extend_from_slice(prefix);
-    frame.extend_from_slice(body);
-    Bytes::from(frame)
+/// One interconnect message: its fields, written in order by `put` and
+/// read back in the same order by `get`.
+pub trait Message: Sized {
+    /// Write the fields.
+    fn put(&self, e: &mut Enc);
+
+    /// Read the fields `put` wrote.
+    fn get(d: &mut Dec) -> Result<Self, CodecError>;
+
+    /// Serialize to wire bytes.
+    fn encode(&self) -> Bytes {
+        let mut e = Enc::new();
+        self.put(&mut e);
+        e.finish()
+    }
+
+    /// Parse from wire bytes: every field, and not a byte more.
+    fn decode(b: Bytes) -> Result<Self, CodecError> {
+        let mut d = Dec::new(b);
+        let message = Self::get(&mut d)?;
+        d.finish()?;
+        Ok(message)
+    }
+}
+
+/// `header`'s fields, then `body`, in a buffer with room for the longer
+/// of the two headers.
+fn frame(header: &impl Message, body: &[u8]) -> Bytes {
+    let mut e = Enc::with_capacity(CallHeader::LEN + body.len());
+    header.put(&mut e);
+    e.fixed(body);
+    e.finish()
+}
+
+/// Split a frame into its header and the body that follows it.
+fn unframe<H: Message>(frame: Bytes) -> Result<(H, Bytes), CodecError> {
+    let mut d = Dec::new(frame);
+    let header = H::get(&mut d)?;
+    let body = d.take(d.remaining())?;
+    Ok((header, body))
+}
+
+/// Write a count of the items that follow, then each item.
+fn put_list<T>(e: &mut Enc, items: &[T], put: impl Fn(&mut Enc, &T)) {
+    e.u32(u32::try_from(items.len()).expect("fewer than 2^32 items"));
+    for item in items {
+        put(e, item);
+    }
+}
+
+/// Read a count, then that many items of at least `min_len` bytes each:
+/// a count the frame cannot hold is refused before anything is
+/// allocated for it.
+fn get_list<T>(
+    d: &mut Dec,
+    min_len: usize,
+    mut get: impl FnMut(&mut Dec) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = d.u32()? as usize;
+    if n > d.remaining() / min_len {
+        return Err(CodecError::Invalid("item count past the frame"));
+    }
+    (0..n).map(|_| get(d)).collect()
+}
+
+fn get_node(d: &mut Dec) -> Result<NodeId, CodecError> {
+    Ok(NodeId(d.u16()?))
+}
+
+fn get_kind(d: &mut Dec) -> Result<Kind, CodecError> {
+    Kind::from_u64(u64::from(d.u8()?)).ok_or(CodecError::Invalid("delegation kind"))
 }
 
 /// The fixed-width prefix of every interconnect request: who is asking,
@@ -164,34 +235,30 @@ impl CallHeader {
     /// Encoded width in bytes.
     pub const LEN: usize = 10;
 
-    /// The header's wire bytes, which every request body starts with.
-    pub fn encode(&self) -> [u8; Self::LEN] {
-        let mut prefix = [0u8; Self::LEN];
-        prefix[..2].copy_from_slice(&self.from.0.to_le_bytes());
-        prefix[2..].copy_from_slice(&self.epoch.to_le_bytes());
-        prefix
-    }
-
     /// The request frame: this header, then `body`, joined. A store
     /// sends its calls as parts instead (the header, then the body's),
     /// which the rpclite envelope writes back to back; this is for a
     /// caller that hands a service a request by hand.
     pub fn frame(&self, body: &[u8]) -> Bytes {
-        prefixed(&self.encode(), body)
+        frame(self, body)
     }
 
     /// Split a request frame into its header and body.
-    pub fn split(mut frame: Bytes) -> Result<(CallHeader, Bytes), WireError> {
-        if frame.len() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let prefix = frame.split_to(Self::LEN);
-        let (from, epoch) = prefix.split_at(2);
-        let header = CallHeader {
-            from: NodeId(u16::from_le_bytes(from.try_into().expect("two bytes"))),
-            epoch: u64::from_le_bytes(epoch.try_into().expect("eight bytes")),
-        };
-        Ok((header, frame))
+    pub fn unframe(frame: Bytes) -> Result<(CallHeader, Bytes), CodecError> {
+        unframe(frame)
+    }
+}
+
+impl Message for CallHeader {
+    fn put(&self, e: &mut Enc) {
+        e.u16(self.from.0).u64(self.epoch);
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(CallHeader {
+            from: get_node(d)?,
+            epoch: d.u64()?,
+        })
     }
 }
 
@@ -210,60 +277,23 @@ impl ReplyHeader {
 
     /// The reply frame: this header, then `body`.
     pub fn frame(&self, body: &[u8]) -> Bytes {
-        prefixed(&self.epoch.to_le_bytes(), body)
+        frame(self, body)
     }
 
     /// Split a reply frame into its header and body.
-    pub fn split(mut frame: Bytes) -> Result<(ReplyHeader, Bytes), WireError> {
-        if frame.len() < Self::LEN {
-            return Err(WireError::Truncated);
-        }
-        let prefix = frame.split_to(Self::LEN);
-        let epoch = u64::from_le_bytes(prefix[..].try_into().expect("eight bytes"));
-        Ok((ReplyHeader { epoch }, frame))
+    pub fn unframe(frame: Bytes) -> Result<(ReplyHeader, Bytes), CodecError> {
+        unframe(frame)
     }
 }
 
-fn enc_id(e: &mut MsgEnc, field: u32, id: &ObjectId) {
-    e.bytes(field, id.as_bytes());
-}
+impl Message for ReplyHeader {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.epoch);
+    }
 
-fn dec_id(b: &Bytes) -> Result<ObjectId, WireError> {
-    let arr: [u8; OBJECT_ID_LEN] = b[..].try_into().map_err(|_| WireError::MissingField(0))?;
-    Ok(ObjectId::from_bytes(arr))
-}
-
-fn enc_location(loc: &ObjectLocation) -> MsgEnc {
-    let mut e = MsgEnc::new();
-    enc_id(&mut e, 1, &loc.id);
-    e.uint(2, u64::from(loc.seg.owner.0))
-        .uint(3, u64::from(loc.seg.index))
-        .uint(4, loc.offset)
-        .uint(5, loc.data_size)
-        .uint(6, loc.metadata_size);
-    e
-}
-
-/// A location arrives from a peer, and every reader of one sums its
-/// fields (`total_size`, a view's end): one whose end does not fit in a
-/// `u64` names no bytes and is refused here, once, for all of them.
-fn dec_location(b: Bytes) -> Result<ObjectLocation, WireError> {
-    let f = MsgDec::new(b).collect()?;
-    let (offset, data_size, metadata_size) = (f.uint(4)?, f.uint(5)?, f.uint(6)?);
-    offset
-        .checked_add(data_size)
-        .and_then(|end| end.checked_add(metadata_size))
-        .ok_or(WireError::MissingField(6))?;
-    Ok(ObjectLocation {
-        id: dec_id(&f.bytes(1)?)?,
-        seg: SegKey {
-            owner: NodeId(u16::try_from(f.uint(2)?).map_err(|_| WireError::MissingField(2))?),
-            index: u32::try_from(f.uint(3)?).map_err(|_| WireError::MissingField(3))?,
-        },
-        offset,
-        data_size,
-        metadata_size,
-    })
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(ReplyHeader { epoch: d.u64()? })
+    }
 }
 
 /// Batched multi-get request: pin and return fabric descriptors for many
@@ -282,74 +312,56 @@ pub struct GetManyReq {
     pub redirected: bool,
 }
 
-impl GetManyReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for id in &self.ids {
-            enc_id(&mut e, 2, id);
-        }
-        e.uint(4, u64::from(self.redirected));
-        e.finish()
+impl Message for GetManyReq {
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.redirected);
+        put_list(e, &self.ids, put_id);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let ids = f
-            .get_all(2)
-            .map(|v| {
-                v.as_bytes()
-                    .ok_or(WireError::MissingField(2))
-                    .and_then(dec_id)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(GetManyReq {
-            ids,
-            redirected: f.uint_or(4, 0) != 0,
+            redirected: d.bool()?,
+            ids: get_list(d, OBJECT_ID_LEN, get_id)?,
         })
     }
 }
 
-/// Per-id outcome of a multi-get. The RPC as a whole succeeds even when
-/// only some ids are present (partial success); each entry says what
-/// happened to its id.
+/// One id's outcome in a multi-get. The RPC as a whole succeeds even
+/// when only some ids are present (partial success); each entry says
+/// what happened to its id and carries what that outcome needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GetManyStatus {
-    /// The object is sealed here; it has been pinned for the requester
-    /// and its fabric descriptor is attached.
-    Pinned = 0,
+pub enum GetManyEntry {
+    /// The object is sealed here and has been pinned for the requester:
+    /// its fabric descriptor.
+    Pinned(ObjectLocation),
     /// The object is not sealed on the responder.
-    NotFound = 1,
-    /// The responder is the id's ring owner but lent the object to a
-    /// peer (elastic spill); `moved_to` names the holder. The requester
-    /// should re-issue the get there (one-hop redirect).
-    Moved = 2,
+    NotFound(ObjectId),
+    /// The responder is the id's ring owner but lent the object to the
+    /// named holder (elastic spill). The requester should re-issue the
+    /// get there (one-hop redirect).
+    Moved(ObjectId, NodeId),
 }
 
-impl GetManyStatus {
-    fn from_u64(v: u64) -> GetManyStatus {
-        match v {
-            0 => GetManyStatus::Pinned,
-            2 => GetManyStatus::Moved,
-            _ => GetManyStatus::NotFound,
+impl Message for GetManyEntry {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            GetManyEntry::Pinned(loc) => put_location(e.u8(0), loc),
+            GetManyEntry::NotFound(id) => put_id(e.u8(1), id),
+            GetManyEntry::Moved(id, holder) => {
+                put_id(e.u8(2), id);
+                e.u16(holder.0);
+            }
         }
     }
-}
 
-/// One id's entry in a [`GetManyResp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GetManyEntry {
-    /// The requested id this entry answers for.
-    pub id: ObjectId,
-    /// What happened to it on the responder.
-    pub status: GetManyStatus,
-    /// Fabric descriptor; present iff `status` is
-    /// [`GetManyStatus::Pinned`].
-    pub location: Option<ObjectLocation>,
-    /// Holder to redirect to; present iff `status` is
-    /// [`GetManyStatus::Moved`].
-    pub moved_to: Option<NodeId>,
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => GetManyEntry::Pinned(get_location(d)?),
+            1 => GetManyEntry::NotFound(get_id(d)?),
+            2 => GetManyEntry::Moved(get_id(d)?, get_node(d)?),
+            _ => return Err(CodecError::Invalid("get_many outcome")),
+        })
+    }
 }
 
 /// Multi-get response: one entry per requested id, in request order.
@@ -359,69 +371,32 @@ pub struct GetManyResp {
     pub entries: Vec<GetManyEntry>,
 }
 
+impl Message for GetManyResp {
+    fn put(&self, e: &mut Enc) {
+        put_list(e, &self.entries, |e, entry| entry.put(e));
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(GetManyResp {
+            entries: get_list(d, 1 + OBJECT_ID_LEN, GetManyEntry::get)?,
+        })
+    }
+}
+
 impl GetManyResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for entry in &self.entries {
-            let mut m = MsgEnc::new();
-            enc_id(&mut m, 1, &entry.id);
-            m.uint(2, entry.status as u64);
-            if let Some(loc) = &entry.location {
-                m.message(3, enc_location(loc));
-            }
-            if let Some(holder) = entry.moved_to {
-                m.uint(4, u64::from(holder.0));
-            }
-            e.message(1, m);
-        }
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let entries = f
-            .get_all(1)
-            .map(|v| -> Result<GetManyEntry, WireError> {
-                let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(1))?)
-                    .collect()?;
-                let location = match m.get(3) {
-                    Some(fv) => Some(dec_location(
-                        fv.as_bytes().cloned().ok_or(WireError::MissingField(3))?,
-                    )?),
-                    None => None,
-                };
-                let moved_to = match m.get(4) {
-                    Some(fv) => {
-                        let raw = fv.as_uint().ok_or(WireError::MissingField(4))?;
-                        Some(NodeId(
-                            u16::try_from(raw).map_err(|_| WireError::MissingField(4))?,
-                        ))
-                    }
-                    None => None,
-                };
-                Ok(GetManyEntry {
-                    id: dec_id(&m.bytes(1)?)?,
-                    status: GetManyStatus::from_u64(m.uint_or(2, 1)),
-                    location,
-                    moved_to,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GetManyResp { entries })
-    }
-
     /// The pinned entries' fabric descriptors, in response order.
     pub fn found(&self) -> impl Iterator<Item = &ObjectLocation> {
-        self.entries.iter().filter_map(|e| e.location.as_ref())
+        self.entries.iter().filter_map(|e| match e {
+            GetManyEntry::Pinned(loc) => Some(loc),
+            _ => None,
+        })
     }
 
     /// The redirected entries as `(id, holder)` pairs, in response
     /// order — ids the responder lent out, answerable at `holder`.
     pub fn moved(&self) -> impl Iterator<Item = (ObjectId, NodeId)> + '_ {
-        self.entries.iter().filter_map(|e| match e.status {
-            GetManyStatus::Moved => e.moved_to.map(|holder| (e.id, holder)),
+        self.entries.iter().filter_map(|e| match *e {
+            GetManyEntry::Moved(id, holder) => Some((id, holder)),
             _ => None,
         })
     }
@@ -437,32 +412,19 @@ pub struct ReconcileReq {
     pub claims: Vec<Claim>,
 }
 
-impl ReconcileReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for (id, kind, count) in &self.claims {
-            let mut m = MsgEnc::new();
-            enc_id(&mut m, 1, id);
-            m.uint(2, *count).uint(3, *kind as u64);
-            e.message(2, m);
-        }
-        e.finish()
+impl Message for ReconcileReq {
+    fn put(&self, e: &mut Enc) {
+        put_list(e, &self.claims, |e, (id, kind, count)| {
+            put_id(e, id);
+            e.u8(*kind as u8).u64(*count);
+        });
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let claims = f
-            .get_all(2)
-            .map(|v| -> Result<Claim, WireError> {
-                let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(2))?)
-                    .collect()?;
-                let kind = Kind::from_u64(m.uint_or(3, 0)).ok_or(WireError::MissingField(3))?;
-                Ok((dec_id(&m.bytes(1)?)?, kind, m.uint_or(2, 0)))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ReconcileReq { claims })
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        let claim = |d: &mut Dec| Ok((get_id(d)?, get_kind(d)?, d.u64()?));
+        Ok(ReconcileReq {
+            claims: get_list(d, OBJECT_ID_LEN + 9, claim)?,
+        })
     }
 }
 
@@ -477,37 +439,22 @@ pub struct ReconcileResp {
     pub trimmed: Tally,
 }
 
-impl ReconcileResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        for (id, kind) in &self.drop {
-            let mut m = MsgEnc::new();
-            enc_id(&mut m, 1, id);
-            m.uint(2, *kind as u64);
-            e.message(1, m);
-        }
+impl Message for ReconcileResp {
+    fn put(&self, e: &mut Enc) {
+        put_list(e, &self.drop, |e, (id, kind)| {
+            put_id(e, id);
+            e.u8(*kind as u8);
+        });
         for kind in Kind::ALL {
-            e.uint(2, self.trimmed[kind]);
+            e.u64(self.trimmed[kind]);
         }
-        e.finish()
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let drop = f
-            .get_all(1)
-            .map(|v| -> Result<(ObjectId, Kind), WireError> {
-                let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(1))?)
-                    .collect()?;
-                let kind = Kind::from_u64(m.uint_or(2, 0)).ok_or(WireError::MissingField(2))?;
-                Ok((dec_id(&m.bytes(1)?)?, kind))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        let drop = get_list(d, OBJECT_ID_LEN + 1, |d| Ok((get_id(d)?, get_kind(d)?)))?;
         let mut trimmed = Tally::default();
-        for (kind, v) in Kind::ALL.into_iter().zip(f.get_all(2)) {
-            trimmed[kind] = v.as_uint().ok_or(WireError::MissingField(2))?;
+        for kind in Kind::ALL {
+            trimmed[kind] = d.u64()?;
         }
         Ok(ReconcileResp { drop, trimmed })
     }
@@ -525,122 +472,98 @@ pub struct CreateAtReq {
     pub metadata_size: u64,
     /// The whole object — data, then metadata — when the create forwards
     /// a small put: the owner fills and seals it too. `None` stages the
-    /// object for the caller to write through the fabric.
+    /// object for the caller to write through the fabric. A decoded one
+    /// is exactly `data_size + metadata_size` bytes long.
     pub payload: Option<Bytes>,
 }
 
-/// The most a `CreateAtReq`'s fields take beside its payload: the id
-/// field (tag, length, id) and three one-byte tags with varints of at
-/// most ten bytes.
-const CREATE_AT_FIELDS_MAX: usize = 2 + OBJECT_ID_LEN + 3 * 11;
-
 impl CreateAtReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let carried = self.payload.as_ref().map_or(0, |p| p.len());
-        let mut e = Self::fields(&self.id, self.data_size, self.metadata_size, carried);
-        if let Some(payload) = &self.payload {
-            e.bytes(6, payload);
-        }
-        e.finish()
-    }
-
     /// The encoding of a `CreateAtReq` forwarding a put of `data_size`
-    /// data and `metadata_size` metadata bytes, up to and including its
-    /// payload's length prefix. Followed by the data, then the metadata,
-    /// it is the whole request: the sender hands the three to the
-    /// envelope as parts, which copies the payload into the frame once.
+    /// data and `metadata_size` metadata bytes, up to its payload: the
+    /// id, the sizes and the carries-payload byte. Followed by the data,
+    /// then the metadata, it is the whole request: the sender hands the
+    /// three to the envelope as parts, which copies the payload into the
+    /// frame once.
     pub(crate) fn put_head(id: &ObjectId, data_size: u64, metadata_size: u64) -> Bytes {
-        let mut e = Self::fields(id, data_size, metadata_size, 0);
-        e.bytes_head(6, (data_size + metadata_size) as usize);
+        let mut e = Enc::with_capacity(OBJECT_ID_LEN + 17);
+        put_id(&mut e, id);
+        e.u64(data_size).u64(metadata_size).bool(true);
         e.finish()
     }
+}
 
-    /// The fields every `CreateAtReq` carries, in an encoder with room
-    /// for `carried` payload bytes besides.
-    fn fields(id: &ObjectId, data_size: u64, metadata_size: u64, carried: usize) -> MsgEnc {
-        let mut e = MsgEnc::with_capacity(CREATE_AT_FIELDS_MAX + carried);
-        enc_id(&mut e, 3, id);
-        e.uint(4, data_size).uint(5, metadata_size);
-        e
+impl Message for CreateAtReq {
+    fn put(&self, e: &mut Enc) {
+        put_id(e, &self.id);
+        e.u64(self.data_size)
+            .u64(self.metadata_size)
+            .bool(self.payload.is_some());
+        if let Some(payload) = &self.payload {
+            e.fixed(payload);
+        }
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let payload = match f.get(6) {
-            Some(fv) => Some(fv.as_bytes().cloned().ok_or(WireError::MissingField(6))?),
-            None => None,
+    /// The payload has no length of its own: the sizes state it, and a
+    /// payload that is not data then metadata, not a byte more or less
+    /// (or whose sizes overflow when summed), does not decode.
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        let id = get_id(d)?;
+        let (data_size, metadata_size) = (d.u64()?, d.u64()?);
+        let payload = match d.bool()? {
+            true => {
+                let len = data_size
+                    .checked_add(metadata_size)
+                    .and_then(|len| usize::try_from(len).ok())
+                    .ok_or(CodecError::Invalid("create_at sizes overflow"))?;
+                Some(d.take(len)?)
+            }
+            false => None,
         };
         Ok(CreateAtReq {
-            id: dec_id(&f.bytes(3)?)?,
-            data_size: f.uint_or(4, 0),
-            metadata_size: f.uint_or(5, 0),
+            id,
+            data_size,
+            metadata_size,
             payload,
         })
     }
 }
 
-/// Outcome of a forwarded create on the computed owner.
+/// Outcome of a forwarded create (or of sealing one) on the computed
+/// owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CreateAtStatus {
+pub enum CreateAtResp {
     /// Created (or a retry of the same caller's create): the fabric
-    /// descriptor is attached. Without a payload the object is staged
-    /// and the caller may write; with one it is already sealed.
-    Ok = 0,
+    /// descriptor. Without a payload the object is staged and the caller
+    /// may write; with one, or after `SEAL_AT`, it is sealed.
+    Ok(ObjectLocation),
     /// The id already exists on the owner — cluster-wide duplicate.
-    Exists = 1,
+    Exists,
     /// The responder's membership table says it does not own this id;
     /// the caller's routing epoch is stale. The reply header carries the
     /// responder's epoch, so the caller has pulled the newer table by
     /// the time it reads this and can simply re-route.
-    WrongOwner = 2,
+    WrongOwner,
 }
 
-impl CreateAtStatus {
-    fn from_u64(v: u64) -> CreateAtStatus {
-        match v {
-            0 => CreateAtStatus::Ok,
-            1 => CreateAtStatus::Exists,
-            _ => CreateAtStatus::WrongOwner,
+impl Message for CreateAtResp {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            CreateAtResp::Ok(loc) => put_location(e.u8(0), loc),
+            CreateAtResp::Exists => {
+                e.u8(1);
+            }
+            CreateAtResp::WrongOwner => {
+                e.u8(2);
+            }
         }
     }
-}
 
-/// Response to a forwarded create.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CreateAtResp {
-    /// What happened on the owner.
-    pub status: CreateAtStatus,
-    /// Fabric descriptor of the staged (or, for a payload-carrying
-    /// create, sealed) object; present iff `status` is
-    /// [`CreateAtStatus::Ok`].
-    pub location: Option<ObjectLocation>,
-}
-
-impl CreateAtResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, self.status as u64);
-        if let Some(loc) = &self.location {
-            e.message(2, enc_location(loc));
-        }
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let location = match f.get(2) {
-            Some(fv) => Some(dec_location(
-                fv.as_bytes().cloned().ok_or(WireError::MissingField(2))?,
-            )?),
-            None => None,
-        };
-        Ok(CreateAtResp {
-            status: CreateAtStatus::from_u64(f.uint_or(1, 2)),
-            location,
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => CreateAtResp::Ok(get_location(d)?),
+            1 => CreateAtResp::Exists,
+            2 => CreateAtResp::WrongOwner,
+            _ => return Err(CodecError::Invalid("create_at outcome")),
         })
     }
 }
@@ -654,32 +577,18 @@ pub struct MembershipResp {
     pub nodes: Vec<NodeId>,
 }
 
-impl MembershipResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, self.epoch);
-        for node in &self.nodes {
-            e.uint(2, u64::from(node.0));
-        }
-        e.finish()
+impl Message for MembershipResp {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.epoch);
+        put_list(e, &self.nodes, |e, node| {
+            e.u16(node.0);
+        });
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let nodes = f
-            .get_all(2)
-            .map(|v| -> Result<NodeId, WireError> {
-                let raw = v.as_uint().ok_or(WireError::MissingField(2))?;
-                Ok(NodeId(
-                    u16::try_from(raw).map_err(|_| WireError::MissingField(2))?,
-                ))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(MembershipResp {
-            epoch: f.uint_or(1, 0),
-            nodes,
+            epoch: d.u64()?,
+            nodes: get_list(d, 2, get_node)?,
         })
     }
 }
@@ -698,26 +607,21 @@ pub struct DelegateReq {
     pub location: ObjectLocation,
 }
 
-impl DelegateReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.message(3, enc_location(&self.location));
-        e.finish()
+impl Message for DelegateReq {
+    fn put(&self, e: &mut Enc) {
+        put_location(e, &self.location);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(DelegateReq {
-            location: dec_location(f.bytes(3)?)?,
+            location: get_location(d)?,
         })
     }
 }
 
 /// Outcome of a delegation on the adopter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DelegateStatus {
+pub enum DelegateResp {
     /// The responder adopted the object: a sealed local copy exists and
     /// a ledger entry toward the caller is recorded. After a spill the
     /// owner may now delete its copy.
@@ -728,36 +632,17 @@ pub enum DelegateStatus {
     Refused = 1,
 }
 
-impl DelegateStatus {
-    fn from_u64(v: u64) -> DelegateStatus {
-        match v {
-            0 => DelegateStatus::Adopted,
-            _ => DelegateStatus::Refused,
+impl Message for DelegateResp {
+    fn put(&self, e: &mut Enc) {
+        e.u8(*self as u8);
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        match d.u8()? {
+            0 => Ok(DelegateResp::Adopted),
+            1 => Ok(DelegateResp::Refused),
+            _ => Err(CodecError::Invalid("delegation outcome")),
         }
-    }
-}
-
-/// Response to a delegation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelegateResp {
-    /// What happened on the adopter.
-    pub status: DelegateStatus,
-}
-
-impl DelegateResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, self.status as u64);
-        e.finish()
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(DelegateResp {
-            status: DelegateStatus::from_u64(f.uint_or(1, 1)),
-        })
     }
 }
 
@@ -769,20 +654,13 @@ pub struct IdReq {
     pub id: ObjectId,
 }
 
-impl IdReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        enc_id(&mut e, 1, &self.id);
-        e.finish()
+impl Message for IdReq {
+    fn put(&self, e: &mut Enc) {
+        put_id(e, &self.id);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(IdReq {
-            id: dec_id(&f.bytes(1)?)?,
-        })
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(IdReq { id: get_id(d)? })
     }
 }
 
@@ -796,21 +674,16 @@ pub struct DeleteReq {
     pub deferred: bool,
 }
 
-impl DeleteReq {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        enc_id(&mut e, 1, &self.id);
-        e.uint(2, u64::from(self.deferred));
-        e.finish()
+impl Message for DeleteReq {
+    fn put(&self, e: &mut Enc) {
+        put_id(e, &self.id);
+        e.bool(self.deferred);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(DeleteReq {
-            id: dec_id(&f.bytes(1)?)?,
-            deferred: f.uint_or(2, 0) != 0,
+            id: get_id(d)?,
+            deferred: d.bool()?,
         })
     }
 }
@@ -837,40 +710,30 @@ pub struct ListResp {
     pub entries: Vec<ListEntry>,
 }
 
-impl ListResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.node.0));
-        for entry in &self.entries {
-            let mut m = MsgEnc::new();
-            enc_id(&mut m, 1, &entry.id);
-            m.uint(2, entry.data_size)
-                .uint(3, entry.metadata_size)
-                .uint(4, entry.ref_count);
-            e.message(2, m);
-        }
-        e.finish()
+impl Message for ListResp {
+    fn put(&self, e: &mut Enc) {
+        e.u16(self.node.0);
+        put_list(e, &self.entries, |e, entry| {
+            put_id(e, &entry.id);
+            e.u64(entry.data_size)
+                .u64(entry.metadata_size)
+                .u64(entry.ref_count);
+        });
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        let node = NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?);
-        let entries = f
-            .get_all(2)
-            .map(|v| -> Result<ListEntry, WireError> {
-                let m = MsgDec::new(v.as_bytes().cloned().ok_or(WireError::MissingField(2))?)
-                    .collect()?;
-                Ok(ListEntry {
-                    id: dec_id(&m.bytes(1)?)?,
-                    data_size: m.uint(2)?,
-                    metadata_size: m.uint(3)?,
-                    ref_count: m.uint_or(4, 0),
-                })
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        let entry = |d: &mut Dec| {
+            Ok(ListEntry {
+                id: get_id(d)?,
+                data_size: d.u64()?,
+                metadata_size: d.u64()?,
+                ref_count: d.u64()?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ListResp { node, entries })
+        };
+        Ok(ListResp {
+            node: get_node(d)?,
+            entries: get_list(d, OBJECT_ID_LEN + 24, entry)?,
+        })
     }
 }
 
@@ -885,20 +748,15 @@ pub struct MetricsResp {
     pub snapshot: Bytes,
 }
 
-impl MetricsResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.node.0)).bytes(2, &self.snapshot);
-        e.finish()
+impl Message for MetricsResp {
+    fn put(&self, e: &mut Enc) {
+        e.u16(self.node.0).bytes(&self.snapshot);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(MetricsResp {
-            node: NodeId(u16::try_from(f.uint(1)?).map_err(|_| WireError::MissingField(1))?),
-            snapshot: f.bytes(2)?,
+            node: get_node(d)?,
+            snapshot: d.bytes()?,
         })
     }
 }
@@ -910,26 +768,22 @@ pub struct BoolResp {
     pub value: bool,
 }
 
-impl BoolResp {
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut e = MsgEnc::new();
-        e.uint(1, u64::from(self.value));
-        e.finish()
+impl Message for BoolResp {
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.value);
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(b: Bytes) -> Result<Self, WireError> {
-        let f = MsgDec::new(b).collect()?;
-        Ok(BoolResp {
-            value: f.uint_or(1, 0) != 0,
-        })
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(BoolResp { value: d.bool()? })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Debug;
+    use tfsim::SegKey;
 
     fn loc(n: u8) -> ObjectLocation {
         ObjectLocation {
@@ -956,27 +810,23 @@ mod tests {
         };
         let framed = call.frame(&body);
         assert_eq!(framed.len(), CallHeader::LEN + body.len());
-        assert_eq!(CallHeader::split(framed.clone()).unwrap(), (call, body));
+        assert_eq!(CallHeader::unframe(framed.clone()).unwrap(), (call, body));
         // An empty body is a header and nothing else.
-        let (_, empty) = CallHeader::split(framed.slice(..CallHeader::LEN)).unwrap();
+        let (_, empty) = CallHeader::unframe(framed.slice(..CallHeader::LEN)).unwrap();
         assert!(empty.is_empty());
         for cut in 0..CallHeader::LEN {
-            assert_eq!(
-                CallHeader::split(framed.slice(..cut)),
-                Err(WireError::Truncated)
-            );
+            let cut = CallHeader::unframe(framed.slice(..cut));
+            assert!(matches!(cut, Err(CodecError::Truncated { .. })));
         }
 
         let reply = ReplyHeader { epoch: 7 };
         let body = BoolResp { value: true }.encode();
         let framed = reply.frame(&body);
         assert_eq!(framed.len(), ReplyHeader::LEN + body.len());
-        assert_eq!(ReplyHeader::split(framed.clone()).unwrap(), (reply, body));
+        assert_eq!(ReplyHeader::unframe(framed.clone()).unwrap(), (reply, body));
         for cut in 0..ReplyHeader::LEN {
-            assert_eq!(
-                ReplyHeader::split(framed.slice(..cut)),
-                Err(WireError::Truncated)
-            );
+            let cut = ReplyHeader::unframe(framed.slice(..cut));
+            assert!(matches!(cut, Err(CodecError::Truncated { .. })));
         }
     }
 
@@ -993,11 +843,12 @@ mod tests {
             };
             assert_eq!(DeleteReq::decode(d.encode()).unwrap(), d);
         }
-        // A bare id is an immediate delete.
-        let bare = DeleteReq::decode(i.encode()).unwrap();
-        assert!(!bare.deferred);
-        let b = BoolResp { value: true };
-        assert_eq!(BoolResp::decode(b.encode()).unwrap(), b);
+        // A bare id is not a delete: the flag is a field like any other.
+        assert!(DeleteReq::decode(i.encode()).is_err());
+        for value in [false, true] {
+            let b = BoolResp { value };
+            assert_eq!(BoolResp::decode(b.encode()).unwrap(), b);
+        }
     }
 
     #[test]
@@ -1054,31 +905,18 @@ mod tests {
         };
         assert_eq!(GetManyReq::decode(empty.encode()).unwrap(), empty);
 
+        let lent = ObjectId::from_name("lent");
         let resp = GetManyResp {
             entries: vec![
-                GetManyEntry {
-                    id: loc(1).id,
-                    status: GetManyStatus::Pinned,
-                    location: Some(loc(1)),
-                    moved_to: None,
-                },
-                GetManyEntry {
-                    id: ObjectId::from_name("missing"),
-                    status: GetManyStatus::NotFound,
-                    location: None,
-                    moved_to: None,
-                },
-                GetManyEntry {
-                    id: ObjectId::from_name("lent"),
-                    status: GetManyStatus::Moved,
-                    location: None,
-                    moved_to: Some(NodeId(5)),
-                },
+                GetManyEntry::Pinned(loc(1)),
+                GetManyEntry::NotFound(ObjectId::from_name("missing")),
+                GetManyEntry::Moved(lent, NodeId(5)),
             ],
         };
         let back = GetManyResp::decode(resp.encode()).unwrap();
         assert_eq!(back, resp);
-        assert_eq!(back.found().count(), 1);
+        assert_eq!(back.found().collect::<Vec<_>>(), [&loc(1)]);
+        assert_eq!(back.moved().collect::<Vec<_>>(), [(lent, NodeId(5))]);
         let none = GetManyResp { entries: vec![] };
         assert_eq!(GetManyResp::decode(none.encode()).unwrap(), none);
     }
@@ -1137,16 +975,11 @@ mod tests {
             assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
         }
 
-        let ok = CreateAtResp {
-            status: CreateAtStatus::Ok,
-            location: Some(loc(9)),
-        };
-        assert_eq!(CreateAtResp::decode(ok.encode()).unwrap(), ok);
-        for status in [CreateAtStatus::Exists, CreateAtStatus::WrongOwner] {
-            let resp = CreateAtResp {
-                status,
-                location: None,
-            };
+        for resp in [
+            CreateAtResp::Ok(loc(9)),
+            CreateAtResp::Exists,
+            CreateAtResp::WrongOwner,
+        ] {
             assert_eq!(CreateAtResp::decode(resp.encode()).unwrap(), resp);
         }
     }
@@ -1154,10 +987,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// A forwarded put's fields, then its data, then its metadata,
-        /// are the `MsgEnc` encoding of the request carrying the joined
-        /// payload, at every size up to past the largest inlined put and
-        /// at every split between data and metadata.
+        /// A forwarded put's head, then its data, then its metadata, are
+        /// the encoding of the request carrying the joined payload, at
+        /// every size up to past the largest inlined put and at every
+        /// split between data and metadata.
         #[test]
         fn a_put_create_at_equals_the_encoding_of_its_joined_payload(
             len in 0usize..300 << 10,
@@ -1167,13 +1000,14 @@ mod tests {
             let id = ObjectId::from_name("fwd/put");
             let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
             let (data, metadata) = payload.split_at(split % (len + 1));
-            let mut e = MsgEnc::new();
-            enc_id(&mut e, 3, &id);
-            e.uint(4, data.len() as u64)
-                .uint(5, metadata.len() as u64)
-                .bytes(6, &payload);
+            let joined = CreateAtReq {
+                id,
+                data_size: data.len() as u64,
+                metadata_size: metadata.len() as u64,
+                payload: Some(Bytes::from(payload.clone())),
+            };
             let head = CreateAtReq::put_head(&id, data.len() as u64, metadata.len() as u64);
-            proptest::prop_assert!(e.finish() == [&head[..], data, metadata].concat());
+            proptest::prop_assert!(joined.encode() == [&head[..], data, metadata].concat());
         }
     }
 
@@ -1195,13 +1029,11 @@ mod tests {
     fn delegate_roundtrip() {
         let req = DelegateReq { location: loc(4) };
         assert_eq!(DelegateReq::decode(req.encode()).unwrap(), req);
-        for status in [DelegateStatus::Adopted, DelegateStatus::Refused] {
-            let resp = DelegateResp { status };
+        for resp in [DelegateResp::Adopted, DelegateResp::Refused] {
             assert_eq!(DelegateResp::decode(resp.encode()).unwrap(), resp);
         }
-        // Missing status defaults to the safe Refused (owner keeps copy).
-        let bare = DelegateResp::decode(MsgEnc::new().finish()).unwrap();
-        assert_eq!(bare.status, DelegateStatus::Refused);
+        // No answer is no answer, not a refusal.
+        assert!(DelegateResp::decode(Bytes::new()).is_err());
     }
 
     /// A location whose `offset + data_size + metadata_size` overflows
@@ -1217,21 +1049,15 @@ mod tests {
         };
         let messages = |l: ObjectLocation| {
             let get_many = GetManyResp {
-                entries: vec![GetManyEntry {
-                    id: l.id,
-                    status: GetManyStatus::Pinned,
-                    location: Some(l),
-                    moved_to: None,
-                }],
-            };
-            let create_at = CreateAtResp {
-                status: CreateAtStatus::Ok,
-                location: Some(l),
+                entries: vec![GetManyEntry::Pinned(l)],
             };
             [
                 DelegateReq::decode(DelegateReq { location: l }.encode()).map(|r| r.location),
-                GetManyResp::decode(get_many.encode()).map(|r| r.entries[0].location.unwrap()),
-                CreateAtResp::decode(create_at.encode()).map(|r| r.location.unwrap()),
+                GetManyResp::decode(get_many.encode()).map(|r| *r.found().next().unwrap()),
+                CreateAtResp::decode(CreateAtResp::Ok(l).encode()).map(|r| match r {
+                    CreateAtResp::Ok(l) => l,
+                    other => panic!("{other:?}"),
+                }),
             ]
         };
         for l in [
@@ -1241,7 +1067,8 @@ mod tests {
             sized(1 << 63, 1 << 62, 1 << 62),
         ] {
             for decoded in messages(l) {
-                assert_eq!(decoded, Err(WireError::MissingField(6)), "{l:?}");
+                let refused = CodecError::Invalid("location end past u64");
+                assert_eq!(decoded, Err(refused), "{l:?}");
             }
         }
         for l in [sized(0, u64::MAX, 0), sized(1, u64::MAX - 2, 1)] {
@@ -1253,10 +1080,10 @@ mod tests {
 
     /// The executable form of "a read never moves payload bytes in a
     /// frame": the frames that carry a fabric descriptor — header
-    /// included — are O(1) in object size: a 1 MiB object's frame outgrows
-    /// a 64 B object's by the varint width of the size field and nothing
-    /// else. The one frame with a payload, a `CREATE_AT` forwarding a
-    /// small put, is that payload plus O(1).
+    /// included — do not grow with the object: every field is fixed
+    /// width, so a 1 MiB object's frame is exactly as long as a 64 B
+    /// object's. The one frame with a payload, a `CREATE_AT` forwarding
+    /// a small put, is that payload plus O(1).
     #[test]
     fn descriptor_frames_are_constant_in_object_size() {
         let sized = |data_size: u64| ObjectLocation {
@@ -1276,42 +1103,20 @@ mod tests {
             payload,
         };
         let frames = |l: ObjectLocation| {
+            let get_many = GetManyResp {
+                entries: vec![GetManyEntry::Pinned(l)],
+            };
             [
                 call.frame(&DelegateReq { location: l }.encode()).len(),
                 call.frame(&create_at(l, None).encode()).len(),
-                reply
-                    .frame(
-                        &GetManyResp {
-                            entries: vec![GetManyEntry {
-                                id: l.id,
-                                status: GetManyStatus::Pinned,
-                                location: Some(l),
-                                moved_to: None,
-                            }],
-                        }
-                        .encode(),
-                    )
-                    .len(),
-                reply
-                    .frame(
-                        &CreateAtResp {
-                            status: CreateAtStatus::Ok,
-                            location: Some(l),
-                        }
-                        .encode(),
-                    )
-                    .len(),
+                reply.frame(&get_many.encode()).len(),
+                reply.frame(&CreateAtResp::Ok(l).encode()).len(),
             ]
         };
-        // 64 encodes in one varint byte, 1 MiB (2^20) in three.
         let (small, large) = (frames(sized(64)), frames(sized(1 << 20)));
         for (s, l) in small.iter().zip(large) {
             assert!(*s < 128, "a control frame is a few dozen bytes, got {s}");
-            assert!(
-                l - s <= 2,
-                "frame grew {} bytes for a 16384x larger object",
-                l - s
-            );
+            assert_eq!(*s, l, "a 16384x larger object changed the frame");
         }
         for len in [0usize, 64, 64 << 10, plasma::INLINE_PUT_MAX] {
             let payload = Some(Bytes::from(vec![7u8; len]));
@@ -1339,10 +1144,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn garbage_rejected() {
-        assert!(GetManyReq::decode(Bytes::from_static(&[0xFF, 0xFF])).is_err());
-        assert!(IdReq::decode(Bytes::new()).is_err());
-        assert!(DeleteReq::decode(Bytes::new()).is_err());
+    /// Decode `b` as an `M`, keeping only whether it decoded.
+    fn decodes<M: Message>(b: Bytes) -> Result<(), CodecError> {
+        M::decode(b).map(drop)
+    }
+
+    type Decoder = fn(Bytes) -> Result<(), CodecError>;
+
+    /// Every decoder, by the message it reads.
+    const DECODERS: [(&str, Decoder); 17] = [
+        ("CallHeader", decodes::<CallHeader>),
+        ("ReplyHeader", decodes::<ReplyHeader>),
+        ("GetManyReq", decodes::<GetManyReq>),
+        ("GetManyResp", decodes::<GetManyResp>),
+        ("ReconcileReq", decodes::<ReconcileReq>),
+        ("ReconcileResp", decodes::<ReconcileResp>),
+        ("CreateAtReq", decodes::<CreateAtReq>),
+        ("CreateAtResp", decodes::<CreateAtResp>),
+        ("MembershipResp", decodes::<MembershipResp>),
+        ("DelegateReq", decodes::<DelegateReq>),
+        ("DelegateResp", decodes::<DelegateResp>),
+        ("IdReq", decodes::<IdReq>),
+        ("DeleteReq", decodes::<DeleteReq>),
+        ("ListResp", decodes::<ListResp>),
+        ("MetricsResp", decodes::<MetricsResp>),
+        ("BoolResp", decodes::<BoolResp>),
+        ("GetManyEntry", decodes::<GetManyEntry>),
+    ];
+
+    /// `m` decodes back to itself, and neither a proper prefix of its
+    /// encoding nor the encoding with one more byte decodes at all.
+    fn strict<M: Message + PartialEq + Debug>(m: &M) -> Result<(), TestCaseError> {
+        let wire = m.encode();
+        prop_assert_eq!(&M::decode(wire.clone()).unwrap(), m);
+        for cut in 0..wire.len() {
+            prop_assert!(M::decode(wire.slice(..cut)).is_err(), "{m:?} cut to {cut}");
+        }
+        for extra in [0u8, 1, 0xFF] {
+            let padded = Bytes::from([&wire[..], &[extra]].concat());
+            prop_assert!(M::decode(padded).is_err(), "{m:?} and a {extra:#x}");
+        }
+        Ok(())
+    }
+
+    /// `wire` with the byte at `at` set to each value from `first_bad`
+    /// up does not decode: an unknown tag, kind or bool is an error.
+    fn out_of_range(wire: &Bytes, at: usize, first_bad: u8, decode: Decoder) -> bool {
+        (first_bad..=u8::MAX).all(|bad| {
+            let mut v = wire.to_vec();
+            v[at] = bad;
+            decode(Bytes::from(v)).is_err()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every message, both headers and every variant of every reply
+        /// shape, at arbitrary field values: the encoding round-trips,
+        /// every proper prefix and every one-byte extension is an
+        /// error, and so is an out-of-range status, kind or bool byte.
+        #[test]
+        fn every_message_decodes_strictly(
+            raw_id in proptest::collection::vec(any::<u8>(), OBJECT_ID_LEN..OBJECT_ID_LEN + 1),
+            word in any::<u64>(),
+            node in any::<u16>(),
+            flag in any::<bool>(),
+            count in 0usize..4,
+            blob in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let id = ObjectId::from_bytes(raw_id.try_into().unwrap());
+            let location = ObjectLocation {
+                id,
+                seg: SegKey { owner: NodeId(node), index: word as u32 },
+                offset: word >> 2,
+                data_size: word >> 2,
+                metadata_size: word >> 3,
+            };
+            let ids = vec![id; count];
+            let kind = Kind::ALL[word as usize % Kind::ALL.len()];
+            let mut trimmed = Tally::default();
+            trimmed[kind] = word;
+            let split = blob.len() / 2;
+            let create_at = |payload| CreateAtReq {
+                id,
+                data_size: split as u64,
+                metadata_size: (blob.len() - split) as u64,
+                payload,
+            };
+            let entries = vec![
+                GetManyEntry::Pinned(location),
+                GetManyEntry::NotFound(id),
+                GetManyEntry::Moved(id, NodeId(node)),
+            ];
+
+            strict(&CallHeader { from: NodeId(node), epoch: word })?;
+            strict(&ReplyHeader { epoch: word })?;
+            strict(&GetManyReq { ids: ids.clone(), redirected: flag })?;
+            strict(&GetManyResp { entries: entries[..count.min(3)].to_vec() })?;
+            for entry in &entries {
+                strict(entry)?;
+            }
+            strict(&ReconcileReq { claims: vec![(id, kind, word); count] })?;
+            strict(&ReconcileResp { drop: vec![(id, kind); count], trimmed })?;
+            strict(&create_at(None))?;
+            strict(&create_at(Some(Bytes::from(blob.clone()))))?;
+            for resp in [CreateAtResp::Ok(location), CreateAtResp::Exists, CreateAtResp::WrongOwner] {
+                strict(&resp)?;
+            }
+            strict(&MembershipResp { epoch: word, nodes: vec![NodeId(node); count] })?;
+            strict(&DelegateReq { location })?;
+            strict(&DelegateResp::Adopted)?;
+            strict(&DelegateResp::Refused)?;
+            strict(&IdReq { id })?;
+            strict(&DeleteReq { id, deferred: flag })?;
+            let entry = ListEntry { id, data_size: word, metadata_size: word, ref_count: word };
+            strict(&ListResp { node: NodeId(node), entries: vec![entry; count] })?;
+            strict(&MetricsResp { node: NodeId(node), snapshot: Bytes::from(blob.clone()) })?;
+            strict(&BoolResp { value: flag })?;
+
+            // Each tag, kind and bool byte, by its offset in a message.
+            let one = |entry: GetManyEntry| GetManyResp { entries: vec![entry] }.encode();
+            let id_len = OBJECT_ID_LEN;
+            let cases: [(Bytes, usize, u8, Decoder); 11] = [
+                (one(GetManyEntry::NotFound(id)), 4, 3, decodes::<GetManyResp>),
+                (CreateAtResp::Exists.encode(), 0, 3, decodes::<CreateAtResp>),
+                (DelegateResp::Refused.encode(), 0, 2, decodes::<DelegateResp>),
+                (BoolResp { value: flag }.encode(), 0, 2, decodes::<BoolResp>),
+                (GetManyReq { ids, redirected: flag }.encode(), 0, 2, decodes::<GetManyReq>),
+                (DeleteReq { id, deferred: flag }.encode(), id_len, 2, decodes::<DeleteReq>),
+                (create_at(None).encode(), id_len + 16, 2, decodes::<CreateAtReq>),
+                (
+                    ReconcileReq { claims: vec![(id, kind, word)] }.encode(),
+                    4 + id_len,
+                    4,
+                    decodes::<ReconcileReq>,
+                ),
+                (
+                    ReconcileResp { drop: vec![(id, kind)], trimmed }.encode(),
+                    4 + id_len,
+                    4,
+                    decodes::<ReconcileResp>,
+                ),
+                (GetManyEntry::Moved(id, NodeId(node)).encode(), 0, 3, decodes::<GetManyEntry>),
+                (
+                    create_at(Some(Bytes::from(blob.clone()))).encode(),
+                    id_len + 16,
+                    2,
+                    decodes::<CreateAtReq>,
+                ),
+            ];
+            for (wire, at, first_bad, decode) in cases {
+                prop_assert!(out_of_range(&wire, at, first_bad, decode), "{wire:?} at {at}");
+            }
+        }
+
+        /// Arbitrary bytes never panic a decoder.
+        #[test]
+        fn garbage_rejected(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+            for (_, decode) in DECODERS {
+                let _ = decode(Bytes::from(data.clone()));
+            }
+        }
     }
 }

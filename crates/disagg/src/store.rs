@@ -47,7 +47,7 @@ mod service;
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
 use crate::elastic::{HeatMap, RETRY_AFTER_MS};
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
-use crate::proto::{method, BoolResp, IdReq, ReconcileReq, ReconcileResp};
+use crate::proto::{method, BoolResp, IdReq, Message, ReconcileReq, ReconcileResp};
 use crate::ring::Ring;
 use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -881,7 +881,7 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CallHeader, DelegateReq, ListResp, ReplyHeader};
+    use crate::proto::{CallHeader, CreateAtReq, DelegateReq, ListResp, ReplyHeader};
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::StatusCode;
@@ -923,7 +923,7 @@ mod tests {
         // A header alone is a whole request for the verbs that take none,
         // and the answer comes back under a reply header.
         let listed = service.call(method::LIST, header.frame(&[])).unwrap();
-        let (reply, body) = ReplyHeader::split(listed).unwrap();
+        let (reply, body) = ReplyHeader::unframe(listed).unwrap();
         assert_eq!(reply.epoch, 0);
         assert!(ListResp::decode(body).unwrap().entries.is_empty());
     }
@@ -957,5 +957,40 @@ mod tests {
         }
         assert!(store.delegations().is_empty());
         assert!(!store.core().contains(location.id));
+    }
+
+    /// A `CREATE_AT` whose payload is not its data then its metadata — a
+    /// byte short or long, or sizes whose sum overflows — is `InvalidArgument`
+    /// where the request is decoded: nothing is created, staged or
+    /// ledgered on the owner.
+    #[test]
+    fn a_create_at_whose_payload_is_not_its_sizes_is_refused_and_stores_nothing() {
+        let fabric = tfsim::Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
+        let store = DisaggStore::new(core, DisaggConfig::default());
+        let service = store.interconnect_service();
+        let header = CallHeader {
+            from: NodeId(9),
+            epoch: 0,
+        };
+        let id = ObjectId::from_name("create_at/bad-payload");
+        for (data_size, metadata_size) in [(5, 1), (5, 3), (u64::MAX, 8), (8, u64::MAX)] {
+            let req = CreateAtReq {
+                id,
+                data_size,
+                metadata_size,
+                payload: Some(Bytes::from_static(b"hellomd")),
+            };
+            let request = header.frame(&req.encode());
+            let answer = service
+                .call(method::CREATE_AT, request)
+                .err()
+                .map(|s| s.code);
+            assert_eq!(answer, Some(StatusCode::InvalidArgument), "{req:?}");
+        }
+        assert!(!store.core().exists_any_state(id));
+        assert_eq!(store.core().stats().creates, 0);
+        assert!(store.delegations().is_empty());
     }
 }

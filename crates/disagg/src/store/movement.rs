@@ -32,7 +32,7 @@ use super::peer::PeerFail;
 use super::{DisaggStore, RemotePinGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LEND_HEADROOM_PPM, LOW_WATERMARK_PPM};
-use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DelegateStatus, DeleteReq, IdReq};
+use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DeleteReq, IdReq, Message};
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
 use rpclite::{RpcError, StatusCode};
 use std::time::Duration;
@@ -144,12 +144,10 @@ impl DisaggStore {
             inner.ledger.record(Side::Held, id, kind, owner, size);
             self.sync_delegation_gauges();
         }
-        DelegateResp {
-            status: if adopted {
-                DelegateStatus::Adopted
-            } else {
-                DelegateStatus::Refused
-            },
+        if adopted {
+            DelegateResp::Adopted
+        } else {
+            DelegateResp::Refused
         }
     }
 
@@ -197,7 +195,7 @@ impl DisaggStore {
         // (adopted, ambiguous, error to surface)
         let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, &[&req.encode()]) {
             Ok(body) => match DelegateResp::decode(body) {
-                Ok(resp) => (resp.status == DelegateStatus::Adopted, false, None),
+                Ok(resp) => (resp == DelegateResp::Adopted, false, None),
                 Err(e) => {
                     let e = PlasmaError::Protocol(format!("delegation response: {e}"));
                     (false, true, Some(e))

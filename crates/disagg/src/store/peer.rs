@@ -7,7 +7,9 @@
 use super::{DisaggStore, Peer};
 use crate::elastic::RETRY_AFTER_MS;
 use crate::health::{Admission, PeerState, PeerStats};
-use crate::proto::{method, CallHeader, IdReq, ListEntry, ListResp, MetricsResp, ReplyHeader};
+use crate::proto::{
+    method, CallHeader, IdReq, ListEntry, ListResp, Message, MetricsResp, ReplyHeader,
+};
 use bytes::Bytes;
 use obs::MetricsSnapshot;
 use plasma::{ObjectId, PlasmaError};
@@ -176,7 +178,7 @@ impl DisaggStore {
                 let answer = ticket
                     .and_then(|t| t.wait_deadline(inner.call_deadline))
                     .and_then(|resp| {
-                        ReplyHeader::split(resp)
+                        ReplyHeader::unframe(resp)
                             .map_err(|e| RpcError::Protocol(format!("reply header: {e}")))
                     });
                 answers[i] = match answer {

@@ -7,8 +7,8 @@ use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
-    method, BoolResp, CreateAtReq, CreateAtResp, CreateAtStatus, GetManyEntry, GetManyReq,
-    GetManyResp, GetManyStatus, IdReq, MembershipResp,
+    method, BoolResp, CreateAtReq, CreateAtResp, GetManyEntry, GetManyReq, GetManyResp, IdReq,
+    MembershipResp, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
@@ -484,11 +484,8 @@ impl DisaggStore {
                 .map_err(|fail| self.object_err(&peer, id, fail))?;
             let resp = CreateAtResp::decode(body)
                 .map_err(|e| PlasmaError::Protocol(format!("create_at response: {e}")))?;
-            match resp.status {
-                CreateAtStatus::Ok => {
-                    let loc = resp.location.ok_or_else(|| {
-                        PlasmaError::Protocol("create_at: Ok without location".to_string())
-                    })?;
+            match resp {
+                CreateAtResp::Ok(loc) => {
                     if payload.is_none() {
                         // Remember the owner so seal/abort route point-to-
                         // point. The creator's reference lives entirely at
@@ -499,8 +496,8 @@ impl DisaggStore {
                     }
                     return Ok(loc);
                 }
-                CreateAtStatus::Exists => return Err(PlasmaError::ObjectExists(id)),
-                CreateAtStatus::WrongOwner => {}
+                CreateAtResp::Exists => return Err(PlasmaError::ObjectExists(id)),
+                CreateAtResp::WrongOwner => {}
             }
         }
         Err(PlasmaError::PeerUnavailable(format!(
@@ -544,9 +541,9 @@ impl DisaggStore {
             Ok(body) => {
                 let resp = CreateAtResp::decode(body)
                     .map_err(|e| PlasmaError::Protocol(format!("seal_at response: {e}")))?;
-                let loc = resp.location.ok_or_else(|| {
-                    PlasmaError::Protocol("seal_at: response without location".to_string())
-                })?;
+                let CreateAtResp::Ok(loc) = resp else {
+                    return Err(PlasmaError::Protocol(format!("seal_at answered {resp:?}")));
+                };
                 self.inner.ledger.close_staged(id);
                 Ok(loc)
             }
@@ -579,12 +576,6 @@ impl DisaggStore {
     /// leak a reference in the ledger.
     pub(super) fn serve_get_many(&self, from: NodeId, req: GetManyReq) -> GetManyResp {
         let inner = &self.inner;
-        let entry = |id, status, location, moved_to| GetManyEntry {
-            id,
-            status,
-            location,
-            moved_to,
-        };
         let answer = |id: ObjectId| {
             // Leased copies answer only redirect-following requests: a
             // broadcast observing one could serve reads after the
@@ -595,7 +586,7 @@ impl DisaggStore {
             if let Some(loc) = (!hidden).then(|| inner.core.get_local(id)).flatten() {
                 inner.ledger.record(Side::Out, id, Kind::Pin, from, 0);
                 inner.heat.record(id, from);
-                return entry(id, GetManyStatus::Pinned, Some(loc), None);
+                return GetManyEntry::Pinned(loc);
             }
             // Not held here, but lent out: answer with a one-hop redirect
             // instead of NotFound, so the ring owner keeps resolving ids
@@ -603,9 +594,9 @@ impl DisaggStore {
             match inner.ledger.find(Side::Out, id, Kind::Lease) {
                 Some(lease) => {
                     inner.metrics.redirects_served.inc();
-                    entry(id, GetManyStatus::Moved, None, Some(lease.peer))
+                    GetManyEntry::Moved(id, lease.peer)
                 }
-                None => entry(id, GetManyStatus::NotFound, None, None),
+                None => GetManyEntry::NotFound(id),
             }
         };
         GetManyResp {
@@ -614,29 +605,15 @@ impl DisaggStore {
     }
 
     /// `CREATE_AT` handler: the owner's half of a ring-routed create.
+    /// A decoded payload is data then metadata, not a byte more or less.
     pub(super) fn create_at(&self, from: NodeId, req: CreateAtReq) -> Result<CreateAtResp, Status> {
         let inner = &self.inner;
-        let answer = |status, location| Ok(CreateAtResp { status, location });
-        let sizes = req.data_size.checked_add(req.metadata_size);
-        let payload = match &req.payload {
-            // Data, then metadata, and not a byte more or less.
-            Some(bytes) if sizes == Some(bytes.len() as u64) => {
-                Some(bytes.split_at(req.data_size as usize))
-            }
-            Some(bytes) => {
-                return Err(Status::invalid_argument(format!(
-                    "create_at: a {} B payload for {} B of data and {} B of metadata",
-                    bytes.len(),
-                    req.data_size,
-                    req.metadata_size
-                )))
-            }
-            None => None,
-        };
+        let payload = req.payload.as_ref();
+        let payload = payload.map(|bytes| bytes.split_at(req.data_size as usize));
         // Dispute ownership only from an installed ring: without one
         // this node cannot know better than the requester.
         if self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
-            return answer(CreateAtStatus::WrongOwner, None);
+            return Ok(CreateAtResp::WrongOwner);
         }
         // Idempotent retry of a whole put. Nothing was ledgered for the
         // first attempt, and nothing need be: an id names immutable
@@ -648,8 +625,8 @@ impl DisaggStore {
         if let Some((data, metadata)) = payload {
             if inner.core.exists_any_state(req.id) {
                 return match self.sealed_copy_is(req.id, data, metadata) {
-                    Some(loc) => answer(CreateAtStatus::Ok, Some(loc)),
-                    None => answer(CreateAtStatus::Exists, None),
+                    Some(loc) => Ok(CreateAtResp::Ok(loc)),
+                    None => Ok(CreateAtResp::Exists),
                 };
             }
         }
@@ -658,15 +635,15 @@ impl DisaggStore {
         // may have been lost in flight).
         if let Some(staged) = inner.ledger.find(Side::Out, req.id, Kind::Staged) {
             return match inner.core.peek_unsealed(req.id) {
-                Some(loc) if staged.peer == from => answer(CreateAtStatus::Ok, Some(loc)),
-                _ => answer(CreateAtStatus::Exists, None),
+                Some(loc) if staged.peer == from => Ok(CreateAtResp::Ok(loc)),
+                _ => Ok(CreateAtResp::Exists),
             };
         }
         // A lent object still exists (its bytes live at the holder):
         // refuse re-creation or the id would fork. The same goes for an
         // id with outstanding replicas.
         if inner.ledger.has_out_copy(req.id) {
-            return answer(CreateAtStatus::Exists, None);
+            return Ok(CreateAtResp::Exists);
         }
         // Admission gate sits *after* the idempotent-retry checks: a
         // requester re-asking about its own create must get its location
@@ -684,9 +661,9 @@ impl DisaggStore {
                     let ledger = &inner.ledger;
                     ledger.record(Side::Out, req.id, Kind::Staged, from, loc.total_size());
                 }
-                answer(CreateAtStatus::Ok, Some(loc))
+                Ok(CreateAtResp::Ok(loc))
             }
-            Err(PlasmaError::ObjectExists(_)) => answer(CreateAtStatus::Exists, None),
+            Err(PlasmaError::ObjectExists(_)) => Ok(CreateAtResp::Exists),
             Err(PlasmaError::Overloaded { .. }) => {
                 Err(Status::new(StatusCode::ResourceExhausted, "overloaded"))
             }
@@ -730,10 +707,7 @@ impl DisaggStore {
             inner.core.peek(id)
         };
         match sealed {
-            Some(loc) => Ok(CreateAtResp {
-                status: CreateAtStatus::Ok,
-                location: Some(loc),
-            }),
+            Some(loc) => Ok(CreateAtResp::Ok(loc)),
             None => Err(Status::not_found("no staged create for id")),
         }
     }

@@ -6,11 +6,11 @@ use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
     method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, ListResp,
-    MetricsResp, ReconcileReq, ReplyHeader,
+    Message, MetricsResp, ReconcileReq, ReplyHeader,
 };
 use bytes::Bytes;
+use ipc::CodecError;
 use plasma::PlasmaError;
-use rpclite::wire::WireError;
 use rpclite::{Service, Status, StatusCode};
 use tfsim::NodeId;
 
@@ -19,7 +19,9 @@ pub(super) struct Interconnect {
     pub(super) store: DisaggStore,
 }
 
-fn decoded<T>(request: Result<T, WireError>) -> Result<T, Status> {
+/// A request that does not decode is the caller's error, whatever the
+/// verb: `InvalidArgument`, before the store is asked anything.
+fn decoded<T>(request: Result<T, CodecError>) -> Result<T, Status> {
     request.map_err(|e| Status::invalid_argument(e.to_string()))
 }
 
@@ -49,7 +51,7 @@ impl Service for Interconnect {
             return Err(Status::unimplemented(method_id));
         }
         let store = &self.store;
-        let (header, body) = decoded(CallHeader::split(request))?;
+        let (header, body) = decoded(CallHeader::unframe(request))?;
         // A MEMBERSHIP pull is how a table is adopted; adopting on one
         // would pull in answer to a pull.
         if method_id != method::MEMBERSHIP {

@@ -1,6 +1,6 @@
 //! A store sends each request as parts — its call header, then the
-//! body's parts, for a forwarded put the `CREATE_AT` fields up to the
-//! payload's length prefix, the data and the metadata — and the rpclite
+//! body's parts, for a forwarded put the `CREATE_AT` head (id, sizes
+//! and the carries-payload byte), the data and the metadata — and the rpclite
 //! envelope writes them into one buffer. The frame that leaves must be
 //! byte for byte the one the joined composition makes:
 //! `Request { body: CallHeader::frame(body) }.to_frame()`. These tests
@@ -8,7 +8,7 @@
 //! cluster and rebuild each from that composition.
 
 use bytes::Bytes;
-use disagg::proto::{method, CallHeader, CreateAtReq, IdReq};
+use disagg::proto::{method, CallHeader, CreateAtReq, IdReq, Message};
 use disagg::{Cluster, ClusterConfig};
 use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use ipc::Frame;

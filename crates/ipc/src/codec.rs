@@ -1,8 +1,10 @@
 //! Payload encoding helpers.
 //!
 //! Fixed-width little-endian primitives plus length-prefixed byte strings,
-//! with checked decoding — the building blocks both the Plasma IPC protocol
-//! and the RPC message bodies are written in.
+//! with checked decoding — the one codec the Plasma IPC protocol, the RPC
+//! envelope and the store-to-store messages are all written in. A decoder
+//! reads its fields in order and ends in [`Dec::finish`], so a message
+//! cut short or carrying a byte more is an error, never a default.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -69,6 +71,11 @@ impl Enc {
         self
     }
 
+    pub fn u16(&mut self, v: u16) -> &mut Self {
+        self.buf.put_slice(&v.to_le_bytes());
+        self
+    }
+
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.put_u32_le(v);
         self
@@ -104,6 +111,12 @@ impl Enc {
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
     }
+
+    /// The bytes written so far, still writable: for a caller that fills
+    /// in a field it reserved (a checksum) once the rest is written.
+    pub fn into_buf(self) -> BytesMut {
+        self.buf
+    }
 }
 
 /// Checked decoder over a payload.
@@ -134,6 +147,10 @@ impl Dec {
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         self.need(1)?;
         Ok(self.buf.get_u8())
+    }
+
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_le_bytes(self.fixed()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
@@ -185,6 +202,14 @@ impl Dec {
         String::from_utf8(b.to_vec()).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
 
+    /// The next `n` bytes (zero-copy slice of the payload): a field
+    /// whose length the fields before it state, or the rest of the
+    /// payload.
+    pub fn take(&mut self, n: usize) -> Result<Bytes, CodecError> {
+        self.need(n)?;
+        Ok(self.buf.split_to(n))
+    }
+
     /// Assert the payload is fully consumed.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.buf.is_empty() {
@@ -203,6 +228,7 @@ mod tests {
     fn roundtrip_all_field_kinds() {
         let mut e = Enc::new();
         e.u8(7)
+            .u16(0xBEEF)
             .u32(0xDEADBEEF)
             .u64(u64::MAX)
             .bool(true)
@@ -211,12 +237,24 @@ mod tests {
             .str("héllo");
         let mut d = Dec::new(e.finish());
         assert_eq!(d.u8().unwrap(), 7);
+        assert_eq!(d.u16().unwrap(), 0xBEEF);
         assert_eq!(d.u32().unwrap(), 0xDEADBEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX);
         assert!(d.bool().unwrap());
         assert_eq!(&d.bytes().unwrap()[..], b"blob");
         assert_eq!(d.fixed::<3>().unwrap(), [1, 2, 3]);
         assert_eq!(d.str().unwrap(), "héllo");
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn take_reads_an_unprefixed_field() {
+        let mut e = Enc::new();
+        e.u32(1).fixed(b"tail");
+        let mut d = Dec::new(e.finish());
+        d.u32().unwrap();
+        assert!(matches!(d.take(5), Err(CodecError::Truncated { .. })));
+        assert_eq!(&d.take(4).unwrap()[..], b"tail");
         d.finish().unwrap();
     }
 

@@ -33,11 +33,7 @@ impl ObjectId {
     /// adversarial settings prefer [`ObjectId::random`].
     pub fn from_name(name: &str) -> Self {
         let mut bytes = [0u8; OBJECT_ID_LEN];
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in name.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = crate::checksum::fnv1a64(name.as_bytes());
         for (i, chunk) in bytes.chunks_mut(8).enumerate() {
             // Re-mix per chunk so the 20 bytes are not just a repeated u64.
             let mut x = h.wrapping_add((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
@@ -113,6 +109,27 @@ mod tests {
             .map(|i| ObjectId::from_name(&format!("obj-{i}")))
             .collect();
         assert_eq!(ids.len(), 1000);
+    }
+
+    /// The bytes of two names' ids, recorded before `from_name` shared
+    /// `checksum::fnv1a64`: every seeded name (and every `owned_id`)
+    /// keeps its id.
+    #[test]
+    fn from_name_known_answers() {
+        assert_eq!(
+            ObjectId::from_name("object-a").0,
+            [
+                59, 173, 157, 102, 2, 15, 43, 241, 32, 150, 39, 146, 209, 132, 139, 238, 46, 209,
+                137, 245
+            ]
+        );
+        assert_eq!(
+            ObjectId::from_name("demo/numbers").0,
+            [
+                4, 204, 56, 117, 240, 242, 223, 108, 1, 222, 111, 94, 85, 71, 158, 190, 233, 75,
+                53, 218
+            ]
+        );
     }
 
     #[test]

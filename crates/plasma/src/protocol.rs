@@ -90,15 +90,19 @@ pub enum Response {
     Notify(ObjectLocation),
 }
 
-fn put_id(e: &mut Enc, id: &ObjectId) {
+/// Write an object id: its 20 bytes.
+pub fn put_id(e: &mut Enc, id: &ObjectId) {
     e.fixed(id.as_bytes());
 }
 
-fn get_id(d: &mut Dec) -> Result<ObjectId, CodecError> {
+/// Read an object id.
+pub fn get_id(d: &mut Dec) -> Result<ObjectId, CodecError> {
     Ok(ObjectId::from_bytes(d.fixed::<OBJECT_ID_LEN>()?))
 }
 
-fn put_location(e: &mut Enc, loc: &ObjectLocation) {
+/// Write an object location: id, segment, offset and sizes. The one
+/// location codec: the store-to-store messages write theirs with it too.
+pub fn put_location(e: &mut Enc, loc: &ObjectLocation) {
     put_id(e, &loc.id);
     e.u32(u32::from(loc.seg.owner.0))
         .u32(loc.seg.index)
@@ -107,19 +111,27 @@ fn put_location(e: &mut Enc, loc: &ObjectLocation) {
         .u64(loc.metadata_size);
 }
 
-fn get_location(d: &mut Dec) -> Result<ObjectLocation, CodecError> {
+/// Read an object location. Every reader of one sums its fields
+/// (`total_size`, a view's end), so a location whose end does not fit
+/// in a `u64` names no bytes and is refused here, once, for all of them.
+pub fn get_location(d: &mut Dec) -> Result<ObjectLocation, CodecError> {
     let id = get_id(d)?;
     let owner = d.u32()?;
     let index = d.u32()?;
+    let (offset, data_size, metadata_size) = (d.u64()?, d.u64()?, d.u64()?);
+    offset
+        .checked_add(data_size)
+        .and_then(|end| end.checked_add(metadata_size))
+        .ok_or(CodecError::Invalid("location end past u64"))?;
     Ok(ObjectLocation {
         id,
         seg: SegKey {
             owner: NodeId(u16::try_from(owner).map_err(|_| CodecError::Invalid("node id"))?),
             index,
         },
-        offset: d.u64()?,
-        data_size: d.u64()?,
-        metadata_size: d.u64()?,
+        offset,
+        data_size,
+        metadata_size,
     })
 }
 

@@ -1,7 +1,15 @@
 //! RPC envelope: how requests and responses ride inside [`ipc::Frame`]s.
 //!
-//! Encoded with the protobuf-style wire format from [`crate::wire`],
-//! mirroring a gRPC unary exchange stripped to its essentials.
+//! A gRPC unary exchange stripped to its essentials, written with the
+//! fixed-width codec every message in the system uses ([`ipc::Enc`]):
+//!
+//! | frame    | fields after the checksum                          |
+//! |----------|----------------------------------------------------|
+//! | request  | `call_id` u64, `method` u32, body…                 |
+//! | response | `call_id` u64, `code` u32, body (`Ok`) or message… |
+//!
+//! The body (or an error's UTF-8 message) is the rest of the frame; it
+//! needs no length, because the frame has one.
 //!
 //! ## Integrity
 //!
@@ -26,44 +34,42 @@
 //! into that buffer and never joined beforehand.
 
 use crate::service::{Status, StatusCode};
-use crate::wire::{crc32, MsgDec, MsgEnc, WireError};
-use bytes::{Buf, Bytes};
-use ipc::Frame;
+use crate::wire::{crc32, WireError};
+use bytes::Bytes;
+use ipc::{CodecError, Dec, Enc, Frame};
 
 /// Width of the checksum that starts every frame payload.
 const CRC_LEN: usize = 4;
 
-/// The most an envelope's own fields take beside its body or message:
-/// three one-byte tags and three varints of at most ten bytes.
-const ENVELOPE_FIELDS_MAX: usize = 3 + 3 * 10;
+/// Width of an envelope's own fields: `call_id` and a method or code.
+const FIELDS_LEN: usize = 12;
 
-/// An envelope encoder for a body or message of `body_len` bytes. Its
-/// buffer starts with room for the checksum and has room for the whole
-/// frame payload, so the frame is built in this one buffer.
-fn envelope_enc(body_len: usize) -> MsgEnc {
-    MsgEnc::after_reserved(CRC_LEN, ENVELOPE_FIELDS_MAX + body_len)
-}
-
-/// Write the checksum of the encoded envelope into the prefix
-/// [`envelope_enc`] reserved, and frame the buffer as it stands.
-fn seal_frame(msg_type: u32, e: MsgEnc) -> Frame {
+/// The frame of an envelope: the checksum, `call_id`, `word` (a method
+/// or a status code), then `parts` back to back, all written into one
+/// buffer sized for the whole payload.
+fn seal_frame(msg_type: u32, call_id: u64, word: u32, parts: &[&[u8]]) -> Frame {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let mut e = Enc::with_capacity(CRC_LEN + FIELDS_LEN + len);
+    e.u32(0).u64(call_id).u32(word);
+    for part in parts {
+        e.fixed(part);
+    }
     let mut payload = e.into_buf();
     let crc = crc32(&payload[CRC_LEN..]);
     payload[..CRC_LEN].copy_from_slice(&crc.to_le_bytes());
     Frame::new(msg_type, payload.freeze())
 }
 
-/// Verify and strip the checksum prefix, returning the envelope bytes.
-fn open_frame(frame: &Frame) -> Result<Bytes, WireError> {
-    if frame.payload.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let mut payload = frame.payload.clone();
-    let stated = payload.get_u32_le();
-    if crc32(&payload) != stated {
+/// Verify the checksum, then read `call_id`, the method or code, and the
+/// rest of the frame.
+fn open_frame(frame: &Frame) -> Result<(u64, u32, Bytes), WireError> {
+    let mut d = Dec::new(frame.payload.clone());
+    let stated = d.u32()?;
+    if crc32(&frame.payload[CRC_LEN..]) != stated {
         return Err(WireError::Checksum);
     }
-    Ok(payload)
+    let (call_id, word) = (d.u64()?, d.u32()?);
+    Ok((call_id, word, d.take(d.remaining())?))
 }
 
 /// Frame type tag marking a request envelope ("RQ").
@@ -94,20 +100,16 @@ impl Request {
     /// their concatenation, written without joining them first, so each
     /// part is copied once, into the frame's one buffer.
     pub fn frame(call_id: u64, method: u32, parts: &[&[u8]]) -> Frame {
-        let mut e = envelope_enc(parts.iter().map(|p| p.len()).sum());
-        e.uint(1, call_id)
-            .uint(2, u64::from(method))
-            .bytes_concat(3, parts);
-        seal_frame(FRAME_REQUEST, e)
+        seal_frame(FRAME_REQUEST, call_id, method, parts)
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.
     pub fn from_frame(frame: &Frame) -> Result<Request, WireError> {
-        let fields = MsgDec::new(open_frame(frame)?).collect()?;
+        let (call_id, method, body) = open_frame(frame)?;
         Ok(Request {
-            call_id: fields.uint(1)?,
-            method: u32::try_from(fields.uint(2)?).map_err(|_| WireError::MissingField(2))?,
-            body: fields.bytes(3).unwrap_or_default(),
+            call_id,
+            method,
+            body,
         })
     }
 }
@@ -124,35 +126,23 @@ pub struct Response {
 impl Response {
     /// Encode into a [`FRAME_RESPONSE`] frame.
     pub fn to_frame(&self) -> Frame {
-        let mut e = envelope_enc(match &self.result {
-            Ok(body) => body.len(),
-            Err(status) => status.message.len(),
-        });
-        e.uint(1, self.call_id);
-        match &self.result {
-            Ok(body) => {
-                e.uint(2, StatusCode::Ok as u64);
-                e.bytes(4, body);
-            }
-            Err(status) => {
-                e.uint(2, status.code as u64);
-                e.string(3, &status.message);
-            }
-        }
-        seal_frame(FRAME_RESPONSE, e)
+        let (code, rest) = match &self.result {
+            Ok(body) => (StatusCode::Ok, &body[..]),
+            Err(status) => (status.code, status.message.as_bytes()),
+        };
+        seal_frame(FRAME_RESPONSE, self.call_id, code as u32, &[rest])
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.
     pub fn from_frame(frame: &Frame) -> Result<Response, WireError> {
-        let fields = MsgDec::new(open_frame(frame)?).collect()?;
-        let call_id = fields.uint(1)?;
-        let code = StatusCode::from_u32(
-            u32::try_from(fields.uint(2)?).map_err(|_| WireError::MissingField(2))?,
-        );
-        let result = if code == StatusCode::Ok {
-            Ok(fields.bytes(4).unwrap_or_default())
-        } else {
-            Err(Status::new(code, fields.string(3).unwrap_or_default()))
+        let (call_id, code, rest) = open_frame(frame)?;
+        let result = match StatusCode::from_u32(code) {
+            StatusCode::Ok => Ok(rest),
+            code => {
+                let message = String::from_utf8(rest.to_vec())
+                    .map_err(|_| CodecError::Invalid("utf-8 status message"))?;
+                Err(Status::new(code, message))
+            }
         };
         Ok(Response { call_id, result })
     }
@@ -273,7 +263,7 @@ mod tests {
     /// The reference a frame payload must equal byte for byte: the
     /// envelope encoded in a buffer of its own, then copied behind its
     /// checksum into a second one.
-    fn two_buffer_payload(envelope: MsgEnc) -> Vec<u8> {
+    fn two_buffer_payload(envelope: Enc) -> Vec<u8> {
         let envelope = envelope.finish();
         let mut payload = crc32(&envelope).to_le_bytes().to_vec();
         payload.extend_from_slice(&envelope);
@@ -296,22 +286,22 @@ mod tests {
         ) {
             let body = Bytes::from(vec![fill; len]);
             let request = Request { call_id, method, body: body.clone() }.to_frame();
-            let mut e = MsgEnc::new();
-            e.uint(1, call_id).uint(2, u64::from(method)).bytes(3, &body);
+            let mut e = Enc::new();
+            e.u64(call_id).u32(method).fixed(&body);
             proptest::prop_assert_eq!(request.msg_type, FRAME_REQUEST);
             proptest::prop_assert!(request.payload == two_buffer_payload(e));
 
             let ok = Response { call_id, result: Ok(body.clone()) }.to_frame();
-            let mut e = MsgEnc::new();
-            e.uint(1, call_id).uint(2, StatusCode::Ok as u64).bytes(4, &body);
+            let mut e = Enc::new();
+            e.u64(call_id).u32(StatusCode::Ok as u32).fixed(&body);
             proptest::prop_assert_eq!(ok.msg_type, FRAME_RESPONSE);
             proptest::prop_assert!(ok.payload == two_buffer_payload(e));
 
             let message = "m".repeat(len % 512);
             let status = Status::new(StatusCode::from_u32(1 + method % 15), message.clone());
             let err = Response { call_id, result: Err(status.clone()) }.to_frame();
-            let mut e = MsgEnc::new();
-            e.uint(1, call_id).uint(2, status.code as u64).string(3, &message);
+            let mut e = Enc::new();
+            e.u64(call_id).u32(status.code as u32).fixed(message.as_bytes());
             proptest::prop_assert!(err.payload == two_buffer_payload(e));
         }
     }

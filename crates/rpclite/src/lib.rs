@@ -4,9 +4,9 @@
 //! synchronous, unary mode. gRPC itself is unavailable here, so this crate
 //! reimplements exactly the slice the system needs:
 //!
-//! * a protobuf-style wire format ([`wire`]: varints, ZigZag, tagged
-//!   length-delimited fields),
 //! * a correlation-id-tagged request/response envelope ([`envelope`]),
+//!   written with [`ipc`]'s fixed-width codec and guarded by a CRC-32C
+//!   ([`wire`]),
 //! * a **pipelined** client ([`RpcClient`]) that keeps many requests in
 //!   flight on one connection — [`RpcClient::call`] blocks only its own
 //!   caller, and [`RpcClient::call_async`] returns a [`PendingCall`] to
@@ -55,4 +55,4 @@ pub use client::{ClientMetrics, Connector, NetCost, PendingCall, RpcClient, RpcE
 pub use envelope::{Request, Response};
 pub use server::{serve, ServerHandle, ServerMetrics};
 pub use service::{MethodId, Service, Status, StatusCode};
-pub use wire::{MsgDec, MsgEnc, WireError};
+pub use wire::WireError;

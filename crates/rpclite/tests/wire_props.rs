@@ -1,56 +1,19 @@
-//! Property-based tests of the protobuf-style wire format and the RPC
-//! envelope: every value round-trips, and arbitrary bytes never panic the
-//! decoder.
+//! Property-based tests of the RPC envelope: every request and response
+//! round-trips, arbitrary bytes never panic the decoder, and a flipped,
+//! cut or rewritten byte never decodes into a different envelope.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use proptest::prelude::*;
-use rpclite::wire::{get_varint, put_varint, unzigzag, zigzag, MsgDec, MsgEnc};
+use rpclite::envelope::{FRAME_REQUEST, FRAME_RESPONSE};
 use rpclite::{Request, Response, Status, StatusCode};
 
 proptest! {
-    #[test]
-    fn varint_roundtrip(v in any::<u64>()) {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, v);
-        prop_assert!(buf.len() <= 10);
-        let mut b = buf.freeze();
-        prop_assert_eq!(get_varint(&mut b).unwrap(), v);
-        prop_assert!(b.is_empty());
-    }
-
-    #[test]
-    fn zigzag_roundtrip(v in any::<i64>()) {
-        prop_assert_eq!(unzigzag(zigzag(v)), v);
-    }
-
-    #[test]
-    fn zigzag_keeps_small_magnitudes_small(v in -1000i64..1000) {
-        // The point of zigzag: small |v| encodes in few bytes.
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, zigzag(v));
-        prop_assert!(buf.len() <= 2, "|{v}| should encode in <= 2 bytes");
-    }
-
-    #[test]
-    fn message_fields_roundtrip(
-        a in any::<u64>(),
-        b in any::<i64>(),
-        data in proptest::collection::vec(any::<u8>(), 0..256),
-        text in "\\PC{0,32}",
-    ) {
-        let mut e = MsgEnc::new();
-        e.uint(1, a).sint(2, b).bytes(3, &data).string(4, &text);
-        let f = MsgDec::new(e.finish()).collect().unwrap();
-        prop_assert_eq!(f.uint(1).unwrap(), a);
-        prop_assert_eq!(f.sint(2).unwrap(), b);
-        prop_assert_eq!(&f.bytes(3).unwrap()[..], &data[..]);
-        prop_assert_eq!(f.string(4).unwrap(), text);
-    }
-
+    /// Arbitrary bytes in a frame of either type decode or fail, and
+    /// never panic.
     #[test]
     fn decoder_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        // Must return Ok or Err, never panic.
-        let _ = MsgDec::new(Bytes::from(data)).collect();
+        let _ = Request::from_frame(&ipc::Frame::new(FRAME_REQUEST, data.clone()));
+        let _ = Response::from_frame(&ipc::Frame::new(FRAME_RESPONSE, data));
     }
 
     #[test]
@@ -122,6 +85,44 @@ proptest! {
             Bytes::copy_from_slice(&frame.payload[..keep]),
         );
         prop_assert!(Request::from_frame(&f).is_err());
+    }
+
+    /// Both envelope types decode strictly: no proper prefix of a frame
+    /// and no frame with a byte appended decodes, and an error status
+    /// whose message is not UTF-8 is an error, not a message.
+    #[test]
+    fn cut_or_padded_envelopes_never_decode(
+        call_id in any::<u64>(),
+        word in any::<u32>(),
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        extra in any::<u8>(),
+    ) {
+        let request = Request { call_id, method: word, body: Bytes::from(body.clone()) }.to_frame();
+        let status = Status::new(StatusCode::from_u32(1 + word % 15), "m");
+        let responses = [
+            Response { call_id, result: Ok(Bytes::from(body)) }.to_frame(),
+            Response { call_id, result: Err(status) }.to_frame(),
+        ];
+        let decodes = |f: &ipc::Frame| match f.msg_type {
+            FRAME_REQUEST => Request::from_frame(f).is_ok(),
+            _ => Response::from_frame(f).is_ok(),
+        };
+        for frame in responses.iter().chain([&request]) {
+            prop_assert!(decodes(frame));
+            for keep in 0..frame.payload.len() {
+                let cut = ipc::Frame::new(frame.msg_type, frame.payload.slice(..keep));
+                prop_assert!(!decodes(&cut), "cut to {keep}");
+            }
+            let padded = [&frame.payload[..], &[extra]].concat();
+            prop_assert!(!decodes(&ipc::Frame::new(frame.msg_type, padded)));
+        }
+        // A checksummed error frame whose message is not UTF-8.
+        let mut envelope = call_id.to_le_bytes().to_vec();
+        envelope.extend_from_slice(&(StatusCode::NotFound as u32).to_le_bytes());
+        envelope.extend_from_slice(&[0xFF, 0xFE]);
+        let mut payload = rpclite::wire::crc32(&envelope).to_le_bytes().to_vec();
+        payload.extend_from_slice(&envelope);
+        prop_assert!(!decodes(&ipc::Frame::new(FRAME_RESPONSE, payload)));
     }
 
     /// Arbitrary corruption (any byte rewritten) either errors or decodes

@@ -12,7 +12,7 @@
 use disagg::delegation::{
     owner_verdict, Claim, Delegation, Ledger, OwnerView, Settlement, Verdict,
 };
-use disagg::proto::{method, BoolResp, CallHeader, IdReq, ReplyHeader};
+use disagg::proto::{method, BoolResp, CallHeader, IdReq, Message, ReplyHeader};
 use disagg::{Cluster, ClusterConfig, Kind, NodeId, Phase, Side};
 use plasma::ObjectId;
 use proptest::prelude::*;
@@ -614,7 +614,7 @@ fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
         };
         let request = header.frame(&IdReq { id }.encode());
         let answer = service.call(method::INVALIDATE, request).unwrap();
-        let (_, body) = ReplyHeader::split(answer).unwrap();
+        let (_, body) = ReplyHeader::unframe(answer).unwrap();
         BoolResp::decode(body).unwrap().value
     };
     for id in [lent, shared] {

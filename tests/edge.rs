@@ -3,7 +3,7 @@
 //! zero-length-object lifecycle, local and remote, a create whose sizes
 //! overflow, and a reconcile sweep with a peer down.
 
-use disagg::proto::{method, CallHeader, GetManyReq};
+use disagg::proto::{method, CallHeader, GetManyReq, Message};
 use disagg::{Cluster, ClusterConfig, Kind, PeerState};
 use memdis::plasma::{ObjectId, PlasmaError, StoreConfig, StoreCore};
 use std::time::Duration;

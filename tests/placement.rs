@@ -4,7 +4,7 @@
 //! traffic, and off-ring objects stay reachable through the broadcast
 //! fallback.
 
-use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, CreateAtStatus, ReplyHeader};
+use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, Message, ReplyHeader};
 use disagg::{Cluster, ClusterConfig, Membership, RetryPolicy};
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
@@ -329,21 +329,20 @@ fn payload_carrying_create_at_is_idempotent_by_content_and_nothing_else() {
             payload: Some(payload.to_vec().into()),
         };
         let reply = owner.call(method::CREATE_AT, header.frame(&req.encode()))?;
-        let (_, body) = ReplyHeader::split(reply).unwrap();
+        let (_, body) = ReplyHeader::unframe(reply).unwrap();
         Ok::<_, rpclite::Status>(CreateAtResp::decode(body).unwrap())
     };
 
     let id = ObjectId::from_name(&cluster.owned_id(1, "inline/by-hand"));
     let first = create_at(id, 5, 2, b"hellomd").unwrap();
-    assert_eq!(first.status, CreateAtStatus::Ok);
-    assert_eq!(cluster.store(1).core().peek(id), first.location);
+    let CreateAtResp::Ok(sealed) = first else {
+        panic!("a fresh put answered {first:?}");
+    };
+    assert_eq!(cluster.store(1).core().peek(id), Some(sealed));
     // Its own retry.
     assert_eq!(create_at(id, 5, 2, b"hellomd").unwrap(), first);
     // Other bytes; the same bytes split differently.
-    let exists = CreateAtResp {
-        status: CreateAtStatus::Exists,
-        location: None,
-    };
+    let exists = CreateAtResp::Exists;
     assert_eq!(create_at(id, 5, 2, b"HELLOmd").unwrap(), exists);
     assert_eq!(create_at(id, 4, 3, b"hellomd").unwrap(), exists);
     assert_eq!(create_at(id, 5, 0, b"hello").unwrap(), exists);
@@ -366,7 +365,7 @@ fn payload_carrying_create_at_is_idempotent_by_content_and_nothing_else() {
     // Not this node's id: the caller's table is stale.
     let elsewhere = ObjectId::from_name(&cluster.owned_id(0, "inline/elsewhere"));
     let wrong = create_at(elsewhere, 5, 2, b"hellomd").unwrap();
-    assert_eq!(wrong.status, CreateAtStatus::WrongOwner);
+    assert_eq!(wrong, CreateAtResp::WrongOwner);
     assert!(!cluster.store(1).core().exists_any_state(elsewhere));
 }
 
