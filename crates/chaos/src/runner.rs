@@ -22,7 +22,8 @@
 //!    converge back to a single accounted copy, and replica records
 //!    match what holders actually seal.
 //! 4. Quiesce audit: every pin count must be zero — owner-side remote
-//!    pins, requester-side held pins, parked releases — and the leases
+//!    pins, requester-side held pins, parked releases, open release
+//!    groups (a batched get's pins, returned together) — and the leases
 //!    and replicas in the delegation ledgers must be mutually
 //!    consistent: every off-ring sealed object accounted for by its
 //!    ring owner's lease or replica entry, no orphans on either side,
@@ -345,6 +346,14 @@ fn check_quiesce(cluster: &Cluster, nodes: usize) -> Verdict {
         if parked != 0 {
             verdict.violations.push(format!(
                 "release leak: node {i} still has {parked} parked releases after settle"
+            ));
+        }
+        // An open group would defer a later release of one of its ids
+        // for ever.
+        let groups = store.open_release_groups();
+        if groups != 0 {
+            verdict.violations.push(format!(
+                "release leak: node {i} still has {groups} open release groups after settle"
             ));
         }
     }

@@ -45,8 +45,10 @@ pub mod method {
         (22, "delete_held"),
     ];
 
-    /// Release one reference held on behalf of the caller (`IdReq` →
-    /// `BoolResp` was-pinned).
+    /// Release references held on behalf of the caller, one per listed
+    /// id (`IdsReq` → `ReleaseResp`, one was-pinned flag per id): a
+    /// single release is a list of one, a batch get's pins at one
+    /// owner go back in one.
     pub const RELEASE: u32 = 3;
     /// Does a sealed object exist here? (`IdReq` → `BoolResp`).
     pub const CONTAINS: u32 = 4;
@@ -402,6 +404,49 @@ impl GetManyResp {
     }
 }
 
+/// A request about a list of objects and nothing else: the pins a
+/// `RELEASE` returns, one per listed id — an id listed twice is two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdsReq {
+    /// The objects in question, in order.
+    pub ids: Vec<ObjectId>,
+}
+
+impl Message for IdsReq {
+    fn put(&self, e: &mut Enc) {
+        put_list(e, &self.ids, put_id);
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(IdsReq {
+            ids: get_list(d, OBJECT_ID_LEN, get_id)?,
+        })
+    }
+}
+
+/// Release response: per requested id, in request order, whether a pin
+/// was recorded for the caller. `false` tells the caller the entry it
+/// released against was a phantom.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReleaseResp {
+    /// One was-pinned flag per requested id.
+    pub pinned: Vec<bool>,
+}
+
+impl Message for ReleaseResp {
+    fn put(&self, e: &mut Enc) {
+        put_list(e, &self.pinned, |e, pinned| {
+            e.bool(*pinned);
+        });
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(ReleaseResp {
+            pinned: get_list(d, 1, |d| d.bool())?,
+        })
+    }
+}
+
 /// Delegation reconciliation request: everything live the caller
 /// holds on the responder's authority. What is absent is held zero
 /// times.
@@ -646,8 +691,8 @@ impl Message for DelegateResp {
     }
 }
 
-/// A request about one object and nothing else: release, contains,
-/// seal / abort of a staged create, invalidate.
+/// A request about one object and nothing else: contains, seal / abort
+/// of a staged create, invalidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdReq {
     /// The object in question.
@@ -922,6 +967,25 @@ mod tests {
     }
 
     #[test]
+    fn release_roundtrip() {
+        let a = ObjectId::from_name("a");
+        let req = IdsReq {
+            ids: vec![a, ObjectId::from_name("b"), a],
+        };
+        assert_eq!(IdsReq::decode(req.encode()).unwrap(), req);
+        // A single release is a list of one: a count, then the id.
+        let one = IdsReq { ids: vec![a] }.encode();
+        assert_eq!(one.len(), 4 + OBJECT_ID_LEN);
+        assert_eq!(one[4..], *a.as_bytes());
+        let resp = ReleaseResp {
+            pinned: vec![true, false, true],
+        };
+        assert_eq!(ReleaseResp::decode(resp.encode()).unwrap(), resp);
+        // A bare id, the request this verb once took, is not a list.
+        assert!(IdsReq::decode(IdReq { id: a }.encode()).is_err());
+    }
+
+    #[test]
     fn reconcile_roundtrip() {
         let req = ReconcileReq {
             claims: vec![
@@ -1152,11 +1216,13 @@ mod tests {
     type Decoder = fn(Bytes) -> Result<(), CodecError>;
 
     /// Every decoder, by the message it reads.
-    const DECODERS: [(&str, Decoder); 17] = [
+    const DECODERS: [(&str, Decoder); 19] = [
         ("CallHeader", decodes::<CallHeader>),
         ("ReplyHeader", decodes::<ReplyHeader>),
         ("GetManyReq", decodes::<GetManyReq>),
         ("GetManyResp", decodes::<GetManyResp>),
+        ("IdsReq", decodes::<IdsReq>),
+        ("ReleaseResp", decodes::<ReleaseResp>),
         ("ReconcileReq", decodes::<ReconcileReq>),
         ("ReconcileResp", decodes::<ReconcileResp>),
         ("CreateAtReq", decodes::<CreateAtReq>),
@@ -1245,6 +1311,8 @@ mod tests {
             for entry in &entries {
                 strict(entry)?;
             }
+            strict(&IdsReq { ids: ids.clone() })?;
+            strict(&ReleaseResp { pinned: vec![flag; count] })?;
             strict(&ReconcileReq { claims: vec![(id, kind, word); count] })?;
             strict(&ReconcileResp { drop: vec![(id, kind); count], trimmed })?;
             strict(&create_at(None))?;
@@ -1266,8 +1334,9 @@ mod tests {
             // Each tag, kind and bool byte, by its offset in a message.
             let one = |entry: GetManyEntry| GetManyResp { entries: vec![entry] }.encode();
             let id_len = OBJECT_ID_LEN;
-            let cases: [(Bytes, usize, u8, Decoder); 11] = [
+            let cases: [(Bytes, usize, u8, Decoder); 12] = [
                 (one(GetManyEntry::NotFound(id)), 4, 3, decodes::<GetManyResp>),
+                (ReleaseResp { pinned: vec![flag] }.encode(), 4, 2, decodes::<ReleaseResp>),
                 (CreateAtResp::Exists.encode(), 0, 3, decodes::<CreateAtResp>),
                 (DelegateResp::Refused.encode(), 0, 2, decodes::<DelegateResp>),
                 (BoolResp { value: flag }.encode(), 0, 2, decodes::<BoolResp>),

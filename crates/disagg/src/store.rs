@@ -47,7 +47,7 @@ mod service;
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
 use crate::elastic::{HeatMap, RETRY_AFTER_MS};
 use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
-use crate::proto::{method, BoolResp, IdReq, Message, ReconcileReq, ReconcileResp};
+use crate::proto::{method, Message, ReconcileReq, ReconcileResp};
 use crate::ring::Ring;
 use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -57,6 +57,7 @@ use plasma::{
 };
 use rand::rngs::SmallRng;
 use rpclite::{RpcClient, Service};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -247,6 +248,8 @@ struct Inner {
     /// Every piece of per-object state this node keeps for or at a peer:
     /// pins, staged creates, leases, replicas — both sides, one lock.
     ledger: Ledger,
+    /// The pins each batch `get` took remotely, returned together.
+    release_groups: Mutex<ReleaseGroups>,
     /// Owner-side remote-hit attribution driving rebalancing.
     heat: HeatMap,
     max_inflight_creates: u64,
@@ -287,6 +290,7 @@ impl DisaggStore {
                 peers: RwLock::new(Vec::new()),
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
+                release_groups: Mutex::new(ReleaseGroups::default()),
                 heat: HeatMap::new(),
                 max_inflight_creates: config.max_inflight_creates,
                 counters: DisaggCounters::default(),
@@ -373,6 +377,16 @@ impl DisaggStore {
         self.live_count(Side::Held, &[Kind::Pin])
     }
 
+    /// Batch gets whose remotely taken pins are not all released yet
+    /// (see [`ObjectStore::release`]). Zero once the workload has
+    /// released everything it got, and after
+    /// [`DisaggStore::drain_remote_pins`]; the chaos quiesce audit
+    /// asserts it, since an open group would defer a later release of
+    /// one of its ids for ever.
+    pub fn open_release_groups(&self) -> usize {
+        self.inner.release_groups.lock().len()
+    }
+
     /// Quiesce-time pin drain: release every pin this node still
     /// ledgers at a peer. Workload paths deliberately absorb some pins
     /// into the ledger without a paired buffer (e.g. a batch lookup that
@@ -384,9 +398,16 @@ impl DisaggStore {
     /// follow-up [`DisaggStore::reconcile`] trims whatever an
     /// unreachable owner missed.
     ///
+    /// Every open release group is closed first: the releases it
+    /// deferred, whose callers were answered already, go out then (one
+    /// `RELEASE` per holder; a failure parks them), and its members not
+    /// yet released are left as the plain pins the loop below drains.
+    ///
     /// Like `reconcile`, only sound after the workload has drained — a
     /// ledgered pin may pair with a buffer still in flight.
     pub fn drain_remote_pins(&self) -> u64 {
+        let deferred = self.inner.release_groups.lock().close_all();
+        let _ = self.return_pins(deferred, None);
         let mut drained = 0u64;
         loop {
             let held_pins = |r: &DelegationRecord| {
@@ -479,16 +500,20 @@ impl DisaggStore {
         }
     }
 
-    /// `RELEASE` handler: drop one pin held for the caller, `from`.
-    /// `false` means none was recorded — to the caller, proof that the
-    /// entry it released against was a phantom.
-    fn release_for(&self, from: NodeId, id: ObjectId) -> Result<bool, PlasmaError> {
+    /// `RELEASE` handler: drop one pin held for the caller, `from`, per
+    /// listed id, and answer per id whether one was recorded. `false`
+    /// means none was — to the caller, proof that the entry it released
+    /// against was a phantom.
+    fn release_for(&self, from: NodeId, ids: &[ObjectId]) -> Result<Vec<bool>, PlasmaError> {
         let ledger = &self.inner.ledger;
-        let pinned = ledger.unpin(Side::Out, id, Some(from), |_| true);
-        if pinned.is_some() {
-            self.inner.core.release(id)?;
-        }
-        Ok(pinned.is_some())
+        let release = |&id: &ObjectId| {
+            let pinned = ledger.unpin(Side::Out, id, Some(from), |_| true);
+            if pinned.is_some() {
+                self.inner.core.release(id)?;
+            }
+            Ok(pinned.is_some())
+        };
+        ids.iter().map(release).collect()
     }
 
     /// Mirror the ledger's leases and replicas into the gauges peers and
@@ -676,6 +701,234 @@ impl DisaggStore {
             }
         }
     }
+
+    /// Return one pin on `id` now. Pins held at peers are fed back to
+    /// their owners over RPC. Each ledger entry is decremented
+    /// optimistically and kept if the RPC fails (see
+    /// [`DisaggStore::keep_pin`]) — otherwise the pin would be lost
+    /// locally while the owner still counts it, leaving the object
+    /// unevictable forever. Keeping it is ambiguous, though: a release
+    /// whose *response* was lost did land, so the kept entry is a
+    /// phantom the owner no longer counts. The owner's ack (`false` = no
+    /// pin ledgered for us) detects exactly that case, and the loop
+    /// re-routes this release at the next candidate — another owner's
+    /// entry or the local refcount — instead of letting a phantom entry
+    /// swallow a release some real pin needed. `phantom` says an ack
+    /// already proved one; `answered` that the caller already heard `Ok`.
+    fn release_now(
+        &self,
+        id: ObjectId,
+        mut phantom: bool,
+        answered: bool,
+    ) -> Result<(), PlasmaError> {
+        let ledger = &self.inner.ledger;
+        let alive = |node| self.inner.health.state(node) != PeerState::Down;
+        while let Some(owner) = ledger.unpin(Side::Held, id, None, alive) {
+            let answer = self.release_at(&[(owner, vec![id])]).pop();
+            match answer.expect("one answer per owner") {
+                Ok(pinned) if pinned[0] => {
+                    self.inner
+                        .counters
+                        .releases_forwarded
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                // Phantom entry: the owner executed an earlier release
+                // whose response we never saw. The stale entry is already
+                // gone from the ledger — route this release at the next
+                // candidate.
+                Ok(_) => phantom = true,
+                Err(e) => {
+                    self.keep_pin(id, owner, answered);
+                    return Err(e);
+                }
+            }
+        }
+        // The creator's reference of a forwarded create was consumed by
+        // SEAL_AT at the owner; the put flow's trailing release finishes
+        // the staged entry here without touching the network.
+        if ledger.finish_staged(id) {
+            return Ok(());
+        }
+        if self.inner.core.exists_any_state(id) {
+            return match self.inner.core.release(id) {
+                Ok(()) => Ok(()),
+                // On the phantom chain the pin this release pairs with may
+                // already be gone (healed by an earlier duplicated
+                // delivery); a missing refcount is success, not an error.
+                Err(_) if phantom => Ok(()),
+                Err(e) => Err(e),
+            };
+        }
+        if phantom {
+            return Ok(());
+        }
+        Err(PlasmaError::ObjectNotFound(id))
+    }
+
+    /// Return a release group's pins together: `earlier` are members
+    /// whose callers were answered `Ok` already, and `last`, if any, is
+    /// the release that closed the group — its outcome is the answer.
+    /// Each pin leaves the ledger as [`DisaggStore::release_now`] takes
+    /// it, and every owner is then sent one `RELEASE` listing its ids,
+    /// all in one `scatter` round: one round trip on the clock however
+    /// many pins and owners. A `false` flag re-routes that id alone
+    /// through `release_now`'s phantom loop. An owner without a usable
+    /// answer keeps its pins: `last`'s is restored and the error
+    /// returned, the earlier ones are parked.
+    fn return_pins(
+        &self,
+        earlier: Vec<ObjectId>,
+        last: Option<ObjectId>,
+    ) -> Result<(), PlasmaError> {
+        let ledger = &self.inner.ledger;
+        let alive = |node| self.inner.health.state(node) != PeerState::Down;
+        let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
+        // Members no peer pinned for us: a redirect that pointed home
+        // took a local pin.
+        let mut local = Vec::new();
+        let mut last_at = None;
+        let members = earlier.into_iter().map(|id| (id, false));
+        for (id, is_last) in members.chain(last.map(|id| (id, true))) {
+            match ledger.unpin(Side::Held, id, None, alive) {
+                Some(owner) => {
+                    by_owner.entry(owner).or_default().push(id);
+                    last_at = if is_last { Some(owner) } else { last_at };
+                }
+                None => local.push((id, is_last)),
+            }
+        }
+        let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner.into_iter().collect();
+        let mut outcome = Ok(());
+        for ((owner, ids), answer) in asks.iter().zip(self.release_at(&asks)) {
+            for (i, &id) in ids.iter().enumerate() {
+                // `last` went in after every other member.
+                let is_last = last_at == Some(*owner) && i + 1 == ids.len();
+                let released = match &answer {
+                    Ok(pinned) if pinned[i] => {
+                        let forwarded = &self.inner.counters.releases_forwarded;
+                        forwarded.fetch_add(1, Ordering::Relaxed);
+                        Ok(())
+                    }
+                    Ok(_) => self.release_now(id, true, !is_last),
+                    Err(e) => {
+                        self.keep_pin(id, *owner, !is_last);
+                        Err(e.clone())
+                    }
+                };
+                if is_last {
+                    outcome = released;
+                }
+            }
+        }
+        for (id, is_last) in local {
+            let released = self.release_now(id, false, !is_last);
+            if is_last {
+                outcome = released;
+            }
+        }
+        outcome
+    }
+
+    /// Keep the pin on `id` at `owner` whose release got no usable
+    /// answer: the owner may still count it. A caller that will hear the
+    /// error gets the entry back, live, to release again; one that was
+    /// answered `Ok` already has it parked, retried after the next call
+    /// to `owner` that succeeds.
+    fn keep_pin(&self, id: ObjectId, owner: NodeId, answered: bool) {
+        if answered {
+            self.park_release(owner, id);
+        } else {
+            self.inner
+                .ledger
+                .record(Side::Held, id, Kind::Pin, owner, 0);
+        }
+    }
+}
+
+/// The release groups of one store: the pins each batch `get` took
+/// remotely, returned together once the last of them is released.
+/// Counted per filled slot, as the ledger counts pins, so an id filled
+/// in two slots is two members. Pins on one immutable object are
+/// fungible, so a release joins whichever group has its id open.
+#[derive(Default)]
+struct ReleaseGroups {
+    next: u64,
+    /// Per open group: its members not yet released, and the ids of
+    /// those released already, whose pins are still live in the ledger.
+    groups: HashMap<u64, (usize, Vec<ObjectId>)>,
+    /// Per id, the group of each of its members not yet released.
+    open: HashMap<ObjectId, Vec<u64>>,
+}
+
+/// What a release is to the groups.
+enum Grouped {
+    /// No group has the id open: release it now.
+    Alone,
+    /// A member with others still to come: its pin waits for them.
+    Deferred,
+    /// The group's last member: return its pin with the ones released
+    /// before it, listed here.
+    Last(Vec<ObjectId>),
+}
+
+impl ReleaseGroups {
+    /// Open a group for the pins one `get` took remotely, if it took
+    /// two or more.
+    fn open(&mut self, members: Vec<ObjectId>) {
+        if members.len() < 2 {
+            return;
+        }
+        let key = self.next;
+        self.next += 1;
+        for id in &members {
+            self.open.entry(*id).or_default().push(key);
+        }
+        self.groups.insert(key, (members.len(), Vec::new()));
+    }
+
+    fn release(&mut self, id: ObjectId) -> Grouped {
+        let Some(keys) = self.open.get_mut(&id) else {
+            return Grouped::Alone;
+        };
+        let key = keys.pop().expect("an id is open in some group");
+        if keys.is_empty() {
+            self.open.remove(&id);
+        }
+        let (left, released) = self.groups.get_mut(&key).expect("its group is open");
+        *left -= 1;
+        if *left > 0 {
+            released.push(id);
+            return Grouped::Deferred;
+        }
+        let (_, released) = self.groups.remove(&key).expect("its group is open");
+        Grouped::Last(released)
+    }
+
+    /// Take every deferred release of `id` out of its group; how many.
+    fn take_deferred(&mut self, id: ObjectId) -> usize {
+        let mut taken = 0;
+        for (_, released) in self.groups.values_mut() {
+            let before = released.len();
+            released.retain(|r| *r != id);
+            taken += before - released.len();
+        }
+        taken
+    }
+
+    /// Close every group: the deferred releases, in the order the groups
+    /// were opened. Members not yet released stay plain pins.
+    fn close_all(&mut self) -> Vec<ObjectId> {
+        self.open.clear();
+        let mut groups: Vec<_> = self.groups.drain().collect();
+        groups.sort_unstable_by_key(|(key, _)| *key);
+        let released = groups.into_iter().flat_map(|(_, (_, released))| released);
+        released.collect()
+    }
+
+    fn len(&self) -> usize {
+        self.groups.len()
+    }
 }
 
 /// Releases a pinned remote object when dropped, unless released
@@ -755,6 +1008,13 @@ impl ObjectStore for DisaggStore {
         let started = Instant::now();
         let mut remote_slots = vec![false; ids.len()];
         let result = self.get_inner(ids, timeout, &mut remote_slots);
+        if result.is_ok() {
+            // The pins this get took remotely go back together: one
+            // `RELEASE` per holder when the last of them is released.
+            let remote = ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
+            let members = remote.map(|(id, _)| *id).collect();
+            self.inner.release_groups.lock().open(members);
+        }
         if let Ok(out) = &result {
             // One sample per requested id, classified by how (whether) it
             // resolved. The whole-call elapsed time is attributed to each
@@ -773,69 +1033,17 @@ impl ObjectStore for DisaggStore {
         result
     }
 
+    /// A member of a release group that is not its last is answered
+    /// `Ok` at once, its pin still live in the ledger; the last returns
+    /// the whole group's pins in one exchange. Any other release goes
+    /// out now.
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        // Pins held at peers are fed back to their owners over RPC. Each
-        // ledger entry is decremented optimistically and restored if the
-        // RPC fails — otherwise the pin would be lost locally while the
-        // owner still counts it, leaving the object unevictable forever.
-        // The restore is ambiguous, though: a release whose *response*
-        // was lost did land, so the restored entry is a phantom the
-        // owner no longer counts. The owner's ack (`false` = no pin
-        // ledgered for us) detects exactly that case, and the loop
-        // re-routes this release at the next candidate — another
-        // owner's entry or the local refcount — instead of letting a
-        // phantom entry swallow a release some real pin needed.
-        let ledger = &self.inner.ledger;
-        let mut phantom = false;
-        let alive = |node| self.inner.health.state(node) != PeerState::Down;
-        while let Some(owner) = ledger.unpin(Side::Held, id, None, alive) {
-            let released = self.peer(owner).and_then(|peer| {
-                match self.peer_call(&peer, method::RELEASE, &[&IdReq { id }.encode()]) {
-                    Ok(body) => Ok(BoolResp::decode(body).map(|r| r.value).unwrap_or(true)),
-                    Err(fail) => Err(self.object_err(&peer, id, fail)),
-                }
-            });
-            match released {
-                Ok(true) => {
-                    self.inner
-                        .counters
-                        .releases_forwarded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                // Phantom entry: the owner executed an earlier release
-                // whose response we never saw. The stale entry is already
-                // gone from the ledger — route this release at the next
-                // candidate.
-                Ok(false) => phantom = true,
-                Err(e) => {
-                    // Restore the decrement: the owner still counts this
-                    // pin, so we must keep counting it too.
-                    ledger.record(Side::Held, id, Kind::Pin, owner, 0);
-                    return Err(e);
-                }
-            }
+        let grouped = self.inner.release_groups.lock().release(id);
+        match grouped {
+            Grouped::Alone => self.release_now(id, false, false),
+            Grouped::Deferred => Ok(()),
+            Grouped::Last(earlier) => self.return_pins(earlier, Some(id)),
         }
-        // The creator's reference of a forwarded create was consumed by
-        // SEAL_AT at the owner; the put flow's trailing release finishes
-        // the staged entry here without touching the network.
-        if ledger.finish_staged(id) {
-            return Ok(());
-        }
-        if self.inner.core.exists_any_state(id) {
-            return match self.inner.core.release(id) {
-                Ok(()) => Ok(()),
-                // On the phantom chain the pin this release pairs with may
-                // already be gone (healed by an earlier duplicated
-                // delivery); a missing refcount is success, not an error.
-                Err(_) if phantom => Ok(()),
-                Err(e) => Err(e),
-            };
-        }
-        if phantom {
-            return Ok(());
-        }
-        Err(PlasmaError::ObjectNotFound(id))
     }
 
     fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {

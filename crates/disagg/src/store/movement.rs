@@ -468,7 +468,18 @@ impl DisaggStore {
     /// forward, probing the ring's computed owner first (most likely
     /// holder). An unreachable peer might be the owner, so `NotFound` is
     /// only definite once every peer answered.
+    ///
+    /// A release of `id` this store deferred in a batch get's release
+    /// group is sent first: the caller released before deleting, and the
+    /// owner must not still count that pin. The batch's other pins stay
+    /// held until its last release (the batch-hold rule), so a delete of
+    /// one of them from another node reads `ObjectInUse` meanwhile.
     pub(super) fn delete_routed(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
+        let released = self.inner.release_groups.lock().take_deferred(id);
+        for _ in 0..released {
+            // Answered `Ok` already: a release that fails here is parked.
+            let _ = self.release_now(id, false, true);
+        }
         // `delete_here` refuses a delegated copy held here exactly as
         // it refuses one for a peer: the owner runs the delete — for a
         // replica that means invalidating every holder, us included,

@@ -1,14 +1,14 @@
 //! Talking to one peer, and to several at once: the guarded exchange
 //! (`scatter`: health admission, deadline, retry rounds — a call to one
 //! peer is a scatter of one), the translation of a failed call into the
-//! caller's error, parked releases, and the cluster-wide reads built on
-//! it (metrics, inventory).
+//! caller's error, list releases and parked ones, and the cluster-wide
+//! reads built on it (metrics, inventory).
 
 use super::{DisaggStore, Peer};
 use crate::elastic::RETRY_AFTER_MS;
 use crate::health::{Admission, PeerState, PeerStats};
 use crate::proto::{
-    method, CallHeader, IdReq, ListEntry, ListResp, Message, MetricsResp, ReplyHeader,
+    method, CallHeader, IdsReq, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
 };
 use bytes::Bytes;
 use obs::MetricsSnapshot;
@@ -251,24 +251,66 @@ impl DisaggStore {
         answers.pop().expect("one answer per member")
     }
 
+    /// One `RELEASE` to each owner in `asks`, listing its ids, all in
+    /// one [`DisaggStore::scatter`] round. Per owner: whether each id
+    /// was pinned there, in the order asked, or why no usable answer
+    /// came — the owner is unreachable, answered an error (named after
+    /// the last id, the one a caller waits on), or sent a reply that
+    /// does not decode or does not flag every id: a `Protocol` error,
+    /// as ambiguous as a lost one.
+    pub(super) fn release_at(
+        &self,
+        asks: &[(NodeId, Vec<ObjectId>)],
+    ) -> Vec<Result<Vec<bool>, PlasmaError>> {
+        let peers: Vec<_> = asks.iter().map(|(owner, _)| self.peer(*owner)).collect();
+        let reqs: Vec<Bytes> = asks
+            .iter()
+            .map(|(_, ids)| IdsReq { ids: ids.clone() }.encode())
+            .collect();
+        let bodies: Vec<[&[u8]; 1]> = reqs.iter().map(|req| [&req[..]]).collect();
+        let calls: Vec<_> = peers
+            .iter()
+            .zip(&bodies)
+            .filter_map(|(peer, body)| Some((peer.as_ref().ok()?, method::RELEASE, &body[..])))
+            .collect();
+        let mut answers = self.scatter(&calls).into_iter();
+        let outcomes = peers.iter().zip(asks).map(|(peer, (_, ids))| {
+            let peer = peer.as_ref().map_err(Clone::clone)?;
+            let answer = answers.next().expect("one answer per call");
+            let last = *ids.last().expect("a release names an id");
+            let body = answer.map_err(|fail| self.object_err(peer, last, fail))?;
+            let resp = ReleaseResp::decode(body)
+                .map_err(|e| PlasmaError::Protocol(format!("release response: {e}")))?;
+            if resp.pinned.len() != ids.len() {
+                return Err(PlasmaError::Protocol(format!(
+                    "release response: {} flags for {} ids",
+                    resp.pinned.len(),
+                    ids.len()
+                )));
+            }
+            Ok(resp.pinned)
+        });
+        outcomes.collect()
+    }
+
     /// Retry the RELEASEs parked for `peer` (closing pins in the
-    /// ledger). Invoked after a successful call proved the peer
-    /// reachable; entries that fail again are re-parked. Uses the raw
-    /// client rather than [`DisaggStore::scatter`] so a flush never
-    /// recurses into another flush, under the `header` of the exchange
-    /// that triggered it.
+    /// ledger), all in one list `RELEASE`. Invoked after a successful
+    /// call proved the peer reachable; if this call fails too, every id
+    /// is parked again. Uses the raw client rather than
+    /// [`DisaggStore::scatter`] so a flush never recurses into another
+    /// flush, under the `header` of the exchange that triggered it.
     fn flush_parked_releases(&self, peer: &Peer, header: CallHeader) {
         let parked = self.inner.ledger.take_parked(peer.node);
         if parked.is_empty() {
             return;
         }
-        let head = header.encode();
-        for id in parked {
-            let sent = peer
-                .client
-                .call_async(method::RELEASE, &[&head, &IdReq { id }.encode()])
-                .and_then(|call| call.wait_deadline(self.inner.call_deadline));
-            if sent.is_err() {
+        let req = IdsReq { ids: parked };
+        let sent = peer
+            .client
+            .call_async(method::RELEASE, &[&header.encode(), &req.encode()])
+            .and_then(|call| call.wait_deadline(self.inner.call_deadline));
+        if sent.is_err() {
+            for id in req.ids {
                 self.inner.ledger.park(id, peer.node);
             }
         }

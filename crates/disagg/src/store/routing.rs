@@ -8,7 +8,7 @@ use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
     method, BoolResp, CreateAtReq, CreateAtResp, GetManyEntry, GetManyReq, GetManyResp, IdReq,
-    MembershipResp, Message,
+    IdsReq, MembershipResp, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
@@ -388,11 +388,12 @@ impl DisaggStore {
     /// a pin on the new owner must not be merged into, and later
     /// "released" against, the stale owner's count. If two
     /// peers answered for the same id, the first absorbed pin wins and
-    /// the duplicate is released back to the losing peer. The *same*
-    /// peer answering an id twice is not a race but a batch that
-    /// legitimately carried the id twice (the owner pinned once per
-    /// instance, and the caller will release once per filled slot) —
-    /// those extra pins are ledgered, not released.
+    /// the duplicate is released back to the losing peer — all of one
+    /// answer's duplicates in one list `RELEASE` once the answer is
+    /// folded. The *same* peer answering an id twice is not a race but a
+    /// batch that legitimately carried the id twice (the owner pinned
+    /// once per instance, and the caller will release once per filled
+    /// slot) — those extra pins are ledgered, not released.
     pub(super) fn absorb_lookup(
         &self,
         peer: &Peer,
@@ -400,6 +401,7 @@ impl DisaggStore {
         found: &mut HashMap<ObjectId, ObjectLocation>,
     ) {
         let ledger = &self.inner.ledger;
+        let mut lost = Vec::new();
         for loc in pinned {
             let Some(&winner_loc) = found.get(&loc.id) else {
                 self.inner
@@ -416,15 +418,21 @@ impl DisaggStore {
                 ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
                 continue;
             }
-            let req = IdReq { id: loc.id };
-            // A loser that did not confirm the release (dead, unreachable,
-            // or a definite error) keeps its pin until a retry lands:
-            // park it instead of leaking it.
-            if self
-                .peer_call(peer, method::RELEASE, &[&req.encode()])
-                .is_err()
-            {
-                self.park_release(peer.node, loc.id);
+            lost.push(loc.id);
+        }
+        if lost.is_empty() {
+            return;
+        }
+        // A loser that did not confirm the release (dead, unreachable,
+        // or a definite error) keeps its pins until a retry lands: park
+        // them instead of leaking them.
+        let req = IdsReq { ids: lost };
+        if self
+            .peer_call(peer, method::RELEASE, &[&req.encode()])
+            .is_err()
+        {
+            for id in req.ids {
+                self.park_release(peer.node, id);
             }
         }
     }

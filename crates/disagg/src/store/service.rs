@@ -5,8 +5,8 @@
 use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
-    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, ListResp,
-    Message, MetricsResp, ReconcileReq, ReplyHeader,
+    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, IdsReq,
+    ListResp, Message, MetricsResp, ReconcileReq, ReleaseResp, ReplyHeader,
 };
 use bytes::Bytes;
 use ipc::CodecError;
@@ -80,9 +80,10 @@ impl Interconnect {
         let store = &self.store;
         match method_id {
             method::RELEASE => {
-                let req = decoded(IdReq::decode(request))?;
-                let released = store.release_for(from, req.id);
-                released.map(truth).map_err(status_of)
+                let req = decoded(IdsReq::decode(request))?;
+                let released = store.release_for(from, &req.ids);
+                let resp = released.map(|pinned| ReleaseResp { pinned }.encode());
+                resp.map_err(status_of)
             }
             method::CONTAINS => {
                 let req = decoded(IdReq::decode(request))?;

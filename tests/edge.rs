@@ -1,11 +1,12 @@
 //! Edge-case regressions: GET_MANY batch shapes that historically leaked
-//! pins (duplicate ids, empty batches, all-missing batches), the
+//! pins (duplicate ids, empty batches, all-missing batches, a batch left
+//! half released), the
 //! zero-length-object lifecycle, local and remote, a create whose sizes
 //! overflow, and a reconcile sweep with a peer down.
 
 use disagg::proto::{method, CallHeader, GetManyReq, Message};
 use disagg::{Cluster, ClusterConfig, Kind, PeerState};
-use memdis::plasma::{ObjectId, PlasmaError, StoreConfig, StoreCore};
+use memdis::plasma::{ObjectId, ObjectStore, PlasmaError, StoreConfig, StoreCore};
 use std::time::Duration;
 use tfsim::Fabric;
 
@@ -34,7 +35,7 @@ fn assert_no_pins(cluster: &Cluster, nodes: usize) {
 #[test]
 fn get_many_duplicate_ids_in_one_batch() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 8 << 20)).unwrap();
-    let id = oid("edge/dup");
+    let id = oid(&cluster.owned_id(0, "edge/dup"));
     cluster
         .client(0)
         .unwrap()
@@ -42,7 +43,8 @@ fn get_many_duplicate_ids_in_one_batch() {
         .unwrap();
 
     // The same id twice in one remote batch: the owner pins once per
-    // instance, so each filled slot carries its own releasable reference.
+    // instance, so each filled slot carries its own releasable reference
+    // — and both go back in one `RELEASE` that lists the id twice.
     let client = cluster.client(1).unwrap();
     let slots = client.get(&[id, id], GET).unwrap();
     assert_eq!(slots.len(), 2);
@@ -52,8 +54,37 @@ fn get_many_duplicate_ids_in_one_batch() {
     }
     drop(slots);
     client.release(id).unwrap();
+    assert_eq!(cluster.store(0).remote_pin_count(), 2, "the first waits");
     client.release(id).unwrap();
 
+    assert_no_pins(&cluster, 2);
+    let snap = cluster.store(1).metrics_snapshot();
+    let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
+    assert_eq!(releases.map(|h| h.count), Some(1));
+}
+
+/// A batch left half released — its client went away before releasing
+/// every slot — keeps its release group open and its pins at the owner.
+/// The quiesce drain closes the group: the release it deferred goes out
+/// and the pins nobody released drain, so nothing stays pinned.
+#[test]
+fn drain_closes_a_batch_left_half_released() {
+    let cluster = Cluster::launch(ClusterConfig::functional(2, 8 << 20)).unwrap();
+    let names = cluster.owned_ids(0, "edge/half", 3);
+    let ids: Vec<ObjectId> = names.iter().map(|name| oid(name)).collect();
+    let producer = cluster.client(0).unwrap();
+    for id in &ids {
+        producer.put(*id, &[1u8; 64], &[]).unwrap();
+    }
+    let reader = cluster.store(1);
+    let slots = reader.get(&ids, GET).unwrap();
+    assert!(slots.iter().all(Option::is_some));
+    reader.release(ids[0]).unwrap();
+    assert_eq!(reader.open_release_groups(), 1);
+    assert_eq!(cluster.store(0).remote_pin_count(), 3);
+
+    assert_eq!(reader.drain_remote_pins(), 2, "the two never released");
+    assert_eq!(reader.open_release_groups(), 0);
     assert_no_pins(&cluster, 2);
 }
 

@@ -591,6 +591,219 @@ fn failed_release_keeps_the_pin_accounted() {
     assert_eq!(cluster.store(0).disagg_stats().releases_forwarded, 1);
 }
 
+/// `n` ids the ring places on `node`.
+fn owned(cluster: &Cluster, node: usize, base: &str, n: usize) -> Vec<ObjectId> {
+    let names = cluster.owned_ids(node, base, n).into_iter();
+    names.map(|name| ObjectId::from_name(&name)).collect()
+}
+
+/// A 2-node cluster with four objects on node 0, all got by node 1 in
+/// one batch and all but the last released: what remains is the release
+/// that returns the group's pins.
+fn batch_up_to_its_last_release(config: ClusterConfig) -> (Cluster, Vec<ObjectId>) {
+    let cluster = Cluster::launch(config).unwrap();
+    let ids = owned(&cluster, 0, "flush", 4);
+    let producer = cluster.client(0).unwrap();
+    for id in &ids {
+        producer.put(*id, &[3; 256], &[]).unwrap();
+    }
+    let reader = cluster.store(1);
+    let got = reader.get(&ids, Duration::from_secs(1)).unwrap();
+    assert!(got.iter().all(Option::is_some));
+    for id in &ids[..3] {
+        reader.release(*id).unwrap();
+    }
+    assert_eq!(
+        cluster.store(0).remote_pin_count(),
+        4,
+        "no pin went back yet"
+    );
+    (cluster, ids)
+}
+
+/// The owner is gone when a batch's last release comes: that release
+/// keeps its pin and says so, the members answered `Ok` before it are
+/// parked, and once the owner is back the next call returns them all.
+#[test]
+fn a_flush_that_cannot_reach_its_owner_parks_the_answered_members() {
+    let (mut cluster, ids) = batch_up_to_its_last_release(ClusterConfig::functional(2, 1 << 20));
+    let reader = cluster.store(1).clone();
+    cluster.stop_rpc(0);
+    let err = reader.release(ids[3]).unwrap_err();
+    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    assert_eq!(reader.pending_release_count(), 3, "the answered members");
+    assert_eq!(reader.held_remote_pins(), 1, "the last one's entry is back");
+    assert_eq!(reader.open_release_groups(), 0);
+    assert_eq!(cluster.store(0).remote_pin_count(), 4);
+
+    cluster.restart_rpc(0).unwrap();
+    cluster.clock().charge(Duration::from_secs(10)); // past the probe window
+    reader.release(ids[3]).unwrap();
+    assert_eq!(reader.pending_release_count(), 0, "drained by that call");
+    assert_eq!(reader.held_remote_pins(), 0);
+    assert_eq!(cluster.store(0).remote_pin_count(), 0);
+}
+
+/// Drops the next reply node 1 reads from node 0, once armed.
+#[derive(Default)]
+struct DropNextReply(std::sync::atomic::AtomicBool);
+
+impl ipc::fault::FaultPolicy for DropNextReply {
+    fn on_frame(
+        &self,
+        link: &str,
+        dir: ipc::fault::Direction,
+        _: &ipc::Frame,
+    ) -> ipc::fault::FaultAction {
+        let reply = link == "1->0" && dir == ipc::fault::Direction::Inbound;
+        if reply && self.0.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            ipc::fault::FaultAction::Drop
+        } else {
+            ipc::fault::FaultAction::Deliver
+        }
+    }
+}
+
+/// A flush whose request landed but whose reply was lost: the owner
+/// dropped all four pins, while the reader kept the last one's entry (a
+/// phantom) and parked the rest. The drain and the reconcile that end a
+/// workload settle both sides to zero.
+#[test]
+fn a_flush_whose_reply_is_lost_ends_with_every_pin_at_zero() {
+    let drop_reply = std::sync::Arc::new(DropNextReply::default());
+    let mut config = ClusterConfig::functional(2, 1 << 20);
+    config.fault_policy = Some(drop_reply.clone());
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.retry = RetryPolicy::none();
+    let (cluster, ids) = batch_up_to_its_last_release(config);
+    let reader = cluster.store(1).clone();
+    drop_reply
+        .0
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    let err = reader.release(ids[3]).unwrap_err();
+    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    assert_eq!(cluster.store(0).remote_pin_count(), 0, "the request landed");
+    assert_eq!(reader.pending_release_count(), 3);
+    assert_eq!(reader.held_remote_pins(), 1);
+
+    cluster.clock().charge(Duration::from_secs(10));
+    reader.drain_remote_pins();
+    for node in 0..2 {
+        let report = cluster.store(node).reconcile();
+        assert!(report.unreachable.is_empty(), "node {node}: {report:?}");
+    }
+    for node in 0..2 {
+        let store = cluster.store(node);
+        assert_eq!(store.remote_pin_count(), 0, "node {node} pins");
+        assert_eq!(store.held_remote_pins(), 0, "node {node} holds");
+        assert_eq!(store.pending_release_count(), 0, "node {node} parked");
+    }
+}
+
+/// A batch's released member may be deleted by the store that released
+/// it while a sibling is still held: the deferred release goes out first.
+/// From any other node the delete meets the batch-hold rule — the pin
+/// stands until the whole batch is released.
+#[test]
+fn release_then_delete_from_the_same_store_succeeds_while_a_sibling_is_held() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();
+    let ids = owned(&cluster, 0, "batch-hold", 2);
+    let producer = cluster.client(0).unwrap();
+    for id in &ids {
+        producer.put(*id, &[4; 128], &[]).unwrap();
+    }
+    let reader = cluster.store(1).clone();
+    let got = reader.get(&ids, Duration::from_secs(1)).unwrap();
+    assert!(got.iter().all(Option::is_some));
+    reader.release(ids[0]).unwrap();
+
+    let err = cluster.store(2).delete(ids[0]).unwrap_err();
+    assert!(matches!(err, PlasmaError::ObjectInUse(_)), "{err:?}");
+    reader.delete(ids[0]).unwrap();
+    assert!(!cluster.store(0).core().contains(ids[0]));
+    assert_eq!(
+        cluster.store(0).remote_pin_count(),
+        1,
+        "the sibling is held"
+    );
+
+    reader.release(ids[1]).unwrap();
+    assert_eq!(cluster.store(0).remote_pin_count(), 0);
+    assert_eq!(reader.held_remote_pins(), 0);
+    assert_eq!(reader.open_release_groups(), 0);
+    cluster.store(2).delete(ids[1]).unwrap();
+}
+
+/// A `RELEASE` reply that does not decode, is cut short or flags another
+/// number of ids than were asked is a `Protocol` error, handled like a
+/// lost reply: the entry is kept and the caller hears the error. The
+/// owner did release, so the retry finds a phantom and succeeds.
+#[test]
+fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
+    use bytes::Bytes;
+    use disagg::proto::{method, BoolResp, Message, ReleaseResp, ReplyHeader};
+    use plasma::{StoreConfig, StoreCore};
+    use rpclite::RpcClient;
+    use std::sync::{Arc, Mutex};
+
+    let fabric = tfsim::Fabric::virtual_thymesisflow();
+    let nodes: Vec<_> = (0..2).map(|_| fabric.register_node()).collect();
+    let mk = |i: usize, name: &str| {
+        let core = StoreCore::new(&fabric, nodes[i], StoreConfig::new(name, 1 << 20)).unwrap();
+        DisaggStore::new(core, DisaggConfig::default())
+    };
+    let reader = mk(0, "reader");
+    let owner = mk(1, "owner");
+    // The owner releases as asked, then its reply is swapped for `bad`.
+    let bad: Arc<Mutex<Option<Bytes>>> = Arc::default();
+    let swap = Arc::clone(&bad);
+    let real = owner.interconnect_service();
+    let service = Arc::new(move |m: u32, b: Bytes| {
+        let reply = real.call(m, b)?;
+        match swap.lock().unwrap().take() {
+            Some(body) if m == method::RELEASE => Ok(ReplyHeader { epoch: 0 }.frame(&body)),
+            _ => Ok(reply),
+        }
+    });
+    let hub = ipc::InprocHub::new();
+    let _srv = rpclite::serve(Box::new(hub.bind("owner").unwrap()), service);
+    reader.add_peer(Peer {
+        node: nodes[1],
+        name: "owner".into(),
+        client: Arc::new(RpcClient::new(Box::new(hub.connect("owner").unwrap()))),
+    });
+
+    let one_flag = ReleaseResp { pinned: vec![true] }.encode();
+    let replies = [
+        BoolResp { value: true }.encode(),
+        one_flag.slice(..one_flag.len() - 1),
+        ReleaseResp { pinned: vec![] }.encode(),
+        ReleaseResp {
+            pinned: vec![true, true],
+        }
+        .encode(),
+    ];
+    for (n, reply) in replies.into_iter().enumerate() {
+        let id = ObjectId::from_name(&format!("bad-reply/{n}"));
+        owner.create(id, 64, 0).unwrap();
+        owner.seal(id).unwrap();
+        owner.release(id).unwrap();
+        assert!(reader.get(&[id], Duration::ZERO).unwrap()[0].is_some());
+
+        *bad.lock().unwrap() = Some(reply.clone());
+        let err = reader.release(id).unwrap_err();
+        assert!(
+            matches!(err, PlasmaError::Protocol(_)),
+            "{reply:?}: {err:?}"
+        );
+        assert_eq!(reader.held_remote_pins(), 1, "{reply:?}: the entry is kept");
+        assert_eq!(owner.remote_pin_count(), 0, "the owner did release");
+        reader.release(id).unwrap();
+        assert_eq!(reader.held_remote_pins(), 0);
+        assert_eq!(reader.pending_release_count(), 0);
+    }
+}
+
 #[test]
 fn pin_ledger_tracks_owners_separately_across_migration_races() {
     let mut cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();

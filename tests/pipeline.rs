@@ -370,3 +370,63 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     reader.release(id).unwrap();
     assert_no_pins_anywhere(&cluster);
 }
+
+/// Calls `store` has made to `owner`'s `RELEASE`, from its per-verb
+/// client histogram.
+fn release_calls(store: &DisaggStore, owner: usize) -> u64 {
+    let snap = store.metrics_snapshot();
+    let name = format!("rpc.client.store-{owner}.release.latency_ns");
+    snap.histogram(&name).map_or(0, |h| h.count)
+}
+
+/// The pins one get took remotely go back together: a get of 32 ids
+/// spread over two owners, then its 32 releases, costs one `RELEASE` per
+/// owner, both sent in one round trip on the virtual clock when the last
+/// release comes. Until then every pin is still held at its owner. A
+/// get of one id is no group, and its release goes out at once.
+#[test]
+fn a_batch_gets_pins_go_back_in_one_release_per_owner() {
+    let (cluster, on_0, on_2) = two_owner_bed(0xBA7C, false);
+    let reader = cluster.store(1).clone();
+    let all: Vec<ObjectId> = on_0.iter().chain(&on_2).copied().collect();
+    let owner_pins = || cluster.store(0).remote_pin_count() + cluster.store(2).remote_pin_count();
+    let calls = || release_calls(&reader, 0) + release_calls(&reader, 2);
+
+    let got = reader.get(&all, Duration::from_secs(5)).unwrap();
+    assert!(got.iter().all(Option::is_some), "every id resolves");
+    assert_eq!(owner_pins(), 32);
+    assert_eq!(reader.open_release_groups(), 1);
+    let before = cluster.clock().now();
+    for id in &all[..31] {
+        reader.release(*id).unwrap();
+        assert_eq!(owner_pins(), 32, "a member that is not the last waits");
+    }
+    assert_eq!(calls(), 0);
+    assert_eq!(cluster.clock().now(), before, "and costs no model time");
+    reader.release(all[31]).unwrap();
+    let flush = cluster.clock().now() - before;
+    assert_eq!(owner_pins(), 0);
+    assert_eq!(reader.open_release_groups(), 0);
+    assert_eq!(
+        (release_calls(&reader, 0), release_calls(&reader, 2)),
+        (1, 1),
+        "one RELEASE per owner"
+    );
+    assert_eq!(reader.disagg_stats().releases_forwarded, 32);
+
+    // One id: no group, one call, sent by the release itself.
+    let got = reader.get(&on_0[..1], Duration::from_secs(5)).unwrap();
+    assert!(got[0].is_some());
+    assert_eq!(reader.open_release_groups(), 0);
+    let before = cluster.clock().now();
+    reader.release(on_0[0]).unwrap();
+    let single = cluster.clock().now() - before;
+    assert_eq!(calls(), 3);
+    // Both owners' calls left at one instant: the flush cost about one
+    // round trip (its frames are a few hundred bytes longer), not two.
+    assert!(
+        flush * 2 < single * 3,
+        "flush {flush:?} against one release's {single:?}"
+    );
+    assert_no_pins_anywhere(&cluster);
+}
