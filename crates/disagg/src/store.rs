@@ -873,12 +873,8 @@ enum Grouped {
 }
 
 impl ReleaseGroups {
-    /// Open a group for the pins one `get` took remotely, if it took
-    /// two or more.
+    /// Open a group for the pins one `get` took remotely.
     fn open(&mut self, members: Vec<ObjectId>) {
-        if members.len() < 2 {
-            return;
-        }
         let key = self.next;
         self.next += 1;
         for id in &members {
@@ -1008,11 +1004,12 @@ impl ObjectStore for DisaggStore {
         let started = Instant::now();
         let mut remote_slots = vec![false; ids.len()];
         let result = self.get_inner(ids, timeout, &mut remote_slots);
-        if result.is_ok() {
-            // The pins this get took remotely go back together: one
-            // `RELEASE` per holder when the last of them is released.
-            let remote = ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
-            let members = remote.map(|(id, _)| *id).collect();
+        // The pins this get took remotely go back together, if it took
+        // two or more: one `RELEASE` per holder when the last of them is
+        // released.
+        let remote = ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
+        let members: Vec<ObjectId> = remote.map(|(id, _)| *id).collect();
+        if result.is_ok() && members.len() > 1 {
             self.inner.release_groups.lock().open(members);
         }
         if let Ok(out) = &result {
