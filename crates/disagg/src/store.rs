@@ -57,7 +57,7 @@ use plasma::{
 };
 use rand::rngs::SmallRng;
 use rpclite::{RpcClient, Service};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -399,36 +399,36 @@ impl DisaggStore {
     /// unreachable owner missed.
     ///
     /// Every open release group is closed first: the releases it
-    /// deferred, whose callers were answered already, go out then (one
-    /// `RELEASE` per holder; a failure parks them), and its members not
-    /// yet released are left as the plain pins the loop below drains.
+    /// deferred, whose callers were answered already, go out with the
+    /// pins nobody released, all in one [`DisaggStore::return_pins`].
     ///
     /// Like `reconcile`, only sound after the workload has drained — a
     /// ledgered pin may pair with a buffer still in flight.
     pub fn drain_remote_pins(&self) -> u64 {
         let deferred = self.inner.release_groups.lock().close_all();
-        let _ = self.return_pins(deferred, None);
-        let mut drained = 0u64;
-        loop {
-            let held_pins = |r: &DelegationRecord| {
-                r.side == Side::Held && r.kind == Kind::Pin && r.phase == Phase::Live
-            };
-            let mut progressed = false;
-            for pin in self.delegations().into_iter().filter(held_pins) {
-                for _ in 0..pin.count {
-                    if self.release(pin.id).is_ok() {
-                        progressed = true;
-                        drained += 1;
-                    }
-                }
-            }
-            if !progressed {
-                // Either the ledger is empty or every remaining owner is
-                // unreachable; leave stragglers for reconciliation rather
-                // than spinning on them.
-                return drained;
+        let mut held: BTreeMap<ObjectId, u64> = BTreeMap::new();
+        for pin in self.delegations() {
+            if pin.side == Side::Held && pin.kind == Kind::Pin && pin.phase == Phase::Live {
+                *held.entry(pin.id).or_default() += pin.count;
             }
         }
+        // A deferred release's pin is still live in the ledger.
+        for id in &deferred {
+            if let Some(n) = held.get_mut(id) {
+                *n = n.saturating_sub(1);
+            }
+        }
+        let mut members: Vec<(ObjectId, bool)> =
+            deferred.into_iter().map(|id| (id, true)).collect();
+        let unreleased = held
+            .into_iter()
+            .flat_map(|(id, n)| (0..n).map(move |_| (id, false)));
+        members.extend(unreleased);
+        let outcomes = self.return_pins(&members);
+        let drained = members.iter().zip(&outcomes);
+        drained
+            .filter(|((_, answered), outcome)| !answered && outcome.is_ok())
+            .count() as u64
     }
 
     /// Quiesce-time reconciliation, holder-initiated: report to every
@@ -702,132 +702,75 @@ impl DisaggStore {
         }
     }
 
-    /// Return one pin on `id` now. Pins held at peers are fed back to
-    /// their owners over RPC. Each ledger entry is decremented
-    /// optimistically and kept if the RPC fails (see
-    /// [`DisaggStore::keep_pin`]) — otherwise the pin would be lost
-    /// locally while the owner still counts it, leaving the object
-    /// unevictable forever. Keeping it is ambiguous, though: a release
-    /// whose *response* was lost did land, so the kept entry is a
-    /// phantom the owner no longer counts. The owner's ack (`false` = no
-    /// pin ledgered for us) detects exactly that case, and the loop
-    /// re-routes this release at the next candidate — another owner's
-    /// entry or the local refcount — instead of letting a phantom entry
-    /// swallow a release some real pin needed. `phantom` says an ack
-    /// already proved one; `answered` that the caller already heard `Ok`.
-    fn release_now(
-        &self,
-        id: ObjectId,
-        mut phantom: bool,
-        answered: bool,
-    ) -> Result<(), PlasmaError> {
+    /// Return pins this store took at peers, one per member: an id, and
+    /// whether its caller was answered `Ok` already. Each pin leaves the
+    /// ledger optimistically, and every owner is then sent one `RELEASE`
+    /// listing its ids, all in one [`DisaggStore::release_at`] round: one
+    /// round trip on the clock however many pins and owners. An owner
+    /// without a usable answer keeps its pins (see
+    /// [`DisaggStore::keep_pin`]) — otherwise a pin would be lost here
+    /// while the owner still counts it, leaving the object unevictable
+    /// forever. Keeping it is ambiguous, though: a release whose
+    /// *response* was lost did land, so the kept entry is a phantom the
+    /// owner no longer counts. The owner's flag (`false` = no pin
+    /// ledgered for us) detects exactly that case, and those ids go
+    /// round again, together, at their next candidate: another owner's
+    /// entry or, once the ledger has none, [`DisaggStore::release_here`].
+    /// Returns each member's outcome, in order.
+    fn return_pins(&self, members: &[(ObjectId, bool)]) -> Vec<Result<(), PlasmaError>> {
         let ledger = &self.inner.ledger;
         let alive = |node| self.inner.health.state(node) != PeerState::Down;
-        while let Some(owner) = ledger.unpin(Side::Held, id, None, alive) {
-            let answer = self.release_at(&[(owner, vec![id])]).pop();
-            match answer.expect("one answer per owner") {
-                Ok(pinned) if pinned[0] => {
-                    self.inner
-                        .counters
-                        .releases_forwarded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+        let mut outcomes = vec![Ok(()); members.len()];
+        // Members still to route, and whether an ack proved a phantom.
+        let mut round: Vec<(usize, bool)> = (0..members.len()).map(|i| (i, false)).collect();
+        while !round.is_empty() {
+            let mut by_owner: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+            for (i, phantom) in std::mem::take(&mut round) {
+                let id = members[i].0;
+                match ledger.unpin(Side::Held, id, None, alive) {
+                    Some(owner) => by_owner.entry(owner).or_default().push(i),
+                    None => outcomes[i] = self.release_here(id, phantom),
                 }
-                // Phantom entry: the owner executed an earlier release
-                // whose response we never saw. The stale entry is already
-                // gone from the ledger — route this release at the next
-                // candidate.
-                Ok(_) => phantom = true,
-                Err(e) => {
-                    self.keep_pin(id, owner, answered);
-                    return Err(e);
+            }
+            let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner
+                .iter()
+                .map(|(owner, at)| (*owner, at.iter().map(|&i| members[i].0).collect()))
+                .collect();
+            for ((owner, at), answer) in by_owner.into_iter().zip(self.release_at(&asks)) {
+                for (k, i) in at.into_iter().enumerate() {
+                    let (id, answered) = members[i];
+                    match &answer {
+                        Ok(pinned) if pinned[k] => {
+                            let forwarded = &self.inner.counters.releases_forwarded;
+                            forwarded.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Ok(_) => round.push((i, true)),
+                        Err(e) => {
+                            self.keep_pin(id, owner, answered);
+                            outcomes[i] = Err(e.clone());
+                        }
+                    }
                 }
             }
         }
-        // The creator's reference of a forwarded create was consumed by
-        // SEAL_AT at the owner; the put flow's trailing release finishes
-        // the staged entry here without touching the network.
-        if ledger.finish_staged(id) {
-            return Ok(());
-        }
-        if self.inner.core.exists_any_state(id) {
-            return match self.inner.core.release(id) {
-                Ok(()) => Ok(()),
-                // On the phantom chain the pin this release pairs with may
-                // already be gone (healed by an earlier duplicated
-                // delivery); a missing refcount is success, not an error.
-                Err(_) if phantom => Ok(()),
-                Err(e) => Err(e),
-            };
-        }
-        if phantom {
-            return Ok(());
-        }
-        Err(PlasmaError::ObjectNotFound(id))
+        outcomes
     }
 
-    /// Return a release group's pins together: `earlier` are members
-    /// whose callers were answered `Ok` already, and `last`, if any, is
-    /// the release that closed the group — its outcome is the answer.
-    /// Each pin leaves the ledger as [`DisaggStore::release_now`] takes
-    /// it, and every owner is then sent one `RELEASE` listing its ids,
-    /// all in one `scatter` round: one round trip on the clock however
-    /// many pins and owners. A `false` flag re-routes that id alone
-    /// through `release_now`'s phantom loop. An owner without a usable
-    /// answer keeps its pins: `last`'s is restored and the error
-    /// returned, the earlier ones are parked.
-    fn return_pins(
-        &self,
-        earlier: Vec<ObjectId>,
-        last: Option<ObjectId>,
-    ) -> Result<(), PlasmaError> {
-        let ledger = &self.inner.ledger;
-        let alive = |node| self.inner.health.state(node) != PeerState::Down;
-        let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        // Members no peer pinned for us: a redirect that pointed home
-        // took a local pin.
-        let mut local = Vec::new();
-        let mut last_at = None;
-        let members = earlier.into_iter().map(|id| (id, false));
-        for (id, is_last) in members.chain(last.map(|id| (id, true))) {
-            match ledger.unpin(Side::Held, id, None, alive) {
-                Some(owner) => {
-                    by_owner.entry(owner).or_default().push(id);
-                    last_at = if is_last { Some(owner) } else { last_at };
-                }
-                None => local.push((id, is_last)),
-            }
+    /// Return a pin no peer holds for us. The creator's reference of a
+    /// forwarded create was consumed by `SEAL_AT` at the owner, so the
+    /// put flow's trailing release finishes the staged entry here
+    /// without touching the network; anything else is a local pin (a
+    /// redirect that pointed home took one). On the phantom chain the
+    /// pin this release pairs with may already be gone (healed by an
+    /// earlier duplicated delivery): a missing one is success.
+    fn release_here(&self, id: ObjectId, phantom: bool) -> Result<(), PlasmaError> {
+        if self.inner.ledger.finish_staged(id) {
+            return Ok(());
         }
-        let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner.into_iter().collect();
-        let mut outcome = Ok(());
-        for ((owner, ids), answer) in asks.iter().zip(self.release_at(&asks)) {
-            for (i, &id) in ids.iter().enumerate() {
-                // `last` went in after every other member.
-                let is_last = last_at == Some(*owner) && i + 1 == ids.len();
-                let released = match &answer {
-                    Ok(pinned) if pinned[i] => {
-                        let forwarded = &self.inner.counters.releases_forwarded;
-                        forwarded.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    }
-                    Ok(_) => self.release_now(id, true, !is_last),
-                    Err(e) => {
-                        self.keep_pin(id, *owner, !is_last);
-                        Err(e.clone())
-                    }
-                };
-                if is_last {
-                    outcome = released;
-                }
-            }
+        match self.inner.core.release(id) {
+            Err(_) if phantom => Ok(()),
+            released => released,
         }
-        for (id, is_last) in local {
-            let released = self.release_now(id, false, !is_last);
-            if is_last {
-                outcome = released;
-            }
-        }
-        outcome
     }
 
     /// Keep the pin on `id` at `owner` whose release got no usable
@@ -837,7 +780,8 @@ impl DisaggStore {
     /// to `owner` that succeeds.
     fn keep_pin(&self, id: ObjectId, owner: NodeId, answered: bool) {
         if answered {
-            self.park_release(owner, id);
+            self.inner.ledger.park(id, owner);
+            self.sync_parked_gauge();
         } else {
             self.inner
                 .ledger
@@ -850,61 +794,45 @@ impl DisaggStore {
 /// remotely, returned together once the last of them is released.
 /// Counted per filled slot, as the ledger counts pins, so an id filled
 /// in two slots is two members. Pins on one immutable object are
-/// fungible, so a release joins whichever group has its id open.
+/// fungible, so a release joins the most recently opened group that has
+/// its id waiting.
 #[derive(Default)]
 struct ReleaseGroups {
-    next: u64,
-    /// Per open group: its members not yet released, and the ids of
-    /// those released already, whose pins are still live in the ledger.
-    groups: HashMap<u64, (usize, Vec<ObjectId>)>,
-    /// Per id, the group of each of its members not yet released.
-    open: HashMap<ObjectId, Vec<u64>>,
-}
-
-/// What a release is to the groups.
-enum Grouped {
-    /// No group has the id open: release it now.
-    Alone,
-    /// A member with others still to come: its pin waits for them.
-    Deferred,
-    /// The group's last member: return its pin with the ones released
-    /// before it, listed here.
-    Last(Vec<ObjectId>),
+    /// Per open group, oldest first: the ids still waiting for their
+    /// release, and those released already, whose pins are still live
+    /// in the ledger.
+    groups: Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
 }
 
 impl ReleaseGroups {
     /// Open a group for the pins one `get` took remotely.
     fn open(&mut self, members: Vec<ObjectId>) {
-        let key = self.next;
-        self.next += 1;
-        for id in &members {
-            self.open.entry(*id).or_default().push(key);
-        }
-        self.groups.insert(key, (members.len(), Vec::new()));
+        self.groups.push((members, Vec::new()));
     }
 
-    fn release(&mut self, id: ObjectId) -> Grouped {
-        let Some(keys) = self.open.get_mut(&id) else {
-            return Grouped::Alone;
+    /// What a release of `id` sends: `None` while its group still waits
+    /// for other members, else the releases its group deferred (none if
+    /// no group has it waiting).
+    fn release(&mut self, id: ObjectId) -> Option<Vec<ObjectId>> {
+        let mut groups = self.groups.iter().enumerate().rev();
+        let found = groups
+            .find_map(|(at, (waiting, _))| Some((at, waiting.iter().position(|w| *w == id)?)));
+        let Some((at, member)) = found else {
+            return Some(Vec::new());
         };
-        let key = keys.pop().expect("an id is open in some group");
-        if keys.is_empty() {
-            self.open.remove(&id);
+        let (waiting, released) = &mut self.groups[at];
+        waiting.swap_remove(member);
+        if waiting.is_empty() {
+            return Some(self.groups.remove(at).1);
         }
-        let (left, released) = self.groups.get_mut(&key).expect("its group is open");
-        *left -= 1;
-        if *left > 0 {
-            released.push(id);
-            return Grouped::Deferred;
-        }
-        let (_, released) = self.groups.remove(&key).expect("its group is open");
-        Grouped::Last(released)
+        released.push(id);
+        None
     }
 
     /// Take every deferred release of `id` out of its group; how many.
     fn take_deferred(&mut self, id: ObjectId) -> usize {
         let mut taken = 0;
-        for (_, released) in self.groups.values_mut() {
+        for (_, released) in &mut self.groups {
             let before = released.len();
             released.retain(|r| *r != id);
             taken += before - released.len();
@@ -915,11 +843,8 @@ impl ReleaseGroups {
     /// Close every group: the deferred releases, in the order the groups
     /// were opened. Members not yet released stay plain pins.
     fn close_all(&mut self) -> Vec<ObjectId> {
-        self.open.clear();
-        let mut groups: Vec<_> = self.groups.drain().collect();
-        groups.sort_unstable_by_key(|(key, _)| *key);
-        let released = groups.into_iter().flat_map(|(_, (_, released))| released);
-        released.collect()
+        let groups = self.groups.drain(..);
+        groups.flat_map(|(_, released)| released).collect()
     }
 
     fn len(&self) -> usize {
@@ -1035,12 +960,13 @@ impl ObjectStore for DisaggStore {
     /// the whole group's pins in one exchange. Any other release goes
     /// out now.
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let grouped = self.inner.release_groups.lock().release(id);
-        match grouped {
-            Grouped::Alone => self.release_now(id, false, false),
-            Grouped::Deferred => Ok(()),
-            Grouped::Last(earlier) => self.return_pins(earlier, Some(id)),
-        }
+        let Some(earlier) = self.inner.release_groups.lock().release(id) else {
+            return Ok(());
+        };
+        let mut members: Vec<(ObjectId, bool)> = earlier.into_iter().map(|id| (id, true)).collect();
+        members.push((id, false));
+        let mut outcomes = self.return_pins(&members);
+        outcomes.pop().expect("the release is a member")
     }
 
     fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {

@@ -475,11 +475,9 @@ impl DisaggStore {
     /// held until its last release (the batch-hold rule), so a delete of
     /// one of them from another node reads `ObjectInUse` meanwhile.
     pub(super) fn delete_routed(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
-        let released = self.inner.release_groups.lock().take_deferred(id);
-        for _ in 0..released {
-            // Answered `Ok` already: a release that fails here is parked.
-            let _ = self.release_now(id, false, true);
-        }
+        let held = self.inner.release_groups.lock().take_deferred(id);
+        // Answered `Ok` already: a release that fails here is parked.
+        self.return_pins(&vec![(id, true); held]);
         // `delete_here` refuses a delegated copy held here exactly as
         // it refuses one for a peer: the owner runs the delete — for a
         // replica that means invalidating every holder, us included,

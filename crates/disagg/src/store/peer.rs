@@ -220,14 +220,19 @@ impl DisaggStore {
             let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
             inner.clock.advance_to(inner.clock.now() + backoff);
         }
-        // Only now, with nothing of the exchange left in flight: a flush
-        // is serial calls of its own, and so is a membership pull (whose
-        // own reply is the table, not a reason to pull again).
-        for ((peer, ..), answer) in calls.iter().zip(&answers) {
-            if matches!(answer, Some(Ok(_))) {
-                self.flush_parked_releases(peer, header);
-            }
-        }
+        // Only now, with nothing of the exchange left in flight: the
+        // releases parked for the peers that answered are an exchange of
+        // their own, and so is a membership pull (whose own reply is the
+        // table, not a reason to pull again).
+        let answered = calls.iter().zip(&answers);
+        let parked = answered.filter_map(|((peer, ..), answer)| {
+            let ids = match answer {
+                Some(Ok(_)) => inner.ledger.take_parked(peer.node),
+                _ => Vec::new(),
+            };
+            (!ids.is_empty()).then_some((peer.node, ids))
+        });
+        self.release_owed(parked.collect());
         for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
             if *method_id != method::MEMBERSHIP {
                 self.maybe_adopt_epoch(peer.node, epoch);
@@ -262,6 +267,9 @@ impl DisaggStore {
         &self,
         asks: &[(NodeId, Vec<ObjectId>)],
     ) -> Vec<Result<Vec<bool>, PlasmaError>> {
+        if asks.is_empty() {
+            return Vec::new();
+        }
         let peers: Vec<_> = asks.iter().map(|(owner, _)| self.peer(*owner)).collect();
         let reqs: Vec<Bytes> = asks
             .iter()
@@ -293,38 +301,30 @@ impl DisaggStore {
         outcomes.collect()
     }
 
-    /// Retry the RELEASEs parked for `peer` (closing pins in the
-    /// ledger), all in one list `RELEASE`. Invoked after a successful
-    /// call proved the peer reachable; if this call fails too, every id
-    /// is parked again. Uses the raw client rather than
-    /// [`DisaggStore::scatter`] so a flush never recurses into another
-    /// flush, under the `header` of the exchange that triggered it.
-    fn flush_parked_releases(&self, peer: &Peer, header: CallHeader) {
-        let parked = self.inner.ledger.take_parked(peer.node);
-        if parked.is_empty() {
+    /// Send releases owed to named owners — parked ones, and the
+    /// duplicate pins a lookup hands back — one `RELEASE` per owner, all
+    /// in one [`DisaggStore::release_at`] round. An owner without a
+    /// usable answer has its ids parked, to go again after the next call
+    /// to it that succeeds; a `false` flag means the release landed
+    /// already and is dropped. A flush of parked ids recurses through
+    /// `scatter` at most once: `take_parked` emptied the backlog it
+    /// would flush.
+    pub(super) fn release_owed(&self, asks: Vec<(NodeId, Vec<ObjectId>)>) {
+        if asks.is_empty() {
             return;
         }
-        let req = IdsReq { ids: parked };
-        let sent = peer
-            .client
-            .call_async(method::RELEASE, &[&header.encode(), &req.encode()])
-            .and_then(|call| call.wait_deadline(self.inner.call_deadline));
-        if sent.is_err() {
-            for id in req.ids {
-                self.inner.ledger.park(id, peer.node);
+        let answers = self.release_at(&asks);
+        for ((owner, ids), answer) in asks.into_iter().zip(answers) {
+            if answer.is_err() {
+                for id in ids {
+                    self.inner.ledger.park(id, owner);
+                }
             }
         }
         self.sync_parked_gauge();
     }
 
-    /// Park a RELEASE against an unreachable peer for later retry: the
-    /// owner-side pin must not leak for the peer's lifetime.
-    pub(super) fn park_release(&self, owner: NodeId, id: ObjectId) {
-        self.inner.ledger.park(id, owner);
-        self.sync_parked_gauge();
-    }
-
-    fn sync_parked_gauge(&self) {
+    pub(super) fn sync_parked_gauge(&self) {
         let parked = self.inner.ledger.parked();
         self.inner.metrics.pending_releases.set(parked as i64);
     }

@@ -8,7 +8,7 @@ use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
     method, BoolResp, CreateAtReq, CreateAtResp, GetManyEntry, GetManyReq, GetManyResp, IdReq,
-    IdsReq, MembershipResp, Message,
+    MembershipResp, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
@@ -420,20 +420,8 @@ impl DisaggStore {
             }
             lost.push(loc.id);
         }
-        if lost.is_empty() {
-            return;
-        }
-        // A loser that did not confirm the release (dead, unreachable,
-        // or a definite error) keeps its pins until a retry lands: park
-        // them instead of leaking them.
-        let req = IdsReq { ids: lost };
-        if self
-            .peer_call(peer, method::RELEASE, &[&req.encode()])
-            .is_err()
-        {
-            for id in req.ids {
-                self.park_release(peer.node, id);
-            }
+        if !lost.is_empty() {
+            self.release_owed(vec![(peer.node, lost)]);
         }
     }
 

@@ -101,9 +101,11 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # public field, the hint parser and an uncalled `Cluster` getter (PR 24);
 # the capacity scatter a spill pass made before choosing a lender (PR 27);
 # the protobuf-style second codec the interconnect and the rpclite
-# envelope were written in (PR 35).
+# envelope were written in (PR 35); the one-id release loop, the raw
+# parked-release flush and the one-id park beside them, which
+# `return_pins` and `release_owed` replaced (PR 37).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done

@@ -65,8 +65,9 @@ fn get_many_duplicate_ids_in_one_batch() {
 
 /// A batch left half released — its client went away before releasing
 /// every slot — keeps its release group open and its pins at the owner.
-/// The quiesce drain closes the group: the release it deferred goes out
-/// and the pins nobody released drain, so nothing stays pinned.
+/// The quiesce drain closes the group: the release it deferred and the
+/// pins nobody released go out together, one `RELEASE` to the owner, so
+/// nothing stays pinned.
 #[test]
 fn drain_closes_a_batch_left_half_released() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 8 << 20)).unwrap();
@@ -86,6 +87,9 @@ fn drain_closes_a_batch_left_half_released() {
     assert_eq!(reader.drain_remote_pins(), 2, "the two never released");
     assert_eq!(reader.open_release_groups(), 0);
     assert_no_pins(&cluster, 2);
+    let snap = reader.metrics_snapshot();
+    let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
+    assert_eq!(releases.map(|h| h.count), Some(1), "one RELEASE per owner");
 }
 
 #[test]

@@ -737,7 +737,8 @@ fn release_then_delete_from_the_same_store_succeeds_while_a_sibling_is_held() {
 /// A `RELEASE` reply that does not decode, is cut short or flags another
 /// number of ids than were asked is a `Protocol` error, handled like a
 /// lost reply: the entry is kept and the caller hears the error. The
-/// owner did release, so the retry finds a phantom and succeeds.
+/// owner did release, so the retry finds a phantom and succeeds. A
+/// parked release whose flush gets such a reply stays parked.
 #[test]
 fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
     use bytes::Bytes;
@@ -760,10 +761,12 @@ fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
     let real = owner.interconnect_service();
     let service = Arc::new(move |m: u32, b: Bytes| {
         let reply = real.call(m, b)?;
-        match swap.lock().unwrap().take() {
-            Some(body) if m == method::RELEASE => Ok(ReplyHeader { epoch: 0 }.frame(&body)),
-            _ => Ok(reply),
-        }
+        let swapped = if m == method::RELEASE {
+            swap.lock().unwrap().take()
+        } else {
+            None
+        };
+        Ok(swapped.map_or(reply, |body| ReplyHeader { epoch: 0 }.frame(&body)))
     });
     let hub = ipc::InprocHub::new();
     let _srv = rpclite::serve(Box::new(hub.bind("owner").unwrap()), service);
@@ -802,6 +805,35 @@ fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
         assert_eq!(reader.held_remote_pins(), 0);
         assert_eq!(reader.pending_release_count(), 0);
     }
+
+    // A parked release's flush reads its reply the same way. In a batch
+    // of two, the first release waits for the second, whose bad reply
+    // parks the first. The flush the next call to the owner sends gets
+    // a bad reply too, so the id is parked again.
+    let pair: Vec<ObjectId> = (0..2)
+        .map(|n| ObjectId::from_name(&format!("bad-reply/flush/{n}")))
+        .collect();
+    for id in &pair {
+        owner.create(*id, 64, 0).unwrap();
+        owner.seal(*id).unwrap();
+        owner.release(*id).unwrap();
+    }
+    let got = reader.get(&pair, Duration::ZERO).unwrap();
+    assert!(got.iter().all(Option::is_some));
+    reader.release(pair[0]).unwrap();
+    *bad.lock().unwrap() = Some(BoolResp { value: true }.encode());
+    let err = reader.release(pair[1]).unwrap_err();
+    assert!(matches!(err, PlasmaError::Protocol(_)), "{err:?}");
+    assert_eq!(reader.pending_release_count(), 1, "the answered one parks");
+    *bad.lock().unwrap() = Some(BoolResp { value: true }.encode());
+    reader.peer_metrics(nodes[1]).unwrap();
+    assert_eq!(reader.pending_release_count(), 1, "a bad flush reply parks");
+    // The owner released both already: the next flush's `false` flag
+    // says the parked release landed, and it is dropped.
+    reader.release(pair[1]).unwrap();
+    assert_eq!(reader.pending_release_count(), 0);
+    assert_eq!(reader.held_remote_pins(), 0);
+    assert_eq!(owner.remote_pin_count(), 0);
 }
 
 #[test]
