@@ -73,6 +73,65 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// Bytes in each of [`crc32_sse42`]'s three interleaved lanes: a frame
+/// of fewer than `3 * LANE` bytes takes the serial loop alone.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const LANE: usize = 1024;
+
+/// "Advance the register over `n` zero bytes" for `n` = `LANE` and
+/// `2 * LANE`, the maps that join [`crc32_sse42`]'s lanes. Each map is
+/// linear in the register, so `[k][v]` holds its image of `v << 8k`
+/// and the image of any register is the XOR of four lookups.
+#[cfg(target_arch = "x86_64")]
+const CRC32_LANE_SHIFTS: [[[u32; 256]; 4]; 2] =
+    [crc32_zeros_table(LANE), crc32_zeros_table(2 * LANE)];
+
+/// One of [`CRC32_LANE_SHIFTS`]: the map's image of each register bit,
+/// found by folding `n` zero bytes with `CRC32_TABLES[0]`, XORed
+/// together for each entry.
+#[cfg(target_arch = "x86_64")]
+const fn crc32_zeros_table(n: usize) -> [[u32; 256]; 4] {
+    let mut bit_images = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut c = 1u32 << bit;
+        let mut i = 0;
+        while i < n {
+            c = CRC32_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        bit_images[bit] = c;
+        bit += 1;
+    }
+    let mut table = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut v = 0;
+        while v < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if v >> bit & 1 != 0 {
+                    table[k][v] ^= bit_images[8 * k + bit];
+                }
+                bit += 1;
+            }
+            v += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// Advance the register `c` over `n` zero bytes, `shift` being one of
+/// [`CRC32_LANE_SHIFTS`].
+#[cfg(target_arch = "x86_64")]
+fn crc32_shift(shift: &[[u32; 256]; 4], c: u32) -> u32 {
+    shift[0][(c & 0xFF) as usize]
+        ^ shift[1][((c >> 8) & 0xFF) as usize]
+        ^ shift[2][((c >> 16) & 0xFF) as usize]
+        ^ shift[3][(c >> 24) as usize]
+}
+
 /// Advance the CRC register `c` over `data`, one table lookup per byte.
 fn crc32_fold_bytes(mut c: u32, data: &[u8]) -> u32 {
     for &byte in data {
@@ -93,8 +152,8 @@ fn crc32_fold_bytes(mut c: u32, data: &[u8]) -> u32 {
 /// An envelope may carry a small object's payload and is checksummed
 /// once on each side of the wire, so every byte passes through here.
 /// Where the CPU has SSE4.2, its `crc32` instruction folds eight bytes
-/// at a time; elsewhere a slicing-by-8 table fold computes the same
-/// value.
+/// at a time, in three interleaved chains; elsewhere a slicing-by-8
+/// table fold computes the same value.
 pub fn crc32(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("sse4.2") {
@@ -107,17 +166,47 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// [`crc32`] on SSE4.2's `crc32` instruction, which implements the
 /// Castagnoli polynomial.
+///
+/// The instruction takes three cycles but can start one a cycle, so a
+/// block of `3 * LANE` bytes is folded as three independent chains: the
+/// first continues the register, the other two start from 0, and the
+/// block ends by joining them with [`CRC32_LANE_SHIFTS`] (the register
+/// is linear in its input, so a lane's effect is its own fold, carried
+/// over the zero bytes of the lanes after it). What is left, and a
+/// frame shorter than a block, takes one serial chain.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn crc32_sse42(data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        // The instruction zero-extends its 32-bit result.
-        c = _mm_crc32_u64(u64::from(c), word) as u32;
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+    // The instruction zero-extends its 32-bit result, so the register
+    // stays a `u64` from one word to the next.
+    let mut c = 0xFFFF_FFFFu64;
+    let mut blocks = data.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(LANE);
+        let (b, rest) = rest.split_at(LANE);
+        let (mut cb, mut cc) = (0, 0);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(rest.chunks_exact(8))
+        {
+            c = _mm_crc32_u64(c, word(wa));
+            cb = _mm_crc32_u64(cb, word(wb));
+            cc = _mm_crc32_u64(cc, word(wc));
+        }
+        c = u64::from(
+            crc32_shift(&CRC32_LANE_SHIFTS[1], c as u32)
+                ^ crc32_shift(&CRC32_LANE_SHIFTS[0], cb as u32)
+                ^ cc as u32,
+        );
     }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for bytes in &mut words {
+        c = _mm_crc32_u64(c, word(bytes));
+    }
+    let mut c = c as u32;
     for &byte in words.remainder() {
         c = _mm_crc32_u8(c, byte);
     }
@@ -176,13 +265,65 @@ mod tests {
         }
     }
 
+    /// A byte pattern with no short period.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
+    /// The three folds agree at every length `k` whole three-lane
+    /// blocks plus `r` bytes, around each seam a block or a lane has,
+    /// at every alignment.
+    #[test]
+    fn crc32_paths_agree_at_every_lane_seam() {
+        let block = 3 * LANE;
+        let buf = pattern(4 * block + 8);
+        for k in 0..4 {
+            for r in [0, 1, 7, 8, 9, LANE - 1, LANE, LANE + 1, block - 1] {
+                for start in 0..8 {
+                    let [dispatched, table, bytewise] =
+                        crc32_paths(&buf[start..start + k * block + r]);
+                    assert_eq!(dispatched, bytewise, "k {k}, r {r}, start {start}");
+                    assert_eq!(table, bytewise, "k {k}, r {r}, start {start}");
+                }
+            }
+        }
+    }
+
+    /// Each shift table is what it says: advancing a register over `n`
+    /// zero bytes, for sampled registers.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_lane_shifts_advance_over_zero_bytes() {
+        let zeros = [0u8; 2 * LANE];
+        let mut x = 0x9E37_79B9u32;
+        let sampled = std::iter::from_fn(|| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            Some(x)
+        });
+        for c in [0, 1, 1 << 31, !0].into_iter().chain(sampled.take(64)) {
+            for (shift, n) in CRC32_LANE_SHIFTS.iter().zip([LANE, 2 * LANE]) {
+                let folded = crc32_fold_bytes(c, &zeros[..n]);
+                assert_eq!(crc32_shift(shift, c), folded, "register {c:#x}, {n} bytes");
+            }
+        }
+    }
+
     proptest::proptest! {
         /// The dispatched path (the instruction, where the CPU has it),
         /// the sliced table fold and the bytewise one are the same
-        /// function, whatever the length and wherever the slice starts.
+        /// function, whatever the length and wherever the slice starts:
+        /// up to two whole three-lane blocks and a lane, so a random
+        /// length crosses several seams.
         #[test]
         fn crc32_sliced_and_bytewise_folds_agree(
-            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096 + 8),
+            buf in proptest::collection::vec(
+                proptest::prelude::any::<u8>(),
+                0..2 * 3 * LANE + LANE + 8,
+            ),
         ) {
             for start in 0..8.min(buf.len() + 1) {
                 let [dispatched, table, bytewise] = crc32_paths(&buf[start..]);
@@ -195,9 +336,7 @@ mod tests {
     /// The same at the largest inlined put, 256 KiB, at every alignment.
     #[test]
     fn crc32_paths_agree_on_a_256_kib_payload() {
-        let buf: Vec<u8> = (0..(256u32 << 10) + 7)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
+        let buf = pattern((256 << 10) + 7);
         for start in 0..8 {
             let [dispatched, table, bytewise] = crc32_paths(&buf[start..]);
             assert_eq!(dispatched, bytewise, "start {start}");

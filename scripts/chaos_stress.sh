@@ -6,6 +6,9 @@
 #
 #   scripts/chaos_stress.sh [ROUNDS]      (default 12 rounds: 36 copies)
 #
+# ROUNDS is a positive count without leading zeros. If the test binary
+# does not build, cargo's output goes to stderr and the script exits 1.
+#
 # Prints `passed/total` copies and, on stderr, the log of every copy that
 # failed. Exits non-zero unless every copy passed. The test binary is
 # built once and then run directly; the logs go to a directory under
@@ -15,15 +18,21 @@ cd "$(dirname "$0")/.."
 
 rounds=${1:-12}
 case $rounds in
-'' | *[!0-9]*)
+'' | *[!0-9]* | 0*)
     echo "usage: scripts/chaos_stress.sh [ROUNDS]" >&2
     exit 2
     ;;
 esac
 copies=3
 
-bin=$(cargo test --no-run --test chaos 2>&1 | sed -n 's/.*Executable .*(\(.*\))$/\1/p')
+if ! build=$(cargo test --no-run --test chaos 2>&1); then
+    printf '%s\n' "$build" >&2
+    echo "chaos_stress: the chaos test binary did not build" >&2
+    exit 1
+fi
+bin=$(printf '%s\n' "$build" | sed -n 's/.*Executable .*(\(.*\))$/\1/p')
 [ -x "$bin" ] || {
+    printf '%s\n' "$build" >&2
     echo "chaos_stress: cannot find the chaos test binary" >&2
     exit 1
 }
