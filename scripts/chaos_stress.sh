@@ -25,7 +25,9 @@ case $rounds in
 esac
 copies=3
 
-if ! build=$(cargo test --no-run --test chaos 2>&1); then
+# No colour: the sed below needs `Executable` followed by a plain space,
+# and CARGO_TERM_COLOR=always (as CI sets it) would put an escape there.
+if ! build=$(cargo test --color never --no-run --test chaos 2>&1); then
     printf '%s\n' "$build" >&2
     echo "chaos_stress: the chaos test binary did not build" >&2
     exit 1
