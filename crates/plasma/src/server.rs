@@ -147,12 +147,13 @@ fn serve_conn(
         };
         metrics.requests.fetch_add(1, Ordering::Relaxed);
         if matches!(req, Request::Subscribe) {
-            // Acknowledge, then stream notifications until the client goes
-            // away (detected when a send fails).
+            // Subscribe, then acknowledge, so no seal after the ack is
+            // missed; stream notifications until the client goes away
+            // (detected when a send fails).
+            let rx = store.subscribe();
             if conn.send(&Response::Unit.to_frame()).is_err() {
                 return;
             }
-            let rx = store.subscribe();
             while let Ok(loc) = rx.recv() {
                 if conn.send(&Response::Notify(loc).to_frame()).is_err() {
                     return;

@@ -545,6 +545,16 @@ mod tests {
     }
 
     #[test]
+    fn an_unmappable_donation_is_an_error() {
+        let f = Fabric::virtual_thymesisflow();
+        let a = f.register_node();
+        assert_eq!(
+            f.donate(a, 1 << 50),
+            Err(FabricError::Seg(SegError::MapFailed { len: 1 << 50 }))
+        );
+    }
+
+    #[test]
     fn unknown_ids_are_errors() {
         let f = Fabric::virtual_thymesisflow();
         let a = f.register_node();

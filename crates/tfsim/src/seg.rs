@@ -6,6 +6,11 @@
 //! through bounds-checked raw-pointer copies so that several simulated nodes
 //! (threads) can address the same region, exactly like hardware would.
 //!
+//! Each segment is its own private anonymous mapping. The kernel hands it
+//! out page-aligned and zero-filled, and commits a page only when it is
+//! first written, so a donated pool costs host memory for what is stored
+//! in it, not for its capacity.
+//!
 //! # Safety discipline
 //!
 //! The simulator mirrors the hardware's (lack of) guarantees: concurrent
@@ -15,12 +20,26 @@
 //! construction — an object is written by exactly one producer before it is
 //! sealed, and only sealed (immutable) objects are readable.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::ffi::c_void;
 use std::fmt;
 use std::ptr::NonNull;
 
 /// Page alignment used for all segments (matches a 4 KiB OS page).
 pub const SEGMENT_ALIGN: usize = 4096;
+
+// Linux's values (`asm-generic/mman-common.h`).
+const PROT_READ: i32 = 0x1;
+const PROT_WRITE: i32 = 0x2;
+const MAP_PRIVATE: i32 = 0x02;
+const MAP_ANONYMOUS: i32 = 0x20;
+const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+extern "C" {
+    // glibc wrappers.
+    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+        -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> i32;
+}
 
 /// Errors from segment access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +52,8 @@ pub enum SegError {
     },
     /// A zero-length segment was requested.
     ZeroSize,
+    /// The host refused to map a segment of `len` bytes.
+    MapFailed { len: usize },
 }
 
 impl fmt::Display for SegError {
@@ -47,6 +68,7 @@ impl fmt::Display for SegError {
                 "segment access out of bounds: [{offset}, {offset}+{len}) in segment of {segment_len} bytes"
             ),
             SegError::ZeroSize => write!(f, "segment size must be non-zero"),
+            SegError::MapFailed { len } => write!(f, "cannot map a segment of {len} bytes"),
         }
     }
 }
@@ -58,7 +80,6 @@ impl std::error::Error for SegError {}
 pub struct Segment {
     ptr: NonNull<u8>,
     len: usize,
-    layout: Layout,
 }
 
 // SAFETY: `Segment` hands out data only via bounds-checked copies through
@@ -69,16 +90,28 @@ unsafe impl Send for Segment {}
 unsafe impl Sync for Segment {}
 
 impl Segment {
-    /// Allocate a zeroed segment of `len` bytes.
+    /// Map a zeroed segment of `len` bytes. No page is committed until it
+    /// is first written.
     pub fn new(len: usize) -> Result<Self, SegError> {
         if len == 0 {
             return Err(SegError::ZeroSize);
         }
-        let layout = Layout::from_size_align(len, SEGMENT_ALIGN).expect("valid segment layout");
-        // SAFETY: layout has non-zero size (checked above).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
-        Ok(Segment { ptr, len, layout })
+        // SAFETY: a fresh anonymous mapping at an address of the kernel's
+        // choosing aliases no existing memory; the result is checked below.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        match NonNull::new(raw.cast()) {
+            Some(ptr) if raw != MAP_FAILED => Ok(Segment { ptr, len }),
+            _ => Err(SegError::MapFailed { len }),
+        }
     }
 
     /// Total size in bytes.
@@ -144,8 +177,10 @@ impl Segment {
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        // SAFETY: allocated with this exact layout in `new`.
-        unsafe { dealloc(self.ptr.as_ptr(), self.layout) }
+        // SAFETY: mapped with this exact length in `new`, and no copy of
+        // the pointer outlives `self`.
+        let rc = unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+        debug_assert_eq!(rc, 0, "munmap of a segment failed");
     }
 }
 
@@ -191,6 +226,20 @@ mod tests {
     #[test]
     fn zero_size_rejected() {
         assert_eq!(Segment::new(0).unwrap_err(), SegError::ZeroSize);
+    }
+
+    #[test]
+    fn an_unmappable_size_is_an_error() {
+        assert_eq!(
+            Segment::new(1 << 50).unwrap_err(),
+            SegError::MapFailed { len: 1 << 50 }
+        );
+    }
+
+    #[test]
+    fn segments_are_page_aligned() {
+        let s = Segment::new(100).unwrap();
+        assert_eq!(s.ptr.as_ptr() as usize % SEGMENT_ALIGN, 0);
     }
 
     #[test]
