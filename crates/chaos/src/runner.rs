@@ -41,10 +41,7 @@ use crate::checker::{check, Verdict};
 use crate::history::{EventKind, HistoryRecorder, Observed};
 use crate::inject::ChaosInjector;
 use crate::plan::FaultPlan;
-use disagg::{
-    Cluster, ClusterConfig, HealthConfig, InterconnectConfig, Kind, ReconcileReport, RetryPolicy,
-    Side,
-};
+use disagg::{Cluster, ClusterConfig, InterconnectConfig, Kind, ReconcileReport, Side};
 use plasma::{checksum, ObjectId, PlasmaError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -145,22 +142,17 @@ pub fn chaos_oid(n: u8) -> ObjectId {
     ObjectId::from_name(&format!("chaos/{n}"))
 }
 
-/// Soak-friendly interconnect tuning: short deadlines so dropped frames
-/// cost tens of milliseconds instead of the production two seconds, and
-/// fast peer-health probes so a node marked `Down` under fire comes
-/// back within the settle window once the network is clean.
+/// The soak's per-call deadline: dropped frames cost tens of
+/// milliseconds instead of the production two seconds. The interconnect
+/// paces from it, so a retry backs off 2 → 20 ms and a node marked `Down`
+/// under fire is probed 10 → 100 ms apart, back within the settle window
+/// once the network is clean.
+const SOAK_DEADLINE: Duration = Duration::from_millis(100);
+
 fn soak_interconnect() -> InterconnectConfig {
     InterconnectConfig {
-        call_deadline: Some(Duration::from_millis(100)),
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-        },
-        health: HealthConfig {
-            probe_backoff: Duration::from_millis(10),
-            probe_backoff_max: Duration::from_millis(100),
-        },
+        call_deadline: Some(SOAK_DEADLINE),
+        max_attempts: 2,
     }
 }
 
@@ -218,8 +210,9 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         // The functional cluster runs on a virtual clock, and `Down`
         // peers re-arm their recovery-probe window in *modeled* time —
         // which a sleeping settle loop never advances. Charge each
-        // round so the probes actually fire.
-        cluster.clock().charge(Duration::from_millis(25));
+        // round a quarter of the widest probe window, the deadline, so
+        // the probes actually fire.
+        cluster.clock().charge(SOAK_DEADLINE / 4);
         for i in 0..cfg.nodes {
             let client = cluster.client(i)?;
             let _ = client.contains(ObjectId::from_name("chaos/settle-probe"));

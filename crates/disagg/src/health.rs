@@ -9,13 +9,16 @@
 //! * Broadcasts skip `Down` peers entirely, except that one caller per
 //!   backoff window is admitted as a *probe* — if the peer has recovered,
 //!   the probe's success restores it to rotation. The probe window grows
-//!   exponentially (`probe_backoff` → `probe_backoff_max`) so a dead peer
-//!   costs at most one timed-out call per window, not one per operation.
+//!   exponentially so a dead peer costs at most one timed-out call per
+//!   window, not one per operation.
 //! * [`RetryPolicy`] bounds per-call retries with exponential backoff and
 //!   deterministic jitter.
 //!
-//! All timing runs on the cluster's [`Clock`], so under virtual time the
-//! whole state machine is deterministic and instant to test.
+//! Both paces are fractions of the one per-call deadline `d`: the probe
+//! window opens at `d/10` and doubles up to `d`, the retry backoff starts
+//! at `d/50` and doubles up to `d/5`. All timing runs on the cluster's
+//! [`Clock`], so under virtual time the whole state machine is
+//! deterministic and instant to test.
 
 use obs::{Counter, Registry};
 use parking_lot::Mutex;
@@ -27,10 +30,11 @@ use std::time::Duration;
 use tfsim::{Clock, NodeId};
 
 /// Liveness state of one peer store, as observed by this node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PeerState {
     /// In rotation: all calls admitted, including while recent failures
     /// stay below `DOWN_AFTER`.
+    #[default]
     Up,
     /// Unreachable: skipped by broadcasts, probed once per backoff window.
     Down,
@@ -39,27 +43,9 @@ pub enum PeerState {
 /// Consecutive failures before a peer is marked `Down`.
 const DOWN_AFTER: u32 = 3;
 
-/// Probe pacing for the health state machine.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Initial wait before probing a `Down` peer.
-    pub probe_backoff: Duration,
-    /// Cap on the (doubling) probe interval.
-    pub probe_backoff_max: Duration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            probe_backoff: Duration::from_millis(200),
-            probe_backoff_max: Duration::from_secs(5),
-        }
-    }
-}
-
 /// What the tracker decided about one prospective call to a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Peer is in rotation: call it.
     Attempt,
     /// Peer is `Down` but its probe window elapsed: this caller carries
@@ -83,7 +69,7 @@ pub struct PeerStats {
     pub probes: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Entry {
     state: PeerState,
     consecutive_failures: u32,
@@ -94,32 +80,17 @@ struct Entry {
     stats: PeerStats,
 }
 
-impl Entry {
-    fn new() -> Self {
-        Entry {
-            state: PeerState::Up,
-            consecutive_failures: 0,
-            next_probe_at: Duration::ZERO,
-            backoff: Duration::ZERO,
-            stats: PeerStats::default(),
-        }
-    }
-}
-
-/// State-transition counters, recorded exactly once per transition (a
-/// repeat failure of an already-`Down` peer does not re-count).
-struct TransitionCounters {
-    to_down: Arc<Counter>,
-    recovered: Arc<Counter>,
-}
-
 /// Failure detector for the peers of one node. Cheap to share behind the
 /// store's `Arc`; all methods take `&self`.
-pub struct PeerHealth {
-    cfg: HealthConfig,
+pub(crate) struct PeerHealth {
+    /// The per-call deadline the probe window is a fraction of.
+    deadline: Duration,
     clock: Clock,
     entries: Mutex<HashMap<NodeId, Entry>>,
-    metrics: TransitionCounters,
+    /// State-transition counters, recorded exactly once per transition
+    /// (a repeat failure of an already-`Down` peer does not re-count).
+    to_down: Arc<Counter>,
+    recovered: Arc<Counter>,
 }
 
 impl PeerHealth {
@@ -127,30 +98,30 @@ impl PeerHealth {
     /// counters (`disagg.health.to_down` / `.recovered`, the latter
     /// counting `Down → Up` only) registered in `registry`. Each counter
     /// increments exactly once per transition, summed over all peers.
-    pub fn new(cfg: HealthConfig, clock: Clock, registry: &Registry) -> Self {
+    /// A `Down` peer's probe window opens `deadline / 10` after it went
+    /// down and doubles per probe up to `deadline`.
+    pub(crate) fn new(deadline: Duration, clock: Clock, registry: &Registry) -> Self {
         PeerHealth {
-            cfg,
+            deadline,
             clock,
             entries: Mutex::new(HashMap::new()),
-            metrics: TransitionCounters {
-                to_down: registry.counter("disagg.health.to_down"),
-                recovered: registry.counter("disagg.health.recovered"),
-            },
+            to_down: registry.counter("disagg.health.to_down"),
+            recovered: registry.counter("disagg.health.recovered"),
         }
     }
 
     /// Decide whether a call to `peer` should proceed. `Probe` admissions
     /// consume the current window: until the (doubled) next window
     /// elapses, further callers are skipped.
-    pub fn admit(&self, peer: NodeId) -> Admission {
+    pub(crate) fn admit(&self, peer: NodeId) -> Admission {
         let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_insert_with(Entry::new);
+        let entry = entries.entry(peer).or_default();
         match entry.state {
             PeerState::Up => Admission::Attempt,
             PeerState::Down => {
                 let now = self.clock.now();
                 if now >= entry.next_probe_at {
-                    entry.backoff = (entry.backoff * 2).min(self.cfg.probe_backoff_max);
+                    entry.backoff = (entry.backoff * 2).min(self.deadline);
                     entry.next_probe_at = now + entry.backoff;
                     entry.stats.probes += 1;
                     Admission::Probe
@@ -164,11 +135,11 @@ impl PeerHealth {
 
     /// The peer answered (any definite response, including error statuses
     /// like `NotFound` — those prove liveness).
-    pub fn record_success(&self, peer: NodeId) {
+    pub(crate) fn record_success(&self, peer: NodeId) {
         let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_insert_with(Entry::new);
+        let entry = entries.entry(peer).or_default();
         if entry.state != PeerState::Up {
-            self.metrics.recovered.inc();
+            self.recovered.inc();
         }
         entry.state = PeerState::Up;
         entry.consecutive_failures = 0;
@@ -180,31 +151,31 @@ impl PeerHealth {
     /// the failure is applied, so callers can react to the exact call
     /// that completed an Up→Down transition (e.g. dropping cached owner
     /// hints) without a racy follow-up `state()` read.
-    pub fn record_failure(&self, peer: NodeId) -> PeerState {
+    pub(crate) fn record_failure(&self, peer: NodeId) -> PeerState {
         let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_insert_with(Entry::new);
+        let entry = entries.entry(peer).or_default();
         entry.consecutive_failures += 1;
         entry.stats.failures += 1;
         if entry.consecutive_failures >= DOWN_AFTER && entry.state != PeerState::Down {
             entry.state = PeerState::Down;
-            entry.backoff = self.cfg.probe_backoff;
+            entry.backoff = self.deadline / 10;
             entry.next_probe_at = self.clock.now() + entry.backoff;
-            self.metrics.to_down.inc();
+            self.to_down.inc();
         }
         entry.state
     }
 
     /// Current state of `peer` (`Up` if never seen).
-    pub fn state(&self, peer: NodeId) -> PeerState {
+    pub(crate) fn state(&self, peer: NodeId) -> PeerState {
         self.entries
             .lock()
             .get(&peer)
             .map(|e| e.state)
-            .unwrap_or(PeerState::Up)
+            .unwrap_or_default()
     }
 
     /// Counters for `peer` (zeros if never seen).
-    pub fn stats(&self, peer: NodeId) -> PeerStats {
+    pub(crate) fn stats(&self, peer: NodeId) -> PeerStats {
         self.entries
             .lock()
             .get(&peer)
@@ -216,51 +187,43 @@ impl PeerHealth {
 /// Bounded-retry policy with exponential backoff and jitter, for calls
 /// whose failure is plausibly transient.
 #[derive(Debug, Clone)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total attempts per call, including the first (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Cap on the backoff.
-    pub max_backoff: Duration,
+    pub(crate) max_attempts: u32,
+    /// The per-call deadline the backoff is a fraction of.
+    deadline: Duration,
 }
 
 /// Fractional jitter: every backoff is scaled by a factor drawn uniformly
 /// from `[1 - RETRY_JITTER, 1 + RETRY_JITTER]`.
 const RETRY_JITTER: f64 = 0.25;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
+impl RetryPolicy {
+    /// Up to `max_attempts` attempts per call, backing off from
+    /// `deadline / 50` (doubling per retry) up to `deadline / 5`.
+    pub(crate) fn new(max_attempts: u32, deadline: Duration) -> Self {
         RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
+            max_attempts,
+            deadline,
         }
     }
-}
 
-impl RetryPolicy {
-    /// A policy that never retries (tests, latency-critical paths).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
+    /// Backoff before retry number `retry` (1-based), before jitter.
+    fn raw_backoff(&self, retry: u32) -> Duration {
+        let exp = retry.saturating_sub(1).min(20);
+        (self.deadline / 50)
+            .saturating_mul(1u32 << exp)
+            .min(self.deadline / 5)
     }
 
     /// Backoff before retry number `retry` (1-based), jittered by `rng`.
-    pub fn backoff(&self, retry: u32, rng: &mut SmallRng) -> Duration {
-        let exp = retry.saturating_sub(1).min(20);
-        let raw = self
-            .base_backoff
-            .saturating_mul(1u32 << exp)
-            .min(self.max_backoff);
+    pub(crate) fn backoff(&self, retry: u32, rng: &mut SmallRng) -> Duration {
         let factor = 1.0 + RETRY_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
-        raw.mul_f64(factor)
+        self.raw_backoff(retry).mul_f64(factor)
     }
 
     /// A deterministic jitter source for this node.
-    pub fn rng(seed: u64) -> SmallRng {
+    pub(crate) fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
     }
 }
@@ -269,15 +232,13 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    /// The deadline the unit tests derive their pacing from: the probe
+    /// window opens at 100 ms and caps at 1 s, the retry backoff runs
+    /// 20 ms → 200 ms.
+    const D: Duration = Duration::from_secs(1);
+
     fn tracker_in(clock: &Clock, registry: &Registry) -> PeerHealth {
-        PeerHealth::new(
-            HealthConfig {
-                probe_backoff: Duration::from_millis(100),
-                probe_backoff_max: Duration::from_millis(400),
-            },
-            clock.clone(),
-            registry,
-        )
+        PeerHealth::new(D, clock.clone(), registry)
     }
 
     fn tracker(clock: &Clock) -> PeerHealth {
@@ -338,7 +299,7 @@ mod tests {
         for _ in 0..3 {
             h.record_failure(p);
         }
-        // Window 1 (100ms) not yet elapsed: every caller skips.
+        // Window 1 (D/10 = 100ms) not yet elapsed: every caller skips.
         assert_eq!(h.admit(p), Admission::Skip);
         assert_eq!(h.admit(p), Admission::Skip);
         clock.charge(Duration::from_millis(100));
@@ -350,13 +311,34 @@ mod tests {
         assert_eq!(h.admit(p), Admission::Skip); // only 100 of 200ms elapsed
         clock.charge(Duration::from_millis(100));
         assert_eq!(h.admit(p), Admission::Probe);
-        // Backoff caps at 400ms.
-        h.record_failure(p);
-        clock.charge(Duration::from_millis(400));
-        assert_eq!(h.admit(p), Admission::Probe);
-        h.record_failure(p);
-        clock.charge(Duration::from_millis(400));
-        assert_eq!(h.admit(p), Admission::Probe);
+        // 400ms, 800ms, then the window caps at D.
+        for window_ms in [400, 800, 1000, 1000] {
+            h.record_failure(p);
+            clock.charge(Duration::from_millis(window_ms - 1));
+            assert_eq!(h.admit(p), Admission::Skip, "{window_ms}ms window");
+            clock.charge(Duration::from_millis(1));
+            assert_eq!(h.admit(p), Admission::Probe, "{window_ms}ms window");
+        }
+    }
+
+    /// The soak's pacing falls out of its 100 ms deadline: the first
+    /// probe at 10 ms and not before, then 20, 40, 80 and 100 ms for good.
+    #[test]
+    fn probe_window_opens_at_a_tenth_of_the_deadline_and_caps_at_it() {
+        let d = Duration::from_millis(100);
+        let clock = Clock::virtual_time();
+        let h = PeerHealth::new(d, clock.clone(), &Registry::new());
+        let p = NodeId(1);
+        for _ in 0..DOWN_AFTER {
+            h.record_failure(p);
+        }
+        for window_ms in [10, 20, 40, 80, 100, 100] {
+            clock.charge(Duration::from_millis(window_ms - 1));
+            assert_eq!(h.admit(p), Admission::Skip, "{window_ms}ms window");
+            clock.charge(Duration::from_millis(1));
+            assert_eq!(h.admit(p), Admission::Probe, "{window_ms}ms window");
+            h.record_failure(p);
+        }
     }
 
     #[test]
@@ -528,30 +510,34 @@ mod tests {
     }
 
     #[test]
+    fn retry_backoff_runs_from_a_fiftieth_to_a_fifth_of_the_deadline() {
+        // At the soak's 100 ms: d/50, d/25, ... then d/5 for good.
+        let policy = RetryPolicy::new(5, Duration::from_millis(100));
+        let raw: Vec<Duration> = (1..=6).map(|r| policy.raw_backoff(r)).collect();
+        assert_eq!(raw, [2, 4, 8, 16, 20, 20].map(Duration::from_millis));
+    }
+
+    #[test]
     fn retry_backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(40),
-        };
+        let policy = RetryPolicy::new(5, D);
         let mut rng = RetryPolicy::rng(7);
-        for (retry, raw_ms) in [(1, 10), (2, 20), (3, 40), (4, 40)] {
+        for (retry, raw_ms) in [(1, 20), (2, 40), (3, 80), (4, 160), (5, 200), (6, 200)] {
             assert_in_band(&policy, &mut rng, retry, raw_ms);
         }
     }
 
     #[test]
     fn retry_jitter_stays_in_band() {
-        let policy = RetryPolicy::default();
+        let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE);
         let mut rng = RetryPolicy::rng(42);
-        for (retry, raw_ms) in [(1, 10), (2, 20), (3, 40), (4, 80)] {
+        for (retry, raw_ms) in [(1, 40), (2, 80), (3, 160), (4, 320)] {
             assert_in_band(&policy, &mut rng, retry, raw_ms);
         }
     }
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let policy = RetryPolicy::default();
+        let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE);
         let a: Vec<Duration> = {
             let mut rng = RetryPolicy::rng(9);
             (1..=4).map(|r| policy.backoff(r, &mut rng)).collect()

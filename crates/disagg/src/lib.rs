@@ -47,7 +47,7 @@
 pub mod cluster;
 pub mod delegation;
 pub mod elastic;
-pub mod health;
+mod health;
 pub mod proto;
 pub mod ring;
 pub mod store;
@@ -55,7 +55,7 @@ pub mod store;
 pub use cluster::{Cluster, ClusterConfig, LinkMap};
 pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
 pub use elastic::HeatMap;
-pub use health::{Admission, HealthConfig, PeerHealth, PeerState, PeerStats, RetryPolicy};
+pub use health::{PeerState, PeerStats};
 pub use ring::{Membership, Ring};
 pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
 pub use tfsim::NodeId;

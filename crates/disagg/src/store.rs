@@ -46,7 +46,7 @@ mod service;
 
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
 use crate::elastic::{HeatMap, RETRY_AFTER_MS};
-use crate::health::{HealthConfig, PeerHealth, PeerState, RetryPolicy};
+use crate::health::{PeerHealth, PeerState, RetryPolicy};
 use crate::proto::{method, Message, ReconcileReq, ReconcileResp};
 use crate::ring::Ring;
 use crossbeam::channel::Receiver;
@@ -105,25 +105,30 @@ pub struct DisaggStats {
     pub ring_fallbacks: u64,
 }
 
+/// The per-call deadline of [`InterconnectConfig::default`], and the one
+/// retries and probes pace from when `call_deadline` is `None`.
+pub const DEFAULT_CALL_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Fault-tolerance knobs for the store interconnect, grouped so cluster
-/// harnesses can pass them through unchanged.
+/// harnesses can pass them through unchanged. Every other pace is a
+/// fraction of the deadline `d` (`DEFAULT_CALL_DEADLINE` when `None`): a
+/// retry backs off from `d/50` up to `d/5`, and a `Down` peer is probed
+/// after `d/10`, the window doubling up to `d`.
 #[derive(Debug, Clone)]
 pub struct InterconnectConfig {
     /// Per-call deadline (`None` = wait forever, the pre-fault-tolerance
     /// behavior).
     pub call_deadline: Option<Duration>,
-    /// Retry policy for calls that fail in a retryable way.
-    pub retry: RetryPolicy,
-    /// Peer failure-detector thresholds and probe pacing.
-    pub health: HealthConfig,
+    /// Total attempts per call that fails in a retryable way, including
+    /// the first (1 = no retries).
+    pub max_attempts: u32,
 }
 
 impl Default for InterconnectConfig {
     fn default() -> Self {
         InterconnectConfig {
-            call_deadline: Some(Duration::from_secs(2)),
-            retry: RetryPolicy::default(),
-            health: HealthConfig::default(),
+            call_deadline: Some(DEFAULT_CALL_DEADLINE),
+            max_attempts: 3,
         }
     }
 }
@@ -277,12 +282,14 @@ impl DisaggStore {
         let node = core.node();
         let clock = core.fabric().clock().clone();
         let metrics = DisaggMetrics::new(core.registry());
+        let ic = &config.interconnect;
+        let pace = ic.call_deadline.unwrap_or(DEFAULT_CALL_DEADLINE);
         DisaggStore {
             inner: Arc::new(Inner {
-                health: PeerHealth::new(config.interconnect.health, clock.clone(), core.registry()),
+                health: PeerHealth::new(pace, clock.clone(), core.registry()),
                 metrics,
-                retry: config.interconnect.retry,
-                call_deadline: config.interconnect.call_deadline,
+                retry: RetryPolicy::new(ic.max_attempts, pace),
+                call_deadline: ic.call_deadline,
                 clock,
                 retry_rng: Mutex::new(RetryPolicy::rng(0x9e37_79b9 ^ u64::from(node.0))),
                 core,
@@ -400,7 +407,7 @@ impl DisaggStore {
     ///
     /// Every open release group is closed first: the releases it
     /// deferred, whose callers were answered already, go out with the
-    /// pins nobody released, all in one [`DisaggStore::return_pins`].
+    /// pins nobody released, all in one `return_pins`.
     ///
     /// Like `reconcile`, only sound after the workload has drained — a
     /// ledgered pin may pair with a buffer still in flight.

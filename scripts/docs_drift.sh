@@ -18,10 +18,10 @@
 #    context switch in 750 ms), not by grepping for a `*POLL*` constant.
 # 6. DESIGN states how many options a cluster has ("N options") and
 #    gives each a row in its Options table; N is the number of leaf
-#    `pub` fields of `ClusterConfig`, `InterconnectConfig`, `RetryPolicy`
-#    and `HealthConfig` (a field holding another of these is not a
-#    leaf) plus `StoreConfig::name`. A field added without a row — or
-#    without the two callers a row has to name — fails here (PR 24).
+#    `pub` fields of `ClusterConfig` and `InterconnectConfig` (a field
+#    holding the other is not a leaf) plus `StoreConfig::name`. A field
+#    added without a row — or without the two callers a row has to
+#    name — fails here (PR 24).
 # 7. Retired: a thread per request is caught by a test,
 #    crates/rpclite/tests/thread_census.rs, not by grepping `serve_conn`.
 # 8. Retired: a protocol path that asks a peer for `METRICS` is caught by
@@ -104,9 +104,11 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # the protobuf-style second codec the interconnect and the rpclite
 # envelope were written in (PR 35); the one-id release loop, the raw
 # parked-release flush and the one-id park beside them, which
-# `return_pins` and `release_owed` replaced (PR 37).
+# `return_pins` and `release_owed` replaced (PR 37); the probe-pacing
+# config the deadline now derives, and a usage verb and module DESIGN
+# named that never existed (PR 40).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -133,15 +135,13 @@ leaf_fields() {
             type = $0
             sub(/^    pub [a-z_]+: /, "", type)
             sub(/,$/, "", type)
-            if (type !~ /^(ClusterConfig|InterconnectConfig|RetryPolicy|HealthConfig)$/) n++
+            if (type !~ /^(ClusterConfig|InterconnectConfig)$/) n++
         }
         END { print n + 0 }
     ' "$1"
 }
 options=$(($(leaf_fields crates/disagg/src/cluster.rs ClusterConfig) +
     $(leaf_fields crates/disagg/src/store.rs InterconnectConfig) +
-    $(leaf_fields crates/disagg/src/health.rs RetryPolicy) +
-    $(leaf_fields crates/disagg/src/health.rs HealthConfig) +
     $(leaf_fields crates/plasma/src/store.rs StoreConfig name)))
 stated=$({ grep -oE '[0-9]+ options' DESIGN.md || true; } | cut -d' ' -f1 | sort -u | tr '\n' ' ')
 rows=$(awk '/^### Options/ { table = 1; next } /^#/ { table = 0 } table && /^\| `/' DESIGN.md | wc -l)

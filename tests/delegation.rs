@@ -661,7 +661,7 @@ fn stale_leased_copy_of_a_deleted_object_is_not_re_acknowledged() {
     let mut config = ClusterConfig::functional(2, 4 << 20);
     config.fault_policy = Some(lose_answer.clone());
     config.interconnect.call_deadline = Some(Duration::from_millis(100));
-    config.interconnect.retry = disagg::RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let cluster = Cluster::launch(config).unwrap();
     let (owner, holder) = (cluster.store(0), cluster.store(1));
     let client = cluster.client(0).unwrap();

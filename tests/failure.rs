@@ -4,7 +4,6 @@
 
 use disagg::{
     Cluster, ClusterConfig, DisaggConfig, DisaggStore, InterconnectConfig, Peer, PeerState,
-    RetryPolicy,
 };
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
@@ -248,6 +247,59 @@ fn peer_returns_to_rotation_after_restart_and_probe() {
     a.release(id).unwrap();
 }
 
+/// Take node 1's interconnect down until node 0 marks it `Down`, bring
+/// it back, and return the probe window node 0 keeps to: how much
+/// virtual time must pass before the next call is admitted as a probe
+/// (each call one `contains`, every earlier one skipped), in ms.
+fn first_probe_window_ms(config: ClusterConfig) -> u64 {
+    let mut cluster = Cluster::launch(config).unwrap();
+    let (store, peer) = (cluster.store(0).clone(), cluster.node_id(1));
+    let id = ObjectId::from_name(&cluster.owned_id(1, "paced"));
+    cluster.stop_rpc(1);
+    while store.peer_state(peer) != PeerState::Down {
+        assert!(!store.contains(id).unwrap());
+    }
+    cluster.restart_rpc(1).unwrap();
+    let mut waited_ms = 0;
+    loop {
+        let before = store.peer_health_stats(peer);
+        store.contains(id).unwrap();
+        let after = store.peer_health_stats(peer);
+        if after.probes > before.probes {
+            assert_eq!(
+                store.peer_state(peer),
+                PeerState::Up,
+                "the probe restores it"
+            );
+            return waited_ms;
+        }
+        assert!(after.skips > before.skips, "a Down peer is skipped");
+        assert!(waited_ms < 10_000, "no probe within 10 s");
+        cluster.clock().charge(Duration::from_millis(1));
+        waited_ms += 1;
+    }
+}
+
+/// A 100 ms deadline paces the probe as the chaos soak is tuned to: a
+/// `Down` peer is still skipped 9 ms after it went down and probed at
+/// 10 ms, a tenth of the deadline.
+#[test]
+fn a_down_peer_is_probed_a_tenth_of_the_deadline_after_it_went_down() {
+    let mut config = ClusterConfig::functional(2, 1 << 20);
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.max_attempts = 2;
+    assert_eq!(first_probe_window_ms(config), 10);
+}
+
+/// Without a deadline the pace is still a fraction of one: the default.
+#[test]
+fn without_a_deadline_the_probe_waits_a_tenth_of_the_default_one() {
+    let mut config = ClusterConfig::functional(2, 1 << 20);
+    config.interconnect.call_deadline = None;
+    let window = disagg::store::DEFAULT_CALL_DEADLINE / 10;
+    assert_eq!(first_probe_window_ms(config), window.as_millis() as u64);
+}
+
 #[test]
 fn metrics_from_unreachable_peer_degrade_to_partial_snapshot() {
     let mut cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();
@@ -313,8 +365,7 @@ fn deadline_bounds_calls_to_a_hung_peer() {
         DisaggConfig {
             interconnect: InterconnectConfig {
                 call_deadline: Some(Duration::from_millis(50)),
-                retry: RetryPolicy::none(),
-                ..InterconnectConfig::default()
+                max_attempts: 1,
             },
             ..DisaggConfig::default()
         },
@@ -370,8 +421,7 @@ fn two_hung_peers_in_one_exchange_cost_one_deadline() {
             DisaggConfig {
                 interconnect: InterconnectConfig {
                     call_deadline: Some(DEADLINE),
-                    retry: RetryPolicy::none(),
-                    ..InterconnectConfig::default()
+                    max_attempts: 1,
                 },
                 ..DisaggConfig::default()
             },
@@ -674,7 +724,7 @@ fn a_flush_whose_reply_is_lost_ends_with_every_pin_at_zero() {
     let mut config = ClusterConfig::functional(2, 1 << 20);
     config.fault_policy = Some(drop_reply.clone());
     config.interconnect.call_deadline = Some(Duration::from_millis(100));
-    config.interconnect.retry = RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let (cluster, ids) = batch_up_to_its_last_release(config);
     let reader = cluster.store(1).clone();
     drop_reply

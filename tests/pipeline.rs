@@ -5,7 +5,7 @@
 //! round trip each in lock-step, and one get overlapping the owners and
 //! holders it asks — reproducibly, and with one pin per resolved id.
 
-use disagg::{Cluster, ClusterConfig, DisaggStore, RetryPolicy};
+use disagg::{Cluster, ClusterConfig, DisaggStore};
 use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use plasma::{ObjectId, ObjectStore};
 use std::sync::{Arc, Condvar, Mutex};
@@ -334,7 +334,7 @@ fn same_seed_same_model_time() {
 #[test]
 fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     let mut config = ClusterConfig::functional(5, 4 << 20);
-    config.interconnect.retry = RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let mut cluster = Cluster::launch(config).unwrap();
     // Owned by the reader, so the lookup goes straight to the broadcast;
     // nodes 1 and 2 each hold a copy (what a migration race can leave

@@ -5,7 +5,7 @@
 //! fallback.
 
 use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, Message, ReplyHeader};
-use disagg::{Cluster, ClusterConfig, Membership, RetryPolicy};
+use disagg::{Cluster, ClusterConfig, Membership};
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
 
@@ -415,7 +415,7 @@ fn wrong_owner_re_routes_a_payload_carrying_create() {
 #[test]
 fn contains_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
     let mut config = ClusterConfig::functional(3, 4 << 20);
-    config.interconnect.retry = RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let mut cluster = Cluster::launch(config).unwrap();
     let s0 = cluster.store(0).clone();
     let contains_calls = |peer: usize| {
@@ -457,7 +457,7 @@ fn contains_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
 #[test]
 fn get_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
     let mut config = ClusterConfig::functional(3, 4 << 20);
-    config.interconnect.retry = RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let mut cluster = Cluster::launch(config).unwrap();
     let s0 = cluster.store(0).clone();
     let get_many_calls = |peer: usize| {

@@ -129,7 +129,7 @@ fn delete_invalidates_replicas_first() {
 fn crossing_deletes_of_each_others_replicated_objects_both_succeed() {
     let mut config = ClusterConfig::functional(2, 4 << 20);
     config.interconnect.call_deadline = Some(Duration::from_millis(100));
-    config.interconnect.retry = disagg::RetryPolicy::none();
+    config.interconnect.max_attempts = 1;
     let cluster = Cluster::launch(config).unwrap();
     for round in 0..20 {
         let ids = [0, 1].map(|owner| {
