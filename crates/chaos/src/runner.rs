@@ -349,6 +349,14 @@ fn check_quiesce(cluster: &Cluster, nodes: usize) -> Verdict {
                 "release leak: node {i} still has {groups} open release groups after settle"
             ));
         }
+        // Every reference a get handed out was released: a client that
+        // held one back would keep its object undeletable for ever.
+        let refs: u64 = store.core().list().iter().map(|o| o.ref_count).sum();
+        if refs != 0 {
+            verdict.violations.push(format!(
+                "reference leak: node {i} still counts {refs} object references at quiesce"
+            ));
+        }
     }
     verdict
 }
@@ -687,5 +695,27 @@ fn observe(
             }
             observed
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quiesce audit sees a reference nobody released, and only
+    /// while it is held.
+    #[test]
+    fn an_unreleased_reference_fails_the_quiesce_audit() {
+        let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
+        let client = cluster.client(1).unwrap();
+        let id = ObjectId::from_name(&cluster.owned_id(1, "chaos/held"));
+        client.put(id, &[1; 64], &[]).unwrap();
+        assert!(check_quiesce(&cluster, 2).violations.is_empty());
+        let _buf = client.get_one(id, Duration::from_secs(1)).unwrap();
+        let verdict = check_quiesce(&cluster, 2);
+        assert_eq!(verdict.violations.len(), 1, "{:?}", verdict.violations);
+        assert!(verdict.violations[0].contains("node 1"), "{verdict:?}");
+        client.release(id).unwrap();
+        assert!(check_quiesce(&cluster, 2).violations.is_empty());
     }
 }

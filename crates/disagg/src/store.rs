@@ -53,7 +53,8 @@ use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use parking_lot::{Mutex, RwLock};
 use plasma::{
-    ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaError, StoreCore, StoreStats,
+    ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaError, ReleaseGroups, StoreCore,
+    StoreStats,
 };
 use rand::rngs::SmallRng;
 use rpclite::{RpcClient, Service};
@@ -385,7 +386,7 @@ impl DisaggStore {
     }
 
     /// Batch gets whose remotely taken pins are not all released yet
-    /// (see [`ObjectStore::release`]). Zero once the workload has
+    /// (see [`ObjectStore::release_many`]). Zero once the workload has
     /// released everything it got, and after
     /// [`DisaggStore::drain_remote_pins`]; the chaos quiesce audit
     /// asserts it, since an open group would defer a later release of
@@ -797,68 +798,6 @@ impl DisaggStore {
     }
 }
 
-/// The release groups of one store: the pins each batch `get` took
-/// remotely, returned together once the last of them is released.
-/// Counted per filled slot, as the ledger counts pins, so an id filled
-/// in two slots is two members. Pins on one immutable object are
-/// fungible, so a release joins the most recently opened group that has
-/// its id waiting.
-#[derive(Default)]
-struct ReleaseGroups {
-    /// Per open group, oldest first: the ids still waiting for their
-    /// release, and those released already, whose pins are still live
-    /// in the ledger.
-    groups: Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
-}
-
-impl ReleaseGroups {
-    /// Open a group for the pins one `get` took remotely.
-    fn open(&mut self, members: Vec<ObjectId>) {
-        self.groups.push((members, Vec::new()));
-    }
-
-    /// What a release of `id` sends: `None` while its group still waits
-    /// for other members, else the releases its group deferred (none if
-    /// no group has it waiting).
-    fn release(&mut self, id: ObjectId) -> Option<Vec<ObjectId>> {
-        let mut groups = self.groups.iter().enumerate().rev();
-        let found = groups
-            .find_map(|(at, (waiting, _))| Some((at, waiting.iter().position(|w| *w == id)?)));
-        let Some((at, member)) = found else {
-            return Some(Vec::new());
-        };
-        let (waiting, released) = &mut self.groups[at];
-        waiting.swap_remove(member);
-        if waiting.is_empty() {
-            return Some(self.groups.remove(at).1);
-        }
-        released.push(id);
-        None
-    }
-
-    /// Take every deferred release of `id` out of its group; how many.
-    fn take_deferred(&mut self, id: ObjectId) -> usize {
-        let mut taken = 0;
-        for (_, released) in &mut self.groups {
-            let before = released.len();
-            released.retain(|r| *r != id);
-            taken += before - released.len();
-        }
-        taken
-    }
-
-    /// Close every group: the deferred releases, in the order the groups
-    /// were opened. Members not yet released stay plain pins.
-    fn close_all(&mut self) -> Vec<ObjectId> {
-        let groups = self.groups.drain(..);
-        groups.flat_map(|(_, released)| released).collect()
-    }
-
-    fn len(&self) -> usize {
-        self.groups.len()
-    }
-}
-
 /// Releases a pinned remote object when dropped, unless released
 /// explicitly. Keeps error paths from leaking owner-side pins.
 struct RemotePinGuard<'a> {
@@ -962,18 +901,33 @@ impl ObjectStore for DisaggStore {
         result
     }
 
-    /// A member of a release group that is not its last is answered
-    /// `Ok` at once, its pin still live in the ledger; the last returns
-    /// the whole group's pins in one exchange. Any other release goes
-    /// out now.
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let Some(earlier) = self.inner.release_groups.lock().release(id) else {
-            return Ok(());
-        };
-        let mut members: Vec<(ObjectId, bool)> = earlier.into_iter().map(|id| (id, true)).collect();
-        members.push((id, false));
+        self.release_many(&[id])
+    }
+
+    /// Every id goes through this store's release groups: a member that
+    /// is not its group's last is answered `Ok` at once, its pin still
+    /// live in the ledger; the last returns the whole group's pins. What
+    /// is due then goes back in one `return_pins` round, every id but the
+    /// last counted as answered already — a client's release group was —
+    /// so a failed one is parked, not restored. Returns the last id's
+    /// outcome.
+    fn release_many(&self, ids: &[ObjectId]) -> Result<(), PlasmaError> {
+        let mut members: Vec<(ObjectId, bool)> = Vec::new();
+        {
+            let mut groups = self.inner.release_groups.lock();
+            for (n, &id) in ids.iter().enumerate() {
+                if let Some(earlier) = groups.release(id) {
+                    members.extend(earlier.into_iter().map(|id| (id, true)));
+                    members.push((id, n + 1 < ids.len()));
+                }
+            }
+        }
         let mut outcomes = self.return_pins(&members);
-        outcomes.pop().expect("the release is a member")
+        match members.last() {
+            Some((_, false)) => outcomes.pop().expect("one outcome per member"),
+            _ => Ok(()),
+        }
     }
 
     fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {

@@ -46,6 +46,14 @@ pub trait ObjectStore: Send + Sync {
 
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError>;
 
+    /// Drop one reference per listed id, as a client's release group
+    /// returns them (see [`crate::ReleaseGroups`]): releases each id in
+    /// turn and returns the first error.
+    fn release_many(&self, ids: &[ObjectId]) -> Result<(), PlasmaError> {
+        let released = ids.iter().map(|id| self.release(*id));
+        released.fold(Ok(()), Result::and)
+    }
+
     fn delete(&self, id: ObjectId) -> Result<(), PlasmaError>;
 
     /// Delete now if unreferenced (`true`), else when the last reference

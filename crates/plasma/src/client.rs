@@ -19,11 +19,22 @@
 //! per-object servicing cost to the simulation clock; this is what gives
 //! the local path of the paper's Fig. 6 its microsecond-scale,
 //! object-count-proportional retrieval latency.
+//!
+//! References go back under the batch-hold rule ([`ReleaseGroups`]): a
+//! `get` that filled two or more slots opens a release group, counted per
+//! filled slot. Releasing any member but the last is answered at once,
+//! without a request; the last sends the whole group in one `Release`
+//! request, so a 32-object batch costs one request to get and one to
+//! release. Until then the store still counts every member's reference:
+//! another client's `delete` of one reads `ObjectInUse`. This client's
+//! own `delete` of an id first sends the releases of it it deferred, and
+//! dropping the client sends every group's deferred releases.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::object::{ObjectInfo, ObjectLocation};
 use crate::protocol::{put_frame, Request, Response};
+use crate::release::ReleaseGroups;
 use crate::store::StoreStats;
 use ipc::{Conn, Frame};
 use netsim::{LinkModel, SharedLink};
@@ -185,6 +196,8 @@ pub struct PlasmaClient {
     node: NodeId,
     mappings: Mutex<HashMap<SegKey, Mapping>>,
     cost: Option<ClientCost>,
+    /// The batch gets whose references are not all released yet.
+    groups: Mutex<ReleaseGroups>,
 }
 
 impl PlasmaClient {
@@ -207,6 +220,7 @@ impl PlasmaClient {
             node,
             mappings: Mutex::new(HashMap::new()),
             cost,
+            groups: Mutex::new(ReleaseGroups::default()),
         }
     }
 
@@ -272,6 +286,15 @@ impl PlasmaClient {
         Ok((data, metadata))
     }
 
+    fn buffer_for(&self, loc: &ObjectLocation) -> Result<ObjectBuffer, PlasmaError> {
+        let (data, metadata) = self.views_for(loc)?;
+        Ok(ObjectBuffer {
+            id: loc.id,
+            data,
+            metadata,
+        })
+    }
+
     /// Create an object of `data_size` + `metadata_size` bytes; returns a
     /// writable builder holding the creator's reference.
     pub fn create(
@@ -317,7 +340,10 @@ impl PlasmaClient {
     }
 
     /// Batched get with timeout. Each returned buffer holds a store
-    /// reference; call [`PlasmaClient::release`] when done reading.
+    /// reference; call [`PlasmaClient::release`] when done reading. Two
+    /// or more filled slots form a release group (module docs). A slot
+    /// whose buffers cannot be mapped fails the call, and every filled
+    /// slot's reference goes back first.
     pub fn get(
         &self,
         ids: &[ObjectId],
@@ -333,19 +359,27 @@ impl PlasmaClient {
         if let Some(c) = &self.cost {
             c.clock.charge(c.per_object * ids.len() as u32);
         }
-        locs.into_iter()
-            .map(|loc| {
-                loc.map(|l| {
-                    let (data, metadata) = self.views_for(&l)?;
-                    Ok(ObjectBuffer {
-                        id: l.id,
-                        data,
-                        metadata,
-                    })
-                })
-                .transpose()
-            })
-            .collect()
+        let bufs: Result<Vec<Option<ObjectBuffer>>, PlasmaError> = locs
+            .iter()
+            .map(|loc| loc.as_ref().map(|l| self.buffer_for(l)).transpose())
+            .collect();
+        let filled = || locs.iter().flatten().map(|l| l.id).collect();
+        let fills = locs.iter().flatten().count();
+        match bufs {
+            Err(e) => {
+                if fills > 0 {
+                    // Best-effort: the mapping error is the one to report.
+                    let _ = self.request_unit(Request::Release(filled()));
+                }
+                Err(e)
+            }
+            Ok(bufs) => {
+                if fills > 1 {
+                    self.groups.lock().open(filled());
+                }
+                Ok(bufs)
+            }
+        }
     }
 
     /// Get a single object, erroring on timeout.
@@ -356,19 +390,38 @@ impl PlasmaClient {
             .ok_or(PlasmaError::Timeout)
     }
 
-    /// Drop one reference on `id`.
+    /// Drop one reference on `id`. A member of a release group but its
+    /// last is answered `Ok` at once; the last sends the group's
+    /// releases in one request (module docs).
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        self.request_unit(Request::Release(id))
+        let Some(mut ids) = self.groups.lock().release(id) else {
+            return Ok(());
+        };
+        ids.push(id);
+        self.request_unit(Request::Release(ids))
+    }
+
+    /// Send the releases of `id` this client deferred, before a delete
+    /// of it: the caller released it, so the store must not still count
+    /// those references.
+    fn release_deferred(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        let held = self.groups.lock().take_deferred(id);
+        if held == 0 {
+            return Ok(());
+        }
+        self.request_unit(Request::Release(vec![id; held]))
     }
 
     /// Delete a sealed, unreferenced object.
     pub fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        self.release_deferred(id)?;
         self.request_unit(Request::Delete(id))
     }
 
     /// Delete as soon as unreferenced: immediately if possible (returns
     /// `true`), otherwise when the last reference is released.
     pub fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+        self.release_deferred(id)?;
         match self.request(Request::DeleteDeferred(id))? {
             Response::Bool(b) => Ok(b),
             other => Err(PlasmaError::Protocol(format!(
@@ -414,6 +467,18 @@ impl PlasmaClient {
             other => Err(PlasmaError::Protocol(format!(
                 "expected U64, got {other:?}"
             ))),
+        }
+    }
+}
+
+impl Drop for PlasmaClient {
+    /// Send every open group's deferred releases. Members never released
+    /// stay referenced, as a dropped buffer's reference does.
+    fn drop(&mut self) {
+        let deferred = self.groups.get_mut().close_all();
+        if !deferred.is_empty() {
+            // Best-effort: there is no one to report a failure to.
+            let _ = self.request_unit(Request::Release(deferred));
         }
     }
 }

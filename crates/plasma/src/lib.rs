@@ -47,6 +47,7 @@ pub mod id;
 pub mod lru;
 pub mod object;
 pub mod protocol;
+pub mod release;
 pub mod server;
 pub mod store;
 
@@ -57,6 +58,7 @@ pub use client::{
 pub use error::PlasmaError;
 pub use id::{ObjectId, OBJECT_ID_LEN};
 pub use object::{ObjectInfo, ObjectLocation, ObjectState};
+pub use release::ReleaseGroups;
 pub use server::{serve_store, PlasmaServer, PlasmaServerMetrics};
 pub use store::{StoreConfig, StoreCore, StoreStats};
 
@@ -66,6 +68,7 @@ mod end_to_end {
 
     use super::*;
     use ipc::InprocHub;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::time::Duration;
     use tfsim::{Fabric, Path};
@@ -301,6 +304,165 @@ mod end_to_end {
             };
             proptest::prop_assert!(store.join().unwrap() == expected.to_frame());
         }
+    }
+
+    /// The references `store` counts on `ids`, in order.
+    fn refs(store: &StoreCore, ids: &[ObjectId]) -> Vec<u64> {
+        let list = store.list();
+        let count = |id: &ObjectId| list.iter().find(|i| i.id == *id).map_or(0, |i| i.ref_count);
+        ids.iter().map(count).collect()
+    }
+
+    fn put_named(client: &PlasmaClient, base: &str, n: usize) -> Vec<ObjectId> {
+        let ids: Vec<ObjectId> = (0..n)
+            .map(|i| ObjectId::from_name(&format!("{base}-{i}")))
+            .collect();
+        for id in &ids {
+            client.put(*id, &[9; 64], &[]).unwrap();
+        }
+        ids
+    }
+
+    #[test]
+    fn a_batch_get_returns_its_references_in_one_request() {
+        let r = rig(1 << 20);
+        let client = client_on(&r, r.store.node());
+        let ids = put_named(&client, "batch", 32);
+        let bufs = client.get(&ids, Duration::from_secs(1)).unwrap();
+        assert!(bufs.iter().all(Option::is_some));
+        let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
+        let before = requests();
+        for id in &ids[..31] {
+            client.release(*id).unwrap();
+        }
+        assert_eq!(requests(), before, "no member but the last sends");
+        assert_eq!(refs(&r.store, &ids), vec![1; 32], "the batch is held");
+        client.release(ids[31]).unwrap();
+        assert_eq!(requests(), before + 1);
+        assert_eq!(refs(&r.store, &ids), vec![0; 32]);
+        // A single get's release goes out at once.
+        client.get_one(ids[0], Duration::from_secs(1)).unwrap();
+        client.release(ids[0]).unwrap();
+        assert_eq!(requests(), before + 3);
+        assert_eq!(refs(&r.store, &ids[..1]), vec![0]);
+    }
+
+    /// The batch-hold rule at the client: a released member stays
+    /// referenced until the batch's last release, so another client's
+    /// delete of it reads `ObjectInUse`; the client that released it
+    /// sends that release before its own delete.
+    #[test]
+    fn a_released_member_is_deletable_by_its_client_while_a_sibling_is_held() {
+        let r = rig(1 << 20);
+        let client = client_on(&r, r.store.node());
+        let other = client_on(&r, r.store.node());
+        let ids = put_named(&client, "hold", 4);
+        client.get(&ids, Duration::from_secs(1)).unwrap();
+        for id in &ids[..3] {
+            client.release(*id).unwrap();
+            assert_eq!(other.delete(*id), Err(PlasmaError::ObjectInUse(*id)));
+        }
+        client.delete(ids[0]).unwrap();
+        assert_eq!(client.delete_deferred(ids[1]), Ok(true), "deleted at once");
+        assert!(!r.store.contains(ids[0]) && !r.store.contains(ids[1]));
+        assert_eq!(
+            refs(&r.store, &ids[2..]),
+            vec![1, 1],
+            "the siblings are held"
+        );
+        assert_eq!(other.delete(ids[2]), Err(PlasmaError::ObjectInUse(ids[2])));
+        client.release(ids[3]).unwrap();
+        assert_eq!(refs(&r.store, &ids[2..]), vec![0, 0]);
+        other.delete(ids[2]).unwrap();
+        other.delete(ids[3]).unwrap();
+    }
+
+    #[test]
+    fn a_client_dropped_mid_batch_returns_every_reference_it_released() {
+        let r = rig(1 << 20);
+        let client = client_on(&r, r.store.node());
+        let ids = put_named(&client, "dropped", 4);
+        client.get(&ids, Duration::from_secs(1)).unwrap();
+        client.get(&ids[..2], Duration::from_secs(1)).unwrap();
+        for id in [ids[0], ids[1], ids[0], ids[2]] {
+            client.release(id).unwrap();
+        }
+        // The second batch went back whole; the first is held.
+        assert_eq!(refs(&r.store, &ids), vec![1, 1, 1, 1]);
+        drop(client);
+        // Only the two references never released are left.
+        assert_eq!(refs(&r.store, &ids), vec![0, 1, 0, 1]);
+    }
+
+    /// Hands every `get` answer back with its last filled slot moved past
+    /// the end of the store's memory.
+    struct OutOfBounds(StoreCore);
+
+    impl ObjectStore for OutOfBounds {
+        fn create(&self, id: ObjectId, d: u64, m: u64) -> Result<ObjectLocation, PlasmaError> {
+            self.0.create(id, d, m)
+        }
+        fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
+            self.0.seal(id)
+        }
+        fn put(&self, id: ObjectId, d: &[u8], m: &[u8]) -> Result<ObjectLocation, PlasmaError> {
+            self.0.put(id, d, m)
+        }
+        fn get(
+            &self,
+            ids: &[ObjectId],
+            timeout: Duration,
+        ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
+            let mut locs = ObjectStore::get(&self.0, ids, timeout)?;
+            if let Some(last) = locs.iter_mut().rev().flatten().next() {
+                last.offset = u64::MAX / 2;
+            }
+            Ok(locs)
+        }
+        fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            self.0.release(id)
+        }
+        fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            self.0.delete(id)
+        }
+        fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+            self.0.delete_deferred(id)
+        }
+        fn abort(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            self.0.abort(id)
+        }
+        fn contains(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+            Ok(self.0.contains(id))
+        }
+        fn list(&self) -> Result<Vec<ObjectInfo>, PlasmaError> {
+            Ok(self.0.list())
+        }
+        fn stats(&self) -> Result<StoreStats, PlasmaError> {
+            Ok(self.0.stats())
+        }
+        fn evict(&self, bytes: u64) -> Result<u64, PlasmaError> {
+            Ok(self.0.evict(bytes))
+        }
+        fn subscribe(&self) -> crossbeam::channel::Receiver<ObjectLocation> {
+            self.0.subscribe()
+        }
+    }
+
+    #[test]
+    fn a_get_whose_buffer_cannot_be_mapped_returns_every_reference() {
+        let r = rig(1 << 20);
+        let ids = put_named(&client_on(&r, r.store.node()), "unmapped", 3);
+        let hub = InprocHub::new();
+        let wrapped = OutOfBounds(r.store.clone());
+        let _server = serve_store(Box::new(hub.bind("oob").unwrap()), Arc::new(wrapped));
+        let conn = Box::new(hub.connect("oob").unwrap());
+        let client = PlasmaClient::new(conn, r.fabric.clone(), r.store.node());
+        for batch in [&ids[..1], &ids[..]] {
+            client.get(batch, Duration::from_secs(1)).unwrap_err();
+            assert_eq!(refs(&r.store, &ids), vec![0; 3], "{} ids", batch.len());
+        }
+        drop(client);
+        assert_eq!(refs(&r.store, &ids), vec![0; 3], "no group was opened");
     }
 
     #[test]

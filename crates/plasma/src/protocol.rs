@@ -64,7 +64,9 @@ pub enum Request {
         ids: Vec<ObjectId>,
         timeout_ms: u64,
     },
-    Release(ObjectId),
+    /// Drop one reference per listed id: a batch get's whole release
+    /// group, or one id. Never empty.
+    Release(Vec<ObjectId>),
     Delete(ObjectId),
     DeleteDeferred(ObjectId),
     Abort(ObjectId),
@@ -98,6 +100,26 @@ pub fn put_id(e: &mut Enc, id: &ObjectId) {
 /// Read an object id.
 pub fn get_id(d: &mut Dec) -> Result<ObjectId, CodecError> {
     Ok(ObjectId::from_bytes(d.fixed::<OBJECT_ID_LEN>()?))
+}
+
+/// Most ids one request may list.
+const MAX_IDS: usize = 1_000_000;
+
+/// Write a count-prefixed id list.
+fn put_ids(e: &mut Enc, ids: &[ObjectId]) {
+    e.u64(ids.len() as u64);
+    for id in ids {
+        put_id(e, id);
+    }
+}
+
+/// Read a count-prefixed id list of at most [`MAX_IDS`] ids.
+fn get_ids(d: &mut Dec) -> Result<Vec<ObjectId>, PlasmaError> {
+    let n = usize::try_from(d.u64()?)
+        .ok()
+        .filter(|&n| n <= MAX_IDS)
+        .ok_or_else(|| PlasmaError::Protocol("id list too long".into()))?;
+    (0..n).map(|_| Ok(get_id(d)?)).collect()
 }
 
 /// Write an object location: id, segment, offset and sizes. The one
@@ -164,14 +186,12 @@ impl Request {
             }
             Request::Put { id, data, metadata } => return put_frame(id, data, metadata),
             Request::Get { ids, timeout_ms } => {
-                e.u64(*timeout_ms).u64(ids.len() as u64);
-                for id in ids {
-                    put_id(&mut e, id);
-                }
+                e.u64(*timeout_ms);
+                put_ids(&mut e, ids);
                 tag::GET
             }
-            Request::Release(id) => {
-                put_id(&mut e, id);
+            Request::Release(ids) => {
+                put_ids(&mut e, ids);
                 tag::RELEASE
             }
             Request::Delete(id) => {
@@ -215,21 +235,16 @@ impl Request {
                 data: d.bytes()?,
                 metadata: d.bytes()?,
             },
-            tag::GET => {
-                let timeout_ms = d.u64()?;
-                let n = d.u64()?;
-                let n =
-                    usize::try_from(n).map_err(|_| PlasmaError::Protocol("get count".into()))?;
-                if n > 1_000_000 {
-                    return Err(PlasmaError::Protocol("get batch too large".into()));
+            tag::GET => Request::Get {
+                timeout_ms: d.u64()?,
+                ids: get_ids(&mut d)?,
+            },
+            tag::RELEASE => match get_ids(&mut d)? {
+                ids if ids.is_empty() => {
+                    return Err(PlasmaError::Protocol("release of no id".into()))
                 }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(get_id(&mut d)?);
-                }
-                Request::Get { ids, timeout_ms }
-            }
-            tag::RELEASE => Request::Release(get_id(&mut d)?),
+                ids => Request::Release(ids),
+            },
             tag::DELETE => Request::Delete(get_id(&mut d)?),
             tag::DELETE_DEFERRED => Request::DeleteDeferred(get_id(&mut d)?),
             tag::ABORT => Request::Abort(get_id(&mut d)?),
@@ -469,7 +484,8 @@ mod tests {
                 ids: vec![],
                 timeout_ms: 0,
             },
-            Request::Release(id),
+            Request::Release(vec![id]),
+            Request::Release(vec![id, ObjectId::from_name("y"), id]),
             Request::Delete(id),
             Request::DeleteDeferred(id),
             Request::Abort(id),
@@ -545,6 +561,32 @@ mod tests {
             f.payload = payload.into();
             assert!(Request::from_frame(&f).is_err(), "{req:?}");
         }
+    }
+
+    /// A release list decodes strictly: every proper prefix, one byte
+    /// more, an empty list and a list longer than a get may be are all
+    /// refused.
+    #[test]
+    fn a_release_list_decodes_strictly() {
+        let ids: Vec<ObjectId> = (0..3).map(|n| ObjectId::from_bytes([n; 20])).collect();
+        let frame = Request::Release(ids).to_frame();
+        for cut in 0..frame.payload.len() {
+            let prefix = Frame::new(tag::RELEASE, frame.payload.slice(..cut));
+            assert!(Request::from_frame(&prefix).is_err(), "prefix of {cut}");
+        }
+        let mut longer = frame.payload.to_vec();
+        longer.push(0);
+        assert!(Request::from_frame(&Frame::new(tag::RELEASE, Bytes::from(longer))).is_err());
+        let listing = |n: usize| {
+            let mut e = Enc::new();
+            e.u64(n as u64).fixed(&vec![7; n * OBJECT_ID_LEN]);
+            Frame::new(tag::RELEASE, e.finish())
+        };
+        assert!(Request::from_frame(&listing(0)).is_err(), "no id");
+        assert!(
+            Request::from_frame(&listing(MAX_IDS + 1)).is_err(),
+            "too many"
+        );
     }
 
     #[test]

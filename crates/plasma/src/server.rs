@@ -111,7 +111,7 @@ fn dispatch(store: &Arc<dyn ObjectStore>, req: Request) -> Response {
             let timeout = Duration::from_millis(timeout_ms).min(MAX_GET_WAIT);
             store.get(&ids, timeout).map(Response::Locations)
         }
-        Request::Release(id) => store.release(id).map(|()| Response::Unit),
+        Request::Release(ids) => store.release_many(&ids).map(|()| Response::Unit),
         Request::Delete(id) => store.delete(id).map(|()| Response::Unit),
         Request::DeleteDeferred(id) => store.delete_deferred(id).map(Response::Bool),
         Request::Abort(id) => store.abort(id).map(|()| Response::Unit),

@@ -784,6 +784,43 @@ fn release_then_delete_from_the_same_store_succeeds_while_a_sibling_is_held() {
     cluster.store(2).delete(ids[1]).unwrap();
 }
 
+/// A client's release group goes back in one request, every member but
+/// the last answered already: a remote member whose owner is down when
+/// it goes is parked, not restored as a live pin, and the next call to
+/// that owner that succeeds returns it.
+#[test]
+fn a_client_flush_parks_a_member_whose_owner_is_down() {
+    let mut cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
+    let remote = owned(&cluster, 0, "client-flush/remote", 1)[0];
+    let local = owned(&cluster, 1, "client-flush/local", 1)[0];
+    let client = cluster.client(1).unwrap();
+    for id in [remote, local] {
+        client.put(id, &[6; 256], &[]).unwrap();
+    }
+    let got = client
+        .get(&[remote, local], Duration::from_secs(1))
+        .unwrap();
+    assert!(got.iter().all(Option::is_some));
+    client.release(remote).unwrap();
+    let reader = cluster.store(1).clone();
+    assert_eq!(reader.held_remote_pins(), 1, "deferred at the client");
+
+    cluster.stop_rpc(0);
+    client.release(local).unwrap();
+    assert_eq!(reader.pending_release_count(), 1, "the remote member parks");
+    assert_eq!(reader.held_remote_pins(), 0, "and is not restored live");
+    assert_eq!(cluster.store(0).remote_pin_count(), 1);
+    let list = reader.core().list();
+    let local_refs = list.iter().find(|info| info.id == local).unwrap().ref_count;
+    assert_eq!(local_refs, 0, "the last member released");
+
+    cluster.restart_rpc(0).unwrap();
+    cluster.clock().charge(Duration::from_secs(10)); // past the probe window
+    assert!(client.contains(remote).unwrap());
+    assert_eq!(reader.pending_release_count(), 0, "flushed by that call");
+    assert_eq!(cluster.store(0).remote_pin_count(), 0);
+}
+
 /// A `RELEASE` reply that does not decode, is cut short or flags another
 /// number of ids than were asked is a `Protocol` error, handled like a
 /// lost reply: the entry is kept and the caller hears the error. The
