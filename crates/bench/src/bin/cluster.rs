@@ -5,8 +5,8 @@
 //! cross-rack / cross-pod tier taxonomy, generates a seeded multi-tenant
 //! workload (zipf popularity, lognormal arrivals, spatial skews), and
 //! replays it on the virtual clock, reporting get-latency p50/p90/p99
-//! per tier plus the placement-ring bill. Writes
-//! `target/bench/BENCH_cluster.json`.
+//! per tier plus the placement-ring bill, then audits the quiesced
+//! cluster ([`Cluster::audit`]). Writes `target/bench/BENCH_cluster.json`.
 //!
 //! Usage: `cargo run -p bench --bin cluster --release [-- --smoke]
 //! [--pods N] [--racks N] [--hosts N] [--ops N] [--seed N]`
@@ -167,6 +167,8 @@ fn main() {
         "ring: hits {}, fallbacks {}, lookup RPCs {}",
         report.ring_hits, report.ring_fallbacks, report.lookup_rpcs
     );
+    let violations = cluster.audit();
+    println!("audit violations: {}", violations.len());
 
     // The tier taxonomy's defining property: with enough samples, the
     // nearer tier is strictly faster at the median.
@@ -190,6 +192,7 @@ fn main() {
         report.ring_fallbacks, 0,
         "stable membership must never fall back to broadcast"
     );
+    assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
 
     write_result("cluster", &json(&spec, &report));
 }

@@ -14,17 +14,18 @@
 //!
 //! The run must degrade gracefully, not collapse: every operation either
 //! completes or is rejected with a typed `Overloaded`; at quiesce the
-//! borrow ledgers must be mutually consistent (no lost, duplicated, or
-//! orphaned delegation). Any violation aborts the process.
+//! cluster keeps every promise [`Cluster::audit`] checks (no pin left
+//! dangling; no lost, duplicated or orphaned delegation). Any violation
+//! aborts the process.
 //!
 //! Usage: `cargo run -p bench --bin elastic --release [-- --smoke]
 //! [--ops N] [--seed N]`. Prints its counters and latencies; the four
 //! asserts at the end are the gate (CI runs `--smoke`).
 
 use bench::cluster_config;
-use disagg::{Cluster, Kind, NodeId, Side};
+use disagg::Cluster;
 use plasma::{ObjectId, ObjectStore, PlasmaError};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 use topo::{ClusterSpec, OpKind, SizeClass, Spatial, TenantSpec, WorkloadSpec};
 
@@ -166,46 +167,6 @@ fn counter_sum(cluster: &Cluster, name: &str) -> u64 {
     (0..cluster.len())
         .map(|i| cluster.store(i).metrics_snapshot().counter(name))
         .sum()
-}
-
-/// Cross-check every lease: each owner-side (`out`) entry must have the
-/// matching holder-side (`held`) entry and vice versa. Returns the
-/// number of violations (must be zero at quiesce).
-fn audit_ledgers(cluster: &Cluster) -> u64 {
-    let node_idx: HashMap<NodeId, usize> = (0..cluster.len())
-        .map(|i| (cluster.node_id(i), i))
-        .collect();
-    let leases = |side: Side| -> Vec<Vec<(ObjectId, NodeId)>> {
-        (0..cluster.len())
-            .map(|i| {
-                let all = cluster.store(i).delegations().into_iter();
-                all.filter(|r| r.side == side && r.kind == Kind::Lease)
-                    .map(|r| (r.id, r.peer))
-                    .collect()
-            })
-            .collect()
-    };
-    let (lent, borrowed) = (leases(Side::Out), leases(Side::Held));
-    let mut violations = 0u64;
-    for (owner, entries) in lent.iter().enumerate() {
-        for &(id, holder) in entries {
-            let h = node_idx[&holder];
-            if !borrowed[h].contains(&(id, cluster.node_id(owner))) {
-                eprintln!("AUDIT: node {owner} lent {id:?} to {holder} without a backref");
-                violations += 1;
-            }
-        }
-    }
-    for (holder, entries) in borrowed.iter().enumerate() {
-        for &(id, owner) in entries {
-            let o = node_idx[&owner];
-            if !lent[o].contains(&(id, cluster.node_id(holder))) {
-                eprintln!("AUDIT: node {holder} borrows {id:?} from {owner} without a lease");
-                violations += 1;
-            }
-        }
-    }
-    violations
 }
 
 fn main() {
@@ -437,13 +398,13 @@ fn main() {
     }
     let virtual_elapsed = clock.now() - started;
 
-    // Quiesce: heal ambiguous spills, then audit every ledger pair.
+    // Quiesce: heal ambiguous spills, then audit the cluster.
     eprintln!("  reconciling + auditing...");
     for node in 0..nodes {
         let sweep = cluster.store(node).reconcile();
         assert!(sweep.unreachable.is_empty(), "reconcile: {sweep:?}");
     }
-    let violations = audit_ledgers(&cluster);
+    let violations = cluster.audit();
 
     latencies_ns.sort_unstable();
     hot_latencies_ns.sort_unstable();
@@ -475,10 +436,10 @@ fn main() {
         "latency: get p50 {get_p50:.1} us, p99 {get_p99:.1} us (hot pod p99 {hot_p99:.1} us); \
          throughput {ops_per_sec:.0} ops/s virtual"
     );
-    println!("ledger audit violations: {violations}");
+    println!("audit violations: {}", violations.len());
 
     // The acceptance gates: graceful degradation, not collapse.
-    assert_eq!(violations, 0, "borrow ledgers inconsistent at quiesce");
+    assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
     assert!(
         overloaded > 0,
         "2x load must trip the admission gate at least once"

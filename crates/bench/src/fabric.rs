@@ -126,8 +126,8 @@ pub fn run_cluster_schedule(
         }
         pools.push(homes);
     }
-    // The producer reference from create is kept deliberately: a pinned
-    // catalog cannot be evicted mid-run, so every scheduled get is
+    // The producer reference from create is kept for the whole replay: a
+    // pinned catalog cannot be evicted mid-run, so every scheduled get is
     // servable and the replay stays deterministic.
     for object in load.catalog(spec) {
         let id = pools[object.tenant as usize][object.home as usize][object.index as usize];
@@ -198,6 +198,17 @@ pub fn run_cluster_schedule(
         }
     }
 
+    let virtual_elapsed = clock.now() - started;
+    // No timed operation is left: hand the catalog's references back, so
+    // the cluster ends quiesced.
+    for homes in &pools {
+        for (home, ids) in homes.iter().enumerate() {
+            for &id in ids {
+                cluster.store(home).release(id)?;
+            }
+        }
+    }
+
     let stats: Vec<DisaggStats> = (0..cluster.len())
         .map(|i| cluster.store(i).disagg_stats())
         .collect();
@@ -227,7 +238,7 @@ pub fn run_cluster_schedule(
         puts,
         schedule_digest: schedule.digest(),
         tiers,
-        virtual_elapsed: clock.now() - started,
+        virtual_elapsed,
         ring_hits: stats.iter().map(|s| s.ring_hits).sum(),
         ring_fallbacks: stats.iter().map(|s| s.ring_fallbacks).sum(),
         lookup_rpcs: stats.iter().map(|s| s.lookup_rpcs).sum(),
@@ -265,7 +276,9 @@ mod tests {
         load.classes = topo::workload::table1_classes_small();
         let run = |spec: &ClusterSpec, load: &WorkloadSpec| {
             let cluster = Cluster::launch(cluster_config(spec, 8 << 20)).unwrap();
-            run_cluster_workload(&cluster, spec, load).unwrap()
+            let report = run_cluster_workload(&cluster, spec, load).unwrap();
+            assert_eq!(cluster.audit(), Vec::<String>::new());
+            report
         };
         let a = run(&spec, &load);
         let b = run(&spec, &load);

@@ -24,8 +24,9 @@
 //! spliced into every interconnect connection
 //! (`disagg::ClusterConfig::fault_policy`), drive it with per-node
 //! worker threads writing checksummed payloads
-//! ([`plasma::checksum`]), settle on a clean network, audit the pin
-//! ledgers, and hand the history to [`check`]. The `bench` crate's
+//! ([`plasma::checksum`]), settle on a clean network, audit the
+//! cluster ([`disagg::Cluster::audit`]), and hand the history to
+//! [`check`]. The `bench` crate's
 //! `chaos` binary wraps this in a CLI with seed sweep and replay modes.
 
 #![deny(missing_docs)]

@@ -21,14 +21,8 @@
 //!    orphaned by responses the nemesis dropped, ambiguous spills
 //!    converge back to a single accounted copy, and replica records
 //!    match what holders actually seal.
-//! 4. Quiesce audit: every pin count must be zero — owner-side remote
-//!    pins, requester-side held pins, parked releases, open release
-//!    groups (a batched get's pins, returned together) — and the leases
-//!    and replicas in the delegation ledgers must be mutually
-//!    consistent: every off-ring sealed object accounted for by its
-//!    ring owner's lease or replica entry, no orphans on either side,
-//!    every holder inside the membership, every replica backed by a
-//!    live owner copy, and no id both lent and replicated.
+//! 4. Quiesce audit: [`Cluster::audit`], the cluster's promises stated
+//!    once in `disagg` (DESIGN §9, "Checked invariants").
 //! 5. Run the [`crate::checker`] over the recorded history.
 //!
 //! Fault decisions are deterministic per (link, direction, seq) — see
@@ -41,7 +35,7 @@ use crate::checker::{check, Verdict};
 use crate::history::{EventKind, HistoryRecorder, Observed};
 use crate::inject::ChaosInjector;
 use crate::plan::FaultPlan;
-use disagg::{Cluster, ClusterConfig, InterconnectConfig, Kind, ReconcileReport, Side};
+use disagg::{Cluster, ClusterConfig, InterconnectConfig, Kind, ReconcileReport};
 use plasma::{checksum, ObjectId, PlasmaError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -286,13 +280,10 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         healed.trimmed += sweep.trimmed;
     }
 
-    // Phase 4: quiesce audit — all pin ledgers must be empty, and every
-    // surviving object must sit where the rendezvous ring says it does
-    // (or where the owner's ledger says it was delegated).
-    let mut verdict = check_quiesce(&cluster, cfg.nodes);
-    verdict
-        .violations
-        .extend(check_ring_placement(&cluster, cfg.nodes).violations);
+    // Phase 4: the quiesce audit.
+    let mut verdict = Verdict {
+        violations: cluster.audit(),
+    };
 
     // Phase 5: the history checker.
     let evictions: u64 = (0..cfg.nodes)
@@ -316,220 +307,6 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         replica_drops: healed.dropped[Kind::Replica],
         replica_trims: healed.trimmed[Kind::Replica],
     })
-}
-
-/// The pin-ledger audit of phase 4.
-fn check_quiesce(cluster: &Cluster, nodes: usize) -> Verdict {
-    let mut verdict = Verdict::default();
-    for i in 0..nodes {
-        let store = cluster.store(i);
-        let owner_pins = store.remote_pin_count();
-        if owner_pins != 0 {
-            verdict.violations.push(format!(
-                "pin leak: node {i} still holds {owner_pins} owner-side remote pins at quiesce"
-            ));
-        }
-        let held = store.held_remote_pins();
-        if held != 0 {
-            verdict.violations.push(format!(
-                "pin leak: node {i} still ledgers {held} requester-side remote pins at quiesce"
-            ));
-        }
-        let parked = store.pending_release_count();
-        if parked != 0 {
-            verdict.violations.push(format!(
-                "release leak: node {i} still has {parked} parked releases after settle"
-            ));
-        }
-        // An open group would defer a later release of one of its ids
-        // for ever.
-        let groups = store.open_release_groups();
-        if groups != 0 {
-            verdict.violations.push(format!(
-                "release leak: node {i} still has {groups} open release groups after settle"
-            ));
-        }
-        // Every reference a get handed out was released: a client that
-        // held one back would keep its object undeletable for ever.
-        let refs: u64 = store.core().list().iter().map(|o| o.ref_count).sum();
-        if refs != 0 {
-            verdict.violations.push(format!(
-                "reference leak: node {i} still counts {refs} object references at quiesce"
-            ));
-        }
-    }
-    verdict
-}
-
-/// Ring-ownership and delegation audit: with rendezvous placement every
-/// sealed survivor must live where the ring computes its owner, or at a
-/// holder that owner's ledger names — the one holder of its lease, or a
-/// holder of one of its replicas — and all nodes must have converged on
-/// one membership epoch. Both sides of every lease and replica must
-/// agree: an owner-side entry whose holder has no sealed copy (or no
-/// matching `held` entry) is an orphan, and so is the reverse. Holders
-/// must be cluster members, a lease means the owner gave its copy up, a
-/// replica means it kept it, and no id is both lent and replicated. A
-/// violation here means a forwarded create, a spill or a replication
-/// landed (or left residue) somewhere the ledgers cannot account for.
-fn check_ring_placement(cluster: &Cluster, nodes: usize) -> Verdict {
-    use std::collections::{HashMap, HashSet};
-    let mut verdict = Verdict::default();
-    let membership = cluster
-        .store(0)
-        .membership()
-        .expect("Cluster::launch installs a membership table on every store");
-    let ring = disagg::Ring::new(membership);
-    for i in 0..nodes {
-        let epoch = cluster.store(i).ring_epoch();
-        if epoch != ring.epoch() {
-            verdict.violations.push(format!(
-                "epoch split: node {i} is at epoch {epoch}, node 0 at {}",
-                ring.epoch()
-            ));
-        }
-    }
-
-    // Gather each node's sealed set and its lease and replica entries.
-    let index_of: HashMap<disagg::NodeId, usize> =
-        (0..nodes).map(|i| (cluster.node_id(i), i)).collect();
-    let mut sealed_at: Vec<HashSet<ObjectId>> = vec![HashSet::new(); nodes];
-    let mut sealers: HashMap<ObjectId, Vec<usize>> = HashMap::new();
-    for (i, sealed) in sealed_at.iter_mut().enumerate() {
-        for info in cluster.store(i).core().list() {
-            if info.state == plasma::ObjectState::Sealed {
-                sealed.insert(info.id);
-                sealers.entry(info.id).or_default().push(i);
-            }
-        }
-    }
-    let copies: Vec<Vec<disagg::DelegationRecord>> = (0..nodes)
-        .map(|i| {
-            let all = cluster.store(i).delegations().into_iter();
-            all.filter(|r| r.kind.is_copy()).collect()
-        })
-        .collect();
-    // out[(owner idx, id, kind)] = holder idxs, from the owners' side.
-    // Every recorded holder must be a cluster member.
-    let mut out: HashMap<(usize, ObjectId, Kind), HashSet<usize>> = HashMap::new();
-    for (i, records) in copies.iter().enumerate() {
-        for r in records.iter().filter(|r| r.side == Side::Out) {
-            match index_of.get(&r.peer) {
-                Some(&h) => {
-                    out.entry((i, r.id, r.kind)).or_default().insert(h);
-                }
-                None => verdict.violations.push(format!(
-                    "{:?} violation: node {i} records {:?} at unknown node {:?} \
-                     (holder outside membership)",
-                    r.kind, r.id, r.peer
-                )),
-            }
-        }
-    }
-    let names = |owner: usize, id: ObjectId, kind: Kind, holder: usize| {
-        out.get(&(owner, id, kind))
-            .is_some_and(|holders| holders.contains(&holder))
-    };
-
-    for (i, sealed) in sealed_at.iter().enumerate() {
-        let node_id = cluster.node_id(i);
-        for &id in sealed {
-            let owner = ring.owner_of(id);
-            if owner == Some(node_id) {
-                continue; // on-ring: the normal case
-            }
-            // Off-ring: legitimate only as a recorded holder of the ring
-            // owner's lease or read replica.
-            let accounted = owner
-                .and_then(|o| index_of.get(&o))
-                .is_some_and(|&o| names(o, id, Kind::Lease, i) || names(o, id, Kind::Replica, i));
-            if !accounted {
-                verdict.violations.push(format!(
-                    "ring violation: node {i} holds {id:?} off-ring with no matching \
-                     lease or replica entry at its ring owner {owner:?}"
-                ));
-            }
-        }
-    }
-    for (id, sealers) in &sealers {
-        if sealers.len() <= 1 {
-            continue;
-        }
-        // Multiple sealed copies are legal only for read replication:
-        // one sealer is the ring owner (the write/metadata authority)
-        // and every other sealer is a replica holder it recorded.
-        // Anything else is a fork.
-        let owner_idx = ring.owner_of(*id).and_then(|o| index_of.get(&o)).copied();
-        let legal = owner_idx.is_some_and(|o| {
-            sealers.contains(&o)
-                && sealers
-                    .iter()
-                    .all(|&h| h == o || names(o, *id, Kind::Replica, h))
-        });
-        if !legal {
-            verdict.violations.push(format!(
-                "ring violation: {id:?} is sealed on multiple nodes {sealers:?} not \
-                 accounted for by the ring owner's replica entries"
-            ));
-        }
-    }
-
-    // Owner-side entries must be honored by their holders, and say the
-    // truth about the owner's own copy.
-    for (&(owner, id, kind), holders) in &out {
-        let owner_seals = sealed_at[owner].contains(&id);
-        if kind == Kind::Lease && owner_seals {
-            verdict.violations.push(format!(
-                "Lease violation: node {owner} both seals {id:?} and lends it to {holders:?}"
-            ));
-        }
-        if kind == Kind::Replica && !owner_seals {
-            verdict.violations.push(format!(
-                "Replica violation: node {owner} records replicas of {id:?} but seals no \
-                 owner copy (stale replica outlives its object)"
-            ));
-        }
-        if kind == Kind::Replica && out.contains_key(&(owner, id, Kind::Lease)) {
-            verdict.violations.push(format!(
-                "Replica violation: node {owner} both lends {id:?} and records replicas \
-                 of it (lent and replicated are mutually exclusive)"
-            ));
-        }
-        for &h in holders {
-            if !sealed_at[h].contains(&id) {
-                verdict.violations.push(format!(
-                    "{kind:?} violation: node {owner} records {id:?} at node {h}, \
-                     which seals no copy (orphaned owner-side entry)"
-                ));
-            }
-            let backref = copies[h].iter().any(|r| {
-                (r.side, r.kind, r.id) == (Side::Held, kind, id)
-                    && index_of.get(&r.peer) == Some(&owner)
-            });
-            if !backref {
-                verdict.violations.push(format!(
-                    "{kind:?} violation: node {owner} records {id:?} at node {h}, \
-                     but the holder has no matching held entry"
-                ));
-            }
-        }
-    }
-    // Holder-side entries must be backed by the owner's ledger.
-    for (i, records) in copies.iter().enumerate() {
-        for r in records.iter().filter(|r| r.side == Side::Held) {
-            let backed = index_of
-                .get(&r.peer)
-                .is_some_and(|&owner| names(owner, r.id, r.kind, i));
-            if !backed {
-                verdict.violations.push(format!(
-                    "{:?} violation: node {i} holds {:?} for node {:?}, which has no \
-                     matching owner-side entry (orphaned held entry)",
-                    r.kind, r.id, r.peer
-                ));
-            }
-        }
-    }
-    verdict
 }
 
 /// One node's workload thread. Returns the `(node, id)` pairs whose
@@ -695,27 +472,5 @@ fn observe(
             }
             observed
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The quiesce audit sees a reference nobody released, and only
-    /// while it is held.
-    #[test]
-    fn an_unreleased_reference_fails_the_quiesce_audit() {
-        let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
-        let client = cluster.client(1).unwrap();
-        let id = ObjectId::from_name(&cluster.owned_id(1, "chaos/held"));
-        client.put(id, &[1; 64], &[]).unwrap();
-        assert!(check_quiesce(&cluster, 2).violations.is_empty());
-        let _buf = client.get_one(id, Duration::from_secs(1)).unwrap();
-        let verdict = check_quiesce(&cluster, 2);
-        assert_eq!(verdict.violations.len(), 1, "{:?}", verdict.violations);
-        assert!(verdict.violations[0].contains("node 1"), "{verdict:?}");
-        client.release(id).unwrap();
-        assert!(check_quiesce(&cluster, 2).violations.is_empty());
     }
 }

@@ -44,6 +44,7 @@
 
 #![deny(missing_docs)]
 
+mod audit;
 pub mod cluster;
 pub mod delegation;
 pub mod elastic;

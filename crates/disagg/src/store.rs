@@ -311,6 +311,12 @@ impl DisaggStore {
         &self.inner.core
     }
 
+    /// The ledger itself, so a test can plant an entry no exchange makes.
+    #[cfg(test)]
+    pub(crate) fn ledger(&self) -> &Ledger {
+        &self.inner.ledger
+    }
+
     /// The fabric node this store runs on.
     pub fn node(&self) -> NodeId {
         self.inner.node
@@ -356,7 +362,7 @@ impl DisaggStore {
     /// Every delegation this node takes part in, both sides: what peers
     /// hold on its authority and what it holds on theirs. The answer,
     /// from a running node, to "who holds a copy of this object, and
-    /// under what authority?" — and what the chaos quiesce audit
+    /// under what authority?" — and what [`crate::Cluster::audit`]
     /// cross-checks between nodes.
     pub fn delegations(&self) -> Vec<DelegationRecord> {
         self.inner.ledger.records()
@@ -379,8 +385,8 @@ impl DisaggStore {
 
     /// Pins this node holds on *other* nodes' objects: every successful
     /// remote lookup slot adds one, every release removes one. Zero at
-    /// quiesce when all buffers are released — the chaos checker asserts
-    /// exactly that.
+    /// quiesce when all buffers are released — [`crate::Cluster::audit`]
+    /// asserts exactly that.
     pub fn held_remote_pins(&self) -> u64 {
         self.live_count(Side::Held, &[Kind::Pin])
     }
@@ -388,7 +394,7 @@ impl DisaggStore {
     /// Batch gets whose remotely taken pins are not all released yet
     /// (see [`ObjectStore::release_many`]). Zero once the workload has
     /// released everything it got, and after
-    /// [`DisaggStore::drain_remote_pins`]; the chaos quiesce audit
+    /// [`DisaggStore::drain_remote_pins`]; [`crate::Cluster::audit`]
     /// asserts it, since an open group would defer a later release of
     /// one of its ids for ever.
     pub fn open_release_groups(&self) -> usize {

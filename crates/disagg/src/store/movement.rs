@@ -356,7 +356,7 @@ impl DisaggStore {
     /// Any holder that cannot confirm fails the delete — the object
     /// stays intact. This ordering is the protocol's safety story: a
     /// *successful* delete implies no live replica survived it, which
-    /// is exactly the invariant the chaos quiesce audit asserts.
+    /// is exactly the invariant [`crate::Cluster::audit`] asserts.
     pub(super) fn invalidate_replicas(&self, id: ObjectId) -> Result<(), PlasmaError> {
         let ledger = &self.inner.ledger;
         for holder in ledger.peers(Side::Out, id, Kind::Replica) {

@@ -76,10 +76,13 @@ pub fn serve_store(mut listener: Box<dyn Listener>, store: Arc<dyn ObjectStore>)
                     accept_metrics.connections.fetch_add(1, Ordering::Relaxed);
                     let s = Arc::clone(&store);
                     let m = Arc::clone(&accept_metrics);
-                    std::thread::Builder::new()
-                        .name("plasma-conn".to_string())
-                        .spawn(move || serve_conn(conn, s, m))
-                        .expect("spawn plasma connection thread");
+                    if spawn_conn(move || serve_conn(conn, s, m)).is_err() {
+                        // Refuse the connection, not the server: the
+                        // dropped closure held its only handle, so the
+                        // client's call fails at once, and the loop keeps
+                        // accepting.
+                        accept_metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
                 Err(_) => return,
@@ -92,6 +95,27 @@ pub fn serve_store(mut listener: Box<dyn Listener>, store: Arc<dyn ObjectStore>)
         metrics,
         addr,
     }
+}
+
+/// Start a connection thread. A spawn the system refuses (out of threads
+/// or memory mappings) is an error the accept loop answers: a panic here
+/// would end it, and no later client would ever be served.
+fn spawn_conn(body: impl FnOnce() + Send + 'static) -> io::Result<()> {
+    #[cfg(test)]
+    if REFUSE_NEXT_SPAWN.with(|refuse| refuse.replace(false)) {
+        return Err(io::ErrorKind::WouldBlock.into());
+    }
+    std::thread::Builder::new()
+        .name("plasma-conn".to_string())
+        .spawn(body)
+        .map(drop)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whether the current thread's next spawn fails, as it does when the
+    /// system is out of threads.
+    static REFUSE_NEXT_SPAWN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn dispatch(store: &Arc<dyn ObjectStore>, req: Request) -> Response {
@@ -169,5 +193,64 @@ fn serve_conn(
         if conn.send(&resp.to_frame()).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ObjectId, PlasmaClient, StoreConfig, StoreCore};
+    use ipc::InprocHub;
+    use std::sync::mpsc;
+    use tfsim::Fabric;
+
+    /// Accepts from `.0`, and has the accepting thread refuse the spawn
+    /// that follows its first accept.
+    struct RefuseFirstServe(Box<dyn Listener>, bool);
+
+    impl Listener for RefuseFirstServe {
+        fn accept(&mut self) -> io::Result<Box<dyn Conn>> {
+            let conn = self.0.accept()?;
+            if std::mem::take(&mut self.1) {
+                REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
+            }
+            Ok(conn)
+        }
+
+        fn stop_handle(&self) -> StopHandle {
+            self.0.stop_handle()
+        }
+
+        fn addr(&self) -> String {
+            self.0.addr()
+        }
+    }
+
+    #[test]
+    fn a_connection_the_server_cannot_serve_is_refused_and_the_next_is_served() {
+        let fabric = Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let store = StoreCore::new(&fabric, node, StoreConfig::new("s0", 1 << 20)).unwrap();
+        let hub = InprocHub::new();
+        let listener = RefuseFirstServe(Box::new(hub.bind("s0").unwrap()), true);
+        let server = serve_store(Box::new(listener), Arc::new(store));
+        let dial = || PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric.clone(), node);
+        let id = ObjectId::from_name("refused");
+
+        let refused = dial();
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(refused.contains(id));
+        });
+        let err = outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a request on a refused connection must fail, not hang")
+            .unwrap_err();
+        assert!(matches!(err, PlasmaError::Transport(_)), "got {err}");
+        assert_eq!(server.metrics().errors.load(Ordering::Relaxed), 1);
+
+        assert!(!dial().contains(id).unwrap());
+        assert_eq!(server.metrics().connections.load(Ordering::Relaxed), 2);
+        assert_eq!(server.metrics().requests.load(Ordering::Relaxed), 1);
     }
 }

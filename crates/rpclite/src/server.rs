@@ -26,7 +26,7 @@
 //! on this to stop a peer node and know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
-use crate::service::Service;
+use crate::service::{Service, Status, StatusCode};
 use ipc::{Conn, Frame, Listener, StopHandle};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -149,10 +149,20 @@ impl Handlers<'_> {
             },
             _ => job,
         };
-        Builder::new()
-            .name("rpc-handler".to_string())
-            .spawn_scoped(scope, move || self.run(job))
-            .expect("spawn rpc handler thread");
+        let (call_id, writer) = (job.0.call_id, Arc::clone(&job.1));
+        if spawn(scope, "rpc-handler", move || self.run(job)).is_err() {
+            // No thread to run the call on: answer it the way an
+            // overloaded server does, so its caller may retry.
+            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            let response = Response {
+                call_id,
+                result: Err(Status::new(
+                    StatusCode::Unavailable,
+                    "no thread to run the call",
+                )),
+            };
+            let _ = writer.lock().send(&response.to_frame());
+        }
     }
 
     /// A handler's life: run a job, then park for the next one — or exit,
@@ -262,13 +272,19 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
                         };
                         live.lock().insert(id, closer);
                         let (live, handlers) = (&*live, &handlers);
-                        Builder::new()
-                            .name("rpc-conn".to_string())
-                            .spawn_scoped(scope, move || {
-                                serve_conn(conn, scope, handlers);
-                                live.lock().remove(&id);
-                            })
-                            .expect("spawn rpc connection thread");
+                        let served = spawn(scope, "rpc-conn", move || {
+                            serve_conn(conn, scope, handlers);
+                            live.lock().remove(&id);
+                        });
+                        if served.is_err() {
+                            // Refuse the connection, not the server: its
+                            // client fails every call on it at once and
+                            // redials, and the loop keeps accepting.
+                            metrics.errors.fetch_add(1, Ordering::Relaxed);
+                            if let Some(conn) = live.lock().remove(&id) {
+                                conn.close();
+                            }
+                        }
                     }
                     // No connection is accepted past this point, so closing
                     // what is open wakes every connection thread there is,
@@ -289,6 +305,32 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
         metrics,
         addr,
     }
+}
+
+/// Start one of the server's threads. A spawn the system refuses (out of
+/// threads or memory mappings) is an error its caller answers: a panic
+/// here would end the accept loop, and its scope would then wait for
+/// ever on the connections it still serves.
+fn spawn<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    name: &str,
+    body: impl FnOnce() + Send + 'scope,
+) -> std::io::Result<()> {
+    #[cfg(test)]
+    if REFUSE_NEXT_SPAWN.with(|refuse| refuse.replace(false)) {
+        return Err(std::io::ErrorKind::WouldBlock.into());
+    }
+    Builder::new()
+        .name(name.to_string())
+        .spawn_scoped(scope, body)
+        .map(drop)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whether the current thread's next spawn fails, as it does when the
+    /// system is out of threads.
+    static REFUSE_NEXT_SPAWN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// A connection thread: decode each request, drop a duplicate, and run
@@ -451,6 +493,24 @@ mod tests {
         }
     }
 
+    /// `client`'s call of `method`, made on a thread of its own and failed
+    /// if it takes 10 s: these callers set no deadline, so a server that
+    /// never answers would hang them, and the bound turns that into a
+    /// failure.
+    fn bounded_call(
+        client: &Arc<RpcClient>,
+        method: MethodId,
+        body: &'static [u8],
+    ) -> Result<Bytes, RpcError> {
+        let (done, outcome) = mpsc::channel();
+        let caller = Arc::clone(client);
+        std::thread::spawn(move || {
+            let _ = done.send(caller.call(method, Bytes::from_static(body)));
+        });
+        let outcome = outcome.recv_timeout(Duration::from_secs(10));
+        outcome.unwrap_or_else(|_| panic!("a call of method {method} must return, not hang"))
+    }
+
     #[test]
     fn garbled_request_fails_its_call_at_once_and_the_client_redials() {
         let hub = InprocHub::new();
@@ -466,19 +526,9 @@ mod tests {
             }),
             None,
         ));
-        // No deadline: before the fix the answer went to call id 0 and
-        // this call waited for ever. The bound only turns that into a
-        // failure instead of a hang.
-        let (done, outcome) = mpsc::channel();
-        let caller = Arc::clone(&client);
-        let call = std::thread::spawn(move || {
-            let _ = done.send(caller.call(1, Bytes::from_static(b"garbled")));
-        });
-        let err = outcome
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a garbled request must fail its call, not hang it")
-            .unwrap_err();
-        call.join().unwrap();
+        // Before the fix the answer went to call id 0 and this call
+        // waited for ever.
+        let err = bounded_call(&client, 1, b"garbled").unwrap_err();
         assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         assert!(err.is_retryable());
         assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
@@ -487,5 +537,81 @@ mod tests {
         let out = client.call(1, Bytes::from_static(b"clean")).unwrap();
         assert_eq!(&out[..], b"clean");
         assert_eq!(client.reconnect_count(), 2);
+    }
+
+    /// Accepts from `.0`, and has the accepting thread refuse the spawn
+    /// that follows its first accept.
+    struct RefuseFirstServe(Box<dyn Listener>, bool);
+
+    impl Listener for RefuseFirstServe {
+        fn accept(&mut self) -> std::io::Result<Box<dyn Conn>> {
+            let conn = self.0.accept()?;
+            if std::mem::take(&mut self.1) {
+                REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
+            }
+            Ok(conn)
+        }
+
+        fn stop_handle(&self) -> StopHandle {
+            self.0.stop_handle()
+        }
+
+        fn addr(&self) -> String {
+            self.0.addr()
+        }
+    }
+
+    #[test]
+    fn a_connection_the_server_cannot_serve_is_refused_and_the_next_is_served() {
+        let hub = InprocHub::new();
+        let listener = RefuseFirstServe(Box::new(hub.bind("refuse").unwrap()), true);
+        let echo = Arc::new(|_m: MethodId, b: Bytes| -> Result<Bytes, Status> { Ok(b) });
+        let srv = serve(Box::new(listener), echo);
+        let dial_hub = hub.clone();
+        let client = Arc::new(RpcClient::with_connector(
+            Box::new(move || Ok(Box::new(dial_hub.connect("refuse")?) as Box<dyn Conn>)),
+            None,
+        ));
+        let err = bounded_call(&client, 1, b"refused").unwrap_err();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        assert!(err.is_retryable());
+        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
+        assert_eq!(srv.metrics().calls.load(Ordering::Relaxed), 0);
+        assert_eq!(srv.tracked_connections(), 0);
+
+        assert_eq!(&bounded_call(&client, 1, b"served").unwrap()[..], b"served");
+        assert_eq!(client.reconnect_count(), 2);
+        assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_call_no_handler_can_be_started_for_is_answered_unavailable() {
+        // Method 1 runs on the connection thread and has it refuse its
+        // next spawn; method 2 may wait, so it needs a handler.
+        struct RefuseNextHandler;
+        impl Service for RefuseNextHandler {
+            fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
+                if method == 1 {
+                    REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
+                }
+                Ok(body)
+            }
+            fn may_wait(&self, method: MethodId) -> bool {
+                method == 2
+            }
+        }
+        let hub = InprocHub::new();
+        let srv = serve(
+            Box::new(hub.bind("nohandler").unwrap()),
+            Arc::new(RefuseNextHandler),
+        );
+        let client = Arc::new(RpcClient::new(Box::new(hub.connect("nohandler").unwrap())));
+        client.call(1, Bytes::new()).unwrap();
+        let err = bounded_call(&client, 2, b"refused").unwrap_err();
+        let unavailable = matches!(&err, RpcError::Status(s) if s.code == StatusCode::Unavailable);
+        assert!(unavailable, "got {err}");
+        assert!(err.is_retryable());
+        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
+        assert_eq!(&bounded_call(&client, 2, b"served").unwrap()[..], b"served");
     }
 }

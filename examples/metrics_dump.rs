@@ -11,6 +11,8 @@
 //! delegation dump — every pin, staged create, lease and replica each
 //! store holds for or at a peer (`DisaggStore::delegations()`), which
 //! answers "who holds a copy of this object, and under what authority?"
+//! — and with `Cluster::audit()`, which asks whether any of that breaks a
+//! promise once the traffic is over.
 //!
 //! Run with: `cargo run --example metrics_dump --release`
 
@@ -148,4 +150,9 @@ fn main() {
         healed.trimmed.total(),
         healed.unreachable
     );
+    // The same question for the whole cluster: which promise, if any, is
+    // broken once every buffer is back.
+    let violations = cluster.audit();
+    println!("audit() at quiesce: {} violations", violations.len());
+    assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
 }

@@ -16,19 +16,16 @@ fn oid(name: &str) -> ObjectId {
     ObjectId::from_name(name)
 }
 
-/// Every pin ledger across the cluster must be empty, including the
-/// parked-release backlog gauge each store exports.
-fn assert_no_pins(cluster: &Cluster, nodes: usize) {
-    for i in 0..nodes {
-        let store = cluster.store(i);
-        assert_eq!(store.remote_pin_count(), 0, "node {i} owner-side pins");
-        assert_eq!(store.held_remote_pins(), 0, "node {i} requester ledger");
-        assert_eq!(store.pending_release_count(), 0, "node {i} parked releases");
-        assert_eq!(
-            store.metrics_snapshot().gauge("disagg.pending_releases"),
-            0,
-            "node {i} pending-release gauge"
-        );
+/// The cluster keeps every promise `Cluster::audit` checks, and each
+/// store's parked-release gauge agrees that nothing is parked.
+fn assert_quiesced(cluster: &Cluster) {
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+    for i in 0..cluster.len() {
+        let parked = cluster
+            .store(i)
+            .metrics_snapshot()
+            .gauge("disagg.pending_releases");
+        assert_eq!(parked, 0, "node {i} pending-release gauge");
     }
 }
 
@@ -57,7 +54,7 @@ fn get_many_duplicate_ids_in_one_batch() {
     assert_eq!(cluster.store(0).remote_pin_count(), 2, "the first waits");
     client.release(id).unwrap();
 
-    assert_no_pins(&cluster, 2);
+    assert_quiesced(&cluster);
     let snap = cluster.store(1).metrics_snapshot();
     let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
     assert_eq!(releases.map(|h| h.count), Some(1));
@@ -86,7 +83,7 @@ fn drain_closes_a_batch_left_half_released() {
 
     assert_eq!(reader.drain_remote_pins(), 2, "the two never released");
     assert_eq!(reader.open_release_groups(), 0);
-    assert_no_pins(&cluster, 2);
+    assert_quiesced(&cluster);
     let snap = reader.metrics_snapshot();
     let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
     assert_eq!(releases.map(|h| h.count), Some(1), "one RELEASE per owner");
@@ -98,7 +95,7 @@ fn get_many_empty_batch() {
     let client = cluster.client(0).unwrap();
     let slots = client.get(&[], GET).unwrap();
     assert!(slots.is_empty());
-    assert_no_pins(&cluster, 2);
+    assert_quiesced(&cluster);
 }
 
 #[test]
@@ -112,7 +109,7 @@ fn get_many_all_ids_missing() {
     ];
     let slots = client.get(&ids, Duration::from_millis(50)).unwrap();
     assert!(slots.iter().all(Option::is_none), "nothing was ever put");
-    assert_no_pins(&cluster, 2);
+    assert_quiesced(&cluster);
 }
 
 #[test]
@@ -135,7 +132,7 @@ fn get_many_mixed_found_missing_and_duplicate() {
     client.release(present).unwrap();
     client.release(present).unwrap();
 
-    assert_no_pins(&cluster, 3);
+    assert_quiesced(&cluster);
 }
 
 #[test]
@@ -185,7 +182,7 @@ fn zero_length_object_lifecycle_remote_disagg() {
     assert!(!client.contains(id).unwrap());
     assert!(!cluster.client(0).unwrap().contains(id).unwrap());
 
-    assert_no_pins(&cluster, 2);
+    assert_quiesced(&cluster);
 }
 
 /// A create whose data and metadata sizes overflow a `u64` when summed

@@ -742,12 +742,7 @@ fn a_flush_whose_reply_is_lost_ends_with_every_pin_at_zero() {
         let report = cluster.store(node).reconcile();
         assert!(report.unreachable.is_empty(), "node {node}: {report:?}");
     }
-    for node in 0..2 {
-        let store = cluster.store(node);
-        assert_eq!(store.remote_pin_count(), 0, "node {node} pins");
-        assert_eq!(store.held_remote_pins(), 0, "node {node} holds");
-        assert_eq!(store.pending_release_count(), 0, "node {node} parked");
-    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
 }
 
 /// A batch's released member may be deleted by the store that released
@@ -778,9 +773,7 @@ fn release_then_delete_from_the_same_store_succeeds_while_a_sibling_is_held() {
     );
 
     reader.release(ids[1]).unwrap();
-    assert_eq!(cluster.store(0).remote_pin_count(), 0);
-    assert_eq!(reader.held_remote_pins(), 0);
-    assert_eq!(reader.open_release_groups(), 0);
+    assert_eq!(cluster.audit(), Vec::<String>::new());
     cluster.store(2).delete(ids[1]).unwrap();
 }
 

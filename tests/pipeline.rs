@@ -252,15 +252,6 @@ fn timed_get(cluster: &Cluster, store: &DisaggStore, ids: &[ObjectId]) -> Durati
     took
 }
 
-fn assert_no_pins_anywhere(cluster: &Cluster) {
-    for node in 0..cluster.len() {
-        let store = cluster.store(node);
-        assert_eq!(store.remote_pin_count(), 0, "node {node} still pins");
-        assert_eq!(store.held_remote_pins(), 0, "node {node} still holds");
-        assert_eq!(store.pending_release_count(), 0, "node {node} parked");
-    }
-}
-
 /// A get whose ids resolve at two peers asks both at once: on the
 /// virtual clock it costs the slower of the two round trips, not their
 /// sum — and it is still two round trips on the bill. With the owners
@@ -297,7 +288,7 @@ fn multi_owner_get_overlaps_its_owners_on_the_virtual_clock() {
             .counter("disagg.elastic.redirects_followed");
         let redirected = if cross_spill { 16 } else { 0 };
         assert_eq!(followed, u64::from(REPS) * 2 * redirected);
-        assert_no_pins_anywhere(&cluster);
+        assert_eq!(cluster.audit(), Vec::<String>::new());
     }
 }
 
@@ -317,7 +308,7 @@ fn same_seed_same_model_time() {
             for _ in 0..20 {
                 timed_get(&cluster, &reader, &all);
             }
-            assert_no_pins_anywhere(&cluster);
+            assert_eq!(cluster.audit(), Vec::<String>::new());
             cluster.clock().now()
         })
         .collect();
@@ -352,6 +343,18 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     let pins_at_holders = |cluster: &Cluster| {
         cluster.store(3).remote_pin_count() + cluster.store(4).remote_pin_count()
     };
+    // The planted copies sit off their ring owner with no lease from it,
+    // which `Cluster::audit` rightly reports (three ring violations), so
+    // this test checks the pin ledgers alone: owner-side, held, parked.
+    let pins = |cluster: &Cluster| -> Vec<(u64, u64, usize)> {
+        (0..cluster.len())
+            .map(|i| {
+                let store = cluster.store(i);
+                let parked = store.pending_release_count();
+                (store.remote_pin_count(), store.held_remote_pins(), parked)
+            })
+            .collect()
+    };
 
     // Both holders answer: one pin stands, the other was handed back.
     let got = reader.get(&[id], Duration::ZERO).unwrap();
@@ -359,7 +362,7 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     assert_eq!(reader.held_remote_pins(), 1);
     assert_eq!(pins_at_holders(&cluster), 1);
     reader.release(id).unwrap();
-    assert_no_pins_anywhere(&cluster);
+    assert_eq!(pins(&cluster), [(0, 0, 0); 5]);
 
     // The holder the first answer named is gone: the other still serves.
     cluster.stop_rpc(3);
@@ -368,7 +371,7 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     assert_eq!(reader.held_remote_pins(), 1);
     assert_eq!(cluster.store(4).remote_pin_count(), 1);
     reader.release(id).unwrap();
-    assert_no_pins_anywhere(&cluster);
+    assert_eq!(pins(&cluster), [(0, 0, 0); 5]);
 }
 
 /// Calls `store` has made to `owner`'s `RELEASE`, from its per-verb
@@ -428,5 +431,5 @@ fn a_batch_gets_pins_go_back_in_one_release_per_owner() {
         flush * 2 < single * 3,
         "flush {flush:?} against one release's {single:?}"
     );
-    assert_no_pins_anywhere(&cluster);
+    assert_eq!(cluster.audit(), Vec::<String>::new());
 }
