@@ -14,14 +14,18 @@
 //! and switch back: three context switches a side per round trip instead
 //! of one (`tests/wake_census.rs`), which made this pipe twice as slow as
 //! a Unix socket. No wakeup is lost by notifying late: a reader re-checks
-//! its inbox and the closed flag under the lock before every wait.
+//! its inbox and the closed flag under the lock before every wait. The
+//! pipe's lock and condvars are the vendored `parking_lot`'s, whose
+//! condvar counts its sleepers: a notify while the reader is busy, not
+//! parked, costs no system call.
 
 use crate::frame::Frame;
 use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What the two ends of one connection, and every clone of either, share.
@@ -43,14 +47,6 @@ struct PipeState {
     closed: bool,
 }
 
-impl Pipe {
-    fn lock(&self) -> MutexGuard<'_, PipeState> {
-        // Every update leaves the state valid, so a panicked holder's
-        // guard is safe to recover.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// One end of an in-process connection.
 #[derive(Debug)]
 pub struct InprocConn {
@@ -63,7 +59,7 @@ pub struct InprocConn {
 impl InprocConn {
     fn pair(a: &str, b: &str) -> (InprocConn, InprocConn) {
         let pipe = Arc::new(Pipe::default());
-        pipe.lock().handles = [1, 1];
+        pipe.state.lock().handles = [1, 1];
         let half = |end, label: &str| InprocConn {
             pipe: Arc::clone(&pipe),
             end,
@@ -80,7 +76,7 @@ fn peer_closed(kind: io::ErrorKind) -> io::Error {
 impl Conn for InprocConn {
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
         let peer = 1 - self.end;
-        let mut st = self.pipe.lock();
+        let mut st = self.pipe.state.lock();
         if st.closed || st.handles[peer] == 0 {
             return Err(peer_closed(io::ErrorKind::BrokenPipe));
         }
@@ -92,7 +88,7 @@ impl Conn for InprocConn {
 
     fn recv_until(&mut self, deadline: Option<Instant>) -> io::Result<Frame> {
         let readable = &self.pipe.readable[self.end];
-        let mut st = self.pipe.lock();
+        let mut st = self.pipe.state.lock();
         loop {
             if let Some(frame) = st.inbox[self.end].pop_front() {
                 return Ok(frame);
@@ -100,23 +96,22 @@ impl Conn for InprocConn {
             if st.closed || st.handles[1 - self.end] == 0 {
                 return Err(peer_closed(io::ErrorKind::UnexpectedEof));
             }
-            st = match deadline {
-                None => readable.wait(st).unwrap_or_else(PoisonError::into_inner),
+            match deadline {
+                None => readable.wait(&mut st),
                 Some(deadline) => {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         return Err(deadline_passed());
                     }
-                    let woken = readable.wait_timeout(st, left);
-                    woken.unwrap_or_else(PoisonError::into_inner).0
+                    readable.wait_for(&mut st, left);
                 }
-            };
+            }
         }
     }
 
     fn close(&self) {
         // The guard is a temporary: it is dropped before the notify.
-        self.pipe.lock().closed = true;
+        self.pipe.state.lock().closed = true;
         for end in &self.pipe.readable {
             end.notify_all();
         }
@@ -130,7 +125,7 @@ impl Conn for InprocConn {
         // Frames go to whichever clone happens to be parked in `recv`, so
         // callers must follow the one-receiver discipline documented on
         // `Conn::try_clone`.
-        self.pipe.lock().handles[self.end] += 1;
+        self.pipe.state.lock().handles[self.end] += 1;
         Ok(Box::new(InprocConn {
             pipe: Arc::clone(&self.pipe),
             end: self.end,
@@ -141,7 +136,7 @@ impl Conn for InprocConn {
 
 impl Drop for InprocConn {
     fn drop(&mut self) {
-        let mut st = self.pipe.lock();
+        let mut st = self.pipe.state.lock();
         st.handles[self.end] -= 1;
         let hung_up = st.handles[self.end] == 0;
         drop(st);
@@ -167,7 +162,7 @@ impl InprocHub {
     /// Bind `name`, yielding a listener. Fails if already bound.
     pub fn bind(&self, name: &str) -> io::Result<InprocListener> {
         let (tx, rx) = bounded(64);
-        let mut reg = self.registry.lock().unwrap();
+        let mut reg = self.registry.lock();
         if reg.contains_key(name) {
             return Err(io::Error::new(
                 io::ErrorKind::AddrInUse,
@@ -183,7 +178,7 @@ impl InprocHub {
             name: name.to_string(),
             rx,
             stop: StopHandle::with_wake(move || {
-                registry.lock().unwrap().remove(&bound);
+                registry.lock().remove(&bound);
             }),
         })
     }
@@ -191,7 +186,7 @@ impl InprocHub {
     /// Connect to a bound endpoint.
     pub fn connect(&self, name: &str) -> io::Result<InprocConn> {
         let tx = {
-            let reg = self.registry.lock().unwrap();
+            let reg = self.registry.lock();
             reg.get(name).cloned().ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::ConnectionRefused,

@@ -12,7 +12,10 @@
 //! there the test passes whichever way `send` orders its unlock and its
 //! notify.
 
+mod pin;
+
 use ipc::{Conn, Frame, InprocHub, Listener};
+use pin::pin_here;
 use std::sync::Barrier;
 
 const ROUND_TRIPS: u32 = 20_000;
@@ -20,8 +23,6 @@ const WARM_UP: u32 = 1_000;
 /// Most voluntary switches a side may take per round trip.
 const MAX_SWITCHES: f64 = 1.3;
 
-/// Bytes in the affinity mask passed to the kernel (1024 CPUs).
-const MASK_BYTES: usize = 128;
 const RUSAGE_THREAD: i32 = 1;
 
 /// `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`s.
@@ -36,23 +37,8 @@ struct Rusage {
 }
 
 extern "C" {
-    // glibc wrappers; `pid` 0 means the calling thread.
-    fn sched_getcpu() -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u8) -> i32;
+    // glibc wrapper; `RUSAGE_THREAD` means the calling thread.
     fn getrusage(who: i32, usage: *mut Rusage) -> i32;
-}
-
-/// Confine the calling thread, and every thread it later spawns, to the
-/// CPU it is running on now.
-fn pin_here() -> usize {
-    // SAFETY: no arguments; it only reports the calling thread's CPU.
-    let cpu = usize::try_from(unsafe { sched_getcpu() }).expect("sched_getcpu");
-    let mut mask = [0u8; MASK_BYTES];
-    mask[cpu / 8] |= 1 << (cpu % 8);
-    // SAFETY: `mask` is a readable buffer of exactly the size passed.
-    let rc = unsafe { sched_setaffinity(0, MASK_BYTES, mask.as_ptr()) };
-    assert_eq!(rc, 0, "sched_setaffinity to CPU {cpu}");
-    cpu
 }
 
 /// Voluntary context switches of the calling thread so far.

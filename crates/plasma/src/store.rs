@@ -91,9 +91,6 @@ struct Table {
     /// The segment the store donated at construction.
     seg: SegKey,
     alloc: Slab,
-    /// `get_wait` calls asleep on `Inner::sealed` right now; a seal with
-    /// nobody to wake skips the notify.
-    waiters: usize,
 }
 
 impl Table {
@@ -200,8 +197,8 @@ struct Inner {
     node: NodeId,
     fabric: Fabric,
     table: Mutex<Table>,
-    /// Signalled by a seal that finds `Table::waiters` non-zero;
-    /// blocked `get_wait`s sleep on it under the table lock.
+    /// Signalled by every seal; blocked `get_wait`s sleep on it under
+    /// the table lock. A seal with nobody asleep costs no system call.
     sealed: Condvar,
     subscribers: Mutex<Vec<Sender<ObjectLocation>>>,
     metrics: StoreMetrics,
@@ -233,7 +230,6 @@ impl StoreCore {
                     stats: StoreStats::default(),
                     seg,
                     alloc: Slab::new(capacity),
-                    waiters: 0,
                 }),
                 sealed: Condvar::new(),
                 subscribers: Mutex::new(Vec::new()),
@@ -353,7 +349,7 @@ impl StoreCore {
     /// blocked getters and notifies subscribers.
     pub fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
         let t0 = Instant::now();
-        let (loc, waiters) = {
+        let loc = {
             let mut guard = self.table();
             let t = &mut *guard;
             let entry = t
@@ -366,14 +362,11 @@ impl StoreCore {
             }
             t.stats.seals += 1;
             t.stats.sealed_objects += 1;
-            (location(t.seg, id, entry), t.waiters)
+            location(t.seg, id, entry)
         };
-        // The state flipped under the lock `get_wait` scans, registers
-        // and waits under, so every waiter either saw it or is counted
-        // and already asleep.
-        if waiters > 0 {
-            self.inner.sealed.notify_all();
-        }
+        // The state flipped under the lock `get_wait` scans and waits
+        // under, so every waiter either saw it or is already asleep.
+        self.inner.sealed.notify_all();
         // Notify subscribers; drop hung-up ones.
         self.inner
             .subscribers
@@ -463,9 +456,7 @@ impl StoreCore {
             // Sleep until a seal or the deadline; either way scan once
             // more. The wait releases the lock the scan ran under, and
             // `seal` needs that lock: no seal falls between the two.
-            t.waiters += 1;
             let _ = self.inner.sealed.wait_for(&mut t, deadline - now);
-            t.waiters -= 1;
         }
         drop(t);
         self.inner.metrics.get.record_duration(t0.elapsed());
@@ -1091,6 +1082,43 @@ mod tests {
         let got = s.get_wait(&[id(1)], Duration::from_secs(5));
         assert!(got[0].is_some());
         t.join().unwrap();
+    }
+
+    #[test]
+    fn get_wait_is_woken_by_a_seal_long_before_its_timeout() {
+        // Each round's seal is the only thing that can end its wait in
+        // time. A getter asleep but not counted as a sleeper would sleep
+        // through the seal's notify to the timeout; the watchdog fails
+        // the round long before that.
+        const ROUNDS: usize = 20;
+        const TIMEOUT: Duration = Duration::from_secs(60);
+        const WATCHDOG: Duration = Duration::from_secs(10);
+        let oid = |n: usize| ObjectId::from_name(&format!("woken-{n}"));
+        let s = store(1 << 20);
+        for n in 0..ROUNDS {
+            s.create(oid(n), 64, 0).unwrap();
+        }
+        let (done, finished) = crossbeam::channel::unbounded();
+        let getter = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                for n in 0..ROUNDS {
+                    let got = s.get_wait(&[oid(n)], TIMEOUT);
+                    done.send(got[0].is_some()).unwrap();
+                }
+            })
+        };
+        for n in 0..ROUNDS {
+            // Let the getter park first.
+            std::thread::sleep(Duration::from_millis(5));
+            s.seal(oid(n)).unwrap();
+            assert_eq!(
+                finished.recv_timeout(WATCHDOG),
+                Ok(true),
+                "round {n}: the seal did not wake the getter"
+            );
+        }
+        getter.join().unwrap();
     }
 
     #[test]

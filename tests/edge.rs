@@ -2,9 +2,10 @@
 //! pins (duplicate ids, empty batches, all-missing batches, a batch left
 //! half released), the
 //! zero-length-object lifecycle, local and remote, a create whose sizes
-//! overflow, and a reconcile sweep with a peer down.
+//! overflow, a reconcile sweep with a peer down, and `RELEASE` lists
+//! that name more pins than the caller holds.
 
-use disagg::proto::{method, CallHeader, GetManyReq, Message};
+use disagg::proto::{method, CallHeader, GetManyReq, IdsReq, Message, ReleaseResp, ReplyHeader};
 use disagg::{Cluster, ClusterConfig, Kind, PeerState};
 use memdis::plasma::{ObjectId, ObjectStore, PlasmaError, StoreConfig, StoreCore};
 use std::time::Duration;
@@ -266,4 +267,73 @@ fn reconcile_heals_the_peers_behind_an_unreachable_one() {
     assert_eq!(cluster.store(2).remote_pin_count(), 0, "orphan pin trimmed");
     // The object is evictable and deletable again.
     cluster.client(2).unwrap().delete(id).unwrap();
+}
+
+/// `RELEASE` lists no honest peer sends, on a live cluster: an id listed
+/// twice when the caller pinned it once, an id the caller never pinned
+/// (present or absent), and an id another node pinned. Each listed id is
+/// answered on its own — `true` only for a pin the owner recorded for
+/// this caller, and only once — and no answer drops a reference that was
+/// not the caller's: the object's count returns to exactly 0, it can be
+/// deleted, and the cluster's promises hold.
+#[test]
+fn release_answers_each_listed_id_and_drops_only_the_callers_pins() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 8 << 20)).unwrap();
+    let owner = cluster.store(0);
+    let pinned = oid(&cluster.owned_id(0, "edge/release-pinned"));
+    let unpinned = oid(&cluster.owned_id(0, "edge/release-unpinned"));
+    let absent = oid(&cluster.owned_id(0, "edge/release-absent"));
+    let writer = cluster.client(0).unwrap();
+    writer.put(pinned, &[3u8; 64], &[]).unwrap();
+    writer.put(unpinned, &[4u8; 64], &[]).unwrap();
+
+    let service = owner.interconnect_service();
+    let from = |node: usize| CallHeader {
+        from: cluster.node_id(node),
+        epoch: owner.ring_epoch(),
+    };
+    let get = |node: usize, id: ObjectId| {
+        let req = GetManyReq {
+            ids: vec![id],
+            redirected: false,
+        };
+        service
+            .call(method::GET_MANY, from(node).frame(&req.encode()))
+            .unwrap();
+    };
+    let release = |node: usize, ids: &[ObjectId]| {
+        let req = IdsReq { ids: ids.to_vec() };
+        let answer = service
+            .call(method::RELEASE, from(node).frame(&req.encode()))
+            .unwrap();
+        let (_, body) = ReplyHeader::unframe(answer).unwrap();
+        ReleaseResp::decode(body).unwrap().pinned
+    };
+    let refs = |id: ObjectId| {
+        let info = owner.core().list().into_iter().find(|o| o.id == id);
+        info.expect("object present").ref_count
+    };
+
+    // Node 1 pins once and lists the id twice, beside an unpinned and
+    // an absent id: one `true`, then `false` for everything else.
+    get(1, pinned);
+    assert_eq!((refs(pinned), owner.remote_pin_count()), (1, 1));
+    assert_eq!(
+        release(1, &[pinned, pinned, unpinned, absent]),
+        vec![true, false, false, false]
+    );
+    assert_eq!((refs(pinned), refs(unpinned)), (0, 0));
+    assert_eq!(owner.remote_pin_count(), 0);
+
+    // Node 2's pin is not node 1's to return.
+    get(2, pinned);
+    assert_eq!(release(1, &[pinned]), vec![false]);
+    assert_eq!((refs(pinned), owner.remote_pin_count()), (1, 1));
+    assert_eq!(release(2, &[pinned, pinned]), vec![true, false]);
+    assert_eq!((refs(pinned), owner.remote_pin_count()), (0, 0));
+
+    assert_quiesced(&cluster);
+    writer.delete(pinned).unwrap();
+    writer.delete(unpinned).unwrap();
+    assert_quiesced(&cluster);
 }
