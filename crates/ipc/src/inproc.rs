@@ -17,7 +17,9 @@
 //! its inbox and the closed flag under the lock before every wait. The
 //! pipe's lock and condvars are the vendored `parking_lot`'s, whose
 //! condvar counts its sleepers: a notify while the reader is busy, not
-//! parked, costs no system call.
+//! parked, costs no system call. The listener's accept queue is a
+//! `crossbeam` channel, whose stand-in still notifies through `std` on
+//! every send.
 
 use crate::frame::Frame;
 use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
