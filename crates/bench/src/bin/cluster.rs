@@ -194,5 +194,19 @@ fn main() {
     );
     assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
 
+    // Threads grow with nodes, not with node pairs: a node runs its
+    // interconnect accept thread and reader, its Plasma accept thread and
+    // at most one parked handler.
+    let threads = std::fs::read_dir("/proc/self/task")
+        .expect("list this process's threads")
+        .count();
+    let bound = 4 * spec.nodes() + 8;
+    println!("threads: {threads} (at most {bound})");
+    assert!(
+        threads <= bound,
+        "{threads} threads for {} nodes",
+        spec.nodes()
+    );
+
     write_result("cluster", &json(&spec, &report));
 }

@@ -268,7 +268,7 @@ impl Cluster {
 
     /// Stop node `i`'s interconnect RPC server, simulating a crashed
     /// peer store. Returns once the server is fully quiescent (accept
-    /// loop and every connection thread joined); peers observe dead
+    /// loop, reader and every handler joined); peers observe dead
     /// connections on their next call. The node's local Plasma endpoint
     /// and its fabric memory stay up — only the interconnect is gone.
     pub fn stop_rpc(&mut self, i: usize) {

@@ -49,7 +49,6 @@ use crate::elastic::{HeatMap, RETRY_AFTER_MS};
 use crate::health::{PeerHealth, PeerState, RetryPolicy};
 use crate::proto::{method, Message, ReconcileReq, ReconcileResp};
 use crate::ring::Ring;
-use crossbeam::channel::Receiver;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use parking_lot::{Mutex, RwLock};
 use plasma::{
@@ -60,6 +59,7 @@ use rand::rngs::SmallRng;
 use rpclite::{RpcClient, Service};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfsim::{Clock, NodeId};

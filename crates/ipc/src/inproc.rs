@@ -17,26 +17,46 @@
 //! its inbox and the closed flag under the lock before every wait. The
 //! pipe's lock and condvars are the vendored `parking_lot`'s, whose
 //! condvar counts its sleepers: a notify while the reader is busy, not
-//! parked, costs no system call. The listener's accept queue is a
-//! `crossbeam` channel, whose stand-in still notifies through `std` on
-//! every send.
+//! parked, costs no system call. The listener's accept queue is a `std`
+//! `mpsc` channel, which wakes only a receiver that sleeps.
+//!
+//! An end that reports ([`Conn::report_to`]) has its report called after
+//! each frame is queued for it and when the connection ends, also after
+//! the lock is released. Which frames and which end a report stands for
+//! is decided under the lock, so each is reported exactly once, whether it
+//! came before the report was set or after.
 
 use crate::frame::Frame;
 use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::io;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+type Report = Box<dyn Fn() + Send + Sync>;
+
 /// What the two ends of one connection, and every clone of either, share.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Pipe {
     state: Mutex<PipeState>,
     /// `readable[e]` is signalled when a `recv` on end `e` has something
     /// to wake for: a frame, a `close`, or the other end hanging up.
     readable: [Condvar; 2],
+    /// `report[e]` is end `e`'s [`Conn::report_to`], called for the same
+    /// events. It is set under the state lock, and read under it by
+    /// whoever calls it.
+    report: [OnceLock<Report>; 2],
+}
+
+impl fmt::Debug for Pipe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pipe")
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -83,8 +103,12 @@ impl Conn for InprocConn {
             return Err(peer_closed(io::ErrorKind::BrokenPipe));
         }
         st.inbox[peer].push_back(frame.clone());
+        let report = self.pipe.report[peer].get();
         drop(st);
         self.pipe.readable[peer].notify_one();
+        if let Some(report) = report {
+            report();
+        }
         Ok(())
     }
 
@@ -112,11 +136,18 @@ impl Conn for InprocConn {
     }
 
     fn close(&self) {
-        // The guard is a temporary: it is dropped before the notify.
-        self.pipe.state.lock().closed = true;
+        let mut st = self.pipe.state.lock();
+        let was_closed = std::mem::replace(&mut st.closed, true);
+        // Each end that had not ended yet: closed, or hung up on.
+        let reports = [0, 1].map(|end| {
+            let ends_now = !was_closed && st.handles[1 - end] > 0;
+            ends_now.then(|| self.pipe.report[end].get()).flatten()
+        });
+        drop(st);
         for end in &self.pipe.readable {
             end.notify_all();
         }
+        reports.into_iter().flatten().for_each(|report| report());
     }
 
     fn peer(&self) -> String {
@@ -134,21 +165,46 @@ impl Conn for InprocConn {
             label: self.label.clone(),
         }))
     }
+
+    fn report_to(&self, report: Report) -> io::Result<()> {
+        let st = self.pipe.state.lock();
+        if self.pipe.report[self.end].set(report).is_err() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "this end already reports",
+            ));
+        }
+        // What came before the report was set is reported now, once.
+        let ended = st.closed || st.handles[1 - self.end] == 0;
+        let backlog = st.inbox[self.end].len() + usize::from(ended);
+        drop(st);
+        let report = self.pipe.report[self.end].get().expect("set above");
+        (0..backlog).for_each(|_| report());
+        Ok(())
+    }
 }
 
 impl Drop for InprocConn {
     fn drop(&mut self) {
+        let peer = 1 - self.end;
         let mut st = self.pipe.state.lock();
         st.handles[self.end] -= 1;
+        // A hang-up after a close ends nothing new: the close was reported.
         let hung_up = st.handles[self.end] == 0;
+        let report = (hung_up && !st.closed)
+            .then(|| self.pipe.report[peer].get())
+            .flatten();
         drop(st);
         if hung_up {
-            self.pipe.readable[1 - self.end].notify_all();
+            self.pipe.readable[peer].notify_all();
+        }
+        if let Some(report) = report {
+            report();
         }
     }
 }
 
-type Registry = Arc<Mutex<HashMap<String, Sender<InprocConn>>>>;
+type Registry = Arc<Mutex<HashMap<String, SyncSender<InprocConn>>>>;
 
 /// A namespace of in-process endpoints. Clones share the namespace.
 #[derive(Clone, Default)]
@@ -163,7 +219,7 @@ impl InprocHub {
 
     /// Bind `name`, yielding a listener. Fails if already bound.
     pub fn bind(&self, name: &str) -> io::Result<InprocListener> {
-        let (tx, rx) = bounded(64);
+        let (tx, rx) = sync_channel(64);
         let mut reg = self.registry.lock();
         if reg.contains_key(name) {
             return Err(io::Error::new(
@@ -371,6 +427,50 @@ mod tests {
         server.send(&Frame::new(1, &b"after"[..])).unwrap();
         let late = client.recv_until(Some(soon)).unwrap();
         assert_eq!(&late.payload[..], b"after");
+    }
+
+    #[test]
+    fn report_to_reports_each_frame_and_the_end_once() {
+        let hub = InprocHub::new();
+        let mut listener = hub.bind("s").unwrap();
+        let mut client = hub.connect("s").unwrap();
+        let mut server = listener.accept().unwrap();
+        client.send(&Frame::new(1, &b"before"[..])).unwrap();
+        let (report, reports) = std::sync::mpsc::channel();
+        server
+            .report_to(Box::new(move || {
+                let _ = report.send(());
+            }))
+            .unwrap();
+        client.send(&Frame::new(2, &b"after"[..])).unwrap();
+        client.close();
+        drop(client);
+        // Each report is taken at once, with a deadline already passed.
+        let passed = Instant::now();
+        let taken: Vec<_> = reports
+            .try_iter()
+            .map(|()| server.recv_until(Some(passed)).map(|f| f.msg_type))
+            .map(|r| r.map_err(|e| e.kind()))
+            .collect();
+        assert_eq!(taken, [Ok(1), Ok(2), Err(io::ErrorKind::UnexpectedEof)]);
+        let again = server.report_to(Box::new(|| ())).unwrap_err();
+        assert_eq!(again.kind(), io::ErrorKind::AlreadyExists);
+    }
+
+    #[test]
+    fn a_connection_that_ended_before_it_reports_is_reported_once() {
+        let hub = InprocHub::new();
+        let mut listener = hub.bind("s").unwrap();
+        drop(hub.connect("s").unwrap());
+        let server = listener.accept().unwrap();
+        let (report, reports) = std::sync::mpsc::channel();
+        server
+            .report_to(Box::new(move || {
+                let _ = report.send(());
+            }))
+            .unwrap();
+        server.close();
+        assert_eq!(reports.try_iter().count(), 1);
     }
 
     #[test]

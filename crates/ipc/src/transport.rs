@@ -7,7 +7,9 @@
 //! neither waits on a timer of its own: a parked [`Conn::recv_until`] is
 //! woken by a frame, by the peer going away, by [`Conn::close`] or by the
 //! deadline its caller passed in; a parked [`Listener::accept`] by a
-//! connection or by [`StopHandle::stop`].
+//! connection or by [`StopHandle::stop`]. An in-process connection can
+//! also report its frames instead ([`Conn::report_to`]), so that one
+//! thread serves many connections with none parked in `recv`.
 
 use crate::frame::Frame;
 use std::fmt;
@@ -56,6 +58,27 @@ pub trait Conn: Send {
     /// late clone could strand bytes already buffered by the original).
     /// Both halves may send: frames are written atomically.
     fn try_clone(&self) -> io::Result<Box<dyn Conn>>;
+
+    /// Call `report` once for every frame that arrives on this end —
+    /// once for each already waiting, then once for each as it arrives —
+    /// and once when the connection ends (the peer hangs up, or a
+    /// [`Conn::close`] on either end). Each call comes after what it
+    /// reports can be received, so a thread that serves many connections
+    /// waits for reports instead of in `recv`: for each report, a
+    /// [`Conn::recv_until`] with a deadline that has passed takes the
+    /// frame, or fails with `UnexpectedEof` once the connection has
+    /// ended, and never waits. At most one `report` per end; it is
+    /// called from the threads that send, close or drop, after they have
+    /// released any lock of the connection's, so it must not block.
+    ///
+    /// `Unsupported` by default: a transport that cannot report keeps a
+    /// thread parked in `recv` per connection instead.
+    fn report_to(&self, _report: Box<dyn Fn() + Send + Sync>) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "this connection cannot report its frames",
+        ))
+    }
 }
 
 /// The error of a [`Conn::recv_until`] whose deadline passed first.

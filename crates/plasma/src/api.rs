@@ -11,7 +11,7 @@ use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::object::{ObjectInfo, ObjectLocation};
 use crate::store::{StoreCore, StoreStats};
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 /// Everything a Plasma endpoint must be able to do.

@@ -443,7 +443,7 @@ mod end_to_end {
         fn evict(&self, bytes: u64) -> Result<u64, PlasmaError> {
             Ok(self.0.evict(bytes))
         }
-        fn subscribe(&self) -> crossbeam::channel::Receiver<ObjectLocation> {
+        fn subscribe(&self) -> std::sync::mpsc::Receiver<ObjectLocation> {
             self.0.subscribe()
         }
     }

@@ -34,11 +34,11 @@ use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::lru::LruIndex;
 use crate::object::{ObjectEntry, ObjectInfo, ObjectLocation, ObjectState};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use memalloc::{RegionAllocator, Slab, SIZE_CLASSES};
 use obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tfsim::{Fabric, Mapping, NodeId, SegKey};
@@ -649,7 +649,7 @@ impl StoreCore {
 
     /// Subscribe to seal notifications.
     pub fn subscribe(&self) -> Receiver<ObjectLocation> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner.subscribers.lock().push(tx);
         rx
     }
@@ -1098,7 +1098,7 @@ mod tests {
         for n in 0..ROUNDS {
             s.create(oid(n), 64, 0).unwrap();
         }
-        let (done, finished) = crossbeam::channel::unbounded();
+        let (done, finished) = std::sync::mpsc::channel();
         let getter = {
             let s = s.clone();
             std::thread::spawn(move || {

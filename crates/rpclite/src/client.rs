@@ -822,8 +822,8 @@ mod tests {
         // Establish the connection first.
         client.call(1, Bytes::new()).unwrap();
         srv.shutdown();
-        // Shutdown joins the connection threads, so the next call sees a
-        // dead peer (either at send, or when its caller reads EOF).
+        // Shutdown closes the connections and joins the reader, so the
+        // next call sees a dead peer (either at send, or when its caller reads EOF).
         let err = client.call(1, Bytes::new()).unwrap_err();
         assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         // And new connections are refused.

@@ -13,13 +13,15 @@
 //!   wait on later — and optionally charges a modeled network round trip
 //!   ([`NetCost`]) to the simulation clock, with concurrent calls
 //!   overlapping their round trips as on a real wire,
-//! * a server ([`serve`]) with a dedicated accept thread and a thread per
-//!   connection, which runs a call that cannot wait on another call
-//!   itself and hands any other to handler threads that park between
-//!   calls (responses return in completion order).
+//! * a server ([`serve`]) with a dedicated accept thread and one reader
+//!   for all of its connections, which each report their frames to it
+//!   ([`ipc::Conn::report_to`]); the reader runs a call that cannot wait
+//!   on another call itself and hands any other to handler threads that
+//!   park between calls (responses return in completion order).
 //!
-//! Transports come from the [`ipc`] crate, so services run identically over
-//! Unix domain sockets or in-process channels.
+//! Transports come from the [`ipc`] crate. A client runs over Unix domain
+//! sockets or in-process channels alike; the server serves connections
+//! that report their frames, which the in-process ones do.
 //!
 //! ## Example
 //!

@@ -1,14 +1,19 @@
-//! RPC server: accept loop + per-connection concurrent servicing.
+//! RPC server: an accept thread and one reader per server.
 //!
-//! Each accepted connection gets a thread that decodes its requests. A
-//! call that cannot wait on another call ([`Service::may_wait`]) runs
-//! right there, on the thread that read it, and its response is written
-//! before the next request is read. Every other call goes to the server's
-//! handler threads, and its response is written back **in completion
-//! order, not arrival order**, through a mutex-shared clone of the
-//! connection (frame writes are atomic). This is what lets a pipelined
-//! client keep many correlation-id-tagged requests in flight: a call
-//! blocked on another call never blocks the requests behind it.
+//! The accept thread hands each connection it accepts to the server's
+//! reader, and the connection reports to the reader's ready queue each
+//! request that arrives on it and its own end ([`ipc::Conn::report_to`]).
+//! The reader takes one report at a time, receives the one frame it
+//! stands for without waiting, and decodes it. A call that cannot wait on
+//! another call ([`Service::may_wait`]) runs right there, on the reader,
+//! and its response is written before the next report is taken. Every
+//! other call goes to the server's handler threads, and its response is
+//! written back **in completion order, not arrival order**, through the
+//! connection's mutex (frame writes are atomic). This is what lets a
+//! pipelined client keep many correlation-id-tagged requests in flight: a
+//! call blocked on another call never blocks the requests behind it.
+//! Threads grow with servers, not with connections: a full mesh of `n`
+//! nodes runs `n` readers, not `n × (n − 1)` connection threads.
 //!
 //! A handed-off call runs on a *parked* handler if the server has one and
 //! on a new thread if it has none, so no call ever waits for another to
@@ -16,23 +21,26 @@
 //! idle server keeps at most one (DESIGN §8, "Serving a request"). There
 //! is no pool size and no idle timer.
 //!
-//! Nothing here polls. A connection thread parks in `recv` until a
-//! request arrives or the connection ends — the client hung up, or
-//! [`ServerHandle::shutdown`] closed it ([`ipc::Conn::close`] wakes the
-//! parked `recv`). The accept loop, every connection thread and every
-//! handler are scoped threads of one accept thread, so joining that one
-//! thread is joining them all: after `shutdown` returns, no handler is
-//! running and no response will be written. Failure-injection tests rely
-//! on this to stop a peer node and know it is really gone.
+//! Nothing here polls. The reader parks on its ready queue until a
+//! connection reports or the accept thread sends it the stop;
+//! [`ServerHandle::shutdown`] stops the listener, and the accept thread
+//! then stops the reader, which closes every connection it holds. The
+//! reader and every handler are scoped threads of the one accept thread,
+//! so joining that one thread is joining them all: after `shutdown`
+//! returns, no handler is running and no response will be written.
+//! Failure-injection tests rely on this to stop a peer node and know it
+//! is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
 use crate::service::{Service, Status, StatusCode};
 use ipc::{Conn, Frame, Listener, StopHandle};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::{Builder, JoinHandle, Scope};
+use std::time::Instant;
 
 /// How many recent call ids a connection remembers for duplicate
 /// suppression. Duplicated frames arrive adjacent to their original
@@ -79,7 +87,8 @@ pub struct ServerMetrics {
     /// Requests decoded and dispatched to the service.
     pub calls: AtomicU64,
     /// Calls that returned an error status, plus connections closed for
-    /// a frame that was not a decodable request.
+    /// a frame that was not a decodable request, and connections refused
+    /// because they cannot report their frames.
     pub errors: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
@@ -88,16 +97,65 @@ pub struct ServerMetrics {
     pub duplicates: AtomicU64,
 }
 
-/// The connections a server currently holds open, keyed by accept
-/// order: one clone of each, kept so shutdown can close it — a clone of
-/// its own rather than the handlers' writer, so that closing never waits
-/// behind a send. A connection thread removes its own entry on the way
-/// out.
-type Live = Mutex<HashMap<u64, Box<dyn Conn>>>;
+/// What the reader waits for, in the order it happened.
+enum Report {
+    /// A connection the accept thread took.
+    Accepted(Box<dyn Conn>),
+    /// Connection `key` has a frame, or has ended.
+    Ready(u64),
+    /// The listener has stopped: close every connection and return.
+    Stop,
+}
 
-/// A decoded request and the write half of the connection its answer
-/// goes to. The writer is shared by that connection's calls and outlives
-/// its connection thread if a call does.
+/// The reader's ready queue. The reader owns it; the accept thread and
+/// every connection's report hold it weakly, so once the reader has
+/// returned — or a panicking call has ended it — a report is handed
+/// back instead of queued for no one.
+///
+/// A reporter wakes the reader after it has unlocked, and only if the
+/// reader sleeps (the vendored condvar counts its sleepers). `std`'s
+/// `mpsc` wakes its receiver under a lock of its own: on one CPU the
+/// woken reader preempted the reporter and then found that lock held.
+/// As the ready queue, it made 3.3–6.5 % of the futex wakes of `e2e`'s
+/// `remote_read`, `write_churn` and `mixed_zipf` wake nobody, against
+/// 0.4–0.5 % with this one (`scripts/futex_census.sh`, DESIGN §8).
+#[derive(Default)]
+struct ReadyQueue {
+    reports: Mutex<VecDeque<Report>>,
+    readable: Condvar,
+}
+
+impl ReadyQueue {
+    /// The next report, waiting for one.
+    fn next(&self) -> Report {
+        let mut reports = self.reports.lock();
+        loop {
+            match reports.pop_front() {
+                Some(report) => return report,
+                None => self.readable.wait(&mut reports),
+            }
+        }
+    }
+}
+
+/// Queue `report` for the reader, or hand it back if the reader has gone.
+fn report(queue: &Weak<ReadyQueue>, report: Report) -> Result<(), Report> {
+    let Some(queue) = queue.upgrade() else {
+        return Err(report);
+    };
+    queue.reports.lock().push_back(report);
+    queue.readable.notify_one();
+    Ok(())
+}
+
+/// The reader's state for one open connection. The connection is shared
+/// with the handlers that answer its calls, and may outlive its entry.
+struct Served {
+    conn: Arc<Mutex<Box<dyn Conn>>>,
+    seen: SeenCalls,
+}
+
+/// A decoded request and the connection its answer goes to.
 type Job = (Request, Arc<Mutex<Box<dyn Conn>>>);
 
 /// What one server runs calls with: new threads, and at most one parked
@@ -203,7 +261,8 @@ impl Handlers<'_> {
 pub struct ServerHandle {
     stop: StopHandle,
     accept_thread: Option<JoinHandle<()>>,
-    live: Arc<Live>,
+    /// How many connections the reader holds open.
+    open: Arc<AtomicUsize>,
     metrics: Arc<ServerMetrics>,
     addr: String,
 }
@@ -223,15 +282,14 @@ impl ServerHandle {
     /// leaves nothing behind, so under churn this follows the number of
     /// *live* connections, not the number ever accepted.
     pub fn tracked_connections(&self) -> usize {
-        self.live.lock().len()
+        self.open.load(Ordering::Relaxed)
     }
 
     /// Stop the server and wait until it is fully quiescent: the accept
-    /// loop has exited, every accepted connection is closed, and every
-    /// connection thread and handler has returned. A call in flight
-    /// either delivered its response before the close or fails at the
-    /// client with a transport error; clients see dead connections from
-    /// then on.
+    /// loop has exited, every accepted connection is closed, and the
+    /// reader and every handler have returned. A call in flight either
+    /// delivered its response before the close or fails at the client
+    /// with a transport error; clients see dead connections from then on.
     pub fn shutdown(&mut self) {
         self.stop.stop();
         if let Some(t) = self.accept_thread.take() {
@@ -246,16 +304,18 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Spawn a server on `listener`, dispatching to `service`.
+/// Spawn a server on `listener`, dispatching to `service`. Only
+/// connections that report their frames ([`Conn::report_to`]) are
+/// served; any other is closed and counted in [`ServerMetrics::errors`].
 pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> ServerHandle {
     let stop = listener.stop_handle();
     let metrics = Arc::new(ServerMetrics::default());
     let addr = listener.addr();
-    let live = Arc::new(Live::default());
+    let open = Arc::new(AtomicUsize::new(0));
     let accept_thread = Builder::new()
         .name(format!("rpc-accept:{addr}"))
         .spawn({
-            let (metrics, live) = (Arc::clone(&metrics), Arc::clone(&live));
+            let (metrics, open) = (Arc::clone(&metrics), Arc::clone(&open));
             move || {
                 let handlers = Handlers {
                     parked: Mutex::default(),
@@ -263,36 +323,30 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
                     metrics: &metrics,
                 };
                 std::thread::scope(|scope| {
+                    let ready = Arc::new(ReadyQueue::default());
+                    let queue = Arc::downgrade(&ready);
+                    let reader = {
+                        let (handlers, open) = (&handlers, &*open);
+                        move || read(&ready, scope, handlers, open)
+                    };
+                    // A reader that could not start, or that a panicking
+                    // call ended, has dropped the queue: every connection
+                    // below is then refused.
+                    let _ = spawn(scope, "rpc-serve", reader);
                     // Any `accept` error ends the server; a stop is the
                     // `Interrupted` one.
                     while let Ok(conn) = listener.accept() {
-                        let id = metrics.connections.fetch_add(1, Ordering::Relaxed);
-                        let Ok(closer) = conn.try_clone() else {
-                            continue;
-                        };
-                        live.lock().insert(id, closer);
-                        let (live, handlers) = (&*live, &handlers);
-                        let served = spawn(scope, "rpc-conn", move || {
-                            serve_conn(conn, scope, handlers);
-                            live.lock().remove(&id);
-                        });
-                        if served.is_err() {
-                            // Refuse the connection, not the server: its
-                            // client fails every call on it at once and
-                            // redials, and the loop keeps accepting.
+                        metrics.connections.fetch_add(1, Ordering::Relaxed);
+                        if let Err(Report::Accepted(conn)) = report(&queue, Report::Accepted(conn))
+                        {
                             metrics.errors.fetch_add(1, Ordering::Relaxed);
-                            if let Some(conn) = live.lock().remove(&id) {
-                                conn.close();
-                            }
+                            conn.close();
                         }
                     }
-                    // No connection is accepted past this point, so closing
-                    // what is open wakes every connection thread there is,
-                    // and stopping the handlers wakes every parked one; the
-                    // scope joins them all.
-                    for conn in live.lock().values() {
-                        conn.close();
-                    }
+                    // The reader closes every connection it holds and
+                    // returns; stopping the handlers wakes every parked
+                    // one. The scope joins them all.
+                    let _ = report(&queue, Report::Stop);
                     handlers.stop();
                 })
             }
@@ -301,7 +355,7 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     ServerHandle {
         stop,
         accept_thread: Some(accept_thread),
-        live,
+        open,
         metrics,
         addr,
     }
@@ -310,15 +364,15 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
 /// Start one of the server's threads. A spawn the system refuses (out of
 /// threads or memory mappings) is an error its caller answers: a panic
 /// here would end the accept loop, and its scope would then wait for
-/// ever on the connections it still serves.
+/// ever on the handlers it still runs.
 fn spawn<'scope>(
     scope: &'scope Scope<'scope, '_>,
     name: &str,
     body: impl FnOnce() + Send + 'scope,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     #[cfg(test)]
     if REFUSE_NEXT_SPAWN.with(|refuse| refuse.replace(false)) {
-        return Err(std::io::ErrorKind::WouldBlock.into());
+        return Err(io::ErrorKind::WouldBlock.into());
     }
     Builder::new()
         .name(name.to_string())
@@ -333,57 +387,109 @@ thread_local! {
     static REFUSE_NEXT_SPAWN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A connection thread: decode each request, drop a duplicate, and run
-/// the call — here, if it cannot wait on another call, else on one of
-/// `handlers`, so that a call blocked on another call never holds up the
-/// next request on its connection.
-fn serve_conn<'scope>(
-    mut conn: Box<dyn Conn>,
+/// The reader: take each report in turn. An accepted connection is
+/// registered to report here; a ready one gives up one frame, which
+/// [`serve_frame`] serves; an ended one is closed and forgotten, so a
+/// later report of its finds nothing. On the stop, close every connection
+/// still open and return.
+fn read<'scope>(
+    ready: &Arc<ReadyQueue>,
     scope: &'scope Scope<'scope, '_>,
     handlers: &'scope Handlers,
+    open: &AtomicUsize,
 ) {
-    let metrics = handlers.metrics;
-    let Ok(writer) = conn.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(writer));
-    let mut seen = SeenCalls::new();
-    // `recv` fails once the peer is gone or the connection is closed.
-    while let Ok(frame) = conn.recv() {
-        let request = match frame.msg_type {
-            FRAME_REQUEST => Request::from_frame(&frame).ok(),
-            _ => None,
+    let mut served = HashMap::new();
+    let mut next_key = 0u64;
+    // A deadline that has passed: `recv_until` with it takes a frame that
+    // is there and waits for none.
+    let passed = Instant::now();
+    loop {
+        let key = match ready.next() {
+            Report::Ready(key) => key,
+            Report::Accepted(conn) => {
+                let key = next_key;
+                next_key += 1;
+                let queue = Arc::downgrade(ready);
+                let reporting = conn.report_to(Box::new(move || {
+                    let _ = report(&queue, Report::Ready(key));
+                }));
+                if reporting.is_ok() {
+                    let conn = Arc::new(Mutex::new(conn));
+                    let seen = SeenCalls::new();
+                    served.insert(key, Served { conn, seen });
+                } else {
+                    // A connection that cannot report cannot be served:
+                    // refuse it, not the server. Its client fails every
+                    // call on it at once and redials.
+                    handlers.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    conn.close();
+                }
+                open.store(served.len(), Ordering::Relaxed);
+                continue;
+            }
+            Report::Stop => break,
         };
-        let Some(request) = request else {
-            // A frame that is not a decodable request — a wrong type, a
-            // failed checksum, a truncation — is a protocol violation.
-            // Its caller cannot be told apart from any other (the call id
-            // is inside what failed to decode), so the connection ends:
-            // the client fails every call on it at once and redials.
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            conn.close();
-            return;
-        };
-        if !seen.first_sighting(request.call_id) {
-            // The original execution's response answers the client, and
-            // executing again would double a non-idempotent call.
-            metrics.duplicates.fetch_add(1, Ordering::Relaxed);
+        let Some(entry) = served.get_mut(&key) else {
             continue;
-        }
-        metrics.calls.fetch_add(1, Ordering::Relaxed);
-        if handlers.service.may_wait(request.method) {
-            handlers.submit(scope, (request, Arc::clone(&writer)));
-        } else {
-            let response = handlers.answer(request);
-            let _ = writer.lock().send(&response);
+        };
+        // A report stands for a frame or for the connection's end.
+        let frame = entry.conn.lock().recv_until(Some(passed));
+        if !frame.is_ok_and(|frame| serve_frame(frame, entry, scope, handlers)) {
+            entry.conn.lock().close();
+            served.remove(&key);
+            open.store(served.len(), Ordering::Relaxed);
         }
     }
+    for entry in served.values() {
+        entry.conn.lock().close();
+    }
+    open.store(0, Ordering::Relaxed);
+}
+
+/// Serve one frame of `entry`'s connection: decode the request, drop a
+/// duplicate, and run the call — here, if it cannot wait on another call,
+/// else on one of `handlers`, so that a call blocked on another call never
+/// holds up the next request. False if the connection must end.
+fn serve_frame<'scope>(
+    frame: Frame,
+    entry: &mut Served,
+    scope: &'scope Scope<'scope, '_>,
+    handlers: &'scope Handlers,
+) -> bool {
+    let metrics = handlers.metrics;
+    let request = match frame.msg_type {
+        FRAME_REQUEST => Request::from_frame(&frame).ok(),
+        _ => None,
+    };
+    let Some(request) = request else {
+        // A frame that is not a decodable request — a wrong type, a
+        // failed checksum, a truncation — is a protocol violation. Its
+        // caller cannot be told apart from any other (the call id is
+        // inside what failed to decode), so the connection ends: the
+        // client fails every call on it at once and redials.
+        metrics.errors.fetch_add(1, Ordering::Relaxed);
+        return false;
+    };
+    if !entry.seen.first_sighting(request.call_id) {
+        // The original execution's response answers the client, and
+        // executing again would double a non-idempotent call.
+        metrics.duplicates.fetch_add(1, Ordering::Relaxed);
+        return true;
+    }
+    metrics.calls.fetch_add(1, Ordering::Relaxed);
+    if handlers.service.may_wait(request.method) {
+        handlers.submit(scope, (request, Arc::clone(&entry.conn)));
+    } else {
+        let response = handlers.answer(request);
+        let _ = entry.conn.lock().send(&response);
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{RpcClient, RpcError};
+    use crate::client::{PendingCall, RpcClient, RpcError};
     use crate::service::{MethodId, Status};
     use bytes::Bytes;
     use ipc::{Direction, FaultAction, FaultConn, FaultPolicy, Frame, InprocHub};
@@ -422,8 +528,8 @@ mod tests {
     }
 
     /// Method 1 may wait: it blocks until a method 2 releases it. Method
-    /// 2 cannot, so it runs on the connection thread. Each records the
-    /// name of the thread it ran on.
+    /// 2 cannot, so it runs on the reader. Each records the name of the
+    /// thread it ran on.
     struct Gate {
         release: mpsc::Sender<()>,
         released: Mutex<mpsc::Receiver<()>>,
@@ -451,9 +557,8 @@ mod tests {
     #[test]
     fn a_call_that_may_wait_never_holds_up_its_connection() {
         // Call 1 goes to a handler and blocks until call 2, sent after it
-        // on the same connection, releases it. Call 2 runs on the
-        // connection thread, so that thread must not be the one call 1
-        // holds.
+        // on the same connection, releases it. Call 2 runs on the reader,
+        // so the reader must not be the thread call 1 holds.
         let (release, released) = mpsc::channel();
         let gate = Arc::new(Gate {
             release,
@@ -472,8 +577,8 @@ mod tests {
         ran_on.sort();
         assert_eq!(
             ran_on,
-            [(1, "rpc-handler".into()), (2, "rpc-conn".into())],
-            "call 1 on a handler, call 2 on the connection thread"
+            [(1, "rpc-handler".into()), (2, "rpc-serve".into())],
+            "call 1 on a handler, call 2 on the reader"
         );
     }
 
@@ -516,6 +621,12 @@ mod tests {
         let hub = InprocHub::new();
         let echo = Arc::new(|_m: MethodId, b: Bytes| -> Result<Bytes, Status> { Ok(b) });
         let srv = serve(Box::new(hub.bind("garble").unwrap()), echo);
+        // A healthy client of the same server, served before and after.
+        let healthy = Arc::new(RpcClient::new(Box::new(hub.connect("garble").unwrap())));
+        assert_eq!(
+            &bounded_call(&healthy, 1, b"before").unwrap()[..],
+            b"before"
+        );
         let policy: Arc<dyn FaultPolicy> = Arc::new(GarbleFirst(AtomicBool::new(true)));
         let dial_hub = hub.clone();
         let client = Arc::new(RpcClient::with_connector(
@@ -532,62 +643,20 @@ mod tests {
         assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         assert!(err.is_retryable());
         assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
-        assert_eq!(srv.metrics().calls.load(Ordering::Relaxed), 0);
+        assert_eq!(srv.metrics().calls.load(Ordering::Relaxed), 1);
 
         let out = client.call(1, Bytes::from_static(b"clean")).unwrap();
         assert_eq!(&out[..], b"clean");
         assert_eq!(client.reconnect_count(), 2);
-    }
-
-    /// Accepts from `.0`, and has the accepting thread refuse the spawn
-    /// that follows its first accept.
-    struct RefuseFirstServe(Box<dyn Listener>, bool);
-
-    impl Listener for RefuseFirstServe {
-        fn accept(&mut self) -> std::io::Result<Box<dyn Conn>> {
-            let conn = self.0.accept()?;
-            if std::mem::take(&mut self.1) {
-                REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
-            }
-            Ok(conn)
-        }
-
-        fn stop_handle(&self) -> StopHandle {
-            self.0.stop_handle()
-        }
-
-        fn addr(&self) -> String {
-            self.0.addr()
-        }
-    }
-
-    #[test]
-    fn a_connection_the_server_cannot_serve_is_refused_and_the_next_is_served() {
-        let hub = InprocHub::new();
-        let listener = RefuseFirstServe(Box::new(hub.bind("refuse").unwrap()), true);
-        let echo = Arc::new(|_m: MethodId, b: Bytes| -> Result<Bytes, Status> { Ok(b) });
-        let srv = serve(Box::new(listener), echo);
-        let dial_hub = hub.clone();
-        let client = Arc::new(RpcClient::with_connector(
-            Box::new(move || Ok(Box::new(dial_hub.connect("refuse")?) as Box<dyn Conn>)),
-            None,
-        ));
-        let err = bounded_call(&client, 1, b"refused").unwrap_err();
-        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
-        assert!(err.is_retryable());
-        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
-        assert_eq!(srv.metrics().calls.load(Ordering::Relaxed), 0);
-        assert_eq!(srv.tracked_connections(), 0);
-
-        assert_eq!(&bounded_call(&client, 1, b"served").unwrap()[..], b"served");
-        assert_eq!(client.reconnect_count(), 2);
-        assert_eq!(srv.metrics().connections.load(Ordering::Relaxed), 2);
+        // Closing the garbled connection ended that connection only.
+        assert_eq!(&bounded_call(&healthy, 1, b"after").unwrap()[..], b"after");
+        assert_eq!(srv.tracked_connections(), 2);
     }
 
     #[test]
     fn a_call_no_handler_can_be_started_for_is_answered_unavailable() {
-        // Method 1 runs on the connection thread and has it refuse its
-        // next spawn; method 2 may wait, so it needs a handler.
+        // Method 1 runs on the reader and has it refuse its next spawn;
+        // method 2 may wait, so it needs a handler.
         struct RefuseNextHandler;
         impl Service for RefuseNextHandler {
             fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
@@ -613,5 +682,112 @@ mod tests {
         assert!(err.is_retryable());
         assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
         assert_eq!(&bounded_call(&client, 2, b"served").unwrap()[..], b"served");
+    }
+
+    /// How long a test waits for an answer before it fails: these calls
+    /// set no deadline of their own, and a stranded one would hang.
+    const BOUND: Duration = Duration::from_secs(10);
+
+    /// A leaf that logs each body it is called with, in call order.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<Bytes>>);
+
+    impl Service for Log {
+        fn call(&self, _method: MethodId, body: Bytes) -> Result<Bytes, Status> {
+            self.0.lock().push(body.clone());
+            Ok(body)
+        }
+
+        fn may_wait(&self, _method: MethodId) -> bool {
+            false
+        }
+    }
+
+    /// A leaf that panics on method 1 and echoes any other.
+    struct PanicsOnOne;
+
+    impl Service for PanicsOnOne {
+        fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
+            assert_ne!(method, 1, "a leaf that panics");
+            Ok(body)
+        }
+
+        fn may_wait(&self, _method: MethodId) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_panicking_leaf_ends_the_reader_and_no_call_to_the_server_hangs() {
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("panic").unwrap()), Arc::new(PanicsOnOne));
+        let dial = || Arc::new(RpcClient::new(Box::new(hub.connect("panic").unwrap())));
+        let (doomed, bystander) = (dial(), dial());
+        assert_eq!(
+            &bounded_call(&bystander, 2, b"before").unwrap()[..],
+            b"before"
+        );
+
+        // The panic ends the one reader, and with it every connection it
+        // served; a new connection finds no reader. Each call fails at
+        // once: none waits for an answer that cannot come.
+        for (client, method) in [(doomed, 1), (bystander, 2), (dial(), 2)] {
+            let err = bounded_call(&client, method, b"lost").unwrap_err();
+            assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        }
+    }
+
+    #[test]
+    fn frames_queued_before_the_server_takes_their_connection_are_all_answered() {
+        // The calls are sent before the server exists, so all of them wait
+        // in the connection when the reader registers it: only reports of
+        // frames that arrive later would strand every one.
+        let hub = InprocHub::new();
+        let listener = hub.bind("early").unwrap();
+        let client = RpcClient::new(Box::new(hub.connect("early").unwrap()));
+        let bodies: Vec<[u8; 1]> = (0..16).map(|i| [i]).collect();
+        let calls: Vec<_> = bodies
+            .iter()
+            .map(|body| client.call_async(1, &[body.as_slice()]).unwrap())
+            .collect();
+        let _srv = serve(Box::new(listener), Arc::new(Log::default()));
+        for (body, call) in bodies.iter().zip(calls) {
+            assert_eq!(&call.wait_deadline(Some(BOUND)).unwrap()[..], body);
+        }
+    }
+
+    #[test]
+    fn pipelined_calls_on_four_connections_each_get_their_own_answer_in_order() {
+        const CALLS: u8 = 200;
+        let log = Arc::new(Log::default());
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("four").unwrap()), log.clone());
+        let clients: Vec<_> = (0..4)
+            .map(|_| RpcClient::new(Box::new(hub.connect("four").unwrap())))
+            .collect();
+        std::thread::scope(|scope| {
+            for (c, client) in (0u8..).zip(&clients) {
+                scope.spawn(move || {
+                    let check = |(body, call): ([u8; 2], PendingCall)| {
+                        assert_eq!(&call.wait_deadline(Some(BOUND)).unwrap()[..], body);
+                    };
+                    // Up to 32 calls in flight, each checked as it leaves.
+                    let mut in_flight = std::collections::VecDeque::new();
+                    for i in 0..CALLS {
+                        if in_flight.len() == 32 {
+                            check(in_flight.pop_front().unwrap());
+                        }
+                        let body = [c, i];
+                        in_flight.push_back((body, client.call_async(1, &[&body]).unwrap()));
+                    }
+                    in_flight.into_iter().for_each(check);
+                });
+            }
+        });
+        let log = log.0.lock();
+        for c in 0..4 {
+            let order: Vec<u8> = log.iter().filter(|b| b[0] == c).map(|b| b[1]).collect();
+            assert_eq!(order, (0..CALLS).collect::<Vec<_>>(), "connection {c}");
+        }
     }
 }

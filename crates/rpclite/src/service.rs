@@ -116,17 +116,17 @@ impl std::error::Error for Status {}
 /// no other call meanwhile (a parked one if the server has one, a new one
 /// if not), so calls from one connection may execute concurrently (the
 /// server writes responses back in completion order, keyed by correlation
-/// id). Any other call runs on the connection thread that read it.
+/// id). Any other call runs on the server's reader, which read it.
 pub trait Service: Send + Sync {
     /// Handle one unary call.
     fn call(&self, method: MethodId, request: Bytes) -> Result<Bytes, Status>;
 
     /// Whether a call of `_method` may wait on another call — to any
     /// server, this one included — before it answers. One that may not
-    /// runs on the connection thread that read it, which reads nothing
-    /// else meanwhile: the call saves the hand-off to a handler, but if it
-    /// did wait on a call that needs this connection thread, neither would
-    /// finish. So the default is that it may.
+    /// runs on the server's one reader, which reads nothing else
+    /// meanwhile, on any connection: the call saves the hand-off to a
+    /// handler, but if it did wait on a call that needs this reader,
+    /// neither would finish. So the default is that it may.
     fn may_wait(&self, _method: MethodId) -> bool {
         true
     }

@@ -1,8 +1,9 @@
-//! A call that cannot wait runs on the connection thread that read it,
-//! a caller waiting for its response reads it itself, and an idle server
-//! thread stays parked until something wakes it. One test in its own
-//! binary, so every thread this process has is this test's, its client's
-//! or its server's.
+//! One reader serves every connection of a server: a call that cannot
+//! wait runs on it whichever connection sent it, the server has as many
+//! threads with eight connections as with one, a caller waiting for its
+//! response reads it itself, and an idle server thread stays parked until
+//! something wakes it. One test in its own binary, so every thread this
+//! process has is this test's, its clients' or its server's.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -29,12 +30,22 @@ fn thread_names() -> Vec<String> {
     threads().into_iter().map(|(_, name)| name).collect()
 }
 
-/// The server's threads (`rpc-conn`, `rpc-accept:*`), each with whether
-/// it is asleep and its voluntary and involuntary context switches.
-fn server_switches() -> BTreeMap<PathBuf, (bool, u64, u64)> {
-    threads()
+/// The server's threads: every `rpc-*` thread, since the clients have
+/// none.
+fn server_threads() -> Vec<(PathBuf, String)> {
+    let mut server: Vec<_> = threads()
         .into_iter()
-        .filter(|(_, name)| name == "rpc-conn" || name.starts_with("rpc-accept:"))
+        .filter(|(_, name)| name.starts_with("rpc-"))
+        .collect();
+    server.sort();
+    server
+}
+
+/// The server's threads, each with whether it is asleep and its
+/// voluntary and involuntary context switches.
+fn server_switches() -> BTreeMap<PathBuf, (bool, u64, u64)> {
+    server_threads()
+        .into_iter()
         .filter_map(|(dir, _)| {
             let status = std::fs::read_to_string(dir.join("status")).ok()?;
             let field = |key: &str| {
@@ -69,29 +80,46 @@ impl Service for Leaf {
 }
 
 #[test]
-fn inline_calls_run_on_their_connection_thread_and_no_client_has_a_reader() {
+fn calls_of_eight_connections_run_on_one_reader_and_no_client_has_a_reader() {
     let leaf = Arc::new(Leaf::default());
     let hub = ipc::InprocHub::new();
     let _srv = rpclite::serve(Box::new(hub.bind("census").unwrap()), leaf.clone());
-    let client = RpcClient::new(Box::new(hub.connect("census").unwrap()));
+    let dial = || RpcClient::new(Box::new(hub.connect("census").unwrap()));
+    let calls = |client: &RpcClient| {
+        for i in 0..1000u32 {
+            let body = Bytes::from(i.to_le_bytes().to_vec());
+            assert_eq!(client.call(1, body.clone()).unwrap(), body);
+        }
+    };
 
-    for i in 0..1000u32 {
-        let body = Bytes::from(i.to_le_bytes().to_vec());
-        assert_eq!(client.call(1, body.clone()).unwrap(), body);
-    }
+    let first = dial();
+    calls(&first);
+    let with_one = server_threads();
+    // Seven more connections, calling all at once.
+    let more: Vec<_> = (0..7).map(|_| dial()).collect();
+    std::thread::scope(|scope| {
+        for client in &more {
+            scope.spawn(move || calls(client));
+        }
+    });
+    assert_eq!(
+        server_threads(),
+        with_one,
+        "server threads with 8 connections and with 1"
+    );
     let ran_on = leaf.ran_on.lock();
-    assert_eq!(ran_on.len(), 1, "threads that ran 1000 calls in turn");
+    assert_eq!(ran_on.len(), 1, "threads that ran 8000 calls");
     let (_, name) = ran_on.iter().next().unwrap();
-    assert_eq!(name, "rpc-conn");
+    assert_eq!(name, "rpc-serve");
     let names = thread_names();
     for absent in ["rpc-handler", "rpc-reader"] {
         assert!(!names.iter().any(|n| n == absent), "{absent} in {names:?}");
     }
 
-    // Idle, the connection and accept threads stay parked: no switch in
+    // Idle, the reader and the accept thread stay parked: no switch in
     // 750 ms, where a poll of every 250–500 ms would wake them at least
-    // once. The first reading waits for the connection thread to park
-    // after writing its last response.
+    // once. The first reading waits for the reader to park after writing
+    // its last response.
     let parked = loop {
         let now = server_switches();
         if now.values().all(|(asleep, ..)| *asleep) {
@@ -99,7 +127,7 @@ fn inline_calls_run_on_their_connection_thread_and_no_client_has_a_reader() {
         }
         std::thread::yield_now();
     };
-    assert_eq!(parked.len(), 2, "one connection and one accept thread");
+    assert_eq!(parked.len(), 2, "one reader and one accept thread");
     std::thread::sleep(Duration::from_millis(750));
     assert_eq!(server_switches(), parked, "an idle server thread woke");
 }

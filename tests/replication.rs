@@ -123,8 +123,8 @@ fn delete_invalidates_replicas_first() {
 /// Two nodes delete each other's replicated objects at the same moment,
 /// round after round. Each forwarded `DELETE` waits on an `INVALIDATE`
 /// back to the node that sent it, so were `DELETE` served on the
-/// connection thread that read it, each node's thread would wait on the
-/// other's until the deadline, and both deletes would fail.
+/// reader that read it, each node's reader would wait on the other's
+/// until the deadline, and both deletes would fail.
 #[test]
 fn crossing_deletes_of_each_others_replicated_objects_both_succeed() {
     let mut config = ClusterConfig::functional(2, 4 << 20);
