@@ -202,6 +202,14 @@ fn main() {
         .count();
     let bound = 4 * spec.nodes() + 8;
     println!("threads: {threads} (at most {bound})");
+    // Reported, not bounded: the peak grows with `--ops` as well as nodes.
+    let status = std::fs::read_to_string("/proc/self/status").expect("read this process's status");
+    let peak_kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse().ok())
+        .expect("a VmHWM line");
+    println!("peak RSS: {:.1} MiB", peak_kib as f64 / 1024.0);
     assert!(
         threads <= bound,
         "{threads} threads for {} nodes",

@@ -146,13 +146,14 @@ fn main() {
             h.max
         );
     }
-    if let Some(h) = snap.histogram("rpc.client.store-0.in_flight") {
-        println!(
-            "client in-flight depth: count={} p50={} p99={} max={}",
-            h.count,
-            h.p50(),
-            h.p99(),
-            h.max
-        );
-    }
+    let h = snap
+        .histogram("rpc.client.in_flight")
+        .expect("node 1's interconnect client records its in-flight depth");
+    println!(
+        "client in-flight depth: count={} p50={} p99={} max={}",
+        h.count,
+        h.p50(),
+        h.p99(),
+        h.max
+    );
 }

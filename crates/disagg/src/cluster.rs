@@ -170,6 +170,11 @@ impl Cluster {
         // by a peer stop (or an expired deadline) is transparently
         // redialed once the peer's server is back.
         for i in 0..config.nodes {
+            // Per-verb call-latency histograms and failure counters,
+            // registered once in the *calling* store's registry and shared
+            // by its clients, so its snapshot covers the interconnect
+            // client side at a size that does not grow with its peers.
+            let metrics = ClientMetrics::register(nodes[i].store.core().registry(), method::VERBS);
             for j in 0..config.nodes {
                 if i == j {
                     continue;
@@ -202,14 +207,7 @@ impl Cluster {
                     }),
                     Some(net),
                 );
-                // Per-verb call-latency histograms and failure counters,
-                // registered in the *calling* store's registry so its
-                // metrics snapshot covers the interconnect client side.
-                client.set_metrics(ClientMetrics::register(
-                    nodes[i].store.core().registry(),
-                    &format!("rpc.client.store-{j}"),
-                    method::VERBS,
-                ));
+                client.set_metrics(Arc::clone(&metrics));
                 nodes[i].store.add_peer(Peer {
                     node: nodes[j].node,
                     name: format!("store-{j}"),

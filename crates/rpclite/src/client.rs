@@ -123,7 +123,11 @@ pub struct NetCost {
 /// Dials a fresh connection when the current one is poisoned.
 pub type Connector = Box<dyn Fn() -> io::Result<Box<dyn Conn>> + Send + Sync>;
 
-/// Pre-registered metric handles for one client (one logical channel).
+/// Where every client metric is named: one set per registry.
+const PREFIX: &str = "rpc.client";
+
+/// Pre-registered metric handles, shared by every client of one node
+/// (one set per registry, whatever the number of peers).
 ///
 /// Per-verb wall-clock call latency plus failure-mode counters and an
 /// in-flight pipeline-depth histogram. Handles are resolved once at
@@ -140,34 +144,30 @@ pub struct ClientMetrics {
     redials: Arc<Counter>,
     /// Times a transport/protocol failure poisoned (dropped) the connection.
     poisoned: Arc<Counter>,
-    /// Pipeline depth (requests in flight, this one included) sampled at
-    /// each send.
+    /// Pipeline depth of the sending client's connection (requests in
+    /// flight, this one included) sampled at each send.
     in_flight: Arc<Histogram>,
 }
 
 impl ClientMetrics {
-    /// Register this client's metrics under `prefix` (e.g.
-    /// `rpc.client.store-1`). `verbs` maps method ids to verb names for
-    /// per-verb latency histograms; unlisted methods land in
-    /// `{prefix}.other.latency_ns`.
-    pub fn register(
-        registry: &Registry,
-        prefix: &str,
-        verbs: &[(u32, &str)],
-    ) -> Arc<ClientMetrics> {
+    /// Register the client metrics of `registry` under `rpc.client`
+    /// (e.g. `rpc.client.get_many.latency_ns`, `rpc.client.redials`).
+    /// `verbs` maps method ids to verb names for per-verb latency
+    /// histograms; unlisted methods land in `rpc.client.other.latency_ns`.
+    pub fn register(registry: &Registry, verbs: &[(u32, &str)]) -> Arc<ClientMetrics> {
         let max_id = verbs.iter().map(|(id, _)| *id).max().unwrap_or(0) as usize;
         let mut by_method = vec![None; max_id + 1];
         for (id, name) in verbs {
             by_method[*id as usize] =
-                Some(registry.histogram(&format!("{prefix}.{name}.latency_ns")));
+                Some(registry.histogram(&format!("{PREFIX}.{name}.latency_ns")));
         }
         Arc::new(ClientMetrics {
             by_method,
-            other: registry.histogram(&format!("{prefix}.other.latency_ns")),
-            deadline_expired: registry.counter(&format!("{prefix}.deadline_expired")),
-            redials: registry.counter(&format!("{prefix}.redials")),
-            poisoned: registry.counter(&format!("{prefix}.poisoned")),
-            in_flight: registry.histogram(&format!("{prefix}.in_flight")),
+            other: registry.histogram(&format!("{PREFIX}.other.latency_ns")),
+            deadline_expired: registry.counter(&format!("{PREFIX}.deadline_expired")),
+            redials: registry.counter(&format!("{PREFIX}.redials")),
+            poisoned: registry.counter(&format!("{PREFIX}.poisoned")),
+            in_flight: registry.histogram(&format!("{PREFIX}.in_flight")),
         })
     }
 
@@ -268,8 +268,6 @@ pub struct RpcClient {
     metrics: Option<Arc<ClientMetrics>>,
     window: usize,
     next_id: AtomicU64,
-    calls: AtomicU64,
-    reconnects: AtomicU64,
 }
 
 impl RpcClient {
@@ -301,8 +299,6 @@ impl RpcClient {
             metrics: None,
             window: DEFAULT_WINDOW,
             next_id: AtomicU64::new(1),
-            calls: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
         }
     }
 
@@ -319,16 +315,6 @@ impl RpcClient {
     #[cfg(test)]
     pub(crate) fn set_window(&mut self, window: usize) {
         self.window = window.max(1);
-    }
-
-    /// Total completed exchanges (including ones carrying error statuses).
-    pub fn call_count(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Times a poisoned or absent connection was redialed.
-    pub fn reconnect_count(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
     }
 
     /// Issue one unary call and block (unboundedly) for its response.
@@ -411,7 +397,6 @@ impl RpcClient {
         })?;
         let fresh = connector().map_err(RpcError::Transport)?;
         st.install(fresh).map_err(RpcError::Transport)?;
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.redials.inc();
         }
@@ -608,7 +593,6 @@ impl PendingCall<'_> {
             net.clock
                 .advance_to(t0 + net.link.delay(self.req_len + resp_len));
         }
-        self.client.calls.fetch_add(1, Ordering::Relaxed);
         // A completed exchange (even one carrying an error status) is a
         // measured call; transport/deadline failures are counted via
         // their own counters instead of polluting the latency
@@ -671,12 +655,48 @@ mod tests {
         (handle, client)
     }
 
+    /// Attach fresh metrics to `client`, every verb in `other`; the
+    /// returned registry reads them.
+    fn metered(client: &mut RpcClient) -> Arc<obs::Registry> {
+        let registry = obs::Registry::new();
+        client.set_metrics(ClientMetrics::register(&registry, &[]));
+        registry
+    }
+
+    /// Completed exchanges `registry`'s client has recorded.
+    fn calls(registry: &obs::Registry) -> u64 {
+        let snap = registry.snapshot();
+        snap.histogram("rpc.client.other.latency_ns")
+            .map_or(0, |h| h.count)
+    }
+
+    /// Times `registry`'s client has (re)dialed.
+    fn redials(registry: &obs::Registry) -> u64 {
+        registry.snapshot().counter("rpc.client.redials")
+    }
+
+    /// A client that dials `hub`'s `svc` lazily, with fresh metrics.
+    fn redialing(hub: &InprocHub) -> (RpcClient, Arc<obs::Registry>) {
+        let dial_hub = hub.clone();
+        let mut client = RpcClient::with_connector(
+            Box::new(move || {
+                dial_hub
+                    .connect("svc")
+                    .map(|c| Box::new(c) as Box<dyn Conn>)
+            }),
+            None,
+        );
+        let registry = metered(&mut client);
+        (client, registry)
+    }
+
     #[test]
     fn echo_roundtrip() {
-        let (_srv, client) = setup();
+        let (_srv, mut client) = setup();
+        let registry = metered(&mut client);
         let out = client.call(1, Bytes::from_static(b"hello rpc")).unwrap();
         assert_eq!(&out[..], b"hello rpc");
-        assert_eq!(client.call_count(), 1);
+        assert_eq!(calls(&registry), 1);
     }
 
     #[test]
@@ -700,7 +720,8 @@ mod tests {
 
     #[test]
     fn concurrent_callers_share_a_client() {
-        let (_srv, client) = setup();
+        let (_srv, mut client) = setup();
+        let registry = metered(&mut client);
         let client = Arc::new(client);
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -716,7 +737,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(client.call_count(), 400);
+        assert_eq!(calls(&registry), 400);
     }
 
     #[test]
@@ -884,25 +905,17 @@ mod tests {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
         let _srv = serve(Box::new(listener), echo_service());
-        let dial_hub = hub.clone();
-        let client = RpcClient::with_connector(
-            Box::new(move || {
-                dial_hub
-                    .connect("svc")
-                    .map(|c| Box::new(c) as Box<dyn Conn>)
-            }),
-            None,
-        );
+        let (client, registry) = redialing(&hub);
         // First call dials lazily.
         assert_eq!(&client.call(1, Bytes::from_static(b"a")).unwrap()[..], b"a");
-        assert_eq!(client.reconnect_count(), 1);
+        assert_eq!(redials(&registry), 1);
         // A deadline expiry abandons its slot but keeps the connection;
         // the next call reuses it without redialing.
         client
             .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(20)))
             .unwrap_err();
         assert_eq!(&client.call(1, Bytes::from_static(b"b")).unwrap()[..], b"b");
-        assert_eq!(client.reconnect_count(), 1);
+        assert_eq!(redials(&registry), 1);
     }
 
     #[test]
@@ -910,17 +923,9 @@ mod tests {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
         let mut srv = serve(Box::new(listener), echo_service());
-        let dial_hub = hub.clone();
-        let client = RpcClient::with_connector(
-            Box::new(move || {
-                dial_hub
-                    .connect("svc")
-                    .map(|c| Box::new(c) as Box<dyn Conn>)
-            }),
-            None,
-        );
+        let (client, registry) = redialing(&hub);
         assert_eq!(&client.call(1, Bytes::from_static(b"a")).unwrap()[..], b"a");
-        assert_eq!(client.reconnect_count(), 1);
+        assert_eq!(redials(&registry), 1);
         // Kill the server: the next call fails and poisons the connection.
         srv.shutdown();
         client.call(1, Bytes::new()).unwrap_err();
@@ -928,7 +933,7 @@ mod tests {
         let listener = hub.bind("svc").unwrap();
         let _srv2 = serve(Box::new(listener), echo_service());
         assert_eq!(&client.call(1, Bytes::from_static(b"b")).unwrap()[..], b"b");
-        assert_eq!(client.reconnect_count(), 2);
+        assert_eq!(redials(&registry), 2);
     }
 
     #[test]
@@ -966,7 +971,7 @@ mod tests {
         let hub = InprocHub::new();
         let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
         let policy: Arc<dyn ipc::FaultPolicy> = Arc::new(DelayFirstResponse(true.into()));
-        let client = RpcClient::with_connector(
+        let mut client = RpcClient::with_connector(
             Box::new(move || {
                 let conn = Box::new(hub.connect("svc")?);
                 let conn = ipc::FaultConn::wrap(conn, "svc", Arc::clone(&policy));
@@ -974,6 +979,7 @@ mod tests {
             }),
             None,
         );
+        let registry = metered(&mut client);
         // The caller reading the connection gives up at its own deadline,
         // not when the held-back response is finally due.
         let t0 = Instant::now();
@@ -990,12 +996,13 @@ mod tests {
         // gets its own on the same connection.
         let out = client.call(1, Bytes::from_static(b"next")).unwrap();
         assert_eq!(&out[..], b"next");
-        assert_eq!(client.reconnect_count(), 1);
+        assert_eq!(redials(&registry), 1);
     }
 
     #[test]
     fn a_waiter_reads_on_when_the_caller_reading_gives_up() {
-        let (_srv, client) = setup();
+        let (_srv, mut client) = setup();
+        let registry = metered(&mut client);
         let doomed = client.call_async(3, &[b"hung".as_slice()]).unwrap();
         let patient = client.call_async(4, &[b"slow".as_slice()]).unwrap();
         std::thread::scope(|s| {
@@ -1020,7 +1027,7 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(1));
             assert!(reading.join().unwrap() < Duration::from_millis(150));
         });
-        assert_eq!(client.reconnect_count(), 0);
+        assert_eq!(redials(&registry), 0);
     }
 
     #[test]
@@ -1064,7 +1071,8 @@ mod tests {
 
     #[test]
     fn deadline_expiry_does_not_poison_neighbors() {
-        let (_srv, client) = setup();
+        let (_srv, mut client) = setup();
+        let registry = metered(&mut client);
         let client = Arc::new(client);
         // One call that will expire, surrounded by healthy in-flight calls.
         let doomed = client.call_async(3, &[]).unwrap();
@@ -1087,7 +1095,7 @@ mod tests {
             t.join().unwrap().unwrap();
         }
         // The connection was never poisoned or redialed.
-        assert_eq!(client.reconnect_count(), 0);
+        assert_eq!(redials(&registry), 0);
         let out = client.call(1, Bytes::from_static(b"after")).unwrap();
         assert_eq!(&out[..], b"after");
     }
@@ -1097,15 +1105,7 @@ mod tests {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
         let mut srv = serve(Box::new(listener), echo_service());
-        let dial_hub = hub.clone();
-        let client = RpcClient::with_connector(
-            Box::new(move || {
-                dial_hub
-                    .connect("svc")
-                    .map(|c| Box::new(c) as Box<dyn Conn>)
-            }),
-            None,
-        );
+        let (client, registry) = redialing(&hub);
         assert_eq!(&client.call(1, Bytes::from_static(b"a")).unwrap()[..], b"a");
         // Leave a slow call in flight, then tear the server down under it.
         let in_flight = client.call_async(3, &[b"slow".as_slice()]).unwrap();
@@ -1124,7 +1124,7 @@ mod tests {
             out = client.call(1, Bytes::from_static(b"b"));
         }
         assert_eq!(&out.unwrap()[..], b"b");
-        assert!(client.reconnect_count() >= 2);
+        assert!(redials(&registry) >= 2);
     }
 
     #[test]
@@ -1132,10 +1132,9 @@ mod tests {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
         let _srv = serve(Box::new(listener), echo_service());
-        let registry = obs::Registry::new();
         let mut client = RpcClient::new(Box::new(hub.connect("svc").unwrap()));
         client.set_window(2);
-        client.set_metrics(ClientMetrics::register(&registry, "rpc.client.win", &[]));
+        let registry = metered(&mut client);
         let client = Arc::new(client);
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -1147,7 +1146,7 @@ mod tests {
             t.join().unwrap().unwrap();
         }
         let snap = registry.snapshot();
-        let depth = snap.histogram("rpc.client.win.in_flight").unwrap();
+        let depth = snap.histogram("rpc.client.in_flight").unwrap();
         assert_eq!(depth.count, 4);
         assert!(depth.max <= 2, "window exceeded: depth {}", depth.max);
     }
@@ -1169,22 +1168,18 @@ mod tests {
         );
         client.set_metrics(ClientMetrics::register(
             &registry,
-            "rpc.client.peer",
             &[(1, "echo"), (3, "hang")],
         ));
 
         client.call(1, Bytes::from_static(b"x")).unwrap();
         client.call(1, Bytes::from_static(b"y")).unwrap();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("rpc.client.peer.redials"), 1);
-        let echo = snap.histogram("rpc.client.peer.echo.latency_ns").unwrap();
+        assert_eq!(snap.counter("rpc.client.redials"), 1);
+        let echo = snap.histogram("rpc.client.echo.latency_ns").unwrap();
         assert_eq!(echo.count, 2);
         assert!(echo.p50() > 0, "in-process call still takes wall time");
         // Pipeline depth was sampled at each send.
-        assert_eq!(
-            snap.histogram("rpc.client.peer.in_flight").unwrap().count,
-            2
-        );
+        assert_eq!(snap.histogram("rpc.client.in_flight").unwrap().count, 2);
 
         // Deadline expiry: counted, does NOT poison the connection, and
         // does NOT pollute the verb's latency histogram.
@@ -1192,12 +1187,10 @@ mod tests {
             .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(20)))
             .unwrap_err();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("rpc.client.peer.deadline_expired"), 1);
-        assert_eq!(snap.counter("rpc.client.peer.poisoned"), 0);
+        assert_eq!(snap.counter("rpc.client.deadline_expired"), 1);
+        assert_eq!(snap.counter("rpc.client.poisoned"), 0);
         assert_eq!(
-            snap.histogram("rpc.client.peer.hang.latency_ns")
-                .unwrap()
-                .count,
+            snap.histogram("rpc.client.hang.latency_ns").unwrap().count,
             0
         );
 
@@ -1206,11 +1199,9 @@ mod tests {
         // happened: the deadline left the connection alive.
         client.call(99, Bytes::new()).unwrap_err();
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("rpc.client.peer.redials"), 1);
+        assert_eq!(snap.counter("rpc.client.redials"), 1);
         assert_eq!(
-            snap.histogram("rpc.client.peer.other.latency_ns")
-                .unwrap()
-                .count,
+            snap.histogram("rpc.client.other.latency_ns").unwrap().count,
             1
         );
     }

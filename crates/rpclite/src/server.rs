@@ -489,7 +489,7 @@ fn serve_frame<'scope>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{PendingCall, RpcClient, RpcError};
+    use crate::client::{ClientMetrics, PendingCall, RpcClient, RpcError};
     use crate::service::{MethodId, Status};
     use bytes::Bytes;
     use ipc::{Direction, FaultAction, FaultConn, FaultPolicy, Frame, InprocHub};
@@ -629,14 +629,17 @@ mod tests {
         );
         let policy: Arc<dyn FaultPolicy> = Arc::new(GarbleFirst(AtomicBool::new(true)));
         let dial_hub = hub.clone();
-        let client = Arc::new(RpcClient::with_connector(
+        let mut client = RpcClient::with_connector(
             Box::new(move || {
                 let conn = dial_hub.connect("garble")?;
                 let conn = FaultConn::wrap(Box::new(conn), "garble", Arc::clone(&policy));
                 Ok(Box::new(conn) as Box<dyn Conn>)
             }),
             None,
-        ));
+        );
+        let registry = obs::Registry::new();
+        client.set_metrics(ClientMetrics::register(&registry, &[]));
+        let client = Arc::new(client);
         // Before the fix the answer went to call id 0 and this call
         // waited for ever.
         let err = bounded_call(&client, 1, b"garbled").unwrap_err();
@@ -647,7 +650,7 @@ mod tests {
 
         let out = client.call(1, Bytes::from_static(b"clean")).unwrap();
         assert_eq!(&out[..], b"clean");
-        assert_eq!(client.reconnect_count(), 2);
+        assert_eq!(registry.snapshot().counter("rpc.client.redials"), 2);
         // Closing the garbled connection ended that connection only.
         assert_eq!(&bounded_call(&healthy, 1, b"after").unwrap()[..], b"after");
         assert_eq!(srv.tracked_connections(), 2);

@@ -57,7 +57,7 @@ fn get_many_duplicate_ids_in_one_batch() {
 
     assert_quiesced(&cluster);
     let snap = cluster.store(1).metrics_snapshot();
-    let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
+    let releases = snap.histogram("rpc.client.release.latency_ns");
     assert_eq!(releases.map(|h| h.count), Some(1));
 }
 
@@ -86,7 +86,7 @@ fn drain_closes_a_batch_left_half_released() {
     assert_eq!(reader.open_release_groups(), 0);
     assert_quiesced(&cluster);
     let snap = reader.metrics_snapshot();
-    let releases = snap.histogram("rpc.client.store-0.release.latency_ns");
+    let releases = snap.histogram("rpc.client.release.latency_ns");
     assert_eq!(releases.map(|h| h.count), Some(1), "one RELEASE per owner");
 }
 

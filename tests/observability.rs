@@ -67,7 +67,7 @@ fn remote_gets_show_in_peer_snapshot_with_nonzero_latency() {
     // (remote lookups travel over the batched multi-get verb), each
     // carrying a single id.
     let lookups = snap_b
-        .histogram("rpc.client.store-0.get_many.latency_ns")
+        .histogram("rpc.client.get_many.latency_ns")
         .expect("per-verb client histogram on node B");
     assert_eq!(lookups.count, N as u64);
     assert!(lookups.p50() > 0);
@@ -131,10 +131,52 @@ fn one_snapshot_covers_plasma_disagg_and_rpc_layers() {
     // owner-local check; the one peer-owned create shows up as a single
     // CREATE_AT to the owner.
     assert_eq!(
-        snap.histogram("rpc.client.store-1.create_at.latency_ns")
+        snap.histogram("rpc.client.create_at.latency_ns")
             .map_or(0, |h| h.count),
         1
     );
+}
+
+/// A node's interconnect client metrics are one set, whatever its number
+/// of peers: the same 16 histograms (14 verbs, `other`, `in_flight`) and
+/// 3 counters at 2 nodes as at 6. Calls to two owners add up in one
+/// per-verb histogram.
+#[test]
+fn client_metrics_are_one_set_per_node_whatever_its_peers() {
+    let client_names = |cluster: &Cluster| {
+        let snap = cluster.store(0).metrics_snapshot();
+        let histograms = snap.histograms_with_prefix("rpc.client.");
+        let histograms: Vec<String> = histograms.map(|(name, _)| name.to_string()).collect();
+        let counters = snap
+            .counters
+            .keys()
+            .filter(|n| n.starts_with("rpc.client."));
+        (histograms, counters.cloned().collect::<Vec<String>>())
+    };
+    let pair = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+    let (histograms, counters) = client_names(&pair);
+    assert_eq!((histograms.len(), counters.len()), (16, 3));
+    let six = Cluster::launch(ClusterConfig::functional(6, 4 << 20)).unwrap();
+    assert_eq!(client_names(&six), (histograms, counters));
+
+    // One get of ids on nodes 1 and 2: a `GET_MANY` to each owner.
+    let ids: Vec<ObjectId> = [1, 2]
+        .iter()
+        .map(|&owner| {
+            let id = ObjectId::from_name(&six.owned_id(owner, "one-set"));
+            six.client(owner).unwrap().put(id, &[3; 64], &[]).unwrap();
+            id
+        })
+        .collect();
+    let reader = six.store(0);
+    let got = reader.get(&ids, Duration::from_secs(5)).unwrap();
+    assert!(got.iter().all(Option::is_some));
+    let snap = reader.metrics_snapshot();
+    let get_many = snap.histogram("rpc.client.get_many.latency_ns");
+    assert_eq!(get_many.map_or(0, |h| h.count), 2);
+    for id in &ids {
+        reader.release(*id).unwrap();
+    }
 }
 
 /// The merged cluster snapshot is exactly the element-wise sum of the

@@ -54,7 +54,7 @@ fn stable_remote_get_is_exactly_one_point_to_point_rpc() {
     assert_eq!(stats.ring_fallbacks, 0);
     let snap = s1.metrics_snapshot();
     assert_eq!(
-        snap.histogram("rpc.client.store-0.get_many.latency_ns")
+        snap.histogram("rpc.client.get_many.latency_ns")
             .map_or(0, |h| h.count),
         1
     );
@@ -147,7 +147,7 @@ fn singleton_cluster_creates_without_any_rpc() {
 }
 
 /// Every interconnect verb node `node` has called so far, with its count
-/// (one `<peer>.<verb>.latency_ns` sample per call).
+/// (one `<verb>.latency_ns` sample per call, whichever peer it went to).
 fn rpc_bill(cluster: &Cluster, node: usize) -> Vec<(String, u64)> {
     let snap = cluster.store(node).metrics_snapshot();
     snap.histograms_with_prefix("rpc.client.")
@@ -182,8 +182,8 @@ fn forwarded_put_costs_one_create_at_and_one_seal_at_and_a_local_put_nothing() {
     let forwarded = ObjectId::from_name(&cluster.owned_id(1, "bill/forwarded"));
     two_step(forwarded, &[2; 1024]);
     let create_and_seal = vec![
-        ("rpc.client.store-1.create_at.latency_ns".to_string(), 1),
-        ("rpc.client.store-1.seal_at.latency_ns".to_string(), 1),
+        ("rpc.client.create_at.latency_ns".to_string(), 1),
+        ("rpc.client.seal_at.latency_ns".to_string(), 1),
     ];
     assert_eq!(rpc_bill(&cluster, 0), create_and_seal);
 
@@ -216,7 +216,7 @@ fn small_forwarded_put_costs_one_create_at_and_leaves_no_ledger_entry() {
     let small = ObjectId::from_name(&cluster.owned_id(1, "inline/small"));
     let largest = ObjectId::from_name(&cluster.owned_id(1, "inline/largest"));
     client.put(small, &[2; 1024], b"md").unwrap();
-    let one_create_at = |n| vec![("rpc.client.store-1.create_at.latency_ns".to_string(), n)];
+    let one_create_at = |n| vec![("rpc.client.create_at.latency_ns".to_string(), n)];
     assert_eq!(rpc_bill(&cluster, 0), one_create_at(1));
     let data = vec![3; INLINE_PUT_MAX - 2];
     client.put(largest, &data, b"md").unwrap();
@@ -401,8 +401,12 @@ fn wrong_owner_re_routes_a_payload_carrying_create() {
     assert!(!cluster.store(2).core().exists_any_state(id));
     let bill = rpc_bill(&cluster, 0);
     let calls = |name: &str| bill.iter().find(|(n, _)| n == name).map_or(0, |(_, c)| *c);
-    assert_eq!(calls("rpc.client.store-2.create_at.latency_ns"), 1);
-    assert_eq!(calls("rpc.client.store-1.create_at.latency_ns"), 1);
+    assert_eq!(calls("rpc.client.create_at.latency_ns"), 2);
+    assert_eq!(calls("rpc.client.membership.latency_ns"), 1);
+    // The stale owner answered the first create and the table pull, the
+    // new owner the second create.
+    let answered = |node| cluster.store(0).peer_health_stats(cluster.node_id(node));
+    assert_eq!((answered(1).successes, answered(2).successes), (1, 2));
     for node in 0..3 {
         assert_eq!(cluster.store(node).delegations(), vec![], "node {node}");
     }
@@ -418,17 +422,16 @@ fn contains_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
     config.interconnect.max_attempts = 1;
     let mut cluster = Cluster::launch(config).unwrap();
     let s0 = cluster.store(0).clone();
-    let contains_calls = |peer: usize| {
-        let name = format!("rpc.client.store-{peer}.contains.latency_ns");
-        s0.metrics_snapshot()
-            .histogram(&name)
-            .map_or(0, |h| h.count)
-    };
+    let answered = |node| s0.peer_health_stats(node).successes;
 
     let absent = ObjectId::from_name(&cluster.owned_id(1, "contains/absent"));
     assert!(!s0.contains(absent).unwrap());
-    assert_eq!(contains_calls(1), 1, "the owner is asked exactly once");
-    assert_eq!(contains_calls(2), 1, "the fan-out covers the other peer");
+    let snap = s0.metrics_snapshot();
+    let contains = snap.histogram("rpc.client.contains.latency_ns");
+    assert_eq!(contains.map_or(0, |h| h.count), 2);
+    let (owner, other) = (cluster.node_id(1), cluster.node_id(2));
+    assert_eq!(answered(owner), 1, "the owner is asked exactly once");
+    assert_eq!(answered(other), 1, "the fan-out covers the other peer");
     assert_eq!(s0.disagg_stats().ring_fallbacks, 1);
 
     // An id the ring assigns to node 1 but that lives on node 2 (what an
@@ -460,18 +463,17 @@ fn get_fallback_asks_an_answered_owner_once_and_a_silent_one_again() {
     config.interconnect.max_attempts = 1;
     let mut cluster = Cluster::launch(config).unwrap();
     let s0 = cluster.store(0).clone();
-    let get_many_calls = |peer: usize| {
-        let name = format!("rpc.client.store-{peer}.get_many.latency_ns");
-        s0.metrics_snapshot()
-            .histogram(&name)
-            .map_or(0, |h| h.count)
-    };
+    let answered = |node| s0.peer_health_stats(node).successes;
 
     let absent = ObjectId::from_name(&cluster.owned_id(1, "get/absent"));
     let got = s0.get(&[absent], Duration::ZERO).unwrap();
     assert!(got[0].is_none());
-    assert_eq!(get_many_calls(1), 1, "the owner is asked exactly once");
-    assert_eq!(get_many_calls(2), 1, "the broadcast covers the other peer");
+    let snap = s0.metrics_snapshot();
+    let get_many = snap.histogram("rpc.client.get_many.latency_ns");
+    assert_eq!(get_many.map_or(0, |h| h.count), 2);
+    let (owner, other) = (cluster.node_id(1), cluster.node_id(2));
+    assert_eq!(answered(owner), 1, "the owner is asked exactly once");
+    assert_eq!(answered(other), 1, "the broadcast covers the other peer");
     assert_eq!(s0.disagg_stats().lookup_rpcs, 2);
     assert_eq!(s0.disagg_stats().ring_fallbacks, 1);
 
