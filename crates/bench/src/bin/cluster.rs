@@ -195,12 +195,11 @@ fn main() {
     assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
 
     // Threads grow with nodes, not with node pairs: a node runs its
-    // interconnect accept thread and reader, its Plasma accept thread and
-    // at most one parked handler.
+    // interconnect accept thread and reader and its Plasma accept thread.
     let threads = std::fs::read_dir("/proc/self/task")
         .expect("list this process's threads")
         .count();
-    let bound = 4 * spec.nodes() + 8;
+    let bound = 3 * spec.nodes() + 8;
     println!("threads: {threads} (at most {bound})");
     // Reported, not bounded: the peak grows with `--ops` as well as nodes.
     let status = std::fs::read_to_string("/proc/self/status").expect("read this process's status");

@@ -52,8 +52,12 @@ pub mod method {
     pub const RELEASE: u32 = 3;
     /// Does a sealed object exist here? (`IdReq` → `BoolResp`).
     pub const CONTAINS: u32 = 4;
-    /// Forwarded delete, immediate or deferred behind readers
-    /// (`DeleteReq` → `BoolResp` deleted-now).
+    /// Delete, immediate or deferred behind readers (`DeleteReq` →
+    /// `DeleteResp`), answered by the owner without a call of its own:
+    /// deleted (now, or deferred), or the copies — each holder and its
+    /// kind — the requester must retire first with `INVALIDATE`. The
+    /// requester then asks again naming the holders it cleared, and the
+    /// owner drops exactly those rows.
     pub const DELETE: u32 = 5;
     /// List the responder's sealed objects (empty → `ListResp`).
     pub const LIST: u32 = 6;
@@ -92,10 +96,12 @@ pub mod method {
     /// `BoolResp`). Idempotent: aborting an id with no staged create is
     /// a no-op (`false`).
     pub const ABORT_AT: u32 = 13;
-    /// Membership pull (empty → `MembershipResp`): the responder's
-    /// current membership table. Sent when a node observes a newer epoch
-    /// than its own in the header of another call or reply; the one verb
-    /// neither side adopts an epoch on — its reply *is* the table.
+    /// Membership exchange (empty or `MembershipTable` →
+    /// `MembershipTable`): the responder installs a pushed table if it is
+    /// newer than its own, then answers with its table. A requester sends
+    /// it after a reply whose header shows another epoch than its own: a
+    /// pull (empty) from a peer that is ahead, a push to one that is
+    /// behind. The one verb whose reply starts no exchange of its own.
     pub const MEMBERSHIP: u32 = 14;
     /// Elastic spill (`DelegateReq` → `DelegateResp`): the id's ring owner
     /// asks its next rendezvous choice to adopt a sealed object. The
@@ -110,13 +116,14 @@ pub mod method {
     /// of a sealed object. Unlike SPILL_AT the owner keeps its copy and
     /// remains the write/metadata authority; the holder records the
     /// replica it now holds and serves subsequent local gets from the
-    /// replica. Deletes on the owner fan out INVALIDATE to every holder.
+    /// replica. A delete retires every replica with INVALIDATE first.
     pub const REPLICATE_AT: u32 = 19;
-    /// The one way a delegated copy dies (`IdReq` → `BoolResp`
-    /// dropped-now): the caller, as the id's owner, deleted (or
-    /// reclaimed) the object, and the responder retires the copy it
-    /// holds *on that owner's authority* — a copy recorded under another
-    /// owner, or none, answers `false` and is left alone. A replica is
+    /// The one way a delegated copy dies (`RetireReq` → `BoolResp`
+    /// dropped-now): the named owner's delete is retiring the object's
+    /// copies, and the responder retires the one it holds *on that
+    /// owner's authority* — a copy recorded under another owner, or
+    /// none, answers `false` and is left alone. The caller is whoever
+    /// runs the delete, not necessarily the owner. A replica is
     /// flushed from the simulated cache (`tfsim::cache`, so staleness is
     /// observable) and deleted behind its readers; a leased copy — the
     /// object's only bytes — is deleted at once, and a reader still
@@ -228,8 +235,9 @@ pub struct CallHeader {
     /// The calling node: pins, staged creates and delegated copies are
     /// recorded against it.
     pub from: NodeId,
-    /// The caller's membership epoch; a responder that is behind pulls
-    /// the caller's table before it answers.
+    /// The caller's membership epoch. The responder does not act on
+    /// it: a caller that reads an older epoch in the reply pushes its
+    /// table.
     pub epoch: u64,
 }
 
@@ -266,7 +274,8 @@ impl Message for CallHeader {
 
 /// The fixed-width prefix of every `Ok` interconnect reply: the
 /// responder's membership epoch (0 = none installed), so a caller that
-/// is behind pulls the responder's table.
+/// is behind pulls the responder's table and one that is ahead pushes
+/// its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyHeader {
     /// The responder's membership epoch.
@@ -583,10 +592,10 @@ pub enum CreateAtResp {
     Ok(ObjectLocation),
     /// The id already exists on the owner — cluster-wide duplicate.
     Exists,
-    /// The responder's membership table says it does not own this id;
-    /// the caller's routing epoch is stale. The reply header carries the
-    /// responder's epoch, so the caller has pulled the newer table by
-    /// the time it reads this and can simply re-route.
+    /// The responder's membership table says it does not own this id:
+    /// one of the two tables is stale. The reply header carries the
+    /// responder's epoch, so by the time the caller reads this it has
+    /// pulled the newer table or pushed its own, and can re-route once.
     WrongOwner,
 }
 
@@ -613,16 +622,17 @@ impl Message for CreateAtResp {
     }
 }
 
-/// Response to a MEMBERSHIP pull: the responder's full membership table.
+/// A full membership table: what a `MEMBERSHIP` push carries and what
+/// every `MEMBERSHIP` answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipResp {
+pub struct MembershipTable {
     /// Table version (0 = no membership installed).
     pub epoch: u64,
     /// Member nodes.
     pub nodes: Vec<NodeId>,
 }
 
-impl Message for MembershipResp {
+impl Message for MembershipTable {
     fn put(&self, e: &mut Enc) {
         e.u64(self.epoch);
         put_list(e, &self.nodes, |e, node| {
@@ -631,7 +641,7 @@ impl Message for MembershipResp {
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(MembershipResp {
+        Ok(MembershipTable {
             epoch: d.u64()?,
             nodes: get_list(d, 2, get_node)?,
         })
@@ -692,7 +702,7 @@ impl Message for DelegateResp {
 }
 
 /// A request about one object and nothing else: contains, seal / abort
-/// of a staged create, invalidate.
+/// of a staged create.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdReq {
     /// The object in question.
@@ -709,26 +719,111 @@ impl Message for IdReq {
     }
 }
 
-/// Forwarded delete: immediate, or deferred behind the object's readers.
+/// An `INVALIDATE`: retire the copy of `id` held on `owner`'s authority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetireReq {
+    /// The object whose copy dies.
+    pub id: ObjectId,
+    /// The owner whose delete retires it: a copy recorded under another
+    /// owner stays.
+    pub owner: NodeId,
+}
+
+impl Message for RetireReq {
+    fn put(&self, e: &mut Enc) {
+        put_id(e, &self.id);
+        e.u16(self.owner.0);
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(RetireReq {
+            id: get_id(d)?,
+            owner: get_node(d)?,
+        })
+    }
+}
+
+/// A delete: immediate, or deferred behind the object's readers. Its
+/// first ask names no holder; each later one names the holders whose
+/// copies the requester retired since the owner's last answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeleteReq {
     /// The object to delete.
     pub id: ObjectId,
     /// Hide the object now and free it once its last reader releases,
     /// instead of failing `ObjectInUse`.
     pub deferred: bool,
+    /// Holders whose copies are retired: the owner drops their rows.
+    pub cleared: Vec<NodeId>,
 }
 
 impl Message for DeleteReq {
+    /// One flags byte after the id — bit 0 deferred, bit 1 a list of
+    /// cleared holders follows — so a first ask is as long as a delete
+    /// was before it had a second step.
     fn put(&self, e: &mut Enc) {
         put_id(e, &self.id);
-        e.bool(self.deferred);
+        let confirm = !self.cleared.is_empty();
+        e.u8(u8::from(self.deferred) | u8::from(confirm) << 1);
+        if confirm {
+            put_list(e, &self.cleared, |e, node| {
+                e.u16(node.0);
+            });
+        }
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        let id = get_id(d)?;
+        let flags = d.u8()?;
+        if flags > 3 {
+            return Err(CodecError::Invalid("delete flags"));
+        }
+        let cleared = match flags & 2 {
+            0 => Vec::new(),
+            _ => get_list(d, 2, get_node)?,
+        };
+        if flags & 2 != 0 && cleared.is_empty() {
+            return Err(CodecError::Invalid("a confirm that names no holder"));
+        }
         Ok(DeleteReq {
-            id: get_id(d)?,
-            deferred: d.bool()?,
+            id,
+            deferred: flags & 1 != 0,
+            cleared,
+        })
+    }
+}
+
+/// The owner's answer to a delete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeleteResp {
+    /// Deleted: now (`true`) or deferred behind its readers (`false`).
+    Done(bool),
+    /// Copies are out: the requester must retire each — its holder and
+    /// its kind — and ask again naming the holders it cleared.
+    Clear(Vec<(NodeId, Kind)>),
+}
+
+impl Message for DeleteResp {
+    /// `Done` is one byte, `0` or `1`, as the `BoolResp` it replaced.
+    fn put(&self, e: &mut Enc) {
+        match self {
+            DeleteResp::Done(now) => {
+                e.bool(*now);
+            }
+            DeleteResp::Clear(copies) => {
+                put_list(e.u8(2), copies, |e, (holder, kind)| {
+                    e.u16(holder.0).u8(*kind as u8);
+                });
+            }
+        }
+    }
+
+    fn get(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => DeleteResp::Done(false),
+            1 => DeleteResp::Done(true),
+            2 => DeleteResp::Clear(get_list(d, 3, |d| Ok((get_node(d)?, get_kind(d)?)))?),
+            _ => return Err(CodecError::Invalid("delete outcome")),
         })
     }
 }
@@ -881,19 +976,44 @@ mod tests {
             id: ObjectId::from_name("y"),
         };
         assert_eq!(IdReq::decode(i.encode()).unwrap(), i);
+        let z = ObjectId::from_name("z");
         for deferred in [false, true] {
-            let d = DeleteReq {
-                id: ObjectId::from_name("z"),
+            for cleared in [vec![], vec![NodeId(3), NodeId(1)]] {
+                let d = DeleteReq {
+                    id: z,
+                    deferred,
+                    cleared,
+                };
+                assert_eq!(DeleteReq::decode(d.encode()).unwrap(), d);
+            }
+            // A first ask is an id and one byte, as long as the one-step
+            // delete's request: the model clock charges by the byte.
+            let first = DeleteReq {
+                id: z,
                 deferred,
+                cleared: vec![],
             };
-            assert_eq!(DeleteReq::decode(d.encode()).unwrap(), d);
+            assert_eq!(first.encode().len(), OBJECT_ID_LEN + 1);
         }
         // A bare id is not a delete: the flag is a field like any other.
         assert!(DeleteReq::decode(i.encode()).is_err());
+        // Nor is a confirm that names no holder.
+        let mut empty_confirm = z.as_bytes().to_vec();
+        empty_confirm.extend_from_slice(&[2, 0, 0, 0, 0]);
+        assert!(DeleteReq::decode(Bytes::from(empty_confirm)).is_err());
+        let r = RetireReq {
+            id: z,
+            owner: NodeId(9),
+        };
+        assert_eq!(RetireReq::decode(r.encode()).unwrap(), r);
         for value in [false, true] {
             let b = BoolResp { value };
             assert_eq!(BoolResp::decode(b.encode()).unwrap(), b);
+            // A finished delete's answer is the one byte it always was.
+            assert_eq!(DeleteResp::Done(value).encode(), b.encode());
         }
+        let clear = DeleteResp::Clear(vec![(NodeId(1), Kind::Replica), (NodeId(2), Kind::Lease)]);
+        assert_eq!(DeleteResp::decode(clear.encode()).unwrap(), clear);
     }
 
     #[test]
@@ -1077,16 +1197,16 @@ mod tests {
 
     #[test]
     fn membership_resp_roundtrip() {
-        let r = MembershipResp {
+        let r = MembershipTable {
             epoch: 4,
             nodes: vec![NodeId(0), NodeId(1), NodeId(5)],
         };
-        assert_eq!(MembershipResp::decode(r.encode()).unwrap(), r);
-        let empty = MembershipResp {
+        assert_eq!(MembershipTable::decode(r.encode()).unwrap(), r);
+        let empty = MembershipTable {
             epoch: 0,
             nodes: vec![],
         };
-        assert_eq!(MembershipResp::decode(empty.encode()).unwrap(), empty);
+        assert_eq!(MembershipTable::decode(empty.encode()).unwrap(), empty);
     }
 
     #[test]
@@ -1216,7 +1336,7 @@ mod tests {
     type Decoder = fn(Bytes) -> Result<(), CodecError>;
 
     /// Every decoder, by the message it reads.
-    const DECODERS: [(&str, Decoder); 19] = [
+    const DECODERS: [(&str, Decoder); 21] = [
         ("CallHeader", decodes::<CallHeader>),
         ("ReplyHeader", decodes::<ReplyHeader>),
         ("GetManyReq", decodes::<GetManyReq>),
@@ -1227,11 +1347,13 @@ mod tests {
         ("ReconcileResp", decodes::<ReconcileResp>),
         ("CreateAtReq", decodes::<CreateAtReq>),
         ("CreateAtResp", decodes::<CreateAtResp>),
-        ("MembershipResp", decodes::<MembershipResp>),
+        ("MembershipTable", decodes::<MembershipTable>),
         ("DelegateReq", decodes::<DelegateReq>),
         ("DelegateResp", decodes::<DelegateResp>),
         ("IdReq", decodes::<IdReq>),
         ("DeleteReq", decodes::<DeleteReq>),
+        ("DeleteResp", decodes::<DeleteResp>),
+        ("RetireReq", decodes::<RetireReq>),
         ("ListResp", decodes::<ListResp>),
         ("MetricsResp", decodes::<MetricsResp>),
         ("BoolResp", decodes::<BoolResp>),
@@ -1320,12 +1442,16 @@ mod tests {
             for resp in [CreateAtResp::Ok(location), CreateAtResp::Exists, CreateAtResp::WrongOwner] {
                 strict(&resp)?;
             }
-            strict(&MembershipResp { epoch: word, nodes: vec![NodeId(node); count] })?;
+            strict(&MembershipTable { epoch: word, nodes: vec![NodeId(node); count] })?;
             strict(&DelegateReq { location })?;
             strict(&DelegateResp::Adopted)?;
             strict(&DelegateResp::Refused)?;
             strict(&IdReq { id })?;
-            strict(&DeleteReq { id, deferred: flag })?;
+            let cleared = vec![NodeId(node); count];
+            strict(&DeleteReq { id, deferred: flag, cleared: cleared.clone() })?;
+            strict(&DeleteResp::Done(flag))?;
+            strict(&DeleteResp::Clear(vec![(NodeId(node), kind); count]))?;
+            strict(&RetireReq { id, owner: NodeId(node) })?;
             let entry = ListEntry { id, data_size: word, metadata_size: word, ref_count: word };
             strict(&ListResp { node: NodeId(node), entries: vec![entry; count] })?;
             strict(&MetricsResp { node: NodeId(node), snapshot: Bytes::from(blob.clone()) })?;
@@ -1334,14 +1460,23 @@ mod tests {
             // Each tag, kind and bool byte, by its offset in a message.
             let one = |entry: GetManyEntry| GetManyResp { entries: vec![entry] }.encode();
             let id_len = OBJECT_ID_LEN;
-            let cases: [(Bytes, usize, u8, Decoder); 12] = [
+            let delete = |cleared| DeleteReq { id, deferred: flag, cleared }.encode();
+            let cases: [(Bytes, usize, u8, Decoder); 15] = [
                 (one(GetManyEntry::NotFound(id)), 4, 3, decodes::<GetManyResp>),
                 (ReleaseResp { pinned: vec![flag] }.encode(), 4, 2, decodes::<ReleaseResp>),
                 (CreateAtResp::Exists.encode(), 0, 3, decodes::<CreateAtResp>),
                 (DelegateResp::Refused.encode(), 0, 2, decodes::<DelegateResp>),
                 (BoolResp { value: flag }.encode(), 0, 2, decodes::<BoolResp>),
                 (GetManyReq { ids, redirected: flag }.encode(), 0, 2, decodes::<GetManyReq>),
-                (DeleteReq { id, deferred: flag }.encode(), id_len, 2, decodes::<DeleteReq>),
+                (delete(vec![]), id_len, 2, decodes::<DeleteReq>),
+                (delete(vec![NodeId(node)]), id_len, 4, decodes::<DeleteReq>),
+                (DeleteResp::Done(flag).encode(), 0, 3, decodes::<DeleteResp>),
+                (
+                    DeleteResp::Clear(vec![(NodeId(node), kind)]).encode(),
+                    7,
+                    4,
+                    decodes::<DeleteResp>,
+                ),
                 (create_at(None).encode(), id_len + 16, 2, decodes::<CreateAtReq>),
                 (
                     ReconcileReq { claims: vec![(id, kind, word)] }.encode(),

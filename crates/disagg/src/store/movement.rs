@@ -29,21 +29,27 @@
 //! the pin).
 
 use super::peer::PeerFail;
-use super::{DisaggStore, RemotePinGuard};
+use super::{DisaggStore, Peer, RemotePinGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LEND_HEADROOM_PPM, LOW_WATERMARK_PPM};
-use crate::proto::{method, BoolResp, DelegateReq, DelegateResp, DeleteReq, IdReq, Message};
+use crate::proto::{method, DelegateReq, DelegateResp, DeleteReq, DeleteResp, Message, RetireReq};
+use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, ObjectStore, PlasmaError};
 use rpclite::{RpcError, StatusCode};
 use std::time::Duration;
 use tfsim::NodeId;
 
-/// Cap on replica holders per object — bounds the invalidation fan-out a
-/// delete must complete before it may proceed.
+/// Cap on replica holders per object — bounds the copies a delete must
+/// retire before it may proceed.
 const MAX_REPLICA_HOLDERS: usize = 2;
 
 /// Most objects examined per `maybe_spill` pass (bounds pass latency).
 const MAX_SPILL_BATCH: usize = 32;
+
+/// Most asks one delete makes of its owner: the first, and one after each
+/// round of retired copies. Copies appear only by the owner's own
+/// replication or spill, so a third ask is already rare.
+const DELETE_ASKS: usize = 4;
 
 impl DisaggStore {
     /// Resolve `id` and read its full payload (data + metadata bytes)
@@ -352,28 +358,10 @@ impl DisaggStore {
         Ok(spilled)
     }
 
-    /// Invalidate every replica of `id` **before** its delete proceeds.
-    /// Any holder that cannot confirm fails the delete — the object
-    /// stays intact. This ordering is the protocol's safety story: a
-    /// *successful* delete implies no live replica survived it, which
-    /// is exactly the invariant [`crate::Cluster::audit`] asserts.
-    pub(super) fn invalidate_replicas(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let ledger = &self.inner.ledger;
-        for holder in ledger.peers(Side::Out, id, Kind::Replica) {
-            let peer = self.peer(holder)?;
-            // Confirmed means dropped now, or the holder had no entry —
-            // either way no replica survives there.
-            self.peer_call(&peer, method::INVALIDATE, &[&IdReq { id }.encode()])
-                .map_err(|fail| self.peer_err(&peer, fail))?;
-            ledger.remove(Side::Out, id, Kind::Replica, Some(holder));
-            self.sync_delegation_gauges();
-        }
-        Ok(())
-    }
-
-    /// `INVALIDATE` handler — the one way a delegated copy dies: `owner`
-    /// decided the object dies, and the copy this node holds on its
-    /// authority dies with it. Owner-checked for both kinds, so a copy
+    /// `INVALIDATE` handler, and a delete's requester retiring a copy it
+    /// holds itself — the one way a delegated copy dies: `owner`'s delete
+    /// is under way, and the copy this node holds on its authority dies
+    /// with it. Owner-checked for both kinds, so a copy
     /// recorded under another owner (a racing re-delegation under a
     /// newer one) is not clobbered. Returns whether there was one.
     ///
@@ -411,63 +399,116 @@ impl DisaggStore {
         Ok(true)
     }
 
-    /// Chase a delete of a lent object to its holder (`INVALIDATE`),
-    /// retiring the lease once the holder confirms or reports the copy
-    /// already gone.
-    pub(super) fn delete_at_holder(&self, id: ObjectId, holder: NodeId) -> Result<(), PlasmaError> {
-        let peer = self.peer(holder)?;
-        match self.peer_call(&peer, method::INVALIDATE, &[&IdReq { id }.encode()]) {
-            Ok(_) => {}
-            Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
-            Err(fail) => return Err(self.object_err(&peer, id, fail)),
-        }
-        let ledger = &self.inner.ledger;
-        ledger.remove(Side::Out, id, Kind::Lease, Some(holder));
-        self.sync_delegation_gauges();
-        Ok(())
-    }
-
-    /// Owner side of a delete, shared by `DELETE` and the local call: the
-    /// delete-authority discipline in one place. Returns whether the
-    /// object is gone now (`false`: deferred behind a reader).
+    /// Owner side of a delete, for a peer's `DELETE` and for this node's
+    /// own: the delete-authority discipline in one place, answered from
+    /// this node's state alone. First the rows of the holders in
+    /// `cleared` go, exactly those: the requester retired their copies.
+    /// Then, with copies still out, the answer names them — each holder
+    /// and its kind — for the requester to retire and name in its next
+    /// ask; with none, the local copy goes and the answer is whether it
+    /// is gone now (`false`: deferred behind a reader).
     ///
     /// * A *delegated* copy — a held replica or a leased (spilled)
     ///   object — cannot satisfy a delete: the ring owner is the delete
-    ///   authority, and only its invalidate-before-delete / lease-chase
-    ///   ordering clears every copy. Consuming the local copy here would
-    ///   ack a delete the owner never saw, leaving the owner's primary
-    ///   (or an ambiguous-spill duplicate) serving reads. `NotFound`
-    ///   sends the caller's fan-out on to the owner, which retires
-    ///   delegated copies via `INVALIDATE`.
-    /// * Replicas go before the local copy: an unconfirmed invalidation
-    ///   fails the delete with the object intact. A deferred delete
-    ///   hides the object at once, so the ordering is the same.
-    /// * No local copy, but a lease out: the object lives at its holder
-    ///   and is still this node's to delete.
-    pub(super) fn delete_here(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
+    ///   authority, and only its copies-first ordering clears every
+    ///   copy. Consuming the local copy here would ack a delete the
+    ///   owner never saw, leaving the owner's primary (or an
+    ///   ambiguous-spill duplicate) serving reads. `NotFound` sends the
+    ///   requester on to the owner.
+    /// * Copies go before the local copy: a copy nobody confirmed keeps
+    ///   its row, and its row keeps the object here intact. A deferred
+    ///   delete hides the object at once, so the ordering is the same.
+    /// * No local copy, but a lease just cleared: the object lived at
+    ///   its holder and was still this node's to delete.
+    pub(super) fn delete_here(
+        &self,
+        id: ObjectId,
+        deferred: bool,
+        cleared: &[NodeId],
+    ) -> Result<DeleteResp, PlasmaError> {
         let inner = &self.inner;
-        if inner.ledger.held_copy(id).is_some() {
+        let ledger = &inner.ledger;
+        if ledger.held_copy(id).is_some() {
             return Err(PlasmaError::ObjectNotFound(id));
         }
-        self.invalidate_replicas(id)?;
+        let mut lease_cleared = false;
+        for &holder in cleared {
+            lease_cleared |= ledger
+                .remove(Side::Out, id, Kind::Lease, Some(holder))
+                .is_some();
+            ledger.remove(Side::Out, id, Kind::Replica, Some(holder));
+        }
+        if !cleared.is_empty() {
+            self.sync_delegation_gauges();
+        }
+        let lease = ledger.find(Side::Out, id, Kind::Lease);
+        let mut copies: Vec<(NodeId, Kind)> =
+            lease.map(|l| (l.peer, Kind::Lease)).into_iter().collect();
+        let replicas = ledger.peers(Side::Out, id, Kind::Replica).into_iter();
+        copies.extend(replicas.map(|holder| (holder, Kind::Replica)));
+        if !copies.is_empty() {
+            return Ok(DeleteResp::Clear(copies));
+        }
         let local = if deferred {
             inner.core.delete_deferred(id)
         } else {
             inner.core.delete(id).map(|()| true)
         };
-        match (local, inner.ledger.find(Side::Out, id, Kind::Lease)) {
-            (Err(PlasmaError::ObjectNotFound(_)), Some(lease)) => {
-                self.delete_at_holder(id, lease.peer).map(|()| true)
-            }
-            (local, _) => local,
+        match local {
+            Err(PlasmaError::ObjectNotFound(_)) if lease_cleared => Ok(DeleteResp::Done(true)),
+            local => local.map(DeleteResp::Done),
         }
+    }
+
+    /// Retire each of `copies` — `(holder, kind)`, as a delete's owner
+    /// named them — on `owner`'s authority: a copy held here at once, the
+    /// others with one `INVALIDATE` each, all in one exchange. A copy
+    /// already gone counts as retired. Returns the holders, all of them,
+    /// or the first failure: then the delete fails and no holder is
+    /// named to the owner, whose object stays intact.
+    fn retire_copies(
+        &self,
+        owner: NodeId,
+        id: ObjectId,
+        copies: &[(NodeId, Kind)],
+    ) -> Result<Vec<NodeId>, PlasmaError> {
+        let mut remote = Vec::new();
+        for &(holder, kind) in copies {
+            if holder != self.inner.node {
+                remote.push((self.peer(holder)?, kind));
+                continue;
+            }
+            match self.invalidate_here(owner, id) {
+                Ok(_) | Err(PlasmaError::ObjectNotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let req = RetireReq { id, owner }.encode();
+        let body = [&req[..]];
+        let calls: Vec<_> = remote
+            .iter()
+            .map(|(peer, _)| (peer, method::INVALIDATE, &body[..]))
+            .collect();
+        for ((peer, kind), answer) in remote.iter().zip(self.scatter(&calls)) {
+            match answer {
+                Ok(_) => {}
+                Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
+                // A leased copy is the object: a reader pinning it is the
+                // object in use, as at the owner.
+                Err(fail) if *kind == Kind::Lease => return Err(self.object_err(peer, id, fail)),
+                Err(fail) => return Err(self.peer_err(peer, fail)),
+            }
+        }
+        Ok(copies.iter().map(|&(holder, _)| holder).collect())
     }
 
     /// Requester side of a delete, shared by `delete` and
     /// `delete_deferred`: act as the owner when this node is it, else
     /// forward, probing the ring's computed owner first (most likely
     /// holder). An unreachable peer might be the owner, so `NotFound` is
-    /// only definite once every peer answered.
+    /// only definite once every peer answered. An owner that answers with
+    /// copies to clear is asked again once they are retired, from here
+    /// ([`DisaggStore::retire_copies`]), until it answers done.
     ///
     /// A release of `id` this store deferred in a batch get's release
     /// group is sent first: the caller released before deleting, and the
@@ -479,21 +520,24 @@ impl DisaggStore {
         // Answered `Ok` already: a release that fails here is parked.
         self.return_pins(&vec![(id, true); held]);
         // `delete_here` refuses a delegated copy held here exactly as
-        // it refuses one for a peer: the owner runs the delete — for a
-        // replica that means invalidating every holder, us included,
-        // before its own copy goes.
-        match self.delete_here(id, deferred) {
+        // it refuses one for a peer: the owner runs the delete.
+        match self.delete_here(id, deferred, &[]) {
             Err(PlasmaError::ObjectNotFound(_)) => {}
-            settled => return settled,
+            Err(e) => return Err(e),
+            Ok(answer) => return self.delete_with(None, id, deferred, answer),
         }
-        let req = DeleteReq { id, deferred }.encode();
+        let req = DeleteReq {
+            id,
+            deferred,
+            cleared: Vec::new(),
+        };
+        let req = req.encode();
         let mut unreachable: Option<PlasmaError> = None;
         for peer in self.peers_owner_first(id) {
             match self.peer_call(&peer, method::DELETE, &[&req]) {
                 Ok(body) => {
-                    let now = BoolResp::decode(body)
-                        .map_err(|e| PlasmaError::Protocol(format!("delete response: {e}")))?;
-                    return Ok(now.value);
+                    let answer = Self::delete_answer(body)?;
+                    return self.delete_with(Some(&peer), id, deferred, answer);
                 }
                 Err(fail) if fail.status() == Some(StatusCode::NotFound) => continue,
                 Err(fail @ PeerFail::Rpc(_)) => return Err(self.object_err(&peer, id, fail)),
@@ -503,5 +547,46 @@ impl DisaggStore {
             }
         }
         Err(unreachable.unwrap_or(PlasmaError::ObjectNotFound(id)))
+    }
+
+    /// Finish a delete whose owner — `owner`, or this node for `None` —
+    /// gave `answer`: retire the copies it names and ask again, naming
+    /// their holders, until it answers done. A copy that appears between
+    /// two asks is named in the next answer; an object that keeps gaining
+    /// copies fails the delete as in use.
+    fn delete_with(
+        &self,
+        owner: Option<&Peer>,
+        id: ObjectId,
+        deferred: bool,
+        mut answer: DeleteResp,
+    ) -> Result<bool, PlasmaError> {
+        let owner_node = owner.map_or(self.inner.node, |peer| peer.node);
+        for asked in 1.. {
+            let copies = match answer {
+                DeleteResp::Done(now) => return Ok(now),
+                DeleteResp::Clear(_) if asked == DELETE_ASKS => break,
+                DeleteResp::Clear(copies) => copies,
+            };
+            let cleared = self.retire_copies(owner_node, id, &copies)?;
+            answer = match owner {
+                None => self.delete_here(id, deferred, &cleared)?,
+                Some(peer) => {
+                    let req = DeleteReq {
+                        id,
+                        deferred,
+                        cleared,
+                    };
+                    let body = self.peer_call(peer, method::DELETE, &[&req.encode()]);
+                    let body = body.map_err(|fail| self.object_err(peer, id, fail))?;
+                    Self::delete_answer(body)?
+                }
+            };
+        }
+        Err(PlasmaError::ObjectInUse(id))
+    }
+
+    fn delete_answer(body: Bytes) -> Result<DeleteResp, PlasmaError> {
+        DeleteResp::decode(body).map_err(|e| PlasmaError::Protocol(format!("delete response: {e}")))
     }
 }

@@ -116,7 +116,8 @@ impl DisaggStore {
     /// every call goes out under one [`CallHeader`] — this node and its
     /// membership epoch — and every `Ok` answer comes back stripped of
     /// its [`ReplyHeader`]; a responder whose epoch is ahead has its
-    /// table pulled before the answers are returned. A member's body is
+    /// table pulled, and one that is behind is pushed this node's, before
+    /// the answers are returned. A member's body is
     /// borrowed as parts, and the header's bytes join them as the first:
     /// the rpclite envelope writes them all into the frame's one buffer,
     /// so a payload a body carries (a forwarded put's) is copied once,
@@ -128,7 +129,15 @@ impl DisaggStore {
     /// retry is another round: the members still worth retrying are
     /// re-sent together after one shared backoff charged to the cluster
     /// clock.
+    ///
+    /// No interconnect handler gets here: a call made while serving one
+    /// would wait on a reader, maybe its own, that reads nothing
+    /// meanwhile.
     pub(super) fn scatter(&self, calls: &[(&Peer, u32, &[&[u8]])]) -> Vec<Result<Bytes, PeerFail>> {
+        debug_assert!(
+            !rpclite::serving(),
+            "an interconnect handler called out: every verb must answer from its own state"
+        );
         let inner = &self.inner;
         let header = CallHeader {
             from: inner.node,
@@ -143,7 +152,7 @@ impl DisaggStore {
                 parts
             })
             .collect();
-        let mut reply_epochs = vec![0u64; calls.len()];
+        let mut reply_epochs = vec![None; calls.len()];
         let mut attempts_left: Vec<u32> = calls
             .iter()
             .map(|(peer, ..)| match inner.health.admit(peer.node) {
@@ -184,7 +193,7 @@ impl DisaggStore {
                 answers[i] = match answer {
                     Ok((reply, body)) => {
                         inner.health.record_success(peer.node);
-                        reply_epochs[i] = reply.epoch;
+                        reply_epochs[i] = Some(reply.epoch);
                         Some(Ok(body))
                     }
                     Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
@@ -222,8 +231,8 @@ impl DisaggStore {
         }
         // Only now, with nothing of the exchange left in flight: the
         // releases parked for the peers that answered are an exchange of
-        // their own, and so is a membership pull (whose own reply is the
-        // table, not a reason to pull again).
+        // their own, and so is a membership pull or push (whose own reply
+        // is the table, not a reason to send another).
         let answered = calls.iter().zip(&answers);
         let parked = answered.filter_map(|((peer, ..), answer)| {
             let ids = match answer {
@@ -234,8 +243,8 @@ impl DisaggStore {
         });
         self.release_owed(parked.collect());
         for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
-            if *method_id != method::MEMBERSHIP {
-                self.maybe_adopt_epoch(peer.node, epoch);
+            if let Some(epoch) = epoch.filter(|_| *method_id != method::MEMBERSHIP) {
+                self.sync_epoch(peer.node, epoch);
             }
         }
         let settled = answers.into_iter();

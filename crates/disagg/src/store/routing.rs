@@ -8,7 +8,7 @@ use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
     method, BoolResp, CreateAtReq, CreateAtResp, GetManyEntry, GetManyReq, GetManyResp, IdReq,
-    MembershipResp, Message,
+    MembershipTable, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
@@ -52,34 +52,37 @@ impl DisaggStore {
         self.inner.ring.read().as_ref().and_then(|r| r.owner_of(id))
     }
 
-    /// `MEMBERSHIP` handler: this node's table (epoch 0, no nodes,
-    /// without one).
-    pub(super) fn membership_resp(&self) -> MembershipResp {
+    /// This node's table, as `MEMBERSHIP` carries it (epoch 0, no
+    /// nodes, without one).
+    pub(super) fn membership_table(&self) -> MembershipTable {
         match self.membership() {
-            Some(m) => MembershipResp {
+            Some(m) => MembershipTable {
                 epoch: m.epoch,
                 nodes: m.nodes,
             },
-            None => MembershipResp {
+            None => MembershipTable {
                 epoch: 0,
                 nodes: Vec::new(),
             },
         }
     }
 
-    /// React to the epoch in the header of a call from, or a reply by,
-    /// `node`: if it is ahead of ours, pull that node's membership table
-    /// over the interconnect and adopt it.
-    pub(super) fn maybe_adopt_epoch(&self, node: NodeId, peer_epoch: u64) {
-        if peer_epoch <= self.ring_epoch() {
+    /// React to the epoch in the header of a reply by `node`: pull its
+    /// table if it is ahead of ours, push ours if it is behind. Either
+    /// way the one `MEMBERSHIP` goes from this thread, and each side
+    /// installs only a table newer than its own.
+    pub(super) fn sync_epoch(&self, node: NodeId, peer_epoch: u64) {
+        if peer_epoch == self.ring_epoch() {
             return;
         }
         let Ok(peer) = self.peer(node) else {
             return;
         };
-        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, &[]) {
-            if let Ok(resp) = MembershipResp::decode(body) {
-                self.set_membership(Membership::new(resp.epoch, resp.nodes));
+        let push = (peer_epoch < self.ring_epoch()).then(|| self.membership_table().encode());
+        let body: Vec<&[u8]> = push.iter().map(|table| &table[..]).collect();
+        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, &body) {
+            if let Ok(table) = MembershipTable::decode(body) {
+                self.set_membership(Membership::new(table.epoch, table.nodes));
             }
         }
     }
@@ -431,8 +434,9 @@ impl DisaggStore {
     /// the owner stages the object, pins the creator reference to this
     /// node, and returns the fabric descriptor so the client writes the
     /// payload straight through the fabric. A `WrongOwner` answer means
-    /// our membership epoch was stale: the owner's table came back with
-    /// the reply, so re-route once.
+    /// one of the two tables was stale: the reply's header set it right
+    /// (this node pulled the owner's newer table, or pushed its own to a
+    /// stale owner), so re-route once.
     ///
     /// With `payload` (data, metadata) the create is a whole put: the
     /// bytes travel with the `CREATE_AT`, the owner fills and seals, and

@@ -1,13 +1,17 @@
-//! The interconnect dispatch: strip the call header, adopt a newer
-//! epoch, let the verb decode its request, make one call on the store
-//! and encode the answer, then stamp the reply header.
+//! The interconnect dispatch: strip the call header, let the verb decode
+//! its request, make one call on the store and encode the answer, then
+//! stamp the reply header. Every verb is a leaf: it answers from this
+//! store's state and calls no peer, so the one reader that runs it never
+//! waits on another node's (DESIGN §8, "Serving a request").
 
 use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
     method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, IdsReq,
-    ListResp, Message, MetricsResp, ReconcileReq, ReleaseResp, ReplyHeader,
+    ListResp, MembershipTable, Message, MetricsResp, ReconcileReq, ReleaseResp, ReplyHeader,
+    RetireReq,
 };
+use crate::ring::Membership;
 use bytes::Bytes;
 use ipc::CodecError;
 use plasma::PlasmaError;
@@ -51,26 +55,12 @@ impl Service for Interconnect {
             return Err(Status::unimplemented(method_id));
         }
         let store = &self.store;
+        // The caller's epoch is its to reconcile: the reply header tells
+        // it ours, and a caller that is ahead pushes its table.
         let (header, body) = decoded(CallHeader::unframe(request))?;
-        // A MEMBERSHIP pull is how a table is adopted; adopting on one
-        // would pull in answer to a pull.
-        if method_id != method::MEMBERSHIP {
-            store.maybe_adopt_epoch(header.from, header.epoch);
-        }
         let reply = self.serve(method_id, header.from, body)?;
         let epoch = store.ring_epoch();
         Ok(ReplyHeader { epoch }.frame(&reply))
-    }
-
-    /// Only `DELETE` waits on another call a peer may be waiting on: its
-    /// `INVALIDATE` round goes to the holders of the object's copies, and
-    /// two nodes deleting each other's replicated objects at once would
-    /// each hold the one thread that could answer the other. Every other
-    /// verb is a leaf: the one call `call` itself may make, the epoch
-    /// pull, goes only to a node whose epoch is strictly newer, so pulls
-    /// cannot form a cycle.
-    fn may_wait(&self, method_id: u32) -> bool {
-        method_id == method::DELETE
     }
 }
 
@@ -91,8 +81,8 @@ impl Interconnect {
             }
             method::DELETE => {
                 let req = decoded(DeleteReq::decode(request))?;
-                let done = store.delete_here(req.id, req.deferred);
-                done.map(truth).map_err(status_of)
+                let answer = store.delete_here(req.id, req.deferred, &req.cleared);
+                answer.map(|answer| answer.encode()).map_err(status_of)
             }
             method::LIST => Ok(ListResp {
                 node: store.node(),
@@ -128,11 +118,17 @@ impl Interconnect {
                 Ok(store.delegate_at(Kind::Replica, from, req).encode())
             }
             method::INVALIDATE => {
-                let req = decoded(IdReq::decode(request))?;
-                let dropped = store.invalidate_here(from, req.id);
+                let req = decoded(RetireReq::decode(request))?;
+                let dropped = store.invalidate_here(req.owner, req.id);
                 dropped.map(truth).map_err(status_of)
             }
-            method::MEMBERSHIP => Ok(store.membership_resp().encode()),
+            method::MEMBERSHIP => {
+                if !request.is_empty() {
+                    let pushed = decoded(MembershipTable::decode(request))?;
+                    store.set_membership(Membership::new(pushed.epoch, pushed.nodes));
+                }
+                Ok(store.membership_table().encode())
+            }
             method::METRICS => Ok(MetricsResp {
                 node: store.node(),
                 snapshot: Bytes::from(store.metrics_snapshot().encode()),

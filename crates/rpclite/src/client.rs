@@ -647,6 +647,39 @@ mod tests {
         })
     }
 
+    /// A client of a stand-in server that answers out of order: it
+    /// echoes each request on the one connection it accepts from a
+    /// thread of its own, after the delay `echo_service` gives its
+    /// method. (An rpclite server answers a connection's calls in order,
+    /// so it cannot show that the client matches answers by call id.)
+    fn concurrent_echo() -> RpcClient {
+        let hub = InprocHub::new();
+        let mut listener = hub.bind("concurrent").unwrap();
+        let client = RpcClient::new(Box::new(hub.connect("concurrent").unwrap()));
+        let mut conn = ipc::Listener::accept(&mut listener).unwrap();
+        let writer = Arc::new(Mutex::new(conn.try_clone().unwrap()));
+        std::thread::spawn(move || {
+            while let Ok(frame) = conn.recv() {
+                let request = Request::from_frame(&frame).unwrap();
+                let writer = Arc::clone(&writer);
+                std::thread::spawn(move || {
+                    let delay = match request.method {
+                        3 => 200,
+                        4 => 100,
+                        _ => 0,
+                    };
+                    std::thread::sleep(Duration::from_millis(delay));
+                    let response = Response {
+                        call_id: request.call_id,
+                        result: Ok(request.body),
+                    };
+                    let _ = writer.lock().send(&response.to_frame());
+                });
+            }
+        });
+        client
+    }
+
     fn setup() -> (crate::server::ServerHandle, RpcClient) {
         let hub = InprocHub::new();
         let listener = hub.bind("svc").unwrap();
@@ -1035,7 +1068,7 @@ mod tests {
         // Regression for the lock-step client, which serialized callers on
         // a connection mutex: two concurrent calls with a 100ms service
         // delay must overlap (total well under 2× a single call).
-        let (_srv, client) = setup();
+        let client = concurrent_echo();
         let client = Arc::new(client);
         let t0 = Instant::now();
         let threads: Vec<_> = (0..2)
@@ -1057,7 +1090,7 @@ mod tests {
     #[test]
     fn out_of_order_completion() {
         // Slow call issued first; fast call returns first.
-        let (_srv, client) = setup();
+        let client = concurrent_echo();
         let slow = client.call_async(3, &[b"slow".as_slice()]).unwrap();
         let t0 = Instant::now();
         let fast = client.call(1, Bytes::from_static(b"fast")).unwrap();

@@ -15,9 +15,8 @@
 //!   overlapping their round trips as on a real wire,
 //! * a server ([`serve`]) with a dedicated accept thread and one reader
 //!   for all of its connections, which each report their frames to it
-//!   ([`ipc::Conn::report_to`]); the reader runs a call that cannot wait
-//!   on another call itself and hands any other to handler threads that
-//!   park between calls (responses return in completion order).
+//!   ([`ipc::Conn::report_to`]); the reader runs every call itself, and
+//!   no call waits on another ([`Service`]).
 //!
 //! Transports come from the [`ipc`] crate. A client runs over Unix domain
 //! sockets or in-process channels alike; the server serves connections
@@ -55,6 +54,6 @@ pub mod wire;
 
 pub use client::{ClientMetrics, Connector, NetCost, PendingCall, RpcClient, RpcError};
 pub use envelope::{Request, Response};
-pub use server::{serve, ServerHandle, ServerMetrics};
+pub use server::{serve, serving, ServerHandle, ServerMetrics};
 pub use service::{MethodId, Service, Status, StatusCode};
 pub use wire::WireError;

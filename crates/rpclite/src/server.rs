@@ -4,42 +4,33 @@
 //! reader, and the connection reports to the reader's ready queue each
 //! request that arrives on it and its own end ([`ipc::Conn::report_to`]).
 //! The reader takes one report at a time, receives the one frame it
-//! stands for without waiting, and decodes it. A call that cannot wait on
-//! another call ([`Service::may_wait`]) runs right there, on the reader,
-//! and its response is written before the next report is taken. Every
-//! other call goes to the server's handler threads, and its response is
-//! written back **in completion order, not arrival order**, through the
-//! connection's mutex (frame writes are atomic). This is what lets a
-//! pipelined client keep many correlation-id-tagged requests in flight: a
-//! call blocked on another call never blocks the requests behind it.
-//! Threads grow with servers, not with connections: a full mesh of `n`
-//! nodes runs `n` readers, not `n × (n − 1)` connection threads.
-//!
-//! A handed-off call runs on a *parked* handler if the server has one and
-//! on a new thread if it has none, so no call ever waits for another to
-//! finish; a handler that finishes while another is parked exits, so an
-//! idle server keeps at most one (DESIGN §8, "Serving a request"). There
-//! is no pool size and no idle timer.
+//! stands for without waiting, decodes it, runs the call and writes its
+//! response before it takes the next report. Every call is a leaf: a
+//! service answers from its own state and never waits on another call
+//! (DESIGN §8, "Serving a request"), so the one reader serves every
+//! connection, and a pipelined client's calls on one connection are
+//! answered in the order they were sent. Threads grow with servers, not
+//! with connections: a full mesh of `n` nodes runs `n` readers, not
+//! `n × (n − 1)` connection threads.
 //!
 //! Nothing here polls. The reader parks on its ready queue until a
 //! connection reports or the accept thread sends it the stop;
 //! [`ServerHandle::shutdown`] stops the listener, and the accept thread
 //! then stops the reader, which closes every connection it holds. The
-//! reader and every handler are scoped threads of the one accept thread,
-//! so joining that one thread is joining them all: after `shutdown`
-//! returns, no handler is running and no response will be written.
-//! Failure-injection tests rely on this to stop a peer node and know it
-//! is really gone.
+//! reader is a scoped thread of the one accept thread, so joining that
+//! one thread is joining both: after `shutdown` returns, no call is
+//! running and no response will be written. Failure-injection tests rely
+//! on this to stop a peer node and know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
-use crate::service::{Service, Status, StatusCode};
+use crate::service::Service;
 use ipc::{Conn, Frame, Listener, StopHandle};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Weak};
-use std::thread::{Builder, JoinHandle, Scope};
+use std::sync::{Arc, Weak};
+use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
 /// How many recent call ids a connection remembers for duplicate
@@ -148,112 +139,34 @@ fn report(queue: &Weak<ReadyQueue>, report: Report) -> Result<(), Report> {
     Ok(())
 }
 
-/// The reader's state for one open connection. The connection is shared
-/// with the handlers that answer its calls, and may outlive its entry.
+/// The reader's state for one open connection, which it alone owns.
 struct Served {
-    conn: Arc<Mutex<Box<dyn Conn>>>,
+    conn: Box<dyn Conn>,
     seen: SeenCalls,
 }
 
-/// A decoded request and the connection its answer goes to.
-type Job = (Request, Arc<Mutex<Box<dyn Conn>>>);
-
-/// What one server runs calls with: new threads, and at most one parked
-/// handler between calls.
-struct Handlers<'a> {
-    parked: Mutex<Parked>,
-    service: &'a dyn Service,
-    metrics: &'a ServerMetrics,
+thread_local! {
+    /// Whether this thread is running [`Service::call`] for a server.
+    static SERVING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The slot for the server's one parked handler.
-#[derive(Default)]
-enum Parked {
-    /// Every handler is busy (or there is none).
-    #[default]
-    None,
-    /// The inbox of the one handler waiting for a call.
-    One(mpsc::Sender<Job>),
-    /// The server is stopping: no handler parks any more.
-    Stopped,
+/// Whether the current thread is running a server's [`Service::call`].
+/// A service that must never call out while it serves can assert that
+/// the code which calls out is not reached from here: such a call would
+/// wait on a reader, maybe its own, that reads nothing meanwhile.
+pub fn serving() -> bool {
+    SERVING.with(Cell::get)
 }
 
-impl Handlers<'_> {
-    /// Run one call and frame its response.
-    fn answer(&self, request: Request) -> Frame {
-        let result = self.service.call(request.method, request.body);
-        if result.is_err() {
-            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        let response = Response {
-            call_id: request.call_id,
-            result,
-        };
-        response.to_frame()
-    }
-
-    /// Run `job` on the parked handler, or on a new thread if none is
-    /// parked — never behind a busy handler, whose own call may be
-    /// waiting for this very job (a nested call back to this server).
-    fn submit<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, job: Job) {
-        let free = match &mut *self.parked.lock() {
-            parked @ Parked::One(_) => std::mem::take(parked),
-            _ => Parked::None,
-        };
-        let job = match free {
-            Parked::One(inbox) => match inbox.send(job) {
-                Ok(()) => return,
-                Err(mpsc::SendError(job)) => job,
-            },
-            _ => job,
-        };
-        let (call_id, writer) = (job.0.call_id, Arc::clone(&job.1));
-        if spawn(scope, "rpc-handler", move || self.run(job)).is_err() {
-            // No thread to run the call on: answer it the way an
-            // overloaded server does, so its caller may retry.
-            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            let response = Response {
-                call_id,
-                result: Err(Status::new(
-                    StatusCode::Unavailable,
-                    "no thread to run the call",
-                )),
-            };
-            let _ = writer.lock().send(&response.to_frame());
-        }
-    }
-
-    /// A handler's life: run a job, then park for the next one — or exit,
-    /// if another handler is parked already or the server is stopping.
-    fn run(&self, mut job: Job) {
-        loop {
-            let (request, writer) = job;
-            let response = self.answer(request);
-            // Park before answering: the request this answer lets the
-            // caller send must find this handler, not spawn another.
-            let inbox = match &mut *self.parked.lock() {
-                parked @ Parked::None => {
-                    let (sender, inbox) = mpsc::channel();
-                    *parked = Parked::One(sender);
-                    Some(inbox)
-                }
-                _ => None,
-            };
-            let _ = writer.lock().send(&response);
-            drop(writer);
-            // The next job, or a closed inbox once `stop` dropped its sender.
-            match inbox.map(|inbox| inbox.recv()) {
-                Some(Ok(next)) => job = next,
-                _ => return,
-            }
-        }
-    }
-
-    /// Wake the parked handler to exit, and let no handler park again. A
-    /// job sent to it first still runs: `recv` delivers it before the
-    /// closed inbox.
-    fn stop(&self) {
-        *self.parked.lock() = Parked::Stopped;
+/// Run one call on this thread, marked as serving while it runs. (A call
+/// that panics ends the reader, and the mark with it.)
+fn answer(service: &dyn Service, request: Request) -> Response {
+    SERVING.with(|serving| serving.set(true));
+    let result = service.call(request.method, request.body);
+    SERVING.with(|serving| serving.set(false));
+    Response {
+        call_id: request.call_id,
+        result,
     }
 }
 
@@ -287,9 +200,9 @@ impl ServerHandle {
 
     /// Stop the server and wait until it is fully quiescent: the accept
     /// loop has exited, every accepted connection is closed, and the
-    /// reader and every handler have returned. A call in flight either
-    /// delivered its response before the close or fails at the client
-    /// with a transport error; clients see dead connections from then on.
+    /// reader has returned. A call in flight either delivered its
+    /// response before the close or fails at the client with a transport
+    /// error; clients see dead connections from then on.
     pub fn shutdown(&mut self) {
         self.stop.stop();
         if let Some(t) = self.accept_thread.take() {
@@ -317,22 +230,16 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
         .spawn({
             let (metrics, open) = (Arc::clone(&metrics), Arc::clone(&open));
             move || {
-                let handlers = Handlers {
-                    parked: Mutex::default(),
-                    service: &*service,
-                    metrics: &metrics,
-                };
                 std::thread::scope(|scope| {
                     let ready = Arc::new(ReadyQueue::default());
                     let queue = Arc::downgrade(&ready);
-                    let reader = {
-                        let (handlers, open) = (&handlers, &*open);
-                        move || read(&ready, scope, handlers, open)
-                    };
+                    let (service, reader_metrics, open) = (&*service, &*metrics, &*open);
                     // A reader that could not start, or that a panicking
                     // call ended, has dropped the queue: every connection
                     // below is then refused.
-                    let _ = spawn(scope, "rpc-serve", reader);
+                    let _ = Builder::new()
+                        .name("rpc-serve".to_string())
+                        .spawn_scoped(scope, move || read(&ready, service, reader_metrics, open));
                     // Any `accept` error ends the server; a stop is the
                     // `Interrupted` one.
                     while let Ok(conn) = listener.accept() {
@@ -344,10 +251,8 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
                         }
                     }
                     // The reader closes every connection it holds and
-                    // returns; stopping the handlers wakes every parked
-                    // one. The scope joins them all.
+                    // returns; the scope joins it.
                     let _ = report(&queue, Report::Stop);
-                    handlers.stop();
                 })
             }
         })
@@ -361,41 +266,15 @@ pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> Serv
     }
 }
 
-/// Start one of the server's threads. A spawn the system refuses (out of
-/// threads or memory mappings) is an error its caller answers: a panic
-/// here would end the accept loop, and its scope would then wait for
-/// ever on the handlers it still runs.
-fn spawn<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    name: &str,
-    body: impl FnOnce() + Send + 'scope,
-) -> io::Result<()> {
-    #[cfg(test)]
-    if REFUSE_NEXT_SPAWN.with(|refuse| refuse.replace(false)) {
-        return Err(io::ErrorKind::WouldBlock.into());
-    }
-    Builder::new()
-        .name(name.to_string())
-        .spawn_scoped(scope, body)
-        .map(drop)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Whether the current thread's next spawn fails, as it does when the
-    /// system is out of threads.
-    static REFUSE_NEXT_SPAWN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 /// The reader: take each report in turn. An accepted connection is
 /// registered to report here; a ready one gives up one frame, which
 /// [`serve_frame`] serves; an ended one is closed and forgotten, so a
 /// later report of its finds nothing. On the stop, close every connection
 /// still open and return.
-fn read<'scope>(
+fn read(
     ready: &Arc<ReadyQueue>,
-    scope: &'scope Scope<'scope, '_>,
-    handlers: &'scope Handlers,
+    service: &dyn Service,
+    metrics: &ServerMetrics,
     open: &AtomicUsize,
 ) {
     let mut served = HashMap::new();
@@ -414,14 +293,13 @@ fn read<'scope>(
                     let _ = report(&queue, Report::Ready(key));
                 }));
                 if reporting.is_ok() {
-                    let conn = Arc::new(Mutex::new(conn));
                     let seen = SeenCalls::new();
                     served.insert(key, Served { conn, seen });
                 } else {
                     // A connection that cannot report cannot be served:
                     // refuse it, not the server. Its client fails every
                     // call on it at once and redials.
-                    handlers.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    metrics.errors.fetch_add(1, Ordering::Relaxed);
                     conn.close();
                 }
                 open.store(served.len(), Ordering::Relaxed);
@@ -433,30 +311,28 @@ fn read<'scope>(
             continue;
         };
         // A report stands for a frame or for the connection's end.
-        let frame = entry.conn.lock().recv_until(Some(passed));
-        if !frame.is_ok_and(|frame| serve_frame(frame, entry, scope, handlers)) {
-            entry.conn.lock().close();
+        let frame = entry.conn.recv_until(Some(passed));
+        if !frame.is_ok_and(|frame| serve_frame(frame, entry, service, metrics)) {
+            entry.conn.close();
             served.remove(&key);
             open.store(served.len(), Ordering::Relaxed);
         }
     }
     for entry in served.values() {
-        entry.conn.lock().close();
+        entry.conn.close();
     }
     open.store(0, Ordering::Relaxed);
 }
 
 /// Serve one frame of `entry`'s connection: decode the request, drop a
-/// duplicate, and run the call — here, if it cannot wait on another call,
-/// else on one of `handlers`, so that a call blocked on another call never
-/// holds up the next request. False if the connection must end.
-fn serve_frame<'scope>(
+/// duplicate, run the call and write its response. False if the
+/// connection must end.
+fn serve_frame(
     frame: Frame,
     entry: &mut Served,
-    scope: &'scope Scope<'scope, '_>,
-    handlers: &'scope Handlers,
+    service: &dyn Service,
+    metrics: &ServerMetrics,
 ) -> bool {
-    let metrics = handlers.metrics;
     let request = match frame.msg_type {
         FRAME_REQUEST => Request::from_frame(&frame).ok(),
         _ => None,
@@ -477,12 +353,11 @@ fn serve_frame<'scope>(
         return true;
     }
     metrics.calls.fetch_add(1, Ordering::Relaxed);
-    if handlers.service.may_wait(request.method) {
-        handlers.submit(scope, (request, Arc::clone(&entry.conn)));
-    } else {
-        let response = handlers.answer(request);
-        let _ = entry.conn.lock().send(&response);
+    let response = answer(service, request);
+    if response.result.is_err() {
+        metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
+    let _ = entry.conn.send(&response.to_frame());
     true
 }
 
@@ -494,92 +369,36 @@ mod tests {
     use bytes::Bytes;
     use ipc::{Direction, FaultAction, FaultConn, FaultPolicy, Frame, InprocHub};
     use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
     use std::time::Duration;
 
-    #[test]
-    fn a_waiting_handler_never_stalls_its_connection() {
-        // Call 1 blocks until call 2, sent after it on the same
-        // connection, releases it: call 2 must not wait for a handler
-        // that call 1 holds. The warm-up call leaves one parked handler,
-        // so call 1 takes it and call 2 finds none free.
-        let (release, released) = mpsc::channel::<()>();
-        let released = Mutex::new(released);
-        let service = Arc::new(move |method: MethodId, body: Bytes| match method {
-            1 => released
-                .lock()
-                .recv()
-                .map(|()| body)
-                .map_err(|_| Status::internal("releaser gone")),
-            2 => release
-                .send(())
-                .map(|()| body)
-                .map_err(|_| Status::internal("waiter gone")),
-            _ => Ok(body),
-        });
-        let hub = InprocHub::new();
-        let _srv = serve(Box::new(hub.bind("hol").unwrap()), service);
-        let client = RpcClient::new(Box::new(hub.connect("hol").unwrap()));
-        client.call(3, Bytes::new()).unwrap();
+    /// Whether each call ran marked as serving, and on which thread.
+    #[derive(Default)]
+    struct Marks(Mutex<Vec<(bool, String)>>);
 
-        let waiter = client.call_async(1, &[b"a".as_slice()]).unwrap();
-        let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
-        assert_eq!(&releaser[..], b"b");
-        assert_eq!(&waiter.wait().unwrap()[..], b"a");
-    }
-
-    /// Method 1 may wait: it blocks until a method 2 releases it. Method
-    /// 2 cannot, so it runs on the reader. Each records the name of the
-    /// thread it ran on.
-    struct Gate {
-        release: mpsc::Sender<()>,
-        released: Mutex<mpsc::Receiver<()>>,
-        ran_on: Mutex<Vec<(MethodId, String)>>,
-    }
-
-    impl Service for Gate {
-        fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
+    impl Service for Marks {
+        fn call(&self, _method: MethodId, body: Bytes) -> Result<Bytes, Status> {
             let thread = std::thread::current().name().unwrap_or("").to_string();
-            self.ran_on.lock().push((method, thread));
-            let partner = match method {
-                1 => self.released.lock().recv().is_ok(),
-                _ => self.release.send(()).is_ok(),
-            };
-            partner
-                .then_some(body)
-                .ok_or_else(|| Status::internal("gate partner gone"))
-        }
-
-        fn may_wait(&self, method: MethodId) -> bool {
-            method == 1
+            self.0.lock().push((serving(), thread));
+            Ok(body)
         }
     }
 
     #[test]
-    fn a_call_that_may_wait_never_holds_up_its_connection() {
-        // Call 1 goes to a handler and blocks until call 2, sent after it
-        // on the same connection, releases it. Call 2 runs on the reader,
-        // so the reader must not be the thread call 1 holds.
-        let (release, released) = mpsc::channel();
-        let gate = Arc::new(Gate {
-            release,
-            released: Mutex::new(released),
-            ran_on: Mutex::default(),
-        });
+    fn every_call_runs_on_the_reader_marked_as_serving() {
+        let marks = Arc::new(Marks::default());
         let hub = InprocHub::new();
-        let _srv = serve(Box::new(hub.bind("gate").unwrap()), gate.clone());
-        let client = RpcClient::new(Box::new(hub.connect("gate").unwrap()));
-
-        let waiter = client.call_async(1, &[b"a".as_slice()]).unwrap();
-        let releaser = client.call(2, Bytes::from_static(b"b")).unwrap();
-        assert_eq!(&releaser[..], b"b");
-        assert_eq!(&waiter.wait().unwrap()[..], b"a");
-        let mut ran_on = gate.ran_on.lock().clone();
-        ran_on.sort();
+        let _srv = serve(Box::new(hub.bind("marks").unwrap()), marks.clone());
+        let client = RpcClient::new(Box::new(hub.connect("marks").unwrap()));
+        for body in [b"a", b"b"] {
+            assert_eq!(&client.call(1, Bytes::from_static(body)).unwrap()[..], body);
+        }
+        let ran = marks.0.lock().clone();
         assert_eq!(
-            ran_on,
-            [(1, "rpc-handler".into()), (2, "rpc-serve".into())],
-            "call 1 on a handler, call 2 on the reader"
+            ran,
+            [(true, "rpc-serve".into()), (true, "rpc-serve".into())]
         );
+        assert!(!serving(), "a caller's thread is not marked");
     }
 
     /// Corrupts the first request frame it is shown, then delivers.
@@ -656,37 +475,6 @@ mod tests {
         assert_eq!(srv.tracked_connections(), 2);
     }
 
-    #[test]
-    fn a_call_no_handler_can_be_started_for_is_answered_unavailable() {
-        // Method 1 runs on the reader and has it refuse its next spawn;
-        // method 2 may wait, so it needs a handler.
-        struct RefuseNextHandler;
-        impl Service for RefuseNextHandler {
-            fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
-                if method == 1 {
-                    REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
-                }
-                Ok(body)
-            }
-            fn may_wait(&self, method: MethodId) -> bool {
-                method == 2
-            }
-        }
-        let hub = InprocHub::new();
-        let srv = serve(
-            Box::new(hub.bind("nohandler").unwrap()),
-            Arc::new(RefuseNextHandler),
-        );
-        let client = Arc::new(RpcClient::new(Box::new(hub.connect("nohandler").unwrap())));
-        client.call(1, Bytes::new()).unwrap();
-        let err = bounded_call(&client, 2, b"refused").unwrap_err();
-        let unavailable = matches!(&err, RpcError::Status(s) if s.code == StatusCode::Unavailable);
-        assert!(unavailable, "got {err}");
-        assert!(err.is_retryable());
-        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 1);
-        assert_eq!(&bounded_call(&client, 2, b"served").unwrap()[..], b"served");
-    }
-
     /// How long a test waits for an answer before it fails: these calls
     /// set no deadline of their own, and a stranded one would hang.
     const BOUND: Duration = Duration::from_secs(10);
@@ -700,10 +488,6 @@ mod tests {
             self.0.lock().push(body.clone());
             Ok(body)
         }
-
-        fn may_wait(&self, _method: MethodId) -> bool {
-            false
-        }
     }
 
     /// A leaf that panics on method 1 and echoes any other.
@@ -713,10 +497,6 @@ mod tests {
         fn call(&self, method: MethodId, body: Bytes) -> Result<Bytes, Status> {
             assert_ne!(method, 1, "a leaf that panics");
             Ok(body)
-        }
-
-        fn may_wait(&self, _method: MethodId) -> bool {
-            false
         }
     }
 

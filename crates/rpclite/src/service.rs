@@ -112,24 +112,14 @@ impl fmt::Display for Status {
 impl std::error::Error for Status {}
 
 /// A unary-call service: decode the request, do the work, encode the reply.
-/// A call that may wait on another call runs on a handler thread that runs
-/// no other call meanwhile (a parked one if the server has one, a new one
-/// if not), so calls from one connection may execute concurrently (the
-/// server writes responses back in completion order, keyed by correlation
-/// id). Any other call runs on the server's reader, which read it.
+/// Every call runs on the server's one reader, which reads nothing else
+/// meanwhile, on any connection: a call answers from the service's own
+/// state and never waits on another call — to any server, this one
+/// included — or neither would finish ([`crate::server::serving`] tells
+/// a service's code whether it is serving one).
 pub trait Service: Send + Sync {
     /// Handle one unary call.
     fn call(&self, method: MethodId, request: Bytes) -> Result<Bytes, Status>;
-
-    /// Whether a call of `_method` may wait on another call — to any
-    /// server, this one included — before it answers. One that may not
-    /// runs on the server's one reader, which reads nothing else
-    /// meanwhile, on any connection: the call saves the hand-off to a
-    /// handler, but if it did wait on a call that needs this reader,
-    /// neither would finish. So the default is that it may.
-    fn may_wait(&self, _method: MethodId) -> bool {
-        true
-    }
 }
 
 /// Blanket impl so closures can serve as services in tests.

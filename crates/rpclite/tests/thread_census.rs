@@ -1,8 +1,8 @@
-//! One reader serves every connection of a server: a call that cannot
-//! wait runs on it whichever connection sent it, the server has as many
-//! threads with eight connections as with one, a caller waiting for its
-//! response reads it itself, and an idle server thread stays parked until
-//! something wakes it. One test in its own binary, so every thread this
+//! One reader serves every connection of a server: every call runs on it
+//! whichever connection sent it, the server has as many threads with
+//! eight connections as with one, a caller waiting for its response reads
+//! it itself, and an idle server thread stays parked until something
+//! wakes it. One test in its own binary, so every thread this
 //! process has is this test's, its clients' or its server's.
 
 use bytes::Bytes;
@@ -60,7 +60,7 @@ fn server_switches() -> BTreeMap<PathBuf, (bool, u64, u64)> {
         .collect()
 }
 
-/// An echo whose every method is a leaf; it notes each thread it ran on.
+/// An echo; it notes each thread it ran on.
 #[derive(Default)]
 struct Leaf {
     ran_on: Mutex<HashSet<(ThreadId, String)>>,
@@ -72,10 +72,6 @@ impl Service for Leaf {
         let name = thread.name().unwrap_or_default().to_string();
         self.ran_on.lock().insert((thread.id(), name));
         Ok(body)
-    }
-
-    fn may_wait(&self, _method: MethodId) -> bool {
-        false
     }
 }
 
@@ -111,10 +107,15 @@ fn calls_of_eight_connections_run_on_one_reader_and_no_client_has_a_reader() {
     assert_eq!(ran_on.len(), 1, "threads that ran 8000 calls");
     let (_, name) = ran_on.iter().next().unwrap();
     assert_eq!(name, "rpc-serve");
-    let names = thread_names();
-    for absent in ["rpc-handler", "rpc-reader"] {
-        assert!(!names.iter().any(|n| n == absent), "{absent} in {names:?}");
-    }
+    // After the burst the server is its accept thread and one reader,
+    // and no thread of this process reads for a client.
+    let mut names: Vec<_> = server_threads().into_iter().map(|(_, n)| n).collect();
+    names.sort();
+    assert_eq!(names.len(), 2, "{names:?}");
+    assert!(names[0].starts_with("rpc-accept"), "{names:?}");
+    assert_eq!(names[1], "rpc-serve", "{names:?}");
+    let reading = thread_names().into_iter().filter(|n| n.contains("reader"));
+    assert_eq!(reading.count(), 0, "{:?}", thread_names());
 
     // Idle, the reader and the accept thread stay parked: no switch in
     // 750 ms, where a poll of every 250–500 ms would wake them at least

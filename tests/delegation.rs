@@ -12,7 +12,7 @@
 use disagg::delegation::{
     owner_verdict, Claim, Delegation, Ledger, OwnerView, Settlement, Verdict,
 };
-use disagg::proto::{method, BoolResp, CallHeader, IdReq, Message, ReplyHeader};
+use disagg::proto::{method, BoolResp, CallHeader, Message, ReplyHeader, RetireReq};
 use disagg::{Cluster, ClusterConfig, Kind, NodeId, Phase, Side};
 use plasma::ObjectId;
 use proptest::prelude::*;
@@ -585,8 +585,9 @@ fn closing_entries_are_neither_claimed_nor_live() {
 
 /// `INVALIDATE` is the one way a delegated copy dies, and it obeys only
 /// the owner the copy is recorded under — for a lease as for a replica.
-/// Asked by any other node it answers `false` and retires nothing; asked
-/// by the owner, the copy and its entry go.
+/// Naming any other node it answers `false` and retires nothing; naming
+/// the owner, the copy and its entry go, whoever sends it (here a third
+/// node, as a delete's requester may be).
 #[test]
 fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
@@ -607,12 +608,12 @@ fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
     assert_eq!(held(), both);
 
     let service = holder.interconnect_service();
-    let invalidate = |from: NodeId, id: ObjectId| {
+    let invalidate = |owner: NodeId, id: ObjectId| {
         let header = CallHeader {
-            from,
+            from: cluster.node_id(2),
             epoch: holder.ring_epoch(),
         };
-        let request = header.frame(&IdReq { id }.encode());
+        let request = header.frame(&RetireReq { id, owner }.encode());
         let answer = service.call(method::INVALIDATE, request).unwrap();
         let (_, body) = ReplyHeader::unframe(answer).unwrap();
         BoolResp::decode(body).unwrap().value

@@ -5,7 +5,7 @@
 //! fallback.
 
 use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, Message, ReplyHeader};
-use disagg::{Cluster, ClusterConfig, Membership};
+use disagg::{Cluster, ClusterConfig, Membership, Ring};
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
 
@@ -409,6 +409,45 @@ fn wrong_owner_re_routes_a_payload_carrying_create() {
     assert_eq!((answered(1).successes, answered(2).successes), (1, 2));
     for node in 0..3 {
         assert_eq!(cluster.store(node).delegations(), vec![], "node {node}");
+    }
+}
+
+/// The twin with the tables the other way round: the requester is ahead
+/// and the owner it routes to is stale. The stale owner answers
+/// `WrongOwner` from its own table, without a call of its own; its
+/// reply's header shows the older epoch, the requester pushes its table
+/// in exactly one `MEMBERSHIP`, and the create's second attempt lands.
+#[test]
+fn a_create_at_to_a_stale_owner_succeeds_after_one_membership_push() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    // Epoch 2 drains node 2; an id epoch 1 gives to node 2 and epoch 2
+    // to node 1.
+    let survivors = vec![cluster.node_id(0), cluster.node_id(1)];
+    let shrunk = Ring::new(Membership::new(2, survivors.clone()));
+    let id = (0..)
+        .map(|k| ObjectId::from_name(&cluster.owned_id(2, &format!("inline/pushed/{k}"))))
+        .find(|id| shrunk.owner_of(*id) == Some(cluster.node_id(1)))
+        .unwrap();
+    // Installed on node 0 only.
+    assert!(cluster
+        .store(0)
+        .set_membership(Membership::new(2, survivors.clone())));
+    cluster.client(0).unwrap().put(id, &[6; 4096], &[]).unwrap();
+
+    assert_eq!(cluster.store(1).ring_epoch(), 2, "the push installed it");
+    assert_eq!(
+        cluster.store(1).membership(),
+        Some(Membership::new(2, survivors))
+    );
+    assert_eq!(cluster.store(2).ring_epoch(), 1, "nobody told node 2");
+    assert!(cluster.store(1).core().contains(id), "landed on the owner");
+    let bill = rpc_bill(&cluster, 0);
+    let calls = |name: &str| bill.iter().find(|(n, _)| n == name).map_or(0, |(_, c)| *c);
+    assert_eq!(calls("rpc.client.create_at.latency_ns"), 2);
+    assert_eq!(calls("rpc.client.membership.latency_ns"), 1);
+    // The stale owner sent nothing: only node 0 called anyone.
+    for node in [1, 2] {
+        assert_eq!(rpc_bill(&cluster, node), vec![], "node {node}");
     }
 }
 

@@ -6,8 +6,14 @@
 //! always served from its holder — never from a stale replica left by an
 //! earlier incarnation.
 
+use disagg::proto::{
+    method, BoolResp, CallHeader, DeleteReq, DeleteResp, Message, ReplyHeader, RetireReq,
+};
 use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, Side};
+use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const GET_TIMEOUT: Duration = Duration::from_secs(1);
@@ -165,6 +171,270 @@ fn crossing_deletes_of_each_others_replicated_objects_both_succeed() {
             assert_eq!(replica_counts(cluster.store(node)), (0, 0));
         }
     }
+}
+
+/// `f`'s result, or a failure if it takes longer than `secs`: a delete
+/// that waits on a reader busy with a delete of its own would otherwise
+/// hang the test instead of failing it.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    let outcome = outcome.recv_timeout(Duration::from_secs(secs));
+    outcome.unwrap_or_else(|_| panic!("{what} hung for {secs} s"))
+}
+
+/// A cluster of two whose calls wait for ever: a delete that deadlocks
+/// hangs rather than failing at a deadline, and the watchdog names it.
+fn two_nodes_without_deadline() -> Cluster {
+    let mut config = ClusterConfig::functional(2, 4 << 20);
+    config.interconnect.call_deadline = None;
+    Cluster::launch(config).unwrap()
+}
+
+/// Put one object owned by each of the two nodes and hand a copy of it
+/// to the other node, as `kinds[owner]` says; return the two ids.
+fn delegated_pair(cluster: &Cluster, round: usize, kinds: [Kind; 2]) -> [ObjectId; 2] {
+    [0, 1].map(|owner| {
+        let name = cluster.owned_id(owner, &format!("rep/pair/{round}"));
+        let id = ObjectId::from_name(&name);
+        let client = cluster.client(owner).unwrap();
+        client.put(id, &[7; 64], &[]).unwrap();
+        let (store, other) = (cluster.store(owner), cluster.node_id(1 - owner));
+        let handed = match kinds[owner] {
+            Kind::Lease => store.spill_to(id, other),
+            _ => store.replicate_to(id, other),
+        };
+        assert!(handed.unwrap(), "round {round}: node {owner} kept its copy");
+        id
+    })
+}
+
+/// Each node deletes, at the same moment, the object the other owns and
+/// it holds a copy of. Every outcome must be `Ok`, and no copy or row
+/// may survive.
+fn crossing_deletes(cluster: &Arc<Cluster>, ids: [ObjectId; 2]) {
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let deleters: Vec<_> = [0, 1]
+        .map(|node| {
+            let (cluster, barrier, id) = (cluster.clone(), barrier.clone(), ids[1 - node]);
+            std::thread::spawn(move || {
+                barrier.wait();
+                cluster.store(node).delete(id)
+            })
+        })
+        .into_iter()
+        .collect();
+    for (node, deleter) in deleters.into_iter().enumerate() {
+        let outcome = deleter.join().unwrap();
+        assert!(outcome.is_ok(), "node {node}: {outcome:?}");
+    }
+    for (node, id) in (0..2).flat_map(|node| ids.map(|id| (node, id))) {
+        assert!(!cluster.store(node).core().contains(id), "node {node}");
+    }
+}
+
+/// The lent twin of the crossing test above: each node spilled its
+/// object to the other, then each deletes the object it holds the lease
+/// of. Were the owner's half of a delete to call its holder back from
+/// the reader that read it, each node's reader would wait on the other's
+/// for ever.
+#[test]
+fn crossing_deletes_of_each_others_lent_objects_both_succeed() {
+    let cluster = Arc::new(two_nodes_without_deadline());
+    let shared = cluster.clone();
+    within(30, "crossing deletes of lent objects", move || {
+        for round in 0..20 {
+            let ids = delegated_pair(&shared, round, [Kind::Lease; 2]);
+            crossing_deletes(&shared, ids);
+        }
+    });
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A delete issued from the node that holds the copy — a replica one
+/// way, a lease the other — crossing the other node's: the holder
+/// retires its own copy without a call, and neither owner calls out.
+#[test]
+fn deletes_issued_by_a_replica_holder_and_a_lease_holder_at_once_both_succeed() {
+    let cluster = Arc::new(two_nodes_without_deadline());
+    let shared = cluster.clone();
+    within(30, "crossing deletes from the holders", move || {
+        for round in 0..20 {
+            let ids = delegated_pair(&shared, round, [Kind::Replica, Kind::Lease]);
+            crossing_deletes(&shared, ids);
+        }
+    });
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+    for node in 0..2 {
+        assert_eq!(replica_counts(cluster.store(node)), (0, 0));
+        let copies = cluster.store(node).delegations().into_iter();
+        assert_eq!(
+            copies.filter(|r| r.kind.is_copy()).count(),
+            0,
+            "node {node}"
+        );
+    }
+}
+
+/// The owner drops exactly the rows of the holders a delete names as
+/// cleared. With replicas at two holders and only one named, the answer
+/// names the other; the object and that holder's row stay until a delete
+/// that cleared it says so.
+#[test]
+fn a_delete_naming_one_cleared_holder_drops_only_that_holders_row() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let owner = cluster.store(0);
+    let id = ObjectId::from_name(&cluster.owned_id(0, "rep/confirm"));
+    cluster.client(0).unwrap().put(id, &[8; 256], &[]).unwrap();
+    let (first, second) = (cluster.node_id(1), cluster.node_id(2));
+    for holder in [first, second] {
+        assert!(owner.replicate_to(id, holder).unwrap());
+    }
+    let call = |store: &DisaggStore, method: u32, body: &[u8]| {
+        let header = CallHeader {
+            from: first,
+            epoch: store.ring_epoch(),
+        };
+        let answer = store
+            .interconnect_service()
+            .call(method, header.frame(body));
+        ReplyHeader::unframe(answer.unwrap()).unwrap().1
+    };
+    // The first holder's replica really is retired, as a requester
+    // would retire it.
+    let retire = RetireReq {
+        id,
+        owner: owner.node(),
+    }
+    .encode();
+    let retired = call(cluster.store(1), method::INVALIDATE, &retire);
+    assert!(BoolResp::decode(retired).unwrap().value);
+
+    let confirm = DeleteReq {
+        id,
+        deferred: false,
+        cleared: vec![first],
+    };
+    let answer = call(owner, method::DELETE, &confirm.encode());
+    let answer = DeleteResp::decode(answer).unwrap();
+    assert_eq!(answer, DeleteResp::Clear(vec![(second, Kind::Replica)]));
+    assert!(owner.core().contains(id), "a copy is out: the object stays");
+    assert_eq!(entries(owner, Side::Out, Kind::Replica), vec![(id, second)]);
+
+    // The delete run as a requester runs it clears the second holder too.
+    cluster.client(1).unwrap().delete(id).unwrap();
+    for node in 0..3 {
+        assert!(!cluster.store(node).core().contains(id), "node {node}");
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// Drops the `nth` frame (1-based) node 1 sends to or reads from node 0
+/// in direction `dir`, counting from when `armed` is set.
+struct DropNth {
+    dir: Direction,
+    nth: usize,
+    seen: AtomicUsize,
+    armed: AtomicBool,
+}
+
+impl DropNth {
+    fn new(dir: Direction, nth: usize) -> Arc<DropNth> {
+        Arc::new(DropNth {
+            dir,
+            nth,
+            seen: AtomicUsize::new(0),
+            armed: AtomicBool::new(false),
+        })
+    }
+}
+
+impl FaultPolicy for DropNth {
+    fn on_frame(&self, link: &str, dir: Direction, _: &ipc::Frame) -> FaultAction {
+        let counted = link == "1->0" && dir == self.dir && self.armed.load(Ordering::SeqCst);
+        if counted && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
+        }
+    }
+}
+
+/// Node 0 owns an object node 1 holds a replica of; node 1's delete of
+/// it runs on a cluster whose one fault is `policy`, armed for the
+/// delete alone. Returns the cluster, the id and the delete's outcome.
+fn delete_from_the_holder_under(
+    policy: Arc<DropNth>,
+) -> (Cluster, ObjectId, Result<(), PlasmaError>) {
+    let mut config = ClusterConfig::functional(2, 4 << 20);
+    config.fault_policy = Some(policy.clone());
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.max_attempts = 1;
+    let cluster = Cluster::launch(config).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "rep/twostep"));
+    cluster.client(0).unwrap().put(id, &[5; 128], &[]).unwrap();
+    assert!(cluster
+        .store(0)
+        .replicate_to(id, cluster.node_id(1))
+        .unwrap());
+    policy.armed.store(true, Ordering::SeqCst);
+    let outcome = cluster.store(1).delete(id);
+    policy.armed.store(false, Ordering::SeqCst);
+    (cluster, id, outcome)
+}
+
+/// The owner's answer to the confirm is lost: the delete happened, every
+/// copy with it, though its requester reports the peer unavailable.
+#[test]
+fn a_delete_whose_confirm_answer_is_lost_leaves_no_copy() {
+    // The answers node 1 reads during its delete: the owner's list of
+    // copies, then the answer to the confirm.
+    let (cluster, id, outcome) = delete_from_the_holder_under(DropNth::new(Direction::Inbound, 2));
+    let err = outcome.unwrap_err();
+    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    for node in 0..2 {
+        assert!(!cluster.store(node).core().contains(id), "node {node}");
+        assert_eq!(replica_counts(cluster.store(node)), (0, 0));
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// The requester retires the copies and is never heard from again — its
+/// confirm does not arrive. The owner keeps the object and the row of the
+/// copy it was not told of; the object stays readable, reconcile trims
+/// the row, and a later delete finishes in one step.
+#[test]
+fn a_delete_whose_requester_never_confirms_leaves_the_object_whole() {
+    let (cluster, id, outcome) = delete_from_the_holder_under(DropNth::new(Direction::Outbound, 2));
+    let err = outcome.unwrap_err();
+    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    assert!(
+        cluster.store(0).core().contains(id),
+        "the owner's copy stays"
+    );
+    assert!(!cluster.store(1).core().contains(id), "the replica went");
+    assert_eq!(replica_counts(cluster.store(0)), (1, 0));
+    assert_eq!(replica_counts(cluster.store(1)), (0, 0));
+
+    // Past the failed call's probe window, the object reads whole from
+    // node 1 through its owner.
+    cluster.clock().charge(Duration::from_secs(10));
+    let reader = cluster.client(1).unwrap();
+    let buf = reader.get_one(id, GET_TIMEOUT).unwrap();
+    assert_eq!(buf.read_all().unwrap(), vec![5; 128]);
+    reader.release(id).unwrap();
+
+    for node in 0..2 {
+        let report = cluster.store(node).reconcile();
+        assert!(report.unreachable.is_empty(), "node {node}: {report:?}");
+    }
+    assert_eq!(replica_counts(cluster.store(0)), (0, 0));
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+    cluster.client(1).unwrap().delete(id).unwrap();
+    assert!(!cluster.store(0).core().contains(id));
+    assert_eq!(cluster.audit(), Vec::<String>::new());
 }
 
 /// An unreachable replica holder fails the delete — with the object
