@@ -265,9 +265,9 @@ impl Cluster {
     }
 
     /// Stop node `i`'s interconnect RPC server, simulating a crashed
-    /// peer store. Returns once the server is fully quiescent (accept
-    /// loop, reader and every handler joined); peers observe dead
-    /// connections on their next call. The node's local Plasma endpoint
+    /// peer store. Returns once the server is fully quiescent (its name
+    /// `rpc-{i}` unbound, its connections closed and its reader joined);
+    /// peers observe dead connections on their next call. The node's local Plasma endpoint
     /// and its fabric memory stay up — only the interconnect is gone.
     pub fn stop_rpc(&mut self, i: usize) {
         if let Some(mut server) = self.nodes[i].rpc_server.take() {

@@ -1,13 +1,16 @@
 //! In-process transport.
 //!
 //! A [`InprocHub`] is a namespace of endpoints; binding a name yields a
-//! listener, connecting to the name yields one end of a fresh connection
-//! and queues the other end for `accept`. A connection is two frame
-//! queues under one lock, so a simulated multi-node cluster runs in one
-//! process with no sockets, files, or nondeterministic OS buffering — and
-//! nothing in it waits on a timer of its own: a parked `recv` wakes for a
-//! frame, for the peer's last handle going away, for [`Conn::close`], or
-//! for the deadline its caller passed to [`Conn::recv_until`].
+//! listener, and connecting to the name yields one end of a fresh
+//! connection and gives the other end to the listener: queued for
+//! `accept`, or handed on the connecting thread to the handler the
+//! listener was given ([`Listener::hand_to`]), so that no thread waits in
+//! `accept`. A connection is two frame queues under one lock, so a
+//! simulated multi-node cluster runs in one process with no sockets,
+//! files, or nondeterministic OS buffering — and nothing in it waits on a
+//! timer of its own: a parked `recv` wakes for a frame, for the peer's
+//! last handle going away, for [`Conn::close`], or for the deadline its
+//! caller passed to [`Conn::recv_until`].
 //!
 //! A waker releases the pipe lock before it notifies. Notified under the
 //! lock, the woken reader preempts the sender only to block on that lock
@@ -15,24 +18,23 @@
 //! of one (`tests/wake_census.rs`), which made this pipe twice as slow as
 //! a Unix socket. No wakeup is lost by notifying late: a reader re-checks
 //! its inbox and the closed flag under the lock before every wait. The
-//! pipe's lock and condvars are the vendored `parking_lot`'s, whose
-//! condvar counts its sleepers: a notify while the reader is busy, not
-//! parked, costs no system call. The listener's accept queue is a `std`
-//! `mpsc` channel, which wakes only a receiver that sleeps.
+//! pipe's and the listener's locks and condvars are the vendored
+//! `parking_lot`'s, whose condvar counts its sleepers: a notify while the
+//! reader is busy, not parked, costs no system call.
 //!
 //! An end that reports ([`Conn::report_to`]) has its report called after
 //! each frame is queued for it and when the connection ends, also after
 //! the lock is released. Which frames and which end a report stands for
 //! is decided under the lock, so each is reported exactly once, whether it
-//! came before the report was set or after.
+//! came before the report was set or after. A listener's hand-over is
+//! decided the same way.
 
 use crate::frame::Frame;
-use crate::transport::{deadline_passed, Conn, Listener, StopHandle};
+use crate::transport::{deadline_passed, Conn, Handler, Listener};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -204,7 +206,29 @@ impl Drop for InprocConn {
     }
 }
 
-type Registry = Arc<Mutex<HashMap<String, SyncSender<InprocConn>>>>;
+/// What a bound name's listener and its connectors share.
+#[derive(Default)]
+struct Endpoint {
+    backlog: Mutex<Backlog>,
+    /// Signalled when a connection is queued for `accept`.
+    acceptable: Condvar,
+}
+
+#[derive(Default)]
+struct Backlog {
+    /// Server ends not yet accepted, oldest first.
+    queued: VecDeque<InprocConn>,
+    /// Where every connection goes instead, once [`Listener::hand_to`]
+    /// has set it.
+    handler: Option<SharedHandler>,
+    /// Set when the listener drops: every later connect is refused.
+    unbound: bool,
+}
+
+type Registry = Arc<Mutex<HashMap<String, Arc<Endpoint>>>>;
+
+/// A [`Handler`] each connector can call without the listener's lock.
+type SharedHandler = Arc<dyn Fn(Box<dyn Conn>) + Send + Sync>;
 
 /// A namespace of in-process endpoints. Clones share the namespace.
 #[derive(Clone, Default)]
@@ -219,7 +243,6 @@ impl InprocHub {
 
     /// Bind `name`, yielding a listener. Fails if already bound.
     pub fn bind(&self, name: &str) -> io::Result<InprocListener> {
-        let (tx, rx) = sync_channel(64);
         let mut reg = self.registry.lock();
         if reg.contains_key(name) {
             return Err(io::Error::new(
@@ -227,68 +250,89 @@ impl InprocHub {
                 format!("inproc endpoint '{name}' already bound"),
             ));
         }
-        reg.insert(name.to_string(), tx);
-        // Stopping unbinds the name: dropping the registry's `Sender`
-        // disconnects the channel, which wakes a parked `accept`.
-        let registry = Arc::clone(&self.registry);
-        let bound = name.to_string();
+        let endpoint = Arc::new(Endpoint::default());
+        reg.insert(name.to_string(), Arc::clone(&endpoint));
         Ok(InprocListener {
             name: name.to_string(),
-            rx,
-            stop: StopHandle::with_wake(move || {
-                registry.lock().remove(&bound);
-            }),
+            endpoint,
+            registry: Arc::clone(&self.registry),
         })
     }
 
-    /// Connect to a bound endpoint.
+    /// Connect to a bound endpoint. The server end is queued for `accept`
+    /// or, if the listener hands its connections over, handed to its
+    /// handler on this thread before this returns.
     pub fn connect(&self, name: &str) -> io::Result<InprocConn> {
-        let tx = {
-            let reg = self.registry.lock();
-            reg.get(name).cloned().ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("inproc endpoint '{name}' not bound"),
-                )
-            })?
-        };
-        let (client, server) = InprocConn::pair("client", name);
-        tx.send(server).map_err(|_| {
+        let refused = |why: &str| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
-                format!("inproc endpoint '{name}' no longer accepting"),
+                format!("inproc endpoint '{name}' {why}"),
             )
-        })?;
+        };
+        let endpoint = self.registry.lock().get(name).cloned();
+        let endpoint = endpoint.ok_or_else(|| refused("not bound"))?;
+        let (client, server) = InprocConn::pair("client", name);
+        let mut backlog = endpoint.backlog.lock();
+        if backlog.unbound {
+            return Err(refused("no longer bound"));
+        }
+        match backlog.handler.clone() {
+            Some(handler) => {
+                drop(backlog);
+                handler(Box::new(server));
+            }
+            None => {
+                backlog.queued.push_back(server);
+                drop(backlog);
+                endpoint.acceptable.notify_one();
+            }
+        }
         Ok(client)
     }
 }
 
 /// Listener half of an in-process endpoint. Unbinds its name when
-/// stopped or dropped, whichever comes first.
-#[derive(Debug)]
+/// dropped.
 pub struct InprocListener {
     name: String,
-    rx: Receiver<InprocConn>,
-    stop: StopHandle,
+    endpoint: Arc<Endpoint>,
+    registry: Registry,
+}
+
+impl fmt::Debug for InprocListener {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InprocListener")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Listener for InprocListener {
     fn accept(&mut self) -> io::Result<Box<dyn Conn>> {
-        // Only a stop drops the registry's `Sender`, so a disconnected
-        // channel and a set flag are the same event.
-        if !self.stop.is_stopped() {
-            if let Ok(conn) = self.rx.recv() {
+        let mut backlog = self.endpoint.backlog.lock();
+        if backlog.handler.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "this listener hands its connections to a handler",
+            ));
+        }
+        loop {
+            if let Some(conn) = backlog.queued.pop_front() {
                 return Ok(Box::new(conn));
             }
+            self.endpoint.acceptable.wait(&mut backlog);
         }
-        Err(io::Error::new(
-            io::ErrorKind::Interrupted,
-            "listener stopped",
-        ))
     }
 
-    fn stop_handle(&self) -> StopHandle {
-        self.stop.clone()
+    fn hand_to(&mut self, handler: Handler) {
+        let handler: SharedHandler = Arc::from(handler);
+        let mut backlog = self.endpoint.backlog.lock();
+        backlog.handler = Some(Arc::clone(&handler));
+        let queued = std::mem::take(&mut backlog.queued);
+        drop(backlog);
+        for conn in queued {
+            handler(Box::new(conn));
+        }
     }
 
     fn addr(&self) -> String {
@@ -298,7 +342,16 @@ impl Listener for InprocListener {
 
 impl Drop for InprocListener {
     fn drop(&mut self) {
-        self.stop.stop();
+        self.registry.lock().remove(&self.name);
+        // A connector that found the name before it went is refused here.
+        let mut backlog = self.endpoint.backlog.lock();
+        backlog.unbound = true;
+        let never_accepted = std::mem::take(&mut backlog.queued);
+        let handler = backlog.handler.take();
+        drop(backlog);
+        // Outside the lock, like every hand-over: the clients of the
+        // connections never accepted see the hang-up.
+        drop((never_accepted, handler));
     }
 }
 
@@ -349,15 +402,64 @@ mod tests {
     }
 
     #[test]
-    fn stop_unblocks_accept() {
+    fn dropping_the_listener_refuses_connect_and_frees_its_name() {
+        let hub = InprocHub::new();
+        let listener = hub.bind("s").unwrap();
+        let mut never_accepted = hub.connect("s").unwrap();
+        drop(listener);
+        let hung_up = never_accepted.recv().unwrap_err();
+        assert_eq!(hung_up.kind(), io::ErrorKind::UnexpectedEof);
+        let refused = hub.connect("s").unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+        let mut again = hub.bind("s").unwrap();
+        let _client = hub.connect("s").unwrap();
+        again.accept().unwrap();
+    }
+
+    #[test]
+    fn each_connection_is_handed_over_exactly_once_whenever_it_is_made() {
         let hub = InprocHub::new();
         let mut listener = hub.bind("s").unwrap();
-        let stop = listener.stop_handle();
-        let t = std::thread::spawn(move || listener.accept().map(|_| ()));
-        std::thread::sleep(Duration::from_millis(30));
-        stop.stop();
-        let res = t.join().unwrap();
-        assert_eq!(res.unwrap_err().kind(), io::ErrorKind::Interrupted);
+        // Each client sends its number, so a server end says whose it is.
+        let dial = |n: u32| {
+            let mut client = hub.connect("s").unwrap();
+            client
+                .send(&Frame::new(1, n.to_le_bytes().to_vec()))
+                .unwrap();
+        };
+        (0..3).for_each(dial);
+        let handed = Arc::new(Mutex::new(Vec::new()));
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            for t in 1..=4 {
+                let (start, dial) = (&start, &dial);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..50).for_each(|k| dial(t * 100 + k));
+                });
+            }
+            start.wait();
+            let to = Arc::clone(&handed);
+            listener.hand_to(Box::new(move |conn| to.lock().push(conn)));
+        });
+        (1000..1003).for_each(dial);
+
+        let passed = Instant::now();
+        let mut numbers: Vec<u32> = handed
+            .lock()
+            .iter_mut()
+            .map(|conn| {
+                let frame = conn.recv_until(Some(passed)).unwrap();
+                u32::from_le_bytes(frame.payload[..].try_into().unwrap())
+            })
+            .collect();
+        numbers.sort_unstable();
+        let mut made: Vec<u32> = (0..3).chain(1000..1003).collect();
+        made.extend((1..=4).flat_map(|t| (0..50).map(move |k| t * 100 + k)));
+        made.sort_unstable();
+        assert_eq!(numbers, made, "each connection handed over once");
+        let left = listener.accept().map(|_| ()).unwrap_err();
+        assert_eq!(left.kind(), io::ErrorKind::Unsupported);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! # ipc — framed message transports
 //!
 //! The real Plasma store talks to its clients over Unix domain sockets.
-//! This crate provides that transport ([`uds`]) and an in-process
-//! equivalent ([`inproc`]) used to run whole simulated clusters inside one
-//! test — both speaking the same length-prefixed [`Frame`] protocol — plus
-//! the checked payload codec ([`codec`]) the higher-level protocols are
-//! written in.
+//! This crate provides an in-process transport in their place
+//! ([`inproc`]), which runs whole simulated clusters inside one test and
+//! speaks a length-prefixed [`Frame`] protocol, plus the checked payload
+//! codec ([`codec`]) the higher-level protocols are written in.
 //!
 //! ## Example
 //!
@@ -26,11 +25,9 @@ pub mod fault;
 pub mod frame;
 pub mod inproc;
 pub mod transport;
-pub mod uds;
 
 pub use codec::{CodecError, Dec, Enc};
 pub use fault::{Direction, FaultAction, FaultConn, FaultPolicy, NoFaults};
 pub use frame::{Frame, MAX_FRAME_LEN};
 pub use inproc::{InprocConn, InprocHub, InprocListener};
-pub use transport::{Conn, Listener, StopHandle};
-pub use uds::{UdsConn, UdsListener};
+pub use transport::{Conn, Handler, Listener};

@@ -1,21 +1,18 @@
 //! Transport abstraction.
 //!
 //! Plasma's client↔store IPC runs over Unix domain sockets on the real
-//! system. The simulation keeps that option ([`crate::uds`]) and adds an
+//! system; the simulation runs it, and the interconnect, over an
 //! in-process transport ([`crate::inproc`]) so a whole multi-node cluster
-//! can run deterministically inside one test. Both speak [`Frame`]s, and
-//! neither waits on a timer of its own: a parked [`Conn::recv_until`] is
-//! woken by a frame, by the peer going away, by [`Conn::close`] or by the
-//! deadline its caller passed in; a parked [`Listener::accept`] by a
-//! connection or by [`StopHandle::stop`]. An in-process connection can
-//! also report its frames instead ([`Conn::report_to`]), so that one
-//! thread serves many connections with none parked in `recv`.
+//! can run deterministically inside one test. It speaks [`Frame`]s and
+//! waits on no timer of its own: a parked [`Conn::recv_until`] is woken by
+//! a frame, by the peer going away, by [`Conn::close`] or by the deadline
+//! its caller passed in. A connection can report its frames instead
+//! ([`Conn::report_to`]), and a listener can hand its connections over as
+//! they are made ([`Listener::hand_to`]), so that one thread serves many
+//! connections with none parked in `recv` or in `accept`.
 
 use crate::frame::Frame;
-use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A bidirectional, blocking, framed connection.
@@ -54,9 +51,7 @@ pub trait Conn: Send {
     /// before any `recv`), and from then on let exactly **one** half call
     /// [`Conn::recv`] — concurrent receivers would race for frames (the
     /// in-process transport hands each frame to whichever clone asks
-    /// first, and the socket transports each buffer reads privately, so a
-    /// late clone could strand bytes already buffered by the original).
-    /// Both halves may send: frames are written atomically.
+    /// first). Both halves may send: frames are written atomically.
     fn try_clone(&self) -> io::Result<Box<dyn Conn>>;
 
     /// Call `report` once for every frame that arrives on this end —
@@ -86,56 +81,28 @@ pub(crate) fn deadline_passed() -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, "deadline passed before a frame")
 }
 
-/// A connection acceptor with cooperative shutdown.
-pub trait Listener: Send {
-    /// Accept the next connection. Blocks; returns `Interrupted` promptly
-    /// after [`StopHandle::stop`] has been requested (possibly from
-    /// another thread via the handle).
+/// Where a listener hands each connection ([`Listener::hand_to`]).
+pub type Handler = Box<dyn Fn(Box<dyn Conn>) + Send + Sync>;
+
+/// A bound address that takes connections. Dropping it unbinds the
+/// address: a later connect is refused, and a connection still queued for
+/// `accept` is hung up on.
+pub trait Listener: Send + Sync {
+    /// Accept the next connection, waiting for one. Fails with
+    /// `Unsupported` once the listener hands its connections to a handler.
     fn accept(&mut self) -> io::Result<Box<dyn Conn>>;
 
-    /// A cloneable handle that unblocks and permanently stops `accept`.
-    fn stop_handle(&self) -> StopHandle;
+    /// From now on, hand every connection to `handler` instead of
+    /// queueing it for `accept`: those already queued first, then each on
+    /// the thread that makes it, as it is made. Whether a connection is
+    /// queued or handed is decided under the listener's lock, so each goes
+    /// exactly once, to one or the other. `handler` is called after that
+    /// lock is released, and a connect returns once it has run. A later
+    /// call replaces the handler.
+    fn hand_to(&mut self, handler: Handler);
 
     /// The address clients use to connect.
     fn addr(&self) -> String;
-}
-
-/// Requests a listener to stop accepting: a flag `accept` checks, plus
-/// the listener's way of waking an `accept` already parked.
-#[derive(Clone)]
-pub struct StopHandle {
-    flag: Arc<AtomicBool>,
-    wake: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl StopHandle {
-    /// A handle whose first [`StopHandle::stop`] sets the flag, then runs
-    /// `wake`. Every listener blocks in `accept`; none polls the flag.
-    pub(crate) fn with_wake(wake: impl Fn() + Send + Sync + 'static) -> Self {
-        StopHandle {
-            flag: Arc::default(),
-            wake: Arc::new(wake),
-        }
-    }
-
-    pub fn stop(&self) {
-        // The flag is set before the wake runs, so a woken `accept` sees it.
-        if !self.flag.swap(true, Ordering::AcqRel) {
-            (self.wake)();
-        }
-    }
-
-    pub fn is_stopped(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
-impl fmt::Debug for StopHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StopHandle")
-            .field("stopped", &self.is_stopped())
-            .finish()
-    }
 }
 
 #[cfg(test)]

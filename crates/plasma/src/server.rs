@@ -1,19 +1,20 @@
 //! Plasma store IPC server.
 //!
-//! Accepts client connections on any [`ipc::Listener`] and services the
-//! [`crate::protocol`] against an [`ObjectStore`] — either a local
-//! [`crate::StoreCore`] or a distributed store. One thread per connection;
-//! a connection that sends `Subscribe` switches to streaming seal
-//! notifications.
+//! Serves the [`crate::protocol`] to the connections an [`ipc::Listener`]
+//! hands it, against an [`ObjectStore`] — either a local
+//! [`crate::StoreCore`] or a distributed store. The server has no thread
+//! of its own: each connection is served by a thread of its own, started
+//! on the thread that made the connection, because a `get` may wait for
+//! a seal and a connection that sends `Subscribe` switches to streaming
+//! seal notifications.
 
 use crate::api::ObjectStore;
 use crate::error::PlasmaError;
 use crate::protocol::{Request, Response};
-use ipc::{Conn, Listener, StopHandle};
+use ipc::{Conn, Listener};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Cap on the server-side blocking `get` wait, so a client requesting an
@@ -29,10 +30,11 @@ pub struct PlasmaServerMetrics {
     pub notifications: AtomicU64,
 }
 
-/// Handle to a running Plasma store server; stops accepting on drop.
+/// Handle to a running Plasma store server. Dropping it unbinds the
+/// store's name, so no new client connects; each connection already
+/// made is served until its client disconnects.
 pub struct PlasmaServer {
-    stop: StopHandle,
-    accept_thread: Option<JoinHandle<()>>,
+    _listener: Box<dyn Listener>,
     metrics: Arc<PlasmaServerMetrics>,
     addr: String,
 }
@@ -45,61 +47,36 @@ impl PlasmaServer {
     pub fn metrics(&self) -> &PlasmaServerMetrics {
         &self.metrics
     }
-
-    /// Stop accepting new connections; existing connections drain when
-    /// their clients disconnect.
-    pub fn shutdown(&mut self) {
-        self.stop.stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
 }
 
-impl Drop for PlasmaServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawn a store server on `listener`, backed by `store`.
+/// Serve the store `store` on `listener`: each connection it hands over
+/// gets a `plasma-conn` thread.
 pub fn serve_store(mut listener: Box<dyn Listener>, store: Arc<dyn ObjectStore>) -> PlasmaServer {
-    let stop = listener.stop_handle();
     let metrics = Arc::new(PlasmaServerMetrics::default());
     let addr = listener.addr();
-    let accept_metrics = Arc::clone(&metrics);
-    let accept_thread = std::thread::Builder::new()
-        .name(format!("plasma-accept:{addr}"))
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok(conn) => {
-                    accept_metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    let s = Arc::clone(&store);
-                    let m = Arc::clone(&accept_metrics);
-                    if spawn_conn(move || serve_conn(conn, s, m)).is_err() {
-                        // Refuse the connection, not the server: the
-                        // dropped closure held its only handle, so the
-                        // client's call fails at once, and the loop keeps
-                        // accepting.
-                        accept_metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => return,
-                Err(_) => return,
+    listener.hand_to(Box::new({
+        let metrics = Arc::clone(&metrics);
+        move |conn| {
+            metrics.connections.fetch_add(1, Ordering::Relaxed);
+            let (s, m) = (Arc::clone(&store), Arc::clone(&metrics));
+            if spawn_conn(move || serve_conn(conn, s, m)).is_err() {
+                // Refuse the connection, not the server: the dropped
+                // closure held its only handle, so the client's call
+                // fails at once, and the next connection is served.
+                metrics.errors.fetch_add(1, Ordering::Relaxed);
             }
-        })
-        .expect("spawn plasma accept thread");
+        }
+    }));
     PlasmaServer {
-        stop,
-        accept_thread: Some(accept_thread),
+        _listener: listener,
         metrics,
         addr,
     }
 }
 
 /// Start a connection thread. A spawn the system refuses (out of threads
-/// or memory mappings) is an error the accept loop answers: a panic here
-/// would end it, and no later client would ever be served.
+/// or memory mappings) is an error the caller answers: a panic here
+/// would unwind into the thread that connected.
 fn spawn_conn(body: impl FnOnce() + Send + 'static) -> io::Result<()> {
     #[cfg(test)]
     if REFUSE_NEXT_SPAWN.with(|refuse| refuse.replace(false)) {
@@ -204,39 +181,19 @@ mod tests {
     use std::sync::mpsc;
     use tfsim::Fabric;
 
-    /// Accepts from `.0`, and has the accepting thread refuse the spawn
-    /// that follows its first accept.
-    struct RefuseFirstServe(Box<dyn Listener>, bool);
-
-    impl Listener for RefuseFirstServe {
-        fn accept(&mut self) -> io::Result<Box<dyn Conn>> {
-            let conn = self.0.accept()?;
-            if std::mem::take(&mut self.1) {
-                REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
-            }
-            Ok(conn)
-        }
-
-        fn stop_handle(&self) -> StopHandle {
-            self.0.stop_handle()
-        }
-
-        fn addr(&self) -> String {
-            self.0.addr()
-        }
-    }
-
     #[test]
     fn a_connection_the_server_cannot_serve_is_refused_and_the_next_is_served() {
         let fabric = Fabric::virtual_thymesisflow();
         let node = fabric.register_node();
         let store = StoreCore::new(&fabric, node, StoreConfig::new("s0", 1 << 20)).unwrap();
         let hub = InprocHub::new();
-        let listener = RefuseFirstServe(Box::new(hub.bind("s0").unwrap()), true);
-        let server = serve_store(Box::new(listener), Arc::new(store));
+        let server = serve_store(Box::new(hub.bind("s0").unwrap()), Arc::new(store));
         let dial = || PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric.clone(), node);
         let id = ObjectId::from_name("refused");
 
+        // The server's connection thread is started on the dialling
+        // thread, so this one's next spawn is the one refused.
+        REFUSE_NEXT_SPAWN.with(|refuse| refuse.set(true));
         let refused = dial();
         let (done, outcome) = mpsc::channel();
         std::thread::spawn(move || {

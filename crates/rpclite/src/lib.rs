@@ -13,14 +13,15 @@
 //!   wait on later — and optionally charges a modeled network round trip
 //!   ([`NetCost`]) to the simulation clock, with concurrent calls
 //!   overlapping their round trips as on a real wire,
-//! * a server ([`serve`]) with a dedicated accept thread and one reader
-//!   for all of its connections, which each report their frames to it
+//! * a server ([`serve`]) that is one reader thread for all of its
+//!   connections: the listener hands each to it as it is made
+//!   ([`ipc::Listener::hand_to`]), and each reports its frames to it
 //!   ([`ipc::Conn::report_to`]); the reader runs every call itself, and
 //!   no call waits on another ([`Service`]).
 //!
-//! Transports come from the [`ipc`] crate. A client runs over Unix domain
-//! sockets or in-process channels alike; the server serves connections
-//! that report their frames, which the in-process ones do.
+//! Transports come from the [`ipc`] crate. A client runs over any
+//! [`ipc::Conn`]; the server serves connections that report their frames,
+//! which the in-process ones do.
 //!
 //! ## Example
 //!

@@ -1,30 +1,30 @@
-//! RPC server: an accept thread and one reader per server.
+//! RPC server: one reader per server, and no thread of its own besides.
 //!
-//! The accept thread hands each connection it accepts to the server's
-//! reader, and the connection reports to the reader's ready queue each
-//! request that arrives on it and its own end ([`ipc::Conn::report_to`]).
-//! The reader takes one report at a time, receives the one frame it
-//! stands for without waiting, decodes it, runs the call and writes its
-//! response before it takes the next report. Every call is a leaf: a
-//! service answers from its own state and never waits on another call
-//! (DESIGN §8, "Serving a request"), so the one reader serves every
-//! connection, and a pipelined client's calls on one connection are
-//! answered in the order they were sent. Threads grow with servers, not
-//! with connections: a full mesh of `n` nodes runs `n` readers, not
-//! `n × (n − 1)` connection threads.
+//! The listener hands each connection, on the thread that makes it, to
+//! the reader's ready queue ([`ipc::Listener::hand_to`]), and the
+//! connection reports to that queue each request that arrives on it and
+//! its own end ([`ipc::Conn::report_to`]). The reader takes one report at
+//! a time, receives the one frame it stands for without waiting, decodes
+//! it, runs the call and writes its response before it takes the next
+//! report. Every call is a leaf: a service answers from its own state and
+//! never waits on another call (DESIGN §8, "Serving a request"), so the
+//! one reader serves every connection, and a pipelined client's calls on
+//! one connection are answered in the order they were sent. Threads grow
+//! with servers, not with connections: a full mesh of `n` nodes runs `n`
+//! readers, not `n × (n − 1)` connection threads, and no thread waits in
+//! `accept`.
 //!
 //! Nothing here polls. The reader parks on its ready queue until a
-//! connection reports or the accept thread sends it the stop;
-//! [`ServerHandle::shutdown`] stops the listener, and the accept thread
-//! then stops the reader, which closes every connection it holds. The
-//! reader is a scoped thread of the one accept thread, so joining that
-//! one thread is joining both: after `shutdown` returns, no call is
-//! running and no response will be written. Failure-injection tests rely
-//! on this to stop a peer node and know it is really gone.
+//! connection reports or the stop comes. [`ServerHandle::shutdown`] drops
+//! the listener, which unbinds its name, queues the stop and joins the
+//! reader, which closes every connection it holds on its way out: after
+//! `shutdown` returns, no call is running and no response will be
+//! written. Failure-injection tests rely on this to stop a peer node and
+//! know it is really gone.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
 use crate::service::Service;
-use ipc::{Conn, Frame, Listener, StopHandle};
+use ipc::{Conn, Frame, Listener};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -79,9 +79,9 @@ pub struct ServerMetrics {
     pub calls: AtomicU64,
     /// Calls that returned an error status, plus connections closed for
     /// a frame that was not a decodable request, and connections refused
-    /// because they cannot report their frames.
+    /// because they cannot report their frames or the reader has gone.
     pub errors: AtomicU64,
-    /// Connections accepted over the server's lifetime.
+    /// Connections handed to the server over its lifetime.
     pub connections: AtomicU64,
     /// Duplicated request frames dropped without execution (a faulty
     /// network can replay a frame; calls are at-most-once per call id).
@@ -90,18 +90,18 @@ pub struct ServerMetrics {
 
 /// What the reader waits for, in the order it happened.
 enum Report {
-    /// A connection the accept thread took.
+    /// A connection the listener handed over.
     Accepted(Box<dyn Conn>),
     /// Connection `key` has a frame, or has ended.
     Ready(u64),
-    /// The listener has stopped: close every connection and return.
+    /// The server is shutting down: close every connection and return.
     Stop,
 }
 
-/// The reader's ready queue. The reader owns it; the accept thread and
-/// every connection's report hold it weakly, so once the reader has
-/// returned — or a panicking call has ended it — a report is handed
-/// back instead of queued for no one.
+/// The reader's ready queue. The reader owns it; the listener's handler,
+/// the server's handle and every connection's report hold it weakly, so
+/// once the reader has returned — or a panicking call has ended it — a
+/// report is handed back instead of queued for no one.
 ///
 /// A reporter wakes the reader after it has unlocked, and only if the
 /// reader sleeps (the vendored condvar counts its sleepers). `std`'s
@@ -172,8 +172,10 @@ fn answer(service: &dyn Service, request: Request) -> Response {
 
 /// Handle to a running server; shuts it down on drop.
 pub struct ServerHandle {
-    stop: StopHandle,
-    accept_thread: Option<JoinHandle<()>>,
+    /// `None` once shut down: dropping it unbinds the server's name.
+    listener: Option<Box<dyn Listener>>,
+    queue: Weak<ReadyQueue>,
+    reader: Option<JoinHandle<()>>,
     /// How many connections the reader holds open.
     open: Arc<AtomicUsize>,
     metrics: Arc<ServerMetrics>,
@@ -198,15 +200,16 @@ impl ServerHandle {
         self.open.load(Ordering::Relaxed)
     }
 
-    /// Stop the server and wait until it is fully quiescent: the accept
-    /// loop has exited, every accepted connection is closed, and the
-    /// reader has returned. A call in flight either delivered its
-    /// response before the close or fails at the client with a transport
-    /// error; clients see dead connections from then on.
+    /// Stop the server and wait until it is fully quiescent: its name is
+    /// unbound, every connection it took is closed, and the reader has
+    /// returned. A call in flight either delivered its response before
+    /// the close or fails at the client with a transport error; clients
+    /// see dead connections from then on.
     pub fn shutdown(&mut self) {
-        self.stop.stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        self.listener = None;
+        let _ = report(&self.queue, Report::Stop);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
     }
 }
@@ -217,49 +220,39 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Spawn a server on `listener`, dispatching to `service`. Only
-/// connections that report their frames ([`Conn::report_to`]) are
-/// served; any other is closed and counted in [`ServerMetrics::errors`].
+/// Start a server on `listener`, dispatching to `service`: one reader
+/// thread, to which the listener hands each connection. Only connections
+/// that report their frames ([`Conn::report_to`]) are served; any other
+/// is closed and counted in [`ServerMetrics::errors`].
 pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> ServerHandle {
-    let stop = listener.stop_handle();
     let metrics = Arc::new(ServerMetrics::default());
     let addr = listener.addr();
     let open = Arc::new(AtomicUsize::new(0));
-    let accept_thread = Builder::new()
-        .name(format!("rpc-accept:{addr}"))
+    let ready = Arc::new(ReadyQueue::default());
+    let queue = Arc::downgrade(&ready);
+    // A reader that could not start, or that a panicking call ended, has
+    // dropped the queue: every connection is then refused.
+    let reader = Builder::new()
+        .name("rpc-serve".to_string())
         .spawn({
             let (metrics, open) = (Arc::clone(&metrics), Arc::clone(&open));
-            move || {
-                std::thread::scope(|scope| {
-                    let ready = Arc::new(ReadyQueue::default());
-                    let queue = Arc::downgrade(&ready);
-                    let (service, reader_metrics, open) = (&*service, &*metrics, &*open);
-                    // A reader that could not start, or that a panicking
-                    // call ended, has dropped the queue: every connection
-                    // below is then refused.
-                    let _ = Builder::new()
-                        .name("rpc-serve".to_string())
-                        .spawn_scoped(scope, move || read(&ready, service, reader_metrics, open));
-                    // Any `accept` error ends the server; a stop is the
-                    // `Interrupted` one.
-                    while let Ok(conn) = listener.accept() {
-                        metrics.connections.fetch_add(1, Ordering::Relaxed);
-                        if let Err(Report::Accepted(conn)) = report(&queue, Report::Accepted(conn))
-                        {
-                            metrics.errors.fetch_add(1, Ordering::Relaxed);
-                            conn.close();
-                        }
-                    }
-                    // The reader closes every connection it holds and
-                    // returns; the scope joins it.
-                    let _ = report(&queue, Report::Stop);
-                })
-            }
+            move || read(&ready, &*service, &metrics, &open)
         })
-        .expect("spawn rpc accept thread");
+        .ok();
+    listener.hand_to(Box::new({
+        let (queue, metrics) = (queue.clone(), Arc::clone(&metrics));
+        move |conn| {
+            metrics.connections.fetch_add(1, Ordering::Relaxed);
+            if let Err(Report::Accepted(conn)) = report(&queue, Report::Accepted(conn)) {
+                metrics.errors.fetch_add(1, Ordering::Relaxed);
+                conn.close();
+            }
+        }
+    }));
     ServerHandle {
-        stop,
-        accept_thread: Some(accept_thread),
+        listener: Some(listener),
+        queue,
+        reader,
         open,
         metrics,
         addr,

@@ -1,8 +1,8 @@
-//! One reader serves every connection of a server: every call runs on it
-//! whichever connection sent it, the server has as many threads with
-//! eight connections as with one, a caller waiting for its response reads
-//! it itself, and an idle server thread stays parked until something
-//! wakes it. One test in its own binary, so every thread this
+//! One reader serves every connection of a server, and is all the
+//! server is: every call runs on it whichever connection sent it, the
+//! server has one thread with eight connections as with one and none
+//! waits to accept, a caller waiting for its response reads it itself,
+//! and the idle reader stays parked until something wakes it. One test in its own binary, so every thread this
 //! process has is this test's, its clients' or its server's.
 
 use bytes::Bytes;
@@ -107,20 +107,16 @@ fn calls_of_eight_connections_run_on_one_reader_and_no_client_has_a_reader() {
     assert_eq!(ran_on.len(), 1, "threads that ran 8000 calls");
     let (_, name) = ran_on.iter().next().unwrap();
     assert_eq!(name, "rpc-serve");
-    // After the burst the server is its accept thread and one reader,
-    // and no thread of this process reads for a client.
-    let mut names: Vec<_> = server_threads().into_iter().map(|(_, n)| n).collect();
-    names.sort();
-    assert_eq!(names.len(), 2, "{names:?}");
-    assert!(names[0].starts_with("rpc-accept"), "{names:?}");
-    assert_eq!(names[1], "rpc-serve", "{names:?}");
+    // After the burst the server is one reader and nothing else: no
+    // thread waits to accept, and none reads for a client.
+    let names: Vec<_> = server_threads().into_iter().map(|(_, n)| n).collect();
+    assert_eq!(names, ["rpc-serve"]);
     let reading = thread_names().into_iter().filter(|n| n.contains("reader"));
     assert_eq!(reading.count(), 0, "{:?}", thread_names());
 
-    // Idle, the reader and the accept thread stay parked: no switch in
-    // 750 ms, where a poll of every 250–500 ms would wake them at least
-    // once. The first reading waits for the reader to park after writing
-    // its last response.
+    // Idle, the reader stays parked: no switch in 750 ms, where a poll of
+    // every 250–500 ms would wake it at least once. The first reading
+    // waits for the reader to park after writing its last response.
     let parked = loop {
         let now = server_switches();
         if now.values().all(|(asleep, ..)| *asleep) {
@@ -128,7 +124,7 @@ fn calls_of_eight_connections_run_on_one_reader_and_no_client_has_a_reader() {
         }
         std::thread::yield_now();
     };
-    assert_eq!(parked.len(), 2, "one reader and one accept thread");
+    assert_eq!(parked.len(), 1, "one reader");
     std::thread::sleep(Duration::from_millis(750));
     assert_eq!(server_switches(), parked, "an idle server thread woke");
 }

@@ -1,38 +1,12 @@
-//! End-to-end integration tests across tfsim + plasma + disagg, including
-//! the real Unix-domain-socket transport the original Plasma uses.
+//! End-to-end integration tests across tfsim + plasma + disagg: Plasma
+//! clients of a running cluster, each connected to its store over the
+//! in-process transport that stands in for the original's Unix socket.
 
 use disagg::{Cluster, ClusterConfig};
-use memdis::plasma::{
-    serve_store, ObjectId, ObjectStore, PlasmaClient, PlasmaError, StoreConfig, StoreCore,
-};
+use memdis::plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::sync::Arc;
 use std::time::Duration;
-use tfsim::{Fabric, Path};
-
-#[test]
-fn plasma_over_real_unix_sockets() {
-    // The paper's stock deployment: store and client in separate
-    // "processes" talking over a Unix domain socket.
-    let fabric = Fabric::virtual_thymesisflow();
-    let node = fabric.register_node();
-    let store = StoreCore::new(&fabric, node, StoreConfig::new("uds-store", 8 << 20)).unwrap();
-    let mut path = std::env::temp_dir();
-    path.push(format!("memdis-it-{}.sock", std::process::id()));
-    let listener = ipc::UdsListener::bind(&path).unwrap();
-    let _server = serve_store(Box::new(listener), Arc::new(store.clone()));
-
-    let conn = ipc::UdsConn::connect(&path).unwrap();
-    let client = PlasmaClient::new(Box::new(conn), fabric.clone(), node);
-
-    let id = ObjectId::from_name("uds/object");
-    client.put(id, &vec![0x42; 100_000], b"uds-meta").unwrap();
-    let buf = client.get_one(id, Duration::from_secs(5)).unwrap();
-    assert_eq!(buf.len(), 100_000);
-    assert!(buf.read_all().unwrap().iter().all(|&b| b == 0x42));
-    assert_eq!(buf.metadata().read_all().unwrap(), b"uds-meta");
-    client.release(id).unwrap();
-    assert_eq!(store.stats().sealed_objects, 1);
-}
+use tfsim::Path;
 
 #[test]
 fn producer_consumer_pipeline_across_nodes() {
@@ -212,9 +186,8 @@ fn remote_reads_account_every_payload_byte_to_the_reader() {
     assert_eq!(mapped_bytes(cluster.store(0)), 0);
 }
 
-/// Stopping a listener wakes its parked `accept`, so tearing a cluster
-/// down joins its 2 × nodes accept threads without waiting out a
-/// stop-flag poll. The bound is generous and the best of three launches
+/// A stop wakes a parked reader, so tearing a cluster down joins its
+/// `rpc-serve` readers without waiting out a poll. The bound is generous and the best of three launches
 /// is judged, so a descheduled test thread cannot fail it but a poll of
 /// any useful period would.
 #[test]
