@@ -194,14 +194,14 @@ fn main() {
     );
     assert!(violations.is_empty(), "broken at quiesce: {violations:#?}");
 
-    // Threads grow with nodes, not with node pairs: a node runs one
-    // thread, its interconnect reader (`rpc-serve`). No thread waits to
-    // accept, and the replay's clients are gone, with their `plasma-conn`
-    // threads, by the time this counts.
+    // Threads do not grow with nodes: one reader (`rpc-serve`) serves
+    // every node's interconnect. No thread waits to accept, and the
+    // replay's clients are gone, with their `plasma-conn` threads, by the
+    // time this counts.
     let threads = std::fs::read_dir("/proc/self/task")
         .expect("list this process's threads")
         .count();
-    let bound = spec.nodes() + 8;
+    let bound = 16;
     println!("threads: {threads} (at most {bound})");
     // Reported, not bounded: the peak grows with `--ops` as well as nodes.
     let status = std::fs::read_to_string("/proc/self/status").expect("read this process's status");

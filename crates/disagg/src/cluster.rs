@@ -3,9 +3,10 @@
 //! Launches an N-node memory-disaggregated Plasma deployment inside one
 //! process: a shared [`Fabric`], one [`DisaggStore`] per node, a full mesh
 //! of interconnect RPC channels (with gRPC-calibrated delay injection),
-//! and a Plasma IPC endpoint per store for clients. The paper's testbed is
-//! the 2-node instance of this; the design — and this harness — support
-//! "rack-scale solutions \[with\] multiple nodes" (paper §V-B).
+//! all served by one reader thread, and a Plasma IPC endpoint per store
+//! for clients. The paper's testbed is the 2-node instance of this; the
+//! design — and this harness — support "rack-scale solutions \[with\]
+//! multiple nodes" (paper §V-B).
 
 use crate::proto::method;
 use crate::ring::Membership;
@@ -17,7 +18,7 @@ use plasma::{
     ClientCost, Notifications, ObjectId, PlasmaClient, PlasmaError, PlasmaServer, StoreConfig,
     StoreCore,
 };
-use rpclite::{ClientMetrics, NetCost, RpcClient, ServerHandle};
+use rpclite::{ClientMetrics, NetCost, Reader, RpcClient, ServerHandle};
 use std::sync::Arc;
 use tfsim::{Clock, Fabric, NodeId};
 
@@ -128,6 +129,8 @@ struct NodeRuntime {
 pub struct Cluster {
     fabric: Fabric,
     hub: InprocHub,
+    /// The one thread that serves every node's interconnect.
+    reader: Reader,
     nodes: Vec<NodeRuntime>,
     config: ClusterConfig,
 }
@@ -138,6 +141,7 @@ impl Cluster {
         assert!(config.nodes >= 1, "cluster needs at least one node");
         let fabric = Fabric::virtual_thymesisflow();
         let hub = InprocHub::new();
+        let reader = Reader::start();
 
         // Stage 1: stores + their RPC and Plasma endpoints.
         let mut nodes = Vec::with_capacity(config.nodes);
@@ -153,7 +157,7 @@ impl Cluster {
                 },
             );
             let rpc_listener = hub.bind(&format!("rpc-{i}"))?;
-            let rpc_server = rpclite::serve(Box::new(rpc_listener), store.interconnect_service());
+            let rpc_server = reader.serve(Box::new(rpc_listener), store.interconnect_service());
             let plasma_listener = hub.bind(&format!("plasma-{i}"))?;
             let plasma_server =
                 plasma::serve_store(Box::new(plasma_listener), Arc::new(store.clone()));
@@ -229,6 +233,7 @@ impl Cluster {
         Ok(Cluster {
             fabric,
             hub,
+            reader,
             nodes,
             config,
         })
@@ -266,29 +271,27 @@ impl Cluster {
 
     /// Stop node `i`'s interconnect RPC server, simulating a crashed
     /// peer store. Returns once the server is fully quiescent (its name
-    /// `rpc-{i}` unbound, its connections closed and its reader joined);
-    /// peers observe dead connections on their next call. The node's local Plasma endpoint
-    /// and its fabric memory stay up — only the interconnect is gone.
+    /// `rpc-{i}` unbound and the cluster's reader done with its
+    /// connections); peers observe dead connections on their next call.
+    /// The node's local Plasma endpoint, its fabric memory and every other
+    /// node's interconnect stay up — only this node's interconnect is gone.
     pub fn stop_rpc(&mut self, i: usize) {
         if let Some(mut server) = self.nodes[i].rpc_server.take() {
             server.shutdown();
         }
     }
 
-    /// Restart node `i`'s interconnect after [`Cluster::stop_rpc`].
-    /// Peers redial lazily (their clients carry connectors) and their
-    /// failure detectors restore the node to rotation on the next
-    /// successful probe.
+    /// Restart node `i`'s interconnect after [`Cluster::stop_rpc`], on the
+    /// cluster's one reader. Peers redial lazily (their clients carry
+    /// connectors) and their failure detectors restore the node to
+    /// rotation on the next successful probe.
     pub fn restart_rpc(&mut self, i: usize) -> Result<(), PlasmaError> {
         if self.nodes[i].rpc_server.is_some() {
             return Ok(());
         }
-        let listener = self.hub.bind(&format!("rpc-{i}"))?;
-        let server = rpclite::serve(
-            Box::new(listener),
-            self.nodes[i].store.interconnect_service(),
-        );
-        self.nodes[i].rpc_server = Some(server);
+        let listener = Box::new(self.hub.bind(&format!("rpc-{i}"))?);
+        let service = self.nodes[i].store.interconnect_service();
+        self.nodes[i].rpc_server = Some(self.reader.serve(listener, service));
         Ok(())
     }
 
@@ -331,9 +334,9 @@ impl Cluster {
     /// — whose ring placement lands on node index `node_idx`. Placement
     /// is hash-determined, so tests that need an id on a *specific* node
     /// (e.g. "create locally on node 0, get remotely from node 1")
-    /// probe suffixed variants until one lands there. Panics if no
-    /// variant lands within 10k probes (vanishingly unlikely for any
-    /// non-degenerate membership).
+    /// probe suffixed variants until one lands there. Panics if none
+    /// does within 10k probes, or 64 a member past 156 members (a fixed
+    /// 10k missed one name in ≈ 17 500 at 1 024).
     pub fn owned_id(&self, node_idx: usize, base: &str) -> String {
         let target = self.nodes[node_idx].node;
         let ring = self.nodes[0].store.membership().map(crate::ring::Ring::new);
@@ -341,7 +344,7 @@ impl Cluster {
         if ring.owner_of(ObjectId::from_name(base)) == Some(target) {
             return base.to_string();
         }
-        for k in 0..10_000 {
+        for k in 0..(64 * ring.membership().nodes.len()).max(10_000) {
             let name = format!("{base}~{k}");
             if ring.owner_of(ObjectId::from_name(&name)) == Some(target) {
                 return name;

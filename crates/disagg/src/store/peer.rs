@@ -131,8 +131,8 @@ impl DisaggStore {
     /// clock.
     ///
     /// No interconnect handler gets here: a call made while serving one
-    /// would wait on a reader, maybe its own, that reads nothing
-    /// meanwhile.
+    /// would wait on the cluster's one reader, which runs that handler
+    /// and so reads nothing meanwhile.
     pub(super) fn scatter(&self, calls: &[(&Peer, u32, &[&[u8]])]) -> Vec<Result<Bytes, PeerFail>> {
         debug_assert!(
             !rpclite::serving(),

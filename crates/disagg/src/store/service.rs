@@ -1,8 +1,9 @@
 //! The interconnect dispatch: strip the call header, let the verb decode
 //! its request, make one call on the store and encode the answer, then
 //! stamp the reply header. Every verb is a leaf: it answers from this
-//! store's state and calls no peer, so the one reader that runs it never
-//! waits on another node's (DESIGN §8, "Serving a request").
+//! store's state and calls no peer, so the cluster's one reader, which
+//! runs every node's verbs, never waits on itself (DESIGN §8, "Serving a
+//! request").
 
 use super::DisaggStore;
 use crate::delegation::Kind;

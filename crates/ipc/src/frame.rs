@@ -1,16 +1,11 @@
-//! Length-prefixed message framing.
+//! Message framing.
 //!
 //! Every message exchanged between Plasma clients, stores and peer stores
-//! is one [`Frame`]: a 4-byte little-endian payload length, a 4-byte
-//! message-type tag, then the payload. The length prefix is capped so a
-//! corrupt or hostile peer cannot trigger an unbounded allocation.
+//! is one [`Frame`]: a message-type tag and a payload. The in-process
+//! transport moves frames whole, so a frame has no byte encoding of its
+//! own.
 
 use bytes::Bytes;
-use std::io::{self, Read, Write};
-
-/// Upper bound on a frame payload (1 GiB) — larger object data never rides
-/// in a frame; it lives in (disaggregated) shared memory.
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// One framed message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,101 +22,5 @@ impl Frame {
             msg_type,
             payload: payload.into(),
         }
-    }
-
-    /// Serialize to a writer.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let len = u32::try_from(self.payload.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too large"))?;
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "frame payload exceeds MAX_FRAME_LEN",
-            ));
-        }
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&self.msg_type.to_le_bytes())?;
-        w.write_all(&self.payload)?;
-        w.flush()
-    }
-
-    /// Deserialize from a reader. Returns `UnexpectedEof` if the stream
-    /// ends cleanly before a header byte (peer hung up).
-    pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        let mut hdr = [0u8; 8];
-        r.read_exact(&mut hdr)?;
-        let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-        let msg_type = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds limit"),
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        Ok(Frame {
-            msg_type,
-            payload: payload.into(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_via_buffer() {
-        let f = Frame::new(7, &b"payload bytes"[..]);
-        let mut buf = Vec::new();
-        f.write_to(&mut buf).unwrap();
-        let g = Frame::read_from(&mut &buf[..]).unwrap();
-        assert_eq!(f, g);
-    }
-
-    #[test]
-    fn empty_payload_is_fine() {
-        let f = Frame::new(0, Bytes::new());
-        let mut buf = Vec::new();
-        f.write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), 8);
-        assert_eq!(Frame::read_from(&mut &buf[..]).unwrap(), f);
-    }
-
-    #[test]
-    fn oversized_length_rejected_on_read() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        let err = Frame::read_from(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_stream_is_eof() {
-        let f = Frame::new(1, &b"abcdef"[..]);
-        let mut buf = Vec::new();
-        f.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() - 2);
-        let err = Frame::read_from(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn multiple_frames_stream() {
-        let mut buf = Vec::new();
-        for i in 0..5u32 {
-            Frame::new(i, vec![i as u8; i as usize])
-                .write_to(&mut buf)
-                .unwrap();
-        }
-        let mut r = &buf[..];
-        for i in 0..5u32 {
-            let f = Frame::read_from(&mut r).unwrap();
-            assert_eq!(f.msg_type, i);
-            assert_eq!(f.payload.len(), i as usize);
-        }
-        assert!(Frame::read_from(&mut r).is_err());
     }
 }

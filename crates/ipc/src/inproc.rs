@@ -334,10 +334,6 @@ impl Listener for InprocListener {
             handler(Box::new(conn));
         }
     }
-
-    fn addr(&self) -> String {
-        self.name.clone()
-    }
 }
 
 impl Drop for InprocListener {

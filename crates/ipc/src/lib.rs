@@ -3,8 +3,8 @@
 //! The real Plasma store talks to its clients over Unix domain sockets.
 //! This crate provides an in-process transport in their place
 //! ([`inproc`]), which runs whole simulated clusters inside one test and
-//! speaks a length-prefixed [`Frame`] protocol, plus the checked payload
-//! codec ([`codec`]) the higher-level protocols are written in.
+//! carries whole [`Frame`]s, plus the checked payload codec ([`codec`])
+//! the higher-level protocols are written in.
 //!
 //! ## Example
 //!
@@ -28,6 +28,6 @@ pub mod transport;
 
 pub use codec::{CodecError, Dec, Enc};
 pub use fault::{Direction, FaultAction, FaultConn, FaultPolicy, NoFaults};
-pub use frame::{Frame, MAX_FRAME_LEN};
+pub use frame::Frame;
 pub use inproc::{InprocConn, InprocHub, InprocListener};
 pub use transport::{Conn, Handler, Listener};

@@ -100,9 +100,6 @@ pub trait Listener: Send + Sync {
     /// lock is released, and a connect returns once it has run. A later
     /// call replaces the handler.
     fn hand_to(&mut self, handler: Handler);
-
-    /// The address clients use to connect.
-    fn addr(&self) -> String;
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
-//! Property-based tests of the framing and payload codec: arbitrary field
-//! sequences round-trip, and the decoders reject (never panic on) corrupt
-//! input.
+//! Property-based tests of the payload codec: arbitrary field sequences
+//! round-trip, and the decoders reject (never panic on) corrupt input.
 
-use bytes::Bytes;
-use ipc::{Dec, Enc, Frame};
+use ipc::{Dec, Enc};
 use proptest::prelude::*;
 
 /// A typed field for round-trip testing.
@@ -80,21 +78,5 @@ proptest! {
         let mut d = Dec::new(full.slice(..cut_at));
         // Consume until error or exhaustion; must never panic.
         while d.bytes().is_ok() {}
-    }
-
-    #[test]
-    fn frame_roundtrip(msg_type in any::<u32>(), payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let f = Frame::new(msg_type, Bytes::from(payload));
-        let mut buf = Vec::new();
-        f.write_to(&mut buf).unwrap();
-        let g = Frame::read_from(&mut &buf[..]).unwrap();
-        prop_assert_eq!(f, g);
-    }
-
-    #[test]
-    fn frame_reader_survives_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        // Arbitrary bytes either parse as a frame (if they happen to form
-        // one) or error — no panic, no unbounded allocation.
-        let _ = Frame::read_from(&mut &bytes[..]);
     }
 }

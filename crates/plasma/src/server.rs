@@ -36,14 +36,9 @@ pub struct PlasmaServerMetrics {
 pub struct PlasmaServer {
     _listener: Box<dyn Listener>,
     metrics: Arc<PlasmaServerMetrics>,
-    addr: String,
 }
 
 impl PlasmaServer {
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     pub fn metrics(&self) -> &PlasmaServerMetrics {
         &self.metrics
     }
@@ -53,7 +48,6 @@ impl PlasmaServer {
 /// gets a `plasma-conn` thread.
 pub fn serve_store(mut listener: Box<dyn Listener>, store: Arc<dyn ObjectStore>) -> PlasmaServer {
     let metrics = Arc::new(PlasmaServerMetrics::default());
-    let addr = listener.addr();
     listener.hand_to(Box::new({
         let metrics = Arc::clone(&metrics);
         move |conn| {
@@ -70,7 +64,6 @@ pub fn serve_store(mut listener: Box<dyn Listener>, store: Arc<dyn ObjectStore>)
     PlasmaServer {
         _listener: listener,
         metrics,
-        addr,
     }
 }
 

@@ -13,11 +13,12 @@
 //!   wait on later — and optionally charges a modeled network round trip
 //!   ([`NetCost`]) to the simulation clock, with concurrent calls
 //!   overlapping their round trips as on a real wire,
-//! * a server ([`serve`]) that is one reader thread for all of its
-//!   connections: the listener hands each to it as it is made
-//!   ([`ipc::Listener::hand_to`]), and each reports its frames to it
-//!   ([`ipc::Conn::report_to`]); the reader runs every call itself, and
-//!   no call waits on another ([`Service`]).
+//! * a server ([`serve`]) that has no thread of its own: one [`Reader`]
+//!   thread serves every connection of any number of servers. Each
+//!   listener hands its connections to the reader as they are made
+//!   ([`ipc::Listener::hand_to`]), and each connection reports its frames
+//!   to it ([`ipc::Conn::report_to`]); the reader runs every call itself,
+//!   and no call waits on another ([`Service`]).
 //!
 //! Transports come from the [`ipc`] crate. A client runs over any
 //! [`ipc::Conn`]; the server serves connections that report their frames,
@@ -55,6 +56,6 @@ pub mod wire;
 
 pub use client::{ClientMetrics, Connector, NetCost, PendingCall, RpcClient, RpcError};
 pub use envelope::{Request, Response};
-pub use server::{serve, serving, ServerHandle, ServerMetrics};
+pub use server::{serve, serving, Reader, ServerHandle, ServerMetrics};
 pub use service::{MethodId, Service, Status, StatusCode};
 pub use wire::WireError;

@@ -1,35 +1,38 @@
-//! RPC server: one reader per server, and no thread of its own besides.
+//! RPC server: one reader thread serves any number of servers, and no
+//! server has a thread of its own.
 //!
-//! The listener hands each connection, on the thread that makes it, to
-//! the reader's ready queue ([`ipc::Listener::hand_to`]), and the
-//! connection reports to that queue each request that arrives on it and
-//! its own end ([`ipc::Conn::report_to`]). The reader takes one report at
-//! a time, receives the one frame it stands for without waiting, decodes
-//! it, runs the call and writes its response before it takes the next
-//! report. Every call is a leaf: a service answers from its own state and
-//! never waits on another call (DESIGN §8, "Serving a request"), so the
-//! one reader serves every connection, and a pipelined client's calls on
-//! one connection are answered in the order they were sent. Threads grow
-//! with servers, not with connections: a full mesh of `n` nodes runs `n`
-//! readers, not `n × (n − 1)` connection threads, and no thread waits in
-//! `accept`.
+//! A [`Reader`] is a thread and its ready queue. Each server on it
+//! ([`Reader::serve`]) is a listener and a service: the listener hands
+//! each connection, on the thread that makes it, to the ready queue with
+//! the server it belongs to ([`ipc::Listener::hand_to`]), and the
+//! connection reports there each request that arrives on it and its own
+//! end ([`ipc::Conn::report_to`]). The reader takes one report at a time,
+//! receives the one frame it stands for without waiting, decodes it, runs
+//! its server's call and writes the response before it takes the next.
+//! Every call is a leaf: a service answers from its own state and never
+//! waits on another call (DESIGN §8, "Serving a request"), so one reader
+//! serves every connection of every server, each connection's calls in
+//! the order they were sent. A cluster of any size runs the one reader it
+//! made, and no thread waits in `accept`. [`serve`] starts a reader for
+//! one server.
 //!
 //! Nothing here polls. The reader parks on its ready queue until a
-//! connection reports or the stop comes. [`ServerHandle::shutdown`] drops
-//! the listener, which unbinds its name, queues the stop and joins the
-//! reader, which closes every connection it holds on its way out: after
-//! `shutdown` returns, no call is running and no response will be
-//! written. Failure-injection tests rely on this to stop a peer node and
-//! know it is really gone.
+//! connection reports or a stop comes. [`ServerHandle::shutdown`] drops
+//! the listener, which unbinds its name, queues a stop for its server and
+//! waits until the reader has closed that server's connections: after it
+//! returns no call of that server runs, and the reader serves the others
+//! on. Failure-injection tests rely on this to stop a peer node and know
+//! it is really gone. The last drop of a [`Reader`] or of a handle of its
+//! servers ends the reader and joins it.
 
 use crate::envelope::{Request, Response, FRAME_REQUEST};
 use crate::service::Service;
 use ipc::{Conn, Frame, Listener};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
 
@@ -44,19 +47,13 @@ const DEDUP_WINDOW: usize = 1024;
 /// are not idempotent (a duplicated RELEASE would decrement a reference
 /// count twice), so at-most-once execution per call id is part of the
 /// server's contract.
+#[derive(Default)]
 struct SeenCalls {
-    set: std::collections::HashSet<u64>,
-    order: std::collections::VecDeque<u64>,
+    set: HashSet<u64>,
+    order: VecDeque<u64>,
 }
 
 impl SeenCalls {
-    fn new() -> SeenCalls {
-        SeenCalls {
-            set: std::collections::HashSet::new(),
-            order: std::collections::VecDeque::new(),
-        }
-    }
-
     /// Record `call_id`; returns false if it was already seen (duplicate).
     fn first_sighting(&mut self, call_id: u64) -> bool {
         if !self.set.insert(call_id) {
@@ -88,18 +85,33 @@ pub struct ServerMetrics {
     pub duplicates: AtomicU64,
 }
 
-/// What the reader waits for, in the order it happened.
-enum Report {
-    /// A connection the listener handed over.
-    Accepted(Box<dyn Conn>),
-    /// Connection `key` has a frame, or has ended.
-    Ready(u64),
-    /// The server is shutting down: close every connection and return.
-    Stop,
+/// One server of a reader: whom its connections call, and what they
+/// count.
+struct Server {
+    service: Arc<dyn Service>,
+    metrics: ServerMetrics,
+    /// How many connections the reader holds open for this server.
+    open: AtomicUsize,
+    /// Set at this server's stop, after which a connection handed over
+    /// is refused. Only the reader reads or writes it.
+    stopped: AtomicBool,
 }
 
-/// The reader's ready queue. The reader owns it; the listener's handler,
-/// the server's handle and every connection's report hold it weakly, so
+/// What the reader waits for, in the order it happened.
+enum Report {
+    /// A connection a server's listener handed over.
+    Accepted(Box<dyn Conn>, Arc<Server>),
+    /// Connection `key` has a frame, or has ended.
+    Ready(u64),
+    /// The server is shutting down: close its connections, then drop the
+    /// sender, which its [`ServerHandle::shutdown`] waits for.
+    Stop(Arc<Server>, mpsc::Sender<()>),
+    /// The last handle has gone: close every connection and return.
+    Exit,
+}
+
+/// The reader's ready queue. The reader owns it; its handles, every
+/// listener's handler and every connection's report hold it weakly, so
 /// once the reader has returned — or a panicking call has ended it — a
 /// report is handed back instead of queued for no one.
 ///
@@ -143,6 +155,7 @@ fn report(queue: &Weak<ReadyQueue>, report: Report) -> Result<(), Report> {
 struct Served {
     conn: Box<dyn Conn>,
     seen: SeenCalls,
+    server: Arc<Server>,
 }
 
 thread_local! {
@@ -153,7 +166,8 @@ thread_local! {
 /// Whether the current thread is running a server's [`Service::call`].
 /// A service that must never call out while it serves can assert that
 /// the code which calls out is not reached from here: such a call would
-/// wait on a reader, maybe its own, that reads nothing meanwhile.
+/// wait on a reader, in a cluster the one it runs on, that reads nothing
+/// meanwhile.
 pub fn serving() -> bool {
     SERVING.with(Cell::get)
 }
@@ -170,46 +184,112 @@ fn answer(service: &dyn Service, request: Request) -> Response {
     }
 }
 
+/// A reader thread (`rpc-serve`), which serves every server started on
+/// it ([`Reader::serve`]). Clones share the thread. It returns when the
+/// last clone and the last of its servers' handles are dropped, and that
+/// drop joins it.
+#[derive(Clone)]
+pub struct Reader(Arc<ReaderThread>);
+
+struct ReaderThread {
+    queue: Weak<ReadyQueue>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for ReaderThread {
+    fn drop(&mut self) {
+        let _ = report(&self.queue, Report::Exit);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Reader {
+    /// Start a reader thread. One that could not start, or that a
+    /// panicking call ended, has dropped its queue: every connection
+    /// handed to it is then refused.
+    pub fn start() -> Reader {
+        let ready = Arc::new(ReadyQueue::default());
+        let queue = Arc::downgrade(&ready);
+        let thread = Builder::new()
+            .name("rpc-serve".to_string())
+            .spawn(move || read(&ready))
+            .ok();
+        Reader(Arc::new(ReaderThread { queue, thread }))
+    }
+
+    /// Serve `service` on `listener` from this reader: the listener hands
+    /// it each connection. Only connections that report their frames
+    /// ([`Conn::report_to`]) are served; any other is closed and counted
+    /// in [`ServerMetrics::errors`].
+    pub fn serve(
+        &self,
+        mut listener: Box<dyn Listener>,
+        service: Arc<dyn Service>,
+    ) -> ServerHandle {
+        let server = Arc::new(Server {
+            service,
+            metrics: ServerMetrics::default(),
+            open: AtomicUsize::new(0),
+            stopped: AtomicBool::new(false),
+        });
+        listener.hand_to(Box::new({
+            let (queue, server) = (self.0.queue.clone(), Arc::clone(&server));
+            move |conn| {
+                server.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                let accepted = Report::Accepted(conn, Arc::clone(&server));
+                if let Err(Report::Accepted(conn, _)) = report(&queue, accepted) {
+                    server.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    conn.close();
+                }
+            }
+        }));
+        ServerHandle {
+            listener: Some(listener),
+            server,
+            reader: Some(self.clone()),
+        }
+    }
+}
+
 /// Handle to a running server; shuts it down on drop.
 pub struct ServerHandle {
     /// `None` once shut down: dropping it unbinds the server's name.
     listener: Option<Box<dyn Listener>>,
-    queue: Weak<ReadyQueue>,
-    reader: Option<JoinHandle<()>>,
-    /// How many connections the reader holds open.
-    open: Arc<AtomicUsize>,
-    metrics: Arc<ServerMetrics>,
-    addr: String,
+    server: Arc<Server>,
+    /// `None` once shut down: the server's hold on its reader.
+    reader: Option<Reader>,
 }
 
 impl ServerHandle {
-    /// Address clients should connect to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Counters for this server (calls, errors, connections).
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.server.metrics
     }
 
     /// Connections currently open. A connection whose client hung up
     /// leaves nothing behind, so under churn this follows the number of
     /// *live* connections, not the number ever accepted.
     pub fn tracked_connections(&self) -> usize {
-        self.open.load(Ordering::Relaxed)
+        self.server.open.load(Ordering::Relaxed)
     }
 
-    /// Stop the server and wait until it is fully quiescent: its name is
-    /// unbound, every connection it took is closed, and the reader has
-    /// returned. A call in flight either delivered its response before
-    /// the close or fails at the client with a transport error; clients
-    /// see dead connections from then on.
+    /// Stop the server and wait until it is quiescent: its name is
+    /// unbound and the reader has closed every connection it took. A call
+    /// in flight either delivered its response before the close or fails
+    /// at the client with a transport error; clients see dead
+    /// connections from then on. The reader serves its other servers on,
+    /// and returns here if this was its last handle.
     pub fn shutdown(&mut self) {
         self.listener = None;
-        let _ = report(&self.queue, Report::Stop);
         if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
+            let (done, closed) = mpsc::channel();
+            let stop = Report::Stop(Arc::clone(&self.server), done);
+            let _ = report(&reader.0.queue, stop);
+            // The sender drops once the reader has closed this server's
+            // connections, or with the queue if the reader has gone.
+            let _ = closed.recv();
         }
     }
 }
@@ -220,57 +300,20 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Start a server on `listener`, dispatching to `service`: one reader
-/// thread, to which the listener hands each connection. Only connections
-/// that report their frames ([`Conn::report_to`]) are served; any other
-/// is closed and counted in [`ServerMetrics::errors`].
-pub fn serve(mut listener: Box<dyn Listener>, service: Arc<dyn Service>) -> ServerHandle {
-    let metrics = Arc::new(ServerMetrics::default());
-    let addr = listener.addr();
-    let open = Arc::new(AtomicUsize::new(0));
-    let ready = Arc::new(ReadyQueue::default());
-    let queue = Arc::downgrade(&ready);
-    // A reader that could not start, or that a panicking call ended, has
-    // dropped the queue: every connection is then refused.
-    let reader = Builder::new()
-        .name("rpc-serve".to_string())
-        .spawn({
-            let (metrics, open) = (Arc::clone(&metrics), Arc::clone(&open));
-            move || read(&ready, &*service, &metrics, &open)
-        })
-        .ok();
-    listener.hand_to(Box::new({
-        let (queue, metrics) = (queue.clone(), Arc::clone(&metrics));
-        move |conn| {
-            metrics.connections.fetch_add(1, Ordering::Relaxed);
-            if let Err(Report::Accepted(conn)) = report(&queue, Report::Accepted(conn)) {
-                metrics.errors.fetch_add(1, Ordering::Relaxed);
-                conn.close();
-            }
-        }
-    }));
-    ServerHandle {
-        listener: Some(listener),
-        queue,
-        reader,
-        open,
-        metrics,
-        addr,
-    }
+/// Start a server on `listener`, dispatching to `service`, on a reader
+/// of its own ([`Reader::serve`]).
+pub fn serve(listener: Box<dyn Listener>, service: Arc<dyn Service>) -> ServerHandle {
+    Reader::start().serve(listener, service)
 }
 
 /// The reader: take each report in turn. An accepted connection is
 /// registered to report here; a ready one gives up one frame, which
-/// [`serve_frame`] serves; an ended one is closed and forgotten, so a
-/// later report of its finds nothing. On the stop, close every connection
-/// still open and return.
-fn read(
-    ready: &Arc<ReadyQueue>,
-    service: &dyn Service,
-    metrics: &ServerMetrics,
-    open: &AtomicUsize,
-) {
-    let mut served = HashMap::new();
+/// [`serve_frame`] serves for its server; an ended one is closed and
+/// forgotten, so a later report of its finds nothing. A server's stop
+/// closes its connections; the exit closes every connection still open
+/// and returns.
+fn read(ready: &Arc<ReadyQueue>) {
+    let mut served: HashMap<u64, Served> = HashMap::new();
     let mut next_key = 0u64;
     // A deadline that has passed: `recv_until` with it takes a frame that
     // is there and waits for none.
@@ -278,54 +321,63 @@ fn read(
     loop {
         let key = match ready.next() {
             Report::Ready(key) => key,
-            Report::Accepted(conn) => {
+            Report::Accepted(conn, server) => {
                 let key = next_key;
                 next_key += 1;
                 let queue = Arc::downgrade(ready);
-                let reporting = conn.report_to(Box::new(move || {
-                    let _ = report(&queue, Report::Ready(key));
-                }));
-                if reporting.is_ok() {
-                    let seen = SeenCalls::new();
-                    served.insert(key, Served { conn, seen });
+                // A connection that cannot report, or whose server has
+                // stopped, is refused, not the reader: its client fails
+                // every call on it at once and redials.
+                let reporting = !server.stopped.load(Ordering::Relaxed)
+                    && conn
+                        .report_to(Box::new(move || {
+                            let _ = report(&queue, Report::Ready(key));
+                        }))
+                        .is_ok();
+                if reporting {
+                    server.open.fetch_add(1, Ordering::Relaxed);
+                    let seen = SeenCalls::default();
+                    served.insert(key, Served { conn, seen, server });
                 } else {
-                    // A connection that cannot report cannot be served:
-                    // refuse it, not the server. Its client fails every
-                    // call on it at once and redials.
-                    metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    server.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     conn.close();
                 }
-                open.store(served.len(), Ordering::Relaxed);
                 continue;
             }
-            Report::Stop => break,
+            Report::Stop(server, _done) => {
+                server.stopped.store(true, Ordering::Relaxed);
+                let ours = |entry: &Served| Arc::ptr_eq(&entry.server, &server);
+                served
+                    .values()
+                    .filter(|e| ours(e))
+                    .for_each(|e| e.conn.close());
+                served.retain(|_, entry| !ours(entry));
+                server.open.store(0, Ordering::Relaxed);
+                continue;
+            }
+            Report::Exit => break,
         };
         let Some(entry) = served.get_mut(&key) else {
             continue;
         };
         // A report stands for a frame or for the connection's end.
         let frame = entry.conn.recv_until(Some(passed));
-        if !frame.is_ok_and(|frame| serve_frame(frame, entry, service, metrics)) {
+        if !frame.is_ok_and(|frame| serve_frame(frame, entry)) {
             entry.conn.close();
+            entry.server.open.fetch_sub(1, Ordering::Relaxed);
             served.remove(&key);
-            open.store(served.len(), Ordering::Relaxed);
         }
     }
     for entry in served.values() {
         entry.conn.close();
     }
-    open.store(0, Ordering::Relaxed);
 }
 
 /// Serve one frame of `entry`'s connection: decode the request, drop a
-/// duplicate, run the call and write its response. False if the
+/// duplicate, run its server's call and write the response. False if the
 /// connection must end.
-fn serve_frame(
-    frame: Frame,
-    entry: &mut Served,
-    service: &dyn Service,
-    metrics: &ServerMetrics,
-) -> bool {
+fn serve_frame(frame: Frame, entry: &mut Served) -> bool {
+    let metrics = &entry.server.metrics;
     let request = match frame.msg_type {
         FRAME_REQUEST => Request::from_frame(&frame).ok(),
         _ => None,
@@ -346,7 +398,7 @@ fn serve_frame(
         return true;
     }
     metrics.calls.fetch_add(1, Ordering::Relaxed);
-    let response = answer(service, request);
+    let response = answer(&*entry.server.service, request);
     if response.result.is_err() {
         metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -509,6 +561,39 @@ mod tests {
         // once: none waits for an answer that cannot come.
         for (client, method) in [(doomed, 1), (bystander, 2), (dial(), 2)] {
             let err = bounded_call(&client, method, b"lost").unwrap_err();
+            assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        }
+    }
+
+    #[test]
+    fn two_servers_share_a_reader_and_stop_apart_but_a_panic_fails_both() {
+        let hub = InprocHub::new();
+        let reader = Reader::start();
+        let mut first = reader.serve(Box::new(hub.bind("first").unwrap()), Arc::new(PanicsOnOne));
+        let _second = reader.serve(Box::new(hub.bind("second").unwrap()), Arc::new(PanicsOnOne));
+        let dial = |name| Arc::new(RpcClient::new(Box::new(hub.connect(name).unwrap())));
+        let (stopped, answering) = (dial("first"), dial("second"));
+        for client in [&stopped, &answering] {
+            assert_eq!(&bounded_call(client, 2, b"both").unwrap()[..], b"both");
+        }
+
+        // Stopping one server closes its connections and frees its name;
+        // the reader serves the other on.
+        first.shutdown();
+        assert_eq!(first.tracked_connections(), 0);
+        let err = bounded_call(&stopped, 2, b"gone").unwrap_err();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        let _first_again =
+            reader.serve(Box::new(hub.bind("first").unwrap()), Arc::new(PanicsOnOne));
+        let restarted = dial("first");
+        for client in [&answering, &restarted] {
+            assert_eq!(&bounded_call(client, 2, b"still").unwrap()[..], b"still");
+        }
+
+        // A panicking leaf of one server ends the reader both share: a
+        // call to either fails at once, none waits for an answer.
+        for (client, method) in [(&restarted, 1), (&answering, 2), (&dial("second"), 2)] {
+            let err = bounded_call(client, method, b"lost").unwrap_err();
             assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         }
     }

@@ -112,10 +112,10 @@ impl fmt::Display for Status {
 impl std::error::Error for Status {}
 
 /// A unary-call service: decode the request, do the work, encode the reply.
-/// Every call runs on the server's one reader, which reads nothing else
-/// meanwhile, on any connection: a call answers from the service's own
-/// state and never waits on another call — to any server, this one
-/// included — or neither would finish ([`crate::server::serving`] tells
+/// Every call runs on its server's reader, which may serve other servers
+/// too and reads nothing else meanwhile: a call answers from the
+/// service's own state and never waits on another call — to any server,
+/// this one included — or neither would finish ([`crate::server::serving`] tells
 /// a service's code whether it is serving one).
 pub trait Service: Send + Sync {
     /// Handle one unary call.

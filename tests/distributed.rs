@@ -187,7 +187,7 @@ fn remote_reads_account_every_payload_byte_to_the_reader() {
 }
 
 /// A stop wakes a parked reader, so tearing a cluster down joins its
-/// `rpc-serve` readers without waiting out a poll. The bound is generous and the best of three launches
+/// `rpc-serve` reader without waiting out a poll. The bound is generous and the best of three launches
 /// is judged, so a descheduled test thread cannot fail it but a poll of
 /// any useful period would.
 #[test]

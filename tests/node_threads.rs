@@ -1,9 +1,11 @@
-//! A node runs one thread, its interconnect reader: no thread waits to
-//! accept a connection, and a Plasma client costs one `plasma-conn`
-//! thread for as long as it is connected. One test in its own binary, so
-//! every thread this process has is this test's or its cluster's.
+//! A cluster of any size runs one interconnect reader: no thread waits
+//! to accept a connection, stopping and restarting a node's interconnect
+//! adds none, and a Plasma client costs one `plasma-conn` thread for as
+//! long as it is connected. One test in its own binary, so every thread
+//! this process has is this test's or its cluster's.
 
 use disagg::{Cluster, ClusterConfig};
+use plasma::ObjectId;
 use std::time::{Duration, Instant};
 
 /// This process's thread names.
@@ -41,8 +43,8 @@ fn until_named(prefix: &str, want: usize) {
 
 #[test]
 fn a_node_is_one_reader_and_a_client_one_connection_thread() {
-    let cluster = Cluster::launch(ClusterConfig::functional(16, 1 << 20)).unwrap();
-    until_named("rpc-serve", 16);
+    let mut cluster = Cluster::launch(ClusterConfig::functional(16, 1 << 20)).unwrap();
+    until_named("rpc-serve", 1);
     for accept in ["rpc-acc", "plasma-acc"] {
         assert_eq!(named(accept), 0, "{:?}", thread_names());
     }
@@ -52,5 +54,19 @@ fn a_node_is_one_reader_and_a_client_one_connection_thread() {
     until_named("plasma-conn", 3);
     drop(clients);
     until_named("plasma-conn", 0);
-    assert_eq!(named("rpc-serve"), 16);
+    assert_eq!(named("rpc-serve"), 1);
+
+    // Node 3's interconnect stops and comes back on the same reader.
+    cluster.stop_rpc(3);
+    assert_eq!(named("rpc-serve"), 1);
+    cluster.restart_rpc(3).unwrap();
+    assert_eq!(named("rpc-serve"), 1);
+    let id = ObjectId::from_name(&cluster.owned_id(3, "after-restart"));
+    let client = cluster.client(0).unwrap();
+    client.put(id, b"node 3 answers", &[]).unwrap();
+    assert!(cluster.store(3).core().contains(id));
+    drop(client);
+
+    drop(cluster);
+    until_named("rpc-serve", 0);
 }

@@ -129,7 +129,7 @@ fn delete_invalidates_replicas_first() {
 /// Two nodes delete each other's replicated objects at the same moment,
 /// round after round. Each forwarded `DELETE` waits on an `INVALIDATE`
 /// back to the node that sent it, so were `DELETE` served on the
-/// reader that read it, each node's reader would wait on the other's
+/// reader that read it, the cluster's one reader would wait on itself
 /// until the deadline, and both deletes would fail.
 #[test]
 fn crossing_deletes_of_each_others_replicated_objects_both_succeed() {
@@ -238,8 +238,8 @@ fn crossing_deletes(cluster: &Arc<Cluster>, ids: [ObjectId; 2]) {
 /// The lent twin of the crossing test above: each node spilled its
 /// object to the other, then each deletes the object it holds the lease
 /// of. Were the owner's half of a delete to call its holder back from
-/// the reader that read it, each node's reader would wait on the other's
-/// for ever.
+/// the reader that read it, the cluster's one reader would wait on
+/// itself for ever.
 #[test]
 fn crossing_deletes_of_each_others_lent_objects_both_succeed() {
     let cluster = Arc::new(two_nodes_without_deadline());
