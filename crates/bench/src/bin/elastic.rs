@@ -413,6 +413,9 @@ fn main() {
     let rebalances = counter_sum(&cluster, "disagg.elastic.rebalances");
     let redirects_served = counter_sum(&cluster, "disagg.elastic.redirects_served");
     let redirects_followed = counter_sum(&cluster, "disagg.elastic.redirects_followed");
+    let lookups: u64 = (0..nodes)
+        .map(|node| cluster.store(node).disagg_stats().lookup_rpcs)
+        .sum();
     let ops_per_sec = schedule.ops.len() as f64 / virtual_elapsed.as_secs_f64().max(1e-9);
     let get_p50 = percentile_us(&latencies_ns, 0.50);
     let get_p99 = percentile_us(&latencies_ns, 0.99);
@@ -431,6 +434,11 @@ fn main() {
     println!(
         "elastic: spills {spills}, rebalances {rebalances}, redirects served/followed \
          {redirects_served}/{redirects_followed}, overload rejections {overloaded}"
+    );
+    println!(
+        "lookups: {lookups} GET_MANY for {} gets ({:.3} a get)",
+        tally.gets_ok + tally.get_misses,
+        lookups as f64 / (tally.gets_ok + tally.get_misses).max(1) as f64
     );
     println!(
         "latency: get p50 {get_p50:.1} us, p99 {get_p99:.1} us (hot pod p99 {hot_p99:.1} us); \

@@ -26,6 +26,17 @@
 //! 5. **No presence after provable delete** — `contains == true` is a
 //!    violation if an acked delete precedes it and every put of the name
 //!    strictly preceded that delete.
+//!
+//! The settle's read-backs ([`EventKind::ReadBack`]) are reads like any
+//! other for 1–3, and, only when `evictions == 0`, answer two more:
+//!
+//! 6. **Nothing is lost** — a read-back misses while some acked put of
+//!    the name must survive: no delete attempt of the name, acked or
+//!    not, could have run after it (every one completed before the put
+//!    was invoked).
+//! 7. **Nothing is stale** — a read-back returns a version that cannot
+//!    be current: its put is strictly followed by an acked delete, or
+//!    another acked put must survive.
 
 use crate::history::{Event, EventKind, Observed};
 
@@ -99,6 +110,7 @@ pub fn check(history: &[Event], evictions: u64) -> Verdict {
     let mut deletes: Vec<(u8, bool, Span)> = Vec::new(); // (name, ok, span)
     let mut reads: Vec<Read> = Vec::new();
     let mut presences: Vec<(u8, Span, usize)> = Vec::new(); // (name, span, client)
+    let mut read_backs: Vec<Read> = Vec::new();
     for event in history {
         let span = Span::of(event);
         match &event.kind {
@@ -110,6 +122,16 @@ pub fn check(history: &[Event], evictions: u64) -> Verdict {
                 span,
                 client: event.client,
             }),
+            EventKind::ReadBack { name, observed } => {
+                let read = Read {
+                    name: *name,
+                    observed: *observed,
+                    span,
+                    client: event.client,
+                };
+                reads.push(read);
+                read_backs.push(read);
+            }
             EventKind::BatchGet { names, observed } => {
                 for (name, obs) in names.iter().zip(observed) {
                     reads.push(Read {
@@ -148,9 +170,49 @@ pub fn check(history: &[Event], evictions: u64) -> Verdict {
 
     if evictions == 0 {
         check_create_uniqueness(&puts, &deletes, &mut verdict);
+        for read in &read_backs {
+            check_survivor(read, &puts, &deletes, &mut verdict);
+        }
     }
 
     verdict
+}
+
+/// Invariants 6 and 7 for one read-back.
+fn check_survivor(
+    read: &Read,
+    puts: &[(u8, u64, bool, Span)],
+    deletes: &[(u8, bool, Span)],
+    verdict: &mut Verdict,
+) {
+    let deletes_of = || deletes.iter().filter(|(name, ..)| *name == read.name);
+    let mut of_name = puts.iter().filter(|(name, ..)| *name == read.name);
+    // Acked puts no delete attempt could have followed.
+    let must: Vec<u64> = of_name
+        .clone()
+        .filter(|(_, _, ok, put)| *ok && deletes_of().all(|(_, _, d)| d.precedes(put)))
+        .map(|(_, tag, ..)| *tag)
+        .collect();
+    match read.observed {
+        Observed::Missing if !must.is_empty() => verdict.violations.push(format!(
+            "lost: the read-back of name {} missed, although put tag {} was acked and no \
+             delete of it was attempted after",
+            read.name, must[0]
+        )),
+        Observed::Value { tag } => {
+            let current = of_name.any(|(_, t, _, put)| {
+                *t == tag && !deletes_of().any(|(_, ok, d)| *ok && put.precedes(d))
+            });
+            if !current || !(must.is_empty() || must.contains(&tag)) {
+                verdict.violations.push(format!(
+                    "stale: the read-back of name {} observed tag {tag}, which cannot be \
+                     current (acked puts that must survive: {must:?})",
+                    read.name
+                ));
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Invariants 2 and 3 for one observed value.
@@ -416,6 +478,45 @@ mod tests {
         let mut with_put = history.clone();
         with_put.push(put(25, 35, 1, 101, true));
         assert!(check(&with_put, 0).ok());
+    }
+
+    fn read_back(t0: u64, name: u8, observed: Observed) -> Event {
+        Event {
+            client: 3,
+            invoke_us: t0,
+            complete_us: t0 + 5,
+            kind: EventKind::ReadBack { name, observed },
+        }
+    }
+
+    #[test]
+    fn lost_and_stale_read_backs_are_flagged_and_gated() {
+        let history = vec![
+            put(0, 10, 1, 100, true),
+            put(0, 10, 2, 200, true),
+            delete(20, 30, 2, false), // may have run: 200 need not survive
+            put(40, 50, 3, 300, true),
+            delete(60, 70, 3, true),
+            put(80, 90, 3, 301, true),
+            read_back(100, 1, Observed::Missing),
+            read_back(100, 2, Observed::Missing),
+            read_back(100, 3, Observed::Value { tag: 300 }),
+        ];
+        let verdict = check(&history, 0);
+        assert_eq!(verdict.violations.len(), 3, "{verdict}");
+        assert!(verdict.violations[0].contains("resurrection"), "{verdict}");
+        assert!(verdict.violations[1].contains("lost: the read-back of name 1"));
+        assert!(verdict.violations[2].contains("stale: the read-back of name 3"));
+        // What survived reads clean, and an eviction excuses a loss.
+        let clean = vec![
+            put(0, 10, 1, 100, true),
+            put(0, 10, 2, 200, true),
+            delete(20, 30, 2, false),
+            read_back(100, 1, Observed::Value { tag: 100 }),
+            read_back(100, 2, Observed::Missing),
+        ];
+        assert!(check(&clean, 0).ok(), "{}", check(&clean, 0));
+        assert!(check(&history[..7], 1).ok());
     }
 
     #[test]

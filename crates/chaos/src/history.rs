@@ -1,7 +1,8 @@
 //! Operation history: what every client saw, with real-time intervals.
 //!
 //! The soak's worker threads record every client-visible operation —
-//! put, get, batched get, delete, contains — as an [`Event`] carrying
+//! put, get, batched get, delete, contains — and its settle phase one
+//! read-back of every name, each as an [`Event`] carrying
 //! its invocation and completion timestamps (microseconds since the
 //! recorder's epoch). The checker ([`crate::checker`]) later validates
 //! the whole history against the store's consistency contract. Real-time
@@ -72,6 +73,14 @@ pub enum EventKind {
         name: u8,
         /// Whether the delete was acknowledged.
         ok: bool,
+    },
+    /// The settle's one read of `name`, over the clean network after
+    /// reconcile, through a node that does not own it: what survived.
+    ReadBack {
+        /// Object name.
+        name: u8,
+        /// What the read observed.
+        observed: Observed,
     },
     /// `contains(name)`.
     Contains {

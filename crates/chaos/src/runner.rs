@@ -20,10 +20,14 @@
 //!    reports what it holds to each owner, so owners can trim pins
 //!    orphaned by responses the nemesis dropped, ambiguous spills
 //!    converge back to a single accounted copy, and replica records
-//!    match what holders actually seal.
+//!    match what holders actually seal. Then read every name back once,
+//!    through a client on a node that does not own it, so that the ring,
+//!    `Moved`, leases and replicas all serve the reads, and record what
+//!    survived.
 //! 4. Quiesce audit: [`Cluster::audit`], the cluster's promises stated
 //!    once in `disagg` (DESIGN §9, "Checked invariants").
-//! 5. Run the [`crate::checker`] over the recorded history.
+//! 5. Run the [`crate::checker`] over the recorded history, the
+//!    read-backs included: a lost or stale survivor is a violation.
 //!
 //! Fault decisions are deterministic per (link, direction, seq) — see
 //! [`crate::inject`] — so replaying a failing `(plan, SoakConfig)` pair
@@ -278,6 +282,26 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         let sweep = cluster.store(i).reconcile();
         healed.dropped += sweep.dropped;
         healed.trimmed += sweep.trimmed;
+    }
+
+    // 3d: read-back. Every name once, through a node that does not own
+    // it; its releases go out over the clean network before the audit.
+    for name in 0..cfg.names {
+        let id = chaos_oid(name);
+        let owner = cluster.store(0).ring_owner(id);
+        let node = (0..cfg.nodes)
+            .find(|&i| Some(cluster.node_id(i)) != owner)
+            .unwrap_or(0);
+        let client = cluster.client(node)?;
+        let invoke = recorder.now_us();
+        let observed = match client.get(&[id], cfg.get_timeout) {
+            Ok(slots) => {
+                let slot = slots.into_iter().next().flatten();
+                observe(&client, id, slot, node, &mut Vec::new())
+            }
+            Err(_) => Observed::Missing,
+        };
+        recorder.record(node, invoke, EventKind::ReadBack { name, observed });
     }
 
     // Phase 4: the quiesce audit.

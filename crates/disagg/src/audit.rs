@@ -54,8 +54,26 @@ fn dangling(cluster: &Cluster) -> Vec<String> {
             ));
         }
         // Every reference a get handed out was released: a client that
-        // held one back would keep its object undeletable for ever.
-        let refs: u64 = store.core().list().iter().map(|o| o.ref_count).sum();
+        // held one back would keep its object undeletable for ever. A
+        // leased copy keeps exactly one, its lease's, for as long as its
+        // owner may hand the copy out.
+        let leased: HashSet<ObjectId> = store
+            .delegations()
+            .into_iter()
+            .filter(|r| (r.side, r.kind) == (Side::Held, Kind::Lease))
+            .map(|r| r.id)
+            .collect();
+        let mut refs = 0;
+        for object in store.core().list() {
+            let lease = u64::from(leased.contains(&object.id));
+            refs += object.ref_count.saturating_sub(lease);
+            if object.ref_count < lease {
+                violations.push(format!(
+                    "Lease violation: node {i} holds {:?} on lease without the lease's reference",
+                    object.id
+                ));
+            }
+        }
         if refs != 0 {
             violations.push(format!(
                 "reference leak: node {i} still counts {refs} object references at quiesce"
@@ -73,10 +91,10 @@ fn dangling(cluster: &Cluster) -> Vec<String> {
 /// replica must agree: an owner-side entry whose holder has no sealed
 /// copy (or no matching `held` entry) is an orphan, and so is the
 /// reverse. Holders must be cluster members, a lease means the owner
-/// gave its copy up, a replica means it kept it, and no id is both lent
-/// and replicated. A violation here means a forwarded create, a spill
-/// or a replication landed (or left residue) somewhere the ledgers
-/// cannot account for.
+/// gave its copy up and hands out the holder's copy, a replica means it
+/// kept it, and no id is both lent and replicated. A violation here
+/// means a forwarded create, a spill or a replication landed (or left
+/// residue) somewhere the ledgers cannot account for.
 fn placement(cluster: &Cluster) -> Vec<String> {
     let nodes = cluster.len();
     let mut violations = Vec::new();
@@ -114,13 +132,22 @@ fn placement(cluster: &Cluster) -> Vec<String> {
         })
         .collect();
     // out[(owner idx, id, kind)] = holder idxs, from the owners' side.
-    // Every recorded holder must be a cluster member.
+    // Every recorded holder must be a cluster member, and the copy a
+    // lease hands out must be the one its holder seals.
     let mut out: HashMap<(usize, ObjectId, Kind), HashSet<usize>> = HashMap::new();
     for (i, records) in copies.iter().enumerate() {
         for r in records.iter().filter(|r| r.side == Side::Out) {
             match index_of.get(&r.peer) {
                 Some(&h) => {
                     out.entry((i, r.id, r.kind)).or_default().insert(h);
+                    let held = cluster.store(h).core().peek(r.id);
+                    if r.kind == Kind::Lease && held.is_some() && r.at != held {
+                        violations.push(format!(
+                            "Lease violation: node {i} hands out {:?} for {:?}, which is not \
+                             node {h}'s copy {held:?}",
+                            r.at, r.id
+                        ));
+                    }
                 }
                 None => violations.push(format!(
                     "{:?} violation: node {i} records {:?} at unknown node {:?} \
@@ -257,13 +284,22 @@ mod tests {
         core.release(id).unwrap();
     }
 
-    /// A lease row of `id` on `side` of node `at`'s ledger, naming `peer`.
+    /// A lease row of `id` on `side` of node `at`'s ledger, naming `peer`,
+    /// as a spill leaves it where the holder seals a copy: the owner's
+    /// row hands that copy out, and the holder keeps its reference.
     fn plant(cluster: &Cluster, at: usize, side: Side, id: ObjectId, peer: usize) {
+        let ledger = cluster.store(at).ledger();
+        let holder = if side == Side::Out { peer } else { at };
+        let copy = cluster.store(holder).core().peek(id);
         let peer = cluster.node_id(peer);
-        cluster
-            .store(at)
-            .ledger()
-            .record(side, id, Kind::Lease, peer, 256);
+        match (side, copy) {
+            (Side::Out, Some(copy)) => ledger.lend_out(id, peer, copy),
+            (Side::Held, Some(_)) => {
+                cluster.store(at).core().get_local(id);
+                ledger.record(side, id, Kind::Lease, peer, 256);
+            }
+            _ => ledger.record(side, id, Kind::Lease, peer, 256),
+        }
     }
 
     /// The audit's only line, which must name `promise`.

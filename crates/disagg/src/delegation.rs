@@ -25,7 +25,7 @@
 //! rules can be driven by a model checker as well as by the store.
 
 use parking_lot::Mutex;
-use plasma::ObjectId;
+use plasma::{ObjectId, ObjectLocation, PlasmaError};
 use std::collections::{HashMap, HashSet};
 use std::ops::{AddAssign, Index, IndexMut};
 use tfsim::NodeId;
@@ -35,14 +35,19 @@ use tfsim::NodeId;
 pub enum Kind {
     /// A reference on a sealed object, taken while serving a remote get
     /// and dropped by `RELEASE`: the owner neither evicts nor deletes
-    /// the object while `count` of them are out.
+    /// the object while `count` of them are out. A pin on the owner's
+    /// own copy holds a reference of its core; a pin on a lent id holds
+    /// none — the holder's lease reference keeps that copy, and the pin
+    /// keeps the lease (see [`Delegation::at`]).
     Pin = 0,
     /// A forwarded create between `CREATE_AT` and `SEAL_AT`/`ABORT_AT`:
     /// the unsealed buffer at the owner, and the creator's reference on
     /// it, belong to the requester.
     Staged = 1,
     /// The single lease on a spilled object: the holder has the only
-    /// copy, the owner keeps the id and answers gets with a redirect.
+    /// copy and keeps one reference on it until the owner retires the
+    /// lease; the owner keeps the id and answers gets with the holder's
+    /// descriptor.
     Lease = 2,
     /// A read replica: the holder serves its own reads from a copy, the
     /// owner keeps its copy and must invalidate the replica before a
@@ -75,7 +80,8 @@ pub enum Side {
     Held,
 }
 
-/// Where a `held` entry is in its life. `out` entries are always `Live`.
+/// Where an entry is in its life. `out` entries are `Live` but for a
+/// lease a delete is retiring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Both ends count it; it is reported at reconcile.
@@ -84,7 +90,9 @@ pub enum Phase {
     /// when its `RELEASE` failed against an unreachable owner and is
     /// parked for retry; a `Staged` create is closing once `SEAL_AT`
     /// consumed the creator's reference at the owner and the client's
-    /// trailing `release` — satisfied locally — is still to come.
+    /// trailing `release` — satisfied locally — is still to come. An
+    /// owner's `Lease` is closing once a delete was told to retire the
+    /// holder's copy: no get is handed its descriptor any more.
     Closing,
 }
 
@@ -96,12 +104,30 @@ pub struct Delegation {
     /// The other node: the holder on the `out` side, the owner on the
     /// `held` side.
     pub peer: NodeId,
-    /// References this entry stands for: pins for a `Pin`, 1 otherwise.
+    /// References this entry stands for: pins for a `Pin`, the deletes
+    /// retiring it for an owner's closing `Lease`, 1 otherwise.
     pub count: u64,
     /// Object size (data + metadata) for copies and staged creates.
     pub bytes: u64,
     /// Lifecycle state.
     pub phase: Phase,
+    /// The holder's sealed copy, on an owner's entries that hand it
+    /// out: its `Lease`, and the `Pin`s it took on the lent id. `None`
+    /// everywhere else — an owner's pin without it is on the owner's
+    /// own copy and holds a reference of its core.
+    pub at: Option<ObjectLocation>,
+}
+
+impl Delegation {
+    /// An owner's pin, toward `reader`, on the holder's copy of a lent id.
+    fn lends_to(&self, reader: NodeId) -> bool {
+        self.kind == Kind::Pin && self.peer == reader && self.at.is_some()
+    }
+
+    /// An owner's pin, toward `reader`, on its own copy of the id.
+    fn pins_own_copy_for(&self, reader: NodeId) -> bool {
+        self.kind == Kind::Pin && self.peer == reader && self.at.is_none()
+    }
 }
 
 /// One row of [`Ledger::records`]: an entry with its id and side — the
@@ -122,6 +148,8 @@ pub struct DelegationRecord {
     pub bytes: u64,
     /// Lifecycle state.
     pub phase: Phase,
+    /// The holder's sealed copy, where the entry hands it out.
+    pub at: Option<ObjectLocation>,
 }
 
 /// A count per [`Kind`].
@@ -208,17 +236,18 @@ pub enum Verdict {
 /// | `Pin` | counts no more than claimed | `Keep` — an over-report never inflates the owner |
 /// | `Staged` | no such staged create | `Drop` |
 /// | `Lease` | has a sealed copy again | `Drop` — the delegation is redundant |
-/// | `Lease` | lease recorded for a *different* holder | `Drop` — that lease was confirmed; overwriting it would fork it |
-/// | `Lease` | otherwise | `Keep` (install: heals a lost `SPILL_AT` response) |
+/// | `Lease` | no lease toward the reporter | `Drop` — an owner gives its copy up only once it recorded the lease, so this is what an ambiguous spill left of an object the owner kept, and has deleted since (or leased elsewhere: overwriting that would fork it) |
+/// | `Lease` | otherwise | `Keep` (a lease a delete left closing opens again) |
 /// | `Replica` | no sealed copy (deleted or evicted since) | `Drop` |
 /// | `Replica` | the id is lent | `Drop` — lent ⊕ replicated |
 /// | `Replica` | otherwise | `Keep` (install: heals a lost `REPLICATE_AT` response) |
 pub fn owner_verdict(view: &OwnerView<'_>, reporter: NodeId, kind: Kind, claimed: u64) -> Verdict {
-    let mine = view
+    let mine: u64 = view
         .out
         .iter()
-        .find(|d| d.kind == kind && d.peer == reporter)
-        .map_or(0, |d| d.count);
+        .filter(|d| d.kind == kind && d.peer == reporter)
+        .map(|d| d.count)
+        .sum();
     if claimed == 0 {
         return if mine > 0 {
             Verdict::Trim(mine)
@@ -226,12 +255,11 @@ pub fn owner_verdict(view: &OwnerView<'_>, reporter: NodeId, kind: Kind, claimed
             Verdict::Keep
         };
     }
-    let mut leases = view.out.iter().filter(|d| d.kind == Kind::Lease);
     let void = match kind {
         Kind::Pin if mine > claimed => return Verdict::Trim(mine - claimed),
         Kind::Pin | Kind::Staged => mine == 0,
-        Kind::Lease => view.sealed || leases.any(|d| d.peer != reporter),
-        Kind::Replica => !view.sealed || leases.next().is_some(),
+        Kind::Lease => view.sealed || mine == 0,
+        Kind::Replica => !view.sealed || view.out.iter().any(|d| d.kind == Kind::Lease),
     };
     if void {
         Verdict::Drop
@@ -248,7 +276,8 @@ pub struct Settlement {
     pub drop: Vec<(ObjectId, Kind)>,
     /// What the owner gave up, per kind: the answer to the reporter.
     pub trimmed: Tally,
-    /// Object references to release: `(id, how many)` trimmed pins.
+    /// Object references to release: `(id, how many)` trimmed pins on
+    /// the owner's own copy. A trimmed pin on a lent id releases nothing.
     pub release: Vec<(ObjectId, u64)>,
     /// Staged creates to abort: their requester no longer claims them,
     /// and nobody else can ever seal them.
@@ -324,8 +353,15 @@ impl Ledger {
         let entries = sides.side(side).entry(id).or_default();
         match (side, kind) {
             (_, Kind::Pin) => {
+                debug_assert!(
+                    side == Side::Held || !entries.iter().any(|d| d.lends_to(peer)),
+                    "{peer:?} would pin both {id:?}'s own copy and its lease"
+                );
                 let live = |d: &&mut Delegation| {
-                    d.kind == Kind::Pin && d.peer == peer && d.phase == Phase::Live
+                    d.kind == Kind::Pin
+                        && d.peer == peer
+                        && d.phase == Phase::Live
+                        && d.at.is_none()
                 };
                 if let Some(d) = entries.iter_mut().find(live) {
                     d.count += 1;
@@ -344,12 +380,116 @@ impl Ledger {
             count: 1,
             bytes,
             phase: Phase::Live,
+            at: None,
         });
+    }
+
+    /// Record the lease of `id` to `holder`, whose sealed copy is `at`,
+    /// replacing any other: what an owner learns from the holder's
+    /// adoption.
+    pub fn lend_out(&self, id: ObjectId, holder: NodeId, at: ObjectLocation) {
+        let mut sides = self.sides.lock();
+        let entries = sides.out.entry(id).or_default();
+        entries.retain(|d| d.kind != Kind::Lease);
+        entries.push(Delegation {
+            kind: Kind::Lease,
+            peer: holder,
+            count: 1,
+            bytes: at.total_size(),
+            phase: Phase::Live,
+            at: Some(at),
+        });
+    }
+
+    /// Hand `reader` the holder's copy of a lent `id`: one more pin on
+    /// the lease, counted here and nowhere else. `None` unless a live
+    /// lease with a known copy is out — none, or one a delete is
+    /// retiring.
+    pub fn lend(&self, id: ObjectId, reader: NodeId) -> Option<ObjectLocation> {
+        let mut sides = self.sides.lock();
+        let entries = sides.out.get_mut(&id)?;
+        let live = |d: &Delegation| d.kind == Kind::Lease && d.phase == Phase::Live;
+        let at = entries.iter().find(|d| live(d))?.at?;
+        debug_assert!(
+            !entries.iter().any(|d| d.pins_own_copy_for(reader)),
+            "{reader:?} would pin both {id:?}'s own copy and its lease"
+        );
+        let lent = |d: &&mut Delegation| d.lends_to(reader);
+        match entries.iter_mut().find(lent) {
+            Some(d) => d.count += 1,
+            None => entries.push(Delegation {
+                kind: Kind::Pin,
+                peer: reader,
+                count: 1,
+                bytes: 0,
+                phase: Phase::Live,
+                at: Some(at),
+            }),
+        }
+        Some(at)
+    }
+
+    /// Whether `reader` still pins the copy this node had of an `id` it
+    /// has since lent away (a lease is out, live or closing): its next
+    /// read of the id must be of that copy too, for a reader holds one
+    /// kind of pin on an id.
+    pub fn reads_spilled_copy(&self, id: ObjectId, reader: NodeId) -> bool {
+        let sides = self.sides.lock();
+        let entries = sides.out.get(&id).map_or(&[][..], Vec::as_slice);
+        let lent = entries.iter().any(|d| d.kind == Kind::Lease);
+        lent && entries.iter().any(|d| d.pins_own_copy_for(reader))
+    }
+
+    /// A delete asks to retire the lease on `id`: refused while any pin
+    /// is out on it (`ObjectInUse`), otherwise the lease is closing —
+    /// no get is handed the holder's copy again — with one more delete
+    /// retiring it, and its holder is returned, for the delete to
+    /// retire. `Ok(None)`: `id` is not lent.
+    pub fn close_lease(&self, id: ObjectId) -> Result<Option<NodeId>, PlasmaError> {
+        let mut sides = self.sides.lock();
+        let Some(entries) = sides.out.get_mut(&id) else {
+            return Ok(None);
+        };
+        let pinned = entries
+            .iter()
+            .any(|d| d.kind == Kind::Pin && d.at.is_some());
+        let Some(lease) = entries.iter_mut().find(|d| d.kind == Kind::Lease) else {
+            return Ok(None);
+        };
+        if pinned {
+            return Err(PlasmaError::ObjectInUse(id));
+        }
+        lease.count += u64::from(lease.phase == Phase::Closing);
+        lease.phase = Phase::Closing;
+        Ok(Some(lease.peer))
+    }
+
+    /// A delete that closed the lease on `id` toward `holder` gives up
+    /// without having reached the holder: one delete fewer retires it,
+    /// and once none does it is live again — the copy is as the delete
+    /// found it. A delete that may have retired the copy never gives up,
+    /// so a lease it left closing stays closed until a delete confirms
+    /// it or a reconcile finds the copy. Returns whether it is live.
+    pub fn reopen_lease(&self, id: ObjectId, holder: NodeId) -> bool {
+        let mut sides = self.sides.lock();
+        let closing = |d: &&mut Delegation| {
+            d.kind == Kind::Lease && d.peer == holder && d.phase == Phase::Closing
+        };
+        let entries = sides.out.get_mut(&id);
+        let Some(lease) = entries.and_then(|e| e.iter_mut().find(closing)) else {
+            return false;
+        };
+        match lease.count {
+            1 => lease.phase = Phase::Live,
+            _ => lease.count -= 1,
+        }
+        lease.phase == Phase::Live
     }
 
     /// Erase the live entry of `kind` on `id` — toward `peer` when one
     /// is named, so an answer about one peer's entry never clobbers
-    /// another's. Returns the entry that was there.
+    /// another's. On the `out` side a closing lease is erased too: that
+    /// is how its delete ends. Returns the entry that was there.
     pub fn remove(
         &self,
         side: Side,
@@ -359,7 +499,8 @@ impl Ledger {
     ) -> Option<Delegation> {
         let mut sides = self.sides.lock();
         let at = sides.position(side, id, |d| {
-            d.kind == kind && d.phase == Phase::Live && peer.is_none_or(|p| d.peer == p)
+            let live = d.phase == Phase::Live || side == Side::Out;
+            d.kind == kind && live && peer.is_none_or(|p| d.peer == p)
         })?;
         Some(sides.take(side, id, at, u64::MAX))
     }
@@ -369,14 +510,16 @@ impl Ledger {
     /// Without, any owner's — pins on one immutable object are fungible
     /// as long as each owner eventually receives its own total — taking
     /// one `prefer` accepts first, so a dead owner does not block
-    /// releasing pins held on live ones. Returns whose pin it was.
+    /// releasing pins held on live ones. Returns the entry the pin came
+    /// off, as it was: whose pin it was, and on an owner whether it held
+    /// a reference of the core ([`Delegation::at`]).
     pub fn unpin(
         &self,
         side: Side,
         id: ObjectId,
         peer: Option<NodeId>,
         prefer: impl Fn(NodeId) -> bool,
-    ) -> Option<NodeId> {
+    ) -> Option<Delegation> {
         let mut sides = self.sides.lock();
         let pin = |d: &Delegation| d.kind == Kind::Pin && d.phase == Phase::Live;
         let at = match peer {
@@ -385,7 +528,7 @@ impl Ledger {
                 .position(side, id, |d| pin(d) && prefer(d.peer))
                 .or_else(|| sides.position(side, id, pin)),
         }?;
-        Some(sides.take(side, id, at, 1).peer)
+        Some(sides.take(side, id, at, 1))
     }
 
     /// The first live entry of `kind` on `id`: the lease holder, the
@@ -464,6 +607,7 @@ impl Ledger {
                 count: 1,
                 bytes: 0,
                 phase: Phase::Closing,
+                at: None,
             }),
         }
     }
@@ -508,6 +652,7 @@ impl Ledger {
                     count: d.count,
                     bytes: d.bytes,
                     phase: d.phase,
+                    at: d.at,
                 }));
             }
             rows
@@ -575,7 +720,11 @@ impl Ledger {
                     count: 1,
                     bytes: local.unwrap_or(0),
                     phase: Phase::Live,
+                    at: None,
                 }),
+                (Verdict::Keep, Some(at)) if kind == Kind::Lease => {
+                    (entries[at].phase, entries[at].count) = (Phase::Live, 1);
+                }
                 (Verdict::Keep, _) => {}
                 (Verdict::Drop, at) => {
                     settled.drop.push((id, kind));
@@ -583,32 +732,36 @@ impl Ledger {
                         entries.swap_remove(at);
                     }
                 }
-                (Verdict::Trim(n), at) => {
-                    entries[at.expect("a trim has an entry to trim")].count -= n;
+                (Verdict::Trim(n), _) => {
                     settled.trimmed[kind] += n;
-                    settled.release.push((id, n));
+                    let mut left = n;
+                    let toward = entries
+                        .iter_mut()
+                        .filter(|d| d.kind == kind && d.peer == reporter);
+                    for d in toward {
+                        let cut = left.min(d.count);
+                        (d.count, left) = (d.count - cut, left - cut);
+                        if d.at.is_none() && cut > 0 {
+                            settled.release.push((id, cut));
+                        }
+                    }
+                    entries.retain(|d| d.count > 0);
                 }
             }
             if sides.out[&id].is_empty() {
                 sides.out.remove(&id);
             }
         }
+        // Every entry toward the reporter that it did not claim: the
+        // verdict on a claim of 0 trims all of it.
         sides.out.retain(|id, entries| {
-            if !entries.iter().any(|d| d.peer == reporter) {
-                return true;
-            }
-            let whole = entries.clone();
-            let view = OwnerView {
-                sealed: false,
-                out: &whole,
-            };
             entries.retain(|d| {
                 let unclaimed = d.peer == reporter && !claimed.contains(&(*id, d.kind));
-                if unclaimed && owner_verdict(&view, reporter, d.kind, 0) == Verdict::Trim(d.count)
-                {
+                if unclaimed {
                     settled.trimmed[d.kind] += d.count;
                     match d.kind {
-                        Kind::Pin => settled.release.push((*id, d.count)),
+                        Kind::Pin if d.at.is_none() => settled.release.push((*id, d.count)),
+                        Kind::Pin => {}
                         Kind::Staged => settled.abort.push(*id),
                         Kind::Lease | Kind::Replica => {}
                     }

@@ -4,9 +4,9 @@
 //! pinning descriptor lookup, ring-routed create/seal/abort, reference
 //! release feedback, forwarded delete, and the delegation (spill,
 //! replica, invalidate) and reconciliation exchanges. Every request
-//! starts with one fixed-width [`CallHeader`] — who is asking and the
-//! membership epoch they routed by — and every `Ok` reply with a
-//! [`ReplyHeader`]; no message body repeats either fact. Every message
+//! starts with one fixed-width [`CallHeader`] — who is asking — and
+//! every `Ok` reply with a [`ReplyHeader`] — the responder's membership
+//! epoch; no message body repeats either fact. Every message
 //! is a [`Message`]: fixed-width fields written with [`ipc::Enc`] and
 //! read back in order with [`ipc::Dec`], the codec the Plasma IPC
 //! protocol uses. A decoder reads every field and not a byte more, so a
@@ -181,7 +181,7 @@ pub trait Message: Sized {
 /// `header`'s fields, then `body`, in a buffer with room for the longer
 /// of the two headers.
 fn frame(header: &impl Message, body: &[u8]) -> Bytes {
-    let mut e = Enc::with_capacity(CallHeader::LEN + body.len());
+    let mut e = Enc::with_capacity(ReplyHeader::LEN + body.len());
     header.put(&mut e);
     e.fixed(body);
     e.finish()
@@ -226,24 +226,21 @@ fn get_kind(d: &mut Dec) -> Result<Kind, CodecError> {
     Kind::from_u64(u64::from(d.u8()?)).ok_or(CodecError::Invalid("delegation kind"))
 }
 
-/// The fixed-width prefix of every interconnect request: who is asking,
-/// and the membership epoch they routed by (0 = none installed). Written
-/// by the one place that sends a call and read by the one place that
-/// dispatches it, so no message body carries either fact.
+/// The fixed-width prefix of every interconnect request: who is asking.
+/// Written by the one place that sends a call and read by the one place
+/// that dispatches it, so no message body carries it. The caller's
+/// membership epoch is not in it: the responder stamps its own on the
+/// reply, and the caller pulls or pushes the table from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallHeader {
     /// The calling node: pins, staged creates and delegated copies are
     /// recorded against it.
     pub from: NodeId,
-    /// The caller's membership epoch. The responder does not act on
-    /// it: a caller that reads an older epoch in the reply pushes its
-    /// table.
-    pub epoch: u64,
 }
 
 impl CallHeader {
     /// Encoded width in bytes.
-    pub const LEN: usize = 10;
+    pub const LEN: usize = 2;
 
     /// The request frame: this header, then `body`, joined. A store
     /// sends its calls as parts instead (the header, then the body's),
@@ -261,14 +258,11 @@ impl CallHeader {
 
 impl Message for CallHeader {
     fn put(&self, e: &mut Enc) {
-        e.u16(self.from.0).u64(self.epoch);
+        e.u16(self.from.0);
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(CallHeader {
-            from: get_node(d)?,
-            epoch: d.u64()?,
-        })
+        Ok(CallHeader { from: get_node(d)? })
     }
 }
 
@@ -314,24 +308,15 @@ pub struct GetManyReq {
     /// Object ids to fetch (found objects are pinned on the caller's
     /// behalf).
     pub ids: Vec<ObjectId>,
-    /// The caller is following a location it was handed by a `Moved`
-    /// redirect. Borrowed replicas (bytes held for
-    /// another node's ledger) answer only these requests: an ordinary
-    /// broadcast must not observe them, or a replica duplicated by an
-    /// ambiguous spill could serve reads its owner's delete never
-    /// reaches.
-    pub redirected: bool,
 }
 
 impl Message for GetManyReq {
     fn put(&self, e: &mut Enc) {
-        e.bool(self.redirected);
         put_list(e, &self.ids, put_id);
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(GetManyReq {
-            redirected: d.bool()?,
             ids: get_list(d, OBJECT_ID_LEN, get_id)?,
         })
     }
@@ -347,10 +332,22 @@ pub enum GetManyEntry {
     Pinned(ObjectLocation),
     /// The object is not sealed on the responder.
     NotFound(ObjectId),
-    /// The responder is the id's ring owner but lent the object to the
-    /// named holder (elastic spill). The requester should re-issue the
-    /// get there (one-hop redirect).
-    Moved(ObjectId, NodeId),
+    /// The responder is the id's ring owner but lent the object to a
+    /// holder (elastic spill): the descriptor of the holder's sealed
+    /// copy, pinned for the requester in the responder's ledger. The
+    /// requester maps the holder's segment directly; the holder is not
+    /// asked anything.
+    Moved(ObjectLocation),
+}
+
+impl GetManyEntry {
+    /// The descriptor a `Pinned` or `Moved` entry hands out.
+    pub fn location(&self) -> Option<&ObjectLocation> {
+        match self {
+            GetManyEntry::Pinned(loc) | GetManyEntry::Moved(loc) => Some(loc),
+            GetManyEntry::NotFound(_) => None,
+        }
+    }
 }
 
 impl Message for GetManyEntry {
@@ -358,10 +355,7 @@ impl Message for GetManyEntry {
         match self {
             GetManyEntry::Pinned(loc) => put_location(e.u8(0), loc),
             GetManyEntry::NotFound(id) => put_id(e.u8(1), id),
-            GetManyEntry::Moved(id, holder) => {
-                put_id(e.u8(2), id);
-                e.u16(holder.0);
-            }
+            GetManyEntry::Moved(loc) => put_location(e.u8(2), loc),
         }
     }
 
@@ -369,7 +363,7 @@ impl Message for GetManyEntry {
         Ok(match d.u8()? {
             0 => GetManyEntry::Pinned(get_location(d)?),
             1 => GetManyEntry::NotFound(get_id(d)?),
-            2 => GetManyEntry::Moved(get_id(d)?, get_node(d)?),
+            2 => GetManyEntry::Moved(get_location(d)?),
             _ => return Err(CodecError::Invalid("get_many outcome")),
         })
     }
@@ -390,25 +384,6 @@ impl Message for GetManyResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(GetManyResp {
             entries: get_list(d, 1 + OBJECT_ID_LEN, GetManyEntry::get)?,
-        })
-    }
-}
-
-impl GetManyResp {
-    /// The pinned entries' fabric descriptors, in response order.
-    pub fn found(&self) -> impl Iterator<Item = &ObjectLocation> {
-        self.entries.iter().filter_map(|e| match e {
-            GetManyEntry::Pinned(loc) => Some(loc),
-            _ => None,
-        })
-    }
-
-    /// The redirected entries as `(id, holder)` pairs, in response
-    /// order — ids the responder lent out, answerable at `holder`.
-    pub fn moved(&self) -> impl Iterator<Item = (ObjectId, NodeId)> + '_ {
-        self.entries.iter().filter_map(|e| match *e {
-            GetManyEntry::Moved(id, holder) => Some((id, holder)),
-            _ => None,
         })
     }
 }
@@ -677,24 +652,30 @@ impl Message for DelegateReq {
 /// Outcome of a delegation on the adopter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelegateResp {
-    /// The responder adopted the object: a sealed local copy exists and
-    /// a ledger entry toward the caller is recorded. After a spill the
-    /// owner may now delete its copy.
-    Adopted = 0,
+    /// The responder adopted the object: a sealed local copy exists, at
+    /// this descriptor, and a ledger entry toward the caller is
+    /// recorded. After a spill the owner may now delete its copy, and
+    /// hands this one out instead.
+    Adopted(ObjectLocation),
     /// The responder declined (it is itself under memory pressure, or
     /// the copy failed). The owner must keep its copy; nothing was
     /// recorded.
-    Refused = 1,
+    Refused,
 }
 
 impl Message for DelegateResp {
     fn put(&self, e: &mut Enc) {
-        e.u8(*self as u8);
+        match self {
+            DelegateResp::Adopted(loc) => put_location(e.u8(0), loc),
+            DelegateResp::Refused => {
+                e.u8(1);
+            }
+        }
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         match d.u8()? {
-            0 => Ok(DelegateResp::Adopted),
+            0 => Ok(DelegateResp::Adopted(get_location(d)?)),
             1 => Ok(DelegateResp::Refused),
             _ => Err(CodecError::Invalid("delegation outcome")),
         }
@@ -745,7 +726,9 @@ impl Message for RetireReq {
 
 /// A delete: immediate, or deferred behind the object's readers. Its
 /// first ask names no holder; each later one names the holders whose
-/// copies the requester retired since the owner's last answer.
+/// copies the requester retired since the owner's last answer — or,
+/// when the requester gives up, the lease holders none of its
+/// `INVALIDATE`s reached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeleteReq {
     /// The object to delete.
@@ -755,40 +738,51 @@ pub struct DeleteReq {
     pub deferred: bool,
     /// Holders whose copies are retired: the owner drops their rows.
     pub cleared: Vec<NodeId>,
+    /// Lease holders this delete closed and never reached: it gives up,
+    /// and the owner opens their leases again. Never beside `cleared`.
+    pub kept: Vec<NodeId>,
 }
 
 impl Message for DeleteReq {
     /// One flags byte after the id — bit 0 deferred, bit 1 a list of
-    /// cleared holders follows — so a first ask is as long as a delete
-    /// was before it had a second step.
+    /// cleared holders follows, bit 2 a list of kept ones — so a first
+    /// ask is as long as a delete was before it had a second step.
     fn put(&self, e: &mut Enc) {
         put_id(e, &self.id);
         let confirm = !self.cleared.is_empty();
-        e.u8(u8::from(self.deferred) | u8::from(confirm) << 1);
-        if confirm {
-            put_list(e, &self.cleared, |e, node| {
-                e.u16(node.0);
-            });
+        let give_up = !self.kept.is_empty();
+        e.u8(u8::from(self.deferred) | u8::from(confirm) << 1 | u8::from(give_up) << 2);
+        for holders in [&self.cleared, &self.kept] {
+            if !holders.is_empty() {
+                put_list(e, holders, |e, node| {
+                    e.u16(node.0);
+                });
+            }
         }
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         let id = get_id(d)?;
         let flags = d.u8()?;
-        if flags > 3 {
+        if flags > 5 {
             return Err(CodecError::Invalid("delete flags"));
         }
-        let cleared = match flags & 2 {
-            0 => Vec::new(),
-            _ => get_list(d, 2, get_node)?,
+        let mut holders = |bit: u8| match flags & bit {
+            0 => Ok(Vec::new()),
+            _ => match get_list(d, 2, get_node)? {
+                named if named.is_empty() => {
+                    Err(CodecError::Invalid("a list that names no holder"))
+                }
+                named => Ok(named),
+            },
         };
-        if flags & 2 != 0 && cleared.is_empty() {
-            return Err(CodecError::Invalid("a confirm that names no holder"));
-        }
+        let cleared = holders(2)?;
+        let kept = holders(4)?;
         Ok(DeleteReq {
             id,
             deferred: flags & 1 != 0,
             cleared,
+            kept,
         })
     }
 }
@@ -944,10 +938,7 @@ mod tests {
             id: ObjectId::from_name("x"),
         }
         .encode();
-        let call = CallHeader {
-            from: NodeId(513),
-            epoch: u64::MAX - 1,
-        };
+        let call = CallHeader { from: NodeId(513) };
         let framed = call.frame(&body);
         assert_eq!(framed.len(), CallHeader::LEN + body.len());
         assert_eq!(CallHeader::unframe(framed.clone()).unwrap(), (call, body));
@@ -978,11 +969,17 @@ mod tests {
         assert_eq!(IdReq::decode(i.encode()).unwrap(), i);
         let z = ObjectId::from_name("z");
         for deferred in [false, true] {
-            for cleared in [vec![], vec![NodeId(3), NodeId(1)]] {
+            let holders = vec![NodeId(3), NodeId(1)];
+            for (cleared, kept) in [
+                (vec![], vec![]),
+                (holders.clone(), vec![]),
+                (vec![], holders),
+            ] {
                 let d = DeleteReq {
                     id: z,
                     deferred,
                     cleared,
+                    kept,
                 };
                 assert_eq!(DeleteReq::decode(d.encode()).unwrap(), d);
             }
@@ -992,15 +989,18 @@ mod tests {
                 id: z,
                 deferred,
                 cleared: vec![],
+                kept: vec![],
             };
             assert_eq!(first.encode().len(), OBJECT_ID_LEN + 1);
         }
         // A bare id is not a delete: the flag is a field like any other.
         assert!(DeleteReq::decode(i.encode()).is_err());
-        // Nor is a confirm that names no holder.
-        let mut empty_confirm = z.as_bytes().to_vec();
-        empty_confirm.extend_from_slice(&[2, 0, 0, 0, 0]);
-        assert!(DeleteReq::decode(Bytes::from(empty_confirm)).is_err());
+        // Nor is a confirm or a give-up that names no holder.
+        for flags in [2, 4] {
+            let mut empty = z.as_bytes().to_vec();
+            empty.extend_from_slice(&[flags, 0, 0, 0, 0]);
+            assert!(DeleteReq::decode(Bytes::from(empty)).is_err());
+        }
         let r = RetireReq {
             id: z,
             owner: NodeId(9),
@@ -1061,27 +1061,40 @@ mod tests {
     fn get_many_roundtrip() {
         let req = GetManyReq {
             ids: vec![ObjectId::from_name("a"), ObjectId::from_name("b")],
-            redirected: true,
         };
         assert_eq!(GetManyReq::decode(req.encode()).unwrap(), req);
-        let empty = GetManyReq {
-            ids: vec![],
-            redirected: false,
-        };
+        // A request is the ids and nothing else: a count, then each id.
+        assert_eq!(req.encode().len(), 4 + 2 * OBJECT_ID_LEN);
+        let empty = GetManyReq { ids: vec![] };
         assert_eq!(GetManyReq::decode(empty.encode()).unwrap(), empty);
 
-        let lent = ObjectId::from_name("lent");
         let resp = GetManyResp {
             entries: vec![
                 GetManyEntry::Pinned(loc(1)),
                 GetManyEntry::NotFound(ObjectId::from_name("missing")),
-                GetManyEntry::Moved(lent, NodeId(5)),
+                GetManyEntry::Moved(loc(5)),
             ],
         };
         let back = GetManyResp::decode(resp.encode()).unwrap();
         assert_eq!(back, resp);
-        assert_eq!(back.found().collect::<Vec<_>>(), [&loc(1)]);
-        assert_eq!(back.moved().collect::<Vec<_>>(), [(lent, NodeId(5))]);
+        let handed: Vec<_> = back
+            .entries
+            .iter()
+            .filter_map(GetManyEntry::location)
+            .collect();
+        assert_eq!(handed, [&loc(1), &loc(5)]);
+        // A redirect is as long as a pin: both carry one descriptor.
+        let one = |entry| {
+            GetManyResp {
+                entries: vec![entry],
+            }
+            .encode()
+            .len()
+        };
+        assert_eq!(
+            one(GetManyEntry::Moved(loc(5))),
+            one(GetManyEntry::Pinned(loc(1)))
+        );
         let none = GetManyResp { entries: vec![] };
         assert_eq!(GetManyResp::decode(none.encode()).unwrap(), none);
     }
@@ -1213,7 +1226,7 @@ mod tests {
     fn delegate_roundtrip() {
         let req = DelegateReq { location: loc(4) };
         assert_eq!(DelegateReq::decode(req.encode()).unwrap(), req);
-        for resp in [DelegateResp::Adopted, DelegateResp::Refused] {
+        for resp in [DelegateResp::Adopted(loc(5)), DelegateResp::Refused] {
             assert_eq!(DelegateResp::decode(resp.encode()).unwrap(), resp);
         }
         // No answer is no answer, not a refusal.
@@ -1237,7 +1250,7 @@ mod tests {
             };
             [
                 DelegateReq::decode(DelegateReq { location: l }.encode()).map(|r| r.location),
-                GetManyResp::decode(get_many.encode()).map(|r| *r.found().next().unwrap()),
+                GetManyResp::decode(get_many.encode()).map(|r| *r.entries[0].location().unwrap()),
                 CreateAtResp::decode(CreateAtResp::Ok(l).encode()).map(|r| match r {
                     CreateAtResp::Ok(l) => l,
                     other => panic!("{other:?}"),
@@ -1275,10 +1288,7 @@ mod tests {
             metadata_size: 0,
             ..loc(1)
         };
-        let call = CallHeader {
-            from: NodeId(2),
-            epoch: 1,
-        };
+        let call = CallHeader { from: NodeId(2) };
         let reply = ReplyHeader { epoch: 1 };
         let create_at = |l: ObjectLocation, payload| CreateAtReq {
             id: l.id,
@@ -1288,13 +1298,14 @@ mod tests {
         };
         let frames = |l: ObjectLocation| {
             let get_many = GetManyResp {
-                entries: vec![GetManyEntry::Pinned(l)],
+                entries: vec![GetManyEntry::Pinned(l), GetManyEntry::Moved(l)],
             };
             [
                 call.frame(&DelegateReq { location: l }.encode()).len(),
                 call.frame(&create_at(l, None).encode()).len(),
                 reply.frame(&get_many.encode()).len(),
                 reply.frame(&CreateAtResp::Ok(l).encode()).len(),
+                reply.frame(&DelegateResp::Adopted(l).encode()).len(),
             ]
         };
         let (small, large) = (frames(sized(64)), frames(sized(1 << 20)));
@@ -1423,12 +1434,12 @@ mod tests {
             let entries = vec![
                 GetManyEntry::Pinned(location),
                 GetManyEntry::NotFound(id),
-                GetManyEntry::Moved(id, NodeId(node)),
+                GetManyEntry::Moved(location),
             ];
 
-            strict(&CallHeader { from: NodeId(node), epoch: word })?;
+            strict(&CallHeader { from: NodeId(node) })?;
             strict(&ReplyHeader { epoch: word })?;
-            strict(&GetManyReq { ids: ids.clone(), redirected: flag })?;
+            strict(&GetManyReq { ids: ids.clone() })?;
             strict(&GetManyResp { entries: entries[..count.min(3)].to_vec() })?;
             for entry in &entries {
                 strict(entry)?;
@@ -1444,11 +1455,12 @@ mod tests {
             }
             strict(&MembershipTable { epoch: word, nodes: vec![NodeId(node); count] })?;
             strict(&DelegateReq { location })?;
-            strict(&DelegateResp::Adopted)?;
+            strict(&DelegateResp::Adopted(location))?;
             strict(&DelegateResp::Refused)?;
             strict(&IdReq { id })?;
             let cleared = vec![NodeId(node); count];
-            strict(&DeleteReq { id, deferred: flag, cleared: cleared.clone() })?;
+            strict(&DeleteReq { id, deferred: flag, cleared: cleared.clone(), kept: vec![] })?;
+            strict(&DeleteReq { id, deferred: flag, cleared: vec![], kept: cleared.clone() })?;
             strict(&DeleteResp::Done(flag))?;
             strict(&DeleteResp::Clear(vec![(NodeId(node), kind); count]))?;
             strict(&RetireReq { id, owner: NodeId(node) })?;
@@ -1460,16 +1472,16 @@ mod tests {
             // Each tag, kind and bool byte, by its offset in a message.
             let one = |entry: GetManyEntry| GetManyResp { entries: vec![entry] }.encode();
             let id_len = OBJECT_ID_LEN;
-            let delete = |cleared| DeleteReq { id, deferred: flag, cleared }.encode();
+            let delete = |cleared, kept| DeleteReq { id, deferred: flag, cleared, kept }.encode();
             let cases: [(Bytes, usize, u8, Decoder); 15] = [
                 (one(GetManyEntry::NotFound(id)), 4, 3, decodes::<GetManyResp>),
                 (ReleaseResp { pinned: vec![flag] }.encode(), 4, 2, decodes::<ReleaseResp>),
                 (CreateAtResp::Exists.encode(), 0, 3, decodes::<CreateAtResp>),
                 (DelegateResp::Refused.encode(), 0, 2, decodes::<DelegateResp>),
                 (BoolResp { value: flag }.encode(), 0, 2, decodes::<BoolResp>),
-                (GetManyReq { ids, redirected: flag }.encode(), 0, 2, decodes::<GetManyReq>),
-                (delete(vec![]), id_len, 2, decodes::<DeleteReq>),
-                (delete(vec![NodeId(node)]), id_len, 4, decodes::<DeleteReq>),
+                (delete(vec![], vec![]), id_len, 2, decodes::<DeleteReq>),
+                (delete(vec![NodeId(node)], vec![]), id_len, 6, decodes::<DeleteReq>),
+                (delete(vec![], vec![NodeId(node)]), id_len, 6, decodes::<DeleteReq>),
                 (DeleteResp::Done(flag).encode(), 0, 3, decodes::<DeleteResp>),
                 (
                     DeleteResp::Clear(vec![(NodeId(node), kind)]).encode(),
@@ -1490,7 +1502,7 @@ mod tests {
                     4,
                     decodes::<ReconcileResp>,
                 ),
-                (GetManyEntry::Moved(id, NodeId(node)).encode(), 0, 3, decodes::<GetManyEntry>),
+                (GetManyEntry::Moved(location).encode(), 0, 3, decodes::<GetManyEntry>),
                 (
                     create_at(Some(Bytes::from(blob.clone()))).encode(),
                     id_len + 16,

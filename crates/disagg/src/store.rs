@@ -27,10 +27,11 @@
 //! answer for travels in one `GET_MANY` round trip (the ids-per-RPC
 //! distribution is the `disagg.get_many.batch_size` histogram) — and
 //! overlapped: the peers one phase of
-//! a lookup asks (owners, then the holders their `Moved` answers name,
-//! then the broadcast) are all sent to before any answer is waited for,
-//! from the calling thread, so a phase costs its slowest round trip,
-//! not their sum.
+//! a lookup asks (owners, then the broadcast) are all sent to before any
+//! answer is waited for, from the calling thread, so a phase costs its
+//! slowest round trip, not their sum. An owner answers an id it spilled
+//! with the holder's descriptor (`Moved`), so a spilled object costs
+//! the same one lookup.
 //!
 //! This file holds the store's state and its client-facing surface (the
 //! [`ObjectStore`] impl, the delegation dump and reconcile sweep); the
@@ -158,7 +159,7 @@ struct DisaggMetrics {
     get_miss: Arc<Histogram>,
     /// End-to-end `create` latency (ring routing + allocate at the owner).
     create: Arc<Histogram>,
-    /// Latency of one remote-lookup round (owners, redirects, broadcast).
+    /// Latency of one remote-lookup round (owners, then broadcast).
     lookup_fanout: Arc<Histogram>,
     /// Ids carried per GET_MANY RPC issued to a peer — the batching
     /// factor of the multi-get hot path (1 = degenerated to unary).
@@ -179,9 +180,11 @@ struct DisaggMetrics {
     spills_refused: Arc<Counter>,
     /// Heat-driven delegations toward an object's dominant reader.
     rebalances: Arc<Counter>,
-    /// `Moved` redirects served from this owner's recorded leases.
+    /// `Moved` redirects served from this owner's recorded leases: the
+    /// holder's descriptor handed to a reader.
     redirects_served: Arc<Counter>,
-    /// Redirects this node followed to a holder (requester side).
+    /// Holders' descriptors this node read by (requester side, and an
+    /// owner's own get of an id it lent).
     redirects_followed: Arc<Counter>,
     /// Creates shed with `Overloaded` by admission control.
     overload_rejected: Arc<Counter>,
@@ -483,6 +486,10 @@ impl DisaggStore {
                 if kind.is_copy() {
                     let _ = inner.core.delete_deferred(id);
                 }
+                if kind == Kind::Lease {
+                    // The lease's reference: the hidden copy goes with it.
+                    let _ = inner.core.release(id);
+                }
             }
         }
         self.sync_delegation_gauges();
@@ -517,12 +524,13 @@ impl DisaggStore {
     /// `RELEASE` handler: drop one pin held for the caller, `from`, per
     /// listed id, and answer per id whether one was recorded. `false`
     /// means none was — to the caller, proof that the entry it released
-    /// against was a phantom.
+    /// against was a phantom. A pin on this node's own copy gives its
+    /// core reference back; a pin on a lent id lived in the ledger only.
     fn release_for(&self, from: NodeId, ids: &[ObjectId]) -> Result<Vec<bool>, PlasmaError> {
         let ledger = &self.inner.ledger;
         let release = |&id: &ObjectId| {
             let pinned = ledger.unpin(Side::Out, id, Some(from), |_| true);
-            if pinned.is_some() {
+            if pinned.is_some_and(|pin| pin.at.is_none()) {
                 self.inner.core.release(id)?;
             }
             Ok(pinned.is_some())
@@ -636,8 +644,8 @@ impl DisaggStore {
         let mut out: Vec<Option<ObjectLocation>> = vec![None; ids.len()];
         loop {
             // Pass 1: local, non-blocking (pins found objects). Leased
-            // copies are excluded — they serve only owner-sanctioned
-            // redirects, which the remote pass below obtains.
+            // copies are excluded — their owner hands them out, and the
+            // remote pass below asks it.
             for (slot, id) in out.iter_mut().zip(ids) {
                 if slot.is_some() {
                     continue;
@@ -742,7 +750,7 @@ impl DisaggStore {
             for (i, phantom) in std::mem::take(&mut round) {
                 let id = members[i].0;
                 match ledger.unpin(Side::Held, id, None, alive) {
-                    Some(owner) => by_owner.entry(owner).or_default().push(i),
+                    Some(pin) => by_owner.entry(pin.peer).or_default().push(i),
                     None => outcomes[i] = self.release_here(id, phantom),
                 }
             }
@@ -773,15 +781,24 @@ impl DisaggStore {
     /// Return a pin no peer holds for us. The creator's reference of a
     /// forwarded create was consumed by `SEAL_AT` at the owner, so the
     /// put flow's trailing release finishes the staged entry here
-    /// without touching the network; anything else is a local pin (a
-    /// redirect that pointed home took one). On the phantom chain the
-    /// pin this release pairs with may already be gone (healed by an
-    /// earlier duplicated delivery): a missing one is success.
+    /// without touching the network; a get of an id this node lent away
+    /// pinned the lease in its own ledger; anything else is a local pin.
+    /// On the phantom chain the pin this release pairs with may already
+    /// be gone (healed by an earlier duplicated delivery): a missing one
+    /// is success. A copy held here on lease has one reference, the
+    /// lease's, which no release of a get may take: no get pins it here.
     fn release_here(&self, id: ObjectId, phantom: bool) -> Result<(), PlasmaError> {
-        if self.inner.ledger.finish_staged(id) {
+        let ledger = &self.inner.ledger;
+        let me = self.inner.node;
+        if ledger.finish_staged(id) || ledger.unpin(Side::Out, id, Some(me), |_| true).is_some() {
             return Ok(());
         }
-        match self.inner.core.release(id) {
+        let leased = matches!(ledger.held_copy(id), Some((Kind::Lease, _)));
+        let released = match leased {
+            true => Err(PlasmaError::NotReferenced(id)),
+            false => self.inner.core.release(id),
+        };
+        match released {
             Err(_) if phantom => Ok(()),
             released => released,
         }
@@ -996,13 +1013,11 @@ mod tests {
         let node = fabric.register_node();
         let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
         let service = DisaggStore::new(core, DisaggConfig::default()).interconnect_service();
-        let header = CallHeader {
-            from: NodeId(9),
-            epoch: 0,
-        };
+        let header = CallHeader { from: NodeId(9) };
         let code = |id: u32, request: Bytes| service.call(id, request).err().map(|s| s.code);
         for (id, name) in method::VERBS {
-            let bare = code(*id, Bytes::from_static(b"no header"));
+            // One byte: shorter than any call header.
+            let bare = code(*id, Bytes::from_static(b"n"));
             assert_eq!(bare, Some(StatusCode::InvalidArgument), "{name} ({id})");
             let framed = code(*id, header.frame(&[]));
             assert_ne!(framed, Some(StatusCode::Unimplemented), "{name} ({id})");
@@ -1044,10 +1059,7 @@ mod tests {
             data_size: u64::MAX,
             metadata_size: 1,
         };
-        let header = CallHeader {
-            from: NodeId(9),
-            epoch: 0,
-        };
+        let header = CallHeader { from: NodeId(9) };
         let request = header.frame(&DelegateReq { location }.encode());
         for verb in [method::SPILL_AT, method::REPLICATE_AT] {
             let answer = service.call(verb, request.clone()).err().map(|s| s.code);
@@ -1068,10 +1080,7 @@ mod tests {
         let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
         let store = DisaggStore::new(core, DisaggConfig::default());
         let service = store.interconnect_service();
-        let header = CallHeader {
-            from: NodeId(9),
-            epoch: 0,
-        };
+        let header = CallHeader { from: NodeId(9) };
         let id = ObjectId::from_name("create_at/bad-payload");
         for (data_size, metadata_size) in [(5, 1), (5, 3), (u64::MAX, 8), (8, u64::MAX)] {
             let req = CreateAtReq {

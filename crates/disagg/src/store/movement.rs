@@ -91,11 +91,20 @@ impl DisaggStore {
 
     /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
     /// owner-pinned) bytes behind `src` straight from the owner's sealed
-    /// segment and seal a local copy under the same id.
-    fn adopt_copy(&self, src: &ObjectLocation) -> Result<(), PlasmaError> {
+    /// segment and seal a local copy under the same id. A `Lease` keeps
+    /// the creator's reference: it is the lease's, held until the owner
+    /// retires the lease, so nothing here evicts or frees a copy whose
+    /// descriptor the owner hands out. Returns the copy's location.
+    fn adopt_copy(&self, kind: Kind, src: &ObjectLocation) -> Result<ObjectLocation, PlasmaError> {
+        let core = &self.inner.core;
         let bytes = self.read_payload(src)?;
         let (data, metadata) = bytes.split_at(src.data_size as usize);
-        self.inner.core.put(src.id, data, metadata).map(|_| ())
+        core.create_filled(src.id, data, metadata)?;
+        let sealed = core.seal(src.id)?;
+        if kind != Kind::Lease {
+            core.release(src.id)?;
+        }
+        Ok(sealed)
     }
 
     /// Whether the copy sealed here under `src.id` is byte for byte the
@@ -108,9 +117,10 @@ impl DisaggStore {
     }
 
     /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt
-    /// a copy of the sealed object of the caller — its `owner` — and
-    /// record whose it is. Refusing changes nothing anywhere; the answer
-    /// to a retry is the answer the first attempt gave.
+    /// a copy of the sealed object of the caller — its `owner` — record
+    /// whose it is, and answer where the copy is. Refusing changes
+    /// nothing anywhere; the answer to a retry is the answer the first
+    /// attempt gave.
     pub(super) fn delegate_at(&self, kind: Kind, owner: NodeId, req: DelegateReq) -> DelegateResp {
         let inner = &self.inner;
         let id = req.location.id;
@@ -133,28 +143,34 @@ impl DisaggStore {
             if recorded && !same {
                 let _ = self.invalidate_here(owner, id);
             }
-            same
+            same.then(|| inner.core.peek(id)).flatten()
         } else if matches!(held, Some((Kind::Lease, _))) {
             // A lent object's only bytes live at its holder; it never
             // also gains replicas (lent ⊕ replicated).
-            false
-        } else {
+            None
+        } else if self.occupancy_ppm(size) <= LEND_HEADROOM_PPM {
             // Headroom gate: never let delegated bytes push this node
             // past its own lending watermark, or spills would cascade
             // (and replicas are strictly optional). Any failure before
             // the seal aborts the staged copy and refuses — the owner's
-            // copy is untouched.
-            self.occupancy_ppm(size) <= LEND_HEADROOM_PPM && self.adopt_copy(&req.location).is_ok()
-        };
-        if adopted {
+            // copy is untouched. The entry goes in first: from its seal
+            // on, a leased copy is hidden from every get here, so none
+            // pins it and none of their releases can meet the lease's
+            // reference.
             inner.ledger.record(Side::Held, id, kind, owner, size);
-            self.sync_delegation_gauges();
-        }
-        if adopted {
-            DelegateResp::Adopted
+            let adopted = self.adopt_copy(kind, &req.location).ok();
+            if adopted.is_none() {
+                inner.ledger.remove(Side::Held, id, kind, Some(owner));
+            }
+            adopted
         } else {
-            DelegateResp::Refused
-        }
+            None
+        };
+        let Some(loc) = adopted else {
+            return DelegateResp::Refused;
+        };
+        self.sync_delegation_gauges();
+        DelegateResp::Adopted(loc)
     }
 
     /// Delegate a copy of one sealed, locally-held object to `holder`:
@@ -198,28 +214,32 @@ impl DisaggStore {
             Kind::Lease => method::SPILL_AT,
             _ => method::REPLICATE_AT,
         };
-        // (adopted, ambiguous, error to surface)
+        // (the holder's copy, if adopted; ambiguous; error to surface)
         let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, &[&req.encode()]) {
             Ok(body) => match DelegateResp::decode(body) {
-                Ok(resp) => (resp == DelegateResp::Adopted, false, None),
+                Ok(DelegateResp::Adopted(at)) => (Some(at), false, None),
+                Ok(DelegateResp::Refused) => (None, false, None),
                 Err(e) => {
                     let e = PlasmaError::Protocol(format!("delegation response: {e}"));
-                    (false, true, Some(e))
+                    (None, true, Some(e))
                 }
             },
-            Err(PeerFail::Skipped) => (false, false, None),
-            Err(PeerFail::Unreachable(_)) => (false, true, None),
+            Err(PeerFail::Skipped) => (None, false, None),
+            Err(PeerFail::Unsent(_) | PeerFail::Unreachable(_)) => (None, true, None),
             Err(fail @ PeerFail::Rpc(RpcError::Status(_))) => {
-                (false, false, Some(self.peer_err(&peer, fail)))
+                (None, false, Some(self.peer_err(&peer, fail)))
             }
-            Err(fail) => (false, true, Some(self.peer_err(&peer, fail))),
+            Err(fail) => (None, true, Some(self.peer_err(&peer, fail))),
         };
-        if adopted || (ambiguous && kind == Kind::Replica) {
-            inner
-                .ledger
-                .record(Side::Out, id, kind, holder, loc.total_size());
+        if let (Kind::Lease, Some(at)) = (kind, adopted) {
+            inner.ledger.lend_out(id, holder, at);
+            self.sync_delegation_gauges();
+        } else if kind == Kind::Replica && (adopted.is_some() || ambiguous) {
+            let bytes = loc.total_size();
+            inner.ledger.record(Side::Out, id, kind, holder, bytes);
             self.sync_delegation_gauges();
         }
+        let adopted = adopted.is_some();
         inner.core.release(id)?;
         if let Some(e) = error {
             return Err(e);
@@ -368,10 +388,10 @@ impl DisaggStore {
     /// A replica's simulated cache lines are flushed before its segment
     /// bytes are reused, and its delete is deferred: a read pinning it
     /// right now finishes, while the ledger entry is already gone, so no
-    /// *new* read can be attributed to a stale replica. A leased copy is
-    /// the object itself, so its delete is the object's: immediate, and
-    /// a reader still pinning it fails the call (`ObjectInUse`) with copy
-    /// and entry intact.
+    /// *new* read can be attributed to a stale replica. A leased copy's
+    /// readers are pinned in its owner's ledger, which retires the lease
+    /// only once none is left: the lease's reference goes, and the copy
+    /// with it.
     pub(super) fn invalidate_here(&self, owner: NodeId, id: ObjectId) -> Result<bool, PlasmaError> {
         let inner = &self.inner;
         let kind = match inner.ledger.held_copy(id) {
@@ -379,10 +399,13 @@ impl DisaggStore {
             _ => return Ok(false),
         };
         if kind == Kind::Lease {
-            inner.core.delete(id)?;
-        }
-        inner.ledger.remove(Side::Held, id, kind, Some(owner));
-        if kind == Kind::Replica {
+            // Hidden first, then the lease's reference goes, and the copy
+            // with it: at no point is it visible and unleased.
+            inner.core.delete_deferred(id)?;
+            inner.core.release(id)?;
+            inner.ledger.remove(Side::Held, id, kind, Some(owner));
+        } else {
+            inner.ledger.remove(Side::Held, id, kind, Some(owner));
             if let Some(loc) = inner.core.peek(id) {
                 if let (Ok(cache), Ok(mapping)) = (
                     inner.core.fabric().node_cache(inner.node),
@@ -418,6 +441,15 @@ impl DisaggStore {
     /// * Copies go before the local copy: a copy nobody confirmed keeps
     ///   its row, and its row keeps the object here intact. A deferred
     ///   delete hides the object at once, so the ordering is the same.
+    /// * A lease with pins out on it is the object in use, as a pinned
+    ///   local copy is: `ObjectInUse`, for a deferred delete too — the
+    ///   readers map the holder's copy, which the lease's retirement
+    ///   frees. Once the answer names the lease it is closing: no get is
+    ///   handed the holder's copy again, so no reader maps it while the
+    ///   requester retires it. A requester that reached no holder gives
+    ///   up and says so ([`DisaggStore::reopen_leases`]); one that may
+    ///   have reached it leaves the lease closed — reads miss, as they
+    ///   would of a copy that may be gone — until a delete confirms it.
     /// * No local copy, but a lease just cleared: the object lived at
     ///   its holder and was still this node's to delete.
     pub(super) fn delete_here(
@@ -441,9 +473,11 @@ impl DisaggStore {
         if !cleared.is_empty() {
             self.sync_delegation_gauges();
         }
-        let lease = ledger.find(Side::Out, id, Kind::Lease);
-        let mut copies: Vec<(NodeId, Kind)> =
-            lease.map(|l| (l.peer, Kind::Lease)).into_iter().collect();
+        let lease = ledger.close_lease(id)?;
+        let mut copies: Vec<(NodeId, Kind)> = lease
+            .map(|holder| (holder, Kind::Lease))
+            .into_iter()
+            .collect();
         let replicas = ledger.peers(Side::Out, id, Kind::Replica).into_iter();
         copies.extend(replicas.map(|holder| (holder, Kind::Replica)));
         if !copies.is_empty() {
@@ -465,41 +499,80 @@ impl DisaggStore {
     /// others with one `INVALIDATE` each, all in one exchange. A copy
     /// already gone counts as retired. Returns the holders, all of them,
     /// or the first failure: then the delete fails and no holder is
-    /// named to the owner, whose object stays intact.
+    /// named to the owner as retired. With the failure come the lease
+    /// holders no `INVALIDATE` reached, whose leases the owner may open
+    /// again.
     fn retire_copies(
         &self,
         owner: NodeId,
         id: ObjectId,
         copies: &[(NodeId, Kind)],
-    ) -> Result<Vec<NodeId>, PlasmaError> {
-        let mut remote = Vec::new();
-        for &(holder, kind) in copies {
-            if holder != self.inner.node {
-                remote.push((self.peer(holder)?, kind));
-                continue;
-            }
+    ) -> Result<Vec<NodeId>, (PlasmaError, Vec<NodeId>)> {
+        let (here, there): (Vec<(NodeId, Kind)>, Vec<_>) = copies
+            .iter()
+            .partition(|(holder, _)| *holder == self.inner.node);
+        let remote: Result<Vec<Peer>, _> = there.iter().map(|&(h, _)| self.peer(h)).collect();
+        let remote = remote.map_err(|e| (e, lease_holders(&there)))?;
+        if !here.is_empty() {
             match self.invalidate_here(owner, id) {
                 Ok(_) | Err(PlasmaError::ObjectNotFound(_)) => {}
-                Err(e) => return Err(e),
+                Err(e) => return Err((e, lease_holders(&there))),
             }
         }
         let req = RetireReq { id, owner }.encode();
         let body = [&req[..]];
         let calls: Vec<_> = remote
             .iter()
-            .map(|(peer, _)| (peer, method::INVALIDATE, &body[..]))
+            .map(|peer| (peer, method::INVALIDATE, &body[..]))
             .collect();
-        for ((peer, kind), answer) in remote.iter().zip(self.scatter(&calls)) {
+        let (mut failed, mut unsent) = (None, Vec::new());
+        for ((peer, copy), answer) in remote.iter().zip(&there).zip(self.scatter(&calls)) {
             match answer {
                 Ok(_) => {}
                 Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
-                // A leased copy is the object: a reader pinning it is the
-                // object in use, as at the owner.
-                Err(fail) if *kind == Kind::Lease => return Err(self.object_err(peer, id, fail)),
-                Err(fail) => return Err(self.peer_err(peer, fail)),
+                Err(fail) => {
+                    if fail.unsent() {
+                        unsent.push(*copy);
+                    }
+                    failed.get_or_insert(self.peer_err(peer, fail));
+                }
             }
         }
-        Ok(copies.iter().map(|&(holder, _)| holder).collect())
+        match failed {
+            None => Ok(copies.iter().map(|&(holder, _)| holder).collect()),
+            Some(e) => Err((e, lease_holders(&unsent))),
+        }
+    }
+
+    /// A delete of `id` gives up: each lease toward `kept` — closed by
+    /// this delete, its holder never reached — is reopened at its
+    /// owner, `owner` or this node for `None`. Best effort: a lease an
+    /// unanswered give-up leaves closing waits for the next delete.
+    fn give_up(&self, owner: Option<&Peer>, id: ObjectId, deferred: bool, kept: Vec<NodeId>) {
+        if kept.is_empty() {
+            return;
+        }
+        match owner {
+            None => self.reopen_leases(id, &kept),
+            Some(peer) => {
+                let req = DeleteReq {
+                    id,
+                    deferred,
+                    cleared: Vec::new(),
+                    kept,
+                };
+                let _ = self.peer_call(peer, method::DELETE, &[&req.encode()]);
+            }
+        }
+    }
+
+    /// Owner side of a delete that gave up: the leases on `id` toward
+    /// `kept` reopen ([`crate::Ledger::reopen_lease`]), and gets are
+    /// handed their holders' copies again.
+    pub(super) fn reopen_leases(&self, id: ObjectId, kept: &[NodeId]) {
+        for &holder in kept {
+            self.inner.ledger.reopen_lease(id, holder);
+        }
     }
 
     /// Requester side of a delete, shared by `delete` and
@@ -530,6 +603,7 @@ impl DisaggStore {
             id,
             deferred,
             cleared: Vec::new(),
+            kept: Vec::new(),
         };
         let req = req.encode();
         let mut unreachable: Option<PlasmaError> = None;
@@ -553,7 +627,8 @@ impl DisaggStore {
     /// gave `answer`: retire the copies it names and ask again, naming
     /// their holders, until it answers done. A copy that appears between
     /// two asks is named in the next answer; an object that keeps gaining
-    /// copies fails the delete as in use.
+    /// copies fails the delete as in use. A delete that fails gives up
+    /// the leases it closed and reached no holder of.
     fn delete_with(
         &self,
         owner: Option<&Peer>,
@@ -565,10 +640,19 @@ impl DisaggStore {
         for asked in 1.. {
             let copies = match answer {
                 DeleteResp::Done(now) => return Ok(now),
-                DeleteResp::Clear(_) if asked == DELETE_ASKS => break,
+                DeleteResp::Clear(copies) if asked == DELETE_ASKS => {
+                    self.give_up(owner, id, deferred, lease_holders(&copies));
+                    break;
+                }
                 DeleteResp::Clear(copies) => copies,
             };
-            let cleared = self.retire_copies(owner_node, id, &copies)?;
+            let cleared = match self.retire_copies(owner_node, id, &copies) {
+                Ok(cleared) => cleared,
+                Err((e, kept)) => {
+                    self.give_up(owner, id, deferred, kept);
+                    return Err(e);
+                }
+            };
             answer = match owner {
                 None => self.delete_here(id, deferred, &cleared)?,
                 Some(peer) => {
@@ -576,6 +660,7 @@ impl DisaggStore {
                         id,
                         deferred,
                         cleared,
+                        kept: Vec::new(),
                     };
                     let body = self.peer_call(peer, method::DELETE, &[&req.encode()]);
                     let body = body.map_err(|fail| self.object_err(peer, id, fail))?;
@@ -589,4 +674,10 @@ impl DisaggStore {
     fn delete_answer(body: Bytes) -> Result<DeleteResp, PlasmaError> {
         DeleteResp::decode(body).map_err(|e| PlasmaError::Protocol(format!("delete response: {e}")))
     }
+}
+
+/// The holders of the leases among `copies`.
+fn lease_holders(copies: &[(NodeId, Kind)]) -> Vec<NodeId> {
+    let leases = copies.iter().filter(|(_, kind)| *kind == Kind::Lease);
+    leases.map(|&(holder, _)| holder).collect()
 }

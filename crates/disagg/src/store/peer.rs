@@ -21,8 +21,11 @@ use tfsim::NodeId;
 pub(super) enum PeerFail {
     /// Peer is `Down`: skipped without touching the wire.
     Skipped,
+    /// Every attempt failed before its request left — the peer refused
+    /// the connection, say — so the peer saw nothing of the call.
+    Unsent(String),
     /// The call (and its retries) failed at the transport level — the
-    /// peer is unreachable right now.
+    /// peer is unreachable right now, and may have served an attempt.
     Unreachable(String),
     /// The peer answered with a definite, non-retryable error.
     Rpc(RpcError),
@@ -36,6 +39,11 @@ impl PeerFail {
             PeerFail::Rpc(RpcError::Status(s)) => Some(s.code),
             _ => None,
         }
+    }
+
+    /// Whether the peer saw nothing of the call.
+    pub(super) fn unsent(&self) -> bool {
+        matches!(self, PeerFail::Skipped | PeerFail::Unsent(_))
     }
 }
 
@@ -59,7 +67,7 @@ impl DisaggStore {
             PeerFail::Skipped => {
                 PlasmaError::PeerUnavailable(format!("peer {} is down", peer.name))
             }
-            PeerFail::Unreachable(m) => PlasmaError::PeerUnavailable(m),
+            PeerFail::Unsent(m) | PeerFail::Unreachable(m) => PlasmaError::PeerUnavailable(m),
             PeerFail::Rpc(RpcError::Status(s)) => {
                 PlasmaError::Protocol(format!("peer status: {s}"))
             }
@@ -113,9 +121,9 @@ impl DisaggStore {
     /// N hung members cost one deadline between them.
     ///
     /// This is the one place a request is framed and a reply unframed:
-    /// every call goes out under one [`CallHeader`] — this node and its
-    /// membership epoch — and every `Ok` answer comes back stripped of
-    /// its [`ReplyHeader`]; a responder whose epoch is ahead has its
+    /// every call goes out under one [`CallHeader`] — this node — and
+    /// every `Ok` answer comes back stripped of its [`ReplyHeader`],
+    /// the responder's membership epoch; a responder whose epoch is ahead has its
     /// table pulled, and one that is behind is pushed this node's, before
     /// the answers are returned. A member's body is
     /// borrowed as parts, and the header's bytes join them as the first:
@@ -139,10 +147,7 @@ impl DisaggStore {
             "an interconnect handler called out: every verb must answer from its own state"
         );
         let inner = &self.inner;
-        let header = CallHeader {
-            from: inner.node,
-            epoch: self.ring_epoch(),
-        };
+        let header = CallHeader { from: inner.node };
         let head = header.encode();
         let framed: Vec<Vec<&[u8]>> = calls
             .iter()
@@ -166,6 +171,8 @@ impl DisaggStore {
             .iter()
             .map(|&attempts| (attempts == 0).then_some(Err(PeerFail::Skipped)))
             .collect();
+        // Whether any attempt's request left, per member.
+        let mut sent = vec![false; calls.len()];
         let mut retry_no = 0u32;
         loop {
             // Every send of the round goes out before any answer is
@@ -183,6 +190,7 @@ impl DisaggStore {
             let mut retrying = 0u64;
             for (i, ticket) in tickets.into_iter().enumerate() {
                 let Some(ticket) = ticket else { continue };
+                sent[i] |= ticket.is_ok();
                 let peer = calls[i].0;
                 let answer = ticket
                     .and_then(|t| t.wait_deadline(inner.call_deadline))
@@ -204,10 +212,11 @@ impl DisaggStore {
                         let state = inner.health.record_failure(peer.node);
                         attempts_left[i] -= 1;
                         if attempts_left[i] == 0 || state == PeerState::Down {
-                            Some(Err(PeerFail::Unreachable(format!(
-                                "peer {} unreachable: {e}",
-                                peer.name
-                            ))))
+                            let why = format!("peer {} unreachable: {e}", peer.name);
+                            Some(Err(match sent[i] {
+                                true => PeerFail::Unreachable(why),
+                                false => PeerFail::Unsent(why),
+                            }))
                         } else {
                             retrying += 1;
                             None

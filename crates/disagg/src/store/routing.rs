@@ -1,7 +1,7 @@
 //! Finding the node that answers for an id: the membership table and
-//! the ring built on it, the remote lookup pass (ring owners → `Moved`
-//! redirects → broadcast fallback, one overlapped exchange each), and
-//! the ring-routed create — both the requester's half and the owner's.
+//! the ring built on it, the remote lookup pass (ring owners, then a
+//! broadcast fallback, one overlapped exchange each), and the
+//! ring-routed create — both the requester's half and the owner's.
 
 use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
@@ -18,6 +18,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 use tfsim::NodeId;
+
+/// What one lookup pass resolved: each id's descriptor, and the node
+/// that pinned it (the one its release goes to).
+type Found = HashMap<ObjectId, (ObjectLocation, NodeId)>;
 
 impl DisaggStore {
     /// Install (or supersede) the membership table the placement ring
@@ -161,12 +165,14 @@ impl DisaggStore {
         Ok(false)
     }
 
-    /// One remote-lookup round for the `None` slots of `out`, in three
+    /// One remote-lookup round for the `None` slots of `out`, in two
     /// phases of one [`DisaggStore::scatter`] each, so a phase costs its
     /// slowest round trip however many peers it asks: (1) one batched
-    /// `GET_MANY` per ring owner; (2) the `Moved` redirects of all their
-    /// answers, one call per holder; (3) a broadcast for whatever is
-    /// still missing (whose own redirects are chased the same way).
+    /// `GET_MANY` per ring owner; (2) a broadcast for whatever is still
+    /// missing. An owner answers an id it lent away with the holder's
+    /// descriptor (`Moved`), pinned in its own ledger, so a spilled
+    /// object costs the one lookup any remote object costs; an id this
+    /// node lent away itself costs none ([`DisaggStore::lent_here`]).
     /// Unreachable peers contribute nothing; their objects simply stay
     /// unresolved this round, so a dead peer degrades `get` to a miss
     /// instead of an error.
@@ -181,37 +187,32 @@ impl DisaggStore {
             return;
         }
         let pass_started = Instant::now();
-        let mut found: HashMap<ObjectId, ObjectLocation> = HashMap::new();
+        let mut found = Found::new();
         let peers = self.peers_snapshot();
         // What each ring owner answered for in this pass: the broadcast
         // does not ask it about those ids again.
         let mut answered: Vec<(NodeId, ObjectId)> = Vec::new();
 
-        // Ring-targeted phases: resolve each missing id's rendezvous
+        // Ring-targeted phase: resolve each missing id's rendezvous
         // owner locally (zero RPCs) and ask exactly that peer. Ids the
         // owner does not hold — stranded on a previous epoch's owner, not
         // yet created, or the owner is unreachable — fall through to the
-        // broadcast, as do ids this node owns itself (the local pass
-        // already missed them, so if they exist at all they live
-        // off-ring).
+        // broadcast, as do ids this node owns itself and has not lent
+        // (the local pass already missed them, so if they exist at all
+        // they live off-ring).
         let ring = self.inner.ring.read().clone();
         if let Some(ring) = ring {
             // Groups in node order: the order of the sends and of the
             // absorbed answers must not depend on a hasher's seed.
             let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-            // Self-owned miss: if this node lent the id away, its own
-            // ledger is the redirect — chase the holder like a `Moved`
-            // answer instead of broadcasting (the holder hides leased
-            // copies from broadcasts).
-            let mut lent: Vec<(ObjectId, NodeId)> = Vec::new();
             for &id in &missing {
                 match ring.owner_of(id) {
                     Some(owner) if owner != self.inner.node => {
                         by_owner.entry(owner).or_default().push(id);
                     }
                     _ => {
-                        if let Some(lease) = self.inner.ledger.find(Side::Out, id, Kind::Lease) {
-                            lent.push((id, lease.peer));
+                        if let Some(loc) = self.lent_here(id) {
+                            found.entry(id).or_insert((loc, self.inner.node));
                         }
                     }
                 }
@@ -220,14 +221,13 @@ impl DisaggStore {
                 .into_iter()
                 .filter_map(|(owner, group)| Some((peers.iter().find(|p| p.node == owner)?, group)))
                 .collect();
-            let replied = self.ask_and_chase(&peers, &asks, lent, &mut found);
-            for ((owner, group), replied) in asks.iter().zip(replied) {
+            for ((owner, group), replied) in asks.iter().zip(self.ask(&asks, &mut found)) {
                 if replied {
                     answered.extend(group.iter().map(|id| (owner.node, *id)));
                 }
             }
-            // Redirect-resolved ids count as ring hits: the owner *did*
-            // answer for them, one hop on.
+            // Ids an owner answered with its holder's descriptor count as
+            // ring hits: the owner did answer for them.
             let hits = missing.iter().filter(|id| found.contains_key(id)).count();
             self.inner.metrics.ring_hit.add(hits as u64);
             self.inner
@@ -253,7 +253,7 @@ impl DisaggStore {
                 })
                 .filter(|(_, ids): &(_, Vec<ObjectId>)| !ids.is_empty())
                 .collect();
-            self.ask_and_chase(&peers, &asks, Vec::new(), &mut found);
+            self.ask(&asks, &mut found);
         }
 
         self.inner
@@ -262,106 +262,48 @@ impl DisaggStore {
             .record_duration(pass_started.elapsed());
         for (slot, id) in out.iter_mut().zip(ids) {
             if slot.is_none() {
-                if let Some(loc) = found.get(id) {
+                if let Some((loc, _)) = found.get(id) {
                     *slot = Some(*loc);
                 }
             }
         }
     }
 
-    /// Two exchanges: ask each of `asks`' peers for its ids and absorb
-    /// every direct answer, then chase `redirects` together with the
-    /// `Moved` entries of all those answers. Returns, per ask, whether
-    /// the peer answered.
-    ///
-    /// Absorbing before chasing matters: a copy that answers directly
-    /// wins, and a `Moved` another peer gave for the same id is then not
-    /// chased at all. (A leased copy never answers a broadcast — its
-    /// holder hides it from all but redirected requests — so chasing
-    /// first would pin a second copy only to hand it back.)
-    fn ask_and_chase(
-        &self,
-        peers: &[Peer],
-        asks: &[(&Peer, Vec<ObjectId>)],
-        mut redirects: Vec<(ObjectId, NodeId)>,
-        found: &mut HashMap<ObjectId, ObjectLocation>,
-    ) -> Vec<bool> {
-        let answers = self.get_many(asks, false);
-        for ((peer, _), resp) in asks.iter().zip(&answers) {
-            let Some(resp) = resp else { continue };
-            self.absorb_lookup(peer, resp.found().copied().collect(), found);
-            redirects.extend(resp.moved());
+    /// The owner's own get of an id it lent away: no call, the ledger is
+    /// the answer. While the copy this node spilled is still here — the
+    /// spill has yet to hand it over, or readers still hold it — the
+    /// read is one more of them; after that, it is a pin on the lease,
+    /// counted toward this node, and the holder's copy is read through
+    /// the fabric. So this node never holds both kinds of pin on one id,
+    /// and its release ([`DisaggStore::release_here`]), which takes a
+    /// pin on the lease first, always returns the kind it took.
+    fn lent_here(&self, id: ObjectId) -> Option<ObjectLocation> {
+        let inner = &self.inner;
+        inner.ledger.find(Side::Out, id, Kind::Lease)?;
+        let local = inner.core.get_local(id);
+        if let Some(loc) = local.or_else(|| inner.core.get_pending(id)) {
+            return Some(loc);
         }
-        self.follow_redirects(peers, redirects, found);
-        answers.iter().map(Option::is_some).collect()
-    }
-
-    /// Chase `Moved` redirects — `(id, holder)` pairs, from any number of
-    /// `GET_MANY` answers — in one exchange: a ring owner that spilled an
-    /// id answers with the holder's address, and this follow-up asks the
-    /// holder directly — one extra hop, batched per holder, every holder
-    /// asked at once. An id named at two holders is asked at both; the
-    /// first copy absorbed wins and [`DisaggStore::absorb_lookup`] hands
-    /// the other pin back.
-    fn follow_redirects(
-        &self,
-        peers: &[Peer],
-        redirects: Vec<(ObjectId, NodeId)>,
-        found: &mut HashMap<ObjectId, ObjectLocation>,
-    ) {
-        let mut by_holder: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        for (id, holder) in redirects {
-            if found.contains_key(&id) {
-                continue;
-            }
-            if holder == self.inner.node {
-                // The redirect points home: this node holds the leased
-                // copy. The local fast path hides it, but an
-                // owner-sanctioned redirect may serve it.
-                if let Some(loc) = self.inner.core.get_local(id) {
-                    self.inner.metrics.redirects_followed.inc();
-                    found.insert(id, loc);
-                }
-                continue;
-            }
-            by_holder.entry(holder).or_default().push(id);
-        }
-        let asks: Vec<(&Peer, Vec<ObjectId>)> = by_holder
-            .into_iter()
-            .filter_map(|(holder, ids)| Some((peers.iter().find(|p| p.node == holder)?, ids)))
-            .collect();
-        for ((holder, ids), resp) in asks.iter().zip(self.get_many(&asks, true)) {
-            let Some(resp) = resp else { continue };
-            self.inner.metrics.redirects_followed.add(ids.len() as u64);
-            self.absorb_lookup(holder, resp.found().copied().collect(), found);
-        }
+        let loc = inner.ledger.lend(id, inner.node)?;
+        inner.metrics.redirects_followed.inc();
+        Some(loc)
     }
 
     /// One pinning `GET_MANY` to each of `asks`' peers for its ids, all
-    /// in one [`DisaggStore::scatter`]: every id a peer holds sealed
-    /// comes back pinned (attributed to this node) with its fabric
-    /// descriptor attached — one round trip regardless of how many ids a
-    /// batch carries or how many peers are asked. `None` for a peer that
-    /// gave no usable answer. Every call issued counts under
-    /// `lookup_rpcs`, and its batch size is recorded in
-    /// `disagg.get_many.batch_size`.
-    fn get_many(
-        &self,
-        asks: &[(&Peer, Vec<ObjectId>)],
-        redirected: bool,
-    ) -> Vec<Option<GetManyResp>> {
+    /// in one [`DisaggStore::scatter`], every answer absorbed into
+    /// `found`: every id a peer holds sealed — or lent away — comes back
+    /// pinned (attributed to this node) with its fabric descriptor
+    /// attached, one round trip regardless of how many ids a batch
+    /// carries or how many peers are asked. Returns, per ask, whether
+    /// the peer answered. Every call issued counts under `lookup_rpcs`,
+    /// and its batch size is recorded in `disagg.get_many.batch_size`.
+    fn ask(&self, asks: &[(&Peer, Vec<ObjectId>)], found: &mut Found) -> Vec<bool> {
         if asks.is_empty() {
             return Vec::new();
         }
         let reqs: Vec<Bytes> = asks
             .iter()
-            .map(|(_, ids)| {
-                let req = GetManyReq {
-                    ids: ids.clone(),
-                    redirected,
-                };
-                req.encode()
-            })
+            .map(|(_, ids)| GetManyReq { ids: ids.clone() }.encode())
             .collect();
         let bodies: Vec<[&[u8]; 1]> = reqs.iter().map(|req| [&req[..]]).collect();
         let calls: Vec<_> = asks
@@ -372,7 +314,7 @@ impl DisaggStore {
         let answers = self.scatter(&calls).into_iter();
         answers
             .zip(asks)
-            .map(|(answer, (_, ids))| {
+            .map(|(answer, (peer, ids))| {
                 if !matches!(answer, Err(PeerFail::Skipped)) {
                     self.inner
                         .counters
@@ -380,48 +322,55 @@ impl DisaggStore {
                         .fetch_add(1, Ordering::Relaxed);
                     self.inner.metrics.get_many_batch.record(ids.len() as u64);
                 }
-                GetManyResp::decode(answer.ok()?).ok()
+                let resp = answer.ok().and_then(|body| GetManyResp::decode(body).ok());
+                let replied = resp.is_some();
+                if let Some(resp) = resp {
+                    self.absorb_lookup(peer, resp, found);
+                }
+                replied
             })
             .collect()
     }
 
-    /// Fold the locations one peer returned (with pins taken on our
+    /// Fold the descriptors one peer returned (with pins taken on our
     /// behalf) into `found`, ledgering each pin under that peer — the
-    /// owner that actually took it: if the object moved between lookups,
-    /// a pin on the new owner must not be merged into, and later
-    /// "released" against, the stale owner's count. If two
-    /// peers answered for the same id, the first absorbed pin wins and
-    /// the duplicate is released back to the losing peer — all of one
-    /// answer's duplicates in one list `RELEASE` once the answer is
-    /// folded. The *same* peer answering an id twice is not a race but a
-    /// batch that legitimately carried the id twice (the owner pinned
-    /// once per instance, and the caller will release once per filled
-    /// slot) — those extra pins are ledgered, not released.
-    pub(super) fn absorb_lookup(
-        &self,
-        peer: &Peer,
-        pinned: Vec<ObjectLocation>,
-        found: &mut HashMap<ObjectId, ObjectLocation>,
-    ) {
+    /// node that actually took it, in its own ledger: if the object
+    /// moved between lookups, a pin on the new owner must not be merged
+    /// into, and later "released" against, the stale owner's count. A
+    /// `Moved` descriptor names the holder's segment, not the peer's, so
+    /// `found` keeps who answered beside what. If two peers answered for
+    /// the same id, the first absorbed pin wins and the duplicate is
+    /// released back to the losing peer — all of one answer's duplicates
+    /// in one list `RELEASE` once the answer is folded. The *same* peer
+    /// answering an id twice is not a race but a batch that legitimately
+    /// carried the id twice (the owner pinned once per instance, and the
+    /// caller will release once per filled slot) — those extra pins are
+    /// ledgered, not released.
+    fn absorb_lookup(&self, peer: &Peer, resp: GetManyResp, found: &mut Found) {
         let ledger = &self.inner.ledger;
         let mut lost = Vec::new();
-        for loc in pinned {
-            let Some(&winner_loc) = found.get(&loc.id) else {
-                self.inner
-                    .counters
-                    .remote_found
-                    .fetch_add(1, Ordering::Relaxed);
-                ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
-                found.insert(loc.id, loc);
+        for entry in resp.entries {
+            let Some(&loc) = entry.location() else {
                 continue;
             };
-            // A location names the node whose segment holds the bytes,
-            // which is the node that answered with it.
-            if winner_loc.seg.owner == peer.node {
-                ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
-                continue;
+            match found.get(&loc.id) {
+                None => {
+                    self.inner
+                        .counters
+                        .remote_found
+                        .fetch_add(1, Ordering::Relaxed);
+                    found.insert(loc.id, (loc, peer.node));
+                }
+                Some(&(_, winner)) if winner != peer.node => {
+                    lost.push(loc.id);
+                    continue;
+                }
+                Some(_) => {}
             }
-            lost.push(loc.id);
+            if matches!(entry, GetManyEntry::Moved(_)) {
+                self.inner.metrics.redirects_followed.inc();
+            }
+            ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
         }
         if !lost.is_empty() {
             self.release_owed(vec![(peer.node, lost)]);
@@ -508,6 +457,15 @@ impl DisaggStore {
     /// Create on this node, past its admission gate: staged for the
     /// caller to fill and seal, or — given the bytes — filled and sealed
     /// here, leaving no reference behind.
+    ///
+    /// An id lent away or replicated still exists, and the ledger says
+    /// so; the core says nothing once the local copy went. The ledger is
+    /// asked after the core took the id, before any get can see it: a
+    /// spill records its lease before its local copy goes, so a spill
+    /// that completes while this create runs is seen here, and an
+    /// owner never seals an id it also lends (the holder's copy of
+    /// such an id would be retired under the readers its owner hands it
+    /// to).
     pub(super) fn create_here(
         &self,
         id: ObjectId,
@@ -516,10 +474,21 @@ impl DisaggStore {
         payload: Option<(&[u8], &[u8])>,
     ) -> Result<ObjectLocation, PlasmaError> {
         self.check_admission()?;
-        match payload {
-            None => self.inner.core.create(id, data_size, metadata_size),
-            Some((data, metadata)) => self.inner.core.put(id, data, metadata),
+        let core = &self.inner.core;
+        let loc = match payload {
+            None => core.create(id, data_size, metadata_size)?,
+            Some((data, metadata)) => core.create_filled(id, data, metadata)?,
+        };
+        if self.inner.ledger.has_out_copy(id) {
+            let _ = core.abort(id);
+            return Err(PlasmaError::ObjectExists(id));
         }
+        if payload.is_none() {
+            return Ok(loc);
+        }
+        let sealed = core.seal(id)?;
+        core.release(id)?;
+        Ok(sealed)
     }
 
     /// Seal a create that was forwarded to a remote ring owner. The
@@ -547,7 +516,7 @@ impl DisaggStore {
                 self.inner.ledger.close_staged(id);
                 Ok(loc)
             }
-            Err(fail @ (PeerFail::Skipped | PeerFail::Unreachable(_))) => {
+            Err(fail @ (PeerFail::Skipped | PeerFail::Unsent(_) | PeerFail::Unreachable(_))) => {
                 // The object cannot be sealed now. Drop the requester's
                 // staging entry so quiesce accounting stays clean; the
                 // owner's staged orphan is aborted when the pair next
@@ -572,29 +541,37 @@ impl DisaggStore {
 
     /// `GET_MANY` handler. Partial success by design: each id answers
     /// for itself. Pins are taken (and attributed to the caller, `from`)
-    /// only for ids found sealed here, so a NotFound entry can never
-    /// leak a reference in the ledger.
+    /// only for ids found sealed here or lent away, so a NotFound entry
+    /// can never leak a reference in the ledger.
+    ///
+    /// A lent id is answered with its holder's descriptor and pinned in
+    /// this node's ledger only: the holder's lease reference keeps the
+    /// copy, and a pin out on the lease keeps the lease. A caller still
+    /// pinning the copy this node spilled is the one exception: it reads
+    /// that copy again, so that a caller's pins on one id are all of one
+    /// kind and its release can only ever return what it took.
     pub(super) fn serve_get_many(&self, from: NodeId, req: GetManyReq) -> GetManyResp {
         let inner = &self.inner;
         let answer = |id: ObjectId| {
-            // Leased copies answer only redirect-following requests: a
+            // A leased copy held here is its owner's to hand out: a
             // broadcast observing one could serve reads after the
             // owner's copy was deleted (the duplication left by an
             // ambiguous spill).
-            let hidden =
-                !req.redirected && matches!(inner.ledger.held_copy(id), Some((Kind::Lease, _)));
-            if let Some(loc) = (!hidden).then(|| inner.core.get_local(id)).flatten() {
+            let hidden = matches!(inner.ledger.held_copy(id), Some((Kind::Lease, _)));
+            let own = (!hidden).then(|| inner.core.get_local(id)).flatten();
+            let own = own.or_else(|| {
+                let spilled = inner.ledger.reads_spilled_copy(id, from);
+                spilled.then(|| inner.core.get_pending(id)).flatten()
+            });
+            if let Some(loc) = own {
                 inner.ledger.record(Side::Out, id, Kind::Pin, from, 0);
                 inner.heat.record(id, from);
                 return GetManyEntry::Pinned(loc);
             }
-            // Not held here, but lent out: answer with a one-hop redirect
-            // instead of NotFound, so the ring owner keeps resolving ids
-            // it spilled away.
-            match inner.ledger.find(Side::Out, id, Kind::Lease) {
-                Some(lease) => {
+            match inner.ledger.lend(id, from) {
+                Some(loc) => {
                     inner.metrics.redirects_served.inc();
-                    GetManyEntry::Moved(id, lease.peer)
+                    GetManyEntry::Moved(loc)
                 }
                 None => GetManyEntry::NotFound(id),
             }
@@ -638,12 +615,6 @@ impl DisaggStore {
                 Some(loc) if staged.peer == from => Ok(CreateAtResp::Ok(loc)),
                 _ => Ok(CreateAtResp::Exists),
             };
-        }
-        // A lent object still exists (its bytes live at the holder):
-        // refuse re-creation or the id would fork. The same goes for an
-        // id with outstanding replicas.
-        if inner.ledger.has_out_copy(req.id) {
-            return Ok(CreateAtResp::Exists);
         }
         // Admission gate sits *after* the idempotent-retry checks: a
         // requester re-asking about its own create must get its location

@@ -8,9 +8,9 @@
 use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
-    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, GetManyReq, IdReq, IdsReq,
-    ListResp, MembershipTable, Message, MetricsResp, ReconcileReq, ReleaseResp, ReplyHeader,
-    RetireReq,
+    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, DeleteResp, GetManyReq,
+    IdReq, IdsReq, ListResp, MembershipTable, Message, MetricsResp, ReconcileReq, ReleaseResp,
+    ReplyHeader, RetireReq,
 };
 use crate::ring::Membership;
 use bytes::Bytes;
@@ -56,7 +56,7 @@ impl Service for Interconnect {
             return Err(Status::unimplemented(method_id));
         }
         let store = &self.store;
-        // The caller's epoch is its to reconcile: the reply header tells
+        // The epoch is the caller's to reconcile: the reply header tells
         // it ours, and a caller that is ahead pushes its table.
         let (header, body) = decoded(CallHeader::unframe(request))?;
         let reply = self.serve(method_id, header.from, body)?;
@@ -82,6 +82,10 @@ impl Interconnect {
             }
             method::DELETE => {
                 let req = decoded(DeleteReq::decode(request))?;
+                if !req.kept.is_empty() {
+                    store.reopen_leases(req.id, &req.kept);
+                    return Ok(DeleteResp::Done(false).encode());
+                }
                 let answer = store.delete_here(req.id, req.deferred, &req.cleared);
                 answer.map(|answer| answer.encode()).map_err(status_of)
             }

@@ -70,7 +70,6 @@ fn composed(frame: &Frame, method: u32, body: Bytes) -> Frame {
     let (cluster, _) = cluster();
     let header = CallHeader {
         from: cluster.node_id(0),
-        epoch: cluster.store(0).ring_epoch(),
     };
     let call_id = Request::from_frame(frame).unwrap().call_id;
     let body = header.frame(&body);

@@ -387,7 +387,23 @@ impl StoreCore {
         data: &[u8],
         metadata: &[u8],
     ) -> Result<ObjectLocation, PlasmaError> {
-        self.put_with(id, data.len() as u64, metadata.len() as u64, |map, loc| {
+        self.create_filled(id, data, metadata)?;
+        let sealed = self.seal(id)?;
+        self.release(id)?;
+        Ok(sealed)
+    }
+
+    /// [`StoreCore::put`] up to the seal: the object is created holding
+    /// `data` then `metadata`, still unsealed and invisible to `get`, and
+    /// the creator's reference is the caller's, to seal (or abort) and
+    /// release — or to keep. A failed write aborts the create.
+    pub fn create_filled(
+        &self,
+        id: ObjectId,
+        data: &[u8],
+        metadata: &[u8],
+    ) -> Result<ObjectLocation, PlasmaError> {
+        self.fill_with(id, data.len() as u64, metadata.len() as u64, |map, loc| {
             if !data.is_empty() {
                 map.write_at(loc.offset, data)?;
             }
@@ -398,9 +414,9 @@ impl StoreCore {
         })
     }
 
-    /// [`StoreCore::put`] with the write as a parameter, so a test can
-    /// make it fail.
-    fn put_with(
+    /// [`StoreCore::create_filled`] with the write as a parameter, so a
+    /// test can make it fail.
+    fn fill_with(
         &self,
         id: ObjectId,
         data_size: u64,
@@ -413,9 +429,7 @@ impl StoreCore {
             let _ = self.abort(id);
             return Err(e);
         }
-        let sealed = self.seal(id)?;
-        self.release(id)?;
-        Ok(sealed)
+        Ok(loc)
     }
 
     /// Non-blocking lookup of a sealed object. On success the caller gains
@@ -430,6 +444,22 @@ impl StoreCore {
         drop(t);
         self.inner.metrics.get.record_duration(t0.elapsed());
         Some(loc)
+    }
+
+    /// Pin a sealed object whose deferred delete still waits on its
+    /// readers: one more reader of bytes that stay until the last one
+    /// releases. `None` for any other object. A store that handed an
+    /// object to another node while readers held its copy uses it, so
+    /// that those readers' next reads of the id find the same copy.
+    pub fn get_pending(&self, id: ObjectId) -> Option<ObjectLocation> {
+        let mut t = self.table();
+        let seg = t.seg;
+        let e = t.objects.get_mut(&id)?;
+        if !(e.pending_deletion && e.state == ObjectState::Sealed && e.ref_count > 0) {
+            return None;
+        }
+        e.ref_count += 1;
+        Some(location(seg, id, e))
     }
 
     /// Blocking batched get: waits up to `timeout` for each id to be
@@ -745,7 +775,7 @@ mod tests {
     fn put_whose_fill_fails_leaves_nothing() {
         let s = store(1 << 20);
         let err = s
-            .put_with(id(1), 4096, 0, |_, _| Err(PlasmaError::Fabric("no".into())))
+            .fill_with(id(1), 4096, 0, |_, _| Err(PlasmaError::Fabric("no".into())))
             .unwrap_err();
         assert_eq!(err, PlasmaError::Fabric("no".into()));
         assert!(!s.exists_any_state(id(1)));

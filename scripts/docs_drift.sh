@@ -113,8 +113,13 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # listener's stop plumbing, the Unix-socket transport and the two accept
 # threads, gone since a connect hands its connection to the server. Then
 # the byte-stream framing no transport has used since that socket went.
+# Then the lookup's second round to a lent object's holder, and the
+# request flag that let a holder serve its leased copy to it, gone since
+# the owner answers a lent id with the holder's descriptor (`redirected`
+# is spelled quoted, so that prose saying a read is redirected is not
+# hit).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\`"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done

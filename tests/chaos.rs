@@ -231,6 +231,38 @@ fn checker_catches_deliberately_broken_invariant() {
     assert_eq!(others, 0, "minimizer kept irrelevant faults");
 }
 
+/// Nor does it wave a loss through: a put acked with no delete attempted
+/// after it, then a settle read-back that misses, is a lost object —
+/// unless the run evicted, when a miss is always legal.
+#[test]
+fn checker_catches_a_lost_object() {
+    let lost = vec![
+        Event {
+            client: 0,
+            invoke_us: 0,
+            complete_us: 10,
+            kind: EventKind::Put {
+                name: 4,
+                tag: 777,
+                ok: true,
+            },
+        },
+        Event {
+            client: 1,
+            invoke_us: 40,
+            complete_us: 50,
+            kind: EventKind::ReadBack {
+                name: 4,
+                observed: Observed::Missing,
+            },
+        },
+    ];
+    let verdict = check(&lost, 0);
+    assert_eq!(verdict.violations.len(), 1, "{verdict}");
+    assert!(verdict.violations[0].starts_with("lost:"), "{verdict}");
+    assert!(check(&lost, 1).ok(), "an eviction excuses the miss");
+}
+
 /// A quiet plan through the whole harness: zero injected faults, a
 /// clean verdict, and a history full of successful operations — the
 /// control experiment that validates the harness itself.

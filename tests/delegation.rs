@@ -14,9 +14,10 @@ use disagg::delegation::{
 };
 use disagg::proto::{method, BoolResp, CallHeader, Message, ReplyHeader, RetireReq};
 use disagg::{Cluster, ClusterConfig, Kind, NodeId, Phase, Side};
-use plasma::ObjectId;
+use plasma::{ObjectId, ObjectLocation, PlasmaError};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
+use tfsim::SegKey;
 
 const OWNER: NodeId = NodeId(1);
 const HOLDER: NodeId = NodeId(2);
@@ -34,6 +35,7 @@ fn entry(kind: Kind, peer: NodeId, count: u64) -> Delegation {
         count,
         bytes: SIZE,
         phase: Phase::Live,
+        at: None,
     }
 }
 
@@ -288,16 +290,24 @@ fn replica_of_a_since_lent_or_since_deleted_id_is_dropped() {
     assert_eq!(verdict(true, &deleted, Kind::Replica, 1), Verdict::Keep);
 }
 
+/// A lost `REPLICATE_AT` response: the owner kept its copy, so the
+/// replica stands and its entry is installed. A lease the owner never
+/// recorded is different: an owner gives its copy up only once it has
+/// recorded the lease, so a holder claiming an unrecorded lease while the
+/// owner has no copy holds what an ambiguous spill left of an object the
+/// owner has since deleted. Installing it brought the deleted object back
+/// (the soak's read-back found it).
 #[test]
-fn lost_spill_or_replicate_response_installs_the_owner_entry() {
-    assert_eq!(verdict(false, &[], Kind::Lease, 1), Verdict::Keep);
+fn lost_replicate_response_installs_the_owner_entry_and_an_unrecorded_lease_is_dropped() {
+    assert_eq!(verdict(false, &[], Kind::Lease, 1), Verdict::Drop);
     assert_eq!(verdict(true, &[], Kind::Replica, 1), Verdict::Keep);
 
     let owner = Ledger::new();
     let claims = [(oid(1), Kind::Lease, 1), (oid(2), Kind::Replica, 1)];
     let settled = owner.settle(HOLDER, &claims, |id| (id == oid(2)).then_some(SIZE));
-    assert_eq!(settled, Settlement::default(), "nothing dropped or trimmed");
-    assert_eq!(owner.peers(Side::Out, oid(1), Kind::Lease), vec![HOLDER]);
+    assert_eq!(settled.drop, vec![(oid(1), Kind::Lease)]);
+    assert_eq!(settled.trimmed, Default::default());
+    assert!(owner.peers(Side::Out, oid(1), Kind::Lease).is_empty());
     assert_eq!(owner.peers(Side::Out, oid(2), Kind::Replica), vec![HOLDER]);
     let bytes = owner.find(Side::Out, oid(2), Kind::Replica).unwrap().bytes;
     assert_eq!(
@@ -365,7 +375,7 @@ fn pins_count_per_requester_and_unpin_reports_absence() {
     assert_eq!(count_of(&ledger, Side::Out, oid(1), Kind::Pin, OTHER), 1);
     for _ in 0..2 {
         let whose = ledger.unpin(Side::Out, oid(1), Some(HOLDER), exactly(HOLDER));
-        assert_eq!(whose, Some(HOLDER));
+        assert_eq!(whose.map(|pin| pin.peer), Some(HOLDER));
     }
     let none_left = ledger.unpin(Side::Out, oid(1), Some(HOLDER), exactly(HOLDER));
     assert_eq!(none_left, None, "no pins left for the holder");
@@ -374,14 +384,12 @@ fn pins_count_per_requester_and_unpin_reports_absence() {
     // other's when none is preferred.
     ledger.record(Side::Held, oid(2), Kind::Pin, HOLDER, 0);
     ledger.record(Side::Held, oid(2), Kind::Pin, OTHER, 0);
-    assert_eq!(
-        ledger.unpin(Side::Held, oid(2), None, exactly(OTHER)),
-        Some(OTHER)
-    );
-    assert_eq!(
-        ledger.unpin(Side::Held, oid(2), None, exactly(OTHER)),
-        Some(HOLDER)
-    );
+    let whose = |ledger: &Ledger| {
+        let pin = ledger.unpin(Side::Held, oid(2), None, exactly(OTHER));
+        pin.map(|pin| pin.peer)
+    };
+    assert_eq!(whose(&ledger), Some(OTHER));
+    assert_eq!(whose(&ledger), Some(HOLDER));
     assert_eq!(ledger.unpin(Side::Held, oid(2), None, exactly(OTHER)), None);
 }
 
@@ -448,6 +456,84 @@ fn leases_are_tracked_on_both_sides() {
         .remove(Side::Held, oid(9), Kind::Lease, Some(OTHER))
         .is_some());
     assert!(ledger.records().is_empty());
+}
+
+/// A delete closes a lease only while no pin is out on it, and each
+/// delete retiring it counts: one that gives up without reaching the
+/// holder opens the lease again only once no other delete retires it,
+/// and a reconcile that finds the holder's copy opens it outright.
+#[test]
+fn a_closed_lease_reopens_once_no_delete_retires_it() {
+    let at = ObjectLocation {
+        id: oid(1),
+        seg: SegKey {
+            owner: HOLDER,
+            index: 0,
+        },
+        offset: 4096,
+        data_size: SIZE,
+        metadata_size: 0,
+    };
+    let owner = Ledger::new();
+    owner.lend_out(oid(1), HOLDER, at);
+    assert_eq!(owner.lend(oid(1), OTHER), Some(at));
+    assert_eq!(
+        owner.close_lease(oid(1)),
+        Err(PlasmaError::ObjectInUse(oid(1)))
+    );
+    let pin = owner
+        .unpin(Side::Out, oid(1), Some(OTHER), |_| true)
+        .unwrap();
+    assert_eq!(pin.at, Some(at), "the pin was on the lease");
+
+    // Two deletes close it; no get is handed the copy meanwhile.
+    assert_eq!(owner.close_lease(oid(1)), Ok(Some(HOLDER)));
+    assert_eq!(owner.close_lease(oid(1)), Ok(Some(HOLDER)));
+    assert_eq!(owner.lend(oid(1), OTHER), None);
+    assert!(
+        !owner.reopen_lease(oid(1), HOLDER),
+        "the other delete may have retired it"
+    );
+    assert_eq!(owner.lend(oid(1), OTHER), None);
+    assert!(
+        !owner.reopen_lease(oid(1), OTHER),
+        "no lease toward that node"
+    );
+    assert!(owner.reopen_lease(oid(1), HOLDER));
+    assert_eq!(owner.lend(oid(1), OTHER), Some(at));
+    owner
+        .unpin(Side::Out, oid(1), Some(OTHER), |_| true)
+        .unwrap();
+
+    // Left closed by a delete that never confirmed, the lease opens at
+    // a reconcile where the holder still claims its copy.
+    assert_eq!(owner.close_lease(oid(1)), Ok(Some(HOLDER)));
+    let settled = owner.settle(HOLDER, &[(oid(1), Kind::Lease, 1)], |_| None);
+    assert!(settled.drop.is_empty());
+    assert_eq!(owner.lend(oid(1), OTHER), Some(at));
+    let lease = owner.find(Side::Out, oid(1), Kind::Lease).unwrap();
+    assert_eq!((lease.phase, lease.count), (Phase::Live, 1));
+}
+
+/// Pins on one id toward one reader are counted whichever copy each is
+/// on: a reader claiming fewer than all of them is trimmed to its claim.
+#[test]
+fn a_pin_claim_is_judged_against_every_row_toward_the_reporter() {
+    let mut lent = entry(Kind::Pin, HOLDER, 1);
+    lent.at = Some(ObjectLocation {
+        id: oid(1),
+        seg: SegKey {
+            owner: OTHER,
+            index: 0,
+        },
+        offset: 0,
+        data_size: SIZE,
+        metadata_size: 0,
+    });
+    let out = [entry(Kind::Pin, HOLDER, 2), lent];
+    assert_eq!(verdict(false, &out, Kind::Pin, 1), Verdict::Trim(2));
+    assert_eq!(verdict(false, &out, Kind::Pin, 3), Verdict::Keep);
+    assert_eq!(verdict(false, &out, Kind::Pin, 0), Verdict::Trim(3));
 }
 
 /// `BorrowLedger::trim_lent_drops_only_unreported_entries_of_that_holder`
@@ -611,7 +697,6 @@ fn invalidate_from_a_node_that_is_not_the_recorded_owner_retires_nothing() {
     let invalidate = |owner: NodeId, id: ObjectId| {
         let header = CallHeader {
             from: cluster.node_id(2),
-            epoch: holder.ring_epoch(),
         };
         let request = header.frame(&RetireReq { id, owner }.encode());
         let answer = service.call(method::INVALIDATE, request).unwrap();

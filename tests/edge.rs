@@ -244,13 +244,9 @@ fn reconcile_heals_the_peers_behind_an_unreachable_one() {
 
     // A lost GET_MANY response: node 2 pinned for node 0, node 0 never
     // heard — nothing will ever release that pin.
-    let lost = GetManyReq {
-        ids: vec![id],
-        redirected: false,
-    };
+    let lost = GetManyReq { ids: vec![id] };
     let from_node0 = CallHeader {
         from: cluster.node_id(0),
-        epoch: cluster.store(0).ring_epoch(),
     };
     let node2 = cluster.store(2).interconnect_service();
     node2
@@ -290,13 +286,9 @@ fn release_answers_each_listed_id_and_drops_only_the_callers_pins() {
     let service = owner.interconnect_service();
     let from = |node: usize| CallHeader {
         from: cluster.node_id(node),
-        epoch: owner.ring_epoch(),
     };
     let get = |node: usize, id: ObjectId| {
-        let req = GetManyReq {
-            ids: vec![id],
-            redirected: false,
-        };
+        let req = GetManyReq { ids: vec![id] };
         service
             .call(method::GET_MANY, from(node).frame(&req.encode()))
             .unwrap();

@@ -1,17 +1,81 @@
 //! Elastic capacity tier acceptance: pressure-driven spill keeps spilled
-//! objects readable from every node through one-hop `Moved` redirects
-//! and picks its lender by the ring, not by asking peers,
-//! admission control surfaces typed `Overloaded` rejections locally and
-//! through the forwarded-create path, deletes of lent objects retire
-//! both ledgers, and borrow reconciliation heals an owner that
-//! re-acquired a local copy.
+//! objects readable from every node — the owner answers a lent id with
+//! its holder's descriptor, so a spilled object costs one lookup like
+//! any other — and picks its lender by the ring, not by asking peers;
+//! a holder keeps its leased copy whatever it evicts; pins on a lent id
+//! live in the owner's ledger and keep the lease; admission control
+//! surfaces typed `Overloaded` rejections locally and through the
+//! forwarded-create path, deletes of lent objects retire both ledgers,
+//! and borrow reconciliation heals an owner that re-acquired a local
+//! copy.
 
 use disagg::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LOW_WATERMARK_PPM, RETRY_AFTER_MS};
+use disagg::proto::method;
 use disagg::{Cluster, ClusterConfig, DisaggStore, Kind, NodeId, ReconcileReport, Ring, Side};
+use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const GET_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A tapped interconnect: every request frame any node sends, as its
+/// link (`"from->to"`) and verb, and — once armed — the next reply
+/// node 2 reads from node 0, dropped.
+#[derive(Default)]
+struct Wire {
+    sent: Mutex<Vec<(String, u32)>>,
+    drop_reply: AtomicBool,
+}
+
+impl FaultPolicy for Wire {
+    fn on_frame(&self, link: &str, dir: Direction, frame: &ipc::Frame) -> FaultAction {
+        if dir == Direction::Outbound {
+            if let Ok(request) = rpclite::Request::from_frame(frame) {
+                self.sent
+                    .lock()
+                    .unwrap()
+                    .push((link.to_string(), request.method));
+            }
+        }
+        let reply = link == "2->0" && dir == Direction::Inbound;
+        if reply && self.drop_reply.swap(false, Ordering::SeqCst) {
+            return FaultAction::Drop;
+        }
+        FaultAction::Deliver
+    }
+}
+
+impl Wire {
+    /// The requests sent while `act` ran, in order.
+    fn during(&self, act: impl FnOnce()) -> Vec<(String, u32)> {
+        self.sent.lock().unwrap().clear();
+        act();
+        std::mem::take(&mut *self.sent.lock().unwrap())
+    }
+}
+
+/// A 3-node cluster on a tapped wire, with one 2 KiB object node 0 owns
+/// spilled to node 1.
+fn lent_on_a_tapped_wire(name: &str) -> (Cluster, Arc<Wire>, ObjectId, Vec<u8>) {
+    let wire = Arc::new(Wire::default());
+    let mut config = ClusterConfig::functional(3, 4 << 20);
+    config.fault_policy = Some(wire.clone());
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.max_attempts = 1;
+    let cluster = Cluster::launch(config).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, name));
+    let payload: Vec<u8> = (0..2048u32).map(|i| i as u8).collect();
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
+    (cluster, wire, id, payload)
+}
+
+/// A counter of node `i`'s registry.
+fn counter(cluster: &Cluster, i: usize, name: &str) -> u64 {
+    cluster.store(i).metrics_snapshot().counter(name)
+}
 
 /// The `(id, peer)` pairs one side of a store's ledger holds of `kind`.
 fn entries(store: &DisaggStore, side: Side, kind: Kind) -> Vec<(ObjectId, NodeId)> {
@@ -28,9 +92,10 @@ fn lease_counts(store: &DisaggStore) -> (usize, usize) {
 }
 
 /// Spill one object from its ring owner to a lender, then read it back
-/// from every vantage point: a third party (owner redirect), the holder
-/// itself (redirect pointing home), and the owner (chasing its own
-/// ledger). The bytes survive verbatim and both ledgers agree.
+/// from every vantage point: a third party and the holder itself (each
+/// asks the owner, which answers with the holder's descriptor), and the
+/// owner (its own ledger is the answer). The bytes survive verbatim and
+/// both ledgers agree.
 #[test]
 fn spilled_object_reads_from_every_node() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
@@ -65,8 +130,8 @@ fn spilled_object_reads_from_every_node() {
     // The owner's local copy is gone — the delegation freed real memory.
     assert!(owner.core().get_local(id).is_none());
 
-    // Third party: ring-targeted GET_MANY to the owner answers `Moved`,
-    // and the follow-up to the holder serves the bytes.
+    // Third party: ring-targeted GET_MANY to the owner answers `Moved`
+    // with the holder's descriptor, and the bytes are read through it.
     let third = cluster.client(2).unwrap();
     let buf = third.get_one(id, GET_TIMEOUT).unwrap();
     assert_eq!(buf.read_all().unwrap(), payload);
@@ -85,15 +150,16 @@ fn spilled_object_reads_from_every_node() {
             >= 1
     );
 
-    // Holder: its local fast path hides the borrowed replica, but the
-    // owner's redirect points home and the replica is served locally.
+    // Holder: its local fast path hides the borrowed copy — only its
+    // owner hands it out — and the owner's answer names the holder's own
+    // segment.
     let at_holder = cluster.client(1).unwrap();
     let buf = at_holder.get_one(id, GET_TIMEOUT).unwrap();
     assert_eq!(buf.read_all().unwrap(), payload);
     at_holder.release(id).unwrap();
 
-    // Owner: no local copy and the ring points at itself, so the get
-    // chases the owner's own lent ledger straight to the holder.
+    // Owner: no local copy and the ring points at itself, so its own
+    // lease names the holder's copy, read without a call.
     let at_owner = cluster.client(0).unwrap();
     let buf = at_owner.get_one(id, GET_TIMEOUT).unwrap();
     assert_eq!(buf.read_all().unwrap(), payload);
@@ -476,4 +542,360 @@ fn rebalance_moves_hot_object_to_its_dominant_reader() {
     let buf = cluster.client(0).unwrap().get_one(id, GET_TIMEOUT).unwrap();
     assert_eq!(buf.read_all().unwrap(), vec![5; 1024]);
     cluster.client(0).unwrap().release(id).unwrap();
+}
+
+/// A third party's read of a lent object is one `GET_MANY`, at the
+/// owner, and its `RELEASE`: no call reaches the holder, and one
+/// redirect is served and followed. The holder's own read is that same
+/// one lookup and maps its own segment; the owner's own read makes no
+/// call at all. The bytes come back verbatim each time.
+#[test]
+fn a_lent_object_costs_one_lookup_and_no_call_at_its_holder() {
+    let (cluster, wire, id, payload) = lent_on_a_tapped_wire("spill/one-lookup");
+    let gets = |i: usize| {
+        let snap = cluster.store(i).metrics_snapshot();
+        let h = snap.histogram("rpc.client.get_many.latency_ns");
+        h.map_or(0, |h| h.count)
+    };
+    let (served, followed) = (
+        counter(&cluster, 0, "disagg.elastic.redirects_served"),
+        counter(&cluster, 2, "disagg.elastic.redirects_followed"),
+    );
+    let third = cluster.client(2).unwrap();
+    let calls = wire.during(|| {
+        let buf = third.get_one(id, GET_TIMEOUT).unwrap();
+        assert_eq!(buf.read_all().unwrap(), payload);
+        third.release(id).unwrap();
+    });
+    let at_owner = |verb| ("2->0".to_string(), verb);
+    assert_eq!(
+        calls,
+        [at_owner(method::GET_MANY), at_owner(method::RELEASE)]
+    );
+    assert_eq!(gets(2), 1);
+    assert_eq!(
+        counter(&cluster, 0, "disagg.elastic.redirects_served"),
+        served + 1
+    );
+    assert_eq!(
+        counter(&cluster, 2, "disagg.elastic.redirects_followed"),
+        followed + 1
+    );
+
+    // The holder asks the owner too — its copy is the owner's to hand
+    // out — and the answer is its own segment.
+    let holder = cluster.store(1);
+    let calls = wire.during(|| {
+        let got = holder.get(&[id], GET_TIMEOUT).unwrap()[0].unwrap();
+        assert_eq!(got.seg.owner, cluster.node_id(1));
+        assert_eq!(holder.read_payload(&got).unwrap(), payload);
+        holder.release(id).unwrap();
+    });
+    let from_holder = |verb| ("1->0".to_string(), verb);
+    assert_eq!(
+        calls,
+        [from_holder(method::GET_MANY), from_holder(method::RELEASE)]
+    );
+
+    // The owner reads the holder's copy on its own authority: no call.
+    let owner = cluster.client(0).unwrap();
+    let calls = wire.during(|| {
+        let buf = owner.get_one(id, GET_TIMEOUT).unwrap();
+        assert_eq!(buf.read_all().unwrap(), payload);
+        owner.release(id).unwrap();
+    });
+    assert_eq!(calls, []);
+    assert_eq!(gets(0), 0);
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A holder keeps the reference of every copy it holds on lease: it
+/// evicts what it must for its own puts, never the lent object, which
+/// stays readable from every node. An evicted leased copy would be lost
+/// while its owner still ledgers the lease: every get would miss, and
+/// the id could never be created again.
+#[test]
+fn a_holder_under_pressure_never_evicts_a_lent_object() {
+    const OBJECT: usize = 64 << 10;
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/evict"));
+    let payload = vec![0x6C; OBJECT];
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
+
+    let filler = cluster.client(1).unwrap();
+    for i in 0..64 {
+        let fill = ObjectId::from_name(&format!("spill/evict/fill/{i}"));
+        filler.put(fill, &[i as u8; OBJECT], &[]).unwrap();
+    }
+    assert!(
+        cluster.store(1).core().stats().evictions > 0,
+        "the holder evicted"
+    );
+    assert!(
+        cluster.store(1).core().contains(id),
+        "but not the lent object"
+    );
+    let reader = cluster.client(2).unwrap();
+    let buf = reader.get_one(id, GET_TIMEOUT).unwrap();
+    assert_eq!(buf.read_all().unwrap(), payload);
+    reader.release(id).unwrap();
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A pin on a lent object keeps its lease: a delete while a third party
+/// reads it is `ObjectInUse`, immediate or deferred, from the owner and
+/// forwarded, and changes nothing. Once the reader releases, the delete
+/// retires the holder's copy — its memory is freed — and leaves both
+/// ledgers empty.
+#[test]
+fn a_pinned_lent_object_is_in_use_until_its_reader_releases() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/in-use"));
+    cluster
+        .client(0)
+        .unwrap()
+        .put(id, &[0x33; 4096], &[])
+        .unwrap();
+    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
+    let holder_bytes = || cluster.store(1).core().stats().allocated_bytes;
+    let lent = holder_bytes();
+
+    let reader = cluster.client(2).unwrap();
+    let buf = reader.get_one(id, GET_TIMEOUT).unwrap();
+    assert_eq!(
+        cluster.store(0).remote_pin_count(),
+        1,
+        "pinned at the owner"
+    );
+    assert_eq!(cluster.store(1).remote_pin_count(), 0, "and nowhere else");
+    for node in [0usize, 2] {
+        let store = cluster.store(node);
+        assert_eq!(
+            store.delete(id),
+            Err(PlasmaError::ObjectInUse(id)),
+            "node {node}"
+        );
+        let deferred = store.delete_deferred(id);
+        assert_eq!(deferred, Err(PlasmaError::ObjectInUse(id)), "node {node}");
+    }
+    assert_eq!(lease_counts(cluster.store(0)), (1, 0));
+    assert_eq!(lease_counts(cluster.store(1)), (0, 1));
+    assert_eq!(buf.read_all().unwrap(), vec![0x33; 4096]);
+    drop(buf);
+    reader.release(id).unwrap();
+
+    cluster.store(2).delete(id).unwrap();
+    assert!(
+        !cluster.store(1).core().contains(id),
+        "the holder's copy went"
+    );
+    assert!(holder_bytes() < lent, "and its memory with it");
+    for node in 0..3 {
+        assert!(cluster.store(node).delegations().is_empty(), "node {node}");
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// The two kinds of pin an owner counts stay apart. A reader that pinned
+/// the owner's own copy before the spill keeps reading that copy, and
+/// its release frees it — the deferred delete completes — while the pin
+/// another reader took on the lease since is left alone and still keeps
+/// the lease.
+#[test]
+fn a_pin_on_the_spilled_copy_frees_it_and_leaves_the_lease_pinned() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/two-pins"));
+    cluster
+        .client(0)
+        .unwrap()
+        .put(id, &[0x5E; 8192], &[])
+        .unwrap();
+    let owner = cluster.store(0);
+    let owner_bytes = || owner.core().stats().allocated_bytes;
+
+    let early = cluster.store(1).clone();
+    let before = early.get(&[id], GET_TIMEOUT).unwrap()[0].unwrap();
+    assert_eq!(before.seg.owner, cluster.node_id(0));
+    let resident = owner_bytes();
+    assert!(owner.spill_to(id, cluster.node_id(2)).unwrap());
+    assert_eq!(
+        owner_bytes(),
+        resident,
+        "a reader still holds the spilled copy"
+    );
+
+    // The holder reads now: a pin on the lease, in the owner's ledger.
+    let late = cluster.store(2).clone();
+    let after = late.get(&[id], GET_TIMEOUT).unwrap()[0].unwrap();
+    assert_eq!(after.seg.owner, cluster.node_id(2));
+    assert_eq!(owner.remote_pin_count(), 2);
+
+    early.release(id).unwrap();
+    assert!(owner_bytes() < resident, "the spilled copy is freed");
+    assert_eq!(owner.remote_pin_count(), 1, "the lease's pin stays");
+    assert_eq!(owner.delete(id), Err(PlasmaError::ObjectInUse(id)));
+    late.release(id).unwrap();
+    assert_eq!(owner.remote_pin_count(), 0);
+    owner.delete(id).unwrap();
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A `GET_MANY` whose answer for a lent id is lost leaves the owner a pin
+/// on the lease nobody will release. The reader's reconcile trims it,
+/// and gives no core reference back at the owner — the pin held none.
+#[test]
+fn an_orphan_pin_on_a_lent_id_is_trimmed_without_a_core_release() {
+    let (cluster, wire, id, _) = lent_on_a_tapped_wire("spill/orphan");
+    let owner = cluster.store(0);
+    let reader = cluster.store(2).clone();
+    wire.drop_reply.store(true, Ordering::SeqCst);
+    let got = reader.get(&[id], Duration::ZERO).unwrap();
+    if got[0].is_some() {
+        // The broadcast asked the owner again and was answered.
+        reader.release(id).unwrap();
+    }
+    assert_eq!(owner.remote_pin_count(), 1, "the lost answer's pin");
+    assert_eq!(reader.held_remote_pins(), 0);
+    let core_releases = owner.core().stats().releases;
+
+    cluster.clock().charge(Duration::from_secs(10)); // past the probe window
+    let healed = reader.reconcile();
+    assert!(healed.unreachable.is_empty(), "{healed:?}");
+    assert_eq!(healed.trimmed[Kind::Pin], 1, "{healed:?}");
+    assert_eq!(owner.remote_pin_count(), 0);
+    assert_eq!(owner.core().stats().releases, core_releases);
+    owner.delete(id).unwrap();
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// Drops the next reply node 0 reads from node 1, once armed.
+#[derive(Default)]
+struct DropSpillAnswer(AtomicBool);
+
+impl FaultPolicy for DropSpillAnswer {
+    fn on_frame(&self, link: &str, dir: Direction, _: &ipc::Frame) -> FaultAction {
+        let reply = link == "0->1" && dir == Direction::Inbound;
+        if reply && self.0.swap(false, Ordering::SeqCst) {
+            return FaultAction::Drop;
+        }
+        FaultAction::Deliver
+    }
+}
+
+/// A spill whose answer is lost leaves the holder a copy the owner never
+/// recorded. The owner's delete then succeeds without it, and the
+/// reconcile that follows must not bring the deleted object back: the
+/// owner drops the holder's claim instead of installing it as a lease.
+#[test]
+fn a_deleted_object_stays_deleted_after_an_ambiguous_spill_reconciles() {
+    let drop = Arc::new(DropSpillAnswer::default());
+    let mut config = ClusterConfig::functional(3, 4 << 20);
+    config.fault_policy = Some(drop.clone());
+    config.interconnect.call_deadline = Some(Duration::from_millis(100));
+    config.interconnect.max_attempts = 1;
+    let cluster = Cluster::launch(config).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/ambiguous-delete"));
+    cluster
+        .client(0)
+        .unwrap()
+        .put(id, &[0x7A; 512], &[])
+        .unwrap();
+    drop.0.store(true, Ordering::SeqCst);
+    let spilled = cluster.store(0).spill_to(id, cluster.node_id(1));
+    assert_eq!(spilled, Ok(false), "no answer: the owner keeps its copy");
+    assert!(cluster.store(1).core().contains(id), "the holder adopted");
+    assert_eq!(
+        lease_counts(cluster.store(0)),
+        (0, 0),
+        "the owner never heard"
+    );
+    cluster.store(0).delete(id).unwrap();
+
+    cluster.clock().charge(Duration::from_secs(10));
+    for node in 0..3 {
+        cluster.store(node).reconcile();
+    }
+    let got = cluster.store(2).get(&[id], Duration::ZERO).unwrap();
+    assert!(got[0].is_none(), "a deleted object came back");
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A create racing a spill of the same id never seals beside the lease.
+/// The owner records the lease before its own copy goes, and a create
+/// asks the ledger only once the core has taken the id, so a create that
+/// finds the id free has already seen the lease. Asked first, a spill
+/// could complete between the two: the owner sealed a second object
+/// under a lent id, and retiring the holder's copy for it freed bytes the
+/// owner still handed to readers. Node 1's two-step creates hammer each
+/// id while node 0 spills it.
+#[test]
+fn a_create_racing_a_spill_never_seals_beside_the_lease() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 16 << 20)).unwrap();
+    for n in 0..200u64 {
+        let id = ObjectId::from_name(&cluster.owned_id(0, &format!("spill/race-{n}")));
+        cluster.client(0).unwrap().put(id, &[1; 512], &[]).unwrap();
+        let spilled = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let creator = cluster.client(1).unwrap();
+            let spilled = &spilled;
+            s.spawn(move || {
+                while !spilled.load(Ordering::SeqCst) {
+                    let _ = creator.create(id, 512, 0).and_then(|b| {
+                        b.write(0, &[2; 512])?;
+                        b.seal()
+                    });
+                }
+            });
+            std::thread::sleep(Duration::from_micros(100 + n * 37 % 300));
+            assert!(cluster.store(0).spill_to(id, cluster.node_id(2)).unwrap());
+            spilled.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(lease_counts(cluster.store(0)).0 as u64, n + 1);
+        assert!(
+            cluster.store(0).core().peek(id).is_none(),
+            "iteration {n}: node 0 seals an id it lends"
+        );
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
+/// A delete that reaches no holder gives the lease back. With the
+/// holder's interconnect down, the delete's `INVALIDATE` never leaves:
+/// the delete fails, the owner — told so by a requester elsewhere, or
+/// as the requester itself — opens the lease the delete closed, and
+/// every node still reads the object verbatim through the holder's copy.
+/// With the holder back, the delete retires the copy and leaves both
+/// ledgers empty.
+#[test]
+fn a_delete_that_reaches_no_holder_leaves_the_lent_object_readable() {
+    let mut cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(0, "spill/unreached"));
+    let payload = vec![0x4D; 4096];
+    cluster.client(0).unwrap().put(id, &payload, &[]).unwrap();
+    assert!(cluster.store(0).spill_to(id, cluster.node_id(1)).unwrap());
+    cluster.stop_rpc(1);
+    for requester in [2usize, 0] {
+        let deleted = cluster.store(requester).delete(id);
+        assert!(
+            matches!(deleted, Err(PlasmaError::PeerUnavailable(_))),
+            "node {requester}: {deleted:?}"
+        );
+        assert_eq!(lease_counts(cluster.store(0)), (1, 0));
+        for node in [0usize, 2] {
+            let read = cluster.store(node).get_bytes(id, GET_TIMEOUT).unwrap();
+            assert_eq!(read.as_deref(), Some(&payload[..]), "node {node}");
+        }
+    }
+    cluster.restart_rpc(1).unwrap();
+    cluster.clock().charge(Duration::from_secs(1));
+    cluster.store(2).delete(id).unwrap();
+    assert!(
+        !cluster.store(1).core().contains(id),
+        "the holder's copy went"
+    );
+    for node in 0..3 {
+        assert!(cluster.store(node).delegations().is_empty(), "node {node}");
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
 }

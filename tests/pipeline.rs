@@ -2,8 +2,8 @@
 //! interconnect, end to end on a live cluster: one RPC per owner per
 //! batch, partial success without ledger leaks, concurrent remote
 //! gets overlapping on the virtual clock instead of paying one
-//! round trip each in lock-step, and one get overlapping the owners and
-//! holders it asks — reproducibly, and with one pin per resolved id.
+//! round trip each in lock-step, and one get overlapping the owners it
+//! asks — reproducibly, and with one pin per resolved id.
 
 use disagg::{Cluster, ClusterConfig, DisaggStore};
 use ipc::fault::{Direction, FaultAction, FaultPolicy};
@@ -214,7 +214,7 @@ fn pipelined_remote_gets_overlap_on_virtual_clock() {
 /// A 3-node `paper_testbed` cluster with 16 sealed 1 KiB objects owned
 /// by node 0 and 16 by node 2, to be read from node 1. With
 /// `cross_spill`, each owner has lent half of its objects to the other,
-/// so a read of all 32 has two owners *and* two holders to ask.
+/// so a read of all 32 maps two owners' segments and two holders'.
 fn two_owner_bed(seed: u64, cross_spill: bool) -> (Cluster, Vec<ObjectId>, Vec<ObjectId>) {
     let mut config = ClusterConfig::paper_testbed(16 << 20);
     config.nodes = 3;
@@ -255,8 +255,8 @@ fn timed_get(cluster: &Cluster, store: &DisaggStore, ids: &[ObjectId]) -> Durati
 /// A get whose ids resolve at two peers asks both at once: on the
 /// virtual clock it costs the slower of the two round trips, not their
 /// sum — and it is still two round trips on the bill. With the owners
-/// having lent half their objects to each other, the redirect phase
-/// overlaps its two holders the same way.
+/// having lent half their objects to each other, it is the same two:
+/// each owner answers for what it lent.
 #[test]
 fn multi_owner_get_overlaps_its_owners_on_the_virtual_clock() {
     const REPS: u32 = 50;
@@ -264,14 +264,14 @@ fn multi_owner_get_overlaps_its_owners_on_the_virtual_clock() {
         let (cluster, on_0, on_2) = two_owner_bed(0x5CA7, cross_spill);
         let reader = cluster.store(1).clone();
         let all: Vec<ObjectId> = on_0.iter().chain(&on_2).copied().collect();
-        // Round trips one get of all 32 ids makes: one per owner, and
-        // one per holder once half of each owner's ids are `Moved`.
-        let phases = if cross_spill { 2 } else { 1 };
+        // Round trips one get of all 32 ids makes: one per owner, also
+        // once half of each owner's ids are `Moved` — an owner answers
+        // those with its holder's descriptor, and no holder is asked.
         let (mut together, mut in_turn) = (Duration::ZERO, Duration::ZERO);
         for _ in 0..REPS {
             let before = reader.disagg_stats().lookup_rpcs;
             together += timed_get(&cluster, &reader, &all);
-            assert_eq!(reader.disagg_stats().lookup_rpcs - before, 2 * phases);
+            assert_eq!(reader.disagg_stats().lookup_rpcs - before, 2);
             in_turn += timed_get(&cluster, &reader, &on_0) + timed_get(&cluster, &reader, &on_2);
         }
         assert!(
@@ -320,8 +320,9 @@ fn same_seed_same_model_time() {
 }
 
 /// When two answers of one pass redirect the same id to different
-/// holders, both are asked: the id resolves if either has it, and it
-/// ends with exactly one pin whichever answered.
+/// holders, the first absorbed wins and the other lender's pin goes back
+/// to it: the id resolves if either lender answers, and it ends with
+/// exactly one pin, at whichever did. No holder is asked anything.
 #[test]
 fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
     let mut config = ClusterConfig::functional(5, 4 << 20);
@@ -340,8 +341,8 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
         assert!(adopted.unwrap());
     }
     let reader = cluster.store(0).clone();
-    let pins_at_holders = |cluster: &Cluster| {
-        cluster.store(3).remote_pin_count() + cluster.store(4).remote_pin_count()
+    let pins_at_lenders = |cluster: &Cluster| {
+        cluster.store(1).remote_pin_count() + cluster.store(2).remote_pin_count()
     };
     // The planted copies sit off their ring owner with no lease from it,
     // which `Cluster::audit` rightly reports (three ring violations), so
@@ -356,20 +357,22 @@ fn two_answers_redirecting_one_id_to_different_holders_resolve_at_either() {
             .collect()
     };
 
-    // Both holders answer: one pin stands, the other was handed back.
+    // Both lenders answer: one pin stands, the other was handed back.
     let got = reader.get(&[id], Duration::ZERO).unwrap();
     assert!(got[0].is_some());
     assert_eq!(reader.held_remote_pins(), 1);
-    assert_eq!(pins_at_holders(&cluster), 1);
+    assert_eq!(pins_at_lenders(&cluster), 1);
     reader.release(id).unwrap();
     assert_eq!(pins(&cluster), [(0, 0, 0); 5]);
 
-    // The holder the first answer named is gone: the other still serves.
-    cluster.stop_rpc(3);
+    // The lender the first answer came from is gone: the other still
+    // serves, and its holder's copy is read without a call to it.
+    cluster.stop_rpc(1);
     let got = reader.get(&[id], Duration::ZERO).unwrap();
     assert!(got[0].is_some(), "node 4's copy must still resolve");
+    assert_eq!(got[0].unwrap().seg.owner, cluster.node_id(4));
     assert_eq!(reader.held_remote_pins(), 1);
-    assert_eq!(cluster.store(4).remote_pin_count(), 1);
+    assert_eq!(cluster.store(2).remote_pin_count(), 1);
     reader.release(id).unwrap();
     assert_eq!(pins(&cluster), [(0, 0, 0); 5]);
 }

@@ -319,7 +319,6 @@ fn payload_carrying_create_at_is_idempotent_by_content_and_nothing_else() {
     let owner = cluster.store(1).interconnect_service();
     let header = CallHeader {
         from: cluster.node_id(0),
-        epoch: cluster.store(0).ring_epoch(),
     };
     let create_at = |id: ObjectId, data_size: u64, metadata_size: u64, payload: &[u8]| {
         let req = CreateAtReq {
@@ -567,10 +566,11 @@ fn epoch_bump_gossips_and_off_ring_objects_stay_reachable() {
     assert!(cluster.client(1).unwrap().contains(id).unwrap());
 }
 
-/// The epoch rides the header of *every* interconnect call, not the
-/// body of a few: a bare `release`, `contains` and `delete` each carry a
-/// newer epoch to a peer that then pulls the table, and a reply carries
-/// one back to its caller.
+/// The epoch rides the reply header of *every* interconnect call, not
+/// the body of a few: a bare `release`, `contains` and `delete` each
+/// show their caller a peer that is behind, which it then pushes its
+/// newer table to, and a reply carries a newer epoch back to its
+/// caller.
 #[test]
 fn release_contains_and_delete_each_carry_the_epoch() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();

@@ -293,10 +293,7 @@ fn a_delete_naming_one_cleared_holder_drops_only_that_holders_row() {
         assert!(owner.replicate_to(id, holder).unwrap());
     }
     let call = |store: &DisaggStore, method: u32, body: &[u8]| {
-        let header = CallHeader {
-            from: first,
-            epoch: store.ring_epoch(),
-        };
+        let header = CallHeader { from: first };
         let answer = store
             .interconnect_service()
             .call(method, header.frame(body));
@@ -316,6 +313,7 @@ fn a_delete_naming_one_cleared_holder_drops_only_that_holders_row() {
         id,
         deferred: false,
         cleared: vec![first],
+        kept: vec![],
     };
     let answer = call(owner, method::DELETE, &confirm.encode());
     let answer = DeleteResp::decode(answer).unwrap();
