@@ -121,7 +121,9 @@ pub fn run_benchmark_between(
         result.remote.push(one_rep(cluster, &remote, &ids, total)?);
     }
 
-    // Clean up so successive benchmarks don't accumulate memory.
+    // Clean up so successive benchmarks don't accumulate memory, once the
+    // owner has handled the remote client's releases.
+    cluster.settle_releases();
     for id in &ids {
         producer.delete(*id)?;
     }

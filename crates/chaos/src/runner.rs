@@ -16,7 +16,8 @@
 //!    network: retry the releases that failed under fire (each failure
 //!    left its requester-side ledger entry in place), sweep `contains`
 //!    probes until parked remote releases have flushed (any successful
-//!    interconnect call flushes them), then reconcile: every node
+//!    interconnect call flushes them, and settling the releases in
+//!    flight shows which landed), then reconcile: every node
 //!    reports what it holds to each owner, so owners can trim pins
 //!    orphaned by responses the nemesis dropped, ambiguous spills
 //!    converge back to a single accounted copy, and replica records
@@ -227,6 +228,10 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
                 Ok(()) | Err(PlasmaError::ObjectNotFound(_) | PlasmaError::NotReferenced(_))
             )
         });
+        // The flushes above, and the retried releases, go out one-way:
+        // their answers are in (a failed one parked again) before the
+        // backlog is read.
+        cluster.settle_releases();
         let parked: usize = (0..cfg.nodes)
             .map(|i| cluster.store(i).pending_release_count())
             .sum();

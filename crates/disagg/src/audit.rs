@@ -1,8 +1,8 @@
 //! The cluster's promises at rest, checked on demand: [`Cluster::audit`]
-//! (DESIGN §9, "Checked invariants", lists them). It reads each store's
-//! local state — its ledger, its core's object table and its membership
-//! table — so it sends no request and works with any node's interconnect
-//! stopped.
+//! (DESIGN §9, "Checked invariants", lists them). It settles each
+//! store's releases in flight, then reads each store's local state — its
+//! ledger, its core's object table and its membership table — so it
+//! works with any node's interconnect stopped.
 
 use crate::cluster::Cluster;
 use crate::delegation::{DelegationRecord, Kind, Side};
@@ -16,6 +16,8 @@ impl Cluster {
     /// means it is consistent. Meant for a quiesced cluster: a get in
     /// flight holds a pin, so under load the list is not empty.
     pub fn audit(&self) -> Vec<String> {
+        // A release nobody waited on may not have reached its owner yet.
+        self.settle_releases();
         let mut violations = dangling(self);
         violations.extend(placement(self));
         violations

@@ -158,6 +158,7 @@ impl Cluster {
             );
             let rpc_listener = hub.bind(&format!("rpc-{i}"))?;
             let rpc_server = reader.serve(Box::new(rpc_listener), store.interconnect_service());
+            store.served_by(reader.catch_up());
             let plasma_listener = hub.bind(&format!("plasma-{i}"))?;
             let plasma_server =
                 plasma::serve_store(Box::new(plasma_listener), Arc::new(store.clone()));
@@ -267,6 +268,18 @@ impl Cluster {
     /// The fabric node id of node index `i`.
     pub fn node_id(&self, i: usize) -> NodeId {
         self.nodes[i].node
+    }
+
+    /// Settle every store's releases in flight
+    /// ([`DisaggStore::settle_releases`]): once it returns, each owner
+    /// has handled every `RELEASE` sent to it so far, and its sender has
+    /// acted on the answer. A release is answered `Ok` before its owner
+    /// handles it, so a read of an owner's pins — or a delete on the
+    /// owner itself — right after another node's release settles first.
+    pub fn settle_releases(&self) {
+        for node in &self.nodes {
+            node.store.settle_releases();
+        }
     }
 
     /// Stop node `i`'s interconnect RPC server, simulating a crashed

@@ -81,7 +81,7 @@ pub enum Side {
 }
 
 /// Where an entry is in its life. `out` entries are `Live` but for a
-/// lease a delete is retiring.
+/// lease or replica a delete is retiring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Both ends count it; it is reported at reconcile.
@@ -92,7 +92,9 @@ pub enum Phase {
     /// consumed the creator's reference at the owner and the client's
     /// trailing `release` — satisfied locally — is still to come. An
     /// owner's `Lease` is closing once a delete was told to retire the
-    /// holder's copy: no get is handed its descriptor any more.
+    /// holder's copy: no get is handed its descriptor any more. So is an
+    /// owner's `Replica`: no replica of the object is made until the
+    /// delete's confirm.
     Closing,
 }
 
@@ -464,6 +466,28 @@ impl Ledger {
         Ok(Some(lease.peer))
     }
 
+    /// A delete is retiring every replica of `id`: each `out` replica
+    /// entry turns `Closing` until the delete's confirm erases it, and
+    /// no new replica of `id` is made meanwhile. One made between the
+    /// delete's two steps would survive it, its entry erased by the
+    /// confirm for the copy that was retired.
+    pub fn close_replicas(&self, id: ObjectId) {
+        let mut sides = self.sides.lock();
+        let entries = sides.out.get_mut(&id).into_iter().flatten();
+        for replica in entries.filter(|d| d.kind == Kind::Replica) {
+            replica.phase = Phase::Closing;
+        }
+    }
+
+    /// Whether a delete is retiring the replicas of `id`.
+    pub fn replicas_closing(&self, id: ObjectId) -> bool {
+        let sides = self.sides.lock();
+        let entries = sides.out.get(&id).into_iter().flatten();
+        entries
+            .filter(|d| d.kind == Kind::Replica)
+            .any(|d| d.phase == Phase::Closing)
+    }
+
     /// A delete that closed the lease on `id` toward `holder` gives up
     /// without having reached the holder: one delete fewer retires it,
     /// and once none does it is live again — the copy is as the delete
@@ -612,16 +636,37 @@ impl Ledger {
         }
     }
 
-    /// Take every release parked for `owner`, one id per release.
+    /// Take the releases parked for `owner` that can go again, one id
+    /// per release: those of ids this node holds no live pin on at
+    /// `owner`. A parked release may have landed (only its answer was
+    /// lost), and pins on one id are fungible at their owner: sent
+    /// while a live pin stands, it would return that one. Once none
+    /// does, the owner's `false` flag says it landed.
     pub fn take_parked(&self, owner: NodeId) -> Vec<ObjectId> {
+        self.take_parked_where(owner, false)
+    }
+
+    /// Take every release parked for `owner`: a reconcile with it, which
+    /// claims only live pins, settles them all.
+    pub fn clear_parked(&self, owner: NodeId) -> Vec<ObjectId> {
+        self.take_parked_where(owner, true)
+    }
+
+    fn take_parked_where(&self, owner: NodeId, beside_live: bool) -> Vec<ObjectId> {
         let mut sides = self.sides.lock();
         if sides.parked == 0 {
             return Vec::new();
         }
         let mut taken = Vec::new();
         sides.held.retain(|id, entries| {
+            let pin_toward =
+                |d: &Delegation, phase| d.kind == Kind::Pin && d.peer == owner && d.phase == phase;
+            let live = entries.iter().any(|d| pin_toward(d, Phase::Live));
+            if live && !beside_live {
+                return true;
+            }
             entries.retain(|d| {
-                let parked = d.kind == Kind::Pin && d.peer == owner && d.phase == Phase::Closing;
+                let parked = pin_toward(d, Phase::Closing);
                 if parked {
                     taken.extend((0..d.count).map(|_| *id));
                 }
@@ -722,7 +767,7 @@ impl Ledger {
                     phase: Phase::Live,
                     at: None,
                 }),
-                (Verdict::Keep, Some(at)) if kind == Kind::Lease => {
+                (Verdict::Keep, Some(at)) if kind.is_copy() => {
                     (entries[at].phase, entries[at].count) = (Phase::Live, 1);
                 }
                 (Verdict::Keep, _) => {}

@@ -133,8 +133,10 @@ mod tests {
         assert!(matches!(err, PlasmaError::OutOfMemory { .. }));
         assert!(buf.read_all().unwrap().iter().all(|&b| b == 1));
 
-        // After release the usage feedback frees it for eviction.
+        // After release the usage feedback frees it for eviction, once
+        // the owner has handled it.
         consumer.release(pinned).unwrap();
+        c.settle_releases();
         assert_eq!(c.store(0).remote_pin_count(), 0);
         assert_eq!(c.store(1).disagg_stats().releases_forwarded, 1);
         producer.put(big, &vec![2; 600 << 10], &[]).unwrap();
@@ -324,6 +326,7 @@ mod tests {
                 }
             });
         });
+        c.settle_releases();
         assert_eq!(c.store(0).remote_pin_count(), 0, "all remote pins released");
     }
 

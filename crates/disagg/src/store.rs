@@ -42,6 +42,8 @@
 
 mod movement;
 mod peer;
+#[cfg(test)]
+mod release_faults;
 mod routing;
 mod service;
 
@@ -57,11 +59,11 @@ use plasma::{
     StoreStats,
 };
 use rand::rngs::SmallRng;
-use rpclite::{RpcClient, Service};
+use rpclite::{CatchUp, RpcClient, Service};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tfsim::{Clock, NodeId};
 
@@ -259,6 +261,11 @@ struct Inner {
     ledger: Ledger,
     /// The pins each batch `get` took remotely, returned together.
     release_groups: Mutex<ReleaseGroups>,
+    /// `RELEASE`s sent and not yet answered.
+    releases: Mutex<peer::Releases>,
+    /// The reader serving this store's interconnect, when one is known:
+    /// an owner catches it up before it counts its pins.
+    reader: OnceLock<CatchUp>,
     /// Owner-side remote-hit attribution driving rebalancing.
     heat: HeatMap,
     max_inflight_creates: u64,
@@ -302,6 +309,8 @@ impl DisaggStore {
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
                 release_groups: Mutex::new(ReleaseGroups::default()),
+                releases: Mutex::default(),
+                reader: OnceLock::new(),
                 heat: HeatMap::new(),
                 max_inflight_creates: config.max_inflight_creates,
                 counters: DisaggCounters::default(),
@@ -323,6 +332,15 @@ impl DisaggStore {
     /// The fabric node this store runs on.
     pub fn node(&self) -> NodeId {
         self.inner.node
+    }
+
+    /// Name the reader that serves this store's interconnect (set once;
+    /// [`crate::Cluster`] does it at launch). A remote `RELEASE` is
+    /// answered before its owner handles it; with the reader known,
+    /// [`DisaggStore::remote_pin_count`] counts after every frame that
+    /// reached it was served.
+    pub(crate) fn served_by(&self, reader: CatchUp) {
+        let _ = self.inner.reader.set(reader);
     }
 
     /// Connect a peer store.
@@ -381,8 +399,14 @@ impl DisaggStore {
 
     /// References this store holds on behalf of remote nodes: pins taken
     /// for remote readers, plus the creator's reference of every create
-    /// staged here for a remote writer.
+    /// staged here for a remote writer. Counted once the reader serving
+    /// this store (a [`crate::Cluster`]'s names itself at launch) has
+    /// served every frame already sent to it, a `RELEASE` nobody waited
+    /// on included.
     pub fn remote_pin_count(&self) -> u64 {
+        if let Some(reader) = self.inner.reader.get() {
+            reader.wait();
+        }
         self.live_count(Side::Out, &[Kind::Pin, Kind::Staged])
     }
 
@@ -422,7 +446,8 @@ impl DisaggStore {
     /// Like `reconcile`, only sound after the workload has drained — a
     /// ledgered pin may pair with a buffer still in flight.
     pub fn drain_remote_pins(&self) -> u64 {
-        let deferred = self.inner.release_groups.lock().close_all();
+        let mut members = self.inner.release_groups.lock().close_all();
+        let deferred = members.len();
         let mut held: BTreeMap<ObjectId, u64> = BTreeMap::new();
         for pin in self.delegations() {
             if pin.side == Side::Held && pin.kind == Kind::Pin && pin.phase == Phase::Live {
@@ -430,22 +455,15 @@ impl DisaggStore {
             }
         }
         // A deferred release's pin is still live in the ledger.
-        for id in &deferred {
+        for id in &members {
             if let Some(n) = held.get_mut(id) {
                 *n = n.saturating_sub(1);
             }
         }
-        let mut members: Vec<(ObjectId, bool)> =
-            deferred.into_iter().map(|id| (id, true)).collect();
-        let unreleased = held
-            .into_iter()
-            .flat_map(|(id, n)| (0..n).map(move |_| (id, false)));
+        let unreleased = held.into_iter().flat_map(|(id, n)| (0..n).map(move |_| id));
         members.extend(unreleased);
-        let outcomes = self.return_pins(&members);
-        let drained = members.iter().zip(&outcomes);
-        drained
-            .filter(|((_, answered), outcome)| !answered && outcome.is_ok())
-            .count() as u64
+        let outcomes = self.return_pins(&members, false);
+        outcomes[deferred..].iter().filter(|o| o.is_ok()).count() as u64
     }
 
     /// Quiesce-time reconciliation, holder-initiated: report to every
@@ -462,20 +480,32 @@ impl DisaggStore {
     /// report and the sweep moves on. Only sound while no traffic
     /// involving this node is in flight — a response still on the wire
     /// carries state not yet in the ledger, and reconciling under load
-    /// would trim it. Call it after the workload has drained.
+    /// would trim it. Call it after the workload has drained. The
+    /// releases this node still has in flight are settled first
+    /// ([`DisaggStore::settle_releases`]). A parked one is not claimed,
+    /// so its owner trims the pin, landed or not: it is done once the
+    /// owner answers, and parked again if it does not.
     pub fn reconcile(&self) -> ReconcileReport {
+        self.settle_releases();
         let inner = &self.inner;
         let mut report = ReconcileReport::default();
         let sealed = |id| inner.core.peek(id).is_some();
         for peer in self.peers_snapshot() {
+            // Parked releases are not claimed: the owner trims their pins,
+            // whether or not they landed, so they are done once it answers.
+            let parked = self.clear_parked(peer.node);
             let req = ReconcileReq {
                 claims: inner.ledger.claims_on(peer.node, sealed),
             };
             let answered = self.peer_call(&peer, method::RECONCILE, &[&req.encode()]);
             let Some(resp) = answered.ok().and_then(|b| ReconcileResp::decode(b).ok()) else {
+                for id in parked {
+                    inner.ledger.park(id, peer.node);
+                }
                 report.unreachable.push(peer.node);
                 continue;
             };
+            self.sync_parked_gauge();
             report.trimmed += resp.trimmed;
             for (id, kind) in resp.drop {
                 let entry = inner.ledger.remove(Side::Held, id, kind, Some(peer.node));
@@ -724,57 +754,34 @@ impl DisaggStore {
         }
     }
 
-    /// Return pins this store took at peers, one per member: an id, and
-    /// whether its caller was answered `Ok` already. Each pin leaves the
-    /// ledger optimistically, and every owner is then sent one `RELEASE`
-    /// listing its ids, all in one [`DisaggStore::release_at`] round: one
-    /// round trip on the clock however many pins and owners. An owner
-    /// without a usable answer keeps its pins (see
-    /// [`DisaggStore::keep_pin`]) — otherwise a pin would be lost here
+    /// Return pins this store took at peers, one per id. Each pin leaves
+    /// the ledger, and every owner is sent one `RELEASE` listing its ids
+    /// that nobody waits on ([`DisaggStore::send_releases`]): the caller
+    /// is answered at once, `Ok` for every remote pin, and no virtual
+    /// time is charged. The answers are taken after the next exchange
+    /// with each owner. A pin whose release fails is parked there and
+    /// flushed after the exchange after — otherwise a pin would be lost
     /// while the owner still counts it, leaving the object unevictable
-    /// forever. Keeping it is ambiguous, though: a release whose
-    /// *response* was lost did land, so the kept entry is a phantom the
-    /// owner no longer counts. The owner's flag (`false` = no pin
-    /// ledgered for us) detects exactly that case, and those ids go
-    /// round again, together, at their next candidate: another owner's
-    /// entry or, once the ledger has none, [`DisaggStore::release_here`].
-    /// Returns each member's outcome, in order.
-    fn return_pins(&self, members: &[(ObjectId, bool)]) -> Vec<Result<(), PlasmaError>> {
+    /// forever. An owner's `false` flag (no pin ledgered for us) says the
+    /// entry was a phantom, and the id comes back here, `phantom`, to go
+    /// to its next candidate: another owner's entry or, once the ledger
+    /// has none, [`DisaggStore::release_here`]. Returns each id's
+    /// outcome, in order: only a release here can fail.
+    fn return_pins(&self, ids: &[ObjectId], phantom: bool) -> Vec<Result<(), PlasmaError>> {
         let ledger = &self.inner.ledger;
         let alive = |node| self.inner.health.state(node) != PeerState::Down;
-        let mut outcomes = vec![Ok(()); members.len()];
-        // Members still to route, and whether an ack proved a phantom.
-        let mut round: Vec<(usize, bool)> = (0..members.len()).map(|i| (i, false)).collect();
-        while !round.is_empty() {
-            let mut by_owner: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-            for (i, phantom) in std::mem::take(&mut round) {
-                let id = members[i].0;
-                match ledger.unpin(Side::Held, id, None, alive) {
-                    Some(pin) => by_owner.entry(pin.peer).or_default().push(i),
-                    None => outcomes[i] = self.release_here(id, phantom),
+        let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
+        let outcomes = ids
+            .iter()
+            .map(|&id| match ledger.unpin(Side::Held, id, None, alive) {
+                Some(pin) => {
+                    by_owner.entry(pin.peer).or_default().push(id);
+                    Ok(())
                 }
-            }
-            let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner
-                .iter()
-                .map(|(owner, at)| (*owner, at.iter().map(|&i| members[i].0).collect()))
-                .collect();
-            for ((owner, at), answer) in by_owner.into_iter().zip(self.release_at(&asks)) {
-                for (k, i) in at.into_iter().enumerate() {
-                    let (id, answered) = members[i];
-                    match &answer {
-                        Ok(pinned) if pinned[k] => {
-                            let forwarded = &self.inner.counters.releases_forwarded;
-                            forwarded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => round.push((i, true)),
-                        Err(e) => {
-                            self.keep_pin(id, owner, answered);
-                            outcomes[i] = Err(e.clone());
-                        }
-                    }
-                }
-            }
-        }
+                None => self.release_here(id, phantom),
+            });
+        let outcomes = outcomes.collect();
+        self.send_releases(by_owner.into_iter().collect(), false);
         outcomes
     }
 
@@ -801,22 +808,6 @@ impl DisaggStore {
         match released {
             Err(_) if phantom => Ok(()),
             released => released,
-        }
-    }
-
-    /// Keep the pin on `id` at `owner` whose release got no usable
-    /// answer: the owner may still count it. A caller that will hear the
-    /// error gets the entry back, live, to release again; one that was
-    /// answered `Ok` already has it parked, retried after the next call
-    /// to `owner` that succeeds.
-    fn keep_pin(&self, id: ObjectId, owner: NodeId, answered: bool) {
-        if answered {
-            self.inner.ledger.park(id, owner);
-            self.sync_parked_gauge();
-        } else {
-            self.inner
-                .ledger
-                .record(Side::Held, id, Kind::Pin, owner, 0);
         }
     }
 }
@@ -931,25 +922,26 @@ impl ObjectStore for DisaggStore {
     /// Every id goes through this store's release groups: a member that
     /// is not its group's last is answered `Ok` at once, its pin still
     /// live in the ledger; the last returns the whole group's pins. What
-    /// is due then goes back in one `return_pins` round, every id but the
-    /// last counted as answered already — a client's release group was —
-    /// so a failed one is parked, not restored. Returns the last id's
-    /// outcome.
+    /// is due then goes back in one `return_pins` round. Returns the last
+    /// id's outcome, if it was due: a remote pin's is `Ok`, whatever its
+    /// `RELEASE` meets.
     fn release_many(&self, ids: &[ObjectId]) -> Result<(), PlasmaError> {
-        let mut members: Vec<(ObjectId, bool)> = Vec::new();
+        let mut members: Vec<ObjectId> = Vec::new();
+        let mut last_due = false;
         {
             let mut groups = self.inner.release_groups.lock();
             for (n, &id) in ids.iter().enumerate() {
                 if let Some(earlier) = groups.release(id) {
-                    members.extend(earlier.into_iter().map(|id| (id, true)));
-                    members.push((id, n + 1 < ids.len()));
+                    members.extend(earlier);
+                    members.push(id);
+                    last_due = n + 1 == ids.len();
                 }
             }
         }
-        let mut outcomes = self.return_pins(&members);
-        match members.last() {
-            Some((_, false)) => outcomes.pop().expect("one outcome per member"),
-            _ => Ok(()),
+        let mut outcomes = self.return_pins(&members, false);
+        match last_due {
+            true => outcomes.pop().expect("one outcome per member"),
+            false => Ok(()),
         }
     }
 

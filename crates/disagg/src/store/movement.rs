@@ -198,9 +198,14 @@ impl DisaggStore {
         // not here, so it is never replicated; an object with replicas
         // out is never lent, so its delete stays a pure invalidation
         // fan-out, not a lease chase on top of one.
+        // Nor is an object replicated while a delete retires its
+        // replicas (`Ledger::close_replicas`).
         let excluded = match kind {
             Kind::Lease => !inner.ledger.peers(Side::Out, id, Kind::Replica).is_empty(),
-            _ => inner.ledger.find(Side::Out, id, Kind::Lease).is_some(),
+            _ => {
+                inner.ledger.find(Side::Out, id, Kind::Lease).is_some()
+                    || inner.ledger.replicas_closing(id)
+            }
         };
         if holder == inner.node || excluded {
             return Ok(false);
@@ -481,6 +486,7 @@ impl DisaggStore {
         let replicas = ledger.peers(Side::Out, id, Kind::Replica).into_iter();
         copies.extend(replicas.map(|holder| (holder, Kind::Replica)));
         if !copies.is_empty() {
+            ledger.close_replicas(id);
             return Ok(DeleteResp::Clear(copies));
         }
         let local = if deferred {
@@ -590,8 +596,7 @@ impl DisaggStore {
     /// one of them from another node reads `ObjectInUse` meanwhile.
     pub(super) fn delete_routed(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
         let held = self.inner.release_groups.lock().take_deferred(id);
-        // Answered `Ok` already: a release that fails here is parked.
-        self.return_pins(&vec![(id, true); held]);
+        self.return_pins(&vec![id; held], false);
         // `delete_here` refuses a delegated copy held here exactly as
         // it refuses one for a peer: the owner runs the delete.
         match self.delete_here(id, deferred, &[]) {

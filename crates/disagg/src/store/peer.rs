@@ -1,8 +1,8 @@
 //! Talking to one peer, and to several at once: the guarded exchange
 //! (`scatter`: health admission, deadline, retry rounds — a call to one
 //! peer is a scatter of one), the translation of a failed call into the
-//! caller's error, list releases and parked ones, and the cluster-wide
-//! reads built on it (metrics, inventory).
+//! caller's error, the `RELEASE`s nobody waits on and the answers they
+//! get, and the cluster-wide reads built on it (metrics, inventory).
 
 use super::{DisaggStore, Peer};
 use crate::elastic::RETRY_AFTER_MS;
@@ -13,8 +13,60 @@ use crate::proto::{
 use bytes::Bytes;
 use obs::MetricsSnapshot;
 use plasma::{ObjectId, PlasmaError};
-use rpclite::{RpcError, StatusCode};
+use rpclite::{RpcClient, RpcError, StatusCode, Unawaited};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use tfsim::NodeId;
+
+/// `RELEASE`s sent and not yet answered, in the order they were sent.
+#[derive(Default)]
+pub(super) struct Releases {
+    /// The number the next one sent is given.
+    next: u64,
+    sent: Vec<SentRelease>,
+}
+
+/// One `RELEASE` nobody waits on: which pins it returns, and the claim on
+/// its answer.
+struct SentRelease {
+    /// Its place in the send order of this store's releases.
+    seq: u64,
+    owner: NodeId,
+    ids: Vec<ObjectId>,
+    /// Owed rather than first: a parked release or a duplicate pin a
+    /// lookup handed back. Its `false` flag means it landed already; a
+    /// first release's `false` means the entry it was sent for was a
+    /// phantom, and the pin is returned at its next candidate.
+    owed: bool,
+    client: Arc<RpcClient>,
+    call: Unawaited,
+}
+
+/// A sent release's owner, ids, whether they were owed, and its answer
+/// (`None`: none came).
+type ReleaseAnswer = (NodeId, Vec<ObjectId>, bool, Option<Result<Bytes, RpcError>>);
+
+/// A deliberately broken release path, for the fault table's mutation
+/// check (`release_faults`): each case must fail against one of them.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Mutant {
+    /// A first release's `false` flag is ignored, not re-routed.
+    DropFalse,
+    /// A parked release is never flushed, nor settled by a reconcile.
+    NeverFlush,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The mutant this thread runs, if any.
+    pub(super) static MUTANT: std::cell::Cell<Option<Mutant>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+fn mutant(m: Mutant) -> bool {
+    MUTANT.with(|c| c.get()) == Some(m)
+}
 
 /// Why a guarded call to one peer produced no usable response.
 #[derive(Debug)]
@@ -120,7 +172,8 @@ impl DisaggStore {
     /// every run of one seed. Each deadline runs from its own send, so
     /// N hung members cost one deadline between them.
     ///
-    /// This is the one place a request is framed and a reply unframed:
+    /// This is where a request is framed and a reply unframed, but for
+    /// a `RELEASE` nobody waits on ([`DisaggStore::send_releases`]):
     /// every call goes out under one [`CallHeader`] — this node — and
     /// every `Ok` answer comes back stripped of its [`ReplyHeader`],
     /// the responder's membership epoch; a responder whose epoch is ahead has its
@@ -147,6 +200,9 @@ impl DisaggStore {
             "an interconnect handler called out: every verb must answer from its own state"
         );
         let inner = &self.inner;
+        // Releases sent before this exchange: a peer that answers it has
+        // answered them first, on the same ordered connection.
+        let released_before = inner.releases.lock().next;
         let header = CallHeader { from: inner.node };
         let head = header.encode();
         let framed: Vec<Vec<&[u8]>> = calls
@@ -238,19 +294,33 @@ impl DisaggStore {
             let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
             inner.clock.advance_to(inner.clock.now() + backoff);
         }
-        // Only now, with nothing of the exchange left in flight: the
-        // releases parked for the peers that answered are an exchange of
-        // their own, and so is a membership pull or push (whose own reply
-        // is the table, not a reason to send another).
-        let answered = calls.iter().zip(&answers);
-        let parked = answered.filter_map(|((peer, ..), answer)| {
-            let ids = match answer {
-                Some(Ok(_)) => inner.ledger.take_parked(peer.node),
-                _ => Vec::new(),
-            };
-            (!ids.is_empty()).then_some((peer.node, ids))
+        // Only now, with nothing of the exchange left in flight: a peer
+        // that answered has answered every release sent to it before, on
+        // the same ordered connection, so their answers are taken (one
+        // still missing was lost), and the releases parked for it go
+        // again. Then a membership pull or push, an exchange of its own
+        // (whose own reply is the table, not a reason to send another).
+        let answered: Vec<NodeId> = calls
+            .iter()
+            .zip(&answers)
+            .filter(|(_, answer)| match answer {
+                Some(Ok(_)) => true,
+                Some(Err(fail)) => fail.status().is_some(),
+                None => false,
+            })
+            .map(|((peer, ..), _)| peer.node)
+            .collect();
+        self.take_releases(&answered, released_before);
+        #[cfg(test)]
+        let answered = match mutant(Mutant::NeverFlush) {
+            true => Vec::new(),
+            false => answered,
+        };
+        let parked = answered.iter().filter_map(|&node| {
+            let ids = inner.ledger.take_parked(node);
+            (!ids.is_empty()).then_some((node, ids))
         });
-        self.release_owed(parked.collect());
+        self.send_releases(parked.collect(), true);
         for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
             if let Some(epoch) = epoch.filter(|_| *method_id != method::MEMBERSHIP) {
                 self.sync_epoch(peer.node, epoch);
@@ -274,72 +344,145 @@ impl DisaggStore {
         answers.pop().expect("one answer per member")
     }
 
-    /// One `RELEASE` to each owner in `asks`, listing its ids, all in
-    /// one [`DisaggStore::scatter`] round. Per owner: whether each id
-    /// was pinned there, in the order asked, or why no usable answer
-    /// came — the owner is unreachable, answered an error (named after
-    /// the last id, the one a caller waits on), or sent a reply that
-    /// does not decode or does not flag every id: a `Protocol` error,
-    /// as ambiguous as a lost one.
-    pub(super) fn release_at(
-        &self,
-        asks: &[(NodeId, Vec<ObjectId>)],
-    ) -> Vec<Result<Vec<bool>, PlasmaError>> {
-        if asks.is_empty() {
-            return Vec::new();
-        }
-        let peers: Vec<_> = asks.iter().map(|(owner, _)| self.peer(*owner)).collect();
-        let reqs: Vec<Bytes> = asks
-            .iter()
-            .map(|(_, ids)| IdsReq { ids: ids.clone() }.encode())
-            .collect();
-        let bodies: Vec<[&[u8]; 1]> = reqs.iter().map(|req| [&req[..]]).collect();
-        let calls: Vec<_> = peers
-            .iter()
-            .zip(&bodies)
-            .filter_map(|(peer, body)| Some((peer.as_ref().ok()?, method::RELEASE, &body[..])))
-            .collect();
-        let mut answers = self.scatter(&calls).into_iter();
-        let outcomes = peers.iter().zip(asks).map(|(peer, (_, ids))| {
-            let peer = peer.as_ref().map_err(Clone::clone)?;
-            let answer = answers.next().expect("one answer per call");
-            let last = *ids.last().expect("a release names an id");
-            let body = answer.map_err(|fail| self.object_err(peer, last, fail))?;
-            let resp = ReleaseResp::decode(body)
-                .map_err(|e| PlasmaError::Protocol(format!("release response: {e}")))?;
-            if resp.pinned.len() != ids.len() {
-                return Err(PlasmaError::Protocol(format!(
-                    "release response: {} flags for {} ids",
-                    resp.pinned.len(),
-                    ids.len()
-                )));
-            }
-            Ok(resp.pinned)
-        });
-        outcomes.collect()
-    }
-
-    /// Send releases owed to named owners — parked ones, and the
-    /// duplicate pins a lookup hands back — one `RELEASE` per owner, all
-    /// in one [`DisaggStore::release_at`] round. An owner without a
-    /// usable answer has its ids parked, to go again after the next call
-    /// to it that succeeds; a `false` flag means the release landed
-    /// already and is dropped. A flush of parked ids recurses through
-    /// `scatter` at most once: `take_parked` emptied the backlog it
-    /// would flush.
-    pub(super) fn release_owed(&self, asks: Vec<(NodeId, Vec<ObjectId>)>) {
+    /// Send each owner in `asks` one `RELEASE` listing its ids, and wait
+    /// for none of them: each answer is taken after the next exchange
+    /// with its owner ([`DisaggStore::scatter`]) or when the store
+    /// settles ([`DisaggStore::settle_releases`]). `owed`: the ids are
+    /// parked releases or duplicate pins, whose `false` flag means they
+    /// landed already (see [`SentRelease::owed`]). An owner that is
+    /// `Down`, or that the request cannot reach, has its ids parked, to
+    /// go again after the next exchange with it. A release draws its
+    /// modeled delay at its send and charges none of it.
+    pub(super) fn send_releases(&self, asks: Vec<(NodeId, Vec<ObjectId>)>, owed: bool) {
         if asks.is_empty() {
             return;
         }
-        let answers = self.release_at(&asks);
-        for ((owner, ids), answer) in asks.into_iter().zip(answers) {
-            if answer.is_err() {
+        let inner = &self.inner;
+        let head = CallHeader { from: inner.node }.encode();
+        for (owner, ids) in asks {
+            let peer = self.peer(owner).ok();
+            let peer = peer.filter(|_| inner.health.state(owner) != PeerState::Down);
+            let body = IdsReq { ids: ids.clone() }.encode();
+            let call = peer.and_then(|peer| {
+                let call = peer.client.send(method::RELEASE, &[&head, &body]).ok()?;
+                Some((peer.client, call))
+            });
+            let Some((client, call)) = call else {
+                for id in ids {
+                    inner.ledger.park(id, owner);
+                }
+                continue;
+            };
+            if !owed {
+                let forwarded = &inner.counters.releases_forwarded;
+                forwarded.fetch_add(ids.len() as u64, Ordering::Relaxed);
+            }
+            let mut releases = inner.releases.lock();
+            let seq = releases.next;
+            releases.next += 1;
+            releases.sent.push(SentRelease {
+                seq,
+                owner,
+                ids,
+                owed,
+                client,
+                call,
+            });
+        }
+        self.sync_parked_gauge();
+    }
+
+    /// Take the answers of the releases sent to `owners` before the one
+    /// numbered `before`: those owners have answered a later call, so an
+    /// answer still missing was lost.
+    fn take_releases(&self, owners: &[NodeId], before: u64) {
+        if owners.is_empty() {
+            return;
+        }
+        let due = {
+            let mut releases = self.inner.releases.lock();
+            let (due, kept) = std::mem::take(&mut releases.sent)
+                .into_iter()
+                .partition(|r| r.seq < before && owners.contains(&r.owner));
+            releases.sent = kept;
+            due
+        };
+        let answers = due.into_iter().map(|r| {
+            let answer = r.client.take(r.call);
+            (r.owner, r.ids, r.owed, answer)
+        });
+        self.act_on_releases(answers.collect());
+    }
+
+    /// Wait for the answer of every release this store has in flight,
+    /// and act on each as the next exchange would: a `true` flag is done,
+    /// a first release's `false` goes to its next candidate (which may
+    /// send another, waited for in turn), and anything else — an error,
+    /// no answer within the call deadline — parks the release. No
+    /// virtual time is charged.
+    ///
+    /// For a reader of the ledgers at rest: [`DisaggStore::reconcile`]
+    /// and [`crate::Cluster::audit`] settle first, and so must anything
+    /// else that reads an owner's pins right after a release (an owner
+    /// handles a release when its reader reaches it, not when it is
+    /// sent).
+    pub fn settle_releases(&self) {
+        loop {
+            let sent = std::mem::take(&mut self.inner.releases.lock().sent);
+            if sent.is_empty() {
+                return;
+            }
+            let answers = sent.into_iter().map(|r| {
+                let answer = r.client.settle(r.call, self.inner.call_deadline);
+                (r.owner, r.ids, r.owed, Some(answer))
+            });
+            self.act_on_releases(answers.collect());
+        }
+    }
+
+    /// Act on the answers of sent releases: `None` is an answer that
+    /// never came. A reply carries its owner's epoch, synced as any
+    /// other's. Each owner's flags, one per id asked, say whether it
+    /// held the pin; a reply that does not decode or flags another number
+    /// of ids is as ambiguous as a lost one, and parks its ids with the
+    /// failed and the lost.
+    fn act_on_releases(&self, answers: Vec<ReleaseAnswer>) {
+        let mut phantoms = Vec::new();
+        for (owner, ids, owed, answer) in answers {
+            let reply = answer.and_then(|a| a.ok());
+            let reply = reply.and_then(|body| ReplyHeader::unframe(body).ok());
+            let flags = reply.and_then(|(header, body)| {
+                self.sync_epoch(owner, header.epoch);
+                let resp = ReleaseResp::decode(body).ok()?;
+                (resp.pinned.len() == ids.len()).then_some(resp.pinned)
+            });
+            let Some(pinned) = flags else {
                 for id in ids {
                     self.inner.ledger.park(id, owner);
                 }
+                continue;
+            };
+            #[cfg(test)]
+            if mutant(Mutant::DropFalse) {
+                continue;
             }
+            let unpinned = ids.into_iter().zip(pinned).filter(|(_, pinned)| !pinned);
+            phantoms.extend(unpinned.filter(|_| !owed).map(|(id, _)| id));
         }
         self.sync_parked_gauge();
+        if !phantoms.is_empty() {
+            self.return_pins(&phantoms, true);
+        }
+    }
+
+    /// Take every release parked for `owner`, for a reconcile with it to
+    /// settle (the never-flushing mutant leaves them parked).
+    pub(super) fn clear_parked(&self, owner: NodeId) -> Vec<ObjectId> {
+        #[cfg(test)]
+        if mutant(Mutant::NeverFlush) {
+            return Vec::new();
+        }
+        self.inner.ledger.clear_parked(owner)
     }
 
     pub(super) fn sync_parked_gauge(&self) {
@@ -347,8 +490,10 @@ impl DisaggStore {
         self.inner.metrics.pending_releases.set(parked as i64);
     }
 
-    /// Releases that failed against an unreachable peer and await retry.
-    /// Zero in steady state; tests assert no release is silently dropped.
+    /// Releases that failed — unsent, refused, or their answer lost —
+    /// and await the next exchange with their owner. A release still in
+    /// flight is not one of them. Zero in steady state; tests assert no
+    /// release is silently dropped.
     pub fn pending_release_count(&self) -> usize {
         self.inner.ledger.parked() as usize
     }

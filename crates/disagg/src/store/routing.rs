@@ -373,7 +373,7 @@ impl DisaggStore {
             ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
         }
         if !lost.is_empty() {
-            self.release_owed(vec![(peer.node, lost)]);
+            self.send_releases(vec![(peer.node, lost)], true);
         }
     }
 

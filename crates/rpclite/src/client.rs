@@ -16,6 +16,9 @@
 //!
 //! [`RpcClient::call_async`] sends a request and returns a
 //! [`PendingCall`] ticket; [`RpcClient::call`] is send + wait-for-my-id.
+//! [`RpcClient::send`] sends a call nobody waits on: its answer is filed
+//! by whichever caller next reads the connection, and
+//! [`RpcClient::take`] picks it up later without blocking.
 //! A client can carry a [`SharedLink`] + [`Clock`]: each call then charges
 //! one modeled network round-trip, overlapping with other in-flight calls
 //! on the virtual clock — this is where the milliseconds and the jitter
@@ -221,6 +224,10 @@ struct ChannelState {
     /// Calls sent and not yet picked up by their caller, keyed by call
     /// id. Their number is the in-flight depth the window caps.
     pending: HashMap<u64, PendingState>,
+    /// Calls nobody waits on ([`RpcClient::send`]), keyed by call id:
+    /// `None` until a caller reading the connection files the answer.
+    /// They take no share of the window: nobody would free it.
+    unawaited: HashMap<u64, Option<Result<Response, RpcError>>>,
 }
 
 impl ChannelState {
@@ -387,6 +394,82 @@ impl RpcClient {
         })
     }
 
+    /// Send one request nobody waits on, and return the claim on its
+    /// answer ([`Unawaited`]). Never blocks on the window. The answer is
+    /// filed by whichever caller next reads the connection, and picked
+    /// up with [`RpcClient::take`] (or waited for, at quiesce, with
+    /// [`RpcClient::settle`]).
+    ///
+    /// With a modeled network, the call draws its delay from the link
+    /// now, at its send, as a waited call does when its answer is in,
+    /// and charges none of it: the seeded stream moves on exactly as if
+    /// the call had been waited for, so every other call is charged what
+    /// it would have been.
+    pub fn send(&self, method: u32, body: &[&[u8]]) -> Result<Unawaited, RpcError> {
+        let req_len: usize = body.iter().map(|p| p.len()).sum();
+        let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.shared.state.lock();
+        if st.writer.is_none() {
+            self.dial_locked(&mut st)?;
+        }
+        let frame = Request::frame(call_id, method, body);
+        if let Err(e) = st.writer.as_mut().expect("writer present").send(&frame) {
+            let cause = PoisonCause::Transport(e.kind(), e.to_string());
+            self.poison(&mut st, cause);
+            return Err(RpcError::Transport(e));
+        }
+        st.unawaited.insert(call_id, None);
+        drop(st);
+        if let Some(net) = &self.net {
+            net.link.delay(req_len);
+        }
+        Ok(Unawaited {
+            call_id,
+            method,
+            started: Instant::now(),
+        })
+    }
+
+    /// The answer to `call` if a caller reading the connection has filed
+    /// it, or `None` if none has, in which case the call is given up:
+    /// its answer, should it come, is dropped by its id. Never reads the
+    /// connection, never blocks, and charges no virtual time.
+    pub fn take(&self, call: Unawaited) -> Option<Result<Bytes, RpcError>> {
+        let answer = self.shared.state.lock().unawaited.remove(&call.call_id);
+        let answer = answer.flatten()?;
+        Some(call.finish(self, answer))
+    }
+
+    /// Wait until `call`'s answer is in or `deadline` (from its send)
+    /// passes, reading the connection when no other caller is, as a
+    /// waited call does; charges no virtual time. For a caller that must
+    /// know every answer before it reads what they change — at quiesce.
+    pub fn settle(&self, call: Unawaited, deadline: Option<Duration>) -> Result<Bytes, RpcError> {
+        let mut st = self.shared.state.lock();
+        let slot = match st.unawaited.remove(&call.call_id) {
+            Some(Some(answer)) => PendingState::Done(answer),
+            Some(None) => PendingState::Waiting,
+            None => {
+                return Err(RpcError::Protocol(format!(
+                    "call {} vanished",
+                    call.call_id
+                )))
+            }
+        };
+        st.pending.insert(call.call_id, slot);
+        drop(st);
+        let ticket = PendingCall {
+            client: self,
+            call_id: call.call_id,
+            method: call.method,
+            req_len: 0,
+            started: call.started,
+            t0: None,
+            claimed: false,
+        };
+        ticket.wait_deadline(deadline)
+    }
+
     /// Dial via the connector. Caller holds the state lock.
     fn dial_locked(&self, st: &mut ChannelState) -> Result<(), RpcError> {
         let connector = self.connector.as_ref().ok_or_else(|| {
@@ -412,6 +495,9 @@ impl RpcClient {
             if matches!(slot, PendingState::Waiting) {
                 *slot = PendingState::Done(Err(cause.to_error()));
             }
+        }
+        for slot in st.unawaited.values_mut() {
+            slot.get_or_insert_with(|| Err(cause.to_error()));
         }
         if let Some(m) = &self.metrics {
             m.poisoned.inc();
@@ -477,6 +563,8 @@ impl RpcClient {
                 if !mine {
                     self.shared.cond.notify_all();
                 }
+            } else if let Some(slot) = st.unawaited.get_mut(&response.call_id) {
+                *slot = Some(Ok(response));
             }
             if mine {
                 break;
@@ -496,6 +584,34 @@ impl Drop for RpcClient {
     }
 }
 
+/// A claim on the answer of one call nobody waits on, issued by
+/// [`RpcClient::send`]. It borrows nothing, so its holder can keep it
+/// past the sending frame; its client takes the answer
+/// ([`RpcClient::take`], [`RpcClient::settle`]).
+#[derive(Debug)]
+pub struct Unawaited {
+    call_id: u64,
+    method: u32,
+    started: Instant,
+}
+
+impl Unawaited {
+    /// Record a completed exchange, as a waited call does, and unwrap
+    /// its payload; there is no virtual time to charge.
+    fn finish(
+        &self,
+        client: &RpcClient,
+        answer: Result<Response, RpcError>,
+    ) -> Result<Bytes, RpcError> {
+        let response = answer?;
+        if let Some(m) = &client.metrics {
+            m.latency(self.method)
+                .record_duration(self.started.elapsed());
+        }
+        response.result.map_err(RpcError::Status)
+    }
+}
+
 /// A ticket for one in-flight call issued by [`RpcClient::call_async`].
 ///
 /// Consume it with [`PendingCall::wait`] or [`PendingCall::wait_deadline`]
@@ -507,7 +623,8 @@ pub struct PendingCall<'a> {
     method: u32,
     req_len: usize,
     started: Instant,
-    /// Virtual send timestamp, for overlapping net-cost charging.
+    /// Virtual send timestamp, for overlapping net-cost charging; `None`
+    /// without a modeled network, and for a call nobody waited on.
     t0: Option<Duration>,
     claimed: bool,
 }
@@ -584,12 +701,13 @@ impl PendingCall<'_> {
         // response payloads on the wire), anchored at the virtual send
         // time so concurrent in-flight calls overlap instead of
         // accumulating serially.
-        if let Some(net) = &self.client.net {
+        // A call nobody waited on ([`RpcClient::settle`]) has no send
+        // time here: its delay was drawn at its send and is not charged.
+        if let (Some(net), Some(t0)) = (&self.client.net, self.t0) {
             let resp_len = match &response.result {
                 Ok(b) => b.len(),
                 Err(_) => 0,
             };
-            let t0 = self.t0.unwrap_or_default();
             net.clock
                 .advance_to(t0 + net.link.delay(self.req_len + resp_len));
         }
@@ -868,6 +986,97 @@ mod tests {
         // One share: the second call leaves once the first is back, so
         // their round trips follow each other instead of overlapping.
         assert_eq!(clock.now(), Duration::from_millis(4));
+    }
+
+    /// A call nobody waits on: the next caller to read the connection
+    /// files its answer, taking it never blocks (nor reads), it charges
+    /// no virtual time, and it draws exactly one delay from the link, at
+    /// its send.
+    #[test]
+    fn a_call_nobody_waits_on_is_filed_by_the_next_reader_and_charges_nothing() {
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        let clock = Clock::virtual_time();
+        let model = LinkModel {
+            base: Latency::Uniform {
+                lo: Duration::from_millis(1),
+                hi: Duration::from_millis(9),
+            },
+            secs_per_byte: 0.0,
+        };
+        let link = SharedLink::new(model, 7);
+        let net = NetCost {
+            link: link.clone(),
+            clock: clock.clone(),
+        };
+        let mut client = RpcClient::with_net(Box::new(hub.connect("svc").unwrap()), Some(net));
+        let registry = metered(&mut client);
+        // The delays a fresh stream of the same seed draws, in order.
+        let replay = SharedLink::new(model, 7);
+        let drawn: Vec<Duration> = (0..4).map(|_| replay.delay(0)).collect();
+
+        // Taking an answer nobody has read yet never blocks: the call
+        // hangs for 200 ms at the server, and the take comes back at once,
+        // empty (and gives the call up).
+        let hung = client.send(3, &[b"hung".as_slice()]).unwrap();
+        let t0 = Instant::now();
+        assert!(client.take(hung).is_none());
+        assert!(t0.elapsed() < Duration::from_millis(100));
+        assert_eq!(clock.now(), Duration::ZERO, "a send charges nothing");
+
+        // The one draw is the send's: the next draw on the link is the
+        // stream's second.
+        let one_way = client.send(1, &[b"one-way".as_slice()]).unwrap();
+        assert_eq!(link.delay(0), drawn[2], "exactly one draw at each send");
+
+        // The next waited call reads the connection, skips the hung
+        // call's late answer and files the one-way answer on its way to
+        // its own; only its own delay is charged.
+        let t = clock.now();
+        let out = client.call(1, Bytes::from_static(b"waited")).unwrap();
+        assert_eq!(&out[..], b"waited");
+        let charged = clock.now() - t;
+        assert_eq!(charged, drawn[3], "the waited call is charged its own draw");
+        let filed = client.take(one_way).expect("filed by the waited call");
+        assert_eq!(&filed.unwrap()[..], b"one-way");
+        assert_eq!(clock.now() - t, charged, "taking charges nothing");
+        // Both completed exchanges are counted; the given-up one is not.
+        assert_eq!(calls(&registry), 2);
+        assert!(client.shared.state.lock().unawaited.is_empty());
+    }
+
+    /// Calls nobody waits on take no share of the window, so any number
+    /// of them can be in flight with no reader, and a waited call still
+    /// goes out beside them.
+    #[test]
+    fn calls_nobody_waits_on_take_no_share_of_the_window() {
+        let (_srv, mut client) = setup();
+        client.set_window(1);
+        let sent: Vec<_> = (0..8u8)
+            .map(|i| client.send(1, &[&[i][..]]).unwrap())
+            .collect();
+        assert_eq!(&client.call(1, Bytes::from_static(b"x")).unwrap()[..], b"x");
+        for (i, call) in sent.into_iter().enumerate() {
+            let answer = client.take(call).expect("filed before the waited answer");
+            assert_eq!(&answer.unwrap()[..], &[i as u8]);
+        }
+    }
+
+    /// A poisoned connection fails the calls nobody waits on with the
+    /// rest, and `settle` waits out one whose answer nobody has read.
+    #[test]
+    fn a_call_nobody_waits_on_fails_with_its_connection_and_can_be_settled() {
+        let (mut srv, client) = setup();
+        let slow = client.send(4, &[b"slow".as_slice()]).unwrap();
+        let out = client.settle(slow, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(&out[..], b"slow");
+        let doomed = client.send(3, &[b"hung".as_slice()]).unwrap();
+        srv.shutdown();
+        // Whoever reads next meets the closed connection: the poison
+        // fails the call nobody waits on too.
+        client.call(1, Bytes::new()).unwrap_err();
+        let answer = client.take(doomed).expect("failed by the poison");
+        assert!(matches!(answer, Err(RpcError::Transport(_))), "{answer:?}");
     }
 
     #[test]

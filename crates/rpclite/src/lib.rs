@@ -54,8 +54,8 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use client::{ClientMetrics, Connector, NetCost, PendingCall, RpcClient, RpcError};
+pub use client::{ClientMetrics, Connector, NetCost, PendingCall, RpcClient, RpcError, Unawaited};
 pub use envelope::{Request, Response};
-pub use server::{serve, serving, Reader, ServerHandle, ServerMetrics};
+pub use server::{serve, serving, CatchUp, Reader, ServerHandle, ServerMetrics};
 pub use service::{MethodId, Service, Status, StatusCode};
 pub use wire::WireError;

@@ -106,6 +106,9 @@ enum Report {
     /// The server is shutting down: close its connections, then drop the
     /// sender, which its [`ServerHandle::shutdown`] waits for.
     Stop(Arc<Server>, mpsc::Sender<()>),
+    /// Someone waits until every report before this one is served
+    /// ([`CatchUp::wait`]): drop the sender.
+    CatchUp(mpsc::Sender<()>),
     /// The last handle has gone: close every connection and return.
     Exit,
 }
@@ -219,6 +222,12 @@ impl Reader {
         Reader(Arc::new(ReaderThread { queue, thread }))
     }
 
+    /// A handle that waits for this reader to catch up, without keeping
+    /// it alive ([`CatchUp::wait`]).
+    pub fn catch_up(&self) -> CatchUp {
+        CatchUp(self.0.queue.clone())
+    }
+
     /// Serve `service` on `listener` from this reader: the listener hands
     /// it each connection. Only connections that report their frames
     /// ([`Conn::report_to`]) are served; any other is closed and counted
@@ -249,6 +258,30 @@ impl Reader {
             listener: Some(listener),
             server,
             reader: Some(self.clone()),
+        }
+    }
+}
+
+/// Waits for a reader to serve what has reached it ([`Reader::catch_up`]).
+/// It holds the reader's queue weakly, so a holder the reader's own
+/// services reach does not keep it alive.
+pub struct CatchUp(Weak<ReadyQueue>);
+
+impl CatchUp {
+    /// Wait until the reader has served every frame that reached one of
+    /// its connections before this call: a caller that was answered
+    /// before a call it never waited for was served can read the state
+    /// that call changed. Returns at once if the reader has gone, or on
+    /// a thread running one of its calls (it would wait for itself).
+    pub fn wait(&self) {
+        if serving() {
+            return;
+        }
+        let (done, served) = mpsc::channel();
+        if report(&self.0, Report::CatchUp(done)).is_ok() {
+            // The sender drops once the reader has taken it, or with the
+            // queue if the reader has gone.
+            let _ = served.recv();
         }
     }
 }
@@ -355,6 +388,7 @@ fn read(ready: &Arc<ReadyQueue>) {
                 server.open.store(0, Ordering::Relaxed);
                 continue;
             }
+            Report::CatchUp(_done) => continue,
             Report::Exit => break,
         };
         let Some(entry) = served.get_mut(&key) else {
@@ -596,6 +630,31 @@ mod tests {
             let err = bounded_call(client, method, b"lost").unwrap_err();
             assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         }
+    }
+
+    /// A catch-up returns once the reader has served every frame sent
+    /// before it, calls nobody waits on included, on any of its
+    /// connections; and at once when the reader has gone.
+    #[test]
+    fn a_catch_up_waits_for_every_frame_sent_before_it() {
+        let hub = InprocHub::new();
+        let reader = Reader::start();
+        let log = Arc::new(Log::default());
+        let mut srv = reader.serve(Box::new(hub.bind("log").unwrap()), log.clone());
+        let clients: Vec<_> = (0..2)
+            .map(|_| RpcClient::new(Box::new(hub.connect("log").unwrap())))
+            .collect();
+        let catch_up = reader.catch_up();
+        for round in 0..50u8 {
+            for client in &clients {
+                client.send(1, &[&[round][..]]).unwrap();
+            }
+            catch_up.wait();
+            assert_eq!(log.0.lock().len(), 2 * (usize::from(round) + 1));
+        }
+        srv.shutdown();
+        drop(reader);
+        catch_up.wait();
     }
 
     #[test]

@@ -13,10 +13,9 @@
 # `--full`, with the shim preloaded into the benchmark binary alone (not
 # into cargo). `e2e` pins itself to one CPU, as in every measured run.
 #
-# `e2e` is built in place, and its `Cargo.lock` does not yet list `ipc`'s
-# `parking_lot` dependency, so a run rewrites `e2e/Cargo.lock` until the
-# next benchmark change refreshes it (ROADMAP 1); restore it afterwards
-# with `git checkout e2e/Cargo.lock`.
+# `e2e` is built in place; its `Cargo.lock` is put back as it was on
+# exit, so a run leaves the tree as it found it (cargo rewrites the lock
+# while it does not list `ipc`'s `parking_lot` dependency, ROADMAP 1).
 #
 # Prints per workload: operations, futex wakes, waits and wakes that
 # woke nobody, and each of the three per operation. Exits non-zero when
@@ -41,7 +40,8 @@ esac
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d "${TMPDIR:-/tmp}/futex_census.XXXXXX")
-trap 'rm -rf "$work"' EXIT
+cp "$repo/e2e/Cargo.lock" "$work/Cargo.lock"
+trap 'cp "$work/Cargo.lock" "$repo/e2e/Cargo.lock"; rm -rf "$work"' EXIT
 
 cat >"$work/shim.c" <<'EOF'
 #define _GNU_SOURCE

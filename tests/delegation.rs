@@ -644,7 +644,10 @@ fn closing_entries_are_neither_claimed_nor_live() {
         ledger.claims_on(OWNER, |_| true),
         vec![(oid(1), Kind::Pin, 1)]
     );
-    assert_eq!(ledger.take_parked(OWNER), vec![oid(1), oid(1)]);
+    // Not flushed beside a live pin on the same id at the same owner:
+    // a release that landed would return the live one.
+    assert!(ledger.take_parked(OWNER).is_empty());
+    assert_eq!(ledger.clear_parked(OWNER), vec![oid(1), oid(1)]);
     assert_eq!(ledger.parked(), 1);
     assert!(ledger.take_parked(OWNER).is_empty());
     assert_eq!(

@@ -154,8 +154,10 @@ fn deferred_delete_across_the_cluster() {
     // Hidden from new gets cluster-wide, but the held buffer stays valid.
     assert!(!producer.contains(id).unwrap());
     assert!(buf.read_all().unwrap().iter().all(|&b| b == 5));
-    // Releasing the pin completes the deletion at the owner.
+    // Releasing the pin completes the deletion at the owner, once the
+    // owner has handled the release.
     consumer.release(id).unwrap();
+    cluster.settle_releases();
     assert!(!cluster.store(0).core().exists_any_state(id));
 }
 

@@ -731,11 +731,15 @@ fn a_pin_on_the_spilled_copy_frees_it_and_leaves_the_lease_pinned() {
     assert_eq!(after.seg.owner, cluster.node_id(2));
     assert_eq!(owner.remote_pin_count(), 2);
 
+    // Each release reaches the owner after the call returns: settled
+    // before the owner's ledger is read.
     early.release(id).unwrap();
+    early.settle_releases();
     assert!(owner_bytes() < resident, "the spilled copy is freed");
     assert_eq!(owner.remote_pin_count(), 1, "the lease's pin stays");
     assert_eq!(owner.delete(id), Err(PlasmaError::ObjectInUse(id)));
     late.release(id).unwrap();
+    late.settle_releases();
     assert_eq!(owner.remote_pin_count(), 0);
     owner.delete(id).unwrap();
     assert_eq!(cluster.audit(), Vec::<String>::new());
@@ -755,6 +759,7 @@ fn an_orphan_pin_on_a_lent_id_is_trimmed_without_a_core_release() {
         // The broadcast asked the owner again and was answered.
         reader.release(id).unwrap();
     }
+    reader.settle_releases();
     assert_eq!(owner.remote_pin_count(), 1, "the lost answer's pin");
     assert_eq!(reader.held_remote_pins(), 0);
     let core_releases = owner.core().stats().releases;
@@ -886,6 +891,8 @@ fn a_delete_that_reaches_no_holder_leaves_the_lent_object_readable() {
             let read = cluster.store(node).get_bytes(id, GET_TIMEOUT).unwrap();
             assert_eq!(read.as_deref(), Some(&payload[..]), "node {node}");
         }
+        // Node 2's release reaches the owner before its next delete.
+        cluster.settle_releases();
     }
     cluster.restart_rpc(1).unwrap();
     cluster.clock().charge(Duration::from_secs(1));

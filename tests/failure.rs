@@ -504,6 +504,7 @@ fn failed_payload_read_releases_its_pin() {
     assert!(matches!(err, PlasmaError::Fabric(_)), "{err:?}");
 
     // The guard released the read's pin, on both sides of the ledger.
+    cluster.settle_releases();
     assert_eq!(
         cluster.store(0).remote_pin_count(),
         0,
@@ -606,6 +607,9 @@ fn failed_forwarded_seal_aborts_the_staged_create() {
     assert!(!owner.core().exists_any_state(id), "and its buffer freed");
 }
 
+/// A release whose owner is stopped is answered `Ok` and parked: the
+/// owner still counts the pin, and the next exchange with it once it is
+/// back flushes the release.
 #[test]
 fn failed_release_keeps_the_pin_accounted() {
     let mut cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
@@ -619,13 +623,12 @@ fn failed_release_keeps_the_pin_accounted() {
     assert_eq!(cluster.store(1).remote_pin_count(), 1);
 
     cluster.stop_rpc(1);
-    let err = s0.release(id).unwrap_err();
-    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
-    // The optimistic decrement was rolled back: a second attempt still
-    // reaches for the owner. (ObjectNotFound here would mean the pin fell
-    // out of the local table while the owner still counts it — the leak.)
-    let err = s0.release(id).unwrap_err();
-    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    s0.release(id).unwrap();
+    s0.settle_releases();
+    assert_eq!(s0.pending_release_count(), 1, "parked, not dropped");
+    assert_eq!(s0.held_remote_pins(), 0);
+    // Nothing is left to release twice: the parked release is the pin's.
+    assert_eq!(s0.release(id), Err(PlasmaError::ObjectNotFound(id)));
     assert_eq!(
         cluster.store(1).remote_pin_count(),
         1,
@@ -633,12 +636,13 @@ fn failed_release_keeps_the_pin_accounted() {
     );
     assert_eq!(cluster.store(0).disagg_stats().releases_forwarded, 0);
 
-    // Once the owner is back, the held pin releases normally.
+    // Once the owner is back, the next exchange flushes it.
     cluster.restart_rpc(1).unwrap();
     cluster.clock().charge(Duration::from_secs(1));
-    s0.release(id).unwrap();
+    assert!(s0.contains(id).unwrap());
+    s0.settle_releases();
+    assert_eq!(s0.pending_release_count(), 0);
     assert_eq!(cluster.store(1).remote_pin_count(), 0);
-    assert_eq!(cluster.store(0).disagg_stats().releases_forwarded, 1);
 }
 
 /// `n` ids the ring places on `node`.
@@ -671,24 +675,25 @@ fn batch_up_to_its_last_release(config: ClusterConfig) -> (Cluster, Vec<ObjectId
     (cluster, ids)
 }
 
-/// The owner is gone when a batch's last release comes: that release
-/// keeps its pin and says so, the members answered `Ok` before it are
-/// parked, and once the owner is back the next call returns them all.
+/// The owner is gone when a batch's last release comes: it is answered
+/// `Ok`, and the whole group's pins are parked; once the owner is back,
+/// the next exchange with it returns them all.
 #[test]
 fn a_flush_that_cannot_reach_its_owner_parks_the_answered_members() {
     let (mut cluster, ids) = batch_up_to_its_last_release(ClusterConfig::functional(2, 1 << 20));
     let reader = cluster.store(1).clone();
     cluster.stop_rpc(0);
-    let err = reader.release(ids[3]).unwrap_err();
-    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
-    assert_eq!(reader.pending_release_count(), 3, "the answered members");
-    assert_eq!(reader.held_remote_pins(), 1, "the last one's entry is back");
+    reader.release(ids[3]).unwrap();
+    reader.settle_releases();
+    assert_eq!(reader.pending_release_count(), 4, "the whole group");
+    assert_eq!(reader.held_remote_pins(), 0);
     assert_eq!(reader.open_release_groups(), 0);
     assert_eq!(cluster.store(0).remote_pin_count(), 4);
 
     cluster.restart_rpc(0).unwrap();
     cluster.clock().charge(Duration::from_secs(10)); // past the probe window
-    reader.release(ids[3]).unwrap();
+    assert!(reader.contains(ids[0]).unwrap());
+    reader.settle_releases();
     assert_eq!(reader.pending_release_count(), 0, "drained by that call");
     assert_eq!(reader.held_remote_pins(), 0);
     assert_eq!(cluster.store(0).remote_pin_count(), 0);
@@ -715,9 +720,10 @@ impl ipc::fault::FaultPolicy for DropNextReply {
 }
 
 /// A flush whose request landed but whose reply was lost: the owner
-/// dropped all four pins, while the reader kept the last one's entry (a
-/// phantom) and parked the rest. The drain and the reconcile that end a
-/// workload settle both sides to zero.
+/// dropped all four pins, while the reader, its answer never coming,
+/// parked all four. The next exchange flushes them, the owner answers
+/// `false` for each (it released them already), and they are dropped;
+/// the drain and the reconcile that end a workload find nothing left.
 #[test]
 fn a_flush_whose_reply_is_lost_ends_with_every_pin_at_zero() {
     let drop_reply = std::sync::Arc::new(DropNextReply::default());
@@ -730,14 +736,17 @@ fn a_flush_whose_reply_is_lost_ends_with_every_pin_at_zero() {
     drop_reply
         .0
         .store(true, std::sync::atomic::Ordering::SeqCst);
-    let err = reader.release(ids[3]).unwrap_err();
-    assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+    reader.release(ids[3]).unwrap();
+    reader.settle_releases();
     assert_eq!(cluster.store(0).remote_pin_count(), 0, "the request landed");
-    assert_eq!(reader.pending_release_count(), 3);
-    assert_eq!(reader.held_remote_pins(), 1);
+    assert_eq!(reader.pending_release_count(), 4);
+    assert_eq!(reader.held_remote_pins(), 0);
 
     cluster.clock().charge(Duration::from_secs(10));
-    reader.drain_remote_pins();
+    assert!(reader.contains(ids[0]).unwrap());
+    reader.settle_releases();
+    assert_eq!(reader.pending_release_count(), 0, "each `false` is dropped");
+    assert_eq!(reader.drain_remote_pins(), 0);
     for node in 0..2 {
         let report = cluster.store(node).reconcile();
         assert!(report.unreachable.is_empty(), "node {node}: {report:?}");
@@ -810,15 +819,16 @@ fn a_client_flush_parks_a_member_whose_owner_is_down() {
     cluster.restart_rpc(0).unwrap();
     cluster.clock().charge(Duration::from_secs(10)); // past the probe window
     assert!(client.contains(remote).unwrap());
+    reader.settle_releases();
     assert_eq!(reader.pending_release_count(), 0, "flushed by that call");
     assert_eq!(cluster.store(0).remote_pin_count(), 0);
 }
 
 /// A `RELEASE` reply that does not decode, is cut short or flags another
-/// number of ids than were asked is a `Protocol` error, handled like a
-/// lost reply: the entry is kept and the caller hears the error. The
-/// owner did release, so the retry finds a phantom and succeeds. A
-/// parked release whose flush gets such a reply stays parked.
+/// number of ids than were asked is as ambiguous as a lost reply: the
+/// release is parked (its caller was answered `Ok` already). The owner
+/// did release, so the flush the next exchange sends is answered
+/// `false`, and dropped. A flush that gets such a reply stays parked.
 #[test]
 fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
     use bytes::Bytes;
@@ -874,43 +884,34 @@ fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
         assert!(reader.get(&[id], Duration::ZERO).unwrap()[0].is_some());
 
         *bad.lock().unwrap() = Some(reply.clone());
-        let err = reader.release(id).unwrap_err();
-        assert!(
-            matches!(err, PlasmaError::Protocol(_)),
-            "{reply:?}: {err:?}"
-        );
-        assert_eq!(reader.held_remote_pins(), 1, "{reply:?}: the entry is kept");
-        assert_eq!(owner.remote_pin_count(), 0, "the owner did release");
         reader.release(id).unwrap();
+        reader.settle_releases();
+        assert_eq!(reader.pending_release_count(), 1, "{reply:?}: parked");
         assert_eq!(reader.held_remote_pins(), 0);
-        assert_eq!(reader.pending_release_count(), 0);
+        assert_eq!(owner.remote_pin_count(), 0, "the owner did release");
+        reader.peer_metrics(nodes[1]).unwrap();
+        reader.settle_releases();
+        assert_eq!(reader.pending_release_count(), 0, "{reply:?}: flushed");
     }
 
-    // A parked release's flush reads its reply the same way. In a batch
-    // of two, the first release waits for the second, whose bad reply
-    // parks the first. The flush the next call to the owner sends gets
-    // a bad reply too, so the id is parked again.
-    let pair: Vec<ObjectId> = (0..2)
-        .map(|n| ObjectId::from_name(&format!("bad-reply/flush/{n}")))
-        .collect();
-    for id in &pair {
-        owner.create(*id, 64, 0).unwrap();
-        owner.seal(*id).unwrap();
-        owner.release(*id).unwrap();
-    }
-    let got = reader.get(&pair, Duration::ZERO).unwrap();
-    assert!(got.iter().all(Option::is_some));
-    reader.release(pair[0]).unwrap();
+    // A parked release's flush reads its reply the same way: one whose
+    // flush gets a bad reply is parked again, and the owner's `false`
+    // flag on the next flush says it landed, so it is dropped.
+    let id = ObjectId::from_name("bad-reply/flush");
+    owner.create(id, 64, 0).unwrap();
+    owner.seal(id).unwrap();
+    owner.release(id).unwrap();
+    assert!(reader.get(&[id], Duration::ZERO).unwrap()[0].is_some());
     *bad.lock().unwrap() = Some(BoolResp { value: true }.encode());
-    let err = reader.release(pair[1]).unwrap_err();
-    assert!(matches!(err, PlasmaError::Protocol(_)), "{err:?}");
-    assert_eq!(reader.pending_release_count(), 1, "the answered one parks");
+    reader.release(id).unwrap();
+    reader.settle_releases();
+    assert_eq!(reader.pending_release_count(), 1, "the bad reply parks");
     *bad.lock().unwrap() = Some(BoolResp { value: true }.encode());
     reader.peer_metrics(nodes[1]).unwrap();
+    reader.settle_releases();
     assert_eq!(reader.pending_release_count(), 1, "a bad flush reply parks");
-    // The owner released both already: the next flush's `false` flag
-    // says the parked release landed, and it is dropped.
-    reader.release(pair[1]).unwrap();
+    reader.peer_metrics(nodes[1]).unwrap();
+    reader.settle_releases();
     assert_eq!(reader.pending_release_count(), 0);
     assert_eq!(reader.held_remote_pins(), 0);
     assert_eq!(owner.remote_pin_count(), 0);
@@ -938,6 +939,7 @@ fn pin_ledger_tracks_owners_separately_across_migration_races() {
     // pin is released straight back, so exactly one pin stands.
     let got = s0.get(&[id], Duration::from_secs(1)).unwrap();
     assert!(got[0].is_some());
+    s0.settle_releases();
     assert_eq!(
         cluster.store(1).remote_pin_count() + cluster.store(2).remote_pin_count(),
         1
@@ -951,12 +953,17 @@ fn pin_ledger_tracks_owners_separately_across_migration_races() {
 
     // Each pin must release to the owner that took it. (A ledger keyed
     // only by id would merge both under peer 1, leaving peer 2's pin —
-    // and its copy — unevictable forever.)
+    // and its copy — unevictable forever.) A release to peer 1 while it
+    // is still `Down` to node 0 parks, until the exchange that finds it
+    // back flushes it.
     cluster.restart_rpc(1).unwrap();
     for _ in 0..2 {
-        cluster.clock().charge(Duration::from_secs(2));
         s0.release(id).unwrap();
     }
+    cluster.clock().charge(Duration::from_secs(2));
+    s0.peer_metrics(cluster.node_id(1)).unwrap();
+    s0.settle_releases();
+    assert_eq!(s0.pending_release_count(), 0);
     assert_eq!(cluster.store(1).remote_pin_count(), 0, "peer 1 pin stuck");
     assert_eq!(cluster.store(2).remote_pin_count(), 0, "peer 2 pin stuck");
 }
@@ -1015,6 +1022,7 @@ fn unreachable_duplicate_release_is_parked_then_flushed() {
     // loser fails and must be parked for retry, not silently dropped.
     let got = s0.get(&[id], Duration::from_secs(1)).unwrap();
     assert!(got[0].is_some());
+    s0.settle_releases();
     assert_eq!(s1.remote_pin_count(), 1);
     assert_eq!(s2.remote_pin_count(), 1, "duplicate pin still on the loser");
     assert_eq!(s0.pending_release_count(), 1);
@@ -1024,18 +1032,21 @@ fn unreachable_duplicate_release_is_parked_then_flushed() {
     flaky.store(false, Ordering::SeqCst);
     fabric.clock().charge(Duration::from_secs(10)); // past the probe window
     assert!(s0.contains(id).unwrap());
+    s0.settle_releases();
     assert_eq!(s2.remote_pin_count(), 0, "parked release flushed");
     assert_eq!(s0.pending_release_count(), 0);
     assert_eq!(s1.remote_pin_count(), 1, "winning pin untouched");
     s0.release(id).unwrap();
+    s0.settle_releases();
     assert_eq!(s1.remote_pin_count(), 0);
 }
 
 // ---------------------------------------------------------------------------
 // Property: no interleaving of gets, releases, peer crashes, restarts,
-// and probe windows ever loses a pin — the owner's remote-pin count
-// always equals the references the model says are outstanding, and every
-// outstanding pin is releasable once the peer is back.
+// and probe windows ever loses a pin — once the reader's releases are
+// settled, the owner's remote-pin count equals the references the model
+// says are outstanding plus the releases the reader has parked, and every
+// parked release is flushed once the peer is back.
 // ---------------------------------------------------------------------------
 
 mod health_pin_props {
@@ -1081,9 +1092,10 @@ mod health_pin_props {
                         }
                     }
                     Op::Release => {
-                        // A forwarded release drops exactly one pin; a
-                        // failed one must leave the count untouched.
-                        if store0.release(id).is_ok() {
+                        // A release of a held pin is answered `Ok` at once,
+                        // whether or not its owner can be reached.
+                        if expected > 0 {
+                            store0.release(id).unwrap();
                             expected -= 1;
                         }
                     }
@@ -1091,27 +1103,27 @@ mod health_pin_props {
                     Op::RestartPeer => cluster.restart_rpc(1).unwrap(),
                     Op::Advance => cluster.clock().charge(Duration::from_millis(400)),
                 }
+                store0.settle_releases();
+                let parked = store0.pending_release_count() as u64;
                 prop_assert_eq!(
                     cluster.store(1).remote_pin_count(),
-                    expected,
+                    expected + parked,
                     "pin count diverged after {:?} (ops: {:?})",
                     op,
                     ops
                 );
             }
-            // Drain: with the peer back and probe windows elapsed, every
-            // outstanding pin must be releasable — none were lost.
+            // Drain: every outstanding pin is releasable, and with the
+            // peer back and probe windows elapsed, the next exchange
+            // flushes every parked release — none were lost.
             cluster.restart_rpc(1).unwrap();
-            for _ in 0..32 {
-                if expected == 0 {
-                    break;
-                }
-                cluster.clock().charge(Duration::from_secs(2));
-                if store0.release(id).is_ok() {
-                    expected -= 1;
-                }
+            cluster.clock().charge(Duration::from_secs(2));
+            for _ in 0..expected {
+                store0.release(id).unwrap();
             }
-            prop_assert_eq!(expected, 0, "outstanding pins could not be released");
+            prop_assert!(store0.contains(id).unwrap());
+            store0.settle_releases();
+            prop_assert_eq!(store0.pending_release_count(), 0);
             prop_assert_eq!(cluster.store(1).remote_pin_count(), 0);
         }
     }

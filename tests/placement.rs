@@ -588,7 +588,10 @@ fn release_contains_and_delete_each_carry_the_epoch() {
         assert_eq!(s1.ring_epoch(), epoch - 1, "not yet gossiped");
     };
     bump(2);
+    // Nobody waits on a release: its reply, and the epoch on it, are
+    // read when the releases settle.
     s0.release(id).unwrap();
+    s0.settle_releases();
     assert_eq!(s1.ring_epoch(), 2, "RELEASE carried the epoch");
     bump(3);
     assert!(s0.contains(id).unwrap());

@@ -278,6 +278,60 @@ fn deletes_issued_by_a_replica_holder_and_a_lease_holder_at_once_both_succeed() 
     }
 }
 
+/// A replica made between a delete's two steps would survive it: the
+/// confirm names the holder as cleared, and the owner would erase the new
+/// row for the copy the requester retired. So once a delete has named
+/// the replicas, the owner makes none of that object until the confirm;
+/// the delete then leaves no copy anywhere.
+#[test]
+fn no_replica_is_made_between_a_deletes_two_steps() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let owner = cluster.store(0);
+    let id = ObjectId::from_name(&cluster.owned_id(0, "rep/between"));
+    cluster.client(0).unwrap().put(id, &[9; 256], &[]).unwrap();
+    let holder = cluster.node_id(1);
+    assert!(owner.replicate_to(id, holder).unwrap());
+    let call = |store: &DisaggStore, method: u32, body: &[u8]| {
+        let header = CallHeader {
+            from: cluster.node_id(2),
+        };
+        let answer = store
+            .interconnect_service()
+            .call(method, header.frame(body));
+        ReplyHeader::unframe(answer.unwrap()).unwrap().1
+    };
+    let ask = |cleared: Vec<NodeId>| DeleteReq {
+        id,
+        deferred: false,
+        cleared,
+        kept: vec![],
+    };
+
+    // Step one names the replica, and the requester retires it.
+    let answer = DeleteResp::decode(call(owner, method::DELETE, &ask(vec![]).encode()));
+    assert_eq!(
+        answer.unwrap(),
+        DeleteResp::Clear(vec![(holder, Kind::Replica)])
+    );
+    let retire = RetireReq {
+        id,
+        owner: owner.node(),
+    };
+    let retired = call(cluster.store(1), method::INVALIDATE, &retire.encode());
+    assert!(BoolResp::decode(retired).unwrap().value);
+
+    // The owner's replication pass comes before the confirm: refused.
+    assert!(!owner.replicate_to(id, holder).unwrap());
+    assert!(!cluster.store(1).core().contains(id));
+
+    let answer = DeleteResp::decode(call(owner, method::DELETE, &ask(vec![holder]).encode()));
+    assert_eq!(answer.unwrap(), DeleteResp::Done(true));
+    for node in 0..3 {
+        assert!(!cluster.store(node).core().contains(id), "node {node}");
+    }
+    assert_eq!(cluster.audit(), Vec::<String>::new());
+}
+
 /// The owner drops exactly the rows of the holders a delete names as
 /// cleared. With replicas at two holders and only one named, the answer
 /// names the other; the object and that holder's row stay until a delete
