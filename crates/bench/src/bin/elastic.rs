@@ -1,11 +1,13 @@
 //! Experiment A7 — hot-pod overload against the elastic capacity tier.
 //!
 //! A zipf-skewed tenant drives the 4 × 4 × 4 tiered fabric at **2×** the
-//! A6 target load, with 85% of its churn creates aimed at pod 0. Modeled
-//! write times hold creates in flight, so the hot pod's owners run into
-//! the bounded in-flight admission gate and answer further creates with
-//! the typed `Overloaded { retry_after }` rejection — which this harness
-//! honors by backing off and retrying on the virtual clock. Meanwhile
+//! A6 target load, with 85% of its churn creates aimed at pod 0. A
+//! builder's create is local to its client's node, and modeled write
+//! times hold it in flight until its seal, where the id's owner adopts
+//! the copy; so each node runs into its own bounded in-flight admission
+//! gate and answers further creates with the typed
+//! `Overloaded { retry_after }` rejection — which this harness honors by
+//! backing off and retrying on the virtual clock. Meanwhile
 //! each node's occupancy crosses the spill watermark and the elastic
 //! tier sheds cold sealed objects to each id's rendezvous successors,
 //! walking past the lenders whose own headroom refuses;
@@ -42,7 +44,7 @@ const CHURN_WINDOW: usize = 224;
 const MEMORY_PER_NODE: usize = 8 << 20;
 /// Share of churn creates aimed at the hot pod, percent.
 const HOT_SHARE_PCT: u64 = 85;
-/// Modeled write-through time for a staged create: base latency plus a
+/// Modeled write time of a builder's create: base latency plus a
 /// bytes / bandwidth term (≈ 3.5 ms for a 32 KiB object). Creates stay
 /// in flight this long, which is what makes the admission gate bind.
 const WRITE_BASE_NS: u64 = 1_500_000;
@@ -100,7 +102,7 @@ fn parse_opts() -> Opts {
 
 /// A deferred action on the virtual clock, ordered soonest-first.
 enum Due {
-    /// The modeled write finished: seal (and release) the staged create.
+    /// The modeled write finished: seal (and release) the create.
     Seal { client: usize, id: ObjectId },
     /// An `Overloaded` backoff expired: retry the create.
     Retry {
@@ -256,7 +258,7 @@ fn main() {
         match p.due {
             Due::Seal { client, id } => {
                 let store = cluster.store(client);
-                store.seal(id).expect("seal staged churn");
+                store.seal(id).expect("seal churn");
                 store.release(id).expect("release churn");
                 // The target is encoded in the id's ring owner; find the
                 // window by ring placement.
@@ -391,7 +393,7 @@ fn main() {
             }
         }
     }
-    // Drain: finish every staged write and exhausted retry.
+    // Drain: finish every write in flight and exhausted retry.
     while let Some(p) = pending.pop() {
         clock.advance_to(started + Duration::from_nanos(p.at_ns));
         process(p, &mut tally, &mut pending, &mut windows, &mut tie);

@@ -119,8 +119,8 @@ pub struct SoakReport {
     /// Cluster-wide evictions during the run (gates the create-uniqueness
     /// invariant).
     pub evictions: u64,
-    /// Owner-side pins (and orphaned staged creates) found stranded by
-    /// dropped responses and trimmed during settle-phase reconciliation.
+    /// Owner-side pins found stranded by dropped responses and trimmed
+    /// during settle-phase reconciliation.
     pub reconciled: u64,
     /// Redundant borrowed replicas dropped by settle-phase borrow
     /// reconciliation (an owner kept its copy after an ambiguous spill).
@@ -273,8 +273,8 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
 
     // 3c: reconciliation. A response the nemesis dropped left one side
     // of a delegation without its counterpart: an owner with a pin the
-    // requester never ledgered (nothing will ever release it) or a
-    // staged create nobody will seal; a holder with a sealed copy the
+    // requester never ledgered (nothing will ever release it); a holder
+    // with a sealed copy the
     // owner never recorded (duplication, never loss —
     // seal-before-delete), or an owner with an entry no copy backs. With
     // the workload drained, each node reports exactly what it holds to
@@ -330,7 +330,7 @@ pub fn run_plan(plan: &FaultPlan, cfg: &SoakConfig) -> Result<SoakReport, Plasma
         events,
         injected_faults: injector.injected_faults(),
         evictions,
-        reconciled: healed.trimmed[Kind::Pin] + healed.trimmed[Kind::Staged],
+        reconciled: healed.trimmed[Kind::Pin],
         borrow_drops: healed.dropped[Kind::Lease],
         borrow_trims: healed.trimmed[Kind::Lease],
         replica_drops: healed.dropped[Kind::Replica],
@@ -366,9 +366,10 @@ fn worker(
                 let tag = ((node as u64 + 1) << 48) | put_seq;
                 let data = checksum::fill(tag, cfg.value_len);
                 // Values are far below `plasma::INLINE_PUT_MAX`, so `put`
-                // alone would never stage a create: half the puts take
+                // alone would never build an object: half the puts take
                 // the builder's create → write → seal instead, keeping
-                // `SEAL_AT` / `ABORT_AT` and the staged ledger under fault.
+                // the owner's adoption of a builder's copy, and the abort
+                // of a copy whose seal failed, under fault.
                 let two_step = rng.gen_bool(0.5);
                 let invoke = recorder.now_us();
                 let ok = if two_step {

@@ -279,7 +279,7 @@ mod tests {
     }
 
     /// `id`, created and sealed on node `i` by its core alone.
-    fn seal_at(cluster: &Cluster, i: usize, id: ObjectId) {
+    fn sealed_by(cluster: &Cluster, i: usize, id: ObjectId) {
         let core = cluster.store(i).core();
         core.create(id, 256, 0).unwrap();
         core.seal(id).unwrap();
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn an_off_ring_copy_no_ledger_names_is_a_ring_violation() {
         let (cluster, id) = three_nodes("audit/stray");
-        seal_at(&cluster, 2, id);
+        sealed_by(&cluster, 2, id);
         the_one(&cluster, "ring violation: node 2 holds");
     }
 
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn a_lease_whose_owner_still_seals_the_object_is_a_violation() {
         let (cluster, id) = three_nodes("audit/kept");
-        seal_at(&cluster, 0, id);
+        sealed_by(&cluster, 0, id);
         // Lent to itself: the holder then seals a copy and has the held
         // row, so of a lease's promises only "the owner gave its copy up"
         // is broken.

@@ -354,12 +354,12 @@ impl Cluster {
         let target = self.nodes[node_idx].node;
         let ring = self.nodes[0].store.membership().map(crate::ring::Ring::new);
         let ring = ring.expect("launch installs a membership table on every store");
-        if ring.owner_of(ObjectId::from_name(base)) == Some(target) {
+        if ring.places_on(ObjectId::from_name(base), target) {
             return base.to_string();
         }
         for k in 0..(64 * ring.membership().nodes.len()).max(10_000) {
             let name = format!("{base}~{k}");
-            if ring.owner_of(ObjectId::from_name(&name)) == Some(target) {
+            if ring.places_on(ObjectId::from_name(&name), target) {
                 return name;
             }
         }

@@ -6,9 +6,8 @@
 //! who holds what on whose authority, and all of it has one shape:
 //!
 //! * the **`out`** side records what peers hold on *this* node's
-//!   authority — pins it took for remote readers, creates it staged for
-//!   remote writers, the lease on an object it spilled away, the read
-//!   replicas it handed out;
+//!   authority — pins it took for remote readers, the lease on an object
+//!   it spilled away, the read replicas it handed out;
 //! * the **`held`** side records what this node holds on a *peer's*
 //!   authority — the mirror image of each of those.
 //!
@@ -40,24 +39,20 @@ pub enum Kind {
     /// none — the holder's lease reference keeps that copy, and the pin
     /// keeps the lease (see [`Delegation::at`]).
     Pin = 0,
-    /// A forwarded create between `CREATE_AT` and `SEAL_AT`/`ABORT_AT`:
-    /// the unsealed buffer at the owner, and the creator's reference on
-    /// it, belong to the requester.
-    Staged = 1,
     /// The single lease on a spilled object: the holder has the only
     /// copy and keeps one reference on it until the owner retires the
     /// lease; the owner keeps the id and answers gets with the holder's
     /// descriptor.
-    Lease = 2,
+    Lease = 1,
     /// A read replica: the holder serves its own reads from a copy, the
     /// owner keeps its copy and must invalidate the replica before a
     /// delete may proceed.
-    Replica = 3,
+    Replica = 2,
 }
 
 impl Kind {
     /// Every kind, in wire order.
-    pub const ALL: [Kind; 4] = [Kind::Pin, Kind::Staged, Kind::Lease, Kind::Replica];
+    pub const ALL: [Kind; 3] = [Kind::Pin, Kind::Lease, Kind::Replica];
 
     /// Decode the wire value (`None` for one this build does not know).
     pub fn from_u64(v: u64) -> Option<Kind> {
@@ -65,7 +60,7 @@ impl Kind {
     }
 
     /// Leases and replicas stand for a sealed *copy* of the object at
-    /// the holder; pins and staged creates stand for references.
+    /// the holder; pins stand for references.
     pub fn is_copy(self) -> bool {
         matches!(self, Kind::Lease | Kind::Replica)
     }
@@ -88,10 +83,7 @@ pub enum Phase {
     Live,
     /// One end is done and the other has not heard. A `Pin` is closing
     /// when its `RELEASE` failed against an unreachable owner and is
-    /// parked for retry; a `Staged` create is closing once `SEAL_AT`
-    /// consumed the creator's reference at the owner and the client's
-    /// trailing `release` — satisfied locally — is still to come. An
-    /// owner's `Lease` is closing once a delete was told to retire the
+    /// parked for retry. An owner's `Lease` is closing once a delete was told to retire the
     /// holder's copy: no get is handed its descriptor any more. So is an
     /// owner's `Replica`: no replica of the object is made until the
     /// delete's confirm.
@@ -109,7 +101,7 @@ pub struct Delegation {
     /// References this entry stands for: pins for a `Pin`, the deletes
     /// retiring it for an owner's closing `Lease`, 1 otherwise.
     pub count: u64,
-    /// Object size (data + metadata) for copies and staged creates.
+    /// Object size (data + metadata) for copies.
     pub bytes: u64,
     /// Lifecycle state.
     pub phase: Phase,
@@ -156,7 +148,7 @@ pub struct DelegationRecord {
 
 /// A count per [`Kind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Tally([u64; 4]);
+pub struct Tally([u64; 3]);
 
 impl Tally {
     /// Sum over all kinds.
@@ -236,7 +228,6 @@ pub enum Verdict {
 /// | `Pin` | counts none for the reporter | `Drop` — every pin the reporter ledgers is a phantom |
 /// | `Pin` | counts more than claimed | `Trim(excess)` |
 /// | `Pin` | counts no more than claimed | `Keep` — an over-report never inflates the owner |
-/// | `Staged` | no such staged create | `Drop` |
 /// | `Lease` | has a sealed copy again | `Drop` — the delegation is redundant |
 /// | `Lease` | no lease toward the reporter | `Drop` — an owner gives its copy up only once it recorded the lease, so this is what an ambiguous spill left of an object the owner kept, and has deleted since (or leased elsewhere: overwriting that would fork it) |
 /// | `Lease` | otherwise | `Keep` (a lease a delete left closing opens again) |
@@ -259,7 +250,7 @@ pub fn owner_verdict(view: &OwnerView<'_>, reporter: NodeId, kind: Kind, claimed
     }
     let void = match kind {
         Kind::Pin if mine > claimed => return Verdict::Trim(mine - claimed),
-        Kind::Pin | Kind::Staged => mine == 0,
+        Kind::Pin => mine == 0,
         Kind::Lease => view.sealed || mine == 0,
         Kind::Replica => !view.sealed || view.out.iter().any(|d| d.kind == Kind::Lease),
     };
@@ -281,9 +272,6 @@ pub struct Settlement {
     /// Object references to release: `(id, how many)` trimmed pins on
     /// the owner's own copy. A trimmed pin on a lent id releases nothing.
     pub release: Vec<(ObjectId, u64)>,
-    /// Staged creates to abort: their requester no longer claims them,
-    /// and nobody else can ever seal them.
-    pub abort: Vec<ObjectId>,
 }
 
 #[derive(Default)]
@@ -345,8 +333,8 @@ impl Ledger {
 
     /// Record one live unit of `kind` on `id` toward `peer`. A `Pin`
     /// adds to the count it already has. Every other kind is a single
-    /// entry, and recording it enforces what the kind means: an id has
-    /// one staged create; an owner records one lease (the newer holder
+    /// entry, and recording it enforces what the kind means: an owner
+    /// records one lease (the newer holder
     /// replaces the older); a holder has one copy of an id, so a copy
     /// recorded on the `held` side replaces whichever copy entry was
     /// there; a replica is one entry per holder.
@@ -374,7 +362,7 @@ impl Ledger {
             (Side::Out, Kind::Replica) => {
                 entries.retain(|d| !(d.kind == Kind::Replica && d.peer == peer))
             }
-            (_, Kind::Staged) | (Side::Out, Kind::Lease) => entries.retain(|d| d.kind != kind),
+            (Side::Out, Kind::Lease) => entries.retain(|d| d.kind != kind),
         }
         entries.push(Delegation {
             kind,
@@ -555,8 +543,8 @@ impl Ledger {
         Some(sides.take(side, id, at, 1))
     }
 
-    /// The first live entry of `kind` on `id`: the lease holder, the
-    /// owner of a staged create, an owner pins are held at.
+    /// The first live entry of `kind` on `id`: the lease holder, an
+    /// owner pins are held at.
     pub fn find(&self, side: Side, id: ObjectId, kind: Kind) -> Option<Delegation> {
         let mut sides = self.sides.lock();
         let at = sides.position(side, id, |d| d.kind == kind && d.phase == Phase::Live)?;
@@ -587,31 +575,6 @@ impl Ledger {
             .out
             .get(&id)
             .is_some_and(|entries| entries.iter().any(|d| d.kind.is_copy()))
-    }
-
-    /// `SEAL_AT` consumed the creator's reference at the owner: the
-    /// staged create on `id` starts closing. Returns whether there was
-    /// a live one.
-    pub fn close_staged(&self, id: ObjectId) -> bool {
-        let mut sides = self.sides.lock();
-        let live = |d: &&mut Delegation| d.kind == Kind::Staged && d.phase == Phase::Live;
-        let entry = sides
-            .held
-            .get_mut(&id)
-            .and_then(|e| e.iter_mut().find(live));
-        entry.map(|d| d.phase = Phase::Closing).is_some()
-    }
-
-    /// The put flow's trailing release: finish a closing staged create
-    /// on `id`. Returns whether there was one to finish.
-    pub fn finish_staged(&self, id: ObjectId) -> bool {
-        let mut sides = self.sides.lock();
-        let closing = |d: &Delegation| d.kind == Kind::Staged && d.phase == Phase::Closing;
-        let Some(at) = sides.position(Side::Held, id, closing) else {
-            return false;
-        };
-        sides.take(Side::Held, id, at, 1);
-        true
     }
 
     /// Park one `RELEASE` that could not reach `owner`: the pin is done
@@ -804,11 +767,8 @@ impl Ledger {
                 let unclaimed = d.peer == reporter && !claimed.contains(&(*id, d.kind));
                 if unclaimed {
                     settled.trimmed[d.kind] += d.count;
-                    match d.kind {
-                        Kind::Pin if d.at.is_none() => settled.release.push((*id, d.count)),
-                        Kind::Pin => {}
-                        Kind::Staged => settled.abort.push(*id),
-                        Kind::Lease | Kind::Replica => {}
+                    if d.kind == Kind::Pin && d.at.is_none() {
+                        settled.release.push((*id, d.count));
                     }
                     return false;
                 }

@@ -13,7 +13,7 @@
 //! * [`Cluster`] — one-call harness that launches an N-node simulated
 //!   deployment.
 //! * [`delegation`] — the one ledger of what each store holds for or at
-//!   another (pins, staged creates, leases, replicas), and the one
+//!   another (pins, leases, replicas), and the one
 //!   exchange that reconciles it. Pins are the paper's deferred
 //!   "distributed object-usage sharing": an owner never evicts an object
 //!   a remote client is reading.
@@ -109,8 +109,15 @@ mod tests {
         let b = c.client(1).unwrap();
         let id = ObjectId::from_name("unique");
         a.put(id, b"first", &[]).unwrap();
-        let err = b.create(id, 5, 0).unwrap_err();
-        assert_eq!(err, PlasmaError::ObjectExists(id));
+        // A builder's create is local: the owner refuses the id at the
+        // seal at the latest, and the first object stands.
+        let built = b.create(id, 5, 0).and_then(|builder| {
+            builder.write(0, b"again")?;
+            builder.seal()
+        });
+        assert_eq!(built.unwrap_err(), PlasmaError::ObjectExists(id));
+        let first = b.get_one(id, Duration::from_secs(1)).unwrap();
+        assert_eq!(first.read_all().unwrap(), b"first");
     }
 
     #[test]
@@ -276,19 +283,23 @@ mod tests {
         );
         assert!(!store.core().exists_any_state(orphan));
 
-        // Strict uniqueness: the dead peer owns this id on the ring, and
-        // if the owner cannot confirm, the create fails with the typed
-        // unavailability error rather than risking a duplicate id.
+        // Strict uniqueness: the dead peer owns this id on the ring. A
+        // builder's create is local, and if the owner cannot confirm the
+        // id, the seal fails with the typed unavailability error rather
+        // than risking a duplicate id.
         assert!(store.set_membership(Membership::new(1, vec![node, dead])));
         let id = (0..)
             .map(|k| ObjectId::from_name(&format!("x~{k}")))
             .find(|id| store.ring_owner(*id) == Some(dead))
             .unwrap();
-        let err = plasma::ObjectStore::create(&store, id, 8, 0).unwrap_err();
+        plasma::ObjectStore::create(&store, id, 8, 0).unwrap();
+        let err = plasma::ObjectStore::seal(&store, id).unwrap_err();
         assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
-        // The failed create left no residue: nothing staged here, nothing
-        // awaiting a seal at the owner.
+        // The owner answered, so the copy is the creator's to abort, and
+        // nothing of the create is left.
+        plasma::ObjectStore::abort(&store, id).unwrap();
         assert!(!store.core().exists_any_state(id));
+        assert!(store.delegations().is_empty());
         assert_eq!(
             plasma::ObjectStore::seal(&store, id).unwrap_err(),
             PlasmaError::ObjectNotFound(id)
@@ -333,22 +344,39 @@ mod tests {
     #[test]
     fn concurrent_create_same_id_yields_one_winner() {
         // Drive the create race through the store API on both nodes
-        // concurrently, many rounds: the ring owner is the one arbiter.
+        // concurrently, many rounds: the ring owner is the one arbiter,
+        // at the creates or at the seals. Each node writes bytes of its
+        // own: the same bytes would be one object, put twice.
         let c = two_nodes();
         let s0 = c.store(0).clone();
         let s1 = c.store(1).clone();
+        let build = |s: &DisaggStore, id| {
+            let loc = s.create(id, 8, 0)?;
+            let mapping = s.core().mapping_for(&loc)?;
+            mapping.write_at(loc.offset, &[s.node().0 as u8 + 1; 8])?;
+            s.seal(id)
+        };
         for round in 0..20 {
             let id = ObjectId::from_name(&format!("race-{round}"));
             let (r0, r1) = std::thread::scope(|scope| {
-                let t0 = scope.spawn(|| s0.create(id, 8, 0));
-                let t1 = scope.spawn(|| s1.create(id, 8, 0));
+                let t0 = scope.spawn(|| build(&s0, id));
+                let t1 = scope.spawn(|| build(&s1, id));
                 (t0.join().unwrap(), t1.join().unwrap())
             });
             let winners = [&r0, &r1].iter().filter(|r| r.is_ok()).count();
             assert_eq!(winners, 1, "round {round}: {r0:?} vs {r1:?}");
-            // Clean up for the next round.
-            let winner = if r0.is_ok() { &s0 } else { &s1 };
-            winner.abort(id).unwrap();
+            for (s, r) in [(&s0, &r0), (&s1, &r1)] {
+                match r {
+                    Ok(_) => s.release(id).unwrap(),
+                    Err(e) => assert_eq!(*e, PlasmaError::ObjectExists(id)),
+                }
+                // The loser's copy, if its create got one.
+                let _ = s.abort(id);
+            }
+            assert_eq!(
+                c.store(0).core().list().len() + c.store(1).core().list().len(),
+                round + 1
+            );
         }
     }
 }

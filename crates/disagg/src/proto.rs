@@ -1,8 +1,8 @@
 //! Store-to-store interconnect protocol.
 //!
 //! The messages Plasma stores exchange over the (simulated) gRPC channel:
-//! pinning descriptor lookup, ring-routed create/seal/abort, reference
-//! release feedback, forwarded delete, and the delegation (spill,
+//! pinning descriptor lookup, ring-routed create, reference release
+//! feedback, forwarded delete, and the delegation (spill,
 //! replica, invalidate) and reconciliation exchanges. Every request
 //! starts with one fixed-width [`CallHeader`] — who is asking — and
 //! every `Ok` reply with a [`ReplyHeader`] — the responder's membership
@@ -12,11 +12,9 @@
 //! protocol uses. A decoder reads every field and not a byte more, so a
 //! cut or padded frame, an unknown tag or an out-of-range value is a
 //! [`CodecError`], never a default.
-//! A *read* never moves payload bytes inside a frame: every answer
-//! carries a descriptor and the bytes move over the fabric
-//! ([`crate::DisaggStore::read_payload`]). The one message with a payload
-//! is a `CREATE_AT` forwarding a small put (up to `plasma::INLINE_PUT_MAX` bytes), which
-//! carries its own so the owner can create, fill and seal in one step.
+//! No frame carries an object's bytes: a request or an answer about one
+//! carries its descriptor, and the bytes move over the fabric, read by
+//! the node that needs them ([`crate::DisaggStore::read_payload`]).
 
 use crate::delegation::{Claim, Kind, Tally};
 use bytes::Bytes;
@@ -30,14 +28,17 @@ pub mod method {
     /// Retired method ids with the verb each once carried: the epoch-0
     /// broadcast lookup and id reservation, the deferred delete that is
     /// now a flag on `DELETE`, the framed data plane's read and write,
-    /// the per-kind reconciles `RECONCILE` absorbed, and the lease chase
-    /// `INVALIDATE` absorbed. A retired id is never reused, so an old
+    /// the per-kind reconciles `RECONCILE` absorbed, the lease chase
+    /// `INVALIDATE` absorbed, and the seal and abort of a create staged
+    /// at its owner, which `CREATE_AT`'s adoption replaced. A retired id is never reused, so an old
     /// peer's call can only meet `Unimplemented`. The dispatch test, the
     /// verb-table test and `scripts/docs_drift.sh` all read this list.
     pub const RETIRED: &[(u32, &str)] = &[
         (1, "lookup"),
         (2, "reserve"),
         (7, "delete_deferred"),
+        (12, "seal_at"),
+        (13, "abort_at"),
         (16, "borrow_reconcile"),
         (17, "data_read"),
         (18, "data_write"),
@@ -72,30 +73,22 @@ pub mod method {
     pub const GET_MANY: u32 = 9;
     /// Delegation reconciliation (`ReconcileReq` → `ReconcileResp`): the
     /// caller reports everything it holds on the responder's
-    /// authority — pins, staged creates, a lease, replicas — and the
+    /// authority — pins, a lease, replicas — and the
     /// responder, as owner, answers which of those to drop and trims
     /// what went unreported (see [`crate::delegation::owner_verdict`]).
     /// Heals every half-finished exchange a lost request or response can
     /// leave. Only sound while no traffic between the pair is in flight
     /// — e.g. at quiesce.
     pub const RECONCILE: u32 = 10;
-    /// Forwarded create (`CreateAtReq` → `CreateAtResp`): the rendezvous
-    /// ring routed a `create` to the id's computed owner, which allocates
-    /// locally — id uniqueness is an owner-local check. Idempotent per
-    /// caller: a retry whose first attempt executed (response lost)
-    /// returns the same staged location. With a `payload` it is a whole
-    /// put — the owner creates, fills, seals and drops the creator's
-    /// reference, and answers with the sealed location; nothing is
-    /// staged, and a retry is recognised by its content.
+    /// Forwarded create (`DelegateReq` → `CreateAtResp`): the creator
+    /// wrote the object into its own segment, and the id's rendezvous
+    /// owner adopts it — checks that it owns the id and that the id is
+    /// new, pulls the bytes over the fabric from the creator's copy,
+    /// seals them and answers with its sealed location. Id uniqueness
+    /// is an owner-local check. A retry whose first attempt landed is
+    /// recognised by its content: the id sealed here with the copy's
+    /// bytes is answered with its location again.
     pub const CREATE_AT: u32 = 11;
-    /// Seal a forwarded create on its owner (`IdReq` →
-    /// `CreateAtResp` carrying the sealed location). Idempotent:
-    /// re-sealing an already-sealed id returns its location again.
-    pub const SEAL_AT: u32 = 12;
-    /// Abort a forwarded create on its owner (`IdReq` →
-    /// `BoolResp`). Idempotent: aborting an id with no staged create is
-    /// a no-op (`false`).
-    pub const ABORT_AT: u32 = 13;
     /// Membership exchange (empty or `MembershipTable` →
     /// `MembershipTable`): the responder installs a pushed table if it is
     /// newer than its own, then answers with its table. A requester sends
@@ -144,8 +137,6 @@ pub mod method {
         (GET_MANY, "get_many"),
         (RECONCILE, "reconcile"),
         (CREATE_AT, "create_at"),
-        (SEAL_AT, "seal_at"),
-        (ABORT_AT, "abort_at"),
         (MEMBERSHIP, "membership"),
         (SPILL_AT, "spill_at"),
         (REPLICATE_AT, "replicate_at"),
@@ -233,8 +224,8 @@ fn get_kind(d: &mut Dec) -> Result<Kind, CodecError> {
 /// reply, and the caller pulls or pushes the table from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallHeader {
-    /// The calling node: pins, staged creates and delegated copies are
-    /// recorded against it.
+    /// The calling node: pins and delegated copies are recorded against
+    /// it.
     pub from: NodeId,
 }
 
@@ -489,81 +480,11 @@ impl Message for ReconcileResp {
     }
 }
 
-/// Forwarded create: allocate `id` on the responder (the id's rendezvous
-/// owner). Uniqueness is checked owner-locally.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CreateAtReq {
-    /// The id to create (the caller becomes its writer/creator).
-    pub id: ObjectId,
-    /// Payload size in bytes.
-    pub data_size: u64,
-    /// Metadata size in bytes.
-    pub metadata_size: u64,
-    /// The whole object — data, then metadata — when the create forwards
-    /// a small put: the owner fills and seals it too. `None` stages the
-    /// object for the caller to write through the fabric. A decoded one
-    /// is exactly `data_size + metadata_size` bytes long.
-    pub payload: Option<Bytes>,
-}
-
-impl CreateAtReq {
-    /// The encoding of a `CreateAtReq` forwarding a put of `data_size`
-    /// data and `metadata_size` metadata bytes, up to its payload: the
-    /// id, the sizes and the carries-payload byte. Followed by the data,
-    /// then the metadata, it is the whole request: the sender hands the
-    /// three to the envelope as parts, which copies the payload into the
-    /// frame once.
-    pub(crate) fn put_head(id: &ObjectId, data_size: u64, metadata_size: u64) -> Bytes {
-        let mut e = Enc::with_capacity(OBJECT_ID_LEN + 17);
-        put_id(&mut e, id);
-        e.u64(data_size).u64(metadata_size).bool(true);
-        e.finish()
-    }
-}
-
-impl Message for CreateAtReq {
-    fn put(&self, e: &mut Enc) {
-        put_id(e, &self.id);
-        e.u64(self.data_size)
-            .u64(self.metadata_size)
-            .bool(self.payload.is_some());
-        if let Some(payload) = &self.payload {
-            e.fixed(payload);
-        }
-    }
-
-    /// The payload has no length of its own: the sizes state it, and a
-    /// payload that is not data then metadata, not a byte more or less
-    /// (or whose sizes overflow when summed), does not decode.
-    fn get(d: &mut Dec) -> Result<Self, CodecError> {
-        let id = get_id(d)?;
-        let (data_size, metadata_size) = (d.u64()?, d.u64()?);
-        let payload = match d.bool()? {
-            true => {
-                let len = data_size
-                    .checked_add(metadata_size)
-                    .and_then(|len| usize::try_from(len).ok())
-                    .ok_or(CodecError::Invalid("create_at sizes overflow"))?;
-                Some(d.take(len)?)
-            }
-            false => None,
-        };
-        Ok(CreateAtReq {
-            id,
-            data_size,
-            metadata_size,
-            payload,
-        })
-    }
-}
-
-/// Outcome of a forwarded create (or of sealing one) on the computed
-/// owner.
+/// Outcome of a forwarded create on the computed owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreateAtResp {
-    /// Created (or a retry of the same caller's create): the fabric
-    /// descriptor. Without a payload the object is staged and the caller
-    /// may write; with one, or after `SEAL_AT`, it is sealed.
+    /// Adopted and sealed (or a retry of the same create that landed):
+    /// the fabric descriptor of the owner's sealed copy.
     Ok(ObjectLocation),
     /// The id already exists on the owner — cluster-wide duplicate.
     Exists,
@@ -623,17 +544,19 @@ impl Message for MembershipTable {
     }
 }
 
-/// Delegation request ([`method::SPILL_AT`], [`method::REPLICATE_AT`]):
-/// the caller, the id's ring owner, asks the responder to adopt a copy
-/// of the sealed object described by `location` — as the object's one
-/// leased copy, or as a read replica beside the owner's own. The owner
-/// guarantees the source copy stays pinned until the response arrives,
-/// so the adopter can read the bytes over the fabric at any point during
-/// the call.
+/// Adoption request ([`method::SPILL_AT`], [`method::REPLICATE_AT`],
+/// [`method::CREATE_AT`]): the caller asks the responder to adopt a copy
+/// of the object described by `location` — the id's ring owner offering
+/// its sealed object as the one leased copy or as a read replica beside
+/// its own, or a creator offering the object it wrote to the id's
+/// owner. The caller keeps the source copy until the response arrives
+/// (and, for a create, until no unanswered request naming it can still
+/// be served), so the adopter can read the bytes over the fabric at any
+/// point during the call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelegateReq {
-    /// Fabric descriptor of the (pinned) source copy on the owner; the
-    /// adopter pulls the bytes over the fabric from it.
+    /// Fabric descriptor of the source copy on the caller; the adopter
+    /// pulls the bytes over the fabric from it.
     pub location: ObjectLocation,
 }
 
@@ -682,8 +605,7 @@ impl Message for DelegateResp {
     }
 }
 
-/// A request about one object and nothing else: contains, seal / abort
-/// of a staged create.
+/// A request about one object and nothing else: contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdReq {
     /// The object in question.
@@ -1147,64 +1069,14 @@ mod tests {
 
     #[test]
     fn create_at_roundtrip() {
-        let staged = CreateAtReq {
-            id: ObjectId::from_name("fwd"),
-            data_size: 4096,
-            metadata_size: 16,
-            payload: None,
-        };
-        let inline = CreateAtReq {
-            data_size: 5,
-            metadata_size: 2,
-            payload: Some(Bytes::from_static(b"hellomd")),
-            ..staged.clone()
-        };
-        // An empty payload is still a payload: a zero-byte put.
-        let empty = CreateAtReq {
-            data_size: 0,
-            metadata_size: 0,
-            payload: Some(Bytes::new()),
-            ..staged.clone()
-        };
-        let head = CreateAtReq::put_head(&inline.id, 5, 2);
-        assert_eq!(inline.encode(), [&head[..], b"hello", b"md"].concat());
-        for req in [staged, inline, empty] {
-            assert_eq!(CreateAtReq::decode(req.encode()).unwrap(), req);
-        }
-
+        let req = DelegateReq { location: loc(8) };
+        assert_eq!(DelegateReq::decode(req.encode()).unwrap(), req);
         for resp in [
             CreateAtResp::Ok(loc(9)),
             CreateAtResp::Exists,
             CreateAtResp::WrongOwner,
         ] {
             assert_eq!(CreateAtResp::decode(resp.encode()).unwrap(), resp);
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// A forwarded put's head, then its data, then its metadata, are
-        /// the encoding of the request carrying the joined payload, at
-        /// every size up to past the largest inlined put and at every
-        /// split between data and metadata.
-        #[test]
-        fn a_put_create_at_equals_the_encoding_of_its_joined_payload(
-            len in 0usize..300 << 10,
-            split in proptest::prelude::any::<usize>(),
-            fill in proptest::prelude::any::<u8>(),
-        ) {
-            let id = ObjectId::from_name("fwd/put");
-            let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-            let (data, metadata) = payload.split_at(split % (len + 1));
-            let joined = CreateAtReq {
-                id,
-                data_size: data.len() as u64,
-                metadata_size: metadata.len() as u64,
-                payload: Some(Bytes::from(payload.clone())),
-            };
-            let head = CreateAtReq::put_head(&id, data.len() as u64, metadata.len() as u64);
-            proptest::prop_assert!(joined.encode() == [&head[..], data, metadata].concat());
         }
     }
 
@@ -1279,8 +1151,8 @@ mod tests {
     /// frame": the frames that carry a fabric descriptor — header
     /// included — do not grow with the object: every field is fixed
     /// width, so a 1 MiB object's frame is exactly as long as a 64 B
-    /// object's. The one frame with a payload, a `CREATE_AT` forwarding
-    /// a small put, is that payload plus O(1).
+    /// object's. A `CREATE_AT` is one of them: a put's bytes never ride
+    /// the frame.
     #[test]
     fn descriptor_frames_are_constant_in_object_size() {
         let sized = |data_size: u64| ObjectLocation {
@@ -1290,19 +1162,12 @@ mod tests {
         };
         let call = CallHeader { from: NodeId(2) };
         let reply = ReplyHeader { epoch: 1 };
-        let create_at = |l: ObjectLocation, payload| CreateAtReq {
-            id: l.id,
-            data_size: l.data_size,
-            metadata_size: 0,
-            payload,
-        };
         let frames = |l: ObjectLocation| {
             let get_many = GetManyResp {
                 entries: vec![GetManyEntry::Pinned(l), GetManyEntry::Moved(l)],
             };
             [
                 call.frame(&DelegateReq { location: l }.encode()).len(),
-                call.frame(&create_at(l, None).encode()).len(),
                 reply.frame(&get_many.encode()).len(),
                 reply.frame(&CreateAtResp::Ok(l).encode()).len(),
                 reply.frame(&DelegateResp::Adopted(l).encode()).len(),
@@ -1312,15 +1177,6 @@ mod tests {
         for (s, l) in small.iter().zip(large) {
             assert!(*s < 128, "a control frame is a few dozen bytes, got {s}");
             assert_eq!(*s, l, "a 16384x larger object changed the frame");
-        }
-        for len in [0usize, 64, 64 << 10, plasma::INLINE_PUT_MAX] {
-            let payload = Some(Bytes::from(vec![7u8; len]));
-            let frame = call.frame(&create_at(sized(len as u64), payload).encode());
-            let overhead = frame.len() - len;
-            assert!(
-                overhead < 64,
-                "{len} B put: {overhead} B beside the payload"
-            );
         }
     }
 
@@ -1347,7 +1203,7 @@ mod tests {
     type Decoder = fn(Bytes) -> Result<(), CodecError>;
 
     /// Every decoder, by the message it reads.
-    const DECODERS: [(&str, Decoder); 21] = [
+    const DECODERS: [(&str, Decoder); 20] = [
         ("CallHeader", decodes::<CallHeader>),
         ("ReplyHeader", decodes::<ReplyHeader>),
         ("GetManyReq", decodes::<GetManyReq>),
@@ -1356,7 +1212,6 @@ mod tests {
         ("ReleaseResp", decodes::<ReleaseResp>),
         ("ReconcileReq", decodes::<ReconcileReq>),
         ("ReconcileResp", decodes::<ReconcileResp>),
-        ("CreateAtReq", decodes::<CreateAtReq>),
         ("CreateAtResp", decodes::<CreateAtResp>),
         ("MembershipTable", decodes::<MembershipTable>),
         ("DelegateReq", decodes::<DelegateReq>),
@@ -1424,13 +1279,6 @@ mod tests {
             let kind = Kind::ALL[word as usize % Kind::ALL.len()];
             let mut trimmed = Tally::default();
             trimmed[kind] = word;
-            let split = blob.len() / 2;
-            let create_at = |payload| CreateAtReq {
-                id,
-                data_size: split as u64,
-                metadata_size: (blob.len() - split) as u64,
-                payload,
-            };
             let entries = vec![
                 GetManyEntry::Pinned(location),
                 GetManyEntry::NotFound(id),
@@ -1448,8 +1296,6 @@ mod tests {
             strict(&ReleaseResp { pinned: vec![flag; count] })?;
             strict(&ReconcileReq { claims: vec![(id, kind, word); count] })?;
             strict(&ReconcileResp { drop: vec![(id, kind); count], trimmed })?;
-            strict(&create_at(None))?;
-            strict(&create_at(Some(Bytes::from(blob.clone()))))?;
             for resp in [CreateAtResp::Ok(location), CreateAtResp::Exists, CreateAtResp::WrongOwner] {
                 strict(&resp)?;
             }
@@ -1473,7 +1319,7 @@ mod tests {
             let one = |entry: GetManyEntry| GetManyResp { entries: vec![entry] }.encode();
             let id_len = OBJECT_ID_LEN;
             let delete = |cleared, kept| DeleteReq { id, deferred: flag, cleared, kept }.encode();
-            let cases: [(Bytes, usize, u8, Decoder); 15] = [
+            let cases: [(Bytes, usize, u8, Decoder); 13] = [
                 (one(GetManyEntry::NotFound(id)), 4, 3, decodes::<GetManyResp>),
                 (ReleaseResp { pinned: vec![flag] }.encode(), 4, 2, decodes::<ReleaseResp>),
                 (CreateAtResp::Exists.encode(), 0, 3, decodes::<CreateAtResp>),
@@ -1486,29 +1332,22 @@ mod tests {
                 (
                     DeleteResp::Clear(vec![(NodeId(node), kind)]).encode(),
                     7,
-                    4,
+                    3,
                     decodes::<DeleteResp>,
                 ),
-                (create_at(None).encode(), id_len + 16, 2, decodes::<CreateAtReq>),
                 (
                     ReconcileReq { claims: vec![(id, kind, word)] }.encode(),
                     4 + id_len,
-                    4,
+                    3,
                     decodes::<ReconcileReq>,
                 ),
                 (
                     ReconcileResp { drop: vec![(id, kind)], trimmed }.encode(),
                     4 + id_len,
-                    4,
+                    3,
                     decodes::<ReconcileResp>,
                 ),
                 (GetManyEntry::Moved(location).encode(), 0, 3, decodes::<GetManyEntry>),
-                (
-                    create_at(Some(Bytes::from(blob.clone()))).encode(),
-                    id_len + 16,
-                    2,
-                    decodes::<CreateAtReq>,
-                ),
             ];
             for (wire, at, first_bad, decode) in cases {
                 prop_assert!(out_of_range(&wire, at, first_bad, decode), "{wire:?} at {at}");

@@ -81,6 +81,20 @@ impl Ring {
         nodes.max_by_key(|&node| rank(id_hash, node))
     }
 
+    /// Whether `node` owns `id` — `owner_of(id) == Some(node)` — without
+    /// scoring every member: the scan ends at the first member that
+    /// outranks `node`, so a probe that misses costs a few scores on
+    /// average, not one per member.
+    pub fn places_on(&self, id: ObjectId, node: NodeId) -> bool {
+        if !self.membership.contains(node) {
+            return false;
+        }
+        let id_hash = fnv1a64(id.as_bytes());
+        let mine = rank(id_hash, node);
+        let mut nodes = self.membership.nodes.iter();
+        nodes.all(|&other| rank(id_hash, other) <= mine)
+    }
+
     /// Every member in `id`'s rendezvous order: the owner first, then
     /// the node that would own `id` were the owner gone, and so on. The
     /// spill tier offers a cold object to its successors in this order.
@@ -138,6 +152,22 @@ mod tests {
         let r = ring(1, &[3]);
         for i in 0..100 {
             assert_eq!(r.owner_of(oid(&format!("obj/{i}"))), Some(NodeId(3)));
+        }
+    }
+
+    /// `places_on` answers what `owner_of` does, for every member of a
+    /// 1 024-node table and 10 000 ids, and `false` for a non-member.
+    #[test]
+    fn places_on_agrees_with_owner_of() {
+        let nodes: Vec<u16> = (0..1024).collect();
+        let r = ring(1, &nodes);
+        for i in 0..10_000 {
+            let id = oid(&format!("places/{i}"));
+            let owner = r.owner_of(id).unwrap();
+            for &node in &nodes {
+                assert_eq!(r.places_on(id, NodeId(node)), owner == NodeId(node));
+            }
+            assert!(!r.places_on(id, NodeId(5000)));
         }
     }
 

@@ -5,10 +5,12 @@
 //! RPC, implementing the paper's two new constraints:
 //!
 //! * **Identifier uniqueness** — every id has a deterministic rendezvous
-//!   owner on the [`Ring`], and `create` routes to it point-to-point
-//!   (`CREATE_AT`); uniqueness is an owner-local check. A peerless store
-//!   is its own owner; a store with peers but no membership table cannot
-//!   place an object and fails the create with `PeerUnavailable`.
+//!   owner on the [`Ring`]. A put, or a builder's seal, of an id another
+//!   node owns is one point-to-point `CREATE_AT` naming the copy written
+//!   here, which the owner adopts over the fabric; uniqueness is an
+//!   owner-local check. A peerless store is its own owner; a store with
+//!   peers but no membership table cannot place an object and fails the
+//!   create with `PeerUnavailable`.
 //! * **Distributed object-usage sharing** — a pinning remote lookup takes a
 //!   store-side reference attributed to the requesting node, and `release`
 //!   feeds back over RPC, so owners never evict objects remote clients are
@@ -257,11 +259,12 @@ struct Inner {
     /// installed: peerless and hand-built stores).
     ring: RwLock<Option<Ring>>,
     /// Every piece of per-object state this node keeps for or at a peer:
-    /// pins, staged creates, leases, replicas — both sides, one lock.
+    /// pins, leases, replicas — both sides, one lock.
     ledger: Ledger,
     /// The pins each batch `get` took remotely, returned together.
     release_groups: Mutex<ReleaseGroups>,
-    /// `RELEASE`s sent and not yet answered.
+    /// `RELEASE`s sent and not yet answered, and the copies unanswered
+    /// `CREATE_AT`s name.
     releases: Mutex<peer::Releases>,
     /// The reader serving this store's interconnect, when one is known:
     /// an owner catches it up before it counts its pins.
@@ -398,8 +401,7 @@ impl DisaggStore {
     }
 
     /// References this store holds on behalf of remote nodes: pins taken
-    /// for remote readers, plus the creator's reference of every create
-    /// staged here for a remote writer. Counted once the reader serving
+    /// for remote readers. Counted once the reader serving
     /// this store (a [`crate::Cluster`]'s names itself at launch) has
     /// served every frame already sent to it, a `RELEASE` nobody waited
     /// on included.
@@ -407,7 +409,7 @@ impl DisaggStore {
         if let Some(reader) = self.inner.reader.get() {
             reader.wait();
         }
-        self.live_count(Side::Out, &[Kind::Pin, Kind::Staged])
+        self.live_count(Side::Out, &[Kind::Pin])
     }
 
     /// Pins this node holds on *other* nodes' objects: every successful
@@ -468,10 +470,9 @@ impl DisaggStore {
 
     /// Quiesce-time reconciliation, holder-initiated: report to every
     /// peer exactly what this node still holds on its authority — pins,
-    /// staged creates, leased copies, replicas — and obey the answer.
-    /// The owner trims what went unreported (a pin orphaned by a lost
-    /// `GET_MANY` response, a staged create nobody will seal, a lease or
-    /// replica entry no copy backs) and judges each claim with
+    /// leased copies, replicas — and obey the answer. The owner trims
+    /// what went unreported (a pin orphaned by a lost `GET_MANY`
+    /// response, a lease or replica entry no copy backs) and judges each claim with
     /// [`crate::delegation::owner_verdict`]; claims it declares void are
     /// dropped here, copy and all. One RPC per peer heals both halves of
     /// every exchange a lost request or response cut short.
@@ -534,9 +535,6 @@ impl DisaggStore {
         let sealed_size = |id| core.peek(id).map(|loc| loc.total_size());
         let ledger = &self.inner.ledger;
         let settled = ledger.settle(from, &req.claims, sealed_size);
-        for id in settled.abort {
-            let _ = core.abort(id);
-        }
         for (id, pins) in settled.release {
             for _ in 0..pins {
                 // The object may have been deleted or evicted since the
@@ -596,10 +594,11 @@ impl DisaggStore {
         m.replicas_held.set(held);
     }
 
-    /// Admission control: refuse a new create when the node already has
-    /// `max_inflight_creates` objects created but not yet sealed. The
-    /// operation is not started, so the typed rejection is always safe to
-    /// retry after the suggested backoff.
+    /// Admission control: refuse a builder's create when the node already
+    /// has `max_inflight_creates` objects created but not yet sealed. A
+    /// put, and an owner's adoption, seal within their own call and are
+    /// not asked. The operation is not started, so the typed rejection is
+    /// always safe to retry after the suggested backoff.
     fn check_admission(&self) -> Result<(), PlasmaError> {
         let max = self.inner.max_inflight_creates;
         if max == 0 {
@@ -632,33 +631,15 @@ impl DisaggStore {
         }
     }
 
-    /// [`ObjectStore::create`] and, given the object's bytes as `payload`
-    /// (data, metadata), [`ObjectStore::put`]: the same pre-checks and
-    /// the same routing to the id's owner, which either stages the object
-    /// or fills and seals it.
-    fn create_routed(
-        &self,
-        id: ObjectId,
-        data_size: u64,
-        metadata_size: u64,
-        payload: Option<(&[u8], &[u8])>,
-    ) -> Result<ObjectLocation, PlasmaError> {
-        let started = Instant::now();
-        // An object this node lent out or replicated still exists — the
-        // bytes live at a holder even if the copy here was handed over
-        // or evicted. Re-creating it would fork the id against them.
+    /// The check every create and put makes here first: an id that
+    /// exists here, or that this node lent out or replicated, is taken —
+    /// its bytes live at a holder even if the copy here went, and
+    /// creating it again would fork the id against them.
+    fn check_new(&self, id: ObjectId) -> Result<(), PlasmaError> {
         if self.inner.core.exists_any_state(id) || self.inner.ledger.has_out_copy(id) {
             return Err(PlasmaError::ObjectExists(id));
         }
-        // Singleton cluster: no peer could hold or contest the id, so the
-        // local existence check above *is* the uniqueness check.
-        let loc = if self.inner.peers.read().is_empty() {
-            self.create_here(id, data_size, metadata_size, payload)?
-        } else {
-            self.create_via_ring(id, data_size, metadata_size, payload)?
-        };
-        self.inner.metrics.create.record_duration(started.elapsed());
-        Ok(loc)
+        Ok(())
     }
 
     /// Uninstrumented body of [`ObjectStore::get`]. Slots resolved by a
@@ -785,11 +766,10 @@ impl DisaggStore {
         outcomes
     }
 
-    /// Return a pin no peer holds for us. The creator's reference of a
-    /// forwarded create was consumed by `SEAL_AT` at the owner, so the
-    /// put flow's trailing release finishes the staged entry here
-    /// without touching the network; a get of an id this node lent away
-    /// pinned the lease in its own ledger; anything else is a local pin.
+    /// Return a pin no peer holds for us. A get of an id this node lent
+    /// away pinned the lease in its own ledger; anything else is a local
+    /// pin — the creator's reference on the hidden copy a forwarded seal
+    /// left here among them.
     /// On the phantom chain the pin this release pairs with may already
     /// be gone (healed by an earlier duplicated delivery): a missing one
     /// is success. A copy held here on lease has one reference, the
@@ -797,7 +777,7 @@ impl DisaggStore {
     fn release_here(&self, id: ObjectId, phantom: bool) -> Result<(), PlasmaError> {
         let ledger = &self.inner.ledger;
         let me = self.inner.node;
-        if ledger.finish_staged(id) || ledger.unpin(Side::Out, id, Some(me), |_| true).is_some() {
+        if ledger.unpin(Side::Out, id, Some(me), |_| true).is_some() {
             return Ok(());
         }
         let leased = matches!(ledger.held_copy(id), Some((Kind::Lease, _)));
@@ -854,30 +834,68 @@ impl std::fmt::Debug for DisaggStore {
 }
 
 impl ObjectStore for DisaggStore {
+    /// A builder's create is local, whoever owns the id: the creator
+    /// writes the object into this node's memory, and its seal offers it
+    /// to the owner. So an id that exists elsewhere fails at the seal.
     fn create(
         &self,
         id: ObjectId,
         data_size: u64,
         metadata_size: u64,
     ) -> Result<ObjectLocation, PlasmaError> {
-        self.create_routed(id, data_size, metadata_size, None)
+        let started = Instant::now();
+        self.check_new(id)?;
+        self.placement(id)?;
+        self.check_admission()?;
+        let loc = self.inner.core.create(id, data_size, metadata_size)?;
+        self.refuse_lent(id)?;
+        self.inner.metrics.create.record_duration(started.elapsed());
+        Ok(loc)
     }
 
+    /// The object is written here first. An id this node owns is sealed
+    /// here; any other is adopted by its owner, and the copy here goes
+    /// once the owner is done with it.
     fn put(
         &self,
         id: ObjectId,
         data: &[u8],
         metadata: &[u8],
     ) -> Result<ObjectLocation, PlasmaError> {
-        let (data_size, metadata_size) = (data.len() as u64, metadata.len() as u64);
-        self.create_routed(id, data_size, metadata_size, Some((data, metadata)))
+        let started = Instant::now();
+        self.check_new(id)?;
+        let copy = self.inner.core.create_filled(id, data, metadata)?;
+        let sealed = match self.offer_to_owner(&copy) {
+            Ok(None) => self.seal_filled(id)?,
+            Ok(Some(sealed)) => {
+                let _ = self.inner.core.abort(id);
+                sealed
+            }
+            Err(e) => {
+                let _ = ObjectStore::abort(self, id);
+                return Err(e);
+            }
+        };
+        self.inner.metrics.create.record_duration(started.elapsed());
+        Ok(sealed)
     }
 
+    /// An object another node owns is sealed there, adopted from the copy
+    /// written here. The creator's
+    /// reference stays on that copy, now hidden, and its release frees
+    /// it. A seal the owner refuses leaves the copy for the creator to
+    /// abort.
     fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
-        // A create forwarded to a remote ring owner seals there too.
-        match self.inner.ledger.find(Side::Held, id, Kind::Staged) {
-            Some(staged) => self.seal_forwarded(id, staged.peer),
-            None => self.inner.core.seal(id),
+        let core = &self.inner.core;
+        let Some(copy) = core.peek_unsealed(id) else {
+            return core.seal(id);
+        };
+        match self.offer_to_owner(&copy)? {
+            Some(sealed) => {
+                let _ = core.hide(id);
+                Ok(sealed)
+            }
+            None => core.seal(id),
         }
     }
 
@@ -953,14 +971,13 @@ impl ObjectStore for DisaggStore {
         self.delete_routed(id, true)
     }
 
+    /// A copy an unanswered `CREATE_AT` named is kept until no request
+    /// naming it can still be served: its abort is answered `Ok`, and the
+    /// copy goes then.
     fn abort(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let ledger = &self.inner.ledger;
-        match ledger.remove(Side::Held, id, Kind::Staged, None) {
-            Some(staged) => {
-                self.abort_forwarded(id, staged.peer);
-                Ok(())
-            }
-            None => self.inner.core.abort(id),
+        match self.keeps_copy(id) {
+            true => Ok(()),
+            false => self.inner.core.abort(id),
         }
     }
 
@@ -988,7 +1005,7 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CallHeader, CreateAtReq, DelegateReq, ListResp, ReplyHeader};
+    use crate::proto::{CallHeader, DelegateReq, ListResp, ReplyHeader};
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::StatusCode;
@@ -1033,8 +1050,9 @@ mod tests {
         assert!(ListResp::decode(body).unwrap().entries.is_empty());
     }
 
-    /// A delegation offering a location whose sizes overflow when summed
-    /// is `InvalidArgument` before any handler sums them: no panic (debug
+    /// An adoption offering a location whose sizes overflow when summed —
+    /// a spill's, a replication's or a forwarded create's — is
+    /// `InvalidArgument` before any handler sums them: no panic (debug
     /// overflow check) and no wrapped size slipping past the headroom
     /// gate (release), and nothing is ledgered or stored.
     #[test]
@@ -1053,43 +1071,12 @@ mod tests {
         };
         let header = CallHeader { from: NodeId(9) };
         let request = header.frame(&DelegateReq { location }.encode());
-        for verb in [method::SPILL_AT, method::REPLICATE_AT] {
+        for verb in [method::SPILL_AT, method::REPLICATE_AT, method::CREATE_AT] {
             let answer = service.call(verb, request.clone()).err().map(|s| s.code);
             assert_eq!(answer, Some(StatusCode::InvalidArgument), "verb {verb}");
         }
         assert!(store.delegations().is_empty());
-        assert!(!store.core().contains(location.id));
-    }
-
-    /// A `CREATE_AT` whose payload is not its data then its metadata — a
-    /// byte short or long, or sizes whose sum overflows — is `InvalidArgument`
-    /// where the request is decoded: nothing is created, staged or
-    /// ledgered on the owner.
-    #[test]
-    fn a_create_at_whose_payload_is_not_its_sizes_is_refused_and_stores_nothing() {
-        let fabric = tfsim::Fabric::virtual_thymesisflow();
-        let node = fabric.register_node();
-        let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
-        let store = DisaggStore::new(core, DisaggConfig::default());
-        let service = store.interconnect_service();
-        let header = CallHeader { from: NodeId(9) };
-        let id = ObjectId::from_name("create_at/bad-payload");
-        for (data_size, metadata_size) in [(5, 1), (5, 3), (u64::MAX, 8), (8, u64::MAX)] {
-            let req = CreateAtReq {
-                id,
-                data_size,
-                metadata_size,
-                payload: Some(Bytes::from_static(b"hellomd")),
-            };
-            let request = header.frame(&req.encode());
-            let answer = service
-                .call(method::CREATE_AT, request)
-                .err()
-                .map(|s| s.code);
-            assert_eq!(answer, Some(StatusCode::InvalidArgument), "{req:?}");
-        }
-        assert!(!store.core().exists_any_state(id));
+        assert!(!store.core().exists_any_state(location.id));
         assert_eq!(store.core().stats().creates, 0);
-        assert!(store.delegations().is_empty());
     }
 }

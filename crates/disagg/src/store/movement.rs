@@ -9,19 +9,20 @@
 //! disaggregated memory fabric while only small control messages ride
 //! the RPC channel. Every bulk payload *read* in the distributed store —
 //! remote reads after a `GET_MANY` descriptor negotiation, spill and
-//! replica propagation — is one function, [`DisaggStore::read_payload`]:
-//! the bytes are read from the mapped `tfsim` segment named by the
-//! negotiated `(segment, offset, len)` descriptor, and counted on the
-//! reader (`disagg.fabric.mapped_payload_bytes`). **A read never moves a
-//! payload byte in an rpclite frame** (the `proto` tests pin every
-//! descriptor-carrying frame to O(1) in object size).
+//! replica propagation, a forwarded create's adoption — is one function,
+//! [`DisaggStore::read_payload`]: the bytes are read from the mapped
+//! `tfsim` segment named by the negotiated `(segment, offset, len)`
+//! descriptor, and counted on the reader
+//! (`disagg.fabric.mapped_payload_bytes`). **No rpclite frame carries a
+//! payload byte** (the `proto` tests pin every descriptor-carrying frame
+//! to O(1) in object size).
 //!
-//! A store never *writes* another node's memory: the plane has no write
-//! half. A forwarded create is written by the client through its own
-//! fabric mapping; a forwarded small put (up to `plasma::INLINE_PUT_MAX`
-//! bytes) carries its bytes in the `CREATE_AT` and the owner writes them
-//! into its own segment — the paper's Fig. 3 rule, "don't build the
-//! store-to-store channel on remote writes".
+//! Nothing *writes* another node's memory: the plane has no write half.
+//! A put or a client's builder writes the object into the creator's own
+//! segment, and the id's owner pulls a copy from there
+//! ([`DisaggStore::copy_in`], the copy spill and replication use too) —
+//! the paper's Fig. 3 rule, "don't build the store-to-store channel on
+//! remote writes".
 //!
 //! The descriptor lifecycle: **negotiate** (a control-plane RPC pins the
 //! object and returns its descriptor) → **map** (attach the segment) →
@@ -89,6 +90,16 @@ impl DisaggStore {
         Ok(bytes)
     }
 
+    /// Pull the bytes behind `src` over the fabric into a new, unsealed
+    /// object under the same id here, whose creator's reference the
+    /// caller holds: the one copy a spill, a replication and a forwarded
+    /// create all make. A failed read or write leaves nothing here.
+    pub(super) fn copy_in(&self, src: &ObjectLocation) -> Result<ObjectLocation, PlasmaError> {
+        let bytes = self.read_payload(src)?;
+        let (data, metadata) = bytes.split_at(src.data_size as usize);
+        self.inner.core.create_filled(src.id, data, metadata)
+    }
+
     /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
     /// owner-pinned) bytes behind `src` straight from the owner's sealed
     /// segment and seal a local copy under the same id. A `Lease` keeps
@@ -97,9 +108,7 @@ impl DisaggStore {
     /// descriptor the owner hands out. Returns the copy's location.
     fn adopt_copy(&self, kind: Kind, src: &ObjectLocation) -> Result<ObjectLocation, PlasmaError> {
         let core = &self.inner.core;
-        let bytes = self.read_payload(src)?;
-        let (data, metadata) = bytes.split_at(src.data_size as usize);
-        core.create_filled(src.id, data, metadata)?;
+        self.copy_in(src)?;
         let sealed = core.seal(src.id)?;
         if kind != Kind::Lease {
             core.release(src.id)?;
@@ -107,13 +116,17 @@ impl DisaggStore {
         Ok(sealed)
     }
 
-    /// Whether the copy sealed here under `src.id` is byte for byte the
-    /// object `src` describes at its owner.
-    fn holds_copy_of(&self, src: &ObjectLocation) -> bool {
-        self.read_payload(src).is_ok_and(|offered| {
-            let (data, metadata) = offered.split_at(src.data_size as usize);
-            self.sealed_copy_is(src.id, data, metadata).is_some()
-        })
+    /// The location of the copy sealed here under `src.id`, if it is byte
+    /// for byte the object `src` describes. The copy is pinned while its
+    /// bytes are compared.
+    pub(super) fn copy_of(&self, src: &ObjectLocation) -> Option<ObjectLocation> {
+        let core = &self.inner.core;
+        let offered = self.read_payload(src).ok()?;
+        let loc = core.get_local(src.id)?;
+        let same = (loc.data_size, loc.metadata_size) == (src.data_size, src.metadata_size)
+            && self.read_payload(&loc).is_ok_and(|held| held == offered);
+        let _ = core.release(src.id);
+        same.then_some(loc)
     }
 
     /// `SPILL_AT` (`Lease`) / `REPLICATE_AT` (`Replica`) handler: adopt
@@ -139,11 +152,11 @@ impl DisaggStore {
             // A local copy that exists for some other reason (e.g. we are
             // mid re-own) is refused rather than forking the accounting.
             let recorded = held == Some((kind, owner));
-            let same = recorded && self.holds_copy_of(&req.location);
-            if recorded && !same {
+            let same = recorded.then(|| self.copy_of(&req.location)).flatten();
+            if recorded && same.is_none() {
                 let _ = self.invalidate_here(owner, id);
             }
-            same.then(|| inner.core.peek(id)).flatten()
+            same
         } else if matches!(held, Some((Kind::Lease, _))) {
             // A lent object's only bytes live at its holder; it never
             // also gains replicas (lent ⊕ replicated).

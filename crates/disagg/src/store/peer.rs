@@ -2,10 +2,10 @@
 //! (`scatter`: health admission, deadline, retry rounds — a call to one
 //! peer is a scatter of one), the translation of a failed call into the
 //! caller's error, the `RELEASE`s nobody waits on and the answers they
-//! get, and the cluster-wide reads built on it (metrics, inventory).
+//! get, the copies an unanswered `CREATE_AT` names, and the cluster-wide
+//! reads built on it (metrics, inventory).
 
 use super::{DisaggStore, Peer};
-use crate::elastic::RETRY_AFTER_MS;
 use crate::health::{Admission, PeerState, PeerStats};
 use crate::proto::{
     method, CallHeader, IdsReq, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
@@ -18,12 +18,24 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tfsim::NodeId;
 
-/// `RELEASE`s sent and not yet answered, in the order they were sent.
+/// What this store sent and cannot close yet, numbered in the order it
+/// was sent: `RELEASE`s not yet answered, and the copies `CREATE_AT`s
+/// that went unanswered name.
 #[derive(Default)]
 pub(super) struct Releases {
-    /// The number the next one sent is given.
+    /// The number the next one is given.
     next: u64,
     sent: Vec<SentRelease>,
+    kept: Vec<KeptCopy>,
+}
+
+/// The unsealed copy of `id` this node offered `owner` with a
+/// `CREATE_AT` that got no answer: the request may still be served, and
+/// read the copy, so the copy stays until `owner` answers a later call.
+struct KeptCopy {
+    seq: u64,
+    owner: NodeId,
+    id: ObjectId,
 }
 
 /// One `RELEASE` nobody waits on: which pins it returns, and the claim on
@@ -79,7 +91,8 @@ pub(super) enum PeerFail {
     /// The call (and its retries) failed at the transport level — the
     /// peer is unreachable right now, and may have served an attempt.
     Unreachable(String),
-    /// The peer answered with a definite, non-retryable error.
+    /// The peer answered with a definite error — or with `Unavailable`,
+    /// every attempt it was asked — or broke the protocol.
     Rpc(RpcError),
 }
 
@@ -120,6 +133,9 @@ impl DisaggStore {
                 PlasmaError::PeerUnavailable(format!("peer {} is down", peer.name))
             }
             PeerFail::Unsent(m) | PeerFail::Unreachable(m) => PlasmaError::PeerUnavailable(m),
+            PeerFail::Rpc(RpcError::Status(s)) if s.code == StatusCode::Unavailable => {
+                PlasmaError::PeerUnavailable(format!("peer {} unavailable: {s}", peer.name))
+            }
             PeerFail::Rpc(RpcError::Status(s)) => {
                 PlasmaError::Protocol(format!("peer status: {s}"))
             }
@@ -142,12 +158,6 @@ impl DisaggStore {
         match status.code {
             StatusCode::NotFound => PlasmaError::ObjectNotFound(id),
             StatusCode::FailedPrecondition => PlasmaError::ObjectInUse(id),
-            // The owner's admission gate shed the request: the same
-            // typed rejection, with the same backoff hint, a local
-            // create would have raised.
-            StatusCode::ResourceExhausted => PlasmaError::Overloaded {
-                retry_after_ms: RETRY_AFTER_MS,
-            },
             _ => self.peer_err(peer, fail),
         }
     }
@@ -269,9 +279,12 @@ impl DisaggStore {
                         attempts_left[i] -= 1;
                         if attempts_left[i] == 0 || state == PeerState::Down {
                             let why = format!("peer {} unreachable: {e}", peer.name);
-                            Some(Err(match sent[i] {
-                                true => PeerFail::Unreachable(why),
-                                false => PeerFail::Unsent(why),
+                            // An `Unavailable` status is an answer: the
+                            // peer served the call and said so.
+                            Some(Err(match (e, sent[i]) {
+                                (e @ RpcError::Status(_), _) => PeerFail::Rpc(e),
+                                (_, true) => PeerFail::Unreachable(why),
+                                (_, false) => PeerFail::Unsent(why),
                             }))
                         } else {
                             retrying += 1;
@@ -311,6 +324,7 @@ impl DisaggStore {
             .map(|((peer, ..), _)| peer.node)
             .collect();
         self.take_releases(&answered, released_before);
+        self.free_kept(&answered, released_before);
         #[cfg(test)]
         let answered = match mutant(Mutant::NeverFlush) {
             true => Vec::new(),
@@ -390,6 +404,42 @@ impl DisaggStore {
             });
         }
         self.sync_parked_gauge();
+    }
+
+    /// Keep the copy of `id` a `CREATE_AT` to `owner` named and got no
+    /// answer to: it is freed once `owner` answers a call sent after now
+    /// ([`DisaggStore::free_kept`]), and an abort of it meanwhile is
+    /// ignored ([`DisaggStore::keeps_copy`]).
+    pub(super) fn keep_copy(&self, owner: NodeId, id: ObjectId) {
+        let mut releases = self.inner.releases.lock();
+        let seq = releases.next;
+        releases.next += 1;
+        releases.kept.push(KeptCopy { seq, owner, id });
+    }
+
+    /// Whether this store keeps the copy of `id` for a `CREATE_AT` that
+    /// may still be served.
+    pub(super) fn keeps_copy(&self, id: ObjectId) -> bool {
+        let releases = self.inner.releases.lock();
+        releases.kept.iter().any(|copy| copy.id == id)
+    }
+
+    /// Free the copies kept for `owners` before the exchange numbered
+    /// `before`. Each of those owners answered a call of that exchange,
+    /// and a node serves the requests that reach it in the order they
+    /// arrive, so no request naming one of the copies is left to serve.
+    fn free_kept(&self, owners: &[NodeId], before: u64) {
+        if owners.is_empty() {
+            return;
+        }
+        let mut releases = self.inner.releases.lock();
+        releases.kept.retain(|copy| {
+            let due = copy.seq < before && owners.contains(&copy.owner);
+            if due {
+                let _ = self.inner.core.abort(copy.id);
+            }
+            !due
+        });
     }
 
     /// Take the answers of the releases sent to `owners` before the one

@@ -1,19 +1,19 @@
 //! Finding the node that answers for an id: the membership table and
 //! the ring built on it, the remote lookup pass (ring owners, then a
-//! broadcast fallback, one overlapped exchange each), and the
-//! ring-routed create — both the requester's half and the owner's.
+//! broadcast fallback, one overlapped exchange each), and the forwarded
+//! create — both the creator's half and the owner's.
 
 use super::peer::PeerFail;
 use super::{DisaggStore, Peer};
 use crate::delegation::{Kind, Side};
 use crate::proto::{
-    method, BoolResp, CreateAtReq, CreateAtResp, GetManyEntry, GetManyReq, GetManyResp, IdReq,
+    method, BoolResp, CreateAtResp, DelegateReq, GetManyEntry, GetManyReq, GetManyResp, IdReq,
     MembershipTable, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
 use plasma::{ObjectId, ObjectLocation, PlasmaError};
-use rpclite::{Status, StatusCode};
+use rpclite::Status;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -377,74 +377,61 @@ impl DisaggStore {
         }
     }
 
-    /// Ring-routed `create`: compute the id's owner locally, allocate
-    /// there. Local owner → plain core create (the core's id map is the
-    /// uniqueness arbiter). Remote owner → one point-to-point `CREATE_AT`;
-    /// the owner stages the object, pins the creator reference to this
-    /// node, and returns the fabric descriptor so the client writes the
-    /// payload straight through the fabric. A `WrongOwner` answer means
-    /// one of the two tables was stale: the reply's header set it right
-    /// (this node pulled the owner's newer table, or pushed its own to a
-    /// stale owner), so re-route once.
+    /// The node that places `id`: this one while it has no peers (nobody
+    /// could contest the id, so the local existence check *is* the
+    /// uniqueness check), else the ring's owner. A store with peers but
+    /// no membership table cannot place an object: creating it here on a
+    /// guess could fork the id against a peer.
+    pub(super) fn placement(&self, id: ObjectId) -> Result<NodeId, PlasmaError> {
+        if self.inner.peers.read().is_empty() {
+            return Ok(self.inner.node);
+        }
+        self.ring_owner(id).ok_or_else(|| {
+            PlasmaError::PeerUnavailable(format!(
+                "no membership table (or an empty one): cannot place {id} among {} peer(s)",
+                self.peer_count()
+            ))
+        })
+    }
+
+    /// Have the owner of `copy.id` adopt the unsealed copy this node
+    /// wrote at `copy`: one `CREATE_AT` naming it, answered once the
+    /// owner has sealed the bytes it pulled over the fabric. Returns the
+    /// owner's sealed location, or `None` when this node places the id —
+    /// it owns it, or a `WrongOwner` answer's reply header set a stale
+    /// table right — and the caller seals here. A `WrongOwner` re-routes once; an
+    /// unreachable owner fails the create outright, which never proceeds
+    /// on a guess.
     ///
-    /// With `payload` (data, metadata) the create is a whole put: the
-    /// bytes travel with the `CREATE_AT`, the owner fills and seals, and
-    /// the location that comes back is the sealed object's — nothing is
-    /// staged on either node and no `SEAL_AT` follows.
-    pub(super) fn create_via_ring(
+    /// The owner is done with the copy once it answered, or if it never
+    /// saw the request: the copy is the caller's again. A request that
+    /// went unanswered may still be served, so its copy is kept
+    /// ([`DisaggStore::keep_copy`]) until the owner answers a later call.
+    pub(super) fn offer_to_owner(
         &self,
-        id: ObjectId,
-        data_size: u64,
-        metadata_size: u64,
-        payload: Option<(&[u8], &[u8])>,
-    ) -> Result<ObjectLocation, PlasmaError> {
+        copy: &ObjectLocation,
+    ) -> Result<Option<ObjectLocation>, PlasmaError> {
+        let id = copy.id;
+        let req = DelegateReq { location: *copy }.encode();
         for _ in 0..2 {
-            // Without a table there is no owner to ask, and creating
-            // locally on a guess could fork the id against a peer.
-            let Some(owner) = self.ring_owner(id) else {
-                return Err(PlasmaError::PeerUnavailable(format!(
-                    "no membership table (or an empty one): cannot place {id} among {} peer(s)",
-                    self.peer_count()
-                )));
-            };
+            let owner = self.placement(id)?;
             if owner == self.inner.node {
-                return self.create_here(id, data_size, metadata_size, payload);
+                return Ok(None);
             }
             let peer = self.peer(owner)?;
-            // A put's request is its fields, then the data and the
-            // metadata as they are: the envelope copies them into the
-            // frame, and nothing joins them before.
-            let fields = match payload {
-                Some(_) => CreateAtReq::put_head(&id, data_size, metadata_size),
-                None => CreateAtReq {
-                    id,
-                    data_size,
-                    metadata_size,
-                    payload: None,
+            let body = match self.peer_call(&peer, method::CREATE_AT, &[&req]) {
+                Ok(body) => body,
+                Err(fail) => {
+                    if !fail.unsent() && fail.status().is_none() {
+                        self.keep_copy(owner, id);
+                    }
+                    return Err(self.object_err(&peer, id, fail));
                 }
-                .encode(),
             };
-            let (data, metadata) = payload.unwrap_or_default();
-            // Uniqueness lives at the owner, so an unreachable owner
-            // fails the create outright — a create never proceeds on a
-            // guess.
-            let body = self
-                .peer_call(&peer, method::CREATE_AT, &[&fields, data, metadata])
-                .map_err(|fail| self.object_err(&peer, id, fail))?;
             let resp = CreateAtResp::decode(body)
                 .map_err(|e| PlasmaError::Protocol(format!("create_at response: {e}")))?;
             match resp {
-                CreateAtResp::Ok(loc) => {
-                    if payload.is_none() {
-                        // Remember the owner so seal/abort route point-to-
-                        // point. The creator's reference lives entirely at
-                        // the owner (pinned to us) and is consumed by the
-                        // SEAL_AT / ABORT_AT that ends the staging.
-                        let ledger = &self.inner.ledger;
-                        ledger.record(Side::Held, id, Kind::Staged, owner, loc.total_size());
-                    }
-                    return Ok(loc);
-                }
+                CreateAtResp::Ok(loc) => return Ok(Some(loc)),
                 CreateAtResp::Exists => return Err(PlasmaError::ObjectExists(id)),
                 CreateAtResp::WrongOwner => {}
             }
@@ -454,89 +441,32 @@ impl DisaggStore {
         )))
     }
 
-    /// Create on this node, past its admission gate: staged for the
-    /// caller to fill and seal, or — given the bytes — filled and sealed
-    /// here, leaving no reference behind.
-    ///
-    /// An id lent away or replicated still exists, and the ledger says
-    /// so; the core says nothing once the local copy went. The ledger is
-    /// asked after the core took the id, before any get can see it: a
-    /// spill records its lease before its local copy goes, so a spill
-    /// that completes while this create runs is seen here, and an
-    /// owner never seals an id it also lends (the holder's copy of
-    /// such an id would be retired under the readers its owner hands it
-    /// to).
-    pub(super) fn create_here(
-        &self,
-        id: ObjectId,
-        data_size: u64,
-        metadata_size: u64,
-        payload: Option<(&[u8], &[u8])>,
-    ) -> Result<ObjectLocation, PlasmaError> {
-        self.check_admission()?;
+    /// Seal, as the id's owner, the object just created under `id` here
+    /// and filled, and drop its creator's reference: a put, and an
+    /// adoption of another node's. An id lent away or replicated still
+    /// exists, and the ledger says so; the core says nothing once the
+    /// local copy went. The ledger is asked after the core took the id,
+    /// before any get can see it: a spill records its lease before its
+    /// local copy goes, so a spill that completed meanwhile is seen
+    /// here, and an owner never seals an id it also lends (the holder's
+    /// copy of such an id would be retired under the readers its owner
+    /// hands it to).
+    pub(super) fn seal_filled(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
         let core = &self.inner.core;
-        let loc = match payload {
-            None => core.create(id, data_size, metadata_size)?,
-            Some((data, metadata)) => core.create_filled(id, data, metadata)?,
-        };
-        if self.inner.ledger.has_out_copy(id) {
-            let _ = core.abort(id);
-            return Err(PlasmaError::ObjectExists(id));
-        }
-        if payload.is_none() {
-            return Ok(loc);
-        }
+        self.refuse_lent(id)?;
         let sealed = core.seal(id)?;
         core.release(id)?;
         Ok(sealed)
     }
 
-    /// Seal a create that was forwarded to a remote ring owner. The
-    /// owner seals *and* consumes the creator's reference in one RPC, so
-    /// the client's trailing release (plasma's put is create → write →
-    /// seal → release) completes locally — the staged entry starts
-    /// closing and that release finishes it — instead of a second
-    /// network call that could fail mid-put and strand the pin.
-    /// `SEAL_AT` is idempotent on the owner, so a lost response is safe
-    /// to retry; an owner that became unreachable leaves its staged
-    /// orphan to quiesce-time reconciliation (which aborts it).
-    pub(super) fn seal_forwarded(
-        &self,
-        id: ObjectId,
-        owner: NodeId,
-    ) -> Result<ObjectLocation, PlasmaError> {
-        let peer = self.peer(owner)?;
-        match self.peer_call(&peer, method::SEAL_AT, &[&IdReq { id }.encode()]) {
-            Ok(body) => {
-                let resp = CreateAtResp::decode(body)
-                    .map_err(|e| PlasmaError::Protocol(format!("seal_at response: {e}")))?;
-                let CreateAtResp::Ok(loc) = resp else {
-                    return Err(PlasmaError::Protocol(format!("seal_at answered {resp:?}")));
-                };
-                self.inner.ledger.close_staged(id);
-                Ok(loc)
-            }
-            Err(fail @ (PeerFail::Skipped | PeerFail::Unsent(_) | PeerFail::Unreachable(_))) => {
-                // The object cannot be sealed now. Drop the requester's
-                // staging entry so quiesce accounting stays clean; the
-                // owner's staged orphan is aborted when the pair next
-                // reconciles.
-                let ledger = &self.inner.ledger;
-                ledger.remove(Side::Held, id, Kind::Staged, Some(owner));
-                Err(self.peer_err(&peer, fail))
-            }
-            Err(fail) => Err(self.peer_err(&peer, fail)),
+    /// Abort the object the core just created under `id` if this node
+    /// lent `id` out or replicated it: see [`DisaggStore::seal_filled`].
+    pub(super) fn refuse_lent(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        if self.inner.ledger.has_out_copy(id) {
+            let _ = self.inner.core.abort(id);
+            return Err(PlasmaError::ObjectExists(id));
         }
-    }
-
-    /// Abort a create that was forwarded to `owner`. Best-effort: if the
-    /// owner is unreachable the staged orphan is aborted by
-    /// reconciliation at quiesce, so a failed ABORT_AT is not an error
-    /// the caller can act on.
-    pub(super) fn abort_forwarded(&self, id: ObjectId, owner: NodeId) {
-        if let Ok(peer) = self.peer(owner) {
-            let _ = self.peer_call(&peer, method::ABORT_AT, &[&IdReq { id }.encode()]);
-        }
+        Ok(())
     }
 
     /// `GET_MANY` handler. Partial success by design: each id answers
@@ -581,117 +511,34 @@ impl DisaggStore {
         }
     }
 
-    /// `CREATE_AT` handler: the owner's half of a ring-routed create.
-    /// A decoded payload is data then metadata, not a byte more or less.
-    pub(super) fn create_at(&self, from: NodeId, req: CreateAtReq) -> Result<CreateAtResp, Status> {
+    /// `CREATE_AT` handler: the owner's half of a forwarded create. The
+    /// creator wrote the object at `src`, in its own segment; this node
+    /// checks that it owns the id and that the id is new, pulls the bytes
+    /// over the fabric and seals them. An id already here is somebody's
+    /// object, unless it is sealed with exactly `src`'s bytes: an id
+    /// names immutable bytes, so that is this very create, whose first
+    /// attempt landed and whose answer was lost. A refusal, and a read
+    /// that fails, leave nothing here.
+    pub(super) fn create_at(&self, src: &ObjectLocation) -> Result<CreateAtResp, Status> {
         let inner = &self.inner;
-        let payload = req.payload.as_ref();
-        let payload = payload.map(|bytes| bytes.split_at(req.data_size as usize));
         // Dispute ownership only from an installed ring: without one
         // this node cannot know better than the requester.
-        if self.ring_owner(req.id).is_some_and(|o| o != inner.node) {
+        if self.ring_owner(src.id).is_some_and(|o| o != inner.node) {
             return Ok(CreateAtResp::WrongOwner);
         }
-        // Idempotent retry of a whole put. Nothing was ledgered for the
-        // first attempt, and nothing need be: an id names immutable
-        // bytes, so the id sealed here with these sizes and these very
-        // bytes *is* the object the caller is putting — its first
-        // attempt landed and the response was lost. Anything else under
-        // the id (other bytes, an unsealed create, a copy lent away) is
-        // somebody's object already.
-        if let Some((data, metadata)) = payload {
-            if inner.core.exists_any_state(req.id) {
-                return match self.sealed_copy_is(req.id, data, metadata) {
-                    Some(loc) => Ok(CreateAtResp::Ok(loc)),
-                    None => Ok(CreateAtResp::Exists),
-                };
-            }
+        if inner.core.exists_any_state(src.id) {
+            return Ok(match self.copy_of(src) {
+                Some(loc) => CreateAtResp::Ok(loc),
+                None => CreateAtResp::Exists,
+            });
         }
-        // Idempotent retry: the same requester re-asking for its own
-        // staged create gets the same location back (its first response
-        // may have been lost in flight).
-        if let Some(staged) = inner.ledger.find(Side::Out, req.id, Kind::Staged) {
-            return match inner.core.peek_unsealed(req.id) {
-                Some(loc) if staged.peer == from => Ok(CreateAtResp::Ok(loc)),
-                _ => Ok(CreateAtResp::Exists),
-            };
-        }
-        // Admission gate sits *after* the idempotent-retry checks: a
-        // requester re-asking about its own create must get its location
-        // back even under overload.
-        //
-        // The core's id map is the uniqueness arbiter: no pre-check,
-        // `create` itself refuses duplicates.
-        match self.create_here(req.id, req.data_size, req.metadata_size, payload) {
-            Ok(loc) => {
-                if payload.is_none() {
-                    // The entry *is* the creator's reference, pinned to
-                    // the requester until SEAL_AT / ABORT_AT ends the
-                    // staging — and what lets reconciliation abort an
-                    // orphan. A whole put left no reference to track.
-                    let ledger = &inner.ledger;
-                    ledger.record(Side::Out, req.id, Kind::Staged, from, loc.total_size());
-                }
-                Ok(CreateAtResp::Ok(loc))
-            }
+        // The core's create is the uniqueness arbiter: a create racing
+        // this one for the id fails one of the two.
+        let sealed = self.copy_in(src).and_then(|_| self.seal_filled(src.id));
+        match sealed {
+            Ok(loc) => Ok(CreateAtResp::Ok(loc)),
             Err(PlasmaError::ObjectExists(_)) => Ok(CreateAtResp::Exists),
-            Err(PlasmaError::Overloaded { .. }) => {
-                Err(Status::new(StatusCode::ResourceExhausted, "overloaded"))
-            }
             Err(e) => Err(Status::internal(e.to_string())),
         }
-    }
-
-    /// The location of `id` if it is sealed here as exactly `data` then
-    /// `metadata`. The copy is pinned while its bytes are compared.
-    pub(super) fn sealed_copy_is(
-        &self,
-        id: ObjectId,
-        data: &[u8],
-        metadata: &[u8],
-    ) -> Option<ObjectLocation> {
-        let core = &self.inner.core;
-        let loc = core.get_local(id)?;
-        let same = (loc.data_size, loc.metadata_size) == (data.len() as u64, metadata.len() as u64)
-            && self
-                .read_payload(&loc)
-                .is_ok_and(|held| held[..data.len()] == *data && held[data.len()..] == *metadata);
-        let _ = core.release(id);
-        same.then_some(loc)
-    }
-
-    /// `SEAL_AT` handler: seal the requester's staged create and consume
-    /// the creator's reference here, so the requester's put finishes
-    /// without a trailing RELEASE that could be lost.
-    pub(super) fn seal_at(&self, from: NodeId, id: ObjectId) -> Result<CreateAtResp, Status> {
-        let inner = &self.inner;
-        let staged = inner.ledger.remove(Side::Out, id, Kind::Staged, Some(from));
-        let sealed = if staged.is_some() {
-            let loc = inner.core.seal(id);
-            let loc = loc.map_err(|e| Status::internal(e.to_string()))?;
-            let _ = inner.core.release(id);
-            Some(loc)
-        } else {
-            // Idempotent retry: a seal whose response was lost left the
-            // object sealed with no staging entry — peek answers sealed
-            // objects only, so this cannot resurrect aborts.
-            inner.core.peek(id)
-        };
-        match sealed {
-            Some(loc) => Ok(CreateAtResp::Ok(loc)),
-            None => Err(Status::not_found("no staged create for id")),
-        }
-    }
-
-    /// `ABORT_AT` handler. Idempotent: aborting an id the caller has no
-    /// staged create for is a no-op (`false`).
-    pub(super) fn abort_at(&self, from: NodeId, id: ObjectId) -> Result<bool, Status> {
-        let inner = &self.inner;
-        let staged = inner.ledger.remove(Side::Out, id, Kind::Staged, Some(from));
-        if staged.is_some() {
-            let aborted = inner.core.abort(id);
-            aborted.map_err(|e| Status::internal(e.to_string()))?;
-        }
-        Ok(staged.is_some())
     }
 }

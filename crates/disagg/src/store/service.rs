@@ -8,9 +8,9 @@
 use super::DisaggStore;
 use crate::delegation::Kind;
 use crate::proto::{
-    method, BoolResp, CallHeader, CreateAtReq, DelegateReq, DeleteReq, DeleteResp, GetManyReq,
-    IdReq, IdsReq, ListResp, MembershipTable, Message, MetricsResp, ReconcileReq, ReleaseResp,
-    ReplyHeader, RetireReq,
+    method, BoolResp, CallHeader, DelegateReq, DeleteReq, DeleteResp, GetManyReq, IdReq, IdsReq,
+    ListResp, MembershipTable, Message, MetricsResp, ReconcileReq, ReleaseResp, ReplyHeader,
+    RetireReq,
 };
 use crate::ring::Membership;
 use bytes::Bytes;
@@ -103,16 +103,8 @@ impl Interconnect {
                 Ok(store.settle_for(from, req).encode())
             }
             method::CREATE_AT => {
-                let req = decoded(CreateAtReq::decode(request))?;
-                store.create_at(from, req).map(|resp| resp.encode())
-            }
-            method::SEAL_AT => {
-                let req = decoded(IdReq::decode(request))?;
-                store.seal_at(from, req.id).map(|resp| resp.encode())
-            }
-            method::ABORT_AT => {
-                let req = decoded(IdReq::decode(request))?;
-                store.abort_at(from, req.id).map(truth)
+                let req = decoded(DelegateReq::decode(request))?;
+                store.create_at(&req.location).map(|resp| resp.encode())
             }
             method::SPILL_AT => {
                 let req = decoded(DelegateReq::decode(request))?;

@@ -1,14 +1,14 @@
 //! A store sends each request as parts — its call header, then the
-//! body's parts, for a forwarded put the `CREATE_AT` head (id, sizes
-//! and the carries-payload byte), the data and the metadata — and the rpclite
-//! envelope writes them into one buffer. The frame that leaves must be
-//! byte for byte the one the joined composition makes:
-//! `Request { body: CallHeader::frame(body) }.to_frame()`. These tests
-//! read the frames node 0 sends node 1 off the wire of a running
-//! cluster and rebuild each from that composition.
+//! body's parts — and the rpclite envelope writes them into one buffer.
+//! The frame that leaves must be byte for byte the one the joined
+//! composition makes: `Request { body: CallHeader::frame(body) }.to_frame()`.
+//! These tests read the frames node 0 sends node 1 off the wire of a
+//! running cluster and rebuild each from that composition. A forwarded
+//! create's body is the descriptor of the copy the creator wrote in its
+//! own segment, whatever the object's size: no put's bytes ride a frame.
 
 use bytes::Bytes;
-use disagg::proto::{method, CallHeader, CreateAtReq, IdReq, Message};
+use disagg::proto::{method, CallHeader, DelegateReq, Message};
 use disagg::{Cluster, ClusterConfig};
 use ipc::fault::{Direction, FaultAction, FaultPolicy};
 use ipc::Frame;
@@ -81,6 +81,41 @@ fn composed(frame: &Frame, method: u32, body: Bytes) -> Frame {
     .to_frame()
 }
 
+/// The one `CREATE_AT` in `sent`, checked against the composition of
+/// the descriptor of the copy of `id`, `data_size` + `metadata_size`
+/// bytes, that node 0 wrote in its own segment.
+fn create_at_is_composed(
+    sent: &[(u32, Frame)],
+    id: ObjectId,
+    data_size: u64,
+    metadata_size: u64,
+) -> Result<(), String> {
+    let (cluster, _) = cluster();
+    let [(method::CREATE_AT, frame)] = sent else {
+        let methods: Vec<u32> = sent.iter().map(|(m, _)| *m).collect();
+        return Err(format!("sent {methods:?}, not one CREATE_AT"));
+    };
+    let body = Request::from_frame(frame).unwrap().body;
+    let (_, body) = CallHeader::unframe(body).unwrap();
+    let location = DelegateReq::decode(body).unwrap().location;
+    let copy = (
+        location.id,
+        location.seg,
+        location.data_size,
+        location.metadata_size,
+    );
+    let seg = cluster.store(0).core().seg_key();
+    if copy != (id, seg, data_size, metadata_size) {
+        return Err(format!("the CREATE_AT names {location:?}"));
+    }
+    if *frame != composed(frame, method::CREATE_AT, DelegateReq { location }.encode()) {
+        return Err(format!(
+            "the CREATE_AT of {data_size} + {metadata_size} bytes differs from its composition"
+        ));
+    }
+    Ok(())
+}
+
 /// Put `data` and `metadata` from node 0 under an id node 1 owns, and
 /// check the one `CREATE_AT` it sends against the composition.
 fn put_frame_is_composed(data: &[u8], metadata: &[u8]) -> Result<(), String> {
@@ -90,31 +125,15 @@ fn put_frame_is_composed(data: &[u8], metadata: &[u8]) -> Result<(), String> {
     let sent = sent_during(|| {
         client.put(id, data, metadata).unwrap();
     });
-    let [(method::CREATE_AT, frame)] = &sent[..] else {
-        let methods: Vec<u32> = sent.iter().map(|(m, _)| *m).collect();
-        return Err(format!("a put sent {methods:?}, not one CREATE_AT"));
-    };
-    let req = CreateAtReq {
-        id,
-        data_size: data.len() as u64,
-        metadata_size: metadata.len() as u64,
-        payload: Some(Bytes::from([data, metadata].concat())),
-    };
-    if *frame != composed(frame, method::CREATE_AT, req.encode()) {
-        return Err(format!(
-            "the CREATE_AT of {} + {} bytes differs from its composition",
-            data.len(),
-            metadata.len()
-        ));
-    }
-    Ok(())
+    let sizes = (data.len() as u64, metadata.len() as u64);
+    create_at_is_composed(&sent, id, sizes.0, sizes.1)
 }
 
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-    /// Every split of a payload of up to `INLINE_PUT_MAX` bytes between
-    /// data and metadata frames as the composition does.
+    /// Every split of a put of up to `INLINE_PUT_MAX` bytes between data
+    /// and metadata frames as the composition does: one descriptor.
     #[test]
     fn a_forwarded_put_frames_as_its_joined_composition(
         len in 0usize..INLINE_PUT_MAX + 1,
@@ -127,8 +146,8 @@ proptest::proptest! {
     }
 }
 
-/// The edges the random splits rarely reach: an empty put, empty data,
-/// empty metadata, and the largest put that is inlined.
+/// The edges: an empty put, empty data, empty metadata, and the largest
+/// put the client sends whole.
 #[test]
 fn empty_parts_and_the_largest_inlined_put_frame_as_their_composition() {
     let bytes: Vec<u8> = (0..INLINE_PUT_MAX).map(|i| (i * 13) as u8).collect();
@@ -143,24 +162,22 @@ fn empty_parts_and_the_largest_inlined_put_frame_as_their_composition() {
     }
 }
 
-/// A staged create and its abort: a `CREATE_AT` with no payload, and an
-/// id-only verb.
+/// A builder's seal sends one `CREATE_AT`, the descriptor of the
+/// creator's copy, as a put does; its create, and a create and its
+/// abort, send nothing at all.
 #[test]
-fn a_staged_create_and_an_id_only_verb_frame_as_their_composition() {
+fn a_builders_seal_frames_as_its_joined_composition() {
     let (cluster, _) = cluster();
-    let id = fresh_id(cluster, "staged");
     let client = cluster.client(0).unwrap();
-    let sent = sent_during(|| client.create(id, 7, 3).unwrap().abort().unwrap());
-    let [(method::CREATE_AT, create), (method::ABORT_AT, abort)] = &sent[..] else {
-        let methods: Vec<u32> = sent.iter().map(|(m, _)| *m).collect();
-        panic!("a create and its abort sent {methods:?}");
-    };
-    let staged = CreateAtReq {
-        id,
-        data_size: 7,
-        metadata_size: 3,
-        payload: None,
-    };
-    assert!(*create == composed(create, method::CREATE_AT, staged.encode()));
-    assert!(*abort == composed(abort, method::ABORT_AT, IdReq { id }.encode()));
+    let id = fresh_id(cluster, "built");
+    let sent = sent_during(|| {
+        let builder = client.create(id, 7, 3).unwrap();
+        builder.write(0, b"seven!!").unwrap();
+        builder.write_metadata(0, b"md!").unwrap();
+        builder.seal().unwrap();
+    });
+    create_at_is_composed(&sent, id, 7, 3).unwrap();
+    let aborted = fresh_id(cluster, "aborted");
+    let sent = sent_during(|| client.create(aborted, 7, 3).unwrap().abort().unwrap());
+    assert!(sent.is_empty(), "a create and its abort are local");
 }

@@ -12,8 +12,10 @@
 //! client runs on*, with no client-visible API difference. A `put` of up
 //! to [`INLINE_PUT_MAX`] bytes is the one call that carries its own
 //! payload: the client already holds the whole object, so one request
-//! replaces create, seal and release, and the store that owns the id
-//! writes the bytes into its own memory.
+//! replaces create, seal and release, and the client's store writes the
+//! bytes into its own memory, as a builder would have. An object whose
+//! id another node owns is adopted by that node from there, over the
+//! fabric: a builder's seal and a put cost it the same one call.
 //!
 //! An optional [`ClientCost`] charges the modeled IPC round-trip and
 //! per-object servicing cost to the simulation clock; this is what gives
@@ -44,14 +46,14 @@ use std::time::Duration;
 use tfsim::{Clock, Fabric, MappedView, Mapping, NodeId, SegKey};
 
 /// Largest object (data + metadata, in bytes) [`PlasmaClient::put`] sends
-/// inside its request. Each hop copies a carried byte once — into the
-/// client's request, into the forwarded `CREATE_AT`, into the owner's
-/// segment — and up to here that costs less than the round trips it
-/// saves: two on the IPC channel and, for an id another node owns, one
-/// between stores. It is the largest power of two at which inlining
-/// stays ahead by more than half the LAN round trip it saves; above it
-/// the builder path's zero-copy write through the fabric wins (DESIGN.md,
-/// "put").
+/// inside its request. The request copies a carried byte once and the
+/// client's store writes it once, into its own segment, where a builder
+/// would have written it through its mapping; in return the put saves
+/// the builder's two other IPC round trips. Whichever path wrote it, an
+/// object whose id another node owns reaches that owner the same way: it
+/// adopts the copy over the fabric, for one `CREATE_AT` (DESIGN.md, "A put
+/// is adopted"). The value was sized while the builder path also paid a
+/// second round trip between stores.
 pub const INLINE_PUT_MAX: usize = 256 << 10;
 
 /// Modeled cost of client↔store IPC, charged to the simulation clock.
@@ -115,9 +117,8 @@ impl ObjectBuffer {
 
 /// A writable, not-yet-sealed object. Write the buffers, then
 /// [`ObjectBuilder::seal`]. A builder dropped any other way — an early
-/// return after a failed write, say — aborts its create, so the id and
-/// the buffer (staged on a remote owner's books too, for a forwarded
-/// create) are not left behind.
+/// return after a failed write or a failed seal, say — aborts its
+/// create, so the id and the buffer are not left behind.
 pub struct ObjectBuilder<'a> {
     client: &'a PlasmaClient,
     location: ObjectLocation,

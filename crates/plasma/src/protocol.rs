@@ -7,7 +7,7 @@
 //! *read* never moves payload bytes over the IPC channel. The one message
 //! with a payload is `Put`: a client that already holds a whole small
 //! object (up to [`crate::INLINE_PUT_MAX`] bytes) sends the bytes with the
-//! request, and the store that owns the id writes them into its own memory.
+//! request, and the client's store writes them into its own memory.
 
 use crate::error::PlasmaError;
 use crate::id::{ObjectId, OBJECT_ID_LEN};

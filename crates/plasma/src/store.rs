@@ -358,6 +358,9 @@ impl StoreCore {
                 .ok_or(PlasmaError::ObjectNotFound(id))?;
             match entry.state {
                 ObjectState::Sealed => return Err(PlasmaError::AlreadySealed(id)),
+                ObjectState::Created if entry.pending_deletion => {
+                    return Err(PlasmaError::ObjectNotFound(id))
+                }
                 ObjectState::Created => entry.state = ObjectState::Sealed,
             }
             t.stats.seals += 1;
@@ -494,7 +497,7 @@ impl StoreCore {
     }
 
     /// Drop one reference. When the last reference is gone the object
-    /// becomes evictable.
+    /// becomes evictable, or is freed if it was deleted or hidden.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
         let t0 = Instant::now();
         let mut t = self.table();
@@ -506,15 +509,14 @@ impl StoreCore {
             return Err(PlasmaError::NotReferenced(id));
         }
         entry.ref_count -= 1;
-        let last = entry.ref_count == 0 && entry.state == ObjectState::Sealed;
-        let doomed = entry.pending_deletion;
-        if last {
-            if doomed {
+        let sealed = entry.state == ObjectState::Sealed;
+        match (entry.ref_count, entry.pending_deletion) {
+            (0, true) => {
                 self.drop_object(&mut t, id);
-                t.stats.deletes += 1;
-            } else {
-                t.lru.touch(id);
+                t.stats.deletes += u64::from(sealed);
             }
+            (0, false) if sealed => t.lru.touch(id),
+            _ => {}
         }
         t.stats.releases += 1;
         drop(t);
@@ -559,6 +561,24 @@ impl StoreCore {
             t.lru.remove(&id);
             Ok(false)
         }
+    }
+
+    /// Hide an object the caller created but has not sealed, for good:
+    /// it is never sealed here and no `get` or subscriber ever sees it,
+    /// and its buffer is freed when its last reference is released —
+    /// not before, so whoever still maps it keeps valid memory. What a
+    /// creator keeps of an object its owner sealed from this copy.
+    pub fn hide(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        let mut t = self.table();
+        let entry = t
+            .objects
+            .get_mut(&id)
+            .ok_or(PlasmaError::ObjectNotFound(id))?;
+        if entry.state != ObjectState::Created {
+            return Err(PlasmaError::AlreadySealed(id));
+        }
+        entry.pending_deletion = true;
+        Ok(())
     }
 
     /// Abort an object the caller created but has not sealed: frees the
@@ -636,12 +656,15 @@ impl StoreCore {
         Some(location(t.seg, id, e))
     }
 
-    /// Location of a created-but-unsealed object — where its creator is
-    /// writing. A forwarded create answers a retried `CREATE_AT` with it.
+    /// Location of a created-but-unsealed object that is not hidden —
+    /// where its creator wrote it. A creator offers it to the id's owner
+    /// to adopt.
     pub fn peek_unsealed(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t = self.table();
         match t.objects.get(&id) {
-            Some(e) if e.state == ObjectState::Created => Some(location(t.seg, id, e)),
+            Some(e) if e.state == ObjectState::Created && !e.pending_deletion => {
+                Some(location(t.seg, id, e))
+            }
             _ => None,
         }
     }

@@ -8,7 +8,7 @@
 //! element-wise sum (max for histogram maxima).
 //!
 //! It ends with the other half of "what is this cluster doing": the
-//! delegation dump — every pin, staged create, lease and replica each
+//! delegation dump — every pin, lease and replica each
 //! store holds for or at a peer (`DisaggStore::delegations()`), which
 //! answers "who holds a copy of this object, and under what authority?"
 //! — and with `Cluster::audit()`, which asks whether any of that breaks a

@@ -18,7 +18,8 @@
 # a sizing and attribution tool, not a gate, and the counter slows every
 # context switch of the run it counts: it prints no wall-clock metric.
 # Where the host exposes no instruction counter (many virtual machines),
-# it says so and exits 0.
+# it says so and exits 0. No host this project has been built and run
+# on so far exposed one: it has never counted anything yet.
 #
 # `e2e` is built in place; its `Cargo.lock` is put back as it was on
 # exit, so a run leaves the tree as it found it.

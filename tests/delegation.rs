@@ -81,11 +81,6 @@ enum Action {
     Unpin,
     /// A `RELEASE` that could not be sent: the holder parks it.
     Park,
-    /// `CREATE_AT`.
-    Stage,
-    /// `SEAL_AT`: the owner consumes the staged create, the requester's
-    /// entry starts closing.
-    Seal,
     /// `SPILL_AT`: the holder adopts; the owner records the lease and
     /// gives its copy up.
     Spill,
@@ -100,12 +95,10 @@ enum Action {
     LeaseElsewhere,
 }
 
-const ACTIONS: [Action; 10] = [
+const ACTIONS: [Action; 8] = [
     Action::Pin,
     Action::Unpin,
     Action::Park,
-    Action::Stage,
-    Action::Seal,
     Action::Spill,
     Action::Replicate,
     Action::Retire,
@@ -142,22 +135,6 @@ fn apply(
         Action::Park => {
             if holder.unpin(Side::Held, id, None, any).is_some() {
                 holder.park(id, OWNER);
-            }
-        }
-        Action::Stage => {
-            if at_owner {
-                owner.record(Side::Out, id, Kind::Staged, HOLDER, SIZE);
-            }
-            if at_holder {
-                holder.record(Side::Held, id, Kind::Staged, OWNER, SIZE);
-            }
-        }
-        Action::Seal => {
-            if at_owner {
-                owner.remove(Side::Out, id, Kind::Staged, Some(HOLDER));
-            }
-            if at_holder {
-                holder.close_staged(id);
             }
         }
         Action::Spill | Action::Replicate => {
@@ -313,30 +290,6 @@ fn lost_replicate_response_installs_the_owner_entry_and_an_unrecorded_lease_is_d
     assert_eq!(
         bytes, SIZE,
         "a healed replica entry carries the copy's size"
-    );
-}
-
-#[test]
-fn orphan_staged_create_the_requester_no_longer_claims_is_aborted() {
-    let out = [entry(Kind::Staged, HOLDER, 1)];
-    assert_eq!(verdict(false, &out, Kind::Staged, 0), Verdict::Trim(1));
-    assert_eq!(verdict(false, &out, Kind::Staged, 1), Verdict::Keep);
-    assert_eq!(verdict(false, &[], Kind::Staged, 1), Verdict::Drop);
-
-    let owner = Ledger::new();
-    owner.record(Side::Out, oid(1), Kind::Staged, HOLDER, SIZE);
-    owner.record(Side::Out, oid(2), Kind::Staged, HOLDER, SIZE);
-    owner.record(Side::Out, oid(3), Kind::Staged, OTHER, SIZE);
-    let settled = owner.settle(HOLDER, &[(oid(2), Kind::Staged, 1)], |_| None);
-    assert_eq!(settled.abort, vec![oid(1)]);
-    assert_eq!(settled.trimmed[Kind::Staged], 1);
-    assert!(
-        owner.find(Side::Out, oid(2), Kind::Staged).is_some(),
-        "claimed"
-    );
-    assert!(
-        owner.find(Side::Out, oid(3), Kind::Staged).is_some(),
-        "not the reporter's"
     );
 }
 
@@ -629,9 +582,8 @@ fn records_expose_both_sides_and_a_holder_has_one_copy_per_id() {
     assert_eq!(ledger.held_copy(oid(9)), None);
 }
 
-/// The two collections that became phases: parked releases
-/// (`pending_releases`) and sealed-but-unreleased forwarded creates
-/// (`release_waivers`).
+/// The collection that became a phase: parked releases
+/// (`pending_releases`).
 #[test]
 fn closing_entries_are_neither_claimed_nor_live() {
     let ledger = Ledger::new();
@@ -655,21 +607,6 @@ fn closing_entries_are_neither_claimed_nor_live() {
         1,
         "live pin kept"
     );
-
-    ledger.record(Side::Held, oid(3), Kind::Staged, OWNER, SIZE);
-    assert!(!ledger.finish_staged(oid(3)), "not sealed yet");
-    assert!(ledger.close_staged(oid(3)));
-    assert!(!ledger.close_staged(oid(3)), "already closing");
-    assert!(ledger.find(Side::Held, oid(3), Kind::Staged).is_none());
-    assert!(!ledger
-        .claims_on(OWNER, |_| true)
-        .iter()
-        .any(|c| c.0 == oid(3)));
-    assert!(
-        ledger.finish_staged(oid(3)),
-        "the trailing release finishes it"
-    );
-    assert!(!ledger.finish_staged(oid(3)));
 }
 
 /// `INVALIDATE` is the one way a delegated copy dies, and it obeys only

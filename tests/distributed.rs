@@ -113,9 +113,23 @@ fn duplicate_ids_rejected_everywhere_in_cluster() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 1 << 20)).unwrap();
     let id = ObjectId::from_name("cluster-unique");
     cluster.client(1).unwrap().put(id, b"v", &[]).unwrap();
+    let owner = cluster.store(0).ring_owner(id);
     for node in 0..3 {
-        let err = cluster.client(node).unwrap().create(id, 1, 0).unwrap_err();
-        assert_eq!(err, PlasmaError::ObjectExists(id), "node {node}");
+        // A builder's create is local: the owner's node refuses the id at
+        // once, any other at the seal, and its copy goes with the abort.
+        let client = cluster.client(node).unwrap();
+        let built = client.create(id, 1, 0).and_then(|builder| {
+            builder.write(0, b"w")?;
+            builder.seal()
+        });
+        assert_eq!(
+            built.unwrap_err(),
+            PlasmaError::ObjectExists(id),
+            "node {node}"
+        );
+        if owner != Some(cluster.node_id(node)) {
+            assert!(!cluster.store(node).core().exists_any_state(id));
+        }
     }
 }
 

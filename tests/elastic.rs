@@ -173,9 +173,11 @@ fn spilled_object_reads_from_every_node() {
 
 /// Admission control: once `max_inflight_creates` objects sit created
 /// but unsealed, further creates are refused with the typed
-/// `Overloaded` rejection — locally, through the client IPC surface,
-/// and through the forwarded-create path from a peer. Sealing one
-/// in-flight object re-admits.
+/// `Overloaded` rejection — locally and through the client IPC surface.
+/// A builder's create is local wherever the id's owner is, so a peer's
+/// create of an id the overloaded node owns passes the peer's own gate,
+/// and the owner's adoption at its seal, which seals within its call,
+/// is not asked. Sealing one in-flight object re-admits.
 #[test]
 fn admission_control_rejects_with_typed_overload() {
     let mut config = ClusterConfig::functional(2, 4 << 20);
@@ -183,7 +185,7 @@ fn admission_control_rejects_with_typed_overload() {
     let cluster = Cluster::launch(config).unwrap();
     let store = cluster.store(0);
 
-    let ids: Vec<ObjectId> = (0..3)
+    let ids: Vec<ObjectId> = (0..4)
         .map(|i| ObjectId::from_name(&cluster.owned_id(0, &format!("adm/{i}"))))
         .collect();
     store.create(ids[0], 128, 0).unwrap();
@@ -209,21 +211,19 @@ fn admission_control_rejects_with_typed_overload() {
         other => panic!("expected Overloaded via IPC, got {:?}", other.map(|_| ())),
     }
 
-    // Forwarded-create path: a peer routing a create to the overloaded
-    // ring owner gets `ResourceExhausted` back and re-types it, with the
-    // hint the owner itself would have given.
-    match cluster.store(1).create(ids[2], 128, 0) {
-        Err(PlasmaError::Overloaded { retry_after_ms }) => {
-            assert_eq!(retry_after_ms, RETRY_AFTER_MS)
-        }
-        other => panic!("expected Overloaded via CREATE_AT, got {other:?}"),
-    }
+    // A peer's create and seal of an id the overloaded node owns.
+    let peer = cluster.store(1);
+    peer.create(ids[2], 128, 0).unwrap();
+    let sealed = peer.seal(ids[2]).unwrap();
+    assert_eq!(sealed.seg.owner, cluster.node_id(0), "adopted by its owner");
+    peer.release(ids[2]).unwrap();
+    assert_eq!(peer.core().stats().objects, 0);
 
     // Sealing one in-flight object frees an admission slot.
     store.seal(ids[0]).unwrap();
     store.release(ids[0]).unwrap();
-    store.create(ids[2], 128, 0).unwrap();
-    store.abort(ids[2]).unwrap();
+    store.create(ids[3], 128, 0).unwrap();
+    store.abort(ids[3]).unwrap();
 }
 
 /// Deleting a lent object retires it everywhere: the holder's replica,
@@ -243,10 +243,13 @@ fn delete_of_lent_object_cleans_both_ledgers() {
             Err(PlasmaError::ObjectExists(_)) => {}
             other => panic!("owner re-create must fail ObjectExists, got {other:?}"),
         }
-        match cluster.store(2).create(id, 64, 0) {
+        // A builder's create elsewhere is local; its seal is refused.
+        cluster.store(2).create(id, 64, 0).unwrap();
+        match cluster.store(2).seal(id) {
             Err(PlasmaError::ObjectExists(_)) => {}
             other => panic!("remote re-create must fail ObjectExists, got {other:?}"),
         }
+        cluster.store(2).abort(id).unwrap();
 
         cluster.store(delete_from).delete(id).unwrap();
         for node in 0..3 {

@@ -519,73 +519,78 @@ fn failed_payload_read_releases_its_pin() {
     producer.delete(id).unwrap();
 }
 
-/// A two-step put whose payload write fails — the fabric link to the
-/// owner is down, the control plane up — abandons its staged create: the
-/// builder is dropped by the early return, and its drop aborts. Left
-/// alone the create would stay staged on both nodes' books, with the
-/// buffer allocated at the owner, until a reconcile.
+/// Nothing of a create is left on either node, or in either ledger.
+fn nothing_left(stores: &[&DisaggStore], id: ObjectId) {
+    for store in stores {
+        assert_eq!(store.delegations(), vec![], "{store:?}'s books");
+        assert!(!store.core().exists_any_state(id), "{store:?} keeps {id}");
+        assert_eq!(store.core().stats().allocated_bytes, 0, "{store:?}");
+    }
+}
+
+/// A forwarded create whose owner cannot read the copy — the fabric link
+/// between the two is down, the control plane up — fails, and leaves
+/// nothing allocated on either node and no ledger row: the owner read
+/// nothing into a buffer of its own, and the creator's copy goes, by the
+/// put itself or by the builder's abort on drop. The builder's write is
+/// local, so it is the seal that fails.
 #[test]
-fn failed_payload_write_aborts_the_staged_create() {
+fn a_forwarded_seal_whose_read_fails_leaves_nothing_on_either_node() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 1 << 20)).unwrap();
     let client = cluster.client(0).unwrap();
-    let id = ObjectId::from_name(&cluster.owned_id(1, "write-fails"));
     cluster
         .fabric()
         .set_link(cluster.node_id(0), cluster.node_id(1), LinkState::Down);
-    // One byte above the inline threshold, so create → write → seal.
-    let err = client
-        .put(id, &vec![7; INLINE_PUT_MAX + 1], &[])
-        .unwrap_err();
-    assert!(matches!(err, PlasmaError::Fabric(_)), "{err:?}");
-    assert_eq!(cluster.store(0).delegations(), vec![], "requester's books");
-    assert_eq!(cluster.store(1).delegations(), vec![], "owner's books");
-    assert!(
-        !cluster.store(1).core().exists_any_state(id),
-        "buffer freed"
-    );
-    assert_eq!(cluster.store(1).core().stats().allocated_bytes, 0);
+    // At and one byte above the inline threshold: a put, then create →
+    // write → seal.
+    for len in [INLINE_PUT_MAX, INLINE_PUT_MAX + 1] {
+        let id = ObjectId::from_name(&cluster.owned_id(1, &format!("read-fails/{len}")));
+        let err = client.put(id, &vec![7; len], &[]).unwrap_err();
+        assert!(matches!(err, PlasmaError::Protocol(_)), "{len}: {err:?}");
+        nothing_left(&[cluster.store(0), cluster.store(1)], id);
+    }
 }
 
-/// A two-step put whose forwarded seal fails abandons its staged create:
-/// the builder is consumed either way, so nothing could abort it later,
-/// and left alone it would stay staged on both nodes' books for good (a
-/// reconcile keeps what both sides still claim).
-#[test]
-fn failed_forwarded_seal_aborts_the_staged_create() {
-    use disagg::proto::method;
+/// Two stores, the owner's interconnect served through `service`, and a
+/// Plasma client of the requester's store.
+fn owner_behind(
+    config: DisaggConfig,
+    service: impl Fn(&dyn rpclite::Service, u32, bytes::Bytes) -> Result<bytes::Bytes, rpclite::Status>
+        + Send
+        + Sync
+        + 'static,
+) -> (
+    DisaggStore,
+    DisaggStore,
+    plasma::PlasmaClient,
+    ObjectId,
+    (rpclite::ServerHandle, plasma::PlasmaServer),
+) {
     use disagg::Membership;
     use plasma::{PlasmaClient, StoreConfig, StoreCore};
-    use rpclite::{RpcClient, Status};
+    use rpclite::RpcClient;
     use std::sync::Arc;
 
     let fabric = tfsim::Fabric::virtual_thymesisflow();
     let nodes = [fabric.register_node(), fabric.register_node()];
     let store_on = |i: usize, name: &str| {
         let core = StoreCore::new(&fabric, nodes[i], StoreConfig::new(name, 1 << 20)).unwrap();
-        let store = DisaggStore::new(core, DisaggConfig::default());
+        let store = DisaggStore::new(core, config.clone());
         store.set_membership(Membership::new(1, nodes.to_vec()));
         store
     };
     let requester = store_on(0, "requester");
     let owner = store_on(1, "owner");
-
-    // The owner stages creates as usual but refuses every SEAL_AT with a
-    // definite error — what a garbled frame on the connection amounts to.
     let hub = ipc::InprocHub::new();
     let real = owner.interconnect_service();
-    let refusing = Arc::new(move |m: u32, b: bytes::Bytes| {
-        if m == method::SEAL_AT {
-            return Err(Status::internal("seal refused"));
-        }
-        real.call(m, b)
-    });
-    let _rpc = rpclite::serve(Box::new(hub.bind("owner").unwrap()), refusing);
+    let wrapped = Arc::new(move |m: u32, b: bytes::Bytes| service(&*real, m, b));
+    let rpc = rpclite::serve(Box::new(hub.bind("owner").unwrap()), wrapped);
     requester.add_peer(Peer {
         node: nodes[1],
         name: "owner".into(),
         client: Arc::new(RpcClient::new(Box::new(hub.connect("owner").unwrap()))),
     });
-    let _plasma = plasma::serve_store(
+    let plasma = plasma::serve_store(
         Box::new(hub.bind("plasma").unwrap()),
         Arc::new(requester.clone()),
     );
@@ -594,17 +599,97 @@ fn failed_forwarded_seal_aborts_the_staged_create() {
         fabric.clone(),
         nodes[0],
     );
-
     let id = (0..)
-        .map(|k| ObjectId::from_name(&format!("seal-refused/{k}")))
+        .map(|k| ObjectId::from_name(&format!("owner-behind/{k}")))
         .find(|id| requester.ring_owner(*id) == Some(nodes[1]))
         .unwrap();
+    (requester, owner, client, id, (rpc, plasma))
+}
+
+/// A forwarded seal its owner refuses fails, and leaves nothing on
+/// either node and no ledger row: the owner adopted nothing, and the
+/// builder — consumed by the failed seal — aborts the copy it wrote.
+#[test]
+fn a_forwarded_seal_the_owner_refuses_leaves_nothing_on_either_node() {
+    use disagg::proto::method;
+    let (requester, owner, client, id, _servers) =
+        owner_behind(DisaggConfig::default(), |real, m, b| {
+            if m == method::CREATE_AT {
+                return Err(rpclite::Status::internal("create refused"));
+            }
+            real.call(m, b)
+        });
     let builder = client.create(id, 256, 0).unwrap();
     builder.write(0, &[7; 256]).unwrap();
     builder.seal().unwrap_err();
-    assert_eq!(requester.delegations(), vec![], "no staged entry is kept");
-    assert_eq!(owner.delegations(), vec![], "the owner's half is aborted");
-    assert!(!owner.core().exists_any_state(id), "and its buffer freed");
+    nothing_left(&[&requester, &owner], id);
+    // A put's copy goes with the refusal too.
+    client.put(id, &[7; 256], &[]).unwrap_err();
+    nothing_left(&[&requester, &owner], id);
+}
+
+/// A `CREATE_AT` that outlives its caller's deadline — held at the owner
+/// until the caller has given up — may still read the creator's copy, so
+/// the copy outlives the failed put and the builder's abort alike: the
+/// owner seals the put's bytes, never a reused buffer's, and the copy
+/// goes only once the owner answered a later call.
+#[test]
+fn a_create_at_held_past_its_callers_failure_reads_the_copy_before_it_goes() {
+    use disagg::proto::method;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Mutex};
+
+    let config = DisaggConfig {
+        interconnect: InterconnectConfig {
+            call_deadline: Some(Duration::from_millis(50)),
+            max_attempts: 1,
+        },
+        ..DisaggConfig::default()
+    };
+    for builder in [false, true] {
+        // The owner serves the first `CREATE_AT` only once told to, and
+        // says when it has.
+        let (go, held) = mpsc::channel::<()>();
+        let (served, done) = mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let first = AtomicBool::new(true);
+        let (requester, owner, client, id, _servers) =
+            owner_behind(config.clone(), move |real, m, b| {
+                if m != method::CREATE_AT || !first.swap(false, Ordering::SeqCst) {
+                    return real.call(m, b);
+                }
+                held.lock().unwrap().recv().unwrap();
+                let answer = real.call(m, b);
+                served.send(()).unwrap();
+                answer
+            });
+        // Dropped before the servers, so a failed assert fails the test
+        // instead of leaving the owner's reader waiting.
+        let go = go;
+        let payload = [9u8; 4096];
+        let err = match builder {
+            false => client.put(id, &payload, &[]).unwrap_err(),
+            true => {
+                let building = client.create(id, 4096, 0).unwrap();
+                building.write(0, &payload).unwrap();
+                building.seal().map(|_| ()).unwrap_err()
+            }
+        };
+        assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
+        assert!(requester.core().exists_any_state(id), "the copy is kept");
+        // The held request is served: the owner seals the put's bytes.
+        go.send(()).unwrap();
+        done.recv().unwrap();
+        let sealed = owner.core().peek(id).expect("the held CREATE_AT landed");
+        assert_eq!(owner.read_payload(&sealed).unwrap(), payload);
+        assert!(requester.core().exists_any_state(id), "no later answer yet");
+        // The owner answers a later call: the copy goes.
+        assert!(requester.contains(id).unwrap());
+        assert!(!requester.core().exists_any_state(id), "builder {builder}");
+        assert_eq!(requester.core().stats().allocated_bytes, 0);
+        assert_eq!(requester.delegations(), vec![]);
+        assert_eq!(owner.delegations(), vec![]);
+    }
 }
 
 /// A release whose owner is stopped is answered `Ok` and parked: the

@@ -4,7 +4,7 @@
 //! traffic, and off-ring objects stay reachable through the broadcast
 //! fallback.
 
-use disagg::proto::{method, CallHeader, CreateAtReq, CreateAtResp, Message, ReplyHeader};
+use disagg::proto::{method, CallHeader, CreateAtResp, DelegateReq, Message, ReplyHeader};
 use disagg::{Cluster, ClusterConfig, Membership, Ring};
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
@@ -156,18 +156,21 @@ fn rpc_bill(cluster: &Cluster, node: usize) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// The RPC bill of the two-step put — create, write through the fabric,
-/// seal — which every object above `INLINE_PUT_MAX` takes: an id the
-/// requester owns costs no RPC at all, and an id a peer owns costs
-/// exactly one `CREATE_AT` and one `SEAL_AT` — the seal drops the
-/// creator's reference at the owner, so no `RELEASE` follows it.
+/// The RPC bill of the two-step put — create, write, seal — which every
+/// object above `INLINE_PUT_MAX` takes: an id the requester owns costs
+/// no RPC at all, and an id a peer owns exactly one `CREATE_AT`, billed
+/// at the seal: the create and the write stay on the requester's node,
+/// and the seal offers the copy written there to the owner, which pulls
+/// it over the fabric. No `RELEASE` follows: the creator's reference is
+/// on its own copy.
 #[test]
-fn forwarded_put_costs_one_create_at_and_one_seal_at_and_a_local_put_nothing() {
+fn forwarded_put_costs_one_create_at_at_its_seal_and_a_local_put_nothing() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let client = cluster.client(0).unwrap();
     let two_step = |id: ObjectId, data: &[u8]| {
         let builder = client.create(id, data.len() as u64, 0).unwrap();
         builder.write(0, data).unwrap();
+        assert_eq!(rpc_bill(&cluster, 0), vec![], "nothing before the seal");
         builder.seal().unwrap();
     };
 
@@ -181,25 +184,63 @@ fn forwarded_put_costs_one_create_at_and_one_seal_at_and_a_local_put_nothing() {
 
     let forwarded = ObjectId::from_name(&cluster.owned_id(1, "bill/forwarded"));
     two_step(forwarded, &[2; 1024]);
-    let create_and_seal = vec![
-        ("rpc.client.create_at.latency_ns".to_string(), 1),
-        ("rpc.client.seal_at.latency_ns".to_string(), 1),
-    ];
-    assert_eq!(rpc_bill(&cluster, 0), create_and_seal);
+    let one_create_at = vec![("rpc.client.create_at.latency_ns".to_string(), 1)];
+    assert_eq!(rpc_bill(&cluster, 0), one_create_at);
+    let creator = cluster.store(0).core().list();
+    assert_eq!(creator.len(), 1, "the copy went with its release");
 
     // A `put` one byte past the threshold is that same path.
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
     let client = cluster.client(0).unwrap();
     let big = ObjectId::from_name(&cluster.owned_id(1, "bill/past-the-threshold"));
     client.put(big, &vec![3; INLINE_PUT_MAX + 1], &[]).unwrap();
-    assert_eq!(rpc_bill(&cluster, 0), create_and_seal);
+    assert_eq!(rpc_bill(&cluster, 0), one_create_at);
+    assert_eq!(cluster.store(0).core().stats().allocated_bytes, 0);
 }
 
-/// The RPC bill of a small `put` — one that carries its bytes: an id the
+/// Nothing writes another node's memory. From every node of three, a
+/// put and a builder's create → write → seal of an id each node owns
+/// land at that owner and read back whole, and the fabric counts no
+/// remote write: an object is written where it is created, and its
+/// owner pulls it. Nothing of a forwarded object stays on its creator.
+#[test]
+fn no_put_or_seal_writes_another_nodes_memory() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+    let mut written = Vec::new();
+    for from in 0..3 {
+        let client = cluster.client(from).unwrap();
+        for owner in 0..3 {
+            let name = |how: &str| format!("no-remote-write/{how}/{from}");
+            let data = vec![(from * 3 + owner) as u8 + 1; 3000];
+            let put = ObjectId::from_name(&cluster.owned_id(owner, &name("put")));
+            client.put(put, &data, b"md").unwrap();
+            let built = ObjectId::from_name(&cluster.owned_id(owner, &name("built")));
+            let builder = client.create(built, 3000, 2).unwrap();
+            builder.write(0, &data).unwrap();
+            builder.write_metadata(0, b"md").unwrap();
+            builder.seal().unwrap();
+            written.extend([(put, owner, data.clone()), (built, owner, data)]);
+        }
+    }
+    let fabric = cluster.fabric().stats().snapshot();
+    assert_eq!(fabric.remote_write_bytes, 0, "{fabric:?}");
+    for (id, owner, data) in &written {
+        assert!(cluster.store(*owner).core().contains(*id));
+        let got = cluster
+            .store((owner + 1) % 3)
+            .get_bytes(*id, Duration::from_secs(1));
+        assert_eq!(got.unwrap().unwrap(), [&data[..], b"md"].concat());
+    }
+    for node in 0..3 {
+        assert_eq!(cluster.store(node).core().list().len(), 6, "node {node}");
+    }
+}
+
+/// The RPC bill of a small `put` — one the client sends whole: an id the
 /// requester owns costs no RPC, an id a peer owns exactly one `CREATE_AT`
 /// and nothing else, up to and including `INLINE_PUT_MAX` bytes. Nothing
-/// is staged or pinned on either node afterwards, and the object reads
-/// back whole from both.
+/// is pinned, ledgered or left of the requester's copy on either node
+/// afterwards, and the object reads back whole from both.
 #[test]
 fn small_forwarded_put_costs_one_create_at_and_leaves_no_ledger_entry() {
     let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
@@ -227,6 +268,8 @@ fn small_forwarded_put_costs_one_create_at_and_leaves_no_ledger_entry() {
         assert_eq!(store.delegations(), vec![], "node {node}");
         assert_eq!(store.remote_pin_count(), 0, "node {node}");
     }
+    let at_requester = cluster.store(0).core().list();
+    assert_eq!(at_requester.len(), 1, "only its own object");
     let at_owner = cluster.store(1).core().list();
     assert_eq!(at_owner.len(), 2);
     for info in at_owner {
@@ -242,9 +285,11 @@ fn small_forwarded_put_costs_one_create_at_and_leaves_no_ledger_entry() {
     }
 }
 
-/// Uniqueness stays where it was — checked at the owner, at create time:
-/// once an id is put, a `put` of other bytes and a `create` are both
-/// `ObjectExists`, from the owner's node and from a peer's.
+/// Uniqueness is checked at the owner: once an id is put, a `put` of
+/// other bytes is `ObjectExists` from every node, and so is a builder's
+/// `create` on the owner's node. Elsewhere a builder's create is local,
+/// and its seal is `ObjectExists`: the first put stands, and nothing of
+/// the loser remains on its node.
 #[test]
 fn put_and_create_of_an_inline_put_id_are_object_exists_from_every_node() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
@@ -254,12 +299,18 @@ fn put_and_create_of_an_inline_put_id_are_object_exists_from_every_node() {
         let client = cluster.client(node).unwrap();
         let put = client.put(id, &[2; 512], &[]).unwrap_err();
         assert_eq!(put, PlasmaError::ObjectExists(id), "put from node {node}");
-        let create = client.create(id, 512, 0).unwrap_err();
+        let built = client.create(id, 512, 0).and_then(|builder| {
+            builder.write(0, &[3; 512])?;
+            builder.seal()
+        });
         assert_eq!(
-            create,
+            built.unwrap_err(),
             PlasmaError::ObjectExists(id),
-            "create from node {node}"
+            "builder from node {node}"
         );
+        if node != 1 {
+            assert!(!cluster.store(node).core().exists_any_state(id));
+        }
     }
     let got = cluster.store(2).get_bytes(id, Duration::from_secs(1));
     assert_eq!(got.unwrap().unwrap(), vec![1; 512], "the first put stands");
@@ -267,10 +318,9 @@ fn put_and_create_of_an_inline_put_id_are_object_exists_from_every_node() {
 
 /// A `CREATE_AT` response lost on the wire is retried by `scatter`, and
 /// the owner — which kept no entry for the first attempt — recognises
-/// the retry by its content: the put succeeds, the object exists once.
-/// The put carries ≈ 200 KiB of data and some metadata, so the retry
-/// round frames a body of several parts above 128 KiB again from the
-/// same borrowed slices.
+/// the retry by its content, read again from the requester's copy: the
+/// put succeeds, the object exists once, and the copy goes once the
+/// retry is answered.
 #[test]
 fn inline_put_survives_a_lost_create_at_response() {
     use ipc::fault::{Direction, FaultAction, FaultPolicy};
@@ -304,73 +354,68 @@ fn inline_put_survives_a_lost_create_at_response() {
     assert_eq!(owner.core().stats().creates, 1, "the retry created nothing");
     assert_eq!(owner.delegations(), vec![]);
     assert_eq!(cluster.store(0).delegations(), vec![]);
+    assert_eq!(cluster.store(0).core().stats().allocated_bytes, 0);
     let got = cluster.store(0).get_bytes(id, Duration::from_secs(1));
     assert_eq!(got.unwrap().unwrap(), [&data[..], metadata].concat());
 }
 
-/// The owner's half of a payload-carrying `CREATE_AT`, called by hand:
-/// the same bytes for a sealed id are the caller's own retry (`Ok`, the
-/// same location), other bytes or other sizes a duplicate (`Exists`), an
-/// id somebody staged a duplicate, and a payload that is not exactly
-/// data + metadata is refused before anything else is looked at.
+/// The owner's half of a `CREATE_AT`, called by hand with copies written
+/// on two other nodes: a copy of the same bytes as the id sealed here is
+/// a retry of that create (`Ok`, the same location), whoever offers it;
+/// other bytes or other sizes are a duplicate (`Exists`), as is an id
+/// somebody is still writing here, and an id the owner does not own is
+/// `WrongOwner`. Nothing but the first adoption is created.
 #[test]
-fn payload_carrying_create_at_is_idempotent_by_content_and_nothing_else() {
-    let cluster = Cluster::launch(ClusterConfig::functional(2, 4 << 20)).unwrap();
+fn a_create_at_is_idempotent_by_content_and_nothing_else() {
+    let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
     let owner = cluster.store(1).interconnect_service();
-    let header = CallHeader {
-        from: cluster.node_id(0),
-    };
-    let create_at = |id: ObjectId, data_size: u64, metadata_size: u64, payload: &[u8]| {
-        let req = CreateAtReq {
-            id,
-            data_size,
-            metadata_size,
-            payload: Some(payload.to_vec().into()),
+    let create_at = |from: usize, id: ObjectId, data: &[u8], metadata: &[u8]| {
+        let core = cluster.store(from).core();
+        let location = core.create_filled(id, data, metadata).unwrap();
+        let header = CallHeader {
+            from: cluster.node_id(from),
         };
-        let reply = owner.call(method::CREATE_AT, header.frame(&req.encode()))?;
-        let (_, body) = ReplyHeader::unframe(reply).unwrap();
+        let request = header.frame(&DelegateReq { location }.encode());
+        let reply = owner.call(method::CREATE_AT, request);
+        core.abort(id).unwrap();
+        let (_, body) = ReplyHeader::unframe(reply?).unwrap();
         Ok::<_, rpclite::Status>(CreateAtResp::decode(body).unwrap())
     };
 
-    let id = ObjectId::from_name(&cluster.owned_id(1, "inline/by-hand"));
-    let first = create_at(id, 5, 2, b"hellomd").unwrap();
+    let id = ObjectId::from_name(&cluster.owned_id(1, "by-hand"));
+    let first = create_at(0, id, b"hello", b"md").unwrap();
     let CreateAtResp::Ok(sealed) = first else {
-        panic!("a fresh put answered {first:?}");
+        panic!("a fresh create answered {first:?}");
     };
     assert_eq!(cluster.store(1).core().peek(id), Some(sealed));
-    // Its own retry.
-    assert_eq!(create_at(id, 5, 2, b"hellomd").unwrap(), first);
+    // Its own retry, and the same bytes offered by another node.
+    assert_eq!(create_at(0, id, b"hello", b"md").unwrap(), first);
+    assert_eq!(create_at(2, id, b"hello", b"md").unwrap(), first);
     // Other bytes; the same bytes split differently.
     let exists = CreateAtResp::Exists;
-    assert_eq!(create_at(id, 5, 2, b"HELLOmd").unwrap(), exists);
-    assert_eq!(create_at(id, 4, 3, b"hellomd").unwrap(), exists);
-    assert_eq!(create_at(id, 5, 0, b"hello").unwrap(), exists);
+    assert_eq!(create_at(2, id, b"HELLO", b"md").unwrap(), exists);
+    assert_eq!(create_at(0, id, b"hell", b"omd").unwrap(), exists);
+    assert_eq!(create_at(2, id, b"hello", b"").unwrap(), exists);
     assert_eq!(cluster.store(1).core().stats().creates, 1);
 
-    // An id somebody is still writing.
-    let staged = ObjectId::from_name(&cluster.owned_id(1, "inline/staged"));
-    let writer = cluster.client(0).unwrap();
-    let builder = writer.create(staged, 7, 0).unwrap();
-    assert_eq!(create_at(staged, 7, 0, b"hellomd").unwrap(), exists);
+    // An id somebody is still writing on the owner.
+    let building = ObjectId::from_name(&cluster.owned_id(1, "by-hand/building"));
+    let writer = cluster.client(1).unwrap();
+    let builder = writer.create(building, 7, 0).unwrap();
+    assert_eq!(create_at(0, building, b"hellomd", b"").unwrap(), exists);
     builder.abort().unwrap();
 
-    // A payload that is not data then metadata, no more and no less.
-    let fresh = ObjectId::from_name(&cluster.owned_id(1, "inline/bad-length"));
-    for (data_size, metadata_size) in [(5, 1), (5, 3), (u64::MAX, 8)] {
-        let refused = create_at(fresh, data_size, metadata_size, b"hellomd").unwrap_err();
-        assert_eq!(refused.code, rpclite::StatusCode::InvalidArgument);
-    }
-    assert!(!cluster.store(1).core().exists_any_state(fresh));
     // Not this node's id: the caller's table is stale.
-    let elsewhere = ObjectId::from_name(&cluster.owned_id(0, "inline/elsewhere"));
-    let wrong = create_at(elsewhere, 5, 2, b"hellomd").unwrap();
+    let elsewhere = ObjectId::from_name(&cluster.owned_id(0, "by-hand/elsewhere"));
+    let wrong = create_at(2, elsewhere, b"hello", b"md").unwrap();
     assert_eq!(wrong, CreateAtResp::WrongOwner);
     assert!(!cluster.store(1).core().exists_any_state(elsewhere));
+    assert_eq!(cluster.store(1).core().stats().creates, 2);
 }
 
 /// A put routed by a stale table is answered `WrongOwner`; the reply's
 /// header carried the newer epoch, so the requester has the table by
-/// then and the payload goes out again, once, to the right owner.
+/// then and offers its copy again, once, to the right owner.
 #[test]
 fn wrong_owner_re_routes_a_payload_carrying_create() {
     let cluster = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();

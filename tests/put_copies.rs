@@ -1,11 +1,13 @@
-//! What a small put allocates, per byte it carries. Each hop copies the
-//! payload once, and a forwarded put fills two buffers of its size: the
-//! client's IPC request, and the rpclite frame of its `CREATE_AT`, into
-//! which the call header, the request's fields and the payload are
-//! written back to back. On the owner the payload is copied into its
-//! segment, which allocates nothing. So a forwarded put allocates about
-//! two bytes per payload byte and a put the client's own store owns
-//! about one.
+//! What a small put allocates, per byte it carries. A put the client's
+//! own store owns is its IPC request, and the store writes the payload
+//! into its segment, which allocates nothing: about one byte per payload
+//! byte. A forwarded put adds what its adoption allocates. The creator
+//! writes the payload into its own segment, again allocating nothing,
+//! and sends its owner the copy's descriptor, whose frame is a few dozen
+//! bytes whatever the size; the owner reads the copy over the fabric
+//! into one buffer and writes that into its segment. So a forwarded put
+//! allocates about two bytes per payload byte: the client's request and
+//! the owner's read.
 //!
 //! A test binary of its own: the counting allocator below sees every
 //! thread of the process, so nothing else may run beside the one test.
