@@ -412,13 +412,13 @@ impl DisaggStore {
         copy: &ObjectLocation,
     ) -> Result<Option<ObjectLocation>, PlasmaError> {
         let id = copy.id;
-        let req = DelegateReq { location: *copy }.encode();
         for _ in 0..2 {
             let owner = self.placement(id)?;
             if owner == self.inner.node {
                 return Ok(None);
             }
             let peer = self.peer(owner)?;
+            let req = DelegateReq { location: *copy }.encode();
             let body = match self.peer_call(&peer, method::CREATE_AT, &[&req]) {
                 Ok(body) => body,
                 Err(fail) => {
