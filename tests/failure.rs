@@ -631,8 +631,9 @@ fn a_forwarded_seal_the_owner_refuses_leaves_nothing_on_either_node() {
 /// A `CREATE_AT` that outlives its caller's deadline — held at the owner
 /// until the caller has given up — may still read the creator's copy, so
 /// the copy outlives the failed put and the builder's abort alike: the
-/// owner seals the put's bytes, never a reused buffer's, and the copy
-/// goes only once the owner answered a later call.
+/// owner seals the put's bytes, never a reused buffer's, no get or
+/// subscriber on the creator sees the copy, and it goes only once the
+/// owner answered a later call.
 #[test]
 fn a_create_at_held_past_its_callers_failure_reads_the_copy_before_it_goes() {
     use disagg::proto::method;
@@ -666,6 +667,7 @@ fn a_create_at_held_past_its_callers_failure_reads_the_copy_before_it_goes() {
         // Dropped before the servers, so a failed assert fails the test
         // instead of leaving the owner's reader waiting.
         let go = go;
+        let seals_here = requester.core().subscribe();
         let payload = [9u8; 4096];
         let err = match builder {
             false => client.put(id, &payload, &[]).unwrap_err(),
@@ -677,6 +679,7 @@ fn a_create_at_held_past_its_callers_failure_reads_the_copy_before_it_goes() {
         };
         assert!(matches!(err, PlasmaError::PeerUnavailable(_)), "{err:?}");
         assert!(requester.core().exists_any_state(id), "the copy is kept");
+        assert_eq!(requester.core().get_local(id), None, "and seen by no get");
         // The held request is served: the owner seals the put's bytes.
         go.send(()).unwrap();
         done.recv().unwrap();
@@ -689,6 +692,7 @@ fn a_create_at_held_past_its_callers_failure_reads_the_copy_before_it_goes() {
         assert_eq!(requester.core().stats().allocated_bytes, 0);
         assert_eq!(requester.delegations(), vec![]);
         assert_eq!(owner.delegations(), vec![]);
+        assert!(seals_here.try_recv().is_err(), "no seal on the creator");
     }
 }
 
