@@ -1079,4 +1079,49 @@ mod tests {
         assert!(!store.core().exists_any_state(location.id));
         assert_eq!(store.core().stats().creates, 0);
     }
+
+    /// A `CREATE_AT` whose body is not one descriptor of its sizes — a
+    /// byte short or long, or sizes whose sum overflows — is
+    /// `InvalidArgument` where the request is decoded: nothing is read,
+    /// created or ledgered on the owner.
+    #[test]
+    fn a_create_at_whose_payload_is_not_its_sizes_is_refused_and_stores_nothing() {
+        let fabric = tfsim::Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let core = StoreCore::new(&fabric, node, StoreConfig::new("solo", 1 << 20)).unwrap();
+        let store = DisaggStore::new(core, DisaggConfig::default());
+        let service = store.interconnect_service();
+        let header = CallHeader { from: NodeId(9) };
+        let id = ObjectId::from_name("create_at/bad-payload");
+        let descriptor = |data_size, metadata_size| {
+            let location = ObjectLocation {
+                id,
+                seg: store.core().seg_key(),
+                offset: 0,
+                data_size,
+                metadata_size,
+            };
+            DelegateReq { location }.encode()
+        };
+        let whole = descriptor(5, 2);
+        let short = whole.slice(..whole.len() - 1);
+        let long = Bytes::from([&whole[..], &[0]].concat());
+        let bodies = [
+            short,
+            long,
+            descriptor(u64::MAX, 8),
+            descriptor(8, u64::MAX),
+        ];
+        for body in bodies {
+            let request = header.frame(&body);
+            let answer = service
+                .call(method::CREATE_AT, request)
+                .err()
+                .map(|s| s.code);
+            assert_eq!(answer, Some(StatusCode::InvalidArgument), "{body:?}");
+        }
+        assert!(!store.core().exists_any_state(id));
+        assert_eq!(store.core().stats().creates, 0);
+        assert!(store.delegations().is_empty());
+    }
 }
