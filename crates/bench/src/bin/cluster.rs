@@ -1,7 +1,7 @@
 //! Experiment A6 — cluster-scale workload replay over a tiered fabric.
 //!
-//! Expands a pods × racks × hosts [`topo::ClusterSpec`] into a full-mesh
-//! simulated cluster whose per-pair links follow the intra-rack /
+//! Expands a pods × racks × hosts [`topo::ClusterSpec`] into a simulated
+//! cluster whose per-pair links follow the intra-rack /
 //! cross-rack / cross-pod tier taxonomy, generates a seeded multi-tenant
 //! workload (zipf popularity, lognormal arrivals, spatial skews), and
 //! replays it on the virtual clock, reporting get-latency p50/p90/p99

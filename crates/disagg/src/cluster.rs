@@ -1,16 +1,17 @@
 //! Simulated cluster harness.
 //!
 //! Launches an N-node memory-disaggregated Plasma deployment inside one
-//! process: a shared [`Fabric`], one [`DisaggStore`] per node, a full mesh
-//! of interconnect RPC channels (with gRPC-calibrated delay injection),
-//! all served by one reader thread, and a Plasma IPC endpoint per store
-//! for clients. The paper's testbed is the 2-node instance of this; the
+//! process: a shared [`Fabric`], one [`DisaggStore`] per node, each the
+//! peer of every other through an interconnect RPC channel (with
+//! gRPC-calibrated delay injection) built at its first call, all served
+//! by one reader thread, and a Plasma IPC endpoint per store for
+//! clients. The paper's testbed is the 2-node instance of this; the
 //! design — and this harness — support "rack-scale solutions \[with\]
 //! multiple nodes" (paper §V-B).
 
 use crate::proto::method;
 use crate::ring::Membership;
-use crate::store::{DisaggConfig, DisaggStore, InterconnectConfig, Peer};
+use crate::store::{DisaggConfig, DisaggStore, InterconnectConfig};
 use ipc::fault::{FaultConn, FaultPolicy};
 use ipc::{Conn, InprocHub};
 use netsim::{LinkModel, SharedLink};
@@ -170,40 +171,40 @@ impl Cluster {
             });
         }
 
-        // Stage 2: full-mesh interconnect with per-pair delay injection.
-        // Clients dial lazily through a connector, so a connection broken
-        // by a peer stop (or an expired deadline) is transparently
-        // redialed once the peer's server is back.
-        for i in 0..config.nodes {
+        // Stage 2: every other store is a peer, and the channel to one,
+        // with its per-pair delay injection, is built at the first call
+        // to it. Clients dial lazily through a connector, so a connection
+        // broken by a peer stop (or an expired deadline) is transparently
+        // redialed once the peer's server is back. Node `j`'s id is
+        // `NodeId(j)`: the fabric numbers its nodes in registration order.
+        let members: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
+        for (i, runtime) in nodes.iter().enumerate() {
             // Per-verb call-latency histograms and failure counters,
             // registered once in the *calling* store's registry and shared
             // by its clients, so its snapshot covers the interconnect
             // client side at a size that does not grow with its peers.
-            let metrics = ClientMetrics::register(nodes[i].store.core().registry(), method::VERBS);
-            for j in 0..config.nodes {
-                if i == j {
-                    continue;
-                }
+            let metrics = ClientMetrics::register(runtime.store.core().registry(), method::VERBS);
+            let (hub, clock, config) = (hub.clone(), fabric.clock().clone(), config.clone());
+            let dial = move |peer: NodeId| {
+                let j = usize::from(peer.0);
                 let model = match &config.link_map {
                     Some(map) => map(i, j),
                     None => config.rpc_link,
                 };
                 let net = NetCost {
                     link: SharedLink::new(model, config.seed ^ ((i as u64) << 32) ^ j as u64),
-                    clock: fabric.clock().clone(),
+                    clock: clock.clone(),
                 };
-                let dial_hub = hub.clone();
-                let target = format!("rpc-{j}");
-                let fault = config.fault_policy.clone();
-                let link = format!("{i}->{j}");
+                // The names are spelled at each dial, not kept per pair.
+                let (hub, fault) = (hub.clone(), config.fault_policy.clone());
                 let mut client = RpcClient::with_connector(
                     Box::new(move || {
-                        dial_hub.connect(&target).map(|c| {
+                        hub.connect(&format!("rpc-{j}")).map(|c| {
                             let conn = Box::new(c) as Box<dyn Conn>;
                             match &fault {
                                 Some(policy) => Box::new(FaultConn::wrap(
                                     conn,
-                                    link.clone(),
+                                    format!("{i}->{j}"),
                                     Arc::clone(policy),
                                 )) as Box<dyn Conn>,
                                 None => conn,
@@ -213,18 +214,15 @@ impl Cluster {
                     Some(net),
                 );
                 client.set_metrics(Arc::clone(&metrics));
-                nodes[i].store.add_peer(Peer {
-                    node: nodes[j].node,
-                    name: format!("store-{j}"),
-                    client: Arc::new(client),
-                });
-            }
+                client
+            };
+            let peers = members.iter().copied().filter(|&node| node != runtime.node);
+            runtime.store.connect_peers(peers, dial);
         }
 
         // Stage 3: deterministic placement. Every store gets the same
         // epoch-1 membership table, so all rings agree from the start
         // (the steady state the gossip protocol converges to).
-        let members: Vec<NodeId> = nodes.iter().map(|n| n.node).collect();
         for runtime in &nodes {
             runtime
                 .store

@@ -58,7 +58,7 @@ pub use delegation::{DelegationRecord, Kind, Phase, ReconcileReport, Side};
 pub use elastic::HeatMap;
 pub use health::{PeerState, PeerStats};
 pub use ring::{Membership, Ring};
-pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig, Peer};
+pub use store::{DisaggConfig, DisaggStats, DisaggStore, InterconnectConfig};
 pub use tfsim::NodeId;
 
 #[cfg(test)]
@@ -265,12 +265,8 @@ mod tests {
         );
         let _srv = rpclite::serve(Box::new(listener), svc);
         let dead = tfsim::NodeId(99);
-        store.add_peer(Peer {
-            node: dead,
-            name: "dead".into(),
-            client: Arc::new(rpclite::RpcClient::new(Box::new(
-                hub.connect("dead-peer").unwrap(),
-            ))),
+        store.connect_peers([dead], move |_| {
+            rpclite::RpcClient::new(Box::new(hub.connect("dead-peer").unwrap()))
         });
 
         // Peers but no membership table: there is no owner to route to,

@@ -40,7 +40,8 @@
 //! rest is cut along the seams the [`crate::delegation`] ledger leaves:
 //! `routing` finds the node that answers for an id, `movement` moves and
 //! retires copies, `peer` talks to one peer or several at once, and
-//! `service` is the interconnect dispatch.
+//! `service` is the interconnect dispatch. A store's peers are node ids,
+//! and its client to one is built at its first call to it.
 
 mod movement;
 mod peer;
@@ -62,7 +63,7 @@ use plasma::{
 };
 use rand::rngs::SmallRng;
 use rpclite::{CatchUp, RpcClient, Service};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, OnceLock};
@@ -74,15 +75,12 @@ use tfsim::{Clock, NodeId};
 /// promptly.
 const REMOTE_POLL: Duration = Duration::from_millis(50);
 
-/// A connected peer store.
-#[derive(Clone)]
-pub struct Peer {
-    /// The fabric node the peer store runs on.
-    pub node: NodeId,
-    /// Its human-readable name (diagnostics).
-    pub name: String,
-    /// RPC channel to its interconnect service.
-    pub client: Arc<RpcClient>,
+/// This store's peers: the nodes they run on, in node order, and the
+/// client to each one called so far, built by `dial` at its first call.
+struct Peers {
+    nodes: Arc<[NodeId]>,
+    dial: Box<dyn Fn(NodeId) -> RpcClient + Send + Sync>,
+    clients: RwLock<BTreeMap<NodeId, Arc<RpcClient>>>,
 }
 
 /// Interconnect-layer counters.
@@ -254,7 +252,8 @@ impl DisaggMetrics {
 struct Inner {
     core: StoreCore,
     node: NodeId,
-    peers: RwLock<Vec<Peer>>,
+    /// Unset until [`DisaggStore::connect_peers`]: a peerless store.
+    peers: OnceLock<Peers>,
     /// The rendezvous placement ring (`None` until a membership table is
     /// installed: peerless and hand-built stores).
     ring: RwLock<Option<Ring>>,
@@ -290,8 +289,7 @@ pub struct DisaggStore {
 }
 
 impl DisaggStore {
-    /// Wrap `core` with the distributed layer. Peers are added afterwards
-    /// with [`DisaggStore::add_peer`].
+    /// Wrap `core` with the distributed layer, with no peers yet.
     pub fn new(core: StoreCore, config: DisaggConfig) -> Self {
         let node = core.node();
         let clock = core.fabric().clock().clone();
@@ -308,7 +306,7 @@ impl DisaggStore {
                 retry_rng: Mutex::new(RetryPolicy::rng(0x9e37_79b9 ^ u64::from(node.0))),
                 core,
                 node,
-                peers: RwLock::new(Vec::new()),
+                peers: OnceLock::new(),
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
                 release_groups: Mutex::new(ReleaseGroups::default()),
@@ -346,14 +344,28 @@ impl DisaggStore {
         let _ = self.inner.reader.set(reader);
     }
 
-    /// Connect a peer store.
-    pub fn add_peer(&self, peer: Peer) {
-        self.inner.peers.write().push(peer);
+    /// Connect this store, once, to the peer stores on `nodes`. `dial`
+    /// builds the client to one at the first call to it, under the lock
+    /// of the table that keeps it, so it should only construct it
+    /// ([`RpcClient::with_connector`] dials at its own first call).
+    pub fn connect_peers(
+        &self,
+        nodes: impl IntoIterator<Item = NodeId>,
+        dial: impl Fn(NodeId) -> RpcClient + Send + Sync + 'static,
+    ) {
+        let nodes: BTreeSet<NodeId> = nodes.into_iter().collect();
+        let peers = Peers {
+            nodes: nodes.into_iter().collect(),
+            dial: Box::new(dial),
+            clients: RwLock::default(),
+        };
+        let first = self.inner.peers.set(peers);
+        assert!(first.is_ok(), "a store's peers are connected once");
     }
 
     /// Number of connected peers.
     pub fn peer_count(&self) -> usize {
-        self.inner.peers.read().len()
+        self.inner.peers.get().map_or(0, |peers| peers.nodes.len())
     }
 
     /// The interconnect service to expose over RPC for other stores.
@@ -491,25 +503,25 @@ impl DisaggStore {
         let inner = &self.inner;
         let mut report = ReconcileReport::default();
         let sealed = |id| inner.core.peek(id).is_some();
-        for peer in self.peers_snapshot() {
+        for &peer in self.peer_nodes().iter() {
             // Parked releases are not claimed: the owner trims their pins,
             // whether or not they landed, so they are done once it answers.
-            let parked = self.clear_parked(peer.node);
+            let parked = self.clear_parked(peer);
             let req = ReconcileReq {
-                claims: inner.ledger.claims_on(peer.node, sealed),
+                claims: inner.ledger.claims_on(peer, sealed),
             };
-            let answered = self.peer_call(&peer, method::RECONCILE, &[&req.encode()]);
+            let answered = self.peer_call(peer, method::RECONCILE, &[&req.encode()]);
             let Some(resp) = answered.ok().and_then(|b| ReconcileResp::decode(b).ok()) else {
                 for id in parked {
-                    inner.ledger.park(id, peer.node);
+                    inner.ledger.park(id, peer);
                 }
-                report.unreachable.push(peer.node);
+                report.unreachable.push(peer);
                 continue;
             };
             self.sync_parked_gauge();
             report.trimmed += resp.trimmed;
             for (id, kind) in resp.drop {
-                let entry = inner.ledger.remove(Side::Held, id, kind, Some(peer.node));
+                let entry = inner.ledger.remove(Side::Held, id, kind, Some(peer));
                 if entry.is_none() {
                     continue;
                 }

@@ -30,7 +30,7 @@
 //! the pin).
 
 use super::peer::PeerFail;
-use super::{DisaggStore, Peer, RemotePinGuard};
+use super::{DisaggStore, RemotePinGuard};
 use crate::delegation::{Kind, Side};
 use crate::elastic::{HIGH_WATERMARK_PPM, HOT_AFTER_HITS, LEND_HEADROOM_PPM, LOW_WATERMARK_PPM};
 use crate::proto::{method, DelegateReq, DelegateResp, DeleteReq, DeleteResp, Message, RetireReq};
@@ -223,7 +223,6 @@ impl DisaggStore {
         if holder == inner.node || excluded {
             return Ok(false);
         }
-        let peer = self.peer(holder)?;
         let Some(loc) = inner.core.get_local(id) else {
             return Err(PlasmaError::ObjectNotFound(id));
         };
@@ -233,7 +232,7 @@ impl DisaggStore {
             _ => method::REPLICATE_AT,
         };
         // (the holder's copy, if adopted; ambiguous; error to surface)
-        let (adopted, ambiguous, error) = match self.peer_call(&peer, verb, &[&req.encode()]) {
+        let (adopted, ambiguous, error) = match self.peer_call(holder, verb, &[&req.encode()]) {
             Ok(body) => match DelegateResp::decode(body) {
                 Ok(DelegateResp::Adopted(at)) => (Some(at), false, None),
                 Ok(DelegateResp::Refused) => (None, false, None),
@@ -244,10 +243,10 @@ impl DisaggStore {
             },
             Err(PeerFail::Skipped) => (None, false, None),
             Err(PeerFail::Unsent(_) | PeerFail::Unreachable(_)) => (None, true, None),
-            Err(fail @ PeerFail::Rpc(RpcError::Status(_))) => {
-                (None, false, Some(self.peer_err(&peer, fail)))
+            Err(fail @ (PeerFail::NoPeer | PeerFail::Rpc(RpcError::Status(_)))) => {
+                (None, false, Some(self.peer_err(holder, fail)))
             }
-            Err(fail) => (None, true, Some(self.peer_err(&peer, fail))),
+            Err(fail) => (None, true, Some(self.peer_err(holder, fail))),
         };
         if let (Kind::Lease, Some(at)) = (kind, adopted) {
             inner.ledger.lend_out(id, holder, at);
@@ -530,8 +529,6 @@ impl DisaggStore {
         let (here, there): (Vec<(NodeId, Kind)>, Vec<_>) = copies
             .iter()
             .partition(|(holder, _)| *holder == self.inner.node);
-        let remote: Result<Vec<Peer>, _> = there.iter().map(|&(h, _)| self.peer(h)).collect();
-        let remote = remote.map_err(|e| (e, lease_holders(&there)))?;
         if !here.is_empty() {
             match self.invalidate_here(owner, id) {
                 Ok(_) | Err(PlasmaError::ObjectNotFound(_)) => {}
@@ -540,20 +537,20 @@ impl DisaggStore {
         }
         let req = RetireReq { id, owner }.encode();
         let body = [&req[..]];
-        let calls: Vec<_> = remote
+        let calls: Vec<_> = there
             .iter()
-            .map(|peer| (peer, method::INVALIDATE, &body[..]))
+            .map(|&(holder, _)| (holder, method::INVALIDATE, &body[..]))
             .collect();
         let (mut failed, mut unsent) = (None, Vec::new());
-        for ((peer, copy), answer) in remote.iter().zip(&there).zip(self.scatter(&calls)) {
+        for (&copy, answer) in there.iter().zip(self.scatter(&calls)) {
             match answer {
                 Ok(_) => {}
                 Err(fail) if fail.status() == Some(StatusCode::NotFound) => {}
                 Err(fail) => {
                     if fail.unsent() {
-                        unsent.push(*copy);
+                        unsent.push(copy);
                     }
-                    failed.get_or_insert(self.peer_err(peer, fail));
+                    failed.get_or_insert(self.peer_err(copy.0, fail));
                 }
             }
         }
@@ -565,23 +562,22 @@ impl DisaggStore {
 
     /// A delete of `id` gives up: each lease toward `kept` — closed by
     /// this delete, its holder never reached — is reopened at its
-    /// owner, `owner` or this node for `None`. Best effort: a lease an
-    /// unanswered give-up leaves closing waits for the next delete.
-    fn give_up(&self, owner: Option<&Peer>, id: ObjectId, deferred: bool, kept: Vec<NodeId>) {
+    /// owner. Best effort: a lease an unanswered give-up leaves closing
+    /// waits for the next delete.
+    fn give_up(&self, owner: NodeId, id: ObjectId, deferred: bool, kept: Vec<NodeId>) {
         if kept.is_empty() {
             return;
         }
-        match owner {
-            None => self.reopen_leases(id, &kept),
-            Some(peer) => {
-                let req = DeleteReq {
-                    id,
-                    deferred,
-                    cleared: Vec::new(),
-                    kept,
-                };
-                let _ = self.peer_call(peer, method::DELETE, &[&req.encode()]);
-            }
+        if owner == self.inner.node {
+            self.reopen_leases(id, &kept);
+        } else {
+            let req = DeleteReq {
+                id,
+                deferred,
+                cleared: Vec::new(),
+                kept,
+            };
+            let _ = self.peer_call(owner, method::DELETE, &[&req.encode()]);
         }
     }
 
@@ -597,7 +593,8 @@ impl DisaggStore {
     /// Requester side of a delete, shared by `delete` and
     /// `delete_deferred`: act as the owner when this node is it, else
     /// forward, probing the ring's computed owner first (most likely
-    /// holder). An unreachable peer might be the owner, so `NotFound` is
+    /// holder; the client to a peer is built only once the walk reaches
+    /// it). An unreachable peer might be the owner, so `NotFound` is
     /// only definite once every peer answered. An owner that answers with
     /// copies to clear is asked again once they are retired, from here
     /// ([`DisaggStore::retire_copies`]), until it answers done.
@@ -615,7 +612,7 @@ impl DisaggStore {
         match self.delete_here(id, deferred, &[]) {
             Err(PlasmaError::ObjectNotFound(_)) => {}
             Err(e) => return Err(e),
-            Ok(answer) => return self.delete_with(None, id, deferred, answer),
+            Ok(answer) => return self.delete_with(self.inner.node, id, deferred, answer),
         }
         let req = DeleteReq {
             id,
@@ -626,35 +623,34 @@ impl DisaggStore {
         let req = req.encode();
         let mut unreachable: Option<PlasmaError> = None;
         for peer in self.peers_owner_first(id) {
-            match self.peer_call(&peer, method::DELETE, &[&req]) {
+            match self.peer_call(peer, method::DELETE, &[&req]) {
                 Ok(body) => {
                     let answer = Self::delete_answer(body)?;
-                    return self.delete_with(Some(&peer), id, deferred, answer);
+                    return self.delete_with(peer, id, deferred, answer);
                 }
                 Err(fail) if fail.status() == Some(StatusCode::NotFound) => continue,
-                Err(fail @ PeerFail::Rpc(_)) => return Err(self.object_err(&peer, id, fail)),
+                Err(fail @ PeerFail::Rpc(_)) => return Err(self.object_err(peer, id, fail)),
                 Err(fail) => {
-                    unreachable.get_or_insert(self.peer_err(&peer, fail));
+                    unreachable.get_or_insert(self.peer_err(peer, fail));
                 }
             }
         }
         Err(unreachable.unwrap_or(PlasmaError::ObjectNotFound(id)))
     }
 
-    /// Finish a delete whose owner — `owner`, or this node for `None` —
-    /// gave `answer`: retire the copies it names and ask again, naming
+    /// Finish a delete whose owner, `owner` (maybe this node), gave
+    /// `answer`: retire the copies it names and ask again, naming
     /// their holders, until it answers done. A copy that appears between
     /// two asks is named in the next answer; an object that keeps gaining
     /// copies fails the delete as in use. A delete that fails gives up
     /// the leases it closed and reached no holder of.
     fn delete_with(
         &self,
-        owner: Option<&Peer>,
+        owner: NodeId,
         id: ObjectId,
         deferred: bool,
         mut answer: DeleteResp,
     ) -> Result<bool, PlasmaError> {
-        let owner_node = owner.map_or(self.inner.node, |peer| peer.node);
         for asked in 1.. {
             let copies = match answer {
                 DeleteResp::Done(now) => return Ok(now),
@@ -664,26 +660,25 @@ impl DisaggStore {
                 }
                 DeleteResp::Clear(copies) => copies,
             };
-            let cleared = match self.retire_copies(owner_node, id, &copies) {
+            let cleared = match self.retire_copies(owner, id, &copies) {
                 Ok(cleared) => cleared,
                 Err((e, kept)) => {
                     self.give_up(owner, id, deferred, kept);
                     return Err(e);
                 }
             };
-            answer = match owner {
-                None => self.delete_here(id, deferred, &cleared)?,
-                Some(peer) => {
-                    let req = DeleteReq {
-                        id,
-                        deferred,
-                        cleared,
-                        kept: Vec::new(),
-                    };
-                    let body = self.peer_call(peer, method::DELETE, &[&req.encode()]);
-                    let body = body.map_err(|fail| self.object_err(peer, id, fail))?;
-                    Self::delete_answer(body)?
-                }
+            answer = if owner == self.inner.node {
+                self.delete_here(id, deferred, &cleared)?
+            } else {
+                let req = DeleteReq {
+                    id,
+                    deferred,
+                    cleared,
+                    kept: Vec::new(),
+                };
+                let body = self.peer_call(owner, method::DELETE, &[&req.encode()]);
+                let body = body.map_err(|fail| self.object_err(owner, id, fail))?;
+                Self::delete_answer(body)?
             };
         }
         Err(PlasmaError::ObjectInUse(id))

@@ -1,11 +1,12 @@
-//! Talking to one peer, and to several at once: the guarded exchange
-//! (`scatter`: health admission, deadline, retry rounds — a call to one
-//! peer is a scatter of one), the translation of a failed call into the
+//! Talking to one peer, and to several at once: the client to each peer,
+//! built at the first call to it; the guarded exchange (`scatter`:
+//! health admission, deadline, retry rounds — a call to one peer is a
+//! scatter of one), the translation of a failed call into the
 //! caller's error, the `RELEASE`s nobody waits on and the answers they
 //! get, the copies an unanswered `CREATE_AT` names, and the cluster-wide
 //! reads built on it (metrics, inventory).
 
-use super::{DisaggStore, Peer};
+use super::DisaggStore;
 use crate::health::{Admission, PeerState, PeerStats};
 use crate::proto::{
     method, CallHeader, IdsReq, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
@@ -50,7 +51,6 @@ struct SentRelease {
     /// first release's `false` means the entry it was sent for was a
     /// phantom, and the pin is returned at its next candidate.
     owed: bool,
-    client: Arc<RpcClient>,
     call: Unawaited,
 }
 
@@ -85,6 +85,8 @@ fn mutant(m: Mutant) -> bool {
 pub(super) enum PeerFail {
     /// Peer is `Down`: skipped without touching the wire.
     Skipped,
+    /// The node is not one of this store's peers: nothing was sent.
+    NoPeer,
     /// Every attempt failed before its request left — the peer refused
     /// the connection, say — so the peer saw nothing of the call.
     Unsent(String),
@@ -108,33 +110,44 @@ impl PeerFail {
 
     /// Whether the peer saw nothing of the call.
     pub(super) fn unsent(&self) -> bool {
-        matches!(self, PeerFail::Skipped | PeerFail::Unsent(_))
+        !matches!(self, PeerFail::Unreachable(_) | PeerFail::Rpc(_))
     }
 }
 
 impl DisaggStore {
-    pub(super) fn peers_snapshot(&self) -> Vec<Peer> {
-        self.inner.peers.read().clone()
+    /// The nodes this store's peers run on, in node order.
+    pub(super) fn peer_nodes(&self) -> Arc<[NodeId]> {
+        let peers = self.inner.peers.get();
+        peers.map_or_else(|| Arc::from([]), |peers| Arc::clone(&peers.nodes))
     }
 
-    /// The connected peer running on `node`.
-    pub(super) fn peer(&self, node: NodeId) -> Result<Peer, PlasmaError> {
-        let peers = self.inner.peers.read();
-        let found = peers.iter().find(|p| p.node == node).cloned();
-        found
-            .ok_or_else(|| PlasmaError::PeerUnavailable(format!("no interconnect peer for {node}")))
+    /// The client to the peer on `node`, built at the first call to it
+    /// and kept; `None` when no peer runs there. Callers racing to build
+    /// one get the one the first of them built.
+    fn client(&self, node: NodeId) -> Option<Arc<RpcClient>> {
+        let peers = self.inner.peers.get()?;
+        peers.nodes.binary_search(&node).ok()?;
+        if let Some(client) = peers.clients.read().get(&node) {
+            return Some(Arc::clone(client));
+        }
+        let mut clients = peers.clients.write();
+        let client = clients
+            .entry(node)
+            .or_insert_with(|| Arc::new((peers.dial)(node)));
+        Some(Arc::clone(client))
     }
 
-    /// The one translation of a failed peer call into the error the
-    /// caller sees.
-    pub(super) fn peer_err(&self, peer: &Peer, fail: PeerFail) -> PlasmaError {
+    /// The one translation of a failed call to the peer on `node` into
+    /// the error the caller sees.
+    pub(super) fn peer_err(&self, node: NodeId, fail: PeerFail) -> PlasmaError {
         match fail {
-            PeerFail::Skipped => {
-                PlasmaError::PeerUnavailable(format!("peer {} is down", peer.name))
+            PeerFail::Skipped => PlasmaError::PeerUnavailable(format!("peer {node} is down")),
+            PeerFail::NoPeer => {
+                PlasmaError::PeerUnavailable(format!("no interconnect peer for {node}"))
             }
             PeerFail::Unsent(m) | PeerFail::Unreachable(m) => PlasmaError::PeerUnavailable(m),
             PeerFail::Rpc(RpcError::Status(s)) if s.code == StatusCode::Unavailable => {
-                PlasmaError::PeerUnavailable(format!("peer {} unavailable: {s}", peer.name))
+                PlasmaError::PeerUnavailable(format!("peer {node} unavailable: {s}"))
             }
             PeerFail::Rpc(RpcError::Status(s)) => {
                 PlasmaError::Protocol(format!("peer status: {s}"))
@@ -151,14 +164,14 @@ impl DisaggStore {
     /// statuses come back as the error the same operation raises
     /// locally, whichever verb carried it — so a forwarded operation
     /// answers what it would have answered at the owner.
-    pub(super) fn object_err(&self, peer: &Peer, id: ObjectId, fail: PeerFail) -> PlasmaError {
+    pub(super) fn object_err(&self, node: NodeId, id: ObjectId, fail: PeerFail) -> PlasmaError {
         let PeerFail::Rpc(RpcError::Status(status)) = &fail else {
-            return self.peer_err(peer, fail);
+            return self.peer_err(node, fail);
         };
         match status.code {
             StatusCode::NotFound => PlasmaError::ObjectNotFound(id),
             StatusCode::FailedPrecondition => PlasmaError::ObjectInUse(id),
-            _ => self.peer_err(peer, fail),
+            _ => self.peer_err(node, fail),
         }
     }
 
@@ -172,15 +185,17 @@ impl DisaggStore {
         self.inner.health.stats(node)
     }
 
-    /// One guarded exchange with several peers at once: every member is
-    /// admitted by the failure detector, every admitted call is sent
-    /// from this thread in slice order, and only then are the answers
-    /// gathered, in the same order. All sends leave at one virtual
-    /// instant and each call charges `advance_to(its send + its delay)`,
-    /// so the exchange costs its slowest round trip, not their sum —
-    /// and a fixed send and gather order keeps that cost the same on
-    /// every run of one seed. Each deadline runs from its own send, so
-    /// N hung members cost one deadline between them.
+    /// One guarded exchange with several peers at once, each named by its
+    /// node: every member is admitted by the failure detector (a node
+    /// that is no peer is answered [`PeerFail::NoPeer`] and asked
+    /// nothing), every admitted call is sent from this thread in slice
+    /// order, and only then are the answers gathered, in the same order.
+    /// All sends leave at one virtual instant and each call charges
+    /// `advance_to(its send + its delay)`, so the exchange costs its
+    /// slowest round trip, not their sum — and a fixed send and gather
+    /// order keeps that cost the same on every run of one seed. Each
+    /// deadline runs from its own send, so N hung members cost one
+    /// deadline between them.
     ///
     /// This is where a request is framed and a reply unframed, but for
     /// a `RELEASE` nobody waits on ([`DisaggStore::send_releases`]):
@@ -204,7 +219,10 @@ impl DisaggStore {
     /// No interconnect handler gets here: a call made while serving one
     /// would wait on the cluster's one reader, which runs that handler
     /// and so reads nothing meanwhile.
-    pub(super) fn scatter(&self, calls: &[(&Peer, u32, &[&[u8]])]) -> Vec<Result<Bytes, PeerFail>> {
+    pub(super) fn scatter(
+        &self,
+        calls: &[(NodeId, u32, &[&[u8]])],
+    ) -> Vec<Result<Bytes, PeerFail>> {
         debug_assert!(
             !rpclite::serving(),
             "an interconnect handler called out: every verb must answer from its own state"
@@ -224,18 +242,27 @@ impl DisaggStore {
             })
             .collect();
         let mut reply_epochs = vec![None; calls.len()];
-        let mut attempts_left: Vec<u32> = calls
+        // A `Down` peer was called before: its client is built.
+        let clients: Vec<_> = calls.iter().map(|(node, ..)| self.client(*node)).collect();
+        let admissions = calls
             .iter()
-            .map(|(peer, ..)| match inner.health.admit(peer.node) {
-                Admission::Skip => 0,
-                Admission::Probe => 1, // one shot; failure re-arms the backoff window
-                Admission::Attempt => inner.retry.max_attempts.max(1),
+            .zip(&clients)
+            .map(|((node, ..), client)| client.as_ref().map(|_| inner.health.admit(*node)));
+        let mut attempts_left: Vec<u32> = admissions
+            .map(|admission| match admission {
+                None | Some(Admission::Skip) => 0,
+                Some(Admission::Probe) => 1, // one shot; failure re-arms the backoff window
+                Some(Admission::Attempt) => inner.retry.max_attempts.max(1),
             })
             .collect();
         // `None` while a member still has a call to make or to wait for.
-        let mut answers: Vec<Option<Result<Bytes, PeerFail>>> = attempts_left
+        let mut answers: Vec<Option<Result<Bytes, PeerFail>>> = clients
             .iter()
-            .map(|&attempts| (attempts == 0).then_some(Err(PeerFail::Skipped)))
+            .zip(&attempts_left)
+            .map(|(client, &attempts)| match client {
+                None => Some(Err(PeerFail::NoPeer)),
+                Some(_) => (attempts == 0).then_some(Err(PeerFail::Skipped)),
+            })
             .collect();
         // Whether any attempt's request left, per member.
         let mut sent = vec![false; calls.len()];
@@ -246,11 +273,10 @@ impl DisaggStore {
             let tickets: Vec<_> = calls
                 .iter()
                 .zip(&framed)
-                .zip(&answers)
-                .map(|(((peer, method_id, _), parts), answer)| {
-                    answer
-                        .is_none()
-                        .then(|| peer.client.call_async(*method_id, parts))
+                .zip(clients.iter().zip(&answers))
+                .map(|(((_, method_id, _), parts), (client, answer))| {
+                    let client = client.as_ref().filter(|_| answer.is_none());
+                    client.map(|client| client.call_async(*method_id, parts))
                 })
                 .collect();
             let mut retrying = 0u64;
@@ -266,19 +292,19 @@ impl DisaggStore {
                     });
                 answers[i] = match answer {
                     Ok((reply, body)) => {
-                        inner.health.record_success(peer.node);
+                        inner.health.record_success(peer);
                         reply_epochs[i] = Some(reply.epoch);
                         Some(Ok(body))
                     }
                     Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
-                        inner.health.record_success(peer.node);
+                        inner.health.record_success(peer);
                         Some(Err(PeerFail::Rpc(RpcError::Status(s))))
                     }
                     Err(e) if e.is_retryable() => {
-                        let state = inner.health.record_failure(peer.node);
+                        let state = inner.health.record_failure(peer);
                         attempts_left[i] -= 1;
                         if attempts_left[i] == 0 || state == PeerState::Down {
-                            let why = format!("peer {} unreachable: {e}", peer.name);
+                            let why = format!("peer {peer} unreachable: {e}");
                             // An `Unavailable` status is an answer: the
                             // peer served the call and said so.
                             Some(Err(match (e, sent[i]) {
@@ -294,7 +320,7 @@ impl DisaggStore {
                     Err(e) => {
                         // Protocol violation: a response arrived, but the
                         // connection is now suspect.
-                        inner.health.record_failure(peer.node);
+                        inner.health.record_failure(peer);
                         Some(Err(PeerFail::Rpc(e)))
                     }
                 };
@@ -321,7 +347,7 @@ impl DisaggStore {
                 Some(Err(fail)) => fail.status().is_some(),
                 None => false,
             })
-            .map(|((peer, ..), _)| peer.node)
+            .map(|((peer, ..), _)| *peer)
             .collect();
         self.take_releases(&answered, released_before);
         self.free_kept(&answered, released_before);
@@ -337,7 +363,7 @@ impl DisaggStore {
         self.send_releases(parked.collect(), true);
         for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
             if let Some(epoch) = epoch.filter(|_| *method_id != method::MEMBERSHIP) {
-                self.sync_epoch(peer.node, epoch);
+                self.sync_epoch(*peer, epoch);
             }
         }
         let settled = answers.into_iter();
@@ -346,15 +372,15 @@ impl DisaggStore {
             .collect()
     }
 
-    /// [`DisaggStore::scatter`] of one: the guarded call to a single
-    /// peer.
+    /// [`DisaggStore::scatter`] of one: the guarded call to the peer on
+    /// `node`.
     pub(super) fn peer_call(
         &self,
-        peer: &Peer,
+        node: NodeId,
         method_id: u32,
         body: &[&[u8]],
     ) -> Result<Bytes, PeerFail> {
-        let mut answers = self.scatter(&[(peer, method_id, body)]);
+        let mut answers = self.scatter(&[(node, method_id, body)]);
         answers.pop().expect("one answer per member")
     }
 
@@ -363,10 +389,10 @@ impl DisaggStore {
     /// with its owner ([`DisaggStore::scatter`]) or when the store
     /// settles ([`DisaggStore::settle_releases`]). `owed`: the ids are
     /// parked releases or duplicate pins, whose `false` flag means they
-    /// landed already (see [`SentRelease::owed`]). An owner that is
-    /// `Down`, or that the request cannot reach, has its ids parked, to
-    /// go again after the next exchange with it. A release draws its
-    /// modeled delay at its send and charges none of it.
+    /// landed already (see [`SentRelease::owed`]). An owner that is no
+    /// peer, is `Down`, or that the request cannot reach, has its ids
+    /// parked, to go again after the next exchange with it. A release
+    /// draws its modeled delay at its send and charges none of it.
     pub(super) fn send_releases(&self, asks: Vec<(NodeId, Vec<ObjectId>)>, owed: bool) {
         if asks.is_empty() {
             return;
@@ -374,14 +400,11 @@ impl DisaggStore {
         let inner = &self.inner;
         let head = CallHeader { from: inner.node }.encode();
         for (owner, ids) in asks {
-            let peer = self.peer(owner).ok();
-            let peer = peer.filter(|_| inner.health.state(owner) != PeerState::Down);
+            let up = inner.health.state(owner) != PeerState::Down;
+            let client = up.then(|| self.client(owner)).flatten();
             let body = IdsReq { ids: ids.clone() }.encode();
-            let call = peer.and_then(|peer| {
-                let call = peer.client.send(method::RELEASE, &[&head, &body]).ok()?;
-                Some((peer.client, call))
-            });
-            let Some((client, call)) = call else {
+            let call = client.and_then(|client| client.send(method::RELEASE, &[&head, &body]).ok());
+            let Some(call) = call else {
                 for id in ids {
                     inner.ledger.park(id, owner);
                 }
@@ -399,7 +422,6 @@ impl DisaggStore {
                 owner,
                 ids,
                 owed,
-                client,
                 call,
             });
         }
@@ -457,8 +479,9 @@ impl DisaggStore {
             releases.sent = kept;
             due
         };
+        // Each was sent through its owner's client, which is kept.
         let answers = due.into_iter().map(|r| {
-            let answer = r.client.take(r.call);
+            let answer = self.client(r.owner).and_then(|c| c.take(r.call));
             (r.owner, r.ids, r.owed, answer)
         });
         self.act_on_releases(answers.collect());
@@ -482,9 +505,10 @@ impl DisaggStore {
             if sent.is_empty() {
                 return;
             }
+            let deadline = self.inner.call_deadline;
             let answers = sent.into_iter().map(|r| {
-                let answer = r.client.settle(r.call, self.inner.call_deadline);
-                (r.owner, r.ids, r.owed, Some(answer))
+                let answer = self.client(r.owner).map(|c| c.settle(r.call, deadline));
+                (r.owner, r.ids, r.owed, answer)
             });
             self.act_on_releases(answers.collect());
         }
@@ -551,10 +575,9 @@ impl DisaggStore {
     /// Fetch one peer's metrics snapshot over the interconnect
     /// (`METRICS` RPC): any node can introspect any peer live.
     pub fn peer_metrics(&self, node: NodeId) -> Result<MetricsSnapshot, PlasmaError> {
-        let peer = self.peer(node)?;
-        match self.peer_call(&peer, method::METRICS, &[]) {
+        match self.peer_call(node, method::METRICS, &[]) {
             Ok(body) => Self::decode_metrics(body).map(|(_, snap)| snap),
-            Err(fail) => Err(self.peer_err(&peer, fail)),
+            Err(fail) => Err(self.peer_err(node, fail)),
         }
     }
 
@@ -565,10 +588,10 @@ impl DisaggStore {
     pub fn cluster_metrics(&self) -> Result<Vec<(NodeId, MetricsSnapshot)>, PlasmaError> {
         let mut out = Vec::with_capacity(self.peer_count() + 1);
         out.push((self.inner.node, self.metrics_snapshot()));
-        let peers = self.peers_snapshot();
+        let peers = self.peer_nodes();
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::METRICS, &[][..]))
+            .map(|&peer| (peer, method::METRICS, &[][..]))
             .collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
@@ -615,10 +638,10 @@ impl DisaggStore {
     pub fn global_list(&self) -> Result<Vec<(NodeId, Vec<ListEntry>)>, PlasmaError> {
         let mut out = Vec::with_capacity(self.peer_count() + 1);
         out.push((self.inner.node, self.sealed_entries()));
-        let peers = self.peers_snapshot();
+        let peers = self.peer_nodes();
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::LIST, &[][..]))
+            .map(|&peer| (peer, method::LIST, &[][..]))
             .collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };

@@ -4,7 +4,7 @@
 //! create — both the creator's half and the owner's.
 
 use super::peer::PeerFail;
-use super::{DisaggStore, Peer};
+use super::DisaggStore;
 use crate::delegation::{Kind, Side};
 use crate::proto::{
     method, BoolResp, CreateAtResp, DelegateReq, GetManyEntry, GetManyReq, GetManyResp, IdReq,
@@ -79,28 +79,28 @@ impl DisaggStore {
         if peer_epoch == self.ring_epoch() {
             return;
         }
-        let Ok(peer) = self.peer(node) else {
-            return;
-        };
         let push = (peer_epoch < self.ring_epoch()).then(|| self.membership_table().encode());
         let body: Vec<&[u8]> = push.iter().map(|table| &table[..]).collect();
-        if let Ok(body) = self.peer_call(&peer, method::MEMBERSHIP, &body) {
+        if let Ok(body) = self.peer_call(node, method::MEMBERSHIP, &body) {
             if let Ok(table) = MembershipTable::decode(body) {
                 self.set_membership(Membership::new(table.epoch, table.nodes));
             }
         }
     }
 
-    /// Peers with the ring's computed owner of `id` moved to the front,
-    /// so serial forwarding loops probe the likeliest holder first.
-    pub(super) fn peers_owner_first(&self, id: ObjectId) -> Vec<Peer> {
-        let mut peers = self.peers_snapshot();
-        if let Some(owner) = self.ring_owner(id) {
-            if let Some(i) = peers.iter().position(|p| p.node == owner) {
-                peers.swap(0, i);
-            }
-        }
-        peers
+    /// The peers' nodes with the ring's computed owner of `id` swapped
+    /// to the front, so serial forwarding loops probe the likeliest
+    /// holder first.
+    pub(super) fn peers_owner_first(&self, id: ObjectId) -> impl Iterator<Item = NodeId> {
+        let peers = self.peer_nodes();
+        let owner = self.ring_owner(id);
+        let at = owner.and_then(|owner| peers.binary_search(&owner).ok());
+        let at = at.unwrap_or(0);
+        (0..peers.len()).map(move |k| match k {
+            0 => peers[at],
+            k if k == at => peers[0],
+            k => peers[k],
+        })
     }
 
     /// Whether `id` exists as far as this node answers for it. A lent
@@ -122,7 +122,6 @@ impl DisaggStore {
         if self.answers_for(id) {
             return Ok(true);
         }
-        let mut peers = self.peers_snapshot();
         let req = IdReq { id }.encode();
         let ask = [&req[..]];
         let holds = |body: Bytes| {
@@ -136,25 +135,28 @@ impl DisaggStore {
         let ring_owner = self
             .ring_owner(id)
             .filter(|&owner| owner != self.inner.node);
+        let mut owner_said_no = None;
         if let Some(owner) = ring_owner {
-            if let Some(i) = peers.iter().position(|p| p.node == owner) {
-                if let Ok(body) = self.peer_call(&peers[i], method::CONTAINS, &ask) {
-                    if holds(body)? {
-                        self.inner.metrics.ring_hit.inc();
-                        return Ok(true);
-                    }
-                    // The owner answered: the broadcast need not ask it
-                    // again. An owner that did not answer stays in.
-                    peers.swap_remove(i);
+            if let Ok(body) = self.peer_call(owner, method::CONTAINS, &ask) {
+                if holds(body)? {
+                    self.inner.metrics.ring_hit.inc();
+                    return Ok(true);
                 }
+                owner_said_no = Some(owner);
             }
             self.inner.metrics.ring_fallback.inc();
+        }
+        // The owner answered: the broadcast need not ask it again. An
+        // owner that did not answer stays in.
+        let mut peers = self.peer_nodes().to_vec();
+        if let Some(i) = owner_said_no.and_then(|owner| peers.binary_search(&owner).ok()) {
+            peers.swap_remove(i);
         }
         // Ask every remaining peer in one exchange; unreachable peers
         // count as "not here" (partial answer, not an error).
         let calls: Vec<_> = peers
             .iter()
-            .map(|peer| (peer, method::CONTAINS, &ask[..]))
+            .map(|&peer| (peer, method::CONTAINS, &ask[..]))
             .collect();
         for answer in self.scatter(&calls) {
             let Ok(body) = answer else { continue };
@@ -188,7 +190,6 @@ impl DisaggStore {
         }
         let pass_started = Instant::now();
         let mut found = Found::new();
-        let peers = self.peers_snapshot();
         // What each ring owner answered for in this pass: the broadcast
         // does not ask it about those ids again.
         let mut answered: Vec<(NodeId, ObjectId)> = Vec::new();
@@ -217,13 +218,10 @@ impl DisaggStore {
                     }
                 }
             }
-            let asks: Vec<(&Peer, Vec<ObjectId>)> = by_owner
-                .into_iter()
-                .filter_map(|(owner, group)| Some((peers.iter().find(|p| p.node == owner)?, group)))
-                .collect();
+            let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner.into_iter().collect();
             for ((owner, group), replied) in asks.iter().zip(self.ask(&asks, &mut found)) {
                 if replied {
-                    answered.extend(group.iter().map(|id| (owner.node, *id)));
+                    answered.extend(group.iter().map(|id| (*owner, *id)));
                 }
             }
             // Ids an owner answered with its holder's descriptor count as
@@ -245,10 +243,11 @@ impl DisaggStore {
             .copied()
             .collect();
         if !remaining.is_empty() {
-            let asks: Vec<(&Peer, Vec<ObjectId>)> = peers
+            let asks: Vec<(NodeId, Vec<ObjectId>)> = self
+                .peer_nodes()
                 .iter()
-                .map(|peer| {
-                    let unasked = |id: &&ObjectId| !answered.contains(&(peer.node, **id));
+                .map(|&peer| {
+                    let unasked = |id: &&ObjectId| !answered.contains(&(peer, **id));
                     (peer, remaining.iter().filter(unasked).copied().collect())
                 })
                 .filter(|(_, ids): &(_, Vec<ObjectId>)| !ids.is_empty())
@@ -297,7 +296,7 @@ impl DisaggStore {
     /// carries or how many peers are asked. Returns, per ask, whether
     /// the peer answered. Every call issued counts under `lookup_rpcs`,
     /// and its batch size is recorded in `disagg.get_many.batch_size`.
-    fn ask(&self, asks: &[(&Peer, Vec<ObjectId>)], found: &mut Found) -> Vec<bool> {
+    fn ask(&self, asks: &[(NodeId, Vec<ObjectId>)], found: &mut Found) -> Vec<bool> {
         if asks.is_empty() {
             return Vec::new();
         }
@@ -315,7 +314,7 @@ impl DisaggStore {
         answers
             .zip(asks)
             .map(|(answer, (peer, ids))| {
-                if !matches!(answer, Err(PeerFail::Skipped)) {
+                if !matches!(answer, Err(PeerFail::Skipped | PeerFail::NoPeer)) {
                     self.inner
                         .counters
                         .lookup_rpcs
@@ -325,7 +324,7 @@ impl DisaggStore {
                 let resp = answer.ok().and_then(|body| GetManyResp::decode(body).ok());
                 let replied = resp.is_some();
                 if let Some(resp) = resp {
-                    self.absorb_lookup(peer, resp, found);
+                    self.absorb_lookup(*peer, resp, found);
                 }
                 replied
             })
@@ -346,7 +345,7 @@ impl DisaggStore {
     /// carried the id twice (the owner pinned once per instance, and the
     /// caller will release once per filled slot) — those extra pins are
     /// ledgered, not released.
-    fn absorb_lookup(&self, peer: &Peer, resp: GetManyResp, found: &mut Found) {
+    fn absorb_lookup(&self, peer: NodeId, resp: GetManyResp, found: &mut Found) {
         let ledger = &self.inner.ledger;
         let mut lost = Vec::new();
         for entry in resp.entries {
@@ -359,9 +358,9 @@ impl DisaggStore {
                         .counters
                         .remote_found
                         .fetch_add(1, Ordering::Relaxed);
-                    found.insert(loc.id, (loc, peer.node));
+                    found.insert(loc.id, (loc, peer));
                 }
-                Some(&(_, winner)) if winner != peer.node => {
+                Some(&(_, winner)) if winner != peer => {
                     lost.push(loc.id);
                     continue;
                 }
@@ -370,10 +369,10 @@ impl DisaggStore {
             if matches!(entry, GetManyEntry::Moved(_)) {
                 self.inner.metrics.redirects_followed.inc();
             }
-            ledger.record(Side::Held, loc.id, Kind::Pin, peer.node, 0);
+            ledger.record(Side::Held, loc.id, Kind::Pin, peer, 0);
         }
         if !lost.is_empty() {
-            self.send_releases(vec![(peer.node, lost)], true);
+            self.send_releases(vec![(peer, lost)], true);
         }
     }
 
@@ -383,7 +382,7 @@ impl DisaggStore {
     /// no membership table cannot place an object: creating it here on a
     /// guess could fork the id against a peer.
     pub(super) fn placement(&self, id: ObjectId) -> Result<NodeId, PlasmaError> {
-        if self.inner.peers.read().is_empty() {
+        if self.peer_count() == 0 {
             return Ok(self.inner.node);
         }
         self.ring_owner(id).ok_or_else(|| {
@@ -417,15 +416,14 @@ impl DisaggStore {
             if owner == self.inner.node {
                 return Ok(None);
             }
-            let peer = self.peer(owner)?;
             let req = DelegateReq { location: *copy }.encode();
-            let body = match self.peer_call(&peer, method::CREATE_AT, &[&req]) {
+            let body = match self.peer_call(owner, method::CREATE_AT, &[&req]) {
                 Ok(body) => body,
                 Err(fail) => {
                     if !fail.unsent() && fail.status().is_none() {
                         self.keep_copy(owner, id);
                     }
-                    return Err(self.object_err(&peer, id, fail));
+                    return Err(self.object_err(owner, id, fail));
                 }
             };
             let resp = CreateAtResp::decode(body)

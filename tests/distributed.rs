@@ -237,3 +237,101 @@ fn facade_crate_reexports_whole_api() {
     let _ = p::ObjectId::from_name("x");
     let _ = d::ClusterConfig::functional(1, 4096);
 }
+
+/// A store's peers are node ids until it calls one: `connect_peers`
+/// builds nothing, and each client is built by the store's `dial` at the
+/// first call to that peer, once however many callers race to make it.
+/// A get asks the id's ring owner only, and a delete whose ring owner
+/// answers walks no further, so neither builds the others' clients.
+#[test]
+fn one_client_per_peer_built_at_its_first_call() {
+    use disagg::{DisaggConfig, DisaggStore, Membership};
+    use plasma::{StoreConfig, StoreCore};
+    use rpclite::RpcClient;
+    use std::sync::{Barrier, Mutex};
+    use tfsim::NodeId;
+
+    let fabric = tfsim::Fabric::virtual_thymesisflow();
+    let nodes: Vec<NodeId> = (0..3).map(|_| fabric.register_node()).collect();
+    let hub = ipc::InprocHub::new();
+    let mut servers = Vec::new();
+    let mut stores = Vec::new();
+    // The peers each store built a client to, in the order it built them.
+    let mut built: Vec<Arc<Mutex<Vec<NodeId>>>> = Vec::new();
+    for (i, &node) in nodes.iter().enumerate() {
+        let core = StoreCore::new(
+            &fabric,
+            node,
+            StoreConfig::new(format!("store-{i}"), 1 << 20),
+        );
+        let store = DisaggStore::new(core.unwrap(), DisaggConfig::default());
+        store.set_membership(Membership::new(1, nodes.clone()));
+        let listener = hub.bind(&format!("rpc-{i}")).unwrap();
+        servers.push(rpclite::serve(
+            Box::new(listener),
+            store.interconnect_service(),
+        ));
+        let log: Arc<Mutex<Vec<NodeId>>> = Arc::default();
+        let (dial_log, dial_hub) = (Arc::clone(&log), hub.clone());
+        let peers = nodes.iter().copied().filter(|&peer| peer != node);
+        store.connect_peers(peers, move |peer| {
+            dial_log.lock().unwrap().push(peer);
+            // Widens the window a second build would race through.
+            std::thread::sleep(Duration::from_millis(10));
+            let (hub, target) = (dial_hub.clone(), format!("rpc-{}", peer.0));
+            let connect = move || {
+                let conn = hub.connect(&target)?;
+                Ok(Box::new(conn) as Box<dyn ipc::Conn>)
+            };
+            RpcClient::with_connector(Box::new(connect), None)
+        });
+        assert!(
+            log.lock().unwrap().is_empty(),
+            "connect_peers built a client"
+        );
+        stores.push(store);
+        built.push(log);
+    }
+    let built_by = |i: usize| built[i].lock().unwrap().clone();
+    let owned_by = |i: usize, base: &str| {
+        (0..)
+            .map(|k| ObjectId::from_name(&format!("{base}~{k}")))
+            .find(|id| stores[0].ring_owner(*id) == Some(nodes[i]))
+            .unwrap()
+    };
+
+    // A get of an object on node 1 builds node 0's client to node 1.
+    let on_1 = owned_by(1, "lazy/on-1");
+    stores[1].put(on_1, b"one", &[]).unwrap();
+    let got = stores[0].get(&[on_1], Duration::from_secs(1)).unwrap();
+    assert!(got[0].is_some());
+    stores[0].release(on_1).unwrap();
+    assert_eq!(built_by(0), vec![nodes[1]]);
+
+    // Four threads racing their first call to node 2 build one client.
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                start.wait();
+                stores[0].peer_metrics(nodes[2]).unwrap();
+            });
+        }
+    });
+    assert_eq!(built_by(0), vec![nodes[1], nodes[2]]);
+
+    // A delete from node 1 whose ring owner, node 0, answers builds only
+    // node 1's client to node 0.
+    let on_0 = owned_by(0, "lazy/on-0");
+    stores[0].put(on_0, b"zero", &[]).unwrap();
+    assert!(built_by(1).is_empty(), "node 1 has called nobody yet");
+    stores[1].delete(on_0).unwrap();
+    assert_eq!(built_by(1), vec![nodes[0]]);
+
+    // An inventory asks every peer, so it builds the rest.
+    let inventory = stores[1].global_list().unwrap();
+    assert_eq!(inventory.len(), 3);
+    assert_eq!(built_by(1), vec![nodes[0], nodes[2]]);
+    assert!(built_by(2).is_empty(), "node 2 only answered");
+    stores[0].settle_releases();
+}

@@ -2,9 +2,7 @@
 //! crashes, hung peers, memory pressure, and protocol misuse must surface
 //! as errors (or degraded partial answers), not corruption or hangs.
 
-use disagg::{
-    Cluster, ClusterConfig, DisaggConfig, DisaggStore, InterconnectConfig, Peer, PeerState,
-};
+use disagg::{Cluster, ClusterConfig, DisaggConfig, DisaggStore, InterconnectConfig, PeerState};
 use plasma::{ObjectId, ObjectStore, PlasmaError, INLINE_PUT_MAX};
 use std::time::Duration;
 use tfsim::LinkState;
@@ -189,7 +187,9 @@ fn dead_peer_degrades_reads_and_queries_but_fails_create() {
     match &err {
         // The detail must survive the client wire protocol and name the
         // unreachable peer.
-        PlasmaError::PeerUnavailable(m) => assert!(m.contains("store-2"), "{m:?}"),
+        PlasmaError::PeerUnavailable(m) => {
+            assert!(m.contains(&cluster.node_id(2).to_string()), "{m:?}")
+        }
         other => panic!("expected PeerUnavailable, got {other:?}"),
     }
     assert!(!cluster.store(0).core().exists_any_state(fresh));
@@ -382,10 +382,8 @@ fn deadline_bounds_calls_to_a_hung_peer() {
     );
     let _srv = rpclite::serve(Box::new(listener), svc);
     let hung = tfsim::NodeId(7);
-    store.add_peer(Peer {
-        node: hung,
-        name: "hung".into(),
-        client: Arc::new(RpcClient::new(Box::new(hub.connect("hung-peer").unwrap()))),
+    store.connect_peers([hung], move |_| {
+        RpcClient::new(Box::new(hub.connect("hung-peer").unwrap()))
     });
 
     let start = std::time::Instant::now();
@@ -428,6 +426,8 @@ fn two_hung_peers_in_one_exchange_cost_one_deadline() {
         )
     };
     let store = store_on("impatient");
+    // The hung peers' nodes, registered first: peers go in node order.
+    let hung = [fabric.register_node(), fabric.register_node()];
     let healthy = store_on("healthy");
     let id = ObjectId::from_name("on-the-healthy-peer");
     healthy.create(id, 64, 0).unwrap();
@@ -444,25 +444,24 @@ fn two_hung_peers_in_one_exchange_cost_one_deadline() {
         },
     );
     let mut servers = Vec::new();
-    for (name, node) in [("hung-a", 7), ("hung-b", 8)] {
+    for name in ["hung-a", "hung-b"] {
         servers.push(rpclite::serve(
             Box::new(hub.bind(name).unwrap()),
             wedged.clone(),
         ));
-        store.add_peer(Peer {
-            node: tfsim::NodeId(node),
-            name: name.into(),
-            client: Arc::new(RpcClient::new(Box::new(hub.connect(name).unwrap()))),
-        });
     }
     servers.push(rpclite::serve(
         Box::new(hub.bind("healthy").unwrap()),
         healthy.interconnect_service(),
     ));
-    store.add_peer(Peer {
-        node: healthy.node(),
-        name: "healthy".into(),
-        client: Arc::new(RpcClient::new(Box::new(hub.connect("healthy").unwrap()))),
+    let peers = [hung[0], hung[1], healthy.node()];
+    store.connect_peers(peers, move |node| {
+        let name = match node {
+            n if n == hung[0] => "hung-a",
+            n if n == hung[1] => "hung-b",
+            _ => "healthy",
+        };
+        RpcClient::new(Box::new(hub.connect(name).unwrap()))
     });
 
     let start = std::time::Instant::now();
@@ -475,8 +474,8 @@ fn two_hung_peers_in_one_exchange_cost_one_deadline() {
         elapsed >= DEADLINE && elapsed < DEADLINE * 19 / 10,
         "two hung peers must cost one {DEADLINE:?} deadline, not two: {elapsed:?}"
     );
-    for hung in [7, 8] {
-        assert_eq!(store.peer_health_stats(tfsim::NodeId(hung)).failures, 1);
+    for hung in hung {
+        assert_eq!(store.peer_health_stats(hung).failures, 1);
     }
 }
 
@@ -585,10 +584,9 @@ fn owner_behind(
     let real = owner.interconnect_service();
     let wrapped = Arc::new(move |m: u32, b: bytes::Bytes| service(&*real, m, b));
     let rpc = rpclite::serve(Box::new(hub.bind("owner").unwrap()), wrapped);
-    requester.add_peer(Peer {
-        node: nodes[1],
-        name: "owner".into(),
-        client: Arc::new(RpcClient::new(Box::new(hub.connect("owner").unwrap()))),
+    let dial = hub.clone();
+    requester.connect_peers([nodes[1]], move |_| {
+        RpcClient::new(Box::new(dial.connect("owner").unwrap()))
     });
     let plasma = plasma::serve_store(
         Box::new(hub.bind("plasma").unwrap()),
@@ -949,10 +947,8 @@ fn a_bad_release_reply_is_a_protocol_error_and_keeps_the_pin() {
     });
     let hub = ipc::InprocHub::new();
     let _srv = rpclite::serve(Box::new(hub.bind("owner").unwrap()), service);
-    reader.add_peer(Peer {
-        node: nodes[1],
-        name: "owner".into(),
-        client: Arc::new(RpcClient::new(Box::new(hub.connect("owner").unwrap()))),
+    reader.connect_peers([nodes[1]], move |_| {
+        RpcClient::new(Box::new(hub.connect("owner").unwrap()))
     });
 
     let one_flag = ReleaseResp { pinned: vec![true] }.encode();
@@ -1099,13 +1095,11 @@ fn unreachable_duplicate_release_is_parked_then_flushed() {
         real.call(m, b)
     });
     let _srv2 = rpclite::serve(Box::new(hub.bind("loser").unwrap()), svc2);
-    for (i, name) in [(1usize, "winner"), (2, "loser")] {
-        s0.add_peer(Peer {
-            node: nodes[i],
-            name: name.into(),
-            client: Arc::new(RpcClient::new(Box::new(hub.connect(name).unwrap()))),
-        });
-    }
+    let winner = nodes[1];
+    s0.connect_peers([nodes[1], nodes[2]], move |node| {
+        let name = if node == winner { "winner" } else { "loser" };
+        RpcClient::new(Box::new(hub.connect(name).unwrap()))
+    });
 
     // The broadcast pins on both peers; the duplicate-pin release to the
     // loser fails and must be parked for retry, not silently dropped.
