@@ -26,7 +26,7 @@
 use parking_lot::Mutex;
 use plasma::{ObjectId, ObjectLocation, PlasmaError};
 use std::collections::{HashMap, HashSet};
-use std::ops::{AddAssign, Index, IndexMut};
+use std::ops::{AddAssign, Deref, DerefMut, Index, IndexMut};
 use tfsim::NodeId;
 
 /// What a delegation entitles its holder to.
@@ -274,17 +274,79 @@ pub struct Settlement {
     pub release: Vec<(ObjectId, u64)>,
 }
 
+/// One id's entries on one side, in the order they were recorded. The
+/// first is kept inline, so an id with one entry — a remote get's pin,
+/// on either side — allocates nothing; a second moves both into a
+/// vector.
+enum Entries {
+    One(Delegation),
+    Many(Vec<Delegation>),
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Many(Vec::new())
+    }
+}
+
+impl Deref for Entries {
+    type Target = [Delegation];
+
+    fn deref(&self) -> &[Delegation] {
+        match self {
+            Entries::One(d) => std::slice::from_ref(d),
+            Entries::Many(all) => all,
+        }
+    }
+}
+
+impl DerefMut for Entries {
+    fn deref_mut(&mut self) -> &mut [Delegation] {
+        match self {
+            Entries::One(d) => std::slice::from_mut(d),
+            Entries::Many(all) => all,
+        }
+    }
+}
+
+impl Entries {
+    fn push(&mut self, d: Delegation) {
+        match self {
+            Entries::Many(all) if all.capacity() == 0 => *self = Entries::One(d),
+            Entries::Many(all) => all.push(d),
+            Entries::One(first) => *self = Entries::Many(vec![*first, d]),
+        }
+    }
+
+    /// Remove the entry at `at`, the last taking its place.
+    fn swap_remove(&mut self, at: usize) {
+        match self {
+            Entries::One(_) => *self = Entries::default(),
+            Entries::Many(all) => drop(all.swap_remove(at)),
+        }
+    }
+
+    /// Keep the entries `keep` accepts, each asked once, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Delegation) -> bool) {
+        match self {
+            Entries::One(d) if !keep(d) => *self = Entries::default(),
+            Entries::One(_) => {}
+            Entries::Many(all) => all.retain(|d| keep(d)),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Sides {
-    out: HashMap<ObjectId, Vec<Delegation>>,
-    held: HashMap<ObjectId, Vec<Delegation>>,
+    out: HashMap<ObjectId, Entries>,
+    held: HashMap<ObjectId, Entries>,
     /// Sum of `count` over closing `held` pins, so the check every
     /// successful peer call makes for parked releases is O(1).
     parked: u64,
 }
 
 impl Sides {
-    fn side(&mut self, side: Side) -> &mut HashMap<ObjectId, Vec<Delegation>> {
+    fn side(&mut self, side: Side) -> &mut HashMap<ObjectId, Entries> {
         match side {
             Side::Out => &mut self.out,
             Side::Held => &mut self.held,
@@ -425,7 +487,7 @@ impl Ledger {
     /// kind of pin on an id.
     pub fn reads_spilled_copy(&self, id: ObjectId, reader: NodeId) -> bool {
         let sides = self.sides.lock();
-        let entries = sides.out.get(&id).map_or(&[][..], Vec::as_slice);
+        let entries = sides.out.get(&id).map_or(&[][..], |entries| entries);
         let lent = entries.iter().any(|d| d.kind == Kind::Lease);
         lent && entries.iter().any(|d| d.pins_own_copy_for(reader))
     }
@@ -461,7 +523,11 @@ impl Ledger {
     /// confirm for the copy that was retired.
     pub fn close_replicas(&self, id: ObjectId) {
         let mut sides = self.sides.lock();
-        let entries = sides.out.get_mut(&id).into_iter().flatten();
+        let entries = sides
+            .out
+            .get_mut(&id)
+            .into_iter()
+            .flat_map(|e| e.iter_mut());
         for replica in entries.filter(|d| d.kind == Kind::Replica) {
             replica.phase = Phase::Closing;
         }
@@ -470,7 +536,7 @@ impl Ledger {
     /// Whether a delete is retiring the replicas of `id`.
     pub fn replicas_closing(&self, id: ObjectId) -> bool {
         let sides = self.sides.lock();
-        let entries = sides.out.get(&id).into_iter().flatten();
+        let entries = sides.out.get(&id).into_iter().flat_map(|e| e.iter());
         entries
             .filter(|d| d.kind == Kind::Replica)
             .any(|d| d.phase == Phase::Closing)
@@ -554,7 +620,7 @@ impl Ledger {
     /// The peers with a live entry of `kind` on `id` (replica holders).
     pub fn peers(&self, side: Side, id: ObjectId, kind: Kind) -> Vec<NodeId> {
         let mut sides = self.sides.lock();
-        let entries = sides.side(side).get(&id).map_or(&[][..], Vec::as_slice);
+        let entries = sides.side(side).get(&id).map_or(&[][..], |entries| entries);
         let of_kind = entries.iter().filter(|d| d.kind == kind);
         of_kind.map(|d| d.peer).collect()
     }
@@ -649,7 +715,7 @@ impl Ledger {
     /// Every entry on both sides.
     pub fn records(&self) -> Vec<DelegationRecord> {
         let sides = self.sides.lock();
-        let rows = |side: Side, map: &HashMap<ObjectId, Vec<Delegation>>| {
+        let rows = |side: Side, map: &HashMap<ObjectId, Entries>| {
             let mut rows = Vec::new();
             for (id, entries) in map {
                 rows.extend(entries.iter().map(|d| DelegationRecord {

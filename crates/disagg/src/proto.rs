@@ -18,8 +18,8 @@
 
 use crate::delegation::{Claim, Kind, Tally};
 use bytes::Bytes;
-use ipc::{CodecError, Dec, Enc};
-use plasma::protocol::{get_id, get_location, put_id, put_location};
+use ipc::{CodecError, Dec, Enc, Encode};
+use plasma::protocol::{get_id, get_location, put_id, put_location, LOCATION_LEN};
 use plasma::{ObjectId, ObjectLocation, OBJECT_ID_LEN};
 use tfsim::NodeId;
 
@@ -144,38 +144,14 @@ pub mod method {
     ];
 }
 
-/// One interconnect message: its fields, written in order by `put` and
-/// read back in the same order by `get`.
-pub trait Message: Sized {
-    /// Write the fields.
-    fn put(&self, e: &mut Enc);
+/// Every interconnect message is an [`ipc::Message`]: fields written in
+/// order, read back in the same order, and a length stated before any is
+/// written.
+pub use ipc::Message;
 
-    /// Read the fields `put` wrote.
-    fn get(d: &mut Dec) -> Result<Self, CodecError>;
-
-    /// Serialize to wire bytes.
-    fn encode(&self) -> Bytes {
-        let mut e = Enc::new();
-        self.put(&mut e);
-        e.finish()
-    }
-
-    /// Parse from wire bytes: every field, and not a byte more.
-    fn decode(b: Bytes) -> Result<Self, CodecError> {
-        let mut d = Dec::new(b);
-        let message = Self::get(&mut d)?;
-        d.finish()?;
-        Ok(message)
-    }
-}
-
-/// `header`'s fields, then `body`, in a buffer with room for the longer
-/// of the two headers.
-fn frame(header: &impl Message, body: &[u8]) -> Bytes {
-    let mut e = Enc::with_capacity(ReplyHeader::LEN + body.len());
-    header.put(&mut e);
-    e.fixed(body);
-    e.finish()
+/// `header`'s fields, then `body`, in one buffer of their joint length.
+fn frame(header: &dyn Encode, body: &[u8]) -> Bytes {
+    ipc::encode(&[header, &body as &dyn Encode])
 }
 
 /// Split a frame into its header and the body that follows it.
@@ -186,27 +162,120 @@ fn unframe<H: Message>(frame: Bytes) -> Result<(H, Bytes), CodecError> {
     Ok((header, body))
 }
 
+/// A list's count: the `u32` before its items.
+fn count_len(items: usize) -> u32 {
+    u32::try_from(items).expect("fewer than 2^32 items")
+}
+
 /// Write a count of the items that follow, then each item.
 fn put_list<T>(e: &mut Enc, items: &[T], put: impl Fn(&mut Enc, &T)) {
-    e.u32(u32::try_from(items.len()).expect("fewer than 2^32 items"));
+    e.u32(count_len(items.len()));
     for item in items {
         put(e, item);
     }
 }
 
-/// Read a count, then that many items of at least `min_len` bytes each:
-/// a count the frame cannot hold is refused before anything is
-/// allocated for it.
+/// Read a count of items of at least `min_len` bytes each: a count the
+/// frame cannot hold is refused before anything is read or allocated
+/// for it.
+fn get_count(d: &mut Dec, min_len: usize) -> Result<usize, CodecError> {
+    let n = d.u32()? as usize;
+    if n > d.remaining() / min_len {
+        return Err(CodecError::Invalid("item count past the frame"));
+    }
+    Ok(n)
+}
+
+/// Read a count, then that many items of at least `min_len` bytes each.
 fn get_list<T>(
     d: &mut Dec,
     min_len: usize,
     mut get: impl FnMut(&mut Dec) -> Result<T, CodecError>,
 ) -> Result<Vec<T>, CodecError> {
-    let n = d.u32()? as usize;
-    if n > d.remaining() / min_len {
-        return Err(CodecError::Invalid("item count past the frame"));
-    }
+    let n = get_count(d, min_len)?;
     (0..n).map(|_| get(d)).collect()
+}
+
+/// A message that is one list, read in place off its frame: every item
+/// is decoded once up front — so a count past the frame, a bad item or a
+/// trailing byte refuses the whole frame, as [`Message::decode`] would —
+/// and decoded again as the iterator yields it. Nothing is collected.
+pub struct Items<T> {
+    d: Dec,
+    left: usize,
+    get: fn(&mut Dec) -> Result<T, CodecError>,
+}
+
+impl<T> Items<T> {
+    fn read(
+        body: Bytes,
+        min_len: usize,
+        get: fn(&mut Dec) -> Result<T, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let mut check = Dec::new(body.clone());
+        let n = get_count(&mut check, min_len)?;
+        for _ in 0..n {
+            get(&mut check)?;
+        }
+        check.finish()?;
+        let mut d = Dec::new(body);
+        d.u32()?;
+        Ok(Items { d, left: n, get })
+    }
+}
+
+impl<T> Iterator for Items<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.left = self.left.checked_sub(1)?;
+        Some((self.get)(&mut self.d).expect("every item decoded once already"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> ExactSizeIterator for Items<T> {}
+
+/// A list of ids as `GET_MANY` and `RELEASE` requests carry them (a
+/// count, then each id), written from the caller's own ids: byte for
+/// byte [`GetManyReq`]'s and [`IdsReq`]'s encoding of the same ids.
+#[derive(Clone)]
+pub struct IdList<I> {
+    len: usize,
+    ids: I,
+}
+
+impl<I: Iterator<Item = ObjectId> + Clone> IdList<I> {
+    /// The list of the `len` ids `ids` yields.
+    pub fn new(len: usize, ids: I) -> Self {
+        IdList { len, ids }
+    }
+}
+
+impl<'a> IdList<std::iter::Copied<std::slice::Iter<'a, ObjectId>>> {
+    /// The list of `ids`.
+    pub fn of(ids: &'a [ObjectId]) -> Self {
+        IdList::new(ids.len(), ids.iter().copied())
+    }
+}
+
+impl<I: Iterator<Item = ObjectId> + Clone> Encode for IdList<I> {
+    fn encoded_len(&self) -> usize {
+        4 + self.len * OBJECT_ID_LEN
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        e.u32(count_len(self.len));
+        let mut written = 0;
+        for id in self.ids.clone() {
+            put_id(e, &id);
+            written += 1;
+        }
+        assert_eq!(written, self.len, "an id list yields the ids it states");
+    }
 }
 
 fn get_node(d: &mut Dec) -> Result<NodeId, CodecError> {
@@ -234,7 +303,7 @@ impl CallHeader {
     pub const LEN: usize = 2;
 
     /// The request frame: this header, then `body`, joined. A store
-    /// sends its calls as parts instead (the header, then the body's),
+    /// sends its calls as parts instead (the header, then the message),
     /// which the rpclite envelope writes back to back; this is for a
     /// caller that hands a service a request by hand.
     pub fn frame(&self, body: &[u8]) -> Bytes {
@@ -248,6 +317,10 @@ impl CallHeader {
 }
 
 impl Message for CallHeader {
+    fn wire_len(&self) -> usize {
+        Self::LEN
+    }
+
     fn put(&self, e: &mut Enc) {
         e.u16(self.from.0);
     }
@@ -276,6 +349,12 @@ impl ReplyHeader {
         frame(self, body)
     }
 
+    /// The reply frame: this header, then `message`, written once, into
+    /// one buffer.
+    pub fn frame_message(&self, message: &dyn Encode) -> Bytes {
+        ipc::encode(&[self as &dyn Encode, message])
+    }
+
     /// Split a reply frame into its header and body.
     pub fn unframe(frame: Bytes) -> Result<(ReplyHeader, Bytes), CodecError> {
         unframe(frame)
@@ -283,6 +362,10 @@ impl ReplyHeader {
 }
 
 impl Message for ReplyHeader {
+    fn wire_len(&self) -> usize {
+        Self::LEN
+    }
+
     fn put(&self, e: &mut Enc) {
         e.u64(self.epoch);
     }
@@ -293,7 +376,9 @@ impl Message for ReplyHeader {
 }
 
 /// Batched multi-get request: pin and return fabric descriptors for many
-/// object ids in one round trip (the remote multi-get hot path).
+/// object ids in one round trip (the remote multi-get hot path). A store
+/// sends one as an [`IdList`] over its own ids, and reads one in place
+/// ([`GetManyReq::ids`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetManyReq {
     /// Object ids to fetch (found objects are pinned on the caller's
@@ -301,9 +386,20 @@ pub struct GetManyReq {
     pub ids: Vec<ObjectId>,
 }
 
+impl GetManyReq {
+    /// The ids of a `GET_MANY` body, read in place.
+    pub fn ids(body: Bytes) -> Result<Items<ObjectId>, CodecError> {
+        Items::read(body, OBJECT_ID_LEN, get_id)
+    }
+}
+
 impl Message for GetManyReq {
+    fn wire_len(&self) -> usize {
+        IdList::of(&self.ids).encoded_len()
+    }
+
     fn put(&self, e: &mut Enc) {
-        put_list(e, &self.ids, put_id);
+        IdList::of(&self.ids).encode_to(e);
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
@@ -342,6 +438,13 @@ impl GetManyEntry {
 }
 
 impl Message for GetManyEntry {
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            GetManyEntry::Pinned(_) | GetManyEntry::Moved(_) => LOCATION_LEN,
+            GetManyEntry::NotFound(_) => OBJECT_ID_LEN,
+        }
+    }
+
     fn put(&self, e: &mut Enc) {
         match self {
             GetManyEntry::Pinned(loc) => put_location(e.u8(0), loc),
@@ -367,7 +470,18 @@ pub struct GetManyResp {
     pub entries: Vec<GetManyEntry>,
 }
 
+impl GetManyResp {
+    /// The entries of a `GET_MANY` answer, read in place.
+    pub fn entries(body: Bytes) -> Result<Items<GetManyEntry>, CodecError> {
+        Items::read(body, 1 + OBJECT_ID_LEN, GetManyEntry::get)
+    }
+}
+
 impl Message for GetManyResp {
+    fn wire_len(&self) -> usize {
+        4 + self.entries.iter().map(Message::wire_len).sum::<usize>()
+    }
+
     fn put(&self, e: &mut Enc) {
         put_list(e, &self.entries, |e, entry| entry.put(e));
     }
@@ -380,16 +494,29 @@ impl Message for GetManyResp {
 }
 
 /// A request about a list of objects and nothing else: the pins a
-/// `RELEASE` returns, one per listed id — an id listed twice is two.
+/// `RELEASE` returns, one per listed id — an id listed twice is two. A
+/// store sends one as an [`IdList`] over its own ids, and reads one in
+/// place ([`IdsReq::ids`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdsReq {
     /// The objects in question, in order.
     pub ids: Vec<ObjectId>,
 }
 
+impl IdsReq {
+    /// The ids of a `RELEASE` body, read in place.
+    pub fn ids(body: Bytes) -> Result<Items<ObjectId>, CodecError> {
+        Items::read(body, OBJECT_ID_LEN, get_id)
+    }
+}
+
 impl Message for IdsReq {
+    fn wire_len(&self) -> usize {
+        IdList::of(&self.ids).encoded_len()
+    }
+
     fn put(&self, e: &mut Enc) {
-        put_list(e, &self.ids, put_id);
+        IdList::of(&self.ids).encode_to(e);
     }
 
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
@@ -408,7 +535,18 @@ pub struct ReleaseResp {
     pub pinned: Vec<bool>,
 }
 
+impl ReleaseResp {
+    /// The flags of a `RELEASE` answer, read in place.
+    pub fn flags(body: Bytes) -> Result<Items<bool>, CodecError> {
+        Items::read(body, 1, Dec::bool)
+    }
+}
+
 impl Message for ReleaseResp {
+    fn wire_len(&self) -> usize {
+        4 + self.pinned.len()
+    }
+
     fn put(&self, e: &mut Enc) {
         put_list(e, &self.pinned, |e, pinned| {
             e.bool(*pinned);
@@ -433,6 +571,10 @@ pub struct ReconcileReq {
 }
 
 impl Message for ReconcileReq {
+    fn wire_len(&self) -> usize {
+        4 + self.claims.len() * (OBJECT_ID_LEN + 9)
+    }
+
     fn put(&self, e: &mut Enc) {
         put_list(e, &self.claims, |e, (id, kind, count)| {
             put_id(e, id);
@@ -460,6 +602,10 @@ pub struct ReconcileResp {
 }
 
 impl Message for ReconcileResp {
+    fn wire_len(&self) -> usize {
+        4 + self.drop.len() * (OBJECT_ID_LEN + 1) + 8 * Kind::ALL.len()
+    }
+
     fn put(&self, e: &mut Enc) {
         put_list(e, &self.drop, |e, (id, kind)| {
             put_id(e, id);
@@ -496,6 +642,13 @@ pub enum CreateAtResp {
 }
 
 impl Message for CreateAtResp {
+    fn wire_len(&self) -> usize {
+        match self {
+            CreateAtResp::Ok(_) => 1 + LOCATION_LEN,
+            CreateAtResp::Exists | CreateAtResp::WrongOwner => 1,
+        }
+    }
+
     fn put(&self, e: &mut Enc) {
         match self {
             CreateAtResp::Ok(loc) => put_location(e.u8(0), loc),
@@ -529,6 +682,10 @@ pub struct MembershipTable {
 }
 
 impl Message for MembershipTable {
+    fn wire_len(&self) -> usize {
+        8 + 4 + 2 * self.nodes.len()
+    }
+
     fn put(&self, e: &mut Enc) {
         e.u64(self.epoch);
         put_list(e, &self.nodes, |e, node| {
@@ -561,6 +718,10 @@ pub struct DelegateReq {
 }
 
 impl Message for DelegateReq {
+    fn wire_len(&self) -> usize {
+        LOCATION_LEN
+    }
+
     fn put(&self, e: &mut Enc) {
         put_location(e, &self.location);
     }
@@ -587,6 +748,13 @@ pub enum DelegateResp {
 }
 
 impl Message for DelegateResp {
+    fn wire_len(&self) -> usize {
+        match self {
+            DelegateResp::Adopted(_) => 1 + LOCATION_LEN,
+            DelegateResp::Refused => 1,
+        }
+    }
+
     fn put(&self, e: &mut Enc) {
         match self {
             DelegateResp::Adopted(loc) => put_location(e.u8(0), loc),
@@ -613,6 +781,10 @@ pub struct IdReq {
 }
 
 impl Message for IdReq {
+    fn wire_len(&self) -> usize {
+        OBJECT_ID_LEN
+    }
+
     fn put(&self, e: &mut Enc) {
         put_id(e, &self.id);
     }
@@ -633,6 +805,10 @@ pub struct RetireReq {
 }
 
 impl Message for RetireReq {
+    fn wire_len(&self) -> usize {
+        OBJECT_ID_LEN + 2
+    }
+
     fn put(&self, e: &mut Enc) {
         put_id(e, &self.id);
         e.u16(self.owner.0);
@@ -666,6 +842,14 @@ pub struct DeleteReq {
 }
 
 impl Message for DeleteReq {
+    fn wire_len(&self) -> usize {
+        let list = |holders: &Vec<NodeId>| match holders.len() {
+            0 => 0,
+            n => 4 + 2 * n,
+        };
+        OBJECT_ID_LEN + 1 + list(&self.cleared) + list(&self.kept)
+    }
+
     /// One flags byte after the id — bit 0 deferred, bit 1 a list of
     /// cleared holders follows, bit 2 a list of kept ones — so a first
     /// ask is as long as a delete was before it had a second step.
@@ -720,6 +904,13 @@ pub enum DeleteResp {
 }
 
 impl Message for DeleteResp {
+    fn wire_len(&self) -> usize {
+        match self {
+            DeleteResp::Done(_) => 1,
+            DeleteResp::Clear(copies) => 1 + 4 + 3 * copies.len(),
+        }
+    }
+
     /// `Done` is one byte, `0` or `1`, as the `BoolResp` it replaced.
     fn put(&self, e: &mut Enc) {
         match self {
@@ -767,6 +958,10 @@ pub struct ListResp {
 }
 
 impl Message for ListResp {
+    fn wire_len(&self) -> usize {
+        2 + 4 + self.entries.len() * (OBJECT_ID_LEN + 24)
+    }
+
     fn put(&self, e: &mut Enc) {
         e.u16(self.node.0);
         put_list(e, &self.entries, |e, entry| {
@@ -805,6 +1000,10 @@ pub struct MetricsResp {
 }
 
 impl Message for MetricsResp {
+    fn wire_len(&self) -> usize {
+        2 + 8 + self.snapshot.len()
+    }
+
     fn put(&self, e: &mut Enc) {
         e.u16(self.node.0).bytes(&self.snapshot);
     }
@@ -825,6 +1024,10 @@ pub struct BoolResp {
 }
 
 impl Message for BoolResp {
+    fn wire_len(&self) -> usize {
+        1
+    }
+
     fn put(&self, e: &mut Enc) {
         e.bool(self.value);
     }
@@ -1178,6 +1381,168 @@ mod tests {
             assert!(*s < 128, "a control frame is a few dozen bytes, got {s}");
             assert_eq!(*s, l, "a 16384x larger object changed the frame");
         }
+    }
+
+    /// Every message states its encoded length before a byte is written,
+    /// and a frame is allocated at that length: a wrong one fails here,
+    /// against the bytes a growable encoder writes, and not as a silent
+    /// regrow of the frame. The borrowed id lists and read-in-place
+    /// lists agree byte for byte with the messages they stand for.
+    #[test]
+    fn every_message_states_its_encoded_length() {
+        let (a, b) = (ObjectId::from_bytes([1; 20]), ObjectId::from_bytes([2; 20]));
+        let ids = [vec![], vec![a], vec![a, b, a]];
+        let mut messages: Vec<Box<dyn Encode>> = vec![
+            Box::new(CallHeader { from: NodeId(3) }),
+            Box::new(ReplyHeader { epoch: 9 }),
+            Box::new(IdReq { id: a }),
+            Box::new(RetireReq {
+                id: a,
+                owner: NodeId(1),
+            }),
+            Box::new(DelegateReq { location: loc(4) }),
+            Box::new(MembershipTable {
+                epoch: 2,
+                nodes: vec![NodeId(0), NodeId(5)],
+            }),
+            Box::new(MembershipTable {
+                epoch: 0,
+                nodes: vec![],
+            }),
+            Box::new(MetricsResp {
+                node: NodeId(1),
+                snapshot: Bytes::from_static(b"snap"),
+            }),
+            Box::new(ListResp {
+                node: NodeId(1),
+                entries: vec![ListEntry {
+                    id: a,
+                    data_size: 1,
+                    metadata_size: 2,
+                    ref_count: 3,
+                }],
+            }),
+            Box::new(ReconcileReq {
+                claims: vec![(a, Kind::Pin, 2), (b, Kind::Lease, 1)],
+            }),
+            Box::new(ReconcileResp {
+                drop: vec![(a, Kind::Replica)],
+                trimmed: Tally::default(),
+            }),
+            Box::new(GetManyResp {
+                entries: vec![
+                    GetManyEntry::Pinned(loc(1)),
+                    GetManyEntry::NotFound(a),
+                    GetManyEntry::Moved(loc(2)),
+                ],
+            }),
+            Box::new(GetManyResp { entries: vec![] }),
+            Box::new(DeleteResp::Done(true)),
+            Box::new(DeleteResp::Clear(vec![
+                (NodeId(1), Kind::Lease),
+                (NodeId(2), Kind::Replica),
+            ])),
+        ];
+        for value in [true, false] {
+            messages.push(Box::new(BoolResp { value }));
+        }
+        for ids in &ids {
+            messages.push(Box::new(GetManyReq { ids: ids.clone() }));
+            messages.push(Box::new(IdsReq { ids: ids.clone() }));
+            messages.push(Box::new(ReleaseResp {
+                pinned: ids.iter().map(|id| *id == a).collect(),
+            }));
+        }
+        for entry in [
+            GetManyEntry::Pinned(loc(1)),
+            GetManyEntry::NotFound(a),
+            GetManyEntry::Moved(loc(2)),
+        ] {
+            messages.push(Box::new(entry));
+        }
+        for resp in [
+            CreateAtResp::Ok(loc(1)),
+            CreateAtResp::Exists,
+            CreateAtResp::WrongOwner,
+        ] {
+            messages.push(Box::new(resp));
+        }
+        for resp in [DelegateResp::Adopted(loc(1)), DelegateResp::Refused] {
+            messages.push(Box::new(resp));
+        }
+        for (cleared, kept) in [
+            (vec![], vec![]),
+            (vec![NodeId(1)], vec![]),
+            (vec![], vec![NodeId(1), NodeId(2)]),
+        ] {
+            messages.push(Box::new(DeleteReq {
+                id: a,
+                deferred: true,
+                cleared,
+                kept,
+            }));
+        }
+        for message in &messages {
+            let mut grown = Enc::new();
+            message.encode_to(&mut grown);
+            assert_eq!(
+                grown.len(),
+                message.encoded_len(),
+                "a stated length is the written one"
+            );
+            assert_eq!(ipc::encode(message.as_ref()), grown.finish());
+        }
+        for ids in &ids {
+            let listed = ipc::encode(&IdList::new(ids.len(), ids.iter().copied()));
+            assert_eq!(listed, GetManyReq { ids: ids.clone() }.encode());
+            assert_eq!(
+                IdsReq::ids(listed.clone()).unwrap().collect::<Vec<_>>(),
+                *ids
+            );
+            assert_eq!(GetManyReq::ids(listed).unwrap().len(), ids.len());
+        }
+        let resp = GetManyResp {
+            entries: vec![GetManyEntry::NotFound(a), GetManyEntry::Pinned(loc(3))],
+        };
+        let read: Vec<_> = GetManyResp::entries(resp.encode()).unwrap().collect();
+        assert_eq!(read, resp.entries);
+        let flags = ReleaseResp {
+            pinned: vec![true, false, true],
+        };
+        let read: Vec<_> = ReleaseResp::flags(flags.encode()).unwrap().collect();
+        assert_eq!(read, flags.pinned);
+    }
+
+    /// A list read in place refuses what [`Message::decode`] refuses —
+    /// a cut, a byte more, a count the frame cannot hold, a bad item —
+    /// before it yields anything.
+    #[test]
+    fn a_list_read_in_place_keeps_every_check() {
+        let resp = GetManyResp {
+            entries: vec![
+                GetManyEntry::Pinned(loc(1)),
+                GetManyEntry::NotFound(loc(2).id),
+            ],
+        }
+        .encode();
+        for keep in 0..resp.len() {
+            assert!(
+                GetManyResp::entries(resp.slice(..keep)).is_err(),
+                "kept {keep}"
+            );
+        }
+        let mut padded = resp.to_vec();
+        padded.push(0);
+        assert!(GetManyResp::entries(Bytes::from(padded)).is_err());
+        let mut bad_tag = resp.to_vec();
+        bad_tag[4] = 7;
+        assert!(GetManyResp::entries(Bytes::from(bad_tag)).is_err());
+        let huge = Bytes::from(u32::MAX.to_le_bytes().to_vec());
+        assert!(IdsReq::ids(huge.clone()).is_err());
+        assert!(ReleaseResp::flags(huge).is_err());
+        let mut bad_bool = ReleaseResp { pinned: vec![true] }.encode().to_vec();
+        bad_bool[4] = 2;
+        assert!(ReleaseResp::flags(Bytes::from(bad_bool)).is_err());
     }
 
     #[test]

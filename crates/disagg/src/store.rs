@@ -476,8 +476,12 @@ impl DisaggStore {
         }
         let unreleased = held.into_iter().flat_map(|(id, n)| (0..n).map(move |_| id));
         members.extend(unreleased);
-        let outcomes = self.return_pins(&members, false);
-        outcomes[deferred..].iter().filter(|o| o.is_ok()).count() as u64
+        let (mut at, mut released) = (0, 0);
+        self.return_pins(&members, false, |outcome| {
+            released += u64::from(at >= deferred && outcome.is_ok());
+            at += 1;
+        });
+        released
     }
 
     /// Quiesce-time reconciliation, holder-initiated: report to every
@@ -510,7 +514,7 @@ impl DisaggStore {
             let req = ReconcileReq {
                 claims: inner.ledger.claims_on(peer, sealed),
             };
-            let answered = self.peer_call(peer, method::RECONCILE, &[&req.encode()]);
+            let answered = self.peer_call(peer, method::RECONCILE, &req);
             let Some(resp) = answered.ok().and_then(|b| ReconcileResp::decode(b).ok()) else {
                 for id in parked {
                     inner.ledger.park(id, peer);
@@ -566,16 +570,20 @@ impl DisaggStore {
     /// means none was — to the caller, proof that the entry it released
     /// against was a phantom. A pin on this node's own copy gives its
     /// core reference back; a pin on a lent id lived in the ledger only.
-    fn release_for(&self, from: NodeId, ids: &[ObjectId]) -> Result<Vec<bool>, PlasmaError> {
+    fn release_for(
+        &self,
+        from: NodeId,
+        ids: impl Iterator<Item = ObjectId>,
+    ) -> Result<Vec<bool>, PlasmaError> {
         let ledger = &self.inner.ledger;
-        let release = |&id: &ObjectId| {
+        let release = |id: ObjectId| {
             let pinned = ledger.unpin(Side::Out, id, Some(from), |_| true);
             if pinned.is_some_and(|pin| pin.at.is_none()) {
                 self.inner.core.release(id)?;
             }
             Ok(pinned.is_some())
         };
-        ids.iter().map(release).collect()
+        ids.map(release).collect()
     }
 
     /// Mirror the ledger's leases and replicas into the gauges peers and
@@ -693,15 +701,13 @@ impl DisaggStore {
 
             // Pass 2: remote lookup for misses (degrades gracefully when
             // peers are unreachable — their objects just stay missing).
-            let filled_before: Vec<bool> = out.iter().map(Option::is_some).collect();
+            // A slot is remote if this pass fills it.
+            for (flag, slot) in remote_slots.iter_mut().zip(&out) {
+                *flag |= slot.is_none();
+            }
             self.remote_lookup_pass(ids, &mut out);
-            for (flag, (was, slot)) in remote_slots
-                .iter_mut()
-                .zip(filled_before.iter().zip(out.iter()))
-            {
-                if !*was && slot.is_some() {
-                    *flag = true;
-                }
+            for (flag, slot) in remote_slots.iter_mut().zip(&out) {
+                *flag &= slot.is_some();
             }
             if out.iter().all(Option::is_some) {
                 return Ok(out);
@@ -758,24 +764,32 @@ impl DisaggStore {
     /// forever. An owner's `false` flag (no pin ledgered for us) says the
     /// entry was a phantom, and the id comes back here, `phantom`, to go
     /// to its next candidate: another owner's entry or, once the ledger
-    /// has none, [`DisaggStore::release_here`]. Returns each id's
-    /// outcome, in order: only a release here can fail.
-    fn return_pins(&self, ids: &[ObjectId], phantom: bool) -> Vec<Result<(), PlasmaError>> {
+    /// has none, [`DisaggStore::release_here`]. Hands `outcome` each
+    /// id's outcome, in order: only a release here can fail.
+    fn return_pins(
+        &self,
+        ids: &[ObjectId],
+        phantom: bool,
+        mut outcome: impl FnMut(Result<(), PlasmaError>),
+    ) {
         let ledger = &self.inner.ledger;
         let alive = |node| self.inner.health.state(node) != PeerState::Down;
-        let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        let outcomes = ids
-            .iter()
-            .map(|&id| match ledger.unpin(Side::Held, id, None, alive) {
+        // Each remote pin's owner, in id order; then each owner's ids in
+        // that order, the owners in node order.
+        let mut owners: Vec<(NodeId, ObjectId)> = Vec::new();
+        for &id in ids {
+            outcome(match ledger.unpin(Side::Held, id, None, alive) {
                 Some(pin) => {
-                    by_owner.entry(pin.peer).or_default().push(id);
+                    owners.push((pin.peer, id));
                     Ok(())
                 }
                 None => self.release_here(id, phantom),
             });
-        let outcomes = outcomes.collect();
-        self.send_releases(by_owner.into_iter().collect(), false);
-        outcomes
+        }
+        owners.sort_by_key(|&(owner, _)| owner);
+        let asks = owners.chunk_by(|a, b| a.0 == b.0);
+        let asks = asks.map(|run| (run[0].0, run.iter().map(|&(_, id)| id).collect()));
+        self.send_releases(asks, false);
     }
 
     /// Return a pin no peer holds for us. A get of an id this node lent
@@ -922,9 +936,9 @@ impl ObjectStore for DisaggStore {
         // The pins this get took remotely go back together, if it took
         // two or more: one `RELEASE` per holder when the last of them is
         // released.
-        let remote = ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
-        let members: Vec<ObjectId> = remote.map(|(id, _)| *id).collect();
-        if result.is_ok() && members.len() > 1 {
+        let remote = || ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
+        if result.is_ok() && remote().nth(1).is_some() {
+            let members = remote().map(|(id, _)| *id).collect();
             self.inner.release_groups.lock().open(members);
         }
         if let Ok(out) = &result {
@@ -968,9 +982,10 @@ impl ObjectStore for DisaggStore {
                 }
             }
         }
-        let mut outcomes = self.return_pins(&members, false);
+        let mut last = Ok(());
+        self.return_pins(&members, false, |outcome| last = outcome);
         match last_due {
-            true => outcomes.pop().expect("one outcome per member"),
+            true => last,
             false => Ok(()),
         }
     }

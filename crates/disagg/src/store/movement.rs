@@ -93,11 +93,24 @@ impl DisaggStore {
     /// Pull the bytes behind `src` over the fabric into a new, unsealed
     /// object under the same id here, whose creator's reference the
     /// caller holds: the one copy a spill, a replication and a forwarded
-    /// create all make. A failed read or write leaves nothing here.
+    /// create all make. The bytes go straight from `src`'s segment into
+    /// the new object's, charged as a read of `src` and the writes of
+    /// its data and metadata; no buffer holds them between. A failed
+    /// read or write leaves nothing here.
     pub(super) fn copy_in(&self, src: &ObjectLocation) -> Result<ObjectLocation, PlasmaError> {
-        let bytes = self.read_payload(src)?;
-        let (data, metadata) = bytes.split_at(src.data_size as usize);
-        self.inner.core.create_filled(src.id, data, metadata)
+        let inner = &self.inner;
+        let view = inner
+            .core
+            .mapping_for(src)?
+            .view(src.offset, src.total_size())?;
+        let copied = view.read_with(|bytes| {
+            let (data, metadata) = bytes.split_at(src.data_size as usize);
+            inner.core.create_filled(src.id, data, metadata)
+        })?;
+        if src.seg.owner != inner.node {
+            inner.metrics.mapped_payload_bytes.add(src.total_size());
+        }
+        copied
     }
 
     /// Holder side of `SPILL_AT` / `REPLICATE_AT`: pull the (immutable,
@@ -232,7 +245,7 @@ impl DisaggStore {
             _ => method::REPLICATE_AT,
         };
         // (the holder's copy, if adopted; ambiguous; error to surface)
-        let (adopted, ambiguous, error) = match self.peer_call(holder, verb, &[&req.encode()]) {
+        let (adopted, ambiguous, error) = match self.peer_call(holder, verb, &req) {
             Ok(body) => match DelegateResp::decode(body) {
                 Ok(DelegateResp::Adopted(at)) => (Some(at), false, None),
                 Ok(DelegateResp::Refused) => (None, false, None),
@@ -535,11 +548,10 @@ impl DisaggStore {
                 Err(e) => return Err((e, lease_holders(&there))),
             }
         }
-        let req = RetireReq { id, owner }.encode();
-        let body = [&req[..]];
+        let req = RetireReq { id, owner };
         let calls: Vec<_> = there
             .iter()
-            .map(|&(holder, _)| (holder, method::INVALIDATE, &body[..]))
+            .map(|&(holder, _)| (holder, method::INVALIDATE, req))
             .collect();
         let (mut failed, mut unsent) = (None, Vec::new());
         for (&copy, answer) in there.iter().zip(self.scatter(&calls)) {
@@ -577,7 +589,7 @@ impl DisaggStore {
                 cleared: Vec::new(),
                 kept,
             };
-            let _ = self.peer_call(owner, method::DELETE, &[&req.encode()]);
+            let _ = self.peer_call(owner, method::DELETE, &req);
         }
     }
 
@@ -606,7 +618,7 @@ impl DisaggStore {
     /// one of them from another node reads `ObjectInUse` meanwhile.
     pub(super) fn delete_routed(&self, id: ObjectId, deferred: bool) -> Result<bool, PlasmaError> {
         let held = self.inner.release_groups.lock().take_deferred(id);
-        self.return_pins(&vec![id; held], false);
+        self.return_pins(&vec![id; held], false, |_| {});
         // `delete_here` refuses a delegated copy held here exactly as
         // it refuses one for a peer: the owner runs the delete.
         match self.delete_here(id, deferred, &[]) {
@@ -620,10 +632,9 @@ impl DisaggStore {
             cleared: Vec::new(),
             kept: Vec::new(),
         };
-        let req = req.encode();
         let mut unreachable: Option<PlasmaError> = None;
         for peer in self.peers_owner_first(id) {
-            match self.peer_call(peer, method::DELETE, &[&req]) {
+            match self.peer_call(peer, method::DELETE, &req) {
                 Ok(body) => {
                     let answer = Self::delete_answer(body)?;
                     return self.delete_with(peer, id, deferred, answer);
@@ -676,7 +687,7 @@ impl DisaggStore {
                     cleared,
                     kept: Vec::new(),
                 };
-                let body = self.peer_call(owner, method::DELETE, &[&req.encode()]);
+                let body = self.peer_call(owner, method::DELETE, &req);
                 let body = body.map_err(|fail| self.object_err(owner, id, fail))?;
                 Self::delete_answer(body)?
             };

@@ -9,9 +9,10 @@
 use super::DisaggStore;
 use crate::health::{Admission, PeerState, PeerStats};
 use crate::proto::{
-    method, CallHeader, IdsReq, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
+    method, CallHeader, IdList, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
 };
 use bytes::Bytes;
+use ipc::Encode;
 use obs::MetricsSnapshot;
 use plasma::{ObjectId, PlasmaError};
 use rpclite::{RpcClient, RpcError, StatusCode, Unawaited};
@@ -27,6 +28,10 @@ pub(super) struct Releases {
     /// The number the next one is given.
     next: u64,
     sent: Vec<SentRelease>,
+    /// Where an exchange moves the releases it takes the answers of:
+    /// empty between exchanges, and kept, so taking them allocates
+    /// nothing.
+    due: Vec<SentRelease>,
     kept: Vec<KeptCopy>,
 }
 
@@ -57,6 +62,61 @@ struct SentRelease {
 /// A sent release's owner, ids, whether they were owed, and its answer
 /// (`None`: none came).
 type ReleaseAnswer = (NodeId, Vec<ObjectId>, bool, Option<Result<Bytes, RpcError>>);
+
+/// One member of an exchange ([`DisaggStore::scatter`]): the client to
+/// its peer, and where its call stands.
+pub(super) struct Member {
+    client: Option<Arc<RpcClient>>,
+    call: MemberCall,
+}
+
+struct MemberCall {
+    node: NodeId,
+    method: u32,
+    /// Attempts the member may still make.
+    attempts_left: u32,
+    /// Whether any attempt's request left.
+    sent: bool,
+    /// The epoch its answer's reply header carried.
+    reply_epoch: Option<u64>,
+    /// `None` while the member still has a call to make or to wait for.
+    answer: Option<Result<Bytes, PeerFail>>,
+}
+
+impl Member {
+    /// Whether the peer answered — a body, or a definite error status.
+    fn answered(&self) -> bool {
+        match &self.call.answer {
+            Some(Ok(_)) => true,
+            Some(Err(fail)) => fail.status().is_some(),
+            None => false,
+        }
+    }
+}
+
+/// The answers of an exchange, one per member, in the order the members
+/// were listed.
+pub(super) struct Answers(std::vec::IntoIter<Member>);
+
+impl Iterator for Answers {
+    type Item = Result<Bytes, PeerFail>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let member = self.0.next()?;
+        Some(
+            member
+                .call
+                .answer
+                .expect("the rounds end only once no member is retrying"),
+        )
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Answers {}
 
 /// A deliberately broken release path, for the fault table's mutation
 /// check (`release_faults`): each case must fail against one of them.
@@ -203,11 +263,11 @@ impl DisaggStore {
     /// every `Ok` answer comes back stripped of its [`ReplyHeader`],
     /// the responder's membership epoch; a responder whose epoch is ahead has its
     /// table pulled, and one that is behind is pushed this node's, before
-    /// the answers are returned. A member's body is
-    /// borrowed as parts, and the header's bytes join them as the first:
-    /// the rpclite envelope writes them all into the frame's one buffer,
-    /// so a payload a body carries (a forwarded put's) is copied once,
-    /// in every round that sends it.
+    /// the answers are returned. A member's body is a message, not its
+    /// bytes: the header and the message are written once, straight
+    /// into the frame's one buffer, in every round that sends them. The
+    /// exchange keeps one record per member, in one vector of exactly
+    /// their number, and its answers are read off that vector.
     ///
     /// Definite answers — including error statuses — prove the peer is
     /// alive and reset its failure count; only transport-level failures
@@ -219,10 +279,7 @@ impl DisaggStore {
     /// No interconnect handler gets here: a call made while serving one
     /// would wait on the cluster's one reader, which runs that handler
     /// and so reads nothing meanwhile.
-    pub(super) fn scatter(
-        &self,
-        calls: &[(NodeId, u32, &[&[u8]])],
-    ) -> Vec<Result<Bytes, PeerFail>> {
+    pub(super) fn scatter<B: Encode>(&self, calls: &[(NodeId, u32, B)]) -> Answers {
         debug_assert!(
             !rpclite::serving(),
             "an interconnect handler called out: every verb must answer from its own state"
@@ -232,68 +289,61 @@ impl DisaggStore {
         // answered them first, on the same ordered connection.
         let released_before = inner.releases.lock().next;
         let header = CallHeader { from: inner.node };
-        let head = header.encode();
-        let framed: Vec<Vec<&[u8]>> = calls
+        // A `Down` peer was called before: its client is built.
+        let mut members: Vec<Member> = calls
             .iter()
-            .map(|(.., body)| {
-                let mut parts = vec![&head[..]];
-                parts.extend_from_slice(body);
-                parts
+            .map(|&(node, method, _)| Member {
+                client: self.client(node),
+                call: MemberCall {
+                    node,
+                    method,
+                    attempts_left: 0,
+                    sent: false,
+                    reply_epoch: None,
+                    answer: None,
+                },
             })
             .collect();
-        let mut reply_epochs = vec![None; calls.len()];
-        // A `Down` peer was called before: its client is built.
-        let clients: Vec<_> = calls.iter().map(|(node, ..)| self.client(*node)).collect();
-        let admissions = calls
-            .iter()
-            .zip(&clients)
-            .map(|((node, ..), client)| client.as_ref().map(|_| inner.health.admit(*node)));
-        let mut attempts_left: Vec<u32> = admissions
-            .map(|admission| match admission {
+        for Member { client, call } in &mut members {
+            let admission = client.as_ref().map(|_| inner.health.admit(call.node));
+            call.attempts_left = match admission {
                 None | Some(Admission::Skip) => 0,
                 Some(Admission::Probe) => 1, // one shot; failure re-arms the backoff window
                 Some(Admission::Attempt) => inner.retry.max_attempts.max(1),
-            })
-            .collect();
-        // `None` while a member still has a call to make or to wait for.
-        let mut answers: Vec<Option<Result<Bytes, PeerFail>>> = clients
-            .iter()
-            .zip(&attempts_left)
-            .map(|(client, &attempts)| match client {
+            };
+            call.answer = match client {
                 None => Some(Err(PeerFail::NoPeer)),
-                Some(_) => (attempts == 0).then_some(Err(PeerFail::Skipped)),
-            })
-            .collect();
-        // Whether any attempt's request left, per member.
-        let mut sent = vec![false; calls.len()];
+                Some(_) => (call.attempts_left == 0).then_some(Err(PeerFail::Skipped)),
+            };
+        }
         let mut retry_no = 0u32;
         loop {
             // Every send of the round goes out before any answer is
             // waited for.
-            let tickets: Vec<_> = calls
-                .iter()
-                .zip(&framed)
-                .zip(clients.iter().zip(&answers))
-                .map(|(((_, method_id, _), parts), (client, answer))| {
-                    let client = client.as_ref().filter(|_| answer.is_none());
-                    client.map(|client| client.call_async(*method_id, parts))
+            let round: Vec<_> = members
+                .iter_mut()
+                .zip(calls)
+                .filter_map(|(Member { client, call }, (.., body))| {
+                    let client = client.as_ref().filter(|_| call.answer.is_none())?;
+                    let parts: [&dyn Encode; 2] = [&header, body];
+                    let ticket = client.call_async(call.method, &parts);
+                    Some((call, ticket))
                 })
                 .collect();
             let mut retrying = 0u64;
-            for (i, ticket) in tickets.into_iter().enumerate() {
-                let Some(ticket) = ticket else { continue };
-                sent[i] |= ticket.is_ok();
-                let peer = calls[i].0;
+            for (call, ticket) in round {
+                call.sent |= ticket.is_ok();
+                let peer = call.node;
                 let answer = ticket
                     .and_then(|t| t.wait_deadline(inner.call_deadline))
                     .and_then(|resp| {
                         ReplyHeader::unframe(resp)
                             .map_err(|e| RpcError::Protocol(format!("reply header: {e}")))
                     });
-                answers[i] = match answer {
+                call.answer = match answer {
                     Ok((reply, body)) => {
                         inner.health.record_success(peer);
-                        reply_epochs[i] = Some(reply.epoch);
+                        call.reply_epoch = Some(reply.epoch);
                         Some(Ok(body))
                     }
                     Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
@@ -302,12 +352,12 @@ impl DisaggStore {
                     }
                     Err(e) if e.is_retryable() => {
                         let state = inner.health.record_failure(peer);
-                        attempts_left[i] -= 1;
-                        if attempts_left[i] == 0 || state == PeerState::Down {
+                        call.attempts_left -= 1;
+                        if call.attempts_left == 0 || state == PeerState::Down {
                             let why = format!("peer {peer} unreachable: {e}");
                             // An `Unavailable` status is an answer: the
                             // peer served the call and said so.
-                            Some(Err(match (e, sent[i]) {
+                            Some(Err(match (e, call.sent) {
                                 (e @ RpcError::Status(_), _) => PeerFail::Rpc(e),
                                 (_, true) => PeerFail::Unreachable(why),
                                 (_, false) => PeerFail::Unsent(why),
@@ -339,37 +389,33 @@ impl DisaggStore {
         // still missing was lost), and the releases parked for it go
         // again. Then a membership pull or push, an exchange of its own
         // (whose own reply is the table, not a reason to send another).
-        let answered: Vec<NodeId> = calls
-            .iter()
-            .zip(&answers)
-            .filter(|(_, answer)| match answer {
-                Some(Ok(_)) => true,
-                Some(Err(fail)) => fail.status().is_some(),
-                None => false,
-            })
-            .map(|((peer, ..), _)| *peer)
-            .collect();
-        self.take_releases(&answered, released_before);
-        self.free_kept(&answered, released_before);
+        if members.iter().any(Member::answered) {
+            let answered =
+                |node: NodeId| members.iter().any(|m| m.call.node == node && m.answered());
+            self.take_releases(answered, released_before);
+            self.free_kept(answered, released_before);
+        }
         #[cfg(test)]
-        let answered = match mutant(Mutant::NeverFlush) {
-            true => Vec::new(),
-            false => answered,
-        };
-        let parked = answered.iter().filter_map(|&node| {
-            let ids = inner.ledger.take_parked(node);
-            (!ids.is_empty()).then_some((node, ids))
-        });
-        self.send_releases(parked.collect(), true);
-        for ((peer, method_id, _), epoch) in calls.iter().zip(reply_epochs) {
-            if let Some(epoch) = epoch.filter(|_| *method_id != method::MEMBERSHIP) {
-                self.sync_epoch(*peer, epoch);
+        let flush = !mutant(Mutant::NeverFlush);
+        #[cfg(not(test))]
+        let flush = true;
+        let parked = members
+            .iter()
+            .filter(|m| flush && m.answered())
+            .filter_map(|m| {
+                let ids = inner.ledger.take_parked(m.call.node);
+                (!ids.is_empty()).then_some((m.call.node, ids))
+            });
+        self.send_releases(parked.collect::<Vec<_>>(), true);
+        for Member { call, .. } in &members {
+            if let Some(epoch) = call
+                .reply_epoch
+                .filter(|_| call.method != method::MEMBERSHIP)
+            {
+                self.sync_epoch(call.node, epoch);
             }
         }
-        let settled = answers.into_iter();
-        settled
-            .map(|answer| answer.expect("the rounds end only once no member is retrying"))
-            .collect()
+        Answers(members.into_iter())
     }
 
     /// [`DisaggStore::scatter`] of one: the guarded call to the peer on
@@ -378,10 +424,10 @@ impl DisaggStore {
         &self,
         node: NodeId,
         method_id: u32,
-        body: &[&[u8]],
+        body: &dyn Encode,
     ) -> Result<Bytes, PeerFail> {
         let mut answers = self.scatter(&[(node, method_id, body)]);
-        answers.pop().expect("one answer per member")
+        answers.next().expect("one answer per member")
     }
 
     /// Send each owner in `asks` one `RELEASE` listing its ids, and wait
@@ -392,18 +438,23 @@ impl DisaggStore {
     /// landed already (see [`SentRelease::owed`]). An owner that is no
     /// peer, is `Down`, or that the request cannot reach, has its ids
     /// parked, to go again after the next exchange with it. A release
-    /// draws its modeled delay at its send and charges none of it.
-    pub(super) fn send_releases(&self, asks: Vec<(NodeId, Vec<ObjectId>)>, owed: bool) {
-        if asks.is_empty() {
-            return;
-        }
+    /// draws its modeled delay at its send and charges none of it. Each
+    /// request is written from the ids the release keeps, straight into
+    /// its frame.
+    pub(super) fn send_releases(
+        &self,
+        asks: impl IntoIterator<Item = (NodeId, Vec<ObjectId>)>,
+        owed: bool,
+    ) {
         let inner = &self.inner;
-        let head = CallHeader { from: inner.node }.encode();
+        let header = CallHeader { from: inner.node };
+        let mut sent_any = false;
         for (owner, ids) in asks {
+            sent_any = true;
             let up = inner.health.state(owner) != PeerState::Down;
             let client = up.then(|| self.client(owner)).flatten();
-            let body = IdsReq { ids: ids.clone() }.encode();
-            let call = client.and_then(|client| client.send(method::RELEASE, &[&head, &body]).ok());
+            let parts: [&dyn Encode; 2] = [&header, &IdList::of(&ids)];
+            let call = client.and_then(|client| client.send(method::RELEASE, &parts).ok());
             let Some(call) = call else {
                 for id in ids {
                     inner.ledger.park(id, owner);
@@ -425,7 +476,9 @@ impl DisaggStore {
                 call,
             });
         }
-        self.sync_parked_gauge();
+        if sent_any {
+            self.sync_parked_gauge();
+        }
     }
 
     /// Keep the copy of `id` a `CREATE_AT` to `owner` named and got no
@@ -446,17 +499,15 @@ impl DisaggStore {
         releases.kept.iter().any(|copy| copy.id == id)
     }
 
-    /// Free the copies kept for `owners` before the exchange numbered
-    /// `before`. Each of those owners answered a call of that exchange,
-    /// and a node serves the requests that reach it in the order they
-    /// arrive, so no request naming one of the copies is left to serve.
-    fn free_kept(&self, owners: &[NodeId], before: u64) {
-        if owners.is_empty() {
-            return;
-        }
+    /// Free the copies kept for the `answered` owners before the exchange
+    /// numbered `before`. Each of those owners answered a call of that
+    /// exchange, and a node serves the requests that reach it in the
+    /// order they arrive, so no request naming one of the copies is left
+    /// to serve.
+    fn free_kept(&self, answered: impl Fn(NodeId) -> bool, before: u64) {
         let mut releases = self.inner.releases.lock();
         releases.kept.retain(|copy| {
-            let due = copy.seq < before && owners.contains(&copy.owner);
+            let due = copy.seq < before && answered(copy.owner);
             if due {
                 let _ = self.inner.core.abort(copy.id);
             }
@@ -464,27 +515,31 @@ impl DisaggStore {
         });
     }
 
-    /// Take the answers of the releases sent to `owners` before the one
-    /// numbered `before`: those owners have answered a later call, so an
-    /// answer still missing was lost.
-    fn take_releases(&self, owners: &[NodeId], before: u64) {
-        if owners.is_empty() {
-            return;
-        }
-        let due = {
+    /// Take the answers of the releases sent to the `answered` owners
+    /// before the one numbered `before`: those owners have answered a
+    /// later call, so an answer still missing was lost. The due releases
+    /// are moved, in send order, into a vector the store keeps for them,
+    /// and acted on once the lock is let go.
+    fn take_releases(&self, answered: impl Fn(NodeId) -> bool, before: u64) {
+        let mut due = {
             let mut releases = self.inner.releases.lock();
-            let (due, kept) = std::mem::take(&mut releases.sent)
-                .into_iter()
-                .partition(|r| r.seq < before && owners.contains(&r.owner));
-            releases.sent = kept;
+            let mut due = std::mem::take(&mut releases.due);
+            let taken = releases
+                .sent
+                .extract_if(.., |r| r.seq < before && answered(r.owner));
+            due.extend(taken);
             due
         };
         // Each was sent through its owner's client, which is kept.
-        let answers = due.into_iter().map(|r| {
+        let answers = due.drain(..).map(|r| {
             let answer = self.client(r.owner).and_then(|c| c.take(r.call));
             (r.owner, r.ids, r.owed, answer)
         });
-        self.act_on_releases(answers.collect());
+        self.act_on_releases(answers);
+        let mut releases = self.inner.releases.lock();
+        if releases.due.capacity() == 0 {
+            releases.due = due;
+        }
     }
 
     /// Wait for the answer of every release this store has in flight,
@@ -510,7 +565,7 @@ impl DisaggStore {
                 let answer = self.client(r.owner).map(|c| c.settle(r.call, deadline));
                 (r.owner, r.ids, r.owed, answer)
             });
-            self.act_on_releases(answers.collect());
+            self.act_on_releases(answers);
         }
     }
 
@@ -520,15 +575,15 @@ impl DisaggStore {
     /// held the pin; a reply that does not decode or flags another number
     /// of ids is as ambiguous as a lost one, and parks its ids with the
     /// failed and the lost.
-    fn act_on_releases(&self, answers: Vec<ReleaseAnswer>) {
+    fn act_on_releases(&self, answers: impl Iterator<Item = ReleaseAnswer>) {
         let mut phantoms = Vec::new();
         for (owner, ids, owed, answer) in answers {
             let reply = answer.and_then(|a| a.ok());
             let reply = reply.and_then(|body| ReplyHeader::unframe(body).ok());
             let flags = reply.and_then(|(header, body)| {
                 self.sync_epoch(owner, header.epoch);
-                let resp = ReleaseResp::decode(body).ok()?;
-                (resp.pinned.len() == ids.len()).then_some(resp.pinned)
+                let flags = ReleaseResp::flags(body).ok()?;
+                (flags.len() == ids.len()).then_some(flags)
             });
             let Some(pinned) = flags else {
                 for id in ids {
@@ -545,7 +600,7 @@ impl DisaggStore {
         }
         self.sync_parked_gauge();
         if !phantoms.is_empty() {
-            self.return_pins(&phantoms, true);
+            self.return_pins(&phantoms, true, |_| {});
         }
     }
 
@@ -575,7 +630,7 @@ impl DisaggStore {
     /// Fetch one peer's metrics snapshot over the interconnect
     /// (`METRICS` RPC): any node can introspect any peer live.
     pub fn peer_metrics(&self, node: NodeId) -> Result<MetricsSnapshot, PlasmaError> {
-        match self.peer_call(node, method::METRICS, &[]) {
+        match self.peer_call(node, method::METRICS, &()) {
             Ok(body) => Self::decode_metrics(body).map(|(_, snap)| snap),
             Err(fail) => Err(self.peer_err(node, fail)),
         }
@@ -591,7 +646,7 @@ impl DisaggStore {
         let peers = self.peer_nodes();
         let calls: Vec<_> = peers
             .iter()
-            .map(|&peer| (peer, method::METRICS, &[][..]))
+            .map(|&peer| (peer, method::METRICS, ()))
             .collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
@@ -639,10 +694,7 @@ impl DisaggStore {
         let mut out = Vec::with_capacity(self.peer_count() + 1);
         out.push((self.inner.node, self.sealed_entries()));
         let peers = self.peer_nodes();
-        let calls: Vec<_> = peers
-            .iter()
-            .map(|&peer| (peer, method::LIST, &[][..]))
-            .collect();
+        let calls: Vec<_> = peers.iter().map(|&peer| (peer, method::LIST, ())).collect();
         for response in self.scatter(&calls) {
             let Ok(body) = response else { continue };
             let resp = ListResp::decode(body)

@@ -7,21 +7,52 @@ use super::peer::PeerFail;
 use super::DisaggStore;
 use crate::delegation::{Kind, Side};
 use crate::proto::{
-    method, BoolResp, CreateAtResp, DelegateReq, GetManyEntry, GetManyReq, GetManyResp, IdReq,
+    method, BoolResp, CreateAtResp, DelegateReq, GetManyEntry, GetManyResp, IdList, IdReq,
     MembershipTable, Message,
 };
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
+use ipc::Encode;
 use plasma::{ObjectId, ObjectLocation, PlasmaError};
 use rpclite::Status;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 use tfsim::NodeId;
 
-/// What one lookup pass resolved: each id's descriptor, and the node
-/// that pinned it (the one its release goes to).
-type Found = HashMap<ObjectId, (ObjectLocation, NodeId)>;
+/// What one lookup pass knows of one slot it looks up.
+struct Lookup {
+    /// The slot: its index in the ids and in the results.
+    k: usize,
+    /// The pass's record of the first slot listing the same id, which
+    /// keeps what is found for all of them.
+    first: usize,
+    /// The ring owner asked for it, if another node; and whether that
+    /// owner answered.
+    owner: Option<NodeId>,
+    owner_answered: bool,
+    /// Whether the broadcast asks for it.
+    broadcast: bool,
+    /// On a first record: the descriptor, and the node that pinned it
+    /// (the one its release goes to).
+    found: Option<(ObjectLocation, NodeId)>,
+}
+
+/// Point each record at the first record of its id. Records are in
+/// slot order, so that is the smallest slot listing the id.
+fn first_of_each_id(ids: &[ObjectId], slots: &mut [Lookup]) {
+    if slots.len() < 2 {
+        return;
+    }
+    let mut by_id: Vec<usize> = (0..slots.len()).collect();
+    by_id.sort_unstable_by_key(|&r| (ids[slots[r].k], r));
+    let mut first = by_id[0];
+    for &r in &by_id {
+        if ids[slots[r].k] != ids[slots[first].k] {
+            first = r;
+        }
+        slots[r].first = first;
+    }
+}
 
 impl DisaggStore {
     /// Install (or supersede) the membership table the placement ring
@@ -79,9 +110,12 @@ impl DisaggStore {
         if peer_epoch == self.ring_epoch() {
             return;
         }
-        let push = (peer_epoch < self.ring_epoch()).then(|| self.membership_table().encode());
-        let body: Vec<&[u8]> = push.iter().map(|table| &table[..]).collect();
-        if let Ok(body) = self.peer_call(node, method::MEMBERSHIP, &body) {
+        let push = (peer_epoch < self.ring_epoch()).then(|| self.membership_table());
+        let body: &dyn Encode = match &push {
+            Some(table) => table,
+            None => &(),
+        };
+        if let Ok(body) = self.peer_call(node, method::MEMBERSHIP, body) {
             if let Ok(table) = MembershipTable::decode(body) {
                 self.set_membership(Membership::new(table.epoch, table.nodes));
             }
@@ -122,8 +156,7 @@ impl DisaggStore {
         if self.answers_for(id) {
             return Ok(true);
         }
-        let req = IdReq { id }.encode();
-        let ask = [&req[..]];
+        let ask = IdReq { id };
         let holds = |body: Bytes| {
             BoolResp::decode(body)
                 .map(|r| r.value)
@@ -156,7 +189,7 @@ impl DisaggStore {
         // count as "not here" (partial answer, not an error).
         let calls: Vec<_> = peers
             .iter()
-            .map(|&peer| (peer, method::CONTAINS, &ask[..]))
+            .map(|&peer| (peer, method::CONTAINS, ask))
             .collect();
         for answer in self.scatter(&calls) {
             let Ok(body) = answer else { continue };
@@ -178,21 +211,29 @@ impl DisaggStore {
     /// Unreachable peers contribute nothing; their objects simply stay
     /// unresolved this round, so a dead peer degrades `get` to a miss
     /// instead of an error.
+    ///
+    /// The pass keeps one record per slot it looks up, in slot order. A
+    /// request lists its slots' ids in that order and its answer lists
+    /// an entry per id in the same order, so each entry is filed by its
+    /// slot; what is known of an id the batch lists more than once is
+    /// kept on its first slot.
     pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [Option<ObjectLocation>]) {
-        let missing: Vec<ObjectId> = ids
-            .iter()
-            .zip(out.iter())
-            .filter(|(_, o)| o.is_none())
-            .map(|(id, _)| *id)
+        let mut slots: Vec<Lookup> = (0..ids.len())
+            .filter(|&k| out[k].is_none())
+            .map(|k| Lookup {
+                k,
+                first: 0,
+                owner: None,
+                owner_answered: false,
+                broadcast: false,
+                found: None,
+            })
             .collect();
-        if missing.is_empty() {
+        if slots.is_empty() {
             return;
         }
         let pass_started = Instant::now();
-        let mut found = Found::new();
-        // What each ring owner answered for in this pass: the broadcast
-        // does not ask it about those ids again.
-        let mut answered: Vec<(NodeId, ObjectId)> = Vec::new();
+        first_of_each_id(ids, &mut slots);
 
         // Ring-targeted phase: resolve each missing id's rendezvous
         // owner locally (zero RPCs) and ask exactly that peer. Ids the
@@ -201,69 +242,80 @@ impl DisaggStore {
         // broadcast, as do ids this node owns itself and has not lent
         // (the local pass already missed them, so if they exist at all
         // they live off-ring).
-        let ring = self.inner.ring.read().clone();
-        if let Some(ring) = ring {
-            // Groups in node order: the order of the sends and of the
-            // absorbed answers must not depend on a hasher's seed.
-            let mut by_owner: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-            for &id in &missing {
-                match ring.owner_of(id) {
-                    Some(owner) if owner != self.inner.node => {
-                        by_owner.entry(owner).or_default().push(id);
-                    }
-                    _ => {
-                        if let Some(loc) = self.lent_here(id) {
-                            found.entry(id).or_insert((loc, self.inner.node));
-                        }
-                    }
+        let routed = {
+            let ring = self.inner.ring.read();
+            ring.as_ref().map(|ring| {
+                for slot in &mut slots {
+                    let owner = ring.owner_of(ids[slot.k]);
+                    slot.owner = owner.filter(|&owner| owner != self.inner.node);
+                }
+            })
+        };
+        if routed.is_some() {
+            for r in 0..slots.len() {
+                if slots[r].owner.is_some() {
+                    continue;
+                }
+                if let Some(loc) = self.lent_here(ids[slots[r].k]) {
+                    let first = slots[r].first;
+                    slots[first].found.get_or_insert((loc, self.inner.node));
                 }
             }
-            let asks: Vec<(NodeId, Vec<ObjectId>)> = by_owner.into_iter().collect();
-            for ((owner, group), replied) in asks.iter().zip(self.ask(&asks, &mut found)) {
-                if replied {
-                    answered.extend(group.iter().map(|id| (*owner, *id)));
-                }
+            // Groups in node order, each in slot order: the order of the
+            // sends and of the absorbed answers must not depend on a
+            // hasher's seed.
+            let mut asks: Vec<(NodeId, usize)> = Vec::new();
+            let mut after = None;
+            while let Some(owner) = slots
+                .iter()
+                .filter_map(|s| s.owner)
+                .filter(|&o| after.is_none_or(|a| o > a))
+                .min()
+            {
+                let n = slots.iter().filter(|s| s.owner == Some(owner)).count();
+                asks.push((owner, n));
+                after = Some(owner);
             }
+            let group = |owner: NodeId| move |s: &Lookup| s.owner == Some(owner);
+            self.ask(ids, &mut slots, &asks, group);
             // Ids an owner answered with its holder's descriptor count as
             // ring hits: the owner did answer for them.
-            let hits = missing.iter().filter(|id| found.contains_key(id)).count();
+            let hits = (0..slots.len())
+                .filter(|&r| slots[slots[r].first].found.is_some())
+                .count();
             self.inner.metrics.ring_hit.add(hits as u64);
             self.inner
                 .metrics
                 .ring_fallback
-                .add((missing.len() - hits) as u64);
+                .add((slots.len() - hits) as u64);
         }
 
         // Broadcast for whatever is still missing. Each peer is sent only
         // the ids it has not already answered for as their ring owner; an
         // owner that was skipped or did not answer stays in.
-        let remaining: Vec<ObjectId> = missing
-            .iter()
-            .filter(|id| !found.contains_key(id))
-            .copied()
-            .collect();
-        if !remaining.is_empty() {
-            let asks: Vec<(NodeId, Vec<ObjectId>)> = self
-                .peer_nodes()
+        for r in 0..slots.len() {
+            slots[r].broadcast = slots[slots[r].first].found.is_none();
+        }
+        if slots.iter().any(|s| s.broadcast) {
+            let asked = |peer: NodeId| {
+                move |s: &Lookup| s.broadcast && !(s.owner_answered && s.owner == Some(peer))
+            };
+            let peers = self.peer_nodes();
+            let asks: Vec<(NodeId, usize)> = peers
                 .iter()
-                .map(|&peer| {
-                    let unasked = |id: &&ObjectId| !answered.contains(&(peer, **id));
-                    (peer, remaining.iter().filter(unasked).copied().collect())
-                })
-                .filter(|(_, ids): &(_, Vec<ObjectId>)| !ids.is_empty())
+                .map(|&peer| (peer, slots.iter().filter(|s| asked(peer)(s)).count()))
+                .filter(|&(_, n)| n > 0)
                 .collect();
-            self.ask(&asks, &mut found);
+            self.ask(ids, &mut slots, &asks, asked);
         }
 
         self.inner
             .metrics
             .lookup_fanout
             .record_duration(pass_started.elapsed());
-        for (slot, id) in out.iter_mut().zip(ids) {
-            if slot.is_none() {
-                if let Some((loc, _)) = found.get(id) {
-                    *slot = Some(*loc);
-                }
+        for r in 0..slots.len() {
+            if let Some((loc, _)) = slots[slots[r].first].found {
+                out[slots[r].k] = Some(loc);
             }
         }
     }
@@ -288,79 +340,105 @@ impl DisaggStore {
         Some(loc)
     }
 
-    /// One pinning `GET_MANY` to each of `asks`' peers for its ids, all
-    /// in one [`DisaggStore::scatter`], every answer absorbed into
-    /// `found`: every id a peer holds sealed — or lent away — comes back
-    /// pinned (attributed to this node) with its fabric descriptor
-    /// attached, one round trip regardless of how many ids a batch
-    /// carries or how many peers are asked. Returns, per ask, whether
-    /// the peer answered. Every call issued counts under `lookup_rpcs`,
-    /// and its batch size is recorded in `disagg.get_many.batch_size`.
-    fn ask(&self, asks: &[(NodeId, Vec<ObjectId>)], found: &mut Found) -> Vec<bool> {
+    /// One pinning `GET_MANY` to each of `asks`' peers, all in one
+    /// [`DisaggStore::scatter`]: a peer is asked the ids of the slots
+    /// `listed(peer)` picks, in slot order, `n` of them, written from
+    /// `ids` straight into its frame. Every id a peer holds sealed — or
+    /// lent away — comes back pinned (attributed to this node) with its
+    /// fabric descriptor attached, one round trip regardless of how many
+    /// ids a batch carries or how many peers are asked, and is filed by
+    /// its slot ([`DisaggStore::absorb_lookup`]); a slot whose ring
+    /// owner answered is marked so. Every call issued counts under
+    /// `lookup_rpcs`, and its batch size is recorded in
+    /// `disagg.get_many.batch_size`.
+    fn ask<P: Fn(&Lookup) -> bool + Clone>(
+        &self,
+        ids: &[ObjectId],
+        slots: &mut [Lookup],
+        asks: &[(NodeId, usize)],
+        listed: impl Fn(NodeId) -> P,
+    ) {
         if asks.is_empty() {
-            return Vec::new();
+            return;
         }
-        let reqs: Vec<Bytes> = asks
-            .iter()
-            .map(|(_, ids)| GetManyReq { ids: ids.clone() }.encode())
-            .collect();
-        let bodies: Vec<[&[u8]; 1]> = reqs.iter().map(|req| [&req[..]]).collect();
-        let calls: Vec<_> = asks
-            .iter()
-            .zip(&bodies)
-            .map(|((peer, _), body)| (*peer, method::GET_MANY, &body[..]))
-            .collect();
-        let answers = self.scatter(&calls).into_iter();
-        answers
-            .zip(asks)
-            .map(|(answer, (peer, ids))| {
-                if !matches!(answer, Err(PeerFail::Skipped | PeerFail::NoPeer)) {
-                    self.inner
-                        .counters
-                        .lookup_rpcs
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.inner.metrics.get_many_batch.record(ids.len() as u64);
-                }
-                let resp = answer.ok().and_then(|body| GetManyResp::decode(body).ok());
-                let replied = resp.is_some();
-                if let Some(resp) = resp {
-                    self.absorb_lookup(*peer, resp, found);
-                }
-                replied
-            })
-            .collect()
+        let answers = {
+            let slots = &*slots;
+            let calls: Vec<_> = asks
+                .iter()
+                .map(|&(peer, n)| {
+                    let picked = listed(peer);
+                    let picked = slots.iter().filter(move |s| picked(s)).map(|s| ids[s.k]);
+                    (peer, method::GET_MANY, IdList::new(n, picked))
+                })
+                .collect();
+            self.scatter(&calls)
+        };
+        for (answer, &(peer, n)) in answers.zip(asks) {
+            if !matches!(answer, Err(PeerFail::Skipped | PeerFail::NoPeer)) {
+                self.inner
+                    .counters
+                    .lookup_rpcs
+                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.metrics.get_many_batch.record(n as u64);
+            }
+            let entries = answer.ok().and_then(|body| GetManyResp::entries(body).ok());
+            let Some(entries) = entries else { continue };
+            let listed = listed(peer);
+            self.absorb_lookup(peer, ids, slots, &listed, entries);
+            let owned = slots.iter_mut().filter(|s| s.owner == Some(peer));
+            for slot in owned.filter(|s| listed(s)) {
+                slot.owner_answered = true;
+            }
+        }
     }
 
     /// Fold the descriptors one peer returned (with pins taken on our
-    /// behalf) into `found`, ledgering each pin under that peer — the
-    /// node that actually took it, in its own ledger: if the object
-    /// moved between lookups, a pin on the new owner must not be merged
-    /// into, and later "released" against, the stale owner's count. A
-    /// `Moved` descriptor names the holder's segment, not the peer's, so
-    /// `found` keeps who answered beside what. If two peers answered for
-    /// the same id, the first absorbed pin wins and the duplicate is
-    /// released back to the losing peer — all of one answer's duplicates
-    /// in one list `RELEASE` once the answer is folded. The *same* peer
-    /// answering an id twice is not a race but a batch that legitimately
-    /// carried the id twice (the owner pinned once per instance, and the
-    /// caller will release once per filled slot) — those extra pins are
-    /// ledgered, not released.
-    fn absorb_lookup(&self, peer: NodeId, resp: GetManyResp, found: &mut Found) {
+    /// behalf), one per slot it was asked, into those slots, ledgering
+    /// each pin under that peer — the node that actually took it, in its
+    /// own ledger: if the object moved between lookups, a pin on the new
+    /// owner must not be merged into, and later "released" against, the
+    /// stale owner's count. A `Moved` descriptor names the holder's
+    /// segment, not the peer's, so a slot keeps who answered beside
+    /// what. If two peers answered for the same id, the first absorbed
+    /// pin wins and the duplicate is released back to the losing peer —
+    /// all of one answer's duplicates in one list `RELEASE` once the
+    /// answer is folded, as is a descriptor of an id other than its
+    /// slot's. The *same* peer answering an id twice is not a race but a
+    /// batch that legitimately carried the id twice (the owner pinned
+    /// once per instance, and the caller will release once per filled
+    /// slot) — those extra pins are ledgered, not released.
+    fn absorb_lookup(
+        &self,
+        peer: NodeId,
+        ids: &[ObjectId],
+        slots: &mut [Lookup],
+        listed: &impl Fn(&Lookup) -> bool,
+        mut entries: impl Iterator<Item = GetManyEntry>,
+    ) {
         let ledger = &self.inner.ledger;
         let mut lost = Vec::new();
-        for entry in resp.entries {
+        for r in 0..slots.len() {
+            if !listed(&slots[r]) {
+                continue;
+            }
+            let Some(entry) = entries.next() else { break };
             let Some(&loc) = entry.location() else {
                 continue;
             };
-            match found.get(&loc.id) {
+            let first = slots[r].first;
+            match slots[first].found {
+                _ if loc.id != ids[slots[r].k] => {
+                    lost.push(loc.id);
+                    continue;
+                }
                 None => {
                     self.inner
                         .counters
                         .remote_found
                         .fetch_add(1, Ordering::Relaxed);
-                    found.insert(loc.id, (loc, peer));
+                    slots[first].found = Some((loc, peer));
                 }
-                Some(&(_, winner)) if winner != peer => {
+                Some((_, winner)) if winner != peer => {
                     lost.push(loc.id);
                     continue;
                 }
@@ -372,7 +450,7 @@ impl DisaggStore {
             ledger.record(Side::Held, loc.id, Kind::Pin, peer, 0);
         }
         if !lost.is_empty() {
-            self.send_releases(vec![(peer, lost)], true);
+            self.send_releases([(peer, lost)], true);
         }
     }
 
@@ -416,8 +494,8 @@ impl DisaggStore {
             if owner == self.inner.node {
                 return Ok(None);
             }
-            let req = DelegateReq { location: *copy }.encode();
-            let body = match self.peer_call(owner, method::CREATE_AT, &[&req]) {
+            let req = DelegateReq { location: *copy };
+            let body = match self.peer_call(owner, method::CREATE_AT, &req) {
                 Ok(body) => body,
                 Err(fail) => {
                     if !fail.unsent() && fail.status().is_none() {
@@ -478,7 +556,11 @@ impl DisaggStore {
     /// pinning the copy this node spilled is the one exception: it reads
     /// that copy again, so that a caller's pins on one id are all of one
     /// kind and its release can only ever return what it took.
-    pub(super) fn serve_get_many(&self, from: NodeId, req: GetManyReq) -> GetManyResp {
+    pub(super) fn serve_get_many(
+        &self,
+        from: NodeId,
+        ids: impl Iterator<Item = ObjectId>,
+    ) -> GetManyResp {
         let inner = &self.inner;
         let answer = |id: ObjectId| {
             // A leased copy held here is its owner's to hand out: a
@@ -505,7 +587,7 @@ impl DisaggStore {
             }
         };
         GetManyResp {
-            entries: req.ids.iter().copied().map(answer).collect(),
+            entries: ids.map(answer).collect(),
         }
     }
 

@@ -14,7 +14,7 @@ use crate::proto::{
 };
 use crate::ring::Membership;
 use bytes::Bytes;
-use ipc::CodecError;
+use ipc::{CodecError, Encode};
 use plasma::PlasmaError;
 use rpclite::{Service, Status, StatusCode};
 use tfsim::NodeId;
@@ -28,10 +28,6 @@ pub(super) struct Interconnect {
 /// verb: `InvalidArgument`, before the store is asked anything.
 fn decoded<T>(request: Result<T, CodecError>) -> Result<T, Status> {
     request.map_err(|e| Status::invalid_argument(e.to_string()))
-}
-
-fn truth(value: bool) -> Bytes {
-    BoolResp { value }.encode()
 }
 
 /// The one translation of a handler's error into a wire status — the
@@ -55,82 +51,85 @@ impl Service for Interconnect {
         if !method::VERBS.iter().any(|(id, _)| *id == method_id) {
             return Err(Status::unimplemented(method_id));
         }
-        let store = &self.store;
-        // The epoch is the caller's to reconcile: the reply header tells
-        // it ours, and a caller that is ahead pushes its table.
         let (header, body) = decoded(CallHeader::unframe(request))?;
-        let reply = self.serve(method_id, header.from, body)?;
-        let epoch = store.ring_epoch();
-        Ok(ReplyHeader { epoch }.frame(&reply))
+        self.serve(method_id, header.from, body)
     }
 }
 
 impl Interconnect {
-    /// One verb's body, on behalf of the node `from`.
+    /// The reply to a verb that ran: this store's epoch — the caller's
+    /// to reconcile: a caller that is ahead pushes its table — then the
+    /// verb's answer, written once, into the reply's one buffer.
+    fn reply(&self, answer: &dyn Encode) -> Result<Bytes, Status> {
+        let epoch = self.store.ring_epoch();
+        Ok(ReplyHeader { epoch }.frame_message(answer))
+    }
+
+    /// One verb, on behalf of the node `from`: its reply.
     fn serve(&self, method_id: u32, from: NodeId, request: Bytes) -> Result<Bytes, Status> {
         let store = &self.store;
         match method_id {
             method::RELEASE => {
-                let req = decoded(IdsReq::decode(request))?;
-                let released = store.release_for(from, &req.ids);
-                let resp = released.map(|pinned| ReleaseResp { pinned }.encode());
-                resp.map_err(status_of)
+                let ids = decoded(IdsReq::ids(request))?;
+                let pinned = store.release_for(from, ids).map_err(status_of)?;
+                self.reply(&ReleaseResp { pinned })
             }
             method::CONTAINS => {
                 let req = decoded(IdReq::decode(request))?;
-                Ok(truth(store.answers_for(req.id)))
+                let value = store.answers_for(req.id);
+                self.reply(&BoolResp { value })
             }
             method::DELETE => {
                 let req = decoded(DeleteReq::decode(request))?;
                 if !req.kept.is_empty() {
                     store.reopen_leases(req.id, &req.kept);
-                    return Ok(DeleteResp::Done(false).encode());
+                    return self.reply(&DeleteResp::Done(false));
                 }
                 let answer = store.delete_here(req.id, req.deferred, &req.cleared);
-                answer.map(|answer| answer.encode()).map_err(status_of)
+                self.reply(&answer.map_err(status_of)?)
             }
-            method::LIST => Ok(ListResp {
+            method::LIST => self.reply(&ListResp {
                 node: store.node(),
                 entries: store.sealed_entries(),
-            }
-            .encode()),
+            }),
             method::GET_MANY => {
-                let req = decoded(GetManyReq::decode(request))?;
-                Ok(store.serve_get_many(from, req).encode())
+                let ids = decoded(GetManyReq::ids(request))?;
+                self.reply(&store.serve_get_many(from, ids))
             }
             method::RECONCILE => {
                 let req = decoded(ReconcileReq::decode(request))?;
-                Ok(store.settle_for(from, req).encode())
+                self.reply(&store.settle_for(from, req))
             }
             method::CREATE_AT => {
                 let req = decoded(DelegateReq::decode(request))?;
-                store.create_at(&req.location).map(|resp| resp.encode())
+                self.reply(&store.create_at(&req.location)?)
             }
             method::SPILL_AT => {
                 let req = decoded(DelegateReq::decode(request))?;
-                Ok(store.delegate_at(Kind::Lease, from, req).encode())
+                self.reply(&store.delegate_at(Kind::Lease, from, req))
             }
             method::REPLICATE_AT => {
                 let req = decoded(DelegateReq::decode(request))?;
-                Ok(store.delegate_at(Kind::Replica, from, req).encode())
+                self.reply(&store.delegate_at(Kind::Replica, from, req))
             }
             method::INVALIDATE => {
                 let req = decoded(RetireReq::decode(request))?;
                 let dropped = store.invalidate_here(req.owner, req.id);
-                dropped.map(truth).map_err(status_of)
+                self.reply(&BoolResp {
+                    value: dropped.map_err(status_of)?,
+                })
             }
             method::MEMBERSHIP => {
                 if !request.is_empty() {
                     let pushed = decoded(MembershipTable::decode(request))?;
                     store.set_membership(Membership::new(pushed.epoch, pushed.nodes));
                 }
-                Ok(store.membership_table().encode())
+                self.reply(&store.membership_table())
             }
-            method::METRICS => Ok(MetricsResp {
+            method::METRICS => self.reply(&MetricsResp {
                 node: store.node(),
                 snapshot: Bytes::from(store.metrics_snapshot().encode()),
-            }
-            .encode()),
+            }),
             other => Err(Status::unimplemented(other)),
         }
     }

@@ -5,6 +5,11 @@
 //! envelope and the store-to-store messages are all written in. A decoder
 //! reads its fields in order and ends in [`Dec::finish`], so a message
 //! cut short or carrying a byte more is an error, never a default.
+//!
+//! Every message states its encoded length before a byte of it is
+//! written ([`Encode`]), so it is written once, into a buffer allocated
+//! at its final size: its own ([`encode`]) or the frame's that carries
+//! it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -49,7 +54,142 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encoder over a growable buffer.
+/// A value written with [`Enc`] whose encoded length is known before any
+/// of it is written.
+pub trait Encode {
+    /// The bytes [`Encode::encode_to`] writes.
+    fn encoded_len(&self) -> usize;
+
+    /// Write the value.
+    fn encode_to(&self, e: &mut Enc);
+}
+
+/// One message: fixed-width fields written in order by `put` and read
+/// back in the same order by `get`, `wire_len` bytes of them — stated
+/// before any is written, so a message is written once, into a buffer of
+/// its final size: its own ([`Message::encode`]) or that of the frame
+/// that carries it (every message is [`Encode`]).
+pub trait Message: Sized {
+    /// The bytes `put` writes.
+    fn wire_len(&self) -> usize;
+
+    /// Write the fields.
+    fn put(&self, e: &mut Enc);
+
+    /// Read the fields `put` wrote.
+    fn get(d: &mut Dec) -> Result<Self, CodecError>;
+
+    /// Serialize to wire bytes, in one buffer of exactly their length.
+    fn encode(&self) -> Bytes {
+        encode(self)
+    }
+
+    /// Parse from wire bytes: every field, and not a byte more.
+    fn decode(b: Bytes) -> Result<Self, CodecError> {
+        let mut d = Dec::new(b);
+        let message = Self::get(&mut d)?;
+        d.finish()?;
+        Ok(message)
+    }
+}
+
+impl<M: Message> Encode for M {
+    fn encoded_len(&self) -> usize {
+        self.wire_len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        self.put(e)
+    }
+}
+
+/// `value`'s bytes, written into one buffer of exactly their length.
+pub fn encode<T: Encode + ?Sized>(value: &T) -> Bytes {
+    let mut e = Enc::with_capacity(value.encoded_len());
+    value.encode_to(&mut e);
+    debug_assert_eq!(
+        e.len(),
+        value.encoded_len(),
+        "a stated length is the written one"
+    );
+    e.finish()
+}
+
+/// No bytes: a request with an empty body.
+impl Encode for () {
+    fn encoded_len(&self) -> usize {
+        0
+    }
+
+    fn encode_to(&self, _: &mut Enc) {}
+}
+
+/// Raw bytes, written as they are (no prefix).
+impl Encode for [u8] {
+    fn encoded_len(&self) -> usize {
+        self.len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        e.fixed(self);
+    }
+}
+
+impl Encode for Bytes {
+    fn encoded_len(&self) -> usize {
+        self.len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        e.fixed(self);
+    }
+}
+
+impl Encode for &[u8] {
+    fn encoded_len(&self) -> usize {
+        self.len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        e.fixed(self);
+    }
+}
+
+impl Encode for &dyn Encode {
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        (**self).encode_to(e)
+    }
+}
+
+/// Parts written back to back: a header, then a body.
+impl<T: Encode> Encode for [T] {
+    fn encoded_len(&self) -> usize {
+        self.iter().map(Encode::encoded_len).sum()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        for part in self {
+            part.encode_to(e);
+        }
+    }
+}
+
+impl<T: Encode, const N: usize> Encode for [T; N] {
+    fn encoded_len(&self) -> usize {
+        self[..].encoded_len()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        self[..].encode_to(e)
+    }
+}
+
+/// Encoder over a buffer sized up front ([`Enc::with_capacity`]); a write
+/// past that size moves the bytes into a larger one.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: BytesMut,
@@ -64,6 +204,15 @@ impl Enc {
         Enc {
             buf: BytesMut::with_capacity(cap),
         }
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
     pub fn u8(&mut self, v: u8) -> &mut Self {
@@ -119,8 +268,9 @@ impl Enc {
     }
 }
 
-/// Checked decoder over a payload.
-#[derive(Debug)]
+/// Checked decoder over a payload. A clone reads on from where this one
+/// is, over the same bytes.
+#[derive(Debug, Clone)]
 pub struct Dec {
     buf: Bytes,
 }

@@ -26,7 +26,7 @@ pub mod frame;
 pub mod inproc;
 pub mod transport;
 
-pub use codec::{CodecError, Dec, Enc};
+pub use codec::{encode, CodecError, Dec, Enc, Encode, Message};
 pub use fault::{Direction, FaultAction, FaultConn, FaultPolicy, NoFaults};
 pub use frame::Frame;
 pub use inproc::{InprocConn, InprocHub, InprocListener};

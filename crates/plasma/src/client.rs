@@ -35,7 +35,7 @@
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::object::{ObjectInfo, ObjectLocation};
-use crate::protocol::{put_frame, Request, Response};
+use crate::protocol::{get_frame, locations, put_frame, release_frame, tag, Request, Response};
 use crate::release::ReleaseGroups;
 use crate::store::StoreStats;
 use ipc::{Conn, Frame};
@@ -236,6 +236,15 @@ impl PlasmaClient {
 
     /// Send one request frame and read the store's answer.
     fn exchange(&self, frame: &Frame) -> Result<Response, PlasmaError> {
+        let resp_frame = self.exchange_frame(frame)?;
+        match Response::from_frame(&resp_frame)? {
+            Response::Error(e) => Err(e),
+            other => Ok(other),
+        }
+    }
+
+    /// Send one request frame and return the store's answer undecoded.
+    fn exchange_frame(&self, frame: &Frame) -> Result<Frame, PlasmaError> {
         let req_len = frame.payload.len();
         let resp_frame = {
             let mut conn = self.conn.lock();
@@ -246,14 +255,15 @@ impl PlasmaClient {
             c.clock
                 .charge(c.request_link.delay(req_len + resp_frame.payload.len()));
         }
-        match Response::from_frame(&resp_frame)? {
-            Response::Error(e) => Err(e),
-            other => Ok(other),
-        }
+        Ok(resp_frame)
     }
 
     fn request_unit(&self, req: Request) -> Result<(), PlasmaError> {
-        match self.request(req)? {
+        self.exchange_unit(&req.to_frame())
+    }
+
+    fn exchange_unit(&self, frame: &Frame) -> Result<(), PlasmaError> {
+        match self.exchange(frame)? {
             Response::Unit => Ok(()),
             other => Err(PlasmaError::Protocol(format!(
                 "expected Unit, got {other:?}"
@@ -344,28 +354,31 @@ impl PlasmaClient {
     /// reference; call [`PlasmaClient::release`] when done reading. Two
     /// or more filled slots form a release group (module docs). A slot
     /// whose buffers cannot be mapped fails the call, and every filled
-    /// slot's reference goes back first.
+    /// slot's reference goes back first. The request is written from
+    /// `ids`, and the answer's locations are read off its frame.
     pub fn get(
         &self,
         ids: &[ObjectId],
         timeout: Duration,
     ) -> Result<Vec<Option<ObjectBuffer>>, PlasmaError> {
-        let resp = self.request(Request::Get {
-            ids: ids.to_vec(),
-            timeout_ms: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
-        })?;
-        let Response::Locations(locs) = resp else {
-            return Err(PlasmaError::Protocol("expected Locations".into()));
-        };
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        let resp = self.exchange_frame(&get_frame(ids, timeout_ms))?;
+        if resp.msg_type != tag::R_LOCATIONS {
+            return match Response::from_frame(&resp)? {
+                Response::Error(e) => Err(e),
+                _ => Err(PlasmaError::Protocol("expected Locations".into())),
+            };
+        }
+        let locs = locations(&resp.payload)?;
         if let Some(c) = &self.cost {
             c.clock.charge(c.per_object * ids.len() as u32);
         }
         let bufs: Result<Vec<Option<ObjectBuffer>>, PlasmaError> = locs
-            .iter()
-            .map(|loc| loc.as_ref().map(|l| self.buffer_for(l)).transpose())
+            .clone()
+            .map(|loc| loc.map(|l| self.buffer_for(&l)).transpose())
             .collect();
-        let filled = || locs.iter().flatten().map(|l| l.id).collect();
-        let fills = locs.iter().flatten().count();
+        let filled = || locs.clone().flatten().map(|l| l.id).collect();
+        let fills = locs.clone().flatten().count();
         match bufs {
             Err(e) => {
                 if fills > 0 {
@@ -398,8 +411,11 @@ impl PlasmaClient {
         let Some(mut ids) = self.groups.lock().release(id) else {
             return Ok(());
         };
+        if ids.is_empty() {
+            return self.exchange_unit(&release_frame(&[id]));
+        }
         ids.push(id);
-        self.request_unit(Request::Release(ids))
+        self.exchange_unit(&release_frame(&ids))
     }
 
     /// Send the releases of `id` this client deferred, before a delete

@@ -105,6 +105,11 @@ pub fn get_id(d: &mut Dec) -> Result<ObjectId, CodecError> {
 /// Most ids one request may list.
 const MAX_IDS: usize = 1_000_000;
 
+/// Encoded width of a count-prefixed id list ([`put_ids`]).
+fn ids_len(ids: &[ObjectId]) -> usize {
+    8 + ids.len() * OBJECT_ID_LEN
+}
+
 /// Write a count-prefixed id list.
 fn put_ids(e: &mut Enc, ids: &[ObjectId]) {
     e.u64(ids.len() as u64);
@@ -121,6 +126,9 @@ fn get_ids(d: &mut Dec) -> Result<Vec<ObjectId>, PlasmaError> {
         .ok_or_else(|| PlasmaError::Protocol("id list too long".into()))?;
     (0..n).map(|_| Ok(get_id(d)?)).collect()
 }
+
+/// Encoded width of an object location ([`put_location`]).
+pub const LOCATION_LEN: usize = OBJECT_ID_LEN + 32;
 
 /// Write an object location: id, segment, offset and sizes. The one
 /// location codec: the store-to-store messages write theirs with it too.
@@ -167,9 +175,83 @@ pub(crate) fn put_frame(id: &ObjectId, data: &[u8], metadata: &[u8]) -> Frame {
     Frame::new(tag::PUT, e.finish())
 }
 
+/// The frame of a [`Request::Get`], written straight from the id slice
+/// into one right-sized buffer: the one encoder of a get, which
+/// [`Request::to_frame`] and [`crate::PlasmaClient::get`] share.
+pub(crate) fn get_frame(ids: &[ObjectId], timeout_ms: u64) -> Frame {
+    let mut e = Enc::with_capacity(8 + ids_len(ids));
+    e.u64(timeout_ms);
+    put_ids(&mut e, ids);
+    Frame::new(tag::GET, e.finish())
+}
+
+/// The frame of a [`Request::Release`] of `ids`, written from the slice.
+pub(crate) fn release_frame(ids: &[ObjectId]) -> Frame {
+    let mut e = Enc::with_capacity(ids_len(ids));
+    put_ids(&mut e, ids);
+    Frame::new(tag::RELEASE, e.finish())
+}
+
+/// The locations of an `R_LOCATIONS` payload, read in place: the whole
+/// payload is decoded once up front, so a malformed answer is refused as
+/// [`Response::from_frame`] refuses it, and the iterator decodes each
+/// slot again as it yields it.
+pub(crate) fn locations(payload: &Bytes) -> Result<Locations, PlasmaError> {
+    let mut d = Dec::new(payload.clone());
+    let left =
+        usize::try_from(d.u64()?).map_err(|_| PlasmaError::Protocol("locations count".into()))?;
+    let slots = Locations { d, left };
+    let mut check = slots.d.clone();
+    for _ in 0..left {
+        get_slot(&mut check)?;
+    }
+    check.finish()?;
+    Ok(slots)
+}
+
+fn get_slot(d: &mut Dec) -> Result<Option<ObjectLocation>, CodecError> {
+    Ok(match d.bool()? {
+        true => Some(get_location(d)?),
+        false => None,
+    })
+}
+
+/// The slots of a checked `R_LOCATIONS` payload ([`locations`]).
+#[derive(Clone)]
+pub(crate) struct Locations {
+    d: Dec,
+    left: usize,
+}
+
+impl Iterator for Locations {
+    type Item = Option<ObjectLocation>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        Some(get_slot(&mut self.d).expect("every slot decoded once already"))
+    }
+}
+
 impl Request {
+    /// Encoded width of the request's payload.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Request::Create { .. } => OBJECT_ID_LEN + 16,
+            Request::Seal(_)
+            | Request::Delete(_)
+            | Request::DeleteDeferred(_)
+            | Request::Abort(_)
+            | Request::Contains(_) => OBJECT_ID_LEN,
+            Request::Put { data, metadata, .. } => OBJECT_ID_LEN + 16 + data.len() + metadata.len(),
+            Request::Get { ids, .. } => 8 + ids_len(ids),
+            Request::Release(ids) => ids_len(ids),
+            Request::List | Request::Stats | Request::Subscribe => 0,
+            Request::Evict(_) => 8,
+        }
+    }
+
     pub fn to_frame(&self) -> Frame {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(self.encoded_len());
         let t = match self {
             Request::Create {
                 id,
@@ -185,15 +267,8 @@ impl Request {
                 tag::SEAL
             }
             Request::Put { id, data, metadata } => return put_frame(id, data, metadata),
-            Request::Get { ids, timeout_ms } => {
-                e.u64(*timeout_ms);
-                put_ids(&mut e, ids);
-                tag::GET
-            }
-            Request::Release(ids) => {
-                put_ids(&mut e, ids);
-                tag::RELEASE
-            }
+            Request::Get { ids, timeout_ms } => return get_frame(ids, *timeout_ms),
+            Request::Release(ids) => return release_frame(ids),
             Request::Delete(id) => {
                 put_id(&mut e, id);
                 tag::DELETE
@@ -265,8 +340,36 @@ impl Request {
 }
 
 impl Response {
+    /// Encoded width of the response's payload.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Response::Location(_) | Response::Notify(_) => LOCATION_LEN,
+            Response::Locations(locs) => {
+                8 + locs
+                    .iter()
+                    .map(|l| 1 + l.map_or(0, |_| LOCATION_LEN))
+                    .sum::<usize>()
+            }
+            Response::Bool(_) => 1,
+            Response::Unit => 0,
+            Response::List(infos) => 8 + infos.len() * (OBJECT_ID_LEN + 25),
+            Response::Stats(_) => 12 * 8,
+            Response::U64(_) => 8,
+            Response::Error(err) => {
+                let detail = match err {
+                    PlasmaError::Fabric(m)
+                    | PlasmaError::Transport(m)
+                    | PlasmaError::Protocol(m)
+                    | PlasmaError::PeerUnavailable(m) => m.len(),
+                    _ => 0,
+                };
+                4 + OBJECT_ID_LEN + 16 + 8 + detail
+            }
+        }
+    }
+
     pub fn to_frame(&self) -> Frame {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(self.encoded_len());
         let t = match self {
             Response::Location(loc) => {
                 put_location(&mut e, loc);

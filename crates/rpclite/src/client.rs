@@ -50,7 +50,7 @@
 use crate::envelope::{Request, Response, FRAME_RESPONSE};
 use crate::service::{Status, StatusCode};
 use bytes::Bytes;
-use ipc::Conn;
+use ipc::{Conn, Encode};
 use netsim::SharedLink;
 use obs::{Counter, Histogram, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -340,23 +340,27 @@ impl RpcClient {
         body: Bytes,
         deadline: Option<Duration>,
     ) -> Result<Bytes, RpcError> {
-        self.call_async(method, &[&body])?.wait_deadline(deadline)
+        self.call_async(method, &body)?.wait_deadline(deadline)
     }
 
-    /// Send one request whose body is `body`'s parts back to back, and
-    /// return a [`PendingCall`] ticket without waiting for the response;
-    /// other calls may be issued and completed while this one is in
-    /// flight. Blocks only if the in-flight window is full or the
-    /// connection must be (re)dialed.
+    /// Send one request whose body is `body`'s encoding, and return a
+    /// [`PendingCall`] ticket without waiting for the response; other
+    /// calls may be issued and completed while this one is in flight.
+    /// Blocks only if the in-flight window is full or the connection must
+    /// be (re)dialed.
     ///
-    /// The parts are written straight into the request frame
-    /// ([`Request::frame`]), so a caller that frames a payload — a
-    /// header, fields, then the bytes — never joins them into a buffer
-    /// of its own first. The frame, and the request length the modeled
-    /// network charges, are those of the joined body.
-    pub fn call_async(&self, method: u32, body: &[&[u8]]) -> Result<PendingCall<'_>, RpcError> {
+    /// The body — bytes, parts back to back, or a message's fields — is
+    /// written straight into the request frame ([`Request::frame`]), so a
+    /// caller never encodes it into a buffer of its own first. The frame,
+    /// and the request length the modeled network charges, are those of
+    /// the encoded body.
+    pub fn call_async<B: Encode + ?Sized>(
+        &self,
+        method: u32,
+        body: &B,
+    ) -> Result<PendingCall<'_>, RpcError> {
         let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let req_len = body.iter().map(|p| p.len()).sum();
+        let req_len = body.encoded_len();
         let mut st = self.shared.state.lock();
         loop {
             if st.writer.is_none() {
@@ -405,8 +409,8 @@ impl RpcClient {
     /// and charges none of it: the seeded stream moves on exactly as if
     /// the call had been waited for, so every other call is charged what
     /// it would have been.
-    pub fn send(&self, method: u32, body: &[&[u8]]) -> Result<Unawaited, RpcError> {
-        let req_len: usize = body.iter().map(|p| p.len()).sum();
+    pub fn send<B: Encode + ?Sized>(&self, method: u32, body: &B) -> Result<Unawaited, RpcError> {
+        let req_len = body.encoded_len();
         let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         if st.writer.is_none() {
@@ -1317,7 +1321,7 @@ mod tests {
         let registry = metered(&mut client);
         let client = Arc::new(client);
         // One call that will expire, surrounded by healthy in-flight calls.
-        let doomed = client.call_async(3, &[]).unwrap();
+        let doomed = client.call_async(3, &[0u8; 0][..]).unwrap();
         let neighbors: Vec<_> = (0..4)
             .map(|i| {
                 let c = Arc::clone(&client);

@@ -25,18 +25,18 @@
 //! computed on the CPU's `crc32` instruction where there is one
 //! ([`crate::wire::crc32`]), since each side checksums every byte.
 //!
-//! A frame is built once: the encoder reserves the checksum's four bytes
-//! at the front of its buffer, and the checksum is written there once the
-//! envelope is complete, so a body carried in the envelope (an inlined
-//! put's payload) is copied into exactly one buffer. A request body may
-//! come in parts ([`Request::frame`]) — a call header, a message's
-//! fields, the payload they describe — which are written back to back
-//! into that buffer and never joined beforehand.
+//! A frame is built once, in one allocation: the encoder sizes its buffer
+//! from the envelope's fields and the body's stated length
+//! ([`ipc::Encode`]), reserves the checksum's four bytes at its front, and
+//! the checksum is written there once the envelope is complete. A request
+//! body is not encoded beforehand: its parts ([`Request::frame`]) — a
+//! call header, then a message's fields — are written straight into that
+//! buffer, back to back.
 
 use crate::service::{Status, StatusCode};
 use crate::wire::{crc32, WireError};
 use bytes::Bytes;
-use ipc::{CodecError, Dec, Enc, Frame};
+use ipc::{CodecError, Dec, Enc, Encode, Frame};
 
 /// Width of the checksum that starts every frame payload.
 const CRC_LEN: usize = 4;
@@ -45,15 +45,12 @@ const CRC_LEN: usize = 4;
 const FIELDS_LEN: usize = 12;
 
 /// The frame of an envelope: the checksum, `call_id`, `word` (a method
-/// or a status code), then `parts` back to back, all written into one
-/// buffer sized for the whole payload.
-fn seal_frame(msg_type: u32, call_id: u64, word: u32, parts: &[&[u8]]) -> Frame {
-    let len = parts.iter().map(|p| p.len()).sum::<usize>();
-    let mut e = Enc::with_capacity(CRC_LEN + FIELDS_LEN + len);
+/// or a status code), then `body`, all written into one buffer sized for
+/// the whole payload.
+fn seal_frame<B: Encode + ?Sized>(msg_type: u32, call_id: u64, word: u32, body: &B) -> Frame {
+    let mut e = Enc::with_capacity(CRC_LEN + FIELDS_LEN + body.encoded_len());
     e.u32(0).u64(call_id).u32(word);
-    for part in parts {
-        e.fixed(part);
-    }
+    body.encode_to(&mut e);
     let mut payload = e.into_buf();
     let crc = crc32(&payload[CRC_LEN..]);
     payload[..CRC_LEN].copy_from_slice(&crc.to_le_bytes());
@@ -92,15 +89,16 @@ pub struct Request {
 impl Request {
     /// Encode into a [`FRAME_REQUEST`] frame.
     pub fn to_frame(&self) -> Frame {
-        Self::frame(self.call_id, self.method, &[&self.body])
+        Self::frame(self.call_id, self.method, &self.body)
     }
 
-    /// The [`FRAME_REQUEST`] frame of a request whose body is `parts`
-    /// back to back: byte for byte the frame of the request carrying
-    /// their concatenation, written without joining them first, so each
-    /// part is copied once, into the frame's one buffer.
-    pub fn frame(call_id: u64, method: u32, parts: &[&[u8]]) -> Frame {
-        seal_frame(FRAME_REQUEST, call_id, method, parts)
+    /// The [`FRAME_REQUEST`] frame of a request whose body is `body`'s
+    /// encoding — parts back to back, or a message's fields: byte for
+    /// byte the frame of the request carrying those bytes, written
+    /// without encoding them first, so each is written once, into the
+    /// frame's one buffer.
+    pub fn frame<B: Encode + ?Sized>(call_id: u64, method: u32, body: &B) -> Frame {
+        seal_frame(FRAME_REQUEST, call_id, method, body)
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.
@@ -130,7 +128,7 @@ impl Response {
             Ok(body) => (StatusCode::Ok, &body[..]),
             Err(status) => (status.code, status.message.as_bytes()),
         };
-        seal_frame(FRAME_RESPONSE, self.call_id, code as u32, &[rest])
+        seal_frame(FRAME_RESPONSE, self.call_id, code as u32, rest)
     }
 
     /// Decode from a frame's payload, verifying its integrity checksum.

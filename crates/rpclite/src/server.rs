@@ -698,7 +698,7 @@ mod tests {
                             check(in_flight.pop_front().unwrap());
                         }
                         let body = [c, i];
-                        in_flight.push_back((body, client.call_async(1, &[&body]).unwrap()));
+                        in_flight.push_back((body, client.call_async(1, &body[..]).unwrap()));
                     }
                     in_flight.into_iter().for_each(check);
                 });

@@ -439,6 +439,18 @@ impl MappedView {
         self.mapping.write_at(abs, src)
     }
 
+    /// Read the whole view in place: `f` gets its bytes, as the source
+    /// of a copy it writes elsewhere, and the read is charged as
+    /// [`MappedView::read_at`] of the whole view charges it, before `f`
+    /// runs. No buffer is allocated for the bytes.
+    pub fn read_with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Result<R, FabricError> {
+        let len = usize::try_from(self.len).expect("view fits in memory");
+        let mapping = &self.mapping;
+        mapping.seg.check(self.base, len)?;
+        mapping.charge(MemOp::Read, len)?;
+        Ok(mapping.seg.read_with(self.base, len, f)?)
+    }
+
     /// Read the whole view into a vector.
     pub fn read_all(&self) -> Result<Vec<u8>, FabricError> {
         let mut v = vec![0u8; usize::try_from(self.len).expect("view fits in memory")];

@@ -124,7 +124,7 @@ impl Segment {
         self.len == 0
     }
 
-    fn check(&self, offset: u64, len: usize) -> Result<usize, SegError> {
+    pub(crate) fn check(&self, offset: u64, len: usize) -> Result<usize, SegError> {
         let off = usize::try_from(offset).ok();
         match off {
             Some(o) if o.checked_add(len).is_some_and(|end| end <= self.len) => Ok(o),
@@ -145,6 +145,24 @@ impl Segment {
             std::ptr::copy_nonoverlapping(self.ptr.as_ptr().add(o), dst.as_mut_ptr(), dst.len());
         }
         Ok(())
+    }
+
+    /// Hand `f` the `len` bytes starting at `offset`, in place: the
+    /// source of a copy into another segment, which then reads each byte
+    /// once. The range must not be written meanwhile (module-level race
+    /// discipline: only an object's one producer writes it, before
+    /// anyone reads it).
+    pub fn read_with<R>(
+        &self,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SegError> {
+        let o = self.check(offset, len)?;
+        // SAFETY: range checked; the range is not written while it is
+        // borrowed (see module-level race discipline).
+        let bytes = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().add(o), len) };
+        Ok(f(bytes))
     }
 
     /// Copy `src` into the segment starting at `offset`.

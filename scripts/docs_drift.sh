@@ -42,8 +42,9 @@
 # 11. Every statement of the inline-put threshold in README, DESIGN and
 #    the verify skill — "`INLINE_PUT_MAX` = N KiB", "`INLINE_PUT_MAX`
 #    (N KiB)", "`put` ≤ N KiB" or "`put` > N KiB" — names the constant
-#    in crates/plasma/src/client.rs. (A copying `Bytes` is caught by a
-#    test, tests/put_copies.rs, not by grepping for `Arc<[u8]>`.)
+#    in crates/plasma/src/client.rs. (A payload copied into a buffer of
+#    its own on the put path is caught by a test, tests/put_copies.rs:
+#    `Bytes` is one `Arc<[u8]>`, and `From<Vec<u8>>` copies.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -4,10 +4,10 @@
 //! byte. A forwarded put adds what its adoption allocates. The creator
 //! writes the payload into its own segment, again allocating nothing,
 //! and sends its owner the copy's descriptor, whose frame is a few dozen
-//! bytes whatever the size; the owner reads the copy over the fabric
-//! into one buffer and writes that into its segment. So a forwarded put
-//! allocates about two bytes per payload byte: the client's request and
-//! the owner's read.
+//! bytes whatever the size; the owner copies the bytes over the fabric
+//! straight from the creator's segment into its own, allocating nothing
+//! either. So a forwarded put too allocates about one byte per payload
+//! byte: the client's request.
 //!
 //! A test binary of its own: the counting allocator below sees every
 //! thread of the process, so nothing else may run beside the one test.
@@ -80,7 +80,7 @@ fn a_put_copies_its_payload_once_per_hop() {
     for (payload, base) in [(PAYLOAD, "copies/far"), (LARGEST, "copies/far-largest")] {
         let far = allocated_per_payload_byte(&cluster, 1, base, payload);
         assert!(
-            far <= 2.5,
+            far <= 1.5,
             "a forwarded put of {payload} B allocated {far:.2} B per payload byte"
         );
     }
