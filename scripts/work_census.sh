@@ -195,7 +195,7 @@ for w in local_hot remote_read write_churn mixed_zipf; do
             { echo "work_census: $w failed:" >&2; cat "$work/$w.$run.log" >&2; exit 1; }
     done
     python3 - "$w" "$work" "$sites" <<'EOF'
-import collections, re, subprocess, sys
+import collections, os, re, subprocess, sys
 w, work, sites = sys.argv[1:]
 
 def run(i):
@@ -209,7 +209,9 @@ per = [(int(b) - int(a)) / d for a, b in zip(c0[:7], c1[:7])]
 instr = "-" if c1[7] == "-" else f"{(int(c1[7]) - int(c0[7])) / d:.0f}"
 print(f"{w:<12} {ops1:>7} " + " ".join(f"{v:>9.1f}" for v in per[:6])
       + f" {per[6]:>11.0f} {instr:>11}")
-if c1[7] == "-":
+said = f"{work}/no-counter"
+if c1[7] == "-" and not os.path.exists(said):
+    open(said, "w").close()
     print(f"work_census: no instruction counter ({' '.join(c1[8:])})", file=sys.stderr)
 if sites != "1":
     sys.exit(0)
