@@ -149,11 +149,6 @@ pub mod method {
 /// written.
 pub use ipc::Message;
 
-/// `header`'s fields, then `body`, in one buffer of their joint length.
-fn frame(header: &dyn Encode, body: &[u8]) -> Bytes {
-    ipc::encode(&[header, &body as &dyn Encode])
-}
-
 /// Split a frame into its header and the body that follows it.
 fn unframe<H: Message>(frame: Bytes) -> Result<(H, Bytes), CodecError> {
     let mut d = Dec::new(frame);
@@ -307,7 +302,7 @@ impl CallHeader {
     /// which the rpclite envelope writes back to back; this is for a
     /// caller that hands a service a request by hand.
     pub fn frame(&self, body: &[u8]) -> Bytes {
-        frame(self, body)
+        ipc::encode(&[self as &dyn Encode, &body])
     }
 
     /// Split a request frame into its header and body.
@@ -316,15 +311,17 @@ impl CallHeader {
     }
 }
 
-impl Message for CallHeader {
-    fn wire_len(&self) -> usize {
+impl Encode for CallHeader {
+    fn encoded_len(&self) -> usize {
         Self::LEN
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.u16(self.from.0);
     }
+}
 
+impl Message for CallHeader {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(CallHeader { from: get_node(d)? })
     }
@@ -344,15 +341,10 @@ impl ReplyHeader {
     /// Encoded width in bytes.
     pub const LEN: usize = 8;
 
-    /// The reply frame: this header, then `body`.
-    pub fn frame(&self, body: &[u8]) -> Bytes {
-        frame(self, body)
-    }
-
-    /// The reply frame: this header, then `message`, written once, into
-    /// one buffer.
-    pub fn frame_message(&self, message: &dyn Encode) -> Bytes {
-        ipc::encode(&[self as &dyn Encode, message])
+    /// The reply frame: this header, then `body`, written once, into one
+    /// buffer.
+    pub fn frame(&self, body: &dyn Encode) -> Bytes {
+        ipc::encode(&[self as &dyn Encode, body])
     }
 
     /// Split a reply frame into its header and body.
@@ -361,15 +353,17 @@ impl ReplyHeader {
     }
 }
 
-impl Message for ReplyHeader {
-    fn wire_len(&self) -> usize {
+impl Encode for ReplyHeader {
+    fn encoded_len(&self) -> usize {
         Self::LEN
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.u64(self.epoch);
     }
+}
 
+impl Message for ReplyHeader {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(ReplyHeader { epoch: d.u64()? })
     }
@@ -393,15 +387,17 @@ impl GetManyReq {
     }
 }
 
-impl Message for GetManyReq {
-    fn wire_len(&self) -> usize {
+impl Encode for GetManyReq {
+    fn encoded_len(&self) -> usize {
         IdList::of(&self.ids).encoded_len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         IdList::of(&self.ids).encode_to(e);
     }
+}
 
+impl Message for GetManyReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(GetManyReq {
             ids: get_list(d, OBJECT_ID_LEN, get_id)?,
@@ -437,22 +433,24 @@ impl GetManyEntry {
     }
 }
 
-impl Message for GetManyEntry {
-    fn wire_len(&self) -> usize {
+impl Encode for GetManyEntry {
+    fn encoded_len(&self) -> usize {
         1 + match self {
             GetManyEntry::Pinned(_) | GetManyEntry::Moved(_) => LOCATION_LEN,
             GetManyEntry::NotFound(_) => OBJECT_ID_LEN,
         }
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             GetManyEntry::Pinned(loc) => put_location(e.u8(0), loc),
             GetManyEntry::NotFound(id) => put_id(e.u8(1), id),
             GetManyEntry::Moved(loc) => put_location(e.u8(2), loc),
         }
     }
+}
 
+impl Message for GetManyEntry {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => GetManyEntry::Pinned(get_location(d)?),
@@ -477,15 +475,17 @@ impl GetManyResp {
     }
 }
 
+impl Encode for GetManyResp {
+    fn encoded_len(&self) -> usize {
+        4 + self.entries.iter().map(Encode::encoded_len).sum::<usize>()
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
+        put_list(e, &self.entries, |e, entry| entry.encode_to(e));
+    }
+}
+
 impl Message for GetManyResp {
-    fn wire_len(&self) -> usize {
-        4 + self.entries.iter().map(Message::wire_len).sum::<usize>()
-    }
-
-    fn put(&self, e: &mut Enc) {
-        put_list(e, &self.entries, |e, entry| entry.put(e));
-    }
-
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(GetManyResp {
             entries: get_list(d, 1 + OBJECT_ID_LEN, GetManyEntry::get)?,
@@ -510,15 +510,17 @@ impl IdsReq {
     }
 }
 
-impl Message for IdsReq {
-    fn wire_len(&self) -> usize {
+impl Encode for IdsReq {
+    fn encoded_len(&self) -> usize {
         IdList::of(&self.ids).encoded_len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         IdList::of(&self.ids).encode_to(e);
     }
+}
 
+impl Message for IdsReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(IdsReq {
             ids: get_list(d, OBJECT_ID_LEN, get_id)?,
@@ -542,17 +544,19 @@ impl ReleaseResp {
     }
 }
 
-impl Message for ReleaseResp {
-    fn wire_len(&self) -> usize {
+impl Encode for ReleaseResp {
+    fn encoded_len(&self) -> usize {
         4 + self.pinned.len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_list(e, &self.pinned, |e, pinned| {
             e.bool(*pinned);
         });
     }
+}
 
+impl Message for ReleaseResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(ReleaseResp {
             pinned: get_list(d, 1, |d| d.bool())?,
@@ -570,18 +574,20 @@ pub struct ReconcileReq {
     pub claims: Vec<Claim>,
 }
 
-impl Message for ReconcileReq {
-    fn wire_len(&self) -> usize {
+impl Encode for ReconcileReq {
+    fn encoded_len(&self) -> usize {
         4 + self.claims.len() * (OBJECT_ID_LEN + 9)
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_list(e, &self.claims, |e, (id, kind, count)| {
             put_id(e, id);
             e.u8(*kind as u8).u64(*count);
         });
     }
+}
 
+impl Message for ReconcileReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         let claim = |d: &mut Dec| Ok((get_id(d)?, get_kind(d)?, d.u64()?));
         Ok(ReconcileReq {
@@ -601,12 +607,12 @@ pub struct ReconcileResp {
     pub trimmed: Tally,
 }
 
-impl Message for ReconcileResp {
-    fn wire_len(&self) -> usize {
+impl Encode for ReconcileResp {
+    fn encoded_len(&self) -> usize {
         4 + self.drop.len() * (OBJECT_ID_LEN + 1) + 8 * Kind::ALL.len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_list(e, &self.drop, |e, (id, kind)| {
             put_id(e, id);
             e.u8(*kind as u8);
@@ -615,7 +621,9 @@ impl Message for ReconcileResp {
             e.u64(self.trimmed[kind]);
         }
     }
+}
 
+impl Message for ReconcileResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         let drop = get_list(d, OBJECT_ID_LEN + 1, |d| Ok((get_id(d)?, get_kind(d)?)))?;
         let mut trimmed = Tally::default();
@@ -641,15 +649,15 @@ pub enum CreateAtResp {
     WrongOwner,
 }
 
-impl Message for CreateAtResp {
-    fn wire_len(&self) -> usize {
+impl Encode for CreateAtResp {
+    fn encoded_len(&self) -> usize {
         match self {
             CreateAtResp::Ok(_) => 1 + LOCATION_LEN,
             CreateAtResp::Exists | CreateAtResp::WrongOwner => 1,
         }
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             CreateAtResp::Ok(loc) => put_location(e.u8(0), loc),
             CreateAtResp::Exists => {
@@ -660,7 +668,9 @@ impl Message for CreateAtResp {
             }
         }
     }
+}
 
+impl Message for CreateAtResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => CreateAtResp::Ok(get_location(d)?),
@@ -681,18 +691,20 @@ pub struct MembershipTable {
     pub nodes: Vec<NodeId>,
 }
 
-impl Message for MembershipTable {
-    fn wire_len(&self) -> usize {
+impl Encode for MembershipTable {
+    fn encoded_len(&self) -> usize {
         8 + 4 + 2 * self.nodes.len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.u64(self.epoch);
         put_list(e, &self.nodes, |e, node| {
             e.u16(node.0);
         });
     }
+}
 
+impl Message for MembershipTable {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(MembershipTable {
             epoch: d.u64()?,
@@ -717,15 +729,17 @@ pub struct DelegateReq {
     pub location: ObjectLocation,
 }
 
-impl Message for DelegateReq {
-    fn wire_len(&self) -> usize {
+impl Encode for DelegateReq {
+    fn encoded_len(&self) -> usize {
         LOCATION_LEN
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_location(e, &self.location);
     }
+}
 
+impl Message for DelegateReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(DelegateReq {
             location: get_location(d)?,
@@ -747,15 +761,15 @@ pub enum DelegateResp {
     Refused,
 }
 
-impl Message for DelegateResp {
-    fn wire_len(&self) -> usize {
+impl Encode for DelegateResp {
+    fn encoded_len(&self) -> usize {
         match self {
             DelegateResp::Adopted(_) => 1 + LOCATION_LEN,
             DelegateResp::Refused => 1,
         }
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             DelegateResp::Adopted(loc) => put_location(e.u8(0), loc),
             DelegateResp::Refused => {
@@ -763,7 +777,9 @@ impl Message for DelegateResp {
             }
         }
     }
+}
 
+impl Message for DelegateResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         match d.u8()? {
             0 => Ok(DelegateResp::Adopted(get_location(d)?)),
@@ -780,15 +796,17 @@ pub struct IdReq {
     pub id: ObjectId,
 }
 
-impl Message for IdReq {
-    fn wire_len(&self) -> usize {
+impl Encode for IdReq {
+    fn encoded_len(&self) -> usize {
         OBJECT_ID_LEN
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_id(e, &self.id);
     }
+}
 
+impl Message for IdReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(IdReq { id: get_id(d)? })
     }
@@ -804,16 +822,18 @@ pub struct RetireReq {
     pub owner: NodeId,
 }
 
-impl Message for RetireReq {
-    fn wire_len(&self) -> usize {
+impl Encode for RetireReq {
+    fn encoded_len(&self) -> usize {
         OBJECT_ID_LEN + 2
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_id(e, &self.id);
         e.u16(self.owner.0);
     }
+}
 
+impl Message for RetireReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(RetireReq {
             id: get_id(d)?,
@@ -841,8 +861,8 @@ pub struct DeleteReq {
     pub kept: Vec<NodeId>,
 }
 
-impl Message for DeleteReq {
-    fn wire_len(&self) -> usize {
+impl Encode for DeleteReq {
+    fn encoded_len(&self) -> usize {
         let list = |holders: &Vec<NodeId>| match holders.len() {
             0 => 0,
             n => 4 + 2 * n,
@@ -853,7 +873,7 @@ impl Message for DeleteReq {
     /// One flags byte after the id — bit 0 deferred, bit 1 a list of
     /// cleared holders follows, bit 2 a list of kept ones — so a first
     /// ask is as long as a delete was before it had a second step.
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         put_id(e, &self.id);
         let confirm = !self.cleared.is_empty();
         let give_up = !self.kept.is_empty();
@@ -866,7 +886,9 @@ impl Message for DeleteReq {
             }
         }
     }
+}
 
+impl Message for DeleteReq {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         let id = get_id(d)?;
         let flags = d.u8()?;
@@ -903,8 +925,8 @@ pub enum DeleteResp {
     Clear(Vec<(NodeId, Kind)>),
 }
 
-impl Message for DeleteResp {
-    fn wire_len(&self) -> usize {
+impl Encode for DeleteResp {
+    fn encoded_len(&self) -> usize {
         match self {
             DeleteResp::Done(_) => 1,
             DeleteResp::Clear(copies) => 1 + 4 + 3 * copies.len(),
@@ -912,7 +934,7 @@ impl Message for DeleteResp {
     }
 
     /// `Done` is one byte, `0` or `1`, as the `BoolResp` it replaced.
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             DeleteResp::Done(now) => {
                 e.bool(*now);
@@ -924,7 +946,9 @@ impl Message for DeleteResp {
             }
         }
     }
+}
 
+impl Message for DeleteResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => DeleteResp::Done(false),
@@ -957,12 +981,12 @@ pub struct ListResp {
     pub entries: Vec<ListEntry>,
 }
 
-impl Message for ListResp {
-    fn wire_len(&self) -> usize {
+impl Encode for ListResp {
+    fn encoded_len(&self) -> usize {
         2 + 4 + self.entries.len() * (OBJECT_ID_LEN + 24)
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.u16(self.node.0);
         put_list(e, &self.entries, |e, entry| {
             put_id(e, &entry.id);
@@ -971,7 +995,9 @@ impl Message for ListResp {
                 .u64(entry.ref_count);
         });
     }
+}
 
+impl Message for ListResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         let entry = |d: &mut Dec| {
             Ok(ListEntry {
@@ -999,15 +1025,17 @@ pub struct MetricsResp {
     pub snapshot: Bytes,
 }
 
-impl Message for MetricsResp {
-    fn wire_len(&self) -> usize {
+impl Encode for MetricsResp {
+    fn encoded_len(&self) -> usize {
         2 + 8 + self.snapshot.len()
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.u16(self.node.0).bytes(&self.snapshot);
     }
+}
 
+impl Message for MetricsResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(MetricsResp {
             node: get_node(d)?,
@@ -1023,15 +1051,17 @@ pub struct BoolResp {
     pub value: bool,
 }
 
-impl Message for BoolResp {
-    fn wire_len(&self) -> usize {
+impl Encode for BoolResp {
+    fn encoded_len(&self) -> usize {
         1
     }
 
-    fn put(&self, e: &mut Enc) {
+    fn encode_to(&self, e: &mut Enc) {
         e.bool(self.value);
     }
+}
 
+impl Message for BoolResp {
     fn get(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(BoolResp { value: d.bool()? })
     }

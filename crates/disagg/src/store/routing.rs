@@ -261,23 +261,13 @@ impl DisaggStore {
                     slots[first].found.get_or_insert((loc, self.inner.node));
                 }
             }
-            // Groups in node order, each in slot order: the order of the
-            // sends and of the absorbed answers must not depend on a
-            // hasher's seed.
-            let mut asks: Vec<(NodeId, usize)> = Vec::new();
-            let mut after = None;
-            while let Some(owner) = slots
-                .iter()
-                .filter_map(|s| s.owner)
-                .filter(|&o| after.is_none_or(|a| o > a))
-                .min()
-            {
-                let n = slots.iter().filter(|s| s.owner == Some(owner)).count();
-                asks.push((owner, n));
-                after = Some(owner);
-            }
-            let group = |owner: NodeId| move |s: &Lookup| s.owner == Some(owner);
-            self.ask(ids, &mut slots, &asks, group);
+            // Each owner's slots, the owners in node order: the sends go
+            // out, and their answers are absorbed, in that order.
+            let mut asks: Vec<(NodeId, usize)> = (0..slots.len())
+                .filter_map(|r| Some((slots[r].owner?, r)))
+                .collect();
+            asks.sort_unstable();
+            self.ask(ids, &mut slots, &asks);
             // Ids an owner answered with its holder's descriptor count as
             // ring hits: the owner did answer for them.
             let hits = (0..slots.len())
@@ -297,16 +287,15 @@ impl DisaggStore {
             slots[r].broadcast = slots[slots[r].first].found.is_none();
         }
         if slots.iter().any(|s| s.broadcast) {
-            let asked = |peer: NodeId| {
-                move |s: &Lookup| s.broadcast && !(s.owner_answered && s.owner == Some(peer))
-            };
-            let peers = self.peer_nodes();
-            let asks: Vec<(NodeId, usize)> = peers
-                .iter()
-                .map(|&peer| (peer, slots.iter().filter(|s| asked(peer)(s)).count()))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            self.ask(ids, &mut slots, &asks, asked);
+            let mut asks: Vec<(NodeId, usize)> = Vec::new();
+            for &peer in self.peer_nodes().iter() {
+                for (r, s) in slots.iter().enumerate() {
+                    if s.broadcast && !(s.owner_answered && s.owner == Some(peer)) {
+                        asks.push((peer, r));
+                    }
+                }
+            }
+            self.ask(ids, &mut slots, &asks);
         }
 
         self.inner
@@ -340,54 +329,50 @@ impl DisaggStore {
         Some(loc)
     }
 
-    /// One pinning `GET_MANY` to each of `asks`' peers, all in one
-    /// [`DisaggStore::scatter`]: a peer is asked the ids of the slots
-    /// `listed(peer)` picks, in slot order, `n` of them, written from
-    /// `ids` straight into its frame. Every id a peer holds sealed — or
-    /// lent away — comes back pinned (attributed to this node) with its
-    /// fabric descriptor attached, one round trip regardless of how many
-    /// ids a batch carries or how many peers are asked, and is filed by
-    /// its slot ([`DisaggStore::absorb_lookup`]); a slot whose ring
-    /// owner answered is marked so. Every call issued counts under
-    /// `lookup_rpcs`, and its batch size is recorded in
-    /// `disagg.get_many.batch_size`.
-    fn ask<P: Fn(&Lookup) -> bool + Clone>(
-        &self,
-        ids: &[ObjectId],
-        slots: &mut [Lookup],
-        asks: &[(NodeId, usize)],
-        listed: impl Fn(NodeId) -> P,
-    ) {
+    /// One pinning `GET_MANY` to each peer `asks` names, all in one
+    /// [`DisaggStore::scatter`]: `asks` lists `(peer, record)` pairs in
+    /// node order, each peer's in slot order, and a peer is asked its
+    /// records' ids in that order, written from `ids` straight into its
+    /// frame. Every id a peer holds sealed — or lent away — comes back
+    /// pinned (attributed to this node) with its fabric descriptor
+    /// attached, one round trip regardless of how many ids a batch
+    /// carries or how many peers are asked, and is filed by its slot
+    /// ([`DisaggStore::absorb_lookup`]); a slot whose ring owner answered
+    /// is marked so. Every call issued counts under `lookup_rpcs`, and
+    /// its batch size is recorded in `disagg.get_many.batch_size`.
+    fn ask(&self, ids: &[ObjectId], slots: &mut [Lookup], asks: &[(NodeId, usize)]) {
         if asks.is_empty() {
             return;
         }
+        let groups = || asks.chunk_by(|a, b| a.0 == b.0);
         let answers = {
             let slots = &*slots;
-            let calls: Vec<_> = asks
-                .iter()
-                .map(|&(peer, n)| {
-                    let picked = listed(peer);
-                    let picked = slots.iter().filter(move |s| picked(s)).map(|s| ids[s.k]);
-                    (peer, method::GET_MANY, IdList::new(n, picked))
+            let calls: Vec<_> = groups()
+                .map(|group| {
+                    let list =
+                        IdList::new(group.len(), group.iter().map(|&(_, r)| ids[slots[r].k]));
+                    (group[0].0, method::GET_MANY, list)
                 })
                 .collect();
             self.scatter(&calls)
         };
-        for (answer, &(peer, n)) in answers.zip(asks) {
+        for (answer, group) in answers.zip(groups()) {
+            let peer = group[0].0;
             if !matches!(answer, Err(PeerFail::Skipped | PeerFail::NoPeer)) {
                 self.inner
                     .counters
                     .lookup_rpcs
                     .fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.get_many_batch.record(n as u64);
+                self.inner.metrics.get_many_batch.record(group.len() as u64);
             }
             let entries = answer.ok().and_then(|body| GetManyResp::entries(body).ok());
             let Some(entries) = entries else { continue };
-            let listed = listed(peer);
-            self.absorb_lookup(peer, ids, slots, &listed, entries);
-            let owned = slots.iter_mut().filter(|s| s.owner == Some(peer));
-            for slot in owned.filter(|s| listed(s)) {
-                slot.owner_answered = true;
+            let records = group.iter().map(|&(_, r)| r);
+            self.absorb_lookup(peer, ids, slots, records.clone(), entries);
+            for r in records {
+                if slots[r].owner == Some(peer) {
+                    slots[r].owner_answered = true;
+                }
             }
         }
     }
@@ -412,15 +397,12 @@ impl DisaggStore {
         peer: NodeId,
         ids: &[ObjectId],
         slots: &mut [Lookup],
-        listed: &impl Fn(&Lookup) -> bool,
+        records: impl Iterator<Item = usize>,
         mut entries: impl Iterator<Item = GetManyEntry>,
     ) {
         let ledger = &self.inner.ledger;
         let mut lost = Vec::new();
-        for r in 0..slots.len() {
-            if !listed(&slots[r]) {
-                continue;
-            }
+        for r in records {
             let Some(entry) = entries.next() else { break };
             let Some(&loc) = entry.location() else {
                 continue;

@@ -62,7 +62,7 @@ impl Interconnect {
     /// verb's answer, written once, into the reply's one buffer.
     fn reply(&self, answer: &dyn Encode) -> Result<Bytes, Status> {
         let epoch = self.store.ring_epoch();
-        Ok(ReplyHeader { epoch }.frame_message(answer))
+        Ok(ReplyHeader { epoch }.frame(answer))
     }
 
     /// One verb, on behalf of the node `from`: its reply.

@@ -64,19 +64,13 @@ pub trait Encode {
     fn encode_to(&self, e: &mut Enc);
 }
 
-/// One message: fixed-width fields written in order by `put` and read
-/// back in the same order by `get`, `wire_len` bytes of them — stated
-/// before any is written, so a message is written once, into a buffer of
-/// its final size: its own ([`Message::encode`]) or that of the frame
-/// that carries it (every message is [`Encode`]).
-pub trait Message: Sized {
-    /// The bytes `put` writes.
-    fn wire_len(&self) -> usize;
-
-    /// Write the fields.
-    fn put(&self, e: &mut Enc);
-
-    /// Read the fields `put` wrote.
+/// One message: fixed-width fields written in order by
+/// [`Encode::encode_to`] and read back in the same order by `get`, their
+/// length stated before any is written, so a message is written once,
+/// into a buffer of its final size: its own ([`Message::encode`]) or that
+/// of the frame that carries it.
+pub trait Message: Encode + Sized {
+    /// Read the fields [`Encode::encode_to`] wrote.
     fn get(d: &mut Dec) -> Result<Self, CodecError>;
 
     /// Serialize to wire bytes, in one buffer of exactly their length.
@@ -90,16 +84,6 @@ pub trait Message: Sized {
         let message = Self::get(&mut d)?;
         d.finish()?;
         Ok(message)
-    }
-}
-
-impl<M: Message> Encode for M {
-    fn encoded_len(&self) -> usize {
-        self.wire_len()
-    }
-
-    fn encode_to(&self, e: &mut Enc) {
-        self.put(e)
     }
 }
 

@@ -230,6 +230,10 @@ impl Iterator for Locations {
         self.left = self.left.checked_sub(1)?;
         Some(get_slot(&mut self.d).expect("every slot decoded once already"))
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
 
 impl Request {
@@ -469,17 +473,7 @@ impl Response {
         let resp = match frame.msg_type {
             tag::R_LOCATION => Response::Location(get_location(&mut d)?),
             tag::R_LOCATIONS => {
-                let n = usize::try_from(d.u64()?)
-                    .map_err(|_| PlasmaError::Protocol("locations count".into()))?;
-                let mut locs = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    if d.bool()? {
-                        locs.push(Some(get_location(&mut d)?));
-                    } else {
-                        locs.push(None);
-                    }
-                }
-                Response::Locations(locs)
+                return Ok(Response::Locations(locations(&frame.payload)?.collect()))
             }
             tag::R_BOOL => Response::Bool(d.bool()?),
             tag::R_UNIT => Response::Unit,
@@ -599,7 +593,9 @@ mod tests {
             Request::Subscribe,
         ];
         for req in cases {
-            let back = Request::from_frame(&req.to_frame()).unwrap();
+            let frame = req.to_frame();
+            assert_eq!(frame.payload.len(), req.encoded_len(), "{req:?}");
+            let back = Request::from_frame(&frame).unwrap();
             assert_eq!(back, req);
         }
     }
@@ -644,7 +640,9 @@ mod tests {
             Response::Notify(loc(7)),
         ];
         for resp in cases {
-            let back = Response::from_frame(&resp.to_frame()).unwrap();
+            let frame = resp.to_frame();
+            assert_eq!(frame.payload.len(), resp.encoded_len(), "{resp:?}");
+            let back = Response::from_frame(&frame).unwrap();
             assert_eq!(back, resp);
         }
     }
@@ -690,6 +688,27 @@ mod tests {
             Request::from_frame(&listing(MAX_IDS + 1)).is_err(),
             "too many"
         );
+    }
+
+    /// A get's answer decodes strictly: every proper prefix, one byte
+    /// more, a count past the frame and a slot flag other than 0 or 1 are
+    /// all refused.
+    #[test]
+    fn a_locations_answer_decodes_strictly() {
+        let frame = Response::Locations(vec![Some(loc(1)), None, Some(loc(2))]).to_frame();
+        for cut in 0..frame.payload.len() {
+            let prefix = Frame::new(tag::R_LOCATIONS, frame.payload.slice(..cut));
+            assert!(Response::from_frame(&prefix).is_err(), "prefix of {cut}");
+        }
+        let mut longer = frame.payload.to_vec();
+        longer.push(0);
+        assert!(Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(longer))).is_err());
+        let mut counted = frame.payload.to_vec();
+        counted[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(counted))).is_err());
+        let mut flagged = frame.payload.to_vec();
+        flagged[8] = 2;
+        assert!(Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(flagged))).is_err());
     }
 
     #[test]
