@@ -1032,7 +1032,7 @@ impl ObjectStore for DisaggStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CallHeader, DelegateReq, ListResp, ReplyHeader};
+    use crate::proto::{CallHeader, DelegateReq, GetManyReq, IdsReq, ListResp, ReplyHeader};
     use bytes::Bytes;
     use plasma::{StoreConfig, StoreCore};
     use rpclite::StatusCode;
@@ -1150,5 +1150,45 @@ mod tests {
         assert!(!store.core().exists_any_state(id));
         assert_eq!(store.core().stats().creates, 0);
         assert!(store.delegations().is_empty());
+    }
+
+    /// An owner counts each remote read of an id it serves, and forgets
+    /// them with the id: remote gets and releases of distinct ids, then
+    /// their deletes — now, and deferred behind a reader — leave its
+    /// heat map empty, with no operator tick to drain it.
+    #[test]
+    fn a_delete_clears_the_heat_of_its_id() {
+        let fabric = tfsim::Fabric::virtual_thymesisflow();
+        let node = fabric.register_node();
+        let core = StoreCore::new(&fabric, node, StoreConfig::new("owner", 1 << 20)).unwrap();
+        let store = DisaggStore::new(core, DisaggConfig::default());
+        let service = store.interconnect_service();
+        let header = CallHeader { from: NodeId(9) };
+        let ids: Vec<ObjectId> = (0..8)
+            .map(|k| ObjectId::from_name(&format!("heat/{k}")))
+            .collect();
+        for &id in &ids {
+            plasma::ObjectStore::put(&store, id, b"hot", &[]).unwrap();
+        }
+        let call = |verb, body: Bytes| service.call(verb, header.frame(&body)).unwrap();
+        let (now, deferred) = ids.split_at(4);
+        call(method::GET_MANY, GetManyReq { ids: ids.clone() }.encode());
+        call(method::RELEASE, IdsReq { ids: now.to_vec() }.encode());
+        assert_eq!(store.inner.heat.len(), ids.len());
+        for &id in now {
+            plasma::ObjectStore::delete(&store, id).unwrap();
+        }
+        for &id in deferred {
+            assert!(!plasma::ObjectStore::delete_deferred(&store, id).unwrap());
+        }
+        call(
+            method::RELEASE,
+            IdsReq {
+                ids: deferred.to_vec(),
+            }
+            .encode(),
+        );
+        assert!(store.inner.heat.is_empty());
+        assert!(ids.iter().all(|&id| !store.core().exists_any_state(id)));
     }
 }

@@ -519,10 +519,15 @@ impl DisaggStore {
         } else {
             inner.core.delete(id).map(|()| true)
         };
-        match local {
+        let done = match local {
             Err(PlasmaError::ObjectNotFound(_)) if lease_cleared => Ok(DeleteResp::Done(true)),
             local => local.map(DeleteResp::Done),
+        };
+        // A deleted id's remote reads say nothing of any later object.
+        if done.is_ok() {
+            inner.heat.clear(id);
         }
+        done
     }
 
     /// Retire each of `copies` — `(holder, kind)`, as a delete's owner

@@ -41,6 +41,7 @@ use crate::store::StoreStats;
 use ipc::{Conn, Frame};
 use netsim::{LinkModel, SharedLink};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Duration;
 use tfsim::{Clock, Fabric, MappedView, Mapping, NodeId, SegKey};
@@ -280,18 +281,15 @@ impl PlasmaClient {
         }
     }
 
-    fn mapping_for(&self, seg: SegKey) -> Result<Mapping, PlasmaError> {
-        let mut maps = self.mappings.lock();
-        if let Some(m) = maps.get(&seg) {
-            return Ok(m.clone());
-        }
-        let m = self.fabric.attach(self.node, seg)?;
-        maps.insert(seg, m.clone());
-        Ok(m)
-    }
-
+    /// Windows on the data and the metadata of `loc`, through this
+    /// node's mapping of its segment, attached at the segment's first
+    /// use.
     fn views_for(&self, loc: &ObjectLocation) -> Result<(MappedView, MappedView), PlasmaError> {
-        let mapping = self.mapping_for(loc.seg)?;
+        let mut maps = self.mappings.lock();
+        let mapping = match maps.entry(loc.seg) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(new) => new.insert(self.fabric.attach(self.node, loc.seg)?),
+        };
         let data = mapping.view(loc.offset, loc.data_size)?;
         let metadata = mapping.view(loc.offset + loc.data_size, loc.metadata_size)?;
         Ok((data, metadata))

@@ -88,8 +88,6 @@ struct Table {
     /// Lifecycle counters; the capacity fields are filled in by
     /// [`StoreCore::stats`] from the allocator.
     stats: StoreStats,
-    /// The segment the store donated at construction.
-    seg: SegKey,
     alloc: Slab,
 }
 
@@ -100,10 +98,11 @@ impl Table {
 
     /// Take a reference on `id` for a getter, if a `get` may see it:
     /// pinned objects leave the LRU index, so eviction never meets them.
-    fn pin(&mut self, id: ObjectId) -> Option<ObjectLocation> {
+    /// `seg` is the store's segment.
+    fn pin(&mut self, seg: SegKey, id: ObjectId) -> Option<ObjectLocation> {
         let e = self.objects.get_mut(&id).filter(|e| e.visible())?;
         e.ref_count += 1;
-        let loc = location(self.seg, id, e);
+        let loc = location(seg, id, e);
         self.lru.remove(&id);
         self.stats.gets += 1;
         Some(loc)
@@ -196,6 +195,12 @@ struct Inner {
     name: String,
     node: NodeId,
     fabric: Fabric,
+    /// This node's mapping of the segment the store donated, attached
+    /// once, at construction: every object is written through it.
+    mapping: Mapping,
+    /// This node's mappings of other nodes' segments, each attached at
+    /// its first use and kept: a segment is never taken back.
+    peer_mappings: Mutex<HashMap<SegKey, Mapping>>,
     table: Mutex<Table>,
     /// Signalled by every seal; blocked `get_wait`s sleep on it under
     /// the table lock. A seal with nobody asleep costs no system call.
@@ -215,6 +220,7 @@ impl StoreCore {
     /// fabric.
     pub fn new(fabric: &Fabric, node: NodeId, config: StoreConfig) -> Result<Self, PlasmaError> {
         let seg = fabric.donate(node, config.memory_bytes)?;
+        let mapping = fabric.attach(node, seg)?;
         let capacity = config.memory_bytes as u64;
         let metrics = StoreMetrics::new(Registry::new());
         metrics.capacity_bytes.set(capacity as i64);
@@ -224,11 +230,12 @@ impl StoreCore {
                 name: config.name,
                 node,
                 fabric: fabric.clone(),
+                mapping,
+                peer_mappings: Mutex::new(HashMap::new()),
                 table: Mutex::new(Table {
                     objects: HashMap::new(),
                     lru: LruIndex::new(),
                     stats: StoreStats::default(),
-                    seg,
                     alloc: Slab::new(capacity),
                 }),
                 sealed: Condvar::new(),
@@ -269,7 +276,7 @@ impl StoreCore {
 
     /// The segment the store donated, which holds every object.
     pub fn seg_key(&self) -> SegKey {
-        self.table().seg
+        self.inner.mapping.key()
     }
 
     /// The fabric this store participates in.
@@ -279,14 +286,22 @@ impl StoreCore {
 
     /// A local mapping of the store's segment (owner path).
     pub fn local_mapping(&self) -> Result<Mapping, PlasmaError> {
-        let key = self.seg_key();
-        Ok(self.inner.fabric.attach(self.inner.node, key)?)
+        Ok(self.inner.mapping.clone())
     }
 
     /// This node's mapping of the segment holding `loc`, whichever node
-    /// donated it.
+    /// donated it. Each segment is attached once, at its first use.
     pub fn mapping_for(&self, loc: &ObjectLocation) -> Result<Mapping, PlasmaError> {
-        Ok(self.inner.fabric.attach(self.inner.node, loc.seg)?)
+        if loc.seg == self.inner.mapping.key() {
+            return Ok(self.inner.mapping.clone());
+        }
+        let mut peers = self.inner.peer_mappings.lock();
+        if let Some(mapping) = peers.get(&loc.seg) {
+            return Ok(mapping.clone());
+        }
+        let mapping = self.inner.fabric.attach(self.inner.node, loc.seg)?;
+        peers.insert(loc.seg, mapping.clone());
+        Ok(mapping)
     }
 
     /// Allocate a new object. The creator holds one reference and must
@@ -319,7 +334,7 @@ impl StoreCore {
             ref_count: 1,
             pending_deletion: false,
         };
-        let loc = location(t.seg, id, &entry);
+        let loc = location(self.seg_key(), id, &entry);
         t.objects.insert(id, entry);
         t.stats.creates += 1;
         t.stats.objects += 1;
@@ -365,7 +380,7 @@ impl StoreCore {
             }
             t.stats.seals += 1;
             t.stats.sealed_objects += 1;
-            location(t.seg, id, entry)
+            location(self.seg_key(), id, entry)
         };
         // The state flipped under the lock `get_wait` scans and waits
         // under, so every waiter either saw it or is already asleep.
@@ -427,8 +442,7 @@ impl StoreCore {
         fill: impl FnOnce(&Mapping, &ObjectLocation) -> Result<(), PlasmaError>,
     ) -> Result<ObjectLocation, PlasmaError> {
         let loc = self.create(id, data_size, metadata_size)?;
-        let filled = self.mapping_for(&loc).and_then(|map| fill(&map, &loc));
-        if let Err(e) = filled {
+        if let Err(e) = fill(&self.inner.mapping, &loc) {
             let _ = self.abort(id);
             return Err(e);
         }
@@ -440,7 +454,7 @@ impl StoreCore {
     pub fn get_local(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t0 = Instant::now();
         let mut t = self.table();
-        let Some(loc) = t.pin(id) else {
+        let Some(loc) = t.pin(self.seg_key(), id) else {
             t.stats.get_misses += 1;
             return None;
         };
@@ -456,13 +470,12 @@ impl StoreCore {
     /// that those readers' next reads of the id find the same copy.
     pub fn get_pending(&self, id: ObjectId) -> Option<ObjectLocation> {
         let mut t = self.table();
-        let seg = t.seg;
         let e = t.objects.get_mut(&id)?;
         if !(e.pending_deletion && e.state == ObjectState::Sealed && e.ref_count > 0) {
             return None;
         }
         e.ref_count += 1;
-        Some(location(seg, id, e))
+        Some(location(self.seg_key(), id, e))
     }
 
     /// Blocking batched get: waits up to `timeout` for each id to be
@@ -477,7 +490,7 @@ impl StoreCore {
             let mut missing = 0u64;
             for (slot, id) in out.iter_mut().zip(ids) {
                 if slot.is_none() {
-                    *slot = t.pin(*id);
+                    *slot = t.pin(self.seg_key(), *id);
                     missing += u64::from(slot.is_none());
                 }
             }
@@ -653,7 +666,7 @@ impl StoreCore {
     pub fn peek(&self, id: ObjectId) -> Option<ObjectLocation> {
         let t = self.table();
         let e = t.objects.get(&id).filter(|e| e.visible())?;
-        Some(location(t.seg, id, e))
+        Some(location(self.seg_key(), id, e))
     }
 
     /// Location of a created-but-unsealed object that is not hidden —
@@ -663,7 +676,7 @@ impl StoreCore {
         let t = self.table();
         match t.objects.get(&id) {
             Some(e) if e.state == ObjectState::Created && !e.pending_deletion => {
-                Some(location(t.seg, id, e))
+                Some(location(self.seg_key(), id, e))
             }
             _ => None,
         }

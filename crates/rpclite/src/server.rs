@@ -99,8 +99,9 @@ struct Server {
 
 /// What the reader waits for, in the order it happened.
 enum Report {
-    /// A connection a server's listener handed over.
-    Accepted(Box<dyn Conn>, Arc<Server>),
+    /// A connection a server's listener handed over, under the key its
+    /// reports name. It is queued before the connection reports anything.
+    Accepted(u64, Box<dyn Conn>, Arc<Server>),
     /// Connection `key` has a frame, or has ended.
     Ready(u64),
     /// The server is shutting down: close its connections, then drop the
@@ -129,6 +130,8 @@ enum Report {
 struct ReadyQueue {
     reports: Mutex<VecDeque<Report>>,
     readable: Condvar,
+    /// The key of the next connection handed over.
+    next_key: AtomicU64,
 }
 
 impl ReadyQueue {
@@ -247,8 +250,7 @@ impl Reader {
             let (queue, server) = (self.0.queue.clone(), Arc::clone(&server));
             move |conn| {
                 server.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                let accepted = Report::Accepted(conn, Arc::clone(&server));
-                if let Err(Report::Accepted(conn, _)) = report(&queue, accepted) {
+                if let Err(conn) = hand_over(&queue, conn, &server) {
                     server.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     conn.close();
                 }
@@ -260,6 +262,44 @@ impl Reader {
             reader: Some(self.clone()),
         }
     }
+}
+
+/// Hand `conn` to the reader, on the thread that made it: queue it
+/// under a new key, then let it report each frame and its end under that
+/// key. Every report of a connection thus follows its registration, and
+/// the reports of all connections reach the queue in the order their
+/// frames arrived — a catch-up queued after a frame follows its report.
+/// Hands back a connection the reader cannot serve: the reader has gone,
+/// or the connection cannot report (then the reader, which registered it,
+/// is told that it ended).
+fn hand_over(
+    queue: &Weak<ReadyQueue>,
+    conn: Box<dyn Conn>,
+    server: &Arc<Server>,
+) -> Result<(), Box<dyn Conn>> {
+    let Some(ready) = queue.upgrade() else {
+        return Err(conn);
+    };
+    let key = ready.next_key.fetch_add(1, Ordering::Relaxed);
+    drop(ready);
+    let Ok(reporter) = conn.try_clone() else {
+        return Err(conn);
+    };
+    if let Err(Report::Accepted(_, conn, _)) =
+        report(queue, Report::Accepted(key, conn, Arc::clone(server)))
+    {
+        return Err(conn);
+    }
+    let reports = queue.clone();
+    let reporting = reporter.report_to(Box::new(move || {
+        let _ = report(&reports, Report::Ready(key));
+    }));
+    if reporting.is_err() {
+        reporter.close();
+        let _ = report(queue, Report::Ready(key));
+        return Err(reporter);
+    }
+    Ok(())
 }
 
 /// Waits for a reader to serve what has reached it ([`Reader::catch_up`]).
@@ -340,40 +380,30 @@ pub fn serve(listener: Box<dyn Listener>, service: Arc<dyn Service>) -> ServerHa
 }
 
 /// The reader: take each report in turn. An accepted connection is
-/// registered to report here; a ready one gives up one frame, which
+/// registered under its key; a ready one gives up one frame, which
 /// [`serve_frame`] serves for its server; an ended one is closed and
 /// forgotten, so a later report of its finds nothing. A server's stop
 /// closes its connections; the exit closes every connection still open
 /// and returns.
 fn read(ready: &Arc<ReadyQueue>) {
     let mut served: HashMap<u64, Served> = HashMap::new();
-    let mut next_key = 0u64;
     // A deadline that has passed: `recv_until` with it takes a frame that
     // is there and waits for none.
     let passed = Instant::now();
     loop {
         let key = match ready.next() {
             Report::Ready(key) => key,
-            Report::Accepted(conn, server) => {
-                let key = next_key;
-                next_key += 1;
-                let queue = Arc::downgrade(ready);
-                // A connection that cannot report, or whose server has
-                // stopped, is refused, not the reader: its client fails
-                // every call on it at once and redials.
-                let reporting = !server.stopped.load(Ordering::Relaxed)
-                    && conn
-                        .report_to(Box::new(move || {
-                            let _ = report(&queue, Report::Ready(key));
-                        }))
-                        .is_ok();
-                if reporting {
+            Report::Accepted(key, conn, server) => {
+                // A connection whose server has stopped is refused, not
+                // the reader: its client fails every call on it at once
+                // and redials.
+                if server.stopped.load(Ordering::Relaxed) {
+                    server.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    conn.close();
+                } else {
                     server.open.fetch_add(1, Ordering::Relaxed);
                     let seen = SeenCalls::default();
                     served.insert(key, Served { conn, seen, server });
-                } else {
-                    server.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.close();
                 }
                 continue;
             }

@@ -20,7 +20,9 @@ use crate::stats::FabricStats;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Identifier of a node participating in the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,36 +97,40 @@ struct FabricInner {
     links: HashMap<(u16, u16), LinkState>,
 }
 
-/// A simulated disaggregated-memory fabric. Cheap to clone (shared handle).
-#[derive(Clone)]
-pub struct Fabric {
-    inner: Arc<RwLock<FabricInner>>,
+/// Everything a fabric's handles share.
+struct Shared {
+    inner: RwLock<FabricInner>,
     clock: Clock,
     cost: CostModel,
     stats: FabricStats,
     /// SplitMix64 state backing the cost model's per-op jitter.
-    noise: Arc<std::sync::atomic::AtomicU64>,
+    noise: AtomicU64,
 }
+
+/// A simulated disaggregated-memory fabric. A handle is one shared
+/// reference: a clone or a drop is one atomic operation.
+#[derive(Clone)]
+pub struct Fabric(Arc<Shared>);
 
 impl Fabric {
     /// Fabric with the paper-calibrated cost model and a virtual clock —
     /// the one configuration every store, test and figure harness runs on.
     pub fn virtual_thymesisflow() -> Self {
-        Fabric {
-            inner: Arc::new(RwLock::new(FabricInner {
+        Fabric(Arc::new(Shared {
+            inner: RwLock::new(FabricInner {
                 nodes: Vec::new(),
                 links: HashMap::new(),
-            })),
+            }),
             clock: Clock::virtual_time(),
             cost: CostModel::thymesisflow(),
             stats: FabricStats::new(),
-            noise: Arc::new(std::sync::atomic::AtomicU64::new(0x5EED_0FFA_B51C)),
-        }
+            noise: AtomicU64::new(0x5EED_0FFA_B51C),
+        }))
     }
 
     /// Register a new node; returns its id.
     pub fn register_node(&self) -> NodeId {
-        let mut inner = self.inner.write();
+        let mut inner = self.0.inner.write();
         let id = NodeId(u16::try_from(inner.nodes.len()).expect("fabric node limit"));
         inner.nodes.push(NodeEntry {
             donated: Vec::new(),
@@ -136,7 +142,7 @@ impl Fabric {
     /// Donate `size` bytes of `node`'s memory into the disaggregated pool.
     pub fn donate(&self, node: NodeId, size: usize) -> Result<SegKey, FabricError> {
         let seg = Arc::new(Segment::new(size)?);
-        let mut inner = self.inner.write();
+        let mut inner = self.0.inner.write();
         let entry = inner
             .nodes
             .get_mut(node.0 as usize)
@@ -149,7 +155,7 @@ impl Fabric {
     /// Attach a donated segment from the perspective of `mapper`, yielding a
     /// [`Mapping`] that charges local or remote costs as appropriate.
     pub fn attach(&self, mapper: NodeId, key: SegKey) -> Result<Mapping, FabricError> {
-        let inner = self.inner.read();
+        let inner = self.0.inner.read();
         if mapper.0 as usize >= inner.nodes.len() {
             return Err(FabricError::UnknownNode(mapper));
         }
@@ -167,18 +173,18 @@ impl Fabric {
         } else {
             Path::Remote
         };
-        Ok(Mapping {
+        Ok(Mapping(Arc::new(MappingInner {
             seg,
             key,
             mapper,
             path,
             fabric: self.clone(),
-        })
+        })))
     }
 
     /// The per-node CPU cache simulation (used by coherency experiments).
     pub fn node_cache(&self, node: NodeId) -> Result<Arc<CacheSim>, FabricError> {
-        let inner = self.inner.read();
+        let inner = self.0.inner.read();
         inner
             .nodes
             .get(node.0 as usize)
@@ -189,7 +195,7 @@ impl Fabric {
     /// Set the state of the (undirected) link between two nodes.
     pub fn set_link(&self, a: NodeId, b: NodeId, state: LinkState) {
         let key = link_key(a, b);
-        let mut inner = self.inner.write();
+        let mut inner = self.0.inner.write();
         match state {
             LinkState::Up => {
                 inner.links.remove(&key);
@@ -203,13 +209,14 @@ impl Fabric {
     /// Per-operation cost noise factor in `[1-jitter, 1+jitter]`, drawn
     /// from a shared deterministic SplitMix64 stream.
     fn noise_factor(&self) -> f64 {
-        let j = self.cost.jitter;
+        let j = self.0.cost.jitter;
         if j == 0.0 {
             return 1.0;
         }
         let x = self
+            .0
             .noise
-            .fetch_add(0x9E3779B97F4A7C15, std::sync::atomic::Ordering::Relaxed)
+            .fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed)
             .wrapping_add(0x9E3779B97F4A7C15);
         let mut z = x;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -223,7 +230,8 @@ impl Fabric {
         if a == b {
             return LinkState::Up;
         }
-        self.inner
+        self.0
+            .inner
             .read()
             .links
             .get(&link_key(a, b))
@@ -233,19 +241,19 @@ impl Fabric {
 
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.0.inner.read().nodes.len()
     }
 
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.0.clock
     }
 
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        &self.0.cost
     }
 
     pub fn stats(&self) -> &FabricStats {
-        &self.stats
+        &self.0.stats
     }
 }
 
@@ -267,8 +275,12 @@ fn link_key(a: NodeId, b: NodeId) -> (u16, u16) {
 
 /// A node's view of one donated segment. All data-plane access in the
 /// workspace funnels through this type, so costs and stats stay honest.
+/// A handle is one shared reference, as a [`Fabric`] is: each
+/// [`Fabric::attach`] allocates one, and its clones share it.
 #[derive(Clone)]
-pub struct Mapping {
+pub struct Mapping(Arc<MappingInner>);
+
+struct MappingInner {
     seg: Arc<Segment>,
     key: SegKey,
     mapper: NodeId,
@@ -279,46 +291,53 @@ pub struct Mapping {
 impl Mapping {
     /// Which path ([`Path::Local`] or [`Path::Remote`]) this mapping takes.
     pub fn path(&self) -> Path {
-        self.path
+        self.0.path
     }
 
     /// The segment this mapping refers to.
     pub fn key(&self) -> SegKey {
-        self.key
+        self.0.key
     }
 
     /// The node holding this mapping.
     pub fn mapper(&self) -> NodeId {
-        self.mapper
+        self.0.mapper
     }
 
     /// Segment size in bytes.
     pub fn len(&self) -> u64 {
-        self.seg.len()
+        self.0.seg.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.seg.is_empty()
+        self.0.seg.is_empty()
     }
 
     /// The raw backing segment — for owner-side cached access experiments.
     pub fn segment(&self) -> &Arc<Segment> {
-        &self.seg
+        &self.0.seg
     }
 
     fn charge(&self, op: MemOp, bytes: usize) -> Result<(), FabricError> {
-        let mut cost = self
-            .fabric
+        let MappingInner {
+            key,
+            mapper,
+            path,
+            fabric,
+            ..
+        } = &*self.0;
+        let mut cost = fabric
+            .0
             .cost
-            .cost(self.path, op, bytes)
-            .mul_f64(self.fabric.noise_factor());
-        if self.path == Path::Remote {
-            match self.fabric.link_state(self.mapper, self.key.owner) {
+            .cost(*path, op, bytes)
+            .mul_f64(fabric.noise_factor());
+        if *path == Path::Remote {
+            match fabric.link_state(*mapper, key.owner) {
                 LinkState::Up => {}
                 LinkState::Down => {
                     return Err(FabricError::LinkDown {
-                        from: self.mapper,
-                        to: self.key.owner,
+                        from: *mapper,
+                        to: key.owner,
                     })
                 }
                 LinkState::Degraded(factor) => {
@@ -326,48 +345,58 @@ impl Mapping {
                 }
             }
         }
-        self.fabric.clock.charge(cost);
-        self.fabric.stats.record(self.path, op, bytes);
+        fabric.0.clock.charge(cost);
+        fabric.0.stats.record(*path, op, bytes);
         Ok(())
     }
 
     /// Read `dst.len()` bytes at `offset`, charging the modeled cost.
     pub fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<(), FabricError> {
-        self.seg.read_into(offset, dst)?;
+        self.0.seg.read_into(offset, dst)?;
         self.charge(MemOp::Read, dst.len())
     }
 
     /// Write `src` at `offset`, charging the modeled cost.
     pub fn write_at(&self, offset: u64, src: &[u8]) -> Result<(), FabricError> {
-        self.seg.write_from(offset, src)?;
+        self.0.seg.write_from(offset, src)?;
         self.charge(MemOp::Write, src.len())
     }
 
-    /// Read into a fresh vector.
+    /// Hand `f` the `len` bytes at `offset` in place, charged as
+    /// [`Mapping::read_at`] of them charges, before `f` runs.
+    fn read_with<R>(
+        &self,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, FabricError> {
+        let seg = &self.0.seg;
+        seg.check(offset, len)?;
+        self.charge(MemOp::Read, len)?;
+        Ok(seg.read_with(offset, len, f)?)
+    }
+
+    /// Read into a fresh vector, in one pass over the bytes.
     pub fn read_vec(&self, offset: u64, len: usize) -> Result<Vec<u8>, FabricError> {
-        let mut v = vec![0u8; len];
-        self.read_at(offset, &mut v)?;
-        Ok(v)
+        self.read_with(offset, len, <[u8]>::to_vec)
     }
 
     /// Owner-side read *through the node's simulated CPU cache*. Only
     /// meaningful for local mappings; models the Fig. 3b staleness hazard.
     pub fn read_cached(&self, offset: u64, dst: &mut [u8]) -> Result<(), FabricError> {
-        let cache = self.fabric.node_cache(self.mapper)?;
-        cache.read_through(&self.seg, offset, dst)?;
+        let cache = self.0.fabric.node_cache(self.0.mapper)?;
+        cache.read_through(&self.0.seg, offset, dst)?;
         self.charge(MemOp::Read, dst.len())
     }
 
     /// A bounds-checked window `[offset, offset+len)` of this mapping.
     pub fn view(&self, offset: u64, len: u64) -> Result<MappedView, FabricError> {
-        if offset
-            .checked_add(len)
-            .is_none_or(|end| end > self.seg.len())
-        {
+        let segment_len = self.0.seg.len();
+        if offset.checked_add(len).is_none_or(|end| end > segment_len) {
             return Err(FabricError::Seg(SegError::OutOfBounds {
                 offset,
                 len: usize::try_from(len).unwrap_or(usize::MAX),
-                segment_len: self.seg.len(),
+                segment_len,
             }));
         }
         Ok(MappedView {
@@ -381,15 +410,13 @@ impl Mapping {
 impl fmt::Debug for Mapping {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Mapping")
-            .field("key", &self.key)
-            .field("mapper", &self.mapper)
-            .field("path", &self.path)
+            .field("key", &self.0.key)
+            .field("mapper", &self.0.mapper)
+            .field("path", &self.0.path)
             .field("len", &self.len())
             .finish()
     }
 }
-
-use std::time::Duration;
 
 /// A window into a [`Mapping`] with its own relative coordinates — the shape
 /// handed out as an object buffer by the Plasma layers.
@@ -445,17 +472,12 @@ impl MappedView {
     /// runs. No buffer is allocated for the bytes.
     pub fn read_with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Result<R, FabricError> {
         let len = usize::try_from(self.len).expect("view fits in memory");
-        let mapping = &self.mapping;
-        mapping.seg.check(self.base, len)?;
-        mapping.charge(MemOp::Read, len)?;
-        Ok(mapping.seg.read_with(self.base, len, f)?)
+        self.mapping.read_with(self.base, len, f)
     }
 
-    /// Read the whole view into a vector.
+    /// Read the whole view into a vector, in one pass over the bytes.
     pub fn read_all(&self) -> Result<Vec<u8>, FabricError> {
-        let mut v = vec![0u8; usize::try_from(self.len).expect("view fits in memory")];
-        self.read_at(0, &mut v)?;
-        Ok(v)
+        self.read_with(<[u8]>::to_vec)
     }
 
     /// Sequentially read the whole view in `chunk`-byte pieces (models a
@@ -483,6 +505,50 @@ mod tests {
         let b = f.register_node();
         let key = f.donate(a, 1 << 20).unwrap();
         (f, a, b, key)
+    }
+
+    /// A fabric and a mapping are each one pointer, and a view is a
+    /// mapping and its window: a clone or a drop of any of them is one
+    /// atomic operation.
+    #[test]
+    fn a_handle_is_one_pointer() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Fabric>(), size_of::<usize>());
+        assert_eq!(size_of::<Mapping>(), size_of::<usize>());
+        assert!(size_of::<MappedView>() <= 3 * size_of::<usize>());
+        let (f, a, _, key) = two_node_fabric();
+        let m = f.attach(a, key).unwrap();
+        let v = m.view(0, 8).unwrap();
+        assert_eq!(Arc::strong_count(&m.0), 2, "a view shares its mapping");
+        assert_eq!(Arc::strong_count(&f.0), 2, "a mapping shares its fabric");
+        drop(v);
+        assert_eq!(Arc::strong_count(&m.0), 1);
+    }
+
+    #[test]
+    fn reads_charge_what_read_at_charges() {
+        let (f, a, b, key) = two_node_fabric();
+        let ma = f.attach(a, key).unwrap();
+        ma.write_at(64, b"one pass").unwrap();
+        for m in [ma, f.attach(b, key).unwrap()] {
+            let mut buf = [0u8; 8];
+            let (_, by_read_at) = f.clock().time(|| m.read_at(64, &mut buf).unwrap());
+            let (bytes, by_read_vec) = f.clock().time(|| m.read_vec(64, 8).unwrap());
+            let view = m.view(64, 8).unwrap();
+            let (all, by_read_all) = f.clock().time(|| view.read_all().unwrap());
+            assert_eq!((&bytes[..], &all[..]), (&buf[..], &buf[..]));
+            // Each is one charge of 8 bytes on one path; only the noise
+            // factor, one draw each, tells them apart.
+            let nominal = f.cost_model().cost(m.path(), MemOp::Read, 8).as_secs_f64();
+            for charged in [by_read_at, by_read_vec, by_read_all] {
+                let factor = charged.as_secs_f64() / nominal;
+                assert!((0.95..=1.05).contains(&factor), "{charged:?} of {nominal}");
+            }
+            assert!(m.read_vec(u64::MAX, 1).is_err());
+        }
+        let s = f.stats().snapshot();
+        assert_eq!((s.local_read_ops, s.local_read_bytes), (3, 24));
+        assert_eq!((s.remote_read_ops, s.remote_read_bytes), (3, 24));
     }
 
     #[test]

@@ -185,11 +185,10 @@ impl Segment {
         Ok(())
     }
 
-    /// Read `len` bytes at `offset` into a fresh vector.
+    /// Read `len` bytes at `offset` into a fresh vector, in one pass
+    /// over the bytes.
     pub fn read_vec(&self, offset: u64, len: usize) -> Result<Vec<u8>, SegError> {
-        let mut v = vec![0u8; len];
-        self.read_into(offset, &mut v)?;
-        Ok(v)
+        self.read_with(offset, len, <[u8]>::to_vec)
     }
 }
 
