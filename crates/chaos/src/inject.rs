@@ -77,11 +77,6 @@ impl ChaosInjector {
         self.armed.store(false, Ordering::SeqCst);
     }
 
-    /// Whether the injector is currently injecting.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::SeqCst)
-    }
-
     /// Snapshot of the `chaos.*` fault-injection counters: one counter
     /// per action kind (`chaos.drop`, `chaos.delay`, `chaos.duplicate`,
     /// `chaos.corrupt`, `chaos.truncate`, `chaos.partition_drop`,
@@ -220,7 +215,7 @@ impl std::fmt::Debug for ChaosInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosInjector")
             .field("steps", &self.plan.steps.len())
-            .field("armed", &self.is_armed())
+            .field("armed", &self.armed.load(Ordering::SeqCst))
             .finish()
     }
 }

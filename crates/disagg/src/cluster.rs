@@ -191,6 +191,8 @@ impl Cluster {
                     Some(map) => map(i, j),
                     None => config.rpc_link,
                 };
+                // The pair's seed: a call to `j` is charged the draw at
+                // (this seed, its verb, its number among that verb's calls).
                 let net = NetCost {
                     link: SharedLink::new(model, config.seed ^ ((i as u64) << 32) ^ j as u64),
                     clock: clock.clone(),

@@ -20,11 +20,11 @@
 //! [`Clock`], so under virtual time the whole state machine is
 //! deterministic and instant to test.
 
+use netsim::Latency;
 use obs::{Counter, Registry};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tfsim::{Clock, NodeId};
@@ -186,12 +186,15 @@ impl PeerHealth {
 
 /// Bounded-retry policy with exponential backoff and jitter, for calls
 /// whose failure is plausibly transient.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct RetryPolicy {
     /// Total attempts per call, including the first (1 = no retries).
     pub(crate) max_attempts: u32,
     /// The per-call deadline the backoff is a fraction of.
     deadline: Duration,
+    /// The jitter's stream, and the backoffs drawn from it so far.
+    seed: u64,
+    drawn: AtomicU64,
 }
 
 /// Fractional jitter: every backoff is scaled by a factor drawn uniformly
@@ -201,10 +204,12 @@ const RETRY_JITTER: f64 = 0.25;
 impl RetryPolicy {
     /// Up to `max_attempts` attempts per call, backing off from
     /// `deadline / 50` (doubling per retry) up to `deadline / 5`.
-    pub(crate) fn new(max_attempts: u32, deadline: Duration) -> Self {
+    pub(crate) fn new(max_attempts: u32, deadline: Duration, seed: u64) -> Self {
         RetryPolicy {
             max_attempts,
             deadline,
+            seed,
+            drawn: AtomicU64::new(0),
         }
     }
 
@@ -216,15 +221,15 @@ impl RetryPolicy {
             .min(self.deadline / 5)
     }
 
-    /// Backoff before retry number `retry` (1-based), jittered by `rng`.
-    pub(crate) fn backoff(&self, retry: u32, rng: &mut SmallRng) -> Duration {
-        let factor = 1.0 + RETRY_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
-        self.raw_backoff(retry).mul_f64(factor)
-    }
-
-    /// A deterministic jitter source for this node.
-    pub(crate) fn rng(seed: u64) -> SmallRng {
-        SmallRng::seed_from_u64(seed)
+    /// Backoff before retry number `retry` (1-based), jittered by this
+    /// policy's next draw.
+    pub(crate) fn backoff(&self, retry: u32) -> Duration {
+        let raw = self.raw_backoff(retry);
+        let jittered = Latency::Uniform {
+            lo: raw.mul_f64(1.0 - RETRY_JITTER),
+            hi: raw.mul_f64(1.0 + RETRY_JITTER),
+        };
+        jittered.sample_at(self.seed, self.drawn.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -499,9 +504,9 @@ mod tests {
     }
 
     /// `backoff(retry)` lies within the jitter band around `raw_ms`.
-    fn assert_in_band(policy: &RetryPolicy, rng: &mut SmallRng, retry: u32, raw_ms: u64) {
+    fn assert_in_band(policy: &RetryPolicy, retry: u32, raw_ms: u64) {
         let raw = Duration::from_millis(raw_ms);
-        let d = policy.backoff(retry, rng);
+        let d = policy.backoff(retry);
         let (lo, hi) = (1.0 - RETRY_JITTER, 1.0 + RETRY_JITTER);
         assert!(
             d >= raw.mul_f64(lo) && d <= raw.mul_f64(hi),
@@ -512,40 +517,35 @@ mod tests {
     #[test]
     fn retry_backoff_runs_from_a_fiftieth_to_a_fifth_of_the_deadline() {
         // At the soak's 100 ms: d/50, d/25, ... then d/5 for good.
-        let policy = RetryPolicy::new(5, Duration::from_millis(100));
+        let policy = RetryPolicy::new(5, Duration::from_millis(100), 7);
         let raw: Vec<Duration> = (1..=6).map(|r| policy.raw_backoff(r)).collect();
         assert_eq!(raw, [2, 4, 8, 16, 20, 20].map(Duration::from_millis));
     }
 
     #[test]
     fn retry_backoff_doubles_and_caps() {
-        let policy = RetryPolicy::new(5, D);
-        let mut rng = RetryPolicy::rng(7);
+        let policy = RetryPolicy::new(5, D, 7);
         for (retry, raw_ms) in [(1, 20), (2, 40), (3, 80), (4, 160), (5, 200), (6, 200)] {
-            assert_in_band(&policy, &mut rng, retry, raw_ms);
+            assert_in_band(&policy, retry, raw_ms);
         }
     }
 
     #[test]
     fn retry_jitter_stays_in_band() {
-        let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE);
-        let mut rng = RetryPolicy::rng(42);
+        let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE, 42);
         for (retry, raw_ms) in [(1, 40), (2, 80), (3, 160), (4, 320)] {
-            assert_in_band(&policy, &mut rng, retry, raw_ms);
+            assert_in_band(&policy, retry, raw_ms);
         }
     }
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE);
-        let a: Vec<Duration> = {
-            let mut rng = RetryPolicy::rng(9);
-            (1..=4).map(|r| policy.backoff(r, &mut rng)).collect()
+        let draws = || {
+            let policy = RetryPolicy::new(3, crate::store::DEFAULT_CALL_DEADLINE, 9);
+            (1..=4)
+                .map(|r| policy.backoff(r))
+                .collect::<Vec<Duration>>()
         };
-        let b: Vec<Duration> = {
-            let mut rng = RetryPolicy::rng(9);
-            (1..=4).map(|r| policy.backoff(r, &mut rng)).collect()
-        };
-        assert_eq!(a, b);
+        assert_eq!(draws(), draws());
     }
 }

@@ -61,7 +61,6 @@ use plasma::{
     ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaError, ReleaseGroups, StoreCore,
     StoreStats,
 };
-use rand::rngs::SmallRng;
 use rpclite::{CatchUp, RpcClient, Service};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,7 +278,6 @@ struct Inner {
     /// The cluster clock; retry backoff is charged here so virtual-time
     /// tests stay deterministic and instant.
     clock: Clock,
-    retry_rng: Mutex<SmallRng>,
 }
 
 /// The distributed store. Cheap to clone (shared handle).
@@ -300,10 +298,9 @@ impl DisaggStore {
             inner: Arc::new(Inner {
                 health: PeerHealth::new(pace, clock.clone(), core.registry()),
                 metrics,
-                retry: RetryPolicy::new(ic.max_attempts, pace),
+                retry: RetryPolicy::new(ic.max_attempts, pace, 0x9e37_79b9 ^ u64::from(node.0)),
                 call_deadline: ic.call_deadline,
                 clock,
-                retry_rng: Mutex::new(RetryPolicy::rng(0x9e37_79b9 ^ u64::from(node.0))),
                 core,
                 node,
                 peers: OnceLock::new(),

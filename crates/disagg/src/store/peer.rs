@@ -380,7 +380,7 @@ impl DisaggStore {
             }
             retry_no += 1;
             inner.metrics.peer_retries.add(retrying);
-            let backoff = inner.retry.backoff(retry_no, &mut inner.retry_rng.lock());
+            let backoff = inner.retry.backoff(retry_no);
             inner.clock.advance_to(inner.clock.now() + backoff);
         }
         // Only now, with nothing of the exchange left in flight: a peer
@@ -438,9 +438,8 @@ impl DisaggStore {
     /// landed already (see [`SentRelease::owed`]). An owner that is no
     /// peer, is `Down`, or that the request cannot reach, has its ids
     /// parked, to go again after the next exchange with it. A release
-    /// draws its modeled delay at its send and charges none of it. Each
-    /// request is written from the ids the release keeps, straight into
-    /// its frame.
+    /// is charged no modeled delay. Each request is written from the ids
+    /// the release keeps, straight into its frame.
     pub(super) fn send_releases(
         &self,
         asks: impl IntoIterator<Item = (NodeId, Vec<ObjectId>)>,

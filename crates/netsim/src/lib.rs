@@ -7,26 +7,28 @@
 //! composable delay models that the RPC layer charges to the simulation
 //! clock:
 //!
-//! * [`Latency`] — a sampleable delay distribution (constant, uniform,
-//!   normal, log-normal).
+//! * [`Latency`] — a delay distribution (constant, uniform, normal,
+//!   log-normal).
 //! * [`LinkModel`] — fixed round-trip base + per-byte cost + additive
 //!   jitter; presets calibrated against the paper's measurements.
 //! * [`TokenBucket`] — a shared-bandwidth limiter for scale-out scenarios
 //!   where several consumers contend for one LAN link (Fig. 1a).
 //!
-//! All sampling is deterministic given a seed.
+//! Every delay is a counter-based draw, a function of its coordinates
+//! alone ([`Latency::sample_at`]; Salmon et al., SC 2011), so removing
+//! one kind of call leaves every other kind's delays as they were.
 
 pub mod bucket;
 
 pub use bucket::TokenBucket;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A sampleable latency distribution.
+/// A latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Latency {
     /// Always exactly this long.
@@ -44,8 +46,11 @@ impl Latency {
     /// No delay at all.
     pub const ZERO: Latency = Latency::Constant(Duration::ZERO);
 
-    /// Draw one delay.
-    pub fn sample(&self, rng: &mut SmallRng) -> Duration {
+    /// Draw `seq` of stream `seed`: its generator is seeded from the two
+    /// alone, so the value does not depend on who asks first.
+    pub fn sample_at(&self, seed: u64, seq: u64) -> Duration {
+        let key = seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        let rng = &mut SmallRng::seed_from_u64(key);
         match *self {
             Latency::Constant(d) => d,
             Latency::Uniform { lo, hi } => {
@@ -63,32 +68,6 @@ impl Latency {
                 let ns = median.as_nanos() as f64 * (sigma * z).exp();
                 Duration::from_nanos(ns.max(0.0) as u64)
             }
-        }
-    }
-
-    /// Deterministic point sample: the delay this distribution yields for
-    /// draw number `seq` of stream `seed`.
-    ///
-    /// Unlike [`Latency::sample`], which consumes a shared RNG stream and
-    /// therefore depends on the order concurrent callers reach it, each
-    /// point sample seeds its own generator from `(seed, seq)` — so the
-    /// value is a pure function of its coordinates, independent of call
-    /// order or thread interleaving. The chaos harness uses this to give
-    /// every injected delay a reproducible duration.
-    pub fn sample_at(&self, seed: u64, seq: u64) -> Duration {
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17));
-        self.sample(&mut rng)
-    }
-
-    /// The distribution's central value (mean for constant/uniform/normal,
-    /// median for log-normal) — used by tests and calibration assertions.
-    pub fn center(&self) -> Duration {
-        match *self {
-            Latency::Constant(d) => d,
-            Latency::Uniform { lo, hi } => (lo + hi) / 2,
-            Latency::Normal { mean, .. } => mean,
-            Latency::LogNormal { median, .. } => median,
         }
     }
 }
@@ -158,36 +137,53 @@ impl LinkModel {
         }
     }
 
-    /// Delay of one exchange carrying `payload_bytes`.
-    pub fn delay(&self, payload_bytes: usize, rng: &mut SmallRng) -> Duration {
-        self.base.sample(rng) + Duration::from_secs_f64(self.secs_per_byte * payload_bytes as f64)
+    /// Delay of one exchange carrying `payload_bytes`: draw `seq` of
+    /// stream `seed` plus the payload's transfer time.
+    pub fn delay_at(&self, seed: u64, seq: u64, payload_bytes: usize) -> Duration {
+        self.base.sample_at(seed, seq)
+            + Duration::from_secs_f64(self.secs_per_byte * payload_bytes as f64)
     }
 }
 
-/// A thread-safe, seeded sampler around a [`LinkModel`]. Clones share the
-/// underlying RNG, so a multi-threaded simulation still draws one
-/// deterministic stream.
+/// Spreads a small key over 64 bits (odd, so keys stay distinct): key
+/// `k` of the link seeded `s ^ j` must not be key `j` of `s ^ k`'s.
+const KEY_SPREAD: u64 = 0xD6E8_FEB8_6659_FD93;
+
+/// The stream [`SharedLink::delay`] draws from: no caller's key.
+const UNKEYED: u64 = u64::MAX;
+
+/// A seeded [`LinkModel`] whose delays are keyed draws: exchange `seq`
+/// of stream `key`, both named by the caller ([`SharedLink::delay_at`]).
+/// [`SharedLink::delay`] numbers the draws of one fixed key; clones
+/// share that count.
 #[derive(Debug, Clone)]
 pub struct SharedLink {
     model: LinkModel,
-    rng: Arc<Mutex<SmallRng>>,
+    seed: u64,
+    unkeyed: Arc<AtomicU64>,
 }
 
 impl SharedLink {
     pub fn new(model: LinkModel, seed: u64) -> Self {
         SharedLink {
             model,
-            rng: Arc::new(Mutex::new(SmallRng::seed_from_u64(seed))),
+            seed,
+            unkeyed: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    pub fn model(&self) -> &LinkModel {
-        &self.model
+    /// The delay of exchange `seq` of stream `key` carrying
+    /// `payload_bytes`.
+    pub fn delay_at(&self, key: u64, seq: u64, payload_bytes: usize) -> Duration {
+        let stream = self.seed ^ key.wrapping_mul(KEY_SPREAD);
+        self.model.delay_at(stream, seq, payload_bytes)
     }
 
-    /// Sample the delay of one exchange carrying `payload_bytes`.
+    /// The delay of the next exchange carrying `payload_bytes` of a
+    /// caller that names no key.
     pub fn delay(&self, payload_bytes: usize) -> Duration {
-        self.model.delay(payload_bytes, &mut self.rng.lock())
+        let seq = self.unkeyed.fetch_add(1, Ordering::Relaxed);
+        self.delay_at(UNKEYED, seq, payload_bytes)
     }
 }
 
@@ -195,40 +191,33 @@ impl SharedLink {
 mod tests {
     use super::*;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(0xDECAF)
-    }
-
     #[test]
     fn constant_is_exact() {
-        let mut r = rng();
         let l = Latency::Constant(Duration::from_micros(100));
-        for _ in 0..10 {
-            assert_eq!(l.sample(&mut r), Duration::from_micros(100));
+        for seq in 0..10 {
+            assert_eq!(l.sample_at(0xDECAF, seq), Duration::from_micros(100));
         }
     }
 
     #[test]
     fn uniform_stays_in_bounds() {
-        let mut r = rng();
         let lo = Duration::from_micros(10);
         let hi = Duration::from_micros(20);
         let l = Latency::Uniform { lo, hi };
-        for _ in 0..1000 {
-            let d = l.sample(&mut r);
+        for seq in 0..1000 {
+            let d = l.sample_at(0xDECAF, seq);
             assert!(d >= lo && d <= hi);
         }
     }
 
     #[test]
     fn normal_mean_is_close() {
-        let mut r = rng();
         let l = Latency::Normal {
             mean: Duration::from_micros(500),
             std: Duration::from_micros(50),
         };
-        let n = 5000;
-        let total: Duration = (0..n).map(|_| l.sample(&mut r)).sum();
+        let n = 5000u32;
+        let total: Duration = (0..n).map(|seq| l.sample_at(0xDECAF, seq.into())).sum();
         let mean = total / n;
         let err = mean.as_secs_f64() / 500e-6;
         assert!((0.97..1.03).contains(&err), "mean={mean:?}");
@@ -236,12 +225,11 @@ mod tests {
 
     #[test]
     fn lognormal_is_skewed_with_tail() {
-        let mut r = rng();
         let l = Latency::LogNormal {
             median: Duration::from_millis(2),
             sigma: 0.25,
         };
-        let samples: Vec<Duration> = (0..5000).map(|_| l.sample(&mut r)).collect();
+        let samples: Vec<Duration> = (0..5000).map(|seq| l.sample_at(0xDECAF, seq)).collect();
         let above = samples
             .iter()
             .filter(|d| **d > Duration::from_millis(2))
@@ -272,13 +260,33 @@ mod tests {
 
     #[test]
     fn per_byte_cost_scales() {
-        let mut r = rng();
         let m = LinkModel {
             base: Latency::ZERO,
             secs_per_byte: 1e-9,
         };
-        assert_eq!(m.delay(1000, &mut r), Duration::from_micros(1));
-        assert_eq!(m.delay(0, &mut r), Duration::ZERO);
+        assert_eq!(m.delay_at(7, 0, 1000), Duration::from_micros(1));
+        assert_eq!(m.delay_at(7, 1, 0), Duration::ZERO);
+    }
+
+    /// A keyed draw is its coordinates' alone: the unkeyed count does not
+    /// move it, clones share that count, and a key does not reach the
+    /// stream of the link whose seed differs from this one's by the key
+    /// (the cluster seeds link `(i, j)` with `seed ^ (i << 32) ^ j`).
+    #[test]
+    fn keyed_draws_are_their_coordinates_alone() {
+        let link = SharedLink::new(LinkModel::grpc_lan(), 42 ^ 1);
+        let first = link.delay_at(2, 0, 64);
+        let clone = link.clone();
+        let unkeyed: Vec<Duration> = (0..8).map(|_| clone.delay(64)).collect();
+        assert_eq!(link.delay_at(2, 0, 64), first);
+        let fresh = SharedLink::new(LinkModel::grpc_lan(), 42 ^ 1);
+        assert_eq!(fresh.delay_at(2, 0, 64), first);
+        assert_eq!(fresh.delay(64), unkeyed[0]);
+        assert_ne!(link.delay(64), unkeyed[0], "clones count together");
+        let neighbour = SharedLink::new(LinkModel::grpc_lan(), 42 ^ 2);
+        let ours: Vec<Duration> = (0..16).map(|n| link.delay_at(2, n, 0)).collect();
+        let theirs: Vec<Duration> = (0..16).map(|n| neighbour.delay_at(1, n, 0)).collect();
+        assert_ne!(ours, theirs);
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub const INLINE_PUT_MAX: usize = 256 << 10;
 /// Modeled cost of client↔store IPC, charged to the simulation clock.
 #[derive(Clone)]
 pub struct ClientCost {
-    /// Per-request round-trip (Unix-domain-socket-scale by default).
+    /// Per-request round-trip (Unix-domain-socket-scale by default),
+    /// drawn at (request kind, its number among this client's of it).
     pub request_link: SharedLink,
     /// Per-object servicing cost inside a batched request (lookup, entry
     /// marshalling). Calibrated so 1000 local objects retrieve in ~1.9 ms
@@ -193,7 +194,9 @@ impl Drop for ObjectBuilder<'_> {
 
 /// A Plasma client bound to a node of the fabric.
 pub struct PlasmaClient {
-    conn: Mutex<Box<dyn Conn>>,
+    /// The connection, and the requests sent per kind (`Frame::msg_type`):
+    /// the next one's number, at which the modeled link draws its delay.
+    conn: Mutex<(Box<dyn Conn>, HashMap<u32, u64>)>,
     fabric: Fabric,
     node: NodeId,
     mappings: Mutex<HashMap<SegKey, Mapping>>,
@@ -217,7 +220,7 @@ impl PlasmaClient {
         cost: Option<ClientCost>,
     ) -> Self {
         PlasmaClient {
-            conn: Mutex::new(conn),
+            conn: Mutex::new((conn, HashMap::new())),
             fabric,
             node,
             mappings: Mutex::new(HashMap::new()),
@@ -246,15 +249,18 @@ impl PlasmaClient {
 
     /// Send one request frame and return the store's answer undecoded.
     fn exchange_frame(&self, frame: &Frame) -> Result<Frame, PlasmaError> {
-        let req_len = frame.payload.len();
-        let resp_frame = {
-            let mut conn = self.conn.lock();
+        let (seq, resp_frame) = {
+            let (conn, sent) = &mut *self.conn.lock();
             conn.send(frame)?;
-            conn.recv()?
+            let sent = sent.entry(frame.msg_type).or_default();
+            let seq = *sent;
+            *sent += 1;
+            (seq, conn.recv()?)
         };
         if let Some(c) = &self.cost {
-            c.clock
-                .charge(c.request_link.delay(req_len + resp_frame.payload.len()));
+            let bytes = frame.payload.len() + resp_frame.payload.len();
+            let kind = u64::from(frame.msg_type);
+            c.clock.charge(c.request_link.delay_at(kind, seq, bytes));
         }
         Ok(resp_frame)
     }

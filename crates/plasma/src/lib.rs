@@ -262,6 +262,38 @@ mod end_to_end {
         assert!(three < Duration::from_millis(5), "{three:?}");
     }
 
+    /// Each request of one kind is charged the same modeled delay,
+    /// request for request, whether or not requests of another kind
+    /// went between them.
+    #[test]
+    fn removing_every_request_of_one_kind_leaves_anothers_delays_as_they_were() {
+        let run = |with_other: bool| -> Vec<Duration> {
+            let r = rig(1 << 20);
+            let clock = r.fabric.clock().clone();
+            let client = PlasmaClient::with_cost(
+                Box::new(r.hub.connect("s0").unwrap()),
+                r.fabric.clone(),
+                r.store.node(),
+                Some(ClientCost::local_plasma(clock.clone(), 7)),
+            );
+            let id = ObjectId::from_name("keyed");
+            client.put(id, &[3; 64], &[]).unwrap();
+            (0..16)
+                .map(|i| {
+                    if with_other && i % 4 != 2 {
+                        client.stats().unwrap();
+                    }
+                    let before = clock.now();
+                    assert!(client.contains(id).unwrap());
+                    clock.now() - before
+                })
+                .collect()
+        };
+        let alone = run(false);
+        assert_eq!(run(true), alone);
+        assert!(alone.iter().any(|d| *d != alone[0]), "the draws differ");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 

@@ -23,7 +23,9 @@
 //! one modeled network round-trip, overlapping with other in-flight calls
 //! on the virtual clock — this is where the milliseconds and the jitter
 //! of the paper's Fig. 6 remote path come from, since the in-process
-//! exchange itself is nearly free.
+//! exchange itself is nearly free. A call's delay is the link's draw at
+//! (its verb, its number among that verb's sends on this client), so it
+//! depends on no call of another verb.
 //!
 //! ## Deadlines, poisoning, and reconnection
 //!
@@ -228,6 +230,9 @@ struct ChannelState {
     /// `None` until a caller reading the connection files the answer.
     /// They take no share of the window: nobody would free it.
     unawaited: HashMap<u64, Option<Result<Response, RpcError>>>,
+    /// Waited calls sent per method, over every connection: the next
+    /// one's number, at which the link draws its delay.
+    sent: HashMap<u32, u64>,
 }
 
 impl ChannelState {
@@ -387,10 +392,16 @@ impl RpcClient {
             self.poison(&mut st, cause);
             return Err(RpcError::Transport(e));
         }
+        // Numbered at the send, under the lock: pipelined answers may
+        // come back in any order.
+        let sent = st.sent.entry(method).or_default();
+        let seq = *sent;
+        *sent += 1;
         Ok(PendingCall {
             client: self,
             call_id,
             method,
+            seq,
             req_len,
             started,
             t0,
@@ -402,15 +413,9 @@ impl RpcClient {
     /// answer ([`Unawaited`]). Never blocks on the window. The answer is
     /// filed by whichever caller next reads the connection, and picked
     /// up with [`RpcClient::take`] (or waited for, at quiesce, with
-    /// [`RpcClient::settle`]).
-    ///
-    /// With a modeled network, the call draws its delay from the link
-    /// now, at its send, as a waited call does when its answer is in,
-    /// and charges none of it: the seeded stream moves on exactly as if
-    /// the call had been waited for, so every other call is charged what
-    /// it would have been.
+    /// [`RpcClient::settle`]). It is charged no modeled delay, so it
+    /// draws none and takes no number.
     pub fn send<B: Encode + ?Sized>(&self, method: u32, body: &B) -> Result<Unawaited, RpcError> {
-        let req_len = body.encoded_len();
         let call_id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         if st.writer.is_none() {
@@ -424,9 +429,6 @@ impl RpcClient {
         }
         st.unawaited.insert(call_id, None);
         drop(st);
-        if let Some(net) = &self.net {
-            net.link.delay(req_len);
-        }
         Ok(Unawaited {
             call_id,
             method,
@@ -441,7 +443,7 @@ impl RpcClient {
     pub fn take(&self, call: Unawaited) -> Option<Result<Bytes, RpcError>> {
         let answer = self.shared.state.lock().unawaited.remove(&call.call_id);
         let answer = answer.flatten()?;
-        Some(call.finish(self, answer))
+        Some(call.ticket(self).finish(answer))
     }
 
     /// Wait until `call`'s answer is in or `deadline` (from its send)
@@ -462,16 +464,7 @@ impl RpcClient {
         };
         st.pending.insert(call.call_id, slot);
         drop(st);
-        let ticket = PendingCall {
-            client: self,
-            call_id: call.call_id,
-            method: call.method,
-            req_len: 0,
-            started: call.started,
-            t0: None,
-            claimed: false,
-        };
-        ticket.wait_deadline(deadline)
+        call.ticket(self).wait_deadline(deadline)
     }
 
     /// Dial via the connector. Caller holds the state lock.
@@ -600,19 +593,19 @@ pub struct Unawaited {
 }
 
 impl Unawaited {
-    /// Record a completed exchange, as a waited call does, and unwrap
-    /// its payload; there is no virtual time to charge.
-    fn finish(
-        &self,
-        client: &RpcClient,
-        answer: Result<Response, RpcError>,
-    ) -> Result<Bytes, RpcError> {
-        let response = answer?;
-        if let Some(m) = &client.metrics {
-            m.latency(self.method)
-                .record_duration(self.started.elapsed());
+    /// Its ticket on `client`, with no send time: a call nobody waited
+    /// on is recorded as a waited one is, and charged nothing.
+    fn ticket(self, client: &RpcClient) -> PendingCall<'_> {
+        PendingCall {
+            client,
+            call_id: self.call_id,
+            method: self.method,
+            seq: 0,
+            req_len: 0,
+            started: self.started,
+            t0: None,
+            claimed: true,
         }
-        response.result.map_err(RpcError::Status)
     }
 }
 
@@ -625,6 +618,8 @@ pub struct PendingCall<'a> {
     client: &'a RpcClient,
     call_id: u64,
     method: u32,
+    /// Its number among its method's sends: where it draws its delay.
+    seq: u64,
     req_len: usize,
     started: Instant,
     /// Virtual send timestamp, for overlapping net-cost charging; `None`
@@ -634,11 +629,6 @@ pub struct PendingCall<'a> {
 }
 
 impl PendingCall<'_> {
-    /// The correlation id this call travels under (diagnostics only).
-    pub fn call_id(&self) -> u64 {
-        self.call_id
-    }
-
     /// Block (unboundedly) until the response arrives.
     pub fn wait(self) -> Result<Bytes, RpcError> {
         self.wait_deadline(None)
@@ -706,14 +696,15 @@ impl PendingCall<'_> {
         // time so concurrent in-flight calls overlap instead of
         // accumulating serially.
         // A call nobody waited on ([`RpcClient::settle`]) has no send
-        // time here: its delay was drawn at its send and is not charged.
+        // time here: it is charged nothing.
         if let (Some(net), Some(t0)) = (&self.client.net, self.t0) {
             let resp_len = match &response.result {
                 Ok(b) => b.len(),
                 Err(_) => 0,
             };
-            net.clock
-                .advance_to(t0 + net.link.delay(self.req_len + resp_len));
+            let bytes = self.req_len + resp_len;
+            let delay = net.link.delay_at(u64::from(self.method), self.seq, bytes);
+            net.clock.advance_to(t0 + delay);
         }
         // A completed exchange (even one carrying an error status) is a
         // measured call; transport/deadline failures are counted via
@@ -992,32 +983,42 @@ mod tests {
         assert_eq!(clock.now(), Duration::from_millis(4));
     }
 
-    /// A call nobody waits on: the next caller to read the connection
-    /// files its answer, taking it never blocks (nor reads), it charges
-    /// no virtual time, and it draws exactly one delay from the link, at
-    /// its send.
-    #[test]
-    fn a_call_nobody_waits_on_is_filed_by_the_next_reader_and_charges_nothing() {
-        let hub = InprocHub::new();
-        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
-        let clock = Clock::virtual_time();
+    /// A link whose draws differ call to call (1–9 ms) and charge 1 ns
+    /// a byte, charged to `clock`.
+    fn jittery_link(clock: &Clock) -> NetCost {
         let model = LinkModel {
             base: Latency::Uniform {
                 lo: Duration::from_millis(1),
                 hi: Duration::from_millis(9),
             },
-            secs_per_byte: 0.0,
+            secs_per_byte: 1e-9,
         };
-        let link = SharedLink::new(model, 7);
-        let net = NetCost {
-            link: link.clone(),
+        NetCost {
+            link: SharedLink::new(model, 7),
             clock: clock.clone(),
-        };
+        }
+    }
+
+    /// The virtual time `client.call(method, body)` is charged.
+    fn charged(client: &RpcClient, clock: &Clock, method: u32, body: &'static [u8]) -> Duration {
+        let t = clock.now();
+        let _ = client.call(method, Bytes::from_static(body));
+        clock.now() - t
+    }
+
+    /// A call nobody waits on: the next caller to read the connection
+    /// files its answer, taking it never blocks (nor reads), it charges
+    /// no virtual time, and a send draws nothing: a waited call of the
+    /// same verb after it is charged that verb's first draw.
+    #[test]
+    fn a_call_nobody_waits_on_is_filed_by_the_next_reader_and_charges_nothing() {
+        let hub = InprocHub::new();
+        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        let clock = Clock::virtual_time();
+        let net = jittery_link(&clock);
+        let link = net.link.clone();
         let mut client = RpcClient::with_net(Box::new(hub.connect("svc").unwrap()), Some(net));
         let registry = metered(&mut client);
-        // The delays a fresh stream of the same seed draws, in order.
-        let replay = SharedLink::new(model, 7);
-        let drawn: Vec<Duration> = (0..4).map(|_| replay.delay(0)).collect();
 
         // Taking an answer nobody has read yet never blocks: the call
         // hangs for 200 ms at the server, and the take comes back at once,
@@ -1027,26 +1028,79 @@ mod tests {
         assert!(client.take(hung).is_none());
         assert!(t0.elapsed() < Duration::from_millis(100));
         assert_eq!(clock.now(), Duration::ZERO, "a send charges nothing");
-
-        // The one draw is the send's: the next draw on the link is the
-        // stream's second.
         let one_way = client.send(1, &[b"one-way".as_slice()]).unwrap();
-        assert_eq!(link.delay(0), drawn[2], "exactly one draw at each send");
 
         // The next waited call reads the connection, skips the hung
         // call's late answer and files the one-way answer on its way to
-        // its own; only its own delay is charged.
+        // its own; only its own delay is charged, the first of its verb.
         let t = clock.now();
         let out = client.call(1, Bytes::from_static(b"waited")).unwrap();
         assert_eq!(&out[..], b"waited");
         let charged = clock.now() - t;
-        assert_eq!(charged, drawn[3], "the waited call is charged its own draw");
+        assert_eq!(charged, link.delay_at(1, 0, 12), "a send draws nothing");
+        let unkeyed = jittery_link(&clock).link.delay(0);
+        assert_eq!(link.delay(0), unkeyed, "nor from the unkeyed count");
         let filed = client.take(one_way).expect("filed by the waited call");
         assert_eq!(&filed.unwrap()[..], b"one-way");
         assert_eq!(clock.now() - t, charged, "taking charges nothing");
         // Both completed exchanges are counted; the given-up one is not.
         assert_eq!(calls(&registry), 2);
         assert!(client.shared.state.lock().unawaited.is_empty());
+    }
+
+    /// Over one modeled link, each call of one verb is charged the same
+    /// delay, call for call, whether or not calls of another verb went
+    /// between them.
+    #[test]
+    fn removing_every_call_of_one_verb_leaves_anothers_delays_as_they_were() {
+        let run = |with_other: bool| -> Vec<Duration> {
+            let hub = InprocHub::new();
+            let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+            let clock = Clock::virtual_time();
+            let conn = Box::new(hub.connect("svc").unwrap());
+            let client = RpcClient::with_net(conn, Some(jittery_link(&clock)));
+            let mut echoes = Vec::new();
+            for i in 0..24 {
+                if with_other && i % 3 != 1 {
+                    // Answered `NotFound`: a completed exchange, charged.
+                    charged(&client, &clock, 2, b"other verb");
+                }
+                let body: &'static [u8] = [&b"short"[..], &[7; 300][..]][i % 2];
+                echoes.push(charged(&client, &clock, 1, body));
+            }
+            echoes
+        };
+        let alone = run(false);
+        assert_eq!(run(true), alone);
+        assert!(alone.iter().any(|d| *d != alone[0]), "the draws differ");
+    }
+
+    /// A verb's numbering belongs to the client, not to its connection:
+    /// the first call after a redial is charged the draw after the last
+    /// one before it.
+    #[test]
+    fn a_redial_does_not_restart_a_verbs_numbering() {
+        let hub = InprocHub::new();
+        let mut srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        let clock = Clock::virtual_time();
+        let net = jittery_link(&clock);
+        let link = net.link.clone();
+        let dial_hub = hub.clone();
+        let client = RpcClient::with_connector(
+            Box::new(move || {
+                dial_hub
+                    .connect("svc")
+                    .map(|c| Box::new(c) as Box<dyn Conn>)
+            }),
+            Some(net),
+        );
+        assert_eq!(charged(&client, &clock, 1, b"a"), link.delay_at(1, 0, 2));
+        // A call of another verb meets the stopped server and poisons
+        // the connection; the next call of verb 1 redials.
+        srv.shutdown();
+        client.call(5, Bytes::new()).unwrap_err();
+        let _srv = serve(Box::new(hub.bind("svc").unwrap()), echo_service());
+        assert_eq!(charged(&client, &clock, 1, b"b"), link.delay_at(1, 1, 2));
     }
 
     /// Calls nobody waits on take no share of the window, so any number

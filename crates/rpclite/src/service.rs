@@ -79,11 +79,6 @@ impl Status {
         Self::new(StatusCode::NotFound, message)
     }
 
-    /// Shorthand for [`StatusCode::AlreadyExists`].
-    pub fn already_exists(message: impl Into<String>) -> Self {
-        Self::new(StatusCode::AlreadyExists, message)
-    }
-
     /// Shorthand for [`StatusCode::InvalidArgument`].
     pub fn invalid_argument(message: impl Into<String>) -> Self {
         Self::new(StatusCode::InvalidArgument, message)

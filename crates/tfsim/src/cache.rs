@@ -195,14 +195,6 @@ impl CacheSim {
         self.invalidations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Drop every cached line.
-    pub fn invalidate_all(&self) {
-        let mut state = self.state.lock();
-        let n = state.lines.len() as u64;
-        *state = LruState::default();
-        self.invalidations.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// (hits, misses, invalidated-lines) since creation.
     pub fn counters(&self) -> (u64, u64, u64) {
         (

@@ -239,17 +239,8 @@ impl Fabric {
             .unwrap_or(LinkState::Up)
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.0.inner.read().nodes.len()
-    }
-
     pub fn clock(&self) -> &Clock {
         &self.0.clock
-    }
-
-    pub fn cost_model(&self) -> &CostModel {
-        &self.0.cost
     }
 
     pub fn stats(&self) -> &FabricStats {
@@ -260,7 +251,7 @@ impl Fabric {
 impl fmt::Debug for Fabric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Fabric")
-            .field("nodes", &self.node_count())
+            .field("nodes", &self.0.inner.read().nodes.len())
             .finish()
     }
 }
@@ -539,7 +530,9 @@ mod tests {
             assert_eq!((&bytes[..], &all[..]), (&buf[..], &buf[..]));
             // Each is one charge of 8 bytes on one path; only the noise
             // factor, one draw each, tells them apart.
-            let nominal = f.cost_model().cost(m.path(), MemOp::Read, 8).as_secs_f64();
+            let nominal = CostModel::thymesisflow()
+                .cost(m.path(), MemOp::Read, 8)
+                .as_secs_f64();
             for charged in [by_read_at, by_read_vec, by_read_all] {
                 let factor = charged.as_secs_f64() / nominal;
                 assert!((0.95..=1.05).contains(&factor), "{charged:?} of {nominal}");

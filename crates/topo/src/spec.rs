@@ -285,12 +285,11 @@ impl ClusterSpec {
 
     /// Deterministic point sample of the pair's delay stream: the delay
     /// of exchange `seq` over `(i, j)` carrying `payload_bytes`, via
-    /// [`netsim::Latency::sample_at`] — a pure function of its
+    /// [`netsim::LinkModel::delay_at`] — a pure function of its
     /// coordinates, replayable in any order.
     pub fn delay_at(&self, i: usize, j: usize, payload_bytes: usize, seq: u64) -> Duration {
-        let model = self.link(i, j);
-        model.base.sample_at(self.link_seed(i, j), seq)
-            + Duration::from_secs_f64(model.secs_per_byte * payload_bytes as f64)
+        self.link(i, j)
+            .delay_at(self.link_seed(i, j), seq, payload_bytes)
     }
 
     /// The node most distant from `i` (first index at the maximum tier):

@@ -45,6 +45,10 @@
 #    in crates/plasma/src/client.rs. (A payload copied into a buffer of
 #    its own on the put path is caught by a test, tests/put_copies.rs:
 #    `Bytes` is one `Arc<[u8]>`, and `From<Vec<u8>>` copies.)
+# 12. DESIGN.md and EXPERIMENTS.md have at most a ceiling of lines each,
+#    the count each had when the check came in (ROADMAP 11): new prose
+#    cuts what it supersedes. Lower a ceiling when a file shrinks; never
+#    raise one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,9 +129,12 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # `rpclite.calls.seal_at` row `e2e` still prints is not). Then the
 # eagerly built peer and the calls that added and copied it, gone since
 # a store's peers are node ids whose clients are built at their first
-# call (`connect_peers`).
+# call (`connect_peers`). Then the store's locked retry-jitter stream,
+# gone since every modeled delay is a keyed draw, and three public
+# functions nothing called (`Latency::center`, the cache's
+# `invalidate_all`, `Status::already_exists`).
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot retry_rng Latency::center invalidate_all already_exists"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -207,7 +214,17 @@ else
     done < <(grep -nH -oE 'INLINE_PUT_MAX`? (= |\()[0-9]+ KiB|`put`? (≤|>) [0-9]+ KiB' README.md DESIGN.md .claude/skills/verify/SKILL.md)
 fi
 
+for ceiling in DESIGN.md:1965 EXPERIMENTS.md:3513; do
+    file=${ceiling%%:*}
+    max=${ceiling##*:}
+    lines=$(wc -l <"$file")
+    if [ "$lines" -gt "$max" ]; then
+        echo "docs-drift: $file has $lines lines, over its ceiling of $max: cut what the new text supersedes" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, $options options each with a row, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum runs on the CPU's instruction and every stated inline-put threshold is $inline_kib KiB"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, $options options each with a row, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum runs on the CPU's instruction, every stated inline-put threshold is $inline_kib KiB, and DESIGN.md and EXPERIMENTS.md are within their line ceilings"
 fi
 exit $status
