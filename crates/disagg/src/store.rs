@@ -74,6 +74,10 @@ use tfsim::{Clock, NodeId};
 /// promptly.
 const REMOTE_POLL: Duration = Duration::from_millis(50);
 
+/// Ids a get flags as remote or not on the stack: a batch as large as
+/// the paper's Fig. 6 procedure's (32 objects) takes no heap for it.
+const STACK_SLOTS: usize = 32;
+
 /// This store's peers: the nodes they run on, in node order, and the
 /// client to each one called so far, built by `dial` at its first call.
 struct Peers {
@@ -659,17 +663,20 @@ impl DisaggStore {
         Ok(())
     }
 
-    /// Uninstrumented body of [`ObjectStore::get`]. Slots resolved by a
-    /// remote lookup round are flagged in `remote_slots` so the wrapper
-    /// can split its latency recording local-hit / remote-hit / miss.
+    /// Uninstrumented body of [`ObjectStore::get_into`]: fills `out`,
+    /// one slot per id, waiting until `deadline` at most. Slots resolved
+    /// by a remote lookup round are flagged in `remote_slots` so the
+    /// wrapper can split its latency recording local-hit / remote-hit /
+    /// miss.
     fn get_inner(
         &self,
         ids: &[ObjectId],
-        timeout: Duration,
+        deadline: Instant,
+        out: &mut Vec<Option<ObjectLocation>>,
         remote_slots: &mut [bool],
-    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
-        let deadline = Instant::now() + timeout;
-        let mut out: Vec<Option<ObjectLocation>> = vec![None; ids.len()];
+    ) -> Result<(), PlasmaError> {
+        out.clear();
+        out.resize(ids.len(), None);
         loop {
             // Pass 1: local, non-blocking (pins found objects). Leased
             // copies are excluded — their owner hands them out, and the
@@ -693,21 +700,21 @@ impl DisaggStore {
                 }
             }
             if out.iter().all(Option::is_some) {
-                return Ok(out);
+                return Ok(());
             }
 
             // Pass 2: remote lookup for misses (degrades gracefully when
             // peers are unreachable — their objects just stay missing).
             // A slot is remote if this pass fills it.
-            for (flag, slot) in remote_slots.iter_mut().zip(&out) {
+            for (flag, slot) in remote_slots.iter_mut().zip(&*out) {
                 *flag |= slot.is_none();
             }
-            self.remote_lookup_pass(ids, &mut out);
-            for (flag, slot) in remote_slots.iter_mut().zip(&out) {
+            self.remote_lookup_pass(ids, out);
+            for (flag, slot) in remote_slots.iter_mut().zip(&*out) {
                 *flag &= slot.is_some();
             }
             if out.iter().all(Option::is_some) {
-                return Ok(out);
+                return Ok(());
             }
 
             // Pass 3: wait briefly for local seals, then re-poll. The wait
@@ -715,11 +722,11 @@ impl DisaggStore {
             // discovered by the next remote pass.
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Ok(out);
+                return Ok(());
             }
             let remaining: Vec<ObjectId> = ids
                 .iter()
-                .zip(&out)
+                .zip(&*out)
                 .filter(|(_, o)| o.is_none())
                 .map(|(id, _)| *id)
                 .collect();
@@ -745,7 +752,7 @@ impl DisaggStore {
                 }
             }
             if out.iter().all(Option::is_some) || Instant::now() >= deadline {
-                return Ok(out);
+                return Ok(());
             }
         }
     }
@@ -922,29 +929,42 @@ impl ObjectStore for DisaggStore {
         }
     }
 
-    fn get(
+    fn get_into(
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
+        out: &mut Vec<Option<ObjectLocation>>,
+    ) -> Result<(), PlasmaError> {
         let started = Instant::now();
-        let mut remote_slots = vec![false; ids.len()];
-        let result = self.get_inner(ids, timeout, &mut remote_slots);
+        let mut on_stack = [false; STACK_SLOTS];
+        let mut on_heap = Vec::new();
+        let remote_slots = match ids.len() {
+            n if n <= STACK_SLOTS => &mut on_stack[..n],
+            n => {
+                on_heap.resize(n, false);
+                &mut on_heap[..]
+            }
+        };
+        let result = self.get_inner(ids, started + timeout, out, remote_slots);
         // The pins this get took remotely go back together, if it took
         // two or more: one `RELEASE` per holder when the last of them is
         // released.
-        let remote = || ids.iter().zip(&remote_slots).filter(|(_, remote)| **remote);
+        let remote = || {
+            ids.iter()
+                .zip(&*remote_slots)
+                .filter(|(_, remote)| **remote)
+        };
         if result.is_ok() && remote().nth(1).is_some() {
             let members = remote().map(|(id, _)| *id).collect();
             self.inner.release_groups.lock().open(members);
         }
-        if let Ok(out) = &result {
+        if result.is_ok() {
             // One sample per requested id, classified by how (whether) it
             // resolved. The whole-call elapsed time is attributed to each
             // id: that is the latency a caller of a 1-id get observed.
             let elapsed = started.elapsed();
             let m = &self.inner.metrics;
-            for (slot, was_remote) in out.iter().zip(&remote_slots) {
+            for (slot, was_remote) in out.iter().zip(&*remote_slots) {
                 let hist = match (slot.is_some(), *was_remote) {
                     (true, true) => &m.get_remote_hit,
                     (true, false) => &m.get_local_hit,
@@ -969,18 +989,25 @@ impl ObjectStore for DisaggStore {
     fn release_many(&self, ids: &[ObjectId]) -> Result<(), PlasmaError> {
         let mut members: Vec<ObjectId> = Vec::new();
         let mut last_due = false;
-        {
+        let due = {
             let mut groups = self.inner.release_groups.lock();
-            for (n, &id) in ids.iter().enumerate() {
-                if let Some(earlier) = groups.release(id) {
-                    members.extend(earlier);
-                    members.push(id);
-                    last_due = n + 1 == ids.len();
+            if groups.is_empty() {
+                // No group waits for anything: each id is due, alone.
+                last_due = true;
+                ids
+            } else {
+                for (n, &id) in ids.iter().enumerate() {
+                    if let Some(earlier) = groups.release(id) {
+                        members.extend(earlier);
+                        members.push(id);
+                        last_due = n + 1 == ids.len();
+                    }
                 }
+                &members[..]
             }
-        }
+        };
         let mut last = Ok(());
-        self.return_pins(&members, false, |outcome| last = outcome);
+        self.return_pins(due, false, |outcome| last = outcome);
         match last_due {
             true => last,
             false => Ok(()),

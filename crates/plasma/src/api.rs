@@ -36,13 +36,29 @@ pub trait ObjectStore: Send + Sync {
         metadata: &[u8],
     ) -> Result<ObjectLocation, PlasmaError>;
 
-    /// Batched lookup with timeout; `None` entries were not available in
-    /// time. Successful entries carry a reference the caller must release.
+    /// Batched lookup with timeout, into `out`, which is cleared and
+    /// given one slot per id; `None` slots were not available in time.
+    /// Filled slots carry a reference the caller must release. A caller
+    /// that keeps `out` across gets (the server keeps one per
+    /// connection) allocates nothing for it once it has held the
+    /// largest batch.
+    fn get_into(
+        &self,
+        ids: &[ObjectId],
+        timeout: Duration,
+        out: &mut Vec<Option<ObjectLocation>>,
+    ) -> Result<(), PlasmaError>;
+
+    /// [`ObjectStore::get_into`] into a new vector.
     fn get(
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError>;
+    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
+        let mut out = Vec::with_capacity(ids.len());
+        self.get_into(ids, timeout, &mut out)?;
+        Ok(out)
+    }
 
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError>;
 
@@ -97,12 +113,14 @@ impl ObjectStore for StoreCore {
         StoreCore::put(self, id, data, metadata)
     }
 
-    fn get(
+    fn get_into(
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-    ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
-        Ok(StoreCore::get_wait(self, ids, timeout))
+        out: &mut Vec<Option<ObjectLocation>>,
+    ) -> Result<(), PlasmaError> {
+        StoreCore::get_wait_into(self, ids, timeout, out);
+        Ok(())
     }
 
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {

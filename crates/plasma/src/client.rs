@@ -192,11 +192,15 @@ impl Drop for ObjectBuilder<'_> {
     }
 }
 
+/// Request kinds, by tag: every request tag is at most [`tag::PUT`].
+const KINDS: usize = tag::PUT as usize + 1;
+
 /// A Plasma client bound to a node of the fabric.
 pub struct PlasmaClient {
-    /// The connection, and the requests sent per kind (`Frame::msg_type`):
-    /// the next one's number, at which the modeled link draws its delay.
-    conn: Mutex<(Box<dyn Conn>, HashMap<u32, u64>)>,
+    /// The connection, and the requests sent per kind, indexed by
+    /// `Frame::msg_type`: the next one's number, at which the modeled
+    /// link draws its delay.
+    conn: Mutex<(Box<dyn Conn>, [u64; KINDS])>,
     fabric: Fabric,
     node: NodeId,
     mappings: Mutex<HashMap<SegKey, Mapping>>,
@@ -220,7 +224,7 @@ impl PlasmaClient {
         cost: Option<ClientCost>,
     ) -> Self {
         PlasmaClient {
-            conn: Mutex::new((conn, HashMap::new())),
+            conn: Mutex::new((conn, [0; KINDS])),
             fabric,
             node,
             mappings: Mutex::new(HashMap::new()),
@@ -252,7 +256,7 @@ impl PlasmaClient {
         let (seq, resp_frame) = {
             let (conn, sent) = &mut *self.conn.lock();
             conn.send(frame)?;
-            let sent = sent.entry(frame.msg_type).or_default();
+            let sent = &mut sent[frame.msg_type as usize];
             let seq = *sent;
             *sent += 1;
             (seq, conn.recv()?)
@@ -359,7 +363,8 @@ impl PlasmaClient {
     /// or more filled slots form a release group (module docs). A slot
     /// whose buffers cannot be mapped fails the call, and every filled
     /// slot's reference goes back first. The request is written from
-    /// `ids`, and the answer's locations are read off its frame.
+    /// `ids`, and the answer's locations are read off its frame, in one
+    /// pass.
     pub fn get(
         &self,
         ids: &[ObjectId],
@@ -373,31 +378,38 @@ impl PlasmaClient {
                 _ => Err(PlasmaError::Protocol("expected Locations".into())),
             };
         }
-        let locs = locations(&resp.payload)?;
+        let mut locs = locations(&resp.payload)?;
         if let Some(c) = &self.cost {
             c.clock.charge(c.per_object * ids.len() as u32);
         }
-        let bufs: Result<Vec<Option<ObjectBuffer>>, PlasmaError> = locs
-            .clone()
-            .map(|loc| loc.map(|l| self.buffer_for(&l)).transpose())
-            .collect();
-        let filled = || locs.clone().flatten().map(|l| l.id).collect();
-        let fills = locs.clone().flatten().count();
-        match bufs {
-            Err(e) => {
-                if fills > 0 {
-                    // Best-effort: the mapping error is the one to report.
-                    let _ = self.request_unit(Request::Release(filled()));
+        let mut bufs = Vec::with_capacity(locs.len());
+        let mut fills = 0;
+        while let Some(slot) = locs.next() {
+            let Some(loc) = slot else {
+                bufs.push(None);
+                continue;
+            };
+            fills += 1;
+            match self.buffer_for(&loc) {
+                Ok(buf) => bufs.push(Some(buf)),
+                Err(e) => {
+                    // Every filled slot's reference goes back: those
+                    // mapped, this one and those after it. Best-effort:
+                    // the mapping error is the one to report.
+                    let mapped = bufs.iter().flatten().map(|b: &ObjectBuffer| b.id);
+                    let rest = locs.flatten().map(|l| l.id);
+                    let filled = mapped.chain([loc.id]).chain(rest).collect();
+                    let _ = self.request_unit(Request::Release(filled));
+                    return Err(e);
                 }
-                Err(e)
-            }
-            Ok(bufs) => {
-                if fills > 1 {
-                    self.groups.lock().open(filled());
-                }
-                Ok(bufs)
             }
         }
+        if fills > 1 {
+            let mut filled = Vec::with_capacity(fills);
+            filled.extend(bufs.iter().flatten().map(|b| b.id));
+            self.groups.lock().open(filled);
+        }
+        Ok(bufs)
     }
 
     /// Get a single object, erroring on timeout.

@@ -440,16 +440,17 @@ mod end_to_end {
         fn put(&self, id: ObjectId, d: &[u8], m: &[u8]) -> Result<ObjectLocation, PlasmaError> {
             self.0.put(id, d, m)
         }
-        fn get(
+        fn get_into(
             &self,
             ids: &[ObjectId],
             timeout: Duration,
-        ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
-            let mut locs = ObjectStore::get(&self.0, ids, timeout)?;
-            if let Some(last) = locs.iter_mut().rev().flatten().next() {
+            out: &mut Vec<Option<ObjectLocation>>,
+        ) -> Result<(), PlasmaError> {
+            ObjectStore::get_into(&self.0, ids, timeout, out)?;
+            if let Some(last) = out.iter_mut().rev().flatten().next() {
                 last.offset = u64::MAX / 2;
             }
-            Ok(locs)
+            Ok(())
         }
         fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
             self.0.release(id)

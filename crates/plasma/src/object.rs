@@ -1,6 +1,7 @@
 //! Object table entries and public object metadata.
 
 use crate::id::ObjectId;
+use crate::lru::Slot;
 use tfsim::SegKey;
 
 /// Lifecycle state of a stored object.
@@ -13,7 +14,7 @@ pub enum ObjectState {
 }
 
 /// Internal bookkeeping for one object.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ObjectEntry {
     /// Offset of the data buffer within the store's segment.
     pub offset: u64,
@@ -26,6 +27,9 @@ pub(crate) struct ObjectEntry {
     /// Deferred deletion requested: the object is hidden from new `get`s
     /// and dropped when the last reference is released.
     pub pending_deletion: bool,
+    /// Its place in the store's LRU list while it is evictable (sealed,
+    /// unreferenced and not pending deletion), else `None`.
+    pub lru: Option<Slot>,
 }
 
 impl ObjectEntry {
@@ -84,6 +88,7 @@ mod tests {
             state: ObjectState::Created,
             ref_count: 1,
             pending_deletion: false,
+            lru: None,
         };
         assert_eq!(e.total_size(), 128);
     }

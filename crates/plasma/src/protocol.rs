@@ -103,7 +103,7 @@ pub fn get_id(d: &mut Dec) -> Result<ObjectId, CodecError> {
 }
 
 /// Most ids one request may list.
-const MAX_IDS: usize = 1_000_000;
+pub(crate) const MAX_IDS: usize = 1_000_000;
 
 /// Encoded width of a count-prefixed id list ([`put_ids`]).
 fn ids_len(ids: &[ObjectId]) -> usize {
@@ -118,13 +118,45 @@ fn put_ids(e: &mut Enc, ids: &[ObjectId]) {
     }
 }
 
-/// Read a count-prefixed id list of at most [`MAX_IDS`] ids.
-fn get_ids(d: &mut Dec) -> Result<Vec<ObjectId>, PlasmaError> {
+/// Read a count-prefixed id list of at most [`MAX_IDS`] ids into `ids`,
+/// which is cleared first: the one id-list reader. The count is checked
+/// against the bytes left before `ids` grows.
+fn get_ids(d: &mut Dec, ids: &mut Vec<ObjectId>) -> Result<(), PlasmaError> {
     let n = usize::try_from(d.u64()?)
         .ok()
         .filter(|&n| n <= MAX_IDS)
         .ok_or_else(|| PlasmaError::Protocol("id list too long".into()))?;
-    (0..n).map(|_| Ok(get_id(d)?)).collect()
+    let (needed, available) = (n * OBJECT_ID_LEN, d.remaining());
+    if needed > available {
+        return Err(CodecError::Truncated { needed, available }.into());
+    }
+    ids.clear();
+    ids.reserve(n);
+    for _ in 0..n {
+        ids.push(get_id(d)?);
+    }
+    Ok(())
+}
+
+/// Read a [`Request::Get`]'s payload in place: its ids into `ids`, and
+/// its timeout in milliseconds. Shared by [`Request::from_frame`] and the
+/// server, which keeps `ids` across requests.
+pub(crate) fn read_get(mut d: Dec, ids: &mut Vec<ObjectId>) -> Result<u64, PlasmaError> {
+    let timeout_ms = d.u64()?;
+    get_ids(&mut d, ids)?;
+    d.finish()?;
+    Ok(timeout_ms)
+}
+
+/// Read a [`Request::Release`]'s payload in place: its ids, never none,
+/// into `ids`. Shared as [`read_get`] is.
+pub(crate) fn read_release(mut d: Dec, ids: &mut Vec<ObjectId>) -> Result<(), PlasmaError> {
+    get_ids(&mut d, ids)?;
+    d.finish()?;
+    if ids.is_empty() {
+        return Err(PlasmaError::Protocol("release of no id".into()));
+    }
+    Ok(())
 }
 
 /// Encoded width of an object location ([`put_location`]).
@@ -192,6 +224,45 @@ pub(crate) fn release_frame(ids: &[ObjectId]) -> Frame {
     Frame::new(tag::RELEASE, e.finish())
 }
 
+/// Encoded width of a get's answer ([`locations_frame`]).
+fn locations_len(slots: &[Option<ObjectLocation>]) -> usize {
+    8 + slots
+        .iter()
+        .map(|l| 1 + l.map_or(0, |_| LOCATION_LEN))
+        .sum::<usize>()
+}
+
+/// Write a get's answer: the count, then each slot. The one encoder of
+/// the answer, which [`Response::to_frame`] and [`locations_frame`]
+/// share.
+fn put_slots(e: &mut Enc, slots: &[Option<ObjectLocation>]) {
+    e.u64(slots.len() as u64);
+    for slot in slots {
+        match slot {
+            Some(l) => {
+                e.bool(true);
+                put_location(e, l);
+            }
+            None => {
+                e.bool(false);
+            }
+        }
+    }
+}
+
+/// The frame of a [`Response::Locations`], written straight from the
+/// slots into one right-sized buffer, as the server answers a get.
+pub(crate) fn locations_frame(slots: &[Option<ObjectLocation>]) -> Frame {
+    let mut e = Enc::with_capacity(locations_len(slots));
+    put_slots(&mut e, slots);
+    Frame::new(tag::R_LOCATIONS, e.finish())
+}
+
+/// The frame of a [`Response::Unit`]: no payload.
+pub(crate) fn unit_frame() -> Frame {
+    Frame::new(tag::R_UNIT, Bytes::new())
+}
+
 /// The locations of an `R_LOCATIONS` payload, read in place: the whole
 /// payload is decoded once up front, so a malformed answer is refused as
 /// [`Response::from_frame`] refuses it, and the iterator decodes each
@@ -236,6 +307,8 @@ impl Iterator for Locations {
     }
 }
 
+impl ExactSizeIterator for Locations {}
+
 impl Request {
     /// Encoded width of the request's payload.
     fn encoded_len(&self) -> usize {
@@ -255,8 +328,24 @@ impl Request {
     }
 
     pub fn to_frame(&self) -> Frame {
-        let mut e = Enc::with_capacity(self.encoded_len());
         let t = match self {
+            // Each written from its slices by its one encoder.
+            Request::Put { id, data, metadata } => return put_frame(id, data, metadata),
+            Request::Get { ids, timeout_ms } => return get_frame(ids, *timeout_ms),
+            Request::Release(ids) => return release_frame(ids),
+            Request::Create { .. } => tag::CREATE,
+            Request::Seal(_) => tag::SEAL,
+            Request::Delete(_) => tag::DELETE,
+            Request::DeleteDeferred(_) => tag::DELETE_DEFERRED,
+            Request::Abort(_) => tag::ABORT,
+            Request::Contains(_) => tag::CONTAINS,
+            Request::List => tag::LIST,
+            Request::Stats => tag::STATS,
+            Request::Evict(_) => tag::EVICT,
+            Request::Subscribe => tag::SUBSCRIBE,
+        };
+        let mut e = Enc::with_capacity(self.encoded_len());
+        match self {
             Request::Create {
                 id,
                 data_size,
@@ -264,39 +353,17 @@ impl Request {
             } => {
                 put_id(&mut e, id);
                 e.u64(*data_size).u64(*metadata_size);
-                tag::CREATE
             }
-            Request::Seal(id) => {
-                put_id(&mut e, id);
-                tag::SEAL
-            }
-            Request::Put { id, data, metadata } => return put_frame(id, data, metadata),
-            Request::Get { ids, timeout_ms } => return get_frame(ids, *timeout_ms),
-            Request::Release(ids) => return release_frame(ids),
-            Request::Delete(id) => {
-                put_id(&mut e, id);
-                tag::DELETE
-            }
-            Request::DeleteDeferred(id) => {
-                put_id(&mut e, id);
-                tag::DELETE_DEFERRED
-            }
-            Request::Abort(id) => {
-                put_id(&mut e, id);
-                tag::ABORT
-            }
-            Request::Contains(id) => {
-                put_id(&mut e, id);
-                tag::CONTAINS
-            }
-            Request::List => tag::LIST,
-            Request::Stats => tag::STATS,
+            Request::Seal(id)
+            | Request::Delete(id)
+            | Request::DeleteDeferred(id)
+            | Request::Abort(id)
+            | Request::Contains(id) => put_id(&mut e, id),
             Request::Evict(bytes) => {
                 e.u64(*bytes);
-                tag::EVICT
             }
-            Request::Subscribe => tag::SUBSCRIBE,
-        };
+            _ => {}
+        }
         Frame::new(t, e.finish())
     }
 
@@ -314,16 +381,16 @@ impl Request {
                 data: d.bytes()?,
                 metadata: d.bytes()?,
             },
-            tag::GET => Request::Get {
-                timeout_ms: d.u64()?,
-                ids: get_ids(&mut d)?,
-            },
-            tag::RELEASE => match get_ids(&mut d)? {
-                ids if ids.is_empty() => {
-                    return Err(PlasmaError::Protocol("release of no id".into()))
-                }
-                ids => Request::Release(ids),
-            },
+            tag::GET => {
+                let mut ids = Vec::new();
+                let timeout_ms = read_get(d, &mut ids)?;
+                return Ok(Request::Get { ids, timeout_ms });
+            }
+            tag::RELEASE => {
+                let mut ids = Vec::new();
+                read_release(d, &mut ids)?;
+                return Ok(Request::Release(ids));
+            }
             tag::DELETE => Request::Delete(get_id(&mut d)?),
             tag::DELETE_DEFERRED => Request::DeleteDeferred(get_id(&mut d)?),
             tag::ABORT => Request::Abort(get_id(&mut d)?),
@@ -348,12 +415,7 @@ impl Response {
     fn encoded_len(&self) -> usize {
         match self {
             Response::Location(_) | Response::Notify(_) => LOCATION_LEN,
-            Response::Locations(locs) => {
-                8 + locs
-                    .iter()
-                    .map(|l| 1 + l.map_or(0, |_| LOCATION_LEN))
-                    .sum::<usize>()
-            }
+            Response::Locations(locs) => locations_len(locs),
             Response::Bool(_) => 1,
             Response::Unit => 0,
             Response::List(infos) => 8 + infos.len() * (OBJECT_ID_LEN + 25),
@@ -380,18 +442,7 @@ impl Response {
                 tag::R_LOCATION
             }
             Response::Locations(locs) => {
-                e.u64(locs.len() as u64);
-                for loc in locs {
-                    match loc {
-                        Some(l) => {
-                            e.bool(true);
-                            put_location(&mut e, l);
-                        }
-                        None => {
-                            e.bool(false);
-                        }
-                    }
-                }
+                put_slots(&mut e, locs);
                 tag::R_LOCATIONS
             }
             Response::Bool(b) => {

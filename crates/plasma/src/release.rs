@@ -26,9 +26,12 @@ pub struct ReleaseGroups {
 }
 
 impl ReleaseGroups {
-    /// Open a group for the references one `get` took.
+    /// Open a group for the references one `get` took. Room for every
+    /// member's release is taken now, so the releases, the last one's
+    /// included, grow nothing.
     pub fn open(&mut self, members: Vec<ObjectId>) {
-        self.groups.push((members, Vec::new()));
+        let released = Vec::with_capacity(members.len());
+        self.groups.push((members, released));
     }
 
     /// What a release of `id` sends besides itself: `None` while its

@@ -22,17 +22,19 @@
 //!
 //! The paper notes "Mutex functionality was built in to ensure
 //! thread-safety": one mutex around the object table. This store is built
-//! the same way. One `Mutex<Table>` covers the objects, the LRU index, the
-//! lifecycle counters and the segment's allocator, and one `Condvar` paired
-//! with it wakes blocked `get`s. Payload bytes never pass the lock —
-//! clients read and write through the fabric mapping — so every critical
-//! section is a metadata edit, and the fastest recorded per-node workload
-//! leaves the lock ≥ 96 % idle (EXPERIMENTS.md, "Decision (PR 17)").
+//! the same way. One `Mutex<Table>` covers the objects, the LRU list (each
+//! evictable object's place in it kept in its entry, so a pin or an unpin
+//! hashes the id once), the lifecycle counters and the segment's
+//! allocator, and one `Condvar` paired with it wakes blocked `get`s.
+//! Payload bytes never pass the lock — clients read and write through
+//! the fabric mapping — so every critical section is a metadata edit,
+//! and the fastest recorded per-node workload leaves the lock ≥ 96 %
+//! idle (EXPERIMENTS.md, "Decision (PR 17)").
 //! `plasma.shard.contention` counts the acquisitions that found it held.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
-use crate::lru::LruIndex;
+use crate::lru::Lru;
 use crate::object::{ObjectEntry, ObjectInfo, ObjectLocation, ObjectState};
 use memalloc::{RegionAllocator, Slab, SIZE_CLASSES};
 use obs::{Counter, Gauge, Histogram, Registry};
@@ -80,11 +82,11 @@ pub struct StoreStats {
 }
 
 /// Everything the store's one lock covers: the object table, the LRU
-/// index of its evictable entries, and the allocator of the donated
-/// segment behind them.
+/// list of its evictable entries (each entry keeps its own place in it),
+/// and the allocator of the donated segment behind them.
 struct Table {
     objects: HashMap<ObjectId, ObjectEntry>,
-    lru: LruIndex,
+    lru: Lru,
     /// Lifecycle counters; the capacity fields are filled in by
     /// [`StoreCore::stats`] from the allocator.
     stats: StoreStats,
@@ -97,13 +99,15 @@ impl Table {
     }
 
     /// Take a reference on `id` for a getter, if a `get` may see it:
-    /// pinned objects leave the LRU index, so eviction never meets them.
+    /// pinned objects leave the LRU list, so eviction never meets them.
     /// `seg` is the store's segment.
     fn pin(&mut self, seg: SegKey, id: ObjectId) -> Option<ObjectLocation> {
         let e = self.objects.get_mut(&id).filter(|e| e.visible())?;
         e.ref_count += 1;
+        if let Some(slot) = e.lru.take() {
+            self.lru.remove(slot);
+        }
         let loc = location(seg, id, e);
-        self.lru.remove(&id);
         self.stats.gets += 1;
         Some(loc)
     }
@@ -234,7 +238,7 @@ impl StoreCore {
                 peer_mappings: Mutex::new(HashMap::new()),
                 table: Mutex::new(Table {
                     objects: HashMap::new(),
-                    lru: LruIndex::new(),
+                    lru: Lru::new(),
                     stats: StoreStats::default(),
                     alloc: Slab::new(capacity),
                 }),
@@ -333,6 +337,7 @@ impl StoreCore {
             state: ObjectState::Created,
             ref_count: 1,
             pending_deletion: false,
+            lru: None,
         };
         let loc = location(self.seg_key(), id, &entry);
         t.objects.insert(id, entry);
@@ -482,9 +487,24 @@ impl StoreCore {
     /// sealed. Returns locations in request order (`None` = not available
     /// in time). Each `Some` carries a reference the caller must release.
     pub fn get_wait(&self, ids: &[ObjectId], timeout: Duration) -> Vec<Option<ObjectLocation>> {
+        let mut out = Vec::with_capacity(ids.len());
+        self.get_wait_into(ids, timeout, &mut out);
+        out
+    }
+
+    /// [`StoreCore::get_wait`] into `out`, which is cleared and given one
+    /// slot per id: a caller that keeps `out` across gets allocates
+    /// nothing once it has held the largest batch.
+    pub fn get_wait_into(
+        &self,
+        ids: &[ObjectId],
+        timeout: Duration,
+        out: &mut Vec<Option<ObjectLocation>>,
+    ) {
         let t0 = Instant::now();
         let deadline = t0 + timeout;
-        let mut out: Vec<Option<ObjectLocation>> = vec![None; ids.len()];
+        out.clear();
+        out.resize(ids.len(), None);
         let mut t = self.table();
         loop {
             let mut missing = 0u64;
@@ -506,14 +526,14 @@ impl StoreCore {
         }
         drop(t);
         self.inner.metrics.get.record_duration(t0.elapsed());
-        out
     }
 
     /// Drop one reference. When the last reference is gone the object
     /// becomes evictable, or is freed if it was deleted or hidden.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
         let t0 = Instant::now();
-        let mut t = self.table();
+        let mut guard = self.table();
+        let t = &mut *guard;
         let entry = t
             .objects
             .get_mut(&id)
@@ -525,14 +545,19 @@ impl StoreCore {
         let sealed = entry.state == ObjectState::Sealed;
         match (entry.ref_count, entry.pending_deletion) {
             (0, true) => {
-                self.drop_object(&mut t, id);
+                self.drop_object(t, id);
                 t.stats.deletes += u64::from(sealed);
             }
-            (0, false) if sealed => t.lru.touch(id),
+            (0, false) if sealed => {
+                // Referenced until now, so not a member: a get's pin
+                // takes it out of the list.
+                debug_assert!(entry.lru.is_none(), "a referenced object is not evictable");
+                entry.lru = Some(t.lru.push(id));
+            }
             _ => {}
         }
         t.stats.releases += 1;
-        drop(t);
+        drop(guard);
         self.inner.metrics.release.record_duration(t0.elapsed());
         Ok(())
     }
@@ -557,7 +582,8 @@ impl StoreCore {
     /// hide it from new `get`s and drop it when its last reference is
     /// released (returns `false`). Mirrors Arrow Plasma's deferred Delete.
     pub fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
-        let mut t = self.table();
+        let mut guard = self.table();
+        let t = &mut *guard;
         let entry = t
             .objects
             .get_mut(&id)
@@ -566,12 +592,14 @@ impl StoreCore {
             return Err(PlasmaError::NotSealed(id));
         }
         if entry.ref_count == 0 {
-            self.drop_object(&mut t, id);
+            self.drop_object(t, id);
             t.stats.deletes += 1;
             Ok(true)
         } else {
             entry.pending_deletion = true;
-            t.lru.remove(&id);
+            if let Some(slot) = entry.lru.take() {
+                t.lru.remove(slot);
+            }
             Ok(false)
         }
     }
@@ -618,10 +646,12 @@ impl StoreCore {
     /// [`StoreCore::drop_object`] less the gauge refresh, for a caller
     /// that may drop several objects and refreshes once itself.
     fn unlink(t: &mut Table, id: ObjectId) -> u64 {
-        let Some(entry) = t.objects.remove(&id) else {
+        let Some(mut entry) = t.objects.remove(&id) else {
             return 0;
         };
-        t.lru.remove(&id);
+        if let Some(slot) = entry.lru.take() {
+            t.lru.remove(slot);
+        }
         t.alloc
             .free(entry.offset)
             .expect("object table and allocator agree");
@@ -636,7 +666,7 @@ impl StoreCore {
     /// evicted bytes, or `None` if nothing is evictable. The caller
     /// refreshes the capacity gauges when it is done evicting.
     fn evict_one(&self, t: &mut Table) -> Option<u64> {
-        let id = t.lru.pop_lru()?;
+        let id = t.lru.coldest()?;
         let bytes = Self::unlink(t, id);
         t.stats.evictions += 1;
         t.stats.evicted_bytes += bytes;
@@ -739,7 +769,7 @@ impl StoreCore {
     pub fn cold_candidates(&self, max: usize) -> Vec<(ObjectId, u64)> {
         let t = self.table();
         t.lru
-            .iter_lru()
+            .iter()
             .take(max)
             .map(|id| (id, t.objects.get(&id).map_or(0, ObjectEntry::total_size)))
             .collect()

@@ -25,7 +25,10 @@
 # With `--sites`, the shim also records the stack of one `malloc` in 101
 # (on the longer run), and the script symbolizes them with
 # `llvm-symbolizer` and prints, per workload, the share of sampled
-# allocations under each innermost frame of the product's own code.
+# allocations under each innermost frame of the product's own code. The
+# vendored `bytes` crate and the standard library are walked past, so a
+# frame buffer is charged to the request, answer or message that sized
+# it, not to `BytesMut::with_capacity`.
 #
 # Prints per workload: operations of the longer run, then mallocs,
 # reallocs, callocs, frees, memcpy and memmove calls, bytes copied and
@@ -251,7 +254,9 @@ for path, rels in by_module.items():
                          text=True).stdout.split("\n\n")
     for rel, block in zip(rels, out):
         names[(path, rel)] = block.strip().splitlines()[0] if block.strip() else "??"
-product = re.compile(r"^<?(ipc|rpclite|disagg|plasma|bytes|tfsim|memalloc|obs|netsim|e2e|topo)::")
+# The product's crates; `bytes` (vendored) and std's `alloc::` are not
+# among them, so a stack is walked past their frames to their caller.
+product = re.compile(r"^<?(ipc|rpclite|disagg|plasma|tfsim|memalloc|obs|netsim|e2e|topo)::")
 tally = collections.Counter()
 for s in stacks:
     innermost = "(no product frame)"
