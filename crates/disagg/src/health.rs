@@ -22,12 +22,10 @@
 
 use netsim::Latency;
 use obs::{Counter, Registry};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tfsim::{Clock, NodeId};
+use tfsim::Clock;
 
 /// Liveness state of one peer store, as observed by this node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,8 +67,38 @@ pub struct PeerStats {
     pub probes: u64,
 }
 
-#[derive(Debug, Default)]
-struct Entry {
+/// What the failure detectors of one node's peers share: the pace and
+/// the state-transition counters.
+pub(crate) struct Pace {
+    /// The per-call deadline the probe window is a fraction of.
+    deadline: Duration,
+    clock: Clock,
+    /// State-transition counters, summed over all peers, recorded exactly
+    /// once per transition (a repeat failure of an already-`Down` peer
+    /// does not re-count).
+    to_down: Arc<Counter>,
+    recovered: Arc<Counter>,
+}
+
+impl Pace {
+    /// The pace of a node's detectors, its counters registered in
+    /// `registry` (`disagg.health.to_down` / `.recovered`, the latter
+    /// counting `Down → Up` only). A `Down` peer's probe window opens
+    /// `deadline / 10` after it went down and doubles up to `deadline`.
+    pub(crate) fn new(deadline: Duration, clock: Clock, registry: &Registry) -> Self {
+        Pace {
+            deadline,
+            clock,
+            to_down: registry.counter("disagg.health.to_down"),
+            recovered: registry.counter("disagg.health.recovered"),
+        }
+    }
+}
+
+/// Failure detector for one peer, `Up` when built, kept in the peer's
+/// record; each event is applied at the node's shared [`Pace`].
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PeerHealth {
     state: PeerState,
     consecutive_failures: u32,
     /// Next probe fires when the clock reaches this point.
@@ -80,53 +108,22 @@ struct Entry {
     stats: PeerStats,
 }
 
-/// Failure detector for the peers of one node. Cheap to share behind the
-/// store's `Arc`; all methods take `&self`.
-pub(crate) struct PeerHealth {
-    /// The per-call deadline the probe window is a fraction of.
-    deadline: Duration,
-    clock: Clock,
-    entries: Mutex<HashMap<NodeId, Entry>>,
-    /// State-transition counters, recorded exactly once per transition
-    /// (a repeat failure of an already-`Down` peer does not re-count).
-    to_down: Arc<Counter>,
-    recovered: Arc<Counter>,
-}
-
 impl PeerHealth {
-    /// New detector with all peers assumed `Up`, its state-transition
-    /// counters (`disagg.health.to_down` / `.recovered`, the latter
-    /// counting `Down → Up` only) registered in `registry`. Each counter
-    /// increments exactly once per transition, summed over all peers.
-    /// A `Down` peer's probe window opens `deadline / 10` after it went
-    /// down and doubles per probe up to `deadline`.
-    pub(crate) fn new(deadline: Duration, clock: Clock, registry: &Registry) -> Self {
-        PeerHealth {
-            deadline,
-            clock,
-            entries: Mutex::new(HashMap::new()),
-            to_down: registry.counter("disagg.health.to_down"),
-            recovered: registry.counter("disagg.health.recovered"),
-        }
-    }
-
-    /// Decide whether a call to `peer` should proceed. `Probe` admissions
-    /// consume the current window: until the (doubled) next window
-    /// elapses, further callers are skipped.
-    pub(crate) fn admit(&self, peer: NodeId) -> Admission {
-        let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_default();
-        match entry.state {
+    /// Decide whether a call to the peer should proceed. `Probe`
+    /// admissions consume the current window: until the (doubled) next
+    /// window elapses, further callers are skipped.
+    pub(crate) fn admit(&mut self, pace: &Pace) -> Admission {
+        match self.state {
             PeerState::Up => Admission::Attempt,
             PeerState::Down => {
-                let now = self.clock.now();
-                if now >= entry.next_probe_at {
-                    entry.backoff = (entry.backoff * 2).min(self.deadline);
-                    entry.next_probe_at = now + entry.backoff;
-                    entry.stats.probes += 1;
+                let now = pace.clock.now();
+                if now >= self.next_probe_at {
+                    self.backoff = (self.backoff * 2).min(pace.deadline);
+                    self.next_probe_at = now + self.backoff;
+                    self.stats.probes += 1;
                     Admission::Probe
                 } else {
-                    entry.stats.skips += 1;
+                    self.stats.skips += 1;
                     Admission::Skip
                 }
             }
@@ -135,15 +132,13 @@ impl PeerHealth {
 
     /// The peer answered (any definite response, including error statuses
     /// like `NotFound` — those prove liveness).
-    pub(crate) fn record_success(&self, peer: NodeId) {
-        let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_default();
-        if entry.state != PeerState::Up {
-            self.recovered.inc();
+    pub(crate) fn record_success(&mut self, pace: &Pace) {
+        if self.state != PeerState::Up {
+            pace.recovered.inc();
         }
-        entry.state = PeerState::Up;
-        entry.consecutive_failures = 0;
-        entry.stats.successes += 1;
+        self.state = PeerState::Up;
+        self.consecutive_failures = 0;
+        self.stats.successes += 1;
     }
 
     /// The call failed in a way that indicts the peer (transport error,
@@ -151,36 +146,26 @@ impl PeerHealth {
     /// the failure is applied, so callers can react to the exact call
     /// that completed an Up→Down transition (e.g. dropping cached owner
     /// hints) without a racy follow-up `state()` read.
-    pub(crate) fn record_failure(&self, peer: NodeId) -> PeerState {
-        let mut entries = self.entries.lock();
-        let entry = entries.entry(peer).or_default();
-        entry.consecutive_failures += 1;
-        entry.stats.failures += 1;
-        if entry.consecutive_failures >= DOWN_AFTER && entry.state != PeerState::Down {
-            entry.state = PeerState::Down;
-            entry.backoff = self.deadline / 10;
-            entry.next_probe_at = self.clock.now() + entry.backoff;
-            self.to_down.inc();
+    pub(crate) fn record_failure(&mut self, pace: &Pace) -> PeerState {
+        self.consecutive_failures += 1;
+        self.stats.failures += 1;
+        if self.consecutive_failures >= DOWN_AFTER && self.state != PeerState::Down {
+            self.state = PeerState::Down;
+            self.backoff = pace.deadline / 10;
+            self.next_probe_at = pace.clock.now() + self.backoff;
+            pace.to_down.inc();
         }
-        entry.state
+        self.state
     }
 
-    /// Current state of `peer` (`Up` if never seen).
-    pub(crate) fn state(&self, peer: NodeId) -> PeerState {
-        self.entries
-            .lock()
-            .get(&peer)
-            .map(|e| e.state)
-            .unwrap_or_default()
+    /// Current state of the peer.
+    pub(crate) fn state(&self) -> PeerState {
+        self.state
     }
 
-    /// Counters for `peer` (zeros if never seen).
-    pub(crate) fn stats(&self, peer: NodeId) -> PeerStats {
-        self.entries
-            .lock()
-            .get(&peer)
-            .map(|e| e.stats)
-            .unwrap_or_default()
+    /// Counters for the peer.
+    pub(crate) fn stats(&self) -> PeerStats {
+        self.stats
     }
 }
 
@@ -236,17 +221,53 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     /// The deadline the unit tests derive their pacing from: the probe
     /// window opens at 100 ms and caps at 1 s, the retry backoff runs
     /// 20 ms → 200 ms.
     const D: Duration = Duration::from_secs(1);
 
-    fn tracker_in(clock: &Clock, registry: &Registry) -> PeerHealth {
-        PeerHealth::new(D, clock.clone(), registry)
+    /// One peer's detector on a pace of its own.
+    struct Tracker {
+        pace: Pace,
+        peer: Mutex<PeerHealth>,
     }
 
-    fn tracker(clock: &Clock) -> PeerHealth {
+    impl Tracker {
+        fn admit(&self) -> Admission {
+            self.peer.lock().admit(&self.pace)
+        }
+
+        fn record_success(&self) {
+            self.peer.lock().record_success(&self.pace)
+        }
+
+        fn record_failure(&self) -> PeerState {
+            self.peer.lock().record_failure(&self.pace)
+        }
+
+        fn state(&self) -> PeerState {
+            self.peer.lock().state()
+        }
+
+        fn stats(&self) -> PeerStats {
+            self.peer.lock().stats()
+        }
+    }
+
+    fn tracker_at(deadline: Duration, clock: &Clock, registry: &Registry) -> Tracker {
+        Tracker {
+            pace: Pace::new(deadline, clock.clone(), registry),
+            peer: Mutex::default(),
+        }
+    }
+
+    fn tracker_in(clock: &Clock, registry: &Registry) -> Tracker {
+        tracker_at(D, clock, registry)
+    }
+
+    fn tracker(clock: &Clock) -> Tracker {
         tracker_in(clock, &Registry::new())
     }
 
@@ -254,9 +275,8 @@ mod tests {
     fn unknown_peer_is_up_and_admitted() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
-        assert_eq!(h.state(p), PeerState::Up);
-        assert_eq!(h.admit(p), Admission::Attempt);
+        assert_eq!(h.state(), PeerState::Up);
+        assert_eq!(h.admit(), Admission::Attempt);
     }
 
     /// A suspect peer (failures below `DOWN_AFTER`) is still `Up` and
@@ -265,64 +285,61 @@ mod tests {
     fn failures_walk_up_suspect_down() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
         // The return value reports the post-transition state, so the
         // caller that *caused* a demotion can react to it directly.
         for _ in 1..DOWN_AFTER {
-            assert_eq!(h.record_failure(p), PeerState::Up);
-            assert_eq!(h.state(p), PeerState::Up);
-            assert_eq!(h.admit(p), Admission::Attempt);
+            assert_eq!(h.record_failure(), PeerState::Up);
+            assert_eq!(h.state(), PeerState::Up);
+            assert_eq!(h.admit(), Admission::Attempt);
         }
-        assert_eq!(h.record_failure(p), PeerState::Down);
-        assert_eq!(h.state(p), PeerState::Down);
-        assert_eq!(h.admit(p), Admission::Skip);
+        assert_eq!(h.record_failure(), PeerState::Down);
+        assert_eq!(h.state(), PeerState::Down);
+        assert_eq!(h.admit(), Admission::Skip);
     }
 
     #[test]
     fn success_resets_from_suspect_and_down() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
-        h.record_failure(p);
-        h.record_success(p);
+        h.record_failure();
+        h.record_success();
         // The success cleared the count: two more failures are not three.
-        h.record_failure(p);
-        h.record_failure(p);
-        assert_eq!(h.state(p), PeerState::Up);
-        h.record_failure(p);
-        assert_eq!(h.state(p), PeerState::Down);
-        h.record_success(p);
-        assert_eq!(h.state(p), PeerState::Up);
-        assert_eq!(h.admit(p), Admission::Attempt);
+        h.record_failure();
+        h.record_failure();
+        assert_eq!(h.state(), PeerState::Up);
+        h.record_failure();
+        assert_eq!(h.state(), PeerState::Down);
+        h.record_success();
+        assert_eq!(h.state(), PeerState::Up);
+        assert_eq!(h.admit(), Admission::Attempt);
     }
 
     #[test]
     fn down_peer_probed_once_per_window_with_doubling() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
         for _ in 0..3 {
-            h.record_failure(p);
+            h.record_failure();
         }
         // Window 1 (D/10 = 100ms) not yet elapsed: every caller skips.
-        assert_eq!(h.admit(p), Admission::Skip);
-        assert_eq!(h.admit(p), Admission::Skip);
+        assert_eq!(h.admit(), Admission::Skip);
+        assert_eq!(h.admit(), Admission::Skip);
         clock.charge(Duration::from_millis(100));
         // Exactly one caller wins the probe; the window doubles to 200ms.
-        assert_eq!(h.admit(p), Admission::Probe);
-        assert_eq!(h.admit(p), Admission::Skip);
-        h.record_failure(p); // probe failed
+        assert_eq!(h.admit(), Admission::Probe);
+        assert_eq!(h.admit(), Admission::Skip);
+        h.record_failure(); // probe failed
         clock.charge(Duration::from_millis(100));
-        assert_eq!(h.admit(p), Admission::Skip); // only 100 of 200ms elapsed
+        assert_eq!(h.admit(), Admission::Skip); // only 100 of 200ms elapsed
         clock.charge(Duration::from_millis(100));
-        assert_eq!(h.admit(p), Admission::Probe);
+        assert_eq!(h.admit(), Admission::Probe);
         // 400ms, 800ms, then the window caps at D.
         for window_ms in [400, 800, 1000, 1000] {
-            h.record_failure(p);
+            h.record_failure();
             clock.charge(Duration::from_millis(window_ms - 1));
-            assert_eq!(h.admit(p), Admission::Skip, "{window_ms}ms window");
+            assert_eq!(h.admit(), Admission::Skip, "{window_ms}ms window");
             clock.charge(Duration::from_millis(1));
-            assert_eq!(h.admit(p), Admission::Probe, "{window_ms}ms window");
+            assert_eq!(h.admit(), Admission::Probe, "{window_ms}ms window");
         }
     }
 
@@ -332,17 +349,16 @@ mod tests {
     fn probe_window_opens_at_a_tenth_of_the_deadline_and_caps_at_it() {
         let d = Duration::from_millis(100);
         let clock = Clock::virtual_time();
-        let h = PeerHealth::new(d, clock.clone(), &Registry::new());
-        let p = NodeId(1);
+        let h = tracker_at(d, &clock, &Registry::new());
         for _ in 0..DOWN_AFTER {
-            h.record_failure(p);
+            h.record_failure();
         }
         for window_ms in [10, 20, 40, 80, 100, 100] {
             clock.charge(Duration::from_millis(window_ms - 1));
-            assert_eq!(h.admit(p), Admission::Skip, "{window_ms}ms window");
+            assert_eq!(h.admit(), Admission::Skip, "{window_ms}ms window");
             clock.charge(Duration::from_millis(1));
-            assert_eq!(h.admit(p), Admission::Probe, "{window_ms}ms window");
-            h.record_failure(p);
+            assert_eq!(h.admit(), Admission::Probe, "{window_ms}ms window");
+            h.record_failure();
         }
     }
 
@@ -350,16 +366,15 @@ mod tests {
     fn probe_success_restores_rotation() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
         for _ in 0..3 {
-            h.record_failure(p);
+            h.record_failure();
         }
         clock.charge(Duration::from_millis(100));
-        assert_eq!(h.admit(p), Admission::Probe);
-        h.record_success(p);
-        assert_eq!(h.state(p), PeerState::Up);
-        assert_eq!(h.admit(p), Admission::Attempt);
-        let s = h.stats(p);
+        assert_eq!(h.admit(), Admission::Probe);
+        h.record_success();
+        assert_eq!(h.state(), PeerState::Up);
+        assert_eq!(h.admit(), Admission::Attempt);
+        let s = h.stats();
         assert_eq!(s.probes, 1);
         assert_eq!(s.failures, 3);
     }
@@ -368,32 +383,35 @@ mod tests {
     fn stats_count_skips() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(2);
         for _ in 0..3 {
-            h.record_failure(p);
+            h.record_failure();
         }
-        h.admit(p);
-        h.admit(p);
-        assert_eq!(h.stats(p).skips, 2);
+        h.admit();
+        h.admit();
+        assert_eq!(h.stats().skips, 2);
     }
 
+    /// Two peers on one pace: one going down leaves the other in
+    /// rotation, and the shared transition counter counts it once.
     #[test]
     fn peers_tracked_independently() {
         let clock = Clock::virtual_time();
-        let h = tracker(&clock);
+        let registry = Registry::new();
+        let pace = Pace::new(D, clock, &registry);
+        let (mut one, mut two) = (PeerHealth::default(), PeerHealth::default());
         for _ in 0..3 {
-            h.record_failure(NodeId(1));
+            one.record_failure(&pace);
         }
-        assert_eq!(h.state(NodeId(1)), PeerState::Down);
-        assert_eq!(h.state(NodeId(2)), PeerState::Up);
-        assert_eq!(h.admit(NodeId(2)), Admission::Attempt);
+        assert_eq!(one.state(), PeerState::Down);
+        assert_eq!(two.state(), PeerState::Up);
+        assert_eq!(two.admit(&pace), Admission::Attempt);
+        assert_eq!(registry.snapshot().counter("disagg.health.to_down"), 1);
     }
 
     /// Exhaustive walk of the state machine: every (state, event) pair
     /// and the state it must land in (`DOWN_AFTER` 3).
     #[test]
     fn exhaustive_transition_table() {
-        let p = NodeId(1);
         // (label, events to apply from a fresh tracker, expected state)
         // F = record_failure, S = record_success, W = advance one probe
         // window, A = admit (result ignored here).
@@ -430,17 +448,17 @@ mod tests {
             for ev in events.chars() {
                 match ev {
                     'F' => {
-                        h.record_failure(p);
+                        h.record_failure();
                     }
-                    'S' => h.record_success(p),
+                    'S' => h.record_success(),
                     'W' => clock.charge(Duration::from_millis(100)),
                     'A' => {
-                        h.admit(p);
+                        h.admit();
                     }
                     other => panic!("bad event {other}"),
                 }
             }
-            assert_eq!(h.state(p), *expected, "{label}");
+            assert_eq!(h.state(), *expected, "{label}");
         }
     }
 
@@ -448,24 +466,23 @@ mod tests {
     fn denied_probe_never_flips_state() {
         let clock = Clock::virtual_time();
         let h = tracker(&clock);
-        let p = NodeId(1);
         for _ in 0..3 {
-            h.record_failure(p);
+            h.record_failure();
         }
-        assert_eq!(h.state(p), PeerState::Down);
+        assert_eq!(h.state(), PeerState::Down);
         // The backoff window has not elapsed: every admit is denied and
         // the peer must stay Down with its failure count intact.
         for _ in 0..10 {
-            assert_eq!(h.admit(p), Admission::Skip);
-            assert_eq!(h.state(p), PeerState::Down);
+            assert_eq!(h.admit(), Admission::Skip);
+            assert_eq!(h.state(), PeerState::Down);
         }
-        assert_eq!(h.stats(p).skips, 10);
-        assert_eq!(h.stats(p).probes, 0);
+        assert_eq!(h.stats().skips, 10);
+        assert_eq!(h.stats().probes, 0);
         // Even after winning a probe, the *admission itself* does not
         // change state — only the recorded outcome does.
         clock.charge(Duration::from_millis(100));
-        assert_eq!(h.admit(p), Admission::Probe);
-        assert_eq!(h.state(p), PeerState::Down);
+        assert_eq!(h.admit(), Admission::Probe);
+        assert_eq!(h.state(), PeerState::Down);
     }
 
     #[test]
@@ -473,31 +490,30 @@ mod tests {
         let clock = Clock::virtual_time();
         let registry = Registry::new();
         let h = tracker_in(&clock, &registry);
-        let p = NodeId(1);
         // A failure and a success below DOWN_AFTER transition nothing.
-        h.record_failure(p);
-        h.record_success(p);
+        h.record_failure();
+        h.record_success();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("disagg.health.to_down"), 0);
         assert_eq!(snap.counter("disagg.health.recovered"), 0);
         // Five consecutive failures: one Up→Down — the repeats while
         // Down must not re-count.
         for _ in 0..5 {
-            h.record_failure(p);
+            h.record_failure();
         }
         let snap = registry.snapshot();
         assert_eq!(snap.counter("disagg.health.to_down"), 1);
         assert_eq!(snap.counter("disagg.health.recovered"), 0);
         // Recovery counts once, and repeat successes while Up don't.
-        h.record_success(p);
-        h.record_success(p);
+        h.record_success();
+        h.record_success();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("disagg.health.recovered"), 1);
         // A second full cycle counts a second time for each transition.
         for _ in 0..5 {
-            h.record_failure(p);
+            h.record_failure();
         }
-        h.record_success(p);
+        h.record_success();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("disagg.health.to_down"), 2);
         assert_eq!(snap.counter("disagg.health.recovered"), 2);

@@ -52,7 +52,7 @@ mod service;
 
 use crate::delegation::{DelegationRecord, Kind, Ledger, Phase, ReconcileReport, Side};
 use crate::elastic::{HeatMap, RETRY_AFTER_MS};
-use crate::health::{PeerHealth, PeerState, RetryPolicy};
+use crate::health::{Pace, PeerState, RetryPolicy};
 use crate::proto::{method, Message, ReconcileReq, ReconcileResp};
 use crate::ring::Ring;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -79,11 +79,12 @@ const REMOTE_POLL: Duration = Duration::from_millis(50);
 const STACK_SLOTS: usize = 32;
 
 /// This store's peers: the nodes they run on, in node order, and the
-/// client to each one called so far, built by `dial` at its first call.
+/// record of each one called so far, its client built by `dial` at its
+/// first call.
 struct Peers {
     nodes: Arc<[NodeId]>,
     dial: Box<dyn Fn(NodeId) -> RpcClient + Send + Sync>,
-    clients: RwLock<BTreeMap<NodeId, Arc<RpcClient>>>,
+    records: RwLock<BTreeMap<NodeId, Arc<peer::Peer>>>,
 }
 
 /// Interconnect-layer counters.
@@ -265,9 +266,6 @@ struct Inner {
     ledger: Ledger,
     /// The pins each batch `get` took remotely, returned together.
     release_groups: Mutex<ReleaseGroups>,
-    /// `RELEASE`s sent and not yet answered, and the copies unanswered
-    /// `CREATE_AT`s name.
-    releases: Mutex<peer::Releases>,
     /// The reader serving this store's interconnect, when one is known:
     /// an owner catches it up before it counts its pins.
     reader: OnceLock<CatchUp>,
@@ -276,7 +274,8 @@ struct Inner {
     max_inflight_creates: u64,
     counters: DisaggCounters,
     metrics: DisaggMetrics,
-    health: PeerHealth,
+    /// The pace every peer's failure detector keeps.
+    pace: Pace,
     retry: RetryPolicy,
     call_deadline: Option<Duration>,
     /// The cluster clock; retry backoff is charged here so virtual-time
@@ -300,7 +299,7 @@ impl DisaggStore {
         let pace = ic.call_deadline.unwrap_or(DEFAULT_CALL_DEADLINE);
         DisaggStore {
             inner: Arc::new(Inner {
-                health: PeerHealth::new(pace, clock.clone(), core.registry()),
+                pace: Pace::new(pace, clock.clone(), core.registry()),
                 metrics,
                 retry: RetryPolicy::new(ic.max_attempts, pace, 0x9e37_79b9 ^ u64::from(node.0)),
                 call_deadline: ic.call_deadline,
@@ -311,7 +310,6 @@ impl DisaggStore {
                 ring: RwLock::new(None),
                 ledger: Ledger::new(),
                 release_groups: Mutex::new(ReleaseGroups::default()),
-                releases: Mutex::default(),
                 reader: OnceLock::new(),
                 heat: HeatMap::new(),
                 max_inflight_creates: config.max_inflight_creates,
@@ -358,7 +356,7 @@ impl DisaggStore {
         let peers = Peers {
             nodes: nodes.into_iter().collect(),
             dial: Box::new(dial),
-            clients: RwLock::default(),
+            records: RwLock::default(),
         };
         let first = self.inner.peers.set(peers);
         assert!(first.is_ok(), "a store's peers are connected once");
@@ -777,7 +775,7 @@ impl DisaggStore {
         mut outcome: impl FnMut(Result<(), PlasmaError>),
     ) {
         let ledger = &self.inner.ledger;
-        let alive = |node| self.inner.health.state(node) != PeerState::Down;
+        let alive = |node| self.peer_state(node) != PeerState::Down;
         // Each remote pin's owner, in id order; then each owner's ids in
         // that order, the owners in node order.
         let mut owners: Vec<(NodeId, ObjectId)> = Vec::new();

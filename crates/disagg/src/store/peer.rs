@@ -1,72 +1,128 @@
-//! Talking to one peer, and to several at once: the client to each peer,
+//! Talking to one peer, and to several at once: each peer's record,
 //! built at the first call to it; the guarded exchange (`scatter`:
 //! health admission, deadline, retry rounds — a call to one peer is a
-//! scatter of one), the translation of a failed call into the
-//! caller's error, the `RELEASE`s nobody waits on and the answers they
-//! get, the copies an unanswered `CREATE_AT` names, and the cluster-wide
+//! scatter of one), which closes what a peer answered; the translation
+//! of a failed call into the caller's error, the `RELEASE`s nobody waits
+//! on, the copies an unanswered `CREATE_AT` names, and the cluster-wide
 //! reads built on it (metrics, inventory).
 
 use super::DisaggStore;
-use crate::health::{Admission, PeerState, PeerStats};
+use crate::health::{Admission, PeerHealth, PeerState, PeerStats};
 use crate::proto::{
     method, CallHeader, IdList, ListEntry, ListResp, Message, MetricsResp, ReleaseResp, ReplyHeader,
 };
 use bytes::Bytes;
 use ipc::Encode;
 use obs::MetricsSnapshot;
-use plasma::{ObjectId, PlasmaError};
+use parking_lot::Mutex;
+use plasma::{ObjectId, PlasmaError, StoreCore};
 use rpclite::{RpcClient, RpcError, StatusCode, Unawaited};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 use tfsim::NodeId;
 
-/// What this store sent and cannot close yet, numbered in the order it
-/// was sent: `RELEASE`s not yet answered, and the copies `CREATE_AT`s
-/// that went unanswered name.
+/// Everything this store knows about one peer, built at its first call
+/// to it: the client, the failure detector's entry, and the calls the
+/// peer has not answered yet.
+pub(super) struct Peer {
+    node: NodeId,
+    client: RpcClient,
+    health: Mutex<PeerHealth>,
+    open: Mutex<OpenCalls>,
+}
+
+/// What this store sent one peer and cannot close yet, filed in send
+/// order and numbered per peer. A peer serves the requests that reach
+/// it in the order they arrive, on one ordered connection, so a peer
+/// that answers a call has served everything filed with it before that
+/// call was sent: the answer closes them. Most peers have one call open
+/// or none, so the list grows and shrinks to fit.
 #[derive(Default)]
-pub(super) struct Releases {
+struct OpenCalls {
     /// The number the next one is given.
     next: u64,
-    sent: Vec<SentRelease>,
-    /// Where an exchange moves the releases it takes the answers of:
-    /// empty between exchanges, and kept, so taking them allocates
-    /// nothing.
-    due: Vec<SentRelease>,
-    kept: Vec<KeptCopy>,
+    filed: Vec<(u64, OpenCall)>,
 }
 
-/// The unsealed copy of `id` this node offered `owner` with a
-/// `CREATE_AT` that got no answer: the request may still be served, and
-/// read the copy, so the copy stays until `owner` answers a later call.
-struct KeptCopy {
-    seq: u64,
-    owner: NodeId,
-    id: ObjectId,
+enum OpenCall {
+    /// A `RELEASE` nobody waits on: which pins it returns, whether they
+    /// were owed, and the claim on its answer. Owed rather than first: a
+    /// parked release or a duplicate pin a lookup handed back, whose
+    /// `false` flag means it landed already; a first release's `false`
+    /// means the entry it was sent for was a phantom, and the pin is
+    /// returned at its next candidate.
+    Release {
+        ids: Vec<ObjectId>,
+        owed: bool,
+        call: Unawaited,
+    },
+    /// The unsealed copy of an id this node offered the peer with a
+    /// `CREATE_AT` that got no answer: the request may still be served,
+    /// and read the copy, so the copy stays until it is closed.
+    Copy(ObjectId),
 }
 
-/// One `RELEASE` nobody waits on: which pins it returns, and the claim on
-/// its answer.
-struct SentRelease {
-    /// Its place in the send order of this store's releases.
-    seq: u64,
-    owner: NodeId,
-    ids: Vec<ObjectId>,
-    /// Owed rather than first: a parked release or a duplicate pin a
-    /// lookup handed back. Its `false` flag means it landed already; a
-    /// first release's `false` means the entry it was sent for was a
-    /// phantom, and the pin is returned at its next candidate.
-    owed: bool,
-    call: Unawaited,
+impl Peer {
+    fn file(&self, call: OpenCall) {
+        let mut open = self.open.lock();
+        let seq = open.next;
+        open.next += 1;
+        open.filed.reserve_exact(1);
+        open.filed.push((seq, call));
+    }
+
+    /// Close the open calls numbered below `before`, in send order, up
+    /// to the next release, whose answer is taken; a kept copy is aborted
+    /// in `core` on the way.
+    fn close_next(&self, before: u64, core: &StoreCore) -> Option<ReleaseAnswer> {
+        loop {
+            let call = {
+                let mut open = self.open.lock();
+                open.filed.first().filter(|(seq, _)| *seq < before)?;
+                let (_, call) = open.filed.remove(0);
+                open.filed.shrink_to_fit();
+                call
+            };
+            match call {
+                OpenCall::Release { ids, owed, call } => {
+                    return Some((self.node, ids, owed, self.client.take(call)));
+                }
+                OpenCall::Copy(id) => {
+                    let _ = core.abort(id);
+                }
+            }
+        }
+    }
+
+    /// Wait for the answer of every release still open, in send order;
+    /// kept copies stay.
+    fn settle(&self, deadline: Option<Duration>) -> Vec<ReleaseAnswer> {
+        let mut open = self.open.lock();
+        let sent = open
+            .filed
+            .extract_if(.., |(_, c)| matches!(c, OpenCall::Release { .. }));
+        let sent: Vec<_> = sent.collect();
+        drop(open);
+        let settle = |(_, call)| match call {
+            OpenCall::Release { ids, owed, call } => {
+                let answer = self.client.settle(call, deadline);
+                Some((self.node, ids, owed, Some(answer)))
+            }
+            OpenCall::Copy(_) => None,
+        };
+        sent.into_iter().filter_map(settle).collect()
+    }
 }
 
 /// A sent release's owner, ids, whether they were owed, and its answer
 /// (`None`: none came).
 type ReleaseAnswer = (NodeId, Vec<ObjectId>, bool, Option<Result<Bytes, RpcError>>);
 
-/// One member of an exchange ([`DisaggStore::scatter`]): the client to
-/// its peer, and where its call stands.
+/// One member of an exchange ([`DisaggStore::scatter`]): its peer's
+/// record, and where its call stands.
 pub(super) struct Member {
-    client: Option<Arc<RpcClient>>,
+    peer: Option<Arc<Peer>>,
     call: MemberCall,
 }
 
@@ -77,10 +133,13 @@ struct MemberCall {
     attempts_left: u32,
     /// Whether any attempt's request left.
     sent: bool,
+    /// Its peer's next number when the member was first sent: an answer
+    /// closes the peer's open calls numbered below it.
+    before: Option<u64>,
     /// The epoch its answer's reply header carried.
     reply_epoch: Option<u64>,
     /// `None` while the member still has a call to make or to wait for.
-    answer: Option<Result<Bytes, PeerFail>>,
+    answer: Option<Answer>,
 }
 
 impl Member {
@@ -96,27 +155,8 @@ impl Member {
 
 /// The answers of an exchange, one per member, in the order the members
 /// were listed.
-pub(super) struct Answers(std::vec::IntoIter<Member>);
-
-impl Iterator for Answers {
-    type Item = Result<Bytes, PeerFail>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let member = self.0.next()?;
-        Some(
-            member
-                .call
-                .answer
-                .expect("the rounds end only once no member is retrying"),
-        )
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Answers {}
+pub(super) type Answers = std::iter::Map<std::vec::IntoIter<Member>, fn(Member) -> Answer>;
+type Answer = Result<Bytes, PeerFail>;
 
 /// A deliberately broken release path, for the fault table's mutation
 /// check (`release_faults`): each case must fail against one of them.
@@ -181,20 +221,42 @@ impl DisaggStore {
         peers.map_or_else(|| Arc::from([]), |peers| Arc::clone(&peers.nodes))
     }
 
-    /// The client to the peer on `node`, built at the first call to it
+    /// The record of the peer on `node`, built at the first call to it
     /// and kept; `None` when no peer runs there. Callers racing to build
     /// one get the one the first of them built.
-    fn client(&self, node: NodeId) -> Option<Arc<RpcClient>> {
+    fn peer(&self, node: NodeId) -> Option<Arc<Peer>> {
         let peers = self.inner.peers.get()?;
         peers.nodes.binary_search(&node).ok()?;
-        if let Some(client) = peers.clients.read().get(&node) {
-            return Some(Arc::clone(client));
+        if let Some(peer) = peers.records.read().get(&node) {
+            return Some(Arc::clone(peer));
         }
-        let mut clients = peers.clients.write();
-        let client = clients
-            .entry(node)
-            .or_insert_with(|| Arc::new((peers.dial)(node)));
-        Some(Arc::clone(client))
+        let mut records = peers.records.write();
+        let peer = records.entry(node).or_insert_with(|| {
+            let (client, health, open) = ((peers.dial)(node), Mutex::default(), Mutex::default());
+            Arc::new(Peer {
+                node,
+                client,
+                health,
+                open,
+            })
+        });
+        Some(Arc::clone(peer))
+    }
+
+    /// A copy of the failure detector's entry for the peer on `node`, a
+    /// fresh one if it was never called.
+    fn health_of(&self, node: NodeId) -> PeerHealth {
+        let peers = self.inner.peers.get();
+        let peer = peers.and_then(|p| p.records.read().get(&node).cloned());
+        peer.map(|p| *p.health.lock()).unwrap_or_default()
+    }
+
+    /// The records built so far, in node order.
+    fn built_peers(&self) -> Vec<Arc<Peer>> {
+        let peers = self.inner.peers.get();
+        peers.map_or_else(Vec::new, |peers| {
+            peers.records.read().values().cloned().collect()
+        })
     }
 
     /// The one translation of a failed call to the peer on `node` into
@@ -235,14 +297,15 @@ impl DisaggStore {
         }
     }
 
-    /// Liveness state of one peer, as seen by this node's failure detector.
+    /// Liveness state of one peer, as seen by this node's failure
+    /// detector (`Up` if never called).
     pub fn peer_state(&self, node: NodeId) -> PeerState {
-        self.inner.health.state(node)
+        self.health_of(node).state()
     }
 
-    /// Failure-detector counters for one peer.
+    /// Failure-detector counters for one peer (zeros if never called).
     pub fn peer_health_stats(&self, node: NodeId) -> PeerStats {
-        self.inner.health.stats(node)
+        self.health_of(node).stats()
     }
 
     /// One guarded exchange with several peers at once, each named by its
@@ -285,37 +348,31 @@ impl DisaggStore {
             "an interconnect handler called out: every verb must answer from its own state"
         );
         let inner = &self.inner;
-        // Releases sent before this exchange: a peer that answers it has
-        // answered them first, on the same ordered connection.
-        let released_before = inner.releases.lock().next;
         let header = CallHeader { from: inner.node };
-        // A `Down` peer was called before: its client is built.
-        let mut members: Vec<Member> = calls
-            .iter()
-            .map(|&(node, method, _)| Member {
-                client: self.client(node),
-                call: MemberCall {
-                    node,
-                    method,
-                    attempts_left: 0,
-                    sent: false,
-                    reply_epoch: None,
-                    answer: None,
-                },
-            })
-            .collect();
-        for Member { client, call } in &mut members {
-            let admission = client.as_ref().map(|_| inner.health.admit(call.node));
-            call.attempts_left = match admission {
+        let admit = |&(node, method, _): &(NodeId, u32, B)| {
+            let peer = self.peer(node);
+            let admission = peer.as_ref().map(|p| p.health.lock().admit(&inner.pace));
+            let attempts_left = match admission {
                 None | Some(Admission::Skip) => 0,
                 Some(Admission::Probe) => 1, // one shot; failure re-arms the backoff window
                 Some(Admission::Attempt) => inner.retry.max_attempts.max(1),
             };
-            call.answer = match client {
+            let answer = match peer {
                 None => Some(Err(PeerFail::NoPeer)),
-                Some(_) => (call.attempts_left == 0).then_some(Err(PeerFail::Skipped)),
+                Some(_) => (attempts_left == 0).then_some(Err(PeerFail::Skipped)),
             };
-        }
+            let call = MemberCall {
+                node,
+                method,
+                attempts_left,
+                sent: false,
+                before: None,
+                reply_epoch: None,
+                answer,
+            };
+            Member { peer, call }
+        };
+        let mut members: Vec<Member> = calls.iter().map(admit).collect();
         let mut retry_no = 0u32;
         loop {
             // Every send of the round goes out before any answer is
@@ -323,15 +380,16 @@ impl DisaggStore {
             let round: Vec<_> = members
                 .iter_mut()
                 .zip(calls)
-                .filter_map(|(Member { client, call }, (.., body))| {
-                    let client = client.as_ref().filter(|_| call.answer.is_none())?;
+                .filter_map(|(Member { peer, call }, (.., body))| {
+                    let peer = peer.as_ref().filter(|_| call.answer.is_none())?;
+                    call.before.get_or_insert_with(|| peer.open.lock().next);
                     let parts: [&dyn Encode; 2] = [&header, body];
-                    let ticket = client.call_async(call.method, &parts);
-                    Some((call, ticket))
+                    let ticket = peer.client.call_async(call.method, &parts);
+                    Some((&peer.health, call, ticket))
                 })
                 .collect();
             let mut retrying = 0u64;
-            for (call, ticket) in round {
+            for (health, call, ticket) in round {
                 call.sent |= ticket.is_ok();
                 let peer = call.node;
                 let answer = ticket
@@ -342,16 +400,16 @@ impl DisaggStore {
                     });
                 call.answer = match answer {
                     Ok((reply, body)) => {
-                        inner.health.record_success(peer);
+                        health.lock().record_success(&inner.pace);
                         call.reply_epoch = Some(reply.epoch);
                         Some(Ok(body))
                     }
                     Err(RpcError::Status(s)) if s.code != StatusCode::Unavailable => {
-                        inner.health.record_success(peer);
+                        health.lock().record_success(&inner.pace);
                         Some(Err(PeerFail::Rpc(RpcError::Status(s))))
                     }
                     Err(e) if e.is_retryable() => {
-                        let state = inner.health.record_failure(peer);
+                        let state = health.lock().record_failure(&inner.pace);
                         call.attempts_left -= 1;
                         if call.attempts_left == 0 || state == PeerState::Down {
                             let why = format!("peer {peer} unreachable: {e}");
@@ -370,7 +428,7 @@ impl DisaggStore {
                     Err(e) => {
                         // Protocol violation: a response arrived, but the
                         // connection is now suspect.
-                        inner.health.record_failure(peer);
+                        health.lock().record_failure(&inner.pace);
                         Some(Err(PeerFail::Rpc(e)))
                     }
                 };
@@ -384,16 +442,19 @@ impl DisaggStore {
             inner.clock.advance_to(inner.clock.now() + backoff);
         }
         // Only now, with nothing of the exchange left in flight: a peer
-        // that answered has answered every release sent to it before, on
-        // the same ordered connection, so their answers are taken (one
-        // still missing was lost), and the releases parked for it go
-        // again. Then a membership pull or push, an exchange of its own
-        // (whose own reply is the table, not a reason to send another).
+        // that answered has served every call filed with it before the
+        // member was sent, on the same ordered connection, so those close
+        // — a release's answer is taken (one still missing was lost), a
+        // kept copy goes — and the releases parked for it go again. Then
+        // a membership pull or push, an exchange of its own (whose own
+        // reply is the table, not a reason to send another).
         if members.iter().any(Member::answered) {
-            let answered =
-                |node: NodeId| members.iter().any(|m| m.call.node == node && m.answered());
-            self.take_releases(answered, released_before);
-            self.free_kept(answered, released_before);
+            let closing = members.iter().filter(|m| m.answered());
+            let closing = closing.filter_map(|m| Some((m.peer.as_ref()?, m.call.before?)));
+            let closed = closing.flat_map(|(peer, before)| {
+                std::iter::from_fn(move || peer.close_next(before, &inner.core))
+            });
+            self.act_on_releases(closed);
         }
         #[cfg(test)]
         let flush = !mutant(Mutant::NeverFlush);
@@ -415,7 +476,10 @@ impl DisaggStore {
                 self.sync_epoch(call.node, epoch);
             }
         }
-        Answers(members.into_iter())
+        members.into_iter().map(|m| {
+            let answer = m.call.answer;
+            answer.expect("the rounds end only once no member is retrying")
+        })
     }
 
     /// [`DisaggStore::scatter`] of one: the guarded call to the peer on
@@ -435,7 +499,7 @@ impl DisaggStore {
     /// with its owner ([`DisaggStore::scatter`]) or when the store
     /// settles ([`DisaggStore::settle_releases`]). `owed`: the ids are
     /// parked releases or duplicate pins, whose `false` flag means they
-    /// landed already (see [`SentRelease::owed`]). An owner that is no
+    /// landed already (see [`OpenCall::Release`]). An owner that is no
     /// peer, is `Down`, or that the request cannot reach, has its ids
     /// parked, to go again after the next exchange with it. A release
     /// is charged no modeled delay. Each request is written from the ids
@@ -450,11 +514,12 @@ impl DisaggStore {
         let mut sent_any = false;
         for (owner, ids) in asks {
             sent_any = true;
-            let up = inner.health.state(owner) != PeerState::Down;
-            let client = up.then(|| self.client(owner)).flatten();
             let parts: [&dyn Encode; 2] = [&header, &IdList::of(&ids)];
-            let call = client.and_then(|client| client.send(method::RELEASE, &parts).ok());
-            let Some(call) = call else {
+            let up = self
+                .peer(owner)
+                .filter(|p| p.health.lock().state() != PeerState::Down);
+            let sent = up.and_then(|p| Some((p.client.send(method::RELEASE, &parts).ok()?, p)));
+            let Some((call, peer)) = sent else {
                 for id in ids {
                     inner.ledger.park(id, owner);
                 }
@@ -464,16 +529,7 @@ impl DisaggStore {
                 let forwarded = &inner.counters.releases_forwarded;
                 forwarded.fetch_add(ids.len() as u64, Ordering::Relaxed);
             }
-            let mut releases = inner.releases.lock();
-            let seq = releases.next;
-            releases.next += 1;
-            releases.sent.push(SentRelease {
-                seq,
-                owner,
-                ids,
-                owed,
-                call,
-            });
+            peer.file(OpenCall::Release { ids, owed, call });
         }
         if sent_any {
             self.sync_parked_gauge();
@@ -481,64 +537,23 @@ impl DisaggStore {
     }
 
     /// Keep the copy of `id` a `CREATE_AT` to `owner` named and got no
-    /// answer to: it is freed once `owner` answers a call sent after now
-    /// ([`DisaggStore::free_kept`]), and an abort of it meanwhile is
+    /// answer to: it goes once `owner` answers a call sent after now
+    /// ([`DisaggStore::scatter`]), and an abort of it meanwhile is
     /// ignored ([`DisaggStore::keeps_copy`]).
     pub(super) fn keep_copy(&self, owner: NodeId, id: ObjectId) {
-        let mut releases = self.inner.releases.lock();
-        let seq = releases.next;
-        releases.next += 1;
-        releases.kept.push(KeptCopy { seq, owner, id });
+        if let Some(peer) = self.peer(owner) {
+            peer.file(OpenCall::Copy(id));
+        }
     }
 
     /// Whether this store keeps the copy of `id` for a `CREATE_AT` that
     /// may still be served.
     pub(super) fn keeps_copy(&self, id: ObjectId) -> bool {
-        let releases = self.inner.releases.lock();
-        releases.kept.iter().any(|copy| copy.id == id)
-    }
-
-    /// Free the copies kept for the `answered` owners before the exchange
-    /// numbered `before`. Each of those owners answered a call of that
-    /// exchange, and a node serves the requests that reach it in the
-    /// order they arrive, so no request naming one of the copies is left
-    /// to serve.
-    fn free_kept(&self, answered: impl Fn(NodeId) -> bool, before: u64) {
-        let mut releases = self.inner.releases.lock();
-        releases.kept.retain(|copy| {
-            let due = copy.seq < before && answered(copy.owner);
-            if due {
-                let _ = self.inner.core.abort(copy.id);
-            }
-            !due
-        });
-    }
-
-    /// Take the answers of the releases sent to the `answered` owners
-    /// before the one numbered `before`: those owners have answered a
-    /// later call, so an answer still missing was lost. The due releases
-    /// are moved, in send order, into a vector the store keeps for them,
-    /// and acted on once the lock is let go.
-    fn take_releases(&self, answered: impl Fn(NodeId) -> bool, before: u64) {
-        let mut due = {
-            let mut releases = self.inner.releases.lock();
-            let mut due = std::mem::take(&mut releases.due);
-            let taken = releases
-                .sent
-                .extract_if(.., |r| r.seq < before && answered(r.owner));
-            due.extend(taken);
-            due
-        };
-        // Each was sent through its owner's client, which is kept.
-        let answers = due.drain(..).map(|r| {
-            let answer = self.client(r.owner).and_then(|c| c.take(r.call));
-            (r.owner, r.ids, r.owed, answer)
-        });
-        self.act_on_releases(answers);
-        let mut releases = self.inner.releases.lock();
-        if releases.due.capacity() == 0 {
-            releases.due = due;
-        }
+        let kept = |(_, call): &(u64, OpenCall)| matches!(call, OpenCall::Copy(c) if *c == id);
+        let peers = self.built_peers();
+        peers
+            .iter()
+            .any(|peer| peer.open.lock().filed.iter().any(kept))
     }
 
     /// Wait for the answer of every release this store has in flight,
@@ -546,7 +561,8 @@ impl DisaggStore {
     /// a first release's `false` goes to its next candidate (which may
     /// send another, waited for in turn), and anything else — an error,
     /// no answer within the call deadline — parks the release. No
-    /// virtual time is charged.
+    /// virtual time is charged. The built peers are walked in node
+    /// order, each one's releases in send order.
     ///
     /// For a reader of the ledgers at rest: [`DisaggStore::reconcile`]
     /// and [`crate::Cluster::audit`] settle first, and so must anything
@@ -554,17 +570,14 @@ impl DisaggStore {
     /// handles a release when its reader reaches it, not when it is
     /// sent).
     pub fn settle_releases(&self) {
+        let deadline = self.inner.call_deadline;
         loop {
-            let sent = std::mem::take(&mut self.inner.releases.lock().sent);
-            if sent.is_empty() {
+            let peers = self.built_peers();
+            let answers: Vec<_> = peers.iter().flat_map(|p| p.settle(deadline)).collect();
+            if answers.is_empty() {
                 return;
             }
-            let deadline = self.inner.call_deadline;
-            let answers = sent.into_iter().map(|r| {
-                let answer = self.client(r.owner).map(|c| c.settle(r.call, deadline));
-                (r.owner, r.ids, r.owed, answer)
-            });
-            self.act_on_releases(answers);
+            self.act_on_releases(answers.into_iter());
         }
     }
 
@@ -701,5 +714,60 @@ impl DisaggStore {
             out.push((resp.node, resp.entries));
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, ClusterConfig};
+    use plasma::ObjectStore;
+
+    /// What `store` keeps open with the peer on `node`: its releases, and
+    /// its kept copies.
+    fn open_with(store: &DisaggStore, node: NodeId) -> (usize, usize) {
+        let peer = store.peer(node).expect("a peer");
+        let open = peer.open.lock();
+        let copies = open.filed.iter();
+        let copies = copies.filter(|(_, call)| matches!(call, OpenCall::Copy(_)));
+        let copies = copies.count();
+        (open.filed.len() - copies, copies)
+    }
+
+    /// Releases in flight to two owners and a copy kept for a third: an
+    /// exchange one owner answers closes that owner's release alone, and
+    /// one the third answers frees the copy and nothing else.
+    #[test]
+    fn an_answer_closes_only_what_was_filed_with_the_peer_that_gave_it() {
+        let cluster = Cluster::launch(ClusterConfig::functional(4, 1 << 20)).unwrap();
+        let reader = cluster.store(3).clone();
+        let [first, second, third] = [0, 1, 2].map(|k| cluster.node_id(k));
+        for k in 0..2 {
+            let id = ObjectId::from_name(&cluster.owned_id(k, "open/held"));
+            cluster.store(k).put(id, b"held", &[]).unwrap();
+            assert!(reader.get(&[id], Duration::ZERO).unwrap()[0].is_some());
+            reader.release(id).unwrap();
+        }
+        // The copy a `CREATE_AT` to the third owner named, which got no
+        // answer: an abort of it leaves it.
+        let kept = ObjectId::from_name(&cluster.owned_id(2, "open/kept"));
+        reader.core().create(kept, 4, 0).unwrap();
+        reader.keep_copy(third, kept);
+        assert_eq!(ObjectStore::abort(&reader, kept), Ok(()));
+        let open = || [first, second, third].map(|node| open_with(&reader, node));
+        assert_eq!(open(), [(1, 0), (1, 0), (0, 1)]);
+
+        reader.peer_metrics(first).unwrap();
+        assert_eq!(open(), [(0, 0), (1, 0), (0, 1)]);
+        assert!(reader.core().exists_any_state(kept));
+
+        reader.peer_metrics(third).unwrap();
+        assert_eq!(open(), [(0, 0), (1, 0), (0, 0)]);
+        assert!(!reader.core().exists_any_state(kept));
+
+        reader.settle_releases();
+        assert_eq!(open(), [(0, 0); 3]);
+        assert_eq!(reader.pending_release_count(), 0);
+        assert!(cluster.audit().is_empty());
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! ## Deadlines, poisoning, and reconnection
 //!
-//! [`RpcClient::call_with_deadline`] bounds how long a call waits for its
+//! [`PendingCall::wait_deadline`] bounds how long a call waits for its
 //! response; an expired deadline surfaces as [`RpcError::Deadline`]. With
 //! correlation ids a deadline expiry no longer poisons the connection:
 //! the expired call abandons its pending slot and whoever reads next
@@ -331,21 +331,7 @@ impl RpcClient {
 
     /// Issue one unary call and block (unboundedly) for its response.
     pub fn call(&self, method: u32, body: Bytes) -> Result<Bytes, RpcError> {
-        self.call_with_deadline(method, body, None)
-    }
-
-    /// Issue one unary call, waiting at most `deadline` for its response.
-    ///
-    /// On expiry the call fails with [`RpcError::Deadline`] and abandons
-    /// its pending slot; the connection and its other in-flight calls are
-    /// unaffected (the late response is discarded by its correlation id).
-    pub fn call_with_deadline(
-        &self,
-        method: u32,
-        body: Bytes,
-        deadline: Option<Duration>,
-    ) -> Result<Bytes, RpcError> {
-        self.call_async(method, &body)?.wait_deadline(deadline)
+        self.call_async(method, &body)?.wait()
     }
 
     /// Send one request whose body is `body`'s encoding, and return a
@@ -1175,7 +1161,8 @@ mod tests {
         let (_srv, client) = setup();
         let t0 = std::time::Instant::now();
         let err = client
-            .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(30)))
+            .call_async(3, &Bytes::new())
+            .and_then(|t| t.wait_deadline(Some(Duration::from_millis(30))))
             .unwrap_err();
         assert!(matches!(err, RpcError::Deadline(_)), "got {err}");
         assert!(err.is_retryable());
@@ -1187,7 +1174,8 @@ mod tests {
     fn deadline_does_not_poison_connection() {
         let (_srv, client) = setup();
         client
-            .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(20)))
+            .call_async(3, &Bytes::new())
+            .and_then(|t| t.wait_deadline(Some(Duration::from_millis(20))))
             .unwrap_err();
         // With correlation ids the late response is dropped by id; the
         // connection survives, so follow-up calls need no connector.
@@ -1212,7 +1200,8 @@ mod tests {
         // A deadline expiry abandons its slot but keeps the connection;
         // the next call reuses it without redialing.
         client
-            .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(20)))
+            .call_async(3, &Bytes::new())
+            .and_then(|t| t.wait_deadline(Some(Duration::from_millis(20))))
             .unwrap_err();
         assert_eq!(&client.call(1, Bytes::from_static(b"b")).unwrap()[..], b"b");
         assert_eq!(redials(&registry), 1);
@@ -1242,7 +1231,8 @@ mod tests {
         for i in 0..20u32 {
             let body = Bytes::from(i.to_le_bytes().to_vec());
             let out = client
-                .call_with_deadline(1, body.clone(), Some(Duration::from_secs(5)))
+                .call_async(1, &body.clone())
+                .and_then(|t| t.wait_deadline(Some(Duration::from_secs(5))))
                 .unwrap();
             assert_eq!(out, body);
         }
@@ -1284,11 +1274,8 @@ mod tests {
         // not when the held-back response is finally due.
         let t0 = Instant::now();
         let err = client
-            .call_with_deadline(
-                1,
-                Bytes::from_static(b"late"),
-                Some(Duration::from_millis(30)),
-            )
+            .call_async(1, &Bytes::from_static(b"late"))
+            .and_then(|t| t.wait_deadline(Some(Duration::from_millis(30))))
             .unwrap_err();
         assert!(matches!(err, RpcError::Deadline(_)), "got {err}");
         assert!(t0.elapsed() < Duration::from_millis(150));
@@ -1484,7 +1471,8 @@ mod tests {
         // Deadline expiry: counted, does NOT poison the connection, and
         // does NOT pollute the verb's latency histogram.
         client
-            .call_with_deadline(3, Bytes::new(), Some(Duration::from_millis(20)))
+            .call_async(3, &Bytes::new())
+            .and_then(|t| t.wait_deadline(Some(Duration::from_millis(20))))
             .unwrap_err();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rpc.client.deadline_expired"), 1);

@@ -31,6 +31,7 @@ use ipc::{Conn, Frame, Listener};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Weak};
 use std::thread::{Builder, JoinHandle};
@@ -74,9 +75,10 @@ impl SeenCalls {
 pub struct ServerMetrics {
     /// Requests decoded and dispatched to the service.
     pub calls: AtomicU64,
-    /// Calls that returned an error status, plus connections closed for
-    /// a frame that was not a decodable request, and connections refused
-    /// because they cannot report their frames or the reader has gone.
+    /// Calls that returned an error status or panicked, plus connections
+    /// closed for a frame that was not a decodable request, and
+    /// connections refused because they cannot report their frames, the
+    /// reader has gone or their server has stopped.
     pub errors: AtomicU64,
     /// Connections handed to the server over its lifetime.
     pub connections: AtomicU64,
@@ -116,8 +118,9 @@ enum Report {
 
 /// The reader's ready queue. The reader owns it; its handles, every
 /// listener's handler and every connection's report hold it weakly, so
-/// once the reader has returned — or a panicking call has ended it — a
-/// report is handed back instead of queued for no one.
+/// once the reader has returned a report is handed back instead of
+/// queued for no one. (A panicking call stops its own server, not the
+/// reader: see [`stop`].)
 ///
 /// A reporter wakes the reader after it has unlocked, and only if the
 /// reader sleeps (the vendored condvar counts its sleepers). `std`'s
@@ -178,16 +181,19 @@ pub fn serving() -> bool {
     SERVING.with(Cell::get)
 }
 
-/// Run one call on this thread, marked as serving while it runs. (A call
-/// that panics ends the reader, and the mark with it.)
-fn answer(service: &dyn Service, request: Request) -> Response {
+/// Run one call on this thread, marked as serving while it runs; `None`
+/// if it panicked. The panic is caught here and the mark reset: the
+/// reader serves on. What the call held is left as the panic left it
+/// (a `parking_lot` lock does not poison), so its server is stopped.
+fn answer(service: &dyn Service, request: Request) -> Option<Response> {
     SERVING.with(|serving| serving.set(true));
-    let result = service.call(request.method, request.body);
+    let call = || service.call(request.method, request.body);
+    let result = panic::catch_unwind(AssertUnwindSafe(call));
     SERVING.with(|serving| serving.set(false));
-    Response {
+    Some(Response {
         call_id: request.call_id,
-        result,
-    }
+        result: result.ok()?,
+    })
 }
 
 /// A reader thread (`rpc-serve`), which serves every server started on
@@ -212,9 +218,10 @@ impl Drop for ReaderThread {
 }
 
 impl Reader {
-    /// Start a reader thread. One that could not start, or that a
-    /// panicking call ended, has dropped its queue: every connection
-    /// handed to it is then refused.
+    /// Start a reader thread. One that could not start has dropped its
+    /// queue: every connection handed to it is then refused. A call that
+    /// panics stops its own server ([`stop`]); the reader serves the
+    /// others on.
     pub fn start() -> Reader {
         let ready = Arc::new(ReadyQueue::default());
         let queue = Arc::downgrade(&ready);
@@ -408,14 +415,7 @@ fn read(ready: &Arc<ReadyQueue>) {
                 continue;
             }
             Report::Stop(server, _done) => {
-                server.stopped.store(true, Ordering::Relaxed);
-                let ours = |entry: &Served| Arc::ptr_eq(&entry.server, &server);
-                served
-                    .values()
-                    .filter(|e| ours(e))
-                    .for_each(|e| e.conn.close());
-                served.retain(|_, entry| !ours(entry));
-                server.open.store(0, Ordering::Relaxed);
+                stop(&mut served, &server);
                 continue;
             }
             Report::CatchUp(_done) => continue,
@@ -426,10 +426,17 @@ fn read(ready: &Arc<ReadyQueue>) {
         };
         // A report stands for a frame or for the connection's end.
         let frame = entry.conn.recv_until(Some(passed));
-        if !frame.is_ok_and(|frame| serve_frame(frame, entry)) {
-            entry.conn.close();
-            entry.server.open.fetch_sub(1, Ordering::Relaxed);
-            served.remove(&key);
+        match frame.map(|frame| serve_frame(frame, entry)) {
+            Ok(Some(true)) => {}
+            Ok(None) => {
+                let server = Arc::clone(&entry.server);
+                stop(&mut served, &server);
+            }
+            Ok(Some(false)) | Err(_) => {
+                entry.conn.close();
+                entry.server.open.fetch_sub(1, Ordering::Relaxed);
+                served.remove(&key);
+            }
         }
     }
     for entry in served.values() {
@@ -437,10 +444,26 @@ fn read(ready: &Arc<ReadyQueue>) {
     }
 }
 
+/// Stop `server`, at its [`ServerHandle::shutdown`] or when one of its
+/// calls panicked: refuse any connection handed to it later, and close
+/// and forget every one it has open. Its callers fail at once with a
+/// transport error; the reader serves the other servers on.
+fn stop(served: &mut HashMap<u64, Served>, server: &Arc<Server>) {
+    server.stopped.store(true, Ordering::Relaxed);
+    let ours = |entry: &Served| Arc::ptr_eq(&entry.server, server);
+    served
+        .values()
+        .filter(|e| ours(e))
+        .for_each(|e| e.conn.close());
+    served.retain(|_, entry| !ours(entry));
+    server.open.store(0, Ordering::Relaxed);
+}
+
 /// Serve one frame of `entry`'s connection: decode the request, drop a
-/// duplicate, run its server's call and write the response. False if the
-/// connection must end.
-fn serve_frame(frame: Frame, entry: &mut Served) -> bool {
+/// duplicate, run its server's call and write the response. `false` if
+/// the connection must end, `None` if the call panicked and its server
+/// must stop.
+fn serve_frame(frame: Frame, entry: &mut Served) -> Option<bool> {
     let metrics = &entry.server.metrics;
     let request = match frame.msg_type {
         FRAME_REQUEST => Request::from_frame(&frame).ok(),
@@ -453,21 +476,21 @@ fn serve_frame(frame: Frame, entry: &mut Served) -> bool {
         // inside what failed to decode), so the connection ends: the
         // client fails every call on it at once and redials.
         metrics.errors.fetch_add(1, Ordering::Relaxed);
-        return false;
+        return Some(false);
     };
     if !entry.seen.first_sighting(request.call_id) {
         // The original execution's response answers the client, and
         // executing again would double a non-idempotent call.
         metrics.duplicates.fetch_add(1, Ordering::Relaxed);
-        return true;
+        return Some(true);
     }
     metrics.calls.fetch_add(1, Ordering::Relaxed);
     let response = answer(&*entry.server.service, request);
-    if response.result.is_err() {
+    if response.as_ref().is_none_or(|r| r.result.is_err()) {
         metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
-    let _ = entry.conn.send(&response.to_frame());
-    true
+    let _ = entry.conn.send(&response?.to_frame());
+    Some(true)
 }
 
 #[cfg(test)]
@@ -609,10 +632,14 @@ mod tests {
         }
     }
 
+    /// A panic stops the server it ran in: every connection of it is
+    /// closed and a new one refused, so each call fails at once and none
+    /// waits for an answer that cannot come. The reader lives on.
     #[test]
-    fn a_panicking_leaf_ends_the_reader_and_no_call_to_the_server_hangs() {
+    fn a_panicking_leaf_stops_its_server_and_no_call_to_it_hangs() {
         let hub = InprocHub::new();
-        let _srv = serve(Box::new(hub.bind("panic").unwrap()), Arc::new(PanicsOnOne));
+        let reader = Reader::start();
+        let srv = reader.serve(Box::new(hub.bind("panic").unwrap()), Arc::new(PanicsOnOne));
         let dial = || Arc::new(RpcClient::new(Box::new(hub.connect("panic").unwrap())));
         let (doomed, bystander) = (dial(), dial());
         assert_eq!(
@@ -620,17 +647,20 @@ mod tests {
             b"before"
         );
 
-        // The panic ends the one reader, and with it every connection it
-        // served; a new connection finds no reader. Each call fails at
-        // once: none waits for an answer that cannot come.
-        for (client, method) in [(doomed, 1), (bystander, 2), (dial(), 2)] {
+        for (client, method) in [(doomed, 1), (bystander, 2)] {
             let err = bounded_call(&client, method, b"lost").unwrap_err();
             assert!(matches!(err, RpcError::Transport(_)), "got {err}");
         }
+        let err = bounded_call(&dial(), 2, b"refused").unwrap_err();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        assert_eq!(srv.tracked_connections(), 0);
+        assert_eq!(srv.metrics().errors.load(Ordering::Relaxed), 2);
+        // The reader caught the panic: it still takes reports.
+        reader.catch_up().wait();
     }
 
     #[test]
-    fn two_servers_share_a_reader_and_stop_apart_but_a_panic_fails_both() {
+    fn two_servers_share_a_reader_and_stop_apart_and_a_panic_stops_its_own() {
         let hub = InprocHub::new();
         let reader = Reader::start();
         let mut first = reader.serve(Box::new(hub.bind("first").unwrap()), Arc::new(PanicsOnOne));
@@ -654,11 +684,14 @@ mod tests {
             assert_eq!(&bounded_call(client, 2, b"still").unwrap()[..], b"still");
         }
 
-        // A panicking leaf of one server ends the reader both share: a
-        // call to either fails at once, none waits for an answer.
-        for (client, method) in [(&restarted, 1), (&answering, 2), (&dial("second"), 2)] {
-            let err = bounded_call(client, method, b"lost").unwrap_err();
-            assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        // A panicking leaf stops the server it ran in: a call to it fails
+        // at once, and the other server answers on, new connections too.
+        let err = bounded_call(&restarted, 1, b"lost").unwrap_err();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        let err = bounded_call(&dial("first"), 2, b"lost").unwrap_err();
+        assert!(matches!(err, RpcError::Transport(_)), "got {err}");
+        for client in [&answering, &dial("second")] {
+            assert_eq!(&bounded_call(client, 2, b"on").unwrap()[..], b"on");
         }
     }
 

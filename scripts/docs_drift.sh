@@ -135,9 +135,12 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # `invalidate_all`, `Status::already_exists`). Then the LRU index's
 # eviction pop and iterator, gone since recency lives in the object
 # table's entries (the index's type stays nameable: EXPERIMENTS A4's
-# profiles name it).
+# profiles name it). Then the store-wide release backlog's two sweeps and
+# the number that bounded them, gone since each peer's record files its
+# own open calls, and the client's deadline call, which `call_async` and
+# `wait_deadline` spell.
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot retry_rng Latency::center invalidate_all already_exists pop_lru iter_lru"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot retry_rng Latency::center invalidate_all already_exists pop_lru iter_lru take_releases free_kept released_before call_with_deadline"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
