@@ -13,149 +13,26 @@
 //! are filled into a list the connection keeps, and recency lives in the
 //! object table.
 //!
-//! Three rows are counted on every thread together, each against a fixed
-//! bound. A client's get of an object another node owns is one Plasma
-//! request to its own store, one `GET_MANY` to the owner and their
-//! answers; its release is one Plasma request and one `RELEASE` nobody
-//! waits on, filed with the owner's record and closed by the next get's
-//! `GET_MANY`, which the owner answers after it. Each message is written
-//! once, into the one buffer of the frame that carries it, and each
-//! answer is read off its frame. A store maps its own segment once, when
-//! it is made, and another node's segment at the first copy out of it,
-//! so neither a local put nor an owner's adoption of a forwarded put
-//! attaches a mapping of its own: one mapping per call more would show
-//! as one allocation per put.
+//! A remote get and a put where the bytes are written are counted on
+//! every thread together, each in a binary of its own
+//! (`tests/remote_get_allocs.rs`, `tests/put_allocs.rs`).
 //!
-//! A test binary of its own: the counting allocator below sees every
-//! thread of the process, so nothing else may run beside the one test.
+//! A test binary of its own: the counting allocator in `allocs` sees
+//! every thread of the process, so nothing else may run beside the one
+//! test.
 
-use disagg::proto::{method, CallHeader, DelegateReq, Message};
-use disagg::{Cluster, ClusterConfig, DisaggConfig, DisaggStore};
-use plasma::{ObjectId, ObjectStore, PlasmaClient, StoreConfig, StoreCore};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod allocs;
+
+use allocs::{nothing, Most, Row, CALLS, WARM};
+use disagg::{Cluster, ClusterConfig};
+use plasma::{ObjectId, PlasmaClient};
 use std::time::Duration;
-
-/// Calls into the allocator that hand out a block (allocations, zeroed
-/// allocations and reallocations) on every thread but the client's, and
-/// on the client's.
-static STORE_SIDE: AtomicU64 = AtomicU64::new(0);
-static CLIENT_SIDE: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Whether this thread is the client's. Constant-initialised and
-    /// without a destructor, so the allocator may read it at any time.
-    static CLIENT: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count() {
-    let client = CLIENT.try_with(Cell::get).unwrap_or(false);
-    let side = if client { &CLIENT_SIDE } else { &STORE_SIDE };
-    side.fetch_add(1, Ordering::Relaxed);
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to the system allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Calls before a row's count starts, and calls counted.
-const WARM: usize = 64;
-const CALLS: usize = 320;
 
 /// Ids a batch get names.
 const BATCH: usize = 32;
 
-/// Allocations a row may make per call over its measured count, on each
-/// side: room for a hash table that grows once in the counted calls,
-/// never for one more allocation per call.
-const MARGIN: f64 = 0.25;
-
-/// The most allocations one get and release of a remote object may make:
-/// 25.3 are made, and a round trip that encoded each message into a
-/// buffer of its own and decoded each answer into vectors made 92.3.
-const MOST_REMOTE: f64 = 27.5;
-
-/// The most allocations a local put may make, and an owner's adoption of
-/// a forwarded put (whose answer is one more). Before the store kept its
-/// mappings, an attach made its mapping on the stack, and they read
-/// 0.145–0.148 and 1.146–1.148 (the spread is the hash tables' random
-/// layout); an attach per put allocates now, and reads one more.
-const MOST_LOCAL: f64 = 0.25;
-const MOST_ADOPTED: f64 = 1.25;
-
-/// How many puts back the object a put row's round deletes was put: the
-/// store holds this many objects throughout.
-const LIVE: usize = 32;
-
 const TIMEOUT: Duration = Duration::from_secs(5);
 const OBJECT: [u8; 256] = [0x5A; 256];
-
-/// What a row runs: before each call (not counted), the call, and after
-/// it (not counted). Each takes the call's number.
-type Step<'a> = Box<dyn FnMut(usize) + 'a>;
-
-struct Row<'a> {
-    name: &'static str,
-    most: Most,
-    before: Step<'a>,
-    call: Step<'a>,
-    after: Step<'a>,
-}
-
-/// The most allocations a row's call may make.
-enum Most {
-    /// Per call when the bound was set, client side and store side, each
-    /// with [`MARGIN`] over it.
-    Measured(f64, f64),
-    /// On every thread together.
-    Together(f64),
-}
-
-/// Allocations per call of `row.call`, on the client's side and on the
-/// store's, over [`CALLS`] calls after [`WARM`].
-fn per_call(row: &mut Row) -> (f64, f64) {
-    let (mut client, mut store) = (0, 0);
-    for n in 0..WARM + CALLS {
-        (row.before)(n);
-        let counts = || {
-            let client = CLIENT_SIDE.load(Ordering::Relaxed);
-            (client, STORE_SIDE.load(Ordering::Relaxed))
-        };
-        let (client0, store0) = counts();
-        (row.call)(n);
-        let (client1, store1) = counts();
-        (row.after)(n);
-        if n >= WARM {
-            client += client1 - client0;
-            store += store1 - store0;
-        }
-    }
-    (client as f64 / CALLS as f64, store as f64 / CALLS as f64)
-}
 
 fn get_all(client: &PlasmaClient, ids: &[ObjectId]) {
     let got = client.get(ids, TIMEOUT).unwrap();
@@ -166,10 +43,6 @@ fn release_all(client: &PlasmaClient, ids: &[ObjectId]) {
     for &id in ids {
         client.release(id).unwrap();
     }
-}
-
-fn nothing<'a>() -> Step<'a> {
-    Box::new(|_| {})
 }
 
 fn named(base: &str, n: usize) -> Vec<ObjectId> {
@@ -188,39 +61,8 @@ fn each_request_kind_allocates_within_its_budget() {
         client.put(id, &OBJECT, &[]).unwrap();
     }
 
-    // Every remote id is owned by node 1 and read from node 0; the first
-    // get dials and maps what every later one reuses.
-    let pair = Cluster::launch(ClusterConfig::functional(2, 32 << 20)).unwrap();
-    let reader = pair.client(0).unwrap();
-    let names = pair.owned_ids(1, "allocs/remote", WARM + CALLS);
-    let remote: Vec<ObjectId> = names.iter().map(|name| ObjectId::from_name(name)).collect();
-    for &id in &remote {
-        reader.put(id, &OBJECT, &[]).unwrap();
-    }
-
-    // A local put's store, and an owner with the creator of the puts it
-    // adopts; the request a creator sends is framed before it is counted.
-    let fabric = tfsim::Fabric::virtual_thymesisflow();
-    let (creator, owner) = (fabric.register_node(), fabric.register_node());
-    let config = |name| StoreConfig::new(name, 8 << 20);
-    let local = StoreCore::new(&fabric, owner, config("local")).unwrap();
-    let creator = StoreCore::new(&fabric, creator, config("creator")).unwrap();
-    let owner = DisaggStore::new(
-        StoreCore::new(&fabric, owner, config("owner")).unwrap(),
-        DisaggConfig::default(),
-    );
-    let service = owner.interconnect_service();
-    let header = CallHeader {
-        from: creator.node(),
-    };
-    let request = RefCell::new(None);
-    let payload = [0x5A; 1000];
-
-    CLIENT.set(true);
+    allocs::on_client_thread();
     let (c, stored, fresh) = (&client, &stored, &fresh);
-    let (reader, remote, request) = (&reader, &remote, &request);
-    let (local, creator, owner, service) = (&local, &creator, &owner, &service);
-    let aged = |n: usize| n.checked_sub(LIVE).map(|old| fresh[old]);
     // Alternate between two windows of the stored ids, so a get's ids
     // were released by the call before last.
     let one = |n: usize| &stored[n % 2..][..1];
@@ -290,80 +132,13 @@ fn each_request_kind_allocates_within_its_budget() {
             call: Box::new(move |n| assert!(c.contains(one(n)[0]).unwrap())),
             after: nothing(),
         },
-        Row {
-            name: "remote get + release",
-            most: Most::Together(MOST_REMOTE),
-            before: nothing(),
-            call: Box::new(move |n| {
-                let got = reader.get(&remote[n..][..1], TIMEOUT).unwrap();
-                assert!(got[0].is_some(), "found at its owner");
-                drop(got);
-                reader.release(remote[n]).unwrap();
-            }),
-            after: nothing(),
-        },
-        Row {
-            name: "local put",
-            most: Most::Together(MOST_LOCAL),
-            before: nothing(),
-            call: Box::new(move |n| {
-                local.put(fresh[n], &payload, b"m").unwrap();
-            }),
-            after: Box::new(move |n| {
-                if let Some(old) = aged(n) {
-                    local.delete(old).unwrap();
-                }
-            }),
-        },
-        Row {
-            name: "adoption of a put",
-            most: Most::Together(MOST_ADOPTED),
-            before: Box::new(move |n| {
-                let location = creator.create_filled(fresh[n], &payload, b"m").unwrap();
-                let framed = header.frame(&DelegateReq { location }.encode());
-                *request.borrow_mut() = Some(framed);
-            }),
-            call: Box::new(move |_| {
-                let framed = request.borrow_mut().take().unwrap();
-                drop(service.call(method::CREATE_AT, framed).unwrap());
-            }),
-            after: Box::new(move |n| {
-                creator.abort(fresh[n]).unwrap();
-                if let Some(old) = aged(n) {
-                    ObjectStore::delete(owner, old).unwrap();
-                }
-            }),
-        },
     ];
-    let mut over = Vec::new();
-    for mut row in rows {
-        let (client_side, store_side) = per_call(&mut row);
-        let name = row.name;
-        match row.most {
-            Most::Measured(client_most, store_most) => {
-                eprintln!(
-                    "{name:<26} client {client_side:5.2}  store {store_side:5.2}  (measured {client_most:.2}, {store_most:.2})",
-                );
-                if client_side > client_most + MARGIN || store_side > store_most + MARGIN {
-                    over.push(format!(
-                        "{name}: {client_side:.2} + {store_side:.2} per call, over {client_most:.2} + {store_most:.2} and {MARGIN} each",
-                    ));
-                }
-            }
-            Most::Together(most) => {
-                let together = client_side + store_side;
-                eprintln!("{name:<26} together {together:5.3}  (at most {most})");
-                if together > most {
-                    over.push(format!("{name}: {together:.3} per call, over {most}"));
-                }
-            }
-        }
-        if row.name == "get (1 id)" {
+    for (name, _, store_side) in allocs::within_budget(rows) {
+        if name == "get (1 id)" {
             assert_eq!(
                 store_side, 1.0,
                 "a local get's store side allocates its answer alone"
             );
         }
     }
-    assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
 }
