@@ -24,7 +24,7 @@
 //! [--ops N] [--seed N]`. Prints its counters and latencies; the four
 //! asserts at the end are the gate (CI runs `--smoke`).
 
-use bench::cluster_config;
+use bench::{cluster_config, nearest_rank};
 use disagg::Cluster;
 use plasma::{ObjectId, ObjectStore, PlasmaError};
 use std::collections::{BinaryHeap, VecDeque};
@@ -155,13 +155,6 @@ fn churn_target(spec: &ClusterSpec, seq: u64) -> usize {
     } else {
         (seq as usize * 31) % spec.nodes()
     }
-}
-
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    sorted_ns[((sorted_ns.len() - 1) as f64 * q).round() as usize] as f64 / 1e3
 }
 
 /// Sum one counter across every node's metrics snapshot.
@@ -419,9 +412,9 @@ fn main() {
         .map(|node| cluster.store(node).disagg_stats().lookup_rpcs)
         .sum();
     let ops_per_sec = schedule.ops.len() as f64 / virtual_elapsed.as_secs_f64().max(1e-9);
-    let get_p50 = percentile_us(&latencies_ns, 0.50);
-    let get_p99 = percentile_us(&latencies_ns, 0.99);
-    let hot_p99 = percentile_us(&hot_latencies_ns, 0.99);
+    let get_p50 = nearest_rank(&latencies_ns, 0.50) as f64 / 1e3;
+    let get_p99 = nearest_rank(&latencies_ns, 0.99) as f64 / 1e3;
+    let hot_p99 = nearest_rank(&hot_latencies_ns, 0.99) as f64 / 1e3;
 
     println!(
         "gets ok {} (misses {}), puts ok {} (rejections {}, retried-ok {}, shed {}), deletes {}",

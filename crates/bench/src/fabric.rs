@@ -6,21 +6,19 @@
 //! tier taxonomy (intra-rack / cross-rack / cross-pod). The paper's
 //! 2-node testbed is the degenerate 1-rack spec —
 //! `cluster_config(&ClusterSpec::paper_testbed(), m)` launches a mesh
-//! byte-identical to `ClusterConfig::paper_testbed(m)`, which keeps the
-//! recorded A2/A3 figures reproducible while fig6/fig7/table1 route
-//! through the topology path.
+//! byte-identical to `ClusterConfig::paper_testbed(m)`, so fig6, fig7
+//! and table1 keep the paper's mesh while they route through the
+//! topology path.
 //!
 //! [`run_cluster_workload`] replays a generated [`topo::Schedule`]
 //! against the cluster on the virtual clock: catalog objects are pinned
 //! to their home nodes via [`disagg::Cluster::owned_id`], each get is
-//! issued store-side from the op's client node, and latency lands in a
-//! per-tier obs histogram (`cluster.get.<tier>.latency_ns`), so the
-//! report can show intra-rack < cross-rack < cross-pod directly.
+//! issued store-side from the op's client node, and each get's latency
+//! is kept once, as an exact sample of its tier, so the report can show
+//! intra-rack < cross-rack < cross-pod directly.
 
 use disagg::{Cluster, ClusterConfig, DisaggStats};
-use obs::{MetricsSnapshot, Registry};
 use plasma::{ObjectId, ObjectStore, PlasmaError};
-use std::sync::Arc;
 use std::time::Duration;
 use topo::{ClusterSpec, OpKind, Schedule, Tier, WorkloadSpec};
 
@@ -77,8 +75,15 @@ pub struct ClusterRunReport {
     pub ring_fallbacks: u64,
     /// Lookup RPCs issued cluster-wide.
     pub lookup_rpcs: u64,
-    /// The runner's own metrics (per-tier get/put histograms).
-    pub metrics: MetricsSnapshot,
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted`: the sample at
+/// rank `round((n - 1) · q)`, or 0 when there is none.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    match sorted.len() {
+        0 => 0,
+        n => sorted[((n - 1) as f64 * q).round() as usize],
+    }
 }
 
 /// Replay `load` (generated against `spec`) on `cluster`.
@@ -87,7 +92,7 @@ pub struct ClusterRunReport {
 /// thread, the virtual clock is advanced to each op's arrival time, and
 /// every interconnect delay comes from the per-pair seeded link
 /// samplers — so two runs of the same `(spec, load)` produce identical
-/// per-tier op counts and latency histograms.
+/// per-tier op counts and latency samples.
 pub fn run_cluster_workload(
     cluster: &Cluster,
     spec: &ClusterSpec,
@@ -110,7 +115,6 @@ pub fn run_cluster_schedule(
         "cluster was not launched from this spec"
     );
     let clock = cluster.clock();
-    let registry = Registry::new();
     let started = clock.now();
 
     // Commit the catalog: every (tenant, home) pool becomes a run of
@@ -136,19 +140,10 @@ pub fn run_cluster_schedule(
         store.seal(id)?;
     }
 
-    let get_histograms: Vec<Arc<obs::Histogram>> = Tier::ALL
-        .iter()
-        .map(|t| registry.histogram(&format!("cluster.get.{}.latency_ns", t.label())))
-        .collect();
-    let put_histograms: Vec<Arc<obs::Histogram>> = Tier::ALL
-        .iter()
-        .map(|t| registry.histogram(&format!("cluster.put.{}.latency_ns", t.label())))
-        .collect();
     let tier_slot = |tier: Tier| Tier::ALL.iter().position(|t| *t == tier).unwrap();
-    // Exact get-latency samples per tier: the obs histograms above feed
-    // the mergeable snapshot, but their log₂ buckets are too coarse to
-    // order adjacent tiers (2.3 ms and 3.1 ms medians share a bucket),
-    // so the reported percentiles come from the raw samples.
+    // Exact get-latency samples per tier: a log₂ histogram bucket is too
+    // coarse to order adjacent tiers (2.3 ms and 3.1 ms medians share
+    // one), so the reported percentiles come from the raw samples.
     let mut samples: Vec<Vec<u64>> = vec![Vec::new(); Tier::ALL.len()];
 
     let mut gets = 0u64;
@@ -168,29 +163,15 @@ pub fn run_cluster_schedule(
                     return Err(PlasmaError::Timeout);
                 }
                 store.release(id)?;
-                let slot = tier_slot(spec.tier(client, target));
-                get_histograms[slot].record_duration(elapsed);
-                samples[slot].push(elapsed.as_nanos() as u64);
+                samples[tier_slot(spec.tier(client, target))].push(elapsed.as_nanos() as u64);
                 gets += 1;
             }
             OpKind::Put { bytes } => {
                 let id = ObjectId::from_name(&format!("wl-churn/{}/{}", op.tenant, op.seq));
-                let (created, elapsed) = clock.time(|| -> Result<(), PlasmaError> {
-                    store.create(id, bytes, 0)?;
-                    store.seal(id)?;
-                    Ok(())
-                });
-                created?;
-                // The churn object's placement fell where the ring put
-                // it; the charged link was client→owner.
-                let owner = store
-                    .ring_owner(id)
-                    .and_then(|node| (0..cluster.len()).find(|i| cluster.node_id(*i) == node))
-                    .unwrap_or(client);
-                put_histograms[tier_slot(spec.tier(client, owner))].record_duration(elapsed);
-                // Drop the producer reference and delete immediately
-                // (untimed) so churn does not accumulate into eviction
-                // pressure.
+                store.create(id, bytes, 0)?;
+                store.seal(id)?;
+                // Drop the producer reference and delete at once, so
+                // churn does not accumulate into eviction pressure.
                 store.release(id)?;
                 store.delete(id)?;
                 puts += 1;
@@ -212,7 +193,6 @@ pub fn run_cluster_schedule(
     let stats: Vec<DisaggStats> = (0..cluster.len())
         .map(|i| cluster.store(i).disagg_stats())
         .collect();
-    let metrics = registry.snapshot();
     let tiers = Tier::ALL
         .iter()
         .zip(&mut samples)
@@ -221,13 +201,12 @@ pub fn run_cluster_schedule(
                 return None;
             }
             lat.sort_unstable();
-            let nearest = |q: f64| lat[((lat.len() - 1) as f64 * q).round() as usize];
             Some(TierStat {
                 tier: *t,
                 ops: lat.len() as u64,
-                p50_ns: nearest(0.50),
-                p90_ns: nearest(0.90),
-                p99_ns: nearest(0.99),
+                p50_ns: nearest_rank(lat, 0.50),
+                p90_ns: nearest_rank(lat, 0.90),
+                p99_ns: nearest_rank(lat, 0.99),
             })
         })
         .collect();
@@ -242,7 +221,6 @@ pub fn run_cluster_schedule(
         ring_hits: stats.iter().map(|s| s.ring_hits).sum(),
         ring_fallbacks: stats.iter().map(|s| s.ring_fallbacks).sum(),
         lookup_rpcs: stats.iter().map(|s| s.lookup_rpcs).sum(),
-        metrics,
     })
 }
 

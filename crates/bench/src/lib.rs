@@ -5,7 +5,7 @@
 //! * [`workload`] — Table I benchmark specs, object commit routines and
 //!   the fragmented-region allocator trace;
 //! * [`fabric`] — topology-driven cluster construction and the A6
-//!   multi-node workload replay with per-tier latency histograms;
+//!   multi-node workload replay with exact per-tier latency samples;
 //! * [`measure`] — summary statistics, text-table rendering and the
 //!   `target/bench/` result-file writer;
 //! * [`runner`] — the paper's retrieval/read measurement procedure;
@@ -24,7 +24,8 @@ pub mod workload;
 
 pub use cli::HarnessOpts;
 pub use fabric::{
-    cluster_config, run_cluster_schedule, run_cluster_workload, ClusterRunReport, TierStat,
+    cluster_config, nearest_rank, run_cluster_schedule, run_cluster_workload, ClusterRunReport,
+    TierStat,
 };
 pub use measure::{gibps, render_table, write_result, Summary};
 pub use runner::{one_rep, run_benchmark, run_benchmark_between, BenchResult, RepSample};

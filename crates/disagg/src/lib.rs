@@ -375,4 +375,48 @@ mod tests {
             );
         }
     }
+
+    /// A leaf that panics stops its own node, not the cluster: node 2's
+    /// interconnect panics on `GET_MANY`, and the one reader that serves
+    /// every node stops node 2's server alone. Nodes 0 and 1 still serve
+    /// each other, node 2 still serves its own clients, and node 0's get
+    /// of an id node 2 owns returns without it, within the call deadline,
+    /// with node 2 `Down` in node 0's detector: unreachable, not hung.
+    #[test]
+    fn a_panicking_leaf_stops_its_node_and_the_others_serve_on() {
+        let c = Cluster::launch(ClusterConfig::functional(3, 4 << 20)).unwrap();
+        let clients: Vec<_> = (0..3).map(|i| c.client(i).unwrap()).collect();
+        let ids: Vec<_> = (0..3)
+            .map(|i| ObjectId::from_name(&c.owned_id(i, "owned")))
+            .collect();
+        for (client, &id) in clients.iter().zip(&ids) {
+            client.put(id, &[id.0[0]; 64], &[]).unwrap();
+        }
+        let reads = |client: &plasma::PlasmaClient, id: ObjectId| {
+            let out = client.get(&[id], Duration::ZERO).unwrap();
+            let read = out[0].as_ref().map(|buf| buf.read_all().unwrap());
+            if read.is_some() {
+                client.release(id).unwrap();
+            }
+            read
+        };
+
+        c.store(2).panic_on(proto::method::GET_MANY);
+        let started = std::time::Instant::now();
+        assert_eq!(reads(&clients[0], ids[2]), None, "node 2 is unreachable");
+        assert!(started.elapsed() < store::DEFAULT_CALL_DEADLINE);
+        assert_eq!(c.store(0).peer_state(c.node_id(2)), PeerState::Down);
+        assert_eq!(c.store(0).peer_state(c.node_id(1)), PeerState::Up);
+
+        let content = |id: ObjectId| Some(vec![id.0[0]; 64]);
+        for i in 0..3 {
+            assert_eq!(
+                reads(&clients[i], ids[i]),
+                content(ids[i]),
+                "node {i}'s own id"
+            );
+        }
+        assert_eq!(reads(&clients[0], ids[1]), content(ids[1]));
+        assert_eq!(reads(&clients[1], ids[0]), content(ids[0]));
+    }
 }

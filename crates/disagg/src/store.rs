@@ -278,6 +278,11 @@ struct Inner {
     pace: Pace,
     retry: RetryPolicy,
     call_deadline: Option<Duration>,
+    /// A verb whose every call panics in this store's interconnect
+    /// service (0, no verb's id, for none), so a test can kill one node
+    /// of a cluster with a panicking leaf.
+    #[cfg(test)]
+    panics_on: std::sync::atomic::AtomicU32,
     /// The cluster clock; retry backoff is charged here so virtual-time
     /// tests stay deterministic and instant.
     clock: Clock,
@@ -314,6 +319,8 @@ impl DisaggStore {
                 heat: HeatMap::new(),
                 max_inflight_creates: config.max_inflight_creates,
                 counters: DisaggCounters::default(),
+                #[cfg(test)]
+                panics_on: Default::default(),
             }),
         }
     }
@@ -327,6 +334,13 @@ impl DisaggStore {
     #[cfg(test)]
     pub(crate) fn ledger(&self) -> &Ledger {
         &self.inner.ledger
+    }
+
+    /// Make every later call of `verb` to this store's interconnect
+    /// service panic.
+    #[cfg(test)]
+    pub(crate) fn panic_on(&self, verb: u32) {
+        self.inner.panics_on.store(verb, Ordering::Relaxed);
     }
 
     /// The fabric node this store runs on.

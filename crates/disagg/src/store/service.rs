@@ -51,6 +51,15 @@ impl Service for Interconnect {
         if !method::VERBS.iter().any(|(id, _)| *id == method_id) {
             return Err(Status::unimplemented(method_id));
         }
+        #[cfg(test)]
+        assert_ne!(
+            method_id,
+            self.store
+                .inner
+                .panics_on
+                .load(std::sync::atomic::Ordering::Relaxed),
+            "a leaf made to panic"
+        );
         let (header, body) = decoded(CallHeader::unframe(request))?;
         self.serve(method_id, header.from, body)
     }

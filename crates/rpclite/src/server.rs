@@ -128,7 +128,7 @@ enum Report {
 /// woken reader preempted the reporter and then found that lock held.
 /// As the ready queue, it made 3.3–6.5 % of the futex wakes of `e2e`'s
 /// `remote_read`, `write_churn` and `mixed_zipf` wake nobody, against
-/// 0.4–0.5 % with this one (`scripts/futex_census.sh`, DESIGN §8).
+/// 0.4–0.5 % with this one (`scripts/work_census.sh`, DESIGN §8).
 #[derive(Default)]
 struct ReadyQueue {
     reports: Mutex<VecDeque<Report>>,
@@ -220,7 +220,7 @@ impl Drop for ReaderThread {
 impl Reader {
     /// Start a reader thread. One that could not start has dropped its
     /// queue: every connection handed to it is then refused. A call that
-    /// panics stops its own server ([`stop`]); the reader serves the
+    /// panics stops its own server (`stop`); the reader serves the
     /// others on.
     pub fn start() -> Reader {
         let ready = Arc::new(ReadyQueue::default());

@@ -13,23 +13,17 @@
 # 4. README and DESIGN state how many interconnect verbs there are
 #    ("N interconnect verbs"); N is the number of `pub const VERB: u32`
 #    in proto.rs.
-# 5. Retired: a wall-clock poll in the transport is caught by a test,
-#    crates/rpclite/tests/thread_census.rs (idle server threads take no
-#    context switch in 750 ms), not by grepping for a `*POLL*` constant.
+# 5, 7, 8. Retired: tests catch what they grepped. A wall-clock poll and
+#    a thread per request: crates/rpclite/tests/thread_census.rs; a
+#    protocol path that asks a peer for `METRICS`: tests/elastic.rs.
 # 6. DESIGN states how many options a cluster has ("N options") and
 #    gives each a row in its Options table; N is the number of leaf
 #    `pub` fields of `ClusterConfig` and `InterconnectConfig` (a field
 #    holding the other is not a leaf) plus `StoreConfig::name`. A field
 #    added without a row — or without the two callers a row has to
 #    name — fails here (PR 24).
-# 7. Retired: a thread per request is caught by a test,
-#    crates/rpclite/tests/thread_census.rs, not by grepping `serve_conn`.
-# 8. Retired: a protocol path that asks a peer for `METRICS` is caught by
-#    a test, tests/elastic.rs (every path the benchmarks and the chaos
-#    soak drive, then no `rpc.client.metrics.latency_ns` sample on any node), not
-#    by grepping for `method::METRICS` callers.
-# 9. A CHANGES.md entry from PR 27 on is at most 1 200 characters
-#    (ROADMAP's rule iv): run detail goes to EXPERIMENTS.md.
+# 9. Every CHANGES.md entry is at most 1 200 characters (ROADMAP's rule
+#    iv): run detail goes to EXPERIMENTS.md and BENCH_e2e.jsonl.
 # 10. The envelope checksum runs on the CPU's instruction:
 #    crates/rpclite/src/wire.rs calls `_mm_crc32_u64` behind
 #    `is_x86_feature_detected!("sse4.2")`. This one stays a grep because
@@ -49,6 +43,8 @@
 #    the count each had when the check came in (ROADMAP 11): new prose
 #    cuts what it supersedes. Lower a ceiling when a file shrinks; never
 #    raise one.
+# 13. EXPERIMENTS.md's claims table is what scripts/claims_table.py
+#    renders from BENCH_e2e.jsonl, to the byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -138,9 +134,10 @@ retired=$(sed -n '/pub const RETIRED/,/];/p' crates/disagg/src/proto.rs |
 # profiles name it). Then the store-wide release backlog's two sweeps and
 # the number that bounded them, gone since each peer's record files its
 # own open calls, and the client's deadline call, which `call_async` and
-# `wait_deadline` spell.
+# `wait_deadline` spell. Then the futex census, folded into the work
+# census.
 # A name gone for two ROADMAP re-anchors leaves the list (PR 15's did).
-identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot retry_rng Latency::center invalidate_all already_exists pop_lru iter_lru take_releases free_kept released_before call_with_deadline"
+identifiers="MsgEnc MsgDec put_varint get_varint zigzag WireType bytes_head encode_put set_window \`fanout\` ::fanout fanout( Buddy ReleaseReq ForwardReq InvalidateReq SpillAtReq SpillAtResp SpillAtStatus delete_held( write_payload set_recv_timeout reader_stop MappedFabric \`batch_get\` ::batch_get batch_get( GrowthPolicy with_growth enable_eviction ElasticConfig ReplicationConfig model_client_cost heat_min_hits high_watermark_ppm low_watermark_ppm retry_after_from rpc_running peer_free_bytes release_now flush_parked_releases park_release HealthConfig UsageReport disagg::usage call_count reconnect_count may_wait Handlers rpc-handler StopHandle stop_handle UdsConn UdsListener rpc-accept plasma-accept write_to read_from MAX_FRAME_LEN follow_redirects \`redirected\` \`Staged\` Kind::Staged close_staged finish_staged seal_forwarded abort_forwarded seal_at( abort_at( CreateAtReq put_head create_via_ring create_routed add_peer peers_snapshot retry_rng Latency::center invalidate_all already_exists pop_lru iter_lru take_releases free_kept released_before call_with_deadline futex_census.sh"
 for file in README.md DESIGN.md EXPERIMENTS.md; do
     outside_historical "retired verb" "$file" "$retired" || status=1
 done
@@ -186,7 +183,6 @@ fi
 # continue it, up to a blank line or the next entry.
 while IFS= read -r entry; do
     pr=$(sed -E 's/^- PR ([0-9]+).*/\1/' <<<"$entry")
-    [ "$pr" -ge 27 ] || continue
     chars=$(printf '%s' "$entry" | LC_ALL=C.UTF-8 wc -m)
     if [ "$chars" -gt 1200 ]; then
         echo "docs-drift: the CHANGES.md entry of PR $pr is $chars characters (at most 1 200; run detail goes to EXPERIMENTS.md)" >&2
@@ -220,7 +216,7 @@ else
     done < <(grep -nH -oE 'INLINE_PUT_MAX`? (= |\()[0-9]+ KiB|`put`? (≤|>) [0-9]+ KiB' README.md DESIGN.md .claude/skills/verify/SKILL.md)
 fi
 
-for ceiling in DESIGN.md:1965 EXPERIMENTS.md:3513; do
+for ceiling in DESIGN.md:1965 EXPERIMENTS.md:1074; do
     file=${ceiling%%:*}
     max=${ceiling##*:}
     lines=$(wc -l <"$file")
@@ -230,7 +226,12 @@ for ceiling in DESIGN.md:1965 EXPERIMENTS.md:3513; do
     fi
 done
 
+if ! python3 scripts/claims_table.py | diff -u EXPERIMENTS.md - >&2; then
+    echo "docs-drift: EXPERIMENTS.md's claims table is not BENCH_e2e.jsonl's rendering (above, - is the file); run python3 scripts/claims_table.py" >&2
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, $options options each with a row, every checked CHANGES.md entry fits 1 200 characters, the envelope checksum runs on the CPU's instruction, every stated inline-put threshold is $inline_kib KiB, and DESIGN.md and EXPERIMENTS.md are within their line ceilings"
+    echo "docs-drift: documented method ids and the verb count agree with proto.rs, no retired verb or identifier is documented as live, $options options each with a row, every CHANGES.md entry fits 1 200 characters, the envelope checksum runs on the CPU's instruction, every stated inline-put threshold is $inline_kib KiB, DESIGN.md and EXPERIMENTS.md are within their line ceilings, and the claims table is BENCH_e2e.jsonl's rendering"
 fi
 exit $status

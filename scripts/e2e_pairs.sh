@@ -2,13 +2,13 @@
 # e2e_pairs: N alternating parent/change pairs of the `e2e` benchmark,
 # judged by the rule a performance claim has to meet.
 #
-#   scripts/e2e_pairs.sh <parent-ref> [--pairs N] [--workloads a,b] [--seed S]
+#   scripts/e2e_pairs.sh <parent-ref> [--pairs N] [--workloads a,b] [--seed S] [--record LABEL]
 #
 # The parent is `git archive <parent-ref>`; the change is the working
 # tree as it stands (tracked and untracked-but-not-ignored files, so an
 # uncommitted change is measured as it would be committed). Both are
 # exported into a fresh directory under ${TMPDIR:-/tmp} and built there
-# with `--offline`: nothing is written inside the repository, `e2e/` and
+# with `--offline`: no build writes inside the repository, `e2e/` and
 # its lock file included. Each run is the `BENCHMARK.json` command's
 # binary with `--workload W --seed S --seconds <run_seconds> --trace 0`,
 # started from its own export's root; which side of a pair runs first
@@ -29,6 +29,13 @@
 # Under each table it prints both sides' median [min, max] of the terms
 # the sw-clock ratios are made of, read from each run's `count` lines:
 # `reference_ns` (the denominator), `get_sw_ns` and `put_sw_ns`.
+# With `--record LABEL` it also appends one JSON line per workload x
+# end-to-end metric to BENCH_e2e.jsonl at the repository's root: the
+# label, the parent's full sha, seed, pairs and run seconds, both sides'
+# median and quartiles, the pairs won, the bound and the verdict, and
+# re-renders EXPERIMENTS.md's claims table from that file
+# (scripts/claims_table.py). Without it nothing in the repository is
+# written.
 # The exports and build directories are removed on exit; the raw result
 # lines and logs stay in <dir>/runs. Exits non-zero if any run failed, reported
 # itself incorrect or failed an operation. bash + python3 stdlib only.
@@ -43,11 +50,13 @@ parent_ref=""
 pairs=10
 workloads=""
 seed=12
+label=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs=${2:?--pairs needs a value}; shift 2 ;;
         --workloads) workloads=${2:?--workloads needs a value}; shift 2 ;;
         --seed) seed=${2:?--seed needs a value}; shift 2 ;;
+        --record) label=${2:?--record needs a label}; shift 2 ;;
         -*) usage ;;
         *) [ -z "$parent_ref" ] || usage; parent_ref=$1; shift ;;
     esac
@@ -96,12 +105,15 @@ for workload in ${workloads//,/ }; do
     done
 done
 
-python3 - "$work/runs" "$pairs" "$workloads" "$seed" "$seconds" <<'EOF' || status=1
+python3 - "$work/runs" "$pairs" "$workloads" "$seed" "$seconds" "$label" \
+    "$(git rev-parse "$parent_ref^{commit}")" <<'EOF' || status=1
 import json, statistics, sys
 
 runs, pairs, workloads, seed, seconds = sys.argv[1], int(sys.argv[2]), sys.argv[3].split(","), sys.argv[4], sys.argv[5]
+label, parent_sha = sys.argv[6], sys.argv[7]
 declared = json.load(open("BENCHMARK.json"))["end_to_end"]
 bad = 0
+records = []
 
 
 def load(workload, side, pair):
@@ -171,6 +183,13 @@ for workload in workloads:
             verdict = "unresolved"
         else:
             verdict = "within bound"
+        records.append({
+            "label": label, "parent": parent_sha, "seed": int(seed), "pairs": pairs, "seconds": json.loads(seconds),
+            "workload": workload, "metric": name, "unit": metric["unit"],
+            "at_parent": {k: float(f"{v:.8g}") for k, v in (("median", pm), ("q1", pq1), ("q3", pq3))},
+            "at_change": {k: float(f"{v:.8g}") for k, v in (("median", cm), ("q1", cq1), ("q3", cq3))},
+            "won": won, "of": len(both), "bound": bound, "verdict": verdict,
+        })
         rows.append((
             name, metric["unit"],
             f"{fmt(pm)} [{fmt(pq1)}, {fmt(pq3)}]", f"{fmt(cm)} [{fmt(cq1)}, {fmt(cq3)}]",
@@ -197,8 +216,16 @@ for workload in workloads:
     for r in rows:
         print("    " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
+if label:
+    with open("BENCH_e2e.jsonl", "a") as out:
+        for record in records:
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    print(f"\nrecorded {len(records)} lines as {label!r} in BENCH_e2e.jsonl")
 sys.exit(1 if bad else 0)
 EOF
 
+if [ -n "$label" ]; then
+    python3 scripts/claims_table.py >"$work/EXPERIMENTS.md" && cp "$work/EXPERIMENTS.md" EXPERIMENTS.md
+fi
 echo "e2e_pairs: raw result lines kept in $work/runs" >&2
 exit $status

@@ -1,41 +1,39 @@
 #!/usr/bin/env bash
-# work_census: count the allocations, copies and (where the host has a
-# counter) instructions each `e2e` workload makes per operation, in the
-# steady state.
+# work_census: count the allocations, copies, futex calls and (where the
+# host has a counter) instructions each `e2e` workload makes per
+# operation, in the steady state.
 #
 #   scripts/work_census.sh [--smoke] [--sites]
 #
 # Compiles one LD_PRELOAD shim with the system `cc` into a temporary
-# directory. The shim interposes glibc's `malloc`, `calloc`, `realloc`,
-# `free`, `memcpy` and `memmove`, counts each call (and the bytes each
-# copy moves), and opens one user-space instruction counter
-# (`perf_event_open`, inherited by every thread) when the process
-# starts. It reads its environment in its constructor: a `getenv` made
-# later, from inside an interposed call, can find nothing. Then it
-# builds the `e2e` benchmark and runs each of the four workloads
-# untraced at seed 12, twice: 4 and 8 seconds long (with `--smoke`, at
-# `e2e`'s smoke length and 4 seconds). The shim is preloaded into the
-# benchmark binary alone, not into cargo.
-#
-# A count per operation is the difference between the two runs' counts
-# divided by the difference between their operations, so the cluster's
-# set-up, which both runs share, drops out: what is left is what one
-# more operation costs. A single smoke run's counts are mostly set-up.
+# directory. It interposes glibc's `malloc`, `calloc`, `realloc`, `free`,
+# `memcpy` and `memmove` (calls, and the bytes each copy moves) and
+# `syscall()`, through which Rust's `std` makes every futex call
+# (FUTEX_WAKE calls, those that returned 0 because no thread slept on
+# the word, and FUTEX_WAIT calls), and opens one user-space instruction
+# counter (`perf_event_open`, inherited by every thread). It reads its
+# environment in its constructor: a `getenv` made later, from inside an
+# interposed call, can find nothing. Then it builds `e2e` and runs each
+# workload untraced at seed 12, twice, with the shim preloaded into the
+# benchmark alone: 4 and 8 seconds long (with `--smoke`, `e2e`'s smoke
+# length and 4 seconds). A count per operation is the difference of the
+# two runs' counts over the difference of their operations, so the
+# set-up both share drops out.
 #
 # With `--sites`, the shim also records the stack of one `malloc` in 101
-# (on the longer run), and the script symbolizes them with
-# `llvm-symbolizer` and prints, per workload, the share of sampled
-# allocations under each innermost frame of the product's own code. The
-# vendored `bytes` crate and the standard library are walked past, so a
-# frame buffer is charged to the request, answer or message that sized
-# it, not to `BytesMut::with_capacity`.
+# (on the longer run), and the script prints, per workload, the share of
+# sampled allocations under each innermost frame of the product's own
+# code (`llvm-symbolizer`; `bytes` and the standard library are walked
+# past, so a frame buffer is charged to what sized it).
 #
-# Prints per workload: operations of the longer run, then mallocs,
-# reallocs, callocs, frees, memcpy and memmove calls, bytes copied and
-# instructions, each per operation ("-" where the host exposes no
-# instruction counter, which it says once). The census counts calls into
-# libc: a copy the compiler inlined is not seen, so it counts work, not
-# time, and prints no wall-clock figure. It reports; it gates nothing.
+# Prints two tables. The work table (per operation: mallocs, reallocs,
+# callocs, frees, memcpy and memmove calls, bytes copied, instructions or
+# "-") reports and gates nothing: it counts calls into libc, not time.
+# The futex table (the longer run's wakes, waits and wakes that woke
+# nobody, then each per operation) gates: exits non-zero when a run
+# fails or, in either run of any workload, more than 5 % of the wakes
+# woke nobody, the cost the vendored `parking_lot` condvar's sleeper
+# count removes (DESIGN §8 "A waker unlocks before it wakes").
 #
 # `e2e` is built in place; its `Cargo.lock` is put back as it was on
 # exit, so a run leaves the tree as it found it.
@@ -67,7 +65,9 @@ cat >"$work/shim.c" <<'EOF'
 #include <dlfcn.h>
 #include <errno.h>
 #include <execinfo.h>
+#include <linux/futex.h>
 #include <linux/perf_event.h>
+#include <stdarg.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -80,7 +80,7 @@ extern void *__libc_calloc(size_t, size_t);
 extern void *__libc_realloc(void *, size_t);
 extern void __libc_free(void *);
 
-enum { MALLOC, REALLOC, CALLOC, FREE, MEMCPY, MEMMOVE, COPIED, NCOUNT };
+enum { MALLOC, REALLOC, CALLOC, FREE, MEMCPY, MEMMOVE, COPIED, WAKES, WAITS, WOKE_NOBODY, NCOUNT };
 static unsigned long counts[NCOUNT];
 #define COUNT(i, n) __atomic_fetch_add(&counts[i], (n), __ATOMIC_RELAXED)
 
@@ -98,6 +98,7 @@ static __thread int inside __attribute__((tls_model("initial-exec")));
 
 static void *(*real_memcpy)(void *, const void *, size_t);
 static void *(*real_memmove)(void *, const void *, size_t);
+static long (*real_syscall)(long, ...);
 
 static void sample(void) {
     if (!sites_path[0] || inside) return;
@@ -131,6 +132,26 @@ void *memmove(void *d, const void *s, size_t n) {
     else
         for (size_t i = n; i > 0; i--) ((char *)d)[i - 1] = ((const char *)s)[i - 1];
     return d;
+}
+
+long syscall(long n, ...) {
+    long a[6];
+    va_list ap;
+    va_start(ap, n);
+    for (int i = 0; i < 6; i++) a[i] = va_arg(ap, long);
+    va_end(ap);
+    if (!real_syscall) real_syscall = (long (*)(long, ...))dlsym(RTLD_NEXT, "syscall");
+    long r = real_syscall(n, a[0], a[1], a[2], a[3], a[4], a[5]);
+    if (n == SYS_futex) {
+        int op = (int)a[1] & FUTEX_CMD_MASK;
+        if (op == FUTEX_WAKE || op == FUTEX_WAKE_BITSET) {
+            COUNT(WAKES, 1);
+            if (r == 0) COUNT(WOKE_NOBODY, 1);
+        } else if (op == FUTEX_WAIT || op == FUTEX_WAIT_BITSET) {
+            COUNT(WAITS, 1);
+        }
+    }
+    return r;
 }
 
 __attribute__((constructor)) static void start(void) {
@@ -209,13 +230,22 @@ def run(i):
 (ops0, c0), (ops1, c1) = run(0), run(1)
 d = ops1 - ops0
 per = [(int(b) - int(a)) / d for a, b in zip(c0[:7], c1[:7])]
-instr = "-" if c1[7] == "-" else f"{(int(c1[7]) - int(c0[7])) / d:.0f}"
+instr = "-" if c1[10] == "-" else f"{(int(c1[10]) - int(c0[10])) / d:.0f}"
 print(f"{w:<12} {ops1:>7} " + " ".join(f"{v:>9.1f}" for v in per[:6])
       + f" {per[6]:>11.0f} {instr:>11}")
+futex = [(int(b) - int(a)) / d for a, b in zip(c0[7:10], c1[7:10])]
+with open(f"{work}/futex", "a") as out:
+    out.write(f"{w:<12} {ops1:>9} {c1[7]:>9} {c1[8]:>9} {c1[9]:>11} "
+              + " ".join(f"{v:>10.3f}" for v in futex) + "\n")
+for c in (c0, c1):
+    if int(c[9]) > 0.05 * int(c[7]):
+        print(f"work_census: {w}: {c[9]} of {c[7]} wakes ({100 * int(c[9]) / int(c[7]):.1f} %) "
+              "woke nobody, over the 5 % bound", file=sys.stderr)
+        open(f"{work}/over", "w").close()
 said = f"{work}/no-counter"
-if c1[7] == "-" and not os.path.exists(said):
+if c1[10] == "-" and not os.path.exists(said):
     open(said, "w").close()
-    print(f"work_census: no instruction counter ({' '.join(c1[8:])})", file=sys.stderr)
+    print(f"work_census: no instruction counter ({' '.join(c1[11:])})", file=sys.stderr)
 if sites != "1":
     sys.exit(0)
 
@@ -272,3 +302,8 @@ for name, n in tally.most_common(25):
     print(f"  {100 * n / total:6.1f} %  {name}")
 EOF
 done
+
+printf '\n%-12s %9s %9s %9s %11s %10s %10s %10s\n' workload ops wakes waits woke_nobody \
+    wakes/op waits/op nobody/op
+cat "$work/futex"
+if [ -e "$work/over" ]; then exit 1; fi
