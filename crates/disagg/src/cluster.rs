@@ -20,6 +20,7 @@ use plasma::{
     StoreCore,
 };
 use rpclite::{ClientMetrics, NetCost, Reader, RpcClient, ServerHandle};
+use std::fmt::Write;
 use std::sync::Arc;
 use tfsim::{Clock, Fabric, NodeId};
 
@@ -273,9 +274,12 @@ impl Cluster {
     /// Settle every store's releases in flight
     /// ([`DisaggStore::settle_releases`]): once it returns, each owner
     /// has handled every `RELEASE` sent to it so far, and its sender has
-    /// acted on the answer. A release is answered `Ok` before its owner
-    /// handles it, so a read of an owner's pins — or a delete on the
-    /// owner itself — right after another node's release settles first.
+    /// acted on the answer. A release of a peer's pin is answered `Ok`
+    /// before its owner handles it, so a read of an owner's pins — or a
+    /// delete on the owner itself — right after another node's release
+    /// settles first. A release a client posted to its own store's ring
+    /// needs no settling: that store applies it at its next table
+    /// access, whoever makes it.
     pub fn settle_releases(&self) {
         for node in &self.nodes {
             node.store.settle_releases();
@@ -325,6 +329,7 @@ impl Cluster {
         });
         Ok(PlasmaClient::with_cost(
             Box::new(conn),
+            self.nodes[store_idx].store.core().release_ring(),
             self.fabric.clone(),
             self.nodes[client_node_idx].node,
             cost,
@@ -352,18 +357,24 @@ impl Cluster {
     /// 10k missed one name in ≈ 17 500 at 1 024).
     pub fn owned_id(&self, node_idx: usize, base: &str) -> String {
         let target = self.nodes[node_idx].node;
-        let ring = self.nodes[0].store.membership().map(crate::ring::Ring::new);
-        let ring = ring.expect("launch installs a membership table on every store");
-        if ring.places_on(ObjectId::from_name(base), target) {
-            return base.to_string();
-        }
-        for k in 0..(64 * ring.membership().nodes.len()).max(10_000) {
-            let name = format!("{base}~{k}");
-            if ring.places_on(ObjectId::from_name(&name), target) {
-                return name;
+        let found = self.nodes[0].store.with_ring(|ring| {
+            let places = |name: &str| ring.places_on(ObjectId::from_name(name), target);
+            if places(base) {
+                return Some(base.to_string());
             }
-        }
-        panic!("no variant of {base:?} places on node index {node_idx}");
+            // Every probe's name is written into this one buffer.
+            let mut name = String::with_capacity(base.len() + 8);
+            for k in 0..(64 * ring.membership().nodes.len()).max(10_000) {
+                name.clear();
+                write!(name, "{base}~{k}").expect("a String takes any write");
+                if places(&name) {
+                    return Some(name);
+                }
+            }
+            None
+        });
+        let found = found.expect("launch installs a membership table on every store");
+        found.unwrap_or_else(|| panic!("no variant of {base:?} places on node index {node_idx}"))
     }
 
     /// `count` distinct object names (`"base/i"` variants via

@@ -419,4 +419,48 @@ mod tests {
         assert_eq!(reads(&clients[0], ids[1]), content(ids[1]));
         assert_eq!(reads(&clients[1], ids[0]), content(ids[0]));
     }
+
+    /// A local get's release is posted to its node's ring and applied at
+    /// that store's next table access, whoever makes it: a delete another
+    /// node forwards to the owner right after it succeeds, with nothing
+    /// settled first.
+    #[test]
+    fn a_posted_release_is_applied_before_a_peers_delete() {
+        let c = two_nodes();
+        let (owner, other) = (c.client(0).unwrap(), c.client(1).unwrap());
+        let id = ObjectId::from_name(&c.owned_id(0, "posted/deleted"));
+        owner.put(id, b"read here", &[]).unwrap();
+        let buf = owner.get_one(id, Duration::from_secs(1)).unwrap();
+        assert_eq!(buf.data().path(), Path::Local);
+        owner.release(id).unwrap();
+        other.delete(id).unwrap();
+        assert!(!c.store(0).core().contains(id));
+    }
+
+    /// A peer's pin still goes back by request, beside a posted release
+    /// on the same client: once releases are settled the peer holds no
+    /// pin for it, and both objects are deletable from the other node.
+    #[test]
+    fn a_posted_release_beside_a_peers_pin_leaves_the_peer_no_pin() {
+        let c = two_nodes();
+        let (zero, one) = (c.client(0).unwrap(), c.client(1).unwrap());
+        let remote = ObjectId::from_name(&c.owned_id(0, "posted/remote"));
+        let local = ObjectId::from_name(&c.owned_id(1, "posted/local"));
+        zero.put(remote, b"at node 0", &[]).unwrap();
+        one.put(local, b"at node 1", &[]).unwrap();
+        for id in [remote, local] {
+            one.get_one(id, Duration::from_secs(1)).unwrap();
+        }
+        assert_eq!(c.store(1).held_remote_pins(), 1);
+        for id in [remote, local] {
+            one.release(id).unwrap();
+        }
+        assert_eq!(c.store(1).held_remote_pins(), 0);
+        c.settle_releases();
+        assert_eq!(c.store(0).remote_pin_count(), 0, "node 0 holds no pin");
+        assert_eq!(c.store(1).disagg_stats().releases_forwarded, 1);
+        zero.delete(remote).unwrap();
+        zero.delete(local).unwrap();
+        assert!(c.audit().is_empty());
+    }
 }

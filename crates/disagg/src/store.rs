@@ -58,8 +58,8 @@ use crate::ring::Ring;
 use obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use parking_lot::{Mutex, RwLock};
 use plasma::{
-    ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaError, ReleaseGroups, StoreCore,
-    StoreStats,
+    GetSlot, ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaError, ReleaseGroups,
+    StoreCore, StoreStats,
 };
 use rpclite::{CatchUp, RpcClient, Service};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,10 +73,6 @@ use tfsim::{Clock, NodeId};
 /// so objects sealed on a peer *after* the previous lookup are discovered
 /// promptly.
 const REMOTE_POLL: Duration = Duration::from_millis(50);
-
-/// Ids a get flags as remote or not on the stack: a batch as large as
-/// the paper's Fig. 6 procedure's (32 objects) takes no heap for it.
-const STACK_SLOTS: usize = 32;
 
 /// This store's peers: the nodes they run on, in node order, and the
 /// record of each one called so far, its client built by `dial` at its
@@ -676,56 +672,52 @@ impl DisaggStore {
     }
 
     /// Uninstrumented body of [`ObjectStore::get_into`]: fills `out`,
-    /// one slot per id, waiting until `deadline` at most. Slots resolved
-    /// by a remote lookup round are flagged in `remote_slots` so the
+    /// one slot per id, waiting until `deadline` at most. The local
+    /// passes fill [`GetSlot::PinnedHere`] (a pin in this node's table,
+    /// a replica held here included), the remote pass
+    /// [`GetSlot::Pinned`] (a pin at a peer or in the ledger), so the
     /// wrapper can split its latency recording local-hit / remote-hit /
-    /// miss.
+    /// miss, and a client can post a local pin's release.
     fn get_inner(
         &self,
         ids: &[ObjectId],
         deadline: Instant,
-        out: &mut Vec<Option<ObjectLocation>>,
-        remote_slots: &mut [bool],
+        out: &mut Vec<GetSlot>,
     ) -> Result<(), PlasmaError> {
         out.clear();
-        out.resize(ids.len(), None);
+        out.resize(ids.len(), GetSlot::Empty);
+        let filled = |out: &[GetSlot]| out.iter().all(GetSlot::is_filled);
         loop {
             // Pass 1: local, non-blocking (pins found objects). Leased
             // copies are excluded — their owner hands them out, and the
             // remote pass below asks it.
             for (slot, id) in out.iter_mut().zip(ids) {
-                if slot.is_some() {
+                if slot.is_filled() {
                     continue;
                 }
                 let delegated = self.inner.ledger.held_copy(*id).map(|(kind, _)| kind);
                 if delegated != Some(Kind::Lease) {
-                    *slot = self.inner.core.get_local(*id);
+                    let local = self.inner.core.get_local(*id);
+                    *slot = local.map_or(GetSlot::Empty, GetSlot::PinnedHere);
                     // A held replica serving a local get is the whole
                     // point of replication: a remote round trip the hot
                     // reader no longer pays. (Safe to serve without
                     // consulting the owner — invalidation runs *before*
                     // the owner's delete, so a live replica implies the
                     // object still exists.)
-                    if slot.is_some() && delegated == Some(Kind::Replica) {
+                    if slot.is_filled() && delegated == Some(Kind::Replica) {
                         self.inner.metrics.replica_local_hits.inc();
                     }
                 }
             }
-            if out.iter().all(Option::is_some) {
+            if filled(out) {
                 return Ok(());
             }
 
             // Pass 2: remote lookup for misses (degrades gracefully when
             // peers are unreachable — their objects just stay missing).
-            // A slot is remote if this pass fills it.
-            for (flag, slot) in remote_slots.iter_mut().zip(&*out) {
-                *flag |= slot.is_none();
-            }
             self.remote_lookup_pass(ids, out);
-            for (flag, slot) in remote_slots.iter_mut().zip(&*out) {
-                *flag &= slot.is_some();
-            }
-            if out.iter().all(Option::is_some) {
+            if filled(out) {
                 return Ok(());
             }
 
@@ -739,7 +731,7 @@ impl DisaggStore {
             let remaining: Vec<ObjectId> = ids
                 .iter()
                 .zip(&*out)
-                .filter(|(_, o)| o.is_none())
+                .filter(|(_, o)| o.is_empty())
                 .map(|(id, _)| *id)
                 .collect();
             let wait = if self.peer_count() > 0 {
@@ -750,11 +742,11 @@ impl DisaggStore {
             let waited = self.inner.core.get_wait(&remaining, wait);
             let mut it = waited.into_iter();
             for (slot, id) in out.iter_mut().zip(ids) {
-                if slot.is_none() {
+                if slot.is_empty() {
                     let got = it.next().flatten();
                     let leased = matches!(self.inner.ledger.held_copy(*id), Some((Kind::Lease, _)));
                     if !leased {
-                        *slot = got;
+                        *slot = got.map_or(GetSlot::Empty, GetSlot::PinnedHere);
                     } else if got.is_some() {
                         // The wait pinned a hidden leased copy —
                         // release it and leave the slot for the remote
@@ -763,7 +755,7 @@ impl DisaggStore {
                     }
                 }
             }
-            if out.iter().all(Option::is_some) || Instant::now() >= deadline {
+            if filled(out) || Instant::now() >= deadline {
                 return Ok(());
             }
         }
@@ -945,26 +937,16 @@ impl ObjectStore for DisaggStore {
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-        out: &mut Vec<Option<ObjectLocation>>,
+        out: &mut Vec<GetSlot>,
     ) -> Result<(), PlasmaError> {
         let started = Instant::now();
-        let mut on_stack = [false; STACK_SLOTS];
-        let mut on_heap = Vec::new();
-        let remote_slots = match ids.len() {
-            n if n <= STACK_SLOTS => &mut on_stack[..n],
-            n => {
-                on_heap.resize(n, false);
-                &mut on_heap[..]
-            }
-        };
-        let result = self.get_inner(ids, started + timeout, out, remote_slots);
+        let result = self.get_inner(ids, started + timeout, out);
         // The pins this get took remotely go back together, if it took
         // two or more: one `RELEASE` per holder when the last of them is
         // released.
         let remote = || {
-            ids.iter()
-                .zip(&*remote_slots)
-                .filter(|(_, remote)| **remote)
+            let slots = ids.iter().zip(&*out);
+            slots.filter(|(_, slot)| matches!(slot, GetSlot::Pinned(_)))
         };
         if result.is_ok() && remote().nth(1).is_some() {
             let members = remote().map(|(id, _)| *id).collect();
@@ -976,11 +958,11 @@ impl ObjectStore for DisaggStore {
             // id: that is the latency a caller of a 1-id get observed.
             let elapsed = started.elapsed();
             let m = &self.inner.metrics;
-            for (slot, was_remote) in out.iter().zip(&*remote_slots) {
-                let hist = match (slot.is_some(), *was_remote) {
-                    (true, true) => &m.get_remote_hit,
-                    (true, false) => &m.get_local_hit,
-                    (false, _) => &m.get_miss,
+            for slot in out.iter() {
+                let hist = match slot {
+                    GetSlot::Pinned(_) => &m.get_remote_hit,
+                    GetSlot::PinnedHere(_) => &m.get_local_hit,
+                    GetSlot::Empty => &m.get_miss,
                 };
                 hist.record_duration(elapsed);
             }

@@ -13,7 +13,7 @@ use crate::proto::{
 use crate::ring::{Membership, Ring};
 use bytes::Bytes;
 use ipc::Encode;
-use plasma::{ObjectId, ObjectLocation, PlasmaError};
+use plasma::{GetSlot, ObjectId, ObjectLocation, PlasmaError};
 use rpclite::Status;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -73,6 +73,12 @@ impl DisaggStore {
     pub fn membership(&self) -> Option<Membership> {
         let ring = self.inner.ring.read();
         ring.as_ref().map(|r| r.membership().clone())
+    }
+
+    /// `f` of the installed ring, under its read guard (`None` without a
+    /// membership): no copy of the table is made.
+    pub(crate) fn with_ring<R>(&self, f: impl FnOnce(&Ring) -> R) -> Option<R> {
+        self.inner.ring.read().as_ref().map(f)
     }
 
     /// The installed membership epoch (0 = none).
@@ -200,7 +206,7 @@ impl DisaggStore {
         Ok(false)
     }
 
-    /// One remote-lookup round for the `None` slots of `out`, in two
+    /// One remote-lookup round for the empty slots of `out`, in two
     /// phases of one [`DisaggStore::scatter`] each, so a phase costs its
     /// slowest round trip however many peers it asks: (1) one batched
     /// `GET_MANY` per ring owner; (2) a broadcast for whatever is still
@@ -217,9 +223,11 @@ impl DisaggStore {
     /// an entry per id in the same order, so each entry is filed by its
     /// slot; what is known of an id the batch lists more than once is
     /// kept on its first slot.
-    pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [Option<ObjectLocation>]) {
+    /// Every slot it fills is [`GetSlot::Pinned`]: its release is a
+    /// request, which reaches the ledger or the peer that took the pin.
+    pub(super) fn remote_lookup_pass(&self, ids: &[ObjectId], out: &mut [GetSlot]) {
         let mut slots: Vec<Lookup> = (0..ids.len())
-            .filter(|&k| out[k].is_none())
+            .filter(|&k| out[k].is_empty())
             .map(|k| Lookup {
                 k,
                 first: 0,
@@ -304,7 +312,7 @@ impl DisaggStore {
             .record_duration(pass_started.elapsed());
         for r in 0..slots.len() {
             if let Some((loc, _)) = slots[slots[r].first].found {
-                out[slots[r].k] = Some(loc);
+                out[slots[r].k] = GetSlot::Pinned(loc);
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
-use crate::object::{ObjectInfo, ObjectLocation};
+use crate::object::{GetSlot, ObjectInfo, ObjectLocation};
 use crate::store::{StoreCore, StoreStats};
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
@@ -37,19 +37,21 @@ pub trait ObjectStore: Send + Sync {
     ) -> Result<ObjectLocation, PlasmaError>;
 
     /// Batched lookup with timeout, into `out`, which is cleared and
-    /// given one slot per id; `None` slots were not available in time.
-    /// Filled slots carry a reference the caller must release. A caller
-    /// that keeps `out` across gets (the server keeps one per
-    /// connection) allocates nothing for it once it has held the
-    /// largest batch.
+    /// given one slot per id; empty slots were not available in time.
+    /// Filled slots carry a reference the caller must release, and say
+    /// whether it was taken in this store's own object table
+    /// ([`GetSlot::PinnedHere`]). A caller that keeps `out` across gets
+    /// (the server keeps one per connection) allocates nothing for it
+    /// once it has held the largest batch.
     fn get_into(
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-        out: &mut Vec<Option<ObjectLocation>>,
+        out: &mut Vec<GetSlot>,
     ) -> Result<(), PlasmaError>;
 
-    /// [`ObjectStore::get_into`] into a new vector.
+    /// [`ObjectStore::get_into`] into a new vector, `None` for an empty
+    /// slot.
     fn get(
         &self,
         ids: &[ObjectId],
@@ -57,7 +59,8 @@ pub trait ObjectStore: Send + Sync {
     ) -> Result<Vec<Option<ObjectLocation>>, PlasmaError> {
         let mut out = Vec::with_capacity(ids.len());
         self.get_into(ids, timeout, &mut out)?;
-        Ok(out)
+        // In place: a slot and an optional location take the same room.
+        Ok(out.into_iter().map(GetSlot::location).collect())
     }
 
     fn release(&self, id: ObjectId) -> Result<(), PlasmaError>;
@@ -117,7 +120,7 @@ impl ObjectStore for StoreCore {
         &self,
         ids: &[ObjectId],
         timeout: Duration,
-        out: &mut Vec<Option<ObjectLocation>>,
+        out: &mut Vec<GetSlot>,
     ) -> Result<(), PlasmaError> {
         StoreCore::get_wait_into(self, ids, timeout, out);
         Ok(())

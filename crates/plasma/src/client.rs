@@ -22,21 +22,30 @@
 //! the local path of the paper's Fig. 6 its microsecond-scale,
 //! object-count-proportional retrieval latency.
 //!
-//! References go back under the batch-hold rule ([`ReleaseGroups`]): a
-//! `get` that filled two or more slots opens a release group, counted per
-//! filled slot. Releasing any member but the last is answered at once,
-//! without a request; the last sends the whole group in one `Release`
-//! request, so a 32-object batch costs one request to get and one to
-//! release. Until then the store still counts every member's reference:
-//! another client's `delete` of one reads `ObjectInUse`. This client's
-//! own `delete` of an id first sends the releases of it it deferred, and
+//! A reference goes back one of two ways. A single `get`'s pin the
+//! store took in its own object table ([`GetSlot::PinnedHere`]) is
+//! *posted* by a client on the store's node: the client puts its id on
+//! the store's [`ReleaseRing`], handed over when the client is built,
+//! with no request and no modeled delay, and the store applies it at its
+//! next table access, before anything else reads the table. Every other
+//! reference is *requested*, because it must reach a ledger: a pin taken
+//! at a peer or in the store's delegation ledger, a builder's, and a
+//! batch's, which go back under the batch-hold rule ([`ReleaseGroups`]):
+//! a `get` that filled two or more slots opens a release group, counted
+//! per filled slot.
+//! Releasing any member but the last is answered at once, without a
+//! request; the last sends the whole group in one `Release` request, so
+//! a 32-object batch costs one request to get and one to release. Until
+//! then the store still counts every member's reference: another
+//! client's `delete` of one reads `ObjectInUse`. This client's own
+//! `delete` of an id first sends the releases of it it deferred, and
 //! dropping the client sends every group's deferred releases.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
-use crate::object::{ObjectInfo, ObjectLocation};
+use crate::object::{GetSlot, ObjectInfo, ObjectLocation};
 use crate::protocol::{get_frame, locations, put_frame, release_frame, tag, Request, Response};
-use crate::release::ReleaseGroups;
+use crate::release::{ReleaseGroups, ReleaseRing};
 use crate::store::StoreStats;
 use ipc::{Conn, Frame};
 use netsim::{LinkModel, SharedLink};
@@ -195,41 +204,70 @@ impl Drop for ObjectBuilder<'_> {
 /// Request kinds, by tag: every request tag is at most [`tag::PUT`].
 const KINDS: usize = tag::PUT as usize + 1;
 
+/// The references a client holds that go back some other way than one
+/// request each.
+#[derive(Default)]
+struct Held {
+    /// The batch gets whose references are not all released yet.
+    groups: ReleaseGroups,
+    /// Per id, the pins single gets took in the store's own table and
+    /// not yet released: the releases this client posts.
+    posts: HashMap<ObjectId, u32>,
+}
+
+impl Held {
+    /// Take one of `id`'s postable pins, if any is left.
+    fn take_post(&mut self, id: ObjectId) -> bool {
+        let Some(left) = self.posts.get_mut(&id) else {
+            return false;
+        };
+        *left -= 1;
+        if *left == 0 {
+            self.posts.remove(&id);
+        }
+        true
+    }
+}
+
 /// A Plasma client bound to a node of the fabric.
 pub struct PlasmaClient {
     /// The connection, and the requests sent per kind, indexed by
     /// `Frame::msg_type`: the next one's number, at which the modeled
     /// link draws its delay.
     conn: Mutex<(Box<dyn Conn>, [u64; KINDS])>,
+    /// The release ring of the store at the other end of `conn`.
+    ring: ReleaseRing,
     fabric: Fabric,
     node: NodeId,
     mappings: Mutex<HashMap<SegKey, Mapping>>,
     cost: Option<ClientCost>,
-    /// The batch gets whose references are not all released yet.
-    groups: Mutex<ReleaseGroups>,
+    held: Mutex<Held>,
 }
 
 impl PlasmaClient {
-    /// Wrap an established connection. `node` determines which fabric
-    /// access path (local or remote) buffer reads take.
-    pub fn new(conn: Box<dyn Conn>, fabric: Fabric, node: NodeId) -> Self {
-        Self::with_cost(conn, fabric, node, None)
+    /// Wrap an established connection to the store whose release ring is
+    /// `ring` ([`crate::StoreCore::release_ring`]). `node` determines
+    /// which fabric access path (local or remote) buffer reads take.
+    pub fn new(conn: Box<dyn Conn>, ring: ReleaseRing, fabric: Fabric, node: NodeId) -> Self {
+        Self::with_cost(conn, ring, fabric, node, None)
     }
 
     /// Like [`PlasmaClient::new`] with modeled IPC costs.
     pub fn with_cost(
         conn: Box<dyn Conn>,
+        ring: ReleaseRing,
         fabric: Fabric,
         node: NodeId,
         cost: Option<ClientCost>,
     ) -> Self {
         PlasmaClient {
             conn: Mutex::new((conn, [0; KINDS])),
+            ring,
             fabric,
             node,
             mappings: Mutex::new(HashMap::new()),
             cost,
-            groups: Mutex::new(ReleaseGroups::default()),
+            held: Mutex::new(Held::default()),
         }
     }
 
@@ -360,11 +398,12 @@ impl PlasmaClient {
 
     /// Batched get with timeout. Each returned buffer holds a store
     /// reference; call [`PlasmaClient::release`] when done reading. Two
-    /// or more filled slots form a release group (module docs). A slot
-    /// whose buffers cannot be mapped fails the call, and every filled
-    /// slot's reference goes back first. The request is written from
-    /// `ids`, and the answer's locations are read off its frame, in one
-    /// pass.
+    /// or more filled slots form a release group; one filled slot that
+    /// the store pinned in its own table is released by a post (module
+    /// docs). A slot whose buffers cannot be mapped fails the call, and
+    /// every filled slot's reference goes back first. The request is
+    /// written from `ids`, and the answer's locations are read off its
+    /// frame, in one pass.
     pub fn get(
         &self,
         ids: &[ObjectId],
@@ -384,12 +423,22 @@ impl PlasmaClient {
         }
         let mut bufs = Vec::with_capacity(locs.len());
         let mut fills = 0;
+        // The last filled slot's id, if its pin may be posted: taken in
+        // the table of the store whose ring this client holds, on this
+        // client's node. A client on another node requests: a post would
+        // be a write into a remote node's memory, which the fabric does
+        // not keep coherent.
+        let mut postable = None;
         while let Some(slot) = locs.next() {
-            let Some(loc) = slot else {
+            let Some(loc) = slot.location() else {
                 bufs.push(None);
                 continue;
             };
             fills += 1;
+            let here = matches!(slot, GetSlot::PinnedHere(_))
+                && loc.seg == self.ring.seg()
+                && loc.seg.owner == self.node;
+            postable = here.then_some(loc.id);
             match self.buffer_for(&loc) {
                 Ok(buf) => bufs.push(Some(buf)),
                 Err(e) => {
@@ -397,7 +446,7 @@ impl PlasmaClient {
                     // mapped, this one and those after it. Best-effort:
                     // the mapping error is the one to report.
                     let mapped = bufs.iter().flatten().map(|b: &ObjectBuffer| b.id);
-                    let rest = locs.flatten().map(|l| l.id);
+                    let rest = locs.filter_map(|s| Some(s.location()?.id));
                     let filled = mapped.chain([loc.id]).chain(rest).collect();
                     let _ = self.request_unit(Request::Release(filled));
                     return Err(e);
@@ -407,7 +456,9 @@ impl PlasmaClient {
         if fills > 1 {
             let mut filled = Vec::with_capacity(fills);
             filled.extend(bufs.iter().flatten().map(|b| b.id));
-            self.groups.lock().open(filled);
+            self.held.lock().groups.open(filled);
+        } else if let Some(id) = postable.filter(|_| fills == 1) {
+            *self.held.lock().posts.entry(id).or_default() += 1;
         }
         Ok(bufs)
     }
@@ -422,10 +473,24 @@ impl PlasmaClient {
 
     /// Drop one reference on `id`. A member of a release group but its
     /// last is answered `Ok` at once; the last sends the group's
-    /// releases in one request (module docs).
+    /// releases in one request. Otherwise, while a single get's pin on
+    /// `id` in the store's own table is held, the release is posted to
+    /// the store's ring, unanswered and uncharged; any other goes in a
+    /// request of its own (module docs). References on one immutable
+    /// object are fungible, so which of `id`'s pins a release returns
+    /// is this client's choice.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let Some(mut ids) = self.groups.lock().release(id) else {
-            return Ok(());
+        let mut ids = {
+            let mut held = self.held.lock();
+            let Some(ids) = held.groups.release(id) else {
+                return Ok(());
+            };
+            if ids.is_empty() && held.take_post(id) {
+                drop(held);
+                self.ring.post(id);
+                return Ok(());
+            }
+            ids
         };
         if ids.is_empty() {
             return self.exchange_unit(&release_frame(&[id]));
@@ -438,7 +503,7 @@ impl PlasmaClient {
     /// of it: the caller released it, so the store must not still count
     /// those references.
     fn release_deferred(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let held = self.groups.lock().take_deferred(id);
+        let held = self.held.lock().groups.take_deferred(id);
         if held == 0 {
             return Ok(());
         }
@@ -508,7 +573,7 @@ impl Drop for PlasmaClient {
     /// Send every open group's deferred releases. Members never released
     /// stay referenced, as a dropped buffer's reference does.
     fn drop(&mut self) {
-        let deferred = self.groups.get_mut().close_all();
+        let deferred = self.held.get_mut().groups.close_all();
         if !deferred.is_empty() {
             // Best-effort: there is no one to report a failure to.
             let _ = self.request_unit(Request::Release(deferred));

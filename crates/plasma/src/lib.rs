@@ -57,8 +57,8 @@ pub use client::{
 };
 pub use error::PlasmaError;
 pub use id::{ObjectId, OBJECT_ID_LEN};
-pub use object::{ObjectInfo, ObjectLocation, ObjectState};
-pub use release::ReleaseGroups;
+pub use object::{GetSlot, ObjectInfo, ObjectLocation, ObjectState};
+pub use release::{ReleaseGroups, ReleaseRing};
 pub use server::{serve_store, PlasmaServer, PlasmaServerMetrics};
 pub use store::{StoreConfig, StoreCore, StoreStats};
 
@@ -98,6 +98,7 @@ mod end_to_end {
     fn client_on(rig: &Rig, node: tfsim::NodeId) -> PlasmaClient {
         PlasmaClient::new(
             Box::new(rig.hub.connect("s0").unwrap()),
+            rig.store.release_ring(),
             rig.fabric.clone(),
             node,
         )
@@ -162,6 +163,13 @@ mod end_to_end {
         assert!(buf.read_all().unwrap().iter().all(|&b| b == 0x5A));
         let snap = r.fabric.stats().snapshot();
         assert_eq!(snap.remote_read_bytes, 100_000);
+        // The store's ring is in another node's memory: the release is a
+        // request.
+        let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
+        let before = requests();
+        consumer.release(id).unwrap();
+        assert_eq!(requests(), before + 1);
+        assert_eq!(refs(&r.store, &[id]), vec![0]);
     }
 
     #[test]
@@ -233,6 +241,7 @@ mod end_to_end {
         let cost = ClientCost::local_plasma(clock.clone(), 7);
         let client = PlasmaClient::with_cost(
             Box::new(r.hub.connect("s0").unwrap()),
+            r.store.release_ring(),
             r.fabric.clone(),
             r.store.node(),
             Some(cost),
@@ -272,6 +281,7 @@ mod end_to_end {
             let clock = r.fabric.clock().clone();
             let client = PlasmaClient::with_cost(
                 Box::new(r.hub.connect("s0").unwrap()),
+                r.store.release_ring(),
                 r.fabric.clone(),
                 r.store.node(),
                 Some(ClientCost::local_plasma(clock.clone(), 7)),
@@ -311,7 +321,9 @@ mod end_to_end {
             let mut listener = hub.bind("s0").unwrap();
             let fabric = Fabric::virtual_thymesisflow();
             let node = fabric.register_node();
-            let client = PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric, node);
+            let ring = ReleaseRing::new(tfsim::SegKey { owner: node, index: 0 });
+            let conn = Box::new(hub.connect("s0").unwrap());
+            let client = PlasmaClient::new(conn, ring, fabric, node);
             let id = ObjectId::from_name("framed");
             let object: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
             let (data, metadata) = object.split_at(split % (len + 1));
@@ -372,10 +384,10 @@ mod end_to_end {
         client.release(ids[31]).unwrap();
         assert_eq!(requests(), before + 1);
         assert_eq!(refs(&r.store, &ids), vec![0; 32]);
-        // A single get's release goes out at once.
+        // A single get's release is posted, not requested.
         client.get_one(ids[0], Duration::from_secs(1)).unwrap();
         client.release(ids[0]).unwrap();
-        assert_eq!(requests(), before + 3);
+        assert_eq!(requests(), before + 2);
         assert_eq!(refs(&r.store, &ids[..1]), vec![0]);
     }
 
@@ -409,6 +421,109 @@ mod end_to_end {
         other.delete(ids[3]).unwrap();
     }
 
+    /// A single get's release is posted, not requested, and the store
+    /// applies it before its next table access reads anything: another
+    /// client's delete right after it succeeds. With the drain skipped
+    /// (the mutant), the delete reads the reference and is refused.
+    #[test]
+    fn a_posted_release_is_applied_before_another_clients_delete() {
+        let delete_after_post = |mutant: bool| {
+            let r = rig(1 << 20);
+            let (reader, deleter) = (client_on(&r, r.store.node()), client_on(&r, r.store.node()));
+            let id = put_named(&reader, "posted", 1)[0];
+            if mutant {
+                r.store.skip_drain();
+            }
+            reader.get_one(id, Duration::from_secs(1)).unwrap();
+            let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
+            let before = requests();
+            reader.release(id).unwrap();
+            assert_eq!(requests(), before, "the release sent no request");
+            deleter.delete(id)
+        };
+        assert_eq!(delete_after_post(false), Ok(()));
+        let id = ObjectId::from_name("posted-0");
+        assert_eq!(delete_after_post(true), Err(PlasmaError::ObjectInUse(id)));
+    }
+
+    /// A create that needs the space of an object whose last reference
+    /// was just posted back evicts it: the create's table access applies
+    /// the release first. With the drain skipped, the object is still
+    /// pinned and the create runs out of memory.
+    #[test]
+    fn a_posted_release_is_applied_before_a_create_that_evicts() {
+        let create_after_post = |mutant: bool| {
+            let r = rig(1 << 20);
+            let client = client_on(&r, r.store.node());
+            let old = ObjectId::from_name("old");
+            r.store.put(old, &vec![1; 700_000], &[]).unwrap();
+            if mutant {
+                r.store.skip_drain();
+            }
+            client.get_one(old, Duration::from_secs(1)).unwrap();
+            client.release(old).unwrap();
+            let made = client.create(ObjectId::from_name("new"), 700_000, 0);
+            made.map(|builder| builder.abort().unwrap())?;
+            assert!(!r.store.contains(old), "the create evicted it");
+            Ok::<_, PlasmaError>(r.store.stats().evictions)
+        };
+        assert_eq!(create_after_post(false), Ok(1));
+        let refused = create_after_post(true);
+        assert!(
+            matches!(refused, Err(PlasmaError::OutOfMemory { .. })),
+            "{refused:?}"
+        );
+    }
+
+    /// Only a single get's pin in the store's own table is posted: a
+    /// batch's go back in its one request, and a slot the store says it
+    /// pinned elsewhere is released by request too.
+    #[test]
+    fn only_a_single_gets_pin_here_is_posted() {
+        let r = rig(1 << 20);
+        let client = client_on(&r, r.store.node());
+        let ids = put_named(&client, "kinds", 2);
+        let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
+        client.get(&ids, Duration::from_secs(1)).unwrap();
+        let before = requests();
+        client.release(ids[0]).unwrap();
+        client.release(ids[1]).unwrap();
+        assert_eq!(requests(), before + 1, "the batch went back in a request");
+
+        // A store answering every filled slot as pinned elsewhere.
+        let elsewhere = |out: &mut [GetSlot]| {
+            for slot in out {
+                if let GetSlot::PinnedHere(loc) = *slot {
+                    *slot = GetSlot::Pinned(loc);
+                }
+            }
+        };
+        let hub = InprocHub::new();
+        let wrapped = Arc::new(Rewritten(r.store.clone(), elsewhere));
+        let server = serve_store(Box::new(hub.bind("elsewhere").unwrap()), wrapped);
+        let conn = Box::new(hub.connect("elsewhere").unwrap());
+        let ring = r.store.release_ring();
+        let client = PlasmaClient::new(conn, ring, r.fabric.clone(), r.store.node());
+        client.get_one(ids[0], Duration::from_secs(1)).unwrap();
+        client.release(ids[0]).unwrap();
+        assert_eq!(server.metrics().requests.load(Ordering::Relaxed), 2);
+        assert_eq!(refs(&r.store, &ids), vec![0, 0]);
+
+        // A client handed another store's ring requests the release of a
+        // pin its own store took here.
+        let other = ReleaseRing::new(tfsim::SegKey {
+            owner: r.store.node(),
+            index: u32::MAX,
+        });
+        let conn = Box::new(r.hub.connect("s0").unwrap());
+        let client = PlasmaClient::new(conn, other, r.fabric.clone(), r.store.node());
+        let before = requests();
+        client.get_one(ids[0], Duration::from_secs(1)).unwrap();
+        client.release(ids[0]).unwrap();
+        assert_eq!(requests(), before + 2, "the get and the release");
+        assert_eq!(refs(&r.store, &ids), vec![0, 0]);
+    }
+
     #[test]
     fn a_client_dropped_mid_batch_returns_every_reference_it_released() {
         let r = rig(1 << 20);
@@ -426,11 +541,10 @@ mod end_to_end {
         assert_eq!(refs(&r.store, &ids), vec![0, 1, 0, 1]);
     }
 
-    /// Hands every `get` answer back with its last filled slot moved past
-    /// the end of the store's memory.
-    struct OutOfBounds(StoreCore);
+    /// Hands every `get` answer back rewritten by its function.
+    struct Rewritten(StoreCore, fn(&mut [GetSlot]));
 
-    impl ObjectStore for OutOfBounds {
+    impl ObjectStore for Rewritten {
         fn create(&self, id: ObjectId, d: u64, m: u64) -> Result<ObjectLocation, PlasmaError> {
             self.0.create(id, d, m)
         }
@@ -444,12 +558,10 @@ mod end_to_end {
             &self,
             ids: &[ObjectId],
             timeout: Duration,
-            out: &mut Vec<Option<ObjectLocation>>,
+            out: &mut Vec<GetSlot>,
         ) -> Result<(), PlasmaError> {
             ObjectStore::get_into(&self.0, ids, timeout, out)?;
-            if let Some(last) = out.iter_mut().rev().flatten().next() {
-                last.offset = u64::MAX / 2;
-            }
+            (self.1)(out);
             Ok(())
         }
         fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
@@ -486,10 +598,18 @@ mod end_to_end {
         let r = rig(1 << 20);
         let ids = put_named(&client_on(&r, r.store.node()), "unmapped", 3);
         let hub = InprocHub::new();
-        let wrapped = OutOfBounds(r.store.clone());
+        // The last filled slot moved past the end of the store's memory.
+        let out_of_bounds = |out: &mut [GetSlot]| {
+            let filled = out.iter_mut().rev().find(|s| s.is_filled());
+            if let Some(GetSlot::PinnedHere(last)) = filled {
+                last.offset = u64::MAX / 2;
+            }
+        };
+        let wrapped = Rewritten(r.store.clone(), out_of_bounds);
         let _server = serve_store(Box::new(hub.bind("oob").unwrap()), Arc::new(wrapped));
         let conn = Box::new(hub.connect("oob").unwrap());
-        let client = PlasmaClient::new(conn, r.fabric.clone(), r.store.node());
+        let ring = r.store.release_ring();
+        let client = PlasmaClient::new(conn, ring, r.fabric.clone(), r.store.node());
         for batch in [&ids[..1], &ids[..]] {
             client.get(batch, Duration::from_secs(1)).unwrap_err();
             assert_eq!(refs(&r.store, &ids), vec![0; 3], "{} ids", batch.len());

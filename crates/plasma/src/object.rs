@@ -65,6 +65,40 @@ impl ObjectLocation {
     }
 }
 
+/// One slot of a get's answer. Its tag byte on the wire is 0, 1 or 2,
+/// in the order of the variants: nothing in time, or a location pinned
+/// for the caller, and where the answering store took that pin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum GetSlot {
+    #[default]
+    Empty,
+    /// Pinned anywhere but in the answering store's own object table — at
+    /// a peer, or in a ledger: its release is a request, which reaches
+    /// whatever took the pin.
+    Pinned(ObjectLocation),
+    /// Pinned in the answering store's own object table: its client may
+    /// post the release to that store's [`crate::ReleaseRing`].
+    PinnedHere(ObjectLocation),
+}
+
+impl GetSlot {
+    /// The pinned location, if the slot was filled.
+    pub fn location(self) -> Option<ObjectLocation> {
+        match self {
+            GetSlot::Empty => None,
+            GetSlot::Pinned(loc) | GetSlot::PinnedHere(loc) => Some(loc),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        *self == GetSlot::Empty
+    }
+
+    pub fn is_filled(&self) -> bool {
+        !self.is_empty()
+    }
+}
+
 /// Public per-object info returned by list/stat calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectInfo {

@@ -11,7 +11,7 @@
 
 use crate::error::PlasmaError;
 use crate::id::{ObjectId, OBJECT_ID_LEN};
-use crate::object::{ObjectInfo, ObjectLocation, ObjectState};
+use crate::object::{GetSlot, ObjectInfo, ObjectLocation, ObjectState};
 use crate::store::StoreStats;
 use bytes::Bytes;
 use ipc::{CodecError, Dec, Enc, Frame};
@@ -81,6 +81,8 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     Location(ObjectLocation),
+    /// A get's answer, as a caller that does not post releases reads it:
+    /// written with each filled slot pinned, read whatever its tag.
     Locations(Vec<Option<ObjectLocation>>),
     Bool(bool),
     Unit,
@@ -225,37 +227,43 @@ pub(crate) fn release_frame(ids: &[ObjectId]) -> Frame {
 }
 
 /// Encoded width of a get's answer ([`locations_frame`]).
-fn locations_len(slots: &[Option<ObjectLocation>]) -> usize {
+fn locations_len(slots: impl Iterator<Item = GetSlot>) -> usize {
     8 + slots
-        .iter()
-        .map(|l| 1 + l.map_or(0, |_| LOCATION_LEN))
+        .map(|s| 1 + s.location().map_or(0, |_| LOCATION_LEN))
         .sum::<usize>()
 }
 
-/// Write a get's answer: the count, then each slot. The one encoder of
-/// the answer, which [`Response::to_frame`] and [`locations_frame`]
-/// share.
-fn put_slots(e: &mut Enc, slots: &[Option<ObjectLocation>]) {
+/// Write a get's answer: the count, then each slot, its tag byte (0
+/// empty, 1 pinned, 2 pinned here) and a filled slot's location. The
+/// one encoder of the answer, which [`Response::to_frame`] and
+/// [`locations_frame`] share.
+fn put_slots(e: &mut Enc, slots: impl ExactSizeIterator<Item = GetSlot>) {
     e.u64(slots.len() as u64);
     for slot in slots {
-        match slot {
-            Some(l) => {
-                e.bool(true);
-                put_location(e, l);
-            }
-            None => {
-                e.bool(false);
-            }
+        let tag = match slot {
+            GetSlot::Empty => 0,
+            GetSlot::Pinned(_) => 1,
+            GetSlot::PinnedHere(_) => 2,
+        };
+        e.u8(tag);
+        if let Some(l) = slot.location() {
+            put_location(e, &l);
         }
     }
 }
 
 /// The frame of a [`Response::Locations`], written straight from the
 /// slots into one right-sized buffer, as the server answers a get.
-pub(crate) fn locations_frame(slots: &[Option<ObjectLocation>]) -> Frame {
-    let mut e = Enc::with_capacity(locations_len(slots));
-    put_slots(&mut e, slots);
+pub(crate) fn locations_frame(slots: &[GetSlot]) -> Frame {
+    let mut e = Enc::with_capacity(locations_len(slots.iter().copied()));
+    put_slots(&mut e, slots.iter().copied());
     Frame::new(tag::R_LOCATIONS, e.finish())
+}
+
+/// A [`Response::Locations`]'s slots as written: each filled one pinned.
+fn pinned(locs: &[Option<ObjectLocation>]) -> impl ExactSizeIterator<Item = GetSlot> + '_ {
+    locs.iter()
+        .map(|l| l.map_or(GetSlot::Empty, GetSlot::Pinned))
 }
 
 /// The frame of a [`Response::Unit`]: no payload.
@@ -280,10 +288,13 @@ pub(crate) fn locations(payload: &Bytes) -> Result<Locations, PlasmaError> {
     Ok(slots)
 }
 
-fn get_slot(d: &mut Dec) -> Result<Option<ObjectLocation>, CodecError> {
-    Ok(match d.bool()? {
-        true => Some(get_location(d)?),
-        false => None,
+/// Read one slot: a tag byte other than 0, 1 or 2 is refused.
+fn get_slot(d: &mut Dec) -> Result<GetSlot, CodecError> {
+    Ok(match d.u8()? {
+        0 => GetSlot::Empty,
+        1 => GetSlot::Pinned(get_location(d)?),
+        2 => GetSlot::PinnedHere(get_location(d)?),
+        _ => return Err(CodecError::Invalid("slot tag")),
     })
 }
 
@@ -295,7 +306,7 @@ pub(crate) struct Locations {
 }
 
 impl Iterator for Locations {
-    type Item = Option<ObjectLocation>;
+    type Item = GetSlot;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.left = self.left.checked_sub(1)?;
@@ -415,7 +426,7 @@ impl Response {
     fn encoded_len(&self) -> usize {
         match self {
             Response::Location(_) | Response::Notify(_) => LOCATION_LEN,
-            Response::Locations(locs) => locations_len(locs),
+            Response::Locations(locs) => locations_len(pinned(locs)),
             Response::Bool(_) => 1,
             Response::Unit => 0,
             Response::List(infos) => 8 + infos.len() * (OBJECT_ID_LEN + 25),
@@ -442,7 +453,7 @@ impl Response {
                 tag::R_LOCATION
             }
             Response::Locations(locs) => {
-                put_slots(&mut e, locs);
+                put_slots(&mut e, pinned(locs));
                 tag::R_LOCATIONS
             }
             Response::Bool(b) => {
@@ -524,7 +535,8 @@ impl Response {
         let resp = match frame.msg_type {
             tag::R_LOCATION => Response::Location(get_location(&mut d)?),
             tag::R_LOCATIONS => {
-                return Ok(Response::Locations(locations(&frame.payload)?.collect()))
+                let slots = locations(&frame.payload)?;
+                return Ok(Response::Locations(slots.map(GetSlot::location).collect()));
             }
             tag::R_BOOL => Response::Bool(d.bool()?),
             tag::R_UNIT => Response::Unit,
@@ -741,12 +753,26 @@ mod tests {
         );
     }
 
-    /// A get's answer decodes strictly: every proper prefix, one byte
-    /// more, a count past the frame and a slot flag other than 0 or 1 are
-    /// all refused.
+    /// A get's answer decodes strictly: its slots read back with their
+    /// tags, and every proper prefix, one byte more, a count past the
+    /// frame and a slot tag other than 0, 1 or 2 are all refused.
     #[test]
     fn a_locations_answer_decodes_strictly() {
-        let frame = Response::Locations(vec![Some(loc(1)), None, Some(loc(2))]).to_frame();
+        let slots = [
+            GetSlot::PinnedHere(loc(1)),
+            GetSlot::Empty,
+            GetSlot::Pinned(loc(2)),
+        ];
+        let frame = locations_frame(&slots);
+        assert_eq!(
+            locations(&frame.payload).unwrap().collect::<Vec<_>>(),
+            slots
+        );
+        let read = Response::from_frame(&frame).unwrap();
+        assert_eq!(
+            read,
+            Response::Locations(vec![Some(loc(1)), None, Some(loc(2))])
+        );
         for cut in 0..frame.payload.len() {
             let prefix = Frame::new(tag::R_LOCATIONS, frame.payload.slice(..cut));
             assert!(Response::from_frame(&prefix).is_err(), "prefix of {cut}");
@@ -757,9 +783,15 @@ mod tests {
         let mut counted = frame.payload.to_vec();
         counted[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(counted))).is_err());
-        let mut flagged = frame.payload.to_vec();
-        flagged[8] = 2;
-        assert!(Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(flagged))).is_err());
+        for byte in [3, u8::MAX] {
+            let mut flagged = frame.payload.to_vec();
+            flagged[8] = byte;
+            let refused = Response::from_frame(&Frame::new(tag::R_LOCATIONS, Bytes::from(flagged)));
+            assert!(
+                matches!(refused, Err(PlasmaError::Protocol(_))),
+                "tag {byte}: {refused:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Release groups: the batch-hold rule, shared by the client and the
-//! distributed store.
+//! How references go back: release groups, the batch-hold rule shared
+//! by the client and the distributed store, and the release ring a
+//! store's clients post their own releases to.
 //!
 //! A batched `get` that filled two or more slots returns its references
 //! together. Each release of a member but the last is answered at once,
@@ -11,6 +12,10 @@
 //! release sends that release first.
 
 use crate::id::ObjectId;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use tfsim::SegKey;
 
 /// The open release groups of one client or store. Counted per filled
 /// slot, as a store counts references, so an id filled in two slots is
@@ -78,5 +83,74 @@ impl ReleaseGroups {
 
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
+    }
+}
+
+/// A store's release ring: the releases its clients post instead of
+/// requesting, each the id of a pin the store took in its own object
+/// table ([`crate::GetSlot::PinnedHere`]). A post takes the ring's lock
+/// alone and is never answered; the store applies every posted release
+/// under its table lock at the start of each table access, taking the
+/// ring's lock after the table's, so whatever reads the table after a
+/// post returned finds the reference gone. Cheap to clone: a client is
+/// handed its store's ring when it is built.
+#[derive(Clone)]
+pub struct ReleaseRing {
+    inner: Arc<RingInner>,
+}
+
+struct RingInner {
+    /// The segment of the store whose ring this is: the one its
+    /// here-pinned locations name.
+    seg: SegKey,
+    posted: Mutex<Vec<ObjectId>>,
+    /// Whether `posted` may hold an id: set and cleared under its lock,
+    /// read without it, so a table access with nothing posted takes no
+    /// second lock.
+    any: AtomicBool,
+}
+
+impl ReleaseRing {
+    pub(crate) fn new(seg: SegKey) -> Self {
+        ReleaseRing {
+            inner: Arc::new(RingInner {
+                seg,
+                posted: Mutex::new(Vec::new()),
+                any: AtomicBool::new(false),
+            }),
+        }
+    }
+
+    /// The segment of the store whose ring this is.
+    pub(crate) fn seg(&self) -> SegKey {
+        self.inner.seg
+    }
+
+    /// Post the release of one pin.
+    pub(crate) fn post(&self, id: ObjectId) {
+        let mut posted = self.inner.posted.lock();
+        posted.push(id);
+        self.inner.any.store(true, Ordering::Release);
+    }
+
+    /// Swap every posted release into `into`, which is empty: the two
+    /// lists trade their room, so neither grows once both have held the
+    /// most releases posted between two table accesses. Whether any was.
+    pub(crate) fn take(&self, into: &mut Vec<ObjectId>) -> bool {
+        if !self.inner.any.load(Ordering::Acquire) {
+            return false;
+        }
+        let mut posted = self.inner.posted.lock();
+        std::mem::swap(&mut *posted, into);
+        self.inner.any.store(false, Ordering::Relaxed);
+        !into.is_empty()
+    }
+}
+
+impl std::fmt::Debug for ReleaseRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReleaseRing")
+            .field("seg", &self.inner.seg)
+            .finish()
     }
 }

@@ -12,10 +12,12 @@
 //! place: their id lists are read off the frame into a list the
 //! connection keeps, a get's locations are filled into a slot list it
 //! keeps too, and the answer is written from those slots into one
-//! right-sized frame. Once a connection has served its largest batch,
-//! its store-side work allocates nothing but the answer's frame. Every
-//! other request is decoded into a [`Request`] and answered with a
-//! [`Response`].
+//! right-sized frame, each slot's tag byte saying whether the store
+//! pinned it in its own table, where the client may post its release
+//! instead of requesting it ([`crate::ReleaseRing`]). Once a connection
+//! has served its largest batch, its store-side work allocates nothing
+//! but the answer's frame. Every other request is decoded into a
+//! [`Request`] and answered with a [`Response`].
 
 use crate::api::ObjectStore;
 use crate::error::PlasmaError;
@@ -223,6 +225,7 @@ mod tests {
         let fabric = Fabric::virtual_thymesisflow();
         let node = fabric.register_node();
         let store = StoreCore::new(&fabric, node, StoreConfig::new("s0", 1 << 20)).unwrap();
+        let ring = store.release_ring();
         let hub = InprocHub::new();
         let server = serve_store(Box::new(hub.bind("s0").unwrap()), Arc::new(store));
 
@@ -271,7 +274,8 @@ mod tests {
         assert_eq!(m.errors.load(Ordering::Relaxed), refused.len() as u64);
         assert_eq!(m.requests.load(Ordering::Relaxed), 0);
 
-        let client = PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric, node);
+        let conn = Box::new(hub.connect("s0").unwrap());
+        let client = PlasmaClient::new(conn, ring, fabric, node);
         let id = ObjectId::from_name("served");
         client.put(id, b"after the refusals", &[]).unwrap();
         let got = client.get_one(id, Duration::ZERO).unwrap();
@@ -284,9 +288,13 @@ mod tests {
         let fabric = Fabric::virtual_thymesisflow();
         let node = fabric.register_node();
         let store = StoreCore::new(&fabric, node, StoreConfig::new("s0", 1 << 20)).unwrap();
+        let ring = store.release_ring();
         let hub = InprocHub::new();
         let server = serve_store(Box::new(hub.bind("s0").unwrap()), Arc::new(store));
-        let dial = || PlasmaClient::new(Box::new(hub.connect("s0").unwrap()), fabric.clone(), node);
+        let dial = || {
+            let conn = Box::new(hub.connect("s0").unwrap());
+            PlasmaClient::new(conn, ring.clone(), fabric.clone(), node)
+        };
         let id = ObjectId::from_name("refused");
 
         // The server's connection thread is started on the dialling

@@ -31,15 +31,23 @@
 //! and the fastest recorded per-node workload leaves the lock ≥ 96 %
 //! idle (EXPERIMENTS.md, "Decision (PR 17)").
 //! `plasma.shard.contention` counts the acquisitions that found it held.
+//!
+//! A release a client posts to the store's [`ReleaseRing`] instead of
+//! requesting is applied at the start of the next table access, under
+//! the table lock: every acquisition drains the ring first, so a delete,
+//! an eviction or an audit that follows a post finds its reference gone.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
 use crate::lru::Lru;
-use crate::object::{ObjectEntry, ObjectInfo, ObjectLocation, ObjectState};
+use crate::object::{GetSlot, ObjectEntry, ObjectInfo, ObjectLocation, ObjectState};
+use crate::release::ReleaseRing;
 use memalloc::{RegionAllocator, Slab, SIZE_CLASSES};
 use obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
+#[cfg(test)]
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,6 +99,9 @@ struct Table {
     /// [`StoreCore::stats`] from the allocator.
     stats: StoreStats,
     alloc: Slab,
+    /// The releases taken off the ring, while they are applied; empty
+    /// between accesses, its room kept.
+    posted: Vec<ObjectId>,
 }
 
 impl Table {
@@ -210,7 +221,14 @@ struct Inner {
     /// the table lock. A seal with nobody asleep costs no system call.
     sealed: Condvar,
     subscribers: Mutex<Vec<Sender<ObjectLocation>>>,
+    /// The releases the store's clients post: drained at every table
+    /// access, under the table lock.
+    ring: ReleaseRing,
     metrics: StoreMetrics,
+    /// A mutant whose table access skips the drain, so a test can show
+    /// that it depends on the drain.
+    #[cfg(test)]
+    skip_drain: AtomicBool,
 }
 
 /// The store engine. Cheap to clone (shared handle).
@@ -241,10 +259,14 @@ impl StoreCore {
                     lru: Lru::new(),
                     stats: StoreStats::default(),
                     alloc: Slab::new(capacity),
+                    posted: Vec::new(),
                 }),
                 sealed: Condvar::new(),
                 subscribers: Mutex::new(Vec::new()),
+                ring: ReleaseRing::new(seg),
                 metrics,
+                #[cfg(test)]
+                skip_drain: Default::default(),
             }),
         })
     }
@@ -267,15 +289,49 @@ impl StoreCore {
         self.inner.node
     }
 
-    /// Lock the table, counting contended acquisitions.
+    /// The store's release ring, which its clients are handed when
+    /// they are built.
+    pub fn release_ring(&self) -> ReleaseRing {
+        self.inner.ring.clone()
+    }
+
+    /// Lock the table, counting contended acquisitions, and apply every
+    /// release posted to the ring before anything else reads it.
     fn table(&self) -> MutexGuard<'_, Table> {
-        match self.inner.table.try_lock() {
+        let mut t = match self.inner.table.try_lock() {
             Some(g) => g,
             None => {
                 self.inner.metrics.contention.inc();
                 self.inner.table.lock()
             }
+        };
+        self.drain_posted(&mut t);
+        t
+    }
+
+    /// Apply the releases posted to the ring. A posted release returns a
+    /// pin this table holds for its client, so it cannot fail, and has
+    /// nobody to report to if it did.
+    fn drain_posted(&self, t: &mut Table) {
+        #[cfg(test)]
+        if self.inner.skip_drain.load(Ordering::Relaxed) {
+            return;
         }
+        if !self.inner.ring.take(&mut t.posted) {
+            return;
+        }
+        let mut posted = std::mem::take(&mut t.posted);
+        for id in posted.drain(..) {
+            let released = self.unpin(t, id);
+            debug_assert!(released.is_ok(), "a posted release of {id}: {released:?}");
+        }
+        t.posted = posted;
+    }
+
+    /// Make every later table access skip the drain.
+    #[cfg(test)]
+    pub(crate) fn skip_drain(&self) {
+        self.inner.skip_drain.store(true, Ordering::Relaxed);
     }
 
     /// The segment the store donated, which holds every object.
@@ -489,29 +545,27 @@ impl StoreCore {
     pub fn get_wait(&self, ids: &[ObjectId], timeout: Duration) -> Vec<Option<ObjectLocation>> {
         let mut out = Vec::with_capacity(ids.len());
         self.get_wait_into(ids, timeout, &mut out);
-        out
+        // In place: a slot and an optional location take the same room.
+        out.into_iter().map(GetSlot::location).collect()
     }
 
     /// [`StoreCore::get_wait`] into `out`, which is cleared and given one
-    /// slot per id: a caller that keeps `out` across gets allocates
-    /// nothing once it has held the largest batch.
-    pub fn get_wait_into(
-        &self,
-        ids: &[ObjectId],
-        timeout: Duration,
-        out: &mut Vec<Option<ObjectLocation>>,
-    ) {
+    /// slot per id, each filled slot pinned here: a caller that keeps
+    /// `out` across gets allocates nothing once it has held the largest
+    /// batch.
+    pub fn get_wait_into(&self, ids: &[ObjectId], timeout: Duration, out: &mut Vec<GetSlot>) {
         let t0 = Instant::now();
         let deadline = t0 + timeout;
         out.clear();
-        out.resize(ids.len(), None);
+        out.resize(ids.len(), GetSlot::Empty);
         let mut t = self.table();
         loop {
             let mut missing = 0u64;
             for (slot, id) in out.iter_mut().zip(ids) {
-                if slot.is_none() {
-                    *slot = t.pin(self.seg_key(), *id);
-                    missing += u64::from(slot.is_none());
+                if slot.is_empty() {
+                    let pinned = t.pin(self.seg_key(), *id);
+                    *slot = pinned.map_or(GetSlot::Empty, GetSlot::PinnedHere);
+                    missing += u64::from(slot.is_empty());
                 }
             }
             let now = Instant::now();
@@ -532,8 +586,16 @@ impl StoreCore {
     /// becomes evictable, or is freed if it was deleted or hidden.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
         let t0 = Instant::now();
-        let mut guard = self.table();
-        let t = &mut *guard;
+        let mut t = self.table();
+        self.unpin(&mut t, id)?;
+        drop(t);
+        self.inner.metrics.release.record_duration(t0.elapsed());
+        Ok(())
+    }
+
+    /// [`StoreCore::release`] under the table lock: a request's release
+    /// and a posted one.
+    fn unpin(&self, t: &mut Table, id: ObjectId) -> Result<(), PlasmaError> {
         let entry = t
             .objects
             .get_mut(&id)
@@ -557,8 +619,6 @@ impl StoreCore {
             _ => {}
         }
         t.stats.releases += 1;
-        drop(guard);
-        self.inner.metrics.release.record_duration(t0.elapsed());
         Ok(())
     }
 

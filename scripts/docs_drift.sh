@@ -216,7 +216,7 @@ else
     done < <(grep -nH -oE 'INLINE_PUT_MAX`? (= |\()[0-9]+ KiB|`put`? (≤|>) [0-9]+ KiB' README.md DESIGN.md .claude/skills/verify/SKILL.md)
 fi
 
-for ceiling in DESIGN.md:1965 EXPERIMENTS.md:1074; do
+for ceiling in DESIGN.md:1963 EXPERIMENTS.md:1074; do
     file=${ceiling%%:*}
     max=${ceiling##*:}
     lines=$(wc -l <"$file")

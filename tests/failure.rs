@@ -594,6 +594,7 @@ fn owner_behind(
     );
     let client = PlasmaClient::new(
         Box::new(hub.connect("plasma").unwrap()),
+        requester.core().release_ring(),
         fabric.clone(),
         nodes[0],
     );

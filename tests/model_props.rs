@@ -1,13 +1,17 @@
-//! Property-based end-to-end test: a random sequence of store operations
-//! driven against a 3-node cluster must agree with a simple in-memory
-//! model (a map of sealed objects), and never corrupt data — including
-//! while the ledgered movers (spill, replicate) relocate and copy the
-//! bytes underneath the clients.
+//! Property-based end-to-end tests: a random sequence of store operations
+//! driven against a cluster must agree with a simple in-memory model,
+//! and never corrupt data. Against a 3-node cluster the model is a map
+//! of sealed objects, while the ledgered movers (spill, replicate)
+//! relocate and copy the bytes underneath the clients. Against clients
+//! on one node that hold references across each other's deletes and
+//! across puts that force eviction, it is one store's table: what is
+//! present, who pins it and its eviction order, and a release applies
+//! there at once, whether the client posted it or requested it.
 
 use disagg::{Cluster, ClusterConfig, ReconcileReport};
 use plasma::{ObjectId, PlasmaError};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 /// Operations the fuzzer may issue. Object "names" are small integers so
@@ -181,5 +185,219 @@ proptest! {
         for i in 0..3 {
             prop_assert_eq!(cluster.store(i).reconcile(), ReconcileReport::default());
         }
+    }
+}
+
+/// Operations of clients on one node that keep references.
+#[derive(Debug, Clone)]
+enum HeldOp {
+    Put {
+        client: usize,
+        name: u8,
+    },
+    /// A single get whose reference is kept: its release is posted.
+    Hold {
+        client: usize,
+        name: u8,
+    },
+    /// Release one kept reference, the `k`-th modulo how many.
+    Release {
+        client: usize,
+        k: usize,
+    },
+    /// A batch get released at once: two filled slots or more go back
+    /// in one request.
+    Batch {
+        client: usize,
+        names: Vec<u8>,
+    },
+    Delete {
+        client: usize,
+        name: u8,
+    },
+}
+
+fn held_op_strategy() -> impl Strategy<Value = HeldOp> {
+    let name = || any::<u8>().prop_map(|n| n % 16);
+    let batch = proptest::collection::vec(name(), 2..5);
+    // Puts weigh three, holds and releases two each, batches and deletes
+    // one each: enough puts to fill the store and evict.
+    (0..9u8, 0..3usize, name(), any::<usize>(), batch).prop_map(|(pick, client, name, k, names)| {
+        match pick {
+            0..=2 => HeldOp::Put { client, name },
+            3 | 4 => HeldOp::Hold { client, name },
+            5 | 6 => HeldOp::Release { client, k },
+            7 => HeldOp::Batch { client, names },
+            _ => HeldOp::Delete { client, name },
+        }
+    })
+}
+
+/// Bytes of every object the one-node property puts, and of the memory
+/// it runs in: room for a few of them, so puts evict.
+const HELD_LEN: usize = 3000;
+const HELD_MEMORY: usize = 24 << 10;
+
+/// How many objects of [`HELD_LEN`] bytes a store of [`HELD_MEMORY`]
+/// holds: what it holds when a put first evicts.
+fn held_capacity() -> usize {
+    let cluster = Cluster::launch(ClusterConfig::functional(1, HELD_MEMORY)).unwrap();
+    let client = cluster.client(0).unwrap();
+    let core = cluster.store(0).core();
+    for n in 0u32.. {
+        let id = ObjectId::from_name(&format!("capacity/{n}"));
+        client.put(id, &[0; HELD_LEN], &[]).unwrap();
+        if core.stats().evictions > 0 {
+            return n as usize;
+        }
+    }
+    unreachable!()
+}
+
+/// One store's table as its clients see it: a release applies at once.
+struct Table {
+    capacity: usize,
+    /// Per present object, its references.
+    pins: HashMap<u8, u32>,
+    /// The present objects nobody references, coldest first.
+    lru: VecDeque<u8>,
+    evictions: u64,
+}
+
+impl Table {
+    fn put(&mut self, name: u8) -> Result<(), &'static str> {
+        if self.pins.contains_key(&name) {
+            return Err("exists");
+        }
+        if self.pins.len() == self.capacity {
+            let victim = self.lru.pop_front().ok_or("out of memory")?;
+            self.pins.remove(&victim);
+            self.evictions += 1;
+        }
+        self.pins.insert(name, 0);
+        self.lru.push_back(name);
+        Ok(())
+    }
+
+    fn pin(&mut self, name: u8) -> bool {
+        let Some(pins) = self.pins.get_mut(&name) else {
+            return false;
+        };
+        *pins += 1;
+        self.lru.retain(|n| *n != name);
+        true
+    }
+
+    fn unpin(&mut self, name: u8) {
+        let pins = self.pins.get_mut(&name).expect("a held object is present");
+        *pins -= 1;
+        if *pins == 0 {
+            self.lru.push_back(name);
+        }
+    }
+
+    fn delete(&mut self, name: u8) -> Result<(), &'static str> {
+        match self.pins.get(&name) {
+            None => Err("not found"),
+            Some(0) => {
+                self.pins.remove(&name);
+                self.lru.retain(|n| *n != name);
+                Ok(())
+            }
+            Some(_) => Err("in use"),
+        }
+    }
+}
+
+/// What the model's verdict reads as a client's answer.
+fn verdict(got: Result<(), PlasmaError>) -> Result<(), &'static str> {
+    got.map_err(|e| match e {
+        PlasmaError::ObjectExists(_) => "exists",
+        PlasmaError::OutOfMemory { .. } => "out of memory",
+        PlasmaError::ObjectNotFound(_) => "not found",
+        PlasmaError::ObjectInUse(_) => "in use",
+        other => panic!("no model answer is {other}"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn clients_on_one_node_agree_with_its_table(
+        ops in proptest::collection::vec(held_op_strategy(), 1..80),
+    ) {
+        let cluster = Cluster::launch(ClusterConfig::functional(1, HELD_MEMORY)).unwrap();
+        let clients: Vec<_> = (0..3).map(|_| cluster.client(0).unwrap()).collect();
+        let mut table = Table {
+            capacity: held_capacity(),
+            pins: HashMap::new(),
+            lru: VecDeque::new(),
+            evictions: 0,
+        };
+        let mut held: Vec<Vec<u8>> = vec![Vec::new(); 3];
+        let object = |name: u8| vec![name; HELD_LEN];
+        let read = |slot: &Option<plasma::ObjectBuffer>, name: u8| -> Result<(), TestCaseError> {
+            let buf = slot.as_ref().expect("the model says it is present");
+            prop_assert_eq!(buf.read_all().unwrap(), object(name));
+            Ok(())
+        };
+
+        for op in ops {
+            match op {
+                HeldOp::Put { client, name } => {
+                    let put = clients[client].put(oid(name), &object(name), &[]);
+                    prop_assert_eq!(verdict(put.map(drop)), table.put(name), "put {}", name);
+                }
+                HeldOp::Hold { client, name } => {
+                    let got = clients[client].get(&[oid(name)], Duration::ZERO).unwrap();
+                    if table.pin(name) {
+                        read(&got[0], name)?;
+                        held[client].push(name);
+                    } else {
+                        prop_assert!(got[0].is_none(), "the model says {} is absent", name);
+                    }
+                }
+                HeldOp::Release { client, k } => {
+                    let kept = &mut held[client];
+                    if kept.is_empty() {
+                        continue;
+                    }
+                    let name = kept.remove(k % kept.len());
+                    clients[client].release(oid(name)).unwrap();
+                    table.unpin(name);
+                }
+                HeldOp::Batch { client, names } => {
+                    let ids: Vec<ObjectId> = names.iter().map(|&n| oid(n)).collect();
+                    let got = clients[client].get(&ids, Duration::ZERO).unwrap();
+                    let mut filled = Vec::new();
+                    for (&name, slot) in names.iter().zip(&got) {
+                        if table.pin(name) {
+                            read(slot, name)?;
+                            filled.push(name);
+                        } else {
+                            prop_assert!(slot.is_none(), "the model says {} is absent", name);
+                        }
+                    }
+                    for name in filled {
+                        clients[client].release(oid(name)).unwrap();
+                        table.unpin(name);
+                    }
+                }
+                HeldOp::Delete { client, name } => {
+                    let deleted = clients[client].delete(oid(name));
+                    prop_assert_eq!(verdict(deleted), table.delete(name), "delete {}", name);
+                }
+            }
+        }
+        for (client, names) in clients.iter().zip(&held) {
+            for &name in names {
+                client.release(oid(name)).unwrap();
+                table.unpin(name);
+            }
+        }
+        prop_assert_eq!(cluster.store(0).core().stats().evictions, table.evictions);
+        let violations = cluster.audit();
+        prop_assert!(violations.is_empty(), "{:#?}", violations);
     }
 }
