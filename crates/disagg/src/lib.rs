@@ -463,4 +463,57 @@ mod tests {
         zero.delete(local).unwrap();
         assert!(c.audit().is_empty());
     }
+
+    /// A batch that mixes pins here and a peer's pins goes back at its
+    /// last release in two ways: the pins here are posted to the node's
+    /// ring (no release reaches its table by request), and the peer's go
+    /// in the group's one request, one `RELEASE` to their owner. Once
+    /// releases are settled neither node counts a pin.
+    #[test]
+    fn a_mixed_batch_sends_a_peers_pins_in_one_request_beside_its_posted_releases() {
+        let c = two_nodes();
+        let (zero, one) = (c.client(0).unwrap(), c.client(1).unwrap());
+        let ids = |node: usize, base: &str| -> Vec<ObjectId> {
+            let names = c.owned_ids(node, base, 3);
+            names.iter().map(|n| ObjectId::from_name(n)).collect()
+        };
+        let (remote, local) = (ids(0, "mixed/remote"), ids(1, "mixed/local"));
+        for (client, ids) in [(&zero, &remote), (&one, &local)] {
+            for &id in ids {
+                client.put(id, b"mixed", &[]).unwrap();
+            }
+        }
+        let batch: Vec<ObjectId> = remote
+            .iter()
+            .zip(&local)
+            .flat_map(|(&r, &l)| [r, l])
+            .collect();
+        let got = one.get(&batch, Duration::from_secs(1)).unwrap();
+        assert!(got.iter().all(Option::is_some));
+        assert_eq!(c.store(1).held_remote_pins(), 3);
+        let registry = c.store(1).core().registry();
+        let requested_here = || registry.histogram("plasma.release.latency_ns").count();
+        let here_before = requested_here();
+        for &id in &batch {
+            one.release(id).unwrap();
+        }
+        assert_eq!(requested_here(), here_before, "every pin here was posted");
+        assert_eq!(c.store(1).held_remote_pins(), 0);
+        c.settle_releases();
+        let releases = registry.histogram("rpc.client.release.latency_ns").count();
+        assert_eq!(
+            releases, 1,
+            "one RELEASE: the peer's pins went in one request"
+        );
+        assert_eq!(c.store(0).remote_pin_count(), 0, "node 0 holds no pin");
+        let counted = c
+            .store(1)
+            .core()
+            .list()
+            .iter()
+            .map(|o| o.ref_count)
+            .sum::<u64>();
+        assert_eq!(counted, 0, "node 1 counts no reference");
+        assert!(c.audit().is_empty());
+    }
 }

@@ -22,24 +22,24 @@
 //! the local path of the paper's Fig. 6 its microsecond-scale,
 //! object-count-proportional retrieval latency.
 //!
-//! A reference goes back one of two ways. A single `get`'s pin the
-//! store took in its own object table ([`GetSlot::PinnedHere`]) is
-//! *posted* by a client on the store's node: the client puts its id on
-//! the store's [`ReleaseRing`], handed over when the client is built,
-//! with no request and no modeled delay, and the store applies it at its
-//! next table access, before anything else reads the table. Every other
+//! A reference goes back one of two ways. A pin the store took in its
+//! own object table ([`GetSlot::PinnedHere`]) is *posted* by a client on
+//! the store's node: the client puts its id on the store's
+//! [`ReleaseRing`], handed over when the client is built, with no
+//! request and no modeled delay, and the store applies it at its next
+//! table access, before anything else reads the table. Every other
 //! reference is *requested*, because it must reach a ledger: a pin taken
-//! at a peer or in the store's delegation ledger, a builder's, and a
-//! batch's, which go back under the batch-hold rule ([`ReleaseGroups`]):
-//! a `get` that filled two or more slots opens a release group, counted
-//! per filled slot.
-//! Releasing any member but the last is answered at once, without a
-//! request; the last sends the whole group in one `Release` request, so
-//! a 32-object batch costs one request to get and one to release. Until
-//! then the store still counts every member's reference: another
-//! client's `delete` of one reads `ObjectInUse`. This client's own
-//! `delete` of an id first sends the releases of it it deferred, and
-//! dropping the client sends every group's deferred releases.
+//! at a peer or in the store's delegation ledger, and a builder's.
+//! Either way a batch's references go back under the batch-hold rule
+//! ([`ReleaseGroups`]): a `get` that filled two or more slots opens a
+//! release group, counted per filled slot. Releasing any member but the
+//! last is answered at once; the last posts the group's pins here and
+//! sends its others in one `Release` request, none if it has none, so a
+//! local 32-object batch costs one request, its get. Until then the
+//! store still counts every member's reference: another client's
+//! `delete` of one reads `ObjectInUse`. This client's own `delete` of an
+//! id first returns the releases of it it deferred, and dropping the
+//! client returns every group's deferred releases, each by the same rule.
 
 use crate::error::PlasmaError;
 use crate::id::ObjectId;
@@ -210,8 +210,12 @@ const KINDS: usize = tag::PUT as usize + 1;
 struct Held {
     /// The batch gets whose references are not all released yet.
     groups: ReleaseGroups,
-    /// Per id, the pins single gets took in the store's own table and
-    /// not yet released: the releases this client posts.
+    /// Per id, the pins gets took in the store's own table and this
+    /// client has not given back: the releases it posts. A credit is
+    /// taken exactly when one of them is posted, so a release is posted
+    /// only while the store counts a pin of this client's there;
+    /// references on one immutable object are fungible, so which get
+    /// took it does not matter.
     posts: HashMap<ObjectId, u32>,
 }
 
@@ -226,6 +230,12 @@ impl Held {
             self.posts.remove(&id);
         }
         true
+    }
+
+    /// Post each of `ids` a credit is left for to `ring`, taking the
+    /// credit, and keep the others in `ids`, in order, to request.
+    fn post_here(&mut self, ring: &ReleaseRing, ids: &mut Vec<ObjectId>) {
+        ring.post_where(ids, |id| self.take_post(id));
     }
 }
 
@@ -242,6 +252,10 @@ pub struct PlasmaClient {
     mappings: Mutex<HashMap<SegKey, Mapping>>,
     cost: Option<ClientCost>,
     held: Mutex<Held>,
+    /// A mutant whose delete and drop request the deferred releases of
+    /// pins here and keep their credits, so a test can show the harm.
+    #[cfg(test)]
+    requests_deferred: std::sync::atomic::AtomicBool,
 }
 
 impl PlasmaClient {
@@ -268,6 +282,45 @@ impl PlasmaClient {
             mappings: Mutex::new(HashMap::new()),
             cost,
             held: Mutex::new(Held::default()),
+            #[cfg(test)]
+            requests_deferred: Default::default(),
+        }
+    }
+
+    /// Make this client's delete and drop request every deferred release.
+    #[cfg(test)]
+    pub(crate) fn request_deferred(&self) {
+        let mutant = &self.requests_deferred;
+        mutant.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Whether a delete and a drop post the deferred releases of pins
+    /// here: always, but in the mutant.
+    #[cfg(test)]
+    fn posts_deferred(&self) -> bool {
+        !self
+            .requests_deferred
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[cfg(not(test))]
+    fn posts_deferred(&self) -> bool {
+        true
+    }
+
+    /// The id of `slot`'s pin if this client may post its release: taken
+    /// in the table of the store whose ring it holds, on this client's
+    /// node. A client on another node requests: a post would be a write
+    /// into a remote node's memory, which the fabric does not keep
+    /// coherent.
+    fn postable(&self, slot: GetSlot) -> Option<ObjectId> {
+        match slot {
+            GetSlot::PinnedHere(loc)
+                if loc.seg == self.ring.seg() && loc.seg.owner == self.node =>
+            {
+                Some(loc.id)
+            }
+            _ => None,
         }
     }
 
@@ -398,12 +451,12 @@ impl PlasmaClient {
 
     /// Batched get with timeout. Each returned buffer holds a store
     /// reference; call [`PlasmaClient::release`] when done reading. Two
-    /// or more filled slots form a release group; one filled slot that
-    /// the store pinned in its own table is released by a post (module
+    /// or more filled slots form a release group, and each slot the
+    /// store pinned in its own table is released by a post (module
     /// docs). A slot whose buffers cannot be mapped fails the call, and
     /// every filled slot's reference goes back first. The request is
     /// written from `ids`, and the answer's locations are read off its
-    /// frame, in one pass.
+    /// frame.
     pub fn get(
         &self,
         ids: &[ObjectId],
@@ -417,48 +470,47 @@ impl PlasmaClient {
                 _ => Err(PlasmaError::Protocol("expected Locations".into())),
             };
         }
-        let mut locs = locations(&resp.payload)?;
+        let slots = locations(&resp.payload)?;
         if let Some(c) = &self.cost {
             c.clock.charge(c.per_object * ids.len() as u32);
         }
-        let mut bufs = Vec::with_capacity(locs.len());
+        let mut bufs = Vec::with_capacity(slots.len());
         let mut fills = 0;
-        // The last filled slot's id, if its pin may be posted: taken in
-        // the table of the store whose ring this client holds, on this
-        // client's node. A client on another node requests: a post would
-        // be a write into a remote node's memory, which the fabric does
-        // not keep coherent.
-        let mut postable = None;
-        while let Some(slot) = locs.next() {
+        for slot in slots.clone() {
             let Some(loc) = slot.location() else {
                 bufs.push(None);
                 continue;
             };
             fills += 1;
-            let here = matches!(slot, GetSlot::PinnedHere(_))
-                && loc.seg == self.ring.seg()
-                && loc.seg.owner == self.node;
-            postable = here.then_some(loc.id);
             match self.buffer_for(&loc) {
                 Ok(buf) => bufs.push(Some(buf)),
                 Err(e) => {
-                    // Every filled slot's reference goes back: those
-                    // mapped, this one and those after it. Best-effort:
-                    // the mapping error is the one to report.
-                    let mapped = bufs.iter().flatten().map(|b: &ObjectBuffer| b.id);
-                    let rest = locs.filter_map(|s| Some(s.location()?.id));
-                    let filled = mapped.chain([loc.id]).chain(rest).collect();
-                    let _ = self.request_unit(Request::Release(filled));
+                    // Every filled slot's reference goes back, each by
+                    // its own way. Best-effort: the mapping error is the
+                    // one to report.
+                    let mut filled: Vec<ObjectId> = Vec::with_capacity(slots.len());
+                    for slot in slots {
+                        match (self.postable(slot), slot.location()) {
+                            (Some(id), _) => self.ring.post(id),
+                            (None, Some(loc)) => filled.push(loc.id),
+                            (None, None) => {}
+                        }
+                    }
+                    if !filled.is_empty() {
+                        let _ = self.request_unit(Request::Release(filled));
+                    }
                     return Err(e);
                 }
             }
         }
+        let mut held = self.held.lock();
         if fills > 1 {
             let mut filled = Vec::with_capacity(fills);
             filled.extend(bufs.iter().flatten().map(|b| b.id));
-            self.held.lock().groups.open(filled);
-        } else if let Some(id) = postable.filter(|_| fills == 1) {
-            *self.held.lock().posts.entry(id).or_default() += 1;
+            held.groups.open(filled);
+        }
+        for id in slots.filter_map(|slot| self.postable(slot)) {
+            *held.posts.entry(id).or_default() += 1;
         }
         Ok(bufs)
     }
@@ -472,42 +524,58 @@ impl PlasmaClient {
     }
 
     /// Drop one reference on `id`. A member of a release group but its
-    /// last is answered `Ok` at once; the last sends the group's
-    /// releases in one request. Otherwise, while a single get's pin on
-    /// `id` in the store's own table is held, the release is posted to
-    /// the store's ring, unanswered and uncharged; any other goes in a
-    /// request of its own (module docs). References on one immutable
-    /// object are fungible, so which of `id`'s pins a release returns
-    /// is this client's choice.
+    /// last is answered `Ok` at once; the last returns the group's
+    /// references. While this client holds a pin on an id in the store's
+    /// own table, a release of it is posted to the store's ring,
+    /// unanswered and uncharged; the others go in one request (module
+    /// docs). References on one immutable object are fungible, so which
+    /// of `id`'s pins a release returns is this client's choice.
     pub fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let mut ids = {
+        let ids = {
             let mut held = self.held.lock();
-            let Some(ids) = held.groups.release(id) else {
+            let Some(mut ids) = held.groups.release(id) else {
                 return Ok(());
             };
-            if ids.is_empty() && held.take_post(id) {
+            if ids.is_empty() {
+                // No group waits for it: a release of its own.
+                let posted = held.take_post(id);
                 drop(held);
+                if !posted {
+                    return self.exchange_unit(&release_frame(&[id]));
+                }
                 self.ring.post(id);
                 return Ok(());
+            }
+            ids.push(id);
+            held.post_here(&self.ring, &mut ids);
+            ids
+        };
+        if ids.is_empty() {
+            return Ok(());
+        }
+        self.exchange_unit(&release_frame(&ids))
+    }
+
+    /// Return the releases of `id` this client deferred, before a delete
+    /// of it: the caller released it, so the store must not still count
+    /// those references.
+    fn release_deferred(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        let ids = {
+            let mut held = self.held.lock();
+            let deferred = held.groups.take_deferred(id);
+            if deferred == 0 {
+                return Ok(());
+            }
+            let mut ids = vec![id; deferred];
+            if self.posts_deferred() {
+                held.post_here(&self.ring, &mut ids);
             }
             ids
         };
         if ids.is_empty() {
-            return self.exchange_unit(&release_frame(&[id]));
-        }
-        ids.push(id);
-        self.exchange_unit(&release_frame(&ids))
-    }
-
-    /// Send the releases of `id` this client deferred, before a delete
-    /// of it: the caller released it, so the store must not still count
-    /// those references.
-    fn release_deferred(&self, id: ObjectId) -> Result<(), PlasmaError> {
-        let held = self.held.lock().groups.take_deferred(id);
-        if held == 0 {
             return Ok(());
         }
-        self.request_unit(Request::Release(vec![id; held]))
+        self.request_unit(Request::Release(ids))
     }
 
     /// Delete a sealed, unreferenced object.
@@ -570,10 +638,16 @@ impl PlasmaClient {
 }
 
 impl Drop for PlasmaClient {
-    /// Send every open group's deferred releases. Members never released
-    /// stay referenced, as a dropped buffer's reference does.
+    /// Return every open group's deferred releases, each pin here
+    /// posted. Members never released stay referenced, as a dropped
+    /// buffer's reference does.
     fn drop(&mut self) {
-        let deferred = self.held.get_mut().groups.close_all();
+        let posts = self.posts_deferred();
+        let held = self.held.get_mut();
+        let mut deferred = held.groups.close_all();
+        if posts {
+            held.post_here(&self.ring, &mut deferred);
+        }
         if !deferred.is_empty() {
             // Best-effort: there is no one to report a failure to.
             let _ = self.request_unit(Request::Release(deferred));

@@ -367,27 +367,28 @@ mod end_to_end {
         ids
     }
 
+    /// A batch of pins here costs one request, its get: each member's
+    /// release but the last is held, and the last posts them all.
     #[test]
     fn a_batch_get_returns_its_references_in_one_request() {
         let r = rig(1 << 20);
         let client = client_on(&r, r.store.node());
         let ids = put_named(&client, "batch", 32);
-        let bufs = client.get(&ids, Duration::from_secs(1)).unwrap();
-        assert!(bufs.iter().all(Option::is_some));
         let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
         let before = requests();
+        let bufs = client.get(&ids, Duration::from_secs(1)).unwrap();
+        assert!(bufs.iter().all(Option::is_some));
         for id in &ids[..31] {
             client.release(*id).unwrap();
         }
-        assert_eq!(requests(), before, "no member but the last sends");
         assert_eq!(refs(&r.store, &ids), vec![1; 32], "the batch is held");
         client.release(ids[31]).unwrap();
-        assert_eq!(requests(), before + 1);
+        assert_eq!(requests(), before + 1, "the get alone");
         assert_eq!(refs(&r.store, &ids), vec![0; 32]);
-        // A single get's release is posted, not requested.
+        // A single get's release is posted too.
         client.get_one(ids[0], Duration::from_secs(1)).unwrap();
         client.release(ids[0]).unwrap();
-        assert_eq!(requests(), before + 2);
+        assert_eq!(requests(), before + 2, "the two gets");
         assert_eq!(refs(&r.store, &ids[..1]), vec![0]);
     }
 
@@ -475,11 +476,12 @@ mod end_to_end {
         );
     }
 
-    /// Only a single get's pin in the store's own table is posted: a
-    /// batch's go back in its one request, and a slot the store says it
-    /// pinned elsewhere is released by request too.
+    /// A pin in the store's own table is posted, whichever get took it:
+    /// a batch's as a single get's. A slot the store says it pinned
+    /// elsewhere is released by request, a batch's in one, and so is a
+    /// pin here taken by a client handed another store's ring.
     #[test]
-    fn only_a_single_gets_pin_here_is_posted() {
+    fn a_pin_here_from_any_get_is_posted() {
         let r = rig(1 << 20);
         let client = client_on(&r, r.store.node());
         let ids = put_named(&client, "kinds", 2);
@@ -488,7 +490,8 @@ mod end_to_end {
         let before = requests();
         client.release(ids[0]).unwrap();
         client.release(ids[1]).unwrap();
-        assert_eq!(requests(), before + 1, "the batch went back in a request");
+        assert_eq!(requests(), before, "the batch's pins were posted");
+        assert_eq!(refs(&r.store, &ids), vec![0, 0]);
 
         // A store answering every filled slot as pinned elsewhere.
         let elsewhere = |out: &mut [GetSlot]| {
@@ -507,6 +510,11 @@ mod end_to_end {
         client.get_one(ids[0], Duration::from_secs(1)).unwrap();
         client.release(ids[0]).unwrap();
         assert_eq!(server.metrics().requests.load(Ordering::Relaxed), 2);
+        client.get(&ids, Duration::from_secs(1)).unwrap();
+        client.release(ids[0]).unwrap();
+        client.release(ids[1]).unwrap();
+        let sent = server.metrics().requests.load(Ordering::Relaxed);
+        assert_eq!(sent, 4, "the batch's get and its one release");
         assert_eq!(refs(&r.store, &ids), vec![0, 0]);
 
         // A client handed another store's ring requests the release of a
@@ -522,6 +530,160 @@ mod end_to_end {
         client.release(ids[0]).unwrap();
         assert_eq!(requests(), before + 2, "the get and the release");
         assert_eq!(refs(&r.store, &ids), vec![0, 0]);
+    }
+
+    /// A batch's pins here are posted at its last release and applied
+    /// at the store's next table access: another client's delete of a
+    /// member reads `ObjectInUse` until then and succeeds right after,
+    /// and its deferred delete of one is carried out then, with no
+    /// request sent for the release. With the drain skipped (the
+    /// mutant), the delete is refused and the deferred one waits.
+    #[test]
+    fn a_groups_posted_release_is_applied_before_another_clients_delete() {
+        let deletes_after_last = |mutant: bool| {
+            let r = rig(1 << 20);
+            let (reader, deleter) = (client_on(&r, r.store.node()), client_on(&r, r.store.node()));
+            let ids = put_named(&reader, "group", 3);
+            if mutant {
+                r.store.skip_drain();
+            }
+            reader.get(&ids, Duration::from_secs(1)).unwrap();
+            for &id in &ids[..2] {
+                reader.release(id).unwrap();
+                assert_eq!(deleter.delete(id), Err(PlasmaError::ObjectInUse(id)));
+            }
+            assert_eq!(deleter.delete_deferred(ids[2]), Ok(false), "held");
+            let requests = || r._server.metrics().requests.load(Ordering::Relaxed);
+            let before = requests();
+            reader.release(ids[2]).unwrap();
+            assert_eq!(requests(), before, "the last release sent no request");
+            let deleted: Vec<_> = ids[..2].iter().map(|&id| deleter.delete(id)).collect();
+            (deleted, r.store.exists_any_state(ids[2]))
+        };
+        assert_eq!(deletes_after_last(false), (vec![Ok(()); 2], false));
+        let (refused, waiting) = deletes_after_last(true);
+        let id = ObjectId::from_name("group-0");
+        assert_eq!(refused[0], Err(PlasmaError::ObjectInUse(id)));
+        assert!(waiting, "the deferred delete waits for the drain");
+    }
+
+    /// A store that answers each single get from a ledger, as a
+    /// distributed store answers a lent id: the pin moves out of the
+    /// table into the ledger, and the slot says it is pinned elsewhere.
+    /// A release takes a ledger pin first, and a delete of an id the
+    /// ledger pins reads `ObjectInUse`, as the distributed store's do.
+    struct Ledgered(
+        StoreCore,
+        parking_lot::Mutex<std::collections::HashMap<ObjectId, u32>>,
+    );
+
+    impl Ledgered {
+        fn pins(&self, id: ObjectId) -> u32 {
+            self.1.lock().get(&id).copied().unwrap_or(0)
+        }
+    }
+
+    impl ObjectStore for Ledgered {
+        fn create(&self, id: ObjectId, d: u64, m: u64) -> Result<ObjectLocation, PlasmaError> {
+            self.0.create(id, d, m)
+        }
+        fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
+            self.0.seal(id)
+        }
+        fn put(&self, id: ObjectId, d: &[u8], m: &[u8]) -> Result<ObjectLocation, PlasmaError> {
+            self.0.put(id, d, m)
+        }
+        fn get_into(
+            &self,
+            ids: &[ObjectId],
+            timeout: Duration,
+            out: &mut Vec<GetSlot>,
+        ) -> Result<(), PlasmaError> {
+            ObjectStore::get_into(&self.0, ids, timeout, out)?;
+            if let [GetSlot::PinnedHere(loc)] = out[..] {
+                self.0.release(loc.id)?;
+                *self.1.lock().entry(loc.id).or_default() += 1;
+                out[0] = GetSlot::Pinned(loc);
+            }
+            Ok(())
+        }
+        fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            if let Some(pins @ 1..) = self.1.lock().get_mut(&id) {
+                *pins -= 1;
+                return Ok(());
+            }
+            self.0.release(id)
+        }
+        fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            if self.pins(id) > 0 {
+                return Err(PlasmaError::ObjectInUse(id));
+            }
+            self.0.delete(id)
+        }
+        fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+            self.0.delete_deferred(id)
+        }
+        fn abort(&self, id: ObjectId) -> Result<(), PlasmaError> {
+            self.0.abort(id)
+        }
+        fn contains(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+            Ok(self.0.contains(id))
+        }
+        fn list(&self) -> Result<Vec<ObjectInfo>, PlasmaError> {
+            Ok(self.0.list())
+        }
+        fn stats(&self) -> Result<StoreStats, PlasmaError> {
+            Ok(self.0.stats())
+        }
+        fn evict(&self, bytes: u64) -> Result<u64, PlasmaError> {
+            Ok(self.0.evict(bytes))
+        }
+        fn subscribe(&self) -> std::sync::mpsc::Receiver<ObjectLocation> {
+            self.0.subscribe()
+        }
+    }
+
+    /// A batch member's deferred release of a pin here goes back by post
+    /// on the client's own delete and on its drop, its credit taken. A
+    /// request would reach the ledger first and take the ledger pin
+    /// another client holds on the id, leaving the batch's pin counted
+    /// in the table: that is what the mutant, which requests them and
+    /// keeps the credits, does.
+    #[test]
+    fn a_deferred_pin_here_goes_back_by_post_on_delete_and_drop() {
+        // The other client's ledger pin and the table's count of the id
+        // once the batch's client deleted it (or, `dropped`, was dropped).
+        let after = |mutant: bool, dropped: bool| {
+            let r = rig(1 << 20);
+            let ids = put_named(&client_on(&r, r.store.node()), "credit", 2);
+            let hub = InprocHub::new();
+            let store = Arc::new(Ledgered(r.store.clone(), Default::default()));
+            let _server = serve_store(Box::new(hub.bind("ledgered").unwrap()), store.clone());
+            let client = || {
+                let conn = Box::new(hub.connect("ledgered").unwrap());
+                let ring = r.store.release_ring();
+                PlasmaClient::new(conn, ring, r.fabric.clone(), r.store.node())
+            };
+            let (batch, other) = (client(), client());
+            if mutant {
+                batch.request_deferred();
+            }
+            batch.get(&ids, Duration::from_secs(1)).unwrap();
+            other.get_one(ids[0], Duration::from_secs(1)).unwrap();
+            assert_eq!(store.pins(ids[0]), 1, "the other client's pin");
+            batch.release(ids[0]).unwrap();
+            if dropped {
+                drop(batch);
+            } else {
+                let deleted = batch.delete(ids[0]);
+                assert_eq!(deleted, Err(PlasmaError::ObjectInUse(ids[0])));
+            }
+            (store.pins(ids[0]), refs(&r.store, &ids[..1])[0])
+        };
+        for dropped in [false, true] {
+            assert_eq!(after(false, dropped), (1, 0), "dropped: {dropped}");
+            assert_eq!(after(true, dropped), (0, 1), "dropped: {dropped}");
+        }
     }
 
     #[test]

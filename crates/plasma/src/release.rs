@@ -5,11 +5,13 @@
 //! A batched `get` that filled two or more slots returns its references
 //! together. Each release of a member but the last is answered at once,
 //! its reference still counted where it was taken; the last returns the
-//! whole group in one exchange — one `Release` request from a
-//! [`crate::PlasmaClient`], one `RELEASE` per owner from a distributed
-//! store. A batch's references therefore stay counted until its last
-//! release, and a delete of a member from the side that deferred its
-//! release sends that release first.
+//! whole group in one exchange — from a [`crate::PlasmaClient`], its
+//! pins in the store's own table posted to the store's ring and the
+//! others in one `Release` request, sent only if one is left; from a
+//! distributed store, one `RELEASE` per owner. A batch's references
+//! therefore stay counted until its last release, and a delete of a
+//! member from the side that deferred its release returns that release
+//! first.
 
 use crate::id::ObjectId;
 use parking_lot::Mutex;
@@ -131,6 +133,26 @@ impl ReleaseRing {
         let mut posted = self.inner.posted.lock();
         posted.push(id);
         self.inner.any.store(true, Ordering::Release);
+    }
+
+    /// Post the release of each of `ids` that `here` takes, under one
+    /// lock, and keep the others in `ids`, in order.
+    pub(crate) fn post_where(
+        &self,
+        ids: &mut Vec<ObjectId>,
+        mut here: impl FnMut(ObjectId) -> bool,
+    ) {
+        let mut posted = self.inner.posted.lock();
+        let before = posted.len();
+        ids.retain(|&id| {
+            !here(id) || {
+                posted.push(id);
+                false
+            }
+        });
+        if posted.len() > before {
+            self.inner.any.store(true, Ordering::Release);
+        }
     }
 
     /// Swap every posted release into `into`, which is empty: the two

@@ -6,7 +6,8 @@
 //! on one node that hold references across each other's deletes and
 //! across puts that force eviction, it is one store's table: what is
 //! present, who pins it and its eviction order, and a release applies
-//! there at once, whether the client posted it or requested it.
+//! there at once, whether the client posted it or requested it — but for
+//! a batch member's, which waits for its group's last release.
 
 use disagg::{Cluster, ClusterConfig, ReconcileReport};
 use plasma::{ObjectId, PlasmaError};
@@ -206,31 +207,92 @@ enum HeldOp {
         k: usize,
     },
     /// A batch get released at once: two filled slots or more go back
-    /// in one request.
+    /// together at the last release.
     Batch {
         client: usize,
         names: Vec<u8>,
     },
+    /// A batch get whose references are kept, each released by a later
+    /// `Release`: two filled slots or more open a release group.
+    Open {
+        client: usize,
+        names: Vec<u8>,
+    },
+    /// A delete; by the client that deferred a release of it, that
+    /// release goes back first.
     Delete {
         client: usize,
         name: u8,
+    },
+    /// The client is dropped, mid-batch if it has a group open: its
+    /// deferred releases go back, and a new client in its place takes
+    /// over the references it never released.
+    Drop {
+        client: usize,
     },
 }
 
 fn held_op_strategy() -> impl Strategy<Value = HeldOp> {
     let name = || any::<u8>().prop_map(|n| n % 16);
     let batch = proptest::collection::vec(name(), 2..5);
-    // Puts weigh three, holds and releases two each, batches and deletes
-    // one each: enough puts to fill the store and evict.
-    (0..9u8, 0..3usize, name(), any::<usize>(), batch).prop_map(|(pick, client, name, k, names)| {
-        match pick {
+    // Puts and releases weigh three each, holds two, the rest one each:
+    // enough puts to fill the store and evict.
+    (0..12u8, 0..3usize, name(), any::<usize>(), batch).prop_map(
+        |(pick, client, name, k, names)| match pick {
             0..=2 => HeldOp::Put { client, name },
             3 | 4 => HeldOp::Hold { client, name },
-            5 | 6 => HeldOp::Release { client, k },
-            7 => HeldOp::Batch { client, names },
-            _ => HeldOp::Delete { client, name },
+            5..=7 => HeldOp::Release { client, k },
+            8 => HeldOp::Batch { client, names },
+            9 => HeldOp::Open { client, names },
+            10 => HeldOp::Delete { client, name },
+            _ => HeldOp::Drop { client },
+        },
+    )
+}
+
+/// What one client holds, as it keeps track itself.
+#[derive(Default)]
+struct Holder {
+    /// Every reference it has not released, open groups' members too.
+    kept: Vec<u8>,
+    /// Per open group, oldest first: the members not released yet, and
+    /// those released, whose references still count.
+    groups: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
+impl Holder {
+    /// The references that go back with a release of `name`: a member
+    /// of a group joins the most recently opened one that waits for it,
+    /// and its last release returns them all.
+    fn release(&mut self, name: u8) -> Vec<u8> {
+        let at = self
+            .groups
+            .iter()
+            .rposition(|(waiting, _)| waiting.contains(&name));
+        let Some(at) = at else {
+            return vec![name];
+        };
+        let (waiting, released) = &mut self.groups[at];
+        let member = waiting.iter().position(|n| *n == name).unwrap();
+        waiting.remove(member);
+        released.push(name);
+        if waiting.is_empty() {
+            return self.groups.remove(at).1;
         }
-    })
+        Vec::new()
+    }
+
+    /// The deferred releases of `name`, taken out of their groups.
+    fn take_deferred(&mut self, name: u8) -> usize {
+        let released = self.groups.iter_mut().map(|(_, released)| released);
+        released
+            .map(|r| {
+                let before = r.len();
+                r.retain(|n| *n != name);
+                before - r.len()
+            })
+            .sum()
+    }
 }
 
 /// Bytes of every object the one-node property puts, and of the memory
@@ -309,6 +371,13 @@ impl Table {
     }
 }
 
+/// Per object present in the one node's table, the references it counts.
+fn counted(cluster: &Cluster) -> HashMap<u8, u32> {
+    let names: HashMap<ObjectId, u8> = (0..16).map(|n| (oid(n), n)).collect();
+    let listed = cluster.store(0).core().list().into_iter();
+    listed.map(|o| (names[&o.id], o.ref_count as u32)).collect()
+}
+
 /// What the model's verdict reads as a client's answer.
 fn verdict(got: Result<(), PlasmaError>) -> Result<(), &'static str> {
     got.map_err(|e| match e {
@@ -328,14 +397,14 @@ proptest! {
         ops in proptest::collection::vec(held_op_strategy(), 1..80),
     ) {
         let cluster = Cluster::launch(ClusterConfig::functional(1, HELD_MEMORY)).unwrap();
-        let clients: Vec<_> = (0..3).map(|_| cluster.client(0).unwrap()).collect();
+        let mut clients: Vec<_> = (0..3).map(|_| cluster.client(0).unwrap()).collect();
         let mut table = Table {
             capacity: held_capacity(),
             pins: HashMap::new(),
             lru: VecDeque::new(),
             evictions: 0,
         };
-        let mut held: Vec<Vec<u8>> = vec![Vec::new(); 3];
+        let mut held: Vec<Holder> = (0..3).map(|_| Holder::default()).collect();
         let object = |name: u8| vec![name; HELD_LEN];
         let read = |slot: &Option<plasma::ObjectBuffer>, name: u8| -> Result<(), TestCaseError> {
             let buf = slot.as_ref().expect("the model says it is present");
@@ -344,7 +413,7 @@ proptest! {
         };
 
         for op in ops {
-            match op {
+            match op.clone() {
                 HeldOp::Put { client, name } => {
                     let put = clients[client].put(oid(name), &object(name), &[]);
                     prop_assert_eq!(verdict(put.map(drop)), table.put(name), "put {}", name);
@@ -353,21 +422,23 @@ proptest! {
                     let got = clients[client].get(&[oid(name)], Duration::ZERO).unwrap();
                     if table.pin(name) {
                         read(&got[0], name)?;
-                        held[client].push(name);
+                        held[client].kept.push(name);
                     } else {
                         prop_assert!(got[0].is_none(), "the model says {} is absent", name);
                     }
                 }
                 HeldOp::Release { client, k } => {
-                    let kept = &mut held[client];
+                    let kept = &mut held[client].kept;
                     if kept.is_empty() {
                         continue;
                     }
                     let name = kept.remove(k % kept.len());
                     clients[client].release(oid(name)).unwrap();
-                    table.unpin(name);
+                    for name in held[client].release(name) {
+                        table.unpin(name);
+                    }
                 }
-                HeldOp::Batch { client, names } => {
+                HeldOp::Batch { client, names } | HeldOp::Open { client, names } => {
                     let ids: Vec<ObjectId> = names.iter().map(|&n| oid(n)).collect();
                     let got = clients[client].get(&ids, Duration::ZERO).unwrap();
                     let mut filled = Vec::new();
@@ -379,23 +450,48 @@ proptest! {
                             prop_assert!(slot.is_none(), "the model says {} is absent", name);
                         }
                     }
-                    for name in filled {
-                        clients[client].release(oid(name)).unwrap();
-                        table.unpin(name);
+                    let holder = &mut held[client];
+                    if filled.len() > 1 {
+                        holder.groups.push((filled.clone(), Vec::new()));
+                    }
+                    if matches!(op, HeldOp::Open { .. }) {
+                        holder.kept.extend(filled);
+                    } else {
+                        for name in filled {
+                            clients[client].release(oid(name)).unwrap();
+                            for name in holder.release(name) {
+                                table.unpin(name);
+                            }
+                        }
                     }
                 }
                 HeldOp::Delete { client, name } => {
+                    for _ in 0..held[client].take_deferred(name) {
+                        table.unpin(name);
+                    }
                     let deleted = clients[client].delete(oid(name));
                     prop_assert_eq!(verdict(deleted), table.delete(name), "delete {}", name);
                 }
+                HeldOp::Drop { client } => {
+                    clients[client] = cluster.client(0).unwrap();
+                    let dropped = std::mem::take(&mut held[client].groups);
+                    for name in dropped.into_iter().flat_map(|(_, released)| released) {
+                        table.unpin(name);
+                    }
+                }
             }
+            prop_assert_eq!(&counted(&cluster), &table.pins, "after {:?}", op);
         }
-        for (client, names) in clients.iter().zip(&held) {
-            for &name in names {
+        for (client, holder) in clients.iter().zip(&mut held) {
+            for name in std::mem::take(&mut holder.kept) {
                 client.release(oid(name)).unwrap();
-                table.unpin(name);
+                for name in holder.release(name) {
+                    table.unpin(name);
+                }
             }
+            prop_assert!(holder.groups.is_empty());
         }
+        prop_assert_eq!(&counted(&cluster), &table.pins);
         prop_assert_eq!(cluster.store(0).core().stats().evictions, table.evictions);
         let violations = cluster.audit();
         prop_assert!(violations.is_empty(), "{:#?}", violations);

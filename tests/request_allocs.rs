@@ -11,10 +11,13 @@
 //! when the answer has a payload. The store itself allocates nothing: a
 //! get's and a release's ids are read off the request, a get's locations
 //! are filled into a list the connection keeps, and recency lives in the
-//! object table. A single get's release is no request: the client posts
-//! it to the store's release ring, and the store applies it at its next
-//! table access — in these rows, the next get's, whose store side is its
-//! answer alone.
+//! object table. The release of a pin in the store's own table is no
+//! request, a batch's as a single get's: the client posts it to the
+//! store's release ring, and the store applies it at its next table
+//! access — in these rows, the next get's, whose store side is its
+//! answer alone. A batch's release request is counted through the same
+//! store answering every slot as pinned elsewhere, as a peer's or a
+//! ledger's pin is.
 //!
 //! A remote get and a put where the bytes are written are counted on
 //! every thread together, each in a binary of its own
@@ -27,8 +30,13 @@
 mod allocs;
 
 use allocs::{nothing, Most, Row, CALLS, WARM};
-use disagg::{Cluster, ClusterConfig};
-use plasma::{ObjectId, PlasmaClient};
+use disagg::{Cluster, ClusterConfig, DisaggStore};
+use plasma::{
+    GetSlot, ObjectId, ObjectInfo, ObjectLocation, ObjectStore, PlasmaClient, PlasmaError,
+    StoreStats,
+};
+use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Ids a batch get names.
@@ -48,6 +56,66 @@ fn release_all(client: &PlasmaClient, ids: &[ObjectId]) {
     }
 }
 
+/// A store answering every filled slot as pinned elsewhere (slot tag 1),
+/// so its client requests every release.
+struct Elsewhere(DisaggStore);
+
+impl ObjectStore for Elsewhere {
+    fn create(&self, id: ObjectId, d: u64, m: u64) -> Result<ObjectLocation, PlasmaError> {
+        self.0.create(id, d, m)
+    }
+    fn seal(&self, id: ObjectId) -> Result<ObjectLocation, PlasmaError> {
+        self.0.seal(id)
+    }
+    fn put(&self, id: ObjectId, d: &[u8], m: &[u8]) -> Result<ObjectLocation, PlasmaError> {
+        self.0.put(id, d, m)
+    }
+    fn get_into(
+        &self,
+        ids: &[ObjectId],
+        timeout: Duration,
+        out: &mut Vec<GetSlot>,
+    ) -> Result<(), PlasmaError> {
+        self.0.get_into(ids, timeout, out)?;
+        for slot in out {
+            if let GetSlot::PinnedHere(loc) = *slot {
+                *slot = GetSlot::Pinned(loc);
+            }
+        }
+        Ok(())
+    }
+    fn release(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        self.0.release(id)
+    }
+    fn release_many(&self, ids: &[ObjectId]) -> Result<(), PlasmaError> {
+        self.0.release_many(ids)
+    }
+    fn delete(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        self.0.delete(id)
+    }
+    fn delete_deferred(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+        self.0.delete_deferred(id)
+    }
+    fn abort(&self, id: ObjectId) -> Result<(), PlasmaError> {
+        self.0.abort(id)
+    }
+    fn contains(&self, id: ObjectId) -> Result<bool, PlasmaError> {
+        self.0.contains(id)
+    }
+    fn list(&self) -> Result<Vec<ObjectInfo>, PlasmaError> {
+        self.0.list()
+    }
+    fn stats(&self) -> Result<StoreStats, PlasmaError> {
+        self.0.stats()
+    }
+    fn evict(&self, bytes: u64) -> Result<u64, PlasmaError> {
+        self.0.evict(bytes)
+    }
+    fn subscribe(&self) -> Receiver<ObjectLocation> {
+        self.0.subscribe()
+    }
+}
+
 fn named(base: &str, n: usize) -> Vec<ObjectId> {
     (0..n)
         .map(|i| ObjectId::from_name(&format!("allocs/{base}/{i}")))
@@ -58,6 +126,15 @@ fn named(base: &str, n: usize) -> Vec<ObjectId> {
 fn each_request_kind_allocates_within_its_budget() {
     let cluster = Cluster::launch(ClusterConfig::functional(1, 32 << 20)).unwrap();
     let client = cluster.client(0).unwrap();
+    let hub = ipc::InprocHub::new();
+    let elsewhere = Arc::new(Elsewhere(cluster.store(0).clone()));
+    let _server = plasma::serve_store(Box::new(hub.bind("elsewhere").unwrap()), elsewhere);
+    let requester = PlasmaClient::new(
+        Box::new(hub.connect("elsewhere").unwrap()),
+        cluster.store(0).core().release_ring(),
+        cluster.fabric().clone(),
+        cluster.node_id(0),
+    );
     let stored = named("stored", 2 * BATCH);
     let fresh = named("fresh", WARM + CALLS);
     for &id in &stored {
@@ -65,7 +142,7 @@ fn each_request_kind_allocates_within_its_budget() {
     }
 
     allocs::on_client_thread();
-    let (c, stored, fresh) = (&client, &stored, &fresh);
+    let (c, r, stored, fresh) = (&client, &requester, &stored, &fresh);
     // Alternate between two windows of the stored ids, so a get's ids
     // were released by the call before last.
     let one = |n: usize| &stored[n % 2..][..1];
@@ -93,10 +170,17 @@ fn each_request_kind_allocates_within_its_budget() {
             after: nothing(),
         },
         Row {
-            name: "release request (32-group)",
-            most: Most::Measured(1.0, 0.0),
+            name: "release (32-group, posted)",
+            most: Most::Measured(0.0, 0.0),
             before: Box::new(move |n| get_all(c, batch(n))),
             call: Box::new(move |n| release_all(c, batch(n))),
+            after: nothing(),
+        },
+        Row {
+            name: "release request (32-group)",
+            most: Most::Measured(1.0, 0.0),
+            before: Box::new(move |n| get_all(r, batch(n))),
+            call: Box::new(move |n| release_all(r, batch(n))),
             after: nothing(),
         },
         Row {
